@@ -6,8 +6,8 @@
 //! - **fused**: `map.filter.map` — narrow ops compose into one lazy iterator
 //!   per task; the source partition is pulled through a zero-copy `Shared`
 //!   view and never materializes an intermediate Vec.
-//! - **materialized**: the same chain through the `map_partitions` Vec shim,
-//!   which collects every stage into a fresh `Vec` — the seed semantics.
+//! - **materialized**: the same chain with every stage collecting its input
+//!   stream into a fresh `Vec` ([`via_vec`]) — the seed semantics.
 //!
 //! Plus one tiled matmul through the full session stack, as a guard that
 //! kernels did not regress under streaming.
@@ -21,7 +21,7 @@
 //! lower than materialized and fused wall time is no worse (10% tolerance).
 
 use sac::Session;
-use sparkline::Context;
+use sparkline::{Context, Data, Dataset, PartitionStream};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -117,6 +117,15 @@ fn measure(name: &str, expect: usize, f: impl Fn() -> usize) -> Row {
     }
 }
 
+/// The seed's Vec-materializing narrow op — the baseline the fused chain is
+/// measured against: collect the partition's stream, apply `f`, re-wrap.
+fn via_vec<T: Data, U: Data>(
+    d: &Dataset<T>,
+    f: impl Fn(Vec<T>) -> Vec<U> + Send + Sync + 'static,
+) -> Dataset<U> {
+    d.map_partitions_stream(move |_, s| PartitionStream::from_vec(f(s.into_vec())))
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -133,14 +142,10 @@ fn main() {
             .map(|x| x + 1)
             .count()
     });
-    // The deprecated Vec shim is exactly the materialized baseline this
-    // bench exists to compare against, so its use here is deliberate.
-    #[allow(deprecated)]
     let materialized = measure("materialized_chain", expect, || {
-        d.map_partitions(|_, v: Vec<i64>| v.into_iter().map(|x| x * 3).collect())
-            .map_partitions(|_, v| v.into_iter().filter(|x| x % 5 != 0).collect())
-            .map_partitions(|_, v| v.into_iter().map(|x| x + 1).collect())
-            .count()
+        let tripled = via_vec(&d, |v| v.into_iter().map(|x| x * 3).collect());
+        let kept = via_vec(&tripled, |v| v.into_iter().filter(|x| x % 5 != 0).collect());
+        via_vec(&kept, |v| v.into_iter().map(|x| x + 1).collect()).count()
     });
 
     // One tiled matmul through the whole stack: streaming must not cost the

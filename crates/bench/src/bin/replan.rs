@@ -3,8 +3,10 @@
 //!
 //! The registered `ArrayStats` claim both operands are 8x their honest
 //! resident bytes (and hide the density), pushing them past the broadcast
-//! budget: the frozen planner settles on the shuffling reduceByKey
-//! contraction. The adaptive stage driver probes the materialized inputs,
+//! budget: at plan time `Auto` settles on the shuffling reduceByKey
+//! contraction, and a session pinned to it (a pinned strategy is a frozen
+//! plan) rides it to the end. The adaptive stage driver probes the
+//! materialized inputs of the `Auto` session,
 //! observes the truth (a density-skewed panel — one dense block-row stripe,
 //! zeros elsewhere), and promotes the node to the broadcast contraction at
 //! runtime.
@@ -29,7 +31,7 @@
 //! ```
 
 use bench::TILE;
-use sac::Session;
+use sac::{MatMulStrategy, Session};
 use std::time::Instant;
 
 const MIN_SPEEDUP: f64 = 1.3;
@@ -48,7 +50,8 @@ struct Row {
 }
 
 /// Session over the skewed panel with 8x-lying registration statistics.
-fn panel_session(adaptive: bool) -> Session {
+/// `Auto` lets the stage driver re-decide; pinning `matmul` freezes the plan.
+fn panel_session(matmul: MatMulStrategy) -> Session {
     let mut s = Session::builder()
         .workers(std::thread::available_parallelism().map_or(4, |n| n.get()))
         // Few, wide partitions: map-side merging then collapses the
@@ -59,7 +62,7 @@ fn panel_session(adaptive: bool) -> Session {
         // Between the honest bytes (~296 KB CSC-discounted) and the 8x lie
         // (~9.4 MB): the frozen plan can never broadcast, the probed one can.
         .broadcast_budget(2_000_000)
-        .adaptive(adaptive)
+        .matmul(matmul)
         .build();
     // Density skew: one dense 64-row stripe, zeros everywhere else. The
     // honest tiles are ~1/6 dense; registration keeps full-dense bytes.
@@ -86,8 +89,8 @@ fn panel_session(adaptive: bool) -> Session {
 
 /// One traced run for the plan decisions, then `REPS` timed runs (best
 /// wall) for the measured cost.
-fn run(name: &str, adaptive: bool) -> Row {
-    let s = panel_session(adaptive);
+fn run(name: &str, matmul: MatMulStrategy) -> Row {
+    let s = panel_session(matmul);
     let analysis = s.explain_analyze(MUL_SRC).expect("panel query must run");
     let choice = &analysis.profile.plan_choices[0];
     let strategy = choice.chosen.to_string();
@@ -127,8 +130,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_replan.json".to_string());
 
-    let frozen = run("join_384_frozen", false);
-    let adaptive = run("join_384_adaptive", true);
+    let frozen = run("join_384_frozen", MatMulStrategy::ReduceByKey);
+    let adaptive = run("join_384_adaptive", MatMulStrategy::Auto);
 
     let cheaper_strategy = !adaptive.replanned_to.is_empty()
         && adaptive.replanned_to != frozen.strategy

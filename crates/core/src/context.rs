@@ -24,7 +24,6 @@ pub struct SessionBuilder {
     chaos_off: bool,
     worker_processes: Option<usize>,
     external_shuffle: Option<bool>,
-    adaptive: Option<bool>,
 }
 
 impl Default for SessionBuilder {
@@ -48,7 +47,6 @@ impl Default for SessionBuilder {
             chaos_off: false,
             worker_processes: None,
             external_shuffle: None,
-            adaptive: None,
         }
     }
 }
@@ -87,7 +85,8 @@ impl SessionBuilder {
 
     /// Contraction strategy (§5.3 reduceByKey vs §5.4 group-by-join). The
     /// default, [`MatMulStrategy::Auto`], picks the cheapest strategy per
-    /// query from registered statistics.
+    /// query from registered statistics and may re-decide at stage
+    /// frontiers from measured ones; pinning a strategy freezes the plan.
     pub fn matmul(mut self, s: MatMulStrategy) -> Self {
         self.matmul = s;
         self
@@ -112,15 +111,6 @@ impl SessionBuilder {
     /// more than once (on by default).
     pub fn auto_persist(mut self, on: bool) -> Self {
         self.auto_persist = on;
-        self
-    }
-
-    /// Enable or disable adaptive stage-frontier re-planning (on by
-    /// default; unset falls back to the `SAC_ADAPTIVE` environment
-    /// variable). `false` freezes every plan at its registration-time
-    /// decision — the bit-exactness oracle.
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = Some(on);
         self
     }
 
@@ -215,7 +205,6 @@ impl SessionBuilder {
                 ctx.build()
             }
         };
-        let defaults = PlanConfig::default();
         Session {
             ctx,
             env: PlanEnv::new(),
@@ -224,10 +213,7 @@ impl SessionBuilder {
                 matmul: self.matmul,
                 broadcast_budget: self.broadcast_budget,
                 tile_threads: self.tile_threads,
-                allow_local_fallback: true,
                 auto_persist: self.auto_persist,
-                adaptive: self.adaptive.unwrap_or(defaults.adaptive),
-                ..defaults
             },
         }
     }

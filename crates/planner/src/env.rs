@@ -360,10 +360,6 @@ impl PlanEnv {
             _ => None,
         }
     }
-
-    pub fn array_names(&self) -> impl Iterator<Item = &String> {
-        self.arrays.keys()
-    }
 }
 
 /// Drop a persisted overlay's blocks from its context's block manager.

@@ -3,12 +3,16 @@
 use crate::env::{DistArray, PlanEnv};
 use crate::plan::{GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, Planned};
 use crate::scalar::ScalarFn;
+use crate::stage;
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
-use sparkline::{Context, Dataset, Event, PartitionStream};
+use sparkline::{Context, Data, Dataset, Event, PartitionStream, SizeOf, SpillCodec};
 use std::collections::HashMap;
+use std::hash::Hash;
+use tiled::fused::FusedProgram;
+use tiled::kernel::Backend;
 use tiled::{DenseMatrix, LocalMatrix, TileCoord, TiledMatrix, TiledVector};
 
 /// The result of executing a plan.
@@ -102,6 +106,11 @@ pub fn execute(
         program,
         region_ops,
         ..
+    }
+    | Plan::VectorEltwise {
+        inputs,
+        program,
+        region_ops,
     } = &planned.plan
     {
         ctx.emit_event(|at_micros| Event::RegionFused {
@@ -189,9 +198,6 @@ fn execute_untagged(
     config: &PlanConfig,
 ) -> Result<ExecResult, CompError> {
     match (&planned.plan, &planned.output) {
-        (Plan::Eltwise { .. }, OutputKind::Matrix { rows, cols }) => {
-            exec_eltwise(&planned.plan, env, config, *rows, *cols).map(ExecResult::Matrix)
-        }
         (Plan::FusedEltwise { .. }, OutputKind::Matrix { rows, cols }) => {
             exec_fused_eltwise(&planned.plan, env, config, *rows, *cols).map(ExecResult::Matrix)
         }
@@ -215,8 +221,7 @@ fn execute_untagged(
             exec_vector_eltwise(&planned.plan, env, config, *len).map(ExecResult::Vector)
         }
         (Plan::GroupByAggregate { .. }, OutputKind::Vector { len }) => {
-            exec_group_aggregate_vector(&planned.plan, env, ctx, config, *len)
-                .map(ExecResult::Vector)
+            exec_group_aggregate_vector(&planned.plan, env, config, *len).map(ExecResult::Vector)
         }
         (Plan::LocalFallback { expr }, output) => exec_local(expr, env, ctx, config, output),
         (plan, output) => Err(CompError::plan(format!(
@@ -232,8 +237,7 @@ fn matrix_input<'a>(env: &'a PlanEnv, name: &str) -> Result<&'a TiledMatrix, Com
         .ok_or_else(|| CompError::plan(format!("`{name}` is not a registered tiled matrix")))
 }
 
-/// Validated elementwise inputs: the co-indexed tile join plus the shape
-/// facts both the unfused and fused executors need.
+/// Validated elementwise inputs: the co-indexed tile join plus its shape.
 struct EltwiseInputs {
     joined: Dataset<(TileCoord, Vec<DenseMatrix>)>,
     /// Tile size.
@@ -306,97 +310,52 @@ fn join_eltwise_inputs(
     })
 }
 
-/// Zero the padding region of a tile buffer (elements past the logical
-/// bounds of tile `(bi, bj)` in an `in_rows x in_cols` matrix).
-fn zero_tile_padding(data: &mut [f64], n: usize, bi: i64, bj: i64, in_rows: i64, in_cols: i64) {
-    let valid_rows = ((in_rows - bi * n as i64).clamp(0, n as i64)) as usize;
-    let valid_cols = ((in_cols - bj * n as i64).clamp(0, n as i64)) as usize;
-    if valid_rows < n {
-        data[valid_rows * n..].fill(0.0);
-    }
-    if valid_cols < n {
-        for ti in 0..valid_rows {
-            data[ti * n + valid_cols..(ti + 1) * n].fill(0.0);
-        }
-    }
-}
-
-/// §5.1: join co-indexed tile sets and apply the element kernel.
-fn exec_eltwise(
-    plan: &Plan,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<TiledMatrix, CompError> {
-    let Plan::Eltwise {
-        inputs,
-        transposed,
-        value,
-        guard,
-    } = plan
-    else {
-        unreachable!()
-    };
-    let EltwiseInputs {
-        joined,
-        n,
-        in_rows,
-        in_cols,
-        k,
-    } = join_eltwise_inputs(inputs, *transposed, env, config, rows, cols)?;
-
-    let value = value.clone();
-    let guard = guard.clone();
-    let transposed = *transposed;
-    // Index buffers are only materialized when the expression uses them.
-    let max_slot = value
-        .max_slot()
-        .max(guard.as_ref().and_then(ScalarFn::max_slot));
-    let needs_indices = max_slot.is_some_and(|s| s >= k);
-    let tiles = joined.map(move |((bi, bj), ts)| {
-        debug_assert_eq!(ts.len(), k, "join dropped an input tile");
-        let len = n * n;
-        // Slot buffers: the input tiles, then (lazily) global row/col.
-        let mut bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
-        let idx_bufs;
-        if needs_indices {
-            let mut rows_buf = Vec::with_capacity(len);
-            let mut cols_buf = Vec::with_capacity(len);
-            for ti in 0..n {
-                for tj in 0..n {
-                    rows_buf.push((bi * n as i64 + ti as i64) as f64);
-                    cols_buf.push((bj * n as i64 + tj as i64) as f64);
-                }
-            }
-            idx_bufs = (rows_buf, cols_buf);
-            bufs.push(&idx_bufs.0);
-            bufs.push(&idx_bufs.1);
-        }
-        let mut data = value.eval_batch(&bufs, len);
-        if let Some(g) = &guard {
-            let mask = g.eval_batch(&bufs, len);
-            for (d, m) in data.iter_mut().zip(mask) {
-                if m == 0.0 {
-                    *d = 0.0;
-                }
+/// Run a fused region over one tile. `shape` is the tile's `(rows, cols)` —
+/// `(n, n)` for a matrix tile, `(n, 1)` for a vector block — `origin` the
+/// global `(row, col)` of its first element, and `extent` the logical
+/// `(rows, cols)` of the whole array: elements past it are padding and come
+/// out zero. The global row/col index planes (program slots `k`, `k + 1`
+/// after the `k` input buffers) are only materialized when the program
+/// reads them.
+fn fused_tile(
+    program: &FusedProgram,
+    inputs: &[&[f64]],
+    shape: (usize, usize),
+    origin: (i64, i64),
+    extent: (i64, i64),
+    backend: Backend,
+) -> Vec<f64> {
+    let (tile_rows, tile_cols) = shape;
+    let len = tile_rows * tile_cols;
+    let mut bufs = inputs.to_vec();
+    let planes;
+    if program.n_slots() > inputs.len() {
+        let mut row_plane = Vec::with_capacity(len);
+        let mut col_plane = Vec::with_capacity(len);
+        for ti in 0..tile_rows {
+            for tj in 0..tile_cols {
+                row_plane.push((origin.0 + ti as i64) as f64);
+                col_plane.push((origin.1 + tj as i64) as f64);
             }
         }
-        zero_tile_padding(&mut data, n, bi, bj, in_rows, in_cols);
-        let out = DenseMatrix::from_vec(n, n, data);
-        if transposed {
-            ((bj, bi), out.transpose())
-        } else {
-            ((bi, bj), out)
+        planes = (row_plane, col_plane);
+        bufs.push(&planes.0);
+        bufs.push(&planes.1);
+    }
+    let mut data = tiled::kernel::fused_eltwise(program, &bufs, len, backend);
+    let valid_rows = (extent.0 - origin.0).clamp(0, tile_rows as i64) as usize;
+    let valid_cols = (extent.1 - origin.1).clamp(0, tile_cols as i64) as usize;
+    data[valid_rows * tile_cols..].fill(0.0);
+    if valid_cols < tile_cols {
+        for row in data[..valid_rows * tile_cols].chunks_mut(tile_cols) {
+            row[valid_cols..].fill(0.0);
         }
-    });
-    Ok(TiledMatrix::new(rows, cols, n, tiles))
+    }
+    data
 }
 
-/// The fused elementwise lowering: identical join and padding semantics as
-/// [`exec_eltwise`], but the whole region runs as one
-/// `tiled::kernel::fused_eltwise` pass per tile — no per-expression-node
-/// scratch vectors, no boxed per-element dispatch. The tile map carries the
+/// §5.1: join co-indexed tile sets and run the whole region as one
+/// `tiled::kernel::fused_eltwise` pass per tile. The tile map carries the
 /// `fused_eltwise` operator label so traces attribute the region to exactly
 /// one operator.
 fn exec_fused_eltwise(
@@ -425,13 +384,12 @@ fn exec_fused_eltwise(
 
     let program = program.clone();
     let transposed = *transposed;
-    let backend = tiled::kernel::Backend::active();
+    let backend = Backend::active();
     let tiles = joined.map_named("fused_eltwise", move |((bi, bj), ts)| {
         debug_assert_eq!(ts.len(), k, "join dropped an input tile");
-        let len = n * n;
         let bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
-        let mut data = tiled::kernel::fused_eltwise(&program, &bufs, len, backend);
-        zero_tile_padding(&mut data, n, bi, bj, in_rows, in_cols);
+        let origin = (bi * n as i64, bj * n as i64);
+        let data = fused_tile(&program, &bufs, (n, n), origin, (in_rows, in_cols), backend);
         let out = DenseMatrix::from_vec(n, n, data);
         if transposed {
             ((bj, bi), out.transpose())
@@ -501,26 +459,20 @@ fn exec_contraction(
     // partition count before the remainder is lowered. A zero-shuffle
     // broadcast choice has nothing left to save, and a pinned strategy must
     // be honored — neither probes.
-    let mut strategy = *strategy;
-    let mut config = config.clone();
-    if config.adaptive && decision.auto && !matches!(strategy, MatMulStrategy::Broadcast) {
-        let replan = crate::stage::adapt_contraction(
+    let (mut strategy, mut partitions) = (*strategy, config.partitions);
+    if decision.auto && strategy != MatMulStrategy::Broadcast {
+        (strategy, partitions) = stage::adapt_contraction(
             env,
             ctx,
-            &config,
-            left,
-            right,
-            a0,
-            b0,
+            config,
+            (left, a0),
+            (right, b0),
             *left_contract_row,
             *right_contract_col,
             strategy,
             decision,
         );
-        strategy = replan.strategy;
-        config.partitions = replan.partitions;
     }
-    let config = &config;
 
     // Normalize to standard C = A' * B' with contraction on A'.col / B'.row.
     let a = if *left_contract_row {
@@ -570,7 +522,7 @@ fn exec_contraction(
         }
     };
 
-    let std = lower_contraction(strategy, &a, &b, n, config.partitions, multiply, ctx)?;
+    let std = lower_contraction(strategy, &a, &b, n, partitions, multiply, ctx)?;
     let result = TiledMatrix::new(std_dims.0, std_dims.1, n, std);
     Ok(if *swap_output {
         result.transpose()
@@ -581,25 +533,25 @@ fn exec_contraction(
 
 /// Lower one fully-resolved contraction strategy to its dataset DAG.
 /// `a`/`b` are already oriented standard (contraction on `a.col`/`b.row`);
-/// the caller — the frozen plan or the adaptive stage driver — has resolved
-/// `strategy` and `partitions`. Shared by both paths so a runtime strategy
-/// switch runs bit-identically to the same strategy chosen at plan time.
+/// the caller has resolved `strategy` and `partitions` — at plan time or at
+/// the stage frontier, so a runtime strategy switch runs bit-identically to
+/// the same strategy chosen up front.
 fn lower_contraction(
     strategy: MatMulStrategy,
     a: &TiledMatrix,
     b: &TiledMatrix,
     n: usize,
     partitions: usize,
-    multiply: impl Fn(&DenseMatrix, &DenseMatrix, i64, &mut DenseMatrix) + Clone + Send + Sync + 'static,
+    multiply: impl Fn(&DenseMatrix, &DenseMatrix, i64, &mut DenseMatrix) + Send + Sync + 'static,
     ctx: &Context,
 ) -> Result<Dataset<(TileCoord, DenseMatrix)>, CompError> {
+    let add_tiles = |acc: &mut DenseMatrix, t: DenseMatrix| acc.add_in_place(&t);
     let std = match strategy {
-        MatMulStrategy::JoinGroupBy => {
-            // §4's naive translation: every partial product tile crosses the
-            // shuffle inside a per-key list, no map-side combining.
+        MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey => {
+            // Join on the contracted block index, one partial product tile
+            // per (i, k, j).
             let lhs = a.tiles().map(|((i, k), t)| (k, (i, t)));
             let rhs = b.tiles().map(|((k, j), t)| (k, (j, t)));
-            let multiply = multiply.clone();
             let prods = lhs
                 .join(&rhs, partitions)
                 .map(move |(k, ((i, av), (j, bv)))| {
@@ -607,28 +559,18 @@ fn lower_contraction(
                     multiply(&av, &bv, k, &mut out);
                     ((i, j), out)
                 });
-            prods.group_by_key(partitions).map_values(move |tiles| {
-                let mut acc = DenseMatrix::zeros(n, n);
-                for t in tiles {
-                    acc.add_in_place(&t);
-                }
-                acc
-            })
-        }
-        MatMulStrategy::ReduceByKey => {
-            // §5.3: join on the contracted block index, one partial product
-            // tile per (i, k, j), reduceByKey adds partials.
-            let lhs = a.tiles().map(|((i, k), t)| (k, (i, t)));
-            let rhs = b.tiles().map(|((k, j), t)| (k, (j, t)));
-            let multiply = multiply.clone();
-            let prods = lhs
-                .join(&rhs, partitions)
-                .map(move |(k, ((i, av), (j, bv)))| {
-                    let mut out = DenseMatrix::zeros(n, n);
-                    multiply(&av, &bv, k, &mut out);
-                    ((i, j), out)
-                });
-            prods.reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
+            if strategy == MatMulStrategy::ReduceByKey {
+                // §5.3: reduceByKey adds partials, map-side combined.
+                prods.reduce_by_key_in_place(partitions, add_tiles)
+            } else {
+                // §4's naive translation: every partial product tile crosses
+                // the shuffle inside a per-key list, no map-side combining.
+                prods.group_by_key(partitions).map_values(move |tiles| {
+                    let mut acc = DenseMatrix::zeros(n, n);
+                    tiles.into_iter().for_each(|t| add_tiles(&mut acc, t));
+                    acc
+                })
+            }
         }
         MatMulStrategy::GroupByJoin => {
             // §5.4: replicate rows of A across result columns and columns of
@@ -665,59 +607,41 @@ fn lower_contraction(
         }
         MatMulStrategy::Broadcast => {
             // MLlib-style broadcast join: collect the smaller operand's
-            // tiles on the driver, ship them to every task via
-            // [`Context::broadcast`], and compute locally-merged partial
-            // output tiles map-side. A single reduceByKey round combines
-            // partials whose contraction spans several partitions of the
-            // big side — no join shuffle at all.
-            if b.rows() * b.cols() <= a.rows() * a.cols() {
-                // Broadcast B, keyed by the contracted block index.
-                let mut table: HashMap<i64, Vec<(i64, DenseMatrix)>> = HashMap::new();
-                for ((k, j), t) in b.tiles().collect() {
-                    table.entry(k).or_default().push((j, t));
-                }
-                let table = ctx.broadcast(table);
-                a.tiles()
-                    .map_partitions_stream(move |_, tiles| {
-                        // Input tiles are only read: consume the stream by
-                        // reference so shared source partitions are never
-                        // cloned into the task.
-                        let mut acc: HashMap<TileCoord, DenseMatrix> = HashMap::new();
-                        tiles.for_each_ref(|((i, k), av)| {
-                            let Some(row) = table.get(k) else { return };
-                            for (j, bv) in row {
-                                let out = acc
-                                    .entry((*i, *j))
-                                    .or_insert_with(|| DenseMatrix::zeros(n, n));
-                                multiply(av, bv, *k, out);
-                            }
-                        });
-                        PartitionStream::from_vec(acc.into_iter().collect())
-                    })
-                    .reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
-            } else {
-                // Broadcast A, keyed by the contracted block index.
-                let mut table: HashMap<i64, Vec<(i64, DenseMatrix)>> = HashMap::new();
-                for ((i, k), t) in a.tiles().collect() {
-                    table.entry(k).or_default().push((i, t));
-                }
-                let table = ctx.broadcast(table);
-                b.tiles()
-                    .map_partitions_stream(move |_, tiles| {
-                        let mut acc: HashMap<TileCoord, DenseMatrix> = HashMap::new();
-                        tiles.for_each_ref(|((k, j), bv)| {
-                            let Some(col) = table.get(k) else { return };
-                            for (i, av) in col {
-                                let out = acc
-                                    .entry((*i, *j))
-                                    .or_insert_with(|| DenseMatrix::zeros(n, n));
-                                multiply(av, bv, *k, out);
-                            }
-                        });
-                        PartitionStream::from_vec(acc.into_iter().collect())
-                    })
-                    .reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
+            // tiles on the driver, keyed by the contracted block index, ship
+            // them to every task via [`Context::broadcast`], and compute
+            // locally-merged partial output tiles map-side. A single
+            // reduceByKey round combines partials whose contraction spans
+            // several partitions of the big side — no join shuffle at all.
+            let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
+            let (small, big) = if b_small { (b, a) } else { (a, b) };
+            let mut table: HashMap<i64, Vec<(i64, DenseMatrix)>> = HashMap::new();
+            for ((r, c), t) in small.tiles().collect() {
+                let (k, free) = if b_small { (r, c) } else { (c, r) };
+                table.entry(k).or_default().push((free, t));
             }
+            let table = ctx.broadcast(table);
+            big.tiles()
+                .map_partitions_stream(move |_, tiles| {
+                    // Input tiles are only read: consume the stream by
+                    // reference so shared source partitions are never
+                    // cloned into the task.
+                    let mut acc: HashMap<TileCoord, DenseMatrix> = HashMap::new();
+                    tiles.for_each_ref(|((r, c), big_tile)| {
+                        let (k, free) = if b_small { (*c, *r) } else { (*r, *c) };
+                        let Some(entries) = table.get(&k) else { return };
+                        for (other, small_tile) in entries {
+                            let (coord, av, bv) = if b_small {
+                                ((free, *other), big_tile, small_tile)
+                            } else {
+                                ((*other, free), small_tile, big_tile)
+                            };
+                            let out = acc.entry(coord).or_insert_with(|| DenseMatrix::zeros(n, n));
+                            multiply(av, bv, k, out);
+                        }
+                    });
+                    PartitionStream::from_vec(acc.into_iter().collect())
+                })
+                .reduce_by_key_in_place(partitions, add_tiles)
         }
         MatMulStrategy::Auto => {
             return Err(CompError::plan(
@@ -884,15 +808,13 @@ fn exec_mat_vec(
     // and promote to the zero-shuffle broadcast path if the observed size
     // fits the budget and wins on cost.
     let broadcast = *broadcast
-        || (config.adaptive
-            && decision.auto
-            && crate::stage::adapt_mat_vec(
+        || (decision.auto
+            && stage::adapt_mat_vec(
                 env,
                 ctx,
                 config,
                 matrix,
-                vector,
-                v,
+                (vector, v),
                 *contract_row,
                 decision,
             ));
@@ -960,7 +882,8 @@ fn exec_mat_vec(
     Ok(TiledVector::new(len, n, blocks))
 }
 
-/// Element-wise over co-indexed vector blocks (1-D rule 17).
+/// Element-wise over co-indexed vector blocks (1-D rule 17): the same fused
+/// tile pass as [`exec_fused_eltwise`], each block an `n x 1` tile.
 fn exec_vector_eltwise(
     plan: &Plan,
     env: &PlanEnv,
@@ -968,9 +891,7 @@ fn exec_vector_eltwise(
     len: i64,
 ) -> Result<TiledVector, CompError> {
     let Plan::VectorEltwise {
-        inputs,
-        value,
-        guard,
+        inputs, program, ..
     } = plan
     else {
         unreachable!()
@@ -1007,36 +928,15 @@ fn exec_vector_eltwise(
             },
         );
     }
-    let k = vecs.len();
-    let value = value.clone();
-    let guard = guard.clone();
-    let max_slot = value
-        .max_slot()
-        .max(guard.as_ref().and_then(ScalarFn::max_slot));
-    let needs_index = max_slot.is_some_and(|s| s >= k);
-    let in_len = first.len();
-    let blocks = joined.map(move |(b, parts)| {
-        let mut bufs: Vec<&[f64]> = parts.iter().map(|p| p.as_slice()).collect();
-        let idx_buf;
-        if needs_index {
-            idx_buf = (0..n as i64)
-                .map(|off| (b * n as i64 + off) as f64)
-                .collect::<Vec<_>>();
-            bufs.push(&idx_buf);
-        }
-        let mut data = value.eval_batch(&bufs, n);
-        if let Some(g) = &guard {
-            let mask = g.eval_batch(&bufs, n);
-            for (d, m) in data.iter_mut().zip(mask) {
-                if m == 0.0 {
-                    *d = 0.0;
-                }
-            }
-        }
-        // Zero the padding tail of the last block.
-        let valid = ((in_len - b * n as i64).clamp(0, n as i64)) as usize;
-        data[valid..].fill(0.0);
-        (b, data)
+    let program = program.clone();
+    let backend = Backend::active();
+    let blocks = joined.map_named("fused_eltwise", move |(b, parts)| {
+        let bufs: Vec<&[f64]> = parts.iter().map(|p| p.as_slice()).collect();
+        let origin = (b * n as i64, 0);
+        (
+            b,
+            fused_tile(&program, &bufs, (n, 1), origin, (len, 1), backend),
+        )
     });
     Ok(TiledVector::new(len, n, blocks))
 }
@@ -1163,10 +1063,6 @@ fn union_with_zero_skeleton(
         .reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
 }
 
-/// Accumulator planes for the generic group-by plan: one `DenseMatrix` per
-/// aggregate plus a trailing hit-count plane.
-type Planes = Vec<DenseMatrix>;
-
 struct AggSpec {
     zeros: Vec<f64>,
     combines: Vec<fn(f64, f64) -> f64>,
@@ -1238,15 +1134,23 @@ fn scalar_env(env: &PlanEnv, names: &[String]) -> comp::Env {
     cenv
 }
 
-/// §5.3 generic plan, matrix-shaped keys.
-fn exec_group_aggregate_matrix(
+/// §5.3 generic plan. Each input element runs the mini comprehension; every
+/// `(key, inputs)` row it yields is folded into the accumulator planes of
+/// the destination `locate(key)` names — a coordinate plus the offset inside
+/// that destination's planes, the only thing matrix- and vector-shaped keys
+/// differ in. Planes are flat `plane_len` buffers, one per aggregate plus a
+/// trailing hit count; they are reduced by key, then every hit cell is
+/// finalized (untouched cells stay 0: dense builder semantics).
+fn exec_group_aggregate<K>(
     plan: &Plan,
     env: &PlanEnv,
-    ctx: &Context,
     config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<TiledMatrix, CompError> {
+    plane_len: usize,
+    locate: impl Fn(&Value) -> Option<(K, usize)> + Send + Sync + 'static,
+) -> Result<Dataset<(K, Vec<f64>)>, CompError>
+where
+    K: Data + Hash + Eq + SizeOf + SpillCodec,
+{
     let Plan::GroupByAggregate {
         input,
         gen_vars,
@@ -1262,9 +1166,12 @@ fn exec_group_aggregate_matrix(
     let m = matrix_input(env, input)?;
     let n = m.tile_size();
     let ni = n as i64;
-    let spec = agg_spec(aggregates)?;
-    let nplanes = spec.zeros.len();
-    let mini = mini_comprehension(inner_quals, key, key_expr, &spec.inputs);
+    let AggSpec {
+        zeros,
+        combines,
+        inputs,
+    } = agg_spec(aggregates)?;
+    let mini = mini_comprehension(inner_quals, key, key_expr, &inputs);
 
     // Scalars referenced anywhere in the mini comprehension.
     let free: Vec<String> = Expr::Comprehension(mini.clone())
@@ -1274,11 +1181,10 @@ fn exec_group_aggregate_matrix(
     let base_env = scalar_env(env, &free);
     let (rv, cv, vv) = gen_vars.clone();
     let (in_rows, in_cols) = (m.rows(), m.cols());
-    let zeros = spec.zeros.clone();
-    let combines = spec.combines.clone();
+    let fold_combines = combines.clone();
 
     let partial = m.tiles().flat_map(move |((bi, bj), t)| {
-        let mut acc: HashMap<TileCoord, Planes> = HashMap::new();
+        let mut acc: HashMap<K, Vec<Vec<f64>>> = HashMap::new();
         let mut cenv = base_env.clone();
         for ti in 0..n {
             let gi = bi * ni + ti as i64;
@@ -1299,183 +1205,89 @@ fn exec_group_aggregate_matrix(
                 cenv.reset(scope);
                 for row in rows_out {
                     let Value::Tuple(kv) = row else { continue };
-                    let (key_v, inputs_v) = (&kv[0], &kv[1]);
-                    let Value::Tuple(kij) = key_v else { continue };
-                    let (Ok(k1), Ok(k2)) = (kij[0].as_i64(), kij[1].as_i64()) else {
+                    let (Some((dest, off)), Value::Tuple(ins)) = (locate(&kv[0]), &kv[1]) else {
                         continue;
                     };
-                    if k1 < 0 || k1 >= rows || k2 < 0 || k2 >= cols {
-                        continue;
-                    }
-                    let dest = (k1.div_euclid(ni), k2.div_euclid(ni));
-                    let off = (k1.rem_euclid(ni) as usize, k2.rem_euclid(ni) as usize);
-                    let planes = acc.entry(dest).or_insert_with(|| {
-                        zeros
-                            .iter()
-                            .map(|&z| {
-                                let mut p = DenseMatrix::zeros(n, n);
-                                p.data_mut().fill(z);
-                                p
-                            })
-                            .collect()
-                    });
-                    let Value::Tuple(ins) = inputs_v else {
-                        continue;
-                    };
-                    for (p, (inv, combine)) in ins.iter().zip(combines.iter()).enumerate() {
-                        let x = inv.as_f64().unwrap_or(0.0);
-                        let cur = planes[p].get(off.0, off.1);
-                        planes[p].set(off.0, off.1, combine(cur, x));
-                    }
-                    // Hit count plane.
-                    let last = nplanes - 1;
-                    let cur = planes[last].get(off.0, off.1);
-                    planes[last].set(off.0, off.1, cur + 1.0);
-                }
-            }
-        }
-        acc.into_iter().collect::<Vec<_>>()
-    });
-
-    let combines2 = spec.combines.clone();
-    let reduced = partial.reduce_by_key(config.partitions, move |mut a, b| {
-        for ((pa, pb), combine) in a.iter_mut().zip(b).zip(combines2.iter()) {
-            for (x, y) in pa.data_mut().iter_mut().zip(pb.data()) {
-                *x = combine(*x, *y);
-            }
-        }
-        a
-    });
-
-    // Finalize each cell: untouched cells are 0 (dense builder semantics).
-    let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-    let fenv = env.clone();
-    let fin = ScalarFn::compile(finalizer, &agg_slots, &|v| fenv.float_scalar(v))?;
-    let finalized = reduced.map_values(move |planes| {
-        let mut out = DenseMatrix::zeros(n, n);
-        let mut slots = vec![0.0; agg_slots.len()];
-        let count = &planes[planes.len() - 1];
-        for e in 0..n * n {
-            if count.data()[e] == 0.0 {
-                continue;
-            }
-            for (s, p) in planes[..planes.len() - 1].iter().enumerate() {
-                slots[s] = p.data()[e];
-            }
-            out.data_mut()[e] = fin.eval(&slots);
-        }
-        out
-    });
-    let tiles = union_with_zero_skeleton(finalized, ctx, rows, cols, n, config.partitions);
-    Ok(TiledMatrix::new(rows, cols, n, tiles))
-}
-
-/// §5.3 generic plan, vector-shaped keys.
-fn exec_group_aggregate_vector(
-    plan: &Plan,
-    env: &PlanEnv,
-    _ctx: &Context,
-    config: &PlanConfig,
-    len: i64,
-) -> Result<TiledVector, CompError> {
-    let Plan::GroupByAggregate {
-        input,
-        gen_vars,
-        inner_quals,
-        key,
-        key_expr,
-        aggregates,
-        finalizer,
-    } = plan
-    else {
-        unreachable!()
-    };
-    let m = matrix_input(env, input)?;
-    let n = m.tile_size();
-    let ni = n as i64;
-    let spec = agg_spec(aggregates)?;
-    let nplanes = spec.zeros.len();
-    let mini = mini_comprehension(inner_quals, key, key_expr, &spec.inputs);
-    let free: Vec<String> = Expr::Comprehension(mini.clone())
-        .free_vars()
-        .into_iter()
-        .collect();
-    let base_env = scalar_env(env, &free);
-    let (rv, cv, vv) = gen_vars.clone();
-    let (in_rows, in_cols) = (m.rows(), m.cols());
-    let zeros = spec.zeros.clone();
-    let combines = spec.combines.clone();
-
-    let partial = m.tiles().flat_map(move |((bi, bj), t)| {
-        let mut acc: HashMap<i64, Vec<Vec<f64>>> = HashMap::new();
-        let mut cenv = base_env.clone();
-        for ti in 0..n {
-            let gi = bi * ni + ti as i64;
-            if gi >= in_rows {
-                break;
-            }
-            for tj in 0..n {
-                let gj = bj * ni + tj as i64;
-                if gj >= in_cols {
-                    break;
-                }
-                let scope = cenv.mark();
-                cenv.bind(rv.clone(), Value::Int(gi));
-                cenv.bind(cv.clone(), Value::Int(gj));
-                cenv.bind(vv.clone(), Value::Float(t.get(ti, tj)));
-                let rows_out = eval_comprehension(&mini, &mut cenv)
-                    .expect("group-by aggregate inner evaluation failed");
-                cenv.reset(scope);
-                for row in rows_out {
-                    let Value::Tuple(kv) = row else { continue };
-                    let Ok(k) = kv[0].as_i64() else { continue };
-                    if k < 0 || k >= len {
-                        continue;
-                    }
-                    let dest = k.div_euclid(ni);
-                    let off = k.rem_euclid(ni) as usize;
                     let planes = acc
                         .entry(dest)
-                        .or_insert_with(|| zeros.iter().map(|&z| vec![z; n]).collect());
-                    let Value::Tuple(ins) = &kv[1] else { continue };
-                    for (p, (inv, combine)) in ins.iter().zip(combines.iter()).enumerate() {
-                        let x = inv.as_f64().unwrap_or(0.0);
-                        planes[p][off] = combine(planes[p][off], x);
+                        .or_insert_with(|| zeros.iter().map(|&z| vec![z; plane_len]).collect());
+                    let (hits, aggs) = planes.split_last_mut().expect("hit-count plane");
+                    for ((plane, inv), combine) in aggs.iter_mut().zip(ins).zip(&combines) {
+                        plane[off] = combine(plane[off], inv.as_f64().unwrap_or(0.0));
                     }
-                    planes[nplanes - 1][off] += 1.0;
+                    hits[off] += 1.0;
                 }
             }
         }
         acc.into_iter().collect::<Vec<_>>()
     });
 
-    let combines2 = spec.combines.clone();
     let reduced = partial.reduce_by_key(config.partitions, move |mut a, b| {
-        for ((pa, pb), combine) in a.iter_mut().zip(b).zip(combines2.iter()) {
+        for ((pa, pb), combine) in a.iter_mut().zip(b).zip(&fold_combines) {
             for (x, y) in pa.iter_mut().zip(pb) {
                 *x = combine(*x, y);
             }
         }
         a
     });
+
     let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-    let fenv = env.clone();
-    let fin = ScalarFn::compile(finalizer, &agg_slots, &|v| fenv.float_scalar(v))?;
-    let blocks = reduced.map_values(move |planes| {
-        let mut out = vec![0.0; n];
-        let mut slots = vec![0.0; agg_slots.len()];
-        let count = &planes[planes.len() - 1];
-        for e in 0..n {
-            if count[e] == 0.0 {
-                continue;
-            }
-            for (s, p) in planes[..planes.len() - 1].iter().enumerate() {
-                slots[s] = p[e];
+    let fin = ScalarFn::compile(finalizer, &agg_slots, &|v| env.float_scalar(v))?;
+    Ok(reduced.map_values(move |planes| {
+        let (hits, aggs) = planes.split_last().expect("hit-count plane");
+        let mut slots = vec![0.0; aggs.len()];
+        let mut out = vec![0.0; plane_len];
+        for e in (0..plane_len).filter(|&e| hits[e] != 0.0) {
+            for (slot, plane) in slots.iter_mut().zip(aggs) {
+                *slot = plane[e];
             }
             out[e] = fin.eval(&slots);
         }
         out
-    });
+    }))
+}
+
+/// §5.3 generic plan, matrix-shaped keys: destinations are output tiles.
+fn exec_group_aggregate_matrix(
+    plan: &Plan,
+    env: &PlanEnv,
+    ctx: &Context,
+    config: &PlanConfig,
+    rows: i64,
+    cols: i64,
+) -> Result<TiledMatrix, CompError> {
+    let Plan::GroupByAggregate { input, .. } = plan else {
+        unreachable!()
+    };
+    let n = matrix_input(env, input)?.tile_size();
+    let ni = n as i64;
+    let tiles = exec_group_aggregate(plan, env, config, n * n, move |key| {
+        let Value::Tuple(kij) = key else { return None };
+        let (k1, k2) = (kij[0].as_i64().ok()?, kij[1].as_i64().ok()?);
+        ((0..rows).contains(&k1) && (0..cols).contains(&k2))
+            .then(|| ((k1 / ni, k2 / ni), (k1 % ni * ni + k2 % ni) as usize))
+    })?
+    .map_values(move |data| DenseMatrix::from_vec(n, n, data));
+    let tiles = union_with_zero_skeleton(tiles, ctx, rows, cols, n, config.partitions);
+    Ok(TiledMatrix::new(rows, cols, n, tiles))
+}
+
+/// §5.3 generic plan, vector-shaped keys: destinations are output blocks.
+fn exec_group_aggregate_vector(
+    plan: &Plan,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    len: i64,
+) -> Result<TiledVector, CompError> {
+    let Plan::GroupByAggregate { input, .. } = plan else {
+        unreachable!()
+    };
+    let n = matrix_input(env, input)?.tile_size();
+    let ni = n as i64;
+    let blocks = exec_group_aggregate(plan, env, config, n, move |key| {
+        let k = key.as_i64().ok()?;
+        (0..len).contains(&k).then(|| (k / ni, (k % ni) as usize))
+    })?;
     Ok(TiledVector::new(len, n, blocks))
 }
 
@@ -1522,7 +1334,7 @@ fn exec_local(
         OutputKind::Matrix { rows, cols } => {
             let triplets = value_to_triplets(&result)?;
             let local = LocalMatrix::from_triplets(*rows as usize, *cols as usize, &triplets);
-            let tile = default_tile_size(env);
+            let tile = default_tile_size(expr, env);
             Ok(ExecResult::Matrix(TiledMatrix::from_local(
                 ctx,
                 &local,
@@ -1542,7 +1354,7 @@ fn exec_local(
                     vals[i as usize] = kv[1].as_f64()?;
                 }
             }
-            let tile = default_tile_size(env);
+            let tile = default_tile_size(expr, env);
             Ok(ExecResult::Vector(TiledVector::from_local(
                 ctx,
                 &vals,
@@ -1553,13 +1365,13 @@ fn exec_local(
     }
 }
 
-fn default_tile_size(env: &PlanEnv) -> usize {
-    for name in env.array_names() {
-        if let Some(DistArray::Matrix(m)) = env.array(name) {
-            return m.tile_size();
-        }
-    }
-    64
+/// Tile size of a fallback result: that of the first matrix the expression
+/// itself reads (free variables in sorted-name order), 64 when it reads none.
+fn default_tile_size(expr: &Expr, env: &PlanEnv) -> usize {
+    expr.free_vars()
+        .iter()
+        .find_map(|name| env.array(name)?.as_matrix())
+        .map_or(64, TiledMatrix::tile_size)
 }
 
 fn triplets_to_value(triplets: &[((i64, i64), f64)]) -> Value {

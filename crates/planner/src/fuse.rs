@@ -1,90 +1,74 @@
 //! Trace-and-fuse: collapse an elementwise plan region into one tile
 //! program.
 //!
-//! `plan_eltwise` compiles the head value and guard of an elementwise
-//! comprehension into [`ScalarFn`] trees; executed directly, every tree
-//! node costs one scratch vector per tile (`eval_batch`). This pass traces
-//! the whole region — value, guard masking, scalar constants — into a
-//! single postfix [`FusedProgram`] executed by `tiled::kernel::fused_eltwise`
-//! in one pass per tile.
+//! `plan_eltwise` and `plan_vector_eltwise` compile the head value and guard
+//! of an elementwise comprehension into [`ScalarFn`] trees. This pass traces
+//! the whole region — value, guard masking, scalar constants — into a single
+//! postfix [`FusedProgram`] executed by `tiled::kernel::fused_eltwise` in one
+//! pass per tile.
 //!
 //! # Region rules
 //!
-//! A region fuses when every slot it reads is a tile-value slot. Reading the
-//! global row/column index planes (slots `>= n_inputs`) breaks the region:
-//! the unfused path materializes those planes lazily per tile, and fusing
-//! them would re-introduce exactly the buffers fusion exists to remove. Such
-//! plans stay on [`Plan::Eltwise`](crate::plan::Plan). Guards do not break a
-//! region — masking folds into the program as `select(guard, value, 0.0)`,
-//! which is bit-identical to the unfused evaluate-then-mask (both produce
-//! `+0.0` for failing elements).
+//! Every region fuses. `ScalarFn` slot `s` becomes program slot `s`: with
+//! `k` inputs, slots `0..k` are the input tiles' values and slots `k`,
+//! `k + 1` are the global row and column index planes, which the executor
+//! materializes per tile only when `program.n_slots() > k` (a vector block
+//! is an `n x 1` tile, so its element index is the row plane). Guards fold
+//! into the program as `select(guard, value, 0.0)`, so failing elements are
+//! `+0.0`.
 //!
 //! # Determinism
 //!
-//! Constant folding at trace time performs the same IEEE-754 operation the
-//! unfused oracle performs per element, so a folded constant is bit-equal to
-//! the value every element would have computed. The emitted program contains
-//! the identical per-element op chain as `ScalarFn::eval_batch` — plain
-//! `+ - * /`, no FMA contraction, no reassociation — so fused output is
-//! bit-identical to the unfused plan on every backend and thread count.
+//! The emitted program is the per-element op chain of [`ScalarFn::eval`] —
+//! plain `+ - * /`, no FMA contraction, no reassociation — and constant
+//! folding at trace time performs the same IEEE-754 operation each element
+//! would have, so fused output is bit-identical to evaluating the source
+//! expression element by element, on every backend and thread count.
 
 use crate::scalar::ScalarFn;
 use comp::ast::BinOp;
 use tiled::fused::{CmpOp, ElemwiseOp, FusedProgram};
 
-/// Trace an elementwise region (value + optional guard over `n_inputs` tile
-/// slots) into a fused program. Returns `None` when the region does not
-/// qualify: it reads the row/col index planes, or contains an operator with
-/// no fused equivalent.
-pub fn fuse_region(
-    n_inputs: usize,
-    value: &ScalarFn,
-    guard: Option<&ScalarFn>,
-) -> Option<FusedProgram> {
-    let max_slot = value.max_slot().max(guard.and_then(ScalarFn::max_slot));
-    if max_slot.is_some_and(|s| s >= n_inputs) {
-        return None;
-    }
+/// Trace an elementwise region (value + optional guard) into a fused
+/// program over the slots the [`ScalarFn`]s were compiled against.
+pub fn fuse_region(value: &ScalarFn, guard: Option<&ScalarFn>) -> FusedProgram {
     let mut ops = Vec::new();
-    match guard {
-        Some(g) => {
-            // select(guard, value, 0.0): postfix order cond, then, else.
-            let folded = trace(g, &mut ops).ok()?;
-            if let Some(gv) = folded {
-                // Constant guard: the mask is uniform; emit only the taken
-                // side.
-                ops.clear();
-                if gv != 0.0 {
-                    trace(value, &mut ops).ok()?;
-                } else {
-                    ops.push(ElemwiseOp::Const(0.0));
-                }
+    match guard.map(|g| trace(g, &mut ops)) {
+        // Constant guard: the mask is uniform; emit only the taken side.
+        Some(Some(gv)) => {
+            ops.clear();
+            if gv != 0.0 {
+                trace(value, &mut ops);
             } else {
-                trace(value, &mut ops).ok()?;
                 ops.push(ElemwiseOp::Const(0.0));
-                ops.push(ElemwiseOp::Select);
             }
         }
+        // select(guard, value, 0.0): postfix order cond, then, else.
+        Some(None) => {
+            trace(value, &mut ops);
+            ops.push(ElemwiseOp::Const(0.0));
+            ops.push(ElemwiseOp::Select);
+        }
         None => {
-            trace(value, &mut ops).ok()?;
+            trace(value, &mut ops);
         }
     }
-    FusedProgram::new(ops).ok()
+    FusedProgram::new(ops).expect("a traced expression tree is a valid postfix program")
 }
 
 /// Post-order linearization with constant folding. Returns the constant
 /// value when the traced subtree folded to a single `Const` op, so parents
 /// can fold further. Folding uses the same f64 arithmetic the runtime would
 /// — a folded subtree's constant is bit-equal to its per-element result.
-fn trace(f: &ScalarFn, ops: &mut Vec<ElemwiseOp>) -> Result<Option<f64>, ()> {
+fn trace(f: &ScalarFn, ops: &mut Vec<ElemwiseOp>) -> Option<f64> {
     match f {
         ScalarFn::Const(x) => {
             ops.push(ElemwiseOp::Const(*x));
-            Ok(Some(*x))
+            Some(*x)
         }
         ScalarFn::Var(i) => {
             ops.push(ElemwiseOp::Slot(*i));
-            Ok(None)
+            None
         }
         ScalarFn::Add(a, b) => bin(a, b, ElemwiseOp::Add, |x, y| x + y, ops),
         ScalarFn::Sub(a, b) => bin(a, b, ElemwiseOp::Sub, |x, y| x - y, ops),
@@ -95,16 +79,16 @@ fn trace(f: &ScalarFn, ops: &mut Vec<ElemwiseOp>) -> Result<Option<f64>, ()> {
         ScalarFn::Sqrt(a) => un(a, ElemwiseOp::Sqrt, f64::sqrt, ops),
         ScalarFn::If(c, t, e) => {
             let start = ops.len();
-            if let Some(cv) = trace(c, ops)? {
+            if let Some(cv) = trace(c, ops) {
                 // Constant condition: selection is by value, so emitting
                 // only the taken branch yields the same bits per element.
                 ops.truncate(start);
                 return trace(if cv != 0.0 { t } else { e }, ops);
             }
-            trace(t, ops)?;
-            trace(e, ops)?;
+            trace(t, ops);
+            trace(e, ops);
             ops.push(ElemwiseOp::Select);
-            Ok(None)
+            None
         }
         ScalarFn::Cmp(op, a, b) => {
             let cmp = match op {
@@ -114,14 +98,9 @@ fn trace(f: &ScalarFn, ops: &mut Vec<ElemwiseOp>) -> Result<Option<f64>, ()> {
                 BinOp::Le => CmpOp::Le,
                 BinOp::Gt => CmpOp::Gt,
                 BinOp::Ge => CmpOp::Ge,
-                // ScalarFn::compile never emits other operators here.
-                _ => return Err(()),
+                _ => unreachable!("non-comparison in Cmp"),
             };
-            let ca = trace(a, ops)?;
-            let cb = trace(b, ops)?;
-            if let (Some(x), Some(y)) = (ca, cb) {
-                ops.pop();
-                ops.pop();
+            let fold = move |x: f64, y: f64| {
                 let r = match cmp {
                     CmpOp::Eq => x == y,
                     CmpOp::Ne => x != y,
@@ -130,12 +109,13 @@ fn trace(f: &ScalarFn, ops: &mut Vec<ElemwiseOp>) -> Result<Option<f64>, ()> {
                     CmpOp::Gt => x > y,
                     CmpOp::Ge => x >= y,
                 };
-                let v = if r { 1.0 } else { 0.0 };
-                ops.push(ElemwiseOp::Const(v));
-                return Ok(Some(v));
-            }
-            ops.push(ElemwiseOp::Cmp(cmp));
-            Ok(None)
+                if r {
+                    1.0
+                } else {
+                    0.0
+                }
+            };
+            bin(a, b, ElemwiseOp::Cmp(cmp), fold, ops)
         }
     }
 }
@@ -146,19 +126,19 @@ fn bin(
     op: ElemwiseOp,
     fold: impl Fn(f64, f64) -> f64,
     ops: &mut Vec<ElemwiseOp>,
-) -> Result<Option<f64>, ()> {
-    let ca = trace(a, ops)?;
-    let cb = trace(b, ops)?;
+) -> Option<f64> {
+    let ca = trace(a, ops);
+    let cb = trace(b, ops);
     if let (Some(x), Some(y)) = (ca, cb) {
         // Constant subtrees linearize to exactly one Const op each.
         ops.pop();
         ops.pop();
         let v = fold(x, y);
         ops.push(ElemwiseOp::Const(v));
-        return Ok(Some(v));
+        return Some(v);
     }
     ops.push(op);
-    Ok(None)
+    None
 }
 
 fn un(
@@ -166,15 +146,15 @@ fn un(
     op: ElemwiseOp,
     fold: impl Fn(f64) -> f64,
     ops: &mut Vec<ElemwiseOp>,
-) -> Result<Option<f64>, ()> {
-    if let Some(x) = trace(a, ops)? {
+) -> Option<f64> {
+    if let Some(x) = trace(a, ops) {
         ops.pop();
         let v = fold(x);
         ops.push(ElemwiseOp::Const(v));
-        return Ok(Some(v));
+        return Some(v);
     }
     ops.push(op);
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -192,7 +172,7 @@ mod tests {
             b(ScalarFn::Var(0)),
             b(ScalarFn::Mul(b(ScalarFn::Var(1)), b(ScalarFn::Const(0.5)))),
         );
-        let p = fuse_region(2, &value, None).expect("fuses");
+        let p = fuse_region(&value, None);
         assert_eq!(p.signature(), "s0;s1;c0.5;mul;add");
     }
 
@@ -206,7 +186,7 @@ mod tests {
                 b(ScalarFn::Const(3.0)),
             )),
         );
-        let p = fuse_region(1, &value, None).expect("fuses");
+        let p = fuse_region(&value, None);
         assert_eq!(p.signature(), "s0;c6.0;mul");
     }
 
@@ -214,19 +194,20 @@ mod tests {
     fn guard_folds_to_select() {
         let value = ScalarFn::Var(0);
         let guard = ScalarFn::Cmp(BinOp::Gt, b(ScalarFn::Var(1)), b(ScalarFn::Const(0.0)));
-        let p = fuse_region(2, &value, Some(&guard)).expect("fuses");
+        let p = fuse_region(&value, Some(&guard));
         assert_eq!(p.signature(), "s1;c0.0;gt;s0;c0.0;select");
         assert_eq!(p.eval_scalar(&[7.0, 1.0]).to_bits(), 7.0f64.to_bits());
         assert_eq!(p.eval_scalar(&[7.0, -1.0]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn index_reading_regions_do_not_fuse() {
-        // value reads slot 2 == row plane with 2 inputs.
+    fn index_planes_are_ordinary_slots() {
+        // With 2 inputs, slot 2 is the row plane: `n_slots() > 2` is the
+        // executor's cue to materialize the index planes.
         let value = ScalarFn::Add(b(ScalarFn::Var(0)), b(ScalarFn::Var(2)));
-        assert!(fuse_region(2, &value, None).is_none());
-        // the same slot index is fine when it is a tile slot.
-        assert!(fuse_region(3, &value, None).is_some());
+        let p = fuse_region(&value, None);
+        assert_eq!(p.signature(), "s0;s2;add");
+        assert_eq!(p.n_slots(), 3);
     }
 
     #[test]
@@ -247,7 +228,7 @@ mod tests {
                 b(ScalarFn::Const(0.25)),
             )),
         );
-        let p = fuse_region(2, &value, None).expect("fuses");
+        let p = fuse_region(&value, None);
         for i in 0..100 {
             let a = (i as f64) * 0.37 - 18.0;
             let x = (i as f64) * -0.11 + 2.0;

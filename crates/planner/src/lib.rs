@@ -5,7 +5,7 @@
 //!
 //! | Paper rule | Plan |
 //! |---|---|
-//! | §5.1 rule (17), tiling-preserving | [`Plan::Eltwise`] |
+//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`], [`Plan::VectorEltwise`] — one fused tile program ([`fuse`]) |
 //! | §5.2 rule (19), index remap with tile replication | [`Plan::IndexRemap`] |
 //! | §5.3 group-by → tile `reduceByKey` (rule 13) | [`Plan::Contraction`] (ReduceByKey), [`Plan::AxisReduce`], [`Plan::GroupByAggregate`] |
 //! | §5.4 group-by-join (SUMMA) | [`Plan::Contraction`] (GroupByJoin) |
@@ -130,37 +130,6 @@ mod tests {
             .unwrap()
             .to_local();
         assert!(got.approx_eq(&ms[0].scale(2.5), 1e-12));
-    }
-
-    #[test]
-    fn fusion_off_keeps_the_unfused_oracle_and_matches_bitwise() {
-        let c = ctx();
-        let (mut env, _ms) = setup(&c, &[("A", 9, 7, 1), ("B", 9, 7, 2)], 4);
-        env.set_int("n", 9);
-        env.set_int("m", 7);
-        let src = "tiled(n,m)[ ((i,j), a + b*0.5) | ((i,j),a) <- A, ((ii,jj),b) <- B, \
-                    ii == i, jj == j ]";
-        let unfused_cfg = PlanConfig {
-            partitions: 4,
-            fuse_eltwise: false,
-            ..Default::default()
-        };
-        let expr = comp::parse_expr(src).unwrap();
-        let unfused_plan = plan::plan(&expr, &env, &unfused_cfg).unwrap();
-        assert_eq!(unfused_plan.plan.strategy_name(), "eltwise");
-        let fused = run_text(src, &env, &c, &config())
-            .unwrap()
-            .into_matrix()
-            .unwrap()
-            .to_local();
-        let unfused = execute(&unfused_plan, &env, &c, &unfused_cfg)
-            .unwrap()
-            .into_matrix()
-            .unwrap()
-            .to_local();
-        for (f, u) in fused.data().iter().zip(unfused.data()) {
-            assert_eq!(f.to_bits(), u.to_bits(), "fused must be bit-identical");
-        }
     }
 
     #[test]
@@ -327,19 +296,6 @@ mod tests {
         for (i, g) in got.iter().enumerate() {
             assert!((g - ms[0].get(i, i)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn fallback_can_be_disabled() {
-        let c = ctx();
-        let (mut env, _) = setup(&c, &[("A", 5, 5, 15)], 4);
-        env.set_int("n", 5);
-        let src = "tiled_vector(n)[ (i, a) | ((i,j),a) <- A, i == j ]";
-        let cfg = PlanConfig {
-            allow_local_fallback: false,
-            ..config()
-        };
-        assert!(run_text(src, &env, &c, &cfg).is_err());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! Dispatch order for `tiled(n,m)[ e | q ]`:
 //!
-//! 1. **Eltwise** (§5.1, rule 17) — every generator ranges over a tiled
-//!    matrix, generators are equated on both indices (rule 14 join
+//! 1. **FusedEltwise** (§5.1, rule 17) — every generator ranges over a
+//!    tiled matrix, generators are equated on both indices (rule 14 join
 //!    detection), and the head key is those indices (possibly swapped →
-//!    transpose). No shuffle beyond co-partitioning; tile kernels do the
-//!    work.
+//!    transpose). No shuffle beyond co-partitioning; the head value and
+//!    guards run as one fused tile program ([`crate::fuse`]).
 //! 2. **Contraction** (§5.3 / §5.4) — two tiled generators joined on one
 //!    index, group-by over the two free indices, head `⊕/v` with
 //!    `v = f(a, b)`: matrix-multiplication-like. Translated to join +
@@ -31,10 +31,12 @@ use crate::analysis::{
     decompose, extract_aggregates, inline_lets, Aggregate, Decomposed, GenKind, VarClasses,
 };
 use crate::env::{ArrayStats, DistArray, PlanEnv};
+use crate::fuse::fuse_region;
 use crate::scalar::{IdxFn, ScalarFn};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::normalize::normalize;
+use tiled::fused::FusedProgram;
 
 /// How to execute a contraction (matrix multiplication).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,31 +84,20 @@ pub struct PlanConfig {
     /// the context's worker pool and the estimated output size at execution
     /// time. Any non-zero value pins it.
     pub partitions: usize,
-    /// Strategy for contraction plans ([`MatMulStrategy::Auto`] picks from
-    /// statistics).
+    /// Strategy for contraction plans. [`MatMulStrategy::Auto`] picks from
+    /// statistics and lets the stage driver re-decide from measured ones
+    /// ([`crate::stage`]); pinning a strategy freezes the plan — a pinned
+    /// node never probes and never re-plans.
     pub matmul: MatMulStrategy,
     /// Largest operand (estimated bytes) the broadcast contraction path may
     /// ship to every executor.
     pub broadcast_budget: u64,
     /// Threads for intra-tile kernels (the paper's `.par`); 1 = sequential.
     pub tile_threads: usize,
-    /// Permit falling back to the driver-side reference interpreter.
-    pub allow_local_fallback: bool,
     /// Automatically persist inputs a plan references more than once (e.g.
     /// both sides of `A*A`) through the block manager, so their lineage is
     /// computed once per execution instead of once per reference.
     pub auto_persist: bool,
-    /// Collapse elementwise regions into single fused tile programs
-    /// ([`Plan::FusedEltwise`]); `false` keeps the per-node interpreter
-    /// ([`Plan::Eltwise`], the bit-identical oracle).
-    pub fuse_eltwise: bool,
-    /// Re-plan at stage boundaries from measured statistics: probe the
-    /// materialized inputs of an auto-chosen shuffling strategy, overlay the
-    /// observed [`crate::env::ArrayStats`], and re-run the candidate cost
-    /// model on the not-yet-lowered remainder (Spark-AQE shape). `false`
-    /// freezes the registration-time plan — the bit-exactness oracle.
-    /// Defaults to on; env `SAC_ADAPTIVE=0` opts out process-wide.
-    pub adaptive: bool,
 }
 
 impl Default for PlanConfig {
@@ -116,12 +107,7 @@ impl Default for PlanConfig {
             matmul: MatMulStrategy::Auto,
             broadcast_budget: 1 << 20,
             tile_threads: 1,
-            allow_local_fallback: true,
             auto_persist: true,
-            fuse_eltwise: true,
-            adaptive: std::env::var("SAC_ADAPTIVE")
-                .map(|v| v != "0")
-                .unwrap_or(true),
         }
     }
 }
@@ -146,30 +132,18 @@ pub enum GroupKey {
 /// A selected physical plan.
 #[derive(Clone)]
 pub enum Plan {
-    /// §5.1 element-wise over co-indexed tiled matrices.
-    Eltwise {
-        /// Input matrix names, in value-slot order.
-        inputs: Vec<String>,
-        /// Head key is `(col, row)` — transpose the output.
-        transposed: bool,
-        /// Value over slots `[val_0, ..., val_{k-1}, row, col]`.
-        value: ScalarFn,
-        /// Optional guard (same slots); failing elements become 0.
-        guard: Option<ScalarFn>,
-    },
-    /// §5.1 elementwise after the trace-and-fuse pass: the whole region
+    /// §5.1 element-wise over co-indexed tiled matrices: the whole region
     /// (value, guard masking, scalar constants) collapsed into one postfix
     /// tile program, executed as a single kernel pass per tile by
-    /// `tiled::kernel::fused_eltwise`. Bit-identical to the unfused
-    /// [`Plan::Eltwise`] oracle.
+    /// `tiled::kernel::fused_eltwise`.
     FusedEltwise {
         /// Input matrix names, in slot order.
         inputs: Vec<String>,
         /// Head key is `(col, row)` — transpose the output.
         transposed: bool,
-        /// Constant-folded program over slots `[val_0, ..., val_{k-1}]`
-        /// (index-reading regions do not fuse).
-        program: tiled::fused::FusedProgram,
+        /// Constant-folded program over slots
+        /// `[val_0, ..., val_{k-1}, row, col]`.
+        program: FusedProgram,
         /// Post-order operator tags of the source region (from the
         /// normalized comprehension head), for the `region_fused` event.
         region_ops: Vec<String>,
@@ -243,14 +217,15 @@ pub enum Plan {
         /// How the physical path was chosen.
         decision: PlanDecision,
     },
-    /// Element-wise over co-indexed tiled vectors (rule 17, 1-D).
+    /// Element-wise over co-indexed tiled vectors (rule 17, 1-D): the same
+    /// fused tile program, each block run as an `n x 1` tile.
     VectorEltwise {
-        /// Input vector names, in value-slot order.
+        /// Input vector names, in slot order.
         inputs: Vec<String>,
-        /// Value over slots `[val_0, ..., val_{k-1}, idx]`.
-        value: ScalarFn,
-        /// Optional guard (same slots); failing elements become 0.
-        guard: Option<ScalarFn>,
+        /// Constant-folded program over slots `[val_0, ..., val_{k-1}, idx]`.
+        program: FusedProgram,
+        /// Post-order operator tags of the source region.
+        region_ops: Vec<String>,
     },
     /// Reference interpreter over sparsified arrays.
     LocalFallback { expr: Expr },
@@ -269,9 +244,9 @@ impl Plan {
     /// input's lineage twice — the signal the auto-persist pass looks for).
     pub fn input_names(&self) -> Vec<&str> {
         match self {
-            Plan::Eltwise { inputs, .. }
-            | Plan::FusedEltwise { inputs, .. }
-            | Plan::VectorEltwise { inputs, .. } => inputs.iter().map(String::as_str).collect(),
+            Plan::FusedEltwise { inputs, .. } | Plan::VectorEltwise { inputs, .. } => {
+                inputs.iter().map(String::as_str).collect()
+            }
             Plan::Contraction { left, right, .. } => vec![left, right],
             Plan::AxisReduce { input, .. }
             | Plan::IndexRemap { input, .. }
@@ -284,9 +259,6 @@ impl Plan {
     /// Human-readable strategy name (used by plan-shape tests and explain).
     pub fn strategy_name(&self) -> &'static str {
         match self {
-            Plan::Eltwise { .. } => "eltwise",
-            // Contains "eltwise" so shape assertions on the logical
-            // operation hold whether or not fusion is enabled.
             Plan::FusedEltwise { .. } => "eltwise/fused",
             Plan::Contraction { strategy, .. } => contraction_tag(*strategy),
             Plan::AxisReduce { .. } => "axisReduce",
@@ -336,65 +308,38 @@ impl Planned {
     }
 }
 
-/// Plan a (possibly unnormalized) comprehension expression.
+/// Plan a (possibly unnormalized) comprehension expression. A comprehension
+/// no distributed rule covers runs on the driver-side reference interpreter
+/// ([`Plan::LocalFallback`]).
 pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, CompError> {
     let expr = normalize(expr.clone());
-    let planned = match &expr {
+    let local = || Plan::LocalFallback { expr: expr.clone() };
+    Ok(match &expr {
         Expr::Build {
             builder,
             args,
             body,
-        } if builder == "tiled" && args.len() == 2 => {
-            let rows = eval_int_arg(&args[0], env)?;
-            let cols = eval_int_arg(&args[1], env)?;
-            let output = OutputKind::Matrix { rows, cols };
-            match plan_matrix_body(body, env, config) {
-                Ok(plan) => Planned { plan, output },
-                Err(e) => fallback(&expr, output, env, config, e)?,
-            }
-        }
+        } if builder == "tiled" && args.len() == 2 => Planned {
+            output: OutputKind::Matrix {
+                rows: eval_int_arg(&args[0], env)?,
+                cols: eval_int_arg(&args[1], env)?,
+            },
+            plan: plan_matrix_body(body, env, config).unwrap_or_else(|_| local()),
+        },
         Expr::Build {
             builder,
             args,
             body,
-        } if builder == "tiled_vector" && args.len() == 1 => {
-            let len = eval_int_arg(&args[0], env)?;
-            let output = OutputKind::Vector { len };
-            match plan_vector_body(body, env, config) {
-                Ok(plan) => Planned { plan, output },
-                Err(e) => fallback(&expr, output, env, config, e)?,
-            }
-        }
-        other => {
-            let output = OutputKind::Local;
-            fallback(
-                other,
-                output,
-                env,
-                config,
-                CompError::plan("not a tiled builder"),
-            )?
-        }
-    };
-    Ok(planned)
-}
-
-fn fallback(
-    expr: &Expr,
-    output: OutputKind,
-    _env: &PlanEnv,
-    config: &PlanConfig,
-    cause: CompError,
-) -> Result<Planned, CompError> {
-    if !config.allow_local_fallback {
-        return Err(CompError::plan(format!(
-            "no distributed plan applies and local fallback is disabled: {}",
-            cause.message
-        )));
-    }
-    Ok(Planned {
-        plan: Plan::LocalFallback { expr: expr.clone() },
-        output,
+        } if builder == "tiled_vector" && args.len() == 1 => Planned {
+            output: OutputKind::Vector {
+                len: eval_int_arg(&args[0], env)?,
+            },
+            plan: plan_vector_body(body, env, config).unwrap_or_else(|_| local()),
+        },
+        _ => Planned {
+            plan: local(),
+            output: OutputKind::Local,
+        },
     })
 }
 
@@ -442,7 +387,7 @@ fn plan_matrix_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<P
         ));
     }
     if d.group_by.is_none() {
-        if let Ok(p) = plan_eltwise(&d, env, config) {
+        if let Ok(p) = plan_eltwise(&d, env) {
             return Ok(p);
         }
         return plan_index_remap(&d, env);
@@ -473,8 +418,38 @@ fn plan_vector_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<P
     plan_group_by_aggregate(&d, env, GroupShape::Vector)
 }
 
-/// §5.1 rule 17 (plus the trace-and-fuse pass when the region qualifies).
-fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
+/// Compile an elementwise head value and its guards (conjoined) against
+/// `slots` and trace them into one fused program, plus the post-order
+/// operator tags of the source region for the `region_fused` event.
+fn fuse_head(
+    value: &Expr,
+    guards: Vec<Expr>,
+    slots: &[String],
+    env: &PlanEnv,
+) -> Result<(FusedProgram, Vec<String>), CompError> {
+    let consts = |v: &str| env.float_scalar(v);
+    let value_fn = ScalarFn::compile(value, slots, &consts)?;
+    let mut region_ops: Vec<String> = value
+        .op_sequence()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    let guard_fn = match guards
+        .into_iter()
+        .reduce(|conj, g| Expr::BinOp(comp::BinOp::And, Box::new(conj), Box::new(g)))
+    {
+        Some(conj) => {
+            region_ops.extend(conj.op_sequence().into_iter().map(str::to_string));
+            region_ops.push("select".to_string());
+            Some(ScalarFn::compile(&conj, slots, &consts)?)
+        }
+        None => None,
+    };
+    Ok((fuse_region(&value_fn, guard_fn.as_ref()), region_ops))
+}
+
+/// §5.1 rule 17.
+fn plan_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     if d.matrix_gens.is_empty()
         || !d.vector_gens.is_empty()
         || !d.range_gens.is_empty()
@@ -533,50 +508,18 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
     slots.push(d.matrix_gens[0].col.clone());
     // Rewrite index aliases to the canonical generator's names.
     let canon = |e: &Expr| canonicalize_vars(e, d, &classes);
-    let consts = |v: &str| env.float_scalar(v);
-    let value = ScalarFn::compile(&canon(value_expr), &slots, &consts)?;
-    let all_guards: Vec<Expr> = d.other_guards.iter().cloned().chain(extra_guards).collect();
-    let guard_expr = match all_guards.as_slice() {
-        [] => None,
-        guards => {
-            let mut conj = canon(&guards[0]);
-            for g in &guards[1..] {
-                conj = Expr::BinOp(comp::BinOp::And, Box::new(conj), Box::new(canon(g)));
-            }
-            Some(conj)
-        }
-    };
-    let guard = guard_expr
-        .as_ref()
-        .map(|c| ScalarFn::compile(c, &slots, &consts))
-        .transpose()?;
-    let inputs: Vec<String> = d.matrix_gens.iter().map(|g| g.name.clone()).collect();
-    if config.fuse_eltwise {
-        if let Some(program) = crate::fuse::fuse_region(inputs.len(), &value, guard.as_ref()) {
-            // Source op tags (post-order over the canonicalized head value,
-            // then the guard region) for the `region_fused` event.
-            let mut region_ops: Vec<String> = canon(value_expr)
-                .op_sequence()
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            if let Some(conj) = &guard_expr {
-                region_ops.extend(conj.op_sequence().into_iter().map(str::to_string));
-                region_ops.push("select".to_string());
-            }
-            return Ok(Plan::FusedEltwise {
-                inputs,
-                transposed,
-                program,
-                region_ops,
-            });
-        }
-    }
-    Ok(Plan::Eltwise {
-        inputs,
+    let guards = d
+        .other_guards
+        .iter()
+        .chain(&extra_guards)
+        .map(canon)
+        .collect();
+    let (program, region_ops) = fuse_head(&canon(value_expr), guards, &slots, env)?;
+    Ok(Plan::FusedEltwise {
+        inputs: d.matrix_gens.iter().map(|g| g.name.clone()).collect(),
         transposed,
-        value,
-        guard,
+        program,
+        region_ops,
     })
 }
 
@@ -671,13 +614,20 @@ fn plan_contraction(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Resul
     };
     let slots = vec![a.val.clone(), b.val.clone()];
     let value = ScalarFn::compile(inner, &slots, &|v| env.float_scalar(v))?;
-    let (strategy, decision) = choose_contraction_strategy(
+    let candidates = contraction_candidates(
         env,
         config,
         &a.name,
         &b.name,
         left_contract_row,
         right_contract_col,
+    );
+    // No statistics, no candidates: default to the fewest shuffle rounds.
+    let (strategy, decision) = decide(
+        candidates,
+        config.matmul,
+        MatMulStrategy::GroupByJoin,
+        contraction_tag,
     );
     Ok(Plan::Contraction {
         left: a.name.clone(),
@@ -775,51 +725,41 @@ pub(crate) fn contraction_candidates(
     out
 }
 
-/// Resolve the configured contraction strategy: pinned configs are honored
-/// verbatim; [`MatMulStrategy::Auto`] picks the cheapest candidate.
-fn choose_contraction_strategy(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    left: &str,
-    right: &str,
-    left_contract_row: bool,
-    right_contract_col: bool,
+/// The cheapest candidate; the first wins a tie, so the candidate lists'
+/// preference order breaks ties toward fewer rounds.
+pub(crate) fn cheapest(candidates: &[(MatMulStrategy, u64)]) -> Option<(MatMulStrategy, u64)> {
+    candidates.iter().copied().min_by_key(|&(_, cost)| cost)
+}
+
+/// Estimated cost of `strategy` among `candidates`, if it is eligible.
+pub(crate) fn cost_of(
+    candidates: &[(MatMulStrategy, u64)],
+    strategy: MatMulStrategy,
+) -> Option<u64> {
+    candidates
+        .iter()
+        .find(|&&(s, _)| s == strategy)
+        .map(|&(_, cost)| cost)
+}
+
+/// Resolve one cost-based choice: a pinned strategy is honored verbatim,
+/// [`MatMulStrategy::Auto`] takes the cheapest candidate (`default` when
+/// there are none). `tag` names a strategy for this kind of plan node.
+fn decide(
+    candidates: Vec<(MatMulStrategy, u64)>,
+    pin: MatMulStrategy,
+    default: MatMulStrategy,
+    tag: fn(MatMulStrategy) -> &'static str,
 ) -> (MatMulStrategy, PlanDecision) {
-    let candidates = contraction_candidates(
-        env,
-        config,
-        left,
-        right,
-        left_contract_row,
-        right_contract_col,
-    );
-    let (strategy, auto) = match config.matmul {
-        MatMulStrategy::Auto => {
-            // First strictly-cheapest candidate wins; the preference order of
-            // `contraction_candidates` breaks ties toward fewer rounds.
-            let best = candidates
-                .iter()
-                .copied()
-                .min_by_key(|&(_, cost)| cost)
-                .map(|(s, _)| s)
-                .unwrap_or(MatMulStrategy::GroupByJoin);
-            (best, true)
-        }
+    let (strategy, auto) = match pin {
+        MatMulStrategy::Auto => (cheapest(&candidates).map_or(default, |(s, _)| s), true),
         pinned => (pinned, false),
     };
-    let est = candidates
-        .iter()
-        .find(|(s, _)| *s == strategy)
-        .map(|&(_, c)| c)
-        .unwrap_or(0);
     let decision = PlanDecision {
-        chosen: contraction_tag(strategy),
+        chosen: tag(strategy),
         auto,
-        est_shuffle_bytes: est,
-        candidates: candidates
-            .into_iter()
-            .map(|(s, c)| (contraction_tag(s), c))
-            .collect(),
+        est_shuffle_bytes: cost_of(&candidates, strategy).unwrap_or(0),
+        candidates: candidates.into_iter().map(|(s, c)| (tag(s), c)).collect(),
     };
     (strategy, decision)
 }
@@ -936,15 +876,31 @@ fn plan_mat_vec(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
     };
     let slots = vec![m.val.clone(), v.val.clone()];
     let value = ScalarFn::compile(inner, &slots, &|x| env.float_scalar(x))?;
-    let (broadcast, decision) = choose_mat_vec_path(env, config, &m.name, &v.name, contract_row);
+    // A pinned `matmul` strategy pins the analogous mat-vec path.
+    let pin = match config.matmul {
+        MatMulStrategy::Auto | MatMulStrategy::Broadcast => config.matmul,
+        _ => MatMulStrategy::ReduceByKey,
+    };
+    let candidates = mat_vec_candidates(env, config, &m.name, &v.name, contract_row);
+    let (strategy, decision) = decide(candidates, pin, MatMulStrategy::ReduceByKey, mat_vec_tag);
     Ok(Plan::MatVec {
         matrix: m.name.clone(),
         vector: v.name.clone(),
         contract_row,
         value,
-        broadcast,
+        broadcast: strategy == MatMulStrategy::Broadcast,
         decision,
     })
+}
+
+/// Strategy tag of a mat-vec path: [`MatMulStrategy::Broadcast`] ships the
+/// vector, every other strategy is the join + reduceByKey path.
+pub(crate) fn mat_vec_tag(strategy: MatMulStrategy) -> &'static str {
+    if strategy == MatMulStrategy::Broadcast {
+        "matVec/broadcast"
+    } else {
+        "matVec"
+    }
 }
 
 /// Estimated costs of both mat-vec paths, in tie-break preference order
@@ -956,74 +912,33 @@ pub(crate) fn mat_vec_candidates(
     matrix: &str,
     vector: &str,
     contract_row: bool,
-) -> Vec<(&'static str, u64)> {
-    let mut candidates: Vec<(&'static str, u64)> = Vec::new();
-    if let (Some(sm), Some(sv)) = (env.stats(matrix), env.stats(vector)) {
-        let out_blocks = if contract_row {
-            sm.block_cols as u64
-        } else {
-            sm.block_rows as u64
-        };
-        let k = if contract_row {
-            sm.block_rows as u64
-        } else {
-            sm.block_cols as u64
-        };
-        let block = 8 + 4 + 8 * sm.tile_size as u64;
-        if sv.estimated_bytes <= config.broadcast_budget {
-            // Collect + broadcast the vector, merge partials on the driver:
-            // zero shuffle rounds.
-            candidates.push(("matVec/broadcast", sv.estimated_bytes + out_blocks * block));
-        }
+) -> Vec<(MatMulStrategy, u64)> {
+    let (Some(sm), Some(sv)) = (env.stats(matrix), env.stats(vector)) else {
+        return Vec::new();
+    };
+    let (out_blocks, k) = if contract_row {
+        (sm.block_cols as u64, sm.block_rows as u64)
+    } else {
+        (sm.block_rows as u64, sm.block_cols as u64)
+    };
+    let block = 8 + 4 + 8 * sm.tile_size as u64;
+    let mut candidates = Vec::new();
+    if sv.estimated_bytes <= config.broadcast_budget {
+        // Collect + broadcast the vector, merge partials on the driver:
+        // zero shuffle rounds.
         candidates.push((
-            "matVec",
-            sm.num_tiles() * sm.tile_wire_bytes()
-                + sv.estimated_bytes
-                + out_blocks * nominal_partitions(config).min(k) * block
-                + 3 * ROUND_COST,
+            MatMulStrategy::Broadcast,
+            sv.estimated_bytes + out_blocks * block,
         ));
     }
+    candidates.push((
+        MatMulStrategy::ReduceByKey,
+        sm.num_tiles() * sm.tile_wire_bytes()
+            + sv.estimated_bytes
+            + out_blocks * nominal_partitions(config).min(k) * block
+            + 3 * ROUND_COST,
+    ));
     candidates
-}
-
-/// Physical path for a matrix–vector contraction: broadcast the vector when
-/// it fits the budget (no shuffle at all), else join + reduceByKey. A pinned
-/// `matmul` strategy pins the analogous mat-vec path.
-fn choose_mat_vec_path(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    matrix: &str,
-    vector: &str,
-    contract_row: bool,
-) -> (bool, PlanDecision) {
-    let candidates = mat_vec_candidates(env, config, matrix, vector, contract_row);
-    let (broadcast, auto) = match config.matmul {
-        MatMulStrategy::Auto => {
-            let best = candidates.iter().copied().min_by_key(|&(_, c)| c);
-            (matches!(best, Some(("matVec/broadcast", _))), true)
-        }
-        MatMulStrategy::Broadcast => (true, false),
-        _ => (false, false),
-    };
-    let chosen = if broadcast {
-        "matVec/broadcast"
-    } else {
-        "matVec"
-    };
-    let est = candidates
-        .iter()
-        .find(|(tag, _)| *tag == chosen)
-        .map(|&(_, c)| c)
-        .unwrap_or(0);
-    (
-        broadcast,
-        PlanDecision {
-            chosen,
-            auto,
-            est_shuffle_bytes: est,
-            candidates,
-        },
-    )
 }
 
 /// Element-wise over vectors joined on their index.
@@ -1063,22 +978,12 @@ fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError>
     };
     let mut slots: Vec<String> = d.vector_gens.iter().map(|g| g.val.clone()).collect();
     slots.push(canon_idx.clone());
-    let consts = |x: &str| env.float_scalar(x);
-    let value = ScalarFn::compile(&canon(value), &slots, &consts)?;
-    let guard = match d.other_guards.as_slice() {
-        [] => None,
-        guards => {
-            let mut conj = canon(&guards[0]);
-            for g in &guards[1..] {
-                conj = Expr::BinOp(comp::BinOp::And, Box::new(conj), Box::new(canon(g)));
-            }
-            Some(ScalarFn::compile(&conj, &slots, &consts)?)
-        }
-    };
+    let guards = d.other_guards.iter().map(canon).collect();
+    let (program, region_ops) = fuse_head(&canon(value), guards, &slots, env)?;
     Ok(Plan::VectorEltwise {
         inputs: d.vector_gens.iter().map(|g| g.name.clone()).collect(),
-        value,
-        guard,
+        program,
+        region_ops,
     })
 }
 

@@ -67,7 +67,12 @@ impl ScalarFn {
                             Box::new(ScalarFn::Const(0.0)),
                         )
                     }
-                    cmp => ScalarFn::Cmp(*cmp, a, b),
+                    cmp if cmp.is_comparison() => ScalarFn::Cmp(*cmp, a, b),
+                    other => {
+                        return Err(CompError::plan(format!(
+                            "operator {other} is not a scalar operation"
+                        )))
+                    }
                 }
             }
             Expr::UnOp(UnOp::Neg, e) => ScalarFn::Neg(Box::new(c(e)?)),
@@ -135,98 +140,6 @@ impl ScalarFn {
         matches!(self, ScalarFn::Mul(x, y)
             if **x == ScalarFn::Var(a) && **y == ScalarFn::Var(b))
     }
-
-    /// Highest slot index referenced, if any.
-    pub fn max_slot(&self) -> Option<usize> {
-        match self {
-            ScalarFn::Const(_) => None,
-            ScalarFn::Var(i) => Some(*i),
-            ScalarFn::Add(a, b)
-            | ScalarFn::Sub(a, b)
-            | ScalarFn::Mul(a, b)
-            | ScalarFn::Div(a, b)
-            | ScalarFn::Cmp(_, a, b) => a.max_slot().max(b.max_slot()),
-            ScalarFn::Neg(a) | ScalarFn::Abs(a) | ScalarFn::Sqrt(a) => a.max_slot(),
-            ScalarFn::If(c, t, f) => c.max_slot().max(t.max_slot()).max(f.max_slot()),
-        }
-    }
-
-    /// Vectorized evaluation: apply the expression to whole buffers at once
-    /// (one loop per tree node instead of one tree walk per element). This
-    /// is what makes compiled element-wise plans competitive with
-    /// hand-written kernels — the analog of the paper generating straight
-    /// Scala loops instead of interpreting the AST.
-    ///
-    /// Every slot buffer must have at least `len` elements.
-    pub fn eval_batch(&self, vars: &[&[f64]], len: usize) -> Vec<f64> {
-        match self {
-            ScalarFn::Const(c) => vec![*c; len],
-            ScalarFn::Var(i) => vars[*i][..len].to_vec(),
-            ScalarFn::Add(a, b) => zip_batch(a, b, vars, len, |x, y| x + y),
-            ScalarFn::Sub(a, b) => zip_batch(a, b, vars, len, |x, y| x - y),
-            ScalarFn::Mul(a, b) => zip_batch(a, b, vars, len, |x, y| x * y),
-            ScalarFn::Div(a, b) => zip_batch(a, b, vars, len, |x, y| x / y),
-            ScalarFn::Neg(a) => map_batch(a, vars, len, |x| -x),
-            ScalarFn::Abs(a) => map_batch(a, vars, len, f64::abs),
-            ScalarFn::Sqrt(a) => map_batch(a, vars, len, f64::sqrt),
-            ScalarFn::If(c, t, f) => {
-                let mut cond = c.eval_batch(vars, len);
-                let then = t.eval_batch(vars, len);
-                let els = f.eval_batch(vars, len);
-                for ((c, t), e) in cond.iter_mut().zip(then).zip(els) {
-                    *c = if *c != 0.0 { t } else { e };
-                }
-                cond
-            }
-            ScalarFn::Cmp(op, a, b) => {
-                let cmp: fn(f64, f64) -> bool = match op {
-                    BinOp::Eq => |x, y| x == y,
-                    BinOp::Ne => |x, y| x != y,
-                    BinOp::Lt => |x, y| x < y,
-                    BinOp::Le => |x, y| x <= y,
-                    BinOp::Gt => |x, y| x > y,
-                    BinOp::Ge => |x, y| x >= y,
-                    _ => unreachable!("non-comparison in Cmp"),
-                };
-                zip_batch(
-                    a,
-                    b,
-                    vars,
-                    len,
-                    move |x, y| {
-                        if cmp(x, y) {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    },
-                )
-            }
-        }
-    }
-}
-
-fn zip_batch(
-    a: &ScalarFn,
-    b: &ScalarFn,
-    vars: &[&[f64]],
-    len: usize,
-    f: impl Fn(f64, f64) -> f64,
-) -> Vec<f64> {
-    let mut x = a.eval_batch(vars, len);
-    let y = b.eval_batch(vars, len);
-    for (xv, yv) in x.iter_mut().zip(y) {
-        *xv = f(*xv, yv);
-    }
-    x
-}
-
-fn map_batch(a: &ScalarFn, vars: &[&[f64]], len: usize, f: impl Fn(f64) -> f64) -> Vec<f64> {
-    let mut x = a.eval_batch(vars, len);
-    for xv in x.iter_mut() {
-        *xv = f(*xv);
-    }
-    x
 }
 
 /// An integer index expression over index-variable slots (for tile
@@ -356,6 +269,13 @@ mod tests {
         })
         .unwrap();
         assert_eq!(f.eval(&[8.0]), 4.0);
+    }
+
+    #[test]
+    fn non_scalar_operator_is_an_error() {
+        // `%` used to compile to a `Cmp` node that panicked when evaluated.
+        let slots = vec!["a".to_string()];
+        assert!(ScalarFn::compile(&parse_expr("a % 2").unwrap(), &slots, &|_| None).is_err());
     }
 
     #[test]

@@ -30,15 +30,19 @@
 //! re-decisions. When registered statistics were honest (dense data, exact
 //! tile grid), the observed stats reproduce the registration-time estimate
 //! bit-for-bit, the re-run cost model returns the identical ranking, and
-//! nothing changes — adaptive execution then lowers the byte-identical
-//! frozen plan. Re-decisions only fire when measurements *contradict*
-//! registration; `PlanConfig::adaptive = false` (`SAC_ADAPTIVE=0`) keeps
-//! the frozen path as the bit-exactness oracle either way.
+//! nothing changes. Re-decisions only fire when measurements *contradict*
+//! registration, and a switched node lowers through the same
+//! `lower_contraction` as a node planned on that strategy, so it is
+//! bit-identical to pinning the strategy up front.
+//!
+//! Only auto-resolved nodes are driven: a pinned
+//! [`PlanConfig::matmul`](crate::plan::PlanConfig) is a frozen plan — it
+//! never probes and never re-plans.
 
 use crate::env::{ArrayStats, PlanEnv};
 use crate::plan::{
-    contraction_candidates, contraction_tag, mat_vec_candidates, MatMulStrategy, PlanConfig,
-    PlanDecision,
+    cheapest, contraction_candidates, contraction_tag, cost_of, mat_vec_candidates, mat_vec_tag,
+    MatMulStrategy, PlanConfig, PlanDecision,
 };
 use sparkline::{Context, Event, PartitionStream};
 use tiled::{TiledMatrix, TiledVector};
@@ -143,14 +147,6 @@ fn fold_partitions(per_part: Vec<(u64, (u64, u64))>) -> (Vec<u64>, u64, u64) {
     (partition_units, first, second)
 }
 
-/// The driver's revision of one contraction node: the strategy and partition
-/// count the remainder actually runs with (identical to the plan-time
-/// decision when the measurements confirmed it).
-pub(crate) struct Replan {
-    pub strategy: MatMulStrategy,
-    pub partitions: usize,
-}
-
 /// Re-partition target when a frontier reveals skew: double the partition
 /// count (capped at one tile per partition) if any input's observed
 /// distribution is >= [`SKEW_THRESHOLD`] and there are enough tiles for the
@@ -166,27 +162,25 @@ fn skewed_partitions(frontiers: &[&StageFrontier], partitions: usize) -> Option<
 }
 
 /// Drive one contraction node through its stage frontier: probe both
-/// inputs, overlay the measured stats, re-run the candidate cost model, and
-/// return the (possibly revised) strategy and partition count. Emits one
-/// `plan_replanned` event iff something changed.
+/// inputs, re-partition on observed skew, and re-rank the strategies under
+/// the measured stats. Returns the strategy and partition count the
+/// remainder runs with (the plan-time ones when the measurements confirmed
+/// them).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn adapt_contraction(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
-    left: &str,
-    right: &str,
-    a: &TiledMatrix,
-    b: &TiledMatrix,
+    (left, a): (&str, &TiledMatrix),
+    (right, b): (&str, &TiledMatrix),
     left_contract_row: bool,
     right_contract_col: bool,
     current: MatMulStrategy,
     decision: &PlanDecision,
-) -> Replan {
+) -> (MatMulStrategy, usize) {
     let fa = StageFrontier::matrix(a);
     let fb = StageFrontier::matrix(b);
     let partitions = skewed_partitions(&[&fa, &fb], config.partitions).unwrap_or(config.partitions);
-
     let mut overlay = env.clone();
     overlay.set_stats(left, fa.stats);
     overlay.set_stats(right, fb.stats);
@@ -194,7 +188,7 @@ pub(crate) fn adapt_contraction(
         partitions,
         ..config.clone()
     };
-    let candidates = contraction_candidates(
+    let observed = contraction_candidates(
         &overlay,
         &tuned,
         left,
@@ -202,80 +196,76 @@ pub(crate) fn adapt_contraction(
         left_contract_row,
         right_contract_col,
     );
-    // Same selection rule as plan time: first strictly-cheapest candidate
-    // wins, preference order breaks ties — so confirming measurements
-    // reproduce the plan-time choice exactly.
-    let best = candidates.iter().copied().min_by_key(|&(_, cost)| cost);
-    let current_cost = candidates
-        .iter()
-        .find(|&&(s, _)| s == current)
-        .map(|&(_, c)| c);
-    let (mut strategy, mut observed) = (current, current_cost.unwrap_or(0));
-    if let (Some((s, c)), Some(cur)) = (best, current_cost) {
-        if s != current && c < cur {
-            strategy = s;
-            observed = c;
-        }
-    }
-
-    if strategy != current || partitions != config.partitions {
-        let (from, to) = (contraction_tag(current), contraction_tag(strategy));
-        let est = decision.est_shuffle_bytes;
-        ctx.emit_event(|at_micros| Event::PlanReplanned {
-            tag: from.to_string(),
-            from: from.to_string(),
-            to: to.to_string(),
-            est_shuffle_bytes: est,
-            observed_bytes: observed,
-            partitions: partitions as u64,
-            at_micros,
-        });
-    }
-    Replan {
-        strategy,
+    let strategy = rerank(
+        ctx,
+        decision,
+        current,
+        &observed,
+        contraction_tag,
         partitions,
-    }
+        partitions != config.partitions,
+    );
+    (strategy, partitions)
 }
 
-/// Drive one mat-vec node through its stage frontier: probe the vector
-/// side, overlay the measured stats, and promote the shuffle path to the
-/// zero-shuffle broadcast path when the vector is observed to fit the
-/// budget and win on cost. Returns whether to broadcast; emits one
-/// `plan_replanned` event iff the path switched.
-#[allow(clippy::too_many_arguments)]
+/// Drive one shuffling mat-vec node through its stage frontier: probe the
+/// vector side and re-rank both paths under its measured stats. Returns
+/// whether the node was promoted to the zero-shuffle broadcast path.
 pub(crate) fn adapt_mat_vec(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
     matrix: &str,
-    vector: &str,
-    v: &TiledVector,
+    (vector, v): (&str, &TiledVector),
     contract_row: bool,
     decision: &PlanDecision,
 ) -> bool {
-    let fv = StageFrontier::vector(v);
     let mut overlay = env.clone();
-    overlay.set_stats(vector, fv.stats);
-    let candidates = mat_vec_candidates(&overlay, config, matrix, vector, contract_row);
-    let best = candidates.iter().copied().min_by_key(|&(_, cost)| cost);
-    let shuffle_cost = candidates
-        .iter()
-        .find(|&&(tag, _)| tag == "matVec")
-        .map(|&(_, c)| c);
-    if let (Some(("matVec/broadcast", c)), Some(cur)) = (best, shuffle_cost) {
-        if c < cur {
-            let est = decision.est_shuffle_bytes;
-            ctx.emit_event(|at_micros| Event::PlanReplanned {
-                tag: "matVec".to_string(),
-                from: "matVec".to_string(),
-                to: "matVec/broadcast".to_string(),
-                est_shuffle_bytes: est,
-                observed_bytes: c,
-                partitions: config.partitions as u64,
-                at_micros,
-            });
-            return true;
-        }
+    overlay.set_stats(vector, StageFrontier::vector(v).stats);
+    let observed = mat_vec_candidates(&overlay, config, matrix, vector, contract_row);
+    let strategy = rerank(
+        ctx,
+        decision,
+        MatMulStrategy::ReduceByKey,
+        &observed,
+        mat_vec_tag,
+        config.partitions,
+        false,
+    );
+    strategy == MatMulStrategy::Broadcast
+}
+
+/// The one re-decision rule: given the candidates re-costed under observed
+/// stats, switch away from `current` iff the cheapest is strictly cheaper —
+/// the plan-time selection rule, so confirming measurements reproduce the
+/// plan-time choice exactly. Emits one `plan_replanned` event iff the
+/// strategy switched or the caller re-partitioned.
+fn rerank(
+    ctx: &Context,
+    decision: &PlanDecision,
+    current: MatMulStrategy,
+    observed: &[(MatMulStrategy, u64)],
+    tag: fn(MatMulStrategy) -> &'static str,
+    partitions: usize,
+    repartitioned: bool,
+) -> MatMulStrategy {
+    let current_cost = cost_of(observed, current);
+    let (strategy, observed_bytes) = match (cheapest(observed), current_cost) {
+        (Some((best, cost)), Some(cur)) if best != current && cost < cur => (best, cost),
+        _ => (current, current_cost.unwrap_or(0)),
+    };
+    if strategy != current || repartitioned {
+        let (from, to) = (tag(current), tag(strategy));
+        let est_shuffle_bytes = decision.est_shuffle_bytes;
+        ctx.emit_event(|at_micros| Event::PlanReplanned {
+            tag: from.to_string(),
+            from: from.to_string(),
+            to: to.to_string(),
+            est_shuffle_bytes,
+            observed_bytes,
+            partitions: partitions as u64,
+            at_micros,
+        });
     }
-    false
+    strategy
 }

@@ -599,8 +599,8 @@ impl QueryService {
         Ok(())
     }
 
-    /// Mutate a tenant's planner configuration (e.g. flip elementwise
-    /// fusion, pin a matmul strategy). The plan-cache key covers the full
+    /// Mutate a tenant's planner configuration (e.g. pin a matmul
+    /// strategy, change tile threads). The plan-cache key covers the full
     /// config signature, so a change here can never resurrect a plan
     /// compiled under the previous configuration.
     pub fn configure_tenant(&self, tenant: &str, f: impl FnOnce(&mut planner::plan::PlanConfig)) {
@@ -764,24 +764,19 @@ impl QueryService {
                     key.push_str(&format!("|u:{v}"));
                 }
             }
-            // The config signature must cover every knob that changes the
-            // *compiled plan*, not just its execution: flipping elementwise
-            // fusion (or the kernel backend via `SAC_KERNEL`) between two
-            // alpha-equivalent compiles must produce distinct keys, or one
-            // tenant's cached plan leaks the other configuration's kernels.
-            // `adaptive` is part of the signature too so a frozen tenant
-            // never shares an adaptive tenant's entry; runtime re-decisions
-            // themselves are made per-execution from measured stats and are
-            // never written back into this cache.
+            // The config signature covers every planner knob plus the kernel
+            // backend (`SAC_KERNEL`): two alpha-equivalent compiles under
+            // different configurations must produce distinct keys, or one
+            // tenant's cached plan leaks the other configuration's choices.
+            // Runtime re-decisions are made per-execution from measured
+            // stats and are never written back into this cache.
             key.push_str(&format!(
-                "|c:{}:{:?}:{}:{}:{}:{}:{}:{}",
+                "|c:{}:{:?}:{}:{}:{}:{}",
                 config.partitions,
                 config.matmul,
                 config.broadcast_budget,
                 config.tile_threads,
                 config.auto_persist,
-                config.fuse_eltwise,
-                config.adaptive,
                 tiled::kernel::signature(),
             ));
             (tid, key, env, config)
@@ -971,7 +966,7 @@ mod tests {
     }
 
     #[test]
-    fn fusion_config_changes_never_share_compiled_plans() {
+    fn config_changes_never_share_compiled_plans() {
         let svc = small_service();
         svc.register_shared_matrix("A", &random_matrix(8, 3), 4)
             .unwrap();
@@ -983,27 +978,27 @@ mod tests {
         // Alpha-equivalent rename, submitted by another tenant.
         let q_bob = "tiled(n,n)[ ((p,q), x + y*0.5) | ((p,q),x) <- A, ((s,t),y) <- B, \
                      s == p, t == q ]";
-        let fused = svc.run("alice", q_alice).unwrap();
-        assert!(!fused.cache_hit);
-        // Bob compiles the same canonical query with fusion disabled: the
-        // config signatures differ, so the cached fused plan must NOT be
-        // shared — this is the before/after-config-change audit case.
-        svc.configure_tenant("bob", |c| c.fuse_eltwise = false);
-        let unfused = svc.run("bob", q_bob).unwrap();
+        let first = svc.run("alice", q_alice).unwrap();
+        assert!(!first.cache_hit);
+        // Bob compiles the same canonical query with a different tile-thread
+        // count: the config signatures differ, so alice's cached plan must
+        // NOT be shared — this is the before/after-config-change audit case.
+        svc.configure_tenant("bob", |c| c.tile_threads += 1);
+        let flipped = svc.run("bob", q_bob).unwrap();
         assert!(
-            !unfused.cache_hit,
-            "a fusion-flipped config must never reuse a fused compiled plan"
+            !flipped.cache_hit,
+            "a flipped config must never reuse another config's compiled plan"
         );
         assert_eq!(
-            fused.fingerprint, unfused.fingerprint,
-            "fused and unfused plans must stay bit-identical"
+            first.fingerprint, flipped.fingerprint,
+            "tile threads must not move a bit"
         );
         let (_, misses, entries) = svc.plan_cache_stats();
         assert_eq!((misses, entries), (2, 2), "two distinct cache entries");
         // Same config, same canonical query → now it may share.
-        svc.configure_tenant("bob", |c| c.fuse_eltwise = true);
-        let refused = svc.run("bob", q_bob).unwrap();
-        assert!(refused.cache_hit, "restored config hits alice's entry");
+        svc.configure_tenant("bob", |c| c.tile_threads -= 1);
+        let restored = svc.run("bob", q_bob).unwrap();
+        assert!(restored.cache_hit, "restored config hits alice's entry");
     }
 
     #[test]

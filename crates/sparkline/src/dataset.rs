@@ -129,26 +129,10 @@ impl<T: Data> Dataset<T> {
         })
     }
 
-    /// Partition-at-a-time transformation; `f` receives the partition index.
-    ///
-    /// Vec-compat shim: the partition is materialized on entry (an
-    /// exclusively-held stream gives its allocation back for free) and the
-    /// result re-wrapped. Use [`Dataset::map_partitions_stream`] when `f` can
-    /// work on the stream directly.
-    #[deprecated(note = "use map_partitions_stream")]
-    pub fn map_partitions<U: Data>(
-        &self,
-        f: impl Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
-    ) -> Dataset<U> {
-        self.narrow("mapPartitions", false, move |p, s| {
-            PartitionStream::from_vec(f(p, s.into_vec()))
-        })
-    }
-
     /// Partition-at-a-time transformation over the raw
-    /// [`PartitionStream`] — the zero-copy sibling of
-    /// [`Dataset::map_partitions`]. `f` must return a stream re-creatable
-    /// from its input (it is re-invoked on task retry or speculation).
+    /// [`PartitionStream`]; `f` receives the partition index. `f` must
+    /// return a stream re-creatable from its input (it is re-invoked on
+    /// task retry or speculation).
     pub fn map_partitions_stream<U: Data>(
         &self,
         f: impl Fn(usize, PartitionStream<T>) -> PartitionStream<U> + Send + Sync + 'static,

@@ -9,7 +9,7 @@
 //!   Transformations build a DAG; actions (`collect`, `count`, `reduce`)
 //!   trigger execution.
 //! * **Narrow transformations** (`map`, `flat_map`, `filter`,
-//!   `map_partitions`, `map_values`) run pipelined inside one task per
+//!   `map_partitions_stream`, `map_values`) run pipelined inside one task per
 //!   partition: operators exchange pull-based [`PartitionStream`]s, so a
 //!   narrow chain fuses into one iterator per task with no intermediate
 //!   collection, and sources/cached blocks are handed out as zero-copy

@@ -80,7 +80,7 @@ impl<T: Data> Op<T> for SourceOp<T> {
 }
 
 /// Narrow transformation: partition-at-a-time function over the parent's
-/// stream. Implements `map`, `flat_map`, `filter`, `map_partitions`,
+/// stream. Implements `map`, `flat_map`, `filter`, `map_partitions_stream`,
 /// `map_values` — all as lazy stream adapters, so chained narrow ops fuse
 /// into one pipeline per task.
 pub struct MapPartitionsOp<T: Data, U: Data> {

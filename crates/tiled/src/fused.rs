@@ -1,15 +1,13 @@
 //! Fused elementwise tile kernel — one pass per tile over a compiled
 //! op program.
 //!
-//! The planner's unfused elementwise path interprets a `ScalarFn` tree with
-//! `eval_batch`, which allocates one scratch `Vec` per tree node per tile.
-//! This module is the burn-style alternative: the planner traces the whole
+//! The burn-style elementwise executor: the planner traces a whole
 //! elementwise region (scale, add, sub, hadamard, scalar constants, guard
-//! masking) into one postfix [`FusedProgram`] over tile slots, and
-//! [`fused_eltwise`] executes it in a single pass using a fixed register
-//! file of chunk buffers — no boxed per-element dispatch, no per-node
-//! allocation, and a fused sparsifier ([`fused_eltwise_sparsify`]) that
-//! produces a pruned [`CscTile`] directly.
+//! masking, index-plane reads) into one postfix [`FusedProgram`] over tile
+//! slots, and [`fused_eltwise`] executes it in a single pass using a fixed
+//! register file of chunk buffers — no boxed per-element dispatch, no
+//! per-node allocation, and a fused sparsifier ([`fused_eltwise_sparsify`])
+//! that produces a pruned [`CscTile`] directly.
 //!
 //! # Determinism contract
 //!
@@ -17,10 +15,10 @@
 //! the identical IEEE-754 operation sequence regardless of backend, chunk
 //! width, or thread count. Elementwise programs have no cross-element
 //! reductions, so chunking is pure blocking — the per-element chain is the
-//! postfix program itself, with plain `+ - * /` (no FMA contraction, because
-//! the unfused `ScalarFn::eval_batch` oracle uses plain ops and the fused
-//! result must match it bit-for-bit). The [`Backend`] parameter only picks
-//! the chunk width; all widths produce the same bits.
+//! postfix program itself, with plain `+ - * /` (no FMA contraction: the
+//! result must match [`FusedProgram::eval_scalar`], and the source
+//! expression evaluated element by element, bit-for-bit). The [`Backend`]
+//! parameter only picks the chunk width; all widths produce the same bits.
 
 use crate::kernel::Backend;
 use crate::sparse_tile::CscTile;
@@ -283,9 +281,7 @@ fn chunk_width(backend: Backend) -> usize {
 
 /// Execute `prog` over `len` elements of the slot buffers into a fresh
 /// output buffer. One pass: the only allocations are the output and a
-/// register file of `max_stack` chunk buffers, reused across chunks —
-/// compare the unfused interpreter, which allocates one `len`-sized scratch
-/// vector per expression node per tile.
+/// register file of `max_stack` chunk buffers, reused across chunks.
 ///
 /// # Panics
 /// If any slot buffer referenced by the program is missing or shorter than

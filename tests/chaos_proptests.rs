@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sac_repro::sac::Session;
+use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::sparkline::{ChaosPlan, Context, Dataset, KeyPartitioner};
 use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
 
@@ -425,8 +425,9 @@ fn e2e_384_matmul_survives_chaos_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Adaptive re-planning vs the frozen oracle (`SAC_ADAPTIVE=0` /
-    /// `.adaptive(false)`): random paper queries over dense and sparse
+    /// Adaptive re-planning vs the frozen oracle (a session pinned to
+    /// `MatMulStrategy::ReduceByKey` — a pinned strategy never probes and
+    /// never re-plans): random paper queries over dense and sparse
     /// (CSC-discounted) integer-valued inputs, under seeded chaos, a
     /// 256-byte storage budget, and two worker processes, must be
     /// bit-identical whether or not the stage driver is allowed to
@@ -456,7 +457,7 @@ proptest! {
         } else {
             LocalMatrix::from_fn(n, n, |i, j| ((i * 7 + j * 3 + seed) % 9) as f64 - 4.0)
         };
-        let session = |adaptive: bool, plan: Option<ChaosPlan>| {
+        let session = |matmul: MatMulStrategy, plan: Option<ChaosPlan>| {
             let mut b = Session::builder()
                 .workers(4)
                 .executors(4)
@@ -466,7 +467,7 @@ proptest! {
                 .storage_memory(256)
                 .worker_processes(2)
                 .broadcast_budget(budget)
-                .adaptive(adaptive);
+                .matmul(matmul);
             b = match plan {
                 Some(p) => b.chaos(p),
                 None => b.chaos_off(),
@@ -477,10 +478,10 @@ proptest! {
             s
         };
 
-        let frozen = session(false, None);
-        let adaptive_clean = session(true, None);
+        let frozen = session(MatMulStrategy::ReduceByKey, None);
+        let adaptive_clean = session(MatMulStrategy::Auto, None);
         let adaptive_chaotic = session(
-            true,
+            MatMulStrategy::Auto,
             Some(explicit_plan(4, kill_at, kill_exec, fetch_every, 5)),
         );
 

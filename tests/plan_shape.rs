@@ -599,9 +599,6 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         .workers(4)
         .partitions(4)
         .broadcast_budget(100_000)
-        // Explicit, so the test still pins a switch when CI re-runs the
-        // whole suite under SAC_ADAPTIVE=0.
-        .adaptive(true)
         .build();
     // Fully dense, small-integer values: every strategy's partial sums are
     // exact in f64, so results are bit-identical even across the switch.
@@ -659,14 +656,14 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         analysis.profile.render()
     );
 
-    // Bit-exactness oracle: a frozen session under the same lie runs the
-    // original reduceByKey plan and must agree with the switched run
-    // bit-for-bit.
+    // Bit-exactness oracle: pinning the strategy freezes the plan, so a
+    // session pinned to reduceByKey under the same lie runs the original
+    // plan to the end and must agree with the switched run bit-for-bit.
     let mut frozen = Session::builder()
         .workers(4)
         .partitions(4)
         .broadcast_budget(100_000)
-        .adaptive(false)
+        .matmul(MatMulStrategy::ReduceByKey)
         .build();
     frozen.register_local_matrix("A", &a, 32);
     frozen.register_local_matrix("B", &b, 32);
@@ -680,7 +677,21 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     let frozen_analysis = frozen.explain_analyze(MUL_SRC).unwrap();
     assert!(
         frozen_analysis.profile.plan_choices[0].replans.is_empty(),
-        "a frozen session must never re-decide:\n{}",
+        "a pinned session must never re-decide:\n{}",
+        frozen_analysis.profile.render()
+    );
+    // ... nor probe: every stage-frontier probe is a `collect` job, and the
+    // pinned plan's only job is the `count` that forces the result.
+    let collects = |p: &JobProfile| p.jobs.iter().filter(|j| j.label == "collect").count();
+    assert!(
+        collects(&analysis.profile) >= 2,
+        "the auto session probes both inputs:\n{}",
+        analysis.profile.render()
+    );
+    assert_eq!(
+        collects(&frozen_analysis.profile),
+        0,
+        "a pinned session must never probe:\n{}",
         frozen_analysis.profile.render()
     );
     assert!(
@@ -691,4 +702,27 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     let got = s.matrix(MUL_SRC).unwrap().to_local();
     let oracle = frozen.matrix(MUL_SRC).unwrap().to_local();
     assert_eq!(got, oracle, "adaptive switch changed the result bits");
+}
+
+#[test]
+fn local_fallback_result_is_tiled_like_the_matrix_the_query_reads() {
+    // Regression: the fallback used to take its tile size from whichever
+    // registered array a `HashMap` iteration happened to yield first —
+    // including arrays the query never mentions — so with `A` (tile 2) and
+    // `Z` (tile 4) registered, the block size of this result varied from
+    // session to session. It must be `A`'s, every time.
+    let a = LocalMatrix::from_fn(6, 6, |i, j| (i * 6 + j) as f64 + 0.5);
+    let z = LocalMatrix::from_fn(8, 8, |i, j| i as f64 - j as f64);
+    let src = "tiled_vector(n)[ (i, v) | ((i,j),v) <- A, i == j ]";
+    for round in 0..16 {
+        let mut s = Session::builder().workers(2).partitions(2).build();
+        s.register_local_matrix("A", &a, 2);
+        s.register_local_matrix("Z", &z, 4);
+        s.set_int("n", 6);
+        assert_eq!(s.explain(src).unwrap(), "localFallback -> vector 6");
+        let diagonal = s.vector(src).unwrap();
+        assert_eq!(diagonal.block_size(), 2, "round {round}");
+        let want: Vec<f64> = (0..6).map(|i| a.get(i, i)).collect();
+        assert_eq!(diagonal.to_local(), want);
+    }
 }
