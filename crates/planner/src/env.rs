@@ -4,7 +4,7 @@
 use comp::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tiled::{CooMatrix, TiledMatrix, TiledVector};
+use tiled::{CooMatrix, CscTile, DenseMatrix, TiledMatrix, TiledVector};
 
 /// A distributed array a comprehension can range over or produce.
 #[derive(Clone)]
@@ -95,10 +95,21 @@ pub struct ArrayStats {
 }
 
 impl ArrayStats {
-    /// Bytes of one shuffled tile record: `(i64, i64)` coordinate plus the
-    /// [`tiled::DenseMatrix`] payload (its `SizeOf` is `16 + 8 * n^2`).
+    /// Encoded bytes of one shuffled tile record: the `(i64, i64)` coordinate
+    /// plus the [`tiled::DenseMatrix`] payload.
     pub fn dense_tile_bytes(tile_size: usize) -> u64 {
-        16 + 16 + 8 * (tile_size as u64) * (tile_size as u64)
+        (16 + DenseMatrix::encoded_len_of(tile_size, tile_size)) as u64
+    }
+
+    /// Encoded bytes of one tile record stored compressed-sparse-column with
+    /// `nnz` entries: the coordinate plus the [`tiled::CscTile`] payload.
+    pub fn csc_tile_bytes(tile_size: usize, nnz: u64) -> u64 {
+        (16 + CscTile::encoded_len_of(tile_size, nnz as usize)) as u64
+    }
+
+    /// Encoded bytes of one vector-block record of `block_size` elements.
+    pub fn vector_block_bytes(block_size: usize) -> u64 {
+        TiledVector::block_record_len(block_size) as u64
     }
 
     /// Stats for a tiled matrix, from metadata alone.
@@ -127,8 +138,7 @@ impl ArrayStats {
             block_rows: blocks,
             block_cols: 1,
             nnz: None,
-            // One block record: i64 key + Vec<f64> payload (4 + 8 * n).
-            estimated_bytes: blocks as u64 * (8 + 4 + 8 * block_size as u64),
+            estimated_bytes: blocks as u64 * ArrayStats::vector_block_bytes(block_size),
         }
     }
 
@@ -169,16 +179,15 @@ impl ArrayStats {
         (self.block_rows * self.block_cols) as u64
     }
 
-    /// Estimated wire bytes of one tile record if shuffled: dense payload
-    /// scaled by density when the nnz is known (a sparse tile ships ~12
-    /// bytes per stored element in CSC form, so density discounts apply),
-    /// floored at the record framing overhead.
+    /// Estimated wire bytes of one tile record if shuffled: the dense
+    /// encoding, or the CSC encoding of a tile at this array's density when
+    /// the nnz is known and that is smaller.
     pub fn tile_wire_bytes(&self) -> u64 {
         let dense = ArrayStats::dense_tile_bytes(self.tile_size);
         match self.density() {
             Some(d) => {
-                let csc = 32.0 + d * 12.0 * (self.tile_size as f64) * (self.tile_size as f64);
-                (csc.min(dense as f64)) as u64
+                let nnz = d * (self.tile_size as f64) * (self.tile_size as f64);
+                ArrayStats::csc_tile_bytes(self.tile_size, nnz as u64).min(dense)
             }
             None => dense,
         }
@@ -472,6 +481,26 @@ mod tests {
         assert!((refined.density().unwrap() - 6.0 / 36.0).abs() < 1e-12);
         assert!(refined.tile_wire_bytes() < ArrayStats::dense_tile_bytes(4));
         assert!(env.stats("missing").is_none());
+    }
+
+    #[test]
+    fn tile_byte_closed_forms_match_the_codec() {
+        use sparkline::SpillCodec;
+        for n in [0usize, 1, 4, 7] {
+            let tile = ((0i64, 0i64), DenseMatrix::zeros(n, n));
+            assert_eq!(ArrayStats::dense_tile_bytes(n), tile.encoded_len() as u64);
+            let block = (0i64, vec![0.0f64; n]);
+            assert_eq!(
+                ArrayStats::vector_block_bytes(n),
+                block.encoded_len() as u64
+            );
+            let eye = DenseMatrix::identity(n);
+            let csc = ((0i64, 0i64), CscTile::from_dense(&eye));
+            assert_eq!(
+                ArrayStats::csc_tile_bytes(n, n as u64),
+                csc.encoded_len() as u64
+            );
+        }
     }
 
     #[test]

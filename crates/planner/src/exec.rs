@@ -8,7 +8,7 @@ use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
-use sparkline::{Context, Data, Dataset, Event, PartitionStream, SizeOf, SpillCodec};
+use sparkline::{Context, Data, Dataset, Event, PartitionStream, SpillCodec};
 use std::collections::HashMap;
 use std::hash::Hash;
 use tiled::fused::FusedProgram;
@@ -1149,7 +1149,7 @@ fn exec_group_aggregate<K>(
     locate: impl Fn(&Value) -> Option<(K, usize)> + Send + Sync + 'static,
 ) -> Result<Dataset<(K, Vec<f64>)>, CompError>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
 {
     let Plan::GroupByAggregate {
         input,

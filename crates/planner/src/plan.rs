@@ -921,7 +921,7 @@ pub(crate) fn mat_vec_candidates(
     } else {
         (sm.block_rows as u64, sm.block_cols as u64)
     };
-    let block = 8 + 4 + 8 * sm.tile_size as u64;
+    let block = ArrayStats::vector_block_bytes(sm.tile_size);
     let mut candidates = Vec::new();
     if sv.estimated_bytes <= config.broadcast_budget {
         // Collect + broadcast the vector, merge partials on the driver:

@@ -79,12 +79,14 @@ impl StageFrontier {
             })
             .collect();
         let (partition_tiles, tiles, nnz) = fold_partitions(per_part);
-        // Observed resident bytes: the cheaper of the dense and the
-        // sparse (CSC, ~12 bytes/stored element + 32/tile framing)
+        // Observed resident bytes: the cheaper of the dense and the CSC
         // encodings of what actually materialized. For honest dense
         // registrations this reproduces `ArrayStats::matrix` exactly.
         let dense = tiles * ArrayStats::dense_tile_bytes(m.tile_size());
-        let csc = tiles * 32 + 12 * nnz;
+        // (CSC length is linear in nnz: `tiles - 1` empty tiles plus one
+        // holding every entry sum to the same bytes as the real spread.)
+        let csc = tiles.saturating_sub(1) * ArrayStats::csc_tile_bytes(m.tile_size(), 0)
+            + ArrayStats::csc_tile_bytes(m.tile_size(), nnz);
         let mut stats = ArrayStats::matrix(m.rows(), m.cols(), m.tile_size()).with_nnz(nnz);
         stats.estimated_bytes = dense.min(csc);
         StageFrontier {
@@ -100,8 +102,7 @@ impl StageFrontier {
             .map_partitions_stream(|pid, blocks| {
                 let (mut bytes, mut nnz) = (0u64, 0u64);
                 blocks.for_each_ref(|(_, b)| {
-                    // One block record: i64 key + Vec<f64> payload.
-                    bytes += 8 + 4 + 8 * b.len() as u64;
+                    bytes += ArrayStats::vector_block_bytes(b.len());
                     nnz += b.iter().filter(|x| **x != 0.0).count() as u64;
                 });
                 PartitionStream::from_vec(vec![(pid as u64, (bytes, nnz))])

@@ -193,7 +193,7 @@ impl ChaosPlan {
 
 /// Sebastiano Vigna's splitmix64: the tiny seed-expansion PRNG (public
 /// domain algorithm), avoiding any dependency for deterministic schedules.
-/// Also used by [`crate::BackoffPolicy`] for deterministic retry jitter.
+/// Also used by the shuffle layer's backoff for deterministic retry jitter.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

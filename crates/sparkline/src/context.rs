@@ -6,7 +6,7 @@ use crate::events::{Event, EventCollector};
 use crate::metrics::Metrics;
 use crate::profile::JobProfile;
 use crate::service::{panic_is_cancelled, CancelToken, CANCELLED_MSG};
-use crate::shuffle::{BackoffPolicy, MapOutputTracker};
+use crate::shuffle::MapOutputTracker;
 use crate::storage::{BlockManager, StorageStatus};
 use crate::sync::Mutex;
 use crate::transport::{WorkerConfig, WorkerGroup};
@@ -142,9 +142,6 @@ pub struct ContextBuilder {
     chaos: ChaosChoice,
     worker_processes: Option<usize>,
     external_shuffle: Option<bool>,
-    resubmit_backoff: BackoffPolicy,
-    fetch_backoff: BackoffPolicy,
-    fetch_retries: u32,
 }
 
 impl Default for ContextBuilder {
@@ -160,17 +157,6 @@ impl Default for ContextBuilder {
             chaos: ChaosChoice::Inherit,
             worker_processes: None,
             external_shuffle: None,
-            resubmit_backoff: BackoffPolicy::default(),
-            // Fetch retries are cheap loopback round-trips; back off hard
-            // enough to ride out a worker respawn, but stay well under the
-            // cost of resubmitting the map stage.
-            fetch_backoff: BackoffPolicy {
-                base: Duration::from_micros(100),
-                multiplier: 2.0,
-                cap: Duration::from_millis(5),
-                jitter: 0.25,
-            },
-            fetch_retries: 3,
         }
     }
 }
@@ -260,28 +246,6 @@ impl ContextBuilder {
         self
     }
 
-    /// Backoff schedule between attempts of a resubmitted shuffle map stage
-    /// (after a fetch failure). The default reproduces the historical
-    /// 200µs-doubling-to-10ms schedule with no jitter.
-    pub fn resubmit_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.resubmit_backoff = policy;
-        self
-    }
-
-    /// Backoff schedule between retries of a single shuffle fetch against a
-    /// worker process, before the fetch is declared failed.
-    pub fn fetch_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.fetch_backoff = policy;
-        self
-    }
-
-    /// Retries per shuffle fetch (beyond the first attempt) before the
-    /// fetch escalates to `FetchFailed` handling.
-    pub fn fetch_retries(mut self, n: u32) -> Self {
-        self.fetch_retries = n;
-        self
-    }
-
     /// Run this context under an explicit chaos schedule. Beats [`CHAOS_ENV`].
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = ChaosChoice::Plan(plan);
@@ -366,9 +330,6 @@ impl ContextBuilder {
                 chaos,
                 worker_group,
                 external_dir,
-                resubmit_backoff: self.resubmit_backoff,
-                fetch_backoff: self.fetch_backoff,
-                fetch_retries: self.fetch_retries,
                 map_outputs: MapOutputTracker::default(),
                 metrics: Metrics::default(),
                 events: EventCollector::default(),
@@ -445,12 +406,6 @@ pub(crate) struct CtxInner {
     /// Base directory of the external shuffle service spool; `None` when the
     /// service is disabled or in local mode. Removed on context drop.
     external_dir: Option<PathBuf>,
-    /// Backoff between attempts of a resubmitted shuffle map stage.
-    resubmit_backoff: BackoffPolicy,
-    /// Backoff between retries of one shuffle fetch.
-    fetch_backoff: BackoffPolicy,
-    /// Fetch retries (beyond the first attempt) before `FetchFailed`.
-    fetch_retries: u32,
     /// Which executor owns each shuffle map output, and at which epoch.
     pub(crate) map_outputs: MapOutputTracker,
     pub(crate) metrics: Metrics,
@@ -621,14 +576,6 @@ impl Context {
         }
     }
 
-    /// A map task failed to PUT its output to `worker` (connection refused,
-    /// timeout): treat the process as dead — kill it for certain, respawn
-    /// it, and sweep its executors so the in-flight tasks that stored there
-    /// are discarded and requeued by the epoch gate.
-    pub(crate) fn handle_worker_failure(&self, worker: usize) {
-        let _ = self.kill_worker(worker);
-    }
-
     /// Kill one logical executor without promoting to a process kill; the
     /// shared implementation behind [`Context::kill_executor`] (local mode)
     /// and the per-executor sweep of [`Context::on_worker_lost`]
@@ -721,24 +668,6 @@ impl Context {
         self.inner.external_dir.is_some()
     }
 
-    /// Configured stage-resubmission backoff
-    /// ([`ContextBuilder::resubmit_backoff`]).
-    pub fn resubmit_backoff(&self) -> BackoffPolicy {
-        self.inner.resubmit_backoff
-    }
-
-    /// Configured shuffle-fetch retry backoff
-    /// ([`ContextBuilder::fetch_backoff`]).
-    pub fn fetch_backoff(&self) -> BackoffPolicy {
-        self.inner.fetch_backoff
-    }
-
-    /// Configured shuffle-fetch retry limit
-    /// ([`ContextBuilder::fetch_retries`]).
-    pub fn fetch_retries(&self) -> u32 {
-        self.inner.fetch_retries
-    }
-
     /// The shuffle worker-process group, if this context runs multi-process.
     pub(crate) fn worker_group(&self) -> Option<Arc<WorkerGroup>> {
         self.inner.worker_group.clone()
@@ -754,7 +683,7 @@ impl Context {
     /// Spool directory for one shuffle's external frames, `None` when the
     /// external shuffle service is off. The directory itself is created
     /// lazily by the first map task that writes into it.
-    pub(crate) fn external_shuffle_path(&self, shuffle_id: u64) -> Option<PathBuf> {
+    pub fn external_shuffle_path(&self, shuffle_id: u64) -> Option<PathBuf> {
         self.inner
             .external_dir
             .as_ref()
@@ -1790,18 +1719,6 @@ mod tests {
 
     #[test]
     fn builder_knobs_read_back_from_a_running_context() {
-        let resubmit = BackoffPolicy {
-            base: Duration::from_millis(1),
-            multiplier: 3.0,
-            cap: Duration::from_millis(40),
-            jitter: 0.5,
-        };
-        let fetch = BackoffPolicy {
-            base: Duration::from_micros(50),
-            multiplier: 1.5,
-            cap: Duration::from_millis(2),
-            jitter: 0.0,
-        };
         let ctx = Context::builder()
             .workers(3)
             .executors(2)
@@ -1810,9 +1727,6 @@ mod tests {
             .max_stage_attempts(9)
             .storage_memory(1 << 20)
             .speculation(2.5)
-            .resubmit_backoff(resubmit)
-            .fetch_backoff(fetch)
-            .fetch_retries(5)
             .chaos_off()
             .build();
         assert_eq!(ctx.workers(), 3);
@@ -1822,9 +1736,6 @@ mod tests {
         assert_eq!(ctx.max_stage_attempts(), 9);
         assert_eq!(ctx.storage_memory(), Some(1 << 20));
         assert_eq!(ctx.speculation_multiplier(), Some(2.5));
-        assert_eq!(ctx.resubmit_backoff(), resubmit);
-        assert_eq!(ctx.fetch_backoff(), fetch);
-        assert_eq!(ctx.fetch_retries(), 5);
         // Local mode: no worker processes, no external spool.
         assert_eq!(ctx.worker_processes(), 0);
         assert!(!ctx.external_shuffle_enabled());

@@ -4,7 +4,6 @@ use crate::context::{Context, StageMeta};
 use crate::ops::{CachedOp, MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::KeyPartitioner;
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
-use crate::size::SizeOf;
 use crate::storage::{PersistOp, SpillCodec, StorageLevel};
 use crate::stream::PartitionStream;
 use crate::Data;
@@ -155,7 +154,7 @@ impl<T: Data> Dataset<T> {
     /// deduplicating shuffle keyed by the element itself.
     pub fn distinct(&self, partitions: usize) -> Dataset<T>
     where
-        T: std::hash::Hash + Eq + SizeOf + SpillCodec,
+        T: std::hash::Hash + Eq + SpillCodec,
     {
         self.map(|x| (x, ()))
             .reduce_by_key(partitions, |_, _| ())
@@ -180,7 +179,7 @@ impl<T: Data> Dataset<T> {
     /// are transparently recomputed from lineage.
     pub fn persist(&self) -> Dataset<T>
     where
-        T: SizeOf + SpillCodec,
+        T: SpillCodec,
     {
         self.persist_with(StorageLevel::Memory)
     }
@@ -190,7 +189,7 @@ impl<T: Data> Dataset<T> {
     /// file instead of dropping them.
     pub fn persist_with(&self, level: StorageLevel) -> Dataset<T>
     where
-        T: SizeOf + SpillCodec,
+        T: SpillCodec,
     {
         Dataset {
             ctx: self.ctx.clone(),
@@ -265,8 +264,8 @@ impl<T: Data> Dataset<T> {
 
 impl<K, V> Dataset<(K, V)>
 where
-    K: Data + Hash + Eq + SizeOf,
-    V: Data + SizeOf,
+    K: Data + Hash + Eq,
+    V: Data,
 {
     /// Transform values, keeping keys (and therefore partitioning).
     pub fn map_values<U: Data>(
@@ -346,7 +345,7 @@ where
     /// Generic combine-by-key shuffle (Spark's `combineByKey`). Keys and
     /// combiners must be wire-encodable ([`SpillCodec`]): in multi-process
     /// mode every bucket crosses a process boundary as a checksummed frame.
-    pub fn shuffle<C: Data + SizeOf + SpillCodec>(
+    pub fn shuffle<C: Data + SpillCodec>(
         &self,
         partitioner: KeyPartitioner<K>,
         agg: Aggregator<V, C>,
@@ -387,7 +386,7 @@ where
     /// Cogroup with another keyed dataset: all values for each key from both
     /// sides. Narrow (no shuffle) for sides already co-partitioned with the
     /// chosen partitioner.
-    pub fn cogroup<W: Data + SizeOf + SpillCodec>(
+    pub fn cogroup<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitions: usize,
@@ -401,7 +400,7 @@ where
 
     /// Cogroup with an explicit partitioner. If either input is already
     /// partitioned by an equal partitioner it is not re-shuffled.
-    pub fn cogroup_with<W: Data + SizeOf + SpillCodec>(
+    pub fn cogroup_with<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitioner: KeyPartitioner<K>,
@@ -423,7 +422,7 @@ where
     }
 
     /// Inner join: one output record per matching pair of values.
-    pub fn join<W: Data + SizeOf + SpillCodec>(
+    pub fn join<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitions: usize,
@@ -436,7 +435,7 @@ where
     }
 
     /// Inner join with an explicit partitioner.
-    pub fn join_with<W: Data + SizeOf + SpillCodec>(
+    pub fn join_with<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitioner: KeyPartitioner<K>,
@@ -737,10 +736,14 @@ mod tests {
     #[test]
     fn persist_under_tiny_budget_still_correct() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Each block is 84 bytes (Vec header + 10 i64), so a 100-byte budget
-        // holds exactly one of the four partitions, forcing eviction and
-        // lineage recomputation on every pass.
-        let c = Context::builder().workers(4).storage_memory(100).build();
+        // A budget of one and a half 10-element blocks holds exactly one of
+        // the four partitions, forcing eviction and lineage recomputation on
+        // every pass.
+        let block = crate::wire::encoded_len(&vec![0i64; 10]) as usize;
+        let c = Context::builder()
+            .workers(4)
+            .storage_memory(block + block / 2)
+            .build();
         let calls = Arc::new(AtomicUsize::new(0));
         let calls2 = calls.clone();
         let d = c
@@ -762,7 +765,12 @@ mod tests {
 
     #[test]
     fn persist_with_disk_level_serves_spilled_blocks() {
-        let c = Context::builder().workers(2).storage_memory(64).build();
+        // Smaller than one 10-element block: every partition spills.
+        let block = crate::wire::encoded_len(&vec![0i64; 10]) as usize;
+        let c = Context::builder()
+            .workers(2)
+            .storage_memory(block - 1)
+            .build();
         let d = c
             .parallelize((0..40i64).collect(), 4)
             .map(|x| x * 2)

@@ -57,7 +57,6 @@ pub mod partitioner;
 pub mod profile;
 pub mod service;
 pub mod shuffle;
-pub mod size;
 pub mod storage;
 pub mod stream;
 mod sync;
@@ -78,8 +77,6 @@ pub use profile::{
     StageProfile,
 };
 pub use service::{panic_is_cancelled, AdmissionGuard, CancelToken, FairScheduler, CANCELLED_MSG};
-pub use shuffle::BackoffPolicy;
-pub use size::SizeOf;
 pub use storage::{
     BlockManager, CacheRead, SpillCodec, StorageLevel, StorageStatus, TenantStorage,
 };

@@ -14,7 +14,8 @@ pub struct ShuffleDetail {
     pub shuffle_id: u64,
     /// Human-readable operator name (e.g. `reduceByKey`, `cogroup.left`).
     pub operator: String,
-    /// Estimated bytes written by all map tasks.
+    /// Bytes written by all map tasks: the exact framed wire length of their
+    /// buckets ([`crate::wire::encoded_len`]), traced or not.
     pub bytes_written: u64,
     /// Records written after map-side combining (if enabled).
     pub records_written: u64,

@@ -16,6 +16,16 @@
 //! Merging uses insertion-ordered maps so results are deterministic across
 //! runs and worker counts.
 //!
+//! **Map-output store.** Between the two stages a shuffle's buckets wait in
+//! a private [`MapOutputStore`]: an in-process grid of live `Vec<(K, C)>`
+//! buckets, or — with worker processes — SPKL frames PUT to the workers'
+//! sockets and (external shuffle service) spooled to a driver-visible
+//! directory. `store` / `take_column` / `clear` hide which; the map and
+//! reduce tasks are written once over them. Every byte figure either variant
+//! reports is [`wire::encoded_len`], the exact framed length — the same
+//! number traced or not, one process or many; frames are only built when they
+//! are sent.
+//!
 //! **Fault tolerance.** Each map output is owned by the logical executor that
 //! produced it, recorded in the [`MapOutputTracker`]. When an executor dies
 //! its outputs are marked lost; reduce tasks then surface a fetch failure
@@ -31,55 +41,64 @@ use crate::events::Event;
 use crate::metrics::ShuffleDetail;
 use crate::ops::Op;
 use crate::partitioner::KeyPartitioner;
-use crate::size::SizeOf;
 use crate::storage::SpillCodec;
 use crate::stream::PartitionStream;
 use crate::sync::Mutex;
+use crate::transport::WorkerGroup;
 use crate::{wire, Data};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Exponential backoff with deterministic jitter, used for both stage
-/// resubmission and shuffle-fetch retries. All four parameters are exposed
-/// as [`crate::ContextBuilder`] knobs.
+/// resubmission and shuffle-fetch retries.
 ///
 /// `delay(attempt, salt)` for attempt `n` (0-based) is
 /// `min(base · multiplierⁿ, cap)`, then shrunk by up to `jitter` of itself
 /// using a hash of `(attempt, salt)` — deterministic, so chaos runs with the
 /// same seed reproduce the same schedule, but de-synchronized across
 /// shuffles/tasks (different salts) to avoid retry stampedes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BackoffPolicy {
+struct BackoffPolicy {
     /// Delay before the first retry.
-    pub base: Duration,
+    base: Duration,
     /// Growth factor per attempt (≥ 1.0).
-    pub multiplier: f64,
+    multiplier: f64,
     /// Upper bound on any single delay.
-    pub cap: Duration,
+    cap: Duration,
     /// Fraction of each delay randomized away, in `[0, 1]`. 0 = fully
     /// deterministic delays.
-    pub jitter: f64,
+    jitter: f64,
 }
 
-impl Default for BackoffPolicy {
-    /// The historical stage-resubmission schedule: 200µs base, doubling,
-    /// capped at 10ms, no jitter — keeps recovery fast in tests.
-    fn default() -> Self {
-        BackoffPolicy {
-            base: Duration::from_micros(200),
-            multiplier: 2.0,
-            cap: Duration::from_millis(10),
-            jitter: 0.0,
-        }
-    }
-}
+/// Between attempts of a resubmitted shuffle map stage: 200µs doubling to
+/// 10ms, no jitter — keeps recovery fast in tests.
+const RESUBMIT_BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: Duration::from_micros(200),
+    multiplier: 2.0,
+    cap: Duration::from_millis(10),
+    jitter: 0.0,
+};
+
+/// Between retries of one shuffle fetch. Retries are cheap loopback
+/// round-trips; back off hard enough to ride out a worker respawn, but stay
+/// well under the cost of resubmitting the map stage.
+const FETCH_BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: Duration::from_micros(100),
+    multiplier: 2.0,
+    cap: Duration::from_millis(5),
+    jitter: 0.25,
+};
+
+/// Retries per shuffle fetch (beyond the first attempt) before the fetch
+/// escalates to `FetchFailed` handling.
+const FETCH_RETRIES: u32 = 3;
 
 impl BackoffPolicy {
     /// Delay before retry number `attempt` (0-based). `salt` decorrelates
     /// independent retry loops (pass e.g. the shuffle id or task index).
-    pub fn delay(&self, attempt: u32, salt: u64) -> Duration {
+    fn delay(&self, attempt: u32, salt: u64) -> Duration {
         let base = self.base.as_micros() as f64;
         let cap = self.cap.as_micros() as f64;
         let raw = (base * self.multiplier.powi(attempt.min(64) as i32)).min(cap);
@@ -98,7 +117,7 @@ impl BackoffPolicy {
 
 /// Who produced (and therefore owns) one shuffle map output.
 #[derive(Clone, Copy, Debug)]
-enum OutputOwner {
+pub(crate) enum OutputOwner {
     /// Owned by a logical executor at a specific epoch; dies with it.
     Executor { executor: usize, epoch: u64 },
     /// Produced on a driver thread (no executor): survives every kill.
@@ -108,16 +127,6 @@ enum OutputOwner {
     /// that produced it. The producing executor is kept so chaos plans can
     /// still target "the owner of map output p".
     External { executor: usize },
-}
-
-/// How a finished map task registers its output with the tracker.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum RegisterOwner {
-    /// `(executor, epoch)` observed at task launch, or `None` for a driver
-    /// thread.
-    Executor(Option<(usize, u64)>),
-    /// Output persisted via the external shuffle service by `executor`.
-    External(usize),
 }
 
 /// Driver-side registry of which executor owns each shuffle map output —
@@ -140,15 +149,9 @@ impl MapOutputTracker {
     }
 
     /// Record who produced map output `part`.
-    pub(crate) fn register(&self, shuffle: u64, part: usize, owner: RegisterOwner) {
+    pub(crate) fn register(&self, shuffle: u64, part: usize, owner: OutputOwner) {
         if let Some(parts) = self.state.lock().get_mut(&shuffle) {
-            parts[part] = Some(match owner {
-                RegisterOwner::Executor(Some((executor, epoch))) => {
-                    OutputOwner::Executor { executor, epoch }
-                }
-                RegisterOwner::Executor(None) => OutputOwner::Driver,
-                RegisterOwner::External(executor) => OutputOwner::External { executor },
-            });
+            parts[part] = Some(owner);
         }
     }
 
@@ -239,14 +242,20 @@ impl MapOutputTracker {
     }
 }
 
-/// What one reduce task reports back to the materialization loop.
-struct FetchOutcome {
-    /// Shuffle-read volume `(bytes, records)`, when tracing and this attempt
-    /// did the merge.
-    read: Option<(u64, u64)>,
-    /// Map partitions this task found lost; non-empty means fetch failure.
-    lost: Vec<usize>,
+/// What one map task reports back to the materialization loop.
+struct MapOutput {
+    /// Wire bytes of the buckets it parked in the store.
+    bytes: u64,
+    records_in: u64,
+    /// Records after map-side combining.
+    records_written: u64,
+    owner: OutputOwner,
 }
+
+/// What one reduce task reports back: the shuffle-read volume `(bytes,
+/// records)` if this attempt did the merge (`None`: a duplicate attempt
+/// already had), or the map partitions it found lost — a fetch failure.
+type FetchOutcome = Result<Option<(u64, u64)>, Vec<usize>>;
 
 /// How map-side values become reduce-side combiners.
 pub struct Aggregator<V, C> {
@@ -380,6 +389,228 @@ impl<K: Data + Hash + Eq, C> OrderedMerge<K, C> {
     }
 }
 
+/// One shuffle's map outputs between its map and reduce stages. The variants
+/// hide the format the buckets wait in; both account [`wire::encoded_len`]
+/// bytes, so a figure never depends on which one ran.
+enum MapOutputStore<'a, K, C> {
+    /// In-process: `grid[p][r]` is the live bucket map partition `p` wrote
+    /// for reduce partition `r`. Resubmitted map tasks overwrite their row;
+    /// reduce tasks consume their column.
+    Grid(Vec<Vec<Mutex<Option<Vec<(K, C)>>>>>),
+    /// Worker processes: every bucket travels as an SPKL frame.
+    Workers(WorkerFrames<'a>),
+}
+
+/// The worker-process side of the store: frames PUT to the worker hosting
+/// their producer (executor `e` on worker `e % n`), fetched back by reduce
+/// tasks.
+struct WorkerFrames<'a> {
+    ctx: &'a Context,
+    shuffle_id: u64,
+    n_map: usize,
+    group: Arc<WorkerGroup>,
+    /// External-shuffle-service directory the frames are also parked in, so
+    /// they survive their worker; `None` when the service is off.
+    spool: Option<PathBuf>,
+}
+
+impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
+    fn new(ctx: &'a Context, shuffle_id: u64, n_map: usize, n_red: usize) -> Self {
+        match ctx.worker_group() {
+            Some(group) => MapOutputStore::Workers(WorkerFrames {
+                ctx,
+                shuffle_id,
+                n_map,
+                group,
+                spool: ctx.external_shuffle_path(shuffle_id),
+            }),
+            None => MapOutputStore::Grid(
+                (0..n_map)
+                    .map(|_| (0..n_red).map(|_| Mutex::new(None)).collect())
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Park map partition `p`'s buckets (one per reduce partition), produced
+    /// by `producer` — `(executor, epoch)` at task launch, `None` on a driver
+    /// thread. Returns their wire bytes and who now owns the output.
+    fn store(
+        &self,
+        p: usize,
+        producer: Option<(usize, u64)>,
+        buckets: Vec<Vec<(K, C)>>,
+    ) -> (u64, OutputOwner) {
+        let bytes = buckets.iter().map(wire::encoded_len).sum();
+        let spooled = match self {
+            MapOutputStore::Grid(grid) => {
+                for (slot, bucket) in grid[p].iter().zip(buckets) {
+                    *slot.lock() = Some(bucket);
+                }
+                false
+            }
+            MapOutputStore::Workers(workers) => workers.put(
+                p,
+                producer,
+                buckets.iter().map(wire::encode_frame).collect(),
+            ),
+        };
+        let owner = match producer {
+            Some((executor, _)) if spooled => OutputOwner::External { executor },
+            Some((executor, epoch)) => OutputOwner::Executor { executor, epoch },
+            None => OutputOwner::Driver,
+        };
+        (bytes, owner)
+    }
+
+    /// Consume reduce partition `r`'s column: every map partition's bucket
+    /// for `r`, in map-partition order, and the wire bytes read. `Err` lists
+    /// the map partitions whose bucket is gone — half-consumed by an attempt
+    /// that crashed mid-merge, or unreachable after fetch retries and the
+    /// spool fallback — for the caller to recompute from lineage.
+    fn take_column(&self, r: usize) -> Result<(Vec<Vec<(K, C)>>, u64), Vec<usize>> {
+        match self {
+            MapOutputStore::Grid(grid) => {
+                let gone: Vec<usize> = (0..grid.len())
+                    .filter(|&p| grid[p][r].lock().is_none())
+                    .collect();
+                if !gone.is_empty() {
+                    return Err(gone);
+                }
+                let buckets: Vec<Vec<(K, C)>> = grid
+                    .iter()
+                    .map(|row| {
+                        row[r]
+                            .lock()
+                            .take()
+                            .expect("checked present under the fetch lock")
+                    })
+                    .collect();
+                let bytes = buckets.iter().map(wire::encoded_len).sum();
+                Ok((buckets, bytes))
+            }
+            MapOutputStore::Workers(workers) => {
+                let mut buckets = Vec::with_capacity(workers.n_map);
+                let (mut bytes, mut lost) = (0u64, Vec::new());
+                for p in 0..workers.n_map {
+                    match workers.fetch(p, r) {
+                        Some((bucket, frame_len)) => {
+                            bytes += frame_len;
+                            buckets.push(bucket);
+                        }
+                        None => lost.push(p),
+                    }
+                }
+                if lost.is_empty() {
+                    Ok((buckets, bytes))
+                } else {
+                    Err(lost)
+                }
+            }
+        }
+    }
+
+    /// Drop whatever outlives this value: worker-held frames and the spool
+    /// directory, best-effort.
+    fn clear(&self) {
+        if let MapOutputStore::Workers(workers) = self {
+            workers.group.drop_shuffle(workers.shuffle_id);
+            if let Some(dir) = &workers.spool {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+}
+
+impl WorkerFrames<'_> {
+    /// PUT map partition `p`'s frames (one per reduce partition) to the
+    /// producer's worker. Returns whether they were also spooled — the spool
+    /// is an optimisation of recovery, not a precondition: on a full or
+    /// unwritable temp dir the output stays worker-owned and is recovered by
+    /// resubmission.
+    fn put(&self, p: usize, producer: Option<(usize, u64)>, frames: Vec<Vec<u8>>) -> bool {
+        let spooled = self.spool.as_deref().is_some_and(|dir| {
+            let write = |(r, frame)| std::fs::write(dir.join(format!("m{p}.r{r}")), frame);
+            std::fs::create_dir_all(dir).is_ok()
+                && frames.iter().enumerate().try_for_each(write).is_ok()
+        });
+        let worker = producer.map_or(p, |(executor, _)| executor) % self.group.len();
+        for (r, frame) in frames.into_iter().enumerate() {
+            let put = self
+                .group
+                .put(worker, self.shuffle_id, p as u64, r as u64, frame);
+            if put.is_err() {
+                // The worker died under us (connection refused, timeout):
+                // kill it for certain and respawn it, which sweeps the
+                // executors it hosted and bumps their epochs, so the
+                // scheduler discards and requeues this very task.
+                self.ctx.kill_worker(worker);
+                break;
+            }
+        }
+        spooled
+    }
+
+    /// Fetch one map-output bucket over the wire, with bounded retry +
+    /// exponential backoff + jitter, wire-level chaos faults, and the spool
+    /// fallback. Returns the decoded bucket and the framed wire length
+    /// actually transferred, or `None` when the output is genuinely
+    /// unreachable (the caller escalates to a fetch failure).
+    fn fetch<T: SpillCodec>(&self, p: usize, r: usize) -> Option<(T, u64)> {
+        let (ctx, shuffle_id) = (self.ctx, self.shuffle_id);
+        let tracker = &ctx.inner.map_outputs;
+        let worker = tracker.owner(shuffle_id, p).unwrap_or(p) % self.group.len();
+        let salt = shuffle_id ^ ((p as u64) << 20) ^ ((r as u64) << 4);
+        let decode = |frame: Vec<u8>| {
+            wire::decode_frame::<T>(&frame).map(|bucket| (bucket, frame.len() as u64))
+        };
+        let mut attempt = 0u32;
+        loop {
+            let fault = ctx.chaos_wire_fault();
+            let fetched: Result<Vec<u8>, String> = match fault {
+                Some(WireFault::Drop) => Err("chaos: fetch stream dropped".into()),
+                other => {
+                    if let Some(WireFault::Delay(micros)) = other {
+                        std::thread::sleep(Duration::from_micros(micros));
+                    }
+                    let mut res = self.group.fetch(worker, shuffle_id, p as u64, r as u64);
+                    if let (Ok(bytes), Some(WireFault::Garble)) = (&mut res, other) {
+                        // Flip one payload byte: the frame CRC must catch it.
+                        if let Some(b) = bytes.last_mut() {
+                            *b ^= 0x40;
+                        }
+                    }
+                    res
+                }
+            };
+            match fetched.and_then(|frame| decode(frame).map_err(|e| e.to_string())) {
+                Ok(out) => return Some(out),
+                Err(_) if attempt < FETCH_RETRIES => {
+                    if ctx.is_tracing() {
+                        ctx.events().emit(Event::FetchRetry {
+                            shuffle_id,
+                            reduce_task: r,
+                            map_partition: p,
+                            attempt,
+                        });
+                    }
+                    self.group.note_retry();
+                    std::thread::sleep(FETCH_BACKOFF.delay(attempt, salt));
+                    attempt += 1;
+                }
+                // Retries exhausted. A spooled frame survives its worker in
+                // the driver-visible dir.
+                Err(_) => {
+                    let spooled = tracker.is_external(shuffle_id, p);
+                    let dir = self.spool.as_deref().filter(|_| spooled)?;
+                    let frame = std::fs::read(dir.join(format!("m{p}.r{r}"))).ok()?;
+                    return decode(frame).ok();
+                }
+            }
+        }
+    }
+}
+
 /// Wide operator producing `(K, C)` pairs partitioned by a [`KeyPartitioner`].
 pub struct ShuffleOp<K: Data, V: Data, C: Data> {
     parent: Arc<dyn Op<(K, V)>>,
@@ -398,9 +629,9 @@ pub struct ShuffleOp<K: Data, V: Data, C: Data> {
 
 impl<K, V, C> ShuffleOp<K, V, C>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
     V: Data,
-    C: Data + SizeOf + SpillCodec,
+    C: Data + SpillCodec,
 {
     pub fn new(
         ctx: &Context,
@@ -439,24 +670,7 @@ where
         let tracing = ctx.is_tracing();
         let tracker = &ctx.inner.map_outputs;
         tracker.register_shuffle(self.shuffle_id, n_map);
-
-        // Multi-process mode: map outputs live as wire frames in worker
-        // processes (and, in external-shuffle-service mode, also as frames in
-        // a driver-visible directory); reduce tasks fetch real bytes back.
-        // Local mode keeps the in-process grid path below.
-        let remote = ctx.worker_group();
-        let external = if remote.is_some() {
-            ctx.external_shuffle_path(self.shuffle_id)
-        } else {
-            None
-        };
-
-        // grid[p][r]: the bucket map partition p wrote for reduce partition
-        // r. Resubmitted map tasks overwrite their row; reduce tasks consume
-        // their column.
-        let grid: Vec<Vec<Mutex<Option<Vec<(K, C)>>>>> = (0..n_map)
-            .map(|_| (0..n_red).map(|_| Mutex::new(None)).collect())
-            .collect();
+        let store = MapOutputStore::new(ctx, self.shuffle_id, n_map, n_red);
         // Serializes fetch+merge per reduce partition so a speculative
         // duplicate can never consume half a column.
         let fetch_locks: Vec<Mutex<()>> = (0..n_red).map(|_| Mutex::new(())).collect();
@@ -482,9 +696,7 @@ where
                     }
                     // Exponential backoff: repeated faults on the same
                     // shuffle back off before burning another attempt.
-                    std::thread::sleep(
-                        ctx.resubmit_backoff().delay(resubmits - 1, self.shuffle_id),
-                    );
+                    std::thread::sleep(RESUBMIT_BACKOFF.delay(resubmits - 1, self.shuffle_id));
                     if tracing {
                         ctx.events().emit(Event::StageResubmitted {
                             shuffle_id: self.shuffle_id,
@@ -494,10 +706,9 @@ where
                     }
                 }
                 // Map stage over exactly the missing partitions. Each task
-                // reports the executor (and its epoch) that produced the
-                // output, so ownership lands in the tracker.
-                type MapOut<K, C> = (Vec<Vec<(K, C)>>, u64, u64, Option<(usize, u64)>);
-                let (map_outputs, map_stage): (Vec<MapOut<K, C>>, u64) = ctx.run_stage(
+                // parks its buckets in the store and reports who owns them
+                // now, so ownership lands in the tracker.
+                let (map_outputs, map_stage): (Vec<MapOutput>, u64) = ctx.run_stage(
                     missing.len(),
                     || StageMeta {
                         label: if first_map_stage {
@@ -510,7 +721,7 @@ where
                     },
                     |idx| {
                         let p = missing[idx];
-                        let owner = current_executor().map(|e| (e, ctx.executor_epoch(e)));
+                        let producer = current_executor().map(|e| (e, ctx.executor_epoch(e)));
                         // Drain the parent's stream straight into the write
                         // buckets: no intermediate partition Vec, and records
                         // are counted as they flow past.
@@ -535,51 +746,14 @@ where
                             }
                             buckets
                         };
-                        // True wire accounting: whenever the buckets are
-                        // serialized anyway (multi-process mode) or the run
-                        // is traced, `bytes` is the exact framed wire length,
-                        // so `plan_chosen` est-vs-actual compares against real
-                        // serialized bytes. Untraced local runs keep the
-                        // cheap shallow estimate.
-                        let frames: Option<Vec<Vec<u8>>> = (remote.is_some() || tracing)
-                            .then(|| buckets.iter().map(wire::encode_frame).collect());
-                        let bytes: u64 = match &frames {
-                            Some(frames) => frames.iter().map(|f| f.len() as u64).sum(),
-                            None => buckets
-                                .iter()
-                                .flat_map(|b| b.iter())
-                                .map(|(k, c)| (k.size_of() + c.size_of()) as u64)
-                                .sum(),
-                        };
-                        if let (Some(group), Some(frames)) = (remote.as_ref(), frames) {
-                            // External-shuffle-service mode: park every frame
-                            // in the driver-visible directory first, so the
-                            // bytes survive the worker process.
-                            if let Some(dir) = external.as_ref() {
-                                std::fs::create_dir_all(dir).expect("create external shuffle dir");
-                                for (r, frame) in frames.iter().enumerate() {
-                                    let path = dir.join(format!("m{p}.r{r}"));
-                                    std::fs::write(path, frame)
-                                        .expect("write external shuffle frame");
-                                }
-                            }
-                            let worker = owner.map_or(p, |(executor, _)| executor) % group.len();
-                            for (r, frame) in frames.into_iter().enumerate() {
-                                if group
-                                    .put(worker, self.shuffle_id, p as u64, r as u64, frame)
-                                    .is_err()
-                                {
-                                    // The worker died under us: supervision
-                                    // kills + respawns it and bumps the
-                                    // hosted executors' epochs, which makes
-                                    // the scheduler discard and requeue this
-                                    // very task.
-                                    ctx.handle_worker_failure(worker);
-                                    break;
-                                }
-                            }
+                        let records_written = buckets.iter().map(Vec::len).sum::<usize>() as u64;
+                        let (bytes, owner) = store.store(p, producer, buckets);
+                        MapOutput {
+                            bytes,
+                            records_in,
+                            records_written,
+                            owner,
                         }
-                        (buckets, bytes, records_in, owner)
                     },
                 );
 
@@ -588,43 +762,29 @@ where
                 // stage records them, so recovery never inflates the
                 // operator-level metrics.
                 if first_map_stage {
-                    let bytes_written: u64 = map_outputs.iter().map(|(_, b, _, _)| *b).sum();
-                    let records_in: u64 = map_outputs.iter().map(|(_, _, r, _)| *r).sum();
-                    let records_written: u64 = map_outputs
-                        .iter()
-                        .map(|(bs, _, _, _)| bs.iter().map(Vec::len).sum::<usize>() as u64)
-                        .sum();
                     ctx.metrics().record_shuffle(ShuffleDetail {
                         shuffle_id: self.shuffle_id,
                         operator: self.operator.clone(),
-                        bytes_written,
-                        records_written,
-                        records_in,
+                        bytes_written: map_outputs.iter().map(|o| o.bytes).sum(),
+                        records_written: map_outputs.iter().map(|o| o.records_written).sum(),
+                        records_in: map_outputs.iter().map(|o| o.records_in).sum(),
                         map_partitions: n_map,
                         reduce_partitions: n_red,
                     });
                 }
                 first_map_stage = false;
 
-                for (idx, (buckets, bytes, _, owner)) in map_outputs.into_iter().enumerate() {
+                for (idx, output) in map_outputs.into_iter().enumerate() {
                     let p = missing[idx];
                     // Register, then re-check the epoch: a kill racing this
                     // registration may have swept before we registered.
-                    // Outputs parked in the external shuffle service are
-                    // registered as such and survive executor death, so no
-                    // epoch check applies to them.
-                    match (external.as_ref(), owner) {
-                        (Some(_), Some((executor, _))) => {
-                            tracker.register(self.shuffle_id, p, RegisterOwner::External(executor));
-                        }
-                        _ => {
-                            tracker.register(self.shuffle_id, p, RegisterOwner::Executor(owner));
-                            if let Some((executor, epoch)) = owner {
-                                if ctx.executor_epoch(executor) != epoch {
-                                    tracker.unregister(self.shuffle_id, p);
-                                    continue;
-                                }
-                            }
+                    // Spooled outputs survive executor death, so no epoch
+                    // check applies to them.
+                    tracker.register(self.shuffle_id, p, output.owner);
+                    if let OutputOwner::Executor { executor, epoch } = output.owner {
+                        if ctx.executor_epoch(executor) != epoch {
+                            tracker.unregister(self.shuffle_id, p);
+                            continue;
                         }
                     }
                     if tracing {
@@ -633,14 +793,9 @@ where
                             shuffle_id: self.shuffle_id,
                             operator: self.operator.clone(),
                             task: p,
-                            bytes,
-                            records: buckets.iter().map(Vec::len).sum::<usize>() as u64,
+                            bytes: output.bytes,
+                            records: output.records_written,
                         });
-                    }
-                    if remote.is_none() {
-                        for (r, bucket) in buckets.into_iter().enumerate() {
-                            *grid[p][r].lock() = Some(bucket);
-                        }
                     }
                 }
                 // Anything lost between launch and registration is still
@@ -682,156 +837,69 @@ where
                     if reduced_slots[r].lock().is_some() {
                         // A duplicate (speculative) attempt already merged
                         // this partition; first result won.
-                        return FetchOutcome {
-                            read: None,
-                            lost: Vec::new(),
-                        };
+                        return Ok(None);
                     }
                     // Chaos: a failed fetch drops one live map output, so
                     // recovery has real recomputation to do.
                     if ctx.chaos_fetch_should_fail() {
                         if let Some(p) = tracker.any_live(self.shuffle_id) {
                             tracker.unregister(self.shuffle_id, p);
-                            return FetchOutcome {
-                                read: None,
-                                lost: vec![p],
-                            };
+                            return Err(vec![p]);
                         }
                     }
                     // Availability check: outputs an executor took down are
-                    // unreadable even if stale bytes linger in the grid.
+                    // unreadable even if stale bytes linger in the store.
                     let lost = tracker.missing(self.shuffle_id);
                     if !lost.is_empty() {
-                        return FetchOutcome { read: None, lost };
+                        return Err(lost);
                     }
-                    // Multi-process mode: pull each map output back over the
-                    // wire (with bounded retry + backoff and the external-dir
-                    // fallback) instead of reading the in-process grid.
-                    if let Some(group) = remote.as_ref() {
-                        let mut buckets: Vec<Vec<(K, C)>> = Vec::with_capacity(n_map);
-                        let mut wire_bytes = 0u64;
-                        let mut lost: Vec<usize> = Vec::new();
-                        for p in 0..n_map {
-                            match self.fetch_bucket(ctx, group, external.as_deref(), p, r) {
-                                Some((bucket, frame_len)) => {
-                                    wire_bytes += frame_len;
-                                    buckets.push(bucket);
-                                }
-                                None => lost.push(p),
-                            }
-                        }
-                        if !lost.is_empty() {
-                            for &p in &lost {
-                                tracker.unregister(self.shuffle_id, p);
-                            }
-                            return FetchOutcome { read: None, lost };
-                        }
-                        let read = tracing.then(|| {
-                            let records: u64 = buckets.iter().map(Vec::len).sum::<usize>() as u64;
-                            (wire_bytes, records)
-                        });
-                        let merged = if self.agg.merge_on_reduce {
-                            let mut merge = OrderedMerge::new();
-                            for bucket in buckets {
-                                for (k, c) in bucket {
-                                    merge.fold_combiner(k, c, &self.agg);
-                                }
-                            }
-                            merge.into_entries()
-                        } else {
-                            buckets.into_iter().flatten().collect()
-                        };
-                        *reduced_slots[r].lock() = Some(merged);
-                        return FetchOutcome {
-                            read,
-                            lost: Vec::new(),
-                        };
-                    }
-                    // Columns half-consumed by an attempt that crashed
-                    // mid-merge count as lost too: recompute from lineage
-                    // instead of panicking on the gap.
-                    let gone: Vec<usize> = (0..n_map)
-                        .filter(|&p| grid[p][r].lock().is_none())
-                        .collect();
-                    if !gone.is_empty() {
-                        for &p in &gone {
+                    let (buckets, bytes) = store.take_column(r).inspect_err(|lost| {
+                        for &p in lost {
                             tracker.unregister(self.shuffle_id, p);
                         }
-                        return FetchOutcome {
-                            read: None,
-                            lost: gone,
-                        };
-                    }
-                    let buckets: Vec<Vec<(K, C)>> = (0..n_map)
-                        .map(|p| {
-                            grid[p][r]
-                                .lock()
-                                .take()
-                                .expect("bucket checked present under the fetch lock")
-                        })
-                        .collect();
-                    // Shuffle-read sizes are only measured when tracing,
-                    // and mirror the write side exactly: the framed wire
-                    // length these buckets would occupy on a socket, so
-                    // local traced runs and multi-process runs account
-                    // identical byte totals.
-                    let read = tracing.then(|| {
-                        let bytes: u64 = buckets.iter().map(wire::encoded_len).sum();
-                        let records: u64 = buckets.iter().map(Vec::len).sum::<usize>() as u64;
-                        (bytes, records)
-                    });
+                    })?;
+                    let records = buckets.iter().map(Vec::len).sum::<usize>() as u64;
                     let merged = if self.agg.merge_on_reduce {
                         let mut merge = OrderedMerge::new();
-                        for bucket in buckets {
-                            for (k, c) in bucket {
-                                merge.fold_combiner(k, c, &self.agg);
-                            }
+                        for (k, c) in buckets.into_iter().flatten() {
+                            merge.fold_combiner(k, c, &self.agg);
                         }
                         merge.into_entries()
                     } else {
                         buckets.into_iter().flatten().collect()
                     };
                     *reduced_slots[r].lock() = Some(merged);
-                    FetchOutcome {
-                        read,
-                        lost: Vec::new(),
-                    }
+                    Ok(Some((bytes, records)))
                 },
             );
             if tracing {
                 for (idx, outcome) in outcomes.iter().enumerate() {
                     let r = pending[idx];
-                    if !outcome.lost.is_empty() {
-                        ctx.events().emit(Event::FetchFailed {
+                    match outcome {
+                        Err(lost) => ctx.events().emit(Event::FetchFailed {
                             shuffle_id: self.shuffle_id,
                             stage_id: reduce_stage,
                             reduce_task: r,
-                            lost_map_outputs: outcome.lost.len() as u64,
-                        });
-                    } else if let Some((bytes, records)) = outcome.read {
-                        ctx.events().emit(Event::ShuffleRead {
+                            lost_map_outputs: lost.len() as u64,
+                        }),
+                        Ok(Some((bytes, records))) => ctx.events().emit(Event::ShuffleRead {
                             stage_id: reduce_stage,
                             shuffle_id: self.shuffle_id,
                             operator: self.operator.clone(),
                             task: r,
-                            bytes,
-                            records,
-                        });
+                            bytes: *bytes,
+                            records: *records,
+                        }),
+                        Ok(None) => {}
                     }
                 }
             }
         }
 
         // Materialized: the reduced output now lives on the driver, beyond
-        // the reach of executor loss. Worker stores and external frames for
-        // this shuffle are dropped best-effort.
+        // the reach of executor loss.
         tracker.drop_shuffle(self.shuffle_id);
-        if let Some(group) = remote.as_ref() {
-            group.drop_shuffle(self.shuffle_id);
-        }
-        if let Some(dir) = external.as_ref() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        store.clear();
         let reduced: Vec<Arc<Vec<(K, C)>>> = reduced_slots
             .into_iter()
             .map(|slot| Arc::new(slot.into_inner().expect("reduce partition materialized")))
@@ -840,94 +908,13 @@ where
         *state = Some(reduced);
         out
     }
-
-    /// Fetch one map-output bucket over the wire, with bounded retry +
-    /// exponential backoff + jitter, wire-level chaos faults, and the
-    /// external-shuffle-directory fallback. Returns the decoded bucket and
-    /// the framed wire length actually transferred, or `None` when the
-    /// output is genuinely unreachable (the caller escalates to a fetch
-    /// failure).
-    fn fetch_bucket(
-        &self,
-        ctx: &Context,
-        group: &Arc<crate::transport::WorkerGroup>,
-        external: Option<&std::path::Path>,
-        p: usize,
-        r: usize,
-    ) -> Option<(Vec<(K, C)>, u64)> {
-        let tracker = &ctx.inner.map_outputs;
-        let worker = tracker
-            .owner(self.shuffle_id, p)
-            .map_or(p, |executor| executor)
-            % group.len();
-        let policy = ctx.fetch_backoff();
-        let retries = ctx.fetch_retries();
-        let salt = self.shuffle_id ^ ((p as u64) << 20) ^ ((r as u64) << 4);
-        let mut attempt = 0u32;
-        loop {
-            let fault = ctx.chaos_wire_fault();
-            let fetched: Result<Vec<u8>, String> = match fault {
-                Some(WireFault::Drop) => Err("chaos: fetch stream dropped".into()),
-                other => {
-                    if let Some(WireFault::Delay(micros)) = other {
-                        std::thread::sleep(Duration::from_micros(micros));
-                    }
-                    let mut res = group.fetch(worker, self.shuffle_id, p as u64, r as u64);
-                    if let (Ok(bytes), Some(WireFault::Garble)) = (&mut res, other) {
-                        // Flip one payload byte: the frame CRC must catch it.
-                        if let Some(b) = bytes.last_mut() {
-                            *b ^= 0x40;
-                        }
-                    }
-                    res
-                }
-            };
-            let decoded = fetched.and_then(|frame| {
-                let len = frame.len() as u64;
-                wire::decode_frame::<Vec<(K, C)>>(&frame)
-                    .map(|bucket| (bucket, len))
-                    .map_err(|e| e.to_string())
-            });
-            match decoded {
-                Ok(out) => return Some(out),
-                Err(_) if attempt < retries => {
-                    if ctx.is_tracing() {
-                        ctx.events().emit(Event::FetchRetry {
-                            shuffle_id: self.shuffle_id,
-                            reduce_task: r,
-                            map_partition: p,
-                            attempt,
-                        });
-                    }
-                    group.note_retry();
-                    std::thread::sleep(policy.delay(attempt, salt));
-                    attempt += 1;
-                }
-                Err(_) => {
-                    // Retries exhausted. In external-shuffle-service mode the
-                    // frame survives the worker in the driver-visible dir.
-                    if let Some(dir) = external {
-                        if tracker.is_external(self.shuffle_id, p) {
-                            if let Ok(frame) = std::fs::read(dir.join(format!("m{p}.r{r}"))) {
-                                let len = frame.len() as u64;
-                                if let Ok(bucket) = wire::decode_frame::<Vec<(K, C)>>(&frame) {
-                                    return Some((bucket, len));
-                                }
-                            }
-                        }
-                    }
-                    return None;
-                }
-            }
-        }
-    }
 }
 
 impl<K, V, C> Op<(K, C)> for ShuffleOp<K, V, C>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
     V: Data,
-    C: Data + SizeOf + SpillCodec,
+    C: Data + SpillCodec,
 {
     fn num_partitions(&self) -> usize {
         self.partitioner.partitions()
@@ -963,8 +950,8 @@ pub(crate) enum CoGroupSide<K: Data, V: Data> {
 
 impl<K, V> CoGroupSide<K, V>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
 {
     fn grouped_partition(&self, part: usize, ctx: &Context) -> PartitionStream<(K, Vec<V>)> {
         match self {
@@ -997,9 +984,9 @@ pub struct CoGroupOp<K: Data, V: Data, W: Data> {
 
 impl<K, V, W> CoGroupOp<K, V, W>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
-    W: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
+    W: Data + SpillCodec,
 {
     /// Build a cogroup, shuffling only the sides that are not already
     /// co-partitioned with `partitioner`.
@@ -1051,9 +1038,9 @@ where
 
 impl<K, V, W> Op<(K, (Vec<V>, Vec<W>))> for CoGroupOp<K, V, W>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
-    W: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
+    W: Data + SpillCodec,
 {
     fn num_partitions(&self) -> usize {
         self.partitioner.partitions()

@@ -3,8 +3,9 @@
 //!
 //! Persisted datasets ([`crate::Dataset::persist`]) store their computed
 //! partitions here as *blocks* keyed by `(dataset id, partition)`. The
-//! manager enforces a byte budget over all in-memory blocks (sizes estimated
-//! with [`SizeOf`], the same accounting the shuffle layer uses): inserting a
+//! manager enforces a byte budget over all in-memory blocks (a block's size is
+//! the exact length of its SPKL frame, [`crate::wire::encoded_len`] — the same
+//! number the shuffle layer accounts and a spill file occupies): inserting a
 //! block past the budget evicts the least-recently-used blocks, and evicted
 //! blocks of [`StorageLevel::MemoryAndDisk`] datasets spill to a temp file
 //! instead of being dropped. Reads of spilled blocks decode from disk; reads
@@ -19,7 +20,6 @@
 use crate::context::Context;
 use crate::events::Event;
 use crate::ops::Op;
-use crate::size::SizeOf;
 use crate::stream::PartitionStream;
 use crate::sync::Mutex;
 use crate::Data;
@@ -44,21 +44,35 @@ pub enum StorageLevel {
 // Spill codec
 // ---------------------------------------------------------------------------
 
-/// Binary encode/decode for spill-to-disk (the build has no serde; this is a
-/// fixed little-endian codec analogous to the [`SizeOf`] estimate).
+/// The fixed little-endian binary codec behind every serialized byte in the
+/// runtime — shuffle frames, spill files, the worker protocol (the build has
+/// no serde) — and, through [`SpillCodec::encoded_len`], behind every byte
+/// *figure* it reports.
 ///
 /// `decode` advances `pos` past the consumed bytes and returns `None` on a
 /// truncated or malformed buffer (the manager treats that as a cache miss).
 pub trait SpillCodec: Sized {
+    /// `Some(n)` when every value of the type encodes to exactly `n` bytes,
+    /// so a `Vec` of them knows its length without walking its items.
+    const FIXED_LEN: Option<usize> = None;
+
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(buf: &[u8], pos: &mut usize) -> Option<Self>;
+
+    /// Exactly the number of bytes [`SpillCodec::encode`] appends, computed
+    /// without serializing or allocating.
+    fn encoded_len(&self) -> usize;
 }
 
 macro_rules! codec_fixed {
     ($($t:ty),* $(,)?) => {
         $(impl SpillCodec for $t {
+            const FIXED_LEN: Option<usize> = Some(std::mem::size_of::<$t>());
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$t>()
             }
             fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 const N: usize = std::mem::size_of::<$t>();
@@ -72,46 +86,39 @@ macro_rules! codec_fixed {
 
 codec_fixed!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
-impl SpillCodec for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        u64::decode(buf, pos).map(|v| v as usize)
-    }
+/// Types that travel as another fixed-width primitive.
+macro_rules! codec_via {
+    ($($t:ty => $wire:ty, $back:expr;)*) => {
+        $(impl SpillCodec for $t {
+            const FIXED_LEN: Option<usize> = <$wire>::FIXED_LEN;
+            fn encode(&self, out: &mut Vec<u8>) {
+                (*self as $wire).encode(out);
+            }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$wire>()
+            }
+            fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                <$wire>::decode(buf, pos).and_then($back)
+            }
+        })*
+    };
 }
 
-impl SpillCodec for isize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as i64).encode(out);
-    }
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        i64::decode(buf, pos).map(|v| v as isize)
-    }
-}
-
-impl SpillCodec for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        u8::decode(buf, pos).map(|b| b != 0)
-    }
-}
-
-impl SpillCodec for char {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u32).encode(out);
-    }
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        char::from_u32(u32::decode(buf, pos)?)
-    }
+codec_via! {
+    usize => u64, |v| Some(v as usize);
+    isize => i64, |v| Some(v as isize);
+    bool => u8, |b| Some(b != 0);
+    char => u32, char::from_u32;
 }
 
 impl SpillCodec for () {
+    const FIXED_LEN: Option<usize> = Some(0);
     fn encode(&self, _out: &mut Vec<u8>) {}
     fn decode(_buf: &[u8], _pos: &mut usize) -> Option<Self> {
         Some(())
+    }
+    fn encoded_len(&self) -> usize {
+        0
     }
 }
 
@@ -125,6 +132,9 @@ impl SpillCodec for String {
         let bytes = buf.get(*pos..*pos + len)?;
         *pos += len;
         String::from_utf8(bytes.to_vec()).ok()
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
     }
 }
 
@@ -145,6 +155,9 @@ impl<T: SpillCodec> SpillCodec for Option<T> {
             _ => None,
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
+    }
 }
 
 impl<T: SpillCodec> SpillCodec for Vec<T> {
@@ -164,11 +177,25 @@ impl<T: SpillCodec> SpillCodec for Vec<T> {
         }
         Some(out)
     }
+    fn encoded_len(&self) -> usize {
+        8 + match T::FIXED_LEN {
+            Some(n) => n * self.len(),
+            None => self.iter().map(T::encoded_len).sum(),
+        }
+    }
 }
 
 macro_rules! codec_tuple {
     ($($name:ident),+) => {
         impl<$($name: SpillCodec),+> SpillCodec for ($($name,)+) {
+            const FIXED_LEN: Option<usize> = {
+                let mut total = Some(0usize);
+                $(total = match (total, $name::FIXED_LEN) {
+                    (Some(t), Some(n)) => Some(t + n),
+                    _ => None,
+                };)+
+                total
+            };
             #[allow(non_snake_case)]
             fn encode(&self, out: &mut Vec<u8>) {
                 let ($($name,)+) = self;
@@ -178,6 +205,11 @@ macro_rules! codec_tuple {
             fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 $(let $name = $name::decode(buf, pos)?;)+
                 Some(($($name,)+))
+            }
+            #[allow(non_snake_case)]
+            fn encoded_len(&self) -> usize {
+                let ($($name,)+) = self;
+                0 $(+ $name.encoded_len())+
             }
         }
     };
@@ -202,7 +234,7 @@ enum Tier {
 }
 
 struct BlockEntry {
-    /// Estimated in-memory size ([`SizeOf`]) of the partition.
+    /// The partition's framed length, [`crate::wire::encoded_len`].
     bytes: usize,
     /// LRU clock value of the last touch.
     tick: u64,
@@ -216,7 +248,7 @@ struct BlockEntry {
     /// Memory-tier bytes are charged to the tenant's quota; the blocks can
     /// be swept together with [`BlockManager::remove_tenant`].
     tenant: Option<u32>,
-    /// Type-erased spill encoder, captured when the block was stored — the
+    /// Type-erased spill-frame encoder, captured when the block was stored: the
     /// only point where the concrete element type is known, which is what
     /// lets eviction spill blocks without knowing their type.
     encode: Arc<dyn Fn(&ErasedPart) -> Vec<u8> + Send + Sync>,
@@ -291,7 +323,7 @@ pub struct PutOutcome {
 /// A successful cache read.
 pub struct CacheRead<T> {
     pub data: Arc<Vec<T>>,
-    /// The block's estimated in-memory size.
+    /// The block's framed length ([`crate::wire::encoded_len`]).
     pub bytes: u64,
     /// True if the block was decoded from a spill file.
     pub from_disk: bool,
@@ -418,16 +450,16 @@ impl BlockManager {
         Some(path)
     }
 
-    /// Write `bytes` to a fresh spill file, wrapped in a checksummed wire
-    /// frame so truncation and bit rot are detected on read instead of
-    /// decoding garbage. `None` if the write failed.
-    fn write_spill(&self, bytes: &[u8]) -> Option<PathBuf> {
+    /// Write one block's checksummed wire frame (so truncation and bit rot
+    /// are detected on read instead of decoding garbage) to a fresh spill
+    /// file. `None` if the write failed.
+    fn write_spill(&self, frame: &[u8]) -> Option<PathBuf> {
         let dir = self.spill_dir()?;
         let path = dir.join(format!(
             "{}.blk",
             self.file_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&path, crate::wire::frame_bytes(bytes)).ok()?;
+        std::fs::write(&path, frame).ok()?;
         Some(path)
     }
 
@@ -458,15 +490,9 @@ impl BlockManager {
                 // spill files; trailing bytes past the frame are corruption
                 // too. Either way the block is forgotten below and the
                 // persist operator recomputes it from lineage.
-                let decoded = std::fs::read(path).ok().and_then(|buf| {
-                    let (payload, consumed) = crate::wire::unframe_bytes(&buf).ok()?;
-                    if consumed != buf.len() {
-                        return None;
-                    }
-                    let mut pos = 0;
-                    let v = Vec::<T>::decode(payload, &mut pos)?;
-                    (pos == payload.len()).then_some(v)
-                });
+                let decoded = std::fs::read(path)
+                    .ok()
+                    .and_then(|buf| crate::wire::decode_frame::<Vec<T>>(&buf).ok());
                 match decoded {
                     Some(v) => Some(CacheRead {
                         data: Arc::new(v),
@@ -487,21 +513,19 @@ impl BlockManager {
     }
 
     /// Store a computed partition, evicting LRU blocks to fit the budget.
-    pub fn put<T: Data + SizeOf + SpillCodec>(
+    pub fn put<T: Data + SpillCodec>(
         &self,
         dataset: u64,
         partition: usize,
         data: Arc<Vec<T>>,
         level: StorageLevel,
     ) -> PutOutcome {
-        let bytes = data.as_ref().size_of();
+        let bytes = crate::wire::encoded_len(data.as_ref()) as usize;
         let encode: Arc<dyn Fn(&ErasedPart) -> Vec<u8> + Send + Sync> = Arc::new(|any| {
             let v = any
                 .downcast_ref::<Vec<T>>()
                 .expect("spill encoder saw a foreign block type");
-            let mut out = Vec::new();
-            v.encode(&mut out);
-            out
+            crate::wire::encode_frame(v)
         });
         let tick = self.next_tick();
         let executor = crate::context::current_executor();
@@ -519,9 +543,7 @@ impl BlockManager {
         let tenant_quota = tenant.and_then(|t| self.state.lock().quotas.get(&t).copied());
         if bytes > self.budget || tenant_quota.is_some_and(|q| bytes > q) {
             if level == StorageLevel::MemoryAndDisk {
-                let mut encoded = Vec::new();
-                data.encode(&mut encoded);
-                if let Some(path) = self.write_spill(&encoded) {
+                if let Some(path) = self.write_spill(&crate::wire::encode_frame(data.as_ref())) {
                     let mut state = self.state.lock();
                     state.spills += 1;
                     state.entries.insert(
@@ -766,7 +788,7 @@ fn emit_cache_event(ctx: &Context, build: impl FnOnce(Option<u64>) -> Event) {
     }
 }
 
-impl<T: Data + SizeOf + SpillCodec> Op<T> for PersistOp<T> {
+impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
@@ -825,7 +847,7 @@ impl<T: Data + SizeOf + SpillCodec> Op<T> for PersistOp<T> {
             emit_cache_event(ctx, |stage_id| Event::CacheSpill {
                 dataset: self.id,
                 partition: part,
-                bytes: data.as_ref().size_of() as u64,
+                bytes: crate::wire::encoded_len(data.as_ref()),
                 stage_id,
             });
         }
@@ -858,6 +880,11 @@ mod tests {
         Arc::new(values.to_vec())
     }
 
+    /// Accounted size of an `n`-element `i64` block: its framed length.
+    fn block_bytes(n: usize) -> usize {
+        crate::wire::encoded_len(&vec![0i64; n]) as usize
+    }
+
     #[test]
     fn codec_round_trips_compound_values() {
         let v: Vec<(i64, Option<String>, Vec<f64>)> = vec![
@@ -870,6 +897,38 @@ mod tests {
         let back = Vec::<(i64, Option<String>, Vec<f64>)>::decode(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back, v);
+    }
+
+    /// `encoded_len` (and `FIXED_LEN`, where set) against what `encode`
+    /// really appends.
+    fn exact<T: SpillCodec>(v: &T) -> bool {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        v.encoded_len() == buf.len() && T::FIXED_LEN.is_none_or(|n| n == buf.len())
+    }
+
+    proptest::proptest! {
+        /// The byte rule, over every codec impl: all primitives, `String`,
+        /// `Option`, nested `Vec`s, tuples of every arity the macro covers.
+        #[test]
+        fn prop_encoded_len_is_exact(
+            narrow in (0u8..=u8::MAX, i8::MIN..=i8::MAX, 0u16..=u16::MAX,
+                       i16::MIN..=i16::MAX, 0u32..=u32::MAX, i32::MIN..=i32::MAX),
+            wide in (0u64..=u64::MAX, i64::MIN..=i64::MAX, 0usize..=usize::MAX,
+                     isize::MIN..=isize::MAX, proptest::bool::ANY),
+            bits in (0u32..=u32::MAX, 0u64..=u64::MAX),
+            text in proptest::collection::vec(0u32..0x11_0000, 0..12),
+            nested in proptest::collection::vec(
+                proptest::collection::vec(proptest::option::of(0i64..9), 0..5), 0..5),
+        ) {
+            let floats = (f32::from_bits(bits.0), f64::from_bits(bits.1), ());
+            let chars: Vec<char> = text.into_iter().filter_map(char::from_u32).collect();
+            let string: String = chars.iter().collect();
+            proptest::prop_assert!(exact(&narrow) && exact(&wide) && exact(&floats));
+            proptest::prop_assert!(exact(&chars) && exact(&string) && exact(&nested));
+            proptest::prop_assert!(exact(&(string.clone(),)) && exact(&(wide, nested.clone())));
+            proptest::prop_assert!(exact(&vec![(string, floats, chars, nested); 2]));
+        }
     }
 
     #[test]
@@ -889,18 +948,19 @@ mod tests {
         let read = m.get::<i64>(1, 0).expect("hit");
         assert_eq!(*read.data, vec![1, 2, 3]);
         assert!(!read.from_disk);
-        // 4-byte Vec header + 3 * 8.
-        assert_eq!(read.bytes, 28);
+        // Frame header + 8-byte length + 3 * 8: what a spill file would hold.
+        assert_eq!(read.bytes, (crate::wire::HEADER_LEN + 8 + 24) as u64);
         let status = m.status();
-        assert_eq!(status.memory_used, 28);
+        assert_eq!(status.memory_used, read.bytes);
         assert_eq!(status.blocks_in_memory, 1);
         assert_eq!(status.budget, Some(10_000));
     }
 
     #[test]
     fn lru_eviction_drops_coldest_block() {
-        // Each 3-element i64 block is 28 bytes; budget fits two.
-        let m = BlockManager::new(60);
+        // The budget fits two 3-element blocks, not three.
+        let block = block_bytes(3);
+        let m = BlockManager::new(2 * block + block / 2);
         m.put(1, 0, part(&[1, 1, 1]), StorageLevel::Memory);
         m.put(1, 1, part(&[2, 2, 2]), StorageLevel::Memory);
         // Touch block 0 so block 1 is the LRU victim.
@@ -911,7 +971,7 @@ mod tests {
             vec![Evicted {
                 dataset: 1,
                 partition: 1,
-                bytes: 28,
+                bytes: block as u64,
                 spilled: false
             }]
         );
@@ -924,7 +984,7 @@ mod tests {
 
     #[test]
     fn eviction_spills_disk_level_blocks_and_reads_them_back() {
-        let m = BlockManager::new(60);
+        let m = BlockManager::new(2 * block_bytes(3) + block_bytes(3) / 2);
         m.put(7, 0, part(&[10, 20, 30]), StorageLevel::MemoryAndDisk);
         m.put(7, 1, part(&[40, 50, 60]), StorageLevel::MemoryAndDisk);
         let out = m.put(7, 2, part(&[70, 80, 90]), StorageLevel::MemoryAndDisk);
@@ -1086,10 +1146,12 @@ mod tests {
     #[test]
     fn tenant_quota_evicts_same_tenant_lru_first() {
         let ctx = Context::builder().workers(1).chaos_off().build();
-        // Global budget unlimited: only tenant 1's quota (two 28-byte
+        // Global budget unlimited: only tenant 1's quota (two 3-element
         // blocks) forces eviction, and only among tenant 1's blocks.
+        let block = block_bytes(3);
+        let quota = 2 * block + block / 2;
         let m = BlockManager::new(usize::MAX);
-        m.set_tenant_quota(1, 60);
+        m.set_tenant_quota(1, quota);
         ctx.scoped_tenant(2, || {
             m.put(9, 0, part(&[7, 7, 7]), StorageLevel::Memory);
         });
@@ -1102,7 +1164,7 @@ mod tests {
                 vec![Evicted {
                     dataset: 1,
                     partition: 0,
-                    bytes: 28,
+                    bytes: block as u64,
                     spilled: false
                 }]
             );
@@ -1113,10 +1175,13 @@ mod tests {
         );
         let status = m.status();
         let t1 = status.tenants.iter().find(|t| t.tenant == 1).unwrap();
-        assert_eq!((t1.memory_used, t1.quota), (56, Some(60)));
+        assert_eq!(
+            (t1.memory_used, t1.quota),
+            (2 * block as u64, Some(quota as u64))
+        );
         let t2 = status.tenants.iter().find(|t| t.tenant == 2).unwrap();
-        assert_eq!((t2.memory_used, t2.quota), (28, None));
-        assert_eq!(m.tenant_quota(1), Some(60));
+        assert_eq!((t2.memory_used, t2.quota), (block as u64, None));
+        assert_eq!(m.tenant_quota(1), Some(quota));
     }
 
     #[test]

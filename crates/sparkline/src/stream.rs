@@ -211,9 +211,9 @@ impl<T: Data> IntoIterator for PartitionStream<T> {
 // Per-operator cardinality instrumentation
 // ---------------------------------------------------------------------------
 
-/// Estimated wire bytes for `rows` records of `T` — the shallow estimate the
-/// `bytes_out` counters report (narrow operators can't assume a [`crate::SizeOf`]
-/// bound on arbitrary element types).
+/// In-memory bytes of `rows` records of `T` — what the `bytes_out` counters
+/// report (narrow operators carry no codec bound on their element types, so
+/// unlike shuffle and cache figures this is not a wire length).
 fn bytes_estimate<T>(rows: u64) -> u64 {
     rows * std::mem::size_of::<T>() as u64
 }

@@ -491,7 +491,13 @@ impl Drop for WorkerGroup {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.heartbeat.lock().take() {
-            handle.join().ok();
+            // The heartbeat holds a strong ref for the length of a sweep; if
+            // the owner drops meanwhile, this runs *on* the heartbeat thread
+            // and joining would be a self-join (EDEADLK panic). No need: the
+            // loop exits on its own at its next `upgrade`.
+            if handle.thread().id() != std::thread::current().id() {
+                handle.join().ok();
+            }
         }
         for slot in &self.slots {
             let mut slot = slot.lock();

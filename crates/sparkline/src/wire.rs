@@ -180,6 +180,7 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 pub fn encode_frame<T: SpillCodec>(value: &T) -> Vec<u8> {
     let mut payload = Vec::new();
     value.encode(&mut payload);
+    debug_assert_eq!(payload.len(), value.encoded_len());
     frame_bytes(&payload)
 }
 
@@ -198,12 +199,11 @@ pub fn decode_frame<T: SpillCodec>(buf: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
-/// Total wire length (header + payload) a value would occupy — the number
-/// `explain_analyze` reports as true shuffle bytes.
+/// Total wire length (header + payload) of the frame [`encode_frame`] would
+/// build for `value`, without building it — the one byte figure shuffle
+/// metrics, trace events and block sizes report.
 pub fn encoded_len<T: SpillCodec>(value: &T) -> u64 {
-    let mut payload = Vec::new();
-    value.encode(&mut payload);
-    (HEADER_LEN + payload.len()) as u64
+    (HEADER_LEN + value.encoded_len()) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -417,6 +417,7 @@ mod tests {
                 })
                 .collect();
             let frame = encode_frame(&pairs);
+            prop_assert_eq!(frame.len() as u64, encoded_len(&pairs));
             let back: Vec<(i64, f64)> = decode_frame(&frame).unwrap();
             let same = pairs.len() == back.len()
                 && pairs.iter().zip(&back).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());

@@ -7,6 +7,7 @@
 //! without `persist()`.
 
 use sparkline::storage::StorageLevel;
+use sparkline::wire::encoded_len;
 use sparkline::{Context, Dataset, Event, STORAGE_BUDGET_ENV};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,6 +24,13 @@ fn pipeline(c: &Context, calls: &Arc<AtomicUsize>) -> Dataset<(i64, i64)> {
         })
 }
 
+/// Storage budget holding exactly `n` of the pipeline's blocks: each of the
+/// six partitions persists two `(i64, i64)` records, accounted at their
+/// framed length.
+fn blocks(n: usize) -> usize {
+    n * encoded_len(&vec![(0i64, 0i64); 2]) as usize
+}
+
 fn sorted(mut v: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
     v.sort_unstable();
     v
@@ -30,13 +38,13 @@ fn sorted(mut v: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
 
 #[test]
 fn persist_matches_uncached_under_thrashing_budget() {
-    // 40-byte budget: each 6-partition block is larger, so with Memory level
-    // nothing is ever resident -> every read recomputes, results identical.
+    // From nothing resident (every read recomputes) through one and three
+    // blocks resident to everything: results identical.
     let calls = Arc::new(AtomicUsize::new(0));
     let c = Context::builder().workers(4).build();
     let oracle = sorted(pipeline(&c, &calls).collect());
 
-    for budget in [0usize, 40, 120, usize::MAX] {
+    for budget in [0usize, blocks(1), blocks(3), usize::MAX] {
         let calls = Arc::new(AtomicUsize::new(0));
         let c = Context::builder().workers(4).storage_memory(budget).build();
         let d = pipeline(&c, &calls).persist();
@@ -58,7 +66,10 @@ fn spill_to_disk_round_trips_through_files() {
 
     // Budget of one block: five of six blocks land in spill files.
     let calls = Arc::new(AtomicUsize::new(0));
-    let c = Context::builder().workers(4).storage_memory(40).build();
+    let c = Context::builder()
+        .workers(4)
+        .storage_memory(blocks(1))
+        .build();
     c.trace();
     let d = pipeline(&c, &calls).persist_with(StorageLevel::MemoryAndDisk);
     assert_eq!(sorted(d.collect()), oracle);
@@ -88,7 +99,7 @@ fn task_retries_do_not_corrupt_cache() {
     let c = Context::builder()
         .workers(4)
         .max_task_attempts(6)
-        .storage_memory(120)
+        .storage_memory(blocks(3))
         .build();
     let d = pipeline(&c, &calls).persist_with(StorageLevel::MemoryAndDisk);
     for round in 0..4 {
@@ -109,7 +120,7 @@ fn eviction_plus_failures_still_converges() {
     let c = Context::builder()
         .workers(4)
         .max_task_attempts(8)
-        .storage_memory(80)
+        .storage_memory(blocks(2))
         .build();
     c.trace();
     let d = pipeline(&c, &calls).persist_with(StorageLevel::Memory);
@@ -166,7 +177,10 @@ fn env_var_budget_knob_is_honored() {
 
 #[test]
 fn cache_events_describe_the_stress_run() {
-    let c = Context::builder().workers(2).storage_memory(40).build();
+    let c = Context::builder()
+        .workers(2)
+        .storage_memory(blocks(1))
+        .build();
     c.trace();
     let calls = Arc::new(AtomicUsize::new(0));
     let d = pipeline(&c, &calls).persist();

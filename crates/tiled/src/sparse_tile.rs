@@ -9,7 +9,7 @@
 use crate::kernel;
 use crate::kernel::Backend;
 use crate::tile::DenseMatrix;
-use sparkline::{SizeOf, SpillCodec};
+use sparkline::SpillCodec;
 
 /// A sparse matrix tile in compressed-sparse-column format.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,12 +20,6 @@ pub struct CscTile {
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     values: Vec<f64>,
-}
-
-impl SizeOf for CscTile {
-    fn size_of(&self) -> usize {
-        16 + 8 * self.col_ptr.len() + 8 * self.row_idx.len() + 8 * self.values.len()
-    }
 }
 
 impl SpillCodec for CscTile {
@@ -57,9 +51,20 @@ impl SpillCodec for CscTile {
             values,
         })
     }
+
+    fn encoded_len(&self) -> usize {
+        Self::encoded_len_of(self.cols, self.values.len())
+    }
 }
 
 impl CscTile {
+    /// Encoded length of any tile with `cols` columns and `nnz` stored
+    /// entries — two `usize` dimensions and the three length-prefixed arrays
+    /// (`cols + 1` column pointers, `nnz` row indices, `nnz` values).
+    pub const fn encoded_len_of(cols: usize, nnz: usize) -> usize {
+        8 + 8 + (8 + 8 * (cols + 1)) + (8 + 8 * nnz) + (8 + 8 * nnz)
+    }
+
     /// Compress a dense tile, dropping zeros.
     pub fn from_dense(d: &DenseMatrix) -> Self {
         let (rows, cols) = (d.rows(), d.cols());
@@ -290,11 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn size_of_smaller_than_dense_when_sparse() {
-        use sparkline::SizeOf;
+    fn encoded_smaller_than_dense_when_sparse() {
         let d = sparse_dense(32, 32, 5);
         let csc = CscTile::from_dense(&d);
-        assert!(csc.size_of() < d.size_of());
+        assert!(csc.encoded_len() < d.encoded_len());
         assert!(csc.density() < 0.3);
     }
 
@@ -312,6 +316,7 @@ mod tests {
         let mut buf = Vec::new();
         csc.encode(&mut buf);
         let mut pos = 0;
+        assert_eq!(csc.encoded_len(), buf.len());
         assert_eq!(CscTile::decode(&buf, &mut pos), Some(csc));
         assert_eq!(pos, buf.len());
         let mut pos = 0;

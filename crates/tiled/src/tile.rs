@@ -13,7 +13,7 @@
 //! [`crate::kernel`]).
 
 use crate::kernel::{self, Backend};
-use sparkline::{SizeOf, SpillCodec};
+use sparkline::SpillCodec;
 
 /// A dense `rows x cols` matrix of `f64` stored row-major in one flat vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,12 +21,6 @@ pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
-}
-
-impl SizeOf for DenseMatrix {
-    fn size_of(&self) -> usize {
-        16 + 8 * self.data.len()
-    }
 }
 
 impl SpillCodec for DenseMatrix {
@@ -45,9 +39,20 @@ impl SpillCodec for DenseMatrix {
         }
         Some(DenseMatrix { rows, cols, data })
     }
+
+    fn encoded_len(&self) -> usize {
+        Self::encoded_len_of(self.rows, self.cols)
+    }
 }
 
 impl DenseMatrix {
+    /// Encoded length of any `rows x cols` tile — two `usize` dimensions and
+    /// the length-prefixed `f64` payload — as a closed form, so cost models
+    /// can size tiles they have not built.
+    pub const fn encoded_len_of(rows: usize, cols: usize) -> usize {
+        8 + 8 + 8 + 8 * rows * cols
+    }
+
     /// All-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DenseMatrix {
@@ -557,18 +562,12 @@ mod tests {
     }
 
     #[test]
-    fn size_of_counts_payload() {
-        let m = DenseMatrix::zeros(10, 10);
-        use sparkline::SizeOf;
-        assert_eq!(m.size_of(), 16 + 800);
-    }
-
-    #[test]
     fn spill_codec_roundtrip() {
         let m = seq(3, 5);
         let mut buf = Vec::new();
         m.encode(&mut buf);
         let mut pos = 0;
+        assert_eq!(m.encoded_len(), buf.len());
         assert_eq!(DenseMatrix::decode(&buf, &mut pos), Some(m));
         assert_eq!(pos, buf.len());
         // A truncated buffer must fail cleanly, not panic.

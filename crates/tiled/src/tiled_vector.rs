@@ -49,6 +49,13 @@ impl TiledVector {
         &self.blocks
     }
 
+    /// Encoded length of one `(block index, block)` record of `len`
+    /// elements — the `i64` key and the length-prefixed `f64` payload — as a
+    /// closed form for cost models.
+    pub const fn block_record_len(len: usize) -> usize {
+        8 + 8 + 8 * len
+    }
+
     /// Distribute a local vector, zero-padding the last block.
     pub fn from_local(ctx: &Context, data: &[f64], block_size: usize, partitions: usize) -> Self {
         let len = data.len() as i64;

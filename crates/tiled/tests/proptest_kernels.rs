@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tiled::{CscTile, DenseMatrix, LocalMatrix};
 
 fn rand_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
@@ -104,6 +104,26 @@ proptest! {
         let csc = CscTile::from_dense(&m);
         prop_assert_eq!(csc.to_dense(), m.clone());
         prop_assert_eq!(csc.nnz(), m.data().iter().filter(|&&x| x != 0.0).count());
+    }
+
+    /// The byte rule for both tile codecs, degenerate 0 x n shapes included:
+    /// `encoded_len` and its closed form are exactly what `encode` appends.
+    #[test]
+    fn tile_encoded_len_is_exact(rows in 0usize..12, cols in 0usize..12,
+                                 keep in 1u64..5, seed in 0u64..1000) {
+        use sparkline::SpillCodec;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dense = DenseMatrix::from_fn(rows, cols, |_, _| {
+            if rng.gen_range(0u64..5) < keep { rng.gen_range(-2.0..2.0) } else { 0.0 }
+        });
+        let csc = CscTile::from_dense(&dense);
+        let (mut d, mut c) = (Vec::new(), Vec::new());
+        dense.encode(&mut d);
+        csc.encode(&mut c);
+        prop_assert_eq!(dense.encoded_len(), d.len());
+        prop_assert_eq!(DenseMatrix::encoded_len_of(rows, cols), d.len());
+        prop_assert_eq!(csc.encoded_len(), c.len());
+        prop_assert_eq!(CscTile::encoded_len_of(cols, csc.nnz()), c.len());
     }
 
     /// matvec agrees with GEMM against a column vector.

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::sac::Session;
+use sac_repro::sparkline::wire::encoded_len;
 use sac_repro::sparkline::{Context, Dataset, KeyPartitioner, StorageLevel};
 use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
 
@@ -172,12 +173,13 @@ proptest! {
 fn eviction_with_injected_failures_stays_bit_identical() {
     let oracle_ctx = Context::builder().workers(3).build();
     let oracle = by_key(dense_tiles(&oracle_ctx, 4, 4, 7).collect());
-    // Each of the six blocks holds two 4x4 dense tiles (324 bytes); a
-    // 400-byte budget fits exactly one block, so every pass thrashes.
+    // Each of the six blocks holds two 4x4 dense tiles; a budget of one and
+    // a quarter blocks fits exactly one, so every pass thrashes.
+    let block = encoded_len(&vec![((0usize, 0usize), DenseMatrix::zeros(4, 4)); 2]) as usize;
     let c = Context::builder()
         .workers(3)
         .max_task_attempts(8)
-        .storage_memory(400)
+        .storage_memory(block + block / 4)
         .build();
     c.trace();
     let d = dense_tiles(&c, 4, 4, 7).persist();

@@ -188,16 +188,22 @@ fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
 #[test]
 fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
     let data: Vec<(i64, i64)> = (0..300).map(|i| (i % 17, i)).collect();
-    let totals = |worker_processes: usize| {
+    let run = |worker_processes: usize, traced: bool| {
         let mut b = Context::builder().workers(4).executors(4).chaos_off();
         if worker_processes > 0 {
             b = b.worker_processes(worker_processes);
         }
         let ctx = b.build();
-        ctx.trace();
+        if traced {
+            ctx.trace();
+        }
         ctx.parallelize(data.clone(), 5)
             .reduce_by_key(3, |a, b| a + b)
             .collect();
+        ctx
+    };
+    let totals = |worker_processes: usize| {
+        let ctx = run(worker_processes, true);
         let mut written = HashMap::new();
         let mut read = 0u64;
         for e in ctx.take_events() {
@@ -215,11 +221,28 @@ fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
                 _ => {}
             }
         }
-        (written.values().sum::<u64>(), read)
+        let metered = ctx.metrics().snapshot().shuffle_bytes;
+        (written.values().sum::<u64>(), read, metered)
     };
-    let (local_written, local_read) = totals(0);
-    let (remote_written, remote_read) = totals(2);
+    let (local_written, local_read, local_metered) = totals(0);
+    let (remote_written, remote_read, remote_metered) = totals(2);
     assert!(local_written > 0);
+    // One byte rule: `Metrics::shuffle_bytes` is that same number whether or
+    // not anyone is tracing, in one process or many.
+    for (what, metered) in [
+        ("traced local", local_metered),
+        ("traced 2-worker", remote_metered),
+        (
+            "untraced local",
+            run(0, false).metrics().snapshot().shuffle_bytes,
+        ),
+        (
+            "untraced 2-worker",
+            run(2, false).metrics().snapshot().shuffle_bytes,
+        ),
+    ] {
+        assert_eq!(metered, local_written, "{what} run metered other bytes");
+    }
     assert_eq!(
         local_written, remote_written,
         "local traced runs must account the same serialized frame bytes \
@@ -256,4 +279,80 @@ fn explicit_kill_worker_respawns_and_later_jobs_succeed() {
     assert!(ctx.kill_worker(1));
     assert!(!ctx.kill_worker(2), "unknown worker id");
     assert_eq!(run(&ctx), first, "respawned workers serve later shuffles");
+}
+
+/// The external spool is an optimisation of recovery, not a precondition: a
+/// map task that cannot write it (full or unwritable temp dir) must keep its
+/// output worker-owned and carry on, not burn task attempts on the I/O error.
+#[test]
+fn unwritable_spool_degrades_to_worker_owned_outputs() {
+    let local = Context::builder().workers(4).chaos_off().build();
+    let remote = Context::builder()
+        .workers(4)
+        .executors(4)
+        .worker_processes(2)
+        .chaos_off()
+        .build();
+    // A regular file where the first shuffle's spool directory would go.
+    let spool = remote.external_shuffle_path(0).expect("spool is on");
+    std::fs::write(&spool, b"not a directory").unwrap();
+    let data: Vec<(i64, i64)> = (0..500).map(|i| (i % 37, i)).collect();
+    let run = |ctx: &Context| {
+        let mut out = ctx
+            .parallelize(data.clone(), 8)
+            .reduce_by_key(4, |a, b| a + b)
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    assert_eq!(run(&remote), run(&local));
+    assert_eq!(remote.metrics().snapshot().tasks_failed, 0);
+}
+
+/// `WorkerGroup::drop` on the heartbeat thread: the heartbeat holds a strong
+/// ref for the length of a sweep, so when the owner drops meanwhile the last
+/// ref dies over there. It must neither join itself (that panicked with
+/// "Resource deadlock avoided") nor skip reaping the children.
+#[test]
+fn worker_group_dropped_on_its_heartbeat_thread_still_reaps_the_children() {
+    use sac_repro::sparkline::transport::{WorkerConfig, WorkerGroup};
+    use std::process::{Command, Stdio};
+    use std::sync::{mpsc, Mutex};
+    use std::time::{Duration, Instant};
+    // A zero connect timeout is an error in std, so every ping fails, and a
+    // zero deadline declares the worker dead on the first sweep: the
+    // heartbeat respawns it and runs the callback, strong ref held.
+    let config = WorkerConfig {
+        connect_timeout: Duration::ZERO,
+        liveness_deadline: Duration::ZERO,
+        heartbeat_interval: Duration::from_millis(1),
+        ..WorkerConfig::default()
+    };
+    let group = WorkerGroup::spawn(1, config).unwrap();
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    group.set_on_worker_lost(move |_| {
+        entered_tx.send(()).ok();
+        release_rx.lock().unwrap().recv().ok();
+    });
+    entered_rx.recv().unwrap();
+    let pid = group.pid(0).to_string();
+    // The heartbeat is parked in the callback: ours is the last ref but one,
+    // so `WorkerGroup::drop` runs over there once it is released.
+    drop(group);
+    release_tx.send(()).unwrap();
+    // `kill -0` succeeds on a live or zombie pid, fails on a reaped one.
+    let gone = || {
+        let probe = Command::new("kill")
+            .args(["-0", &pid])
+            .stderr(Stdio::null())
+            .status();
+        !probe.unwrap().success()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !gone() {
+        assert!(Instant::now() < deadline, "worker {pid} was never reaped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
