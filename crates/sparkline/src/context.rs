@@ -545,7 +545,10 @@ impl Context {
         if worker >= group.len() {
             return false;
         }
-        group.kill9(worker);
+        // A failed respawn leaves the slot down, its frames gone all the same:
+        // sweep regardless. Requests to the slot fail at once until the
+        // heartbeat (or the next kill) gets a process back into it.
+        let _ = group.kill9(worker);
         self.on_worker_lost(worker);
         true
     }

@@ -14,20 +14,44 @@
 //!
 //! ## Protocol
 //!
-//! Every request and response is one wire frame whose payload starts with a
-//! 1-byte opcode/status, followed by [`crate::SpillCodec`]-encoded fields:
+//! A message, either way, is a *head* — one small [`crate::wire`] frame whose
+//! 29-byte payload is `code: u8, shuffle: u64, map: u64, reduce: u64,
+//! body_len: u32` (little-endian; unused ids are zero) — followed by
+//! `body_len` body bytes. The only body is a map-output bucket, and it is the
+//! bucket's own SPKL frame *verbatim*: nothing re-encodes or re-frames it, so
+//! its CRC is the end-to-end check. A bucket's payload is checksummed three
+//! times on its way from map task to reduce task — [`wire::encode_frame`] on
+//! the map side, the worker's ingest check on PUT (a garbled frame is refused
+//! rather than stored), [`wire::decode_frame`] on the reduce side — and never
+//! on GET, which writes the stored bytes straight to the socket. The head's
+//! own CRC covers the ids and the body length. Head and body leave in one
+//! vectored write, so the head never travels as a segment of its own.
 //!
-//! | op | request                                   | response            |
-//! |----|-------------------------------------------|---------------------|
-//! | 0  | `PUT  shuffle, map, reduce, frame bytes`  | `OK`                |
-//! | 1  | `GET  shuffle, map, reduce`               | `OK + bytes` / `NOT_FOUND` |
-//! | 2  | `DROP shuffle`                            | `OK`                |
-//! | 3  | `PING`                                    | `OK`                |
+//! | op | request                              | response                      |
+//! |----|--------------------------------------|-------------------------------|
+//! | 4  | `PUT  shuffle, map, reduce` + frame  | `OK` / `ERR` (frame refused)  |
+//! | 5  | `GET  shuffle, map, reduce`          | `OK` + frame / `NOT_FOUND`    |
+//! | 6  | `DROP shuffle`                       | `OK`                          |
+//! | 7  | `PING`                               | `OK`                          |
 //!
-//! Connections are per-request (loopback connects are ~10µs; a pool would
-//! complicate the kill -9 story for no measurable win at this scale) and
-//! carry connect/read/write timeouts so a wedged worker turns into a retry,
-//! never a hang.
+//! Ops 0–3 were the same requests in an earlier layout (fields and the frame
+//! wrapped in a second frame); they are retired rather than reused so a stale
+//! `sparkline-worker` answers `ERR` instead of misparsing.
+//!
+//! ## Connections
+//!
+//! Connections persist. Each [`WorkerClient`] keeps a small pool of idle
+//! streams to its worker: a request checks one out (or connects), does its
+//! round trip, and checks it back in, so in steady state a driver thread
+//! reuses one socket and the worker runs one serve thread per driver thread
+//! (a loopback connect + accept + thread spawn costs several round trips).
+//! Every request is idempotent, so a pooled stream that fails — its worker
+//! was `kill -9`'d and respawned, or hung up — is dropped and the request
+//! retried once on a fresh connection to the slot's *current* address; a
+//! fresh connection's failure is the answer. A respawn flushes the pool, and
+//! a stream is only ever checked in at a message boundary, so a request can
+//! never read another's reply. All socket operations carry timeouts: a wedged
+//! worker turns into an error, never a hang.
 //!
 //! ## Supervision
 //!
@@ -36,17 +60,18 @@
 //! worker whose last successful ping is older than the liveness deadline is
 //! declared dead, killed (noop if already gone), respawned, and reported via
 //! the `on_worker_lost` callback so the scheduler can sweep the executors it
-//! hosted. Each child holds a stdin pipe from the driver; on driver death
-//! the pipe closes and the worker exits, so no orphan processes outlive a
-//! crashed test run.
+//! hosted. A respawn that fails leaves the slot down — requests to it fail at
+//! once, which the shuffle layer already treats as a lost worker — and every
+//! later sweep tries the spawn again. Each child holds a stdin pipe from the
+//! driver; on driver death the pipe closes and the worker exits, so no orphan
+//! processes outlive a crashed test run.
 
-use crate::storage::SpillCodec;
 use crate::sync::Mutex;
-use crate::wire;
+use crate::wire::{self, WireError};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -56,14 +81,87 @@ use std::time::{Duration, Instant};
 /// discovered next to the current executable).
 pub const WORKER_BIN_ENV: &str = "SPARKLINE_WORKER_BIN";
 
-const OP_PUT: u8 = 0;
-const OP_GET: u8 = 1;
-const OP_DROP: u8 = 2;
-const OP_PING: u8 = 3;
+const OP_PUT: u8 = 4;
+const OP_GET: u8 = 5;
+const OP_DROP: u8 = 6;
+const OP_PING: u8 = 7;
 
 const ST_OK: u8 = 0;
 const ST_NOT_FOUND: u8 = 1;
 const ST_ERR: u8 = 2;
+
+// ---------------------------------------------------------------------------
+// Messages: a framed head, then the body verbatim.
+// ---------------------------------------------------------------------------
+
+/// Payload bytes of a message head: code, three ids, body length.
+const HEAD_LEN: usize = 1 + 3 * 8 + 4;
+
+/// Largest body a head may announce: one whole frame.
+const MAX_BODY: usize = wire::HEADER_LEN + wire::MAX_PAYLOAD;
+
+/// One request or response as received.
+struct Message {
+    /// Opcode of a request, status of a response.
+    code: u8,
+    /// `shuffle, map, reduce`; zero where the message has no use for one.
+    ids: [u64; 3],
+    body: Vec<u8>,
+}
+
+/// Write one message: head and body in a single vectored write (with
+/// `TCP_NODELAY`, two `write_all`s would send the head as its own segment).
+fn send_message<W: Write>(
+    w: &mut W,
+    code: u8,
+    ids: [u64; 3],
+    body: &[u8],
+) -> Result<(), WireError> {
+    if body.len() > MAX_BODY {
+        return Err(WireError::Oversized(body.len() as u64));
+    }
+    let mut head = [0u8; HEAD_LEN];
+    head[0] = code;
+    for (field, id) in head[1..25].chunks_exact_mut(8).zip(ids) {
+        field.copy_from_slice(&id.to_le_bytes());
+    }
+    head[25..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    let head = wire::frame_bytes(&head);
+    let mut parts = [IoSlice::new(&head), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
+}
+
+/// Read one message. The head is verified (magic, version, CRC, exact
+/// length) before its body length is believed; the body is returned as it
+/// arrived — whoever stores or decodes it checks the frame inside.
+fn recv_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
+    let head = wire::read_frame_bytes(r, HEAD_LEN)?;
+    let head: &[u8; HEAD_LEN] = head.as_slice().try_into().map_err(|_| WireError::Decode)?;
+    let mut ids = [0u64; 3];
+    for (id, field) in ids.iter_mut().zip(head[1..25].chunks_exact(8)) {
+        *id = u64::from_le_bytes(field.try_into().expect("8-byte chunk"));
+    }
+    let body_len = u32::from_le_bytes([head[25], head[26], head[27], head[28]]) as usize;
+    if body_len > MAX_BODY {
+        return Err(WireError::Oversized(body_len as u64));
+    }
+    let mut body = vec![0u8; body_len];
+    wire::read_exact_or_truncated(r, &mut body)?;
+    Ok(Message {
+        code: head[0],
+        ids,
+        body,
+    })
+}
 
 // ---------------------------------------------------------------------------
 // Worker side: the block store and its serve loop (used by the
@@ -78,58 +176,40 @@ struct WorkerStore {
 }
 
 impl WorkerStore {
-    fn handle(&self, payload: &[u8]) -> Vec<u8> {
-        let Some((&op, rest)) = payload.split_first() else {
-            return vec![ST_ERR];
-        };
-        let mut pos = 0;
-        match op {
-            OP_PUT => {
-                let decoded = (|| {
-                    let shuffle = u64::decode(rest, &mut pos)?;
-                    let map = u64::decode(rest, &mut pos)?;
-                    let reduce = u64::decode(rest, &mut pos)?;
-                    let data = Vec::<u8>::decode(rest, &mut pos)?;
-                    (pos == rest.len()).then_some((shuffle, map, reduce, data))
-                })();
-                match decoded {
-                    Some((shuffle, map, reduce, data)) => {
-                        self.blocks
-                            .lock()
-                            .insert((shuffle, map, reduce), Arc::new(data));
-                        vec![ST_OK]
-                    }
-                    None => vec![ST_ERR],
+    /// Answer one request: a status and, for a GET hit, the stored frame —
+    /// cloned out of the map, so the store is not locked while it is written
+    /// to the socket.
+    fn handle(&self, request: Message) -> (u8, Option<Arc<Vec<u8>>>) {
+        let Message {
+            code,
+            ids: [shuffle, map, reduce],
+            body,
+        } = request;
+        if code != OP_PUT && !body.is_empty() {
+            return (ST_ERR, None);
+        }
+        match code {
+            // Ingest check: the body must be exactly one intact frame. This
+            // is the one CRC pass a bucket gets on the worker.
+            OP_PUT => match wire::unframe_exact(&body) {
+                Ok(_) => {
+                    self.blocks
+                        .lock()
+                        .insert((shuffle, map, reduce), Arc::new(body));
+                    (ST_OK, None)
                 }
-            }
-            OP_GET => {
-                let decoded = (|| {
-                    let shuffle = u64::decode(rest, &mut pos)?;
-                    let map = u64::decode(rest, &mut pos)?;
-                    let reduce = u64::decode(rest, &mut pos)?;
-                    (pos == rest.len()).then_some((shuffle, map, reduce))
-                })();
-                match decoded {
-                    Some(key) => match self.blocks.lock().get(&key) {
-                        Some(data) => {
-                            let mut out = vec![ST_OK];
-                            data.as_slice().to_vec().encode(&mut out);
-                            out
-                        }
-                        None => vec![ST_NOT_FOUND],
-                    },
-                    None => vec![ST_ERR],
-                }
-            }
-            OP_DROP => match u64::decode(rest, &mut pos) {
-                Some(shuffle) if pos == rest.len() => {
-                    self.blocks.lock().retain(|(s, _, _), _| *s != shuffle);
-                    vec![ST_OK]
-                }
-                _ => vec![ST_ERR],
+                Err(_) => (ST_ERR, None),
             },
-            OP_PING => vec![ST_OK],
-            _ => vec![ST_ERR],
+            OP_GET => match self.blocks.lock().get(&(shuffle, map, reduce)).cloned() {
+                Some(frame) => (ST_OK, Some(frame)),
+                None => (ST_NOT_FOUND, None),
+            },
+            OP_DROP => {
+                self.blocks.lock().retain(|(s, _, _), _| *s != shuffle);
+                (ST_OK, None)
+            }
+            OP_PING => (ST_OK, None),
+            _ => (ST_ERR, None),
         }
     }
 }
@@ -147,18 +227,18 @@ pub fn serve_worker(listener: TcpListener) {
     }
 }
 
-fn serve_connection(store: &WorkerStore, mut stream: TcpStream) -> Result<(), wire::WireError> {
+fn serve_connection(store: &WorkerStore, mut stream: TcpStream) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
     loop {
-        let request = match wire::read_frame_bytes(&mut stream, wire::MAX_PAYLOAD) {
-            Ok(r) => r,
-            // Clean disconnect between requests is the normal end of a
-            // per-request connection.
-            Err(_) => return Ok(()),
+        // The driver hanging up between requests is the normal end of a
+        // connection; a head that does not verify leaves the stream out of
+        // step, so that connection ends too (the listener lives on).
+        let Ok(request) = recv_message(&mut stream) else {
+            return Ok(());
         };
-        let response = store.handle(&request);
-        wire::write_frame_bytes(&mut stream, &response)?;
-        stream.flush()?;
+        let (status, frame) = store.handle(request);
+        let body = frame.as_ref().map_or(&[][..], |frame| frame.as_slice());
+        send_message(&mut stream, status, [0; 3], body)?;
     }
 }
 
@@ -166,86 +246,121 @@ fn serve_connection(store: &WorkerStore, mut stream: TcpStream) -> Result<(), wi
 // Driver side: client.
 // ---------------------------------------------------------------------------
 
-/// Blocking client for one worker's socket. Connections are per-request and
-/// every socket operation carries a timeout.
-#[derive(Clone, Debug)]
+/// Idle streams a client keeps; more than the driver's concurrent requests to
+/// one worker would never be reused.
+const MAX_IDLE: usize = 8;
+
+/// Blocking client for one worker's socket, with a pool of idle connections
+/// (see the module docs). Every socket operation carries a timeout.
 pub struct WorkerClient {
-    addr: SocketAddr,
     connect_timeout: Duration,
     io_timeout: Duration,
+    target: Mutex<Target>,
+}
+
+/// Where a client's worker listens now — `None` while its slot has no live
+/// process — and the idle streams connected there.
+struct Target {
+    addr: Option<SocketAddr>,
+    idle: Vec<TcpStream>,
 }
 
 impl WorkerClient {
     pub fn new(addr: SocketAddr, connect_timeout: Duration, io_timeout: Duration) -> Self {
         WorkerClient {
-            addr,
             connect_timeout,
             io_timeout,
+            target: Mutex::new(Target {
+                addr: Some(addr),
+                idle: Vec::new(),
+            }),
         }
     }
 
-    fn request(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)
-            .map_err(|e| format!("connect {}: {e}", self.addr))?;
+    /// Point the client at its slot's new process (or at none), dropping the
+    /// idle streams to the old one.
+    fn retarget(&self, addr: Option<SocketAddr>) {
+        *self.target.lock() = Target {
+            addr,
+            idle: Vec::new(),
+        };
+    }
+
+    fn connect(&self) -> Result<TcpStream, String> {
+        let addr = self.target.lock().addr.ok_or("worker is down")?;
+        let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)
+            .map_err(|e| format!("connect {addr}: {e}"))?;
         stream
             .set_read_timeout(Some(self.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
             .map_err(|e| format!("set timeouts: {e}"))?;
         stream.set_nodelay(true).ok();
-        wire::write_frame_bytes(&mut stream, payload).map_err(|e| format!("send: {e}"))?;
-        wire::read_frame_bytes(&mut stream, wire::MAX_PAYLOAD).map_err(|e| format!("recv: {e}"))
+        Ok(stream)
     }
 
-    /// Store one map-output frame on the worker.
-    pub fn put(&self, shuffle: u64, map: u64, reduce: u64, frame: Vec<u8>) -> Result<(), String> {
-        let mut payload = vec![OP_PUT];
-        shuffle.encode(&mut payload);
-        map.encode(&mut payload);
-        reduce.encode(&mut payload);
-        frame.encode(&mut payload);
-        match self.request(&payload)?.first() {
-            Some(&ST_OK) => Ok(()),
-            other => Err(format!("put rejected: status {other:?}")),
+    /// Return a stream that just completed a round trip. One connected to an
+    /// address the client has since been pointed away from is dropped.
+    fn check_in(&self, stream: TcpStream) {
+        let mut target = self.target.lock();
+        if target.idle.len() < MAX_IDLE && stream.peer_addr().ok() == target.addr {
+            target.idle.push(stream);
         }
     }
 
-    /// Fetch one map-output frame; `Ok(None)` when the worker does not have
-    /// it (e.g. a respawned worker with an empty store).
-    pub fn get(&self, shuffle: u64, map: u64, reduce: u64) -> Result<Option<Vec<u8>>, String> {
-        let mut payload = vec![OP_GET];
-        shuffle.encode(&mut payload);
-        map.encode(&mut payload);
-        reduce.encode(&mut payload);
-        let response = self.request(&payload)?;
-        match response.split_first() {
-            Some((&ST_OK, rest)) => {
-                let mut pos = 0;
-                let data = Vec::<u8>::decode(rest, &mut pos)
-                    .filter(|_| pos == rest.len())
-                    .ok_or_else(|| "malformed GET response".to_string())?;
-                Ok(Some(data))
+    fn request(&self, code: u8, ids: [u64; 3], body: &[u8]) -> Result<Message, String> {
+        let round_trip = |stream: &mut TcpStream| {
+            send_message(stream, code, ids, body)?;
+            recv_message(stream)
+        };
+        let pooled = self.target.lock().idle.pop();
+        if let Some(mut stream) = pooled {
+            if let Ok(reply) = round_trip(&mut stream) {
+                self.check_in(stream);
+                return Ok(reply);
             }
-            Some((&ST_NOT_FOUND, _)) => Ok(None),
-            other => Err(format!("get rejected: status {other:?}")),
+            // The idle stream had gone stale. Requests are idempotent: once
+            // more, on a fresh connection to wherever the worker is now.
+        }
+        let mut stream = self.connect()?;
+        let reply = round_trip(&mut stream).map_err(|e| format!("worker request: {e}"))?;
+        self.check_in(stream);
+        Ok(reply)
+    }
+
+    /// A request whose whole answer is its status.
+    fn command(&self, what: &str, code: u8, ids: [u64; 3], body: &[u8]) -> Result<(), String> {
+        match self.request(code, ids, body)?.code {
+            ST_OK => Ok(()),
+            status => Err(format!("{what} rejected: status {status}")),
+        }
+    }
+
+    /// Store one map-output frame on the worker, which refuses anything that
+    /// is not exactly one intact frame.
+    pub fn put(&self, shuffle: u64, map: u64, reduce: u64, frame: Vec<u8>) -> Result<(), String> {
+        self.command("put", OP_PUT, [shuffle, map, reduce], &frame)
+    }
+
+    /// Fetch one map-output frame, as stored (the caller's `decode_frame`
+    /// verifies it); `Ok(None)` when the worker does not have it (e.g. a
+    /// respawned worker with an empty store).
+    pub fn get(&self, shuffle: u64, map: u64, reduce: u64) -> Result<Option<Vec<u8>>, String> {
+        let reply = self.request(OP_GET, [shuffle, map, reduce], &[])?;
+        match reply.code {
+            ST_OK => Ok(Some(reply.body)),
+            ST_NOT_FOUND => Ok(None),
+            status => Err(format!("get rejected: status {status}")),
         }
     }
 
     /// Drop every frame of `shuffle` on the worker.
     pub fn drop_shuffle(&self, shuffle: u64) -> Result<(), String> {
-        let mut payload = vec![OP_DROP];
-        shuffle.encode(&mut payload);
-        match self.request(&payload)?.first() {
-            Some(&ST_OK) => Ok(()),
-            other => Err(format!("drop rejected: status {other:?}")),
-        }
+        self.command("drop", OP_DROP, [shuffle, 0, 0], &[])
     }
 
     /// Liveness probe.
     pub fn ping(&self) -> Result<(), String> {
-        match self.request(&[OP_PING])?.first() {
-            Some(&ST_OK) => Ok(()),
-            other => Err(format!("ping rejected: status {other:?}")),
-        }
+        self.command("ping", OP_PING, [0; 3], &[])
     }
 }
 
@@ -276,9 +391,17 @@ impl Default for WorkerConfig {
     }
 }
 
+/// One worker slot: the process that fills it now, and the long-lived client
+/// every request to it goes through.
 struct WorkerSlot {
+    process: Mutex<WorkerProcess>,
+    client: WorkerClient,
+}
+
+struct WorkerProcess {
+    /// Kept after it is killed and reaped (a slot whose respawn failed), so
+    /// `pid` still answers.
     child: Child,
-    addr: SocketAddr,
     /// Bumped on every respawn; lets racing observers (heartbeat vs. an
     /// explicit kill) tell whether someone else already handled a death.
     incarnation: u64,
@@ -288,7 +411,7 @@ struct WorkerSlot {
 pub struct WorkerGroup {
     bin: PathBuf,
     config: WorkerConfig,
-    slots: Vec<Mutex<WorkerSlot>>,
+    slots: Vec<WorkerSlot>,
     stop: AtomicBool,
     heartbeat: Mutex<Option<std::thread::JoinHandle<()>>>,
     on_lost: Mutex<Option<Box<dyn Fn(usize) + Send + Sync>>>,
@@ -330,7 +453,7 @@ impl WorkerGroup {
         ))
     }
 
-    fn spawn_child(bin: &PathBuf) -> Result<(Child, SocketAddr), String> {
+    fn spawn_child(bin: &Path) -> Result<(Child, SocketAddr), String> {
         let mut child = Command::new(bin)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -340,16 +463,24 @@ impl WorkerGroup {
         // `PORT\t<port>` as its first stdout line.
         let stdout = child.stdout.take().expect("piped stdout");
         let mut line = String::new();
-        BufReader::new(stdout)
+        let port = BufReader::new(stdout)
             .read_line(&mut line)
-            .map_err(|e| format!("worker handshake: {e}"))?;
-        let port: u16 = line
-            .trim()
-            .strip_prefix("PORT\t")
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| format!("bad worker handshake line {line:?}"))?;
-        let addr = SocketAddr::from(([127, 0, 0, 1], port));
-        Ok((child, addr))
+            .map_err(|e| format!("worker handshake: {e}"))
+            .and_then(|_| {
+                line.trim()
+                    .strip_prefix("PORT\t")
+                    .and_then(|p| p.parse::<u16>().ok())
+                    .ok_or_else(|| format!("bad worker handshake line {line:?}"))
+            });
+        match port {
+            Ok(port) => Ok((child, SocketAddr::from(([127, 0, 0, 1], port)))),
+            Err(e) => {
+                // Whatever started is not a worker; do not leave it behind.
+                child.kill().ok();
+                child.wait().ok();
+                Err(e)
+            }
+        }
     }
 
     /// Spawn `n` worker processes and start the heartbeat supervisor.
@@ -359,11 +490,13 @@ impl WorkerGroup {
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
             let (child, addr) = Self::spawn_child(&bin)?;
-            slots.push(Mutex::new(WorkerSlot {
-                child,
-                addr,
-                incarnation: 0,
-            }));
+            slots.push(WorkerSlot {
+                process: Mutex::new(WorkerProcess {
+                    child,
+                    incarnation: 0,
+                }),
+                client: WorkerClient::new(addr, config.connect_timeout, config.io_timeout),
+            });
         }
         let group = Arc::new(WorkerGroup {
             bin,
@@ -396,14 +529,9 @@ impl WorkerGroup {
         *self.on_lost.lock() = Some(Box::new(f));
     }
 
-    fn client_for(&self, worker: usize) -> WorkerClient {
-        let addr = self.slots[worker].lock().addr;
-        WorkerClient::new(addr, self.config.connect_timeout, self.config.io_timeout)
-    }
-
     /// OS process id of one worker (diagnostics / tests).
     pub fn pid(&self, worker: usize) -> u32 {
-        self.slots[worker].lock().child.id()
+        self.slots[worker].process.lock().child.id()
     }
 
     /// Store one map-output frame on `worker`.
@@ -415,7 +543,7 @@ impl WorkerGroup {
         reduce: u64,
         frame: Vec<u8>,
     ) -> Result<(), String> {
-        self.client_for(worker).put(shuffle, map, reduce, frame)
+        self.slots[worker].client.put(shuffle, map, reduce, frame)
     }
 
     /// Fetch one map-output frame from `worker`, timing the transfer. A
@@ -429,7 +557,7 @@ impl WorkerGroup {
         reduce: u64,
     ) -> Result<Vec<u8>, String> {
         let start = Instant::now();
-        let got = self.client_for(worker).get(shuffle, map, reduce)?;
+        let got = self.slots[worker].client.get(shuffle, map, reduce)?;
         match got {
             Some(frame) => {
                 self.fetch_micros
@@ -445,8 +573,8 @@ impl WorkerGroup {
 
     /// Best-effort drop of a finished shuffle's frames on every worker.
     pub fn drop_shuffle(&self, shuffle: u64) {
-        for worker in 0..self.len() {
-            let _ = self.client_for(worker).drop_shuffle(shuffle);
+        for slot in &self.slots {
+            let _ = slot.client.drop_shuffle(shuffle);
         }
     }
 
@@ -464,26 +592,25 @@ impl WorkerGroup {
     }
 
     /// `kill -9` one worker process and respawn it (empty store, new port).
-    /// Returns the incarnation that was killed. The caller is responsible
-    /// for sweeping the executors the dead incarnation hosted.
-    pub fn kill9(&self, worker: usize) -> u64 {
-        let mut slot = self.slots[worker].lock();
-        let killed = slot.incarnation;
-        slot.child.kill().ok();
-        slot.child.wait().ok();
-        match Self::spawn_child(&self.bin) {
-            Ok((child, addr)) => {
-                slot.child = child;
-                slot.addr = addr;
-                slot.incarnation += 1;
-            }
-            Err(e) => panic!("failed to respawn worker {worker}: {e}"),
-        }
-        killed
+    /// The caller is responsible for sweeping the executors the dead
+    /// incarnation hosted. On `Err` the respawn failed and the slot is down:
+    /// requests to it fail at once, and the next call (the heartbeat makes
+    /// one every sweep) tries the spawn again.
+    pub fn kill9(&self, worker: usize) -> Result<(), String> {
+        let slot = &self.slots[worker];
+        let mut process = slot.process.lock();
+        process.child.kill().ok();
+        process.child.wait().ok();
+        slot.client.retarget(None);
+        let (child, addr) = Self::spawn_child(&self.bin)?;
+        process.child = child;
+        process.incarnation += 1;
+        slot.client.retarget(Some(addr));
+        Ok(())
     }
 
     fn incarnation(&self, worker: usize) -> u64 {
-        self.slots[worker].lock().incarnation
+        self.slots[worker].process.lock().incarnation
     }
 }
 
@@ -500,9 +627,9 @@ impl Drop for WorkerGroup {
             }
         }
         for slot in &self.slots {
-            let mut slot = slot.lock();
-            slot.child.kill().ok();
-            slot.child.wait().ok();
+            let mut process = slot.process.lock();
+            process.child.kill().ok();
+            process.child.wait().ok();
         }
     }
 }
@@ -529,7 +656,7 @@ fn heartbeat_loop(group: Weak<WorkerGroup>) {
             }
             for (worker, last) in last_ok.iter_mut().enumerate() {
                 let before = group.incarnation(worker);
-                if group.client_for(worker).ping().is_ok() {
+                if group.slots[worker].client.ping().is_ok() {
                     *last = Instant::now();
                     continue;
                 }
@@ -538,9 +665,9 @@ fn heartbeat_loop(group: Weak<WorkerGroup>) {
                 }
                 // Deadline blown: the worker is dead. Respawn it unless
                 // someone (an explicit kill, chaos) already did while we
-                // were pinging.
-                if group.incarnation(worker) == before {
-                    group.kill9(worker);
+                // were pinging. A failed respawn leaves `last` stale, so the
+                // next sweep tries again.
+                if group.incarnation(worker) == before && group.kill9(worker).is_ok() {
                     *last = Instant::now();
                     let cb = group.on_lost.lock();
                     if let Some(f) = cb.as_ref() {
@@ -556,14 +683,26 @@ fn heartbeat_loop(group: Weak<WorkerGroup>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Boot an in-process worker (same serve loop as the binary) and return
-    /// a client for it.
-    fn local_worker() -> WorkerClient {
+    /// Boot an in-process worker (same serve loop as the binary).
+    fn local_worker_addr() -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || serve_worker(listener));
+        addr
+    }
+
+    fn client_for(addr: SocketAddr) -> WorkerClient {
         WorkerClient::new(addr, Duration::from_millis(500), Duration::from_millis(500))
+    }
+
+    fn local_worker() -> WorkerClient {
+        client_for(local_worker_addr())
+    }
+
+    fn frame_of(text: &str) -> Vec<u8> {
+        wire::encode_frame(&text.to_string())
     }
 
     #[test]
@@ -580,11 +719,11 @@ mod tests {
     #[test]
     fn drop_shuffle_clears_only_that_shuffle() {
         let client = local_worker();
-        client.put(1, 0, 0, b"one".to_vec()).unwrap();
-        client.put(2, 0, 0, b"two".to_vec()).unwrap();
+        client.put(1, 0, 0, frame_of("one")).unwrap();
+        client.put(2, 0, 0, frame_of("two")).unwrap();
         client.drop_shuffle(1).unwrap();
         assert_eq!(client.get(1, 0, 0).unwrap(), None);
-        assert_eq!(client.get(2, 0, 0).unwrap(), Some(b"two".to_vec()));
+        assert_eq!(client.get(2, 0, 0).unwrap(), Some(frame_of("two")));
     }
 
     #[test]
@@ -592,43 +731,220 @@ mod tests {
         // A resubmitted map task re-PUTs its bucket; the store must keep the
         // newest bytes rather than erroring or duplicating.
         let client = local_worker();
-        client.put(3, 1, 1, b"old".to_vec()).unwrap();
-        client.put(3, 1, 1, b"new".to_vec()).unwrap();
-        assert_eq!(client.get(3, 1, 1).unwrap(), Some(b"new".to_vec()));
+        client.put(3, 1, 1, frame_of("old")).unwrap();
+        client.put(3, 1, 1, frame_of("new")).unwrap();
+        assert_eq!(client.get(3, 1, 1).unwrap(), Some(frame_of("new")));
     }
 
     #[test]
-    fn malformed_request_gets_error_status_and_connection_survives() {
-        let client = local_worker();
-        // Opcode with a garbage body: the worker answers ST_ERR (surfaced as
-        // an Err by the typed client) instead of dying.
-        let listener_alive = || client.ping().is_ok();
-        let mut stream =
-            TcpStream::connect_timeout(&client.addr, Duration::from_millis(500)).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        wire::write_frame_bytes(&mut stream, &[OP_PUT, 0xde, 0xad]).unwrap();
-        let resp = wire::read_frame_bytes(&mut stream, wire::MAX_PAYLOAD).unwrap();
-        assert_eq!(resp, vec![ST_ERR]);
-        // Unknown opcode too.
-        wire::write_frame_bytes(&mut stream, &[0x7f]).unwrap();
-        let resp = wire::read_frame_bytes(&mut stream, wire::MAX_PAYLOAD).unwrap();
-        assert_eq!(resp, vec![ST_ERR]);
-        assert!(listener_alive());
+    fn a_thousand_requests_share_one_connection() {
+        // Count the connections the worker accepts: a sequential caller must
+        // stay on the one it opened first.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = client_for(listener.local_addr().unwrap());
+        let accepted = Arc::new(AtomicU64::new(0));
+        let counter = accepted.clone();
+        std::thread::spawn(move || {
+            let store = Arc::new(WorkerStore::default());
+            for stream in listener.incoming().flatten() {
+                counter.fetch_add(1, Ordering::SeqCst);
+                let store = store.clone();
+                std::thread::spawn(move || serve_connection(&store, stream));
+            }
+        });
+        let frame = wire::encode_frame(&vec![0.5f64; 512]);
+        for i in 0..250 {
+            client.put(1, i, 0, frame.clone()).unwrap();
+            assert_eq!(client.get(1, i, 0).unwrap().as_ref(), Some(&frame));
+            assert_eq!(client.get(2, i, 0).unwrap(), None);
+            client.ping().unwrap();
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+        assert_eq!(client.target.lock().idle.len(), 1);
     }
 
     #[test]
-    fn corrupt_frame_disconnects_without_killing_listener() {
+    fn retargeted_client_reconnects_and_never_reads_the_old_worker() {
+        // What a respawn does to the slot's client: same client, new address.
+        // A stream to the old worker — idle in the pool, or checked out across
+        // the switch — must not serve the next request: the old worker still
+        // has the block, the new one must answer NOT_FOUND.
         let client = local_worker();
-        let mut stream =
-            TcpStream::connect_timeout(&client.addr, Duration::from_millis(500)).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(500)))
+        client
+            .put(5, 0, 0, frame_of("held by the old worker"))
             .unwrap();
-        stream.write_all(b"not a frame at all").unwrap();
-        drop(stream);
-        // The poisoned connection is closed; fresh connections still work.
+        let in_flight = client.target.lock().idle.pop().unwrap();
+        client
+            .put(5, 0, 1, frame_of("opens a second stream"))
+            .unwrap();
+        client.retarget(Some(local_worker_addr()));
+        client.check_in(in_flight);
+        assert!(client.target.lock().idle.is_empty());
+        assert_eq!(client.get(5, 0, 0).unwrap(), None);
+        client.retarget(None);
+        assert!(client.ping().unwrap_err().contains("down"));
+    }
+
+    #[test]
+    fn stale_pooled_stream_is_retried_once_on_a_fresh_connection() {
+        // The worker hangs up on an idle stream (what a kill -9 looks like
+        // from here): the next request must notice at once and reconnect.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = client_for(listener.local_addr().unwrap());
+        let store = Arc::new(WorkerStore::default());
+        let serve_one_request = |store: &Arc<WorkerStore>| {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request = recv_message(&mut stream).unwrap();
+            let (status, _) = store.handle(request);
+            send_message(&mut stream, status, [0; 3], &[]).unwrap();
+            // Dropping the stream closes it under the client's pool.
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                serve_one_request(&store);
+                serve_one_request(&store);
+            });
+            client.put(9, 0, 0, frame_of("first")).unwrap();
+            assert_eq!(client.target.lock().idle.len(), 1);
+            let started = Instant::now();
+            client.put(9, 0, 1, frame_of("second")).unwrap();
+            assert!(started.elapsed() < client.io_timeout);
+        });
+        assert_eq!(store.blocks.lock().len(), 2);
+    }
+
+    #[test]
+    fn garbled_frame_is_refused_at_ingest_and_connection_survives() {
+        let client = local_worker();
+        let good = wire::encode_frame(&vec![1.0f64, 2.0, 3.0]);
+        let mut garbled = good.clone();
+        *garbled.last_mut().unwrap() ^= 0x40;
+        let mut padded = good.clone();
+        padded.push(0);
+        for bad in [garbled, padded, good[..good.len() - 1].to_vec(), Vec::new()] {
+            let err = client.put(4, 0, 0, bad).unwrap_err();
+            assert!(err.contains("put rejected"), "{err}");
+        }
+        assert_eq!(client.get(4, 0, 0).unwrap(), None);
+        // Every refusal left its stream in step: still the first connection.
+        client.put(4, 0, 0, good.clone()).unwrap();
+        assert_eq!(client.get(4, 0, 0).unwrap(), Some(good));
+        assert_eq!(client.target.lock().idle.len(), 1);
+    }
+
+    #[test]
+    fn unknown_and_retired_opcodes_get_error_status_and_connection_survives() {
+        let client = local_worker();
+        let mut stream = client.connect().unwrap();
+        // 0–3 are the retired layout's opcodes; a GET with a body is malformed.
+        for (code, body) in [(0u8, &b""[..]), (3, b""), (0x7f, b""), (OP_GET, b"body")] {
+            send_message(&mut stream, code, [1, 2, 3], body).unwrap();
+            let reply = recv_message(&mut stream).unwrap();
+            assert_eq!((reply.code, reply.body.len()), (ST_ERR, 0));
+        }
+        send_message(&mut stream, OP_PING, [0; 3], &[]).unwrap();
+        assert_eq!(recv_message(&mut stream).unwrap().code, ST_OK);
+    }
+
+    #[test]
+    fn unverifiable_head_disconnects_without_killing_listener() {
+        let client = local_worker();
+        let send_raw = |bytes: &[u8]| {
+            let mut stream = client.connect().unwrap();
+            stream.write_all(bytes).unwrap();
+            // The worker hangs up rather than answer.
+            let mut rest = Vec::new();
+            assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0);
+        };
+        send_raw(b"not a frame at all, but long enough to fill a head");
+        // A well-formed frame of the wrong length is not a head either (the
+        // retired layout's one-byte PING).
+        send_raw(&wire::frame_bytes(&[3]));
+        // A head whose CRC does not cover what it says.
+        let mut message = Vec::new();
+        send_message(&mut message, OP_GET, [1, 2, 3], &[]).unwrap();
+        message[wire::HEADER_LEN + 1] ^= 1;
+        send_raw(&message);
+        // Fresh connections still work.
         client.ping().unwrap();
+    }
+
+    #[test]
+    fn head_announcing_more_than_follows_or_than_the_cap_is_an_error() {
+        let mut message = Vec::new();
+        send_message(&mut message, OP_PUT, [1, 2, 3], &frame_of("bucket")).unwrap();
+        for cut in 0..message.len() {
+            assert_eq!(
+                recv_message(&mut &message[..cut]).err(),
+                Some(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // Forge a head (valid CRC) announcing a body over the cap: refused
+        // before any allocation.
+        let mut head = [0u8; HEAD_LEN];
+        head[0] = OP_PUT;
+        head[25..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let forged = wire::frame_bytes(&head);
+        assert!(matches!(
+            recv_message(&mut forged.as_slice()),
+            Err(WireError::Oversized(_))
+        ));
+    }
+
+    proptest! {
+        /// The message parser on arbitrary bytes — raw, behind a valid frame
+        /// header, and as a valid head followed by the wrong amount of body:
+        /// an error or a message, never a panic.
+        #[test]
+        fn prop_recv_message_never_panics(
+            data in proptest::collection::vec(0u8..=255, 0..128),
+            announced in 0u32..4096,
+        ) {
+            let _ = recv_message(&mut data.as_slice());
+            let _ = recv_message(&mut wire::frame_bytes(&data).as_slice());
+            let mut head = [0u8; HEAD_LEN];
+            for (h, d) in head.iter_mut().zip(&data) {
+                *h = *d;
+            }
+            head[25..].copy_from_slice(&announced.to_le_bytes());
+            let mut stream = wire::frame_bytes(&head);
+            stream.extend_from_slice(&data);
+            match recv_message(&mut stream.as_slice()) {
+                Ok(message) => prop_assert_eq!(message.body.len(), announced as usize),
+                Err(e) => prop_assert_eq!(e, WireError::Truncated),
+            }
+        }
+
+        /// `WorkerStore::handle` on arbitrary requests: always a status, a
+        /// body only for a GET hit, and only intact frames ever get stored.
+        #[test]
+        fn prop_store_handle_never_panics(
+            requests in proptest::collection::vec(
+                (0u8..10, 0u64..3, proptest::collection::vec(0u8..=255, 0..64), 0usize..4),
+                1..32,
+            ),
+        ) {
+            let store = WorkerStore::default();
+            for (code, id, bytes, shape) in requests {
+                let body = match shape {
+                    0 => Vec::new(),
+                    1 => bytes,
+                    2 => wire::frame_bytes(&bytes),
+                    _ => {
+                        let mut framed = wire::frame_bytes(&bytes);
+                        let at = id as usize % framed.len();
+                        framed[at] ^= 0x10;
+                        framed
+                    }
+                };
+                let (status, frame) = store.handle(Message { code, ids: [id, 0, 0], body });
+                prop_assert!(status <= ST_ERR);
+                prop_assert_eq!(frame.is_some(), code == OP_GET && status == ST_OK);
+            }
+            for frame in store.blocks.lock().values() {
+                prop_assert!(wire::unframe_bytes(frame).is_ok());
+            }
+        }
     }
 }

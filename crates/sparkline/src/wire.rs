@@ -25,7 +25,7 @@
 //! misdecoding.
 
 use crate::storage::SpillCodec;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Frame magic: identifies a sparkline wire frame.
 pub const MAGIC: [u8; 4] = *b"SPKL";
@@ -90,11 +90,16 @@ impl From<std::io::Error> for WireError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, built at compile time — no dependencies.
+// CRC-32 (IEEE 802.3), slicing-by-16, tables built at compile time — no
+// dependencies.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, which lets one step fold
+/// 16 input bytes with 16 independent lookups instead of a 16-long dependent
+/// chain.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -107,17 +112,37 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32/IEEE of `bytes` (the classic zlib/`cksum -o 3` polynomial).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    for chunk in chunks {
+        let state = c.to_le_bytes();
+        let mut next = 0;
+        for (i, &b) in chunk.iter().enumerate() {
+            let b = if i < 4 { b ^ state[i] } else { b };
+            next ^= CRC_TABLES[15 - i][b as usize];
+        }
+        c = next;
+    }
+    for &b in tail {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -128,13 +153,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Wrap already-encoded payload bytes in a frame.
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&[0; HEADER_LEN]);
     out.extend_from_slice(payload);
+    seal_frame(out)
+}
+
+/// Fill in the header reserved at the front of `out` for the payload that
+/// follows it — the one place the header layout is written.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let payload = &out[HEADER_LEN..];
+    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[..4].copy_from_slice(&MAGIC);
+    out[4] = VERSION;
+    out[5..9].copy_from_slice(&len.to_le_bytes());
+    out[9..13].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -176,21 +210,29 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 // Typed frames over SpillCodec.
 // ---------------------------------------------------------------------------
 
-/// Encode a value as one self-contained frame.
+/// Encode a value as one self-contained frame: one allocation of the exact
+/// frame length, the value encoded in place behind a reserved header.
 pub fn encode_frame<T: SpillCodec>(value: &T) -> Vec<u8> {
-    let mut payload = Vec::new();
-    value.encode(&mut payload);
-    debug_assert_eq!(payload.len(), value.encoded_len());
-    frame_bytes(&payload)
+    let mut out = Vec::with_capacity(HEADER_LEN + value.encoded_len());
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    value.encode(&mut out);
+    debug_assert_eq!(out.len(), HEADER_LEN + value.encoded_len());
+    seal_frame(out)
 }
 
-/// Decode one frame holding a `T`. The whole buffer must be exactly one
-/// frame; trailing bytes are corruption (a concatenated or padded file).
-pub fn decode_frame<T: SpillCodec>(buf: &[u8]) -> Result<T, WireError> {
+/// Validate a buffer that must be exactly one frame — trailing bytes are
+/// corruption (a concatenated or padded file) — and return its payload.
+pub fn unframe_exact(buf: &[u8]) -> Result<&[u8], WireError> {
     let (payload, consumed) = unframe_bytes(buf)?;
     if consumed != buf.len() {
         return Err(WireError::Decode);
     }
+    Ok(payload)
+}
+
+/// Decode one frame holding a `T`; the whole buffer must be that frame.
+pub fn decode_frame<T: SpillCodec>(buf: &[u8]) -> Result<T, WireError> {
+    let payload = unframe_exact(buf)?;
     let mut pos = 0;
     let value = T::decode(payload, &mut pos).ok_or(WireError::Decode)?;
     if pos != payload.len() {
@@ -209,19 +251,6 @@ pub fn encoded_len<T: SpillCodec>(value: &T) -> u64 {
 // ---------------------------------------------------------------------------
 // Stream helpers (sockets, files).
 // ---------------------------------------------------------------------------
-
-/// Write one frame around `payload` to a stream.
-pub fn write_frame_bytes<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[9..13].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    Ok(())
-}
 
 /// Read one frame from a stream, returning the verified payload bytes.
 ///
@@ -253,7 +282,7 @@ pub fn read_frame_bytes<R: Read>(r: &mut R, limit: usize) -> Result<Vec<u8>, Wir
 
 /// `read_exact` that maps a clean EOF to [`WireError::Truncated`] (a peer
 /// hanging up mid-frame is corruption, not an I/O failure).
-fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
+pub(crate) fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
     match r.read_exact(buf) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(WireError::Truncated),
@@ -266,12 +295,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The oracle: the polynomial division itself, one bit at a time, with
+    /// no table in common with [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
+            }
+        }
+        c ^ 0xffff_ffff
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        for crc in [crc32, crc32_bitwise] {
+            assert_eq!(crc(b"123456789"), 0xcbf4_3926);
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"a"), 0xe8b7_be43);
+            // Longer than one 16-byte step, with a tail.
+            assert_eq!(
+                crc(b"The quick brown fox jumps over the lazy dog"),
+                0x414f_a339
+            );
+        }
     }
 
     #[test]
@@ -335,8 +384,7 @@ mod tests {
     #[test]
     fn stream_round_trip_and_limit() {
         let payload = b"some shuffle bucket".to_vec();
-        let mut buf = Vec::new();
-        write_frame_bytes(&mut buf, &payload).unwrap();
+        let buf = frame_bytes(&payload);
         let back = read_frame_bytes(&mut buf.as_slice(), MAX_PAYLOAD).unwrap();
         assert_eq!(back, payload);
         let err = read_frame_bytes(&mut buf.as_slice(), 4).unwrap_err();
@@ -345,8 +393,7 @@ mod tests {
 
     #[test]
     fn stream_eof_mid_frame_is_truncated() {
-        let mut buf = Vec::new();
-        write_frame_bytes(&mut buf, b"0123456789").unwrap();
+        let buf = frame_bytes(b"0123456789");
         for cut in 0..buf.len() {
             let err = read_frame_bytes(&mut &buf[..cut], MAX_PAYLOAD).unwrap_err();
             assert_eq!(err, WireError::Truncated, "cut at {cut}");
@@ -354,6 +401,38 @@ mod tests {
     }
 
     proptest! {
+        /// The sliced CRC is the bitwise one at every length (whole steps,
+        /// tails, empty) and every start alignment.
+        #[test]
+        fn prop_crc32_matches_bitwise_oracle(
+            data in proptest::collection::vec(0u8..=255, 0..4096 + 8),
+        ) {
+            for offset in 0..8.min(data.len() + 1) {
+                prop_assert_eq!(crc32(&data[offset..]), crc32_bitwise(&data[offset..]));
+            }
+        }
+
+        /// `read_frame_bytes` on arbitrary bytes: an error or a payload,
+        /// never a panic, and never an allocation past the caller's limit.
+        #[test]
+        fn prop_read_frame_bytes_never_panics(
+            data in proptest::collection::vec(0u8..=255, 0..256),
+            valid_prefix in 0usize..3,
+            limit in 0usize..64,
+        ) {
+            // Salt in streams that get past the magic and version checks.
+            let mut stream = match valid_prefix {
+                0 => Vec::new(),
+                1 => MAGIC.to_vec(),
+                _ => [&MAGIC[..], &[VERSION]].concat(),
+            };
+            stream.extend_from_slice(&data);
+            if let Ok(payload) = read_frame_bytes(&mut stream.as_slice(), limit) {
+                prop_assert!(payload.len() <= limit);
+            }
+            let _ = unframe_bytes(&stream);
+        }
+
         /// Round trip for arbitrary payloads, through both the slice and the
         /// stream paths.
         #[test]
