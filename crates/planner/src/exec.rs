@@ -1,14 +1,18 @@
 //! Plan execution on the `sparkline` runtime.
 
+use crate::analysis::Aggregate;
 use crate::env::{DistArray, PlanEnv};
-use crate::plan::{GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, Planned};
-use crate::scalar::ScalarFn;
-use crate::stage;
+use crate::plan::{
+    strategy_row, GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, PlanDecision, Planned,
+    StrategyRow,
+};
+use crate::scalar::{IdxFn, ScalarFn};
+use crate::stage::{self, StageFrontier};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
-use sparkline::{Context, Data, Dataset, Event, PartitionStream, SpillCodec};
+use sparkline::{Context, Data, Dataset, Event, KeyPartitioner, PartitionStream, SpillCodec};
 use std::collections::HashMap;
 use std::hash::Hash;
 use tiled::fused::FusedProgram;
@@ -106,11 +110,6 @@ pub fn execute(
         program,
         region_ops,
         ..
-    }
-    | Plan::VectorEltwise {
-        inputs,
-        program,
-        region_ops,
     } = &planned.plan
     {
         ctx.emit_event(|at_micros| Event::RegionFused {
@@ -191,6 +190,7 @@ fn persist_shared_inputs(plan: &Plan, env: &PlanEnv) -> Option<PlanEnv> {
     Some(overlay_env)
 }
 
+/// Match the plan node once and hand its fields to the node's lowering.
 fn execute_untagged(
     planned: &Planned,
     env: &PlanEnv,
@@ -198,30 +198,81 @@ fn execute_untagged(
     config: &PlanConfig,
 ) -> Result<ExecResult, CompError> {
     match (&planned.plan, &planned.output) {
-        (Plan::FusedEltwise { .. }, OutputKind::Matrix { rows, cols }) => {
-            exec_fused_eltwise(&planned.plan, env, config, *rows, *cols).map(ExecResult::Matrix)
-        }
-        (Plan::Contraction { .. }, OutputKind::Matrix { rows, cols }) => {
-            exec_contraction(&planned.plan, env, ctx, config, *rows, *cols).map(ExecResult::Matrix)
-        }
-        (Plan::IndexRemap { .. }, OutputKind::Matrix { rows, cols }) => {
-            exec_index_remap(&planned.plan, env, ctx, config, *rows, *cols).map(ExecResult::Matrix)
-        }
-        (Plan::GroupByAggregate { .. }, OutputKind::Matrix { rows, cols }) => {
-            exec_group_aggregate_matrix(&planned.plan, env, ctx, config, *rows, *cols)
-                .map(ExecResult::Matrix)
-        }
-        (Plan::AxisReduce { .. }, OutputKind::Vector { len }) => {
-            exec_axis_reduce(&planned.plan, env, config, *len).map(ExecResult::Vector)
-        }
-        (Plan::MatVec { .. }, OutputKind::Vector { len }) => {
-            exec_mat_vec(&planned.plan, env, ctx, config, *len).map(ExecResult::Vector)
-        }
-        (Plan::VectorEltwise { .. }, OutputKind::Vector { len }) => {
-            exec_vector_eltwise(&planned.plan, env, config, *len).map(ExecResult::Vector)
-        }
-        (Plan::GroupByAggregate { .. }, OutputKind::Vector { len }) => {
-            exec_group_aggregate_vector(&planned.plan, env, config, *len).map(ExecResult::Vector)
+        (
+            Plan::FusedEltwise {
+                inputs,
+                transposed,
+                program,
+                ..
+            },
+            output,
+        ) => exec_fused_eltwise(env, config, inputs, *transposed, program, output),
+        (
+            Plan::Contraction {
+                left,
+                right,
+                left_contract_row,
+                right_contract_col,
+                swap_output,
+                value,
+                strategy,
+                decision,
+            },
+            output,
+        ) => exec_contraction(
+            env,
+            ctx,
+            config,
+            (left, *left_contract_row),
+            (right, *right_contract_col),
+            *swap_output,
+            value,
+            (*strategy, decision),
+            output,
+        ),
+        (
+            Plan::IndexRemap {
+                input,
+                fi,
+                fj,
+                value,
+            },
+            &OutputKind::Matrix { rows, cols },
+        ) => exec_index_remap(env, config, input, (fi, fj), value, (rows, cols))
+            .map(ExecResult::Matrix),
+        (
+            Plan::AxisReduce {
+                input,
+                by_row,
+                monoid,
+                value,
+            },
+            &OutputKind::Vector { len },
+        ) => exec_axis_reduce(env, config, input, *by_row, *monoid, value, len)
+            .map(ExecResult::Vector),
+        (
+            Plan::GroupByAggregate {
+                input,
+                gen_vars,
+                inner_quals,
+                key,
+                key_expr,
+                aggregates,
+                finalizer,
+            },
+            output,
+        ) => {
+            let m = matrix_input(env, input)?;
+            let fold = GroupFold::lower(
+                env,
+                gen_vars,
+                inner_quals,
+                key,
+                key_expr,
+                aggregates,
+                finalizer,
+            )?;
+            exec_group_aggregate(m, fold, config, output)
         }
         (Plan::LocalFallback { expr }, output) => exec_local(expr, env, ctx, config, output),
         (plan, output) => Err(CompError::plan(format!(
@@ -231,68 +282,73 @@ fn execute_untagged(
     }
 }
 
+/// `dims`, swapped when `swap`.
+fn swapped<T>(dims: (T, T), swap: bool) -> (T, T) {
+    if swap {
+        (dims.1, dims.0)
+    } else {
+        dims
+    }
+}
+
+fn local_output() -> CompError {
+    CompError::plan("only the local fallback produces a local value")
+}
+
 fn matrix_input<'a>(env: &'a PlanEnv, name: &str) -> Result<&'a TiledMatrix, CompError> {
     env.array(name)
         .and_then(DistArray::as_matrix)
         .ok_or_else(|| CompError::plan(format!("`{name}` is not a registered tiled matrix")))
 }
 
-/// Validated elementwise inputs: the co-indexed tile join plus its shape.
-struct EltwiseInputs {
-    joined: Dataset<(TileCoord, Vec<DenseMatrix>)>,
-    /// Tile size.
-    n: usize,
-    /// Logical input shape (pre-transpose).
-    in_rows: i64,
-    in_cols: i64,
-    /// Input count.
-    k: usize,
+fn vector_input<'a>(env: &'a PlanEnv, name: &str) -> Result<&'a TiledVector, CompError> {
+    env.array(name)
+        .and_then(DistArray::as_vector)
+        .ok_or_else(|| CompError::plan(format!("`{name}` is not a registered tiled vector")))
 }
 
-/// Resolve, validate, and cogroup-join the inputs of an elementwise plan on
-/// tile coordinates, using the grid partitioner of the output shape: inputs
-/// registered grid-partitioned (mllib-style) cogroup narrowly, so e.g.
-/// matrix addition runs with zero shuffle stages. Tile coordinates are
-/// unique per matrix, so each cogroup side holds at most one tile — popping
-/// it moves the buffer instead of cloning a join pair. All per-key steps
-/// preserve partitioning, keeping later cogroups in the chain narrow too.
-fn join_eltwise_inputs(
-    inputs: &[String],
-    transposed: bool,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<EltwiseInputs, CompError> {
-    let mats: Vec<&TiledMatrix> = inputs
-        .iter()
-        .map(|n| matrix_input(env, n))
-        .collect::<Result<_, _>>()?;
-    let first = mats[0];
-    let n = first.tile_size();
-    for m in &mats {
-        if !m.same_shape(first) {
-            return Err(CompError::plan(
-                "element-wise inputs must have identical dimensions and tiling",
-            ));
+/// Visit every valid (non-padding) element of tile `(bi, bj)` of an array of
+/// logical extent `(rows, cols)` in row-major order, as its in-tile and its
+/// global coordinates: `f(ti, tj, gi, gj)`.
+fn for_each_valid(
+    n: usize,
+    (bi, bj): TileCoord,
+    (rows, cols): (i64, i64),
+    mut f: impl FnMut(usize, usize, i64, i64),
+) {
+    for ti in 0..n {
+        let gi = bi * n as i64 + ti as i64;
+        if gi >= rows {
+            break;
+        }
+        for tj in 0..n {
+            let gj = bj * n as i64 + tj as i64;
+            if gj >= cols {
+                break;
+            }
+            f(ti, tj, gi, gj);
         }
     }
-    let (in_rows, in_cols) = (first.rows(), first.cols());
-    let expected = if transposed {
-        (in_cols, in_rows)
-    } else {
-        (in_rows, in_cols)
-    };
-    if expected != (rows, cols) {
-        return Err(CompError::plan(format!(
-            "builder dimensions ({rows},{cols}) do not match input dimensions {expected:?}"
-        )));
-    }
-    let grid = first.grid_partitioner(config.partitions);
-    let mut joined: Dataset<(TileCoord, Vec<DenseMatrix>)> = first.tiles().map_values(|t| vec![t]);
-    for m in &mats[1..] {
+}
+
+/// Cogroup-join co-indexed block sets on their keys with `partitioner`:
+/// inputs already partitioned by it (mllib-style grid registration) cogroup
+/// narrowly, so e.g. matrix addition runs with zero shuffle stages. Keys are
+/// unique per input, so each cogroup side holds at most one block — popping
+/// it moves the buffer instead of cloning a join pair. All per-key steps
+/// preserve partitioning, keeping later cogroups in the chain narrow too.
+fn join_coindexed<K, T>(
+    inputs: &[&Dataset<(K, T)>],
+    partitioner: KeyPartitioner<K>,
+) -> Dataset<(K, Vec<T>)>
+where
+    K: Data + Hash + Eq + SpillCodec,
+    T: Data + SpillCodec,
+{
+    let mut joined: Dataset<(K, Vec<T>)> = inputs[0].map_values(|t| vec![t]);
+    for input in &inputs[1..] {
         joined = joined
-            .cogroup_with(m.tiles(), grid.clone())
+            .cogroup_with(input, partitioner.clone())
             // Inner-join semantics: unmatched coordinates drop.
             .filter(|(_, (accs, ts))| !accs.is_empty() && !ts.is_empty())
             .map_values(|(mut accs, mut ts)| {
@@ -301,13 +357,7 @@ fn join_eltwise_inputs(
                 acc
             });
     }
-    Ok(EltwiseInputs {
-        joined,
-        n,
-        in_rows,
-        in_cols,
-        k: mats.len(),
-    })
+    joined
 }
 
 /// Run a fused region over one tile. `shape` is the tile's `(rows, cols)` —
@@ -354,236 +404,332 @@ fn fused_tile(
     data
 }
 
-/// §5.1: join co-indexed tile sets and run the whole region as one
-/// `tiled::kernel::fused_eltwise` pass per tile. The tile map carries the
-/// `fused_eltwise` operator label so traces attribute the region to exactly
-/// one operator.
+/// §5.1 / rule 17: join the co-indexed block sets and run the whole region
+/// as one `tiled::kernel::fused_eltwise` pass per block — an `n x n` matrix
+/// tile (joined on the grid partitioner of the output shape) or an `n x 1`
+/// vector block. The block map carries the `fused_eltwise` operator label so
+/// traces attribute the region to exactly one operator.
 fn exec_fused_eltwise(
-    plan: &Plan,
     env: &PlanEnv,
     config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<TiledMatrix, CompError> {
-    let Plan::FusedEltwise {
-        inputs,
-        transposed,
-        program,
-        ..
-    } = plan
-    else {
-        unreachable!()
-    };
-    let EltwiseInputs {
-        joined,
-        n,
-        in_rows,
-        in_cols,
-        k,
-    } = join_eltwise_inputs(inputs, *transposed, env, config, rows, cols)?;
-
-    let program = program.clone();
-    let transposed = *transposed;
-    let backend = Backend::active();
-    let tiles = joined.map_named("fused_eltwise", move |((bi, bj), ts)| {
-        debug_assert_eq!(ts.len(), k, "join dropped an input tile");
-        let bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
-        let origin = (bi * n as i64, bj * n as i64);
-        let data = fused_tile(&program, &bufs, (n, n), origin, (in_rows, in_cols), backend);
-        let out = DenseMatrix::from_vec(n, n, data);
-        if transposed {
-            ((bj, bi), out.transpose())
-        } else {
-            ((bi, bj), out)
+    inputs: &[String],
+    transposed: bool,
+    program: &FusedProgram,
+    output: &OutputKind,
+) -> Result<ExecResult, CompError> {
+    let (program, backend, k) = (program.clone(), Backend::active(), inputs.len());
+    match *output {
+        OutputKind::Matrix { rows, cols } => {
+            let mats: Vec<&TiledMatrix> = inputs
+                .iter()
+                .map(|name| matrix_input(env, name))
+                .collect::<Result<_, _>>()?;
+            let first = mats[0];
+            if mats.iter().any(|m| !m.same_shape(first)) {
+                return Err(CompError::plan(
+                    "element-wise inputs must have identical dimensions and tiling",
+                ));
+            }
+            let n = first.tile_size();
+            let extent = (first.rows(), first.cols());
+            let expected = swapped(extent, transposed);
+            if expected != (rows, cols) {
+                return Err(CompError::plan(format!(
+                    "builder dimensions ({rows},{cols}) do not match input dimensions {expected:?}"
+                )));
+            }
+            let sets: Vec<_> = mats.iter().map(|m| m.tiles()).collect();
+            let tiles = join_coindexed(&sets, first.grid_partitioner(config.partitions)).map_named(
+                "fused_eltwise",
+                move |((bi, bj), ts)| {
+                    debug_assert_eq!(ts.len(), k, "join dropped an input tile");
+                    let bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
+                    let origin = (bi * n as i64, bj * n as i64);
+                    let data = fused_tile(&program, &bufs, (n, n), origin, extent, backend);
+                    let out = DenseMatrix::from_vec(n, n, data);
+                    let out = if transposed { out.transpose() } else { out };
+                    (swapped((bi, bj), transposed), out)
+                },
+            );
+            Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
-    });
-    Ok(TiledMatrix::new(rows, cols, n, tiles))
+        OutputKind::Vector { len } => {
+            let vecs: Vec<&TiledVector> = inputs
+                .iter()
+                .map(|name| vector_input(env, name))
+                .collect::<Result<_, _>>()?;
+            let n = vecs[0].block_size();
+            if vecs.iter().any(|v| v.len() != len || v.block_size() != n) {
+                return Err(CompError::plan(format!(
+                    "element-wise vector inputs must have the builder's length {len} and one blocking"
+                )));
+            }
+            let sets: Vec<_> = vecs.iter().map(|v| v.blocks()).collect();
+            let blocks = join_coindexed(&sets, KeyPartitioner::hash(config.partitions)).map_named(
+                "fused_eltwise",
+                move |(b, parts)| {
+                    debug_assert_eq!(parts.len(), k, "join dropped an input block");
+                    let bufs: Vec<&[f64]> = parts.iter().map(|p| p.as_slice()).collect();
+                    let origin = (b * n as i64, 0);
+                    let data = fused_tile(&program, &bufs, (n, 1), origin, (len, 1), backend);
+                    (b, data)
+                },
+            );
+            Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
+        }
+        OutputKind::Local => Err(local_output()),
+    }
 }
 
-/// Multiply two tiles with an arbitrary element combine (the general §5.3
-/// kernel); `valid_k` masks the zero-padding of the contracted dimension.
-fn general_tile_contract(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    value: &ScalarFn,
-    valid_k: usize,
-    out: &mut DenseMatrix,
-) {
-    let n = a.rows();
-    let mut slots = [0.0f64; 2];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = out.get(i, j);
-            for k in 0..valid_k {
-                slots[0] = a.get(i, k);
-                slots[1] = b.get(k, j);
-                acc += value.eval(&slots);
+/// How a contraction combines an element pair: `None` is the plain product,
+/// which runs on the tile kernels; any other `f(a, b)` is evaluated element
+/// by element.
+#[derive(Clone)]
+struct Combine {
+    general: Option<ScalarFn>,
+    /// Threads of the product kernel (the paper's `.par`).
+    threads: usize,
+}
+
+/// What the right operand and the output of a contraction are made of:
+/// `n x n` tiles keyed `(block row, block col)`, or — the `free-right = 1`
+/// case — length-`n` vector blocks keyed `(block, ())`. `()` encodes to zero
+/// bytes and hashes to nothing, so a `(k, ())` key shuffles exactly like the
+/// bare block index `k`.
+trait Block: Data + SpillCodec {
+    /// Block-column coordinate.
+    type Col: Data + SpillCodec + Hash + Eq + Copy;
+    fn zeros(n: usize) -> Self;
+    /// `self += a ⊗ b` under `combine`, in ascending contracted order;
+    /// `valid_k` masks the zero padding of the contracted dimension, which a
+    /// general combine would otherwise count.
+    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid_k: usize);
+    fn add_in_place(&mut self, other: &Self);
+}
+
+/// A block set keyed `(block row, block col)`.
+type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
+
+impl Block for DenseMatrix {
+    type Col = i64;
+
+    fn zeros(n: usize) -> Self {
+        DenseMatrix::zeros(n, n)
+    }
+
+    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid_k: usize) {
+        match &combine.general {
+            None if combine.threads > 1 => self.gemm_acc_parallel(a, b, combine.threads),
+            None => self.gemm_acc(a, b),
+            Some(value) => {
+                for i in 0..a.rows() {
+                    for j in 0..b.cols() {
+                        let mut acc = self.get(i, j);
+                        for k in 0..valid_k {
+                            acc += value.eval(&[a.get(i, k), b.get(k, j)]);
+                        }
+                        self.set(i, j, acc);
+                    }
+                }
             }
-            out.set(i, j, acc);
+        }
+    }
+
+    fn add_in_place(&mut self, other: &Self) {
+        DenseMatrix::add_in_place(self, other)
+    }
+}
+
+impl Block for Vec<f64> {
+    type Col = ();
+
+    fn zeros(n: usize) -> Self {
+        vec![0.0; n]
+    }
+
+    /// A block product is summed on its own and then added, so it is the
+    /// same number whether it seeds an accumulator or joins one.
+    fn acc(&mut self, a: &DenseMatrix, x: &Self, combine: &Combine, valid_k: usize) {
+        match &combine.general {
+            None => self.add_in_place(&a.matvec(x)),
+            Some(value) => {
+                for (r, y) in self.iter_mut().enumerate() {
+                    let mut product = 0.0;
+                    for (c, &xv) in x.iter().enumerate().take(valid_k) {
+                        product += value.eval(&[a.get(r, c), xv]);
+                    }
+                    *y += product;
+                }
+            }
+        }
+    }
+
+    fn add_in_place(&mut self, other: &Self) {
+        for (x, y) in self.iter_mut().zip(other) {
+            *x += y;
         }
     }
 }
 
-/// §5.3 (join + reduceByKey), §5.4 (group-by-join / SUMMA), and the
-/// MLlib-style broadcast join.
-fn exec_contraction(
-    plan: &Plan,
+/// A contraction node: §5.3 (join + reduceByKey), §5.4 (group-by-join /
+/// SUMMA), §4 (join + groupByKey) or the broadcast join, over a matrix or a
+/// vector right operand. Resolves and orients the operands, checks their
+/// dimensions, lets the stage driver re-decide, and lowers the table row
+/// that comes out.
+#[allow(clippy::too_many_arguments)]
+fn exec_contraction<'a>(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<TiledMatrix, CompError> {
-    let Plan::Contraction {
-        left,
-        right,
-        left_contract_row,
-        right_contract_col,
-        swap_output,
-        value,
-        strategy,
-        decision,
-    } = plan
-    else {
-        unreachable!()
+    (left, left_contract_row): (&'a str, bool),
+    (right, right_contract_col): (&'a str, bool),
+    swap_output: bool,
+    value: &ScalarFn,
+    (strategy, decision): (MatMulStrategy, &PlanDecision),
+    output: &OutputKind,
+) -> Result<ExecResult, CompError> {
+    let vector = matches!(output, OutputKind::Vector { .. });
+    let row = strategy_row(strategy, vector).ok_or_else(|| {
+        CompError::plan("contraction strategy must be resolved at plan time for its operand kind")
+    })?;
+    // The stage driver may re-decide row and partition count from the probed
+    // inputs before the remainder is lowered.
+    let operands = ((left, left_contract_row), (right, right_contract_col));
+    let adapt = |probe: &dyn Fn() -> Vec<(&'a str, StageFrontier)>| {
+        stage::adapt(env, ctx, config, probe, operands, row, decision)
     };
+    let combine = Combine {
+        general: (!value.is_product_of(0, 1)).then(|| value.clone()),
+        threads: config.tile_threads.max(1),
+    };
+
+    // Normalize to standard C = A'·B' with the contraction on A'.col / B'.row.
     let a0 = matrix_input(env, left)?;
-    let b0 = matrix_input(env, right)?;
-    if a0.tile_size() != b0.tile_size() {
-        return Err(CompError::plan("contraction inputs must share a tile size"));
-    }
-
-    // Adaptive stage driver: a shuffling auto-chosen contraction's inputs
-    // are this node's first materialization point. Probe them, overlay the
-    // measured stats, and let the cost model re-decide strategy and
-    // partition count before the remainder is lowered. A zero-shuffle
-    // broadcast choice has nothing left to save, and a pinned strategy must
-    // be honored — neither probes.
-    let (mut strategy, mut partitions) = (*strategy, config.partitions);
-    if decision.auto && strategy != MatMulStrategy::Broadcast {
-        (strategy, partitions) = stage::adapt_contraction(
-            env,
-            ctx,
-            config,
-            (left, a0),
-            (right, b0),
-            *left_contract_row,
-            *right_contract_col,
-            strategy,
-            decision,
-        );
-    }
-
-    // Normalize to standard C = A' * B' with contraction on A'.col / B'.row.
-    let a = if *left_contract_row {
+    let a = if left_contract_row {
         a0.transpose()
     } else {
         a0.clone()
     };
-    let b = if *right_contract_col {
-        b0.transpose()
-    } else {
-        b0.clone()
-    };
-    if a.cols() != b.rows() {
-        return Err(CompError::plan(format!(
-            "contraction inner dimensions differ: {} vs {}",
-            a.cols(),
-            b.rows()
-        )));
-    }
-    let std_dims = (a.rows(), b.cols());
-    let expected = if *swap_output {
-        (std_dims.1, std_dims.0)
-    } else {
-        std_dims
-    };
-    if expected != (rows, cols) {
-        return Err(CompError::plan(format!(
-            "builder dimensions ({rows},{cols}) do not match contraction output {expected:?}"
-        )));
-    }
-
     let n = a.tile_size();
-    let inner = a.cols();
-    let fast_gemm = value.is_product_of(0, 1);
-    let value = value.clone();
-    let threads = config.tile_threads.max(1);
-    let multiply = move |av: &DenseMatrix, bv: &DenseMatrix, bk: i64, out: &mut DenseMatrix| {
-        if fast_gemm {
-            if threads > 1 {
-                out.gemm_acc_parallel(av, bv, threads);
-            } else {
-                out.gemm_acc(av, bv);
-            }
-        } else {
-            let valid_k = ((inner - bk * n as i64).min(n as i64)).max(0) as usize;
-            general_tile_contract(av, bv, &value, valid_k, out);
+    // The dimension checks, once: the right operand as `(block size, rows,
+    // cols)` — a vector is a `len x 1` column — against the builder's dims.
+    let check = |(block, b_rows, b_cols): (usize, i64, i64), builder: (i64, i64)| {
+        if n != block {
+            return Err(CompError::plan("contraction inputs must share a tile size"));
         }
+        if a.cols() != b_rows {
+            return Err(CompError::plan(format!(
+                "contraction inner dimensions differ: {} vs {b_rows}",
+                a.cols()
+            )));
+        }
+        let expected = swapped((a.rows(), b_cols), swap_output);
+        if expected != builder {
+            return Err(CompError::plan(format!(
+                "builder dimensions {builder:?} do not match contraction output {expected:?}"
+            )));
+        }
+        Ok(())
     };
-
-    let std = lower_contraction(strategy, &a, &b, n, partitions, multiply, ctx)?;
-    let result = TiledMatrix::new(std_dims.0, std_dims.1, n, std);
-    Ok(if *swap_output {
-        result.transpose()
-    } else {
-        result
-    })
+    match *output {
+        OutputKind::Matrix { rows, cols } => {
+            let b0 = matrix_input(env, right)?;
+            let b = if right_contract_col {
+                b0.transpose()
+            } else {
+                b0.clone()
+            };
+            check((b.tile_size(), b.rows(), b.cols()), (rows, cols))?;
+            let (row, partitions) = adapt(&|| {
+                vec![
+                    (left, StageFrontier::matrix(a0)),
+                    (right, StageFrontier::matrix(b0)),
+                ]
+            });
+            let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
+            let b_cols = (0..b.block_cols()).collect();
+            let tiles = lower_contraction(row, &a, b.tiles(), b_cols, b_small, partitions, combine);
+            let result = TiledMatrix::new(a.rows(), b.cols(), n, tiles);
+            Ok(ExecResult::Matrix(if swap_output {
+                result.transpose()
+            } else {
+                result
+            }))
+        }
+        OutputKind::Vector { len } => {
+            let x = vector_input(env, right)?;
+            check((x.block_size(), x.len(), 1), (len, 1))?;
+            let (row, partitions) = adapt(&|| vec![(right, StageFrontier::vector(x))]);
+            let blocks = x.blocks().map(|(k, block)| ((k, ()), block));
+            let blocks = lower_contraction(row, &a, &blocks, vec![()], true, partitions, combine)
+                .map(|((i, ()), y)| (i, y));
+            Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
+        }
+        OutputKind::Local => Err(local_output()),
+    }
 }
 
-/// Lower one fully-resolved contraction strategy to its dataset DAG.
-/// `a`/`b` are already oriented standard (contraction on `a.col`/`b.row`);
-/// the caller has resolved `strategy` and `partitions` — at plan time or at
-/// the stage frontier, so a runtime strategy switch runs bit-identically to
-/// the same strategy chosen up front.
-fn lower_contraction(
-    strategy: MatMulStrategy,
+/// Lower one fully-resolved strategy-table row to its dataset DAG. `a` is
+/// already oriented standard (contraction on `a.col`); `b` is the oriented
+/// right operand: its blocks keyed `(contracted block, block col)`, every
+/// block col, and whether it is the smaller side. The caller has resolved
+/// `row` and `partitions` — at plan time or at the stage frontier, so a
+/// runtime strategy switch runs bit-identically to the same strategy chosen
+/// up front.
+fn lower_contraction<B: Block>(
+    row: &StrategyRow,
     a: &TiledMatrix,
-    b: &TiledMatrix,
-    n: usize,
+    b: &Blocks<B>,
+    b_cols: Vec<B::Col>,
+    b_small: bool,
     partitions: usize,
-    multiply: impl Fn(&DenseMatrix, &DenseMatrix, i64, &mut DenseMatrix) + Send + Sync + 'static,
-    ctx: &Context,
-) -> Result<Dataset<(TileCoord, DenseMatrix)>, CompError> {
-    let add_tiles = |acc: &mut DenseMatrix, t: DenseMatrix| acc.add_in_place(&t);
-    let std = match strategy {
-        MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey => {
-            // Join on the contracted block index, one partial product tile
+    combine: Combine,
+) -> Blocks<B> {
+    let (n, inner) = (a.tile_size(), a.cols());
+    let multiply = move |av: &DenseMatrix, bv: &B, k: i64, out: &mut B| {
+        let valid_k = (inner - k * n as i64).clamp(0, n as i64) as usize;
+        out.acc(av, bv, &combine, valid_k);
+    };
+    let add_blocks = |acc: &mut B, t: B| acc.add_in_place(&t);
+    match row.strategy {
+        // (No table row is `Auto`.)
+        MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey | MatMulStrategy::Auto => {
+            // Join on the contracted block index, one partial product block
             // per (i, k, j).
             let lhs = a.tiles().map(|((i, k), t)| (k, (i, t)));
-            let rhs = b.tiles().map(|((k, j), t)| (k, (j, t)));
+            let rhs = b.map(|((k, j), t)| (k, (j, t)));
             let prods = lhs
                 .join(&rhs, partitions)
                 .map(move |(k, ((i, av), (j, bv)))| {
-                    let mut out = DenseMatrix::zeros(n, n);
+                    let mut out = B::zeros(n);
                     multiply(&av, &bv, k, &mut out);
                     ((i, j), out)
                 });
-            if strategy == MatMulStrategy::ReduceByKey {
-                // §5.3: reduceByKey adds partials, map-side combined.
-                prods.reduce_by_key_in_place(partitions, add_tiles)
-            } else {
-                // §4's naive translation: every partial product tile crosses
+            if row.strategy == MatMulStrategy::JoinGroupBy {
+                // §4's naive translation: every partial product block crosses
                 // the shuffle inside a per-key list, no map-side combining.
-                prods.group_by_key(partitions).map_values(move |tiles| {
-                    let mut acc = DenseMatrix::zeros(n, n);
-                    tiles.into_iter().for_each(|t| add_tiles(&mut acc, t));
+                prods.group_by_key(partitions).map_values(move |blocks| {
+                    let mut acc = B::zeros(n);
+                    blocks.into_iter().for_each(|t| add_blocks(&mut acc, t));
                     acc
                 })
+            } else {
+                // §5.3: reduceByKey adds partials, map-side combined.
+                prods.reduce_by_key_in_place(partitions, add_blocks)
             }
         }
         MatMulStrategy::GroupByJoin => {
             // §5.4: replicate rows of A across result columns and columns of
             // B across result rows, cogroup by result coordinate, reduce
             // locally — one shuffle round, no partial-product shuffle.
-            let bcols_b = b.block_cols();
             let brows_a = a.block_rows();
             let lefts = a.tiles().flat_map(move |((i, k), t)| {
-                (0..bcols_b)
-                    .map(|j| ((i, j), (k, t.clone())))
+                b_cols
+                    .iter()
+                    .map(|&j| ((i, j), (k, t.clone())))
                     .collect::<Vec<_>>()
             });
-            let rights = b.tiles().flat_map(move |((k, j), t)| {
+            let rights = b.flat_map(move |((k, j), t)| {
                 (0..brows_a)
                     .map(|i| ((i, j), (k, t.clone())))
                     .collect::<Vec<_>>()
@@ -591,12 +737,9 @@ fn lower_contraction(
             lefts
                 .cogroup(&rights, partitions)
                 .map(move |(coord, (ls, rs))| {
-                    let mut out = DenseMatrix::zeros(n, n);
-                    // Index the right tiles by contraction coordinate.
-                    let mut by_k: HashMap<i64, &DenseMatrix> = HashMap::new();
-                    for (k, t) in &rs {
-                        by_k.insert(*k, t);
-                    }
+                    let mut out = B::zeros(n);
+                    // Index the right blocks by contraction coordinate.
+                    let by_k: HashMap<i64, &B> = rs.iter().map(|(k, t)| (*k, t)).collect();
                     for (k, av) in &ls {
                         if let Some(bv) = by_k.get(k) {
                             multiply(av, bv, *k, &mut out);
@@ -607,100 +750,97 @@ fn lower_contraction(
         }
         MatMulStrategy::Broadcast => {
             // MLlib-style broadcast join: collect the smaller operand's
-            // tiles on the driver, keyed by the contracted block index, ship
+            // blocks on the driver, keyed by the contracted block index, ship
             // them to every task via [`Context::broadcast`], and compute
-            // locally-merged partial output tiles map-side. A single
-            // reduceByKey round combines partials whose contraction spans
-            // several partitions of the big side — no join shuffle at all.
-            let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
-            let (small, big) = if b_small { (b, a) } else { (a, b) };
-            let mut table: HashMap<i64, Vec<(i64, DenseMatrix)>> = HashMap::new();
-            for ((r, c), t) in small.tiles().collect() {
-                let (k, free) = if b_small { (r, c) } else { (c, r) };
-                table.entry(k).or_default().push((free, t));
-            }
-            let table = ctx.broadcast(table);
-            big.tiles()
-                .map_partitions_stream(move |_, tiles| {
-                    // Input tiles are only read: consume the stream by
-                    // reference so shared source partitions are never
-                    // cloned into the task.
-                    let mut acc: HashMap<TileCoord, DenseMatrix> = HashMap::new();
-                    tiles.for_each_ref(|((r, c), big_tile)| {
-                        let (k, free) = if b_small { (*c, *r) } else { (*r, *c) };
-                        let Some(entries) = table.get(&k) else { return };
-                        for (other, small_tile) in entries {
-                            let (coord, av, bv) = if b_small {
-                                ((free, *other), big_tile, small_tile)
-                            } else {
-                                ((*other, free), small_tile, big_tile)
-                            };
-                            let out = acc.entry(coord).or_insert_with(|| DenseMatrix::zeros(n, n));
-                            multiply(av, bv, k, out);
+            // locally-merged partial output blocks map-side — no join
+            // shuffle at all. The big side is only read: its stream is
+            // consumed by reference so shared source partitions are never
+            // cloned into the task.
+            let ctx = a.tiles().context();
+            let partials = if b_small {
+                let table = ctx.broadcast(by_contracted(b.collect(), |&(k, _)| k));
+                a.tiles().map_partitions_stream(move |_, tiles| {
+                    let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+                    tiles.for_each_ref(|((i, k), av)| {
+                        for ((_, j), bv) in table.get(k).into_iter().flatten() {
+                            let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
+                            multiply(av, bv, *k, out);
                         }
                     });
                     PartitionStream::from_vec(acc.into_iter().collect())
                 })
-                .reduce_by_key_in_place(partitions, add_tiles)
+            } else {
+                let table = ctx.broadcast(by_contracted(a.tiles().collect(), |&(_, k)| k));
+                b.map_partitions_stream(move |_, blocks| {
+                    let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+                    blocks.for_each_ref(|((k, j), bv)| {
+                        for ((i, _), av) in table.get(k).into_iter().flatten() {
+                            let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
+                            multiply(av, bv, *k, out);
+                        }
+                    });
+                    PartitionStream::from_vec(acc.into_iter().collect())
+                })
+            };
+            if row.rounds > 0 {
+                // A single reduceByKey round combines partials whose
+                // contraction spans several partitions of the big side.
+                return partials.reduce_by_key_in_place(partitions, add_blocks);
+            }
+            // The zero-round row: collect the partials and finish the merge
+            // on the driver. Every stage is an action or a source — no
+            // shuffle — and every output block exists, hit or not.
+            let mut merged: HashMap<(i64, B::Col), B> = HashMap::new();
+            for (coord, partial) in partials.collect() {
+                let out = merged.entry(coord).or_insert_with(|| B::zeros(n));
+                out.add_in_place(&partial);
+            }
+            let coords = (0..a.block_rows()).flat_map(|i| b_cols.iter().map(move |&j| (i, j)));
+            let blocks = coords
+                .map(|c| (c, merged.remove(&c).unwrap_or_else(|| B::zeros(n))))
+                .collect();
+            ctx.parallelize(blocks, partitions)
         }
-        MatMulStrategy::Auto => {
-            return Err(CompError::plan(
-                "Auto contraction strategy must be resolved at plan time",
-            ))
-        }
-    };
-    Ok(std)
+    }
+}
+
+/// Group collected blocks by their contracted block index.
+fn by_contracted<K, T>(blocks: Vec<(K, T)>, k: impl Fn(&K) -> i64) -> HashMap<i64, Vec<(K, T)>> {
+    let mut table: HashMap<i64, Vec<(K, T)>> = HashMap::new();
+    for (key, block) in blocks {
+        table.entry(k(&key)).or_default().push((key, block));
+    }
+    table
 }
 
 /// Fig. 1: per-tile axis reduction then block-wise `reduceByKey`.
 fn exec_axis_reduce(
-    plan: &Plan,
     env: &PlanEnv,
     config: &PlanConfig,
+    input: &str,
+    by_row: bool,
+    monoid: Monoid,
+    value: &ScalarFn,
     len: i64,
 ) -> Result<TiledVector, CompError> {
-    let Plan::AxisReduce {
-        input,
-        by_row,
-        monoid,
-        value,
-    } = plan
-    else {
-        unreachable!()
-    };
     let m = matrix_input(env, input)?;
-    let expected = if *by_row { m.rows() } else { m.cols() };
+    let expected = if by_row { m.rows() } else { m.cols() };
     if expected != len {
         return Err(CompError::plan(format!(
             "builder length {len} does not match reduced axis {expected}"
         )));
     }
-    let (zero, combine) = monoid_f64(*monoid)?;
+    let (zero, combine) = monoid_f64(monoid)?;
     let n = m.tile_size();
-    let (rows, cols) = (m.rows(), m.cols());
-    let by_row = *by_row;
+    let extent = (m.rows(), m.cols());
     let value = value.clone();
     let partial = m.tiles().map(move |((bi, bj), t)| {
         let mut block = vec![zero; n];
-        let mut slots = [0.0f64; 3];
-        for ti in 0..n {
-            let gi = bi * n as i64 + ti as i64;
-            if gi >= rows {
-                break;
-            }
-            for tj in 0..n {
-                let gj = bj * n as i64 + tj as i64;
-                if gj >= cols {
-                    break;
-                }
-                slots[0] = t.get(ti, tj);
-                slots[1] = gi as f64;
-                slots[2] = gj as f64;
-                let v = value.eval(&slots);
-                let slot = if by_row { ti } else { tj };
-                block[slot] = combine(block[slot], v);
-            }
-        }
+        for_each_valid(n, (bi, bj), extent, |ti, tj, gi, gj| {
+            let v = value.eval(&[t.get(ti, tj), gi as f64, gj as f64]);
+            let slot = if by_row { ti } else { tj };
+            block[slot] = combine(block[slot], v);
+        });
         let coord = if by_row { bi } else { bj };
         (coord, block)
     });
@@ -715,336 +855,72 @@ fn exec_axis_reduce(
     Ok(TiledVector::new(len, n, blocks))
 }
 
-fn vector_input<'a>(env: &'a PlanEnv, name: &str) -> Result<&'a TiledVector, CompError> {
-    env.array(name)
-        .and_then(DistArray::as_vector)
-        .ok_or_else(|| CompError::plan(format!("`{name}` is not a registered tiled vector")))
-}
-
-/// One tile × block partial product, shared by the shuffle and broadcast
-/// mat-vec paths; `bk` is the contracted block coordinate, used to mask the
-/// zero-padded contraction tail under general (non-product) combines.
-fn tile_block_product(
-    tile: &DenseMatrix,
-    block: &[f64],
-    bk: i64,
-    n: usize,
-    inner: i64,
-    fast: bool,
-    value: &ScalarFn,
-) -> Vec<f64> {
-    if fast {
-        tile.matvec(block)
-    } else {
-        let valid = ((inner - bk * n as i64).clamp(0, n as i64)) as usize;
-        let mut y = vec![0.0; n];
-        let mut slots = [0.0f64; 2];
-        for (r, out) in y.iter_mut().enumerate() {
-            for (c, &bv) in block.iter().enumerate().take(valid) {
-                slots[0] = tile.get(r, c);
-                slots[1] = bv;
-                *out += value.eval(&slots);
-            }
-        }
-        y
-    }
-}
-
-/// Matrix–vector contraction. The shuffle path joins tiles with vector
-/// blocks on the contracted block coordinate and `reduceByKey`s the partial
-/// block products; the broadcast path ships the whole vector to every task
-/// and merges partials on the driver — zero shuffle stages.
-fn exec_mat_vec(
-    plan: &Plan,
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    len: i64,
-) -> Result<TiledVector, CompError> {
-    let Plan::MatVec {
-        matrix,
-        vector,
-        contract_row,
-        value,
-        broadcast,
-        decision,
-    } = plan
-    else {
-        unreachable!()
-    };
-    let m = matrix_input(env, matrix)?;
-    let v = vector_input(env, vector)?;
-    if m.tile_size() != v.block_size() {
-        return Err(CompError::plan(
-            "matrix tile size and vector block size must match",
-        ));
-    }
-    // Normalize to y = A'·x with the contraction on A'.col.
-    let m = if *contract_row {
-        m.transpose()
-    } else {
-        m.clone()
-    };
-    if m.cols() != v.len() {
-        return Err(CompError::plan(format!(
-            "matrix-vector inner dimensions differ: {} vs {}",
-            m.cols(),
-            v.len()
-        )));
-    }
-    if m.rows() != len {
-        return Err(CompError::plan(format!(
-            "builder length {len} does not match output dimension {}",
-            m.rows()
-        )));
-    }
-    let n = m.tile_size();
-    let inner = m.cols();
-    let fast = value.is_product_of(0, 1);
-    let value = value.clone();
-
-    // Adaptive stage driver: when the cost model picked the shuffle path
-    // from estimates, probe the materialized vector at this node's frontier
-    // and promote to the zero-shuffle broadcast path if the observed size
-    // fits the budget and wins on cost.
-    let broadcast = *broadcast
-        || (decision.auto
-            && stage::adapt_mat_vec(
-                env,
-                ctx,
-                config,
-                matrix,
-                (vector, v),
-                *contract_row,
-                decision,
-            ));
-
-    if broadcast {
-        // Zero-shuffle path: collect the vector's blocks, broadcast them,
-        // compute per-partition pre-merged partial output blocks map-side,
-        // collect those partials, and finish the merge on the driver. Every
-        // stage here is an action (collect) or a source — no shuffle.
-        let table = ctx.broadcast(v.blocks().collect_map());
-        let partials = m
-            .tiles()
-            .map_partitions_stream(move |_, tiles| {
-                let mut acc: HashMap<i64, Vec<f64>> = HashMap::new();
-                tiles.for_each_ref(|((i, k), tile)| {
-                    let Some(block) = table.get(k) else { return };
-                    let y = tile_block_product(tile, block, *k, n, inner, fast, &value);
-                    match acc.entry(*i) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            for (x, yv) in e.get_mut().iter_mut().zip(y) {
-                                *x += yv;
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(y);
-                        }
-                    }
-                });
-                PartitionStream::from_vec(acc.into_iter().collect())
-            })
-            .collect();
-        let block_count = ((len + n as i64 - 1) / n as i64).max(0) as usize;
-        let mut merged: Vec<Vec<f64>> = vec![vec![0.0; n]; block_count];
-        for (i, y) in partials {
-            if let Some(dst) = merged.get_mut(i as usize) {
-                for (x, yv) in dst.iter_mut().zip(y) {
-                    *x += yv;
-                }
-            }
-        }
-        let blocks: Vec<(i64, Vec<f64>)> = merged
-            .into_iter()
-            .enumerate()
-            .map(|(i, y)| (i as i64, y))
-            .collect();
-        let blocks = ctx.parallelize(blocks, config.partitions);
-        return Ok(TiledVector::new(len, n, blocks));
-    }
-
-    let lhs = m.tiles().map(|((i, k), t)| (k, (i, t)));
-    let partial = lhs
-        .join(v.blocks(), config.partitions)
-        .map(move |(k, ((i, tile), block))| {
-            (
-                i,
-                tile_block_product(&tile, &block, k, n, inner, fast, &value),
-            )
-        });
-    let blocks = partial.reduce_by_key(config.partitions, |mut a, b| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x += y;
-        }
-        a
-    });
-    Ok(TiledVector::new(len, n, blocks))
-}
-
-/// Element-wise over co-indexed vector blocks (1-D rule 17): the same fused
-/// tile pass as [`exec_fused_eltwise`], each block an `n x 1` tile.
-fn exec_vector_eltwise(
-    plan: &Plan,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    len: i64,
-) -> Result<TiledVector, CompError> {
-    let Plan::VectorEltwise {
-        inputs, program, ..
-    } = plan
-    else {
-        unreachable!()
-    };
-    let vecs: Vec<&TiledVector> = inputs
-        .iter()
-        .map(|name| vector_input(env, name))
-        .collect::<Result<_, _>>()?;
-    let first = vecs[0];
-    let n = first.block_size();
-    for v in &vecs {
-        if v.len() != first.len() || v.block_size() != n {
-            return Err(CompError::plan(
-                "element-wise vector inputs must have identical length and blocking",
-            ));
-        }
-    }
-    if first.len() != len {
-        return Err(CompError::plan(format!(
-            "builder length {len} does not match input length {}",
-            first.len()
-        )));
-    }
-    let mut joined: Dataset<(i64, Vec<Vec<f64>>)> =
-        first.blocks().map(|(b, block)| (b, vec![block]));
-    for v in &vecs[1..] {
-        joined = joined.cogroup(v.blocks(), config.partitions).flat_map(
-            |(b, (mut accs, mut blocks))| match (accs.pop(), blocks.pop()) {
-                (Some(mut acc), Some(block)) => {
-                    acc.push(block);
-                    vec![(b, acc)]
-                }
-                _ => vec![],
-            },
-        );
-    }
-    let program = program.clone();
-    let backend = Backend::active();
-    let blocks = joined.map_named("fused_eltwise", move |(b, parts)| {
-        let bufs: Vec<&[f64]> = parts.iter().map(|p| p.as_slice()).collect();
-        let origin = (b * n as i64, 0);
-        (
-            b,
-            fused_tile(&program, &bufs, (n, 1), origin, (len, 1), backend),
-        )
-    });
-    Ok(TiledVector::new(len, n, blocks))
-}
-
 /// §5.2 rule 19: replicate tiles to the output coordinates their elements
 /// map to, regroup, assemble output tiles.
 fn exec_index_remap(
-    plan: &Plan,
     env: &PlanEnv,
-    ctx: &Context,
     config: &PlanConfig,
-    rows: i64,
-    cols: i64,
+    input: &str,
+    (fi, fj): (&IdxFn, &IdxFn),
+    value: &ScalarFn,
+    (rows, cols): (i64, i64),
 ) -> Result<TiledMatrix, CompError> {
-    let Plan::IndexRemap {
-        input,
-        fi,
-        fj,
-        value,
-    } = plan
-    else {
-        unreachable!()
-    };
     let m = matrix_input(env, input)?;
     let n = m.tile_size();
-    let (in_rows, in_cols) = (m.rows(), m.cols());
+    let extent = (m.rows(), m.cols());
     let ni = n as i64;
+    // Where input element `(gi, gj)` lands: its output tile and in-tile
+    // position, or nowhere when it maps outside the output.
+    let (fi, fj) = (fi.clone(), fj.clone());
+    let land = move |gi: i64, gj: i64| {
+        let (oi, oj) = (fi.eval(&[gi, gj]), fj.eval(&[gi, gj]));
+        ((0..rows).contains(&oi) && (0..cols).contains(&oj))
+            .then(|| ((oi / ni, oj / ni), (oi % ni) as usize, (oj % ni) as usize))
+    };
 
     // Map stage: each tile is sent to every output tile one of its elements
     // lands in — the I_f(K) image set of §5.2.
-    let (fi2, fj2) = (fi.clone(), fj.clone());
-    let replicated = m.tiles().flat_map(move |((bi, bj), t)| {
+    let land_map = land.clone();
+    let replicated = m.tiles().flat_map(move |(coord, t)| {
         let mut dests: Vec<TileCoord> = Vec::new();
-        for ti in 0..n {
-            let gi = bi * ni + ti as i64;
-            if gi >= in_rows {
-                break;
-            }
-            for tj in 0..n {
-                let gj = bj * ni + tj as i64;
-                if gj >= in_cols {
-                    break;
-                }
-                let (di, dj) = (fi2.eval(&[gi, gj]), fj2.eval(&[gi, gj]));
-                if di >= 0 && di < rows && dj >= 0 && dj < cols {
-                    let dest = (di.div_euclid(ni), dj.div_euclid(ni));
-                    if !dests.contains(&dest) {
-                        dests.push(dest);
-                    }
+        for_each_valid(n, coord, extent, |_, _, gi, gj| {
+            if let Some((dest, ..)) = land_map(gi, gj) {
+                if !dests.contains(&dest) {
+                    dests.push(dest);
                 }
             }
-        }
+        });
         dests
             .into_iter()
-            .map(|d| (d, ((bi, bj), t.clone())))
+            .map(|d| (d, (coord, t.clone())))
             .collect::<Vec<_>>()
     });
 
     // Reduce stage: assemble each output tile from the shuffled inputs.
-    let (fi3, fj3, value) = (fi.clone(), fj.clone(), value.clone());
+    let value = value.clone();
     let assembled = replicated
         .group_by_key(config.partitions)
-        .map(move |((di, dj), sources)| {
+        .map(move |(dest, sources)| {
             let mut out = DenseMatrix::zeros(n, n);
-            let mut slots = [0.0f64; 3];
-            for ((bi, bj), t) in sources {
-                for ti in 0..n {
-                    let gi = bi * ni + ti as i64;
-                    if gi >= in_rows {
-                        break;
+            for (coord, t) in sources {
+                for_each_valid(n, coord, extent, |ti, tj, gi, gj| match land(gi, gj) {
+                    Some((d, oi, oj)) if d == dest => {
+                        out.set(oi, oj, value.eval(&[t.get(ti, tj), gi as f64, gj as f64]));
                     }
-                    for tj in 0..n {
-                        let gj = bj * ni + tj as i64;
-                        if gj >= in_cols {
-                            break;
-                        }
-                        let (oi, oj) = (fi3.eval(&[gi, gj]), fj3.eval(&[gi, gj]));
-                        if oi.div_euclid(ni) == di
-                            && oj.div_euclid(ni) == dj
-                            && oi >= 0
-                            && oi < rows
-                            && oj >= 0
-                            && oj < cols
-                        {
-                            slots[0] = t.get(ti, tj);
-                            slots[1] = gi as f64;
-                            slots[2] = gj as f64;
-                            out.set(
-                                oi.rem_euclid(ni) as usize,
-                                oj.rem_euclid(ni) as usize,
-                                value.eval(&slots),
-                            );
-                        }
-                    }
-                }
+                    _ => {}
+                });
             }
-            ((di, dj), out)
+            (dest, out)
         });
 
     // Complete the grid: output tiles no input element maps to are zero.
-    let tiles = union_with_zero_skeleton(assembled, ctx, rows, cols, n, config.partitions);
+    let tiles = union_with_zero_skeleton(assembled, rows, cols, n, config.partitions);
     Ok(TiledMatrix::new(rows, cols, n, tiles))
 }
 
 /// Union a tile set with an all-zero full grid so every coordinate exists.
 fn union_with_zero_skeleton(
     tiles: Dataset<(TileCoord, DenseMatrix)>,
-    ctx: &Context,
     rows: i64,
     cols: i64,
     tile_size: usize,
@@ -1055,7 +931,8 @@ fn union_with_zero_skeleton(
     let coords: Vec<TileCoord> = (0..brows)
         .flat_map(|i| (0..bcols).map(move |j| (i, j)))
         .collect();
-    let skeleton = ctx
+    let skeleton = tiles
+        .context()
         .parallelize(coords, partitions)
         .map(move |c| (c, DenseMatrix::zeros(tile_size, tile_size)));
     tiles
@@ -1063,145 +940,125 @@ fn union_with_zero_skeleton(
         .reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
 }
 
-struct AggSpec {
+/// A [`Plan::GroupByAggregate`] node lowered against the environment:
+/// everything the per-element fold reads.
+struct GroupFold {
+    /// The per-element mini-comprehension `[ (key, (in_0, ..)) | quals ]`.
+    mini: Comprehension,
+    /// The planner scalars `mini` reads.
+    scalars: comp::Env,
+    gen_vars: (String, String, String),
+    /// Identity and combine per aggregate, plus a trailing hit-count plane.
     zeros: Vec<f64>,
     combines: Vec<fn(f64, f64) -> f64>,
-    inputs: Vec<Expr>,
+    /// Finalizer over the aggregate planes.
+    finalizer: ScalarFn,
 }
 
-fn agg_spec(plan_aggs: &[crate::analysis::Aggregate]) -> Result<AggSpec, CompError> {
-    let mut zeros = Vec::new();
-    let mut combines = Vec::new();
-    let mut inputs = Vec::new();
-    for a in plan_aggs {
-        let (z, c) = monoid_f64(a.monoid)?;
-        zeros.push(z);
-        combines.push(c);
-        inputs.push(a.input.clone());
-    }
-    // Hidden hit-count plane.
-    zeros.push(0.0);
-    combines.push(|a, b| a + b);
-    Ok(AggSpec {
-        zeros,
-        combines,
-        inputs,
-    })
-}
-
-/// Build the per-element mini-comprehension `[ (key, (in_0, ..)) | quals ]`.
-fn mini_comprehension(
-    inner_quals: &[Qualifier],
-    key: &GroupKey,
-    key_expr: &Option<Expr>,
-    inputs: &[Expr],
-) -> Comprehension {
-    let key_value = match key_expr {
-        Some(e) => e.clone(),
-        None => match key {
-            GroupKey::Cell(k1, k2) => {
-                Expr::Tuple(vec![Expr::Var(k1.clone()), Expr::Var(k2.clone())])
-            }
-            GroupKey::Index(k) => Expr::Var(k.clone()),
-        },
-    };
-    // When the key is an expression, the key pattern still needs binding for
-    // any post-key uses; the fast plans have none, so only the value matters.
-    let mut quals = inner_quals.to_vec();
-    if key_expr.is_some() {
-        let pat = match key {
-            GroupKey::Cell(k1, k2) => {
-                Pattern::Tuple(vec![Pattern::Var(k1.clone()), Pattern::Var(k2.clone())])
-            }
-            GroupKey::Index(k) => Pattern::Var(k.clone()),
-        };
-        quals.push(Qualifier::Let(pat, key_value.clone()));
-    }
-    Comprehension {
-        head: Box::new(Expr::Tuple(vec![key_value, Expr::Tuple(inputs.to_vec())])),
-        qualifiers: quals,
-    }
-}
-
-/// Bind the planner scalars into a `comp` environment.
-fn scalar_env(env: &PlanEnv, names: &[String]) -> comp::Env {
-    let mut cenv = comp::Env::new();
-    for n in names {
-        if let Some(v) = env.scalar(n) {
-            cenv.bind(n.clone(), v.clone());
+impl GroupFold {
+    /// Build the fold on the driver, refusing what could only fail inside a
+    /// task: a name `mini` reads that neither the generator, its own ranges
+    /// and lets, nor a planner scalar binds is the reference interpreter's
+    /// `unbound variable` here, before any task is launched.
+    fn lower(
+        env: &PlanEnv,
+        gen_vars: &(String, String, String),
+        inner_quals: &[Qualifier],
+        key: &GroupKey,
+        key_expr: &Option<Expr>,
+        aggregates: &[Aggregate],
+        finalizer: &Expr,
+    ) -> Result<GroupFold, CompError> {
+        let (mut zeros, mut combines) = (Vec::new(), Vec::new());
+        for a in aggregates {
+            let (z, c) = monoid_f64(a.monoid)?;
+            zeros.push(z);
+            combines.push(c);
         }
-    }
-    cenv
-}
+        // Hidden hit-count plane.
+        zeros.push(0.0);
+        combines.push(|a, b| a + b);
 
-/// §5.3 generic plan. Each input element runs the mini comprehension; every
-/// `(key, inputs)` row it yields is folded into the accumulator planes of
-/// the destination `locate(key)` names — a coordinate plus the offset inside
-/// that destination's planes, the only thing matrix- and vector-shaped keys
-/// differ in. Planes are flat `plane_len` buffers, one per aggregate plus a
-/// trailing hit count; they are reduced by key, then every hit cell is
-/// finalized (untouched cells stay 0: dense builder semantics).
-fn exec_group_aggregate<K>(
-    plan: &Plan,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    plane_len: usize,
-    locate: impl Fn(&Value) -> Option<(K, usize)> + Send + Sync + 'static,
-) -> Result<Dataset<(K, Vec<f64>)>, CompError>
-where
-    K: Data + Hash + Eq + SpillCodec,
-{
-    let Plan::GroupByAggregate {
-        input,
-        gen_vars,
-        inner_quals,
-        key,
-        key_expr,
-        aggregates,
-        finalizer,
-    } = plan
-    else {
-        unreachable!()
-    };
-    let m = matrix_input(env, input)?;
-    let n = m.tile_size();
-    let ni = n as i64;
-    let AggSpec {
-        zeros,
-        combines,
-        inputs,
-    } = agg_spec(aggregates)?;
-    let mini = mini_comprehension(inner_quals, key, key_expr, &inputs);
-
-    // Scalars referenced anywhere in the mini comprehension.
-    let free: Vec<String> = Expr::Comprehension(mini.clone())
-        .free_vars()
-        .into_iter()
-        .collect();
-    let base_env = scalar_env(env, &free);
-    let (rv, cv, vv) = gen_vars.clone();
-    let (in_rows, in_cols) = (m.rows(), m.cols());
-    let fold_combines = combines.clone();
-
-    let partial = m.tiles().flat_map(move |((bi, bj), t)| {
-        let mut acc: HashMap<K, Vec<Vec<f64>>> = HashMap::new();
-        let mut cenv = base_env.clone();
-        for ti in 0..n {
-            let gi = bi * ni + ti as i64;
-            if gi >= in_rows {
-                break;
+        let (key_pat, key_value) = match key {
+            GroupKey::Cell(k1, k2) => (
+                Pattern::Tuple(vec![Pattern::Var(k1.clone()), Pattern::Var(k2.clone())]),
+                Expr::Tuple(vec![Expr::Var(k1.clone()), Expr::Var(k2.clone())]),
+            ),
+            GroupKey::Index(k) => (Pattern::Var(k.clone()), Expr::Var(k.clone())),
+        };
+        let mut qualifiers = inner_quals.to_vec();
+        // When the key is an expression, the key pattern still needs binding
+        // for any post-key uses; the fast plans have none, so only the value
+        // matters.
+        let key_value = match key_expr {
+            Some(e) => {
+                qualifiers.push(Qualifier::Let(key_pat, e.clone()));
+                e.clone()
             }
-            for tj in 0..n {
-                let gj = bj * ni + tj as i64;
-                if gj >= in_cols {
-                    break;
-                }
+            None => key_value,
+        };
+        let inputs = aggregates.iter().map(|a| a.input.clone()).collect();
+        let mini = Comprehension {
+            head: Box::new(Expr::Tuple(vec![key_value, Expr::Tuple(inputs)])),
+            qualifiers,
+        };
+
+        let mut scalars = comp::Env::new();
+        let (rv, cv, vv) = gen_vars;
+        for name in Expr::Comprehension(mini.clone()).free_vars() {
+            match env.scalar(&name) {
+                Some(v) => scalars.bind(name, v.clone()),
+                None if [rv, cv, vv].contains(&&name) => {}
+                None => return Err(CompError::eval(format!("unbound variable `{name}`"))),
+            }
+        }
+        let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
+        let finalizer = ScalarFn::compile(finalizer, &agg_slots, &|v| env.float_scalar(v))?;
+        Ok(GroupFold {
+            mini,
+            scalars,
+            gen_vars: gen_vars.clone(),
+            zeros,
+            combines,
+            finalizer,
+        })
+    }
+
+    /// §5.3 generic plan. Each input element runs the mini comprehension;
+    /// every `(key, inputs)` row it yields is folded into the accumulator
+    /// planes of the destination `locate(key)` names — a coordinate plus the
+    /// offset inside that destination's planes, the only thing matrix- and
+    /// vector-shaped keys differ in. Planes are flat `plane_len` buffers, one
+    /// per aggregate plus a trailing hit count; they are reduced by key, then
+    /// every hit cell is finalized (untouched cells stay 0: dense builder
+    /// semantics). An element whose evaluation fails (`1 / (i - i)`) fails
+    /// its task with the `CompError` text.
+    fn run<K>(
+        self,
+        m: &TiledMatrix,
+        partitions: usize,
+        plane_len: usize,
+        locate: impl Fn(&Value) -> Option<(K, usize)> + Send + Sync + 'static,
+    ) -> Dataset<(K, Vec<f64>)>
+    where
+        K: Data + Hash + Eq + SpillCodec,
+    {
+        let n = m.tile_size();
+        let extent = (m.rows(), m.cols());
+        let (mini, scalars, (rv, cv, vv)) = (self.mini, self.scalars, self.gen_vars);
+        let (zeros, combines, finalizer) = (self.zeros, self.combines, self.finalizer);
+        let fold_combines = combines.clone();
+
+        let partial = m.tiles().flat_map(move |(coord, t)| {
+            let mut acc: HashMap<K, Vec<Vec<f64>>> = HashMap::new();
+            let mut cenv = scalars.clone();
+            for_each_valid(n, coord, extent, |ti, tj, gi, gj| {
                 let scope = cenv.mark();
                 cenv.bind(rv.clone(), Value::Int(gi));
                 cenv.bind(cv.clone(), Value::Int(gj));
                 cenv.bind(vv.clone(), Value::Float(t.get(ti, tj)));
-                let rows_out = eval_comprehension(&mini, &mut cenv)
-                    .expect("group-by aggregate inner evaluation failed");
+                let rows_out =
+                    eval_comprehension(&mini, &mut cenv).unwrap_or_else(|e| panic!("{e}"));
                 cenv.reset(scope);
                 for row in rows_out {
                     let Value::Tuple(kv) = row else { continue };
@@ -1217,78 +1074,66 @@ where
                     }
                     hits[off] += 1.0;
                 }
-            }
-        }
-        acc.into_iter().collect::<Vec<_>>()
-    });
+            });
+            acc.into_iter().collect::<Vec<_>>()
+        });
 
-    let reduced = partial.reduce_by_key(config.partitions, move |mut a, b| {
-        for ((pa, pb), combine) in a.iter_mut().zip(b).zip(&fold_combines) {
-            for (x, y) in pa.iter_mut().zip(pb) {
-                *x = combine(*x, y);
+        let reduced = partial.reduce_by_key(partitions, move |mut a, b| {
+            for ((pa, pb), combine) in a.iter_mut().zip(b).zip(&fold_combines) {
+                for (x, y) in pa.iter_mut().zip(pb) {
+                    *x = combine(*x, y);
+                }
             }
-        }
-        a
-    });
+            a
+        });
 
-    let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-    let fin = ScalarFn::compile(finalizer, &agg_slots, &|v| env.float_scalar(v))?;
-    Ok(reduced.map_values(move |planes| {
-        let (hits, aggs) = planes.split_last().expect("hit-count plane");
-        let mut slots = vec![0.0; aggs.len()];
-        let mut out = vec![0.0; plane_len];
-        for e in (0..plane_len).filter(|&e| hits[e] != 0.0) {
-            for (slot, plane) in slots.iter_mut().zip(aggs) {
-                *slot = plane[e];
+        reduced.map_values(move |planes| {
+            let (hits, aggs) = planes.split_last().expect("hit-count plane");
+            let mut slots = vec![0.0; aggs.len()];
+            let mut out = vec![0.0; plane_len];
+            for e in (0..plane_len).filter(|&e| hits[e] != 0.0) {
+                for (slot, plane) in slots.iter_mut().zip(aggs) {
+                    *slot = plane[e];
+                }
+                out[e] = finalizer.eval(&slots);
             }
-            out[e] = fin.eval(&slots);
-        }
-        out
-    }))
+            out
+        })
+    }
 }
 
-/// §5.3 generic plan, matrix-shaped keys: destinations are output tiles.
-fn exec_group_aggregate_matrix(
-    plan: &Plan,
-    env: &PlanEnv,
-    ctx: &Context,
+/// §5.3 generic plan: destinations are output tiles for matrix-shaped keys,
+/// output blocks for vector-shaped ones.
+fn exec_group_aggregate(
+    m: &TiledMatrix,
+    fold: GroupFold,
     config: &PlanConfig,
-    rows: i64,
-    cols: i64,
-) -> Result<TiledMatrix, CompError> {
-    let Plan::GroupByAggregate { input, .. } = plan else {
-        unreachable!()
-    };
-    let n = matrix_input(env, input)?.tile_size();
+    output: &OutputKind,
+) -> Result<ExecResult, CompError> {
+    let n = m.tile_size();
     let ni = n as i64;
-    let tiles = exec_group_aggregate(plan, env, config, n * n, move |key| {
-        let Value::Tuple(kij) = key else { return None };
-        let (k1, k2) = (kij[0].as_i64().ok()?, kij[1].as_i64().ok()?);
-        ((0..rows).contains(&k1) && (0..cols).contains(&k2))
-            .then(|| ((k1 / ni, k2 / ni), (k1 % ni * ni + k2 % ni) as usize))
-    })?
-    .map_values(move |data| DenseMatrix::from_vec(n, n, data));
-    let tiles = union_with_zero_skeleton(tiles, ctx, rows, cols, n, config.partitions);
-    Ok(TiledMatrix::new(rows, cols, n, tiles))
-}
-
-/// §5.3 generic plan, vector-shaped keys: destinations are output blocks.
-fn exec_group_aggregate_vector(
-    plan: &Plan,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    len: i64,
-) -> Result<TiledVector, CompError> {
-    let Plan::GroupByAggregate { input, .. } = plan else {
-        unreachable!()
-    };
-    let n = matrix_input(env, input)?.tile_size();
-    let ni = n as i64;
-    let blocks = exec_group_aggregate(plan, env, config, n, move |key| {
-        let k = key.as_i64().ok()?;
-        (0..len).contains(&k).then(|| (k / ni, (k % ni) as usize))
-    })?;
-    Ok(TiledVector::new(len, n, blocks))
+    match *output {
+        OutputKind::Matrix { rows, cols } => {
+            let tiles = fold
+                .run(m, config.partitions, n * n, move |key| {
+                    let Value::Tuple(kij) = key else { return None };
+                    let (k1, k2) = (kij[0].as_i64().ok()?, kij[1].as_i64().ok()?);
+                    ((0..rows).contains(&k1) && (0..cols).contains(&k2))
+                        .then(|| ((k1 / ni, k2 / ni), (k1 % ni * ni + k2 % ni) as usize))
+                })
+                .map_values(move |data| DenseMatrix::from_vec(n, n, data));
+            let tiles = union_with_zero_skeleton(tiles, rows, cols, n, config.partitions);
+            Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
+        }
+        OutputKind::Vector { len } => {
+            let blocks = fold.run(m, config.partitions, n, move |key| {
+                let k = key.as_i64().ok()?;
+                (0..len).contains(&k).then(|| (k / ni, (k % ni) as usize))
+            });
+            Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
+        }
+        OutputKind::Local => Err(local_output()),
+    }
 }
 
 /// Fallback: sparsify every registered array, run the reference interpreter,
@@ -1493,7 +1338,8 @@ mod tests {
         // actual-of-tag figure — it reports first-successful-attempt bytes,
         // so the killed run pairs the estimate with exactly what the clean
         // run measured.
-        let tag = "contraction/groupByJoin";
+        let tag = &clean.plan_choices[0].chosen;
+        assert!(tag.ends_with("groupByJoin"), "{tag}");
         let clean_bytes = clean.actual_shuffle_bytes_of_tag(tag);
         assert!(clean_bytes > 0, "{}", clean.render());
         assert_eq!(

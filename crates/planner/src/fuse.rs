@@ -1,11 +1,11 @@
 //! Trace-and-fuse: collapse an elementwise plan region into one tile
 //! program.
 //!
-//! `plan_eltwise` and `plan_vector_eltwise` compile the head value and guard
-//! of an elementwise comprehension into [`ScalarFn`] trees. This pass traces
-//! the whole region — value, guard masking, scalar constants — into a single
-//! postfix [`FusedProgram`] executed by `tiled::kernel::fused_eltwise` in one
-//! pass per tile.
+//! `plan_eltwise` compiles the head value and guard of an elementwise
+//! comprehension (over matrices or vectors) into [`ScalarFn`] trees. This
+//! pass traces the whole region — value, guard masking, scalar constants —
+//! into a single postfix [`FusedProgram`] executed by
+//! `tiled::kernel::fused_eltwise` in one pass per tile.
 //!
 //! # Region rules
 //!

@@ -5,15 +5,19 @@
 //!
 //! | Paper rule | Plan |
 //! |---|---|
-//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`], [`Plan::VectorEltwise`] — one fused tile program ([`fuse`]) |
+//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`] over matrices (`n x n` tiles) or vectors (`n x 1`) — one fused tile program ([`fuse`]) |
 //! | §5.2 rule (19), index remap with tile replication | [`Plan::IndexRemap`] |
-//! | §5.3 group-by → tile `reduceByKey` (rule 13) | [`Plan::Contraction`] (ReduceByKey), [`Plan::AxisReduce`], [`Plan::GroupByAggregate`] |
+//! | §5.3 group-by → tile `reduceByKey` (rule 13) | [`Plan::Contraction`] (ReduceByKey; matrix × matrix or matrix × vector), [`Plan::AxisReduce`], [`Plan::GroupByAggregate`] |
 //! | §5.4 group-by-join (SUMMA) | [`Plan::Contraction`] (GroupByJoin) |
 //! | rule (14) join detection | [`analysis::VarClasses`] over equality guards |
 //! | rule (15) injective group-by elimination | applied in `comp::normalize` before planning |
 //!
-//! Comprehensions outside every rule fall back to the reference interpreter
-//! over sparsified arrays ([`Plan::LocalFallback`]) — semantics always win.
+//! A contraction's physical strategy is one row of the strategy table in
+//! [`plan`] (tag, operand kind, shuffle rounds, cost), chosen at plan time,
+//! re-chosen at the stage frontier (`stage::adapt`) and lowered by
+//! `exec::lower_contraction`. Comprehensions outside every rule fall back to
+//! the reference interpreter over sparsified arrays
+//! ([`Plan::LocalFallback`]) — semantics always win.
 
 pub mod analysis;
 pub mod env;
@@ -333,7 +337,8 @@ mod tests {
         let src = "tiled_vector(n)[ (i, +/v) | ((i,k),a) <- A, (kk,x) <- V, kk == k,                     let v = a*x, group by i ]";
         // A small registered vector fits the broadcast budget, so the
         // adaptive planner picks the zero-shuffle mat-vec path.
-        assert_eq!(planned_strategy(src, &env), "matVec/broadcast");
+        let planned = plan::plan(&comp::parse_expr(src).unwrap(), &env, &config()).unwrap();
+        assert_eq!(planned.explain(), "matVec/broadcast -> vector 9");
         let got = run_text(src, &env, &c, &config())
             .unwrap()
             .into_vector()
@@ -357,7 +362,8 @@ mod tests {
         env.set_int("n", 9);
         // y_j = Σ_i A_ij x_i  (Aᵀ·x)
         let src = "tiled_vector(n)[ (j, +/v) | ((k,j),a) <- A, (kk,x) <- V, kk == k,                     let v = a*x, group by j ]";
-        assert_eq!(planned_strategy(src, &env), "matVec/broadcast");
+        let planned = plan::plan(&comp::parse_expr(src).unwrap(), &env, &config()).unwrap();
+        assert_eq!(planned.explain(), "matVec/broadcast -> vector 9");
         let got = run_text(src, &env, &c, &config())
             .unwrap()
             .into_vector()

@@ -10,9 +10,10 @@
 //!    guards run as one fused tile program ([`crate::fuse`]).
 //! 2. **Contraction** (§5.3 / §5.4) — two tiled generators joined on one
 //!    index, group-by over the two free indices, head `⊕/v` with
-//!    `v = f(a, b)`: matrix-multiplication-like. Translated to join +
-//!    tile-level `reduceByKey` (rule 13) or to the **group-by-join** /
-//!    SUMMA plan (§5.4), per configuration.
+//!    `v = f(a, b)`: matrix-multiplication-like. Translated to one row of
+//!    the strategy table ([`StrategyRow`]): join + tile-level `reduceByKey`
+//!    (rule 13), the **group-by-join** / SUMMA plan (§5.4), a broadcast
+//!    join, or §4's join + `groupByKey`.
 //! 3. **IndexRemap** (§5.2, rule 19) — one tiled generator, head key is an
 //!    arbitrary index map: tiles are replicated to the output tiles their
 //!    elements land in (the `I_f(K)` image sets), then regrouped.
@@ -23,7 +24,9 @@
 //!    paper's smoothing example.
 //!
 //! `tiled_vector(n)[ e | q ]` dispatches to **AxisReduce** (Fig. 1 row
-//! sums) or GroupByAggregate. Anything else falls back to the reference
+//! sums), to the 1-D instances of Contraction (matrix × vector, the
+//! `free-right = 1` case) and FusedEltwise (co-indexed vectors, `n x 1`
+//! tiles), or to GroupByAggregate. Anything else falls back to the reference
 //! interpreter over sparsified arrays (`LocalFallback`), preserving
 //! semantics at the cost of distribution.
 
@@ -132,23 +135,29 @@ pub enum GroupKey {
 /// A selected physical plan.
 #[derive(Clone)]
 pub enum Plan {
-    /// §5.1 element-wise over co-indexed tiled matrices: the whole region
+    /// §5.1 element-wise over co-indexed tiled matrices — or tiled vectors,
+    /// rule 17's 1-D instance, each block an `n x 1` tile: the whole region
     /// (value, guard masking, scalar constants) collapsed into one postfix
     /// tile program, executed as a single kernel pass per tile by
     /// `tiled::kernel::fused_eltwise`.
     FusedEltwise {
-        /// Input matrix names, in slot order.
+        /// Input array names, in slot order.
         inputs: Vec<String>,
+        /// The inputs and the output are tiled vectors.
+        vector: bool,
         /// Head key is `(col, row)` — transpose the output.
         transposed: bool,
         /// Constant-folded program over slots
-        /// `[val_0, ..., val_{k-1}, row, col]`.
+        /// `[val_0, ..., val_{k-1}, row, col]`; a vector's index is `row`.
         program: FusedProgram,
         /// Post-order operator tags of the source region (from the
         /// normalized comprehension head), for the `region_fused` event.
         region_ops: Vec<String>,
     },
-    /// §5.3/§5.4 contraction (matrix multiplication shaped).
+    /// §5.3/§5.4 contraction (matrix multiplication shaped). `right` names a
+    /// tiled matrix, or — `y_i = Σ_k f(A_ik, x_k)`, the `free-right = 1`
+    /// case — a tiled vector, for which `right_contract_col` and
+    /// `swap_output` are false.
     Contraction {
         left: String,
         right: String,
@@ -163,7 +172,8 @@ pub enum Plan {
         value: ScalarFn,
         /// Resolved physical strategy (never [`MatMulStrategy::Auto`]).
         strategy: MatMulStrategy,
-        /// How the strategy was chosen (candidate cost estimates).
+        /// How the strategy was chosen (candidate cost estimates); its
+        /// `chosen` tag names the node.
         decision: PlanDecision,
     },
     /// Fig. 1 row/column reduction to a tiled vector.
@@ -200,33 +210,6 @@ pub enum Plan {
         /// Finalizer over `%aggN` slots.
         finalizer: Expr,
     },
-    /// Matrix–vector contraction `y_i = Σ_k f(A_ik, x_k)` (and the
-    /// transposed orientation): join tiles with vector blocks on the
-    /// contracted block index, partial block products, `reduceByKey`.
-    MatVec {
-        matrix: String,
-        vector: String,
-        /// The contracted index of the matrix is its **row** (computes
-        /// `Aᵀ·x`).
-        contract_row: bool,
-        /// Element combine over slots `[a, x]` (reduced with `+`).
-        value: ScalarFn,
-        /// Ship the vector to every task via [`sparkline::Context::broadcast`]
-        /// instead of joining — zero shuffle stages.
-        broadcast: bool,
-        /// How the physical path was chosen.
-        decision: PlanDecision,
-    },
-    /// Element-wise over co-indexed tiled vectors (rule 17, 1-D): the same
-    /// fused tile program, each block run as an `n x 1` tile.
-    VectorEltwise {
-        /// Input vector names, in slot order.
-        inputs: Vec<String>,
-        /// Constant-folded program over slots `[val_0, ..., val_{k-1}, idx]`.
-        program: FusedProgram,
-        /// Post-order operator tags of the source region.
-        region_ops: Vec<String>,
-    },
     /// Reference interpreter over sparsified arrays.
     LocalFallback { expr: Expr },
 }
@@ -244,14 +227,11 @@ impl Plan {
     /// input's lineage twice — the signal the auto-persist pass looks for).
     pub fn input_names(&self) -> Vec<&str> {
         match self {
-            Plan::FusedEltwise { inputs, .. } | Plan::VectorEltwise { inputs, .. } => {
-                inputs.iter().map(String::as_str).collect()
-            }
+            Plan::FusedEltwise { inputs, .. } => inputs.iter().map(String::as_str).collect(),
             Plan::Contraction { left, right, .. } => vec![left, right],
             Plan::AxisReduce { input, .. }
             | Plan::IndexRemap { input, .. }
             | Plan::GroupByAggregate { input, .. } => vec![input],
-            Plan::MatVec { matrix, vector, .. } => vec![matrix, vector],
             Plan::LocalFallback { .. } => vec![],
         }
     }
@@ -259,14 +239,10 @@ impl Plan {
     /// Human-readable strategy name (used by plan-shape tests and explain).
     pub fn strategy_name(&self) -> &'static str {
         match self {
-            Plan::FusedEltwise { .. } => "eltwise/fused",
-            Plan::Contraction { strategy, .. } => contraction_tag(*strategy),
+            Plan::FusedEltwise { vector: false, .. } => "eltwise/fused",
+            Plan::FusedEltwise { .. } => "vectorEltwise",
+            Plan::Contraction { decision, .. } => decision.chosen,
             Plan::AxisReduce { .. } => "axisReduce",
-            Plan::MatVec {
-                broadcast: true, ..
-            } => "matVec/broadcast",
-            Plan::MatVec { .. } => "matVec",
-            Plan::VectorEltwise { .. } => "vectorEltwise",
             Plan::IndexRemap { .. } => "indexRemap",
             Plan::GroupByAggregate { .. } => "groupByAggregate",
             Plan::LocalFallback { .. } => "localFallback",
@@ -276,23 +252,9 @@ impl Plan {
     /// The cost-based decision record, for plans that make one.
     pub fn decision(&self) -> Option<&PlanDecision> {
         match self {
-            Plan::Contraction { decision, .. } | Plan::MatVec { decision, .. } => Some(decision),
+            Plan::Contraction { decision, .. } => Some(decision),
             _ => None,
         }
-    }
-}
-
-/// Strategy tag of a resolved contraction strategy.
-///
-/// # Panics
-/// On [`MatMulStrategy::Auto`], which plan selection always resolves away.
-pub(crate) fn contraction_tag(strategy: MatMulStrategy) -> &'static str {
-    match strategy {
-        MatMulStrategy::JoinGroupBy => "contraction/joinGroupBy",
-        MatMulStrategy::ReduceByKey => "contraction/reduceByKey",
-        MatMulStrategy::GroupByJoin => "contraction/groupByJoin",
-        MatMulStrategy::Broadcast => "contraction/broadcast",
-        MatMulStrategy::Auto => unreachable!("Auto must be resolved at plan time"),
     }
 }
 
@@ -313,50 +275,47 @@ impl Planned {
 /// ([`Plan::LocalFallback`]).
 pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, CompError> {
     let expr = normalize(expr.clone());
-    let local = || Plan::LocalFallback { expr: expr.clone() };
-    Ok(match &expr {
-        Expr::Build {
-            builder,
-            args,
-            body,
-        } if builder == "tiled" && args.len() == 2 => Planned {
-            output: OutputKind::Matrix {
-                rows: eval_int_arg(&args[0], env)?,
-                cols: eval_int_arg(&args[1], env)?,
+    let mut output = OutputKind::Local;
+    let mut plan = None;
+    if let Expr::Build {
+        builder,
+        args,
+        body,
+    } = &expr
+    {
+        output = match (builder.as_str(), args.as_slice()) {
+            ("tiled", [rows, cols]) => OutputKind::Matrix {
+                rows: eval_dim(rows, env)?,
+                cols: eval_dim(cols, env)?,
             },
-            plan: plan_matrix_body(body, env, config).unwrap_or_else(|_| local()),
-        },
-        Expr::Build {
-            builder,
-            args,
-            body,
-        } if builder == "tiled_vector" && args.len() == 1 => Planned {
-            output: OutputKind::Vector {
-                len: eval_int_arg(&args[0], env)?,
+            ("tiled_vector", [len]) => OutputKind::Vector {
+                len: eval_dim(len, env)?,
             },
-            plan: plan_vector_body(body, env, config).unwrap_or_else(|_| local()),
-        },
-        _ => Planned {
-            plan: local(),
-            output: OutputKind::Local,
-        },
-    })
+            _ => OutputKind::Local,
+        };
+        if output != OutputKind::Local {
+            let vector = matches!(output, OutputKind::Vector { .. });
+            plan = plan_body(body, env, config, vector).ok();
+        }
+    }
+    let plan = plan.unwrap_or(Plan::LocalFallback { expr });
+    Ok(Planned { plan, output })
 }
 
-fn eval_int_arg(e: &Expr, env: &PlanEnv) -> Result<i64, CompError> {
+/// A builder dimension: an integer expression over the planner scalars that
+/// must come out positive — every storage constructor downstream asserts it.
+fn eval_dim(e: &Expr, env: &PlanEnv) -> Result<i64, CompError> {
     let mut cenv = comp::Env::new();
     for name in e.free_vars() {
         if let Some(v) = env.scalar(&name) {
             cenv.bind(name.clone(), v.clone());
         }
     }
-    comp::eval(e, &mut cenv)?.as_i64()
-}
-
-fn body_comprehension(body: &Expr) -> Result<&comp::Comprehension, CompError> {
-    match body {
-        Expr::Comprehension(c) => Ok(c),
-        _ => Err(CompError::plan("builder body must be a comprehension")),
+    match comp::eval(e, &mut cenv)?.as_i64()? {
+        dim if dim > 0 => Ok(dim),
+        dim => Err(CompError::plan(format!(
+            "builder dimension `{e}` must be positive, got {dim}"
+        ))),
     }
 }
 
@@ -378,44 +337,34 @@ fn gen_kind(env: &PlanEnv) -> impl Fn(&str) -> GenKind + '_ {
     }
 }
 
-fn plan_matrix_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
-    let c = body_comprehension(body)?;
-    let d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
+/// Try the translation rules on a builder body, in dispatch order; `vector`
+/// is the builder kind (`tiled_vector` rather than `tiled`).
+fn plan_body(
+    body: &Expr,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    vector: bool,
+) -> Result<Plan, CompError> {
+    let Expr::Comprehension(c) = body else {
+        return Err(CompError::plan("builder body must be a comprehension"));
+    };
+    let mut d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
+    d.head = inline_lets(&d.head, &d.lets);
     if d.post_group_quals > 0 {
         return Err(CompError::plan(
             "qualifiers after group-by are not supported by distributed plans",
         ));
     }
-    if d.group_by.is_none() {
-        if let Ok(p) = plan_eltwise(&d, env) {
-            return Ok(p);
-        }
-        return plan_index_remap(&d, env);
+    if vector {
+        plan_axis_reduce(&d, env)
+            .or_else(|_| plan_contraction(&d, env, config, true))
+            .or_else(|_| plan_eltwise(&d, env, true))
+            .or_else(|_| plan_group_by_aggregate(&d, true))
+    } else if d.group_by.is_none() {
+        plan_eltwise(&d, env, false).or_else(|_| plan_index_remap(&d, env))
+    } else {
+        plan_contraction(&d, env, config, false).or_else(|_| plan_group_by_aggregate(&d, false))
     }
-    if let Ok(p) = plan_contraction(&d, env, config) {
-        return Ok(p);
-    }
-    plan_group_by_aggregate(&d, env, GroupShape::Matrix)
-}
-
-fn plan_vector_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
-    let c = body_comprehension(body)?;
-    let d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
-    if d.post_group_quals > 0 {
-        return Err(CompError::plan(
-            "qualifiers after group-by are not supported by distributed plans",
-        ));
-    }
-    if let Ok(p) = plan_axis_reduce(&d, env) {
-        return Ok(p);
-    }
-    if let Ok(p) = plan_mat_vec(&d, env, config) {
-        return Ok(p);
-    }
-    if let Ok(p) = plan_vector_eltwise(&d, env) {
-        return Ok(p);
-    }
-    plan_group_by_aggregate(&d, env, GroupShape::Vector)
 }
 
 /// Compile an elementwise head value and its guards (conjoined) against
@@ -448,139 +397,124 @@ fn fuse_head(
     Ok((fuse_region(&value_fn, guard_fn.as_ref()), region_ops))
 }
 
-/// §5.1 rule 17.
-fn plan_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
-    if d.matrix_gens.is_empty()
-        || !d.vector_gens.is_empty()
+fn eq_guard(x: &str, y: &str) -> Expr {
+    Expr::BinOp(
+        comp::BinOp::Eq,
+        Box::new(Expr::Var(x.to_string())),
+        Box::new(Expr::Var(y.to_string())),
+    )
+}
+
+/// §5.1 rule 17, over tiled matrices or — `vector` — tiled vectors: every
+/// generator is a tiled array of the one kind, all are equated on every
+/// index, and the head key is those indices.
+fn plan_eltwise(d: &Decomposed, env: &PlanEnv, vector: bool) -> Result<Plan, CompError> {
+    // Each generator as (name, value variable, index variables).
+    let gens: Vec<(&String, &String, Vec<&String>)> = if vector {
+        d.vector_gens
+            .iter()
+            .map(|g| (&g.name, &g.val, vec![&g.idx]))
+            .collect()
+    } else {
+        d.matrix_gens
+            .iter()
+            .map(|g| (&g.name, &g.val, vec![&g.row, &g.col]))
+            .collect()
+    };
+    // (`gens` must be every tiled generator: none of the other kind.)
+    if gens.is_empty()
+        || gens.len() != d.matrix_gens.len() + d.vector_gens.len()
         || !d.range_gens.is_empty()
         || d.group_by.is_some()
     {
         return Err(CompError::plan("not an element-wise comprehension"));
     }
     let classes = VarClasses::from_equalities(&d.var_equalities);
-    let row_class = classes.find(&d.matrix_gens[0].row);
-    let col_class = classes.find(&d.matrix_gens[0].col);
-    if row_class == col_class {
+    let classes_of =
+        |vars: &[&String]| -> Vec<String> { vars.iter().map(|v| classes.find(v)).collect() };
+    // The first generator's index names are the canonical ones.
+    let indices = &gens[0].2;
+    let index_classes = classes_of(indices);
+    if !vector && index_classes[0] == index_classes[1] {
         return Err(CompError::plan("row and column indices equated (diagonal)"));
     }
-    for g in &d.matrix_gens {
-        if classes.find(&g.row) != row_class || classes.find(&g.col) != col_class {
-            return Err(CompError::plan("generators are not joined on both indices"));
-        }
+    if gens.iter().any(|g| classes_of(&g.2) != index_classes) {
+        return Err(CompError::plan("generators are not joined on every index"));
     }
+    let (key, value_expr) = split_head(&d.head)?;
+    let key_classes = match (key, vector) {
+        (Expr::Var(k), true) => classes_of(&[k]),
+        (Expr::Tuple(kij), false) => match kij.as_slice() {
+            [Expr::Var(ka), Expr::Var(kb)] => classes_of(&[ka, kb]),
+            _ => return Err(CompError::plan("head key must be index variables")),
+        },
+        _ => return Err(CompError::plan("head key must be the generator indices")),
+    };
+    let transposed = key_classes != index_classes;
+    if transposed && !key_classes.iter().rev().eq(&index_classes) {
+        return Err(CompError::plan("head key is not the generator indices"));
+    }
+
+    // Rewrite every generator's index names to the canonical ones so slot
+    // lookup finds them. Slots: all value vars, then the indices.
+    let canon = |e: &Expr| {
+        let aliases = gens[1..].iter().flat_map(|g| g.2.iter().zip(indices));
+        aliases
+            .filter(|(alias, name)| alias != name)
+            .fold(e.clone(), |out, (alias, name)| {
+                crate::analysis::substitute(&out, alias, &Expr::Var((*name).clone()))
+            })
+    };
+    let slots = gens.iter().map(|g| g.1).chain(indices.iter().copied());
+    let slots: Vec<String> = slots.cloned().collect();
     // Equalities between non-index (value) variables are filters, not join
     // keys — keep them as guards.
-    let index_vars: Vec<&String> = d
-        .matrix_gens
-        .iter()
-        .flat_map(|g| [&g.row, &g.col])
-        .collect();
-    let mut extra_guards: Vec<Expr> = Vec::new();
-    for (x, y) in &d.var_equalities {
-        if !index_vars.contains(&x) || !index_vars.contains(&y) {
-            extra_guards.push(Expr::BinOp(
-                comp::BinOp::Eq,
-                Box::new(Expr::Var(x.clone())),
-                Box::new(Expr::Var(y.clone())),
-            ));
-        }
-    }
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value_expr) = split_head(&head)?;
-    let Expr::Tuple(kij) = key else {
-        return Err(CompError::plan("matrix head key must be (i, j)"));
-    };
-    let [Expr::Var(ka), Expr::Var(kb)] = kij.as_slice() else {
-        return Err(CompError::plan("matrix head key must be index variables"));
-    };
-    let transposed = if classes.find(ka) == row_class && classes.find(kb) == col_class {
-        false
-    } else if classes.find(ka) == col_class && classes.find(kb) == row_class {
-        true
-    } else {
-        return Err(CompError::plan("head key is not the generator indices"));
-    };
-
-    // Slots: all value vars (and their equality aliases resolve to the same
-    // slot via class representatives), then row, then col.
-    let mut slots: Vec<String> = d.matrix_gens.iter().map(|g| g.val.clone()).collect();
-    slots.push(d.matrix_gens[0].row.clone());
-    slots.push(d.matrix_gens[0].col.clone());
-    // Rewrite index aliases to the canonical generator's names.
-    let canon = |e: &Expr| canonicalize_vars(e, d, &classes);
+    let is_index = |v: &String| gens.iter().any(|g| g.2.contains(&v));
+    let value_eqs = d.var_equalities.iter();
+    let value_eqs = value_eqs.filter(|(x, y)| !is_index(x) || !is_index(y));
     let guards = d
         .other_guards
         .iter()
-        .chain(&extra_guards)
-        .map(canon)
+        .cloned()
+        .chain(value_eqs.map(|(x, y)| eq_guard(x, y)))
+        .map(|g| canon(&g))
         .collect();
     let (program, region_ops) = fuse_head(&canon(value_expr), guards, &slots, env)?;
     Ok(Plan::FusedEltwise {
-        inputs: d.matrix_gens.iter().map(|g| g.name.clone()).collect(),
+        inputs: gens.iter().map(|g| g.0.clone()).collect(),
+        vector,
         transposed,
         program,
         region_ops,
     })
 }
 
-/// Rewrite each index variable to its class representative (the first
-/// generator's index with that class, in generator order) so slot lookup
-/// finds it.
-fn canonicalize_vars(e: &Expr, d: &Decomposed, classes: &VarClasses) -> Expr {
-    let all_idx: Vec<String> = d
-        .matrix_gens
-        .iter()
-        .flat_map(|g| [g.row.clone(), g.col.clone()])
-        .collect();
-    let mut reps: Vec<(String, String)> = Vec::new();
-    for idx in &all_idx {
-        let class = classes.find(idx);
-        if !reps.iter().any(|(c, _)| *c == class) {
-            reps.push((class, idx.clone()));
-        }
-    }
-    let mut out = e.clone();
-    for idx in &all_idx {
-        let class = classes.find(idx);
-        let rep = &reps
-            .iter()
-            .find(|(c, _)| *c == class)
-            .expect("representative registered")
-            .1;
-        if idx != rep {
-            out = crate::analysis::substitute(&out, idx, &Expr::Var(rep.clone()));
-        }
-    }
-    out
-}
-
-/// §5.3/§5.4 contraction.
-fn plan_contraction(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
-    if d.matrix_gens.len() != 2
-        || !d.vector_gens.is_empty()
-        || !d.range_gens.is_empty()
-        || !d.other_guards.is_empty()
-    {
-        return Err(CompError::plan("not a contraction comprehension"));
-    }
-    if d.var_equalities.len() != 1 {
+/// §5.3/§5.4 contraction: a tiled matrix joined on one index with a second
+/// tiled matrix, grouped by the two free indices — or, `vector`, with a
+/// tiled vector, grouped by the matrix's free index.
+fn plan_contraction(
+    d: &Decomposed,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    vector: bool,
+) -> Result<Plan, CompError> {
+    if !d.range_gens.is_empty() || !d.other_guards.is_empty() || d.var_equalities.len() != 1 {
         return Err(CompError::plan(
-            "contraction requires exactly the contracted-index equality",
+            "a contraction has exactly the contracted-index equality",
         ));
     }
-    let Some((Pattern::Tuple(kp), None)) = &d.group_by else {
-        return Err(CompError::plan("contraction requires `group by (i,j)`"));
-    };
-    let [Pattern::Var(kx), Pattern::Var(ky)] = kp.as_slice() else {
-        return Err(CompError::plan("contraction key must be two variables"));
+    // The right operand: name, value variable, (index variable, is row).
+    let (a, (b_name, b_val, b_indices)) = match (&d.matrix_gens[..], &d.vector_gens[..], vector) {
+        ([a, b], [], false) => (a, (&b.name, &b.val, vec![(&b.row, true), (&b.col, false)])),
+        ([a], [v], true) => (a, (&v.name, &v.val, vec![(&v.idx, true)])),
+        _ => return Err(CompError::plan("not a contraction comprehension")),
     };
     let classes = VarClasses::from_equalities(&d.var_equalities);
-    let (a, b) = (&d.matrix_gens[0], &d.matrix_gens[1]);
 
     // Find the contracted pair: one index of a equated with one index of b.
     let mut contracted: Option<(bool, bool)> = None; // (a_row_contracted, b_col_contracted)
     for (a_idx, a_is_row) in [(&a.row, true), (&a.col, false)] {
-        for (b_idx, b_is_row) in [(&b.row, true), (&b.col, false)] {
+        for &(b_idx, b_is_row) in &b_indices {
             if classes.same(a_idx, b_idx) {
                 if contracted.is_some() {
                     return Err(CompError::plan("more than one contracted index pair"));
@@ -593,45 +527,50 @@ fn plan_contraction(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Resul
         return Err(CompError::plan("no contracted index pair"));
     };
     let a_free = if left_contract_row { &a.col } else { &a.row };
-    let b_free = if right_contract_col { &b.row } else { &b.col };
 
-    let swap_output = if classes.same(kx, a_free) && classes.same(ky, b_free) {
-        false
-    } else if classes.same(kx, b_free) && classes.same(ky, a_free) {
-        true
-    } else {
-        return Err(CompError::plan(
-            "group-by key is not the pair of free indices",
-        ));
+    let (key, value) = split_head(&d.head)?;
+    let swap_output = match &d.group_by {
+        Some((Pattern::Tuple(kp), None)) if !vector => {
+            let [Pattern::Var(kx), Pattern::Var(ky)] = kp.as_slice() else {
+                return Err(CompError::plan("contraction key must be two variables"));
+            };
+            let b_free = b_indices[!right_contract_col as usize].0;
+            if classes.same(kx, a_free) && classes.same(ky, b_free) {
+                false
+            } else if classes.same(kx, b_free) && classes.same(ky, a_free) {
+                true
+            } else {
+                return Err(CompError::plan(
+                    "group-by key is not the pair of free indices",
+                ));
+            }
+        }
+        Some((Pattern::Var(g), None)) if vector => {
+            if !classes.same(g, a_free) || key != &Expr::Var(g.clone()) {
+                return Err(CompError::plan(
+                    "group-by and head key must be the free matrix index",
+                ));
+            }
+            false
+        }
+        _ => return Err(CompError::plan("contraction requires a plain group-by")),
     };
-
-    let head = inline_lets(&d.head, &d.lets);
-    let (_key, value) = split_head(&head)?;
     let Expr::Reduce(Monoid::Sum, inner) = value else {
         return Err(CompError::plan(
             "contraction head must be a sum reduction `+/v`",
         ));
     };
-    let slots = vec![a.val.clone(), b.val.clone()];
+    let slots = vec![a.val.clone(), b_val.clone()];
     let value = ScalarFn::compile(inner, &slots, &|v| env.float_scalar(v))?;
-    let candidates = contraction_candidates(
-        env,
-        config,
-        &a.name,
-        &b.name,
-        left_contract_row,
-        right_contract_col,
+    let operands = (
+        (&*a.name, left_contract_row),
+        (&**b_name, right_contract_col),
     );
-    // No statistics, no candidates: default to the fewest shuffle rounds.
-    let (strategy, decision) = decide(
-        candidates,
-        config.matmul,
-        MatMulStrategy::GroupByJoin,
-        contraction_tag,
-    );
+    let shape = ContractionShape::of(env, operands, vector);
+    let (strategy, decision) = decide(shape.as_ref(), vector, config)?;
     Ok(Plan::Contraction {
         left: a.name.clone(),
-        right: b.name.clone(),
+        right: b_name.clone(),
         left_contract_row,
         right_contract_col,
         swap_output,
@@ -642,7 +581,7 @@ fn plan_contraction(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Resul
 }
 
 // ---------------------------------------------------------------------------
-// Cost-based strategy selection.
+// The strategy table: every physical contraction strategy, defined once.
 // ---------------------------------------------------------------------------
 
 /// Fixed per-shuffle-round cost, in byte equivalents. A pure byte model
@@ -651,117 +590,238 @@ fn plan_contraction(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Resul
 /// output there), so each shuffle barrier also pays this latency proxy.
 const ROUND_COST: u64 = 16 << 10;
 
-/// Nominal partition count for cost estimation when autotuning defers the
-/// real choice to execution time.
-pub(crate) fn nominal_partitions(config: &PlanConfig) -> u64 {
-    if config.partitions > 0 {
-        config.partitions as u64
-    } else {
-        8
+/// Nominal partition count for cost estimation when autotuning
+/// (`partitions == 0`) defers the real choice to execution time.
+const NOMINAL_PARTITIONS: u64 = 8;
+
+/// One oriented contraction `C[i,j] = Σ_k f(A[i,k], B[k,j])` as the cost
+/// model sees it, in blocks and bytes. A vector right operand is the
+/// `free_right = 1` case whose output blocks are vector blocks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContractionShape {
+    vector: bool,
+    /// Block counts of the left-free, contracted and right-free dimensions.
+    free_left: u64,
+    contracted: u64,
+    free_right: u64,
+    /// Wire bytes of each side shuffled once: tile count × wire bytes a tile.
+    left_bytes: u64,
+    right_bytes: u64,
+    /// Resident bytes of the operand a broadcast ships: the smaller matrix,
+    /// or the vector.
+    broadcast_bytes: u64,
+    /// Encoded bytes of one output block record.
+    out_block: u64,
+}
+
+impl ContractionShape {
+    /// Orient the contraction of `left` with `right` — each a name and
+    /// whether its *non-standard* index is the contracted one
+    /// (`left_contract_row`, `right_contract_col`) — from the statistics
+    /// `env` holds for them; `None` when either has none. Re-invoked by the
+    /// stage driver with measured stats overlaid on `env`.
+    pub(crate) fn of(
+        env: &PlanEnv,
+        ((left, left_contract_row), (right, right_contract_col)): ((&str, bool), (&str, bool)),
+        vector: bool,
+    ) -> Option<ContractionShape> {
+        let (sa, sb) = (env.stats(left)?, env.stats(right)?);
+        let (free_left, contracted) = if left_contract_row {
+            (sa.block_cols, sa.block_rows)
+        } else {
+            (sa.block_rows, sa.block_cols)
+        };
+        let free_right = if right_contract_col {
+            sb.block_rows
+        } else {
+            sb.block_cols
+        };
+        let (right_bytes, broadcast_bytes, out_block) = if vector {
+            let block = ArrayStats::vector_block_bytes(sa.tile_size);
+            (sb.estimated_bytes, sb.estimated_bytes, block)
+        } else {
+            (
+                sb.num_tiles() * sb.tile_wire_bytes(),
+                sa.estimated_bytes.min(sb.estimated_bytes),
+                ArrayStats::dense_tile_bytes(sa.tile_size.max(sb.tile_size)),
+            )
+        };
+        Some(ContractionShape {
+            vector,
+            free_left: free_left as u64,
+            contracted: contracted as u64,
+            free_right: free_right as u64,
+            left_bytes: sa.num_tiles() * sa.tile_wire_bytes(),
+            right_bytes,
+            broadcast_bytes,
+            out_block,
+        })
     }
 }
 
-/// Estimated costs (shuffle bytes + round latency) of every eligible
-/// contraction strategy, in tie-break preference order. Also re-invoked by
-/// the adaptive stage driver with measured stats overlaid on `env`.
-pub(crate) fn contraction_candidates(
-    env: &PlanEnv,
+/// One physical contraction strategy: what it is called, which operand kind
+/// it lowers, and what it costs. `exec::lower_contraction` holds one
+/// dataflow per [`MatMulStrategy`]; everything else a strategy is lives in
+/// its row, read by plan-time [`decide`], by the stage driver
+/// ([`crate::stage::adapt`]) and by `execute`.
+pub(crate) struct StrategyRow {
+    pub strategy: MatMulStrategy,
+    /// Plan-node and stage tag.
+    pub tag: &'static str,
+    /// Lowers matrix × vector rather than matrix × matrix.
+    pub vector: bool,
+    /// Shuffles of the lowering (a join or cogroup shuffles each side), each
+    /// costed [`ROUND_COST`]. The zero-round row merges on the driver.
+    pub rounds: u64,
+    /// Estimated shuffled bytes; `None` when the shape is ineligible.
+    bytes: fn(&ContractionShape, &PlanConfig) -> Option<u64>,
+}
+
+/// The table, per operand kind in tie-break preference order (fewer rounds
+/// first): the first of equally cheap candidates wins.
+static STRATEGIES: [StrategyRow; 6] = [
+    StrategyRow {
+        strategy: MatMulStrategy::Broadcast,
+        tag: "contraction/broadcast",
+        vector: false,
+        rounds: 1,
+        bytes: broadcast_bytes,
+    },
+    StrategyRow {
+        strategy: MatMulStrategy::GroupByJoin,
+        tag: "contraction/groupByJoin",
+        vector: false,
+        rounds: 2,
+        bytes: group_by_join_bytes,
+    },
+    StrategyRow {
+        strategy: MatMulStrategy::ReduceByKey,
+        tag: "contraction/reduceByKey",
+        vector: false,
+        rounds: 3,
+        bytes: reduce_by_key_bytes,
+    },
+    StrategyRow {
+        strategy: MatMulStrategy::JoinGroupBy,
+        tag: "contraction/joinGroupBy",
+        vector: false,
+        rounds: 3,
+        bytes: join_group_by_bytes,
+    },
+    StrategyRow {
+        strategy: MatMulStrategy::Broadcast,
+        tag: "matVec/broadcast",
+        vector: true,
+        rounds: 0,
+        bytes: broadcast_bytes,
+    },
+    StrategyRow {
+        strategy: MatMulStrategy::ReduceByKey,
+        tag: "matVec",
+        vector: true,
+        rounds: 3,
+        bytes: reduce_by_key_bytes,
+    },
+];
+
+/// The table rows lowering this operand kind.
+fn rows(vector: bool) -> impl Iterator<Item = &'static StrategyRow> {
+    STRATEGIES.iter().filter(move |r| r.vector == vector)
+}
+
+/// Broadcast: ship the small side everywhere, partial output blocks
+/// map-side, then one combine round (tiles) or a driver-side merge (vector
+/// blocks). Eligible only under the byte budget.
+fn broadcast_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
+    (s.broadcast_bytes <= config.broadcast_budget)
+        .then(|| s.broadcast_bytes + s.free_left * s.free_right * s.out_block)
+}
+
+/// Group-by-join (§5.4): each side replicated across the other's free
+/// blocks, one cogroup round.
+fn group_by_join_bytes(s: &ContractionShape, _: &PlanConfig) -> Option<u64> {
+    Some(s.left_bytes * s.free_right + s.right_bytes * s.free_left)
+}
+
+/// Join + reduceByKey (§5.3): both sides shuffled once for the join, partial
+/// products map-side combined down to at most min(p, k) partial blocks per
+/// output coordinate.
+fn reduce_by_key_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
+    let partitions = match config.partitions {
+        0 => NOMINAL_PARTITIONS,
+        pinned => pinned as u64,
+    };
+    let partials = partitions.min(s.contracted);
+    Some(s.left_bytes + s.right_bytes + s.free_left * s.free_right * partials * s.out_block)
+}
+
+/// Join + groupByKey (§4): every elementary block product crosses the wire
+/// uncombined.
+fn join_group_by_bytes(s: &ContractionShape, _: &PlanConfig) -> Option<u64> {
+    let products = s.free_left * s.contracted * s.free_right;
+    Some(s.left_bytes + s.right_bytes + products * s.out_block)
+}
+
+/// The row lowering `strategy` for this operand kind, if the table has one.
+pub(crate) fn strategy_row(strategy: MatMulStrategy, vector: bool) -> Option<&'static StrategyRow> {
+    rows(vector).find(|r| r.strategy == strategy)
+}
+
+/// Estimated cost (shuffled bytes + round latency) of every row eligible for
+/// `shape`, in table order; none without statistics.
+pub(crate) fn candidates(
+    shape: Option<&ContractionShape>,
     config: &PlanConfig,
-    left: &str,
-    right: &str,
-    left_contract_row: bool,
-    right_contract_col: bool,
-) -> Vec<(MatMulStrategy, u64)> {
-    let (Some(sa), Some(sb)) = (env.stats(left), env.stats(right)) else {
+) -> Vec<(&'static StrategyRow, u64)> {
+    let Some(shape) = shape else {
         return Vec::new();
     };
-    // Block-grid shape after orienting the contraction: `bra` free blocks on
-    // the left, `bcb` on the right, `k` contracted blocks.
-    let (bra, k) = if left_contract_row {
-        (sa.block_cols as u64, sa.block_rows as u64)
-    } else {
-        (sa.block_rows as u64, sa.block_cols as u64)
-    };
-    let bcb = if right_contract_col {
-        sb.block_rows as u64
-    } else {
-        sb.block_cols as u64
-    };
-    let out_tiles = bra * bcb;
-    let tile = ArrayStats::dense_tile_bytes(sa.tile_size.max(sb.tile_size));
-    let (tiles_a, wa) = (sa.num_tiles(), sa.tile_wire_bytes());
-    let (tiles_b, wb) = (sb.num_tiles(), sb.tile_wire_bytes());
-    let p = nominal_partitions(config);
-
-    let mut out = Vec::new();
-    // Broadcast: ship the small side everywhere, partial tiles map-side,
-    // one combine round. Eligible only under the byte budget.
-    let small = sa.estimated_bytes.min(sb.estimated_bytes);
-    if small <= config.broadcast_budget {
-        out.push((
-            MatMulStrategy::Broadcast,
-            small + out_tiles * tile + ROUND_COST,
-        ));
-    }
-    // Group-by-join (§5.4): each side replicated across the other's free
-    // blocks, one cogroup round.
-    out.push((
-        MatMulStrategy::GroupByJoin,
-        tiles_a * wa * bcb + tiles_b * wb * bra + 2 * ROUND_COST,
-    ));
-    // Join + reduceByKey (§5.3): both sides shuffled once for the join,
-    // partial products map-side combined down to at most min(p, k) partial
-    // tiles per output coordinate.
-    out.push((
-        MatMulStrategy::ReduceByKey,
-        tiles_a * wa + tiles_b * wb + out_tiles * p.min(k) * tile + 3 * ROUND_COST,
-    ));
-    // Join + groupByKey (§4): every elementary tile product crosses the wire
-    // uncombined.
-    out.push((
-        MatMulStrategy::JoinGroupBy,
-        tiles_a * wa + tiles_b * wb + bra * k * bcb * tile + 3 * ROUND_COST,
-    ));
-    out
+    let costed =
+        |r: &'static StrategyRow| Some((r, (r.bytes)(shape, config)? + r.rounds * ROUND_COST));
+    rows(shape.vector).filter_map(costed).collect()
 }
 
-/// The cheapest candidate; the first wins a tie, so the candidate lists'
-/// preference order breaks ties toward fewer rounds.
-pub(crate) fn cheapest(candidates: &[(MatMulStrategy, u64)]) -> Option<(MatMulStrategy, u64)> {
+/// The cheapest candidate; the first wins a tie.
+pub(crate) fn cheapest(
+    candidates: &[(&'static StrategyRow, u64)],
+) -> Option<(&'static StrategyRow, u64)> {
     candidates.iter().copied().min_by_key(|&(_, cost)| cost)
 }
 
-/// Estimated cost of `strategy` among `candidates`, if it is eligible.
+/// Estimated cost of `row` among `candidates`, if it is eligible.
 pub(crate) fn cost_of(
-    candidates: &[(MatMulStrategy, u64)],
-    strategy: MatMulStrategy,
+    candidates: &[(&'static StrategyRow, u64)],
+    row: &StrategyRow,
 ) -> Option<u64> {
-    candidates
-        .iter()
-        .find(|&&(s, _)| s == strategy)
-        .map(|&(_, cost)| cost)
+    let mut candidates = candidates.iter();
+    candidates.find(|(r, _)| r.tag == row.tag).map(|&(_, c)| c)
 }
 
-/// Resolve one cost-based choice: a pinned strategy is honored verbatim,
-/// [`MatMulStrategy::Auto`] takes the cheapest candidate (`default` when
-/// there are none). `tag` names a strategy for this kind of plan node.
+/// Resolve one cost-based choice: [`MatMulStrategy::Auto`] takes the
+/// cheapest candidate, a pinned strategy is honored verbatim. Without
+/// statistics — and for a pinned strategy this operand kind has no row for,
+/// so a pinned non-broadcast `matmul` pins mat-vec to the shuffle path — the
+/// choice is the kind's first row that needs no byte budget.
 fn decide(
-    candidates: Vec<(MatMulStrategy, u64)>,
-    pin: MatMulStrategy,
-    default: MatMulStrategy,
-    tag: fn(MatMulStrategy) -> &'static str,
-) -> (MatMulStrategy, PlanDecision) {
-    let (strategy, auto) = match pin {
-        MatMulStrategy::Auto => (cheapest(&candidates).map_or(default, |(s, _)| s), true),
-        pinned => (pinned, false),
+    shape: Option<&ContractionShape>,
+    vector: bool,
+    config: &PlanConfig,
+) -> Result<(MatMulStrategy, PlanDecision), CompError> {
+    let candidates = candidates(shape, config);
+    let (row, auto) = match config.matmul {
+        MatMulStrategy::Auto => (cheapest(&candidates).map(|(r, _)| r), true),
+        pinned => (strategy_row(pinned, vector), false),
     };
+    let row = row
+        .or_else(|| rows(vector).find(|r| r.strategy != MatMulStrategy::Broadcast))
+        .ok_or_else(|| CompError::plan("no contraction strategy for this operand kind"))?;
     let decision = PlanDecision {
-        chosen: tag(strategy),
+        chosen: row.tag,
         auto,
-        est_shuffle_bytes: cost_of(&candidates, strategy).unwrap_or(0),
-        candidates: candidates.into_iter().map(|(s, c)| (tag(s), c)).collect(),
+        est_shuffle_bytes: cost_of(&candidates, row).unwrap_or(0),
+        candidates: candidates.into_iter().map(|(r, c)| (r.tag, c)).collect(),
     };
-    (strategy, decision)
+    Ok((row.strategy, decision))
 }
 
 /// Fig. 1 axis reduction.
@@ -785,8 +845,7 @@ fn plan_axis_reduce(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     } else {
         return Err(CompError::plan("group-by key is not a generator index"));
     };
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value) = split_head(&head)?;
+    let (key, value) = split_head(&d.head)?;
     if key != &Expr::Var(k.clone()) {
         return Err(CompError::plan("head key must be the group-by index"));
     }
@@ -814,8 +873,7 @@ fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
         return Err(CompError::plan("not an index remap"));
     }
     let g = &d.matrix_gens[0];
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value) = split_head(&head)?;
+    let (key, value) = split_head(&d.head)?;
     let Expr::Tuple(kij) = key else {
         return Err(CompError::plan("matrix head key must be a pair"));
     };
@@ -836,168 +894,9 @@ fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     })
 }
 
-/// Matrix–vector contraction: one matrix generator, one vector generator,
-/// joined on one matrix index, grouped by the other.
-fn plan_mat_vec(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
-    if d.matrix_gens.len() != 1
-        || d.vector_gens.len() != 1
-        || !d.range_gens.is_empty()
-        || !d.other_guards.is_empty()
-        || d.var_equalities.len() != 1
-    {
-        return Err(CompError::plan("not a matrix-vector contraction"));
-    }
-    let Some((Pattern::Var(g), None)) = &d.group_by else {
-        return Err(CompError::plan("matrix-vector requires `group by i`"));
-    };
-    let m = &d.matrix_gens[0];
-    let v = &d.vector_gens[0];
-    let classes = VarClasses::from_equalities(&d.var_equalities);
-    let contract_row = if classes.same(&m.col, &v.idx) {
-        false
-    } else if classes.same(&m.row, &v.idx) {
-        true
-    } else {
-        return Err(CompError::plan(
-            "vector index is not joined with the matrix",
-        ));
-    };
-    let free = if contract_row { &m.col } else { &m.row };
-    if !classes.same(g, free) {
-        return Err(CompError::plan("group-by key is not the free matrix index"));
-    }
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value) = split_head(&head)?;
-    if key != &Expr::Var(g.clone()) {
-        return Err(CompError::plan("head key must be the group-by index"));
-    }
-    let Expr::Reduce(Monoid::Sum, inner) = value else {
-        return Err(CompError::plan("matrix-vector head must be `+/v`"));
-    };
-    let slots = vec![m.val.clone(), v.val.clone()];
-    let value = ScalarFn::compile(inner, &slots, &|x| env.float_scalar(x))?;
-    // A pinned `matmul` strategy pins the analogous mat-vec path.
-    let pin = match config.matmul {
-        MatMulStrategy::Auto | MatMulStrategy::Broadcast => config.matmul,
-        _ => MatMulStrategy::ReduceByKey,
-    };
-    let candidates = mat_vec_candidates(env, config, &m.name, &v.name, contract_row);
-    let (strategy, decision) = decide(candidates, pin, MatMulStrategy::ReduceByKey, mat_vec_tag);
-    Ok(Plan::MatVec {
-        matrix: m.name.clone(),
-        vector: v.name.clone(),
-        contract_row,
-        value,
-        broadcast: strategy == MatMulStrategy::Broadcast,
-        decision,
-    })
-}
-
-/// Strategy tag of a mat-vec path: [`MatMulStrategy::Broadcast`] ships the
-/// vector, every other strategy is the join + reduceByKey path.
-pub(crate) fn mat_vec_tag(strategy: MatMulStrategy) -> &'static str {
-    if strategy == MatMulStrategy::Broadcast {
-        "matVec/broadcast"
-    } else {
-        "matVec"
-    }
-}
-
-/// Estimated costs of both mat-vec paths, in tie-break preference order
-/// (broadcast first when it fits the budget). Also re-invoked by the
-/// adaptive stage driver with measured stats overlaid on `env`.
-pub(crate) fn mat_vec_candidates(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    matrix: &str,
-    vector: &str,
-    contract_row: bool,
-) -> Vec<(MatMulStrategy, u64)> {
-    let (Some(sm), Some(sv)) = (env.stats(matrix), env.stats(vector)) else {
-        return Vec::new();
-    };
-    let (out_blocks, k) = if contract_row {
-        (sm.block_cols as u64, sm.block_rows as u64)
-    } else {
-        (sm.block_rows as u64, sm.block_cols as u64)
-    };
-    let block = ArrayStats::vector_block_bytes(sm.tile_size);
-    let mut candidates = Vec::new();
-    if sv.estimated_bytes <= config.broadcast_budget {
-        // Collect + broadcast the vector, merge partials on the driver:
-        // zero shuffle rounds.
-        candidates.push((
-            MatMulStrategy::Broadcast,
-            sv.estimated_bytes + out_blocks * block,
-        ));
-    }
-    candidates.push((
-        MatMulStrategy::ReduceByKey,
-        sm.num_tiles() * sm.tile_wire_bytes()
-            + sv.estimated_bytes
-            + out_blocks * nominal_partitions(config).min(k) * block
-            + 3 * ROUND_COST,
-    ));
-    candidates
-}
-
-/// Element-wise over vectors joined on their index.
-fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
-    if d.vector_gens.is_empty()
-        || !d.matrix_gens.is_empty()
-        || !d.range_gens.is_empty()
-        || d.group_by.is_some()
-    {
-        return Err(CompError::plan("not a vector element-wise comprehension"));
-    }
-    let classes = VarClasses::from_equalities(&d.var_equalities);
-    let idx_class = classes.find(&d.vector_gens[0].idx);
-    for g in &d.vector_gens {
-        if classes.find(&g.idx) != idx_class {
-            return Err(CompError::plan("vector generators are not joined on index"));
-        }
-    }
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value) = split_head(&head)?;
-    let Expr::Var(k) = key else {
-        return Err(CompError::plan(
-            "vector head key must be the index variable",
-        ));
-    };
-    if classes.find(k) != idx_class {
-        return Err(CompError::plan("head key is not the generator index"));
-    }
-    // Canonicalize index aliases to the first generator's name.
-    let canon_idx = d.vector_gens[0].idx.clone();
-    let canon = |e: &Expr| {
-        let mut out = e.clone();
-        for g in &d.vector_gens[1..] {
-            out = crate::analysis::substitute(&out, &g.idx, &Expr::Var(canon_idx.clone()));
-        }
-        out
-    };
-    let mut slots: Vec<String> = d.vector_gens.iter().map(|g| g.val.clone()).collect();
-    slots.push(canon_idx.clone());
-    let guards = d.other_guards.iter().map(canon).collect();
-    let (program, region_ops) = fuse_head(&canon(value), guards, &slots, env)?;
-    Ok(Plan::VectorEltwise {
-        inputs: d.vector_gens.iter().map(|g| g.name.clone()).collect(),
-        program,
-        region_ops,
-    })
-}
-
-enum GroupShape {
-    Matrix,
-    Vector,
-}
-
-/// §5.3 generic group-by aggregation (stencils, histograms).
-fn plan_group_by_aggregate(
-    d: &Decomposed,
-    _env: &PlanEnv,
-    shape: GroupShape,
-) -> Result<Plan, CompError> {
+/// §5.3 generic group-by aggregation (stencils, histograms); `vector` is the
+/// builder kind, which the group key's shape must match.
+fn plan_group_by_aggregate(d: &Decomposed, vector: bool) -> Result<Plan, CompError> {
     if d.matrix_gens.len() != 1 || !d.vector_gens.is_empty() {
         return Err(CompError::plan(
             "generic group-by plan requires exactly one tiled matrix generator",
@@ -1007,18 +906,17 @@ fn plan_group_by_aggregate(
     let Some((key_pat, key_expr)) = &d.group_by else {
         return Err(CompError::plan("generic group-by plan requires a group-by"));
     };
-    let key = match (shape, key_pat) {
-        (GroupShape::Matrix, Pattern::Tuple(kp)) => {
+    let key = match (vector, key_pat) {
+        (false, Pattern::Tuple(kp)) => {
             let [Pattern::Var(k1), Pattern::Var(k2)] = kp.as_slice() else {
                 return Err(CompError::plan("matrix group key must be two variables"));
             };
             GroupKey::Cell(k1.clone(), k2.clone())
         }
-        (GroupShape::Vector, Pattern::Var(k)) => GroupKey::Index(k.clone()),
+        (true, Pattern::Var(k)) => GroupKey::Index(k.clone()),
         _ => return Err(CompError::plan("group key shape does not match builder")),
     };
-    let head = inline_lets(&d.head, &d.lets);
-    let (_key_part, value_part) = split_head(&head)?;
+    let (_key_part, value_part) = split_head(&d.head)?;
     let (finalizer, aggregates) = extract_aggregates(value_part);
     if aggregates.is_empty() {
         return Err(CompError::plan("group-by head has no aggregates"));
@@ -1042,11 +940,7 @@ fn plan_group_by_aggregate(
         inner_quals.push(Qualifier::Let(Pattern::Var(n.clone()), e.clone()));
     }
     for (x, y) in &d.var_equalities {
-        inner_quals.push(Qualifier::Guard(Expr::BinOp(
-            comp::BinOp::Eq,
-            Box::new(Expr::Var(x.clone())),
-            Box::new(Expr::Var(y.clone())),
-        )));
+        inner_quals.push(Qualifier::Guard(eq_guard(x, y)));
     }
     for gd in &d.other_guards {
         inner_quals.push(Qualifier::Guard(gd.clone()));

@@ -6,18 +6,17 @@
 //! [`StageFrontier`] executes the node up to that point — one shuffle-free
 //! per-partition summary job per input — and captures what actually
 //! materialized: exact non-zero counts, observed resident bytes, and the
-//! per-partition tile distribution. The driver overlays those measurements
-//! onto the planning environment's [`ArrayStats`] and re-invokes the same
-//! candidate cost model that made the registration-time choice
-//! ([`crate::plan::contraction_candidates`] /
-//! [`crate::plan::mat_vec_candidates`]) on the not-yet-lowered remainder of
-//! the plan. Three re-decisions can fall out:
+//! per-partition tile distribution. [`adapt`] overlays those measurements
+//! onto the planning environment's [`ArrayStats`] and re-costs the rows of
+//! the one strategy table that made the registration-time choice
+//! ([`crate::plan::candidates`]) for the not-yet-lowered remainder of the
+//! plan. Two re-decisions can fall out:
 //!
-//! * a contraction-strategy switch (e.g. estimated reduceByKey whose
-//!   operand is observed small enough to promote to broadcast),
+//! * a strategy switch (e.g. an estimated reduceByKey whose operand is
+//!   observed small enough to promote to broadcast — for a matrix × vector
+//!   node, to the zero-shuffle broadcast path),
 //! * re-partitioning the remainder when a frontier reveals >= 2x partition
-//!   skew,
-//! * runtime-detected broadcast for mat-vec chains.
+//!   skew.
 //!
 //! Every re-decision emits a [`Event::PlanReplanned`] folded into
 //! `JobProfile::plan_choices` and rendered by `explain_analyze`.
@@ -41,10 +40,10 @@
 
 use crate::env::{ArrayStats, PlanEnv};
 use crate::plan::{
-    cheapest, contraction_candidates, contraction_tag, cost_of, mat_vec_candidates, mat_vec_tag,
-    MatMulStrategy, PlanConfig, PlanDecision,
+    candidates, cheapest, cost_of, ContractionShape, MatMulStrategy, PlanConfig, PlanDecision,
+    StrategyRow,
 };
-use sparkline::{Context, Event, PartitionStream};
+use sparkline::{Context, Data, Dataset, Event, PartitionStream};
 use tiled::{TiledMatrix, TiledVector};
 
 /// Observed per-partition skew ratio (`max / mean` tiles) at or above which
@@ -57,28 +56,38 @@ pub(crate) struct StageFrontier {
     /// Measured statistics, shaped exactly like the registration-time
     /// [`ArrayStats`] so they can overlay the planning environment.
     pub stats: ArrayStats,
-    /// Tiles (or vector blocks) per partition of the materialized input.
+    /// Tiles per partition of the materialized input (empty for a vector,
+    /// which is never re-partitioned).
     pub partition_tiles: Vec<u64>,
+}
+
+/// Materialize a block set up to the frontier and total `(size, non-zeros)`
+/// of its blocks per partition. One `map_partitions_stream` + `collect` job
+/// — no shuffle stage, so probing never changes a plan's shuffle-round shape.
+fn probe<K: Data, T: Data>(
+    blocks: &Dataset<(K, T)>,
+    size: impl Fn(&T) -> u64 + Send + Sync + 'static,
+    values: fn(&T) -> &[f64],
+) -> Vec<(u64, u64)> {
+    let per_partition = blocks.map_partitions_stream(move |_, blocks| {
+        let mut total = (0u64, 0u64);
+        blocks.for_each_ref(|(_, b)| {
+            total.0 += size(b);
+            total.1 += values(b).iter().filter(|v| **v != 0.0).count() as u64;
+        });
+        PartitionStream::from_vec(vec![total])
+    });
+    per_partition.collect()
 }
 
 impl StageFrontier {
     /// Materialize a tiled matrix input up to this node's frontier and
-    /// summarize it. The summary is one `map_partitions_stream` + `collect`
-    /// job — no shuffle stage, so probing never changes a plan's
-    /// shuffle-round shape.
+    /// summarize it.
     pub fn matrix(m: &TiledMatrix) -> StageFrontier {
-        let per_part: Vec<(u64, (u64, u64))> = m
-            .tiles()
-            .map_partitions_stream(|pid, tiles| {
-                let (mut count, mut nnz) = (0u64, 0u64);
-                tiles.for_each_ref(|(_, t)| {
-                    count += 1;
-                    nnz += t.data().iter().filter(|v| **v != 0.0).count() as u64;
-                });
-                PartitionStream::from_vec(vec![(pid as u64, (count, nnz))])
-            })
-            .collect();
-        let (partition_tiles, tiles, nnz) = fold_partitions(per_part);
+        let per_partition = probe(m.tiles(), |_| 1, |t| t.data());
+        let partition_tiles: Vec<u64> = per_partition.iter().map(|&(tiles, _)| tiles).collect();
+        let tiles: u64 = partition_tiles.iter().sum();
+        let nnz: u64 = per_partition.iter().map(|&(_, nnz)| nnz).sum();
         // Observed resident bytes: the cheaper of the dense and the CSC
         // encodings of what actually materialized. For honest dense
         // registrations this reproduces `ArrayStats::matrix` exactly.
@@ -97,176 +106,83 @@ impl StageFrontier {
 
     /// Materialize a tiled vector input up to the frontier and summarize it.
     pub fn vector(v: &TiledVector) -> StageFrontier {
-        let per_part: Vec<(u64, (u64, u64))> = v
-            .blocks()
-            .map_partitions_stream(|pid, blocks| {
-                let (mut bytes, mut nnz) = (0u64, 0u64);
-                blocks.for_each_ref(|(_, b)| {
-                    bytes += ArrayStats::vector_block_bytes(b.len());
-                    nnz += b.iter().filter(|x| **x != 0.0).count() as u64;
-                });
-                PartitionStream::from_vec(vec![(pid as u64, (bytes, nnz))])
-            })
-            .collect();
-        let (partition_tiles, bytes, nnz) = fold_partitions(per_part);
+        let block_bytes = |b: &Vec<f64>| ArrayStats::vector_block_bytes(b.len());
+        let per_partition = probe(v.blocks(), block_bytes, |b| b.as_slice());
+        let nnz = per_partition.iter().map(|&(_, nnz)| nnz).sum();
         let mut stats = ArrayStats::vector(v.len(), v.block_size()).with_nnz(nnz);
-        stats.estimated_bytes = bytes;
+        stats.estimated_bytes = per_partition.iter().map(|&(bytes, _)| bytes).sum();
         StageFrontier {
             stats,
-            partition_tiles,
+            partition_tiles: Vec::new(),
         }
     }
-
-    /// `max / mean` of the per-partition distribution; 1.0 when uniform or
-    /// too small to matter.
-    fn skew(&self) -> f64 {
-        let parts = self.partition_tiles.len();
-        let total: u64 = self.partition_tiles.iter().sum();
-        if parts < 2 || total == 0 {
-            return 1.0;
-        }
-        let max = *self.partition_tiles.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / parts as f64)
-    }
-
-    fn total_units(&self) -> u64 {
-        self.partition_tiles.iter().sum()
-    }
-}
-
-/// Index per-partition summaries by partition id and total the measurement
-/// pair.
-fn fold_partitions(per_part: Vec<(u64, (u64, u64))>) -> (Vec<u64>, u64, u64) {
-    let parts = per_part.iter().map(|&(p, _)| p + 1).max().unwrap_or(0) as usize;
-    let mut partition_units = vec![0u64; parts];
-    let (mut first, mut second) = (0u64, 0u64);
-    for (pid, (a, b)) in per_part {
-        partition_units[pid as usize] += a;
-        first += a;
-        second += b;
-    }
-    (partition_units, first, second)
 }
 
 /// Re-partition target when a frontier reveals skew: double the partition
 /// count (capped at one tile per partition) if any input's observed
-/// distribution is >= [`SKEW_THRESHOLD`] and there are enough tiles for the
-/// extra partitions to matter.
-fn skewed_partitions(frontiers: &[&StageFrontier], partitions: usize) -> Option<usize> {
-    for f in frontiers {
-        let total = f.total_units();
-        if total as usize >= 2 * partitions && f.skew() >= SKEW_THRESHOLD {
-            return Some((partitions * 2).min(total as usize));
-        }
-    }
-    None
+/// distribution is `max / mean` >= [`SKEW_THRESHOLD`] and there are enough
+/// tiles for the extra partitions to matter.
+fn skewed_partitions(frontiers: &[(&str, StageFrontier)], partitions: usize) -> Option<usize> {
+    frontiers.iter().find_map(|(_, f)| {
+        let total: u64 = f.partition_tiles.iter().sum();
+        let mean = total as f64 / f.partition_tiles.len() as f64;
+        let skew = *f.partition_tiles.iter().max()? as f64 / mean;
+        (total as usize >= 2 * partitions && skew >= SKEW_THRESHOLD)
+            .then(|| (partitions * 2).min(total as usize))
+    })
 }
 
-/// Drive one contraction node through its stage frontier: probe both
-/// inputs, re-partition on observed skew, and re-rank the strategies under
-/// the measured stats. Returns the strategy and partition count the
-/// remainder runs with (the plan-time ones when the measurements confirmed
-/// them).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn adapt_contraction(
+/// Drive one contraction node through its stage frontier — if it is driven
+/// at all: a pinned strategy must be honored and a broadcast choice has
+/// nothing left to save, so neither probes. `probe` materializes the inputs
+/// by name (both matrices of a matrix × matrix node, the vector of a matrix
+/// × vector node); their measured stats overlay `env`, the node's `operands`
+/// are re-oriented under the overlay, and the table rows are re-costed with
+/// the plan-time rule: switch away from `current` iff the cheapest is
+/// strictly cheaper, so confirming measurements reproduce the plan-time
+/// choice exactly. Observed partition skew re-partitions the remainder.
+/// Returns the row and partition count the remainder runs with, and emits
+/// one `plan_replanned` event iff either changed.
+pub(crate) fn adapt<'a>(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
-    (left, a): (&str, &TiledMatrix),
-    (right, b): (&str, &TiledMatrix),
-    left_contract_row: bool,
-    right_contract_col: bool,
-    current: MatMulStrategy,
+    probe: impl FnOnce() -> Vec<(&'a str, StageFrontier)>,
+    operands: ((&str, bool), (&str, bool)),
+    current: &'static StrategyRow,
     decision: &PlanDecision,
-) -> (MatMulStrategy, usize) {
-    let fa = StageFrontier::matrix(a);
-    let fb = StageFrontier::matrix(b);
-    let partitions = skewed_partitions(&[&fa, &fb], config.partitions).unwrap_or(config.partitions);
+) -> (&'static StrategyRow, usize) {
+    if !decision.auto || current.strategy == MatMulStrategy::Broadcast {
+        return (current, config.partitions);
+    }
+    let frontiers = probe();
+    let partitions = skewed_partitions(&frontiers, config.partitions).unwrap_or(config.partitions);
     let mut overlay = env.clone();
-    overlay.set_stats(left, fa.stats);
-    overlay.set_stats(right, fb.stats);
+    for (name, frontier) in frontiers {
+        overlay.set_stats(name, frontier.stats);
+    }
     let tuned = PlanConfig {
         partitions,
         ..config.clone()
     };
-    let observed = contraction_candidates(
-        &overlay,
-        &tuned,
-        left,
-        right,
-        left_contract_row,
-        right_contract_col,
-    );
-    let strategy = rerank(
-        ctx,
-        decision,
-        current,
-        &observed,
-        contraction_tag,
-        partitions,
-        partitions != config.partitions,
-    );
-    (strategy, partitions)
-}
-
-/// Drive one shuffling mat-vec node through its stage frontier: probe the
-/// vector side and re-rank both paths under its measured stats. Returns
-/// whether the node was promoted to the zero-shuffle broadcast path.
-pub(crate) fn adapt_mat_vec(
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    matrix: &str,
-    (vector, v): (&str, &TiledVector),
-    contract_row: bool,
-    decision: &PlanDecision,
-) -> bool {
-    let mut overlay = env.clone();
-    overlay.set_stats(vector, StageFrontier::vector(v).stats);
-    let observed = mat_vec_candidates(&overlay, config, matrix, vector, contract_row);
-    let strategy = rerank(
-        ctx,
-        decision,
-        MatMulStrategy::ReduceByKey,
-        &observed,
-        mat_vec_tag,
-        config.partitions,
-        false,
-    );
-    strategy == MatMulStrategy::Broadcast
-}
-
-/// The one re-decision rule: given the candidates re-costed under observed
-/// stats, switch away from `current` iff the cheapest is strictly cheaper —
-/// the plan-time selection rule, so confirming measurements reproduce the
-/// plan-time choice exactly. Emits one `plan_replanned` event iff the
-/// strategy switched or the caller re-partitioned.
-fn rerank(
-    ctx: &Context,
-    decision: &PlanDecision,
-    current: MatMulStrategy,
-    observed: &[(MatMulStrategy, u64)],
-    tag: fn(MatMulStrategy) -> &'static str,
-    partitions: usize,
-    repartitioned: bool,
-) -> MatMulStrategy {
-    let current_cost = cost_of(observed, current);
-    let (strategy, observed_bytes) = match (cheapest(observed), current_cost) {
-        (Some((best, cost)), Some(cur)) if best != current && cost < cur => (best, cost),
+    let shape = ContractionShape::of(&overlay, operands, current.vector);
+    let observed = candidates(shape.as_ref(), &tuned);
+    let current_cost = cost_of(&observed, current);
+    let (row, observed_bytes) = match (cheapest(&observed), current_cost) {
+        (Some((best, cost)), Some(cur)) if best.tag != current.tag && cost < cur => (best, cost),
         _ => (current, current_cost.unwrap_or(0)),
     };
-    if strategy != current || repartitioned {
-        let (from, to) = (tag(current), tag(strategy));
+    if row.tag != current.tag || partitions != config.partitions {
         let est_shuffle_bytes = decision.est_shuffle_bytes;
         ctx.emit_event(|at_micros| Event::PlanReplanned {
-            tag: from.to_string(),
-            from: from.to_string(),
-            to: to.to_string(),
+            tag: current.tag.to_string(),
+            from: current.tag.to_string(),
+            to: row.tag.to_string(),
             est_shuffle_bytes,
             observed_bytes,
             partitions: partitions as u64,
             at_micros,
         });
     }
-    strategy
+    (row, partitions)
 }
