@@ -33,6 +33,7 @@ pub mod net;
 
 use planner::{DistArray, ExecResult};
 use sac::Session;
+use sparkline::json::JsonObject;
 use sparkline::{panic_is_cancelled, CancelToken, Context, Event, FairScheduler};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -111,41 +112,20 @@ pub struct QueryReply {
 impl QueryReply {
     /// One-line JSON encoding for the wire protocol.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"job\":{},\"kind\":\"{}\",\"rows\":{},\"cols\":{},\"fingerprint\":{},\
-             \"wall_micros\":{},\"queue_micros\":{},\"cache_hit\":{}",
-            self.job,
-            self.kind,
-            self.rows,
-            self.cols,
-            self.fingerprint,
-            self.wall_micros,
-            self.queue_micros,
-            self.cache_hit
-        );
+        let mut o = JsonObject::new();
+        o.raw("job", self.job)
+            .string("kind", &self.kind)
+            .raw("rows", self.rows)
+            .raw("cols", self.cols)
+            .raw("fingerprint", self.fingerprint)
+            .raw("wall_micros", self.wall_micros)
+            .raw("queue_micros", self.queue_micros)
+            .raw("cache_hit", self.cache_hit);
         if let Some(v) = &self.value {
-            out.push_str(&format!(",\"value\":\"{}\"", escape_json(v)));
+            o.string("value", v);
         }
-        out.push('}');
-        out
+        o.finish()
     }
-}
-
-/// Escape a string for embedding in a JSON literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builder for [`QueryService`].
@@ -387,32 +367,36 @@ pub struct ServiceStatus {
 
 impl ServiceStatus {
     pub fn to_json(&self) -> String {
+        let or_null = |limit: Option<u64>| limit.map_or("null".to_string(), |n| n.to_string());
         let tenants: Vec<String> = self
             .tenants
             .iter()
             .map(|t| {
                 let jobs: Vec<String> = t.running_jobs.iter().map(u64::to_string).collect();
-                format!(
-                    "{{\"tenant\":\"{}\",\"id\":{},\"running\":[{}],\"memory_used\":{},\"quota\":{}}}",
-                    escape_json(&t.tenant),
-                    t.id,
-                    jobs.join(","),
-                    t.memory_used,
-                    t.quota.map_or("null".into(), |q| q.to_string())
-                )
+                let mut o = JsonObject::new();
+                o.string("tenant", &t.tenant)
+                    .raw("id", t.id)
+                    .raw("running", format_args!("[{}]", jobs.join(",")))
+                    .raw("memory_used", t.memory_used)
+                    .raw("quota", or_null(t.quota));
+                o.finish()
             })
             .collect();
-        format!(
-            "{{\"slots\":{},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\
-             \"storage\":{{\"memory_used\":{},\"budget\":{}}},\"tenants\":[{}]}}",
-            self.slots,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.plan_cache_entries,
-            self.memory_used,
-            self.budget.map_or("null".into(), |b| b.to_string()),
-            tenants.join(",")
-        )
+        let mut plan_cache = JsonObject::new();
+        plan_cache
+            .raw("hits", self.plan_cache_hits)
+            .raw("misses", self.plan_cache_misses)
+            .raw("entries", self.plan_cache_entries);
+        let mut storage = JsonObject::new();
+        storage
+            .raw("memory_used", self.memory_used)
+            .raw("budget", or_null(self.budget));
+        let mut o = JsonObject::new();
+        o.raw("slots", self.slots)
+            .raw("plan_cache", plan_cache.finish())
+            .raw("storage", storage.finish())
+            .raw("tenants", format_args!("[{}]", tenants.join(",")));
+        o.finish()
     }
 }
 
@@ -1160,9 +1144,13 @@ mod tests {
         let alice = status.tenants.iter().find(|t| t.tenant == "alice").unwrap();
         assert_eq!(alice.quota, Some(1 << 20));
         assert!(alice.running_jobs.is_empty());
-        let json = status.to_json();
-        assert!(json.contains("\"slots\":2"), "{json}");
-        assert!(json.contains("\"tenant\":\"alice\""), "{json}");
+        // The `STATUS` reply's bytes, as the hand-spliced writer emitted them.
+        assert_eq!(
+            status.to_json(),
+            "{\"slots\":2,\"plan_cache\":{\"hits\":1,\"misses\":1,\"entries\":1},\
+             \"storage\":{\"memory_used\":756,\"budget\":67108864},\"tenants\":[{\"tenant\":\
+             \"alice\",\"id\":1,\"running\":[],\"memory_used\":0,\"quota\":1048576}]}"
+        );
     }
 
     #[test]

@@ -35,12 +35,6 @@ pub const STORAGE_BUDGET_ENV: &str = "SPARKLINE_STORAGE_BUDGET";
 /// unset) keeps the in-process shuffle path.
 pub const WORKER_PROCS_ENV: &str = "SPARKLINE_WORKER_PROCS";
 
-/// Environment variable toggling the external shuffle service in
-/// multi-process mode (`0`/`false` disables it, forcing recovery through
-/// partial stage resubmission). An explicit
-/// [`ContextBuilder::external_shuffle`] wins over the variable.
-pub const EXTERNAL_SHUFFLE_ENV: &str = "SPARKLINE_EXTERNAL_SHUFFLE";
-
 /// Uniquifies external-shuffle directories created by contexts inside one
 /// driver process ([`Context::external_shuffle_path`] base dirs).
 static EXTERNAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -239,8 +233,7 @@ impl ContextBuilder {
     /// tasks that exhaust fetch retries against a dead worker fall back to
     /// the spool and the stage completes with **zero** resubmissions. On by
     /// default in multi-process mode; disable to force recovery through
-    /// partial stage resubmission. Beats [`EXTERNAL_SHUFFLE_ENV`]. No effect
-    /// in local mode.
+    /// partial stage resubmission. No effect in local mode.
     pub fn external_shuffle(mut self, on: bool) -> Self {
         self.external_shuffle = Some(on);
         self
@@ -299,25 +292,17 @@ impl ContextBuilder {
             WorkerGroup::spawn(worker_processes, WorkerConfig::default())
                 .expect("sparkline: failed to spawn shuffle worker processes")
         });
-        let external_on = self.external_shuffle.or_else(|| {
-            std::env::var(EXTERNAL_SHUFFLE_ENV)
-                .ok()
-                .map(|s| !matches!(s.trim(), "0" | "false" | "off"))
+        let external_on = worker_group.is_some() && self.external_shuffle.unwrap_or(true);
+        let external_dir = external_on.then(|| {
+            let dir = std::env::temp_dir().join(format!(
+                "sparkline-shuffle-{}-{}",
+                std::process::id(),
+                EXTERNAL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir)
+                .expect("sparkline: failed to create external shuffle dir");
+            dir
         });
-        let external_dir = worker_group
-            .is_some()
-            .then(|| external_on.unwrap_or(true))
-            .filter(|&on| on)
-            .map(|_| {
-                let dir = std::env::temp_dir().join(format!(
-                    "sparkline-shuffle-{}-{}",
-                    std::process::id(),
-                    EXTERNAL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                std::fs::create_dir_all(&dir)
-                    .expect("sparkline: failed to create external shuffle dir");
-                dir
-            });
         let ctx = Context {
             inner: Arc::new(CtxInner {
                 workers: self.workers,
@@ -665,8 +650,7 @@ impl Context {
     }
 
     /// Is the external shuffle service spool active?
-    /// ([`ContextBuilder::external_shuffle`] or [`EXTERNAL_SHUFFLE_ENV`];
-    /// always false in local mode.)
+    /// ([`ContextBuilder::external_shuffle`]; always false in local mode.)
     pub fn external_shuffle_enabled(&self) -> bool {
         self.inner.external_dir.is_some()
     }
@@ -677,8 +661,8 @@ impl Context {
     }
 
     /// Successful shuffle-fetch latencies (µs, unsorted) and total fetch
-    /// retries on the worker data plane so far — the raw series behind
-    /// `BENCH_shuffle.json`'s p50/p99. `None` in local mode.
+    /// retries on the worker data plane so far — the raw series behind the
+    /// ledger's `sparkline.transport.fetch_us_p50/p99`. `None` in local mode.
     pub fn worker_fetch_stats(&self) -> Option<(Vec<u64>, u64)> {
         self.inner.worker_group.as_ref().map(|g| g.fetch_stats())
     }

@@ -51,6 +51,7 @@ pub mod chaos;
 pub mod context;
 pub mod dataset;
 pub mod events;
+pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod partitioner;
@@ -65,8 +66,8 @@ pub mod wire;
 
 pub use chaos::{ChaosEvent, ChaosPlan, WireFault, CHAOS_ENV};
 pub use context::{
-    Context, ContextBuilder, ExecutorStatus, InjectedFailuresGuard, EXTERNAL_SHUFFLE_ENV,
-    STORAGE_BUDGET_ENV, WORKER_PROCS_ENV,
+    Context, ContextBuilder, ExecutorStatus, InjectedFailuresGuard, STORAGE_BUDGET_ENV,
+    WORKER_PROCS_ENV,
 };
 pub use dataset::Dataset;
 pub use events::{Event, EventCollector};

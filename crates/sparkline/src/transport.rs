@@ -578,7 +578,7 @@ impl WorkerGroup {
         }
     }
 
-    /// Count one shuffle-fetch retry (for `BENCH_shuffle.json`).
+    /// Count one shuffle-fetch retry (reported by [`WorkerGroup::fetch_stats`]).
     pub fn note_retry(&self) {
         self.fetch_retries.fetch_add(1, Ordering::Relaxed);
     }
