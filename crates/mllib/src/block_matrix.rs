@@ -9,20 +9,23 @@ use tiled::{DenseMatrix, LocalMatrix, TileCoord, TileSet, TiledMatrix};
 /// hints). The paper's evaluation explicitly pinned MLlib to "the pure JVM
 /// implementation" of Breeze (§6), which bottoms out in this kernel — SAC's
 /// generated flat-array loops are the thing being compared against, so the
-/// baseline must not silently borrow them.
+/// baseline must not silently borrow them. The one thing it shares with them
+/// is the tile's ownership rule: `c`'s buffer is taken once, outside the nest
+/// (`data_mut` is a uniqueness check, not a field access), and the loops index
+/// the row-major slices exactly as `get`/`set` did.
 fn f2j_gemm(c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
     debug_assert_eq!(b.rows(), k);
     debug_assert_eq!((c.rows(), c.cols()), (m, n));
+    let (c, a) = (c.data_mut(), a.data());
     for j in 0..n {
         for l in 0..k {
             let temp = b.get(l, j);
             if temp != 0.0 {
                 for i in 0..m {
-                    let v = c.get(i, j) + temp * a.get(i, l);
-                    c.set(i, j, v);
+                    c[i * n + j] += temp * a[i * k + l];
                 }
             }
         }

@@ -12,9 +12,11 @@ use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
+use sparkline::shuffle::Aggregator;
 use sparkline::{Context, Data, Dataset, Event, KeyPartitioner, PartitionStream, SpillCodec};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 use tiled::fused::FusedProgram;
 use tiled::kernel::Backend;
 use tiled::{DenseMatrix, LocalMatrix, TileCoord, TiledMatrix, TiledVector};
@@ -522,13 +524,14 @@ impl Block for DenseMatrix {
             None if combine.threads > 1 => self.gemm_acc_parallel(a, b, combine.threads),
             None => self.gemm_acc(a, b),
             Some(value) => {
+                let cols = b.cols();
+                let out = self.data_mut();
                 for i in 0..a.rows() {
-                    for j in 0..b.cols() {
-                        let mut acc = self.get(i, j);
+                    for j in 0..cols {
+                        let acc = &mut out[i * cols + j];
                         for k in 0..valid_k {
-                            acc += value.eval(&[a.get(i, k), b.get(k, j)]);
+                            *acc += value.eval(&[a.get(i, k), b.get(k, j)]);
                         }
-                        self.set(i, j, acc);
                     }
                 }
             }
@@ -676,6 +679,12 @@ fn exec_contraction<'a>(
 /// `row` and `partitions` — at plan time or at the stage frontier, so a
 /// runtime strategy switch runs bit-identically to the same strategy chosen
 /// up front.
+///
+/// Operand blocks are only routed here — replicas, join pairs and broadcast
+/// tables are pointer copies of shared tiles — and every arm but
+/// `JoinGroupBy` multiplies into one resident block per output key per task
+/// (`Block::acc`), so the only arithmetic and the only large allocations are
+/// the tile kernel's.
 fn lower_contraction<B: Block>(
     row: &StrategyRow,
     a: &TiledMatrix,
@@ -694,29 +703,71 @@ fn lower_contraction<B: Block>(
     match row.strategy {
         // (No table row is `Auto`.)
         MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey | MatMulStrategy::Auto => {
-            // Join on the contracted block index, one partial product block
-            // per (i, k, j).
+            // Both plans meet the operands on the contracted block index.
             let lhs = a.tiles().map(|((i, k), t)| (k, (i, t)));
             let rhs = b.map(|((k, j), t)| (k, (j, t)));
-            let prods = lhs
-                .join(&rhs, partitions)
-                .map(move |(k, ((i, av), (j, bv)))| {
-                    let mut out = B::zeros(n);
-                    multiply(&av, &bv, k, &mut out);
-                    ((i, j), out)
-                });
             if row.strategy == MatMulStrategy::JoinGroupBy {
-                // §4's naive translation: every partial product block crosses
-                // the shuffle inside a per-key list, no map-side combining.
-                prods.group_by_key(partitions).map_values(move |blocks| {
-                    let mut acc = B::zeros(n);
-                    blocks.into_iter().for_each(|t| add_blocks(&mut acc, t));
-                    acc
-                })
-            } else {
-                // §5.3: reduceByKey adds partials, map-side combined.
-                prods.reduce_by_key_in_place(partitions, add_blocks)
+                // §4's naive translation: one partial product block per
+                // (i, k, j), and every one of them crosses the shuffle inside
+                // a per-key list, no map-side combining — shipping the
+                // products is this plan's definition, so it is the one place
+                // that allocates a block per product.
+                return lhs
+                    .join(&rhs, partitions)
+                    .map(move |(k, ((i, av), (j, bv)))| {
+                        let mut out = B::zeros(n);
+                        multiply(&av, &bv, k, &mut out);
+                        ((i, j), out)
+                    })
+                    .group_by_key(partitions)
+                    .map_values(move |blocks| {
+                        let mut acc = B::zeros(n);
+                        blocks.into_iter().for_each(|t| add_blocks(&mut acc, t));
+                        acc
+                    });
             }
+            // §5.3 with §5.4's reduce shape: the join hands each map task
+            // `((i, j), (k, A_ik, B_kj))` pointer triples, and the
+            // reduceByKey's map-side combine multiplies them straight into
+            // the one resident block of their output key (`C_ij += A_ik ·
+            // B_kj` on the tile kernel) — no product block is allocated,
+            // added and dropped. Accumulation order: a map task folds an
+            // output key's products in ascending contracted-block order (its
+            // cogroup records are sorted by `k` first; they hold pointers, so
+            // the sort is free), and the reduce side folds the map tasks'
+            // combiners in map-partition order. The result is a function of
+            // (inputs, partition count) only — not of source-partition
+            // layout, retry, speculation or chaos.
+            let triples = lhs
+                .cogroup(&rhs, partitions)
+                .map_partitions_stream(|_, records| {
+                    let mut records = records.into_vec();
+                    records.sort_by_key(|&(k, _)| k);
+                    let mut triples = Vec::new();
+                    for (k, (ls, rs)) in records {
+                        for (i, av) in &ls {
+                            for (j, bv) in &rs {
+                                triples.push(((*i, *j), (k, av.clone(), bv.clone())));
+                            }
+                        }
+                    }
+                    PartitionStream::from_vec(triples)
+                });
+            let fold =
+                move |out: &mut B, (k, av, bv): (i64, DenseMatrix, B)| multiply(&av, &bv, k, out);
+            let seed = fold.clone();
+            let accumulate = Aggregator {
+                create: Arc::new(move |triple| {
+                    let mut out = B::zeros(n);
+                    seed(&mut out, triple);
+                    out
+                }),
+                merge_value: Arc::new(fold),
+                merge_combiners: Arc::new(add_blocks),
+                map_side_combine: true,
+                merge_on_reduce: true,
+            };
+            triples.shuffle(KeyPartitioner::hash(partitions), accumulate, "reduceByKey")
         }
         MatMulStrategy::GroupByJoin => {
             // §5.4: replicate rows of A across result columns and columns of
@@ -901,16 +952,16 @@ fn exec_index_remap(
     let assembled = replicated
         .group_by_key(config.partitions)
         .map(move |(dest, sources)| {
-            let mut out = DenseMatrix::zeros(n, n);
+            let mut out = vec![0.0; n * n];
             for (coord, t) in sources {
                 for_each_valid(n, coord, extent, |ti, tj, gi, gj| match land(gi, gj) {
                     Some((d, oi, oj)) if d == dest => {
-                        out.set(oi, oj, value.eval(&[t.get(ti, tj), gi as f64, gj as f64]));
+                        out[oi * n + oj] = value.eval(&[t.get(ti, tj), gi as f64, gj as f64]);
                     }
                     _ => {}
                 });
             }
-            (dest, out)
+            (dest, DenseMatrix::from_vec(n, n, out))
         });
 
     // Complete the grid: output tiles no input element maps to are zero.

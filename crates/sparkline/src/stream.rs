@@ -21,7 +21,16 @@
 //! bucket fills, sort/group builds. [`PartitionStream::into_vec`] recovers
 //! the backing allocation of an exclusively-held full-range `Shared` for
 //! free (`Arc::try_unwrap`), so "collect" after a fused chain costs exactly
-//! one materialization.
+//! one materialization. A `Shared` view consumed **by value** (`into_iter`,
+//! and so every fused `map`/`filter`/`flat_map`, or `into_vec` of a block
+//! someone else still holds) clones each record on demand; what that costs
+//! is the record type's business, not the stream's — `T: Clone` is all the
+//! stream knows. Large payloads are therefore expected to be cheap to clone:
+//! a tile (`tiled::DenseMatrix`) is a shared copy-on-write buffer, so reading
+//! it out of a source, cache, broadcast or shuffle-output partition is a
+//! refcount bump and the payload pointer survives the whole pipeline.
+//! Consumers that only inspect records can skip even that with
+//! [`PartitionStream::for_each_ref`].
 //!
 //! Streams are **re-creatable from lineage, not single-shot**: `compute`
 //! builds a fresh stream each call, so task retries, speculative duplicates,
@@ -176,7 +185,8 @@ impl<T: Data> PartitionStream<T> {
 }
 
 /// Iterator over a shared block view, cloning elements on demand (the
-/// backing allocation itself is never copied).
+/// backing allocation itself is never copied; the per-element cost is
+/// `T::clone`'s — a refcount bump for tiles).
 pub struct SharedIter<T> {
     data: Arc<Vec<T>>,
     range: Range<usize>,

@@ -183,13 +183,10 @@ impl LocalMatrix {
         DenseMatrix::from_vec(self.rows, self.cols, self.data.clone())
     }
 
-    /// Convert from a [`DenseMatrix`].
+    /// Convert from a borrowed [`DenseMatrix`], copying its buffer; the
+    /// `From<DenseMatrix>` impl takes one by value without the copy.
     pub fn from_dense(d: &DenseMatrix) -> Self {
-        LocalMatrix {
-            rows: d.rows(),
-            cols: d.cols(),
-            data: d.data().to_vec(),
-        }
+        LocalMatrix::from(d.clone())
     }
 
     pub fn approx_eq(&self, other: &LocalMatrix, tol: f64) -> bool {
@@ -210,6 +207,18 @@ impl LocalMatrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Take a [`DenseMatrix`]'s buffer: the allocation itself when the matrix is
+/// its sole owner (an assembled result), a copy when the payload is shared.
+impl From<DenseMatrix> for LocalMatrix {
+    fn from(d: DenseMatrix) -> Self {
+        LocalMatrix {
+            rows: d.rows(),
+            cols: d.cols(),
+            data: d.into_vec(),
+        }
     }
 }
 

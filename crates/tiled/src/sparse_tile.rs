@@ -158,13 +158,13 @@ impl CscTile {
 
     /// Decompress into a dense tile.
     pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
+        let mut out = vec![0.0; self.rows * self.cols];
         for j in 0..self.cols {
             for e in self.col_ptr[j]..self.col_ptr[j + 1] {
-                out.set(self.row_idx[e], j, self.values[e]);
+                out[self.row_idx[e] * self.cols + j] = self.values[e];
             }
         }
-        out
+        DenseMatrix::from_vec(self.rows, self.cols, out)
     }
 
     pub fn rows(&self) -> usize {
@@ -214,6 +214,8 @@ impl CscTile {
         // Column-panel width: B panel rows and the touched C segments stay
         // cache-resident even when entries scatter across many C rows.
         const PANEL: usize = 512;
+        // One uniqueness check for the whole call, not one per stored entry.
+        let c = out.data_mut();
         for c0 in (0..m).step_by(PANEL) {
             let width = PANEL.min(m - c0);
             for j in 0..self.cols {
@@ -221,7 +223,7 @@ impl CscTile {
                 for e in self.col_ptr[j]..self.col_ptr[j + 1] {
                     let i = self.row_idx[e];
                     let v = self.values[e];
-                    let crow = &mut out.data_mut()[i * m + c0..i * m + c0 + width];
+                    let crow = &mut c[i * m + c0..i * m + c0 + width];
                     kernel::axpy(v, brow, crow, backend);
                 }
             }

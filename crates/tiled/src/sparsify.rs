@@ -90,11 +90,11 @@ pub fn build_tiled(
         .map(move |((i, j), v)| ((i / n, j / n), ((i % n) * n + j % n, v)))
         .group_by_key(partitions)
         .map_values(move |w| {
-            let mut tile = DenseMatrix::zeros(tile_size, tile_size);
+            let mut tile = vec![0.0; tile_size * tile_size];
             for (pos, v) in w {
-                tile.data_mut()[pos as usize] = v;
+                tile[pos as usize] = v;
             }
-            tile
+            DenseMatrix::from_vec(tile_size, tile_size, tile)
         });
     TiledMatrix::new(rows, cols, tile_size, tiles)
 }

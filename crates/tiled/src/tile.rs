@@ -11,16 +11,33 @@
 //! the independent oracle the property tests and the kernel bench pin the
 //! optimized path against (bit-for-bit — see the determinism contract in
 //! [`crate::kernel`]).
+//!
+//! **Ownership.** A tile's payload is an immutable shared buffer,
+//! copy-on-write: `clone()` is a refcount bump, so everything the cluster
+//! layer does with a tile — join/cogroup replication, the §5.2/§5.4
+//! `flat_map`s, `cache()`/`persist`, broadcast tables, the in-process
+//! map-output store, `collect()` — moves a pointer, and bytes are produced
+//! only when a frame is encoded at a process boundary. Every `&mut self`
+//! method takes a unique buffer first ([`DenseMatrix::data_mut`]): free for
+//! the sole owner, one payload copy for a shared tile. That check is an
+//! atomic read-modify-write, so it is paid **once per kernel call, never per
+//! element**: a loop that writes many elements hoists one `data_mut()` and
+//! indexes the slice; [`DenseMatrix::set`] / [`DenseMatrix::add_at`] are for
+//! one-off writes.
 
 use crate::kernel::{self, Backend};
 use sparkline::SpillCodec;
+use std::sync::Arc;
 
-/// A dense `rows x cols` matrix of `f64` stored row-major in one flat vector.
+/// A dense `rows x cols` matrix of `f64` stored row-major in one flat,
+/// shared, copy-on-write buffer (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    /// `Arc<Vec<_>>`, not `Arc<[_]>`: adopting an owned `Vec` (decode,
+    /// `from_vec`, kernel outputs) must not copy the payload.
+    data: Arc<Vec<f64>>,
 }
 
 impl SpillCodec for DenseMatrix {
@@ -37,7 +54,7 @@ impl SpillCodec for DenseMatrix {
         if data.len() != rows.checked_mul(cols)? {
             return None;
         }
-        Some(DenseMatrix { rows, cols, data })
+        Some(DenseMatrix::from_vec(rows, cols, data))
     }
 
     fn encoded_len(&self) -> usize {
@@ -55,11 +72,7 @@ impl DenseMatrix {
 
     /// All-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        DenseMatrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        DenseMatrix::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Build from a function of the (row, col) index.
@@ -70,16 +83,20 @@ impl DenseMatrix {
                 data.push(f(i, j));
             }
         }
-        DenseMatrix { rows, cols, data }
+        DenseMatrix::from_vec(rows, cols, data)
     }
 
-    /// Wrap an existing row-major buffer.
+    /// Wrap an existing row-major buffer; the buffer is adopted, not copied.
     ///
     /// # Panics
     /// If `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer does not match dimensions");
-        DenseMatrix { rows, cols, data }
+        DenseMatrix {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
     }
 
     /// Identity matrix.
@@ -100,8 +117,17 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// The flat buffer, made unique first: a shared payload is copied once
+    /// here, a sole owner pays one atomic check. Hoist the call out of any
+    /// element loop.
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// The flat buffer by value: the allocation itself when this tile is its
+    /// sole owner, a copy otherwise.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.to_vec())
     }
 
     #[inline]
@@ -110,16 +136,20 @@ impl DenseMatrix {
         self.data[i * self.cols + j]
     }
 
+    /// One-off element write; loops index a hoisted [`DenseMatrix::data_mut`].
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
+        let at = i * self.cols + j;
+        self.data_mut()[at] = v;
     }
 
+    /// One-off element update; loops index a hoisted [`DenseMatrix::data_mut`].
     #[inline]
     pub fn add_at(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] += v;
+        let at = i * self.cols + j;
+        self.data_mut()[at] += v;
     }
 
     /// Row `i` as a slice.
@@ -138,7 +168,7 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "add: dimension mismatch"
         );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -150,7 +180,7 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "axpy: dimension mismatch"
         );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += alpha * b;
         }
     }
@@ -162,32 +192,21 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "sub: dimension mismatch"
         );
-        DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
+        let data = self.data.iter().zip(other.data()).map(|(a, b)| a - b);
+        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// `self * scalar`, in place.
     pub fn scale_in_place(&mut self, scalar: f64) {
-        for a in &mut self.data {
+        for a in self.data_mut() {
             *a *= scalar;
         }
     }
 
     /// Element-wise map into a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> DenseMatrix {
-        DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let data = self.data.iter().map(|&x| f(x));
+        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// Element-wise zip into a new matrix.
@@ -200,28 +219,20 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "zip: dimension mismatch"
         );
-        DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        let data = self.data.iter().zip(other.data()).map(|(&a, &b)| f(a, b));
+        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
+        let mut out = vec![0.0; self.rows * self.cols];
         for i in 0..self.rows {
             let row = self.row(i);
             for (j, &v) in row.iter().enumerate() {
-                out.data[j * self.rows + i] = v;
+                out[j * self.rows + i] = v;
             }
         }
-        out
+        DenseMatrix::from_vec(self.cols, self.rows, out)
     }
 
     /// Count of non-zero entries — the statistic the planner's cost model
@@ -247,7 +258,7 @@ impl DenseMatrix {
             && self
                 .data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data())
                 .all(|(a, b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
     }
 
@@ -290,7 +301,7 @@ impl DenseMatrix {
             "gemm: output dimension mismatch"
         );
         kernel::gemm(
-            &mut self.data,
+            self.data_mut(),
             &a.data,
             &b.data,
             a.rows,
@@ -315,7 +326,7 @@ impl DenseMatrix {
             (a.rows, b.cols),
             "gemm: output dimension mismatch"
         );
-        gemm_rows(&mut self.data, &a.data, &b.data, 0..a.rows, a.cols, b.cols);
+        gemm_rows(self.data_mut(), &a.data, &b.data, 0..a.rows, a.cols, b.cols);
     }
 
     /// `a * b` as a new matrix.
@@ -344,29 +355,33 @@ impl DenseMatrix {
     }
 
     /// Copy `other` into this matrix with its top-left corner at `(r0, c0)`,
-    /// clipping to this matrix's bounds. Used to assemble padded edge tiles.
+    /// clipping to this matrix's bounds, one row slice at a time. Used to
+    /// assemble a matrix from its (padded) tiles.
     pub fn paste(&mut self, r0: usize, c0: usize, other: &DenseMatrix) {
+        let cols = self.cols;
         let rmax = (r0 + other.rows).min(self.rows);
-        let cmax = (c0 + other.cols).min(self.cols);
+        let width = (c0 + other.cols).min(cols).saturating_sub(c0);
+        if width == 0 {
+            return;
+        }
+        let data = self.data_mut();
         for i in r0..rmax {
-            for j in c0..cmax {
-                self.data[i * self.cols + j] = other.get(i - r0, j - c0);
-            }
+            data[i * cols + c0..i * cols + c0 + width].copy_from_slice(&other.row(i - r0)[..width]);
         }
     }
 
     /// Extract the `rows x cols` sub-matrix starting at `(r0, c0)`, zero
     /// padding past the edge. Used to cut tiles out of a local matrix.
     pub fn slice_padded(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(rows, cols);
+        let mut out = vec![0.0; rows * cols];
         let rmax = (r0 + rows).min(self.rows);
         let cmax = (c0 + cols).min(self.cols);
         for i in r0..rmax {
             for j in c0..cmax {
-                out.data[(i - r0) * cols + (j - c0)] = self.data[i * self.cols + j];
+                out[(i - r0) * cols + (j - c0)] = self.data[i * self.cols + j];
             }
         }
-        out
+        DenseMatrix::from_vec(rows, cols, out)
     }
 }
 

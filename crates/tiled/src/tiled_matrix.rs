@@ -164,14 +164,16 @@ impl TiledMatrix {
         TiledMatrix::from_fn(ctx, rows, cols, tile_size, partitions, |_, _| 0.0)
     }
 
-    /// Collect all tiles and assemble the local matrix (clipping padding).
+    /// Collect all tiles and assemble the local matrix (clipping padding):
+    /// each element is copied once, tile row by tile row, into the buffer the
+    /// result keeps.
     pub fn to_local(&self) -> LocalMatrix {
         let mut dense = DenseMatrix::zeros(self.rows as usize, self.cols as usize);
         let n = self.tile_size;
         for ((bi, bj), tile) in self.tiles.collect() {
             dense.paste(bi as usize * n, bj as usize * n, &tile);
         }
-        LocalMatrix::from_dense(&dense)
+        LocalMatrix::from(dense)
     }
 
     /// Tile-level transpose: `((i,j), A) -> ((j,i), Aᵀ)`. A narrow map — no

@@ -76,12 +76,9 @@ impl TiledVector {
     pub fn to_local(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.len as usize];
         for (b, block) in self.blocks.collect() {
-            let start = b as usize * self.block_size;
-            for (off, &v) in block.iter().enumerate() {
-                if start + off < out.len() {
-                    out[start + off] = v;
-                }
-            }
+            let start = (b as usize * self.block_size).min(out.len());
+            let valid = block.len().min(out.len() - start);
+            out[start..start + valid].copy_from_slice(&block[..valid]);
         }
         out
     }

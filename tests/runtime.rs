@@ -243,3 +243,69 @@ fn source_partitions_are_shared_views_not_per_task_copies() {
     let s3 = d.op().compute(0, d.context());
     assert!(Arc::ptr_eq(s3.as_shared().unwrap().0, b1));
 }
+
+#[test]
+fn tiles_keep_their_payload_pointer_through_the_cluster_layer() {
+    use sac_repro::tiled::DenseMatrix;
+    use std::collections::HashSet;
+    // The cluster layer routes tiles, it never touches their payload: a tile
+    // read out of a source partition — by value, through `Shared` streams —
+    // and carried through map, cache(), a broadcast table, join replication
+    // and collect() is the same buffer at the end. Only a frame encoded at a
+    // process boundary produces bytes (`tests/distributed.rs`).
+    let c = Context::builder()
+        .workers(4)
+        .default_parallelism(4)
+        .chaos_off()
+        .build();
+    let tiles: Vec<(i64, DenseMatrix)> = (0..6)
+        .map(|k| {
+            (
+                k,
+                DenseMatrix::from_fn(8, 8, |i, j| (k * 64 + i as i64 * 8 + j as i64) as f64),
+            )
+        })
+        .collect();
+    let payload = |t: &DenseMatrix| t.data().as_ptr() as usize;
+    let source_ptrs: HashSet<usize> = tiles.iter().map(|(_, t)| payload(t)).collect();
+    assert_eq!(source_ptrs.len(), 6);
+    let source = c.parallelize(tiles, 3);
+
+    // map + cache: the cached block holds the source's buffers, and so does
+    // every later read of it.
+    let cached = source.map(|(k, t)| (k % 3, (k, t))).cache();
+    for pass in 0..2 {
+        for (_, (_, t)) in cached.collect() {
+            assert!(
+                source_ptrs.contains(&payload(&t)),
+                "cache pass {pass} copied a tile"
+            );
+        }
+    }
+
+    // broadcast: the table the tasks see holds the collected pointers.
+    let table = c.broadcast(source.collect_map());
+    assert!(table.values().all(|t| source_ptrs.contains(&payload(t))));
+
+    // join replicas: each left tile meets two right tiles (and vice versa)
+    // across a shuffle; every replica on both sides is a source buffer.
+    let joined = cached.join(&cached, 4).collect();
+    assert_eq!(joined.len(), 12, "3 keys x 2 x 2 pairs");
+    for (_, ((_, l), (_, r))) in &joined {
+        assert!(
+            source_ptrs.contains(&payload(l)),
+            "join copied a left replica"
+        );
+        assert!(
+            source_ptrs.contains(&payload(r)),
+            "join copied a right replica"
+        );
+    }
+    // ... and a consumer that does write gets its own copy; the source is
+    // untouched.
+    let mut scaled = joined[0].1 .0 .1.clone();
+    scaled.scale_in_place(2.0);
+    assert!(!source_ptrs.contains(&payload(&scaled)));
+    let again = source.collect();
+    assert!(again.iter().all(|(k, t)| t.get(0, 0) == (k * 64) as f64));
+}
