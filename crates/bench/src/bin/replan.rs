@@ -3,13 +3,13 @@
 //!
 //! The registered `ArrayStats` claim both operands are 8x their honest
 //! resident bytes (and hide the density), pushing them past the broadcast
-//! budget: at plan time `Auto` settles on the shuffling reduceByKey
-//! contraction, and a session pinned to it (a pinned strategy is a frozen
-//! plan) rides it to the end. The adaptive stage driver probes the
-//! materialized inputs of the `Auto` session,
-//! observes the truth (a density-skewed panel — one dense block-row stripe,
-//! zeros elsewhere), and promotes the node to the broadcast contraction at
-//! runtime.
+//! budget: at plan time `Auto` settles on a shuffling contraction (the
+//! group-by-join), and a session pinned to one (a pinned strategy is a
+//! frozen plan; the §5.3 reduceByKey plan is the pinned baseline) rides it to
+//! the end. The adaptive stage driver probes the materialized inputs of the
+//! `Auto` session, observes the truth (a density-skewed panel — one dense
+//! block-row stripe, zeros elsewhere), and promotes the node to the broadcast
+//! contraction at runtime.
 //!
 //! ```text
 //! cargo run --release -p bench --bin replan            # writes BENCH_replan.json
@@ -54,11 +54,12 @@ struct Row {
 fn panel_session(matmul: MatMulStrategy) -> Session {
     let mut s = Session::builder()
         .workers(std::thread::available_parallelism().map_or(4, |n| n.get()))
-        // Few, wide partitions: map-side merging then collapses the
-        // broadcast path's combine round to a handful of partial tiles,
-        // while the frozen reduceByKey path still ships every join input
-        // plus out_tiles x k partial products.
-        .partitions(4)
+        // Eight reducers: the group-by-join's 2 x 4 cell grid sends the
+        // left operand four times and the right one twice, the frozen
+        // reduceByKey path ships every join input plus out_tiles x k partial
+        // products, and the probed broadcast path one operand and one
+        // combine round — the cheapest once the honest bytes are known.
+        .partitions(8)
         // Between the honest bytes (~296 KB CSC-discounted) and the 8x lie
         // (~9.4 MB): the frozen plan can never broadcast, the probed one can.
         .broadcast_budget(2_000_000)

@@ -255,17 +255,18 @@ pub fn factorization_step(
 }
 
 /// §8 extension: `C = A · B` where A's tiles travel in **compressed sparse
-/// column** storage. Same group-by-join plan shape as the dense path, but
-/// each left tile ships only its non-zeros and the local kernel is
-/// sparse-dense GEMM — the paper's "tiled arrays where each tile is stored
-/// in the compressed sparse column format" future-work item. The layered
-/// design makes this a storage swap: the distributed plan is unchanged.
+/// column** storage. The same group-by-join as the dense path — the
+/// planner's own routing and reduce (`planner::exec::group_by_join_tiles`) —
+/// but each left tile ships only its non-zeros and the local kernel is
+/// sparse-dense GEMM: the paper's "tiled arrays where each tile is stored in
+/// the compressed sparse column format" future-work item. The layered design
+/// makes this a storage swap: the distributed plan is unchanged.
 pub fn multiply_sparse_left(
     s: &Session,
     a: &TiledMatrix,
     b: &TiledMatrix,
 ) -> Result<TiledMatrix, CompError> {
-    use tiled::{CscTile, DenseMatrix};
+    use tiled::CscTile;
     if a.tile_size() != b.tile_size() {
         return Err(CompError::plan("inputs must share a tile size"));
     }
@@ -278,38 +279,16 @@ pub fn multiply_sparse_left(
         0 => s.spark().workers().max(1),
         p => p,
     };
-    let bcols_b = b.block_cols();
-    let brows_a = a.block_rows();
-
-    // Sparsify left tiles once, then replicate per result column (GBJ).
-    let lefts = a
-        .tiles()
-        .map(|(c, t)| (c, CscTile::from_dense(&t)))
-        .flat_map(move |((i, k), t)| {
-            (0..bcols_b)
-                .map(|j| ((i, j), (k, t.clone())))
-                .collect::<Vec<_>>()
-        });
-    let rights = b.tiles().flat_map(move |((k, j), t)| {
-        (0..brows_a)
-            .map(|i| ((i, j), (k, t.clone())))
-            .collect::<Vec<_>>()
-    });
-    let tiles = lefts
-        .cogroup(&rights, partitions)
-        .map(move |(coord, (ls, rs))| {
-            let mut out = DenseMatrix::zeros(n, n);
-            let mut by_k = std::collections::HashMap::new();
-            for (k, t) in &rs {
-                by_k.insert(*k, t);
-            }
-            for (k, a_tile) in &ls {
-                if let Some(b_tile) = by_k.get(k) {
-                    a_tile.spmm_acc(b_tile, &mut out);
-                }
-            }
-            (coord, out)
-        });
+    // Sparsify left tiles once, before they are routed.
+    let lefts = a.tiles().map_values(|t| CscTile::from_dense(&t));
+    let tiles = planner::exec::group_by_join_tiles(
+        &lefts,
+        b.tiles(),
+        (a.block_rows(), a.block_cols(), b.block_cols()),
+        n,
+        partitions,
+        |out, a_tile: &CscTile, b_tile, _| a_tile.spmm_acc(b_tile, out),
+    );
     Ok(TiledMatrix::new(a.rows(), b.cols(), n, tiles))
 }
 

@@ -13,7 +13,9 @@ use comp::errors::CompError;
 use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
 use sparkline::shuffle::Aggregator;
-use sparkline::{Context, Data, Dataset, Event, KeyPartitioner, PartitionStream, SpillCodec};
+use sparkline::{
+    Context, Data, Dataset, Event, GridCells, KeyPartitioner, PartitionStream, SpillCodec,
+};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -501,6 +503,9 @@ struct Combine {
 trait Block: Data + SpillCodec {
     /// Block-column coordinate.
     type Col: Data + SpillCodec + Hash + Eq + Copy;
+    /// The coordinate of block column `index`, and back.
+    fn col_at(index: i64) -> Self::Col;
+    fn col_index(col: Self::Col) -> i64;
     fn zeros(n: usize) -> Self;
     /// `self += a ⊗ b` under `combine`, in ascending contracted order;
     /// `valid_k` masks the zero padding of the contracted dimension, which a
@@ -514,6 +519,14 @@ type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
 
 impl Block for DenseMatrix {
     type Col = i64;
+
+    fn col_at(index: i64) -> i64 {
+        index
+    }
+
+    fn col_index(col: i64) -> i64 {
+        col
+    }
 
     fn zeros(n: usize) -> Self {
         DenseMatrix::zeros(n, n)
@@ -545,6 +558,12 @@ impl Block for DenseMatrix {
 
 impl Block for Vec<f64> {
     type Col = ();
+
+    fn col_at(_: i64) {}
+
+    fn col_index((): ()) -> i64 {
+        0
+    }
 
     fn zeros(n: usize) -> Self {
         vec![0.0; n]
@@ -650,7 +669,7 @@ fn exec_contraction<'a>(
                 ]
             });
             let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
-            let b_cols = (0..b.block_cols()).collect();
+            let b_cols = b.block_cols();
             let tiles = lower_contraction(row, &a, b.tiles(), b_cols, b_small, partitions, combine);
             let result = TiledMatrix::new(a.rows(), b.cols(), n, tiles);
             Ok(ExecResult::Matrix(if swap_output {
@@ -664,7 +683,7 @@ fn exec_contraction<'a>(
             check((x.block_size(), x.len(), 1), (len, 1))?;
             let (row, partitions) = adapt(&|| vec![(right, StageFrontier::vector(x))]);
             let blocks = x.blocks().map(|(k, block)| ((k, ()), block));
-            let blocks = lower_contraction(row, &a, &blocks, vec![()], true, partitions, combine)
+            let blocks = lower_contraction(row, &a, &blocks, 1, true, partitions, combine)
                 .map(|((i, ()), y)| (i, y));
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
@@ -674,8 +693,8 @@ fn exec_contraction<'a>(
 
 /// Lower one fully-resolved strategy-table row to its dataset DAG. `a` is
 /// already oriented standard (contraction on `a.col`); `b` is the oriented
-/// right operand: its blocks keyed `(contracted block, block col)`, every
-/// block col, and whether it is the smaller side. The caller has resolved
+/// right operand: its blocks keyed `(contracted block, block col)`, how many
+/// block cols it has, and whether it is the smaller side. The caller has resolved
 /// `row` and `partitions` — at plan time or at the stage frontier, so a
 /// runtime strategy switch runs bit-identically to the same strategy chosen
 /// up front.
@@ -689,7 +708,7 @@ fn lower_contraction<B: Block>(
     row: &StrategyRow,
     a: &TiledMatrix,
     b: &Blocks<B>,
-    b_cols: Vec<B::Col>,
+    b_cols: i64,
     b_small: bool,
     partitions: usize,
     combine: Combine,
@@ -769,36 +788,14 @@ fn lower_contraction<B: Block>(
             };
             triples.shuffle(KeyPartitioner::hash(partitions), accumulate, "reduceByKey")
         }
-        MatMulStrategy::GroupByJoin => {
-            // §5.4: replicate rows of A across result columns and columns of
-            // B across result rows, cogroup by result coordinate, reduce
-            // locally — one shuffle round, no partial-product shuffle.
-            let brows_a = a.block_rows();
-            let lefts = a.tiles().flat_map(move |((i, k), t)| {
-                b_cols
-                    .iter()
-                    .map(|&j| ((i, j), (k, t.clone())))
-                    .collect::<Vec<_>>()
-            });
-            let rights = b.flat_map(move |((k, j), t)| {
-                (0..brows_a)
-                    .map(|i| ((i, j), (k, t.clone())))
-                    .collect::<Vec<_>>()
-            });
-            lefts
-                .cogroup(&rights, partitions)
-                .map(move |(coord, (ls, rs))| {
-                    let mut out = B::zeros(n);
-                    // Index the right blocks by contraction coordinate.
-                    let by_k: HashMap<i64, &B> = rs.iter().map(|(k, t)| (*k, t)).collect();
-                    for (k, av) in &ls {
-                        if let Some(bv) = by_k.get(k) {
-                            multiply(av, bv, *k, &mut out);
-                        }
-                    }
-                    (coord, out)
-                })
-        }
+        MatMulStrategy::GroupByJoin => group_by_join(
+            a.tiles(),
+            b,
+            (a.block_rows(), a.block_cols(), b_cols),
+            n,
+            partitions,
+            move |out: &mut B, av: &DenseMatrix, bv: &B, k| multiply(av, bv, k, out),
+        ),
         MatMulStrategy::Broadcast => {
             // MLlib-style broadcast join: collect the smaller operand's
             // blocks on the driver, keyed by the contracted block index, ship
@@ -846,13 +843,102 @@ fn lower_contraction<B: Block>(
                 let out = merged.entry(coord).or_insert_with(|| B::zeros(n));
                 out.add_in_place(&partial);
             }
-            let coords = (0..a.block_rows()).flat_map(|i| b_cols.iter().map(move |&j| (i, j)));
+            let coords =
+                (0..a.block_rows()).flat_map(|i| (0..b_cols).map(move |j| (i, B::col_at(j))));
             let blocks = coords
                 .map(|c| (c, merged.remove(&c).unwrap_or_else(|| B::zeros(n))))
                 .collect();
             ctx.parallelize(blocks, partitions)
         }
     }
+}
+
+/// §5.4's group-by-join as SUMMA: `C[i,j] = Σ_k L[i,k] ⊗ B[k,j]` in one
+/// cogroup round whose reducers are the cells of the output's own grid
+/// partitioner ([`GridCells`] over `free_left x free_right` output blocks).
+/// A block travels once per reducer that needs it, not once per output block:
+/// `L[i,k]` to the `pc` cells its block row crosses — keyed `(i, first column
+/// of the cell)` — and `B[k,j]` to the `pr` cells its block column crosses —
+/// keyed `(first row of the cell, j)` — both pointer copies until a frame is
+/// encoded. Each reduce task then walks its cell's output keys and folds
+/// `acc(&mut C_ij, &L_ik, &B_kj, k)` in ascending `k` into one resident block,
+/// skipping absent operand blocks: no partial sum is shuffled or merged, so
+/// every output element is one ascending chain over the contracted index — a
+/// function of the operands alone, not of partition count, source layout,
+/// retry or process count. The cell's blocks are emitted from the cell's
+/// partition, so the result carries the grid partitioner of its own shape and
+/// joins with co-indexed matrices narrowly.
+fn group_by_join<L, B>(
+    lefts: &Dataset<(TileCoord, L)>,
+    rights: &Blocks<B>,
+    (free_left, contracted, free_right): (i64, i64, i64),
+    n: usize,
+    partitions: usize,
+    acc: impl Fn(&mut B, &L, &B, i64) + Send + Sync + 'static,
+) -> Blocks<B>
+where
+    L: Data + SpillCodec,
+    B: Block,
+{
+    let cells = GridCells::new(free_left as usize, free_right as usize, partitions);
+    let row_anchors = cells.row_anchors();
+    let col_anchors: Vec<B::Col> = cells.col_anchors().into_iter().map(B::col_at).collect();
+    let lefts = lefts.flat_map(move |((i, k), t)| {
+        let replicas = col_anchors.iter().map(|&j| ((i, j), (k, t.clone())));
+        replicas.collect::<Vec<_>>()
+    });
+    let rights = rights.flat_map(move |((k, j), t)| {
+        let replicas = row_anchors.iter().map(|&i| ((i, j), (k, t.clone())));
+        replicas.collect::<Vec<_>>()
+    });
+    let by_cell = cells.partitioner_by(|&(i, j): &(i64, B::Col)| (i, B::col_index(j)));
+    let reduced = lefts
+        .cogroup_with(&rights, by_cell)
+        .map_partitions_preserving("groupByJoin", move |cell, records| {
+            let records = records.into_vec();
+            let mut l_at: HashMap<TileCoord, &L> = HashMap::new();
+            let mut b_at: HashMap<TileCoord, &B> = HashMap::new();
+            for ((i, j), (ls, rs)) in &records {
+                l_at.extend(ls.iter().map(|(k, t)| ((*i, *k), t)));
+                b_at.extend(rs.iter().map(|(k, t)| ((*k, B::col_index(*j)), t)));
+            }
+            let (rows, cols) = cells.bands(cell);
+            let mut out = Vec::new();
+            for i in rows {
+                for j in cols.clone() {
+                    let mut c = B::zeros(n);
+                    for k in 0..contracted {
+                        if let (Some(l), Some(b)) = (l_at.get(&(i, k)), b_at.get(&(k, j))) {
+                            acc(&mut c, l, b, k);
+                        }
+                    }
+                    out.push(((i, B::col_at(j)), c));
+                }
+            }
+            PartitionStream::from_vec(out)
+        });
+    // Every product of the plan runs in that reduce, behind no shuffle: a
+    // consumer that evaluates the result twice (a stage-frontier probe and
+    // then the stage, two contractions over one `E`) would multiply twice.
+    // Cache it with the result's lineage — the §5.3 plan ends in a shuffle,
+    // whose output the runtime keeps the same way.
+    reduced.cache()
+}
+
+/// [`group_by_join`] over dense right and output tiles, for callers whose
+/// left tiles are stored some other way (`sac::linalg::multiply_sparse_left`
+/// ships them compressed): the same routing and the same reduce, with the
+/// caller's tile kernel as `acc`. `dims` are the block counts of the
+/// left-free, contracted and right-free dimensions, `n` the tile size.
+pub fn group_by_join_tiles<L: Data + SpillCodec>(
+    lefts: &Dataset<(TileCoord, L)>,
+    rights: &Dataset<(TileCoord, DenseMatrix)>,
+    dims: (i64, i64, i64),
+    n: usize,
+    partitions: usize,
+    acc: impl Fn(&mut DenseMatrix, &L, &DenseMatrix, i64) + Send + Sync + 'static,
+) -> Dataset<(TileCoord, DenseMatrix)> {
+    group_by_join(lefts, rights, dims, n, partitions, acc)
 }
 
 /// Group collected blocks by their contracted block index.

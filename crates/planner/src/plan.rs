@@ -39,6 +39,7 @@ use crate::scalar::{IdxFn, ScalarFn};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::normalize::normalize;
+use sparkline::GridCells;
 use tiled::fused::FusedProgram;
 
 /// How to execute a contraction (matrix multiplication).
@@ -52,8 +53,9 @@ pub enum MatMulStrategy {
     /// §5.3: join on the contracted index, tile products, `reduceByKey`
     /// (map-side combined).
     ReduceByKey,
-    /// §5.4: group-by-join (SUMMA) — replicate tiles to result coordinates,
-    /// cogroup once, reduce locally.
+    /// §5.4: group-by-join (SUMMA) — send each tile once to every reducer of
+    /// the output grid that needs it, cogroup once, reduce locally in
+    /// ascending contracted order.
     GroupByJoin,
     /// MLlib-style broadcast join: collect the smaller operand on the
     /// driver, [`sparkline::Context::broadcast`] it, and compute partial
@@ -737,21 +739,38 @@ fn broadcast_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
         .then(|| s.broadcast_bytes + s.free_left * s.free_right * s.out_block)
 }
 
-/// Group-by-join (§5.4): each side replicated across the other's free
-/// blocks, one cogroup round.
-fn group_by_join_bytes(s: &ContractionShape, _: &PlanConfig) -> Option<u64> {
-    Some(s.left_bytes * s.free_right + s.right_bytes * s.free_left)
+/// The partition count a cost is estimated at.
+fn cost_partitions(config: &PlanConfig) -> u64 {
+    match config.partitions {
+        0 => NOMINAL_PARTITIONS,
+        pinned => pinned as u64,
+    }
+}
+
+/// Group-by-join (§5.4): the reducers are the `pr x pc` cells of the output's
+/// grid partitioner — the same [`GridCells`] the lowering routes by — and a
+/// block goes once to each cell its band crosses: the left side `pc` times,
+/// the right side `pr` times, one cogroup round. Ineligible when that grid
+/// engages fewer reducers than a split over the contracted index would (a
+/// thin Gram product: one output block, a long contraction): there the
+/// reduceByKey row's `k`-split is the parallel plan.
+fn group_by_join_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
+    let partitions = cost_partitions(config);
+    let cells = GridCells::new(
+        s.free_left as usize,
+        s.free_right as usize,
+        partitions as usize,
+    );
+    let (pr, pc) = cells.shape();
+    (cells.cells() as u64 >= s.contracted.min(partitions))
+        .then(|| s.left_bytes * pc as u64 + s.right_bytes * pr as u64)
 }
 
 /// Join + reduceByKey (§5.3): both sides shuffled once for the join, partial
 /// products map-side combined down to at most min(p, k) partial blocks per
 /// output coordinate.
 fn reduce_by_key_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
-    let partitions = match config.partitions {
-        0 => NOMINAL_PARTITIONS,
-        pinned => pinned as u64,
-    };
-    let partials = partitions.min(s.contracted);
+    let partials = cost_partitions(config).min(s.contracted);
     Some(s.left_bytes + s.right_bytes + s.free_left * s.free_right * partials * s.out_block)
 }
 

@@ -172,7 +172,9 @@ fn contraction_decisions_are_the_parent_commits_numbers() {
             120_784,
             vec![
                 ("contraction/broadcast", 120_784),
-                ("contraction/groupByJoin", 329_408),
+                // 6 x 5 output blocks over 4 partitions: a 2 x 2 cell grid,
+                // each side sent twice.
+                ("contraction/groupByJoin", 134_720),
                 // A tie: list order is the tie-break order.
                 ("contraction/reduceByKey", 350_688),
                 ("contraction/joinGroupBy", 350_688),
@@ -187,11 +189,14 @@ fn contraction_decisions_are_the_parent_commits_numbers() {
     ];
     assert_eq!(
         decision_under(MUL_TT_SRC, &large, &PlanConfig::default()),
+        // 32 x 24 output blocks over 8 partitions: a 2 x 4 cell grid, the left
+        // side sent 4 times and the right side twice — under reduceByKey's
+        // 16-deep partial sums.
         (
-            "contraction/reduceByKey",
-            923_077_632,
+            "contraction/groupByJoin",
+            369_244_160,
             vec![
-                ("contraction/groupByJoin", 3_222_241_280),
+                ("contraction/groupByJoin", 369_244_160),
                 ("contraction/reduceByKey", 923_077_632),
                 ("contraction/joinGroupBy", 1_728_629_760),
             ]

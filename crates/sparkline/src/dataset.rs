@@ -139,6 +139,21 @@ impl<T: Data> Dataset<T> {
         self.narrow("mapPartitions", false, f)
     }
 
+    /// [`Dataset::map_partitions_stream`] for a keyed dataset whose `f` keeps
+    /// every record in the partition its key belongs to under this dataset's
+    /// partitioner (Spark's `mapPartitions(f, preservesPartitioning = true)`),
+    /// so the output stays co-partitioned with it and later joins on that
+    /// partitioner are narrow. `f` may change keys — only where they land is
+    /// promised — and nothing checks the promise: a record emitted from the
+    /// wrong partition is silently missed by a narrow join.
+    pub fn map_partitions_preserving<U: Data>(
+        &self,
+        label: &str,
+        f: impl Fn(usize, PartitionStream<T>) -> PartitionStream<U> + Send + Sync + 'static,
+    ) -> Dataset<U> {
+        self.narrow(label, true, f)
+    }
+
     /// Concatenate two datasets.
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
         Dataset {
@@ -676,6 +691,25 @@ mod tests {
         let mut out = m.collect();
         out.sort();
         assert_eq!(out, vec![(1, 10), (2, 20)]);
+    }
+
+    #[test]
+    fn map_partitions_preserving_keeps_the_partitioner_across_a_key_change() {
+        let c = ctx();
+        let p = KeyPartitioner::new(2, "parity", |k: &i64| *k as usize);
+        let d = c
+            .parallelize((0..8i64).map(|i| (i, i)).collect(), 3)
+            .partition_by(p.clone());
+        // `k -> k + 2` keeps parity, so every record stays where it is.
+        let shifted = d.map_partitions_preserving("shift", |_, s| s.map(|(k, v)| (k + 2, v)));
+        assert_eq!(shifted.partitioner_descriptor(), Some(("parity".into(), 2)));
+        shifted.count();
+        let before = c.metrics().snapshot();
+        let mut joined = shifted.join_with(&d, p).collect();
+        assert_eq!(c.metrics().snapshot().since(&before).shuffle_count, 0);
+        joined.sort();
+        let want: Vec<_> = (2..8i64).map(|k| (k, (k - 2, k))).collect();
+        assert_eq!(joined, want);
     }
 
     #[test]

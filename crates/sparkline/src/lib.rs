@@ -72,7 +72,7 @@ pub use context::{
 pub use dataset::Dataset;
 pub use events::{Event, EventCollector};
 pub use metrics::{Metrics, MetricsSnapshot, ShuffleDetail};
-pub use partitioner::KeyPartitioner;
+pub use partitioner::{GridCells, KeyPartitioner};
 pub use profile::{
     CacheStats, JobProfile, JobSummary, OperatorStats, PlanChoice, RecoveryStats, ServiceStats,
     StageProfile,

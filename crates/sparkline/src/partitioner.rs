@@ -8,6 +8,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A partitioner over keys of type `K`.
@@ -87,48 +88,120 @@ impl<K: Hash + ?Sized> KeyPartitioner<K> {
     }
 }
 
-impl KeyPartitioner<(i64, i64)> {
-    /// MLlib's `GridPartitioner` over block coordinates `(row, col)` of a
-    /// `rows x cols` block grid: contiguous rectangles of blocks map to the
-    /// same partition, which keeps a block row/column on few partitions.
-    pub fn grid(block_rows: usize, block_cols: usize, partitions: usize) -> Self {
+/// The `pr x pc` sub-grid of reduce cells MLlib's `GridPartitioner` lays over
+/// a `block_rows x block_cols` block grid: cell `(bi, bj)` owns a contiguous
+/// band of block rows and a contiguous band of block columns, and is reduce
+/// partition `bi + bj * pr`. [`KeyPartitioner::grid`] is this mapping, and a
+/// plan that routes blocks to reducers (the §5.4 group-by-join) and the cost
+/// model that prices it read the bands from here, so the three cannot drift.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GridCells {
+    block_rows: usize,
+    block_cols: usize,
+    pr: usize,
+    pc: usize,
+}
+
+impl GridCells {
+    /// Split at most `partitions` cells over the block grid: `pr <=
+    /// block_rows`, `pc <= block_cols`, `pr * pc` as large as fits, the most
+    /// square of the largest (and of two equally square, the one with fewer
+    /// row groups). Clamping to the block grid is what keeps every cell
+    /// non-empty: an unclamped `2 x 4` over a `16 x 1` grid would leave six
+    /// of eight partitions without a block.
+    pub fn new(block_rows: usize, block_cols: usize, partitions: usize) -> Self {
+        let (block_rows, block_cols) = (block_rows.max(1), block_cols.max(1));
         let partitions = partitions.max(1);
-        let block_rows = block_rows.max(1);
-        let block_cols = block_cols.max(1);
-        // Mirror MLlib: split the partition count itself into a `pr x pc`
-        // sub-grid so the index mapping covers exactly `0..partitions`. Using
-        // ceil(sqrt(partitions)) per side instead (as a naive port would)
-        // produces indices up to side^2 - 1, which the modulo in
-        // [`KeyPartitioner::partition`] folds back onto low partitions and
-        // skews load for non-square counts.
-        let pr = largest_divisor_at_most_sqrt(partitions);
-        let pc = partitions / pr;
-        let desc = format!("grid({block_rows}x{block_cols},{partitions})");
-        KeyPartitioner::new(partitions, desc, move |&(i, j): &(i64, i64)| {
-            // Proportional split: row group `bi` covers rows
-            // [bi*block_rows/pr, (bi+1)*block_rows/pr) — contiguous
-            // rectangles, every group non-empty whenever the grid has at
-            // least `pr`/`pc` blocks per side, and near-even occupancy even
-            // when the grid does not divide the partition count.
-            let bi = (i.max(0) as usize).min(block_rows - 1) * pr / block_rows;
-            let bj = (j.max(0) as usize).min(block_cols - 1) * pc / block_cols;
-            bi + bj * pr
-        })
+        let (mut pr, mut pc) = (1, 1);
+        for rows in 1..=block_rows.min(partitions) {
+            let cols = (partitions / rows).min(block_cols);
+            let better = (rows * cols).cmp(&(pr * pc)).then_with(|| {
+                // Fewer cells apart is more square.
+                (pr.abs_diff(pc)).cmp(&rows.abs_diff(cols))
+            });
+            if better.is_gt() {
+                (pr, pc) = (rows, cols);
+            }
+        }
+        GridCells {
+            block_rows,
+            block_cols,
+            pr,
+            pc,
+        }
+    }
+
+    /// `(pr, pc)`: cells per column and per row of the sub-grid.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.pr, self.pc)
+    }
+
+    /// Number of cells, which is the partition count of the partitioner.
+    pub fn cells(&self) -> usize {
+        self.pr * self.pc
+    }
+
+    /// The cell (reduce partition) owning block `(i, j)`. Proportional
+    /// split: row group `bi` covers rows `[bi*block_rows/pr,
+    /// (bi+1)*block_rows/pr)` rounded up — contiguous rectangles, none
+    /// empty, near-even occupancy when the grid does not divide evenly.
+    /// Coordinates outside the grid clamp to its edge.
+    pub fn cell_of(&self, (i, j): (i64, i64)) -> usize {
+        let bi = (i.max(0) as usize).min(self.block_rows - 1) * self.pr / self.block_rows;
+        let bj = (j.max(0) as usize).min(self.block_cols - 1) * self.pc / self.block_cols;
+        bi + bj * self.pr
+    }
+
+    /// The block rows and block columns cell `cell` owns.
+    pub fn bands(&self, cell: usize) -> (Range<i64>, Range<i64>) {
+        let band = |group: usize, groups: usize, blocks: usize| {
+            let edge = |g: usize| (g * blocks).div_ceil(groups) as i64;
+            edge(group)..edge(group + 1)
+        };
+        (
+            band(cell % self.pr, self.pr, self.block_rows),
+            band(cell / self.pr, self.pc, self.block_cols),
+        )
+    }
+
+    /// The first block row of every row band: one per cell a block column
+    /// crosses.
+    pub fn row_anchors(&self) -> Vec<i64> {
+        (0..self.pr).map(|bi| self.bands(bi).0.start).collect()
+    }
+
+    /// The first block column of every column band: one per cell a block row
+    /// crosses.
+    pub fn col_anchors(&self) -> Vec<i64> {
+        (0..self.pc)
+            .map(|bj| self.bands(bj * self.pr).1.start)
+            .collect()
+    }
+
+    /// The partitioner sending a key to the cell of the block coordinate
+    /// `coord` reads off it. Equal grids give equal descriptors whatever the
+    /// key type, so datasets keyed differently over one grid co-partition.
+    pub fn partitioner_by<K: ?Sized>(
+        self,
+        coord: impl Fn(&K) -> (i64, i64) + Send + Sync + 'static,
+    ) -> KeyPartitioner<K> {
+        let desc = format!(
+            "grid({}x{},{}x{})",
+            self.block_rows, self.block_cols, self.pr, self.pc
+        );
+        KeyPartitioner::new(self.cells(), desc, move |k: &K| self.cell_of(coord(k)))
     }
 }
 
-/// Largest divisor of `n` that is at most `floor(sqrt(n))` (always ≥ 1), so
-/// `n = pr * pc` factors into the most square grid possible.
-fn largest_divisor_at_most_sqrt(n: usize) -> usize {
-    let mut best = 1;
-    let mut d = 1;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            best = d;
-        }
-        d += 1;
+impl KeyPartitioner<(i64, i64)> {
+    /// MLlib's `GridPartitioner` over block coordinates `(row, col)` of a
+    /// `rows x cols` block grid: contiguous rectangles of blocks map to the
+    /// same partition, which keeps a block row/column on few partitions. It
+    /// has [`GridCells::cells`] partitions — at most `partitions`, fewer when
+    /// the block grid cannot be cut that many ways.
+    pub fn grid(block_rows: usize, block_cols: usize, partitions: usize) -> Self {
+        GridCells::new(block_rows, block_cols, partitions).partitioner_by(|&coord| coord)
     }
-    best
 }
 
 #[cfg(test)]
@@ -209,6 +282,41 @@ mod tests {
                 "grid({rows}x{cols},{parts}): occupancy skew {counts:?}"
             );
         }
+    }
+
+    #[test]
+    fn grid_sub_grid_is_clamped_to_the_block_grid() {
+        // Regression: `grid(16, 1, 8)` factored 8 as 2 x 4 whatever the block
+        // grid's shape and sent every block of a one-column grid to column
+        // group 0 — two of eight partitions held all sixteen blocks.
+        for &(rows, cols, parts, shape) in &[
+            (16usize, 1usize, 8usize, (8usize, 1usize)),
+            (1, 16, 8, (1, 8)),
+            (3, 3, 8, (2, 3)),
+            (16, 16, 8, (2, 4)),
+            (2, 2, 9, (2, 2)),
+        ] {
+            let cells = GridCells::new(rows, cols, parts);
+            assert_eq!(cells.shape(), shape, "grid({rows}x{cols},{parts})");
+            let p = KeyPartitioner::grid(rows, cols, parts);
+            assert_eq!(p.partitions(), cells.cells());
+            let mut counts = vec![0usize; p.partitions()];
+            for i in 0..rows as i64 {
+                for j in 0..cols as i64 {
+                    let cell = p.partition(&(i, j));
+                    let (band_rows, band_cols) = cells.bands(cell);
+                    assert!(band_rows.contains(&i) && band_cols.contains(&j));
+                    counts[cell] += 1;
+                }
+            }
+            assert!(
+                counts.iter().all(|&n| n > 0),
+                "grid({rows}x{cols},{parts}): empty partition in {counts:?}"
+            );
+        }
+        let cells = GridCells::new(16, 16, 8);
+        assert_eq!(cells.row_anchors(), [0, 8]);
+        assert_eq!(cells.col_anchors(), [0, 4, 8, 12]);
     }
 
     #[test]

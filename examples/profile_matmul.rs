@@ -45,9 +45,11 @@ fn main() {
     println!(
         "The join+groupBy plan needs two shuffle rounds — the join, then a \
          groupByKey that carries every partial-product tile as a list element \
-         with no map-side combining. Group-by-join replicates input tiles \
-         instead, finishing in a single cogroup round with all products \
-         reduced in-task; its profile above has only the one pair of \
-         shuffle.map/shuffle.reduce stages per side."
+         with no map-side combining. Group-by-join instead sends each input \
+         tile once to every reducer of the output grid that needs it (a left \
+         tile to the cells its block row crosses, a right tile to the cells \
+         its block column crosses), finishing in a single cogroup round with \
+         all products reduced in-task; its profile above has only the one \
+         pair of shuffle.map/shuffle.reduce stages per side."
     );
 }

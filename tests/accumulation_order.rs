@@ -1,14 +1,22 @@
-//! The reduceByKey contraction's accumulation order, pinned on real floats
-//! (first slice of the determinism contract, ROADMAP item 3).
+//! The contractions' accumulation orders, pinned on real floats (first
+//! slices of the determinism contract, ROADMAP item 3).
 //!
-//! The stated order: within a map task the products of one output tile fold
+//! **reduceByKey.** Within a map task the products of one output tile fold
 //! into its resident combiner in ascending contracted-block order, and the
 //! reduce side folds the map tasks' combiners in map-partition order. So a
 //! pinned `ReduceByKey` product is a function of (inputs, partition count):
 //! the same bits under chaos, task failures and speculation, and the same
-//! bits however the operands' source partitions are laid out. The
-//! integer-valued suites cannot see any of this — every order gives them the
-//! same sum — so the operands here are arbitrary finite non-integers.
+//! bits however the operands' source partitions are laid out.
+//!
+//! **groupByJoin.** Every output tile is folded by one reduce task in
+//! ascending contracted-block order and no partial sum is ever merged, so
+//! every element is the single ascending fused-multiply-add chain the tile
+//! kernel runs — the bits of `DenseMatrix::multiply` on the untiled operands,
+//! whatever the partition count, source layout, fault schedule or process
+//! count. `Auto` inherits that wherever it picks the row.
+//!
+//! The integer-valued suites cannot see any of this — every order gives them
+//! the same sum — so the operands here are arbitrary finite non-integers.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,33 +36,95 @@ fn rough(rows: usize, cols: usize, rng: &mut StdRng) -> LocalMatrix {
     })
 }
 
-fn pinned(partitions: usize) -> SessionBuilder {
+/// A session on `matmul` with no broadcast row to fall back on (a zero byte
+/// budget), so `Auto` chooses among the shuffling strategies.
+fn session(matmul: MatMulStrategy, partitions: usize) -> SessionBuilder {
     Session::builder()
         .workers(4)
         .executors(4)
         .partitions(partitions)
-        .matmul(MatMulStrategy::ReduceByKey)
+        .matmul(matmul)
+        .broadcast_budget(0)
         .max_task_attempts(8)
         .max_stage_attempts(12)
 }
 
-/// Run the product with the operands registered by `register`.
-fn product(
+fn pinned(partitions: usize) -> SessionBuilder {
+    session(MatMulStrategy::ReduceByKey, partitions)
+}
+
+/// Run the product with the operands registered by `register`; also the
+/// strategy it ran as.
+fn product_as(
     builder: SessionBuilder,
     (rows, cols): (usize, usize),
     register: impl FnOnce(&mut Session),
-) -> LocalMatrix {
+) -> (String, LocalMatrix) {
     let mut s = builder.build();
     register(&mut s);
     s.set_int("n", rows as i64);
     s.set_int("m", cols as i64);
     let explained = s.explain(MUL_SRC).unwrap();
+    (explained, s.matrix(MUL_SRC).unwrap().to_local())
+}
+
+/// [`product_as`] for a session pinned to reduceByKey.
+fn product(
+    builder: SessionBuilder,
+    dims: (usize, usize),
+    register: impl FnOnce(&mut Session),
+) -> LocalMatrix {
+    let (explained, got) = product_as(builder, dims, register);
     assert!(explained.contains("reduceByKey"), "{explained}");
-    s.matrix(MUL_SRC).unwrap().to_local()
+    got
 }
 
 fn bits(m: &LocalMatrix) -> Vec<u64> {
     m.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bits of the untiled product: one `DenseMatrix::multiply`, every
+/// element one ascending fused-multiply-add chain.
+fn one_tile_product(a: &LocalMatrix, b: &LocalMatrix) -> Vec<u64> {
+    bits(&LocalMatrix::from(a.to_dense().multiply(&b.to_dense())))
+}
+
+/// 2–4 blocks of `tile` with the last one cut ragged by `cut`.
+fn ragged(tile: usize, blocks: usize, cut: usize) -> usize {
+    blocks * tile - cut % tile
+}
+
+/// `m`'s tiles in a random order over `parts` ungridded source partitions,
+/// so contracted blocks reach a join in no particular order.
+fn scatter(
+    s: &Session,
+    m: &LocalMatrix,
+    tile: usize,
+    parts: usize,
+    rng: &mut StdRng,
+) -> TiledMatrix {
+    let mut tiles = TiledMatrix::from_local(s.spark(), m, tile, 1)
+        .tiles()
+        .collect();
+    for at in (1..tiles.len()).rev() {
+        tiles.swap(at, rng.gen_range(0..at + 1));
+    }
+    let tiles = s.spark().parallelize(tiles, parts);
+    TiledMatrix::new(m.rows as i64, m.cols as i64, tile, tiles)
+}
+
+/// Executor kills, fetch failures, delayed tasks and speculative duplicates,
+/// explicit and seeded.
+fn chaos_plans(seed: u64, kill_at: u64) -> [(&'static str, ChaosPlan); 2] {
+    let explicit = ChaosPlan::new()
+        .with_kill_at_task(kill_at, (seed % 4) as usize)
+        .with_kill_at_task(kill_at + 17, ((seed + 1) % 4) as usize)
+        .with_fetch_failures(2 + seed % 5, 2)
+        .with_task_delay(3 + seed % 4, 120);
+    [
+        ("explicit", explicit),
+        ("seeded", ChaosPlan::seeded(seed, 4)),
+    ]
 }
 
 proptest! {
@@ -70,8 +140,7 @@ proptest! {
         seed in 0u64..100_000,
         kill_at in 3u64..60,
     ) {
-        // 2–4 blocks a side; `cut_*` leaves the last block ragged.
-        let dim = |blocks: usize, cut: usize| blocks * tile - cut % tile;
+        let dim = |blocks, cut| ragged(tile, blocks, cut);
         let (rows, inner, cols) = (dim(br, cut_r), dim(bk, cut_k), dim(bc, cut_c));
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rough(rows, inner, &mut rng);
@@ -83,14 +152,7 @@ proptest! {
 
         let want = product(pinned(partitions).chaos_off(), (rows, cols), ingest);
 
-        // Executor kills, fetch failures, delayed tasks and speculative
-        // duplicates, explicit and seeded.
-        let explicit = ChaosPlan::new()
-            .with_kill_at_task(kill_at, (seed % 4) as usize)
-            .with_kill_at_task(kill_at + 17, ((seed + 1) % 4) as usize)
-            .with_fetch_failures(2 + seed % 5, 2)
-            .with_task_delay(3 + seed % 4, 120);
-        for (label, plan) in [("explicit", explicit), ("seeded", ChaosPlan::seeded(seed, 4))] {
+        for (label, plan) in chaos_plans(seed, kill_at) {
             let got = product(
                 pinned(partitions).chaos(plan).speculation(1.5),
                 (rows, cols),
@@ -106,19 +168,12 @@ proptest! {
         });
         prop_assert_eq!(bits(&got), bits(&want), "task retries moved bits");
 
-        // The same operands in other source-partition layouts: the tiles in
-        // a random order over `parts_a` / `parts_b` ungridded partitions, so
-        // contracted blocks reach the join in no particular order.
+        // The same operands in other source-partition layouts.
         let got = product(pinned(partitions).chaos_off(), (rows, cols), |s| {
-            let mut scatter = |m: &LocalMatrix, parts: usize| {
-                let mut tiles = TiledMatrix::from_local(s.spark(), m, tile, 1).tiles().collect();
-                for at in (1..tiles.len()).rev() {
-                    tiles.swap(at, rng.gen_range(0..at + 1));
-                }
-                let tiles = s.spark().parallelize(tiles, parts);
-                TiledMatrix::new(m.rows as i64, m.cols as i64, tile, tiles)
-            };
-            let (ta, tb) = (scatter(&a, parts_a), scatter(&b, parts_b));
+            let (ta, tb) = (
+                scatter(s, &a, tile, parts_a, &mut rng),
+                scatter(s, &b, tile, parts_b, &mut rng),
+            );
             s.register_matrix("A", ta);
             s.register_matrix("B", tb);
         });
@@ -138,6 +193,106 @@ proptest! {
                 (g - w).abs() <= bound * mag,
                 "element {}: {} vs oracle {} exceeds {} x {}", i, g, w, bound, mag
             );
+        }
+    }
+
+    /// Pinned and wherever `Auto` picks it, the group-by-join product is the
+    /// bits of the driver's one-tile `DenseMatrix::multiply`: no partition
+    /// count, source layout or fault schedule is in the result.
+    #[test]
+    fn group_by_join_is_a_function_of_the_inputs_alone(
+        tile in 2usize..5,
+        (br, bk, bc) in (2usize..5, 2usize..5, 2usize..5),
+        (cut_r, cut_k, cut_c) in (0usize..4, 0usize..4, 0usize..4),
+        partitions in 1usize..10,
+        (parts_a, parts_b) in (1usize..8, 1usize..8),
+        seed in 0u64..100_000,
+        kill_at in 3u64..60,
+    ) {
+        let dim = |blocks, cut| ragged(tile, blocks, cut);
+        let (rows, inner, cols) = (dim(br, cut_r), dim(bk, cut_k), dim(bc, cut_c));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = rough(rows, inner, &mut rng);
+        let b = rough(inner, cols, &mut rng);
+        let want = one_tile_product(&a, &b);
+        let ingest = |s: &mut Session| {
+            s.register_local_matrix("A", &a, tile);
+            s.register_local_matrix("B", &b, tile);
+        };
+
+        for matmul in [MatMulStrategy::GroupByJoin, MatMulStrategy::Auto] {
+            let run = |builder: SessionBuilder, register: &dyn Fn(&mut Session)| {
+                let (explained, got) = product_as(builder, (rows, cols), register);
+                // `Auto` leaves the row only where its cell grid would idle
+                // reducers a split over the contracted blocks engages — and
+                // promises reduceByKey's order there, not this one.
+                let ran = explained.contains("groupByJoin");
+                assert!(
+                    ran || (matmul == MatMulStrategy::Auto && explained.contains("reduceByKey")),
+                    "{matmul:?}: {explained}"
+                );
+                ran.then_some(got)
+            };
+            // Every partition count, fault-free.
+            for p in 1..10 {
+                if let Some(got) = run(session(matmul, p).chaos_off(), &ingest) {
+                    prop_assert_eq!(bits(&got), want, "{:?} over {} partitions", matmul, p);
+                }
+            }
+            for (label, plan) in chaos_plans(seed, kill_at) {
+                let builder = session(matmul, partitions).chaos(plan).speculation(1.5);
+                if let Some(got) = run(builder, &ingest) {
+                    prop_assert_eq!(bits(&got), want, "{:?}: {} chaos moved bits", matmul, label);
+                }
+            }
+            let failing = |s: &mut Session| {
+                ingest(s);
+                s.spark().inject_task_failures(3);
+            };
+            if let Some(got) = run(session(matmul, partitions).chaos_off(), &failing) {
+                prop_assert_eq!(bits(&got), want, "{:?}: task retries moved bits", matmul);
+            }
+            let scattered = |s: &mut Session| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca7);
+                let (ta, tb) = (
+                    scatter(s, &a, tile, parts_a, &mut rng),
+                    scatter(s, &b, tile, parts_b, &mut rng),
+                );
+                s.register_matrix("A", ta);
+                s.register_matrix("B", tb);
+            };
+            if let Some(got) = run(session(matmul, partitions).chaos_off(), &scattered) {
+                prop_assert_eq!(
+                    bits(&got), want,
+                    "{:?}: source layout {}/{} moved bits", matmul, parts_a, parts_b
+                );
+            }
+        }
+    }
+}
+
+/// ... nor is the process count: the same bits when every shuffled tile
+/// crosses two worker processes as an SPKL frame, from scattered sources.
+#[test]
+fn group_by_join_over_worker_processes_matches_the_one_tile_product() {
+    let (tile, rows, inner, cols) = (3, 10, 11, 8);
+    let mut rng = StdRng::seed_from_u64(20210405);
+    let a = rough(rows, inner, &mut rng);
+    let b = rough(inner, cols, &mut rng);
+    let want = one_tile_product(&a, &b);
+    for matmul in [MatMulStrategy::GroupByJoin, MatMulStrategy::Auto] {
+        for partitions in [1, 4, 7] {
+            let builder = session(matmul, partitions).worker_processes(2);
+            let (explained, got) = product_as(builder, (rows, cols), |s| {
+                let (ta, tb) = (
+                    scatter(s, &a, tile, 5, &mut rng),
+                    scatter(s, &b, tile, 3, &mut rng),
+                );
+                s.register_matrix("A", ta);
+                s.register_matrix("B", tb);
+            });
+            assert!(explained.contains("groupByJoin"), "{explained}");
+            assert_eq!(bits(&got), want, "{matmul:?} over {partitions} partitions");
         }
     }
 }

@@ -75,6 +75,102 @@ fn group_by_join_multiply_runs_one_cogroup_round() {
 }
 
 #[test]
+fn group_by_join_sends_a_tile_once_per_reducer_and_costs_what_it_estimates() {
+    use sac_repro::planner::env::ArrayStats;
+    use sac_repro::sparkline::GridCells;
+
+    // 256 x 256 over 64 x 64 tiles and 4 reducers, each operand five times
+    // the broadcast budget: `Auto` itself must pick the row.
+    let (n, tile) = (256, 64);
+    let mut s = session(n, tile);
+    s.config_mut().broadcast_budget = 100_000;
+    let analysis = s.explain_analyze(MUL_SRC).unwrap();
+    let choice = &analysis.profile.plan_choices[0];
+    assert_eq!(
+        (choice.chosen.as_str(), choice.auto),
+        ("contraction/groupByJoin", true),
+        "{}",
+        analysis.profile.render()
+    );
+    assert!(choice.replans.is_empty(), "honest statistics confirm it");
+
+    // Exactly the cogroup's two map stages: no partial-sum round.
+    let shuffles: Vec<_> = analysis
+        .profile
+        .stages
+        .iter()
+        .filter(|st| st.is_shuffle_write())
+        .collect();
+    assert_eq!(shuffles.len(), 2, "{}", analysis.profile.render());
+
+    // 16 tiles a side over the output's 2 x 2 cell grid: each left tile to
+    // the 2 cells of its block row, each right tile to the 2 of its column.
+    let (pr, pc) = GridCells::new(4, 4, 4).shape();
+    assert_eq!((pr, pc), (2, 2));
+    let records: u64 = shuffles.iter().map(|st| st.shuffle_records_written).sum();
+    assert_eq!(records, 16 * pc as u64 + 16 * pr as u64);
+
+    // The row's estimate is that count in registered tile records, plus the
+    // table's latency proxy of 16 KiB a round ...
+    let tile_record = ArrayStats::dense_tile_bytes(tile);
+    assert_eq!(
+        choice.est_shuffle_bytes,
+        records * tile_record + 2 * (16 << 10)
+    );
+    // ... and the shuffle carried it: each record also names its contracted
+    // block (8 bytes), each bucket is framed — under 1 % together.
+    let actual = analysis.profile.actual_shuffle_bytes_of_tag(&choice.chosen);
+    let payload = records * (tile_record + 8);
+    assert!(
+        actual >= payload && actual <= payload + payload / 100,
+        "shuffled {actual} B for {payload} B of records:\n{}",
+        analysis.profile.render()
+    );
+}
+
+#[test]
+fn thin_gram_product_stays_on_reduce_by_key() {
+    // `PᵀP` for a tall thin `P` (16 x 1 blocks): one output block over a
+    // 16-deep contraction. The group-by-join's cell grid is a single reducer;
+    // the §5.3 plan splits the contracted blocks over all four.
+    let mut s = Session::builder()
+        .workers(4)
+        .partitions(4)
+        .broadcast_budget(100_000)
+        .build();
+    let p = LocalMatrix::from_fn(1024, 64, |i, j| ((i * 7 + j) % 11) as f64 - 5.0);
+    s.register_local_matrix("P", &p, 64);
+    s.set_int("k", 64);
+    let gram = "tiled(k,k)[ ((i,j), +/v) | ((l,i),a) <- P, ((ll,j),b) <- P, ll == l, \
+                let v = a*b, group by (i,j) ]";
+    let analysis = s.explain_analyze(gram).unwrap();
+    let choice = &analysis.profile.plan_choices[0];
+    assert_eq!(
+        (choice.chosen.as_str(), choice.auto),
+        ("contraction/reduceByKey", true)
+    );
+    assert!(
+        !choice
+            .candidates
+            .iter()
+            .any(|(tag, _)| tag == "contraction/groupByJoin"),
+        "an ineligible row is not a candidate: {:?}",
+        choice.candidates
+    );
+    assert!(analysis
+        .profile
+        .stages
+        .iter()
+        .any(|st| st.operator.as_deref() == Some("reduceByKey")));
+    // The same shape with the contraction as short as the grid is wide is
+    // the row's again: 16 x 16 output blocks, one contracted block.
+    s.set_int("n", 1024);
+    let outer = "tiled(n,n)[ ((i,j), +/v) | ((i,l),a) <- P, ((j,ll),b) <- P, ll == l, \
+                 let v = a*b, group by (i,j) ]";
+    assert!(s.explain(outer).unwrap().contains("groupByJoin"));
+}
+
+#[test]
 fn reduce_by_key_multiply_runs_three_shuffle_rounds() {
     // §5.3 reduceByKey plan: the join's cogroup (two map stages) plus the
     // partial-product reduceByKey — one more shuffle round than group-by-join.
@@ -589,7 +685,7 @@ fn plan_cache_hits_are_pinned_by_event_count() {
 fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     // The adaptive stage driver's headline case: registration-time
     // statistics lie 8x about both contraction operands, so at plan time
-    // broadcast looks over-budget and the planner freezes on reduceByKey.
+    // broadcast looks over-budget and the planner freezes on group-by-join.
     // The stage-frontier probe observes the honest bytes, re-runs the same
     // candidate cost model, and promotes the node to the broadcast
     // contraction mid-plan — exactly one plan_replanned re-decision, with a
@@ -619,7 +715,7 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     let analysis = s.explain_analyze(MUL_SRC).unwrap();
     let choice = &analysis.profile.plan_choices[0];
     assert_eq!(
-        choice.chosen, "contraction/reduceByKey",
+        choice.chosen, "contraction/groupByJoin",
         "the lie must freeze the plan on a shuffling strategy:\n{}",
         analysis.plan
     );
@@ -631,7 +727,7 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         analysis.profile.render()
     );
     let replan = &choice.replans[0];
-    assert_eq!(replan.from, "contraction/reduceByKey");
+    assert_eq!(replan.from, "contraction/groupByJoin");
     assert_eq!(replan.to, "contraction/broadcast");
     assert!(
         replan.observed_bytes < replan.est_shuffle_bytes,
@@ -645,8 +741,8 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         analysis.profile.render()
     );
     // The switched node really ran on the broadcast path: no join shuffle,
-    // only the single partial-combining reduce round — versus the three
-    // rounds of the frozen reduceByKey plan (asserted against the oracle
+    // only the single partial-combining reduce round — versus the two
+    // rounds of the frozen group-by-join plan (asserted against the oracle
     // run below).
     let adaptive_shuffles = shuffle_stages(&analysis.profile);
     assert!(
@@ -657,13 +753,13 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     );
 
     // Bit-exactness oracle: pinning the strategy freezes the plan, so a
-    // session pinned to reduceByKey under the same lie runs the original
+    // session pinned to group-by-join under the same lie runs the original
     // plan to the end and must agree with the switched run bit-for-bit.
     let mut frozen = Session::builder()
         .workers(4)
         .partitions(4)
         .broadcast_budget(100_000)
-        .matmul(MatMulStrategy::ReduceByKey)
+        .matmul(MatMulStrategy::GroupByJoin)
         .build();
     frozen.register_local_matrix("A", &a, 32);
     frozen.register_local_matrix("B", &b, 32);
