@@ -1,10 +1,11 @@
 //! Regenerate the paper's Figure 4 (panels A, B, C) as printed tables.
 //!
 //! ```text
-//! cargo run --release -p bench --bin figures            # all panels
+//! cargo run --release -p bench --bin figures            # panels a, b, c
 //! cargo run --release -p bench --bin figures -- a       # one panel
 //! cargo run --release -p bench --bin figures -- b quick # smaller sizes
 //! cargo run --release -p bench --bin figures -- b --trace # + JSON event log
+//! cargo run --release -p bench --bin figures -- ablations # design-choice tables
 //! ```
 //!
 //! With `--trace`, the SAC runs of each panel are executed with structured
@@ -26,7 +27,7 @@ use rand::SeedableRng;
 use sac::{MatMulStrategy, Session};
 use sparkline::Event;
 use std::time::Instant;
-use tiled::LocalMatrix;
+use tiled::{CooMatrix, LocalMatrix, TiledMatrix};
 
 const REPEATS: usize = 3;
 
@@ -237,15 +238,103 @@ fn panel_c(sizes: &[usize], trace: bool) {
     }
 }
 
+/// Ablations for the design choices the paper argues qualitatively:
+/// `reduceByKey` vs `groupByKey` (§4's reason for generating reduceByKey),
+/// coordinate-format (DIABLO, §4) vs block-array multiplication (§5's
+/// motivation), and the group-by-join's sensitivity to the tile side.
+fn panel_ablations(quick: bool) {
+    let (pairs, coo_n, tile_n, tiles): (i64, usize, usize, &[usize]) = if quick {
+        (20_000, 64, 128, &[32, 64])
+    } else {
+        (200_000, 128, 256, &[16, 32, 64, 128])
+    };
+    let table = |title: String, key: &str| {
+        println!("\n=== Ablation — {title} ===");
+        println!("{key:>24} | {:>10} {:>12}", "time (s)", "shuffle MiB");
+    };
+    let row = |name: &str, (secs, mib): (f64, f64)| {
+        println!("{name:>24} | {secs:>10.4} {mib:>12.2}");
+    };
+    let session = bench_session(MatMulStrategy::GroupByJoin);
+    let ctx = session.spark();
+    let resident = |m: TiledMatrix| {
+        let m = m.cache();
+        m.tiles().count();
+        m
+    };
+    let multiply = |a: &TiledMatrix, b: &TiledMatrix| {
+        measure(&session, || {
+            let product = sac::linalg::multiply(&session, a, b).expect("plan");
+            product.tiles().count();
+        })
+    };
+
+    table(
+        format!("reduceByKey vs groupByKey, {pairs} pairs on 512 keys"),
+        "aggregation",
+    );
+    let d = ctx
+        .parallelize((0..pairs).map(|i| (i % 512, i)).collect(), 8)
+        .cache();
+    d.count();
+    let rbk = measure(&session, || {
+        d.reduce_by_key(8, |x, y| x + y).count();
+    });
+    row("reduce_by_key", rbk);
+    let gbk = measure(&session, || {
+        let sums = d.group_by_key(8).map_values(|v| v.iter().sum::<i64>());
+        sums.count();
+    });
+    row("group_by_key", gbk);
+
+    table(
+        format!("coordinate vs tiled multiply, n = {coo_n}"),
+        "storage",
+    );
+    let (a, b) = (dense_local(coo_n, 1), dense_local(coo_n, 2));
+    let (ta, tb) = (
+        resident(tiled_of(&session, &a)),
+        resident(tiled_of(&session, &b)),
+    );
+    row("tiled_gbj", multiply(&ta, &tb));
+    let (ca, cb) = (
+        CooMatrix::from_local(ctx, &a, 8),
+        CooMatrix::from_local(ctx, &b, 8),
+    );
+    let coo = measure(&session, || {
+        ca.multiply(&cb, 8).entries().count();
+    });
+    row("coo_join_rbk", coo);
+
+    table(format!("group-by-join vs tile side, n = {tile_n}"), "tile");
+    let (a, b) = (dense_local(tile_n, 3), dense_local(tile_n, 4));
+    for &tile in tiles {
+        let ta = resident(TiledMatrix::from_local(ctx, &a, tile, 8));
+        let tb = resident(TiledMatrix::from_local(ctx, &b, tile, 8));
+        row(&tile.to_string(), multiply(&ta, &tb));
+    }
+}
+
+const USAGE: &str = "usage: figures [a|b|c|ablations] [quick] [--trace]  \
+                     (no panel: a, b and c; --trace: panels a, b, c only)";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let trace = args.iter().any(|a| a == "--trace");
-    let panel = args
-        .iter()
-        .find(|a| ["a", "b", "c"].contains(&a.as_str()))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let (mut quick, mut trace, mut panel) = (false, false, None);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "quick" => quick = true,
+            "--trace" => trace = true,
+            "a" | "b" | "c" | "ablations" if panel.is_none() => panel = Some(arg),
+            _ => {
+                eprintln!("figures: unexpected argument `{arg}`\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if trace && panel.as_deref() == Some("ablations") {
+        eprintln!("figures: the ablation tables have no trace\n{USAGE}");
+        std::process::exit(2);
+    }
 
     let (a_sizes, b_sizes, c_sizes): (Vec<usize>, Vec<usize>, Vec<usize>) = if quick {
         (vec![128, 256], vec![128, 192], vec![128])
@@ -257,11 +346,12 @@ fn main() {
         )
     };
 
-    match panel.as_str() {
-        "a" => panel_a(&a_sizes, trace),
-        "b" => panel_b(&b_sizes, trace),
-        "c" => panel_c(&c_sizes, trace),
-        _ => {
+    match panel.as_deref() {
+        Some("a") => panel_a(&a_sizes, trace),
+        Some("b") => panel_b(&b_sizes, trace),
+        Some("c") => panel_c(&c_sizes, trace),
+        Some(_) => panel_ablations(quick),
+        None => {
             panel_a(&a_sizes, trace);
             panel_b(&b_sizes, trace);
             panel_c(&c_sizes, trace);

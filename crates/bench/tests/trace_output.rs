@@ -35,6 +35,37 @@ fn figures_trace_writes_valid_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An argument `figures` does not know (`d`, a typo of `--trace`) must not
+/// fall through to every panel at full size.
+#[test]
+fn figures_rejects_an_unknown_argument_with_usage() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg("d")
+        .output()
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no panel may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`d`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn figures_ablations_quick_prints_the_three_tables() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["ablations", "quick"])
+        .output()
+        .expect("run figures");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for row in ["reduce_by_key", "group_by_key", "coo_join_rbk", "tiled_gbj"] {
+        assert!(stdout.contains(row), "missing `{row}`:\n{stdout}");
+    }
+    assert_eq!(stdout.matches("=== Ablation").count(), 3, "{stdout}");
+}
+
 /// Cache events from a real persisted run survive the hand-rolled JSON
 /// writer/parser round trip, exactly.
 #[test]

@@ -3,50 +3,23 @@
 use comp::errors::CompError;
 use comp::types::{infer, Type, TypeEnv};
 use planner::{DistArray, ExecResult, MatMulStrategy, PlanConfig, PlanEnv, Planned};
-use sparkline::{ChaosPlan, Context};
+use sparkline::{ChaosPlan, Context, ContextBuilder};
 use tiled::{CooMatrix, LocalMatrix, TiledMatrix, TiledVector};
 
-/// Builder for [`Session`].
+/// Builder for [`Session`]: planner options, plus a
+/// [`sparkline::ContextBuilder`] that the runtime setters forward to.
 pub struct SessionBuilder {
     context: Option<Context>,
-    workers: usize,
-    executors: Option<usize>,
-    partitions: usize,
-    tile_threads: usize,
-    matmul: MatMulStrategy,
-    broadcast_budget: u64,
-    storage_memory: Option<usize>,
-    auto_persist: bool,
-    max_task_attempts: Option<u32>,
-    max_stage_attempts: Option<u32>,
-    speculation: Option<f64>,
-    chaos: Option<ChaosPlan>,
-    chaos_off: bool,
-    worker_processes: Option<usize>,
-    external_shuffle: Option<bool>,
+    runtime: ContextBuilder,
+    config: PlanConfig,
 }
 
 impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
             context: None,
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            executors: None,
-            // 0 = derive shuffle parallelism from the worker count and the
-            // estimated output size at execution time.
-            partitions: 0,
-            tile_threads: 1,
-            matmul: MatMulStrategy::Auto,
-            broadcast_budget: PlanConfig::default().broadcast_budget,
-            storage_memory: None,
-            auto_persist: true,
-            max_task_attempts: None,
-            max_stage_attempts: None,
-            speculation: None,
-            chaos: None,
-            chaos_off: false,
-            worker_processes: None,
-            external_shuffle: None,
+            runtime: Context::builder(),
+            config: PlanConfig::default(),
         }
     }
 }
@@ -58,28 +31,21 @@ impl SessionBuilder {
     /// knobs on this builder (`workers`, `executors`, `storage_memory`,
     /// attempt limits, speculation, chaos) are ignored: they belong to
     /// whoever built the shared context. Planner-level knobs (`partitions`,
-    /// `matmul`, `broadcast_budget`, `tile_threads`, `auto_persist`) still
-    /// apply per session.
+    /// `matmul`, `broadcast_budget`, `tile_threads`) still apply per session.
     pub fn context(mut self, ctx: Context) -> Self {
         self.context = Some(ctx);
         self
     }
 
-    /// Executor threads of the underlying runtime.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
     /// Shuffle partition count.
     pub fn partitions(mut self, n: usize) -> Self {
-        self.partitions = n.max(1);
+        self.config.partitions = n.max(1);
         self
     }
 
     /// Threads per tile kernel (the paper's Scala `.par` multicore level).
     pub fn tile_threads(mut self, n: usize) -> Self {
-        self.tile_threads = n.max(1);
+        self.config.tile_threads = n.max(1);
         self
     }
 
@@ -88,14 +54,20 @@ impl SessionBuilder {
     /// query from registered statistics and may re-decide at stage
     /// frontiers from measured ones; pinning a strategy freezes the plan.
     pub fn matmul(mut self, s: MatMulStrategy) -> Self {
-        self.matmul = s;
+        self.config.matmul = s;
         self
     }
 
     /// Largest estimated operand size (bytes) the adaptive planner will ship
     /// as a broadcast table instead of shuffling.
     pub fn broadcast_budget(mut self, bytes: u64) -> Self {
-        self.broadcast_budget = bytes;
+        self.config.broadcast_budget = bytes;
+        self
+    }
+
+    /// Executor threads of the underlying runtime.
+    pub fn workers(mut self, n: usize) -> Self {
+        self.runtime = self.runtime.workers(n);
         self
     }
 
@@ -103,118 +75,70 @@ impl SessionBuilder {
     /// pool `persist()`-ed blocks live in. Unset = the `SPARKLINE_STORAGE_BUDGET`
     /// environment variable if present, otherwise unlimited.
     pub fn storage_memory(mut self, bytes: usize) -> Self {
-        self.storage_memory = Some(bytes);
-        self
-    }
-
-    /// Enable or disable automatic persistence of plan inputs referenced
-    /// more than once (on by default).
-    pub fn auto_persist(mut self, on: bool) -> Self {
-        self.auto_persist = on;
+        self.runtime = self.runtime.storage_memory(bytes);
         self
     }
 
     /// Logical executors (fault domains) of the runtime; defaults to one per
     /// worker thread. See [`sparkline::ContextBuilder::executors`].
     pub fn executors(mut self, n: usize) -> Self {
-        self.executors = Some(n);
+        self.runtime = self.runtime.executors(n);
         self
     }
 
     /// Attempts per task before the job fails.
     pub fn max_task_attempts(mut self, n: u32) -> Self {
-        self.max_task_attempts = Some(n);
+        self.runtime = self.runtime.max_task_attempts(n);
         self
     }
 
     /// Attempts per shuffle map stage (first run + resubmissions after
     /// executor loss) before the job fails.
     pub fn max_stage_attempts(mut self, n: u32) -> Self {
-        self.max_stage_attempts = Some(n);
+        self.runtime = self.runtime.max_stage_attempts(n);
         self
     }
 
     /// Enable speculative re-execution of stragglers at `multiplier` × the
     /// median completed-task time.
     pub fn speculation(mut self, multiplier: f64) -> Self {
-        self.speculation = Some(multiplier);
+        self.runtime = self.runtime.speculation(multiplier);
         self
     }
 
     /// Shuffle data-plane worker processes of the runtime (0 = in-process).
     /// See [`sparkline::ContextBuilder::worker_processes`].
     pub fn worker_processes(mut self, n: usize) -> Self {
-        self.worker_processes = Some(n);
+        self.runtime = self.runtime.worker_processes(n);
         self
     }
 
     /// Toggle the external shuffle service spool in multi-process mode. See
     /// [`sparkline::ContextBuilder::external_shuffle`].
     pub fn external_shuffle(mut self, on: bool) -> Self {
-        self.external_shuffle = Some(on);
+        self.runtime = self.runtime.external_shuffle(on);
         self
     }
 
     /// Run the session under an explicit chaos schedule (beats the
     /// `SPARKLINE_CHAOS` environment variable).
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self.chaos_off = false;
+        self.runtime = self.runtime.chaos(plan);
         self
     }
 
     /// Disable fault injection even when `SPARKLINE_CHAOS` is set — for
     /// tests pinning exact fault-free counts.
     pub fn chaos_off(mut self) -> Self {
-        self.chaos = None;
-        self.chaos_off = true;
+        self.runtime = self.runtime.chaos_off();
         self
     }
 
     pub fn build(self) -> Session {
-        let ctx = match self.context {
-            Some(ctx) => ctx,
-            None => {
-                let mut ctx = Context::builder().workers(self.workers);
-                if let Some(bytes) = self.storage_memory {
-                    ctx = ctx.storage_memory(bytes);
-                }
-                if let Some(n) = self.executors {
-                    ctx = ctx.executors(n);
-                }
-                if let Some(n) = self.max_task_attempts {
-                    ctx = ctx.max_task_attempts(n);
-                }
-                if let Some(n) = self.max_stage_attempts {
-                    ctx = ctx.max_stage_attempts(n);
-                }
-                if let Some(m) = self.speculation {
-                    ctx = ctx.speculation(m);
-                }
-                if let Some(n) = self.worker_processes {
-                    ctx = ctx.worker_processes(n);
-                }
-                if let Some(on) = self.external_shuffle {
-                    ctx = ctx.external_shuffle(on);
-                }
-                if let Some(plan) = self.chaos {
-                    ctx = ctx.chaos(plan);
-                } else if self.chaos_off {
-                    ctx = ctx.chaos_off();
-                }
-                ctx.build()
-            }
-        };
         Session {
-            ctx,
+            ctx: self.context.unwrap_or_else(|| self.runtime.build()),
             env: PlanEnv::new(),
-            config: PlanConfig {
-                partitions: self.partitions,
-                matmul: self.matmul,
-                broadcast_budget: self.broadcast_budget,
-                tile_threads: self.tile_threads,
-                auto_persist: self.auto_persist,
-            },
+            config: self.config,
         }
     }
 }
@@ -595,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_persist_caches_shared_matmul_input() {
+    fn shared_matmul_input_is_persisted_once() {
         let (mut s, ms) = chaos_off_session_with(&[("A", 8, 8, 10)]);
         s.set_int("n", 8);
         let src = "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- A, kk == k, \
@@ -604,12 +528,17 @@ mod tests {
         assert!(s.matrix(src).unwrap().to_local().max_abs_diff(&expected) < 1e-9);
         // A is referenced twice -> its tiles were auto-persisted.
         assert!(s.storage_status().blocks_in_memory > 0);
-        // Same result with auto-persist off and the cache cleared.
         assert!(s.unpersist("A") > 0);
         assert_eq!(s.storage_status().blocks_in_memory, 0);
-        s.config_mut().auto_persist = false;
-        assert!(s.matrix(src).unwrap().to_local().max_abs_diff(&expected) < 1e-9);
-        assert_eq!(s.storage_status().blocks_in_memory, 0);
+        // Same result uncached: a zero storage budget stores nothing.
+        let (mut uncached, _) = register(
+            Session::builder().storage_memory(0).chaos_off().build(),
+            &[("A", 8, 8, 10)],
+        );
+        uncached.set_int("n", 8);
+        let got = uncached.matrix(src).unwrap().to_local();
+        assert!(got.max_abs_diff(&expected) < 1e-9);
+        assert_eq!(uncached.storage_status().blocks_in_memory, 0);
     }
 
     #[test]

@@ -139,12 +139,8 @@ pub fn execute(
         });
     }
     ctx.scoped_tag(planned.plan.strategy_name(), || {
-        if config.auto_persist {
-            if let Some(overlay) = persist_shared_inputs(&planned.plan, env) {
-                return execute_untagged(planned, &overlay, ctx, config);
-            }
-        }
-        execute_untagged(planned, env, ctx, config)
+        let overlay = persist_shared_inputs(&planned.plan, env);
+        execute_untagged(planned, overlay.as_ref().unwrap_or(env), ctx, config)
     })
 }
 

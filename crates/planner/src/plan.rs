@@ -99,10 +99,6 @@ pub struct PlanConfig {
     pub broadcast_budget: u64,
     /// Threads for intra-tile kernels (the paper's `.par`); 1 = sequential.
     pub tile_threads: usize,
-    /// Automatically persist inputs a plan references more than once (e.g.
-    /// both sides of `A*A`) through the block manager, so their lineage is
-    /// computed once per execution instead of once per reference.
-    pub auto_persist: bool,
 }
 
 impl Default for PlanConfig {
@@ -112,7 +108,6 @@ impl Default for PlanConfig {
             matmul: MatMulStrategy::Auto,
             broadcast_budget: 1 << 20,
             tile_threads: 1,
-            auto_persist: true,
         }
     }
 }

@@ -31,7 +31,7 @@
 pub mod canon;
 pub mod net;
 
-use planner::{DistArray, ExecResult};
+use planner::{DistArray, ExecResult, PlanConfig};
 use sac::Session;
 use sparkline::json::JsonObject;
 use sparkline::{panic_is_cancelled, CancelToken, Context, Event, FairScheduler};
@@ -131,30 +131,18 @@ impl QueryReply {
 /// Builder for [`QueryService`].
 pub struct ServiceBuilder {
     context: Option<Context>,
-    workers: usize,
-    executors: Option<usize>,
-    storage_memory: Option<usize>,
+    runtime: sparkline::ContextBuilder,
     slots: Option<usize>,
-    partitions: usize,
-    tile_threads: usize,
-    broadcast_budget: Option<u64>,
-    chaos: Option<sparkline::ChaosPlan>,
-    chaos_off: bool,
+    config: PlanConfig,
 }
 
 impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             context: None,
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            executors: None,
-            storage_memory: None,
+            runtime: Context::builder(),
             slots: None,
-            partitions: 0,
-            tile_threads: 1,
-            broadcast_budget: None,
-            chaos: None,
-            chaos_off: false,
+            config: PlanConfig::default(),
         }
     }
 }
@@ -169,19 +157,19 @@ impl ServiceBuilder {
 
     /// Executor threads of the shared runtime.
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+        self.runtime = self.runtime.workers(n);
         self
     }
 
     /// Logical executors (fault domains) of the shared runtime.
     pub fn executors(mut self, n: usize) -> Self {
-        self.executors = Some(n);
+        self.runtime = self.runtime.executors(n);
         self
     }
 
     /// Storage-memory budget (bytes) of the shared block manager.
     pub fn storage_memory(mut self, bytes: usize) -> Self {
-        self.storage_memory = Some(bytes);
+        self.runtime = self.runtime.storage_memory(bytes);
         self
     }
 
@@ -193,62 +181,39 @@ impl ServiceBuilder {
 
     /// Shuffle partition count for tenant sessions (0 = autotune).
     pub fn partitions(mut self, n: usize) -> Self {
-        self.partitions = n;
+        self.config.partitions = n;
         self
     }
 
     /// Threads per tile kernel for tenant sessions.
     pub fn tile_threads(mut self, n: usize) -> Self {
-        self.tile_threads = n.max(1);
+        self.config.tile_threads = n.max(1);
         self
     }
 
     /// Broadcast budget for tenant sessions.
     pub fn broadcast_budget(mut self, bytes: u64) -> Self {
-        self.broadcast_budget = Some(bytes);
+        self.config.broadcast_budget = bytes;
         self
     }
 
     /// Run the shared runtime under an explicit chaos schedule.
     pub fn chaos(mut self, plan: sparkline::ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self.chaos_off = false;
+        self.runtime = self.runtime.chaos(plan);
         self
     }
 
     /// Disable fault injection even when `SPARKLINE_CHAOS` is set.
     pub fn chaos_off(mut self) -> Self {
-        self.chaos = None;
-        self.chaos_off = true;
+        self.runtime = self.runtime.chaos_off();
         self
     }
 
     pub fn build(self) -> QueryService {
-        let ctx = match self.context {
-            Some(ctx) => ctx,
-            None => {
-                let mut cb = Context::builder().workers(self.workers);
-                if let Some(n) = self.executors {
-                    cb = cb.executors(n);
-                }
-                if let Some(bytes) = self.storage_memory {
-                    cb = cb.storage_memory(bytes);
-                }
-                if let Some(plan) = self.chaos {
-                    cb = cb.chaos(plan);
-                } else if self.chaos_off {
-                    cb = cb.chaos_off();
-                }
-                cb.build()
-            }
-        };
+        let ctx = self.context.unwrap_or_else(|| self.runtime.build());
         let slots = self.slots.unwrap_or_else(|| ctx.executors().max(1));
         let mut shared = Session::builder().context(ctx.clone()).build();
-        shared.config_mut().partitions = self.partitions;
-        shared.config_mut().tile_threads = self.tile_threads;
-        if let Some(b) = self.broadcast_budget {
-            shared.config_mut().broadcast_budget = b;
-        }
+        *shared.config_mut() = self.config;
         QueryService {
             inner: Arc::new(Inner {
                 ctx,
@@ -755,12 +720,11 @@ impl QueryService {
             // Runtime re-decisions are made per-execution from measured
             // stats and are never written back into this cache.
             key.push_str(&format!(
-                "|c:{}:{:?}:{}:{}:{}:{}",
+                "|c:{}:{:?}:{}:{}:{}",
                 config.partitions,
                 config.matmul,
                 config.broadcast_budget,
                 config.tile_threads,
-                config.auto_persist,
                 tiled::kernel::signature(),
             ));
             (tid, key, env, config)

@@ -326,7 +326,6 @@ impl ContextBuilder {
                 dataset_ids: AtomicU64::new(0),
                 active_jobs: Mutex::new(Vec::new()),
                 plan_tags: Mutex::new(Vec::new()),
-                broadcasts: Mutex::new(Vec::new()),
             }),
         };
         // Supervision wiring: when the heartbeat declares a worker dead
@@ -410,9 +409,6 @@ pub(crate) struct CtxInner {
     /// the top of this stack when their DAG node is *constructed*, which is
     /// when the planner is running (materialization happens later).
     plan_tags: Mutex<Vec<String>>,
-    // Broadcast variables are kept alive by the context, like Spark's
-    // BlockManager does; they are just Arc'd values here.
-    broadcasts: Mutex<Vec<Arc<dyn std::any::Any + Send + Sync>>>,
 }
 
 impl Drop for CtxInner {
@@ -878,14 +874,11 @@ impl Context {
         self.parallelize(data, self.inner.default_parallelism)
     }
 
-    /// Register a broadcast value: a read-only value shared by all tasks.
+    /// A broadcast value: a read-only value shared by all tasks. It lives
+    /// as long as the datasets whose closures captured it, not as long as
+    /// the context.
     pub fn broadcast<T: Send + Sync + 'static>(&self, value: T) -> Arc<T> {
-        let arc = Arc::new(value);
-        self.inner
-            .broadcasts
-            .lock()
-            .push(arc.clone() as Arc<dyn std::any::Any + Send + Sync>);
-        arc
+        Arc::new(value)
     }
 
     /// Make the next `n` task attempts fail with an injected panic. Used by
@@ -1474,6 +1467,22 @@ mod tests {
         let b = ctx.broadcast(vec![1, 2, 3]);
         let sums = ctx.run_tasks(4, |_| b.iter().sum::<i32>());
         assert_eq!(sums, vec![6; 4]);
+    }
+
+    #[test]
+    fn broadcast_value_dies_with_the_dataset_that_captured_it() {
+        // A broadcast contraction's operand table must go with its plan, not
+        // with the context: a query service's context lives for days.
+        let ctx = Context::builder().chaos_off().build();
+        let table = ctx.broadcast(vec![7i64; 1024]);
+        let weak = Arc::downgrade(&table);
+        let d = ctx
+            .parallelize(vec![0usize, 1, 2], 2)
+            .map(move |i| table[i]);
+        assert_eq!(d.collect(), vec![7, 7, 7]);
+        assert!(weak.upgrade().is_some(), "the dataset's closure holds it");
+        drop(d);
+        assert!(weak.upgrade().is_none(), "nothing else may keep it alive");
     }
 
     #[test]

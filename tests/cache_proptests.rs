@@ -118,14 +118,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random paper queries through the whole stack: a session with
-    /// auto-persist and an arbitrary storage budget (plus injected task
-    /// failures) must produce exactly the result of an uncached session.
+    /// Random paper queries through the whole stack: a session with an
+    /// arbitrary storage budget (plus injected task failures) must produce
+    /// exactly the result of one that plans no persist node at all.
     #[test]
     fn session_queries_match_uncached(n in 4usize..9, tile in 1usize..4,
                                       seed in 0u64..500, query in 0usize..4,
                                       budget in budgets(), failures in 0u32..3) {
-        // Queries 0-1 reference `A` twice, so the planner auto-persists it;
+        // Queries 0-1 reference `A` twice, so the planner persists it;
         // 2-3 are single-reference and must be unaffected by the machinery.
         let queries = [
             "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- A, kk == k, \
@@ -139,10 +139,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = LocalMatrix::random(n, n, -2.0, 2.0, &mut rng);
 
-        let mut baseline = Session::builder().workers(3).partitions(3)
-            .auto_persist(false).build();
+        // The baseline reads the same matrix under two names: no input is
+        // shared, so nothing of it goes through the block manager.
+        let mut baseline = Session::builder().workers(3).partitions(3).build();
         baseline.register_local_matrix("A", &a, tile);
+        baseline.register_local_matrix("A2", &a, tile);
         baseline.set_int("n", n as i64);
+        let unshared = src.replacen("<- A,", "<- A2,", 1);
 
         let mut cached = Session::builder().workers(3).partitions(3)
             .storage_memory(budget).build();
@@ -150,13 +153,13 @@ proptest! {
         cached.set_int("n", n as i64);
 
         if query == 3 {
-            let want = baseline.vector(src).unwrap().to_local();
+            let want = baseline.vector(&unshared).unwrap().to_local();
             for _ in 0..2 {
                 let _guard = cached.spark().inject_task_failures_scoped(failures);
                 prop_assert_eq!(&cached.vector(src).unwrap().to_local(), &want);
             }
         } else {
-            let want = baseline.matrix(src).unwrap().to_local();
+            let want = baseline.matrix(&unshared).unwrap().to_local();
             for _ in 0..2 {
                 let _guard = cached.spark().inject_task_failures_scoped(failures);
                 prop_assert_eq!(&cached.matrix(src).unwrap().to_local(), &want);

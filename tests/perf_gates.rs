@@ -1,0 +1,289 @@
+//! The gates nothing but an allocator or a clock can state. Un-ignored and
+//! deterministic: the fused narrow chain's peak allocation, the
+//! noisy-neighbour replies' bits. `#[ignore]`d wall-clock ratios, run as
+//! `cargo test --release --test perf_gates -- --ignored --test-threads=1 --nocapture`:
+//! one reading each, against the bound the dev box holds with room to spare.
+//! EXPERIMENTS.md "Perf gates" has what each reads, and reads when broken.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sac_repro::sac::{MatMulStrategy, Session};
+use sac_repro::service::net::{serve, Client};
+use sac_repro::service::QueryService;
+use sac_repro::sparkline::Context;
+use sac_repro::tiled::kernel::Backend;
+use sac_repro::tiled::{DenseMatrix, LocalMatrix};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// Live heap bytes of this process and their high-water mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+struct Counting;
+
+// SAFETY: every call forwards to `System` unchanged; the counters only
+// observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The tests take turns even on the harness's default thread pool: one of
+/// them measures the heap of the whole process, three of them the clock.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Best of `reps` walls (ms) for each contender, taken in turns so that a
+/// slow moment of the box lands on all of them.
+fn best_of<const N: usize>(reps: usize, mut contenders: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..reps {
+        for (best, run) in best.iter_mut().zip(contenders.iter_mut()) {
+            let start = Instant::now();
+            run();
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
+const MUL_SRC: &str = "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, \
+     let v = a*b, group by (i,j) ]";
+
+#[test]
+fn fused_narrow_chain_allocates_no_per_row_intermediate() {
+    let _turn = alone();
+    const ROWS: i64 = 1_000_000;
+    let c = Context::builder().workers(4).chaos_off().build();
+    let chain = c
+        .parallelize((0..ROWS).collect(), 4)
+        .map(|x| x * 3)
+        .filter(|x| x % 5 != 0)
+        .map(|x| x + 1);
+    let run = || assert_eq!(chain.count(), (ROWS - ROWS / 5) as usize);
+    run(); // worker threads and other first-use allocations
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    run();
+    let grown = PEAK.load(Ordering::Relaxed) - before;
+    // One materialized intermediate of one of the 4 tasks is 2 MB; the
+    // pipelined chain holds a row at a time plus per-task bookkeeping.
+    assert!(grown < 64 << 10, "count() grew the heap by {grown} bytes");
+}
+
+#[test]
+#[ignore = "wall-clock gate; see the module docs"]
+fn kernel_is_2_5x_the_naive_oracle_at_384_cubed_with_equal_bits() {
+    let _turn = alone();
+    let n = 384;
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let a = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng).to_dense();
+    let b = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng).to_dense();
+    // Seven accumulations into each output, the same fma chains each.
+    let [mut naive, mut packed, mut banded] = [(); 3].map(|_| DenseMatrix::zeros(n, n));
+    let [naive_ms, packed_ms, banded_ms] = best_of(
+        7,
+        [
+            &mut || naive.gemm_acc_naive(&a, &b),
+            &mut || packed.gemm_acc(&a, &b),
+            &mut || banded.gemm_acc_with(&a, &b, 8, Backend::active()),
+        ],
+    );
+    let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(bits(&packed) == bits(&naive), "packed: bits differ");
+    assert!(bits(&banded) == bits(&naive), "8 bands: bits differ");
+    let speedup = naive_ms / packed_ms.min(banded_ms);
+    println!("kernel: naive {naive_ms:.2} ms, packed {packed_ms:.2}, 8 bands {banded_ms:.2}: {speedup:.2}x");
+    assert!(speedup >= 2.5, "kernel only {speedup:.2}x the naive loop");
+}
+
+/// The skewed 384 x 384 panel (one dense 64-row stripe), registered with
+/// statistics that claim 8x its honest bytes: past the broadcast budget at
+/// plan time, under it once a probe has seen the tiles. `worker_processes`
+/// is 0 for the in-process shuffle.
+fn skewed_panel(matmul: MatMulStrategy, worker_processes: usize) -> Session {
+    let (n, tile) = (384, 64);
+    let mut s = Session::builder()
+        .partitions(8)
+        .broadcast_budget(2_000_000)
+        .matmul(matmul)
+        .worker_processes(worker_processes)
+        .chaos_off()
+        .build();
+    let stripe = |seed: usize| {
+        let value = move |i, j| ((i * 31 + j * 7 + seed) % 13) as f64 - 6.0;
+        LocalMatrix::from_fn(n, n, move |i, j| if i < tile { value(i, j) } else { 0.0 })
+    };
+    s.register_local_matrix("A", &stripe(3), tile);
+    s.register_local_matrix("B", &stripe(11), tile);
+    s.set_int("n", n as i64);
+    for name in ["A", "B"] {
+        let mut lied = *s.env().stats(name).expect("registered");
+        lied.nnz = None;
+        lied.estimated_bytes *= 8;
+        s.env_mut().set_stats(name, lied);
+    }
+    s
+}
+
+#[test]
+#[ignore = "wall-clock gate; see the module docs"]
+fn adaptive_keeps_up_in_process_and_is_1_3x_through_worker_processes() {
+    let _turn = alone();
+    // A pinned strategy is a frozen plan. In-process it is `reduceByKey`,
+    // which the adaptive run only has to keep up with: a byte shuffled
+    // within one process costs next to nothing (ROADMAP item 7). Through
+    // two worker processes it is the group-by-join, the plan `Auto` settles
+    // on under the lie and that re-deciding replaces.
+    for (worker_processes, pinned, bound) in [
+        (0, MatMulStrategy::ReduceByKey, 0.8),
+        (2, MatMulStrategy::GroupByJoin, 1.3),
+    ] {
+        let pinned = skewed_panel(pinned, worker_processes);
+        let adaptive = skewed_panel(MatMulStrategy::Auto, worker_processes);
+        let run = |s: &Session| {
+            s.run(MUL_SRC).expect("panel query").force();
+        };
+        let [pinned_ms, adaptive_ms] = best_of(9, [&mut || run(&pinned), &mut || run(&adaptive)]);
+        let speedup = pinned_ms / adaptive_ms;
+        println!("replan: {worker_processes} worker processes, pinned {pinned_ms:.2} ms, adaptive {adaptive_ms:.2}: {speedup:.2}x");
+        assert!(speedup >= bound, "adaptive only {speedup:.2}x pinned");
+    }
+}
+
+const QUERIES: [&str; 5] = [
+    "tiled(n,n)[ ((i,j), a*2.0) | ((i,j),a) <- A ]",
+    "tiled(n,n)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]",
+    "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]",
+    "+/[ v | ((i,j),v) <- A, i == j ]",
+    MUL_SRC,
+];
+
+/// `rounds` closed-loop passes over the query mix as `tenant`, 12 ms of
+/// think time between requests: latencies in microseconds, and the result
+/// fingerprint of each query as of the last pass.
+fn drive(addr: SocketAddr, tenant: &str, rounds: usize) -> (Vec<u64>, Vec<String>) {
+    let mut client = Client::connect(addr).expect("connect");
+    let (mut latencies, mut fingerprints) = (Vec::new(), vec![String::new(); QUERIES.len()]);
+    for _ in 0..rounds {
+        for (query, fingerprint) in QUERIES.iter().zip(&mut fingerprints) {
+            let start = Instant::now();
+            let reply = client.run(tenant, query).expect("io").expect("query runs");
+            latencies.push(start.elapsed().as_micros() as u64);
+            let rest = reply.split("\"fingerprint\":").nth(1).expect("fingerprint");
+            *fingerprint = rest[..rest.find([',', '}']).unwrap()].to_string();
+            std::thread::sleep(Duration::from_millis(12));
+        }
+    }
+    (latencies, fingerprints)
+}
+
+/// The one end-to-end `FairScheduler` scenario, over TCP on one admission
+/// slot: `alice` alone, then `alice`, `bob` and `carol` while `mallory`
+/// floods from six connections. Asserts that every contended reply carries
+/// the bits of the solo run; returns the p95 latency, in microseconds, of
+/// alice alone and of the three polite tenants under the flood.
+fn noisy_neighbour(rounds: usize) -> (u64, u64) {
+    let n = 96;
+    let svc = QueryService::builder()
+        .workers(4)
+        .executors(4)
+        .slots(1)
+        .chaos_off()
+        .build();
+    let mut rng = StdRng::seed_from_u64(2021);
+    for name in ["A", "B"] {
+        let m = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng);
+        svc.register_shared_matrix(name, &m, 16).expect("register");
+    }
+    svc.register_shared_int("n", n as i64);
+    let server = serve(svc, ("127.0.0.1", 0)).expect("bind");
+    let addr = server.addr();
+
+    drive(addr, "alice", 1); // plan cache, shared blocks
+    let (solo, solo_bits) = drive(addr, "alice", rounds);
+    let stop = AtomicBool::new(false);
+    let polite = std::thread::scope(|scope| {
+        for _ in 0..6 {
+            scope.spawn(|| {
+                let mut client = Client::connect(addr).expect("connect");
+                while !stop.load(Ordering::SeqCst) {
+                    for query in QUERIES {
+                        let reply = client.run("mallory", query).expect("io");
+                        reply.expect("query runs");
+                    }
+                }
+            });
+        }
+        // The polite tenants arrive at a service that is already flooded.
+        std::thread::sleep(Duration::from_millis(250));
+        let polite = ["alice", "bob", "carol"]
+            .map(|tenant| scope.spawn(move || drive(addr, tenant, rounds)))
+            .map(|client| client.join().expect("polite client"));
+        stop.store(true, Ordering::SeqCst);
+        polite
+    });
+    server.shutdown();
+
+    let mut contended = Vec::new();
+    for (latencies, contended_bits) in polite {
+        assert_eq!(contended_bits, solo_bits, "contention changed the bits");
+        contended.extend(latencies);
+    }
+    // Not the p99: of alice's 100 solo requests that is the second-worst,
+    // and one stall of the box moves it severalfold either way.
+    let p95 = |mut l: Vec<u64>| {
+        l.sort_unstable();
+        l[((l.len() - 1) as f64 * 0.95).round() as usize]
+    };
+    (p95(solo), p95(contended))
+}
+
+#[test]
+fn noisy_neighbour_replies_are_bit_identical() {
+    let _turn = alone();
+    noisy_neighbour(2);
+}
+
+#[test]
+#[ignore = "wall-clock gate; see the module docs"]
+fn contended_p95_stays_within_3x_solo_under_a_noisy_neighbour() {
+    let _turn = alone();
+    let (solo, contended) = noisy_neighbour(20);
+    let ratio = contended as f64 / solo as f64;
+    println!("serve: p95 alone {solo} us, polite under the flood {contended}: {ratio:.2}x");
+    assert!(ratio <= 3.0, "the flood costs the polite {ratio:.2}x");
+}

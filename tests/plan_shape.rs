@@ -319,7 +319,7 @@ const SELF_MUL_SRC: &str = "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b
      kk == k, let v = a*b, group by (i,j) ]";
 
 #[test]
-fn auto_persist_cache_stats_aggregate_per_stage_and_dataset() {
+fn shared_input_cache_stats_aggregate_per_stage_and_dataset() {
     // chaos_off + ample pinned budget: this test pins exact fault-free cache
     // counts (second run misses == 0), which an injected executor kill or a
     // deliberately tiny env storage budget would legitimately break.
@@ -794,6 +794,12 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         adaptive_shuffles < shuffle_stages(&frozen_analysis.profile),
         "the switch must shed shuffle rounds against the frozen plan:\n{}",
         frozen_analysis.profile.render()
+    );
+    // ... and bytes: 148 512 against the frozen plan's 297 600 replicated.
+    let written = |p: &JobProfile| p.total_shuffle_bytes_written();
+    assert!(
+        written(&analysis.profile) < written(&frozen_analysis.profile),
+        "the switch must shuffle fewer bytes than the frozen plan"
     );
     let got = s.matrix(MUL_SRC).unwrap().to_local();
     let oracle = frozen.matrix(MUL_SRC).unwrap().to_local();
