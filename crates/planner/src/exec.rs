@@ -2,6 +2,7 @@
 
 use crate::analysis::Aggregate;
 use crate::env::{DistArray, PlanEnv};
+use crate::fuse::fuse_region;
 use crate::plan::{
     strategy_row, GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, PlanDecision, Planned,
     StrategyRow,
@@ -16,7 +17,7 @@ use sparkline::shuffle::Aggregator;
 use sparkline::{
     Context, Data, Dataset, Event, GridCells, KeyPartitioner, PartitionStream, SpillCodec,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 use tiled::fused::FusedProgram;
@@ -70,11 +71,13 @@ impl ExecResult {
     }
 }
 
-/// The f64 embedding of a monoid: identity and combine.
+/// The f64 embedding of a monoid: identity and combine. `+`'s identity is
+/// `-0.0`, IEEE-754's: `-0.0 + x` is `x` for every `x`, so a fold from it has
+/// the bits of a fold from the first element (the reference interpreter's).
 #[allow(clippy::type_complexity)]
 pub fn monoid_f64(m: Monoid) -> Result<(f64, fn(f64, f64) -> f64), CompError> {
     Ok(match m {
-        Monoid::Sum => (0.0, |a, b| a + b),
+        Monoid::Sum => (-0.0, |a, b| a + b),
         Monoid::Product => (1.0, |a, b| a * b),
         Monoid::Max => (f64::NEG_INFINITY, f64::max),
         Monoid::Min => (f64::INFINITY, f64::min),
@@ -331,6 +334,14 @@ fn for_each_valid(
     }
 }
 
+/// How many rows and columns of an `n`-wide tile whose first element is at
+/// global `origin` lie inside an array of logical `extent`; the rest is
+/// padding.
+fn valid_extent(origin: (i64, i64), extent: (i64, i64), n: usize) -> (usize, usize) {
+    let valid = |from: i64, to: i64| (to - from).clamp(0, n as i64) as usize;
+    (valid(origin.0, extent.0), valid(origin.1, extent.1))
+}
+
 /// Cogroup-join co-indexed block sets on their keys with `partitioner`:
 /// inputs already partitioned by it (mllib-style grid registration) cogroup
 /// narrowly, so e.g. matrix addition runs with zero shuffle stages. Keys are
@@ -393,8 +404,8 @@ fn fused_tile(
         bufs.push(&planes.1);
     }
     let mut data = tiled::kernel::fused_eltwise(program, &bufs, len, backend);
-    let valid_rows = (extent.0 - origin.0).clamp(0, tile_rows as i64) as usize;
-    let valid_cols = (extent.1 - origin.1).clamp(0, tile_cols as i64) as usize;
+    let valid_rows = valid_extent(origin, extent, tile_rows).0;
+    let valid_cols = valid_extent(origin, extent, tile_cols).1;
     data[valid_rows * tile_cols..].fill(0.0);
     if valid_cols < tile_cols {
         for row in data[..valid_rows * tile_cols].chunks_mut(tile_cols) {
@@ -946,7 +957,40 @@ fn by_contracted<K, T>(blocks: Vec<(K, T)>, k: impl Fn(&K) -> i64) -> HashMap<i6
     table
 }
 
-/// Fig. 1: per-tile axis reduction then block-wise `reduceByKey`.
+/// A per-element `value` over slots `[element, row, col]` as one fused tile
+/// program, or `None` when it is the element itself. By `fuse`'s
+/// determinism contract the program's bits are `ScalarFn::eval`'s.
+fn element_program(value: &ScalarFn) -> Option<FusedProgram> {
+    (*value != ScalarFn::Var(0)).then(|| fuse_region(value, None))
+}
+
+/// Tile `(bi, bj)` of an array of logical `extent` through
+/// [`element_program`]'s program: the tile itself (a pointer) when there is
+/// none, one fused pass otherwise.
+fn map_elements(
+    program: Option<&FusedProgram>,
+    ((bi, bj), t): (TileCoord, DenseMatrix),
+    extent: (i64, i64),
+    backend: Backend,
+) -> DenseMatrix {
+    let Some(program) = program else { return t };
+    let n = t.rows();
+    let origin = (bi * n as i64, bj * n as i64);
+    DenseMatrix::from_vec(
+        n,
+        n,
+        fused_tile(program, &[t.data()], (n, n), origin, extent, backend),
+    )
+}
+
+/// Fig. 1: each tile's rows (columns) fold into one partial block, and each
+/// output block folds its tiles' partials in ascending block index along the
+/// reduced axis — one shuffle round, no map-side combine (a partial is `n`
+/// numbers). `value` runs as one fused program per tile, skipped when it is
+/// the element itself; a partial is a plain loop in ascending in-tile index
+/// from the monoid's identity (`-0.0` for `+`, so the same bits as folding
+/// from the first element, as the reference interpreter does). The result is
+/// a function of the input and its tile size alone.
 fn exec_axis_reduce(
     env: &PlanEnv,
     config: &PlanConfig,
@@ -966,30 +1010,74 @@ fn exec_axis_reduce(
     let (zero, combine) = monoid_f64(monoid)?;
     let n = m.tile_size();
     let extent = (m.rows(), m.cols());
-    let value = value.clone();
-    let partial = m.tiles().map(move |((bi, bj), t)| {
-        let mut block = vec![zero; n];
-        for_each_valid(n, (bi, bj), extent, |ti, tj, gi, gj| {
-            let v = value.eval(&[t.get(ti, tj), gi as f64, gj as f64]);
-            let slot = if by_row { ti } else { tj };
-            block[slot] = combine(block[slot], v);
-        });
-        let coord = if by_row { bi } else { bj };
-        (coord, block)
-    });
-    let blocks = partial.reduce_by_key(config.partitions, move |mut a, b| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x = combine(*x, y);
+    let (program, backend) = (element_program(value), Backend::active());
+    let partials = m.tiles().map(move |((bi, bj), t)| {
+        let t = map_elements(program.as_ref(), ((bi, bj), t), extent, backend);
+        let (valid_rows, valid_cols) = valid_extent((bi * n as i64, bj * n as i64), extent, n);
+        let rows = t
+            .data()
+            .chunks(n)
+            .take(valid_rows)
+            .map(|r| &r[..valid_cols]);
+        let mut block = vec![0.0; n];
+        if by_row {
+            for (acc, row) in block.iter_mut().zip(rows) {
+                *acc = row.iter().fold(zero, |a, &v| combine(a, v));
+            }
+        } else {
+            block[..valid_cols].fill(zero);
+            for row in rows {
+                for (acc, &v) in block.iter_mut().zip(row) {
+                    *acc = combine(*acc, v);
+                }
+            }
         }
-        a
+        let (coord, along) = if by_row { (bi, bj) } else { (bj, bi) };
+        (coord, (along, block))
     });
-    // Replace identity remnants in valid positions is unnecessary: every
-    // valid index receives at least one element (matrices are dense).
+    let blocks = partials
+        .group_by_key(config.partitions)
+        .map_values(move |mut parts| {
+            parts.sort_unstable_by_key(|&(along, _)| along);
+            let mut parts = parts.into_iter().map(|(_, block)| block);
+            let mut acc = parts.next().expect("a group holds at least one partial");
+            for block in parts {
+                for (x, y) in acc.iter_mut().zip(block) {
+                    *x = combine(*x, y);
+                }
+            }
+            acc
+        });
     Ok(TiledVector::new(len, n, blocks))
 }
 
-/// §5.2 rule 19: replicate tiles to the output coordinates their elements
-/// map to, regroup, assemble output tiles.
+/// A replica of a source tile for one output tile: the source coordinate,
+/// its data (after `value`), and — for a map [`AxisLanding`] cannot
+/// describe — the `(source offset, output offset)` of every element it
+/// carries into that output tile.
+type Replica = (TileCoord, DenseMatrix, Vec<(u32, u32)>);
+
+/// §5.2 rule 19 in one shuffle round. Each source tile, after `value` (one
+/// fused program over the tile unless it is the element itself), is
+/// replicated — a pointer copy — to the `I_f(K)` output tiles its elements
+/// land in, keyed under the output's grid partitioner. Each reduce task
+/// copies its replicas into place and completes its band of the grid with
+/// zero tiles ([`complete_grid`]), so the grid costs no round of its own. Where
+/// an element lands is known before any task copies it:
+///
+/// * a **separable** map — each output index reads at most one source index,
+///   and not the same one: shifts, rotations, reversals, strides,
+///   `((0,j),v)`, `((j,i),v)` — is evaluated on the driver, once per source
+///   row and column ([`AxisLanding`]); tasks look rows and columns up;
+/// * any other map (`((i+j)%n, j)`) is evaluated by the map task, once over
+///   the tile's index planes, and each replica carries the offsets of its
+///   elements.
+///
+/// Where several elements land on one cell, the last in row-major source
+/// order wins, as in the reference interpreter's builder: the separable
+/// tables keep only the last source row (column) of each output row
+/// (column), and the per-element path keeps the largest source position per
+/// cell. Untouched cells are `+0.0`.
 fn exec_index_remap(
     env: &PlanEnv,
     config: &PlanConfig,
@@ -1001,76 +1089,257 @@ fn exec_index_remap(
     let m = matrix_input(env, input)?;
     let n = m.tile_size();
     let extent = (m.rows(), m.cols());
-    let ni = n as i64;
-    // Where input element `(gi, gj)` lands: its output tile and in-tile
-    // position, or nowhere when it maps outside the output.
+    let axes = AxisLanding::new(fi, fj, extent, (rows, cols))?.map(Arc::new);
+    let (program, backend) = (element_program(value), Backend::active());
     let (fi, fj) = (fi.clone(), fj.clone());
-    let land = move |gi: i64, gj: i64| {
-        let (oi, oj) = (fi.eval(&[gi, gj]), fj.eval(&[gi, gj]));
-        ((0..rows).contains(&oi) && (0..cols).contains(&oj))
-            .then(|| ((oi / ni, oj / ni), (oi % ni) as usize, (oj % ni) as usize))
-    };
-
-    // Map stage: each tile is sent to every output tile one of its elements
-    // lands in — the I_f(K) image set of §5.2.
-    let land_map = land.clone();
-    let replicated = m.tiles().flat_map(move |(coord, t)| {
-        let mut dests: Vec<TileCoord> = Vec::new();
-        for_each_valid(n, coord, extent, |_, _, gi, gj| {
-            if let Some((dest, ..)) = land_map(gi, gj) {
-                if !dests.contains(&dest) {
-                    dests.push(dest);
-                }
-            }
-        });
-        dests
+    let routes = axes.clone();
+    let replicas = m.tiles().flat_map(move |(coord, t)| {
+        let t = map_elements(program.as_ref(), (coord, t), extent, backend);
+        let dests = match &routes {
+            Some(axes) => axes.dests(coord, n, extent),
+            None => land_elements(&fi, &fj, coord, n, extent, (rows, cols)),
+        };
+        let replicas = dests
             .into_iter()
-            .map(|d| (d, (coord, t.clone())))
-            .collect::<Vec<_>>()
+            .map(|(dest, landed)| (dest, (coord, t.clone(), landed)));
+        replicas.collect::<Vec<_>>()
     });
 
-    // Reduce stage: assemble each output tile from the shuffled inputs.
-    let value = value.clone();
-    let assembled = replicated
-        .group_by_key(config.partitions)
-        .map(move |(dest, sources)| {
-            let mut out = vec![0.0; n * n];
-            for (coord, t) in sources {
-                for_each_valid(n, coord, extent, |ti, tj, gi, gj| match land(gi, gj) {
-                    Some((d, oi, oj)) if d == dest => {
-                        out[oi * n + oj] = value.eval(&[t.get(ti, tj), gi as f64, gj as f64]);
-                    }
-                    _ => {}
-                });
+    let ni = n as i64;
+    let cells = output_cells((rows, cols), n, config.partitions);
+    let grouped = replicas.group_by_key_with(cells.partitioner_by(|&c: &TileCoord| c));
+    let tiles = complete_grid(&grouped, cells, n, move |dest, replicas: Vec<Replica>| {
+        let mut out = vec![0.0; n * n];
+        match &axes {
+            Some(axes) => {
+                for (src, t, _) in &replicas {
+                    axes.copy(*src, t, dest, extent, &mut out);
+                }
             }
-            (dest, DenseMatrix::from_vec(n, n, out))
-        });
-
-    // Complete the grid: output tiles no input element maps to are zero.
-    let tiles = union_with_zero_skeleton(assembled, rows, cols, n, config.partitions);
+            None => {
+                // Row-major source position of each cell's current writer.
+                let mut writer = vec![-1i64; n * n];
+                for ((bi, bj), t, landed) in &replicas {
+                    for &(s, d) in landed {
+                        let (s, d) = (s as usize, d as usize);
+                        let (gi, gj) = (bi * ni + (s / n) as i64, bj * ni + (s % n) as i64);
+                        let at = gi * extent.1 + gj;
+                        if at > writer[d] {
+                            (writer[d], out[d]) = (at, t.data()[s]);
+                        }
+                    }
+                }
+            }
+        }
+        DenseMatrix::from_vec(n, n, out)
+    });
     Ok(TiledMatrix::new(rows, cols, n, tiles))
 }
 
-/// Union a tile set with an all-zero full grid so every coordinate exists.
-fn union_with_zero_skeleton(
-    tiles: Dataset<(TileCoord, DenseMatrix)>,
-    rows: i64,
-    cols: i64,
-    tile_size: usize,
-    partitions: usize,
+/// The output tiles source tile `coord`'s elements land in under a
+/// non-separable map `(fi, fj)`, each with the `(source offset, output
+/// offset)` of the elements it receives: both maps run once over the tile's
+/// valid index planes. An index error (`i / (j - j)`) fails the task with
+/// the interpreter's message.
+fn land_elements(
+    fi: &IdxFn,
+    fj: &IdxFn,
+    (bi, bj): TileCoord,
+    n: usize,
+    extent: (i64, i64),
+    (rows, cols): (i64, i64),
+) -> Vec<(TileCoord, Vec<(u32, u32)>)> {
+    let (r0, c0) = (bi * n as i64, bj * n as i64);
+    let (valid_rows, valid_cols) = valid_extent((r0, c0), extent, n);
+    let len = valid_rows * valid_cols;
+    let gi: Vec<i64> = (0..len).map(|e| r0 + (e / valid_cols) as i64).collect();
+    let gj: Vec<i64> = (0..len).map(|e| c0 + (e % valid_cols) as i64).collect();
+    let eval = |f: &IdxFn| {
+        f.eval_batch(&[&gi, &gj], len)
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    let (out_rows, out_cols) = (eval(fi), eval(fj));
+    let ni = n as i64;
+    let mut by_dest: BTreeMap<TileCoord, Vec<(u32, u32)>> = BTreeMap::new();
+    for (e, (&oi, &oj)) in out_rows.iter().zip(&out_cols).enumerate() {
+        if (0..rows).contains(&oi) && (0..cols).contains(&oj) {
+            let src = (e / valid_cols) * n + e % valid_cols;
+            let dst = (oi % ni * ni + oj % ni) as usize;
+            by_dest
+                .entry((oi / ni, oj / ni))
+                .or_default()
+                .push((src as u32, dst as u32));
+        }
+    }
+    by_dest.into_iter().collect()
+}
+
+/// A separable index map evaluated once per source row and column on the
+/// driver: the output index each source row (`of_row[gi]`) and column
+/// (`of_col[gj]`) lands on, `-1` where it drops — outside the output, or
+/// overwritten by a later source row (column) landing on the same output
+/// row (column). Unless `crossed`, a row lands on an output row and a column
+/// on an output column; `crossed` maps (`((j,i),v)`) swap the two.
+///
+/// Under a separable map the elements landing on output cell `(R, C)` are a
+/// product of source rows and source columns, so the row-major last of them
+/// is the last row of one set in the last column of the other: keeping only
+/// those makes the map injective, and replicas can be copied in any order.
+/// Tiled matrices are full grids, so every source row and column exists.
+struct AxisLanding {
+    of_row: Vec<i64>,
+    of_col: Vec<i64>,
+    crossed: bool,
+}
+
+impl AxisLanding {
+    /// `None` when an output index reads both source indices or both read
+    /// the same one.
+    fn new(
+        fi: &IdxFn,
+        fj: &IdxFn,
+        (src_rows, src_cols): (i64, i64),
+        (rows, cols): (i64, i64),
+    ) -> Result<Option<AxisLanding>, CompError> {
+        let (i_reads, j_reads) = ([fi.reads(0), fi.reads(1)], [fj.reads(0), fj.reads(1)]);
+        let reads_both = |r: [bool; 2]| r == [true, true];
+        let same_one = i_reads == j_reads && i_reads != [false, false];
+        if reads_both(i_reads) || reads_both(j_reads) || same_one {
+            return Ok(None);
+        }
+        // A constant index reads whichever source index the other does not.
+        let crossed = i_reads[1] || j_reads[0];
+        let (by_row, by_col, row_extent, col_extent) = if crossed {
+            (fj, fi, cols, rows)
+        } else {
+            (fi, fj, rows, cols)
+        };
+        Ok(Some(AxisLanding {
+            of_row: last_landing(by_row, 0, src_rows, row_extent)?,
+            of_col: last_landing(by_col, 1, src_cols, col_extent)?,
+            crossed,
+        }))
+    }
+
+    /// The output tiles source tile `(bi, bj)` reaches (its `I_f(K)`), with
+    /// no per-element offsets.
+    fn dests(
+        &self,
+        (bi, bj): TileCoord,
+        n: usize,
+        extent: (i64, i64),
+    ) -> Vec<(TileCoord, Vec<(u32, u32)>)> {
+        let (r0, c0) = (bi * n as i64, bj * n as i64);
+        let (valid_rows, valid_cols) = valid_extent((r0, c0), extent, n);
+        let blocks = |table: &[i64], from: i64, count: usize| {
+            let mut blocks: Vec<i64> = landed(table, from, count)
+                .map(|(_, o)| o / n as i64)
+                .collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            blocks
+        };
+        let row_blocks = blocks(&self.of_row, r0, valid_rows);
+        let col_blocks = blocks(&self.of_col, c0, valid_cols);
+        let mut dests = Vec::with_capacity(row_blocks.len() * col_blocks.len());
+        for &rb in &row_blocks {
+            for &cb in &col_blocks {
+                dests.push((swapped((rb, cb), self.crossed), Vec::new()));
+            }
+        }
+        dests
+    }
+
+    /// Copy the elements of source tile `src` that land in output tile `dest`
+    /// into `out`, row by row.
+    fn copy(
+        &self,
+        src: TileCoord,
+        t: &DenseMatrix,
+        dest: TileCoord,
+        extent: (i64, i64),
+        out: &mut [f64],
+    ) {
+        let n = t.rows();
+        let ni = n as i64;
+        let (r0, c0) = (src.0 * ni, src.1 * ni);
+        let (valid_rows, valid_cols) = valid_extent((r0, c0), extent, n);
+        let (row_block, col_block) = swapped(dest, self.crossed);
+        let (row_stride, col_stride) = swapped((n, 1), self.crossed);
+        // `(in-tile index, its share of the output offset)` of every source
+        // row (column) landing in `dest`.
+        let landing = |table: &[i64], from: i64, count: usize, block: i64, stride: usize| {
+            let hits = landed(table, from, count).filter(|&(_, o)| o / ni == block);
+            hits.map(|(k, o)| (k, (o % ni) as usize * stride))
+                .collect::<Vec<_>>()
+        };
+        let cols = landing(&self.of_col, c0, valid_cols, col_block, col_stride);
+        for (ti, row_at) in landing(&self.of_row, r0, valid_rows, row_block, row_stride) {
+            let row = &t.data()[ti * n..];
+            for &(tj, col_at) in &cols {
+                out[row_at + col_at] = row[tj];
+            }
+        }
+    }
+}
+
+/// `(in-tile index, output index)` of each of the `count` source rows
+/// (columns) from `from` on that [`AxisLanding`]'s `table` lands.
+fn landed(table: &[i64], from: i64, count: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
+    let window = table[from as usize..][..count].iter().copied().enumerate();
+    window.filter(|&(_, o)| o >= 0)
+}
+
+/// `f` over every source index `0..len` of slot `slot`: the output index in
+/// `0..extent` it lands on, or `-1` where it falls outside or a later source
+/// index lands on the same output index.
+fn last_landing(f: &IdxFn, slot: usize, len: i64, extent: i64) -> Result<Vec<i64>, CompError> {
+    let points: Vec<i64> = (0..len).collect();
+    let mut vars: [&[i64]; 2] = [&[], &[]];
+    vars[slot] = &points;
+    let mut landed = f.eval_batch(&vars, len as usize)?;
+    let mut last = vec![usize::MAX; extent as usize];
+    for (s, &o) in landed.iter().enumerate() {
+        if (0..extent).contains(&o) {
+            last[o as usize] = s;
+        }
+    }
+    for (s, o) in landed.iter_mut().enumerate() {
+        if !(0..extent).contains(o) || last[*o as usize] != s {
+            *o = -1;
+        }
+    }
+    Ok(landed)
+}
+
+/// The reduce cells of a `rows x cols` output of `n`-wide tiles.
+fn output_cells((rows, cols): (i64, i64), n: usize, partitions: usize) -> GridCells {
+    let blocks = |len: i64| ((len + n as i64 - 1) / n as i64) as usize;
+    GridCells::new(blocks(rows), blocks(cols), partitions)
+}
+
+/// The output tiles of a shuffle keyed under `cells`' grid partitioner, the
+/// grid completed where they land: each reduce task emits its cell's band in
+/// row-major order — `build(coord, value)` where a value arrived, a zero tile
+/// where none did. Nothing is added to a built tile, so a `-0.0` stays
+/// `-0.0`. Narrow, so the completion costs no shuffle round, and the result
+/// keeps the grid partitioner (a later element-wise join on it is narrow).
+fn complete_grid<V: Data>(
+    shuffled: &Dataset<(TileCoord, V)>,
+    cells: GridCells,
+    n: usize,
+    build: impl Fn(TileCoord, V) -> DenseMatrix + Send + Sync + 'static,
 ) -> Dataset<(TileCoord, DenseMatrix)> {
-    let brows = (rows + tile_size as i64 - 1) / tile_size as i64;
-    let bcols = (cols + tile_size as i64 - 1) / tile_size as i64;
-    let coords: Vec<TileCoord> = (0..brows)
-        .flat_map(|i| (0..bcols).map(move |j| (i, j)))
-        .collect();
-    let skeleton = tiles
-        .context()
-        .parallelize(coords, partitions)
-        .map(move |c| (c, DenseMatrix::zeros(tile_size, tile_size)));
-    tiles
-        .union(&skeleton)
-        .reduce_by_key_in_place(partitions, |acc, t| acc.add_in_place(&t))
+    shuffled.map_partitions_preserving("completeGrid", move |cell, records| {
+        let mut arrived: HashMap<TileCoord, V> = records.into_iter().collect();
+        let (rows, cols) = cells.bands(cell);
+        let band = rows.flat_map(|i| cols.clone().map(move |j| (i, j)));
+        let tiles = band.map(|c| match arrived.remove(&c) {
+            Some(v) => (c, build(c, v)),
+            None => (c, DenseMatrix::zeros(n, n)),
+        });
+        PartitionStream::from_vec(tiles.collect())
+    })
 }
 
 /// A [`Plan::GroupByAggregate`] node lowered against the environment:
@@ -1169,7 +1438,7 @@ impl GroupFold {
     fn run<K>(
         self,
         m: &TiledMatrix,
-        partitions: usize,
+        partitioner: KeyPartitioner<K>,
         plane_len: usize,
         locate: impl Fn(&Value) -> Option<(K, usize)> + Send + Sync + 'static,
     ) -> Dataset<(K, Vec<f64>)>
@@ -1211,7 +1480,7 @@ impl GroupFold {
             acc.into_iter().collect::<Vec<_>>()
         });
 
-        let reduced = partial.reduce_by_key(partitions, move |mut a, b| {
+        let reduced = partial.reduce_by_key_with(partitioner, move |mut a, b| {
             for ((pa, pb), combine) in a.iter_mut().zip(b).zip(&fold_combines) {
                 for (x, y) in pa.iter_mut().zip(pb) {
                     *x = combine(*x, y);
@@ -1235,8 +1504,9 @@ impl GroupFold {
     }
 }
 
-/// §5.3 generic plan: destinations are output tiles for matrix-shaped keys,
-/// output blocks for vector-shaped ones.
+/// §5.3 generic plan: destinations are output tiles for matrix-shaped keys —
+/// reduced under the output's grid partitioner, which completes the grid in
+/// the same round — and output blocks for vector-shaped ones.
 fn exec_group_aggregate(
     m: &TiledMatrix,
     fold: GroupFold,
@@ -1247,19 +1517,22 @@ fn exec_group_aggregate(
     let ni = n as i64;
     match *output {
         OutputKind::Matrix { rows, cols } => {
-            let tiles = fold
-                .run(m, config.partitions, n * n, move |key| {
-                    let Value::Tuple(kij) = key else { return None };
-                    let (k1, k2) = (kij[0].as_i64().ok()?, kij[1].as_i64().ok()?);
-                    ((0..rows).contains(&k1) && (0..cols).contains(&k2))
-                        .then(|| ((k1 / ni, k2 / ni), (k1 % ni * ni + k2 % ni) as usize))
-                })
-                .map_values(move |data| DenseMatrix::from_vec(n, n, data));
-            let tiles = union_with_zero_skeleton(tiles, rows, cols, n, config.partitions);
+            let cells = output_cells((rows, cols), n, config.partitions);
+            let by_cell = cells.partitioner_by(|&c: &TileCoord| c);
+            let planes = fold.run(m, by_cell, n * n, move |key| {
+                let Value::Tuple(kij) = key else { return None };
+                let (k1, k2) = (kij[0].as_i64().ok()?, kij[1].as_i64().ok()?);
+                ((0..rows).contains(&k1) && (0..cols).contains(&k2))
+                    .then(|| ((k1 / ni, k2 / ni), (k1 % ni * ni + k2 % ni) as usize))
+            });
+            let tiles = complete_grid(&planes, cells, n, move |_, data| {
+                DenseMatrix::from_vec(n, n, data)
+            });
             Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
-            let blocks = fold.run(m, config.partitions, n, move |key| {
+            let by_block = KeyPartitioner::hash(config.partitions);
+            let blocks = fold.run(m, by_block, n, move |key| {
                 let k = key.as_i64().ok()?;
                 (0..len).contains(&k).then(|| (k / ni, (k % ni) as usize))
             });

@@ -3,7 +3,8 @@
 //! Tile kernels must not pay dynamic-dispatch or hashing costs per element,
 //! so the planner compiles the scalar fragments of a comprehension (head
 //! values, guards, index maps) into small slot-addressed expression trees
-//! over `f64` / `i64`.
+//! over `f64` / `i64`. An index map is evaluated a tile or an axis at a time
+//! ([`IdxFn::eval_batch`]).
 
 use comp::ast::{BinOp, Expr, UnOp};
 use comp::errors::CompError;
@@ -204,22 +205,53 @@ impl IdxFn {
         })
     }
 
-    pub fn eval(&self, vars: &[i64]) -> i64 {
+    /// Evaluate at `len` points at once: `vars[s]` holds slot `s` at every
+    /// point (a slot the expression never reads may be empty). The tree is
+    /// walked once per call, each node running one loop over the points — a
+    /// per-tile or per-axis evaluation, never a per-element tree walk. A
+    /// zero divisor is the reference interpreter's error, not a panic.
+    pub fn eval_batch(&self, vars: &[&[i64]], len: usize) -> Result<Vec<i64>, CompError> {
+        let zip = |a: &IdxFn, b: &IdxFn, f: fn(i64, i64) -> Option<i64>, err: &str| {
+            let (mut x, y) = (a.eval_batch(vars, len)?, b.eval_batch(vars, len)?);
+            for (x, &y) in x.iter_mut().zip(&y) {
+                *x = f(*x, y).ok_or_else(|| CompError::eval(err))?;
+            }
+            Ok(x)
+        };
         match self {
-            IdxFn::Const(x) => *x,
-            IdxFn::Var(i) => vars[*i],
-            IdxFn::Add(a, b) => a.eval(vars) + b.eval(vars),
-            IdxFn::Sub(a, b) => a.eval(vars) - b.eval(vars),
-            IdxFn::Mul(a, b) => a.eval(vars) * b.eval(vars),
-            IdxFn::Div(a, b) => a.eval(vars).div_euclid(b.eval(vars)),
-            IdxFn::Mod(a, b) => a.eval(vars).rem_euclid(b.eval(vars)),
-            IdxFn::Neg(a) => -a.eval(vars),
+            IdxFn::Const(x) => Ok(vec![*x; len]),
+            IdxFn::Var(i) => Ok(vars[*i].to_vec()),
+            IdxFn::Add(a, b) => zip(a, b, |x, y| Some(x + y), ""),
+            IdxFn::Sub(a, b) => zip(a, b, |x, y| Some(x - y), ""),
+            IdxFn::Mul(a, b) => zip(a, b, |x, y| Some(x * y), ""),
+            IdxFn::Div(a, b) => zip(
+                a,
+                b,
+                |x, y| (y != 0).then(|| x.div_euclid(y)),
+                "integer division by zero",
+            ),
+            IdxFn::Mod(a, b) => zip(
+                a,
+                b,
+                |x, y| (y != 0).then(|| x.rem_euclid(y)),
+                "integer modulo by zero",
+            ),
+            IdxFn::Neg(a) => Ok(a.eval_batch(vars, len)?.into_iter().map(|x| -x).collect()),
         }
     }
 
-    /// True if this is exactly the slot variable `i` (identity map).
-    pub fn is_identity(&self, slot: usize) -> bool {
-        *self == IdxFn::Var(slot)
+    /// Whether the expression reads slot `slot`.
+    pub fn reads(&self, slot: usize) -> bool {
+        match self {
+            IdxFn::Const(_) => false,
+            IdxFn::Var(i) => *i == slot,
+            IdxFn::Neg(a) => a.reads(slot),
+            IdxFn::Add(a, b)
+            | IdxFn::Sub(a, b)
+            | IdxFn::Mul(a, b)
+            | IdxFn::Div(a, b)
+            | IdxFn::Mod(a, b) => a.reads(slot) || b.reads(slot),
+        }
     }
 }
 
@@ -289,24 +321,38 @@ mod tests {
         IdxFn::compile(&parse_expr(src).unwrap(), &slots, &|_| None).unwrap()
     }
 
-    #[test]
-    fn index_rotation_map() {
-        let f = compile_i("(i + 1) % 4", &["i"]);
-        assert_eq!(f.eval(&[0]), 1);
-        assert_eq!(f.eval(&[3]), 0);
+    fn eval_i(f: &IdxFn, points: &[i64]) -> Vec<i64> {
+        f.eval_batch(&[points], points.len()).unwrap()
     }
 
     #[test]
-    fn index_identity_probe() {
-        assert!(compile_i("i", &["i"]).is_identity(0));
-        assert!(!compile_i("i + 0", &["i"]).is_identity(0));
+    fn index_rotation_map() {
+        let f = compile_i("(i + 1) % 4", &["i"]);
+        assert_eq!(eval_i(&f, &[0, 1, 2, 3]), [1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn index_slot_probe() {
+        let slots = ["i", "j"];
+        assert!(compile_i("i + 0", &slots).reads(0));
+        assert!(!compile_i("i + 0", &slots).reads(1));
+        assert!(compile_i("(i + j) % 4", &slots).reads(1));
+        assert!(!compile_i("-(3 * 2)", &slots).reads(0));
     }
 
     #[test]
     fn euclidean_semantics() {
-        let f = compile_i("i / 4", &["i"]);
-        assert_eq!(f.eval(&[-1]), -1);
-        let g = compile_i("i % 4", &["i"]);
-        assert_eq!(g.eval(&[-1]), 3);
+        assert_eq!(eval_i(&compile_i("i / 4", &["i"]), &[-1, 7]), [-1, 1]);
+        assert_eq!(eval_i(&compile_i("i % 4", &["i"]), &[-1, 7]), [3, 3]);
+    }
+
+    #[test]
+    fn zero_divisor_is_an_error_not_a_panic() {
+        for src in ["i / (i - 2)", "i % (i - 2)"] {
+            let f = compile_i(src, &["i"]);
+            assert!(f.eval_batch(&[&[1, 3]], 2).is_ok(), "{src}");
+            let err = f.eval_batch(&[&[1, 2, 3]], 3).unwrap_err();
+            assert!(err.to_string().contains("by zero"), "{src}: {err}");
+        }
     }
 }

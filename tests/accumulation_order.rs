@@ -18,6 +18,9 @@
 //! The integer-valued suites cannot see any of this — every order gives them
 //! the same sum — so the operands here are arbitrary finite non-integers.
 
+mod common;
+
+use common::rough;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,14 +30,6 @@ use sac_repro::tiled::{LocalMatrix, TiledMatrix};
 
 const MUL_SRC: &str = "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, \
      let v = a*b, group by (i,j) ]";
-
-/// Entries spread over sixteen binades with full mantissas: any change in
-/// who is added to what first moves low bits somewhere.
-fn rough(rows: usize, cols: usize, rng: &mut StdRng) -> LocalMatrix {
-    LocalMatrix::from_fn(rows, cols, |_, _| {
-        rng.gen_range(-1.0..1.0) * f64::powi(2.0, rng.gen_range(-8..8))
-    })
-}
 
 /// A session on `matmul` with no broadcast row to fall back on (a zero byte
 /// budget), so `Auto` chooses among the shuffling strategies.
@@ -80,7 +75,7 @@ fn product(
 }
 
 fn bits(m: &LocalMatrix) -> Vec<u64> {
-    m.data().iter().map(|x| x.to_bits()).collect()
+    common::bits(m.data())
 }
 
 /// The bits of the untiled product: one `DenseMatrix::multiply`, every

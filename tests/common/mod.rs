@@ -1,0 +1,79 @@
+//! Test support shared by the suites that check bits on real floats: the
+//! `rough()` generator and the reference interpreter as an oracle.
+#![allow(dead_code)] // each suite uses its own subset
+
+use rand::rngs::StdRng;
+use rand::Rng;
+use sac_repro::comp::{eval, parse_expr, Env, Value};
+use sac_repro::tiled::LocalMatrix;
+
+/// Entries spread over sixteen binades with full mantissas: any change in
+/// who is added to what first moves low bits somewhere.
+pub fn rough(rows: usize, cols: usize, rng: &mut StdRng) -> LocalMatrix {
+    LocalMatrix::from_fn(rows, cols, |_, _| {
+        rng.gen_range(-1.0..1.0) * f64::powi(2.0, rng.gen_range(-8..8))
+    })
+}
+
+/// [`rough`] with about one entry in six replaced by `-0.0`, `NaN`, `+∞` or
+/// `-∞`.
+pub fn rough_special(rows: usize, cols: usize, rng: &mut StdRng) -> LocalMatrix {
+    let specials = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let base = rough(rows, cols, rng);
+    LocalMatrix::from_fn(rows, cols, |i, j| match rng.gen_range(0..24usize) {
+        k if k < specials.len() => specials[k],
+        _ => base.get(i, j),
+    })
+}
+
+pub fn bits(data: &[f64]) -> Vec<u64> {
+    data.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `src` through the reference interpreter, with each matrix bound as its
+/// full association list (every element, zeros included) and each integer
+/// as itself.
+pub fn interpret(src: &str, matrices: &[(&str, &LocalMatrix)], ints: &[(&str, i64)]) -> Value {
+    let mut env = Env::new();
+    for (name, m) in matrices {
+        let cells = (0..m.rows).flat_map(|i| (0..m.cols).map(move |j| (i, j)));
+        let list = cells.map(|(i, j)| {
+            let key = Value::pair(Value::Int(i as i64), Value::Int(j as i64));
+            Value::pair(key, Value::Float(m.get(i, j)))
+        });
+        env.bind(*name, Value::List(list.collect()));
+    }
+    for (name, v) in ints {
+        env.bind(*name, Value::Int(*v));
+    }
+    eval(&parse_expr(src).unwrap(), &mut env).unwrap()
+}
+
+/// The interpreter's `tiled(rows, cols)` result as a matrix.
+pub fn interpreted_matrix(v: Value, rows: usize, cols: usize) -> LocalMatrix {
+    let mut out = LocalMatrix::zeros(rows, cols);
+    for item in v.into_list().unwrap() {
+        let Value::Tuple(kv) = item else {
+            panic!("not a cell")
+        };
+        let Value::Tuple(ij) = &kv[0] else {
+            panic!("not a cell key")
+        };
+        let (i, j) = (ij[0].as_i64().unwrap(), ij[1].as_i64().unwrap());
+        out.set(i as usize, j as usize, kv[1].as_f64().unwrap());
+    }
+    out
+}
+
+/// The interpreter's `tiled_vector(len)` result.
+pub fn interpreted_vector(v: Value) -> Vec<f64> {
+    let items = v.into_list().unwrap().into_iter().map(|item| {
+        let Value::Tuple(kv) = item else {
+            panic!("not an entry")
+        };
+        (kv[0].as_i64().unwrap(), kv[1].as_f64().unwrap())
+    });
+    let mut items: Vec<(i64, f64)> = items.collect();
+    items.sort_by_key(|&(i, _)| i);
+    items.into_iter().map(|(_, x)| x).collect()
+}

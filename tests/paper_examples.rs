@@ -2,6 +2,8 @@
 //! pipeline (parse → normalize → plan → distributed execution) and compared
 //! against the naive local oracle.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::sac::{MatMulStrategy, Session};
@@ -123,6 +125,42 @@ fn section52_row_rotation() {
         for j in 0..6 {
             assert_eq!(got.get((i + 1) % 10, j), m.get(i, j));
         }
+    }
+}
+
+/// `-0.0`, NaN and ±∞ come out of §5.2's rotation and of a §3
+/// smoothing-shaped group-by with the reference interpreter's bits: the
+/// output grid is completed by writing the tiles no element reaches, never by
+/// adding a `+0.0` tile to every tile (which turned `-0.0` into `+0.0`), and
+/// `+` folds from its IEEE identity `-0.0`.
+#[test]
+fn special_floats_survive_remap_and_group_by_bit_for_bit() {
+    let m = LocalMatrix::from_fn(4, 4, |i, j| match (i, j) {
+        (0, 0) => f64::NAN,
+        (3, 3) => f64::INFINITY,
+        (3, 0) => f64::NEG_INFINITY,
+        _ => -0.0,
+    });
+    let mut s = session();
+    s.register_local_matrix("M", &m, 2);
+    let dims = [("n", 4), ("m", 4)];
+    dims.iter().for_each(|&(name, v)| s.set_int(name, v));
+    for src in [
+        "tiled(n,m)[ (((i+1)%n, j), v) | ((i,j),v) <- M ]",
+        // No window mixes +∞ with -∞, so every cell has one correct bit
+        // pattern whatever the summation order.
+        "tiled(n,m)[ ((ii,jj), (+/a)/a.length) | ((i,j),a) <- M, \
+         ii <- (i-1) to (i+1), jj <- (j-1) to (j+1), \
+         ii >= 0, ii < n, jj >= 0, jj < m, group by (ii,jj) ]",
+    ] {
+        let got = s.matrix(src).unwrap().to_local();
+        let want = common::interpret(src, &[("M", &m)], &dims);
+        let want = common::interpreted_matrix(want, 4, 4);
+        assert!(want
+            .data()
+            .iter()
+            .any(|x| x.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(common::bits(got.data()), common::bits(want.data()), "{src}");
     }
 }
 

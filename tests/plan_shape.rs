@@ -263,6 +263,47 @@ fn auto_mat_vec_broadcasts_with_zero_shuffle_stages() {
 }
 
 #[test]
+fn remap_axis_reduce_and_group_by_aggregate_each_run_one_shuffle_round() {
+    // §5.2's remap groups its tile replicas and §5.3's generic group-by
+    // reduces its planes under the output's grid partitioner, and each
+    // reduce task completes its own band of the grid, so the output tiles no
+    // element reaches cost no round of their own. Fig. 1's axis reduce is one
+    // grouping of per-tile partials.
+    let s = session(8, 4);
+    for (src, tag) in [
+        (
+            "tiled(n,n)[ (((i+1)%n, j), v) | ((i,j),v) <- A ]",
+            "indexRemap",
+        ),
+        // Reaches output tiles from a quarter of the source grid only: the
+        // other three are completed, not shuffled.
+        (
+            "tiled(n,n)[ ((i/2, j/2), v) | ((i,j),v) <- A ]",
+            "indexRemap",
+        ),
+        (
+            "tiled_vector(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]",
+            "axisReduce",
+        ),
+        (
+            "tiled(n,n)[ ((ii,jj), (+/a)/a.length) | ((i,j),a) <- A, \
+             ii <- (i-1) to (i+1), jj <- (j-1) to (j+1), \
+             ii >= 0, ii < n, jj >= 0, jj < n, group by (ii,jj) ]",
+            "groupByAggregate",
+        ),
+    ] {
+        let analysis = s.explain_analyze(src).unwrap();
+        assert!(analysis.plan.contains(tag), "{}", analysis.plan);
+        assert_eq!(
+            shuffle_stages(&analysis.profile),
+            1,
+            "{tag} must finish in one shuffle round:\n{}",
+            analysis.profile.render()
+        );
+    }
+}
+
+#[test]
 fn size_sweep_selects_multiple_contraction_strategies() {
     // Sweep operand size across the broadcast budget: small operands resolve
     // to the broadcast contraction, large ones to a shuffling strategy — and

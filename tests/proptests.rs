@@ -2,12 +2,36 @@
 //! contents; distributed plans must agree with the naive local oracle, and
 //! the storage mappings must be lossless.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_repro::mllib::BlockMatrix;
 use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::tiled::{sparsify, CscTile, LocalMatrix, TiledMatrix, TiledVector};
+
+/// Index remaps (§5.2, rule 19) over an `n x m` matrix `A`, one per shape
+/// the lowering distinguishes.
+const REMAPS: [&str; 10] = [
+    // §5.2's rotation: separable, a row table and the identity on columns.
+    "tiled(n,m)[ (((i+1)%n, j), v) | ((i,j),v) <- A ]",
+    // A value that reads indices runs as a fused tile program.
+    "tiled(n,m)[ (((i+1)%n, j), 2.0*v + i) | ((i,j),v) <- A ]",
+    // Reversal.
+    "tiled(n,m)[ ((i, m-1-j), v) | ((i,j),v) <- A ]",
+    // Out-of-range elements drop.
+    "tiled(n,m)[ ((i+1, j), v) | ((i,j),v) <- A ]",
+    // Non-injective: the row-major last element of each cell wins.
+    "tiled(n,m)[ ((i/2, j), v) | ((i,j),v) <- A ]",
+    "tiled(n,m)[ ((0, j), v) | ((i,j),v) <- A ]",
+    "tiled(n,m)[ ((i, 0), v) | ((i,j),v) <- A ]",
+    // Crossed: the output row reads the source column.
+    "tiled(n,m)[ ((j%n, (i+1)%m), v) | ((i,j),v) <- A ]",
+    // Not separable: evaluated over each tile's index planes.
+    "tiled(n,m)[ (((i+j)%n, j), v) | ((i,j),v) <- A ]",
+    "tiled(n,m)[ ((i, i%m), v) | ((i,j),v) <- A ]",
+];
 
 fn rand_mat(r: usize, c: usize, seed: u64) -> LocalMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -165,18 +189,69 @@ proptest! {
         }
     }
 
-    /// Rotation (rule 19) equals the oracle for all shapes.
+    /// Rule 19 — §5.2's rotation and every other shape of index remap — is
+    /// the reference interpreter's result bit for bit, on rough floats with
+    /// `-0.0`, NaN and ±∞ mixed in, for every shape, tile size and partition
+    /// count: where several elements land on one cell the row-major last
+    /// wins, and untouched cells are `+0.0`.
     #[test]
     fn rotation_matches_oracle(rows in 2usize..14, cols in 1usize..10,
-                               tile in 1usize..6, seed in 0u64..500) {
-        let s = session(MatMulStrategy::GroupByJoin);
-        let a = rand_mat(rows, cols, seed);
-        let ta = TiledMatrix::from_local(s.spark(), &a, tile, 2);
-        let got = sac_repro::sac::linalg::rotate_rows(&s, &ta).unwrap().to_local();
-        for i in 0..rows {
-            for j in 0..cols {
-                prop_assert_eq!(got.get((i + 1) % rows, j), a.get(i, j));
-            }
+                               tile in 1usize..6, partitions in 1usize..6,
+                               seed in 0u64..500, query in 0usize..REMAPS.len()) {
+        let src = REMAPS[query];
+        let a = common::rough_special(rows, cols, &mut StdRng::seed_from_u64(seed));
+        let mut s = Session::builder().workers(2).partitions(partitions).build();
+        s.register_local_matrix("A", &a, tile);
+        let dims = [("n", rows as i64), ("m", cols as i64)];
+        dims.iter().for_each(|&(name, v)| s.set_int(name, v));
+        prop_assert!(s.explain(src).unwrap().contains("indexRemap"), "{}", src);
+        let got = s.matrix(src).unwrap().to_local();
+        let want = common::interpreted_matrix(common::interpret(src, &[("A", &a)], &dims), rows, cols);
+        prop_assert_eq!(common::bits(got.data()), common::bits(want.data()), "{}", src);
+    }
+
+    /// Fig. 1's row and column reductions with an index-reading value, bit
+    /// for bit on rough floats with `-0.0`, NaN and ±∞, for every shape, tile
+    /// size and partition count. The stated order: each tile's slice of a
+    /// row (column) folds in ascending index, then the slices fold in
+    /// ascending block order — so the oracle is the interpreter's per-element
+    /// values folded that way, and where one tile spans the reduced axis it
+    /// is the interpreter's own `+/`.
+    #[test]
+    fn axis_reduce_matches_interpreter(rows in 1usize..14, cols in 1usize..14,
+                                       tile in 1usize..6, partitions in 1usize..6,
+                                       seed in 0u64..500, by_row in proptest::bool::ANY) {
+        // `+/(m*j)`, with the product bound before the group-by so that the
+        // interpreter, which lifts `m` and `j` to lists there, reads it too.
+        let (src, values) = if by_row {
+            ("tiled_vector(n)[ (i, +/w) | ((i,j),m) <- A, let w = m*j, group by i ]",
+             "tiled(n,m)[ ((i,j), m*j) | ((i,j),m) <- A ]")
+        } else {
+            ("tiled_vector(m)[ (j, +/w) | ((i,j),v) <- A, let w = v*i, group by j ]",
+             "tiled(n,m)[ ((i,j), v*i) | ((i,j),v) <- A ]")
+        };
+        let a = common::rough_special(rows, cols, &mut StdRng::seed_from_u64(seed));
+        let mut s = Session::builder().workers(2).partitions(partitions).build();
+        s.register_local_matrix("A", &a, tile);
+        let dims = [("n", rows as i64), ("m", cols as i64)];
+        dims.iter().for_each(|&(name, v)| s.set_int(name, v));
+        prop_assert!(s.explain(src).unwrap().contains("axisReduce"));
+        let got = s.vector(src).unwrap().to_local();
+
+        let values = common::interpret(values, &[("A", &a)], &dims);
+        let values = common::interpreted_matrix(values, rows, cols);
+        let lines = if by_row { values } else { values.transpose() };
+        let want: Vec<f64> = (0..lines.rows)
+            .map(|l| {
+                let line: Vec<f64> = (0..lines.cols).map(|k| lines.get(l, k)).collect();
+                let slices = line.chunks(tile).map(|s| s.iter().fold(-0.0, |acc, x| acc + x));
+                slices.reduce(|acc, x| acc + x).unwrap()
+            })
+            .collect();
+        prop_assert_eq!(common::bits(&got), common::bits(&want), "{}", src);
+        if tile >= lines.cols {
+            let direct = common::interpreted_vector(common::interpret(src, &[("A", &a)], &dims));
+            prop_assert_eq!(common::bits(&got), common::bits(&direct), "{}", src);
         }
     }
 
