@@ -8,8 +8,9 @@
 //! cargo run --release -p bench --bin figures -- ablations # design-choice tables
 //! ```
 //!
-//! With `--trace`, the SAC runs of each panel are executed with structured
-//! tracing on and the collected event log is written as JSON to
+//! Every measurement runs once traced (the warm-up, which also gives the
+//! shuffled bytes) and then untraced for the timings. With `--trace`, the
+//! traced runs of each panel's SAC series are written as a JSON event log to
 //! `target/figures_trace_<panel>.json` (schema in EXPERIMENTS.md).
 //!
 //! For every panel the harness prints the same series the paper plots —
@@ -25,7 +26,7 @@ use bench::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac::{MatMulStrategy, Session};
-use sparkline::Event;
+use sparkline::{Event, JobProfile};
 use std::time::Instant;
 use tiled::{CooMatrix, LocalMatrix, TiledMatrix};
 
@@ -39,33 +40,25 @@ fn write_trace(panel: &str, events: &[Event]) {
     println!("trace: {} events -> {path}", events.len());
 }
 
-/// Drain the events of the SAC runs just measured, if tracing.
-fn drain_trace(session: &Session, trace: bool, sink: &mut Vec<Event>) {
-    if trace {
-        sink.extend(session.spark().take_events());
-        session.spark().stop_trace();
-    }
-}
-
-fn start_trace(session: &Session, trace: bool) {
-    if trace {
-        session.spark().trace();
-    }
-}
-
-/// Run `f` REPEATS times, returning (mean seconds, shuffled MiB per run).
-fn measure(session: &Session, mut f: impl FnMut()) -> (f64, f64) {
-    // Warm-up run.
+/// Run `f` once traced — the warm-up, and the shuffled MiB, since a run's
+/// bytes do not vary — then REPEATS times untraced, returning (mean seconds,
+/// shuffled MiB per run). The traced run's events go to `sink`, if any.
+fn measure(session: &Session, sink: Option<&mut Vec<Event>>, mut f: impl FnMut()) -> (f64, f64) {
+    let ctx = session.spark();
+    ctx.trace();
     f();
-    let before = session.spark().metrics().snapshot();
+    ctx.stop_trace();
+    let events = ctx.take_events();
+    let bytes = JobProfile::from_events(&events).total_shuffle_bytes_written();
+    if let Some(sink) = sink {
+        sink.extend(events);
+    }
     let start = Instant::now();
     for _ in 0..REPEATS {
         f();
     }
     let secs = start.elapsed().as_secs_f64() / REPEATS as f64;
-    let delta = session.spark().metrics().snapshot().since(&before);
-    let mib = delta.shuffle_bytes as f64 / (1u64 << 20) as f64 / REPEATS as f64;
-    (secs, mib)
+    (secs, bytes as f64 / (1u64 << 20) as f64)
 }
 
 fn panel_a(sizes: &[usize], trace: bool) {
@@ -86,7 +79,7 @@ fn panel_a(sizes: &[usize], trace: bool) {
         );
         ba.blocks().count();
         bb.blocks().count();
-        let (mllib_s, _) = measure(&session, || {
+        let (mllib_s, _) = measure(&session, None, || {
             ba.add(&bb).blocks().count();
         });
 
@@ -96,14 +89,12 @@ fn panel_a(sizes: &[usize], trace: bool) {
         );
         ta.tiles().count();
         tb.tiles().count();
-        start_trace(&session, trace);
-        let (sac_s, _) = measure(&session, || {
+        let (sac_s, _) = measure(&session, trace.then_some(&mut events), || {
             sac::linalg::add(&session, &ta, &tb)
                 .expect("plan")
                 .tiles()
                 .count();
         });
-        drain_trace(&session, trace, &mut events);
         println!(
             "{:>8} {:>12} | {:>12.4} {:>12.4} | {:>10.2} {:>12}",
             n,
@@ -138,7 +129,7 @@ fn panel_b(sizes: &[usize], trace: bool) {
         );
         ba.blocks().count();
         bb.blocks().count();
-        let (mllib_s, _) = measure(&session, || {
+        let (mllib_s, _) = measure(&session, None, || {
             ba.multiply(&bb).blocks().count();
         });
 
@@ -150,15 +141,12 @@ fn panel_b(sizes: &[usize], trace: bool) {
             );
             ta.tiles().count();
             tb.tiles().count();
-            start_trace(&session, trace);
-            let out = measure(&session, || {
+            measure(&session, trace.then_some(&mut events), || {
                 sac::linalg::multiply(&session, &ta, &tb)
                     .expect("plan")
                     .tiles()
                     .count();
-            });
-            drain_trace(&session, trace, &mut events);
-            out
+            })
         };
         let (jgb_s, jgb_mib) = run_sac(MatMulStrategy::JoinGroupBy);
         let (gbj_s, gbj_mib) = run_sac(MatMulStrategy::GroupByJoin);
@@ -202,7 +190,7 @@ fn panel_c(sizes: &[usize], trace: bool) {
         br.blocks().count();
         bp.blocks().count();
         bq.blocks().count();
-        let (mllib_s, _) = measure(&session, || {
+        let (mllib_s, _) = measure(&session, None, || {
             let (p2, q2) = mllib_factorization_step(&br, &bp, &bq, 0.002, 0.02);
             p2.blocks().count();
             q2.blocks().count();
@@ -216,13 +204,11 @@ fn panel_c(sizes: &[usize], trace: bool) {
         tr.tiles().count();
         tp.tiles().count();
         tq.tiles().count();
-        start_trace(&session, trace);
-        let (sac_s, _) = measure(&session, || {
+        let (sac_s, _) = measure(&session, trace.then_some(&mut events), || {
             let (p2, q2) = sac_factorization_step(&session, &tr, &tp, &tq, 0.002, 0.02);
             p2.tiles().count();
             q2.tiles().count();
         });
-        drain_trace(&session, trace, &mut events);
         println!(
             "{:>6} {:>10} | {:>12.4} {:>14.4} | {:>10.2}",
             n,
@@ -263,7 +249,7 @@ fn panel_ablations(quick: bool) {
         m
     };
     let multiply = |a: &TiledMatrix, b: &TiledMatrix| {
-        measure(&session, || {
+        measure(&session, None, || {
             let product = sac::linalg::multiply(&session, a, b).expect("plan");
             product.tiles().count();
         })
@@ -275,13 +261,13 @@ fn panel_ablations(quick: bool) {
     );
     let d = ctx
         .parallelize((0..pairs).map(|i| (i % 512, i)).collect(), 8)
-        .cache();
+        .persist();
     d.count();
-    let rbk = measure(&session, || {
+    let rbk = measure(&session, None, || {
         d.reduce_by_key(8, |x, y| x + y).count();
     });
     row("reduce_by_key", rbk);
-    let gbk = measure(&session, || {
+    let gbk = measure(&session, None, || {
         let sums = d.group_by_key(8).map_values(|v| v.iter().sum::<i64>());
         sums.count();
     });
@@ -301,7 +287,7 @@ fn panel_ablations(quick: bool) {
         CooMatrix::from_local(ctx, &a, 8),
         CooMatrix::from_local(ctx, &b, 8),
     );
-    let coo = measure(&session, || {
+    let coo = measure(&session, None, || {
         ca.multiply(&cb, 8).entries().count();
     });
     row("coo_join_rbk", coo);

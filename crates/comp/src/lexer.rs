@@ -163,20 +163,16 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, CompError> {
                 i = j + 1;
             }
             _ => {
-                let two = if i + 1 < bytes.len() {
-                    &src[i..i + 2]
-                } else {
-                    ""
-                };
-                let (token, len) = match two {
-                    "<-" => (Token::Arrow, 2),
-                    "==" => (Token::EqEq, 2),
-                    "!=" => (Token::NotEq, 2),
-                    "<=" => (Token::Le, 2),
-                    ">=" => (Token::Ge, 2),
-                    "&&" => (Token::AndAnd, 2),
-                    "||" => (Token::OrOr, 2),
-                    "++" => (Token::PlusPlus, 2),
+                // Bytes, not `str`: the next byte may start a multi-byte char.
+                let (token, len) = match bytes.get(i..i + 2).unwrap_or_default() {
+                    b"<-" => (Token::Arrow, 2),
+                    b"==" => (Token::EqEq, 2),
+                    b"!=" => (Token::NotEq, 2),
+                    b"<=" => (Token::Le, 2),
+                    b">=" => (Token::Ge, 2),
+                    b"&&" => (Token::AndAnd, 2),
+                    b"||" => (Token::OrOr, 2),
+                    b"++" => (Token::PlusPlus, 2),
                     _ => match c {
                         '[' => (Token::LBracket, 1),
                         ']' => (Token::RBracket, 1),
@@ -198,11 +194,12 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, CompError> {
                         ';' => (Token::Semi, 1),
                         '{' => (Token::LBrace, 1),
                         '}' => (Token::RBrace, 1),
-                        other => {
+                        _ => {
+                            let other = src[i..].chars().next().unwrap_or(c);
                             return Err(CompError::lex(
                                 format!("unexpected character `{other}`"),
                                 start,
-                            ))
+                            ));
                         }
                     },
                 };

@@ -12,10 +12,20 @@
 //!   replaced by `%kN`, following §3's reading.
 //! * `⊕/e` reductions are recognized at operand position for the monoids
 //!   `+ * && || ++ max min`.
+//!
+//! Input comes from the query service's sockets, so nesting is capped
+//! (`MAX_DEPTH`): a query nested deeper is a parse error, not a stack
+//! overflow here or in the passes after parsing.
 
 use crate::ast::*;
 use crate::errors::CompError;
 use crate::lexer::{tokenize, Spanned, Token};
+
+/// Deepest nesting accepted — of brackets, parentheses, `if`, prefix
+/// operators, patterns, and of the trees operator and postfix chains build.
+/// Normalize, typecheck and plan all recurse over the tree, and the deepest
+/// accepted query survives them on a 2 MiB thread stack.
+const MAX_DEPTH: usize = 64;
 
 /// Parse a complete expression; the entire input must be consumed.
 pub fn parse_expr(src: &str) -> Result<Expr, CompError> {
@@ -24,6 +34,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, CompError> {
         tokens,
         pos: 0,
         fresh: 0,
+        depth: 0,
     };
     let e = p.expr()?;
     if p.pos != p.tokens.len() {
@@ -39,6 +50,8 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     fresh: usize,
+    /// Nesting levels open at the cursor.
+    depth: usize,
 }
 
 impl Parser {
@@ -90,38 +103,84 @@ impl Parser {
         format!("%k{}", self.fresh)
     }
 
+    fn too_deep(&self) -> CompError {
+        CompError::parse(
+            format!("expression nested deeper than {MAX_DEPTH} levels"),
+            self.offset(),
+        )
+    }
+
+    /// Parse one nesting level deeper with `f`, or refuse past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompError>,
+    ) -> Result<T, CompError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// `e`, a node an operator or postfix chain built without recursing, if
+    /// its tree is no taller than [`MAX_DEPTH`].
+    fn bounded(&self, e: Expr) -> Result<Expr, CompError> {
+        if height(&e) > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(e)
+    }
+
     // expr := if | or-chain
     fn expr(&mut self) -> Result<Expr, CompError> {
-        if self.eat(&Token::If) {
-            self.expect(&Token::LParen, "`(` after if")?;
-            let cond = self.expr()?;
-            self.expect(&Token::RParen, "`)` after condition")?;
-            let then = self.expr()?;
-            self.expect(&Token::Else, "`else`")?;
-            let els = self.expr()?;
-            return Ok(Expr::If(Box::new(cond), Box::new(then), Box::new(els)));
+        self.nested(|p| {
+            if p.eat(&Token::If) {
+                p.expect(&Token::LParen, "`(` after if")?;
+                let cond = p.expr()?;
+                p.expect(&Token::RParen, "`)` after condition")?;
+                let then = p.expr()?;
+                p.expect(&Token::Else, "`else`")?;
+                let els = p.expr()?;
+                return Ok(Expr::If(Box::new(cond), Box::new(then), Box::new(els)));
+            }
+            p.or_expr()
+        })
+    }
+
+    /// `operand (op operand)*`, left-associative; `op` names the binary
+    /// operator at the cursor, if one is there.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, CompError>,
+        op: fn(&Self) -> Option<BinOp>,
+    ) -> Result<Expr, CompError> {
+        let mut lhs = operand(self)?;
+        while let Some(op) = op(self) {
+            self.pos += 1;
+            let rhs = operand(self)?;
+            lhs = self.bounded(Expr::BinOp(op, Box::new(lhs), Box::new(rhs)))?;
         }
-        self.or_expr()
+        Ok(lhs)
+    }
+
+    /// The token at the cursor if the one after it is not `/` (which makes
+    /// it a reduction's monoid).
+    fn binary(&self) -> Option<&Token> {
+        self.peek().filter(|_| self.peek2() != Some(&Token::Slash))
     }
 
     fn or_expr(&mut self) -> Result<Expr, CompError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == Some(&Token::OrOr) && self.peek2() != Some(&Token::Slash) {
-            self.pos += 1;
-            let rhs = self.and_expr()?;
-            lhs = Expr::BinOp(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, |p| {
+            (p.binary() == Some(&Token::OrOr)).then_some(BinOp::Or)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, CompError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == Some(&Token::AndAnd) && self.peek2() != Some(&Token::Slash) {
-            self.pos += 1;
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::BinOp(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::cmp_expr, |p| {
+            (p.binary() == Some(&Token::AndAnd)).then_some(BinOp::And)
+        })
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, CompError> {
@@ -165,34 +224,20 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, CompError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) if self.peek2() != Some(&Token::Slash) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::mul_expr, |p| match p.peek() {
+            Some(Token::Plus) if p.binary().is_some() => Some(BinOp::Add),
+            Some(Token::Minus) => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr, CompError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) if self.peek2() != Some(&Token::Slash) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::unary_expr, |p| match p.peek() {
+            Some(Token::Star) if p.binary().is_some() => Some(BinOp::Mul),
+            Some(Token::Slash) => Some(BinOp::Div),
+            Some(Token::Percent) => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CompError> {
@@ -209,13 +254,13 @@ impl Parser {
         };
         if let Some(m) = monoid {
             self.pos += 2;
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             return Ok(Expr::Reduce(m, Box::new(operand)));
         }
         match self.peek() {
             Some(Token::Minus) => {
                 self.pos += 1;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 // Fold negated literals so `-1` is the literal -1.
                 Ok(match e {
                     Expr::Int(n) => Expr::Int(-n),
@@ -225,7 +270,7 @@ impl Parser {
             }
             Some(Token::Not) => {
                 self.pos += 1;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 Ok(Expr::UnOp(UnOp::Not, Box::new(e)))
             }
             _ => self.postfix_expr(),
@@ -252,10 +297,14 @@ impl Parser {
                 }
                 Some(Token::LBracket) => {
                     self.pos += 1;
-                    // Try a comprehension first: `expr |` inside the bracket.
-                    let saved = self.pos;
-                    match self.try_comprehension() {
-                        Ok(Some(comp)) => {
+                    // `base[ e | q ]` is a comprehension, `base[e, ...]` an
+                    // index; the first expression is parsed once either way.
+                    if self.eat(&Token::RBracket) {
+                        base = self.bounded(Expr::Index(Box::new(base), Vec::new()))?;
+                        continue;
+                    }
+                    match self.comprehension_or_head()? {
+                        Ok(comp) => {
                             let (builder, args) = match base {
                                 Expr::Var(v) => (v, Vec::new()),
                                 Expr::Call(f, args) => (f, args),
@@ -272,17 +321,22 @@ impl Parser {
                                 body: Box::new(Expr::Comprehension(comp)),
                             };
                         }
-                        _ => {
-                            self.pos = saved;
-                            let idx = self.expr_list(&Token::RBracket)?;
-                            base = Expr::Index(Box::new(base), idx);
+                        Err(first) => {
+                            let mut idx = vec![first];
+                            while !self.eat(&Token::RBracket) {
+                                self.expect(&Token::Comma, "`,` in argument list")?;
+                                idx.push(self.expr()?);
+                            }
+                            base = self.bounded(Expr::Index(Box::new(base), idx))?;
                         }
                     }
                 }
                 Some(Token::Dot) => {
                     self.pos += 1;
                     match self.next() {
-                        Some(Token::Ident(f)) => base = Expr::Field(Box::new(base), f),
+                        Some(Token::Ident(f)) => {
+                            base = self.bounded(Expr::Field(Box::new(base), f))?
+                        }
                         other => {
                             return Err(CompError::parse(
                                 format!("expected field name after `.`, found {other:?}"),
@@ -331,9 +385,9 @@ impl Parser {
                     Ok(Expr::Tuple(items))
                 }
             }
-            Some(Token::LBracket) => match self.try_comprehension()? {
-                Some(comp) => Ok(Expr::Comprehension(comp)),
-                None => Err(CompError::parse(
+            Some(Token::LBracket) => match self.comprehension_or_head()? {
+                Ok(comp) => Ok(Expr::Comprehension(comp)),
+                Err(_) => Err(CompError::parse(
                     "expected `|` in comprehension",
                     self.offset(),
                 )),
@@ -345,21 +399,12 @@ impl Parser {
         }
     }
 
-    /// After consuming `[`, try to parse `e | q1, ..., qn ]`. Returns
-    /// `Ok(None)` (without consuming past the head) if no `|` follows the
-    /// head expression.
-    fn try_comprehension(&mut self) -> Result<Option<Comprehension>, CompError> {
-        let saved = self.pos;
-        let head = match self.expr() {
-            Ok(h) => h,
-            Err(_) => {
-                self.pos = saved;
-                return Ok(None);
-            }
-        };
+    /// After consuming `[`, parse `e | q1, ..., qn ]` — or, when no `|`
+    /// follows the head `e`, return `Err(e)` with the cursor after it.
+    fn comprehension_or_head(&mut self) -> Result<Result<Comprehension, Expr>, CompError> {
+        let head = self.expr()?;
         if !self.eat(&Token::Bar) {
-            self.pos = saved;
-            return Ok(None);
+            return Ok(Err(head));
         }
         let mut qualifiers = Vec::new();
         if !self.eat(&Token::RBracket) {
@@ -376,7 +421,7 @@ impl Parser {
             qualifiers,
         };
         self.rewrite_expression_group_keys(&mut comp);
-        Ok(Some(comp))
+        Ok(Ok(comp))
     }
 
     fn qualifier(&mut self) -> Result<Qualifier, CompError> {
@@ -440,16 +485,18 @@ impl Parser {
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let mut parts = vec![self.pattern()?];
-                while self.eat(&Token::Comma) {
-                    parts.push(self.pattern()?);
-                }
-                self.expect(&Token::RParen, "`)` in pattern")?;
-                if parts.len() == 1 {
-                    Ok(parts.pop().expect("one part"))
-                } else {
-                    Ok(Pattern::Tuple(parts))
-                }
+                self.nested(|p| {
+                    let mut parts = vec![p.pattern()?];
+                    while p.eat(&Token::Comma) {
+                        parts.push(p.pattern()?);
+                    }
+                    p.expect(&Token::RParen, "`)` in pattern")?;
+                    if parts.len() == 1 {
+                        Ok(parts.pop().expect("one part"))
+                    } else {
+                        Ok(Pattern::Tuple(parts))
+                    }
+                })
             }
             other => Err(CompError::parse(
                 format!("expected pattern, found {other:?}"),
@@ -481,6 +528,33 @@ impl Parser {
                 }
             }
             replace_expr(&mut comp.head, &key, &var);
+        }
+    }
+}
+
+/// Height of the tree `e`, a leaf being 1 (a qualifier counts as a level
+/// under its comprehension).
+fn height(e: &Expr) -> usize {
+    fn tallest<'a>(es: impl IntoIterator<Item = &'a Expr>) -> usize {
+        es.into_iter().map(height).max().unwrap_or(0)
+    }
+    1 + match e {
+        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => 0,
+        Expr::Tuple(es) | Expr::Call(_, es) => tallest(es),
+        Expr::Reduce(_, x) | Expr::UnOp(_, x) | Expr::Field(x, _) => height(x),
+        Expr::BinOp(_, a, b) | Expr::Range { lo: a, hi: b, .. } => height(a).max(height(b)),
+        Expr::If(c, t, f) => tallest([&**c, t, f]),
+        Expr::Index(b, idx) => height(b).max(tallest(idx)),
+        Expr::Build { args, body, .. } => height(body).max(tallest(args)),
+        Expr::Comprehension(c) => {
+            let quals = c.qualifiers.iter().filter_map(|q| match q {
+                Qualifier::Generator(_, e)
+                | Qualifier::Let(_, e)
+                | Qualifier::Guard(e)
+                | Qualifier::GroupBy(_, Some(e)) => Some(e),
+                Qualifier::GroupBy(_, None) => None,
+            });
+            height(&c.head).max(1 + tallest(quals))
         }
     }
 }

@@ -445,7 +445,12 @@ mod tests {
     fn sparse_left_multiply_matches_dense_and_shuffles_less() {
         // Pin a shuffling strategy: this test compares shuffled bytes, and
         // the adaptive planner would broadcast these small operands instead.
-        let mut s = session();
+        // chaos_off: a resubmitted map stage writes its bytes twice.
+        let mut s = Session::builder()
+            .workers(4)
+            .partitions(4)
+            .chaos_off()
+            .build();
         s.config_mut().matmul = MatMulStrategy::GroupByJoin;
         let mut rng = StdRng::seed_from_u64(30);
         // A is 5% dense; sparse tiles should ship far fewer bytes.
@@ -453,21 +458,17 @@ mod tests {
         let b = rand_mat(24, 24, 31);
         let (da, db) = (dist(&s, &a), dist(&s, &b));
 
-        let before = s.spark().metrics().snapshot();
+        s.spark().trace();
         let sparse = multiply_sparse_left(&s, &da, &db).unwrap().to_local();
-        let sparse_metrics = s.spark().metrics().snapshot().since(&before);
-
-        let before = s.spark().metrics().snapshot();
+        let sparse_bytes = s.spark().take_profile().total_shuffle_bytes_written();
         let dense = multiply(&s, &da, &db).unwrap().to_local();
-        let dense_metrics = s.spark().metrics().snapshot().since(&before);
+        let dense_bytes = s.spark().take_profile().total_shuffle_bytes_written();
 
         assert!(sparse.max_abs_diff(&a.multiply(&b)) < 1e-9);
         assert!(dense.max_abs_diff(&a.multiply(&b)) < 1e-9);
         assert!(
-            sparse_metrics.shuffle_bytes < dense_metrics.shuffle_bytes,
-            "CSC left tiles must shuffle fewer bytes: {} vs {}",
-            sparse_metrics.shuffle_bytes,
-            dense_metrics.shuffle_bytes
+            sparse_bytes < dense_bytes,
+            "CSC left tiles must shuffle fewer bytes: {sparse_bytes} vs {dense_bytes}"
         );
     }
 

@@ -315,15 +315,6 @@ impl PlanEnv {
         dropped
     }
 
-    /// Drop every auto-persist overlay's blocks; returns the number of
-    /// blocks removed from the block manager.
-    pub fn unpersist_all(&self) -> usize {
-        let mut cache = self.lock_persist_cache();
-        let dropped = cache.values().map(|(_, a)| unpersist_array(a)).sum();
-        cache.clear();
-        dropped
-    }
-
     fn lock_persist_cache(&self) -> std::sync::MutexGuard<'_, HashMap<String, (usize, DistArray)>> {
         // A poisoned lock only means another thread panicked mid-update of
         // this advisory cache; the map itself is still usable.
@@ -360,15 +351,6 @@ impl PlanEnv {
             _ => None,
         }
     }
-
-    /// Float scalar lookup for scalar-expression compilation (ints coerce).
-    pub fn float_scalar(&self, name: &str) -> Option<f64> {
-        match self.scalars.get(name) {
-            Some(Value::Int(n)) => Some(*n as f64),
-            Some(Value::Float(x)) => Some(*x),
-            _ => None,
-        }
-    }
 }
 
 /// Drop a persisted overlay's blocks from its context's block manager.
@@ -387,13 +369,12 @@ mod tests {
     use tiled::LocalMatrix;
 
     #[test]
-    fn scalars_coerce() {
+    fn scalar_lookups() {
         let mut env = PlanEnv::new();
         env.set_int("n", 4);
         env.set_float("gamma", 0.5);
         assert_eq!(env.int_scalar("n"), Some(4));
-        assert_eq!(env.float_scalar("n"), Some(4.0));
-        assert_eq!(env.float_scalar("gamma"), Some(0.5));
+        assert_eq!(env.scalar("gamma"), Some(&Value::Float(0.5)));
         assert_eq!(env.int_scalar("gamma"), None);
         assert_eq!(env.int_scalar("missing"), None);
     }
@@ -432,30 +413,6 @@ mod tests {
         let p3 = env.persisted_array("M").unwrap();
         assert_ne!(id(&p3), id(&p1), "rebinding must build a fresh overlay");
         assert!(env.persisted_array("missing").is_none());
-    }
-
-    #[test]
-    fn unpersist_all_clears_every_overlay() {
-        // Ample pinned budget, as above: unpersist must have blocks to drop.
-        let ctx = Context::builder()
-            .workers(2)
-            .storage_memory(64 << 20)
-            .build();
-        let m = LocalMatrix::from_fn(4, 4, |i, j| (i * j) as f64);
-        let mut env = PlanEnv::new();
-        env.set_array(
-            "A",
-            DistArray::Matrix(TiledMatrix::from_local(&ctx, &m, 2, 2)),
-        );
-        env.persisted_array("A")
-            .unwrap()
-            .as_matrix()
-            .unwrap()
-            .to_local();
-        assert!(ctx.storage_status().blocks_in_memory > 0);
-        assert!(env.unpersist_all() > 0);
-        assert_eq!(ctx.storage_status().blocks_in_memory, 0);
-        assert_eq!(env.unpersist_all(), 0);
     }
 
     #[test]

@@ -927,9 +927,9 @@ where
     // Every product of the plan runs in that reduce, behind no shuffle: a
     // consumer that evaluates the result twice (a stage-frontier probe and
     // then the stage, two contractions over one `E`) would multiply twice.
-    // Cache it with the result's lineage — the §5.3 plan ends in a shuffle,
-    // whose output the runtime keeps the same way.
-    reduced.cache()
+    // Persist it under the storage budget for as long as the result lives;
+    // under memory pressure a second consumer re-multiplies instead.
+    reduced.persist()
 }
 
 /// [`group_by_join`] over dense right and output tiles, for callers whose
@@ -1415,7 +1415,7 @@ impl GroupFold {
             }
         }
         let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-        let finalizer = ScalarFn::compile(finalizer, &agg_slots, &|v| env.float_scalar(v))?;
+        let finalizer = ScalarFn::compile(finalizer, &agg_slots, agg_slots.len(), env)?;
         Ok(GroupFold {
             mini,
             scalars,
@@ -1690,6 +1690,7 @@ mod tests {
                 None => builder.chaos_off(),
             };
             let ctx = builder.build();
+            ctx.trace();
             let mut rng = StdRng::seed_from_u64(21);
             let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
             let b = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
@@ -1705,8 +1706,7 @@ mod tests {
             env.set_int("n", 8);
             // Registration's shuffle count is deterministic: it is the
             // barrier index of the query's own first map→reduce barrier.
-            let barriers = ctx.metrics().snapshot().shuffle_count;
-            ctx.trace();
+            let barriers = ctx.take_profile().shuffle_stage_count() as u64;
             let got = crate::run_text(src, &env, &ctx, &config)
                 .unwrap()
                 .into_matrix()

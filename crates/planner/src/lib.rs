@@ -268,20 +268,20 @@ mod tests {
                 matmul: strategy,
                 ..Default::default()
             };
-            let before = c.metrics().snapshot();
+            c.trace();
             run_text(src, &env, &c, &cfg)
                 .unwrap()
                 .into_matrix()
                 .unwrap()
                 .to_local();
-            c.metrics().snapshot().since(&before)
+            c.take_profile().shuffle_stage_count()
         };
         let gbj = count_shuffles(MatMulStrategy::GroupByJoin);
         let rbk = count_shuffles(MatMulStrategy::ReduceByKey);
         // GBJ: cogroup shuffles the two replicated sides. RBK: join shuffles
         // both sides + reduceByKey shuffles partial products.
-        assert!(gbj.shuffle_count <= 2, "gbj: {gbj:?}");
-        assert!(rbk.shuffle_count >= 3, "rbk: {rbk:?}");
+        assert!(gbj <= 2, "gbj: {gbj}");
+        assert!(rbk >= 3, "rbk: {rbk}");
     }
 
     #[test]

@@ -365,16 +365,17 @@ fn plan_body(
 }
 
 /// Compile an elementwise head value and its guards (conjoined) against
-/// `slots` and trace them into one fused program, plus the post-order
-/// operator tags of the source region for the `region_fused` event.
+/// `slots` (integer indices from `first_index` on) and trace them into one
+/// fused program, plus the post-order operator tags of the source region for
+/// the `region_fused` event.
 fn fuse_head(
     value: &Expr,
     guards: Vec<Expr>,
     slots: &[String],
+    first_index: usize,
     env: &PlanEnv,
 ) -> Result<(FusedProgram, Vec<String>), CompError> {
-    let consts = |v: &str| env.float_scalar(v);
-    let value_fn = ScalarFn::compile(value, slots, &consts)?;
+    let value_fn = ScalarFn::compile(value, slots, first_index, env)?;
     let mut region_ops: Vec<String> = value
         .op_sequence()
         .into_iter()
@@ -387,7 +388,7 @@ fn fuse_head(
         Some(conj) => {
             region_ops.extend(conj.op_sequence().into_iter().map(str::to_string));
             region_ops.push("select".to_string());
-            Some(ScalarFn::compile(&conj, slots, &consts)?)
+            Some(ScalarFn::compile(&conj, slots, first_index, env)?)
         }
         None => None,
     };
@@ -476,7 +477,7 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, vector: bool) -> Result<Plan, Com
         .chain(value_eqs.map(|(x, y)| eq_guard(x, y)))
         .map(|g| canon(&g))
         .collect();
-    let (program, region_ops) = fuse_head(&canon(value_expr), guards, &slots, env)?;
+    let (program, region_ops) = fuse_head(&canon(value_expr), guards, &slots, gens.len(), env)?;
     Ok(Plan::FusedEltwise {
         inputs: gens.iter().map(|g| g.0.clone()).collect(),
         vector,
@@ -558,7 +559,7 @@ fn plan_contraction(
         ));
     };
     let slots = vec![a.val.clone(), b_val.clone()];
-    let value = ScalarFn::compile(inner, &slots, &|v| env.float_scalar(v))?;
+    let value = ScalarFn::compile(inner, &slots, slots.len(), env)?;
     let operands = (
         (&*a.name, left_contract_row),
         (&**b_name, right_contract_col),
@@ -867,7 +868,7 @@ fn plan_axis_reduce(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
         return Err(CompError::plan("head value must be a reduction"));
     };
     let slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
-    let value = ScalarFn::compile(inner, &slots, &|v| env.float_scalar(v))?;
+    let value = ScalarFn::compile(inner, &slots, 1, env)?;
     Ok(Plan::AxisReduce {
         input: g.name.clone(),
         by_row,
@@ -899,7 +900,7 @@ fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     let fi = IdxFn::compile(e1, &idx_slots, &iconsts)?;
     let fj = IdxFn::compile(e2, &idx_slots, &iconsts)?;
     let val_slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
-    let value = ScalarFn::compile(value, &val_slots, &|v| env.float_scalar(v))?;
+    let value = ScalarFn::compile(value, &val_slots, 1, env)?;
     Ok(Plan::IndexRemap {
         input: g.name.clone(),
         fi,

@@ -6,8 +6,10 @@
 //! over `f64` / `i64`. An index map is evaluated a tile or an axis at a time
 //! ([`IdxFn::eval_batch`]).
 
+use crate::env::PlanEnv;
 use comp::ast::{BinOp, Expr, UnOp};
 use comp::errors::CompError;
+use comp::Value;
 
 /// A scalar (`f64`) expression over a fixed set of variable slots.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,45 +32,61 @@ pub enum ScalarFn {
 
 impl ScalarFn {
     /// Compile `expr`, resolving variables against `slots` (slot `i` holds
-    /// the variable named `slots[i]`). Scalars bound in `consts` inline.
+    /// the variable named `slots[i]`; those from `first_index` on are integer
+    /// indices) and inlining the scalars bound in `env`. `/` divides floats
+    /// unless both operands are integers: then it is the interpreter's
+    /// Euclidean division, folded when both are constant and otherwise a
+    /// compile error, so the comprehension plans by a rule that keeps it.
     pub fn compile(
         expr: &Expr,
         slots: &[String],
-        consts: &dyn Fn(&str) -> Option<f64>,
+        first_index: usize,
+        env: &PlanEnv,
     ) -> Result<ScalarFn, CompError> {
-        let c = |e: &Expr| ScalarFn::compile(e, slots, consts);
+        Ok(ScalarFn::typed(expr, slots, first_index, env)?.0)
+    }
+
+    /// [`ScalarFn::compile`], and whether the interpreter's value is an
+    /// integer.
+    fn typed(
+        expr: &Expr,
+        slots: &[String],
+        first_index: usize,
+        env: &PlanEnv,
+    ) -> Result<(ScalarFn, bool), CompError> {
+        let c = |e: &Expr| ScalarFn::typed(e, slots, first_index, env);
         Ok(match expr {
-            Expr::Int(n) => ScalarFn::Const(*n as f64),
-            Expr::Float(x) => ScalarFn::Const(*x),
-            Expr::Bool(b) => ScalarFn::Const(if *b { 1.0 } else { 0.0 }),
-            Expr::Var(v) => match slots.iter().position(|s| s == v) {
-                Some(i) => ScalarFn::Var(i),
-                None => match consts(v) {
-                    Some(x) => ScalarFn::Const(x),
-                    None => {
-                        return Err(CompError::plan(format!(
-                            "variable `{v}` is not an element variable or registered scalar"
-                        )))
-                    }
-                },
+            Expr::Int(n) => (ScalarFn::Const(*n as f64), true),
+            Expr::Float(x) => (ScalarFn::Const(*x), false),
+            Expr::Bool(b) => (ScalarFn::Const(if *b { 1.0 } else { 0.0 }), false),
+            Expr::Var(v) => match (slots.iter().position(|s| s == v), env.scalar(v)) {
+                (Some(i), _) => (ScalarFn::Var(i), i >= first_index),
+                (None, Some(Value::Int(n))) => (ScalarFn::Const(*n as f64), true),
+                (None, Some(Value::Float(x))) => (ScalarFn::Const(*x), false),
+                _ => {
+                    return Err(CompError::plan(format!(
+                        "variable `{v}` is not an element variable or registered scalar"
+                    )))
+                }
             },
             Expr::BinOp(op, a, b) => {
-                let (a, b) = (Box::new(c(a)?), Box::new(c(b)?));
+                let ((a, a_int), (b, b_int)) = (c(a)?, c(b)?);
+                let int = a_int && b_int;
+                let (a, b) = (Box::new(a), Box::new(b));
                 match op {
-                    BinOp::Add => ScalarFn::Add(a, b),
-                    BinOp::Sub => ScalarFn::Sub(a, b),
-                    BinOp::Mul => ScalarFn::Mul(a, b),
-                    BinOp::Div => ScalarFn::Div(a, b),
-                    BinOp::And => ScalarFn::Mul(a, b),
+                    BinOp::Add => (ScalarFn::Add(a, b), int),
+                    BinOp::Sub => (ScalarFn::Sub(a, b), int),
+                    BinOp::Mul => (ScalarFn::Mul(a, b), int),
+                    BinOp::Div if int => (ScalarFn::Const(int_div(&a, &b)?), true),
+                    BinOp::Div => (ScalarFn::Div(a, b), false),
+                    BinOp::And => (ScalarFn::Mul(a, b), false),
                     BinOp::Or => {
                         // a || b  ==  min(a + b, 1) for 0/1 operands.
-                        ScalarFn::Cmp(
-                            BinOp::Gt,
-                            Box::new(ScalarFn::Add(a, b)),
-                            Box::new(ScalarFn::Const(0.0)),
-                        )
+                        let sum = Box::new(ScalarFn::Add(a, b));
+                        let zero = Box::new(ScalarFn::Const(0.0));
+                        (ScalarFn::Cmp(BinOp::Gt, sum, zero), false)
                     }
-                    cmp if cmp.is_comparison() => ScalarFn::Cmp(*cmp, a, b),
+                    cmp if cmp.is_comparison() => (ScalarFn::Cmp(*cmp, a, b), false),
                     other => {
                         return Err(CompError::plan(format!(
                             "operator {other} is not a scalar operation"
@@ -76,18 +94,25 @@ impl ScalarFn {
                     }
                 }
             }
-            Expr::UnOp(UnOp::Neg, e) => ScalarFn::Neg(Box::new(c(e)?)),
+            Expr::UnOp(UnOp::Neg, e) => {
+                let (e, int) = c(e)?;
+                (ScalarFn::Neg(Box::new(e)), int)
+            }
             Expr::UnOp(UnOp::Not, e) => {
-                ScalarFn::Sub(Box::new(ScalarFn::Const(1.0)), Box::new(c(e)?))
+                let one = Box::new(ScalarFn::Const(1.0));
+                (ScalarFn::Sub(one, Box::new(c(e)?.0)), false)
             }
             Expr::If(cond, t, f) => {
-                ScalarFn::If(Box::new(c(cond)?), Box::new(c(t)?), Box::new(c(f)?))
+                let cond = Box::new(c(cond)?.0);
+                let ((t, t_int), (f, f_int)) = (c(t)?, c(f)?);
+                (ScalarFn::If(cond, Box::new(t), Box::new(f)), t_int && f_int)
             }
             Expr::Call(f, args) if f == "abs" && args.len() == 1 => {
-                ScalarFn::Abs(Box::new(c(&args[0])?))
+                let (e, int) = c(&args[0])?;
+                (ScalarFn::Abs(Box::new(e)), int)
             }
             Expr::Call(f, args) if f == "sqrt" && args.len() == 1 => {
-                ScalarFn::Sqrt(Box::new(c(&args[0])?))
+                (ScalarFn::Sqrt(Box::new(c(&args[0])?.0)), false)
             }
             other => {
                 return Err(CompError::plan(format!(
@@ -95,6 +120,24 @@ impl ScalarFn {
                 )))
             }
         })
+    }
+
+    /// The value, if the expression reads no slot.
+    fn constant(&self) -> Option<f64> {
+        fn reads_no_slot(f: &ScalarFn) -> bool {
+            match f {
+                ScalarFn::Const(_) => true,
+                ScalarFn::Var(_) => false,
+                ScalarFn::Neg(a) | ScalarFn::Abs(a) | ScalarFn::Sqrt(a) => reads_no_slot(a),
+                ScalarFn::Add(a, b)
+                | ScalarFn::Sub(a, b)
+                | ScalarFn::Mul(a, b)
+                | ScalarFn::Div(a, b)
+                | ScalarFn::Cmp(_, a, b) => reads_no_slot(a) && reads_no_slot(b),
+                ScalarFn::If(c, t, f) => reads_no_slot(c) && reads_no_slot(t) && reads_no_slot(f),
+            }
+        }
+        reads_no_slot(self).then(|| self.eval(&[]))
     }
 
     /// Evaluate over the slot values.
@@ -141,6 +184,21 @@ impl ScalarFn {
         matches!(self, ScalarFn::Mul(x, y)
             if **x == ScalarFn::Var(a) && **y == ScalarFn::Var(b))
     }
+}
+
+/// Integer `a / b` with both operands constant: the interpreter's
+/// Euclidean division, or its error on a zero divisor. With a variable
+/// operand there is no float program for it.
+fn int_div(a: &ScalarFn, b: &ScalarFn) -> Result<f64, CompError> {
+    let (Some(a), Some(b)) = (a.constant(), b.constant()) else {
+        return Err(CompError::plan(
+            "integer division of an index is not a float operation",
+        ));
+    };
+    if b == 0.0 {
+        return Err(CompError::eval("integer division by zero"));
+    }
+    Ok((a as i64).div_euclid(b as i64) as f64)
 }
 
 /// An integer index expression over index-variable slots (for tile
@@ -260,9 +318,19 @@ mod tests {
     use super::*;
     use comp::parser::parse_expr;
 
+    /// Compile over float slots `slots` then index slots `indices`.
+    fn try_compile(
+        src: &str,
+        slots: &[&str],
+        indices: &[&str],
+        env: &PlanEnv,
+    ) -> Result<ScalarFn, CompError> {
+        let all: Vec<String> = slots.iter().chain(indices).map(|s| s.to_string()).collect();
+        ScalarFn::compile(&parse_expr(src).unwrap(), &all, slots.len(), env)
+    }
+
     fn compile_s(src: &str, slots: &[&str]) -> ScalarFn {
-        let slots: Vec<String> = slots.iter().map(|s| s.to_string()).collect();
-        ScalarFn::compile(&parse_expr(src).unwrap(), &slots, &|_| None).unwrap()
+        try_compile(src, slots, &[], &PlanEnv::new()).unwrap()
     }
 
     #[test]
@@ -295,25 +363,42 @@ mod tests {
 
     #[test]
     fn consts_inline() {
-        let slots = vec!["a".to_string()];
-        let f = ScalarFn::compile(&parse_expr("a * gamma").unwrap(), &slots, &|v| {
-            (v == "gamma").then_some(0.5)
-        })
-        .unwrap();
+        let mut env = PlanEnv::new();
+        env.set_float("gamma", 0.5);
+        let f = try_compile("a * gamma", &["a"], &[], &env).unwrap();
         assert_eq!(f.eval(&[8.0]), 4.0);
     }
 
     #[test]
     fn non_scalar_operator_is_an_error() {
         // `%` used to compile to a `Cmp` node that panicked when evaluated.
-        let slots = vec!["a".to_string()];
-        assert!(ScalarFn::compile(&parse_expr("a % 2").unwrap(), &slots, &|_| None).is_err());
+        assert!(try_compile("a % 2", &["a"], &[], &PlanEnv::new()).is_err());
     }
 
     #[test]
     fn unknown_variable_is_an_error() {
-        let slots = vec!["a".to_string()];
-        assert!(ScalarFn::compile(&parse_expr("a + z").unwrap(), &slots, &|_| None).is_err());
+        assert!(try_compile("a + z", &["a"], &[], &PlanEnv::new()).is_err());
+    }
+
+    #[test]
+    fn integer_division_keeps_the_interpreters_semantics() {
+        let mut env = PlanEnv::new();
+        env.set_int("n", 7);
+        let compile = |src: &str| try_compile(src, &["a"], &["i"], &env);
+        // Two constant integers fold with Euclidean division.
+        assert_eq!(compile("a * (3/2)").unwrap().eval(&[5.0, 0.0]), 5.0);
+        assert_eq!(compile("a + (-n)/2").unwrap().eval(&[0.0, 0.0]), -4.0);
+        // A float operand divides as floats.
+        assert_eq!(compile("a / 2").unwrap().eval(&[3.0, 0.0]), 1.5);
+        assert_eq!(compile("a + i/2.0").unwrap().eval(&[0.0, 3.0]), 1.5);
+        // An index divided by an integer has no float program.
+        assert!(compile("a + i/2").is_err());
+        assert!(compile("a * (n/i)").is_err());
+        let err = compile("a * (n/0)").unwrap_err();
+        assert!(
+            err.to_string().contains("integer division by zero"),
+            "{err}"
+        );
     }
 
     fn compile_i(src: &str, slots: &[&str]) -> IdxFn {

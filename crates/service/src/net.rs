@@ -584,6 +584,19 @@ mod tests {
     }
 
     #[test]
+    fn a_run_nested_ten_thousand_deep_gets_an_err_and_the_next_request_an_answer() {
+        let (_svc, server) = served();
+        let mut c = Client::connect(server.addr()).unwrap();
+        let deep = format!("{}a{}", "(".repeat(10_000), ")".repeat(10_000));
+        let query = format!("tiled(n,n)[ ((i,j), {deep}) | ((i,j),a) <- A ]");
+        let err = c.run("alice", &query).unwrap().unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        let json = c.run("alice", "+/[ a | ((i,j),a) <- A ]").unwrap();
+        assert!(json.is_ok(), "{json:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn disconnect_mid_run_does_not_poison_the_listener() {
         let (_svc, server) = served();
         // Fire a RUN and slam the connection shut without reading the reply:

@@ -3,7 +3,6 @@
 
 use crate::chaos::{ChaosController, ChaosPlan, WireFault, CHAOS_ENV};
 use crate::events::{Event, EventCollector};
-use crate::metrics::Metrics;
 use crate::profile::JobProfile;
 use crate::service::{panic_is_cancelled, CancelToken, CANCELLED_MSG};
 use crate::shuffle::MapOutputTracker;
@@ -316,7 +315,6 @@ impl ContextBuilder {
                 worker_group,
                 external_dir,
                 map_outputs: MapOutputTracker::default(),
-                metrics: Metrics::default(),
                 events: EventCollector::default(),
                 storage: BlockManager::new(budget),
                 injected_failures: AtomicI64::new(0),
@@ -392,7 +390,6 @@ pub(crate) struct CtxInner {
     external_dir: Option<PathBuf>,
     /// Which executor owns each shuffle map output, and at which epoch.
     pub(crate) map_outputs: MapOutputTracker,
-    pub(crate) metrics: Metrics,
     pub(crate) events: EventCollector,
     /// Memory-budgeted store for persisted dataset partitions.
     storage: BlockManager,
@@ -439,10 +436,10 @@ impl StageMeta {
     }
 }
 
-/// Handle to the runtime: creates datasets, runs stages, owns metrics and
-/// the event trace.
+/// Handle to the runtime: creates datasets, runs stages, owns the block
+/// manager and the event trace — the one record of what ran.
 ///
-/// Cheap to clone; all clones share one executor pool, metrics sink and
+/// Cheap to clone; all clones share one executor pool, block manager and
 /// event collector.
 #[derive(Clone)]
 pub struct Context {
@@ -772,11 +769,6 @@ impl Context {
         self.inner.default_parallelism
     }
 
-    /// Runtime metrics sink.
-    pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
-    }
-
     /// Start collecting structured runtime events, discarding anything
     /// buffered from an earlier trace window.
     pub fn trace(&self) {
@@ -985,7 +977,6 @@ impl Context {
         if n == 0 {
             return (Vec::new(), stage_id);
         }
-        self.inner.metrics.stage_run();
         let tracing = self.inner.events.is_enabled();
         if tracing {
             let meta = meta();
@@ -1145,7 +1136,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                     speculated: false,
                 });
             }
-            inner.metrics.task_launched();
             let task_started = Instant::now();
             let out = catch_unwind(AssertUnwindSafe(|| {
                 self.ctx.maybe_injected_failure();
@@ -1198,7 +1188,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                     return;
                 }
                 Err(cause) => {
-                    inner.metrics.task_failed();
                     if self.tracing {
                         inner.events.emit(Event::TaskEnd {
                             stage_id: self.stage_id,
@@ -1370,10 +1359,11 @@ mod tests {
     #[test]
     fn injected_failures_are_retried() {
         let ctx = Context::builder().workers(2).build();
+        ctx.trace();
         ctx.inject_task_failures(3);
         let out = ctx.run_tasks(8, |i| i + 1);
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
-        assert!(ctx.metrics().snapshot().tasks_failed >= 3);
+        assert!(ctx.take_profile().total_failed_attempts() >= 3);
     }
 
     #[test]
@@ -1384,13 +1374,13 @@ mod tests {
         // One task may claim several injected failures back-to-back, so give
         // it headroom to retry past all of them.
         let ctx = Context::builder().workers(8).max_task_attempts(16).build();
+        ctx.trace();
         ctx.inject_task_failures(5);
         let _ = ctx.run_tasks(64, |i| i);
-        assert_eq!(ctx.metrics().snapshot().tasks_failed, 5);
+        assert_eq!(ctx.take_profile().total_failed_attempts(), 5);
         // Counter is spent: later stages see no failures.
-        let before = ctx.metrics().snapshot().tasks_failed;
         let _ = ctx.run_tasks(64, |i| i);
-        assert_eq!(ctx.metrics().snapshot().tasks_failed, before);
+        assert_eq!(ctx.take_profile().total_failed_attempts(), 0);
     }
 
     #[test]
@@ -1410,9 +1400,9 @@ mod tests {
             assert_eq!(ctx.pending_injected_failures(), 10);
         }
         assert_eq!(ctx.pending_injected_failures(), 0);
-        let before = ctx.metrics().snapshot().tasks_failed;
+        ctx.trace();
         ctx.run_tasks(4, |i| i);
-        assert_eq!(ctx.metrics().snapshot().tasks_failed, before);
+        assert_eq!(ctx.take_profile().total_failed_attempts(), 0);
     }
 
     #[test]
@@ -1430,11 +1420,12 @@ mod tests {
     #[test]
     fn scoped_injection_failures_are_consumed_inside_scope() {
         let ctx = Context::builder().workers(2).build();
+        ctx.trace();
         {
             let _g = ctx.inject_task_failures_scoped(2);
             let out = ctx.run_tasks(8, |i| i + 1);
             assert_eq!(out, (1..=8).collect::<Vec<_>>());
-            assert!(ctx.metrics().snapshot().tasks_failed >= 2);
+            assert!(ctx.take_profile().total_failed_attempts() >= 2);
         }
         assert_eq!(ctx.pending_injected_failures(), 0);
     }
@@ -1483,15 +1474,6 @@ mod tests {
         assert!(weak.upgrade().is_some(), "the dataset's closure holds it");
         drop(d);
         assert!(weak.upgrade().is_none(), "nothing else may keep it alive");
-    }
-
-    #[test]
-    fn stage_counter_increments() {
-        let ctx = Context::new();
-        let before = ctx.metrics().snapshot().stages_run;
-        ctx.run_tasks(2, |i| i);
-        ctx.run_tasks(2, |i| i);
-        assert_eq!(ctx.metrics().snapshot().stages_run - before, 2);
     }
 
     #[test]
@@ -1651,7 +1633,7 @@ mod tests {
         assert_eq!(lost, 1);
         // The discarded attempt emits no TaskEnd; kills are loss, not failure.
         assert_eq!(ok_ends, 8);
-        assert_eq!(ctx.metrics().snapshot().tasks_failed, 0);
+        assert_eq!(JobProfile::from_events(&events).total_failed_attempts(), 0);
     }
 
     #[test]
@@ -1815,7 +1797,7 @@ mod tests {
     fn cancellation_propagates_out_of_nested_stages_without_retries() {
         let ctx = Context::builder().workers(2).chaos_off().build();
         let token = CancelToken::new("bob", 5);
-        let before = ctx.metrics().snapshot().tasks_failed;
+        ctx.trace();
         let t2 = token.clone();
         let nested_ctx = ctx.clone();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1831,8 +1813,8 @@ mod tests {
         let cause = result.expect_err("cancellation must reach the driver");
         assert!(crate::service::panic_is_cancelled(&cause));
         assert_eq!(
-            ctx.metrics().snapshot().tasks_failed,
-            before,
+            ctx.take_profile().total_failed_attempts(),
+            0,
             "cancellation is not a task failure and must not be retried"
         );
     }

@@ -1,10 +1,10 @@
 //! The public [`Dataset`] API — the RDD analog.
 
 use crate::context::{Context, StageMeta};
-use crate::ops::{CachedOp, MapPartitionsOp, Op, SourceOp, UnionOp};
+use crate::ops::{MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::KeyPartitioner;
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
-use crate::storage::{PersistOp, SpillCodec, StorageLevel};
+use crate::storage::{BlockLease, PersistOp, SpillCodec, StorageLevel};
 use crate::stream::PartitionStream;
 use crate::Data;
 use std::hash::Hash;
@@ -18,14 +18,14 @@ use std::sync::Arc;
 pub struct Dataset<T: Data> {
     ctx: Context,
     op: Arc<dyn Op<T>>,
+    /// Leases of the persisted datasets this one reads directly (itself, if
+    /// persisted): their blocks live while it does.
+    leases: Vec<Arc<BlockLease>>,
 }
 
 impl<T: Data> Clone for Dataset<T> {
     fn clone(&self) -> Self {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: self.op.clone(),
-        }
+        self.derived(self.op.clone(), &[])
     }
 }
 
@@ -34,12 +34,24 @@ impl<T: Data> Dataset<T> {
         Dataset {
             ctx,
             op: Arc::new(SourceOp::new(data, partitions)),
+            leases: Vec::new(),
         }
     }
 
-    /// Wrap an operator node (used by higher layers building custom plans).
-    pub fn from_op(ctx: Context, op: Arc<dyn Op<T>>) -> Self {
-        Dataset { ctx, op }
+    /// A dataset of `op`, built on this one and on the datasets whose
+    /// `leases` are given: it reads what they read.
+    fn derived<U: Data>(&self, op: Arc<dyn Op<U>>, leases: &[Arc<BlockLease>]) -> Dataset<U> {
+        let mut all = self.leases.clone();
+        for lease in leases {
+            if !all.iter().any(|held| Arc::ptr_eq(held, lease)) {
+                all.push(lease.clone());
+            }
+        }
+        Dataset {
+            ctx: self.ctx.clone(),
+            op,
+            leases: all,
+        }
     }
 
     /// The context this dataset belongs to.
@@ -74,15 +86,13 @@ impl<T: Data> Dataset<T> {
         preserves: bool,
         f: impl Fn(usize, PartitionStream<T>) -> PartitionStream<U> + Send + Sync + 'static,
     ) -> Dataset<U> {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: Arc::new(MapPartitionsOp {
-                parent: self.op.clone(),
-                f: Arc::new(f),
-                preserves_partitioning: preserves,
-                label: label.to_string(),
-            }),
-        }
+        let op = MapPartitionsOp {
+            parent: self.op.clone(),
+            f: Arc::new(f),
+            preserves_partitioning: preserves,
+            label: label.to_string(),
+        };
+        self.derived(Arc::new(op), &[])
     }
 
     /// Element-wise transformation. Lazy in two senses: nothing runs until an
@@ -156,13 +166,11 @@ impl<T: Data> Dataset<T> {
 
     /// Concatenate two datasets.
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: Arc::new(UnionOp {
-                left: self.op.clone(),
-                right: other.op.clone(),
-            }),
-        }
+        let op = UnionOp {
+            left: self.op.clone(),
+            right: other.op.clone(),
+        };
+        self.derived(Arc::new(op), &other.leases)
     }
 
     /// Distinct elements (the `set` builder of §5.2's image sets): a
@@ -176,22 +184,13 @@ impl<T: Data> Dataset<T> {
             .map(|(x, ())| x)
     }
 
-    /// Cache partitions in memory on first computation.
-    ///
-    /// Unlike [`Dataset::persist`], cached partitions are pinned: they are
-    /// never evicted and don't count against the context's storage budget.
-    /// Use `persist` for anything sized with the data.
-    pub fn cache(&self) -> Dataset<T> {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: Arc::new(CachedOp::new(self.op.clone())),
-        }
-    }
-
     /// Persist partitions in the context's memory-budgeted block manager
     /// (Spark's `persist(MEMORY_ONLY)`). Partitions are stored on first
     /// computation and served from storage afterwards; evicted partitions
-    /// are transparently recomputed from lineage.
+    /// are transparently recomputed from lineage. The blocks are removed
+    /// when the last dataset reading them — this one, a clone, or one built
+    /// on it up to another `persist` that has computed every partition — is
+    /// dropped.
     pub fn persist(&self) -> Dataset<T>
     where
         T: SpillCodec,
@@ -206,14 +205,18 @@ impl<T: Data> Dataset<T> {
     where
         T: SpillCodec,
     {
+        let upstream = self.leases.clone();
+        let (op, lease) = PersistOp::new(&self.ctx, self.op.clone(), upstream, level);
         Dataset {
             ctx: self.ctx.clone(),
-            op: Arc::new(PersistOp::new(&self.ctx, self.op.clone(), level)),
+            op: Arc::new(op),
+            leases: vec![lease],
         }
     }
 
     /// Drop this dataset's persisted blocks from the block manager (memory
-    /// and spill files). Returns the number of blocks removed; 0 when the
+    /// and spill files) now, rather than when the last reader drops; a later
+    /// read recomputes them. Returns the number of blocks removed; 0 when the
     /// dataset is not the direct result of [`Dataset::persist`].
     pub fn unpersist(&self) -> usize {
         match self.op.cache_id() {
@@ -369,16 +372,8 @@ where
     where
         K: SpillCodec,
     {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: Arc::new(ShuffleOp::new(
-                &self.ctx,
-                self.op.clone(),
-                partitioner,
-                agg,
-                operator,
-            )),
-        }
+        let op = ShuffleOp::new(&self.ctx, self.op.clone(), partitioner, agg, operator);
+        self.derived(Arc::new(op), &[])
     }
 
     /// Redistribute records by a partitioner without combining; duplicate
@@ -424,16 +419,14 @@ where
         K: SpillCodec,
         V: SpillCodec,
     {
-        Dataset {
-            ctx: self.ctx.clone(),
-            op: Arc::new(CoGroupOp::new(
-                &self.ctx,
-                self.op.clone(),
-                other.op.clone(),
-                partitioner,
-                "cogroup",
-            )),
-        }
+        let op = CoGroupOp::new(
+            &self.ctx,
+            self.op.clone(),
+            other.op.clone(),
+            partitioner,
+            "cogroup",
+        );
+        self.derived(Arc::new(op), &other.leases)
     }
 
     /// Inner join: one output record per matching pair of values.
@@ -587,33 +580,40 @@ mod tests {
         let mut want = big.join(&small, 4).collect();
         want.sort();
         let table = c.broadcast(small.collect_map());
-        let before = c.metrics().snapshot().shuffle_count;
+        c.trace();
         let mut got = big.join_broadcast(table).collect();
         got.sort();
         assert_eq!(got, want);
         assert_eq!(
-            c.metrics().snapshot().shuffle_count,
-            before,
+            c.take_profile().shuffle_stage_count(),
+            0,
             "broadcast join must not shuffle"
         );
     }
 
     #[test]
     fn reduce_by_key_shuffles_fewer_records_than_group_by_key() {
-        let c = ctx();
+        // chaos_off: a resubmitted map stage would write its records twice.
+        let c = Context::builder().workers(4).chaos_off().build();
         let data: Vec<(i32, i64)> = (0..1000).map(|i| (i % 10, i as i64)).collect();
         let d = c.parallelize(data, 8);
-        let before = c.metrics().snapshot();
+        let written = |p: crate::JobProfile| {
+            let records = p
+                .stages
+                .iter()
+                .map(|s| s.shuffle_records_written)
+                .sum::<u64>();
+            (records, p.total_shuffle_bytes_written())
+        };
+        c.trace();
         d.reduce_by_key(4, |a, b| a + b).collect();
-        let mid = c.metrics().snapshot();
+        let rbk = written(c.take_profile());
         d.group_by_key(4).collect();
-        let after = c.metrics().snapshot();
-        let rbk = mid.since(&before);
-        let gbk = after.since(&mid);
+        let gbk = written(c.take_profile());
         // reduceByKey writes at most keys*maps records, groupByKey all 1000.
-        assert!(rbk.shuffle_records <= 80, "rbk: {rbk:?}");
-        assert_eq!(gbk.shuffle_records, 1000, "gbk: {gbk:?}");
-        assert!(rbk.shuffle_bytes < gbk.shuffle_bytes);
+        assert!(rbk.0 <= 80, "rbk: {rbk:?}");
+        assert_eq!(gbk.0, 1000, "gbk: {gbk:?}");
+        assert!(rbk.1 < gbk.1);
     }
 
     #[test]
@@ -655,12 +655,11 @@ mod tests {
         // Materialize both shuffles.
         a.count();
         b.count();
-        let before = c.metrics().snapshot();
+        c.trace();
         let out = a.join_with(&b, p).collect();
-        let after = c.metrics().snapshot();
         assert_eq!(out.len(), 100);
         assert_eq!(
-            after.since(&before).shuffle_count,
+            c.take_profile().shuffle_stage_count(),
             0,
             "co-partitioned join must not shuffle"
         );
@@ -675,9 +674,9 @@ mod tests {
         assert_eq!(p.partitioner_descriptor(), Some(("hash(3)".into(), 3)));
         // Re-partitioning by the same partitioner is a no-op.
         let q = p.partition_by(KeyPartitioner::hash(3));
-        let before = c.metrics().snapshot();
+        c.trace();
         q.count();
-        let _ = before;
+        assert_eq!(c.take_profile().shuffle_stage_count(), 0);
     }
 
     #[test]
@@ -704,9 +703,9 @@ mod tests {
         let shifted = d.map_partitions_preserving("shift", |_, s| s.map(|(k, v)| (k + 2, v)));
         assert_eq!(shifted.partitioner_descriptor(), Some(("parity".into(), 2)));
         shifted.count();
-        let before = c.metrics().snapshot();
+        c.trace();
         let mut joined = shifted.join_with(&d, p).collect();
-        assert_eq!(c.metrics().snapshot().since(&before).shuffle_count, 0);
+        assert_eq!(c.take_profile().shuffle_stage_count(), 0);
         joined.sort();
         let want: Vec<_> = (2..8i64).map(|k| (k, (k - 2, k))).collect();
         assert_eq!(joined, want);
@@ -727,24 +726,6 @@ mod tests {
         let a = c.parallelize(vec![1, 2], 1);
         let b = c.parallelize(vec![3], 1);
         assert_eq!(a.union(&b).collect(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cache_reuses_partitions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let c = ctx();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let calls2 = calls.clone();
-        let d = c
-            .parallelize((0..10).collect(), 2)
-            .map(move |x| {
-                calls2.fetch_add(1, Ordering::SeqCst);
-                x
-            })
-            .cache();
-        d.collect();
-        d.collect();
-        assert_eq!(calls.load(Ordering::SeqCst), 10);
     }
 
     #[test]
@@ -880,6 +861,108 @@ mod tests {
         );
     }
 
+    /// Ample pinned budget and no chaos: the lifetime tests count blocks.
+    fn lifetime_ctx() -> Context {
+        Context::builder()
+            .workers(4)
+            .storage_memory(64 << 20)
+            .chaos_off()
+            .build()
+    }
+
+    fn blocks(c: &Context) -> usize {
+        c.storage_status().blocks_in_memory
+    }
+
+    #[test]
+    fn dropping_the_last_handle_of_a_persisted_dataset_frees_its_blocks() {
+        let c = lifetime_ctx();
+        let d = c.parallelize((0..40i64).collect(), 4).persist();
+        d.count();
+        assert_eq!(blocks(&c), 4);
+        drop(d);
+        assert_eq!(blocks(&c), 0);
+    }
+
+    #[test]
+    fn a_clone_or_a_dataset_built_on_it_keeps_the_blocks_alive() {
+        let c = lifetime_ctx();
+        let d = c.parallelize((0..40i64).collect(), 4).persist();
+        d.count();
+        let (clone, built) = (d.clone(), d.map(|x| x + 1));
+        drop(d);
+        assert_eq!(blocks(&c), 4);
+        c.trace();
+        assert_eq!(built.count(), 40);
+        assert_eq!(
+            c.take_profile().cache_totals().hits,
+            4,
+            "`built` reads them"
+        );
+        drop(built);
+        assert_eq!(blocks(&c), 4, "the clone still holds them");
+        drop(clone);
+        assert_eq!(blocks(&c), 0);
+    }
+
+    #[test]
+    fn a_persisted_dataset_reads_its_inputs_blocks_until_it_has_its_own() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let c = lifetime_ctx();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let calls2 = calls.clone();
+        let a = c
+            .parallelize((0..40i64).collect(), 4)
+            .map(move |x| {
+                calls2.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+            .persist();
+        a.count();
+        let b = a.map(|x| x + 1).persist();
+        drop(a);
+        assert_eq!(b.count(), 40);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            40,
+            "`b` computed from `a`'s blocks"
+        );
+        assert_eq!(blocks(&c), 4, "which then go");
+    }
+
+    #[test]
+    fn a_persist_loop_keeps_one_generation_of_blocks() {
+        // The iterative shape of `examples/matrix_factorization.rs`: each
+        // generation is persisted, materialized, then replaces the last.
+        let c = lifetime_ctx();
+        let mut x = c.parallelize((0..40i64).collect(), 4).persist();
+        x.count();
+        for _ in 0..5 {
+            let next = x.map(|v| v + 1).persist();
+            next.count();
+            x = next;
+            assert_eq!(blocks(&c), 4);
+        }
+        assert_eq!(x.collect(), (5..45).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn no_block_outlives_a_drop_after_an_executor_kill() {
+        let c = Context::builder()
+            .workers(2)
+            .executors(2)
+            .storage_memory(64 << 20)
+            .chaos_off()
+            .build();
+        let d = c.parallelize((0..40i64).collect(), 4).persist();
+        d.count();
+        assert!(c.kill_executor(0));
+        assert_eq!(d.count(), 40, "lost blocks recompute and are stored again");
+        assert_eq!(blocks(&c), 4);
+        drop(d);
+        assert_eq!(blocks(&c), 0);
+    }
+
     #[test]
     fn persist_preserves_partitioning() {
         let c = ctx();
@@ -913,10 +996,11 @@ mod tests {
     fn failure_injection_still_produces_correct_results() {
         let c = ctx();
         let d = c.parallelize((0..100i64).map(|i| (i % 5, 1i64)).collect(), 4);
+        c.trace();
         c.inject_task_failures(2);
         let mut out = d.reduce_by_key(2, |a, b| a + b).collect();
         out.sort();
         assert_eq!(out, (0..5).map(|k| (k, 20)).collect::<Vec<_>>());
-        assert!(c.metrics().snapshot().tasks_failed >= 2);
+        assert!(c.take_profile().total_failed_attempts() >= 2);
     }
 }

@@ -17,9 +17,14 @@
 //! * **Wide transformations** (`reduce_by_key`, `group_by_key`, `join`,
 //!   `cogroup`, `partition_by`) introduce a shuffle: map tasks bucket their
 //!   output by a [`KeyPartitioner`], reduce tasks merge the buckets. Shuffled
-//!   bytes and record counts are accounted in [`Metrics`] so the cost claims
-//!   of the paper (e.g. `reduceByKey` shuffles less than `groupByKey` thanks
-//!   to map-side combining) are observable, not just asserted.
+//!   bytes and record counts go on the traced event stream
+//!   ([`Context::trace`], folded by [`JobProfile`]) so the cost claims of the
+//!   paper (e.g. `reduceByKey` shuffles less than `groupByKey` thanks to
+//!   map-side combining) are observable, not just asserted.
+//! * **Caching** is one mechanism: [`Dataset::persist`] stores partitions in
+//!   the context's budgeted [`BlockManager`], and the blocks die with the
+//!   last dataset that can read them (Spark's `cache()` is
+//!   `persist(MEMORY_ONLY)`).
 //! * **Executors** are logical fault domains over the worker threads; every
 //!   stage's tasks are scheduled onto them, and failed tasks are retried from
 //!   lineage (narrow chains recompute, shuffle outputs are reused). Losing an
@@ -52,7 +57,6 @@ pub mod context;
 pub mod dataset;
 pub mod events;
 pub mod json;
-pub mod metrics;
 pub mod ops;
 pub mod partitioner;
 pub mod profile;
@@ -71,7 +75,6 @@ pub use context::{
 };
 pub use dataset::Dataset;
 pub use events::{Event, EventCollector};
-pub use metrics::{Metrics, MetricsSnapshot, ShuffleDetail};
 pub use partitioner::{GridCells, KeyPartitioner};
 pub use profile::{
     CacheStats, JobProfile, JobSummary, OperatorStats, PlanChoice, RecoveryStats, ServiceStats,

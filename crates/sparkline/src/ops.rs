@@ -2,7 +2,6 @@
 
 use crate::context::Context;
 use crate::stream::{instrument, PartitionStream};
-use crate::sync::Mutex;
 use crate::Data;
 use std::sync::Arc;
 
@@ -140,47 +139,6 @@ impl<T: Data> Op<T> for UnionOp<T> {
     }
 }
 
-/// Caches each partition on first computation (Spark's `persist(MEMORY_ONLY)`).
-pub struct CachedOp<T: Data> {
-    pub(crate) parent: Arc<dyn Op<T>>,
-    pub(crate) slots: Vec<Mutex<Option<Arc<Vec<T>>>>>,
-}
-
-impl<T: Data> CachedOp<T> {
-    pub(crate) fn new(parent: Arc<dyn Op<T>>) -> Self {
-        let n = parent.num_partitions();
-        CachedOp {
-            parent,
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-}
-
-impl<T: Data> Op<T> for CachedOp<T> {
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-
-    fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {
-        let mut slot = self.slots[part].lock();
-        if let Some(cached) = slot.as_ref() {
-            // Cache hit: a refcount bump, not a copy.
-            return PartitionStream::shared(cached.clone());
-        }
-        let data = Arc::new(self.parent.compute(part, ctx).into_vec());
-        *slot = Some(data.clone());
-        PartitionStream::shared(data)
-    }
-
-    fn partitioner_descriptor(&self) -> Option<(String, usize)> {
-        self.parent.partitioner_descriptor()
-    }
-
-    fn name(&self) -> String {
-        format!("cache({})", self.parent.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,46 +175,5 @@ mod tests {
             Arc::ptr_eq(block_a, block_b),
             "two tasks must observe the same backing allocation"
         );
-    }
-
-    #[test]
-    fn cached_computes_parent_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = Arc::new(AtomicUsize::new(0));
-        let calls2 = calls.clone();
-        let src: Arc<dyn Op<i32>> = Arc::new(SourceOp::new(vec![1, 2, 3], 1));
-        let counted = Arc::new(MapPartitionsOp {
-            parent: src,
-            f: Arc::new(move |_, s: PartitionStream<i32>| {
-                calls2.fetch_add(1, Ordering::SeqCst);
-                s
-            }),
-            preserves_partitioning: false,
-            label: "count".into(),
-        });
-        let cached = CachedOp::new(counted as Arc<dyn Op<i32>>);
-        let ctx = Context::new();
-        assert_eq!(cached.compute(0, &ctx).into_vec(), vec![1, 2, 3]);
-        assert_eq!(cached.compute(0, &ctx).into_vec(), vec![1, 2, 3]);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn cache_hits_share_one_allocation() {
-        let src: Arc<dyn Op<i64>> = Arc::new(SourceOp::new((0..50).collect(), 1));
-        // A non-shared parent stream, so the cache materializes its own block.
-        let mapped = Arc::new(MapPartitionsOp {
-            parent: src,
-            f: Arc::new(|_, s: PartitionStream<i64>| s.map(|x| x + 1)),
-            preserves_partitioning: false,
-            label: "map".into(),
-        });
-        let cached = CachedOp::new(mapped as Arc<dyn Op<i64>>);
-        let ctx = Context::new();
-        let a = cached.compute(0, &ctx);
-        let b = cached.compute(0, &ctx);
-        let (block_a, _) = a.as_shared().expect("hit must be shared");
-        let (block_b, _) = b.as_shared().expect("hit must be shared");
-        assert!(Arc::ptr_eq(block_a, block_b));
     }
 }

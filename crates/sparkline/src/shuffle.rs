@@ -8,7 +8,7 @@
 //!    [`KeyPartitioner`], optionally combining values per key on the map side
 //!    (Spark's combiner; this is what makes `reduceByKey` cheaper than
 //!    `groupByKey`, the distinction §4 of the paper builds on). Bucket sizes
-//!    are accounted in [`crate::Metrics`].
+//!    go on the trace as `ShuffleWrite` events.
 //! 2. **Reduce stage** — one task per reduce partition merges the buckets
 //!    destined to it, combining per key (or simply concatenating for
 //!    `partition_by`).
@@ -38,7 +38,6 @@
 use crate::chaos::{splitmix64, WireFault};
 use crate::context::{current_executor, Context, StageMeta};
 use crate::events::Event;
-use crate::metrics::ShuffleDetail;
 use crate::ops::Op;
 use crate::partitioner::KeyPartitioner;
 use crate::storage::SpillCodec;
@@ -246,7 +245,6 @@ impl MapOutputTracker {
 struct MapOutput {
     /// Wire bytes of the buckets it parked in the store.
     bytes: u64,
-    records_in: u64,
     /// Records after map-side combining.
     records_written: u64,
     owner: OutputOwner,
@@ -723,15 +721,12 @@ where
                         let p = missing[idx];
                         let producer = current_executor().map(|e| (e, ctx.executor_epoch(e)));
                         // Drain the parent's stream straight into the write
-                        // buckets: no intermediate partition Vec, and records
-                        // are counted as they flow past.
+                        // buckets: no intermediate partition Vec.
                         let input = self.parent.compute(p, ctx);
-                        let mut records_in = 0u64;
                         let buckets: Vec<Vec<(K, C)>> = if self.agg.map_side_combine {
                             let mut merges: Vec<OrderedMerge<K, C>> =
                                 (0..n_red).map(|_| OrderedMerge::new()).collect();
                             for (k, v) in input {
-                                records_in += 1;
                                 let b = self.partitioner.partition(&k);
                                 merges[b].fold_value(k, v, &self.agg);
                             }
@@ -740,7 +735,6 @@ where
                             let mut buckets: Vec<Vec<(K, C)>> =
                                 (0..n_red).map(|_| Vec::new()).collect();
                             for (k, v) in input {
-                                records_in += 1;
                                 let b = self.partitioner.partition(&k);
                                 buckets[b].push((k, (self.agg.create)(v)));
                             }
@@ -750,28 +744,11 @@ where
                         let (bytes, owner) = store.store(p, producer, buckets);
                         MapOutput {
                             bytes,
-                            records_in,
                             records_written,
                             owner,
                         }
                     },
                 );
-
-                // Shuffle volumes describe the computation that ran, whether
-                // or not every output survived — but only the *first* map
-                // stage records them, so recovery never inflates the
-                // operator-level metrics.
-                if first_map_stage {
-                    ctx.metrics().record_shuffle(ShuffleDetail {
-                        shuffle_id: self.shuffle_id,
-                        operator: self.operator.clone(),
-                        bytes_written: map_outputs.iter().map(|o| o.bytes).sum(),
-                        records_written: map_outputs.iter().map(|o| o.records_written).sum(),
-                        records_in: map_outputs.iter().map(|o| o.records_in).sum(),
-                        map_partitions: n_map,
-                        reduce_partitions: n_red,
-                    });
-                }
                 first_map_stage = false;
 
                 for (idx, output) in map_outputs.into_iter().enumerate() {

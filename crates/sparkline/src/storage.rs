@@ -11,6 +11,8 @@
 //! instead of being dropped. Reads of spilled blocks decode from disk; reads
 //! of dropped blocks miss, and the persist operator transparently recomputes
 //! them from lineage — Spark's `MEMORY_ONLY` / `MEMORY_AND_DISK` semantics.
+//! This is the runtime's only cache, and a block lives no longer than the
+//! last dataset that can read it.
 //!
 //! Every cache interaction emits a structured event on the listener bus
 //! (hit/miss/evict/spill/recompute, see [`crate::events::Event`]) so the
@@ -26,8 +28,8 @@ use crate::Data;
 use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Where persisted partitions may live.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -750,16 +752,39 @@ impl Drop for BlockManager {
 // Persist operator
 // ---------------------------------------------------------------------------
 
+/// A persisted dataset's hold on its blocks. Every [`crate::Dataset`] that
+/// reads the persisted node directly — the persisted dataset, its clones, the
+/// datasets built on it up to another persist — holds the lease; when the
+/// last one drops, the blocks go. A dataset persisted downstream holds its
+/// input's leases until it has computed every partition once, then its reads
+/// stop at its own blocks: an iterative `x = f(x).persist()` keeps one
+/// generation resident, not all of them.
+pub(crate) struct BlockLease {
+    ctx: Context,
+    id: u64,
+}
+
+impl Drop for BlockLease {
+    fn drop(&mut self) {
+        self.ctx.storage().remove_dataset(self.id);
+    }
+}
+
 /// Dataset node backed by the context's [`BlockManager`]: partitions are
 /// served from storage when resident and recomputed from the parent lineage
-/// when missed or evicted (Spark's `persist`).
+/// when missed or evicted (Spark's `persist`). Once its lease is gone the
+/// node stays in lineage as a pass-through that stores nothing.
 pub(crate) struct PersistOp<T: Data> {
     parent: Arc<dyn Op<T>>,
     id: u64,
     level: StorageLevel,
+    lease: Weak<BlockLease>,
+    /// The leases of the datasets `parent` reads, released once every
+    /// partition has been computed, and the count of those still to come.
+    upstream: Mutex<Vec<Arc<BlockLease>>>,
+    uncomputed: AtomicUsize,
     /// Per-partition guard held across lookup + compute + store, so two
-    /// tasks needing the same missing partition compute it once (the same
-    /// discipline [`crate::ops::CachedOp`] uses).
+    /// tasks needing the same missing partition compute it once.
     guards: Vec<Mutex<()>>,
     /// Whether the partition has ever been stored — distinguishes first
     /// computation ([`Event::CacheMiss`]) from eviction-forced recomputation
@@ -768,15 +793,31 @@ pub(crate) struct PersistOp<T: Data> {
 }
 
 impl<T: Data> PersistOp<T> {
-    pub(crate) fn new(ctx: &Context, parent: Arc<dyn Op<T>>, level: StorageLevel) -> Self {
+    /// The node over `parent`, whose readers hold `upstream`, and the lease
+    /// its own readers hold.
+    pub(crate) fn new(
+        ctx: &Context,
+        parent: Arc<dyn Op<T>>,
+        upstream: Vec<Arc<BlockLease>>,
+        level: StorageLevel,
+    ) -> (Self, Arc<BlockLease>) {
         let n = parent.num_partitions();
-        PersistOp {
+        let id = ctx.next_dataset_id();
+        let lease = Arc::new(BlockLease {
+            ctx: ctx.clone(),
+            id,
+        });
+        let op = PersistOp {
             parent,
-            id: ctx.next_dataset_id(),
+            id,
             level,
+            lease: Arc::downgrade(&lease),
+            upstream: Mutex::new(upstream),
+            uncomputed: AtomicUsize::new(n),
             guards: (0..n).map(|_| Mutex::new(())).collect(),
             computed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
+        };
+        (op, lease)
     }
 }
 
@@ -794,6 +835,11 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {
+        // Held until the block is stored, so a lease dropping meanwhile
+        // removes the block after the store, not before it.
+        let Some(_lease) = self.lease.upgrade() else {
+            return self.parent.compute(part, ctx);
+        };
         let _guard = self.guards[part].lock();
         let storage = ctx.storage();
         if let Some(read) = storage.get::<T>(self.id, part) {
@@ -852,6 +898,9 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
             });
         }
         self.computed[part].store(true, Ordering::Relaxed);
+        if !recompute && self.uncomputed.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.upstream.lock().clear();
+        }
         PartitionStream::shared(data)
     }
 
@@ -1242,7 +1291,7 @@ mod tests {
             .chaos_off()
             .build();
         let src: Arc<dyn Op<i64>> = Arc::new(crate::ops::SourceOp::new((0..100).collect(), 2));
-        let persist = PersistOp::new(&ctx, src, StorageLevel::Memory);
+        let (persist, _lease) = PersistOp::new(&ctx, src, Vec::new(), StorageLevel::Memory);
         // First compute stores the block; the returned stream shares it.
         let first = persist.compute(0, &ctx);
         let (block_first, _) = first.as_shared().expect("persist store must be shared");

@@ -220,12 +220,11 @@ mod tests {
         let c = ctx();
         let m = LocalMatrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64);
         let coo = CooMatrix::from_local(&c, &m, 4);
-        let before = c.metrics().snapshot();
+        c.trace();
         let t = build_tiled(8, 8, 4, &coo, 4);
         t.num_tiles();
-        let after = c.metrics().snapshot();
         assert!(
-            after.since(&before).shuffle_count >= 1,
+            c.take_profile().shuffle_stage_count() >= 1,
             "general tile builder requires a groupByKey shuffle (§5)"
         );
         assert_eq!(t.to_local(), m);

@@ -185,10 +185,8 @@ impl TiledMatrix {
         TiledMatrix::new(self.cols, self.rows, self.tile_size, tiles)
     }
 
-    /// Cache the tiles for iterative algorithms. Delegates to the
-    /// budget-aware block manager ([`TiledMatrix::persist`]); use
-    /// [`sparkline::Dataset::cache`] on the tile dataset directly for the
-    /// pinned, never-evicted variant.
+    /// Cache the tiles for iterative algorithms: [`TiledMatrix::persist`],
+    /// as Spark's `cache()` is `persist(MEMORY_ONLY)`.
     pub fn cache(&self) -> TiledMatrix {
         self.persist()
     }

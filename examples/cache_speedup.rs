@@ -8,11 +8,11 @@
 //! group-by-join plan — and then iterates over the product the way an
 //! iterative solver does, materializing it on the driver each round for a
 //! convergence check. The group-by-join plan performs its tile GEMMs in the
-//! narrow stage after the cogroup, so without persistence every iteration
-//! re-runs every GEMM; with `persist()` the blocks are computed once, stored
-//! in the block manager, and every later iteration is a cache read. Prints
-//! both wall times and asserts the >= 1.5x speedup the caching subsystem is
-//! supposed to deliver.
+//! narrow stage after the cogroup and persists its result, so with a
+//! storage budget the blocks are computed once, stored in the block manager,
+//! and every later iteration is a cache read; with a zero budget nothing is
+//! kept and every iteration re-runs every GEMM. Prints both wall times and
+//! asserts the >= 1.5x speedup the caching subsystem is supposed to deliver.
 
 use sac::{MatMulStrategy, Session};
 use std::time::Instant;
@@ -22,11 +22,14 @@ const ITERATIONS: usize = 4;
 const SRC: &str = "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, \
                    let v = a*b, group by (i,j) ]";
 
-fn run(persist: bool) -> (f64, f64) {
+/// Wall time and result norm of the iterations under a storage budget of
+/// `budget` bytes.
+fn run(budget: usize) -> (f64, f64) {
     let mut s = Session::builder()
         .workers(4)
         .partitions(4)
         .matmul(MatMulStrategy::GroupByJoin)
+        .storage_memory(budget)
         .build();
     let n = 360usize;
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
@@ -36,10 +39,7 @@ fn run(persist: bool) -> (f64, f64) {
     s.register_local_matrix("B", &b, 60);
     s.set_int("n", n as i64);
 
-    let mut p = s.matrix(SRC).unwrap();
-    if persist {
-        p = p.persist();
-    }
+    let p = s.matrix(SRC).unwrap();
 
     let start = Instant::now();
     let mut norm = 0.0;
@@ -55,28 +55,29 @@ fn main() {
 
     // Warm up thread pools and the allocator, then take the best of two runs
     // per variant so scheduler noise can't flip the verdict.
-    run(false);
-    run(true);
+    const KEPT: usize = 64 << 20;
+    run(0);
+    run(KEPT);
 
-    let (cold_a, norm_uncached) = run(false);
-    let (cold_b, _) = run(false);
+    let (cold_a, norm_uncached) = run(0);
+    let (cold_b, _) = run(0);
     let cold = cold_a.min(cold_b);
-    println!("persist off: {cold:.3}s");
+    println!("zero storage budget: {cold:.3}s");
 
-    let (warm_a, norm_cached) = run(true);
-    let (warm_b, _) = run(true);
+    let (warm_a, norm_cached) = run(KEPT);
+    let (warm_b, _) = run(KEPT);
     let warm = warm_a.min(warm_b);
-    println!("persist on:  {warm:.3}s");
+    println!("64 MiB budget:       {warm:.3}s");
 
     assert_eq!(
         norm_cached, norm_uncached,
-        "persisted and unpersisted runs must agree bit-for-bit"
+        "cached and recomputed runs must agree bit-for-bit"
     );
     let speedup = cold / warm;
     println!("\nspeedup: {speedup:.2}x");
     assert!(
         speedup >= 1.5,
-        "persisting the product must be at least 1.5x faster \
-         (got {speedup:.2}x: {cold:.3}s unpersisted vs {warm:.3}s persisted)"
+        "keeping the product must be at least 1.5x faster \
+         (got {speedup:.2}x: {cold:.3}s recomputed vs {warm:.3}s cached)"
     );
 }

@@ -34,8 +34,11 @@ fn session(n: usize, a: &LocalMatrix, b: &LocalMatrix, plan: Option<ChaosPlan>) 
         None => builder.chaos_off(),
     };
     let mut s = builder.build();
+    // Traced, so the oracle can count registration's tasks and shuffles.
+    s.spark().trace();
     s.register_local_matrix("A", a, 16);
     s.register_local_matrix("B", b, 16);
+    s.spark().stop_trace();
     s.set_int("n", n as i64);
     s
 }
@@ -51,8 +54,9 @@ fn main() {
     // `launches + k` is the query's k-th task, and barrier `shuffles` is the
     // query's first map→reduce barrier.
     let oracle = session(n, &a, &b, None);
-    let snapshot = oracle.spark().metrics().snapshot();
-    let (launches, shuffles) = (snapshot.tasks_launched, snapshot.shuffle_count);
+    let registration = oracle.spark().take_profile();
+    let launches: u64 = registration.stages.iter().map(|s| s.tasks as u64).sum();
+    let shuffles = registration.shuffle_stage_count() as u64;
     let want = oracle.matrix(SRC).unwrap().to_local();
 
     // Chaos run: kill one executor a few tasks into the query, then — at the

@@ -25,10 +25,13 @@ fn main() {
     let lambda = 0.02;
     let iterations = 10;
 
+    // A pinned budget that holds every block, so the residency check after
+    // the loop counts exactly.
     let mut session = Session::builder()
         .workers(4)
         .partitions(8)
         .matmul(MatMulStrategy::GroupByJoin)
+        .storage_memory(64 << 20)
         .build();
 
     let mut rng = StdRng::seed_from_u64(7);
@@ -61,6 +64,17 @@ fn main() {
     assert!(
         last < initial,
         "error must decrease over {iterations} iterations"
+    );
+    // Each iteration's cached factors replaced the last ones, and the
+    // products inside a step died with the step: only R, P and Q stay.
+    let resident: usize = [&dr, &dp, &dq]
+        .iter()
+        .map(|m| m.tiles().num_partitions())
+        .sum();
+    assert_eq!(
+        session.storage_status().blocks_in_memory,
+        resident,
+        "only dr's, dp's and dq's blocks may outlive the loop"
     );
 
     // Every multiplication inside the loop ran through the comprehension

@@ -42,15 +42,17 @@ fn main() {
     let expected = a.multiply(&b);
     for strategy in [MatMulStrategy::ReduceByKey, MatMulStrategy::GroupByJoin] {
         session.config_mut().matmul = strategy;
-        let before = session.spark().metrics().snapshot();
+        // The shuffle counts come from the run's trace.
+        session.spark().trace();
         let product = session.matrix(mul_src).unwrap();
         assert!(product.to_local().max_abs_diff(&expected) < 1e-6);
-        let delta = session.spark().metrics().snapshot().since(&before);
+        let profile = session.spark().take_profile();
+        session.spark().stop_trace();
         println!(
             "plan:          {:<32} shuffles={} shuffled={} MiB",
             session.explain(mul_src).unwrap(),
-            delta.shuffle_count,
-            delta.shuffle_bytes / (1 << 20),
+            profile.shuffle_stage_count(),
+            profile.total_shuffle_bytes_written() / (1 << 20),
         );
     }
     println!("result:        OK (both strategies match local oracle)\n");
@@ -70,9 +72,4 @@ fn main() {
     let c = sac::linalg::multiply(&session, &da, &db).unwrap();
     assert!(c.to_local().max_abs_diff(&expected) < 1e-6);
     println!("typed linalg::multiply: OK");
-    println!(
-        "total shuffled this run: {} MiB across {} shuffles",
-        session.spark().metrics().snapshot().shuffle_bytes / (1 << 20),
-        session.spark().metrics().snapshot().shuffle_count,
-    );
 }

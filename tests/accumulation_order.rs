@@ -262,6 +262,20 @@ proptest! {
                     "{:?}: source layout {}/{} moved bits", matmul, parts_a, parts_b
                 );
             }
+            // A zero storage budget keeps no block of the result: every read
+            // multiplies again, to the same bits.
+            let mut s = session(matmul, partitions).storage_memory(0).chaos_off().build();
+            ingest(&mut s);
+            s.set_int("n", rows as i64);
+            s.set_int("m", cols as i64);
+            if s.explain(MUL_SRC).unwrap().contains("groupByJoin") {
+                let product = s.matrix(MUL_SRC).unwrap();
+                prop_assert_eq!(bits(&product.to_local()), want, "{:?}: unkept product", matmul);
+                s.spark().trace();
+                prop_assert_eq!(bits(&product.to_local()), want, "{:?}: re-multiplied", matmul);
+                let recomputes = s.spark().take_profile().cache_totals().recomputes;
+                prop_assert!(recomputes > 0, "{:?}: the product was kept", matmul);
+            }
         }
     }
 }

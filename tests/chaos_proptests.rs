@@ -53,7 +53,10 @@ fn chaos_session(n: usize, tile: usize, a: &LocalMatrix, plan: Option<ChaosPlan>
         None => b.chaos_off(),
     };
     let mut s = b.build();
+    // Traced, so a test can count registration's task launches.
+    s.spark().trace();
     s.register_local_matrix("A", a, tile);
+    s.spark().stop_trace();
     s.set_int("n", n as i64);
     s
 }
@@ -229,7 +232,8 @@ fn chaos_recovery_is_visible_in_explain_analyze() {
     let oracle = chaos_session(n, 4, &a, None);
     // Registration's task-launch count is deterministic for a fixed workload;
     // schedule the kill a few launches into the query itself.
-    let after_registration = oracle.spark().metrics().snapshot().tasks_launched;
+    let registration = oracle.spark().take_profile();
+    let after_registration: u64 = registration.stages.iter().map(|s| s.tasks as u64).sum();
     let want = oracle.matrix(src).unwrap().to_local();
 
     let plan = ChaosPlan::new()

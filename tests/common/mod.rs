@@ -30,18 +30,33 @@ pub fn bits(data: &[f64]) -> Vec<u64> {
     data.iter().map(|x| x.to_bits()).collect()
 }
 
-/// `src` through the reference interpreter, with each matrix bound as its
-/// full association list (every element, zeros included) and each integer
-/// as itself.
-pub fn interpret(src: &str, matrices: &[(&str, &LocalMatrix)], ints: &[(&str, i64)]) -> Value {
+/// A matrix as the interpreter binds it: its full association list (every
+/// element, zeros included).
+pub fn matrix(m: &LocalMatrix) -> Value {
+    let cells = (0..m.rows).flat_map(|i| (0..m.cols).map(move |j| (i, j)));
+    let list = cells.map(|(i, j)| {
+        let key = Value::pair(Value::Int(i as i64), Value::Int(j as i64));
+        Value::pair(key, Value::Float(m.get(i, j)))
+    });
+    Value::List(list.collect())
+}
+
+/// A vector as the interpreter binds it: `(i, v)` for every entry.
+pub fn vector(v: &[f64]) -> Value {
+    let entries = v.iter().enumerate();
+    Value::List(
+        entries
+            .map(|(i, x)| Value::pair(Value::Int(i as i64), Value::Float(*x)))
+            .collect(),
+    )
+}
+
+/// `src` through the reference interpreter, with each array bound to its
+/// [`matrix`] or [`vector`] value and each integer as itself.
+pub fn interpret(src: &str, arrays: &[(&str, Value)], ints: &[(&str, i64)]) -> Value {
     let mut env = Env::new();
-    for (name, m) in matrices {
-        let cells = (0..m.rows).flat_map(|i| (0..m.cols).map(move |j| (i, j)));
-        let list = cells.map(|(i, j)| {
-            let key = Value::pair(Value::Int(i as i64), Value::Int(j as i64));
-            Value::pair(key, Value::Float(m.get(i, j)))
-        });
-        env.bind(*name, Value::List(list.collect()));
+    for (name, array) in arrays {
+        env.bind(*name, array.clone());
     }
     for (name, v) in ints {
         env.bind(*name, Value::Int(*v));

@@ -83,13 +83,14 @@ fn sac_survives_injected_task_failures() {
     let b = rand_mat(12, 12, 6);
     let ta = TiledMatrix::from_local(s.spark(), &a, 4, 4);
     let tb = TiledMatrix::from_local(s.spark(), &b, 4, 4);
+    s.spark().trace();
     let _guard = s.spark().inject_task_failures_scoped(4);
     let got = sac_repro::sac::linalg::multiply(&s, &ta, &tb)
         .unwrap()
         .to_local();
     assert!(got.max_abs_diff(&a.multiply(&b)) < 1e-9);
     assert!(
-        s.spark().metrics().snapshot().tasks_failed >= 4,
+        s.spark().take_profile().total_failed_attempts() >= 4,
         "failures must actually have been injected"
     );
 }
@@ -149,33 +150,33 @@ fn factorization_parity_between_sac_and_mllib() {
 fn coo_shuffles_more_bytes_than_tiled_for_multiplication() {
     // §1/§4's storage argument: coordinate format ships (indices + value)
     // per element and per elementary product; tiles ship dense blocks.
-    let ctx = Context::builder().workers(4).build();
+    // chaos_off: a resubmitted map stage writes its bytes twice.
+    let ctx = Context::builder().workers(4).chaos_off().build();
     let n = 64;
     let a = rand_mat(n, n, 10);
     let b = rand_mat(n, n, 11);
 
-    let before = ctx.metrics().snapshot();
+    ctx.trace();
     let ca = CooMatrix::from_local(&ctx, &a, 4);
     let cb = CooMatrix::from_local(&ctx, &b, 4);
     ca.multiply(&cb, 4).entries().count();
-    let coo = ctx.metrics().snapshot().since(&before);
+    let coo = ctx.take_profile().total_shuffle_bytes_written();
 
-    let s = Session::builder().workers(4).partitions(4).build();
+    let s = Session::builder()
+        .workers(4)
+        .partitions(4)
+        .chaos_off()
+        .build();
     let ta = TiledMatrix::from_local(s.spark(), &a, 16, 4);
     let tb = TiledMatrix::from_local(s.spark(), &b, 16, 4);
-    let before = s.spark().metrics().snapshot();
+    s.spark().trace();
     sac_repro::sac::linalg::multiply(&s, &ta, &tb)
         .unwrap()
         .tiles()
         .count();
-    let tiled = s.spark().metrics().snapshot().since(&before);
+    let tiled = s.spark().take_profile().total_shuffle_bytes_written();
 
-    assert!(
-        coo.shuffle_bytes > 2 * tiled.shuffle_bytes,
-        "coo {} bytes vs tiled {} bytes",
-        coo.shuffle_bytes,
-        tiled.shuffle_bytes
-    );
+    assert!(coo > 2 * tiled, "coo {coo} bytes vs tiled {tiled} bytes");
 }
 
 #[test]
@@ -200,7 +201,7 @@ fn mllib_grid_partitioned_matrices_add_without_extra_shuffles() {
     let tb = TiledMatrix::from_local(&ctx, &b, 4, 4).partition_by_grid(4);
     ta.tiles().count();
     tb.tiles().count();
-    let before = ctx.metrics().snapshot();
+    ctx.trace();
     let sum = ta
         .tiles()
         .join_with(tb.tiles(), ta.grid_partitioner(4))
@@ -210,6 +211,9 @@ fn mllib_grid_partitioned_matrices_add_without_extra_shuffles() {
         });
     let result = TiledMatrix::new(16, 16, 4, sum);
     assert!(result.to_local().max_abs_diff(&a.add(&b)) < 1e-12);
-    let delta = ctx.metrics().snapshot().since(&before);
-    assert_eq!(delta.shuffle_count, 0, "co-partitioned join must be narrow");
+    assert_eq!(
+        ctx.take_profile().shuffle_stage_count(),
+        0,
+        "co-partitioned join must be narrow"
+    );
 }

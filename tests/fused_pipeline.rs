@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_repro::comp::parse_expr;
-use sac_repro::planner::ScalarFn;
+use sac_repro::planner::{PlanEnv, ScalarFn};
 use sac_repro::sac::Session;
 use sac_repro::sparkline::ChaosPlan;
 use sac_repro::tiled::{LocalMatrix, TiledVector};
@@ -90,8 +90,9 @@ impl Query {
     /// The per-element oracle: bit patterns of the logical `n x n` result.
     fn reference(&self, a: &LocalMatrix, b: &LocalMatrix, n: usize) -> Vec<u64> {
         let slots: Vec<String> = ["a", "b", "i", "j"].map(String::from).to_vec();
+        let env = PlanEnv::new();
         let compile =
-            |src: &str| ScalarFn::compile(&parse_expr(src).unwrap(), &slots, &|_| None).unwrap();
+            |src: &str| ScalarFn::compile(&parse_expr(src).unwrap(), &slots, 2, &env).unwrap();
         let value = compile(&self.expr);
         let guard = self.guard.as_deref().map(compile);
         (0..n * n)
@@ -277,10 +278,10 @@ fn vector_region_fuses_and_matches_per_element_oracle() {
     assert_eq!(s.explain(src).unwrap(), "vectorEltwise -> vector 11");
 
     let slots: Vec<String> = ["x", "y", "i"].map(String::from).to_vec();
-    let value = ScalarFn::compile(&parse_expr("alpha*x + y + i").unwrap(), &slots, &|v| {
-        (v == "alpha").then_some(alpha)
-    })
-    .unwrap();
+    let mut env = PlanEnv::new();
+    env.set_float("alpha", alpha);
+    let value =
+        ScalarFn::compile(&parse_expr("alpha*x + y + i").unwrap(), &slots, 2, &env).unwrap();
     let want: Vec<u64> = (0..len)
         .map(|i| value.eval(&[x[i], y[i], i as f64]).to_bits())
         .collect();

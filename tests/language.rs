@@ -277,3 +277,56 @@ fn string_keys_group() {
         ])
     );
 }
+
+/// The parser's nesting cap against the passes after it: for each way to
+/// nest, the deepest query `parse_expr` accepts is typechecked and compiled
+/// (normalized and planned) on a thread with a 2 MiB stack — what a spawned
+/// thread such as a query-service connection gets — in whatever build
+/// profile runs the suite. One level deeper is a parse error.
+#[test]
+fn the_deepest_accepted_query_typechecks_and_plans_on_a_2_mib_stack() {
+    /// A head value nested `d` levels deep.
+    type Nest = fn(usize) -> String;
+    let nestings: [(&str, Nest); 8] = [
+        ("parentheses", |d| {
+            format!("{}a{}", "(".repeat(d), ")".repeat(d))
+        }),
+        ("unary minus", |d| format!("{}a", "- ".repeat(d))),
+        ("reductions", |d| {
+            format!("{}[ a | b <- A ]", "+/".repeat(d))
+        }),
+        ("if", |d| {
+            format!("{}a{}", "if (a > 0.0) ".repeat(d), " else a".repeat(d))
+        }),
+        ("operator chain", |d| vec!["a"; d].join(" * ")),
+        ("chains in parentheses", |d| {
+            (0..d).fold("a".to_string(), |e, _| format!("({e} + a * a)"))
+        }),
+        ("calls", |d| {
+            format!("{}a{}", "abs(".repeat(d), ")".repeat(d))
+        }),
+        ("comprehensions", |d| {
+            (0..d).fold("a".to_string(), |e, _| format!("+/[ {e} | b <- A ]"))
+        }),
+    ];
+    let query = |value: &str| format!("tiled(n,n)[ ((i,j), {value}) | ((i,j),a) <- A ]");
+    for (nesting, nest) in nestings {
+        let accepted = |d: usize| parse_expr(&query(&nest(d))).is_ok();
+        let deepest = (1..).take_while(|&d| accepted(d)).last().unwrap();
+        assert!(deepest >= 16, "{nesting}: only {deepest} levels parse");
+        let src = query(&nest(deepest));
+        let compiled = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut s = sac_repro::sac::Session::builder().workers(1).build();
+                let m = sac_repro::tiled::LocalMatrix::from_fn(4, 4, |i, j| (i + j) as f64);
+                s.register_local_matrix("A", &m, 2);
+                s.set_int("n", 4);
+                let _ = s.typecheck(&src);
+                s.compile(&src).map(|planned| planned.explain())
+            })
+            .unwrap()
+            .join();
+        assert!(compiled.is_ok(), "{nesting}: {deepest} levels overflowed");
+    }
+}

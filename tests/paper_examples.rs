@@ -154,13 +154,66 @@ fn special_floats_survive_remap_and_group_by_bit_for_bit() {
          ii >= 0, ii < n, jj >= 0, jj < m, group by (ii,jj) ]",
     ] {
         let got = s.matrix(src).unwrap().to_local();
-        let want = common::interpret(src, &[("M", &m)], &dims);
+        let want = common::interpret(src, &[("M", common::matrix(&m))], &dims);
         let want = common::interpreted_matrix(want, 4, 4);
         assert!(want
             .data()
             .iter()
             .any(|x| x.to_bits() == (-0.0f64).to_bits()));
         assert_eq!(common::bits(got.data()), common::bits(want.data()), "{src}");
+    }
+}
+
+/// `/` of two integers is the interpreter's Euclidean division wherever the
+/// head value is compiled: a constant pair folds, an index over an integer
+/// plans by a rule that keeps the interpreter's semantics, and a float
+/// operand stays float division on the fused path. Entries are quarter
+/// steps, so every sum is exact whatever the plan's order and the bits must
+/// agree.
+#[test]
+fn integer_division_matches_the_interpreter() {
+    let m = LocalMatrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64 * 0.25 - 1.5);
+    let x: Vec<f64> = (0..4).map(|i| i as f64 * 0.75 - 1.0).collect();
+    let mut s = session();
+    s.register_local_matrix("A", &m, 2);
+    s.register_vector(
+        "X",
+        sac_repro::tiled::TiledVector::from_local(s.spark(), &x, 2, 2),
+    );
+    s.set_int("n", 4);
+    let arrays = [("A", common::matrix(&m)), ("X", common::vector(&x))];
+    let matrix_rows = [
+        ("tiled(n,n)[ ((i,j), a + i/2) | ((i,j),a) <- A ]", None),
+        ("tiled(n,n)[ ((i,j), a * (j/3)) | ((i,j),a) <- A ]", None),
+        (
+            "tiled(n,n)[ ((i,j), a * (3/2)) | ((i,j),a) <- A ]",
+            Some("eltwise"),
+        ),
+        (
+            "tiled(n,n)[ ((i,j), a / 2) | ((i,j),a) <- A ]",
+            Some("eltwise"),
+        ),
+        (
+            "tiled(n,n)[ (((i+1)%n, j), v + i/2) | ((i,j),v) <- A ]",
+            None,
+        ),
+    ];
+    for (src, plan) in matrix_rows {
+        if let Some(plan) = plan {
+            assert!(s.explain(src).unwrap().contains(plan), "{src}");
+        }
+        let got = s.matrix(src).unwrap().to_local();
+        let want = common::interpret(src, &arrays, &[("n", 4)]);
+        let want = common::interpreted_matrix(want, 4, 4);
+        assert_eq!(common::bits(got.data()), common::bits(want.data()), "{src}");
+    }
+    for src in [
+        "tiled_vector(n)[ (i, x + i/2) | (i,x) <- X ]",
+        "tiled_vector(n)[ (i, +/w) | ((i,j),m) <- A, let w = m*(j/2), group by i ]",
+    ] {
+        let got = s.vector(src).unwrap().to_local();
+        let want = common::interpreted_vector(common::interpret(src, &arrays, &[("n", 4)]));
+        assert_eq!(common::bits(&got), common::bits(&want), "{src}");
     }
 }
 

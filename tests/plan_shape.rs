@@ -378,14 +378,27 @@ fn shared_input_cache_stats_aggregate_per_stage_and_dataset() {
     // First run: the shared input is stored block by block (misses), then the
     // second generator's reads are served from memory (hits).
     let first = s.explain_analyze(SELF_MUL_SRC).unwrap();
-    let totals = first.profile.cache_totals();
-    assert!(totals.misses > 0, "first run must store the shared input");
-    assert!(totals.hits > 0, "second reference must hit the cache");
-    assert_eq!(totals.evictions, 0, "unlimited budget must not evict");
+    let overlay = s.env().persisted_array("A").unwrap();
+    let shared = overlay
+        .as_matrix()
+        .unwrap()
+        .tiles()
+        .op()
+        .cache_id()
+        .unwrap();
+    let input = first.profile.cache_of_dataset(shared);
+    assert!(input.misses > 0, "first run must store the shared input");
+    assert!(input.hits > 0, "second reference must hit the cache");
+    assert_eq!(
+        first.profile.cache_totals().evictions,
+        0,
+        "unlimited budget must not evict"
+    );
+    // The other persisted dataset is the group-by-join's own result.
     assert_eq!(
         first.profile.cache_by_dataset.len(),
-        1,
-        "exactly one persisted dataset:\n{}",
+        2,
+        "the shared input is persisted once:\n{}",
         first.profile.render()
     );
     // The reads happen inside executor tasks, so at least one stage profile
@@ -397,12 +410,12 @@ fn shared_input_cache_stats_aggregate_per_stage_and_dataset() {
     );
 
     // Second run of the same query: the overlay is retained by the session
-    // env, so every read is a hit and nothing is recomputed.
+    // env, so every read of it is a hit and nothing is recomputed.
     let second = s.explain_analyze(SELF_MUL_SRC).unwrap();
-    let totals = second.profile.cache_totals();
-    assert_eq!(totals.misses, 0, "overlay must be reused across runs");
-    assert!(totals.hits > 0);
-    assert_eq!(totals.recomputes, 0);
+    let input = second.profile.cache_of_dataset(shared);
+    assert_eq!(input.misses, 0, "overlay must be reused across runs");
+    assert!(input.hits > 0);
+    assert_eq!(second.profile.cache_totals().recomputes, 0);
 }
 
 #[test]

@@ -206,7 +206,7 @@ proptest! {
         dims.iter().for_each(|&(name, v)| s.set_int(name, v));
         prop_assert!(s.explain(src).unwrap().contains("indexRemap"), "{}", src);
         let got = s.matrix(src).unwrap().to_local();
-        let want = common::interpreted_matrix(common::interpret(src, &[("A", &a)], &dims), rows, cols);
+        let want = common::interpreted_matrix(common::interpret(src, &[("A", common::matrix(&a))], &dims), rows, cols);
         prop_assert_eq!(common::bits(got.data()), common::bits(want.data()), "{}", src);
     }
 
@@ -238,7 +238,7 @@ proptest! {
         prop_assert!(s.explain(src).unwrap().contains("axisReduce"));
         let got = s.vector(src).unwrap().to_local();
 
-        let values = common::interpret(values, &[("A", &a)], &dims);
+        let values = common::interpret(values, &[("A", common::matrix(&a))], &dims);
         let values = common::interpreted_matrix(values, rows, cols);
         let lines = if by_row { values } else { values.transpose() };
         let want: Vec<f64> = (0..lines.rows)
@@ -250,7 +250,7 @@ proptest! {
             .collect();
         prop_assert_eq!(common::bits(&got), common::bits(&want), "{}", src);
         if tile >= lines.cols {
-            let direct = common::interpreted_vector(common::interpret(src, &[("A", &a)], &dims));
+            let direct = common::interpreted_vector(common::interpret(src, &[("A", common::matrix(&a))], &dims));
             prop_assert_eq!(common::bits(&got), common::bits(&direct), "{}", src);
         }
     }

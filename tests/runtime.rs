@@ -1,5 +1,5 @@
 //! Runtime (sparkline) integration: multi-stage DAGs, caching in iterative
-//! jobs, shuffle metrics detail, and partitioner behaviour at scale.
+//! jobs, traced shuffle detail, and partitioner behaviour at scale.
 
 use sac_repro::sparkline::{Context, KeyPartitioner};
 
@@ -45,7 +45,7 @@ fn caching_prevents_shuffle_rerun_in_iterations() {
     let base = c
         .parallelize((0..100i64).map(|i| (i % 10, i)).collect(), 4)
         .reduce_by_key(4, |a, b| a + b)
-        .cache();
+        .persist();
     base.count(); // materialize
     c.trace();
     for _ in 0..5 {
@@ -67,7 +67,7 @@ fn caching_prevents_shuffle_rerun_in_iterations() {
 #[test]
 fn uncached_shuffle_is_still_reused_via_materialization() {
     // Spark keeps shuffle files; our ShuffleOp memoizes its output, so even
-    // without cache() the shuffle runs once per op instance.
+    // without persist() the shuffle runs once per op instance.
     let c = ctx();
     let d = c
         .parallelize((0..100i64).map(|i| (i % 10, i)).collect(), 4)
@@ -93,21 +93,32 @@ fn uncached_shuffle_is_still_reused_via_materialization() {
 
 #[test]
 fn shuffle_details_expose_operator_names_and_volumes() {
-    let c = ctx();
+    // chaos_off: a resubmitted map stage would write its records twice.
+    let c = Context::builder().workers(4).chaos_off().build();
     let d = c.parallelize((0..100i64).map(|i| (i % 5, i)).collect(), 4);
+    c.trace();
     d.reduce_by_key(2, |a, b| a + b).count();
     d.group_by_key(2).count();
-    let details = c.metrics().shuffle_details();
-    let rbk = details
-        .iter()
-        .find(|d| d.operator == "reduceByKey")
-        .unwrap();
-    let gbk = details.iter().find(|d| d.operator == "groupByKey").unwrap();
-    assert_eq!(rbk.records_in, 100);
-    assert!(rbk.records_written <= 20, "combiner must shrink the stream");
-    assert_eq!(gbk.records_written, 100, "groupByKey writes every record");
-    assert_eq!(rbk.map_partitions, 4);
-    assert_eq!(rbk.reduce_partitions, 2);
+    let profile = c.take_profile();
+    let map_stage = |op: &str| {
+        let mut stages = profile.stages.iter();
+        stages
+            .find(|s| s.is_shuffle_write() && s.operator.as_deref() == Some(op))
+            .unwrap()
+    };
+    let (rbk, gbk) = (map_stage("reduceByKey"), map_stage("groupByKey"));
+    assert_eq!(rbk.operator_stats("source").unwrap().rows, 100);
+    assert!(
+        rbk.shuffle_records_written <= 20,
+        "combiner must shrink the stream"
+    );
+    assert_eq!(
+        gbk.shuffle_records_written, 100,
+        "groupByKey writes every record"
+    );
+    assert_eq!(rbk.tasks, 4);
+    let reducers = profile.stages.iter().find(|s| s.shuffle_bytes_read > 0);
+    assert_eq!(reducers.unwrap().tasks, 2);
 }
 
 #[test]
@@ -196,7 +207,7 @@ fn failure_injection_mid_iteration_recovers() {
     let base = c
         .parallelize((0..200i64).map(|i| (i % 8, i)).collect(), 4)
         .reduce_by_key(4, |a, b| a + b)
-        .cache();
+        .persist();
     let expected = base.collect_map();
     for round in 0..3 {
         // Scoped injection: any failure not consumed by this round's job is
@@ -250,7 +261,7 @@ fn tiles_keep_their_payload_pointer_through_the_cluster_layer() {
     use std::collections::HashSet;
     // The cluster layer routes tiles, it never touches their payload: a tile
     // read out of a source partition — by value, through `Shared` streams —
-    // and carried through map, cache(), a broadcast table, join replication
+    // and carried through map, persist(), a broadcast table, join replication
     // and collect() is the same buffer at the end. Only a frame encoded at a
     // process boundary produces bytes (`tests/distributed.rs`).
     let c = Context::builder()
@@ -271,9 +282,9 @@ fn tiles_keep_their_payload_pointer_through_the_cluster_layer() {
     assert_eq!(source_ptrs.len(), 6);
     let source = c.parallelize(tiles, 3);
 
-    // map + cache: the cached block holds the source's buffers, and so does
+    // map + persist: the stored block holds the source's buffers, and so does
     // every later read of it.
-    let cached = source.map(|(k, t)| (k % 3, (k, t))).cache();
+    let cached = source.map(|(k, t)| (k % 3, (k, t))).persist();
     for pass in 0..2 {
         for (_, (_, t)) in cached.collect() {
             assert!(
