@@ -79,13 +79,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Logical executors (fault domains) of the runtime; defaults to one per
-    /// worker thread. See [`sparkline::ContextBuilder::executors`].
-    pub fn executors(mut self, n: usize) -> Self {
-        self.runtime = self.runtime.executors(n);
-        self
-    }
-
     /// Attempts per task before the job fails.
     pub fn max_task_attempts(mut self, n: u32) -> Self {
         self.runtime = self.runtime.max_task_attempts(n);
@@ -290,7 +283,7 @@ impl Session {
     }
 
     /// Block-manager occupancy and activity counters (budget, bytes in
-    /// memory, blocks in memory/on disk, evictions, spills).
+    /// memory, blocks in memory, evictions).
     pub fn storage_status(&self) -> sparkline::StorageStatus {
         self.ctx.storage_status()
     }

@@ -1,14 +1,24 @@
 //! Parser for the loop language, reusing the comprehension lexer and
 //! expression grammar.
+//!
+//! Loop nesting is capped (`MAX_DEPTH`): a program nested deeper is a parse
+//! error, not a stack overflow here or in the passes after parsing.
 
 use crate::ast::{AssignOp, Program, Stmt};
 use comp::errors::CompError;
 use comp::lexer::{tokenize, Spanned, Token};
 
+/// Deepest loop nest accepted, the comprehension parser's own cap.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a loop program.
 pub fn parse_program(src: &str) -> Result<Program, CompError> {
     let tokens = tokenize(src)?;
-    let mut p = LoopParser { tokens, pos: 0 };
+    let mut p = LoopParser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while p.pos < p.tokens.len() {
         stmts.push(p.stmt()?);
@@ -19,6 +29,8 @@ pub fn parse_program(src: &str) -> Result<Program, CompError> {
 struct LoopParser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Loop bodies open at the cursor.
+    depth: usize,
 }
 
 impl LoopParser {
@@ -98,15 +110,7 @@ impl LoopParser {
                 self.expect(&Token::Comma, "`,` between loop bounds")?;
                 let hi = self.expr_until(&[Token::Ident("do".into())])?;
                 self.expect(&Token::Ident("do".into()), "`do`")?;
-                let body = if self.eat(&Token::LBrace) {
-                    let mut body = Vec::new();
-                    while !self.eat(&Token::RBrace) {
-                        body.push(self.stmt()?);
-                    }
-                    body
-                } else {
-                    vec![self.stmt()?]
-                };
+                let body = self.body()?;
                 Ok(Stmt::For { var, lo, hi, body })
             }
             Some(Token::Ident(_)) => {
@@ -144,6 +148,29 @@ impl LoopParser {
                 self.offset(),
             )),
         }
+    }
+
+    /// A loop body — a `{ ... }` block or one statement — one nesting level
+    /// deeper, or an error past [`MAX_DEPTH`].
+    fn body(&mut self) -> Result<Vec<Stmt>, CompError> {
+        if self.depth == MAX_DEPTH {
+            return Err(CompError::parse(
+                format!("loops nested deeper than {MAX_DEPTH} levels"),
+                self.offset(),
+            ));
+        }
+        self.depth += 1;
+        let body = if self.eat(&Token::LBrace) {
+            let mut body = Vec::new();
+            while !self.eat(&Token::RBrace) {
+                body.push(self.stmt()?);
+            }
+            body
+        } else {
+            vec![self.stmt()?]
+        };
+        self.depth -= 1;
+        Ok(body)
     }
 }
 

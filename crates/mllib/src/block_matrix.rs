@@ -1,6 +1,6 @@
 //! The MLlib `BlockMatrix` baseline.
 
-use sparkline::{Context, KeyPartitioner, StorageLevel};
+use sparkline::{Context, KeyPartitioner};
 use tiled::{DenseMatrix, LocalMatrix, TileCoord, TileSet, TiledMatrix};
 
 /// Block GEMM `c += a * b` as MLlib executes it without native BLAS: a
@@ -146,13 +146,8 @@ impl BlockMatrix {
     /// are served without recomputation, evicted ones are transparently
     /// recomputed from lineage.
     pub fn persist(&self) -> BlockMatrix {
-        self.persist_with(StorageLevel::Memory)
-    }
-
-    /// [`BlockMatrix::persist`] with an explicit [`StorageLevel`].
-    pub fn persist_with(&self, level: StorageLevel) -> BlockMatrix {
         BlockMatrix {
-            blocks: self.blocks.persist_with(level),
+            blocks: self.blocks.persist(),
             ..self.clone()
         }
     }

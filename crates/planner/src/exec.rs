@@ -932,7 +932,7 @@ where
     reduced.persist()
 }
 
-/// [`group_by_join`] over dense right and output tiles, for callers whose
+/// `group_by_join` over dense right and output tiles, for callers whose
 /// left tiles are stored some other way (`sac::linalg::multiply_sparse_left`
 /// ships them compressed): the same routing and the same reduce, with the
 /// caller's tile kernel as `acc`. `dims` are the block counts of the
@@ -1682,7 +1682,6 @@ mod tests {
         let run = |chaos: Option<ChaosPlan>| {
             let mut builder = Context::builder()
                 .workers(4)
-                .executors(4)
                 .max_task_attempts(8)
                 .max_stage_attempts(12);
             builder = match chaos {

@@ -11,7 +11,7 @@
 //! 2. **Contraction** (§5.3 / §5.4) — two tiled generators joined on one
 //!    index, group-by over the two free indices, head `⊕/v` with
 //!    `v = f(a, b)`: matrix-multiplication-like. Translated to one row of
-//!    the strategy table ([`StrategyRow`]): join + tile-level `reduceByKey`
+//!    the strategy table (`StrategyRow`): join + tile-level `reduceByKey`
 //!    (rule 13), the **group-by-join** / SUMMA plan (§5.4), a broadcast
 //!    join, or §4's join + `groupByKey`.
 //! 3. **IndexRemap** (§5.2, rule 19) — one tiled generator, head key is an
@@ -91,7 +91,7 @@ pub struct PlanConfig {
     pub partitions: usize,
     /// Strategy for contraction plans. [`MatMulStrategy::Auto`] picks from
     /// statistics and lets the stage driver re-decide from measured ones
-    /// ([`crate::stage`]); pinning a strategy freezes the plan — a pinned
+    /// (`planner::stage`); pinning a strategy freezes the plan — a pinned
     /// node never probes and never re-plans.
     pub matmul: MatMulStrategy,
     /// Largest operand (estimated bytes) the broadcast contraction path may

@@ -161,19 +161,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Logical executors (fault domains) of the shared runtime.
-    pub fn executors(mut self, n: usize) -> Self {
-        self.runtime = self.runtime.executors(n);
-        self
-    }
-
     /// Storage-memory budget (bytes) of the shared block manager.
     pub fn storage_memory(mut self, bytes: usize) -> Self {
         self.runtime = self.runtime.storage_memory(bytes);
         self
     }
 
-    /// Concurrently admitted jobs (default: the executor count).
+    /// Concurrently admitted jobs (default: the worker count).
     pub fn slots(mut self, n: usize) -> Self {
         self.slots = Some(n.max(1));
         self
@@ -211,7 +205,7 @@ impl ServiceBuilder {
 
     pub fn build(self) -> QueryService {
         let ctx = self.context.unwrap_or_else(|| self.runtime.build());
-        let slots = self.slots.unwrap_or_else(|| ctx.executors().max(1));
+        let slots = self.slots.unwrap_or_else(|| ctx.workers());
         let mut shared = Session::builder().context(ctx.clone()).build();
         *shared.config_mut() = self.config;
         QueryService {
@@ -863,7 +857,6 @@ mod tests {
     fn small_service() -> QueryService {
         QueryService::builder()
             .workers(4)
-            .executors(4)
             .storage_memory(64 << 20)
             .slots(2)
             .chaos_off()
@@ -1030,7 +1023,6 @@ mod tests {
     fn cancellation_frees_the_slot_and_the_tenants_memory() {
         let svc = QueryService::builder()
             .workers(2)
-            .executors(2)
             .storage_memory(64 << 20)
             .slots(1)
             .chaos_off()

@@ -384,7 +384,6 @@ mod tests {
     fn served() -> (QueryService, Server) {
         let svc = QueryService::builder()
             .workers(4)
-            .executors(4)
             .storage_memory(64 << 20)
             .slots(2)
             .chaos_off()
@@ -472,7 +471,6 @@ mod tests {
     fn served_with(cfg: ServeConfig) -> (QueryService, Server) {
         let svc = QueryService::builder()
             .workers(2)
-            .executors(2)
             .storage_memory(64 << 20)
             .slots(2)
             .chaos_off()

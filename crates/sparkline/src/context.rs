@@ -126,7 +126,6 @@ enum ChaosChoice {
 /// Builder for [`Context`].
 pub struct ContextBuilder {
     workers: usize,
-    executors: Option<usize>,
     default_parallelism: usize,
     max_task_attempts: u32,
     max_stage_attempts: u32,
@@ -141,7 +140,6 @@ impl Default for ContextBuilder {
     fn default() -> Self {
         ContextBuilder {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            executors: None,
             default_parallelism: 8,
             max_task_attempts: 4,
             max_stage_attempts: 6,
@@ -155,18 +153,11 @@ impl Default for ContextBuilder {
 }
 
 impl ContextBuilder {
-    /// Number of executor threads used to run tasks.
+    /// Number of worker threads used to run tasks. Each is one logical
+    /// executor (fault domain): it owns the shuffle map outputs and cached
+    /// blocks produced on it, and killing it loses that state.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Number of logical executors (fault domains) the worker threads are
-    /// partitioned into. Each executor owns the shuffle map outputs and
-    /// cached blocks produced on its threads; killing it loses that state.
-    /// Defaults to one executor per worker thread.
-    pub fn executors(mut self, n: usize) -> Self {
-        self.executors = Some(n.max(1));
         self
     }
 
@@ -269,13 +260,12 @@ impl ContextBuilder {
                     .and_then(|s| s.trim().parse().ok())
             })
             .unwrap_or(usize::MAX);
-        let executors = self.executors.unwrap_or(self.workers).max(1);
         let chaos = match self.chaos {
             ChaosChoice::Off => None,
             ChaosChoice::Plan(plan) => Some(plan),
             ChaosChoice::Inherit => std::env::var(CHAOS_ENV)
                 .ok()
-                .and_then(|s| ChaosPlan::from_env(&s, executors)),
+                .and_then(|s| ChaosPlan::from_env(&s, self.workers)),
         }
         .filter(|plan| !plan.is_empty())
         .map(ChaosController::new);
@@ -291,16 +281,16 @@ impl ContextBuilder {
             WorkerGroup::spawn(worker_processes, WorkerConfig::default())
                 .expect("sparkline: failed to spawn shuffle worker processes")
         });
+        // The spool directory is created lazily, by the first map output
+        // parked in it; a spool that cannot be written degrades to stage
+        // resubmission, never to a failed build.
         let external_on = worker_group.is_some() && self.external_shuffle.unwrap_or(true);
         let external_dir = external_on.then(|| {
-            let dir = std::env::temp_dir().join(format!(
+            std::env::temp_dir().join(format!(
                 "sparkline-shuffle-{}-{}",
                 std::process::id(),
                 EXTERNAL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir)
-                .expect("sparkline: failed to create external shuffle dir");
-            dir
+            ))
         });
         let ctx = Context {
             inner: Arc::new(CtxInner {
@@ -309,7 +299,7 @@ impl ContextBuilder {
                 max_task_attempts: self.max_task_attempts,
                 max_stage_attempts: self.max_stage_attempts,
                 speculation: self.speculation,
-                executors: (0..executors).map(|_| ExecutorSlot::default()).collect(),
+                executors: (0..self.workers).map(|_| ExecutorSlot::default()).collect(),
                 blacklist_decision: Mutex::new(()),
                 chaos,
                 worker_group,
@@ -463,14 +453,10 @@ impl Context {
         ContextBuilder::default()
     }
 
-    /// Number of executor threads.
+    /// Number of worker threads, which is also the number of logical
+    /// executors (fault domains).
     pub fn workers(&self) -> usize {
         self.inner.workers
-    }
-
-    /// Number of logical executors (fault domains).
-    pub fn executors(&self) -> usize {
-        self.inner.executors.len()
     }
 
     /// Health of every executor: restart counts and blacklist state.
@@ -493,7 +479,7 @@ impl Context {
     /// executor immediately restarts empty. Returns false for an unknown
     /// executor id.
     ///
-    /// Repeated kills accrue strikes; after [`BLACKLIST_STRIKES`] the
+    /// Repeated kills accrue strikes; after `BLACKLIST_STRIKES` the
     /// executor is blacklisted (no longer assigned worker threads) unless it
     /// is the last healthy one.
     ///
@@ -1563,14 +1549,7 @@ mod tests {
     #[test]
     fn executor_pool_defaults_to_one_per_worker() {
         let ctx = Context::builder().workers(3).chaos_off().build();
-        assert_eq!(ctx.executors(), 3);
-        let ctx = Context::builder()
-            .workers(4)
-            .executors(2)
-            .chaos_off()
-            .build();
-        assert_eq!(ctx.executors(), 2);
-        assert_eq!(ctx.executor_status().len(), 2);
+        assert_eq!(ctx.executor_status().len(), 3);
         assert!(ctx
             .executor_status()
             .iter()
@@ -1579,11 +1558,7 @@ mod tests {
 
     #[test]
     fn kill_executor_restarts_and_eventually_blacklists() {
-        let ctx = Context::builder()
-            .workers(2)
-            .executors(2)
-            .chaos_off()
-            .build();
+        let ctx = Context::builder().workers(2).chaos_off().build();
         assert!(!ctx.kill_executor(99), "unknown executor id");
         for _ in 0..BLACKLIST_STRIKES {
             assert!(ctx.kill_executor(0));
@@ -1602,11 +1577,7 @@ mod tests {
 
     #[test]
     fn kill_mid_stage_discards_and_reruns_the_victim_task() {
-        let ctx = Context::builder()
-            .workers(2)
-            .executors(2)
-            .chaos_off()
-            .build();
+        let ctx = Context::builder().workers(2).chaos_off().build();
         ctx.trace();
         let killed = AtomicBool::new(false);
         let runs = AtomicUsize::new(0);
@@ -1666,7 +1637,6 @@ mod tests {
     fn speculation_duplicates_stragglers_and_first_result_wins() {
         let ctx = Context::builder()
             .workers(2)
-            .executors(2)
             .speculation(1.5)
             .chaos_off()
             .build();
@@ -1699,7 +1669,6 @@ mod tests {
     fn builder_knobs_read_back_from_a_running_context() {
         let ctx = Context::builder()
             .workers(3)
-            .executors(2)
             .default_parallelism(5)
             .max_task_attempts(7)
             .max_stage_attempts(9)
@@ -1708,7 +1677,6 @@ mod tests {
             .chaos_off()
             .build();
         assert_eq!(ctx.workers(), 3);
-        assert_eq!(ctx.executors(), 2);
         assert_eq!(ctx.default_parallelism(), 5);
         assert_eq!(ctx.max_task_attempts(), 7);
         assert_eq!(ctx.max_stage_attempts(), 9);
@@ -1822,11 +1790,7 @@ mod tests {
     #[test]
     fn chaos_plan_is_visible_on_the_context() {
         let plan = ChaosPlan::new().with_kill_at_task(10, 0);
-        let ctx = Context::builder()
-            .workers(2)
-            .executors(2)
-            .chaos(plan)
-            .build();
+        let ctx = Context::builder().workers(2).chaos(plan).build();
         assert!(ctx.chaos_plan().is_some());
         let ctx = Context::builder().chaos_off().build();
         assert!(ctx.chaos_plan().is_none());

@@ -4,7 +4,7 @@ use crate::context::{Context, StageMeta};
 use crate::ops::{MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::KeyPartitioner;
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
-use crate::storage::{BlockLease, PersistOp, SpillCodec, StorageLevel};
+use crate::storage::{BlockLease, PersistOp, SpillCodec};
 use crate::stream::PartitionStream;
 use crate::Data;
 use std::hash::Hash;
@@ -195,18 +195,8 @@ impl<T: Data> Dataset<T> {
     where
         T: SpillCodec,
     {
-        self.persist_with(StorageLevel::Memory)
-    }
-
-    /// [`Dataset::persist`] with an explicit [`StorageLevel`];
-    /// [`StorageLevel::MemoryAndDisk`] spills evicted partitions to a temp
-    /// file instead of dropping them.
-    pub fn persist_with(&self, level: StorageLevel) -> Dataset<T>
-    where
-        T: SpillCodec,
-    {
         let upstream = self.leases.clone();
-        let (op, lease) = PersistOp::new(&self.ctx, self.op.clone(), upstream, level);
+        let (op, lease) = PersistOp::new(&self.ctx, self.op.clone(), upstream);
         Dataset {
             ctx: self.ctx.clone(),
             op: Arc::new(op),
@@ -214,10 +204,10 @@ impl<T: Data> Dataset<T> {
         }
     }
 
-    /// Drop this dataset's persisted blocks from the block manager (memory
-    /// and spill files) now, rather than when the last reader drops; a later
-    /// read recomputes them. Returns the number of blocks removed; 0 when the
-    /// dataset is not the direct result of [`Dataset::persist`].
+    /// Drop this dataset's persisted blocks from the block manager now,
+    /// rather than when the last reader drops; a later read recomputes them.
+    /// Returns the number of blocks removed; 0 when the dataset is not the
+    /// direct result of [`Dataset::persist`].
     pub fn unpersist(&self) -> usize {
         match self.op.cache_id() {
             Some(id) => self.ctx.storage().remove_dataset(id),
@@ -779,26 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn persist_with_disk_level_serves_spilled_blocks() {
-        // Smaller than one 10-element block: every partition spills.
-        let block = crate::wire::encoded_len(&vec![0i64; 10]) as usize;
-        let c = Context::builder()
-            .workers(2)
-            .storage_memory(block - 1)
-            .build();
-        let d = c
-            .parallelize((0..40i64).collect(), 4)
-            .map(|x| x * 2)
-            .persist_with(crate::storage::StorageLevel::MemoryAndDisk);
-        let expected: Vec<i64> = (0..40).map(|x| x * 2).collect();
-        assert_eq!(d.collect(), expected);
-        assert_eq!(d.collect(), expected);
-        let status = c.storage_status();
-        assert!(status.spills > 0, "tiny budget must spill: {status:?}");
-        assert!(status.blocks_on_disk > 0);
-    }
-
-    #[test]
     fn unpersist_drops_blocks_and_recomputes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let c = cache_ctx();
@@ -824,12 +794,10 @@ mod tests {
     fn persisted_blocks_die_with_their_executor_and_recompute() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // One executor owns every block: killing it must drop them from the
-        // block manager (storage is executor-scoped, and a dead executor's
-        // spill files are gone too), and the next read must transparently
-        // recompute from lineage and re-store.
+        // block manager (storage is executor-scoped), and the next read must
+        // transparently recompute from lineage and re-store.
         let c = Context::builder()
             .workers(1)
-            .executors(1)
             .storage_memory(64 << 20)
             .chaos_off()
             .build();
@@ -950,7 +918,6 @@ mod tests {
     fn no_block_outlives_a_drop_after_an_executor_kill() {
         let c = Context::builder()
             .workers(2)
-            .executors(2)
             .storage_memory(64 << 20)
             .chaos_off()
             .build();

@@ -145,8 +145,6 @@ event_schema! {
         partition: usize,
         /// Estimated in-memory size of the block.
         bytes: u64,
-        /// True if the block was decoded from a spill file.
-        from_disk: bool,
         /// Innermost stage whose task performed the read, if any (cache
         /// reads on the driver carry no stage).
         stage_id: Option<u64>,
@@ -157,18 +155,9 @@ event_schema! {
         partition: usize,
         stage_id: Option<u64>,
     }
-    /// A block was evicted to fit the storage budget; `spilled` says whether
-    /// it moved to disk (else it was dropped and must be recomputed).
+    /// A block was dropped to fit the storage budget; the next read
+    /// recomputes it from lineage.
     CacheEvict "cache_evict" {
-        dataset: u64,
-        partition: usize,
-        bytes: u64,
-        spilled: bool,
-        stage_id: Option<u64>,
-    }
-    /// A block was written to a spill file (eviction of a disk-level block,
-    /// or a direct spill of a block larger than the whole budget).
-    CacheSpill "cache_spill" {
         dataset: u64,
         partition: usize,
         bytes: u64,
@@ -777,13 +766,6 @@ mod tests {
                 dataset: 5,
                 partition: 1,
                 bytes: 64,
-                spilled: true,
-                stage_id: Some(2),
-            },
-            Event::CacheSpill {
-                dataset: 5,
-                partition: 1,
-                bytes: 64,
                 stage_id: Some(2),
             },
             Event::CacheRecompute {
@@ -795,7 +777,6 @@ mod tests {
                 dataset: 5,
                 partition: 0,
                 bytes: 128,
-                from_disk: false,
                 stage_id: None,
             },
             Event::ExecutorLost {

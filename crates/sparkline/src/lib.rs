@@ -21,11 +21,12 @@
 //!   ([`Context::trace`], folded by [`JobProfile`]) so the cost claims of the
 //!   paper (e.g. `reduceByKey` shuffles less than `groupByKey` thanks to
 //!   map-side combining) are observable, not just asserted.
-//! * **Caching** is one mechanism: [`Dataset::persist`] stores partitions in
-//!   the context's budgeted [`BlockManager`], and the blocks die with the
+//! * **Caching** is one mechanism in one tier: [`Dataset::persist`] stores
+//!   partitions in memory in the context's budgeted [`BlockManager`], an
+//!   evicted block is recomputed from lineage, and the blocks die with the
 //!   last dataset that can read them (Spark's `cache()` is
 //!   `persist(MEMORY_ONLY)`).
-//! * **Executors** are logical fault domains over the worker threads; every
+//! * **Executors** are logical fault domains, one per worker thread; every
 //!   stage's tasks are scheduled onto them, and failed tasks are retried from
 //!   lineage (narrow chains recompute, shuffle outputs are reused). Losing an
 //!   executor ([`Context::kill_executor`], or a seeded [`ChaosPlan`]) loses
@@ -81,9 +82,7 @@ pub use profile::{
     StageProfile,
 };
 pub use service::{panic_is_cancelled, AdmissionGuard, CancelToken, FairScheduler, CANCELLED_MSG};
-pub use storage::{
-    BlockManager, CacheRead, SpillCodec, StorageLevel, StorageStatus, TenantStorage,
-};
+pub use storage::{BlockManager, CacheRead, SpillCodec, StorageStatus, TenantStorage};
 pub use stream::PartitionStream;
 pub use transport::{WorkerClient, WorkerGroup};
 pub use wire::WireError;

@@ -14,16 +14,12 @@ use crate::events::Event;
 /// the whole profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Partitions served from cache (memory or disk).
+    /// Partitions served from cache.
     pub hits: u64,
-    /// Subset of `hits` that were decoded from a spill file.
-    pub hits_from_disk: u64,
     /// First-time computations of a persisted partition.
     pub misses: u64,
     /// Blocks evicted to honor the storage budget.
     pub evictions: u64,
-    /// Blocks written to a spill file (at eviction or directly).
-    pub spills: u64,
     /// Recomputations of a partition that had been cached before (the
     /// lineage-recovery path after an eviction or unpersist).
     pub recomputes: u64,
@@ -37,27 +33,21 @@ impl CacheStats {
 
     fn add(&mut self, other: &CacheStats) {
         self.hits += other.hits;
-        self.hits_from_disk += other.hits_from_disk;
         self.misses += other.misses;
         self.evictions += other.evictions;
-        self.spills += other.spills;
         self.recomputes += other.recomputes;
     }
 
     fn render(&self) -> String {
-        let mut parts = vec![format!("{} hits", self.hits)];
-        if self.hits_from_disk > 0 {
-            parts.push(format!("{} from disk", self.hits_from_disk));
-        }
-        parts.push(format!("{} misses", self.misses));
+        let mut parts = vec![
+            format!("{} hits", self.hits),
+            format!("{} misses", self.misses),
+        ];
         if self.recomputes > 0 {
             parts.push(format!("{} recomputed", self.recomputes));
         }
         if self.evictions > 0 {
             parts.push(format!("{} evicted", self.evictions));
-        }
-        if self.spills > 0 {
-            parts.push(format!("{} spilled", self.spills));
         }
         parts.join(", ")
     }
@@ -512,25 +502,14 @@ impl JobProfile {
                     }
                 }
                 Event::CacheHit {
-                    dataset,
-                    from_disk,
-                    stage_id,
-                    ..
-                } => profile.record_cache(*dataset, *stage_id, |c| {
-                    c.hits += 1;
-                    if *from_disk {
-                        c.hits_from_disk += 1;
-                    }
-                }),
+                    dataset, stage_id, ..
+                } => profile.record_cache(*dataset, *stage_id, |c| c.hits += 1),
                 Event::CacheMiss {
                     dataset, stage_id, ..
                 } => profile.record_cache(*dataset, *stage_id, |c| c.misses += 1),
                 Event::CacheEvict {
                     dataset, stage_id, ..
                 } => profile.record_cache(*dataset, *stage_id, |c| c.evictions += 1),
-                Event::CacheSpill {
-                    dataset, stage_id, ..
-                } => profile.record_cache(*dataset, *stage_id, |c| c.spills += 1),
                 Event::CacheRecompute {
                     dataset, stage_id, ..
                 } => profile.record_cache(*dataset, *stage_id, |c| c.recomputes += 1),
@@ -1034,24 +1013,15 @@ mod tests {
                 dataset: 1,
                 partition: 0,
                 bytes: 64,
-                from_disk: false,
                 stage_id: Some(7),
             },
             Event::CacheHit {
                 dataset: 1,
                 partition: 1,
                 bytes: 64,
-                from_disk: true,
                 stage_id: Some(7),
             },
             Event::CacheEvict {
-                dataset: 1,
-                partition: 0,
-                bytes: 64,
-                spilled: true,
-                stage_id: Some(7),
-            },
-            Event::CacheSpill {
                 dataset: 1,
                 partition: 0,
                 bytes: 64,
@@ -1076,10 +1046,8 @@ mod tests {
             stage.cache,
             CacheStats {
                 hits: 2,
-                hits_from_disk: 1,
                 misses: 1,
                 evictions: 1,
-                spills: 1,
                 recomputes: 1,
             }
         );
@@ -1087,10 +1055,8 @@ mod tests {
             p.cache_of_dataset(1),
             CacheStats {
                 hits: 2,
-                hits_from_disk: 1,
                 misses: 1,
                 evictions: 1,
-                spills: 1,
                 recomputes: 1,
             }
         );
@@ -1099,7 +1065,7 @@ mod tests {
         assert_eq!(p.cache_of_dataset(99), CacheStats::default());
         let text = p.render();
         assert!(
-            text.contains("cache [2 hits, 1 from disk, 1 misses"),
+            text.contains("cache [2 hits, 1 misses, 1 recomputed, 1 evicted]"),
             "{text}"
         );
         assert!(text.contains("cache dataset 1:"), "{text}");

@@ -10,7 +10,7 @@
 //! ## Cancellation
 //!
 //! A [`CancelToken`] is installed on the driver thread with
-//! [`crate::Context::scoped_cancel`]; [`crate::Context::run_stage`] captures
+//! [`crate::Context::scoped_cancel`]; `Context::run_stage` captures
 //! it and re-installs it on every worker thread, so nested stages (a shuffle
 //! dependency materialized from inside a parent task) inherit it too. Workers
 //! check the token *before claiming each task*: in-flight tasks run to

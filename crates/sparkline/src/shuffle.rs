@@ -17,7 +17,7 @@
 //! runs and worker counts.
 //!
 //! **Map-output store.** Between the two stages a shuffle's buckets wait in
-//! a private [`MapOutputStore`]: an in-process grid of live `Vec<(K, C)>`
+//! a private `MapOutputStore`: an in-process grid of live `Vec<(K, C)>`
 //! buckets, or — with worker processes — SPKL frames PUT to the workers'
 //! sockets and (external shuffle service) spooled to a driver-visible
 //! directory. `store` / `take_column` / `clear` hide which; the map and

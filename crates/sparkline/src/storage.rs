@@ -3,19 +3,17 @@
 //!
 //! Persisted datasets ([`crate::Dataset::persist`]) store their computed
 //! partitions here as *blocks* keyed by `(dataset id, partition)`. The
-//! manager enforces a byte budget over all in-memory blocks (a block's size is
-//! the exact length of its SPKL frame, [`crate::wire::encoded_len`] — the same
-//! number the shuffle layer accounts and a spill file occupies): inserting a
-//! block past the budget evicts the least-recently-used blocks, and evicted
-//! blocks of [`StorageLevel::MemoryAndDisk`] datasets spill to a temp file
-//! instead of being dropped. Reads of spilled blocks decode from disk; reads
-//! of dropped blocks miss, and the persist operator transparently recomputes
-//! them from lineage — Spark's `MEMORY_ONLY` / `MEMORY_AND_DISK` semantics.
-//! This is the runtime's only cache, and a block lives no longer than the
-//! last dataset that can read it.
+//! manager enforces a byte budget over all blocks (a block's size is the
+//! exact length of its SPKL frame, [`crate::wire::encoded_len`] — the same
+//! number the shuffle layer accounts): inserting a block past the budget
+//! evicts the least-recently-used blocks. There is one tier, memory. A block
+//! that is evicted, or lost with its executor, is gone, and the persist
+//! operator recomputes it from lineage on the next read — Spark's
+//! `MEMORY_ONLY`. This is the runtime's only cache, and a block lives no
+//! longer than the last dataset that can read it.
 //!
 //! Every cache interaction emits a structured event on the listener bus
-//! (hit/miss/evict/spill/recompute, see [`crate::events::Event`]) so the
+//! (hit/miss/evict/recompute, see [`crate::events::Event`]) so the
 //! fault-injection harness and [`crate::profile::JobProfile`] can prove
 //! blocks are computed exactly as often as the budget implies.
 
@@ -27,32 +25,20 @@ use crate::sync::Mutex;
 use crate::Data;
 use std::any::Any;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-
-/// Where persisted partitions may live.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StorageLevel {
-    /// In memory only; evicted partitions are recomputed from lineage
-    /// (Spark's `MEMORY_ONLY`).
-    Memory,
-    /// In memory, spilling evicted partitions to a temp file on disk
-    /// (Spark's `MEMORY_AND_DISK`).
-    MemoryAndDisk,
-}
 
 // ---------------------------------------------------------------------------
 // Spill codec
 // ---------------------------------------------------------------------------
 
 /// The fixed little-endian binary codec behind every serialized byte in the
-/// runtime — shuffle frames, spill files, the worker protocol (the build has
-/// no serde) — and, through [`SpillCodec::encoded_len`], behind every byte
-/// *figure* it reports.
+/// runtime — shuffle frames, the external shuffle spool, the worker protocol
+/// (the build has no serde) — and, through [`SpillCodec::encoded_len`],
+/// behind every byte *figure* it reports.
 ///
 /// `decode` advances `pos` past the consumed bytes and returns `None` on a
-/// truncated or malformed buffer (the manager treats that as a cache miss).
+/// truncated or malformed buffer.
 pub trait SpillCodec: Sized {
     /// `Some(n)` when every value of the type encodes to exactly `n` bytes,
     /// so a `Vec` of them knows its length without walking its items.
@@ -228,44 +214,30 @@ codec_tuple!(A, B, C, D, E, F);
 // Block manager
 // ---------------------------------------------------------------------------
 
-type ErasedPart = Arc<dyn Any + Send + Sync>;
-
-enum Tier {
-    Memory(ErasedPart),
-    Disk(PathBuf),
-}
-
 struct BlockEntry {
     /// The partition's framed length, [`crate::wire::encoded_len`].
     bytes: usize,
     /// LRU clock value of the last touch.
     tick: u64,
-    level: StorageLevel,
-    tier: Tier,
+    data: Arc<dyn Any + Send + Sync>,
     /// Executor that computed the block (`None` for driver-side puts).
     /// Blocks die with their executor: [`BlockManager::remove_executor`]
     /// sweeps them so lineage recomputes on healthy executors.
     executor: Option<usize>,
     /// Tenant whose job computed the block (`None` outside tenant scopes).
-    /// Memory-tier bytes are charged to the tenant's quota; the blocks can
-    /// be swept together with [`BlockManager::remove_tenant`].
+    /// Its bytes are charged to the tenant's quota; the blocks can be swept
+    /// together with [`BlockManager::remove_tenant`].
     tenant: Option<u32>,
-    /// Type-erased spill-frame encoder, captured when the block was stored: the
-    /// only point where the concrete element type is known, which is what
-    /// lets eviction spill blocks without knowing their type.
-    encode: Arc<dyn Fn(&ErasedPart) -> Vec<u8> + Send + Sync>,
 }
 
 #[derive(Default)]
 struct State {
     entries: HashMap<(u64, usize), BlockEntry>,
-    /// Total bytes of memory-tier blocks (disk blocks don't count against
-    /// the budget).
+    /// Total bytes of resident blocks.
     memory_used: usize,
     evictions: u64,
-    spills: u64,
-    /// Memory-tier bytes per tenant (subset of `memory_used`; untagged
-    /// blocks belong to no tenant). Entries are dropped at zero.
+    /// Resident bytes per tenant (subset of `memory_used`; untagged blocks
+    /// belong to no tenant). Entries are dropped at zero.
     tenant_used: HashMap<u32, usize>,
     /// Per-tenant memory quotas in bytes; absent means unbounded (only the
     /// global budget applies).
@@ -273,28 +245,46 @@ struct State {
 }
 
 impl State {
-    /// Account a memory-tier block entering residency.
-    fn credit_memory(&mut self, bytes: usize, tenant: Option<u32>) {
-        self.memory_used += bytes;
-        if let Some(t) = tenant {
-            *self.tenant_used.entry(t).or_insert(0) += bytes;
-        }
-    }
-
-    /// Account a memory-tier block leaving residency (evicted or removed).
-    fn debit_memory(&mut self, bytes: usize, tenant: Option<u32>) {
-        self.memory_used -= bytes;
-        if let Some(t) = tenant {
+    /// Forget one block and release its bytes.
+    fn remove(&mut self, key: (u64, usize)) -> Option<BlockEntry> {
+        let entry = self.entries.remove(&key)?;
+        self.memory_used -= entry.bytes;
+        if let Some(t) = entry.tenant {
             if let Some(used) = self.tenant_used.get_mut(&t) {
-                *used = used.saturating_sub(bytes);
+                *used = used.saturating_sub(entry.bytes);
                 if *used == 0 {
                     self.tenant_used.remove(&t);
                 }
             }
         }
+        Some(entry)
     }
 
-    /// Memory-tier bytes currently charged to `tenant`.
+    /// Evict the least-recently-used block among those `eligible` accepts
+    /// and record it in `evicted`; false when no block is eligible.
+    fn evict_lru(
+        &mut self,
+        evicted: &mut Vec<Evicted>,
+        eligible: impl Fn(&BlockEntry) -> bool,
+    ) -> bool {
+        let victim = self
+            .entries
+            .iter()
+            .filter(|(_, e)| eligible(e))
+            .min_by_key(|(_, e)| e.tick)
+            .map(|(k, _)| *k);
+        let Some(key) = victim else { return false };
+        let entry = self.remove(key).expect("the victim is resident");
+        self.evictions += 1;
+        evicted.push(Evicted {
+            dataset: key.0,
+            partition: key.1,
+            bytes: entry.bytes as u64,
+        });
+        true
+    }
+
+    /// Bytes currently charged to `tenant`.
     fn tenant_bytes(&self, tenant: u32) -> usize {
         self.tenant_used.get(&tenant).copied().unwrap_or(0)
     }
@@ -306,18 +296,13 @@ pub struct Evicted {
     pub dataset: u64,
     pub partition: usize,
     pub bytes: u64,
-    /// True if the block was spilled to disk rather than dropped.
-    pub spilled: bool,
 }
 
 /// What [`BlockManager::put`] did with the offered block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PutOutcome {
-    /// The block is now resident in memory.
+    /// The block is now resident.
     pub stored: bool,
-    /// The block was too large for the budget and went straight to disk
-    /// (only with [`StorageLevel::MemoryAndDisk`]).
-    pub spilled_directly: bool,
     /// Blocks evicted to make room, in eviction order.
     pub evicted: Vec<Evicted>,
 }
@@ -327,8 +312,6 @@ pub struct CacheRead<T> {
     pub data: Arc<Vec<T>>,
     /// The block's framed length ([`crate::wire::encoded_len`]).
     pub bytes: u64,
-    /// True if the block was decoded from a spill file.
-    pub from_disk: bool,
 }
 
 /// Per-tenant slice of the storage accounting.
@@ -336,7 +319,7 @@ pub struct CacheRead<T> {
 pub struct TenantStorage {
     /// Service-assigned tenant id (see [`Context::scoped_tenant`]).
     pub tenant: u32,
-    /// Memory-tier bytes currently charged to the tenant.
+    /// Bytes currently charged to the tenant.
     pub memory_used: u64,
     /// The tenant's memory quota, `None` if unbounded.
     pub quota: Option<u64>,
@@ -349,30 +332,22 @@ pub struct StorageStatus {
     pub budget: Option<u64>,
     pub memory_used: u64,
     pub blocks_in_memory: usize,
-    pub blocks_on_disk: usize,
-    /// Lifetime eviction count (dropped or spilled).
+    /// Lifetime eviction count.
     pub evictions: u64,
-    /// Lifetime spill count (evictions to disk plus direct spills).
-    pub spills: u64,
     /// Per-tenant usage and quotas, sorted by tenant id. Tenants appear once
     /// they hold resident bytes or have a quota set.
     pub tenants: Vec<TenantStorage>,
 }
-
-static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Memory-budgeted store for persisted dataset partitions.
 ///
 /// Owned by a [`Context`]; all persisted datasets of that context share one
 /// budget, like executors sharing `spark.memory.storageFraction`.
 pub struct BlockManager {
-    /// Budget in bytes over memory-tier blocks; `usize::MAX` = unlimited.
+    /// Budget in bytes over all blocks; `usize::MAX` = unlimited.
     budget: usize,
     state: Mutex<State>,
     tick: AtomicU64,
-    file_seq: AtomicU64,
-    /// Spill directory, created lazily on first spill, removed on drop.
-    spill_dir: Mutex<Option<PathBuf>>,
 }
 
 impl BlockManager {
@@ -381,8 +356,6 @@ impl BlockManager {
             budget,
             state: Mutex::new(State::default()),
             tick: AtomicU64::new(0),
-            file_seq: AtomicU64::new(0),
-            spill_dir: Mutex::new(None),
         }
     }
 
@@ -391,11 +364,10 @@ impl BlockManager {
         (self.budget != usize::MAX).then_some(self.budget as u64)
     }
 
-    /// Cap `tenant`'s memory-tier bytes at `bytes`. A put that would take
-    /// the tenant over its quota first evicts the tenant's own LRU blocks
-    /// (same spill semantics as budget eviction), so one tenant filling the
-    /// cache cannot evict another tenant's working set through the shared
-    /// budget alone.
+    /// Cap `tenant`'s resident bytes at `bytes`. A put that would take the
+    /// tenant over its quota first evicts the tenant's own LRU blocks, so one
+    /// tenant filling the cache cannot evict another tenant's working set
+    /// through the shared budget alone.
     pub fn set_tenant_quota(&self, tenant: u32, bytes: usize) {
         self.state.lock().quotas.insert(tenant, bytes);
     }
@@ -405,113 +377,21 @@ impl BlockManager {
         self.state.lock().quotas.get(&tenant).copied()
     }
 
-    /// Drop every block charged to `tenant` (memory and spill files) and
-    /// return the number of blocks removed. The tenant's quota, if any,
-    /// survives. Used when a tenant's last in-flight job is cancelled or a
-    /// tenant is retired, so its memory frees immediately instead of aging
-    /// out through LRU.
-    pub fn remove_tenant(&self, tenant: u32) -> usize {
-        let mut state = self.state.lock();
-        let keys: Vec<(u64, usize)> = state
-            .entries
-            .iter()
-            .filter(|(_, e)| e.tenant == Some(tenant))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in &keys {
-            if let Some(entry) = state.entries.remove(key) {
-                match entry.tier {
-                    Tier::Memory(_) => state.debit_memory(entry.bytes, entry.tenant),
-                    Tier::Disk(path) => {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-            }
-        }
-        keys.len()
-    }
-
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The spill directory, creating it on first use. `None` if the
-    /// filesystem refuses (spills then degrade to drops).
-    fn spill_dir(&self) -> Option<PathBuf> {
-        let mut dir = self.spill_dir.lock();
-        if let Some(d) = dir.as_ref() {
-            return Some(d.clone());
-        }
-        let path = std::env::temp_dir().join(format!(
-            "sparkline-spill-{}-{}",
-            std::process::id(),
-            SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&path).ok()?;
-        *dir = Some(path.clone());
-        Some(path)
-    }
-
-    /// Write one block's checksummed wire frame (so truncation and bit rot
-    /// are detected on read instead of decoding garbage) to a fresh spill
-    /// file. `None` if the write failed.
-    fn write_spill(&self, frame: &[u8]) -> Option<PathBuf> {
-        let dir = self.spill_dir()?;
-        let path = dir.join(format!(
-            "{}.blk",
-            self.file_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&path, frame).ok()?;
-        Some(path)
-    }
-
-    /// Look up a block. Memory hits clone the shared `Arc`; disk hits decode
-    /// the spill file (and stay on disk — the partition is served from the
-    /// file until its dataset is unpersisted).
-    pub fn get<T: Data + SpillCodec>(
-        &self,
-        dataset: u64,
-        partition: usize,
-    ) -> Option<CacheRead<T>> {
+    /// Look up a block: a hit clones the shared `Arc`, never the data.
+    pub fn get<T: Data>(&self, dataset: u64, partition: usize) -> Option<CacheRead<T>> {
         let tick = self.next_tick();
         let mut state = self.state.lock();
         let entry = state.entries.get_mut(&(dataset, partition))?;
         entry.tick = tick;
-        let bytes = entry.bytes as u64;
-        match &entry.tier {
-            Tier::Memory(any) => {
-                let data = any.clone().downcast::<Vec<T>>().ok()?;
-                Some(CacheRead {
-                    data,
-                    bytes,
-                    from_disk: false,
-                })
-            }
-            Tier::Disk(path) => {
-                // The CRC-checked frame rejects truncated and bit-flipped
-                // spill files; trailing bytes past the frame are corruption
-                // too. Either way the block is forgotten below and the
-                // persist operator recomputes it from lineage.
-                let decoded = std::fs::read(path)
-                    .ok()
-                    .and_then(|buf| crate::wire::decode_frame::<Vec<T>>(&buf).ok());
-                match decoded {
-                    Some(v) => Some(CacheRead {
-                        data: Arc::new(v),
-                        bytes,
-                        from_disk: true,
-                    }),
-                    None => {
-                        // Corrupt or unreadable spill: forget the block so
-                        // the caller recomputes from lineage.
-                        let path = path.clone();
-                        state.entries.remove(&(dataset, partition));
-                        let _ = std::fs::remove_file(path);
-                        None
-                    }
-                }
-            }
-        }
+        let data = entry.data.clone().downcast::<Vec<T>>().ok()?;
+        Some(CacheRead {
+            data,
+            bytes: entry.bytes as u64,
+        })
     }
 
     /// Store a computed partition, evicting LRU blocks to fit the budget.
@@ -520,53 +400,25 @@ impl BlockManager {
         dataset: u64,
         partition: usize,
         data: Arc<Vec<T>>,
-        level: StorageLevel,
     ) -> PutOutcome {
         let bytes = crate::wire::encoded_len(data.as_ref()) as usize;
-        let encode: Arc<dyn Fn(&ErasedPart) -> Vec<u8> + Send + Sync> = Arc::new(|any| {
-            let v = any
-                .downcast_ref::<Vec<T>>()
-                .expect("spill encoder saw a foreign block type");
-            crate::wire::encode_frame(v)
-        });
         let tick = self.next_tick();
         let executor = crate::context::current_executor();
         let tenant = crate::context::current_tenant();
         let mut outcome = PutOutcome {
             stored: false,
-            spilled_directly: false,
             evicted: Vec::new(),
         };
+        let mut state = self.state.lock();
 
         // Oversized block: never evict the whole cache for one block that
-        // cannot fit anyway. With a disk level it goes straight to a spill
-        // file; memory-only oversized blocks are simply not stored. The same
-        // treatment applies to a block larger than its tenant's whole quota.
-        let tenant_quota = tenant.and_then(|t| self.state.lock().quotas.get(&t).copied());
+        // cannot fit anyway — it is simply not stored. The same treatment
+        // applies to a block larger than its tenant's whole quota.
+        let tenant_quota = tenant.and_then(|t| state.quotas.get(&t).copied());
         if bytes > self.budget || tenant_quota.is_some_and(|q| bytes > q) {
-            if level == StorageLevel::MemoryAndDisk {
-                if let Some(path) = self.write_spill(&crate::wire::encode_frame(data.as_ref())) {
-                    let mut state = self.state.lock();
-                    state.spills += 1;
-                    state.entries.insert(
-                        (dataset, partition),
-                        BlockEntry {
-                            bytes,
-                            tick,
-                            level,
-                            tier: Tier::Disk(path),
-                            executor,
-                            tenant,
-                            encode,
-                        },
-                    );
-                    outcome.spilled_directly = true;
-                }
-            }
             return outcome;
         }
 
-        let mut state = self.state.lock();
         if state.entries.contains_key(&(dataset, partition)) {
             // A concurrent computation of the same partition won the race;
             // keep the resident copy.
@@ -575,143 +427,72 @@ impl BlockManager {
         }
 
         // Per-tenant quota first: a tenant over its own cap evicts its own
-        // LRU blocks, leaving other tenants' working sets alone.
+        // LRU blocks, leaving other tenants' working sets alone. Then the
+        // global budget evicts LRU blocks of anyone until the new one fits.
         if let (Some(t), Some(quota)) = (tenant, tenant_quota) {
-            while state.tenant_bytes(t) + bytes > quota {
-                let victim = state
-                    .entries
-                    .iter()
-                    .filter(|(_, e)| e.tenant == Some(t) && matches!(e.tier, Tier::Memory(_)))
-                    .min_by_key(|(_, e)| e.tick)
-                    .map(|(k, _)| *k);
-                let Some(key) = victim else { break };
-                self.evict_block(&mut state, key, &mut outcome);
-            }
+            while state.tenant_bytes(t) + bytes > quota
+                && state.evict_lru(&mut outcome.evicted, |e| e.tenant == Some(t))
+            {}
         }
+        while state.memory_used + bytes > self.budget
+            && state.evict_lru(&mut outcome.evicted, |_| true)
+        {}
 
-        // Evict least-recently-used memory blocks until the new one fits.
-        while state.memory_used + bytes > self.budget {
-            let victim = state
-                .entries
-                .iter()
-                .filter(|(_, e)| matches!(e.tier, Tier::Memory(_)))
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else { break };
-            self.evict_block(&mut state, key, &mut outcome);
+        state.memory_used += bytes;
+        if let Some(t) = tenant {
+            *state.tenant_used.entry(t).or_insert(0) += bytes;
         }
-
-        state.credit_memory(bytes, tenant);
         state.entries.insert(
             (dataset, partition),
             BlockEntry {
                 bytes,
                 tick,
-                level,
-                tier: Tier::Memory(data as ErasedPart),
+                data,
                 executor,
                 tenant,
-                encode,
             },
         );
         outcome.stored = true;
         outcome
     }
 
-    /// Evict one memory-tier block: spill it if its level allows, else drop
-    /// it; update global and per-tenant accounting and the outcome record.
-    fn evict_block(&self, state: &mut State, key: (u64, usize), outcome: &mut PutOutcome) {
-        let entry = state.entries.get(&key).expect("victim vanished");
-        let spill_to = (entry.level == StorageLevel::MemoryAndDisk)
-            .then(|| {
-                let Tier::Memory(any) = &entry.tier else {
-                    unreachable!()
-                };
-                let encoded = (entry.encode)(any);
-                self.write_spill(&encoded)
-            })
-            .flatten();
-        let entry = state.entries.get_mut(&key).expect("victim vanished");
-        let victim_bytes = entry.bytes;
-        let victim_tenant = entry.tenant;
-        let spilled = match spill_to {
-            Some(path) => {
-                entry.tier = Tier::Disk(path);
-                true
-            }
-            None => {
-                state.entries.remove(&key);
-                false
-            }
-        };
-        state.debit_memory(victim_bytes, victim_tenant);
-        state.evictions += 1;
-        if spilled {
-            state.spills += 1;
-        }
-        outcome.evicted.push(Evicted {
-            dataset: key.0,
-            partition: key.1,
-            bytes: victim_bytes as u64,
-            spilled,
-        });
-    }
-
-    /// Drop every block of a dataset (memory and spill files). Returns the
-    /// number of blocks removed.
-    pub fn remove_dataset(&self, dataset: u64) -> usize {
-        let mut state = self.state.lock();
-        let keys: Vec<(u64, usize)> = state
-            .entries
-            .keys()
-            .filter(|(d, _)| *d == dataset)
-            .copied()
-            .collect();
-        for key in &keys {
-            if let Some(entry) = state.entries.remove(key) {
-                match entry.tier {
-                    Tier::Memory(_) => state.debit_memory(entry.bytes, entry.tenant),
-                    Tier::Disk(path) => {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-            }
-        }
-        keys.len()
-    }
-
-    /// Drop every block computed by `executor` (memory and spill files — a
-    /// dead executor's local disk is gone too). Driver-computed blocks
-    /// survive. Returns the number of blocks removed.
-    pub(crate) fn remove_executor(&self, executor: usize) -> usize {
+    /// Drop every block `doomed` selects; returns how many went.
+    fn sweep(&self, doomed: impl Fn(u64, &BlockEntry) -> bool) -> usize {
         let mut state = self.state.lock();
         let keys: Vec<(u64, usize)> = state
             .entries
             .iter()
-            .filter(|(_, e)| e.executor == Some(executor))
+            .filter(|((dataset, _), e)| doomed(*dataset, e))
             .map(|(k, _)| *k)
             .collect();
         for key in &keys {
-            if let Some(entry) = state.entries.remove(key) {
-                match entry.tier {
-                    Tier::Memory(_) => state.debit_memory(entry.bytes, entry.tenant),
-                    Tier::Disk(path) => {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-            }
+            state.remove(*key);
         }
         keys.len()
+    }
+
+    /// Drop every block of a dataset. Returns the number of blocks removed.
+    pub fn remove_dataset(&self, dataset: u64) -> usize {
+        self.sweep(|d, _| d == dataset)
+    }
+
+    /// Drop every block computed by `executor`. Driver-computed blocks
+    /// survive. Returns the number of blocks removed.
+    pub(crate) fn remove_executor(&self, executor: usize) -> usize {
+        self.sweep(|_, e| e.executor == Some(executor))
+    }
+
+    /// Drop every block charged to `tenant` and return the number of blocks
+    /// removed. The tenant's quota, if any, survives. Used when a tenant's
+    /// last in-flight job is cancelled or a tenant is retired, so its memory
+    /// frees immediately instead of aging out through LRU.
+    pub fn remove_tenant(&self, tenant: u32) -> usize {
+        self.sweep(|_, e| e.tenant == Some(tenant))
     }
 
     /// Current storage accounting.
     pub fn status(&self) -> StorageStatus {
         let state = self.state.lock();
-        let blocks_on_disk = state
-            .entries
-            .values()
-            .filter(|e| matches!(e.tier, Tier::Disk(_)))
-            .count();
         let mut ids: Vec<u32> = state
             .tenant_used
             .keys()
@@ -731,19 +512,9 @@ impl BlockManager {
         StorageStatus {
             budget: self.budget(),
             memory_used: state.memory_used as u64,
-            blocks_in_memory: state.entries.len() - blocks_on_disk,
-            blocks_on_disk,
+            blocks_in_memory: state.entries.len(),
             evictions: state.evictions,
-            spills: state.spills,
             tenants,
-        }
-    }
-}
-
-impl Drop for BlockManager {
-    fn drop(&mut self) {
-        if let Some(dir) = self.spill_dir.lock().take() {
-            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }
@@ -777,7 +548,6 @@ impl Drop for BlockLease {
 pub(crate) struct PersistOp<T: Data> {
     parent: Arc<dyn Op<T>>,
     id: u64,
-    level: StorageLevel,
     lease: Weak<BlockLease>,
     /// The leases of the datasets `parent` reads, released once every
     /// partition has been computed, and the count of those still to come.
@@ -799,7 +569,6 @@ impl<T: Data> PersistOp<T> {
         ctx: &Context,
         parent: Arc<dyn Op<T>>,
         upstream: Vec<Arc<BlockLease>>,
-        level: StorageLevel,
     ) -> (Self, Arc<BlockLease>) {
         let n = parent.num_partitions();
         let id = ctx.next_dataset_id();
@@ -810,7 +579,6 @@ impl<T: Data> PersistOp<T> {
         let op = PersistOp {
             parent,
             id,
-            level,
             lease: Arc::downgrade(&lease),
             upstream: Mutex::new(upstream),
             uncomputed: AtomicUsize::new(n),
@@ -847,7 +615,6 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
                 dataset: self.id,
                 partition: part,
                 bytes: read.bytes,
-                from_disk: read.from_disk,
                 stage_id,
             });
             // A hit is a refcount bump on the stored block, never a copy:
@@ -871,29 +638,12 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
             }
         });
         let data = Arc::new(self.parent.compute(part, ctx).into_vec());
-        let outcome = storage.put(self.id, part, data.clone(), self.level);
+        let outcome = storage.put(self.id, part, data.clone());
         for victim in &outcome.evicted {
             emit_cache_event(ctx, |stage_id| Event::CacheEvict {
                 dataset: victim.dataset,
                 partition: victim.partition,
                 bytes: victim.bytes,
-                spilled: victim.spilled,
-                stage_id,
-            });
-            if victim.spilled {
-                emit_cache_event(ctx, |stage_id| Event::CacheSpill {
-                    dataset: victim.dataset,
-                    partition: victim.partition,
-                    bytes: victim.bytes,
-                    stage_id,
-                });
-            }
-        }
-        if outcome.spilled_directly {
-            emit_cache_event(ctx, |stage_id| Event::CacheSpill {
-                dataset: self.id,
-                partition: part,
-                bytes: crate::wire::encoded_len(data.as_ref()),
                 stage_id,
             });
         }
@@ -913,11 +663,7 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
     }
 
     fn name(&self) -> String {
-        let level = match self.level {
-            StorageLevel::Memory => "memory",
-            StorageLevel::MemoryAndDisk => "memory+disk",
-        };
-        format!("persist#{}[{level}] <- {}", self.id, self.parent.name())
+        format!("persist#{} <- {}", self.id, self.parent.name())
     }
 }
 
@@ -992,12 +738,11 @@ mod tests {
     #[test]
     fn put_get_and_accounting() {
         let m = BlockManager::new(10_000);
-        let out = m.put(1, 0, part(&[1, 2, 3]), StorageLevel::Memory);
+        let out = m.put(1, 0, part(&[1, 2, 3]));
         assert!(out.stored && out.evicted.is_empty());
         let read = m.get::<i64>(1, 0).expect("hit");
         assert_eq!(*read.data, vec![1, 2, 3]);
-        assert!(!read.from_disk);
-        // Frame header + 8-byte length + 3 * 8: what a spill file would hold.
+        // Frame header + 8-byte length + 3 * 8: the block's SPKL frame.
         assert_eq!(read.bytes, (crate::wire::HEADER_LEN + 8 + 24) as u64);
         let status = m.status();
         assert_eq!(status.memory_used, read.bytes);
@@ -1010,163 +755,40 @@ mod tests {
         // The budget fits two 3-element blocks, not three.
         let block = block_bytes(3);
         let m = BlockManager::new(2 * block + block / 2);
-        m.put(1, 0, part(&[1, 1, 1]), StorageLevel::Memory);
-        m.put(1, 1, part(&[2, 2, 2]), StorageLevel::Memory);
+        m.put(1, 0, part(&[1, 1, 1]));
+        m.put(1, 1, part(&[2, 2, 2]));
         // Touch block 0 so block 1 is the LRU victim.
         m.get::<i64>(1, 0).unwrap();
-        let out = m.put(1, 2, part(&[3, 3, 3]), StorageLevel::Memory);
+        let out = m.put(1, 2, part(&[3, 3, 3]));
         assert_eq!(
             out.evicted,
             vec![Evicted {
                 dataset: 1,
                 partition: 1,
                 bytes: block as u64,
-                spilled: false
             }]
         );
         assert!(m.get::<i64>(1, 1).is_none(), "evicted block must miss");
         assert!(m.get::<i64>(1, 0).is_some());
         assert!(m.get::<i64>(1, 2).is_some());
         assert_eq!(m.status().evictions, 1);
-        assert_eq!(m.status().spills, 0);
     }
 
     #[test]
-    fn eviction_spills_disk_level_blocks_and_reads_them_back() {
-        let m = BlockManager::new(2 * block_bytes(3) + block_bytes(3) / 2);
-        m.put(7, 0, part(&[10, 20, 30]), StorageLevel::MemoryAndDisk);
-        m.put(7, 1, part(&[40, 50, 60]), StorageLevel::MemoryAndDisk);
-        let out = m.put(7, 2, part(&[70, 80, 90]), StorageLevel::MemoryAndDisk);
-        assert_eq!(out.evicted.len(), 1);
-        assert!(out.evicted[0].spilled);
-        let read = m.get::<i64>(7, 0).expect("spilled block must still hit");
-        assert!(read.from_disk);
-        assert_eq!(*read.data, vec![10, 20, 30]);
-        let status = m.status();
-        assert_eq!(status.blocks_on_disk, 1);
-        assert_eq!(status.spills, 1);
-    }
-
-    #[test]
-    fn zero_budget_memory_level_stores_nothing() {
+    fn zero_budget_stores_nothing() {
         let m = BlockManager::new(0);
-        let out = m.put(1, 0, part(&[1]), StorageLevel::Memory);
-        assert!(!out.stored && !out.spilled_directly);
+        let out = m.put(1, 0, part(&[1]));
+        assert!(!out.stored);
         assert!(m.get::<i64>(1, 0).is_none());
         assert_eq!(m.status().memory_used, 0);
-    }
-
-    /// The on-disk path of a spilled block (test-only escape hatch).
-    fn spill_path(m: &BlockManager, dataset: u64, partition: usize) -> PathBuf {
-        let state = m.state.lock();
-        match &state
-            .entries
-            .get(&(dataset, partition))
-            .expect("entry")
-            .tier
-        {
-            Tier::Disk(p) => p.clone(),
-            Tier::Memory(_) => panic!("expected a spilled block"),
-        }
-    }
-
-    #[test]
-    fn spill_files_are_wire_framed() {
-        let m = BlockManager::new(0);
-        m.put(1, 0, part(&[5, 6, 7]), StorageLevel::MemoryAndDisk);
-        let bytes = std::fs::read(spill_path(&m, 1, 0)).unwrap();
-        assert_eq!(&bytes[..4], crate::wire::MAGIC.as_slice());
-        assert_eq!(bytes[4], crate::wire::VERSION);
-        let read = m.get::<i64>(1, 0).expect("framed spill reads back");
-        assert_eq!(*read.data, vec![5, 6, 7]);
-    }
-
-    #[test]
-    fn bit_flipped_spill_fails_the_crc_and_is_forgotten() {
-        let m = BlockManager::new(0);
-        m.put(1, 0, part(&[5, 6, 7]), StorageLevel::MemoryAndDisk);
-        let path = spill_path(&m, 1, 0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(m.get::<i64>(1, 0).is_none(), "corrupt spill must miss");
-        assert!(!path.exists(), "corrupt file must be removed");
-        assert!(m.get::<i64>(1, 0).is_none(), "block must be forgotten");
-    }
-
-    #[test]
-    fn truncated_spill_is_a_miss() {
-        let m = BlockManager::new(0);
-        m.put(1, 0, part(&[5, 6, 7]), StorageLevel::MemoryAndDisk);
-        let path = spill_path(&m, 1, 0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 5);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(m.get::<i64>(1, 0).is_none(), "truncated spill must miss");
-    }
-
-    #[test]
-    fn trailing_garbage_after_the_spill_frame_is_a_miss() {
-        let m = BlockManager::new(0);
-        m.put(1, 0, part(&[5, 6]), StorageLevel::MemoryAndDisk);
-        let path = spill_path(&m, 1, 0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&[0xAB, 0xCD]);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(m.get::<i64>(1, 0).is_none());
-    }
-
-    #[test]
-    fn corrupt_spill_recomputes_from_lineage_with_cache_recompute_event() {
-        // Zero budget: every persisted partition spills straight to disk.
-        let ctx = Context::builder().workers(2).storage_memory(0).build();
-        ctx.trace();
-        let d = ctx
-            .parallelize((0..40i64).collect(), 4)
-            .persist_with(StorageLevel::MemoryAndDisk);
-        let first = d.collect();
-        let dataset_id = {
-            let state = ctx.storage().state.lock();
-            *state
-                .entries
-                .keys()
-                .map(|(d, _)| d)
-                .next()
-                .expect("spilled")
-        };
-        for p in 0..4 {
-            let path = spill_path(ctx.storage(), dataset_id, p);
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
-        }
-        assert_eq!(d.collect(), first, "recompute must restore the data");
-        let recomputes = ctx
-            .take_events()
-            .iter()
-            .filter(|e| matches!(e, Event::CacheRecompute { .. }))
-            .count();
-        assert_eq!(recomputes, 4, "every corrupt partition recomputes once");
-    }
-
-    #[test]
-    fn zero_budget_disk_level_spills_directly() {
-        let m = BlockManager::new(0);
-        let out = m.put(1, 0, part(&[5, 6]), StorageLevel::MemoryAndDisk);
-        assert!(out.spilled_directly && !out.stored);
-        let read = m.get::<i64>(1, 0).expect("direct spill must hit");
-        assert!(read.from_disk);
-        assert_eq!(*read.data, vec![5, 6]);
     }
 
     #[test]
     fn remove_dataset_forgets_all_its_blocks() {
         let m = BlockManager::new(usize::MAX);
-        m.put(3, 0, part(&[1]), StorageLevel::Memory);
-        m.put(3, 1, part(&[2]), StorageLevel::Memory);
-        m.put(4, 0, part(&[3]), StorageLevel::Memory);
+        m.put(3, 0, part(&[1]));
+        m.put(3, 1, part(&[2]));
+        m.put(4, 0, part(&[3]));
         assert_eq!(m.remove_dataset(3), 2);
         assert!(m.get::<i64>(3, 0).is_none());
         assert!(m.get::<i64>(3, 1).is_none());
@@ -1177,7 +799,7 @@ mod tests {
     fn unlimited_budget_never_evicts() {
         let m = BlockManager::new(usize::MAX);
         for p in 0..64 {
-            let out = m.put(9, p, part(&[p as i64; 100]), StorageLevel::Memory);
+            let out = m.put(9, p, part(&[p as i64; 100]));
             assert!(out.stored && out.evicted.is_empty());
         }
         assert_eq!(m.status().evictions, 0);
@@ -1187,7 +809,7 @@ mod tests {
     #[test]
     fn wrong_type_read_is_a_miss() {
         let m = BlockManager::new(usize::MAX);
-        m.put(1, 0, part(&[1, 2]), StorageLevel::Memory);
+        m.put(1, 0, part(&[1, 2]));
         assert!(m.get::<f64>(1, 0).is_none());
         assert!(m.get::<i64>(1, 0).is_some());
     }
@@ -1202,19 +824,18 @@ mod tests {
         let m = BlockManager::new(usize::MAX);
         m.set_tenant_quota(1, quota);
         ctx.scoped_tenant(2, || {
-            m.put(9, 0, part(&[7, 7, 7]), StorageLevel::Memory);
+            m.put(9, 0, part(&[7, 7, 7]));
         });
         ctx.scoped_tenant(1, || {
-            m.put(1, 0, part(&[1, 1, 1]), StorageLevel::Memory);
-            m.put(1, 1, part(&[2, 2, 2]), StorageLevel::Memory);
-            let out = m.put(1, 2, part(&[3, 3, 3]), StorageLevel::Memory);
+            m.put(1, 0, part(&[1, 1, 1]));
+            m.put(1, 1, part(&[2, 2, 2]));
+            let out = m.put(1, 2, part(&[3, 3, 3]));
             assert_eq!(
                 out.evicted,
                 vec![Evicted {
                     dataset: 1,
                     partition: 0,
                     bytes: block as u64,
-                    spilled: false
                 }]
             );
         });
@@ -1239,13 +860,10 @@ mod tests {
         let m = BlockManager::new(usize::MAX);
         m.set_tenant_quota(3, 10);
         ctx.scoped_tenant(3, || {
-            let out = m.put(1, 0, part(&[1, 2, 3]), StorageLevel::Memory);
-            assert!(!out.stored && !out.spilled_directly);
-            let out = m.put(1, 1, part(&[4, 5, 6]), StorageLevel::MemoryAndDisk);
-            assert!(out.spilled_directly);
+            let out = m.put(1, 0, part(&[1, 2, 3]));
+            assert!(!out.stored);
         });
         assert!(m.get::<i64>(1, 0).is_none());
-        assert!(m.get::<i64>(1, 1).expect("direct spill").from_disk);
     }
 
     #[test]
@@ -1253,11 +871,11 @@ mod tests {
         let ctx = Context::builder().workers(1).chaos_off().build();
         let m = BlockManager::new(usize::MAX);
         ctx.scoped_tenant(1, || {
-            m.put(1, 0, part(&[1]), StorageLevel::Memory);
-            m.put(1, 1, part(&[2]), StorageLevel::Memory);
+            m.put(1, 0, part(&[1]));
+            m.put(1, 1, part(&[2]));
         });
         ctx.scoped_tenant(2, || {
-            m.put(2, 0, part(&[3]), StorageLevel::Memory);
+            m.put(2, 0, part(&[3]));
         });
         assert_eq!(m.remove_tenant(1), 2);
         assert!(m.get::<i64>(1, 0).is_none());
@@ -1274,7 +892,7 @@ mod tests {
     #[test]
     fn untagged_puts_are_charged_to_no_tenant() {
         let m = BlockManager::new(usize::MAX);
-        m.put(5, 0, part(&[1, 2]), StorageLevel::Memory);
+        m.put(5, 0, part(&[1, 2]));
         let status = m.status();
         assert!(status.tenants.is_empty());
         assert!(status.memory_used > 0);
@@ -1291,7 +909,7 @@ mod tests {
             .chaos_off()
             .build();
         let src: Arc<dyn Op<i64>> = Arc::new(crate::ops::SourceOp::new((0..100).collect(), 2));
-        let (persist, _lease) = PersistOp::new(&ctx, src, Vec::new(), StorageLevel::Memory);
+        let (persist, _lease) = PersistOp::new(&ctx, src, Vec::new());
         // First compute stores the block; the returned stream shares it.
         let first = persist.compute(0, &ctx);
         let (block_first, _) = first.as_shared().expect("persist store must be shared");

@@ -37,7 +37,7 @@
 //! and cache recomputation replay identically (chaos semantics are
 //! bit-identical to the eager runtime).
 //!
-//! When tracing is on, [`instrument`] threads per-operator `rows_out` /
+//! When tracing is on, `instrument` threads per-operator `rows_out` /
 //! `bytes_out` counters through the stream: `Shared` outputs (length known)
 //! emit an [`Event::OperatorOutput`] immediately and pass through untouched
 //! (preserving `Arc` identity for the no-copy guarantees); `Iter` outputs are

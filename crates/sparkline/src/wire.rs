@@ -1,9 +1,8 @@
-//! Versioned, checksummed wire format for shuffle blocks and spill files.
+//! Versioned, checksummed wire format for shuffle blocks.
 //!
 //! Every serialized block — a shuffle map-output bucket travelling to a
-//! worker process, a spill file written by the [`crate::BlockManager`], or a
-//! map output parked in the external shuffle directory — is wrapped in one
-//! *frame*:
+//! worker process, or a map output parked in the external shuffle
+//! directory — is wrapped in one *frame*:
 //!
 //! ```text
 //! +------+---------+-------------+------------+----------------+
@@ -15,8 +14,10 @@
 //! (CRC-32/IEEE over the payload) catches bit rot and garbled transfers; the
 //! explicit length catches truncation. Decoding never panics: every way a
 //! frame can be damaged surfaces as a [`WireError`], which the shuffle layer
-//! converts into a retry/`FetchFailed` and the block manager converts into a
-//! lineage recompute.
+//! converts into a retry/`FetchFailed`. A frame's exact length,
+//! [`encoded_len`], is also the one byte rule: the shuffle layer accounts
+//! it and the [`crate::BlockManager`] budgets cached blocks by it, though
+//! cached blocks are never serialized.
 //!
 //! The format is deliberately minimal — no compression, no schema — because
 //! the frames are hop-by-hop (driver ↔ worker ↔ shuffle dir), not a durable

@@ -1,12 +1,11 @@
 //! Cache-stress and fault-injection harness for the block manager.
 //!
 //! Deterministic end-to-end proofs that memory-budgeted caching never
-//! changes results: under thrashing budgets (every pass evicts), with
-//! spill-to-disk, with injected task failures retried mid-read, and with
-//! all three at once. The oracle is always the same pipeline evaluated
+//! changes results: under thrashing budgets (every pass evicts and
+//! recomputes from lineage), with injected task failures retried mid-read,
+//! and with both at once. The oracle is always the same pipeline evaluated
 //! without `persist()`.
 
-use sparkline::storage::StorageLevel;
 use sparkline::wire::encoded_len;
 use sparkline::{Context, Dataset, Event, STORAGE_BUDGET_ENV};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,37 +58,6 @@ fn persist_matches_uncached_under_thrashing_budget() {
 }
 
 #[test]
-fn spill_to_disk_round_trips_through_files() {
-    let calls = Arc::new(AtomicUsize::new(0));
-    let c = Context::builder().workers(4).build();
-    let oracle = sorted(pipeline(&c, &calls).collect());
-
-    // Budget of one block: five of six blocks land in spill files.
-    let calls = Arc::new(AtomicUsize::new(0));
-    let c = Context::builder()
-        .workers(4)
-        .storage_memory(blocks(1))
-        .build();
-    c.trace();
-    let d = pipeline(&c, &calls).persist_with(StorageLevel::MemoryAndDisk);
-    assert_eq!(sorted(d.collect()), oracle);
-    let after_first = calls.load(Ordering::SeqCst);
-    assert_eq!(sorted(d.collect()), oracle);
-    assert_eq!(
-        calls.load(Ordering::SeqCst),
-        after_first,
-        "second pass must be served from memory + disk, never recomputed"
-    );
-    let status = c.storage_status();
-    assert!(status.spills > 0, "expected spills: {status:?}");
-    assert!(status.blocks_on_disk > 0);
-    let profile = c.take_profile();
-    let totals = profile.cache_totals();
-    assert!(totals.hits_from_disk > 0, "disk hits must be observed");
-    assert_eq!(totals.misses, 6, "each partition computed exactly once");
-}
-
-#[test]
 fn task_retries_do_not_corrupt_cache() {
     let calls = Arc::new(AtomicUsize::new(0));
     let c = Context::builder().workers(4).build();
@@ -101,7 +69,7 @@ fn task_retries_do_not_corrupt_cache() {
         .max_task_attempts(6)
         .storage_memory(blocks(3))
         .build();
-    let d = pipeline(&c, &calls).persist_with(StorageLevel::MemoryAndDisk);
+    let d = pipeline(&c, &calls).persist();
     for round in 0..4 {
         let _guard = c.inject_task_failures_scoped(2);
         assert_eq!(sorted(d.collect()), oracle, "round {round} diverged");
@@ -123,7 +91,7 @@ fn eviction_plus_failures_still_converges() {
         .storage_memory(blocks(2))
         .build();
     c.trace();
-    let d = pipeline(&c, &calls).persist_with(StorageLevel::Memory);
+    let d = pipeline(&c, &calls).persist();
     for run in 0..5 {
         let _guard = c.inject_task_failures_scoped(2);
         assert_eq!(sorted(d.collect()), oracle, "run {run} diverged");
@@ -209,7 +177,6 @@ fn cache_events_describe_the_stress_run() {
             Event::CacheHit { dataset, .. }
             | Event::CacheMiss { dataset, .. }
             | Event::CacheEvict { dataset, .. }
-            | Event::CacheSpill { dataset, .. }
             | Event::CacheRecompute { dataset, .. } => Some(*dataset),
             _ => None,
         })

@@ -113,7 +113,7 @@ impl CscTile {
     }
 
     /// Apply a single-slot fused program over the stored non-zeros only —
-    /// one pass, no densify. Requires [`FusedProgram::preserves_zero`]
+    /// one pass, no densify. Requires [`crate::FusedProgram::preserves_zero`]
     /// (structural zeros must map to bit-exact `+0.0`) and a program reading
     /// at most slot 0; computed zeros are dropped so the result stays
     /// canonical (no explicit zeros). Bit-identical to densify → fused dense

@@ -10,7 +10,7 @@ use crate::local::LocalMatrix;
 use crate::tile::DenseMatrix;
 use crate::{TileCoord, TileSet};
 use rand::Rng;
-use sparkline::{Context, KeyPartitioner, StorageLevel};
+use sparkline::{Context, KeyPartitioner};
 
 /// A distributed matrix stored as a grid of dense tiles.
 #[derive(Clone)]
@@ -195,17 +195,11 @@ impl TiledMatrix {
     /// manager: cached tiles are served without recomputation, evicted ones
     /// are transparently recomputed from lineage.
     pub fn persist(&self) -> TiledMatrix {
-        self.persist_with(StorageLevel::Memory)
-    }
-
-    /// [`TiledMatrix::persist`] with an explicit [`StorageLevel`] (e.g.
-    /// `MemoryAndDisk` to spill evicted tiles instead of dropping them).
-    pub fn persist_with(&self, level: StorageLevel) -> TiledMatrix {
         TiledMatrix {
             rows: self.rows,
             cols: self.cols,
             tile_size: self.tile_size,
-            tiles: self.tiles.persist_with(level),
+            tiles: self.tiles.persist(),
         }
     }
 
@@ -389,7 +383,7 @@ mod tests {
             .storage_memory(200)
             .build();
         let plain = TiledMatrix::from_fn(&c, 10, 10, 4, 4, |i, j| (i * 31 + j * 7) as f64);
-        let persisted = plain.persist_with(StorageLevel::MemoryAndDisk);
+        let persisted = plain.persist();
         assert_eq!(persisted.to_local(), plain.to_local());
         assert_eq!(persisted.to_local(), plain.to_local());
     }

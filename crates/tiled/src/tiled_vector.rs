@@ -3,7 +3,7 @@
 
 use crate::local::LocalMatrix;
 use crate::tiled_matrix::div_ceil;
-use sparkline::{Context, Dataset, StorageLevel};
+use sparkline::{Context, Dataset};
 
 /// A distributed vector stored as fixed-size dense blocks.
 #[derive(Clone)]
@@ -119,15 +119,10 @@ impl TiledVector {
     /// Persist the blocks through the memory-budgeted block manager (see
     /// [`sparkline::Dataset::persist`]).
     pub fn persist(&self) -> TiledVector {
-        self.persist_with(StorageLevel::Memory)
-    }
-
-    /// [`TiledVector::persist`] with an explicit [`StorageLevel`].
-    pub fn persist_with(&self, level: StorageLevel) -> TiledVector {
         TiledVector {
             len: self.len,
             block_size: self.block_size,
-            blocks: self.blocks.persist_with(level),
+            blocks: self.blocks.persist(),
         }
     }
 

@@ -60,7 +60,7 @@ fn adopting_and_releasing_a_buffer_moves_it() {
 
 /// SPKL bytes of a `(coord, tile)` bucket, captured at the commit before
 /// tile payloads became shared: the representation change must not move a
-/// byte of any frame (`sparkline.shuffle.bytes`, spill files, worker PUTs).
+/// byte of any frame (`sparkline.shuffle.bytes`, spooled frames, worker PUTs).
 #[test]
 fn encoded_frame_is_byte_identical_to_the_owned_payload_format() {
     const PARENT_FRAME: &str = "53504b4c01600000007fc0b9cb0100000000000000070000000000\

@@ -25,7 +25,6 @@ const SRC: &str = "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, k
 fn session(n: usize, a: &LocalMatrix, b: &LocalMatrix, plan: Option<ChaosPlan>) -> Session {
     let mut builder = Session::builder()
         .workers(4)
-        .executors(4)
         .partitions(4)
         .max_task_attempts(8)
         .max_stage_attempts(12);

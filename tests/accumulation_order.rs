@@ -36,7 +36,6 @@ const MUL_SRC: &str = "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- 
 fn session(matmul: MatMulStrategy, partitions: usize) -> SessionBuilder {
     Session::builder()
         .workers(4)
-        .executors(4)
         .partitions(partitions)
         .matmul(matmul)
         .broadcast_budget(0)

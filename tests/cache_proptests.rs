@@ -1,6 +1,6 @@
 //! Property tests for the memory-budgeted cache (ISSUE 2, satellite 1):
-//! for random plans, storage budgets (including 0 and thrash-tiny), storage
-//! levels, and injected task failures, a `persist()`-ed evaluation must be
+//! for random plans, storage budgets (including 0 and thrash-tiny), and
+//! injected task failures, a `persist()`-ed evaluation must be
 //! bit-for-bit identical to the uncached one — for dense and sparse (CSC)
 //! tiles alike.
 
@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_repro::sac::Session;
 use sac_repro::sparkline::wire::encoded_len;
-use sac_repro::sparkline::{Context, Dataset, KeyPartitioner, StorageLevel};
+use sac_repro::sparkline::{Context, Dataset, KeyPartitioner};
 use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
 
 /// A keyed dataset of dense tiles with a shuffle under the persist point, so
@@ -32,8 +32,8 @@ fn dense_tiles(
         })
 }
 
-/// Same pipeline, but the tiles are CSC-compressed: exercises the sparse
-/// spill codec and sparse block sizing.
+/// Same pipeline, but the tiles are CSC-compressed: exercises sparse block
+/// sizing.
 fn sparse_tiles(
     c: &Context,
     rows: usize,
@@ -69,47 +69,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Dense tiles: persisted evaluation equals the uncached oracle
-    /// bit-for-bit, across budgets, storage levels, repeated passes, and
-    /// injected task failures.
+    /// bit-for-bit, across budgets, repeated passes, and injected task
+    /// failures.
     #[test]
     fn dense_persist_is_bit_identical(rows in 1usize..6, cols in 1usize..6,
                                       salt in 0u64..1000, budget in budgets(),
-                                      to_disk in proptest::bool::ANY,
                                       failures in 0u32..3) {
         let oracle_ctx = Context::builder().workers(3).build();
         let oracle = by_key(dense_tiles(&oracle_ctx, rows, cols, salt).collect());
 
         let c = Context::builder().workers(3).storage_memory(budget).build();
-        let level = if to_disk { StorageLevel::MemoryAndDisk } else { StorageLevel::Memory };
-        let d = dense_tiles(&c, rows, cols, salt).persist_with(level);
+        let d = dense_tiles(&c, rows, cols, salt).persist();
         for pass in 0..3 {
             let _guard = c.inject_task_failures_scoped(failures);
             prop_assert_eq!(
                 &by_key(d.collect()), &oracle,
-                "budget {} level {:?} failures {} pass {} diverged",
-                budget, level, failures, pass
+                "budget {} failures {} pass {} diverged",
+                budget, failures, pass
             );
         }
     }
 
-    /// Sparse (CSC) tiles: same property, through the sparse spill codec.
+    /// Sparse (CSC) tiles: same property.
     #[test]
     fn sparse_persist_is_bit_identical(rows in 1usize..6, cols in 1usize..6,
                                        salt in 0u64..1000, budget in budgets(),
-                                       to_disk in proptest::bool::ANY,
                                        failures in 0u32..3) {
         let oracle_ctx = Context::builder().workers(3).build();
         let oracle = by_key(sparse_tiles(&oracle_ctx, rows, cols, salt).collect());
 
         let c = Context::builder().workers(3).storage_memory(budget).build();
-        let level = if to_disk { StorageLevel::MemoryAndDisk } else { StorageLevel::Memory };
-        let d = sparse_tiles(&c, rows, cols, salt).persist_with(level);
+        let d = sparse_tiles(&c, rows, cols, salt).persist();
         for pass in 0..3 {
             let _guard = c.inject_task_failures_scoped(failures);
             prop_assert_eq!(
                 &by_key(d.collect()), &oracle,
-                "budget {} level {:?} failures {} pass {} diverged",
-                budget, level, failures, pass
+                "budget {} failures {} pass {} diverged",
+                budget, failures, pass
             );
         }
     }

@@ -44,7 +44,6 @@ fn explicit_plan(
 fn chaos_session(n: usize, tile: usize, a: &LocalMatrix, plan: Option<ChaosPlan>) -> Session {
     let mut b = Session::builder()
         .workers(4)
-        .executors(4)
         .partitions(4)
         .max_task_attempts(8)
         .max_stage_attempts(12);
@@ -169,13 +168,12 @@ proptest! {
                                              salt in 0u64..1000,
                                              kill_at in 2u64..40, kill_exec in 0usize..4,
                                              fetch_every in 2u64..8) {
-        let oracle_ctx = Context::builder().workers(4).executors(4).chaos_off().build();
+        let oracle_ctx = Context::builder().workers(4).chaos_off().build();
         let oracle = by_key(sparse_tiles(&oracle_ctx, rows, cols, salt).collect());
 
         let plan = explicit_plan(4, kill_at, kill_exec, fetch_every, 5);
         let c = Context::builder()
             .workers(4)
-            .executors(4)
             .max_task_attempts(8)
             .max_stage_attempts(12)
             .chaos(plan)
@@ -196,13 +194,12 @@ proptest! {
                                             salt in 0u64..1000,
                                             kill_at in 2u64..40, kill_exec in 0usize..4,
                                             fetch_every in 2u64..8) {
-        let oracle_ctx = Context::builder().workers(4).executors(4).chaos_off().build();
+        let oracle_ctx = Context::builder().workers(4).chaos_off().build();
         let oracle = by_key(dense_tiles(&oracle_ctx, rows, cols, salt).collect());
 
         let plan = explicit_plan(4, kill_at, kill_exec, fetch_every, 5);
         let c = Context::builder()
             .workers(4)
-            .executors(4)
             .max_task_attempts(8)
             .max_stage_attempts(12)
             .chaos(plan)
@@ -371,7 +368,6 @@ proptest! {
         let plan = explicit_plan(4, kill_at, kill_exec, fetch_every, 5);
         let c = Context::builder()
             .workers(4)
-            .executors(4)
             .max_task_attempts(8)
             .max_stage_attempts(12)
             .storage_memory(budget)
@@ -464,7 +460,6 @@ proptest! {
         let session = |matmul: MatMulStrategy, plan: Option<ChaosPlan>| {
             let mut b = Session::builder()
                 .workers(4)
-                .executors(4)
                 .partitions(4)
                 .max_task_attempts(8)
                 .max_stage_attempts(12)

@@ -34,7 +34,6 @@ fn session(
 ) -> Session {
     let builder = Session::builder()
         .workers(4)
-        .executors(4)
         .partitions(4)
         .max_task_attempts(8)
         .max_stage_attempts(12)
@@ -56,7 +55,6 @@ fn multi_process_shuffle_matches_local_oracle() {
     let local = Context::builder().workers(4).chaos_off().build();
     let remote = Context::builder()
         .workers(4)
-        .executors(4)
         .worker_processes(2)
         .chaos_off()
         .build();
@@ -154,7 +152,6 @@ fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
         .with_wire_fault(4, 3, WireFault::Delay(50));
     let chaotic = Context::builder()
         .workers(4)
-        .executors(4)
         .worker_processes(2)
         .chaos(plan)
         .build();
@@ -189,7 +186,7 @@ fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
 fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
     let data: Vec<(i64, i64)> = (0..300).map(|i| (i % 17, i)).collect();
     let totals = |worker_processes: usize| {
-        let mut b = Context::builder().workers(4).executors(4).chaos_off();
+        let mut b = Context::builder().workers(4).chaos_off();
         if worker_processes > 0 {
             b = b.worker_processes(worker_processes);
         }
@@ -238,7 +235,6 @@ fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
 fn explicit_kill_worker_respawns_and_later_jobs_succeed() {
     let ctx = Context::builder()
         .workers(4)
-        .executors(4)
         .worker_processes(2)
         .chaos_off()
         .build();
@@ -266,12 +262,12 @@ fn unwritable_spool_degrades_to_worker_owned_outputs() {
     let local = Context::builder().workers(4).chaos_off().build();
     let remote = Context::builder()
         .workers(4)
-        .executors(4)
         .worker_processes(2)
         .chaos_off()
         .build();
     // A regular file where the first shuffle's spool directory would go.
     let spool = remote.external_shuffle_path(0).expect("spool is on");
+    std::fs::create_dir_all(spool.parent().unwrap()).unwrap();
     std::fs::write(&spool, b"not a directory").unwrap();
     let data: Vec<(i64, i64)> = (0..500).map(|i| (i % 37, i)).collect();
     let run = |ctx: &Context| {
@@ -285,6 +281,50 @@ fn unwritable_spool_degrades_to_worker_owned_outputs() {
     remote.trace();
     assert_eq!(run(&remote), run(&local));
     assert_eq!(remote.take_profile().total_failed_attempts(), 0);
+}
+
+/// Building a multi-process context never touches the temp dir: with
+/// `TMPDIR` beneath a regular file, where no directory can ever be created,
+/// the context still builds and its shuffles still run. The test re-runs
+/// itself in a child process with that `TMPDIR`, since the variable is
+/// process-wide.
+#[test]
+fn a_temp_dir_that_cannot_exist_does_not_stop_a_multi_process_context() {
+    const NAME: &str = "a_temp_dir_that_cannot_exist_does_not_stop_a_multi_process_context";
+    let tmp = std::env::temp_dir();
+    if tmp.parent().is_some_and(|p| p.is_file()) {
+        let local = Context::builder().workers(4).chaos_off().build();
+        let remote = Context::builder()
+            .workers(4)
+            .worker_processes(2)
+            .chaos_off()
+            .build();
+        let data: Vec<(i64, i64)> = (0..500).map(|i| (i % 37, i)).collect();
+        let run = |ctx: &Context| {
+            let mut out = ctx
+                .parallelize(data.clone(), 8)
+                .reduce_by_key(4, |a, b| a + b)
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        assert_eq!(run(&remote), run(&local));
+        return;
+    }
+    let file = tmp.join(format!("sparkline-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"a regular file").unwrap();
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+        .env("TMPDIR", file.join("tmp"))
+        .output()
+        .unwrap();
+    std::fs::remove_file(&file).unwrap();
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && stdout.contains("1 passed"),
+        "child failed: {stdout}{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
 }
 
 /// `WorkerGroup::drop` on the heartbeat thread: the heartbeat holds a strong

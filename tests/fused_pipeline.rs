@@ -119,7 +119,6 @@ struct Knobs {
 fn session(a: &LocalMatrix, b: &LocalMatrix, k: &Knobs) -> Session {
     let mut builder = Session::builder()
         .workers(4)
-        .executors(4)
         .partitions(4)
         .tile_threads(k.tile_threads)
         .storage_memory(k.storage)

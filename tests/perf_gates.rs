@@ -220,7 +220,6 @@ fn noisy_neighbour(rounds: usize) -> (u64, u64) {
     let n = 96;
     let svc = QueryService::builder()
         .workers(4)
-        .executors(4)
         .slots(1)
         .chaos_off()
         .build();

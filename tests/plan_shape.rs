@@ -425,7 +425,7 @@ fn kill_between_map_and_reduce_resubmits_exactly_the_lost_partitions() {
     // Kill the executor owning map output 1 at the first shuffle barrier —
     // i.e. after every map task finished, before any reduce task fetched.
     let run = |plan: Option<ChaosPlan>| {
-        let mut b = Context::builder().workers(4).executors(4);
+        let mut b = Context::builder().workers(4);
         b = match plan {
             Some(p) => b.chaos(p),
             None => b.chaos_off(),
@@ -629,7 +629,6 @@ fn failed_attempts_emit_no_partial_operator_counts() {
         .with_kill_at_task(5, 3);
     let c = Context::builder()
         .workers(4)
-        .executors(4)
         .max_task_attempts(8)
         .max_stage_attempts(12)
         .chaos(plan)
@@ -676,7 +675,6 @@ fn plan_cache_hits_are_pinned_by_event_count() {
     // service-level admission/cache events — still, keep the run hermetic.
     let svc = QueryService::builder()
         .workers(2)
-        .executors(2)
         .storage_memory(64 << 20)
         .slots(2)
         .chaos_off()

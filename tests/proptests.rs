@@ -137,7 +137,6 @@ proptest! {
         ] {
             let s = Session::builder()
                 .workers(2)
-                .executors(2)
                 .partitions(3)
                 .matmul(strategy)
                 .storage_memory(256)
@@ -336,7 +335,6 @@ fn e2e_384_matmul_under_seeded_chaos_bit_identical() {
     let want = a.multiply(&b);
     let s = Session::builder()
         .workers(2)
-        .executors(2)
         .partitions(3)
         .matmul(MatMulStrategy::Auto)
         .max_task_attempts(8)

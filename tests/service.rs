@@ -20,7 +20,6 @@ const ROWSUM: &str = "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]";
 fn chaotic_service(chaos: Option<ChaosPlan>) -> QueryService {
     let mut b = Context::builder()
         .workers(4)
-        .executors(4)
         .storage_memory(64 << 20)
         .max_task_attempts(8)
         .max_stage_attempts(12);
