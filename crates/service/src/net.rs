@@ -202,13 +202,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     loop {
         let line = match read_line_capped(&mut reader, cfg.max_line_bytes) {
-            Ok(LineRead::Line(bytes)) => match String::from_utf8(bytes) {
-                Ok(s) => s.trim_end_matches('\r').to_string(),
-                Err(_) => {
-                    write_reply(&mut writer, "ERR\trequest is not utf-8")?;
-                    continue;
-                }
-            },
+            Ok(LineRead::Line(bytes)) => bytes,
             Ok(LineRead::TooLong) => {
                 // The stream is no longer line-synchronized: reply once,
                 // then hang up rather than misparse the overflow as the
@@ -225,7 +219,7 @@ fn handle_connection(
             }
             Err(e) => return Err(e),
         };
-        let reply = match dispatch(&service, &line) {
+        let reply = match answer(&service, line) {
             Dispatch::Reply(r) => r,
             Dispatch::Quit => break,
         };
@@ -237,6 +231,14 @@ fn handle_connection(
 enum Dispatch {
     Reply(String),
     Quit,
+}
+
+/// What one request line, as read off the socket, gets.
+fn answer(service: &QueryService, line: Vec<u8>) -> Dispatch {
+    match String::from_utf8(line) {
+        Ok(s) => dispatch(service, s.trim_end_matches('\r')),
+        Err(_) => Dispatch::Reply("ERR\trequest is not utf-8".to_string()),
+    }
 }
 
 /// Error messages must stay one line for the wire format.
@@ -468,7 +470,7 @@ mod tests {
         server.shutdown();
     }
 
-    fn served_with(cfg: ServeConfig) -> (QueryService, Server) {
+    fn service() -> QueryService {
         let svc = QueryService::builder()
             .workers(2)
             .storage_memory(64 << 20)
@@ -479,8 +481,110 @@ mod tests {
         let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix("A", &a, 4).unwrap();
         svc.register_shared_int("n", 8);
+        svc
+    }
+
+    fn served_with(cfg: ServeConfig) -> (QueryService, Server) {
+        let svc = service();
         let server = serve_with(svc.clone(), ("127.0.0.1", 0), cfg).unwrap();
         (svc, server)
+    }
+
+    /// Every byte stream a client can send is answered line by line with one
+    /// `OK\t…` or `ERR\t…` line, or ends the connection (`QUIT`, an
+    /// over-long line, end of input), and nothing panics. Drives the
+    /// connection's own read and decode path (`read_line_capped`, `answer`,
+    /// `dispatch`) over random bytes, every truncation and single-byte flip
+    /// of valid requests, embedded `\0`, `\r` and extra tabs, and lines of
+    /// `cap - 1`, `cap` and `cap + 1` bytes, each through a 7-byte and a
+    /// default-sized read buffer.
+    #[test]
+    fn request_bytes_never_panic_and_every_reply_is_one_protocol_line() {
+        use rand::Rng;
+        const CAP: usize = 64;
+        let svc = service();
+        let valid: [&[u8]; 4] = [
+            b"RUN\talice\t+/[ a | ((i,j),a) <- A ]",
+            b"CANCEL\talice\t1",
+            b"STATUS",
+            b"QUIT",
+        ];
+        let mut streams: Vec<Vec<u8>> = Vec::new();
+        for v in valid {
+            for cut in 0..=v.len() {
+                streams.push(v[..cut].to_vec());
+                streams.push([&v[..cut], b"\n"].concat());
+            }
+            for (i, &byte) in v.iter().enumerate() {
+                for flip in [0, b'\t', b'\r', b'\n', b' ', byte ^ 0x20, byte ^ 0x80, 0xFF] {
+                    let mut flipped = v.to_vec();
+                    flipped[i] = flip;
+                    flipped.push(b'\n');
+                    streams.push(flipped);
+                }
+            }
+        }
+        for line in [
+            "RUN\talice\t+/[ a | ((i,j),a) <- A ]\0",
+            "RUN\t\0\t+/[ a | ((i,j),a) <- A ]",
+            "RUN\tal\rice\t+/[ a | ((i,j),a) <- A ]",
+            "RUN\talice\t\t+/[ a | ((i,j),a) <- A ]",
+            "CANCEL\t\talice\t1",
+            "CANCEL\talice\t1\t",
+            "CANCEL\talice\t\r1",
+            "STATUS\r\r",
+            "\rSTATUS",
+            "\t\tSTATUS",
+            "ST\0ATUS",
+            "\0",
+        ] {
+            streams.push(format!("{line}\n").into_bytes());
+        }
+        for len in [CAP - 1, CAP, CAP + 1] {
+            let mut line = b"STATUS\t".to_vec();
+            line.resize(len, b'x');
+            let fits = matches!(
+                read_line_capped(&mut [&line[..], b"\n"].concat().as_slice(), CAP).unwrap(),
+                LineRead::Line(_)
+            );
+            assert_eq!(
+                fits,
+                len <= CAP,
+                "a line of {len} bytes against a cap of {CAP}"
+            );
+            streams.push([&line[..], b"\nSTATUS\n"].concat());
+            streams.push(line);
+        }
+        // Random bytes, half of them from the protocol's own alphabet.
+        let alphabet = b"RUNCANCELSTATUSQUIT\t\r\n\0 1+/[]()|<-,aA";
+        let mut rng = StdRng::seed_from_u64(2021);
+        for _ in 0..300 {
+            let len = rng.gen_range(0..2 * CAP);
+            let bytes = (0..len).map(|_| {
+                if rng.gen_bool(0.5) {
+                    alphabet[rng.gen_range(0..alphabet.len())]
+                } else {
+                    rng.gen_range(0..=255u8)
+                }
+            });
+            streams.push(bytes.collect());
+        }
+        for stream in &streams {
+            for capacity in [7, 8 << 10] {
+                let mut reader = BufReader::with_capacity(capacity, stream.as_slice());
+                while let LineRead::Line(line) = read_line_capped(&mut reader, CAP).unwrap() {
+                    assert!(line.len() <= CAP, "{stream:?}: a line past the cap");
+                    match answer(&svc, line) {
+                        Dispatch::Reply(reply) => assert!(
+                            (reply.starts_with("OK\t") || reply.starts_with("ERR\t"))
+                                && !reply.contains(['\n', '\r']),
+                            "{stream:?} got {reply:?}"
+                        ),
+                        Dispatch::Quit => break,
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The burn-style elementwise executor: the planner traces a whole
 //! elementwise region (scale, add, sub, hadamard, scalar constants, guard
 //! masking, index-plane reads) into one postfix [`FusedProgram`] over tile
-//! slots, and [`fused_eltwise`] executes it in a single pass using a fixed
-//! register file of chunk buffers — no boxed per-element dispatch, no
-//! per-node allocation, and a fused sparsifier ([`fused_eltwise_sparsify`])
-//! that produces a pruned [`CscTile`] directly.
+//! slots. [`FusedProgram::new`] lowers the postfix ops once into a
+//! three-address form whose operands are input-slot slices, immediate
+//! constants or chunk registers, and [`fused_eltwise`] runs it chunk by
+//! chunk as one vector loop per instruction — no slot copies, no constant
+//! fills, no boxed per-element dispatch, no per-node allocation.
 //!
 //! # Determinism contract
 //!
@@ -18,10 +19,11 @@
 //! postfix program itself, with plain `+ - * /` (no FMA contraction: the
 //! result must match [`FusedProgram::eval_scalar`], and the source
 //! expression evaluated element by element, bit-for-bit). The [`Backend`]
-//! parameter only picks the chunk width; all widths produce the same bits.
+//! only picks the instruction set the loops are compiled for (AVX-512F,
+//! AVX2 or baseline, clamped to what the CPU has); all tiers produce the
+//! same bits.
 
 use crate::kernel::Backend;
-use crate::sparse_tile::CscTile;
 
 /// Comparison operators producing `1.0` / `0.0` indicators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +37,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    #[inline(always)]
     fn apply(self, x: f64, y: f64) -> f64 {
         let r = match self {
             CmpOp::Eq => x == y,
@@ -65,8 +68,8 @@ impl CmpOp {
 
 /// One instruction of a fused elementwise program (postfix stack machine).
 ///
-/// Pushes and pops operate on whole chunk buffers at execution time; the
-/// per-element semantics are the obvious scalar ones.
+/// The per-element semantics are the obvious scalar ones;
+/// [`FusedProgram::new`] compiles the sequence to whole-chunk loops.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ElemwiseOp {
     /// Push input slot `i` (one tile's data buffer).
@@ -127,15 +130,77 @@ impl ElemwiseOp {
     }
 }
 
+/// Where a three-address instruction reads one operand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Operand {
+    /// Input slot `i`, read in place.
+    Slot(usize),
+    /// An immediate constant.
+    Imm(f64),
+    /// Chunk register `r`, which holds postfix stack position `r`.
+    Reg(usize),
+}
+
+/// `reg[dst] = op(args)`, one loop over a chunk. `op` is never a leaf
+/// unless the whole program is that leaf, which then copies `args[0]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Instr {
+    op: ElemwiseOp,
+    dst: usize,
+    args: [Operand; 3],
+}
+
+/// Lower validated postfix ops to three-address form. Leaves become
+/// operands, never instructions, and each op writes the register of the
+/// stack position its result occupies — the position of its first
+/// operand. Every other operand sits higher on the stack, so only
+/// `args[0]` can be the destination register. Returns the code and the
+/// register count.
+fn lower(ops: &[ElemwiseOp]) -> (Vec<Instr>, usize) {
+    let mut stack: Vec<Operand> = Vec::new();
+    let mut code = Vec::new();
+    for op in ops {
+        match *op {
+            ElemwiseOp::Slot(i) => stack.push(Operand::Slot(i)),
+            ElemwiseOp::Const(v) => stack.push(Operand::Imm(v)),
+            _ => {
+                let dst = stack.len() - op.arity();
+                let mut args = [Operand::Imm(0.0); 3];
+                args[..op.arity()].copy_from_slice(&stack[dst..]);
+                stack.truncate(dst);
+                stack.push(Operand::Reg(dst));
+                code.push(Instr {
+                    op: op.clone(),
+                    dst,
+                    args,
+                });
+            }
+        }
+    }
+    if code.is_empty() {
+        code.push(Instr {
+            op: ops[0].clone(),
+            dst: 0,
+            args: [stack[0], Operand::Imm(0.0), Operand::Imm(0.0)],
+        });
+    }
+    let regs = code.iter().map(|ins| ins.dst + 1).max().unwrap_or(1);
+    (code, regs)
+}
+
 /// A validated fused elementwise program: a postfix op sequence that
 /// consumes input slots and leaves exactly one result on the stack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     ops: Vec<ElemwiseOp>,
-    /// Deepest stack the program reaches — the size of the register file.
+    /// Deepest stack the program reaches.
     max_stack: usize,
     /// One past the highest slot index read (0 when the program is constant).
     n_slots: usize,
+    /// `ops` in three-address form, what [`fused_eltwise`] runs.
+    code: Vec<Instr>,
+    /// Chunk registers `code` writes (at most `max_stack`).
+    regs: usize,
 }
 
 impl FusedProgram {
@@ -160,10 +225,13 @@ impl FusedProgram {
         if depth != 1 {
             return Err(format!("program leaves {depth} values on the stack"));
         }
+        let (code, regs) = lower(&ops);
         Ok(FusedProgram {
             ops,
             max_stack,
             n_slots,
+            code,
+            regs,
         })
     }
 
@@ -268,20 +336,14 @@ impl FusedProgram {
     }
 }
 
-/// Chunk width per backend. Purely a blocking choice: wider chunks amortize
-/// the per-op loop overhead on wider machines. Output bits are identical for
-/// every width (elementwise programs have no cross-element operations).
-fn chunk_width(backend: Backend) -> usize {
-    match backend {
-        Backend::Avx512 => 512,
-        Backend::Avx2 => 256,
-        Backend::Scalar => 128,
-    }
-}
+/// Elements per chunk: one register is 4 KiB, so the output chunk, the
+/// scratch registers and the slot chunks an instruction reads stay in L1.
+/// Purely a blocking choice — output bits are the same for every width.
+const CHUNK: usize = 512;
 
 /// Execute `prog` over `len` elements of the slot buffers into a fresh
-/// output buffer. One pass: the only allocations are the output and a
-/// register file of `max_stack` chunk buffers, reused across chunks.
+/// output buffer. One pass: the only allocations are the output and the
+/// program's scratch registers, reused across chunks.
 ///
 /// # Panics
 /// If any slot buffer referenced by the program is missing or shorter than
@@ -317,151 +379,191 @@ pub fn fused_eltwise_into(
             "fused_eltwise: slot {i} shorter than output"
         );
     }
-    let chunk = chunk_width(backend);
-    let mut regs: Vec<Vec<f64>> = (0..prog.max_stack).map(|_| vec![0.0f64; chunk]).collect();
-    for c0 in (0..len).step_by(chunk) {
-        let w = chunk.min(len - c0);
-        run_chunk(prog, slots, c0, w, &mut regs);
-        out[c0..c0 + w].copy_from_slice(&regs[0][..w]);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 if Backend::avx512_available() => {
+            // SAFETY: the CPU reports AVX-512F.
+            unsafe { run_avx512(prog, slots, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 | Backend::Avx2 if Backend::simd_available() => {
+            // SAFETY: the CPU reports AVX2.
+            unsafe { run_avx2(prog, slots, out) }
+        }
+        _ => run(prog, slots, out),
     }
 }
 
-/// Run the program over one chunk, leaving the result in `regs[0][..w]`.
-fn run_chunk(prog: &FusedProgram, slots: &[&[f64]], c0: usize, w: usize, regs: &mut [Vec<f64>]) {
-    let mut sp = 0usize;
-    for op in &prog.ops {
-        match op {
-            ElemwiseOp::Slot(i) => {
-                regs[sp][..w].copy_from_slice(&slots[*i][c0..c0 + w]);
-                sp += 1;
-            }
-            ElemwiseOp::Const(v) => {
-                regs[sp][..w].fill(*v);
-                sp += 1;
-            }
-            ElemwiseOp::Add => {
-                binop(regs, sp, w, |a, b| a + b);
-                sp -= 1;
-            }
-            ElemwiseOp::Sub => {
-                binop(regs, sp, w, |a, b| a - b);
-                sp -= 1;
-            }
-            ElemwiseOp::Mul => {
-                binop(regs, sp, w, |a, b| a * b);
-                sp -= 1;
-            }
-            ElemwiseOp::Div => {
-                binop(regs, sp, w, |a, b| a / b);
-                sp -= 1;
-            }
-            ElemwiseOp::Neg => unop(regs, sp, w, |a| -a),
-            ElemwiseOp::Abs => unop(regs, sp, w, f64::abs),
-            ElemwiseOp::Sqrt => unop(regs, sp, w, f64::sqrt),
-            ElemwiseOp::Select => {
-                let (head, tail) = regs.split_at_mut(sp - 2);
-                let cond = &mut head[sp - 3];
-                let (then, els) = tail.split_at(1);
-                for k in 0..w {
-                    if cond[k] == 0.0 {
-                        cond[k] = els[0][k];
-                    } else {
-                        cond[k] = then[0][k];
-                    }
-                }
-                sp -= 2;
-            }
-            ElemwiseOp::Cmp(c) => {
-                let c = *c;
-                binop(regs, sp, w, move |a, b| c.apply(a, b));
-                sp -= 1;
-            }
+/// [`run`] compiled for AVX-512F.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512(prog: &FusedProgram, slots: &[&[f64]], out: &mut [f64]) {
+    run(prog, slots, out)
+}
+
+/// [`run`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2(prog: &FusedProgram, slots: &[&[f64]], out: &mut [f64]) {
+    run(prog, slots, out)
+}
+
+/// Run the three-address code chunk by chunk. Register 0 is the output
+/// chunk itself; registers `1..` are scratch chunks. Slot lengths are
+/// checked by the caller.
+#[inline(always)]
+fn run(prog: &FusedProgram, slots: &[&[f64]], out: &mut [f64]) {
+    let mut scratch = vec![0.0f64; (prog.regs - 1) * CHUNK];
+    for (c, out) in out.chunks_mut(CHUNK).enumerate() {
+        let (c0, w) = (c * CHUNK, out.len());
+        for ins in &prog.code {
+            // The destination, and the registers above it — the only ones
+            // the instruction's other operands can name.
+            let (dst, above): (&mut [f64], &[f64]) = if ins.dst == 0 {
+                (&mut *out, &scratch)
+            } else {
+                let (below, above) = scratch.split_at_mut(ins.dst * CHUNK);
+                (&mut below[(ins.dst - 1) * CHUNK..][..w], above)
+            };
+            let src = |o: Operand| match o {
+                Operand::Reg(r) if r == ins.dst => Src::Own,
+                Operand::Reg(r) => Src::Slice(&above[(r - ins.dst - 1) * CHUNK..][..w]),
+                Operand::Slot(i) => Src::Slice(&slots[i][c0..c0 + w]),
+                Operand::Imm(v) => Src::Imm(v),
+            };
+            let [a, b, c] = ins.args.map(src);
+            exec(&ins.op, dst, a, b, c);
         }
     }
-    debug_assert_eq!(sp, 1, "validated program must leave one value");
-    if sp != 1 {
-        // Defensive for release builds; FusedProgram::new makes this
-        // unreachable.
-        panic!("fused program stack imbalance");
-    }
-    // Result must end in regs[0]: sp == 1 means it already does.
 }
 
-fn binop(regs: &mut [Vec<f64>], sp: usize, w: usize, f: impl Fn(f64, f64) -> f64) {
-    let (head, tail) = regs.split_at_mut(sp - 1);
-    let dst = &mut head[sp - 2];
-    let src = &tail[0];
-    for k in 0..w {
-        dst[k] = f(dst[k], src[k]);
-    }
+/// One resolved operand of an instruction over one chunk.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// The destination's own current value (first operand only).
+    Own,
+    Slice(&'a [f64]),
+    Imm(f64),
 }
 
-fn unop(regs: &mut [Vec<f64>], sp: usize, w: usize, f: impl Fn(f64) -> f64) {
-    let dst = &mut regs[sp - 1];
-    for v in dst[..w].iter_mut() {
-        *v = f(*v);
-    }
-}
-
-/// Fused sparsifier: execute `prog` over `rows x cols` row-major slot
-/// buffers and emit the pruned [`CscTile`] directly — one pass in
-/// column-major order, no intermediate dense result. Bit-identical to
-/// `CscTile::from_dense(&dense_result)` because each element runs the same
-/// postfix chain and zeros are dropped by the identical `!= 0.0` test.
-pub fn fused_eltwise_sparsify(
-    prog: &FusedProgram,
-    slots: &[&[f64]],
-    rows: usize,
-    cols: usize,
-    backend: Backend,
-) -> CscTile {
-    assert!(
-        slots.len() >= prog.n_slots,
-        "fused_eltwise_sparsify: missing slot buffers"
-    );
-    for s in slots.iter().take(prog.n_slots) {
-        assert!(
-            s.len() >= rows * cols,
-            "fused_eltwise_sparsify: slot shorter than tile"
-        );
-    }
-    let mut col_ptr = Vec::with_capacity(cols + 1);
-    let mut row_idx = Vec::new();
-    let mut values = Vec::new();
-    col_ptr.push(0);
-    // Column-at-a-time: gather the column's strided elements from each slot
-    // into contiguous buffers, run the program over the column, and append
-    // the survivors. `chunk_width` does not matter here — the column is the
-    // chunk — so the gather buffers are the whole register file.
-    let mut gathered: Vec<Vec<f64>> = (0..prog.n_slots.max(1))
-        .map(|_| vec![0.0f64; rows])
-        .collect();
-    let mut regs: Vec<Vec<f64>> = (0..prog.max_stack).map(|_| vec![0.0f64; rows]).collect();
-    for j in 0..cols {
-        for (s, g) in gathered.iter_mut().enumerate() {
-            let src = slots.get(s).copied().unwrap_or(&[]);
-            for (i, gv) in g.iter_mut().enumerate() {
-                *gv = src.get(i * cols + j).copied().unwrap_or(0.0);
+/// Bind `$x` to `$src` as a concrete [`Lane`] type, so `$body` is
+/// monomorphized — and vectorized — per operand kind.
+macro_rules! lane {
+    (first $src:expr, $x:ident => $body:expr) => {
+        match $src {
+            Src::Own => {
+                let $x = Own;
+                $body
             }
+            other => lane!(other, $x => $body),
         }
-        let views: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
-        run_chunk(prog, &views, 0, rows, &mut regs);
-        for (i, &v) in regs[0][..rows].iter().enumerate() {
-            if v != 0.0 {
-                row_idx.push(i);
-                values.push(v);
+    };
+    ($src:expr, $x:ident => $body:expr) => {
+        match $src {
+            Src::Slice(s) => {
+                let $x = s;
+                $body
             }
+            Src::Imm(v) => {
+                let $x = v;
+                $body
+            }
+            Src::Own => unreachable!("only an instruction's first operand is its destination"),
         }
-        col_ptr.push(values.len());
+    };
+}
+
+/// One instruction over one chunk.
+#[inline(always)]
+fn exec(op: &ElemwiseOp, dst: &mut [f64], a: Src, b: Src, c: Src) {
+    match op {
+        ElemwiseOp::Slot(_) | ElemwiseOp::Const(_) => un(dst, a, |x| x),
+        ElemwiseOp::Add => bin(dst, a, b, |x, y| x + y),
+        ElemwiseOp::Sub => bin(dst, a, b, |x, y| x - y),
+        ElemwiseOp::Mul => bin(dst, a, b, |x, y| x * y),
+        ElemwiseOp::Div => bin(dst, a, b, |x, y| x / y),
+        ElemwiseOp::Neg => un(dst, a, |x| -x),
+        ElemwiseOp::Abs => un(dst, a, f64::abs),
+        ElemwiseOp::Sqrt => un(dst, a, f64::sqrt),
+        // One loop per comparison: with the operator a runtime value the
+        // loop does not vectorize (3-5x slower on a compare-and-select).
+        ElemwiseOp::Cmp(CmpOp::Eq) => bin(dst, a, b, |x, y| CmpOp::Eq.apply(x, y)),
+        ElemwiseOp::Cmp(CmpOp::Ne) => bin(dst, a, b, |x, y| CmpOp::Ne.apply(x, y)),
+        ElemwiseOp::Cmp(CmpOp::Lt) => bin(dst, a, b, |x, y| CmpOp::Lt.apply(x, y)),
+        ElemwiseOp::Cmp(CmpOp::Le) => bin(dst, a, b, |x, y| CmpOp::Le.apply(x, y)),
+        ElemwiseOp::Cmp(CmpOp::Gt) => bin(dst, a, b, |x, y| CmpOp::Gt.apply(x, y)),
+        ElemwiseOp::Cmp(CmpOp::Ge) => bin(dst, a, b, |x, y| CmpOp::Ge.apply(x, y)),
+        ElemwiseOp::Select => lane!(first a, a => lane!(b, b => lane!(c, c => {
+            lanes(dst, a, b, c, |x, y, z| if x != 0.0 { y } else { z })
+        }))),
     }
-    let _ = backend;
-    CscTile::from_raw(rows, cols, col_ptr, row_idx, values)
+}
+
+#[inline(always)]
+fn un(dst: &mut [f64], a: Src, f: impl Fn(f64) -> f64) {
+    lane!(first a, a => lanes(dst, a, 0.0, 0.0, |x, _, _| f(x)))
+}
+
+#[inline(always)]
+fn bin(dst: &mut [f64], a: Src, b: Src, f: impl Fn(f64, f64) -> f64) {
+    lane!(first a, a => lane!(b, b => lanes(dst, a, b, 0.0, |x, y, _| f(x, y))))
+}
+
+/// An operand as the loop reads it: a slice, a broadcast immediate, or
+/// the destination's own value.
+trait Lane: Copy {
+    /// Lane `k`, where the destination currently holds `own`.
+    fn at(self, k: usize, own: f64) -> f64;
+}
+
+#[derive(Clone, Copy)]
+struct Own;
+
+impl Lane for Own {
+    #[inline(always)]
+    fn at(self, _: usize, own: f64) -> f64 {
+        own
+    }
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn at(self, _: usize, _: f64) -> f64 {
+        self
+    }
+}
+
+impl Lane for &[f64] {
+    #[inline(always)]
+    fn at(self, k: usize, _: f64) -> f64 {
+        self[k]
+    }
+}
+
+/// `dst[k] = f(a[k], b[k], c[k])` over one chunk: the loop every
+/// instruction compiles to.
+#[inline(always)]
+fn lanes<A: Lane, B: Lane, C: Lane>(
+    dst: &mut [f64],
+    a: A,
+    b: B,
+    c: C,
+    f: impl Fn(f64, f64, f64) -> f64,
+) {
+    for (k, d) in dst.iter_mut().enumerate() {
+        *d = f(a.at(k, *d), b.at(k, *d), c.at(k, *d));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::DenseMatrix;
 
     fn prog(ops: Vec<ElemwiseOp>) -> FusedProgram {
         FusedProgram::new(ops).expect("valid program")
@@ -487,6 +589,33 @@ mod tests {
         assert_eq!(p.max_stack(), 3);
         assert_eq!(p.n_slots(), 2);
         assert_eq!(p.len(), 5);
+    }
+
+    #[test]
+    fn lowering_reads_leaves_in_place_and_writes_the_stack_position() {
+        // s0 s1 c0.5 mul add: the multiply reads slot 1 and the immediate
+        // straight into register 1, the add accumulates into register 0.
+        let p = axpb();
+        assert_eq!(
+            p.code,
+            vec![
+                Instr {
+                    op: ElemwiseOp::Mul,
+                    dst: 1,
+                    args: [Operand::Slot(1), Operand::Imm(0.5), Operand::Imm(0.0)],
+                },
+                Instr {
+                    op: ElemwiseOp::Add,
+                    dst: 0,
+                    args: [Operand::Slot(0), Operand::Reg(1), Operand::Imm(0.0)],
+                },
+            ]
+        );
+        assert_eq!(p.regs, 2);
+        // A lone leaf is the one case that copies.
+        let leaf = prog(vec![ElemwiseOp::Slot(0)]);
+        assert_eq!(leaf.code.len(), 1);
+        assert_eq!(leaf.regs, 1);
     }
 
     #[test]
@@ -535,33 +664,37 @@ mod tests {
             ElemwiseOp::Add,
         ]);
         assert!(!shift.preserves_zero());
-        // -0.0 output must fail the probe (sign bit differs from +0.0).
+        // A -0.0 or NaN image must fail the probe: -0.0's sign bit differs
+        // from the +0.0 a dropped structural zero densifies to, and NaN is
+        // not zero at all.
         let neg = prog(vec![ElemwiseOp::Slot(0), ElemwiseOp::Neg]);
         assert!(!neg.preserves_zero());
-    }
-
-    #[test]
-    fn fused_sparsify_matches_dense_then_compress() {
-        let (rows, cols) = (9, 7);
-        let a = DenseMatrix::from_fn(rows, cols, |i, j| {
-            if (i + j) % 3 == 0 {
-                0.0
-            } else {
-                (i * cols + j) as f64 - 20.0
-            }
-        });
-        let b = DenseMatrix::from_fn(rows, cols, |i, j| ((i * 31 + j) % 5) as f64 - 2.0);
-        let p = prog(vec![
+        let by_minus_two = prog(vec![
             ElemwiseOp::Slot(0),
-            ElemwiseOp::Slot(1),
-            ElemwiseOp::Const(0.5),
+            ElemwiseOp::Const(-2.0),
             ElemwiseOp::Mul,
+        ]);
+        assert!(!by_minus_two.preserves_zero());
+        let zero_over_zero = prog(vec![
+            ElemwiseOp::Slot(0),
+            ElemwiseOp::Slot(0),
+            ElemwiseOp::Div,
+        ]);
+        assert!(!zero_over_zero.preserves_zero());
+        let nan_otherwise = prog(vec![
+            ElemwiseOp::Slot(0),
+            ElemwiseOp::Const(1.0),
+            ElemwiseOp::Const(f64::NAN),
+            ElemwiseOp::Select,
+        ]);
+        assert!(!nan_otherwise.preserves_zero());
+        // -0.0 + 0.0 rounds to +0.0, so adding a -0.0 constant is fine.
+        let plus_neg_zero = prog(vec![
+            ElemwiseOp::Slot(0),
+            ElemwiseOp::Const(-0.0),
             ElemwiseOp::Add,
         ]);
-        let dense = fused_eltwise(&p, &[a.data(), b.data()], rows * cols, Backend::Scalar);
-        let want = CscTile::from_dense(&DenseMatrix::from_vec(rows, cols, dense));
-        let got = fused_eltwise_sparsify(&p, &[a.data(), b.data()], rows, cols, Backend::active());
-        assert_eq!(got, want);
+        assert!(plus_neg_zero.preserves_zero());
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub fn signature() -> String {
 
 // The fused elementwise entry points live in [`crate::fused`] but are part
 // of the kernel surface: same determinism contract, same backend dispatch.
-pub use crate::fused::{fused_eltwise, fused_eltwise_into, fused_eltwise_sparsify};
+pub use crate::fused::{fused_eltwise, fused_eltwise_into};
 
 // ---------------------------------------------------------------------------
 // Packing

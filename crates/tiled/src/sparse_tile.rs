@@ -91,27 +91,6 @@ impl CscTile {
         }
     }
 
-    /// Assemble from raw CSC arrays. Crate-internal: the fused sparsifier
-    /// builds pruned tiles directly without a dense intermediate.
-    pub(crate) fn from_raw(
-        rows: usize,
-        cols: usize,
-        col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(col_ptr.len(), cols + 1);
-        debug_assert_eq!(row_idx.len(), values.len());
-        debug_assert_eq!(col_ptr.last().copied(), Some(values.len()));
-        CscTile {
-            rows,
-            cols,
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-
     /// Apply a single-slot fused program over the stored non-zeros only —
     /// one pass, no densify. Requires [`crate::FusedProgram::preserves_zero`]
     /// (structural zeros must map to bit-exact `+0.0`) and a program reading

@@ -11,8 +11,8 @@ use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::service::net::{serve, Client};
 use sac_repro::service::QueryService;
 use sac_repro::sparkline::Context;
-use sac_repro::tiled::kernel::Backend;
-use sac_repro::tiled::{DenseMatrix, LocalMatrix};
+use sac_repro::tiled::kernel::{fused_eltwise_into, Backend};
+use sac_repro::tiled::{DenseMatrix, ElemwiseOp, FusedProgram, LocalMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -128,6 +128,72 @@ fn kernel_is_2_5x_the_naive_oracle_at_384_cubed_with_equal_bits() {
     let speedup = naive_ms / packed_ms.min(banded_ms);
     println!("kernel: naive {naive_ms:.2} ms, packed {packed_ms:.2}, 8 bands {banded_ms:.2}: {speedup:.2}x");
     assert!(speedup >= 2.5, "kernel only {speedup:.2}x the naive loop");
+}
+
+/// `eltwise_chain`'s twelve operators, `(a+b)*0.5 - (b-a)*0.25 + a*2.0 -
+/// b*0.125 + (a-b)*3.0`, as the planner traces them (the ledger restates the
+/// same program in `ledger/src/workloads.rs`).
+fn chain_program() -> FusedProgram {
+    use ElemwiseOp::{Add, Const, Mul, Slot, Sub};
+    FusedProgram::new(vec![
+        Slot(0),
+        Slot(1),
+        Add,
+        Const(0.5),
+        Mul,
+        Slot(1),
+        Slot(0),
+        Sub,
+        Const(0.25),
+        Mul,
+        Sub,
+        Slot(0),
+        Const(2.0),
+        Mul,
+        Add,
+        Slot(1),
+        Const(0.125),
+        Mul,
+        Sub,
+        Slot(0),
+        Slot(1),
+        Sub,
+        Const(3.0),
+        Mul,
+        Add,
+    ])
+    .expect("balanced program")
+}
+
+#[test]
+#[ignore = "wall-clock gate; see the module docs"]
+fn fused_chain_is_10x_the_per_element_oracle_with_equal_bits() {
+    let _turn = alone();
+    let n = 128;
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let a = LocalMatrix::random(n, n, 0.0, 10.0, &mut rng);
+    let b = LocalMatrix::random(n, n, 0.0, 10.0, &mut rng);
+    let prog = chain_program();
+    let (mut oracle, mut fused) = (vec![0.0; n * n], vec![0.0; n * n]);
+    let [oracle_ms, fused_ms] = best_of(
+        15,
+        [
+            &mut || {
+                for (o, (x, y)) in oracle.iter_mut().zip(a.data().iter().zip(b.data())) {
+                    *o = prog.eval_scalar(&[*x, *y]);
+                }
+            },
+            &mut || fused_eltwise_into(&prog, &[a.data(), b.data()], &mut fused, Backend::active()),
+        ],
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(bits(&fused) == bits(&oracle), "fused: bits differ");
+    let speedup = oracle_ms / fused_ms;
+    println!("fused: per-element oracle {oracle_ms:.3} ms, fused {fused_ms:.3}: {speedup:.1}x");
+    assert!(
+        speedup >= 10.0,
+        "fused chain only {speedup:.1}x the per-element oracle"
+    );
 }
 
 /// The skewed 384 x 384 panel (one dense 64-row stripe), registered with
