@@ -28,8 +28,8 @@ impl SessionBuilder {
     /// Attach the session to an *existing* runtime context instead of
     /// building a fresh one — how a multi-tenant query service hosts many
     /// sessions over one shared executor pool. When set, the runtime-level
-    /// knobs on this builder (`workers`, `executors`, `storage_memory`,
-    /// attempt limits, speculation, chaos) are ignored: they belong to
+    /// knobs on this builder (`workers`, `storage_memory`, attempt limits,
+    /// speculation, `worker_processes`, chaos) are ignored: they belong to
     /// whoever built the shared context. Planner-level knobs (`partitions`,
     /// `matmul`, `broadcast_budget`, `tile_threads`) still apply per session.
     pub fn context(mut self, ctx: Context) -> Self {
@@ -103,13 +103,6 @@ impl SessionBuilder {
     /// See [`sparkline::ContextBuilder::worker_processes`].
     pub fn worker_processes(mut self, n: usize) -> Self {
         self.runtime = self.runtime.worker_processes(n);
-        self
-    }
-
-    /// Toggle the external shuffle service spool in multi-process mode. See
-    /// [`sparkline::ContextBuilder::external_shuffle`].
-    pub fn external_shuffle(mut self, on: bool) -> Self {
-        self.runtime = self.runtime.external_shuffle(on);
         self
     }
 

@@ -2,12 +2,11 @@
 
 use crate::analysis::Aggregate;
 use crate::env::{DistArray, PlanEnv};
-use crate::fuse::fuse_region;
 use crate::plan::{
     strategy_row, GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, PlanDecision, Planned,
     StrategyRow,
 };
-use crate::scalar::{IdxFn, ScalarFn};
+use crate::scalar::{self, IdxFn};
 use crate::stage::{self, StageFrontier};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
@@ -20,8 +19,8 @@ use sparkline::{
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
-use tiled::fused::FusedProgram;
-use tiled::kernel::Backend;
+use tiled::fused::{ElemwiseOp, FusedProgram};
+use tiled::kernel::{fused_eltwise, fused_eltwise_into, Backend};
 use tiled::{DenseMatrix, LocalMatrix, TileCoord, TiledMatrix, TiledVector};
 
 /// The result of executing a plan.
@@ -403,7 +402,7 @@ fn fused_tile(
         bufs.push(&planes.0);
         bufs.push(&planes.1);
     }
-    let mut data = tiled::kernel::fused_eltwise(program, &bufs, len, backend);
+    let mut data = fused_eltwise(program, &bufs, len, backend);
     let valid_rows = valid_extent(origin, extent, tile_rows).0;
     let valid_cols = valid_extent(origin, extent, tile_cols).1;
     data[valid_rows * tile_cols..].fill(0.0);
@@ -493,11 +492,11 @@ fn exec_fused_eltwise(
 }
 
 /// How a contraction combines an element pair: `None` is the plain product,
-/// which runs on the tile kernels; any other `f(a, b)` is evaluated element
-/// by element.
+/// which runs on the tile kernels; any other `f(a, b)` runs as its fused
+/// program, one pass per row of terms.
 #[derive(Clone)]
 struct Combine {
-    general: Option<ScalarFn>,
+    general: Option<FusedProgram>,
     /// Threads of the product kernel (the paper's `.par`).
     threads: usize,
 }
@@ -514,10 +513,12 @@ trait Block: Data + SpillCodec {
     fn col_at(index: i64) -> Self::Col;
     fn col_index(col: Self::Col) -> i64;
     fn zeros(n: usize) -> Self;
-    /// `self += a ⊗ b` under `combine`, in ascending contracted order;
-    /// `valid_k` masks the zero padding of the contracted dimension, which a
-    /// general combine would otherwise count.
-    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid_k: usize);
+    /// `self += a ⊗ b` under `combine`, in ascending contracted order.
+    /// `valid` is `(rows, contracted, cols)` of the block product that lie
+    /// inside the logical extents: a general combine counts no padding of
+    /// the contracted dimension and writes no output padding, which stays
+    /// `+0.0` (`f(0, 0)` need not be 0).
+    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid: (usize, usize, usize));
     fn add_in_place(&mut self, other: &Self);
 }
 
@@ -539,18 +540,26 @@ impl Block for DenseMatrix {
         DenseMatrix::zeros(n, n)
     }
 
-    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid_k: usize) {
+    /// A general combine runs one pass per (output row `i`, contracted
+    /// index `k`) over `a[i][k]` splatted and row `k` of `b`, adding the
+    /// terms into row `i` in ascending `k`.
+    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid: (usize, usize, usize)) {
         match &combine.general {
             None if combine.threads > 1 => self.gemm_acc_parallel(a, b, combine.threads),
             None => self.gemm_acc(a, b),
             Some(value) => {
-                let cols = b.cols();
+                let (rows, valid_k, cols) = valid;
+                let (width, backend) = (b.cols(), Backend::active());
+                let (mut left, mut terms) = (vec![0.0; cols], vec![0.0; cols]);
                 let out = self.data_mut();
-                for i in 0..a.rows() {
-                    for j in 0..cols {
-                        let acc = &mut out[i * cols + j];
-                        for k in 0..valid_k {
-                            *acc += value.eval(&[a.get(i, k), b.get(k, j)]);
+                for i in 0..rows {
+                    let out_row = &mut out[i * width..][..cols];
+                    for k in 0..valid_k {
+                        left.fill(a.get(i, k));
+                        let bufs = [&left[..], &b.row(k)[..cols]];
+                        fused_eltwise_into(value, &bufs, &mut terms, backend);
+                        for (acc, term) in out_row.iter_mut().zip(&terms) {
+                            *acc += term;
                         }
                     }
                 }
@@ -577,17 +586,19 @@ impl Block for Vec<f64> {
     }
 
     /// A block product is summed on its own and then added, so it is the
-    /// same number whether it seeds an accumulator or joins one.
-    fn acc(&mut self, a: &DenseMatrix, x: &Self, combine: &Combine, valid_k: usize) {
+    /// same number whether it seeds an accumulator or joins one. A general
+    /// combine runs one pass per row of `a` against `x`, summed in ascending
+    /// contracted index from `+0.0`.
+    fn acc(&mut self, a: &DenseMatrix, x: &Self, combine: &Combine, valid: (usize, usize, usize)) {
         match &combine.general {
             None => self.add_in_place(&a.matvec(x)),
             Some(value) => {
-                for (r, y) in self.iter_mut().enumerate() {
-                    let mut product = 0.0;
-                    for (c, &xv) in x.iter().enumerate().take(valid_k) {
-                        product += value.eval(&[a.get(r, c), xv]);
-                    }
-                    *y += product;
+                let (rows, valid_k, _) = valid;
+                let (mut terms, backend) = (vec![0.0; valid_k], Backend::active());
+                for (r, y) in self.iter_mut().enumerate().take(rows) {
+                    let bufs = [&a.row(r)[..valid_k], &x[..valid_k]];
+                    fused_eltwise_into(value, &bufs, &mut terms, backend);
+                    *y += terms.iter().fold(0.0, |sum, term| sum + term);
                 }
             }
         }
@@ -613,7 +624,7 @@ fn exec_contraction<'a>(
     (left, left_contract_row): (&'a str, bool),
     (right, right_contract_col): (&'a str, bool),
     swap_output: bool,
-    value: &ScalarFn,
+    value: &FusedProgram,
     (strategy, decision): (MatMulStrategy, &PlanDecision),
     output: &OutputKind,
 ) -> Result<ExecResult, CompError> {
@@ -627,8 +638,9 @@ fn exec_contraction<'a>(
     let adapt = |probe: &dyn Fn() -> Vec<(&'a str, StageFrontier)>| {
         stage::adapt(env, ctx, config, probe, operands, row, decision)
     };
+    let product = [ElemwiseOp::Slot(0), ElemwiseOp::Slot(1), ElemwiseOp::Mul];
     let combine = Combine {
-        general: (!value.is_product_of(0, 1)).then(|| value.clone()),
+        general: (value.ops() != product).then(|| value.clone()),
         threads: config.tile_threads.max(1),
     };
 
@@ -676,8 +688,8 @@ fn exec_contraction<'a>(
                 ]
             });
             let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
-            let b_cols = b.block_cols();
-            let tiles = lower_contraction(row, &a, b.tiles(), b_cols, b_small, partitions, combine);
+            let tiles =
+                lower_contraction(row, &a, b.tiles(), b.cols(), b_small, partitions, combine);
             let result = TiledMatrix::new(a.rows(), b.cols(), n, tiles);
             Ok(ExecResult::Matrix(if swap_output {
                 result.transpose()
@@ -700,11 +712,11 @@ fn exec_contraction<'a>(
 
 /// Lower one fully-resolved strategy-table row to its dataset DAG. `a` is
 /// already oriented standard (contraction on `a.col`); `b` is the oriented
-/// right operand: its blocks keyed `(contracted block, block col)`, how many
-/// block cols it has, and whether it is the smaller side. The caller has resolved
-/// `row` and `partitions` — at plan time or at the stage frontier, so a
-/// runtime strategy switch runs bit-identically to the same strategy chosen
-/// up front.
+/// right operand: its blocks keyed `(contracted block, block col)`, its
+/// logical column count (1 for a vector), and whether it is the smaller
+/// side. The caller has resolved `row` and `partitions` — at plan time or at
+/// the stage frontier, so a runtime strategy switch runs bit-identically to
+/// the same strategy chosen up front.
 ///
 /// Operand blocks are only routed here — replicas, join pairs and broadcast
 /// tables are pointer copies of shared tiles — and every arm but
@@ -715,15 +727,18 @@ fn lower_contraction<B: Block>(
     row: &StrategyRow,
     a: &TiledMatrix,
     b: &Blocks<B>,
-    b_cols: i64,
+    b_extent: i64,
     b_small: bool,
     partitions: usize,
     combine: Combine,
 ) -> Blocks<B> {
-    let (n, inner) = (a.tile_size(), a.cols());
-    let multiply = move |av: &DenseMatrix, bv: &B, k: i64, out: &mut B| {
-        let valid_k = (inner - k * n as i64).clamp(0, n as i64) as usize;
-        out.acc(av, bv, &combine, valid_k);
+    let (n, rows, inner) = (a.tile_size(), a.rows(), a.cols());
+    let b_cols = (b_extent + n as i64 - 1) / n as i64;
+    // `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)`.
+    let multiply = move |av: &DenseMatrix, bv: &B, (i, k, j): (i64, i64, i64), out: &mut B| {
+        let valid = |block: i64, len: i64| (len - block * n as i64).clamp(0, n as i64) as usize;
+        let valid = (valid(i, rows), valid(k, inner), valid(j, b_extent));
+        out.acc(av, bv, &combine, valid);
     };
     let add_blocks = |acc: &mut B, t: B| acc.add_in_place(&t);
     match row.strategy {
@@ -742,7 +757,7 @@ fn lower_contraction<B: Block>(
                     .join(&rhs, partitions)
                     .map(move |(k, ((i, av), (j, bv)))| {
                         let mut out = B::zeros(n);
-                        multiply(&av, &bv, k, &mut out);
+                        multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
                         ((i, j), out)
                     })
                     .group_by_key(partitions)
@@ -773,14 +788,16 @@ fn lower_contraction<B: Block>(
                     for (k, (ls, rs)) in records {
                         for (i, av) in &ls {
                             for (j, bv) in &rs {
-                                triples.push(((*i, *j), (k, av.clone(), bv.clone())));
+                                let at = (*i, k, B::col_index(*j));
+                                triples.push(((*i, *j), (at, av.clone(), bv.clone())));
                             }
                         }
                     }
                     PartitionStream::from_vec(triples)
                 });
-            let fold =
-                move |out: &mut B, (k, av, bv): (i64, DenseMatrix, B)| multiply(&av, &bv, k, out);
+            let fold = move |out: &mut B, (at, av, bv): ((i64, i64, i64), DenseMatrix, B)| {
+                multiply(&av, &bv, at, out)
+            };
             let seed = fold.clone();
             let accumulate = Aggregator {
                 create: Arc::new(move |triple| {
@@ -801,7 +818,7 @@ fn lower_contraction<B: Block>(
             (a.block_rows(), a.block_cols(), b_cols),
             n,
             partitions,
-            move |out: &mut B, av: &DenseMatrix, bv: &B, k| multiply(av, bv, k, out),
+            move |out: &mut B, av: &DenseMatrix, bv: &B, at| multiply(av, bv, at, out),
         ),
         MatMulStrategy::Broadcast => {
             // MLlib-style broadcast join: collect the smaller operand's
@@ -819,7 +836,7 @@ fn lower_contraction<B: Block>(
                     tiles.for_each_ref(|((i, k), av)| {
                         for ((_, j), bv) in table.get(k).into_iter().flatten() {
                             let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                            multiply(av, bv, *k, out);
+                            multiply(av, bv, (*i, *k, B::col_index(*j)), out);
                         }
                     });
                     PartitionStream::from_vec(acc.into_iter().collect())
@@ -831,7 +848,7 @@ fn lower_contraction<B: Block>(
                     blocks.for_each_ref(|((k, j), bv)| {
                         for ((i, _), av) in table.get(k).into_iter().flatten() {
                             let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                            multiply(av, bv, *k, out);
+                            multiply(av, bv, (*i, *k, B::col_index(*j)), out);
                         }
                     });
                     PartitionStream::from_vec(acc.into_iter().collect())
@@ -868,20 +885,20 @@ fn lower_contraction<B: Block>(
 /// of the cell)` — and `B[k,j]` to the `pr` cells its block column crosses —
 /// keyed `(first row of the cell, j)` — both pointer copies until a frame is
 /// encoded. Each reduce task then walks its cell's output keys and folds
-/// `acc(&mut C_ij, &L_ik, &B_kj, k)` in ascending `k` into one resident block,
-/// skipping absent operand blocks: no partial sum is shuffled or merged, so
-/// every output element is one ascending chain over the contracted index — a
-/// function of the operands alone, not of partition count, source layout,
-/// retry or process count. The cell's blocks are emitted from the cell's
-/// partition, so the result carries the grid partitioner of its own shape and
-/// joins with co-indexed matrices narrowly.
+/// `acc(&mut C_ij, &L_ik, &B_kj, (i, k, j))` in ascending `k` into one
+/// resident block, skipping absent operand blocks: no partial sum is
+/// shuffled or merged, so every output element is one ascending chain over
+/// the contracted index — a function of the operands alone, not of partition
+/// count, source layout, retry or process count. The cell's blocks are
+/// emitted from the cell's partition, so the result carries the grid
+/// partitioner of its own shape and joins with co-indexed matrices narrowly.
 fn group_by_join<L, B>(
     lefts: &Dataset<(TileCoord, L)>,
     rights: &Blocks<B>,
     (free_left, contracted, free_right): (i64, i64, i64),
     n: usize,
     partitions: usize,
-    acc: impl Fn(&mut B, &L, &B, i64) + Send + Sync + 'static,
+    acc: impl Fn(&mut B, &L, &B, (i64, i64, i64)) + Send + Sync + 'static,
 ) -> Blocks<B>
 where
     L: Data + SpillCodec,
@@ -916,7 +933,7 @@ where
                     let mut c = B::zeros(n);
                     for k in 0..contracted {
                         if let (Some(l), Some(b)) = (l_at.get(&(i, k)), b_at.get(&(k, j))) {
-                            acc(&mut c, l, b, k);
+                            acc(&mut c, l, b, (i, k, j));
                         }
                     }
                     out.push(((i, B::col_at(j)), c));
@@ -935,15 +952,16 @@ where
 /// `group_by_join` over dense right and output tiles, for callers whose
 /// left tiles are stored some other way (`sac::linalg::multiply_sparse_left`
 /// ships them compressed): the same routing and the same reduce, with the
-/// caller's tile kernel as `acc`. `dims` are the block counts of the
-/// left-free, contracted and right-free dimensions, `n` the tile size.
+/// caller's tile kernel as `acc`, called with the block coordinates
+/// `(i, k, j)` of its product. `dims` are the block counts of the left-free,
+/// contracted and right-free dimensions, `n` the tile size.
 pub fn group_by_join_tiles<L: Data + SpillCodec>(
     lefts: &Dataset<(TileCoord, L)>,
     rights: &Dataset<(TileCoord, DenseMatrix)>,
     dims: (i64, i64, i64),
     n: usize,
     partitions: usize,
-    acc: impl Fn(&mut DenseMatrix, &L, &DenseMatrix, i64) + Send + Sync + 'static,
+    acc: impl Fn(&mut DenseMatrix, &L, &DenseMatrix, (i64, i64, i64)) + Send + Sync + 'static,
 ) -> Dataset<(TileCoord, DenseMatrix)> {
     group_by_join(lefts, rights, dims, n, partitions, acc)
 }
@@ -957,11 +975,10 @@ fn by_contracted<K, T>(blocks: Vec<(K, T)>, k: impl Fn(&K) -> i64) -> HashMap<i6
     table
 }
 
-/// A per-element `value` over slots `[element, row, col]` as one fused tile
-/// program, or `None` when it is the element itself. By `fuse`'s
-/// determinism contract the program's bits are `ScalarFn::eval`'s.
-fn element_program(value: &ScalarFn) -> Option<FusedProgram> {
-    (*value != ScalarFn::Var(0)).then(|| fuse_region(value, None))
+/// A per-element `value` over slots `[element, row, col]`, or `None` when it
+/// is the element itself.
+fn element_program(value: &FusedProgram) -> Option<FusedProgram> {
+    (value.ops() != [ElemwiseOp::Slot(0)]).then(|| value.clone())
 }
 
 /// Tile `(bi, bj)` of an array of logical `extent` through
@@ -997,7 +1014,7 @@ fn exec_axis_reduce(
     input: &str,
     by_row: bool,
     monoid: Monoid,
-    value: &ScalarFn,
+    value: &FusedProgram,
     len: i64,
 ) -> Result<TiledVector, CompError> {
     let m = matrix_input(env, input)?;
@@ -1083,7 +1100,7 @@ fn exec_index_remap(
     config: &PlanConfig,
     input: &str,
     (fi, fj): (&IdxFn, &IdxFn),
-    value: &ScalarFn,
+    value: &FusedProgram,
     (rows, cols): (i64, i64),
 ) -> Result<TiledMatrix, CompError> {
     let m = matrix_input(env, input)?;
@@ -1353,8 +1370,8 @@ struct GroupFold {
     /// Identity and combine per aggregate, plus a trailing hit-count plane.
     zeros: Vec<f64>,
     combines: Vec<fn(f64, f64) -> f64>,
-    /// Finalizer over the aggregate planes.
-    finalizer: ScalarFn,
+    /// Finalizer over the aggregate planes, slot `i` reading plane `i`.
+    finalizer: FusedProgram,
 }
 
 impl GroupFold {
@@ -1415,7 +1432,7 @@ impl GroupFold {
             }
         }
         let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-        let finalizer = ScalarFn::compile(finalizer, &agg_slots, agg_slots.len(), env)?;
+        let finalizer = scalar::compile(finalizer, None, &agg_slots, agg_slots.len(), env)?;
         Ok(GroupFold {
             mini,
             scalars,
@@ -1432,9 +1449,10 @@ impl GroupFold {
     /// offset inside that destination's planes, the only thing matrix- and
     /// vector-shaped keys differ in. Planes are flat `plane_len` buffers, one
     /// per aggregate plus a trailing hit count; they are reduced by key, then
-    /// every hit cell is finalized (untouched cells stay 0: dense builder
-    /// semantics). An element whose evaluation fails (`1 / (i - i)`) fails
-    /// its task with the `CompError` text.
+    /// finalized in one fused pass per destination over its planes, and
+    /// untouched cells are reset to `+0.0` (dense builder semantics). An
+    /// element whose evaluation fails (`1 / (i - i)`) fails its task with the
+    /// `CompError` text.
     fn run<K>(
         self,
         m: &TiledMatrix,
@@ -1450,6 +1468,7 @@ impl GroupFold {
         let (mini, scalars, (rv, cv, vv)) = (self.mini, self.scalars, self.gen_vars);
         let (zeros, combines, finalizer) = (self.zeros, self.combines, self.finalizer);
         let fold_combines = combines.clone();
+        let backend = Backend::active();
 
         let partial = m.tiles().flat_map(move |(coord, t)| {
             let mut acc: HashMap<K, Vec<Vec<f64>>> = HashMap::new();
@@ -1491,13 +1510,10 @@ impl GroupFold {
 
         reduced.map_values(move |planes| {
             let (hits, aggs) = planes.split_last().expect("hit-count plane");
-            let mut slots = vec![0.0; aggs.len()];
-            let mut out = vec![0.0; plane_len];
-            for e in (0..plane_len).filter(|&e| hits[e] != 0.0) {
-                for (slot, plane) in slots.iter_mut().zip(aggs) {
-                    *slot = plane[e];
-                }
-                out[e] = finalizer.eval(&slots);
+            let slots: Vec<&[f64]> = aggs.iter().map(Vec::as_slice).collect();
+            let mut out = fused_eltwise(&finalizer, &slots, plane_len, backend);
+            for (cell, _) in out.iter_mut().zip(hits).filter(|(_, &h)| h == 0.0) {
+                *cell = 0.0;
             }
             out
         })

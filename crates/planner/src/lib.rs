@@ -5,7 +5,7 @@
 //!
 //! | Paper rule | Plan |
 //! |---|---|
-//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`] over matrices (`n x n` tiles) or vectors (`n x 1`) — one fused tile program ([`fuse`]) |
+//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`] over matrices (`n x n` tiles) or vectors (`n x 1`) — one fused tile program ([`scalar::compile`]) |
 //! | §5.2 rule (19), index remap with tile replication | [`Plan::IndexRemap`] |
 //! | §5.3 group-by → tile `reduceByKey` (rule 13) | [`Plan::Contraction`] (ReduceByKey; matrix × matrix or matrix × vector), [`Plan::AxisReduce`], [`Plan::GroupByAggregate`] |
 //! | §5.4 group-by-join (SUMMA) | [`Plan::Contraction`] (GroupByJoin) |
@@ -22,7 +22,6 @@
 pub mod analysis;
 pub mod env;
 pub mod exec;
-pub mod fuse;
 pub mod plan;
 pub mod scalar;
 mod stage;
@@ -30,7 +29,7 @@ mod stage;
 pub use env::{DistArray, PlanEnv};
 pub use exec::{execute, ExecResult};
 pub use plan::{MatMulStrategy, OutputKind, Plan, PlanConfig, Planned};
-pub use scalar::{IdxFn, ScalarFn};
+pub use scalar::IdxFn;
 
 use comp::ast::Expr;
 use comp::errors::CompError;

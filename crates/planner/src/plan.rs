@@ -7,7 +7,7 @@
 //!    tiled matrix, generators are equated on both indices (rule 14 join
 //!    detection), and the head key is those indices (possibly swapped →
 //!    transpose). No shuffle beyond co-partitioning; the head value and
-//!    guards run as one fused tile program ([`crate::fuse`]).
+//!    guards run as one fused tile program ([`crate::scalar::compile`]).
 //! 2. **Contraction** (§5.3 / §5.4) — two tiled generators joined on one
 //!    index, group-by over the two free indices, head `⊕/v` with
 //!    `v = f(a, b)`: matrix-multiplication-like. Translated to one row of
@@ -34,8 +34,7 @@ use crate::analysis::{
     decompose, extract_aggregates, inline_lets, Aggregate, Decomposed, GenKind, VarClasses,
 };
 use crate::env::{ArrayStats, DistArray, PlanEnv};
-use crate::fuse::fuse_region;
-use crate::scalar::{IdxFn, ScalarFn};
+use crate::scalar::{self, IdxFn};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::normalize::normalize;
@@ -166,7 +165,7 @@ pub enum Plan {
         /// Head key is `(right_free, left_free)` — transpose the result.
         swap_output: bool,
         /// Element combine over slots `[a, b]` (must reduce with `+`).
-        value: ScalarFn,
+        value: FusedProgram,
         /// Resolved physical strategy (never [`MatMulStrategy::Auto`]).
         strategy: MatMulStrategy,
         /// How the strategy was chosen (candidate cost estimates); its
@@ -180,7 +179,7 @@ pub enum Plan {
         by_row: bool,
         monoid: Monoid,
         /// Per-element input over slots `[val, row, col]`.
-        value: ScalarFn,
+        value: FusedProgram,
     },
     /// §5.2 rule 19: element-wise index remap with tile replication.
     IndexRemap {
@@ -190,7 +189,7 @@ pub enum Plan {
         /// Destination column index over slots `[i, j]`.
         fj: IdxFn,
         /// Value over slots `[val, i, j]`.
-        value: ScalarFn,
+        value: FusedProgram,
     },
     /// §5.3 generic single-input group-by with aggregate planes.
     GroupByAggregate {
@@ -364,10 +363,10 @@ fn plan_body(
     }
 }
 
-/// Compile an elementwise head value and its guards (conjoined) against
-/// `slots` (integer indices from `first_index` on) and trace them into one
-/// fused program, plus the post-order operator tags of the source region for
-/// the `region_fused` event.
+/// Compile an elementwise head value masked by its guards (conjoined)
+/// against `slots` (integer indices from `first_index` on) into one fused
+/// program, plus the post-order operator tags of the source region for the
+/// `region_fused` event.
 fn fuse_head(
     value: &Expr,
     guards: Vec<Expr>,
@@ -375,24 +374,19 @@ fn fuse_head(
     first_index: usize,
     env: &PlanEnv,
 ) -> Result<(FusedProgram, Vec<String>), CompError> {
-    let value_fn = ScalarFn::compile(value, slots, first_index, env)?;
-    let mut region_ops: Vec<String> = value
-        .op_sequence()
+    let guard = guards
         .into_iter()
-        .map(str::to_string)
-        .collect();
-    let guard_fn = match guards
-        .into_iter()
-        .reduce(|conj, g| Expr::BinOp(comp::BinOp::And, Box::new(conj), Box::new(g)))
-    {
-        Some(conj) => {
-            region_ops.extend(conj.op_sequence().into_iter().map(str::to_string));
-            region_ops.push("select".to_string());
-            Some(ScalarFn::compile(&conj, slots, first_index, env)?)
-        }
-        None => None,
-    };
-    Ok((fuse_region(&value_fn, guard_fn.as_ref()), region_ops))
+        .reduce(|conj, g| Expr::BinOp(comp::BinOp::And, Box::new(conj), Box::new(g)));
+    let program = scalar::compile(value, guard.as_ref(), slots, first_index, env)?;
+    let mut region_ops = value.op_sequence();
+    if let Some(guard) = &guard {
+        region_ops.extend(guard.op_sequence());
+        region_ops.push("select");
+    }
+    Ok((
+        program,
+        region_ops.into_iter().map(str::to_string).collect(),
+    ))
 }
 
 fn eq_guard(x: &str, y: &str) -> Expr {
@@ -559,7 +553,7 @@ fn plan_contraction(
         ));
     };
     let slots = vec![a.val.clone(), b_val.clone()];
-    let value = ScalarFn::compile(inner, &slots, slots.len(), env)?;
+    let value = scalar::compile(inner, None, &slots, slots.len(), env)?;
     let operands = (
         (&*a.name, left_contract_row),
         (&**b_name, right_contract_col),
@@ -868,7 +862,7 @@ fn plan_axis_reduce(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
         return Err(CompError::plan("head value must be a reduction"));
     };
     let slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
-    let value = ScalarFn::compile(inner, &slots, 1, env)?;
+    let value = scalar::compile(inner, None, &slots, 1, env)?;
     Ok(Plan::AxisReduce {
         input: g.name.clone(),
         by_row,
@@ -900,7 +894,7 @@ fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     let fi = IdxFn::compile(e1, &idx_slots, &iconsts)?;
     let fj = IdxFn::compile(e2, &idx_slots, &iconsts)?;
     let val_slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
-    let value = ScalarFn::compile(value, &val_slots, 1, env)?;
+    let value = scalar::compile(value, None, &val_slots, 1, env)?;
     Ok(Plan::IndexRemap {
         input: g.name.clone(),
         fi,

@@ -1,68 +1,113 @@
 //! Compiled scalar and index expressions.
 //!
 //! Tile kernels must not pay dynamic-dispatch or hashing costs per element,
-//! so the planner compiles the scalar fragments of a comprehension (head
-//! values, guards, index maps) into small slot-addressed expression trees
-//! over `f64` / `i64`. An index map is evaluated a tile or an axis at a time
+//! so the planner compiles the scalar fragments of a comprehension once, on
+//! the driver, into the forms tasks run: head values, guards and finalizers
+//! straight to one postfix [`FusedProgram`] over `f64` slots ([`compile`]),
+//! which `tiled::fused` runs a tile or a row at a time, and index maps to
+//! [`IdxFn`] trees over `i64` — Euclidean integer arithmetic, which an `f64`
+//! program cannot express — evaluated a tile or an axis at a time
 //! ([`IdxFn::eval_batch`]).
+//!
+//! # Emission rules
+//!
+//! Program slot `s` is the variable named `slots[s]`. For an elementwise
+//! region over `k` inputs, slots `0..k` are the input tiles' values and slots
+//! `k`, `k + 1` the global row and column index planes, which the executor
+//! materializes per tile only when `program.n_slots() > k` (a vector block is
+//! an `n x 1` tile, so its element index is the row plane). `&&` is `*`,
+//! `||` is `(a + b) > 0`, `!e` is `1 - e`, `if` is `select`, and comparisons
+//! are 0/1 indicators. A guard masks as `select(guard, value, 0.0)`, so
+//! failing elements are `+0.0`.
+//!
+//! # Determinism
+//!
+//! The program is the per-element op chain of the source expression — plain
+//! `+ - * /`, no FMA contraction, no reassociation. An op whose operands are
+//! all constants is folded while it is emitted, by the same IEEE-754
+//! operation each element would perform ([`FusedProgram::eval_scalar`]), and
+//! a constant `if` condition or guard keeps only the taken side, since
+//! selection is by value: folding never moves a bit, on any backend or
+//! thread count.
 
 use crate::env::PlanEnv;
 use comp::ast::{BinOp, Expr, UnOp};
 use comp::errors::CompError;
 use comp::Value;
+use tiled::fused::{CmpOp, ElemwiseOp, FusedProgram};
 
-/// A scalar (`f64`) expression over a fixed set of variable slots.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScalarFn {
-    Const(f64),
-    /// Slot index into the argument array.
-    Var(usize),
-    Add(Box<ScalarFn>, Box<ScalarFn>),
-    Sub(Box<ScalarFn>, Box<ScalarFn>),
-    Mul(Box<ScalarFn>, Box<ScalarFn>),
-    Div(Box<ScalarFn>, Box<ScalarFn>),
-    Neg(Box<ScalarFn>),
-    Abs(Box<ScalarFn>),
-    Sqrt(Box<ScalarFn>),
-    /// `if cond != 0 then a else b` (conditions compile comparisons to 0/1).
-    If(Box<ScalarFn>, Box<ScalarFn>, Box<ScalarFn>),
-    /// Comparison producing 1.0 / 0.0.
-    Cmp(BinOp, Box<ScalarFn>, Box<ScalarFn>),
+/// Compile `value` — masked by `guard`, when there is one — into one fused
+/// program, resolving variables against `slots` (slot `i` holds the variable
+/// named `slots[i]`; those from `first_index` on are integer indices) and
+/// inlining the scalars bound in `env`. `/` divides floats unless both
+/// operands are integers: then it is the interpreter's Euclidean division,
+/// folded when both are constant and otherwise a compile error, so the
+/// comprehension plans by a rule that keeps it.
+pub fn compile(
+    value: &Expr,
+    guard: Option<&Expr>,
+    slots: &[String],
+    first_index: usize,
+    env: &PlanEnv,
+) -> Result<FusedProgram, CompError> {
+    let emit = |e: &Expr| {
+        let mut emitter = Emitter {
+            slots,
+            first_index,
+            env,
+            ops: Vec::new(),
+        };
+        let folded = emitter.emit(e)?.constant;
+        Ok::<_, CompError>((emitter.ops, folded))
+    };
+    let (value, _) = emit(value)?;
+    let ops = match guard.map(emit).transpose()? {
+        None => value,
+        // A constant guard masks uniformly: only the taken side is emitted.
+        Some((_, Some(g))) if g != 0.0 => value,
+        Some((_, Some(_))) => vec![ElemwiseOp::Const(0.0)],
+        // Postfix order: condition, then, else.
+        Some((mut ops, None)) => {
+            ops.extend(value);
+            ops.extend([ElemwiseOp::Const(0.0), ElemwiseOp::Select]);
+            ops
+        }
+    };
+    FusedProgram::new(ops).map_err(CompError::plan)
 }
 
-impl ScalarFn {
-    /// Compile `expr`, resolving variables against `slots` (slot `i` holds
-    /// the variable named `slots[i]`; those from `first_index` on are integer
-    /// indices) and inlining the scalars bound in `env`. `/` divides floats
-    /// unless both operands are integers: then it is the interpreter's
-    /// Euclidean division, folded when both are constant and otherwise a
-    /// compile error, so the comprehension plans by a rule that keeps it.
-    pub fn compile(
-        expr: &Expr,
-        slots: &[String],
-        first_index: usize,
-        env: &PlanEnv,
-    ) -> Result<ScalarFn, CompError> {
-        Ok(ScalarFn::typed(expr, slots, first_index, env)?.0)
-    }
+/// An emitted subexpression: whether the interpreter's value is an integer,
+/// and its value when it folded to one `Const` op.
+#[derive(Clone, Copy)]
+struct Emitted {
+    int: bool,
+    constant: Option<f64>,
+}
 
-    /// [`ScalarFn::compile`], and whether the interpreter's value is an
-    /// integer.
-    fn typed(
-        expr: &Expr,
-        slots: &[String],
-        first_index: usize,
-        env: &PlanEnv,
-    ) -> Result<(ScalarFn, bool), CompError> {
-        let c = |e: &Expr| ScalarFn::typed(e, slots, first_index, env);
+/// Post-order emission of one expression's postfix ops.
+struct Emitter<'a> {
+    slots: &'a [String],
+    first_index: usize,
+    env: &'a PlanEnv,
+    ops: Vec<ElemwiseOp>,
+}
+
+impl Emitter<'_> {
+    fn emit(&mut self, expr: &Expr) -> Result<Emitted, CompError> {
         Ok(match expr {
-            Expr::Int(n) => (ScalarFn::Const(*n as f64), true),
-            Expr::Float(x) => (ScalarFn::Const(*x), false),
-            Expr::Bool(b) => (ScalarFn::Const(if *b { 1.0 } else { 0.0 }), false),
-            Expr::Var(v) => match (slots.iter().position(|s| s == v), env.scalar(v)) {
-                (Some(i), _) => (ScalarFn::Var(i), i >= first_index),
-                (None, Some(Value::Int(n))) => (ScalarFn::Const(*n as f64), true),
-                (None, Some(Value::Float(x))) => (ScalarFn::Const(*x), false),
+            Expr::Int(n) => self.constant(*n as f64, true),
+            Expr::Float(x) => self.constant(*x, false),
+            Expr::Bool(b) => self.constant(if *b { 1.0 } else { 0.0 }, false),
+            Expr::Var(v) => match (self.slots.iter().position(|s| s == v), self.env.scalar(v)) {
+                (Some(i), _) => {
+                    self.ops.push(ElemwiseOp::Slot(i));
+                    Emitted {
+                        int: i >= self.first_index,
+                        constant: None,
+                    }
+                }
+                (None, Some(Value::Int(n))) => self.constant(*n as f64, true),
+                (None, Some(Value::Float(x))) => self.constant(*x, false),
                 _ => {
                     return Err(CompError::plan(format!(
                         "variable `{v}` is not an element variable or registered scalar"
@@ -70,49 +115,82 @@ impl ScalarFn {
                 }
             },
             Expr::BinOp(op, a, b) => {
-                let ((a, a_int), (b, b_int)) = (c(a)?, c(b)?);
-                let int = a_int && b_int;
-                let (a, b) = (Box::new(a), Box::new(b));
+                let start = self.ops.len();
+                let (a, b) = (self.emit(a)?, self.emit(b)?);
+                let int = a.int && b.int;
                 match op {
-                    BinOp::Add => (ScalarFn::Add(a, b), int),
-                    BinOp::Sub => (ScalarFn::Sub(a, b), int),
-                    BinOp::Mul => (ScalarFn::Mul(a, b), int),
-                    BinOp::Div if int => (ScalarFn::Const(int_div(&a, &b)?), true),
-                    BinOp::Div => (ScalarFn::Div(a, b), false),
-                    BinOp::And => (ScalarFn::Mul(a, b), false),
-                    BinOp::Or => {
-                        // a || b  ==  min(a + b, 1) for 0/1 operands.
-                        let sum = Box::new(ScalarFn::Add(a, b));
-                        let zero = Box::new(ScalarFn::Const(0.0));
-                        (ScalarFn::Cmp(BinOp::Gt, sum, zero), false)
+                    BinOp::Add => self.apply(ElemwiseOp::Add, &[a, b], int),
+                    BinOp::Sub => self.apply(ElemwiseOp::Sub, &[a, b], int),
+                    BinOp::Mul => self.apply(ElemwiseOp::Mul, &[a, b], int),
+                    BinOp::Div if int => {
+                        let quotient = int_div(a.constant, b.constant)?;
+                        self.ops.truncate(start);
+                        self.constant(quotient, true)
                     }
-                    cmp if cmp.is_comparison() => (ScalarFn::Cmp(*cmp, a, b), false),
+                    BinOp::Div => self.apply(ElemwiseOp::Div, &[a, b], false),
+                    BinOp::And => self.apply(ElemwiseOp::Mul, &[a, b], false),
+                    BinOp::Or => {
+                        // a || b  ==  (a + b) > 0 for 0/1 operands.
+                        let sum = self.apply(ElemwiseOp::Add, &[a, b], false);
+                        let zero = self.constant(0.0, false);
+                        self.apply(ElemwiseOp::Cmp(CmpOp::Gt), &[sum, zero], false)
+                    }
                     other => {
-                        return Err(CompError::plan(format!(
-                            "operator {other} is not a scalar operation"
-                        )))
+                        let Some(cmp) = cmp_op(*other) else {
+                            return Err(CompError::plan(format!(
+                                "operator {other} is not a scalar operation"
+                            )));
+                        };
+                        self.apply(ElemwiseOp::Cmp(cmp), &[a, b], false)
                     }
                 }
             }
             Expr::UnOp(UnOp::Neg, e) => {
-                let (e, int) = c(e)?;
-                (ScalarFn::Neg(Box::new(e)), int)
+                let e = self.emit(e)?;
+                self.apply(ElemwiseOp::Neg, &[e], e.int)
             }
             Expr::UnOp(UnOp::Not, e) => {
-                let one = Box::new(ScalarFn::Const(1.0));
-                (ScalarFn::Sub(one, Box::new(c(e)?.0)), false)
+                let one = self.constant(1.0, false);
+                let e = self.emit(e)?;
+                self.apply(ElemwiseOp::Sub, &[one, e], false)
             }
             Expr::If(cond, t, f) => {
-                let cond = Box::new(c(cond)?.0);
-                let ((t, t_int), (f, f_int)) = (c(t)?, c(f)?);
-                (ScalarFn::If(cond, Box::new(t), Box::new(f)), t_int && f_int)
+                let start = self.ops.len();
+                let cond = self.emit(cond)?.constant;
+                let then_at = self.ops.len();
+                let t = self.emit(t)?;
+                let else_at = self.ops.len();
+                let f = self.emit(f)?;
+                let int = t.int && f.int;
+                let Some(cond) = cond else {
+                    self.ops.push(ElemwiseOp::Select);
+                    return Ok(Emitted {
+                        int,
+                        constant: None,
+                    });
+                };
+                // Selection is by value, so keeping only the taken branch
+                // yields the same bits per element.
+                let (taken, kept) = if cond != 0.0 {
+                    (t, then_at..else_at)
+                } else {
+                    (f, else_at..self.ops.len())
+                };
+                let kept: Vec<ElemwiseOp> = self.ops.drain(kept).collect();
+                self.ops.truncate(start);
+                self.ops.extend(kept);
+                Emitted {
+                    int,
+                    constant: taken.constant,
+                }
             }
             Expr::Call(f, args) if f == "abs" && args.len() == 1 => {
-                let (e, int) = c(&args[0])?;
-                (ScalarFn::Abs(Box::new(e)), int)
+                let e = self.emit(&args[0])?;
+                self.apply(ElemwiseOp::Abs, &[e], e.int)
             }
             Expr::Call(f, args) if f == "sqrt" && args.len() == 1 => {
-                (ScalarFn::Sqrt(Box::new(c(&args[0])?.0)), false)
+                let e = self.emit(&args[0])?;
+                self.apply(ElemwiseOp::Sqrt, &[e], false)
             }
             other => {
                 return Err(CompError::plan(format!(
@@ -122,75 +200,51 @@ impl ScalarFn {
         })
     }
 
-    /// The value, if the expression reads no slot.
-    fn constant(&self) -> Option<f64> {
-        fn reads_no_slot(f: &ScalarFn) -> bool {
-            match f {
-                ScalarFn::Const(_) => true,
-                ScalarFn::Var(_) => false,
-                ScalarFn::Neg(a) | ScalarFn::Abs(a) | ScalarFn::Sqrt(a) => reads_no_slot(a),
-                ScalarFn::Add(a, b)
-                | ScalarFn::Sub(a, b)
-                | ScalarFn::Mul(a, b)
-                | ScalarFn::Div(a, b)
-                | ScalarFn::Cmp(_, a, b) => reads_no_slot(a) && reads_no_slot(b),
-                ScalarFn::If(c, t, f) => reads_no_slot(c) && reads_no_slot(t) && reads_no_slot(f),
-            }
-        }
-        reads_no_slot(self).then(|| self.eval(&[]))
-    }
-
-    /// Evaluate over the slot values.
-    pub fn eval(&self, vars: &[f64]) -> f64 {
-        match self {
-            ScalarFn::Const(x) => *x,
-            ScalarFn::Var(i) => vars[*i],
-            ScalarFn::Add(a, b) => a.eval(vars) + b.eval(vars),
-            ScalarFn::Sub(a, b) => a.eval(vars) - b.eval(vars),
-            ScalarFn::Mul(a, b) => a.eval(vars) * b.eval(vars),
-            ScalarFn::Div(a, b) => a.eval(vars) / b.eval(vars),
-            ScalarFn::Neg(a) => -a.eval(vars),
-            ScalarFn::Abs(a) => a.eval(vars).abs(),
-            ScalarFn::Sqrt(a) => a.eval(vars).sqrt(),
-            ScalarFn::If(c, t, f) => {
-                if c.eval(vars) != 0.0 {
-                    t.eval(vars)
-                } else {
-                    f.eval(vars)
-                }
-            }
-            ScalarFn::Cmp(op, a, b) => {
-                let (x, y) = (a.eval(vars), b.eval(vars));
-                let r = match op {
-                    BinOp::Eq => x == y,
-                    BinOp::Ne => x != y,
-                    BinOp::Lt => x < y,
-                    BinOp::Le => x <= y,
-                    BinOp::Gt => x > y,
-                    BinOp::Ge => x >= y,
-                    _ => unreachable!("non-comparison in Cmp"),
-                };
-                if r {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+    fn constant(&mut self, value: f64, int: bool) -> Emitted {
+        self.ops.push(ElemwiseOp::Const(value));
+        Emitted {
+            int,
+            constant: Some(value),
         }
     }
 
-    /// True if this is exactly `Var(a) * Var(b)` — the GEMM fast-path probe.
-    pub fn is_product_of(&self, a: usize, b: usize) -> bool {
-        matches!(self, ScalarFn::Mul(x, y)
-            if **x == ScalarFn::Var(a) && **y == ScalarFn::Var(b))
+    /// Push `op` over its just-emitted `args`; when every one folded, the
+    /// operands and `op` fold into one constant instead.
+    fn apply(&mut self, op: ElemwiseOp, args: &[Emitted], int: bool) -> Emitted {
+        self.ops.push(op);
+        if args.iter().any(|a| a.constant.is_none()) {
+            return Emitted {
+                int,
+                constant: None,
+            };
+        }
+        // Each folded operand is exactly one `Const` op.
+        let folded = self.ops.split_off(self.ops.len() - args.len() - 1);
+        let value = FusedProgram::new(folded)
+            .expect("constant operands and their op are a valid program")
+            .eval_scalar(&[]);
+        self.constant(value, int)
     }
+}
+
+/// The indicator op of a comparison operator.
+fn cmp_op(op: BinOp) -> Option<CmpOp> {
+    Some(match op {
+        BinOp::Eq => CmpOp::Eq,
+        BinOp::Ne => CmpOp::Ne,
+        BinOp::Lt => CmpOp::Lt,
+        BinOp::Le => CmpOp::Le,
+        BinOp::Gt => CmpOp::Gt,
+        BinOp::Ge => CmpOp::Ge,
+        _ => return None,
+    })
 }
 
 /// Integer `a / b` with both operands constant: the interpreter's
 /// Euclidean division, or its error on a zero divisor. With a variable
 /// operand there is no float program for it.
-fn int_div(a: &ScalarFn, b: &ScalarFn) -> Result<f64, CompError> {
-    let (Some(a), Some(b)) = (a.constant(), b.constant()) else {
+fn int_div(a: Option<f64>, b: Option<f64>) -> Result<f64, CompError> {
+    let (Some(a), Some(b)) = (a, b) else {
         return Err(CompError::plan(
             "integer division of an index is not a float operation",
         ));
@@ -321,76 +375,119 @@ mod tests {
     /// Compile over float slots `slots` then index slots `indices`.
     fn try_compile(
         src: &str,
-        slots: &[&str],
-        indices: &[&str],
+        guard: Option<&str>,
+        (slots, indices): (&[&str], &[&str]),
         env: &PlanEnv,
-    ) -> Result<ScalarFn, CompError> {
+    ) -> Result<FusedProgram, CompError> {
         let all: Vec<String> = slots.iter().chain(indices).map(|s| s.to_string()).collect();
-        ScalarFn::compile(&parse_expr(src).unwrap(), &all, slots.len(), env)
+        let guard = guard.map(|g| parse_expr(g).unwrap());
+        compile(
+            &parse_expr(src).unwrap(),
+            guard.as_ref(),
+            &all,
+            slots.len(),
+            env,
+        )
     }
 
-    fn compile_s(src: &str, slots: &[&str]) -> ScalarFn {
-        try_compile(src, slots, &[], &PlanEnv::new()).unwrap()
+    fn compile_s(src: &str, slots: &[&str]) -> FusedProgram {
+        try_compile(src, None, (slots, &[]), &PlanEnv::new()).unwrap()
     }
 
     #[test]
     fn arithmetic_and_slots() {
         let f = compile_s("a * b + 2.0", &["a", "b"]);
-        assert_eq!(f.eval(&[3.0, 4.0]), 14.0);
+        assert_eq!(f.signature(), "s0;s1;mul;c2.0;add");
+        assert_eq!(f.eval_scalar(&[3.0, 4.0]), 14.0);
     }
 
     #[test]
-    fn product_probe() {
-        let f = compile_s("a * b", &["a", "b"]);
-        assert!(f.is_product_of(0, 1));
-        assert!(!f.is_product_of(1, 0));
-        assert!(!compile_s("a + b", &["a", "b"]).is_product_of(0, 1));
+    fn identity_and_product_are_their_op_sequences() {
+        use ElemwiseOp::{Mul, Slot};
+        let ab = ["a", "b"];
+        assert_eq!(compile_s("a", &ab).ops(), [Slot(0)]);
+        assert_eq!(compile_s("a * b", &ab).ops(), [Slot(0), Slot(1), Mul]);
+        assert_ne!(compile_s("b * a", &ab).ops(), [Slot(0), Slot(1), Mul]);
     }
 
     #[test]
     fn comparisons_produce_indicator() {
         let f = compile_s("a > 10", &["a"]);
-        assert_eq!(f.eval(&[11.0]), 1.0);
-        assert_eq!(f.eval(&[9.0]), 0.0);
+        assert_eq!(f.eval_scalar(&[11.0]), 1.0);
+        assert_eq!(f.eval_scalar(&[9.0]), 0.0);
     }
 
     #[test]
     fn if_and_builtins() {
         let f = compile_s("if (a > 0) sqrt(a) else abs(a)", &["a"]);
-        assert_eq!(f.eval(&[4.0]), 2.0);
-        assert_eq!(f.eval(&[-3.0]), 3.0);
+        assert_eq!(f.eval_scalar(&[4.0]), 2.0);
+        assert_eq!(f.eval_scalar(&[-3.0]), 3.0);
     }
 
     #[test]
-    fn consts_inline() {
+    fn consts_inline_and_fold() {
         let mut env = PlanEnv::new();
         env.set_float("gamma", 0.5);
-        let f = try_compile("a * gamma", &["a"], &[], &env).unwrap();
-        assert_eq!(f.eval(&[8.0]), 4.0);
+        let f = try_compile("a * (gamma * 4.0)", None, (&["a"], &[]), &env).unwrap();
+        assert_eq!(f.signature(), "s0;c2.0;mul");
+        assert_eq!(f.eval_scalar(&[8.0]), 16.0);
+    }
+
+    #[test]
+    fn guards_select_and_constant_conditions_keep_the_taken_side() {
+        let env = PlanEnv::new();
+        let slots: (&[&str], &[&str]) = (&["a", "b"], &[]);
+        let sig = |src: &str, guard: Option<&str>| {
+            try_compile(src, guard, slots, &env).unwrap().signature()
+        };
+        let guarded = try_compile("a", Some("b > 0.0"), slots, &env).unwrap();
+        assert_eq!(guarded.signature(), "s1;c0.0;gt;s0;c0.0;select");
+        assert_eq!(guarded.eval_scalar(&[7.0, 1.0]).to_bits(), 7.0f64.to_bits());
+        assert_eq!(
+            guarded.eval_scalar(&[7.0, -1.0]).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(sig("a", Some("2 > 1")), "s0");
+        assert_eq!(sig("a", Some("1 > 2 || false")), "c0.0");
+        assert_eq!(sig("if (1 > 2) a else b * 2.0", None), "s1;c2.0;mul");
+        // The taken branch's constant folds on into its parent.
+        assert_eq!(sig("a + (if (true) 2.0 else b) * 3.0", None), "s0;c6.0;add");
+    }
+
+    #[test]
+    fn index_planes_are_ordinary_slots() {
+        // With 2 inputs, slot 2 is the row plane: `n_slots() > 2` is the
+        // executor's cue to materialize the index planes.
+        let p = try_compile("a + i", None, (&["a", "b"], &["i", "j"]), &PlanEnv::new()).unwrap();
+        assert_eq!(p.signature(), "s0;s2;add");
+        assert_eq!(p.n_slots(), 3);
     }
 
     #[test]
     fn non_scalar_operator_is_an_error() {
-        // `%` used to compile to a `Cmp` node that panicked when evaluated.
-        assert!(try_compile("a % 2", &["a"], &[], &PlanEnv::new()).is_err());
+        // `%` has no float program.
+        assert!(try_compile("a % 2", None, (&["a"], &[]), &PlanEnv::new()).is_err());
     }
 
     #[test]
     fn unknown_variable_is_an_error() {
-        assert!(try_compile("a + z", &["a"], &[], &PlanEnv::new()).is_err());
+        assert!(try_compile("a + z", None, (&["a"], &[]), &PlanEnv::new()).is_err());
     }
 
     #[test]
     fn integer_division_keeps_the_interpreters_semantics() {
         let mut env = PlanEnv::new();
         env.set_int("n", 7);
-        let compile = |src: &str| try_compile(src, &["a"], &["i"], &env);
+        let compile = |src: &str| try_compile(src, None, (&["a"], &["i"]), &env);
         // Two constant integers fold with Euclidean division.
-        assert_eq!(compile("a * (3/2)").unwrap().eval(&[5.0, 0.0]), 5.0);
-        assert_eq!(compile("a + (-n)/2").unwrap().eval(&[0.0, 0.0]), -4.0);
+        assert_eq!(compile("a * (3/2)").unwrap().eval_scalar(&[5.0, 0.0]), 5.0);
+        assert_eq!(
+            compile("a + (-n)/2").unwrap().eval_scalar(&[0.0, 0.0]),
+            -4.0
+        );
         // A float operand divides as floats.
-        assert_eq!(compile("a / 2").unwrap().eval(&[3.0, 0.0]), 1.5);
-        assert_eq!(compile("a + i/2.0").unwrap().eval(&[0.0, 3.0]), 1.5);
+        assert_eq!(compile("a / 2").unwrap().eval_scalar(&[3.0, 0.0]), 1.5);
+        assert_eq!(compile("a + i/2.0").unwrap().eval_scalar(&[0.0, 3.0]), 1.5);
         // An index divided by an integer has no float program.
         assert!(compile("a + i/2").is_err());
         assert!(compile("a * (n/i)").is_err());
@@ -399,6 +496,24 @@ mod tests {
             err.to_string().contains("integer division by zero"),
             "{err}"
         );
+    }
+
+    /// The emitted program has the reference interpreter's bits, element by
+    /// element, across selection, logic, division and the builtins.
+    #[test]
+    fn compiled_program_matches_the_interpreter_bitwise() {
+        let src = "if (a > x && !(a == 0.0) || x < -1.0) a - x else x / a + abs(a) * 0.25";
+        let p = compile_s(src, &["a", "x"]);
+        let expr = parse_expr(src).unwrap();
+        for i in 0..100 {
+            let (a, x) = ((i as f64) * 0.37 - 18.0, (i as f64) * -0.11 + 2.0);
+            let mut env = comp::Env::new();
+            env.bind("a", Value::Float(a));
+            env.bind("x", Value::Float(x));
+            let want = comp::eval(&expr, &mut env).unwrap().as_f64().unwrap();
+            let got = p.eval_scalar(&[a, x]);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {i}");
+        }
     }
 
     fn compile_i(src: &str, slots: &[&str]) -> IdxFn {

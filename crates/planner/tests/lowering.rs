@@ -97,6 +97,116 @@ fn mat_vec_paths_agree_bit_for_bit_and_match_the_oracle() {
     }
 }
 
+/// A non-product combine leaves the result's padding at `+0.0`, as every
+/// tile producer does: `a / b` is ±∞ or NaN where both operands are zero
+/// padding, and a later product `C·A` multiplies `C`'s padding columns by
+/// `A`'s zero padding rows — NaN in every element.
+#[test]
+fn non_product_contraction_keeps_its_padding_zero() {
+    let c = ctx();
+    let a = LocalMatrix::from_fn(5, 5, |i, j| (i * 5 + j) as f64 + 1.0);
+    let b = LocalMatrix::from_fn(5, 5, |i, j| ((i + 2 * j) % 7) as f64 + 1.0);
+    let mut env = PlanEnv::new();
+    env.set_array(
+        "A",
+        DistArray::Matrix(TiledMatrix::from_local(&c, &a, 4, 4)),
+    );
+    env.set_array(
+        "B",
+        DistArray::Matrix(TiledMatrix::from_local(&c, &b, 4, 4)),
+    );
+    env.set_int("n", 5);
+    let contraction = |left: &str, right: &str, v: &str| {
+        format!(
+            "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- {left}, ((kk,j),b) <- {right}, kk == k, \
+             let v = {v}, group by (i,j) ]"
+        )
+    };
+    for matmul in [
+        MatMulStrategy::ReduceByKey,
+        MatMulStrategy::GroupByJoin,
+        MatMulStrategy::Broadcast,
+        MatMulStrategy::JoinGroupBy,
+    ] {
+        let cfg = config(matmul);
+        let run = |src: &str, env: &PlanEnv| {
+            let planned = plan(&comp::parse_expr(src).unwrap(), env, &cfg).unwrap();
+            planner::execute(&planned, env, &c, &cfg)
+                .unwrap()
+                .into_matrix()
+                .unwrap()
+        };
+        let quotient = run(&contraction("A", "B", "a / b"), &env);
+        for ((bi, bj), t) in quotient.tiles().collect() {
+            for (e, x) in t.data().iter().enumerate() {
+                let (i, j) = (bi * 4 + (e / 4) as i64, bj * 4 + (e % 4) as i64);
+                if i >= 5 || j >= 5 {
+                    assert_eq!(x.to_bits(), 0, "{matmul:?}: padding ({i},{j}) is {x}");
+                }
+            }
+        }
+        let want = quotient.to_local().multiply(&a);
+        let mut env = env.clone();
+        env.set_array("C", DistArray::Matrix(quotient));
+        let got = run(&contraction("C", "A", "a*b"), &env).to_local();
+        assert!(got.approx_eq(&want, 1e-12), "{matmul:?}: {got:?}");
+    }
+}
+
+/// The mat-vec twin: `x / a` over zero padding is ±∞ or NaN, and `A·y`
+/// multiplies `y`'s padding by `A`'s zero padding columns.
+#[test]
+fn non_product_mat_vec_keeps_its_padding_zero() {
+    let c = ctx();
+    let a = LocalMatrix::from_fn(5, 5, |i, j| (i * 5 + j) as f64 + 1.0);
+    let x: Vec<f64> = (0..5).map(|k| k as f64 - 1.5).collect();
+    let mut env = PlanEnv::new();
+    env.set_array(
+        "A",
+        DistArray::Matrix(TiledMatrix::from_local(&c, &a, 4, 4)),
+    );
+    env.set_array(
+        "V",
+        DistArray::Vector(TiledVector::from_local(&c, &x, 4, 2)),
+    );
+    env.set_int("n", 5);
+    let mat_vec = |vector: &str, v: &str| {
+        format!(
+            "tiled_vector(n)[ (i, +/v) | ((i,k),a) <- A, (kk,x) <- {vector}, kk == k, \
+             let v = {v}, group by i ]"
+        )
+    };
+    for matmul in [MatMulStrategy::ReduceByKey, MatMulStrategy::Broadcast] {
+        let cfg = config(matmul);
+        let run = |src: &str, env: &PlanEnv| {
+            let planned = plan(&comp::parse_expr(src).unwrap(), env, &cfg).unwrap();
+            planner::execute(&planned, env, &c, &cfg)
+                .unwrap()
+                .into_vector()
+                .unwrap()
+        };
+        let y = run(&mat_vec("V", "x / a"), &env);
+        for (b, block) in y.blocks().collect() {
+            for (e, v) in block.iter().enumerate() {
+                let i = b * 4 + e as i64;
+                if i >= 5 {
+                    assert_eq!(v.to_bits(), 0, "{matmul:?}: padding {i} is {v}");
+                }
+            }
+        }
+        let want = a.to_dense().matvec(&y.to_local());
+        let mut env = env.clone();
+        env.set_array("Y", DistArray::Vector(y));
+        let got = run(&mat_vec("Y", "a*x"), &env).to_local();
+        for (g, w) in got.iter().zip(&want) {
+            assert!(
+                (g - w).abs() <= 1e-12 * w.abs().max(1.0),
+                "{matmul:?}: {got:?}"
+            );
+        }
+    }
+}
+
 /// A pinned strategy with no 1-D lowering pins mat-vec to the shuffle path.
 #[test]
 fn pinned_matrix_only_strategies_pin_mat_vec_to_the_shuffle_path() {

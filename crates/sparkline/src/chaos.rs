@@ -33,8 +33,8 @@ const SEEDED_FIRST_KILL_AT: u64 = 64;
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// Kill `executor` when the context has launched `at_task` tasks.
-    /// One-shot.
+    /// Kill `executor` when the context has launched `at_task` tasks — with
+    /// worker processes, a `kill -9` of the process hosting it. One-shot.
     KillExecutorAtTask { at_task: u64, executor: usize },
     /// At the `nth_barrier`-th map→reduce barrier crossed on this context,
     /// kill whichever executor currently owns `map_partition`'s output of the
@@ -51,11 +51,6 @@ pub enum ChaosEvent {
     /// outputs), at most `limit` times. Each failure drops one live map
     /// output, so recovery has real recomputation to do.
     FailFetch { every: u64, limit: u32 },
-    /// Process-level fault (multi-process mode only): when the context-wide
-    /// task-launch counter reaches `at_task`, `kill -9` the worker process
-    /// hosting `executor`. In local thread mode this degrades to a plain
-    /// executor kill. One-shot.
-    KillWorkerAtTask { at_task: u64, executor: usize },
     /// Wire-level fault on every `every`-th remote shuffle fetch, at most
     /// `limit` times (`limit == 0` means unlimited for delays): drop the
     /// stream, delay it, or garble a payload byte (which the frame CRC must
@@ -125,15 +120,6 @@ impl ChaosPlan {
     /// Fail every `every`-th shuffle fetch, at most `limit` times.
     pub fn with_fetch_failures(mut self, every: u64, limit: u32) -> ChaosPlan {
         self.events.push(ChaosEvent::FailFetch { every, limit });
-        self
-    }
-
-    /// Schedule the worker process hosting `executor` to be `kill -9`'d at
-    /// the `at_task`-th task launch (multi-process mode; degrades to an
-    /// executor kill in local mode).
-    pub fn with_kill_worker_at_task(mut self, at_task: u64, executor: usize) -> ChaosPlan {
-        self.events
-            .push(ChaosEvent::KillWorkerAtTask { at_task, executor });
         self
     }
 
@@ -207,8 +193,6 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 pub(crate) struct TaskFaults {
     /// Executors to kill, in schedule order.
     pub(crate) kill: Vec<usize>,
-    /// Executors whose *worker process* dies (kill -9), in schedule order.
-    pub(crate) kill_worker_of: Vec<usize>,
     /// How long to delay the launch.
     pub(crate) delay: Duration,
 }
@@ -260,12 +244,6 @@ impl ChaosController {
                 {
                     state.fired[idx] = 1;
                     faults.kill.push(*executor);
-                }
-                ChaosEvent::KillWorkerAtTask { at_task, executor }
-                    if state.fired[idx] == 0 && now >= *at_task =>
-                {
-                    state.fired[idx] = 1;
-                    faults.kill_worker_of.push(*executor);
                 }
                 ChaosEvent::DelayTask { every, micros }
                     if *every > 0 && now.is_multiple_of(*every) =>
@@ -427,14 +405,6 @@ mod tests {
         // The logical-fetch counter is untouched by wire fetches.
         assert!(!ctl.on_fetch());
         assert!(ctl.on_fetch());
-    }
-
-    #[test]
-    fn worker_kills_fire_once_at_threshold() {
-        let ctl = ChaosController::new(ChaosPlan::new().with_kill_worker_at_task(2, 3));
-        assert!(ctl.on_task_start().kill_worker_of.is_empty());
-        assert_eq!(ctl.on_task_start().kill_worker_of, vec![3]);
-        assert!(ctl.on_task_start().kill_worker_of.is_empty(), "one-shot");
     }
 
     #[test]

@@ -133,7 +133,6 @@ pub struct ContextBuilder {
     speculation: Option<f64>,
     chaos: ChaosChoice,
     worker_processes: Option<usize>,
-    external_shuffle: Option<bool>,
 }
 
 impl Default for ContextBuilder {
@@ -147,7 +146,6 @@ impl Default for ContextBuilder {
             speculation: None,
             chaos: ChaosChoice::Inherit,
             worker_processes: None,
-            external_shuffle: None,
         }
     }
 }
@@ -212,20 +210,13 @@ impl ContextBuilder {
     /// is serialized to a wire frame and PUT to worker process
     /// `executor % n` over a framed loopback socket, so `kill -9` on a
     /// worker genuinely loses bytes and recovery has to run through the
-    /// epoch/fetch-failure machinery. Beats [`WORKER_PROCS_ENV`].
+    /// epoch/fetch-failure machinery. Map tasks also park every frame in a
+    /// driver-visible spool directory (an external shuffle service,
+    /// [`Context::external_shuffle_path`]): reduce tasks that exhaust fetch
+    /// retries against a dead worker fall back to the spool, and the stage
+    /// completes with **zero** resubmissions. Beats [`WORKER_PROCS_ENV`].
     pub fn worker_processes(mut self, n: usize) -> Self {
         self.worker_processes = Some(n);
-        self
-    }
-
-    /// In multi-process mode, also park every map-output frame in a
-    /// driver-visible spool directory (an external shuffle service): reduce
-    /// tasks that exhaust fetch retries against a dead worker fall back to
-    /// the spool and the stage completes with **zero** resubmissions. On by
-    /// default in multi-process mode; disable to force recovery through
-    /// partial stage resubmission. No effect in local mode.
-    pub fn external_shuffle(mut self, on: bool) -> Self {
-        self.external_shuffle = Some(on);
         self
     }
 
@@ -284,8 +275,7 @@ impl ContextBuilder {
         // The spool directory is created lazily, by the first map output
         // parked in it; a spool that cannot be written degrades to stage
         // resubmission, never to a failed build.
-        let external_on = worker_group.is_some() && self.external_shuffle.unwrap_or(true);
-        let external_dir = external_on.then(|| {
+        let external_dir = worker_group.is_some().then(|| {
             std::env::temp_dir().join(format!(
                 "sparkline-shuffle-{}-{}",
                 std::process::id(),
@@ -375,8 +365,8 @@ pub(crate) struct CtxInner {
     /// Shuffle data-plane worker processes; `None` in local mode. Executor
     /// `e`'s map outputs live in worker `e % n`.
     worker_group: Option<Arc<WorkerGroup>>,
-    /// Base directory of the external shuffle service spool; `None` when the
-    /// service is disabled or in local mode. Removed on context drop.
+    /// Base directory of the external shuffle service spool; `None` in local
+    /// mode. Removed on context drop.
     external_dir: Option<PathBuf>,
     /// Which executor owns each shuffle map output, and at which epoch.
     pub(crate) map_outputs: MapOutputTracker,
@@ -628,12 +618,6 @@ impl Context {
         self.inner.worker_group.as_ref().map_or(0, |g| g.len())
     }
 
-    /// Is the external shuffle service spool active?
-    /// ([`ContextBuilder::external_shuffle`]; always false in local mode.)
-    pub fn external_shuffle_enabled(&self) -> bool {
-        self.inner.external_dir.is_some()
-    }
-
     /// The shuffle worker-process group, if this context runs multi-process.
     pub(crate) fn worker_group(&self) -> Option<Arc<WorkerGroup>> {
         self.inner.worker_group.clone()
@@ -646,9 +630,10 @@ impl Context {
         self.inner.worker_group.as_ref().map(|g| g.fetch_stats())
     }
 
-    /// Spool directory for one shuffle's external frames, `None` when the
-    /// external shuffle service is off. The directory itself is created
-    /// lazily by the first map task that writes into it.
+    /// Spool directory for one shuffle's external frames, `None` in local
+    /// mode. The directory itself is created lazily by the first map task
+    /// that writes into it; where it cannot be, map outputs stay
+    /// worker-owned and a lost one is recovered by stage resubmission.
     pub fn external_shuffle_path(&self, shuffle_id: u64) -> Option<PathBuf> {
         self.inner
             .external_dir
@@ -694,19 +679,6 @@ impl Context {
         let faults = chaos.on_task_start();
         for executor in faults.kill {
             self.kill_executor(executor);
-        }
-        for executor in faults.kill_worker_of {
-            // Process-level fault: kill -9 the worker hosting this executor.
-            // In local mode there is no process to kill; degrade to an
-            // executor kill so one chaos schedule exercises both modes.
-            match &self.inner.worker_group {
-                Some(group) => {
-                    self.kill_worker(executor % group.len());
-                }
-                None => {
-                    self.kill_executor_inner(executor);
-                }
-            }
         }
         if !faults.delay.is_zero() {
             std::thread::sleep(faults.delay);
@@ -1684,7 +1656,7 @@ mod tests {
         assert_eq!(ctx.speculation_multiplier(), Some(2.5));
         // Local mode: no worker processes, no external spool.
         assert_eq!(ctx.worker_processes(), 0);
-        assert!(!ctx.external_shuffle_enabled());
+        assert_eq!(ctx.external_shuffle_path(0), None);
     }
 
     #[test]

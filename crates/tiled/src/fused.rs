@@ -1,7 +1,7 @@
 //! Fused elementwise tile kernel — one pass per tile over a compiled
 //! op program.
 //!
-//! The burn-style elementwise executor: the planner traces a whole
+//! The burn-style elementwise executor: the planner compiles a whole
 //! elementwise region (scale, add, sub, hadamard, scalar constants, guard
 //! masking, index-plane reads) into one postfix [`FusedProgram`] over tile
 //! slots. [`FusedProgram::new`] lowers the postfix ops once into a
@@ -74,7 +74,7 @@ impl CmpOp {
 pub enum ElemwiseOp {
     /// Push input slot `i` (one tile's data buffer).
     Slot(usize),
-    /// Push a constant (scalar constants are folded to these at trace time).
+    /// Push a constant (scalar constants are folded to these at compile time).
     Const(f64),
     /// Pop `b`, pop `a`, push `a + b`.
     Add,
@@ -269,7 +269,8 @@ impl FusedProgram {
     }
 
     /// Reference per-element interpreter — the oracle the chunked executor
-    /// is tested against, and the `f(0) == 0` probe for sparse execution.
+    /// is tested against, the `f(0) == 0` probe for sparse execution, and
+    /// the planner's constant folder.
     pub fn eval_scalar(&self, slots: &[f64]) -> f64 {
         let mut stack = [0.0f64; 32];
         let mut heap;

@@ -199,14 +199,15 @@ impl LocalMatrix {
                 .all(|(a, b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
     }
 
-    /// Largest absolute element difference.
+    /// Largest absolute element difference; NaN when any difference is NaN
+    /// (`f64::max` would drop it), so a NaN fails every `< tol` check.
     pub fn max_abs_diff(&self, other: &LocalMatrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
             .iter()
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+            .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 }
 
@@ -282,6 +283,20 @@ mod tests {
         let m = LocalMatrix::sparse_random(100, 100, 0.1, &mut rng);
         let nnz = m.data().iter().filter(|&&x| x != 0.0).count();
         assert!(nnz > 500 && nnz < 1500, "nnz = {nnz}");
+    }
+
+    #[test]
+    fn max_abs_diff_reports_a_nan_difference() {
+        let m = LocalMatrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
+        let mut other = m.clone();
+        other.set(0, 1, 3.5);
+        assert_eq!(m.max_abs_diff(&other), 2.5);
+        for at in [(0, 0), (1, 1)] {
+            let mut nan = other.clone();
+            nan.set(at.0, at.1, f64::NAN);
+            assert!(m.max_abs_diff(&nan).is_nan(), "NaN at {at:?}");
+            assert!(nan.max_abs_diff(&m).is_nan(), "NaN at {at:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Multi-process data plane (ISSUE 8): worker processes host shuffle bytes
 //! behind the wire protocol, `kill -9` genuinely loses them, and both
-//! recovery paths — external-shuffle-service refetch and partial stage
-//! resubmission — restore results bit-identical to a fault-free oracle.
+//! recovery paths — external-shuffle-service refetch and, where the spool
+//! cannot be written, partial stage resubmission — restore results
+//! bit-identical to a fault-free oracle.
 //!
 //! These tests spawn real `sparkline-worker` processes (built alongside the
 //! workspace) and kill them with signal 9 mid-query.
@@ -28,8 +29,8 @@ fn int_mat(n: usize, seed: u64) -> LocalMatrix {
     })
 }
 
-fn session(
-    n: usize,
+/// A session for `MATMUL`, its inputs not yet registered.
+fn unregistered(
     configure: impl FnOnce(sac_repro::sac::SessionBuilder) -> sac_repro::sac::SessionBuilder,
 ) -> Session {
     let builder = Session::builder()
@@ -38,10 +39,22 @@ fn session(
         .max_task_attempts(8)
         .max_stage_attempts(12)
         .matmul(MatMulStrategy::ReduceByKey);
-    let mut s = configure(builder).build();
+    configure(builder).build()
+}
+
+/// Register `MATMUL`'s `n x n` inputs, running their ingest shuffles.
+fn register(s: &mut Session, n: usize) {
     s.register_local_matrix("A", &int_mat(n, 1), 2);
     s.register_local_matrix("B", &int_mat(n, 2), 2);
     s.set_int("n", n as i64);
+}
+
+fn session(
+    n: usize,
+    configure: impl FnOnce(sac_repro::sac::SessionBuilder) -> sac_repro::sac::SessionBuilder,
+) -> Session {
+    let mut s = unregistered(configure);
+    register(&mut s, n);
     s
 }
 
@@ -59,7 +72,7 @@ fn multi_process_shuffle_matches_local_oracle() {
         .chaos_off()
         .build();
     assert_eq!(remote.worker_processes(), 2);
-    assert!(remote.external_shuffle_enabled());
+    assert!(remote.external_shuffle_path(0).is_some());
     let data: Vec<(i64, i64)> = (0..500).map(|i| (i % 37, i)).collect();
     let run = |ctx: &Context| {
         let mut out = ctx
@@ -87,9 +100,7 @@ fn kill9_mid_matmul_recovers_via_external_refetch_no_resubmission() {
     // multi-process mode the executor kill promotes to kill -9 on the
     // hosting worker process.
     let plan = ChaosPlan::new().with_kill_owner_at_barrier(4, 0);
-    let s = session(n, |b| {
-        b.worker_processes(2).external_shuffle(true).chaos(plan)
-    });
+    let s = session(n, |b| b.worker_processes(2).chaos(plan));
     s.spark().trace();
     let got = s.matrix(MATMUL).unwrap().to_local();
     let profile = s.spark().take_profile();
@@ -106,21 +117,26 @@ fn kill9_mid_matmul_recovers_via_external_refetch_no_resubmission() {
     );
 }
 
-/// Acceptance: the same kill -9 with the external shuffle service DISABLED
-/// must recover through partial stage resubmission instead — only the dead
-/// worker's map partitions are recomputed — and still be bit-identical.
+/// Acceptance: the same kill -9 where no frame could be spooled — a regular
+/// file sits where the spool's base directory goes, so every map output
+/// stays worker-owned — must recover through partial stage resubmission
+/// instead: only the dead worker's map partitions are recomputed, and the
+/// result is still bit-identical.
 #[test]
 fn kill9_mid_matmul_recovers_via_partial_stage_resubmission() {
     let n = 8;
     let want = oracle(n);
     let plan = ChaosPlan::new().with_kill_owner_at_barrier(4, 0);
-    let s = session(n, |b| {
-        b.worker_processes(2).external_shuffle(false).chaos(plan)
-    });
-    assert!(!s.spark().external_shuffle_enabled());
+    let mut s = unregistered(|b| b.worker_processes(2).chaos(plan));
+    let spool = s.spark().external_shuffle_path(0).expect("spool is on");
+    let base = spool.parent().unwrap().to_path_buf();
+    std::fs::write(&base, b"not a directory").unwrap();
+    register(&mut s, n);
     s.spark().trace();
     let got = s.matrix(MATMUL).unwrap().to_local();
     let profile = s.spark().take_profile();
+    drop(s);
+    std::fs::remove_file(&base).unwrap();
     assert_eq!(got, want, "recovered result must be bit-identical");
     assert!(
         profile.recovery.workers_lost >= 1,

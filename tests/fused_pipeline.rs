@@ -2,19 +2,19 @@
 //! (depth <= 5, scalar constants, the index variables `i`/`j`, an optional
 //! guard, either head orientation) compiled through the whole stack must be
 //! bit-identical to evaluating the same source element by element — under
-//! seeded chaos, a 256-byte storage budget, and 1..N tile threads.
+//! seeded chaos and a 256-byte storage budget.
 //!
-//! The oracle is an independent computation: the expression text is compiled
-//! on its own with `ScalarFn::compile` and `eval`-ed per element over the
-//! `LocalMatrix` inputs. It never touches a tile, so padding, the index-plane
-//! slots, chunking and the transposed head are all on the system's side of
-//! the comparison only.
+//! The oracle is the reference interpreter: the head value and guard are
+//! parsed on their own and `comp::eval`-ed per element over the
+//! `LocalMatrix` inputs. It shares no code with the planner's compiler and
+//! never touches a tile, so compilation, constant folding, padding, the
+//! index-plane slots, chunking and the transposed head are all on the
+//! system's side of the comparison only.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sac_repro::comp::parse_expr;
-use sac_repro::planner::{PlanEnv, ScalarFn};
+use sac_repro::comp::{eval, parse_expr, Env, Value};
 use sac_repro::sac::Session;
 use sac_repro::sparkline::ChaosPlan;
 use sac_repro::tiled::{LocalMatrix, TiledVector};
@@ -89,19 +89,26 @@ impl Query {
 
     /// The per-element oracle: bit patterns of the logical `n x n` result.
     fn reference(&self, a: &LocalMatrix, b: &LocalMatrix, n: usize) -> Vec<u64> {
-        let slots: Vec<String> = ["a", "b", "i", "j"].map(String::from).to_vec();
-        let env = PlanEnv::new();
-        let compile =
-            |src: &str| ScalarFn::compile(&parse_expr(src).unwrap(), &slots, 2, &env).unwrap();
-        let value = compile(&self.expr);
-        let guard = self.guard.as_deref().map(compile);
+        let value = parse_expr(&self.expr).unwrap();
+        let guard = self.guard.as_deref().map(|g| parse_expr(g).unwrap());
         (0..n * n)
             .map(|idx| {
                 let (r, c) = (idx / n, idx % n);
                 let (i, j) = if self.transposed { (c, r) } else { (r, c) };
-                let vars = [a.get(i, j), b.get(i, j), i as f64, j as f64];
-                let keep = guard.as_ref().is_none_or(|g| g.eval(&vars) != 0.0);
-                let v = if keep { value.eval(&vars) } else { 0.0 };
+                let mut env = Env::new();
+                env.bind("a", Value::Float(a.get(i, j)));
+                env.bind("b", Value::Float(b.get(i, j)));
+                env.bind("i", Value::Int(i as i64));
+                env.bind("j", Value::Int(j as i64));
+                let mut interpret = |e| eval(e, &mut env).unwrap();
+                let keep = guard
+                    .as_ref()
+                    .is_none_or(|g| interpret(g).as_bool().unwrap());
+                let v = if keep {
+                    interpret(&value).as_f64().unwrap()
+                } else {
+                    0.0
+                };
                 v.to_bits()
             })
             .collect()
@@ -111,7 +118,6 @@ impl Query {
 struct Knobs {
     n: usize,
     tile: usize,
-    tile_threads: usize,
     chaos: Option<u64>,
     storage: usize,
 }
@@ -120,7 +126,6 @@ fn session(a: &LocalMatrix, b: &LocalMatrix, k: &Knobs) -> Session {
     let mut builder = Session::builder()
         .workers(4)
         .partitions(4)
-        .tile_threads(k.tile_threads)
         .storage_memory(k.storage)
         .max_task_attempts(8)
         .max_stage_attempts(12);
@@ -151,14 +156,13 @@ proptest! {
 
     /// Fused == per-element oracle, bitwise, for random trees — under seeded
     /// chaos + a 256-byte storage budget (nothing fits: every persisted
-    /// block is evicted and recomputed) + a swept tile-thread count. `n`
-    /// ranges over multiples and non-multiples of the tile size, so padded
-    /// edge tiles (and their index planes) are in play.
+    /// block is evicted and recomputed). `n` ranges over multiples and
+    /// non-multiples of the tile size, so padded edge tiles (and their index
+    /// planes) are in play.
     #[test]
     fn random_elementwise_trees_fused_equals_per_element_oracle_bitwise(
         seed in 0u64..10_000, depth in 1usize..=5,
-        n in 4usize..10, tile in 2usize..5,
-        tile_threads in 1usize..=4, chaos_seed in 0u64..5_000,
+        n in 4usize..10, tile in 2usize..5, chaos_seed in 0u64..5_000,
         sparse_inputs in proptest::bool::ANY,
         guarded in proptest::bool::ANY,
         transposed in proptest::bool::ANY,
@@ -185,11 +189,11 @@ proptest! {
 
         let src = query.source();
         let fused = run_query(&src, &a, &b, &Knobs {
-            n, tile, tile_threads, chaos: Some(chaos_seed), storage: 256,
+            n, tile, chaos: Some(chaos_seed), storage: 256,
         });
         prop_assert_eq!(
             fused, query.reference(&a, &b, n),
-            "src {} chaos {} threads {} diverged", src, chaos_seed, tile_threads
+            "src {} chaos {} diverged", src, chaos_seed
         );
     }
 }
@@ -210,7 +214,6 @@ fn e2e_384_fused_add_scale_bit_identical_to_per_element_oracle() {
     let knobs = Knobs {
         n,
         tile: 128,
-        tile_threads: 2,
         chaos: None,
         storage: usize::MAX,
     };
@@ -235,7 +238,6 @@ fn index_reading_region_fuses_and_matches_per_element_oracle() {
     let knobs = Knobs {
         n,
         tile: 3,
-        tile_threads: 1,
         chaos: None,
         storage: usize::MAX,
     };
@@ -276,13 +278,17 @@ fn vector_region_fuses_and_matches_per_element_oracle() {
     let src = "tiled_vector(n)[ (i, alpha*x + y + i) | (i,x) <- X, (ii,y) <- Y, ii == i ]";
     assert_eq!(s.explain(src).unwrap(), "vectorEltwise -> vector 11");
 
-    let slots: Vec<String> = ["x", "y", "i"].map(String::from).to_vec();
-    let mut env = PlanEnv::new();
-    env.set_float("alpha", alpha);
-    let value =
-        ScalarFn::compile(&parse_expr("alpha*x + y + i").unwrap(), &slots, 2, &env).unwrap();
+    let value = parse_expr("alpha*x + y + i").unwrap();
     let want: Vec<u64> = (0..len)
-        .map(|i| value.eval(&[x[i], y[i], i as f64]).to_bits())
+        .map(|i| {
+            let mut env = Env::new();
+            env.bind("alpha", Value::Float(alpha));
+            env.bind("x", Value::Float(x[i]));
+            env.bind("y", Value::Float(y[i]));
+            env.bind("i", Value::Int(i as i64));
+            let v = eval(&value, &mut env).unwrap().as_f64().unwrap();
+            v.to_bits()
+        })
         .collect();
     let got: Vec<u64> = s
         .vector(src)
