@@ -390,17 +390,12 @@ fn fused_tile(
     let mut bufs = inputs.to_vec();
     let planes;
     if program.n_slots() > inputs.len() {
-        let mut row_plane = Vec::with_capacity(len);
-        let mut col_plane = Vec::with_capacity(len);
-        for ti in 0..tile_rows {
-            for tj in 0..tile_cols {
-                row_plane.push((origin.0 + ti as i64) as f64);
-                col_plane.push((origin.1 + tj as i64) as f64);
-            }
-        }
-        planes = (row_plane, col_plane);
-        bufs.push(&planes.0);
-        bufs.push(&planes.1);
+        planes = (
+            DenseMatrix::from_fn(tile_rows, tile_cols, |ti, _| (origin.0 + ti as i64) as f64),
+            DenseMatrix::from_fn(tile_rows, tile_cols, |_, tj| (origin.1 + tj as i64) as f64),
+        );
+        bufs.push(planes.0.data());
+        bufs.push(planes.1.data());
     }
     let mut data = fused_eltwise(program, &bufs, len, backend);
     let valid_rows = valid_extent(origin, extent, tile_rows).0;
@@ -1126,11 +1121,12 @@ fn exec_index_remap(
     let cells = output_cells((rows, cols), n, config.partitions);
     let grouped = replicas.group_by_key_with(cells.partitioner_by(|&c: &TileCoord| c));
     let tiles = complete_grid(&grouped, cells, n, move |dest, replicas: Vec<Replica>| {
-        let mut out = vec![0.0; n * n];
+        let mut landing = DenseMatrix::zeros(n, n);
+        let out = landing.data_mut();
         match &axes {
             Some(axes) => {
                 for (src, t, _) in &replicas {
-                    axes.copy(*src, t, dest, extent, &mut out);
+                    axes.copy(*src, t, dest, extent, out);
                 }
             }
             None => {
@@ -1148,7 +1144,7 @@ fn exec_index_remap(
                 }
             }
         }
-        DenseMatrix::from_vec(n, n, out)
+        landing
     });
     Ok(TiledMatrix::new(rows, cols, n, tiles))
 }
@@ -1769,5 +1765,80 @@ mod tests {
             "resubmitted attempts must not be summed into actual bytes:\n{}",
             profile.render()
         );
+    }
+
+    /// Return `copies` tiles of `len` elements to the free list, each
+    /// holding what no output may inherit: NaNs of both signs, `-0.0`, `±∞`.
+    fn poison_the_free_list(len: usize, copies: usize) {
+        let specials = [f64::NAN, -f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        for _ in 0..copies {
+            drop(DenseMatrix::from_fn(1, len, |_, j| {
+                specials[j % specials.len()]
+            }));
+        }
+    }
+
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A padded edge tile that reads both index planes: the planes, the
+    /// output and its zeroed padding come from the free list, and none of a
+    /// recycled buffer's values shows, on any backend.
+    #[test]
+    fn a_padded_edge_tile_inherits_nothing_from_a_recycled_buffer() {
+        use ElemwiseOp::{Add, Mul, Slot};
+        let n = 40;
+        // (a + i) * j at tile (1, 1) of a 70 x 75 array: 30 x 35 valid.
+        let program = FusedProgram::new(vec![Slot(0), Slot(1), Add, Slot(2), Mul]).unwrap();
+        let a = DenseMatrix::from_fn(n, n, |i, j| (i * n + j) as f64 * 0.5 - 300.0);
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+            let run = || {
+                let tile = fused_tile(&program, &[a.data()], (n, n), (40, 40), (70, 75), backend);
+                bits(&tile)
+            };
+            let clean = run();
+            assert!(clean[30 * n..].iter().all(|&b| b == 0), "padding rows");
+            assert!(clean[..30 * n]
+                .chunks(n)
+                .all(|row| row[35..].iter().all(|&b| b == 0)));
+            poison_the_free_list(n * n, 8);
+            assert_eq!(run(), clean, "{backend:?}");
+        }
+    }
+
+    /// §5.2 landing tiles start from the free list: cells no element reaches
+    /// stay `+0.0` however poisoned the recycled buffer was.
+    #[test]
+    fn index_remap_landing_tiles_inherit_nothing_from_recycled_buffers() {
+        let ctx = Context::builder().workers(2).chaos_off().build();
+        let mut rng = StdRng::seed_from_u64(52);
+        let a = LocalMatrix::random(64, 64, -1.0, 1.0, &mut rng);
+        let mut env = PlanEnv::new();
+        env.set_array(
+            "A",
+            DistArray::Matrix(TiledMatrix::from_local(&ctx, &a, 32, 4)),
+        );
+        env.set_int("n", 64);
+        let config = PlanConfig {
+            partitions: 4,
+            ..Default::default()
+        };
+        // Separable (a row and a column table) and per-element landings,
+        // both leaving three quarters of the grid untouched.
+        for src in [
+            "tiled(n,n)[ ((i/2, j/2), v) | ((i,j),v) <- A ]",
+            "tiled(n,n)[ (((i+j)%(n/2), j/2), v) | ((i,j),v) <- A ]",
+        ] {
+            let planned = crate::plan::plan(&comp::parse_expr(src).unwrap(), &env, &config);
+            assert_eq!(planned.unwrap().plan.strategy_name(), "indexRemap");
+            let run = || {
+                let out = crate::run_text(src, &env, &ctx, &config).unwrap();
+                bits(out.into_matrix().unwrap().to_local().data())
+            };
+            let clean = run();
+            poison_the_free_list(32 * 32, 64);
+            assert_eq!(run(), clean, "{src}");
+        }
     }
 }

@@ -24,6 +24,7 @@
 //! same bits.
 
 use crate::kernel::Backend;
+use crate::tile::pool;
 
 /// Comparison operators producing `1.0` / `0.0` indicators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,9 +343,11 @@ impl FusedProgram {
 /// Purely a blocking choice — output bits are the same for every width.
 const CHUNK: usize = 512;
 
-/// Execute `prog` over `len` elements of the slot buffers into a fresh
-/// output buffer. One pass: the only allocations are the output and the
-/// program's scratch registers, reused across chunks.
+/// Execute `prog` over `len` elements of the slot buffers into an output
+/// buffer from the tile free list ([`crate::tile`]): the program writes
+/// every element, so a recycled buffer's old values never show. One pass:
+/// the only allocations are the output and the program's scratch
+/// registers, reused across chunks.
 ///
 /// # Panics
 /// If any slot buffer referenced by the program is missing or shorter than
@@ -355,7 +358,7 @@ pub fn fused_eltwise(
     len: usize,
     backend: Backend,
 ) -> Vec<f64> {
-    let mut out = vec![0.0f64; len];
+    let mut out = pool::stale(len);
     fused_eltwise_into(prog, slots, &mut out, backend);
     out
 }

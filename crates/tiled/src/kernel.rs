@@ -47,6 +47,7 @@
 //! and thread counts; only sparse kernels, which skip structural zeros, can
 //! then diverge from the dense chain.)
 
+use crate::tile::pool;
 use std::sync::OnceLock;
 
 /// Rows per register tile of the AVX2 and scalar microkernels.
@@ -369,7 +370,8 @@ impl BlockedGemm<'_> {
         let (k, m) = (self.k, self.m);
         let (tmr, tnr) = self.backend.tile();
         let nr_strips = m.div_ceil(tnr);
-        let mut packed_a = vec![0.0f64; MC.min(rows).div_ceil(tmr) * tmr * KC.min(k)];
+        // Each block's pack writes every element the microkernel reads.
+        let mut packed_a = pool::stale(MC.min(rows).div_ceil(tmr) * tmr * KC.min(k));
         // k panels ascending — the only loop whose order the determinism
         // contract constrains.
         for (p, k0) in (0..k).step_by(KC).enumerate() {
@@ -422,6 +424,7 @@ impl BlockedGemm<'_> {
                 }
             }
         }
+        pool::recycle(packed_a);
     }
 }
 
@@ -459,7 +462,9 @@ pub fn gemm(
         let kc = KC.min(k - k0);
         panel_offsets.push(panel_offsets.last().unwrap() + nr_strips * kc * tnr);
     }
-    let mut packed_b = vec![0.0f64; *panel_offsets.last().unwrap()];
+    // Every element is written by a panel pack, so a recycled tile buffer
+    // will do; it goes back to the free list at the end.
+    let mut packed_b = pool::stale(*panel_offsets.last().unwrap());
     for (p, k0) in (0..k).step_by(KC).enumerate() {
         let kc = KC.min(k - k0);
         pack_b_panel(
@@ -483,18 +488,19 @@ pub fn gemm(
     let threads = threads.clamp(1, n);
     if threads == 1 {
         blocked.band(c, 0, n);
-        return;
+    } else {
+        let band = n.div_ceil(threads);
+        let blocked = &blocked;
+        std::thread::scope(|scope| {
+            for (t, chunk) in c.chunks_mut(band * m).enumerate() {
+                scope.spawn(move || {
+                    let rows = chunk.len() / m;
+                    blocked.band(chunk, t * band, rows);
+                });
+            }
+        });
     }
-    let band = n.div_ceil(threads);
-    let blocked = &blocked;
-    std::thread::scope(|scope| {
-        for (t, chunk) in c.chunks_mut(band * m).enumerate() {
-            scope.spawn(move || {
-                let rows = chunk.len() / m;
-                blocked.band(chunk, t * band, rows);
-            });
-        }
-    });
+    pool::recycle(packed_b);
 }
 
 // ---------------------------------------------------------------------------

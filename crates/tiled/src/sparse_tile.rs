@@ -137,13 +137,14 @@ impl CscTile {
 
     /// Decompress into a dense tile.
     pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = vec![0.0; self.rows * self.cols];
+        let mut dense = DenseMatrix::zeros(self.rows, self.cols);
+        let out = dense.data_mut();
         for j in 0..self.cols {
             for e in self.col_ptr[j]..self.col_ptr[j + 1] {
                 out[self.row_idx[e] * self.cols + j] = self.values[e];
             }
         }
-        DenseMatrix::from_vec(self.rows, self.cols, out)
+        dense
     }
 
     pub fn rows(&self) -> usize {

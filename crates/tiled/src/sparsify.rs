@@ -90,11 +90,12 @@ pub fn build_tiled(
         .map(move |((i, j), v)| ((i / n, j / n), ((i % n) * n + j % n, v)))
         .group_by_key(partitions)
         .map_values(move |w| {
-            let mut tile = vec![0.0; tile_size * tile_size];
+            let mut tile = DenseMatrix::zeros(tile_size, tile_size);
+            let data = tile.data_mut();
             for (pos, v) in w {
-                tile[pos as usize] = v;
+                data[pos as usize] = v;
             }
-            DenseMatrix::from_vec(tile_size, tile_size, tile)
+            tile
         });
     TiledMatrix::new(rows, cols, tile_size, tiles)
 }

@@ -24,10 +24,139 @@
 //! element**: a loop that writes many elements hoists one `data_mut()` and
 //! indexes the slice; [`DenseMatrix::set`] / [`DenseMatrix::add_at`] are for
 //! one-off writes.
+//!
+//! A payload's life cycle is owned here too: tile memory is recycled, not
+//! re-faulted. A payload of tile-sized length — 1 Ki to 256 Ki elements, a
+//! 32² to a 512² tile — comes from one process-wide free list, keyed by
+//! exact length, and goes back to it when the last [`DenseMatrix`] holding
+//! it drops. A payload another matrix still shares is never returned; it
+//! returns when its last holder drops. Every tile-sized buffer of this crate
+//! and of the planner's tasks is drawn from the list: [`DenseMatrix::zeros`]
+//! (contraction accumulators, completed grids, index-remap landing tiles),
+//! [`DenseMatrix::from_fn`], `transpose`, `slice_padded`, `sub`, `map`,
+//! `zip_with`, `decode`, [`crate::CscTile::to_dense`],
+//! [`crate::TiledMatrix::from_local`]'s tiles, the fused executor's output
+//! ([`crate::kernel::fused_eltwise`]), the GEMM's packed panels, and the
+//! copy [`DenseMatrix::data_mut`] makes of a shared payload. Only
+//! [`DenseMatrix::from_vec`] adopts a buffer from outside.
+//!
+//! A recycled buffer still holds its last owner's values. It goes only to a
+//! writer that overwrites every element (a decode, a copy, an element map,
+//! the fused executor, a panel pack); every other caller gets it filled with
+//! `+0.0`, so no stale value can reach a result. The list holds at most
+//! 256 MiB; a payload returned past that is freed. There is one list, not
+//! one per executor: a query's output tiles die on the driver thread that
+//! collected them, while the next query's tiles are born on executor
+//! threads, so a per-executor list would never get its own buffers back.
 
 use crate::kernel::{self, Backend};
 use sparkline::SpillCodec;
 use std::sync::Arc;
+
+/// The free list behind every tile payload (see the module docs).
+pub(crate) mod pool {
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Payload lengths, in elements, the list keeps: a 32² to a 512² tile.
+    pub(super) const TILE_LENS: std::ops::RangeInclusive<usize> = (1 << 10)..=(1 << 18);
+    /// Bytes the list may hold; a buffer returned past them is freed.
+    pub(super) const CAP_BYTES: usize = 256 << 20;
+
+    /// Idle buffers by exact length, and the bytes they hold.
+    pub(super) struct FreeList {
+        by_len: BTreeMap<usize, Vec<Vec<f64>>>,
+        bytes: usize,
+    }
+
+    impl FreeList {
+        pub(super) const fn new() -> FreeList {
+            FreeList {
+                by_len: BTreeMap::new(),
+                bytes: 0,
+            }
+        }
+
+        fn take(&mut self, len: usize) -> Option<Vec<f64>> {
+            let buf = self.by_len.get_mut(&len)?.pop()?;
+            self.bytes -= bytes_of(&buf);
+            Some(buf)
+        }
+
+        /// Keep `buf` if it fits under `cap`; hand it back otherwise, so the
+        /// caller frees it outside the lock.
+        pub(super) fn put(&mut self, buf: Vec<f64>, cap: usize) -> Option<Vec<f64>> {
+            let bytes = bytes_of(&buf);
+            if self.bytes + bytes > cap {
+                return Some(buf);
+            }
+            self.bytes += bytes;
+            self.by_len.entry(buf.len()).or_default().push(buf);
+            None
+        }
+
+        #[cfg(test)]
+        pub(super) fn bytes(&self) -> usize {
+            self.bytes
+        }
+
+        /// Idle buffers of exactly `len` elements.
+        #[cfg(test)]
+        pub(super) fn held(&self, len: usize) -> usize {
+            self.by_len.get(&len).map_or(0, Vec::len)
+        }
+
+        /// Empty the list.
+        #[cfg(test)]
+        pub(super) fn clear(&mut self) {
+            *self = FreeList::new();
+        }
+    }
+
+    fn bytes_of(buf: &Vec<f64>) -> usize {
+        buf.capacity() * std::mem::size_of::<f64>()
+    }
+
+    static FREE: Mutex<FreeList> = Mutex::new(FreeList::new());
+
+    /// The list, locked. A poisoned lock is recovered: no update can leave
+    /// the list half-done (a panic in `take` or `put` is an allocation
+    /// failure, which aborts), and `Drop for DenseMatrix` must not panic.
+    pub(super) fn list() -> MutexGuard<'static, FreeList> {
+        FREE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn reuse(len: usize) -> Option<Vec<f64>> {
+        TILE_LENS.contains(&len).then(|| list().take(len)).flatten()
+    }
+
+    /// `len` elements with unspecified contents — a recycled buffer keeps
+    /// its last owner's values. Only for a writer that overwrites every
+    /// element.
+    pub(crate) fn stale(len: usize) -> Vec<f64> {
+        reuse(len).unwrap_or_else(|| vec![0.0; len])
+    }
+
+    /// `len` elements of `+0.0`.
+    pub(crate) fn zeroed(len: usize) -> Vec<f64> {
+        match reuse(len) {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; len],
+        }
+    }
+
+    /// Give `buf` to the list: kept if it is tile-sized and fits under the
+    /// cap, freed otherwise.
+    pub(crate) fn recycle(buf: Vec<f64>) {
+        if TILE_LENS.contains(&buf.len()) {
+            let refused = list().put(buf, CAP_BYTES);
+            drop(refused);
+        }
+    }
+}
 
 /// A dense `rows x cols` matrix of `f64` stored row-major in one flat,
 /// shared, copy-on-write buffer (see the module docs).
@@ -35,8 +164,9 @@ use std::sync::Arc;
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    /// `Arc<Vec<_>>`, not `Arc<[_]>`: adopting an owned `Vec` (decode,
-    /// `from_vec`, kernel outputs) must not copy the payload.
+    /// `Arc<Vec<_>>`, not `Arc<[_]>`: adopting an owned `Vec` (a recycled
+    /// buffer, `from_vec`, kernel outputs) must not copy the payload, and a
+    /// sole owner hands the `Vec` back to the free list when it drops.
     data: Arc<Vec<f64>>,
 }
 
@@ -47,14 +177,26 @@ impl SpillCodec for DenseMatrix {
         self.data.encode(out);
     }
 
+    /// Straight into a recycled payload: the dimensions, the payload's
+    /// length prefix and the bytes behind it are checked before a buffer is
+    /// taken.
     fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let rows = usize::decode(buf, pos)?;
         let cols = usize::decode(buf, pos)?;
-        let data = Vec::<f64>::decode(buf, pos)?;
-        if data.len() != rows.checked_mul(cols)? {
+        let len = usize::decode(buf, pos)?;
+        if len != rows.checked_mul(cols)? {
             return None;
         }
-        Some(DenseMatrix::from_vec(rows, cols, data))
+        let end = len.checked_mul(8)?.checked_add(*pos)?;
+        let bytes = buf.get(*pos..end)?;
+        *pos = end;
+        Some(DenseMatrix::filled(rows, cols, |out| {
+            for (x, le) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                let mut word = [0; 8];
+                word.copy_from_slice(le);
+                *x = f64::from_le_bytes(word);
+            }
+        }))
     }
 
     fn encoded_len(&self) -> usize {
@@ -72,18 +214,28 @@ impl DenseMatrix {
 
     /// All-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        DenseMatrix::from_vec(rows, cols, vec![0.0; rows * cols])
+        DenseMatrix::from_vec(rows, cols, pool::zeroed(rows * cols))
     }
 
-    /// Build from a function of the (row, col) index.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
+    /// A `rows x cols` matrix whose payload `fill` writes. The payload may
+    /// be a recycled buffer holding its last owner's values, so `fill` must
+    /// overwrite every element.
+    fn filled(rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> Self {
+        let mut data = pool::stale(rows * cols);
+        fill(&mut data);
         DenseMatrix::from_vec(rows, cols, data)
+    }
+
+    /// Build from a function of the (row, col) index, called in row-major
+    /// order.
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+        DenseMatrix::filled(rows, cols, |out| {
+            for (i, row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = f(i, j);
+                }
+            }
+        })
     }
 
     /// Wrap an existing row-major buffer; the buffer is adopted, not copied.
@@ -121,13 +273,21 @@ impl DenseMatrix {
     /// here, a sole owner pays one atomic check. Hoist the call out of any
     /// element loop.
     pub fn data_mut(&mut self) -> &mut [f64] {
+        if Arc::get_mut(&mut self.data).is_none() {
+            let mut copy = pool::stale(self.data.len());
+            copy.copy_from_slice(&self.data);
+            self.data = Arc::new(copy);
+        }
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// The flat buffer by value: the allocation itself when this tile is its
-    /// sole owner, a copy otherwise.
-    pub(crate) fn into_vec(self) -> Vec<f64> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.to_vec())
+    /// sole owner, a copy otherwise. Either way it leaves the free list.
+    pub(crate) fn into_vec(mut self) -> Vec<f64> {
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => std::mem::take(data),
+            None => self.data.to_vec(),
+        }
     }
 
     #[inline]
@@ -192,8 +352,11 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "sub: dimension mismatch"
         );
-        let data = self.data.iter().zip(other.data()).map(|(a, b)| a - b);
-        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
+        DenseMatrix::filled(self.rows, self.cols, |out| {
+            for (x, (a, b)) in out.iter_mut().zip(self.data.iter().zip(other.data())) {
+                *x = a - b;
+            }
+        })
     }
 
     /// `self * scalar`, in place.
@@ -205,8 +368,11 @@ impl DenseMatrix {
 
     /// Element-wise map into a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> DenseMatrix {
-        let data = self.data.iter().map(|&x| f(x));
-        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
+        DenseMatrix::filled(self.rows, self.cols, |out| {
+            for (x, &a) in out.iter_mut().zip(self.data.iter()) {
+                *x = f(a);
+            }
+        })
     }
 
     /// Element-wise zip into a new matrix.
@@ -219,20 +385,22 @@ impl DenseMatrix {
             (other.rows, other.cols),
             "zip: dimension mismatch"
         );
-        let data = self.data.iter().zip(other.data()).map(|(&a, &b)| f(a, b));
-        DenseMatrix::from_vec(self.rows, self.cols, data.collect())
+        DenseMatrix::filled(self.rows, self.cols, |out| {
+            for (x, (&a, &b)) in out.iter_mut().zip(self.data.iter().zip(other.data())) {
+                *x = f(a, b);
+            }
+        })
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
-        let mut out = vec![0.0; self.rows * self.cols];
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for (j, &v) in row.iter().enumerate() {
-                out[j * self.rows + i] = v;
+        DenseMatrix::filled(self.cols, self.rows, |out| {
+            for i in 0..self.rows {
+                for (j, &v) in self.row(i).iter().enumerate() {
+                    out[j * self.rows + i] = v;
+                }
             }
-        }
-        DenseMatrix::from_vec(self.cols, self.rows, out)
+        })
     }
 
     /// Count of non-zero entries — the statistic the planner's cost model
@@ -371,17 +539,42 @@ impl DenseMatrix {
     }
 
     /// Extract the `rows x cols` sub-matrix starting at `(r0, c0)`, zero
-    /// padding past the edge. Used to cut tiles out of a local matrix.
+    /// padding past the edge.
     pub fn slice_padded(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> DenseMatrix {
-        let mut out = vec![0.0; rows * cols];
-        let rmax = (r0 + rows).min(self.rows);
-        let cmax = (c0 + cols).min(self.cols);
-        for i in r0..rmax {
-            for j in c0..cmax {
-                out[(i - r0) * cols + (j - c0)] = self.data[i * self.cols + j];
+        DenseMatrix::cut(&self.data, (self.rows, self.cols), (r0, c0), (rows, cols))
+    }
+
+    /// The `rows x cols` window at `(r0, c0)` of the row-major `src`, a
+    /// `src_rows x src_cols` matrix, zero padding past its edges: one row
+    /// slice copy and one padding fill per output row. Used to cut tiles
+    /// out of a local matrix without copying it first.
+    pub(crate) fn cut(
+        src: &[f64],
+        (src_rows, src_cols): (usize, usize),
+        (r0, c0): (usize, usize),
+        (rows, cols): (usize, usize),
+    ) -> DenseMatrix {
+        let width = (c0 + cols).min(src_cols).saturating_sub(c0);
+        DenseMatrix::filled(rows, cols, |out| {
+            for (i, row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+                let copied = if r0 + i < src_rows { width } else { 0 };
+                if copied > 0 {
+                    let from = (r0 + i) * src_cols + c0;
+                    row[..copied].copy_from_slice(&src[from..from + copied]);
+                }
+                row[copied..].fill(0.0);
             }
+        })
+    }
+}
+
+/// A sole owner's payload goes back to the free list; a shared one stays
+/// with its other holders.
+impl Drop for DenseMatrix {
+    fn drop(&mut self) {
+        if let Some(data) = Arc::get_mut(&mut self.data) {
+            pool::recycle(std::mem::take(data));
         }
-        DenseMatrix::from_vec(rows, cols, out)
     }
 }
 
@@ -595,5 +788,133 @@ mod tests {
         vec![1.0f64; 3].encode(&mut bad);
         let mut pos = 0;
         assert_eq!(DenseMatrix::decode(&bad, &mut pos), None);
+    }
+
+    /// Serializes the tests that empty the process-wide list or count what
+    /// it holds.
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// What no constructor may pass on: NaNs with payloads and both signs,
+    /// `-0.0` and `±∞`, cycling.
+    fn poison(len: usize) -> Vec<f64> {
+        let specials = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff4_0000_0000_0042),
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        (0..len).map(|k| specials[k % specials.len()]).collect()
+    }
+
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_poisoned_free_list_changes_no_bit() {
+        use crate::fused::{ElemwiseOp, FusedProgram};
+        use crate::sparse_tile::CscTile;
+        let _turn = exclusive();
+        // A 40 x 33 tile (1 320 elements, transposed the same length), a
+        // 32 x 40 window of it hanging over two edges (1 280), and a fused
+        // pass over a ragged 1 025 elements.
+        let a = DenseMatrix::from_fn(40, 33, |i, j| ((i * 33 + j) as f64).sin() * 1e3);
+        let b = DenseMatrix::from_fn(40, 33, |i, j| ((i * 7 + j * 5) % 4) as f64 - 1.5);
+        let sparse = a.map(|x| if x > 500.0 { x } else { 0.0 });
+        let mut frame = Vec::new();
+        a.encode(&mut frame);
+        let prog = FusedProgram::new(vec![
+            ElemwiseOp::Slot(0),
+            ElemwiseOp::Slot(1),
+            ElemwiseOp::Const(0.5),
+            ElemwiseOp::Mul,
+            ElemwiseOp::Sub,
+        ])
+        .expect("balanced program");
+        let outputs = || -> Vec<(&str, Vec<u64>)> {
+            let mut out = vec![
+                ("zeros", bits(DenseMatrix::zeros(40, 33).data())),
+                (
+                    "from_fn",
+                    bits(DenseMatrix::from_fn(40, 33, |i, j| (i * j) as f64 - 7.5).data()),
+                ),
+                ("transpose", bits(a.transpose().data())),
+                ("slice_padded", bits(a.slice_padded(20, 10, 32, 40).data())),
+                ("sub", bits(a.sub(&b).data())),
+                ("map", bits(a.map(|x| x * 0.25).data())),
+                ("zip_with", bits(a.zip_with(&b, |x, y| x / y).data())),
+                ("decode", {
+                    let decoded = DenseMatrix::decode(&frame, &mut 0).expect("frame");
+                    bits(decoded.data())
+                }),
+                (
+                    "CscTile::to_dense",
+                    bits(CscTile::from_dense(&sparse).to_dense().data()),
+                ),
+            ];
+            for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                for len in [1025, 1320] {
+                    let fused =
+                        crate::fused::fused_eltwise(&prog, &[a.data(), b.data()], len, backend);
+                    out.push(("fused_eltwise", bits(&fused)));
+                }
+            }
+            out
+        };
+        pool::list().clear();
+        let clean = outputs();
+        pool::list().clear();
+        for len in [1025, 1280, 1320] {
+            for _ in 0..16 {
+                pool::recycle(poison(len));
+            }
+        }
+        for ((name, want), (_, got)) in clean.iter().zip(outputs()) {
+            assert!(got == *want, "{name}: a recycled buffer's values showed");
+        }
+    }
+
+    #[test]
+    fn the_free_list_never_holds_more_than_its_cap() {
+        let len = 1 << 10;
+        let bytes = len * std::mem::size_of::<f64>();
+        // Room for three buffers and half of a fourth.
+        let cap = 3 * bytes + bytes / 2;
+        let mut list = pool::FreeList::new();
+        for k in 0..5 {
+            let refused = list.put(vec![0.0; len], cap);
+            assert_eq!(refused.is_some(), k >= 3, "buffer {k}");
+            assert!(list.bytes() <= cap);
+        }
+        assert_eq!(list.held(len), 3);
+        assert!(pool::list().bytes() <= pool::CAP_BYTES);
+    }
+
+    #[test]
+    fn a_shared_payload_is_never_returned() {
+        let _turn = exclusive();
+        // A length no other test builds.
+        let len = (1 << 10) + 7;
+        let held = || pool::list().held(len);
+        let before = held();
+        let m = DenseMatrix::from_fn(1, len, |_, j| j as f64);
+        let shared = m.clone();
+        drop(m);
+        assert_eq!(held(), before, "returned while another matrix holds it");
+        let mut written = shared.clone();
+        written.data_mut()[0] = -1.0; // copies: `shared` keeps its payload
+        assert!(shared
+            .data()
+            .iter()
+            .enumerate()
+            .all(|(j, &x)| x == j as f64));
+        drop(shared);
+        assert_eq!(held(), before + 1, "the last holder returns it");
+        drop(written);
+        assert_eq!(held(), before + 2);
     }
 }

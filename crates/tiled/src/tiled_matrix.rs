@@ -67,20 +67,25 @@ impl TiledMatrix {
         div_ceil(self.cols, self.tile_size as i64)
     }
 
-    /// Cut a local matrix into tiles and distribute it.
+    /// Cut a local matrix into tiles and distribute it. Each tile is cut
+    /// straight from `local`'s rows; the matrix itself is never copied.
     pub fn from_local(
         ctx: &Context,
         local: &LocalMatrix,
         tile_size: usize,
         partitions: usize,
     ) -> Self {
-        let dense = local.to_dense();
         let brows = local.rows.div_ceil(tile_size);
         let bcols = local.cols.div_ceil(tile_size);
         let mut tiles: Vec<(TileCoord, DenseMatrix)> = Vec::with_capacity(brows * bcols);
         for bi in 0..brows {
             for bj in 0..bcols {
-                let tile = dense.slice_padded(bi * tile_size, bj * tile_size, tile_size, tile_size);
+                let tile = DenseMatrix::cut(
+                    local.data(),
+                    (local.rows, local.cols),
+                    (bi * tile_size, bj * tile_size),
+                    (tile_size, tile_size),
+                );
                 tiles.push(((bi as i64, bj as i64), tile));
             }
         }

@@ -1,6 +1,7 @@
 //! The gates nothing but an allocator or a clock can state. Un-ignored and
-//! deterministic: the fused narrow chain's peak allocation, the
-//! noisy-neighbour replies' bits. `#[ignore]`d wall-clock ratios, run as
+//! deterministic: the fused narrow chain's peak allocation, the tile
+//! requests of warm tile queries, the noisy-neighbour replies' bits.
+//! `#[ignore]`d wall-clock ratios, run as
 //! `cargo test --release --test perf_gates -- --ignored --test-threads=1 --nocapture`:
 //! one reading each, against the bound the dev box holds with room to spare.
 //! EXPERIMENTS.md "Perf gates" has what each reads, and reads when broken.
@@ -22,10 +23,16 @@ use std::time::{Duration, Instant};
 /// Live heap bytes of this process and their high-water mark.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Requests for at least one 128² tile's bytes.
+static TILE_SIZED: AtomicUsize = AtomicUsize::new(0);
+const TILE_BYTES: usize = 128 * 128 * std::mem::size_of::<f64>();
 
 fn grew(size: usize) {
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    if size >= TILE_BYTES {
+        TILE_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct Counting;
@@ -102,6 +109,54 @@ fn fused_narrow_chain_allocates_no_per_row_intermediate() {
     // One materialized intermediate of one of the 4 tasks is 2 MB; the
     // pipelined chain holds a row at a time plus per-task bookkeeping.
     assert!(grown < 64 << 10, "count() grew the heap by {grown} bytes");
+}
+
+/// A 512² fused elementwise query and a 512² multiply on 128-wide tiles,
+/// run once to warm up: run again, they take every tile — outputs,
+/// accumulators, packed GEMM panels — from the free list, so they ask the
+/// allocator for no tile-sized buffer and do not raise the heap's peak. One
+/// executor and a pinned plan keep the number of tiles alive at once the
+/// same in both runs.
+#[test]
+fn warm_tile_queries_ask_the_allocator_for_no_tile() {
+    let _turn = alone();
+    let n = 512;
+    let mut s = Session::builder()
+        .workers(1)
+        .partitions(4)
+        .matmul(MatMulStrategy::GroupByJoin)
+        .chaos_off()
+        .build();
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    for name in ["A", "B"] {
+        s.register_local_matrix(name, &LocalMatrix::random(n, n, -1.0, 1.0, &mut rng), 128);
+    }
+    s.set_int("n", n as i64);
+    let queries = [
+        "tiled(n,n)[ ((i,j), (a+b)*0.5 - a) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]",
+        MUL_SRC,
+    ];
+    let run = || {
+        for query in queries {
+            s.run(query).expect("query runs").force();
+        }
+    };
+    run(); // plans, worker threads, and the tiles the free list keeps
+    let peak = PEAK.load(Ordering::Relaxed);
+    TILE_SIZED.store(0, Ordering::Relaxed);
+    run();
+    let asked = TILE_SIZED.load(Ordering::Relaxed);
+    assert_eq!(
+        asked, 0,
+        "the warm run asked for {asked} tile-sized buffers"
+    );
+    // Bookkeeping (plan-cache hits, trace-free job records) may move a few
+    // hundred bytes either way; a tile's bytes may not.
+    let grown = PEAK.load(Ordering::Relaxed).saturating_sub(peak);
+    assert!(
+        grown < 8 << 10,
+        "the warm run raised the heap's peak by {grown} bytes"
+    );
 }
 
 #[test]
