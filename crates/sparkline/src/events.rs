@@ -95,7 +95,7 @@ event_schema! {
     }
     /// One task attempt finished. Failed attempts (`ok == false`) are
     /// emitted too, so retry storms are visible; `injected` marks failures
-    /// planted by [`crate::Context::inject_task_failures`].
+    /// planted by a [`crate::ChaosEvent::FailTask`].
     TaskEnd "task_end" {
         stage_id: u64,
         task: usize,

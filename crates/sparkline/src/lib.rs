@@ -70,10 +70,7 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosEvent, ChaosPlan, WireFault, CHAOS_ENV};
-pub use context::{
-    Context, ContextBuilder, ExecutorStatus, InjectedFailuresGuard, STORAGE_BUDGET_ENV,
-    WORKER_PROCS_ENV,
-};
+pub use context::{Context, ContextBuilder, ExecutorStatus, STORAGE_BUDGET_ENV, WORKER_PROCS_ENV};
 pub use dataset::Dataset;
 pub use events::{Event, EventCollector};
 pub use partitioner::{GridCells, KeyPartitioner};

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// Panic payload used to unwind a cancelled job out of `run_stage`; how the
 /// service recognizes a cancellation (vs. a genuine task failure) when it
-/// catches the unwind. Analogous to the injected-failure marker.
+/// catches the unwind.
 pub const CANCELLED_MSG: &str = "sparkline: job cancelled";
 
 /// True if a caught panic payload is a job cancellation.

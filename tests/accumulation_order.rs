@@ -107,6 +107,13 @@ fn scatter(
     TiledMatrix::new(m.rows as i64, m.cols as i64, tile, tiles)
 }
 
+/// Three injected task failures, the first one in the product: registering
+/// the operands runs at most `4 · partitions` tasks (a map and a result
+/// stage per operand), so launch `4 · partitions + 1` is the product's.
+fn task_failures(partitions: usize) -> ChaosPlan {
+    ChaosPlan::new().with_task_failures(4 * partitions as u64 + 1, 3)
+}
+
 /// Executor kills, fetch failures, delayed tasks and speculative duplicates,
 /// explicit and seeded.
 fn chaos_plans(seed: u64, kill_at: u64) -> [(&'static str, ChaosPlan); 2] {
@@ -156,10 +163,8 @@ proptest! {
         }
 
         // Injected task failures: retried attempts replay the same order.
-        let got = product(pinned(partitions).chaos_off(), (rows, cols), |s| {
-            ingest(s);
-            s.spark().inject_task_failures(3);
-        });
+        let failing = pinned(partitions).chaos(task_failures(partitions));
+        let got = product(failing, (rows, cols), ingest);
         prop_assert_eq!(bits(&got), bits(&want), "task retries moved bits");
 
         // The same operands in other source-partition layouts.
@@ -239,11 +244,8 @@ proptest! {
                     prop_assert_eq!(bits(&got), want, "{:?}: {} chaos moved bits", matmul, label);
                 }
             }
-            let failing = |s: &mut Session| {
-                ingest(s);
-                s.spark().inject_task_failures(3);
-            };
-            if let Some(got) = run(session(matmul, partitions).chaos_off(), &failing) {
+            let failing = session(matmul, partitions).chaos(task_failures(partitions));
+            if let Some(got) = run(failing, &ingest) {
                 prop_assert_eq!(bits(&got), want, "{:?}: task retries moved bits", matmul);
             }
             let scattered = |s: &mut Session| {

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::mllib::BlockMatrix;
 use sac_repro::sac::{MatMulStrategy, Session};
-use sac_repro::sparkline::Context;
+use sac_repro::sparkline::{ChaosPlan, Context};
 use sac_repro::tiled::{CooMatrix, LocalMatrix, TiledMatrix};
 
 fn rand_mat(r: usize, c: usize, seed: u64) -> LocalMatrix {
@@ -69,22 +69,21 @@ fn three_systems_agree_on_addition() {
 
 #[test]
 fn sac_survives_injected_task_failures() {
-    // chaos_off: this test pins its own fault scenario. The attempt budget
-    // leaves headroom for the worst case — timing (e.g. chaotic tests
-    // running concurrently in this binary) can concentrate all 4 injections
-    // on a single task, which must still succeed on a later attempt.
+    // This test pins its own fault scenario: four injected task failures,
+    // on every other task launch. The attempt budget leaves headroom for the
+    // worst case — thread timing can concentrate all 4 on a single task,
+    // which must still succeed on a later attempt.
     let s = Session::builder()
         .workers(4)
         .partitions(4)
         .max_task_attempts(8)
-        .chaos_off()
+        .chaos(ChaosPlan::new().with_task_failures(2, 4))
         .build();
+    s.spark().trace();
     let a = rand_mat(12, 12, 5);
     let b = rand_mat(12, 12, 6);
     let ta = TiledMatrix::from_local(s.spark(), &a, 4, 4);
     let tb = TiledMatrix::from_local(s.spark(), &b, 4, 4);
-    s.spark().trace();
-    let _guard = s.spark().inject_task_failures_scoped(4);
     let got = sac_repro::sac::linalg::multiply(&s, &ta, &tb)
         .unwrap()
         .to_local();

@@ -158,14 +158,17 @@ fn kill9_mid_matmul_recovers_via_partial_stage_resubmission() {
 
 /// Wire-level chaos: garbled frames fail the CRC check and dropped streams
 /// error out; bounded retry with backoff absorbs both, emits `fetch_retry`
-/// events, and the result is still exact.
+/// events, and the result is still exact. Injected task failures ride along:
+/// each is one traced failed attempt, retried to the same result.
 #[test]
 fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
     let local = Context::builder().workers(4).chaos_off().build();
+    let task_failures = 2;
     let plan = ChaosPlan::new()
         .with_wire_fault(3, 2, WireFault::Garble)
         .with_wire_fault(5, 2, WireFault::Drop)
-        .with_wire_fault(4, 3, WireFault::Delay(50));
+        .with_wire_fault(4, 3, WireFault::Delay(50))
+        .with_task_failures(3, task_failures);
     let chaotic = Context::builder()
         .workers(4)
         .worker_processes(2)
@@ -182,15 +185,31 @@ fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
         out
     };
     let got = run(&chaotic);
-    let retries = chaotic
-        .take_events()
+    let events = chaotic.take_events();
+    let retries = events
         .iter()
         .filter(|e| matches!(e, Event::FetchRetry { .. }))
         .count();
+    let failed: Vec<bool> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::TaskEnd {
+                ok: false,
+                injected,
+                ..
+            } => Some(*injected),
+            _ => None,
+        })
+        .collect();
     assert_eq!(got, run(&local));
     assert!(
         retries >= 2,
         "garbled/dropped fetches must surface as fetch_retry events, saw {retries}"
+    );
+    assert_eq!(
+        failed,
+        vec![true; task_failures as usize],
+        "exactly the plan's task failures, each marked injected"
     );
 }
 
