@@ -1,11 +1,55 @@
-//! Test support shared by the suites that check bits on real floats: the
-//! `rough()` generator and the reference interpreter as an oracle.
+//! Test support shared by the suites: the `rough()` generator and the
+//! reference interpreter as an oracle for those that check bits on real
+//! floats, and task-failure schedules for those that retry over cached
+//! blocks.
 #![allow(dead_code)] // each suite uses its own subset
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use sac_repro::comp::{eval, parse_expr, Env, Value};
+use sac_repro::sparkline::{ChaosPlan, Event, CHAOS_ENV};
 use sac_repro::tiled::LocalMatrix;
+
+/// The `SPARKLINE_CHAOS` schedule, or an empty plan when the variable is
+/// unset or `off`. An explicit `.chaos(plan)` replaces that schedule, so a
+/// test adding faults of its own starts from this one to keep the seeded
+/// kills, delays and fetch faults in play.
+pub fn env_chaos(workers: usize) -> ChaosPlan {
+    let seed = std::env::var(CHAOS_ENV).unwrap_or_default();
+    ChaosPlan::from_env(&seed, workers).unwrap_or_default()
+}
+
+/// [`env_chaos`] plus `per_pass` injected task failures in each of `passes`
+/// passes that launch at least `tasks` tasks in a row: every
+/// `tasks / per_pass`-th launch fails, so any `tasks` consecutive launches
+/// hold `per_pass` of them. The limit, three times what the passes need,
+/// outlasts the extra launches of a first pass's map stage, of the retries
+/// and of a seeded schedule. Returns the plan and an attempt budget above
+/// that limit plus a seeded schedule's own two failures, so no task can
+/// exhaust its attempts.
+pub fn failures_per_pass(
+    workers: usize,
+    tasks: u64,
+    per_pass: u32,
+    passes: u32,
+) -> (ChaosPlan, u32) {
+    let limit = 3 * per_pass * passes;
+    let every = tasks / u64::from(per_pass.max(1));
+    let plan = env_chaos(workers).with_task_failures(every, limit);
+    (plan, limit + 3)
+}
+
+/// Task attempts among traced `events`: `(ended, injected)` — every attempt
+/// that reported its end, and the failures a chaos plan injected.
+pub fn attempts(events: &[Event]) -> (usize, usize) {
+    let ends = events.iter().filter_map(|e| match e {
+        Event::TaskEnd { injected, .. } => Some(*injected),
+        _ => None,
+    });
+    ends.fold((0, 0), |(n, i), injected| {
+        (n + 1, i + usize::from(injected))
+    })
+}
 
 /// Entries spread over sixteen binades with full mantissas: any change in
 /// who is added to what first moves low bits somewhere.
