@@ -2,6 +2,7 @@
 
 use comp::errors::CompError;
 use comp::types::{infer, Type, TypeEnv};
+use diablo::Translated;
 use planner::{DistArray, ExecResult, MatMulStrategy, PlanConfig, PlanEnv, Planned};
 use sparkline::{ChaosPlan, Context, ContextBuilder};
 use tiled::{CooMatrix, LocalMatrix, TiledMatrix, TiledVector};
@@ -378,6 +379,21 @@ impl Session {
     pub fn run_in_env(&self, src: &str, env: &PlanEnv) -> Result<ExecResult, CompError> {
         let expr = comp::parse_expr(src)?;
         planner::run(&expr, env, &self.ctx, &self.config)
+    }
+
+    /// Run a translated loop program (`diablo::translate`) as one unit
+    /// against an explicit environment: the statements plan in program
+    /// order, a later one reading an earlier one's output by name; an output
+    /// two later statements read is persisted, so it is evaluated once; and
+    /// each array's stage frontier is probed at most once. Returns every
+    /// statement's output in program order — the statement-at-a-time
+    /// results, bit for bit. See [`planner::program`].
+    pub fn run_program(
+        &self,
+        program: &Translated,
+        env: &PlanEnv,
+    ) -> Result<Vec<(String, ExecResult)>, CompError> {
+        planner::program::run(&program.outputs, env, &self.ctx, &self.config)
     }
 
     /// Run a comprehension that produces a tiled matrix.

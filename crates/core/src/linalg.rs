@@ -6,7 +6,9 @@
 //! system: the *same* generic translation rules produce the efficient plans
 //! (`eltwise` for Query 8, `contraction` for Query 9, `axisReduce` for
 //! Fig. 1, `indexRemap` for §5.2's rotation, `groupByAggregate` for §3's
-//! smoothing).
+//! smoothing). The factorization step is the paper's §6 loop body written
+//! as a `diablo` loop program and run as one unit
+//! ([`Session::run_program`]).
 
 use crate::context::Session;
 use comp::errors::CompError;
@@ -199,17 +201,34 @@ pub fn rotate_rows(s: &Session, a: &TiledMatrix) -> Result<TiledMatrix, CompErro
         .into_matrix()
 }
 
-/// One gradient-descent iteration of matrix factorization (§6, Fig. 4.C):
+/// One gradient-descent step of matrix factorization (§6, Fig. 4.C) as the
+/// loop program it is, over `R` (`n x m`), `P` (`n x rank`) and `Q`
+/// (`m x rank`):
 ///
 /// ```text
 /// E  ← R − P·Qᵀ
 /// P' ← P + γ(2·E·Q − λP)
 /// Q' ← Q + γ(2·Eᵀ·P − λQ)
 /// ```
-///
-/// `R` is `n×m`, `P` is `n×k`, `Q` is `m×k`. Every step is a comprehension:
-/// the three multiplications use the configured contraction strategy and the
-/// two updates fuse into single element-wise plans.
+pub const FACTORIZATION_STEP: &str = "\
+    for i = 0, n-1 do for j = 0, m-1 do for k = 0, rank-1 do \
+      PQ[i, j] += P[i, k] * Q[j, k]; \
+    for i = 0, n-1 do for j = 0, m-1 do \
+      E[i, j] = R[i, j] - PQ[i, j]; \
+    for i = 0, n-1 do for k = 0, rank-1 do for j = 0, m-1 do \
+      EQ[i, k] += E[i, j] * Q[j, k]; \
+    for i = 0, n-1 do for k = 0, rank-1 do \
+      P2[i, k] = P[i, k] + gamma * (2.0 * EQ[i, k] - lambda * P[i, k]); \
+    for j = 0, m-1 do for k = 0, rank-1 do for i = 0, n-1 do \
+      ETP[j, k] += E[i, j] * P[i, k]; \
+    for j = 0, m-1 do for k = 0, rank-1 do \
+      Q2[j, k] = Q[j, k] + gamma * (2.0 * ETP[j, k] - lambda * Q[j, k]);";
+
+/// One step of [`FACTORIZATION_STEP`]: `(P', Q')`. The program runs as one
+/// unit ([`Session::run_program`]): its three contractions use the
+/// configured strategy, the two updates fuse into single element-wise plans,
+/// `E`, read by two contractions, is evaluated once, and each of `P`, `Q`
+/// and `E` is probed at most once.
 pub fn factorization_step(
     s: &Session,
     r: &TiledMatrix,
@@ -218,40 +237,26 @@ pub fn factorization_step(
     gamma: f64,
     lambda: f64,
 ) -> Result<(TiledMatrix, TiledMatrix), CompError> {
-    // E = R - P*Qᵀ
-    let pqt = multiply_bt(s, p, q)?;
-    let e = subtract(s, r, &pqt)?;
-
-    // P' = P + γ(2 E·Q − λP), fused element-wise over P and E·Q.
-    let eq = multiply(s, &e, q)?;
-    let mut env = env_of(&[p, &eq]);
-    env.set_int("n", p.rows());
-    env.set_int("m", p.cols());
+    let mut env = PlanEnv::new();
+    for (name, m) in [("R", r), ("P", p), ("Q", q)] {
+        env.set_array(name, DistArray::Matrix(m.clone()));
+    }
+    env.set_int("n", r.rows());
+    env.set_int("m", r.cols());
+    env.set_int("rank", p.cols());
     env.set_float("gamma", gamma);
     env.set_float("lambda", lambda);
-    let p2 = s
-        .run_in_env(
-            "tiled(n,m)[ ((i,j), p + gamma*(2.0*e - lambda*p)) | ((i,j),p) <- X0, \
-             ((ii,jj),e) <- X1, ii == i, jj == j ]",
-            &env,
-        )?
-        .into_matrix()?;
-
-    // Q' = Q + γ(2 Eᵀ·P − λQ)
-    let etp = multiply_at(s, &e, p)?;
-    let mut env = env_of(&[q, &etp]);
-    env.set_int("n", q.rows());
-    env.set_int("m", q.cols());
-    env.set_float("gamma", gamma);
-    env.set_float("lambda", lambda);
-    let q2 = s
-        .run_in_env(
-            "tiled(n,m)[ ((i,j), q + gamma*(2.0*e - lambda*q)) | ((i,j),q) <- X0, \
-             ((ii,jj),e) <- X1, ii == i, jj == j ]",
-            &env,
-        )?
-        .into_matrix()?;
-    Ok((p2, q2))
+    let program = diablo::translate(&diablo::parse_program(FACTORIZATION_STEP)?)?;
+    let outputs = s.run_program(&program, &env)?;
+    let output = |name: &str| {
+        let written = outputs.iter().find(|(n, _)| n == name);
+        written
+            .expect("the program writes P2 and Q2")
+            .1
+            .clone()
+            .into_matrix()
+    };
+    Ok((output("P2")?, output("Q2")?))
 }
 
 /// §8 extension: `C = A · B` where A's tiles travel in **compressed sparse

@@ -45,7 +45,7 @@ impl DistArray {
     /// operator's `Arc`). Two arrays share an identity iff they wrap the
     /// same operator DAG node, so a persisted overlay built for one is valid
     /// for the other.
-    fn lineage_identity(&self) -> Option<usize> {
+    pub(crate) fn lineage_identity(&self) -> Option<usize> {
         match self {
             DistArray::Matrix(m) => Some(Arc::as_ptr(m.tiles().op()) as *const () as usize),
             DistArray::Vector(v) => Some(Arc::as_ptr(v.blocks().op()) as *const () as usize),

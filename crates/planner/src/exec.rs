@@ -7,7 +7,7 @@ use crate::plan::{
     StrategyRow,
 };
 use crate::scalar::{self, IdxFn};
-use crate::stage::{self, StageFrontier};
+use crate::stage::{self, Frontiers, StageFrontier};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
@@ -103,6 +103,19 @@ pub fn execute(
     ctx: &Context,
     config: &PlanConfig,
 ) -> Result<ExecResult, CompError> {
+    execute_probed(planned, env, ctx, config, &Frontiers::default())
+}
+
+/// [`execute`] for one node of a run whose stage-frontier probes are
+/// recorded in `frontiers`: an input an earlier node of the run measured is
+/// not probed again.
+pub(crate) fn execute_probed(
+    planned: &Planned,
+    env: &PlanEnv,
+    ctx: &Context,
+    config: &PlanConfig,
+    frontiers: &Frontiers,
+) -> Result<ExecResult, CompError> {
     // Resolve partition autotuning (`partitions == 0`) against this
     // context's worker pool and the plan's estimated output size, then put
     // the planner's cost-based decision on the event bus as `plan.chosen`.
@@ -142,7 +155,8 @@ pub fn execute(
     }
     ctx.scoped_tag(planned.plan.strategy_name(), || {
         let overlay = persist_shared_inputs(&planned.plan, env);
-        execute_untagged(planned, overlay.as_ref().unwrap_or(env), ctx, config)
+        let env = overlay.as_ref().unwrap_or(env);
+        execute_untagged(planned, env, ctx, config, frontiers)
     })
 }
 
@@ -198,6 +212,7 @@ fn execute_untagged(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
+    frontiers: &Frontiers,
 ) -> Result<ExecResult, CompError> {
     match (&planned.plan, &planned.output) {
         (
@@ -231,6 +246,7 @@ fn execute_untagged(
             value,
             (*strategy, decision),
             output,
+            frontiers,
         ),
         (
             Plan::IndexRemap {
@@ -444,18 +460,28 @@ fn exec_fused_eltwise(
                 )));
             }
             let sets: Vec<_> = mats.iter().map(|m| m.tiles()).collect();
-            let tiles = join_coindexed(&sets, first.grid_partitioner(config.partitions)).map_named(
-                "fused_eltwise",
-                move |((bi, bj), ts)| {
-                    debug_assert_eq!(ts.len(), k, "join dropped an input tile");
-                    let bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
-                    let origin = (bi * n as i64, bj * n as i64);
-                    let data = fused_tile(&program, &bufs, (n, n), origin, extent, backend);
-                    let out = DenseMatrix::from_vec(n, n, data);
-                    let out = if transposed { out.transpose() } else { out };
-                    (swapped((bi, bj), transposed), out)
-                },
-            );
+            let joined = join_coindexed(&sets, first.grid_partitioner(config.partitions));
+            let region = Arc::new(move |((bi, bj), ts): (TileCoord, Vec<DenseMatrix>)| {
+                debug_assert_eq!(ts.len(), k, "join dropped an input tile");
+                let bufs: Vec<&[f64]> = ts.iter().map(|t| t.data()).collect();
+                let origin = (bi * n as i64, bj * n as i64);
+                let data = fused_tile(&program, &bufs, (n, n), origin, extent, backend);
+                ((bi, bj), DenseMatrix::from_vec(n, n, data))
+            });
+            let tiles = if transposed {
+                joined.map_named("fused_eltwise", move |tile| {
+                    let ((bi, bj), out) = region(tile);
+                    ((bj, bi), out.transpose())
+                })
+            } else {
+                // Keys kept: every tile stays in the partition the join put
+                // it in, so the result keeps the join's grid partitioner and
+                // a co-indexed consumer joins it without a shuffle.
+                joined.map_partitions_preserving("fused_eltwise", move |_, tiles| {
+                    let region = region.clone();
+                    tiles.map(move |tile| region(tile))
+                })
+            };
             Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
@@ -508,12 +534,21 @@ trait Block: Data + SpillCodec {
     fn col_at(index: i64) -> Self::Col;
     fn col_index(col: Self::Col) -> i64;
     fn zeros(n: usize) -> Self;
-    /// `self += a ⊗ b` under `combine`, in ascending contracted order.
-    /// `valid` is `(rows, contracted, cols)` of the block product that lie
-    /// inside the logical extents: a general combine counts no padding of
-    /// the contracted dimension and writes no output padding, which stays
-    /// `+0.0` (`f(0, 0)` need not be 0).
-    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid: (usize, usize, usize));
+    /// `self += a ⊗ b` under `combine`, in ascending contracted order. Each
+    /// operand comes with its orientation: `true` means the payload holds
+    /// the transpose of the block its role reads, and is read transposed
+    /// where it lies — the same values in the same order, so the same bits
+    /// as a transposed copy. `valid` is `(rows, contracted, cols)` of the
+    /// block product that lie inside the logical extents: a general combine
+    /// counts no padding of the contracted dimension and writes no output
+    /// padding, which stays `+0.0` (`f(0, 0)` need not be 0).
+    fn acc(
+        &mut self,
+        a: (&DenseMatrix, bool),
+        b: (&Self, bool),
+        combine: &Combine,
+        valid: (usize, usize, usize),
+    );
     fn add_in_place(&mut self, other: &Self);
 }
 
@@ -537,26 +572,38 @@ impl Block for DenseMatrix {
 
     /// A general combine runs one pass per (output row `i`, contracted
     /// index `k`) over `a[i][k]` splatted and row `k` of `b`, adding the
-    /// terms into row `i` in ascending `k`.
-    fn acc(&mut self, a: &DenseMatrix, b: &Self, combine: &Combine, valid: (usize, usize, usize)) {
-        match &combine.general {
-            None if combine.threads > 1 => self.gemm_acc_parallel(a, b, combine.threads),
-            None => self.gemm_acc(a, b),
-            Some(value) => {
-                let (rows, valid_k, cols) = valid;
-                let (width, backend) = (b.cols(), Backend::active());
-                let (mut left, mut terms) = (vec![0.0; cols], vec![0.0; cols]);
-                let out = self.data_mut();
-                for i in 0..rows {
-                    let out_row = &mut out[i * width..][..cols];
-                    for k in 0..valid_k {
-                        left.fill(a.get(i, k));
-                        let bufs = [&left[..], &b.row(k)[..cols]];
-                        fused_eltwise_into(value, &bufs, &mut terms, backend);
-                        for (acc, term) in out_row.iter_mut().zip(&terms) {
-                            *acc += term;
-                        }
-                    }
+    /// terms into row `i` in ascending `k`. A transposed `b` has its row `k`
+    /// gathered from column `k` first.
+    fn acc(
+        &mut self,
+        (a, a_t): (&DenseMatrix, bool),
+        (b, b_t): (&Self, bool),
+        combine: &Combine,
+        valid: (usize, usize, usize),
+    ) {
+        let Some(value) = &combine.general else {
+            return self.gemm_acc_oriented((a, a_t), (b, b_t), combine.threads);
+        };
+        let (rows, valid_k, cols) = valid;
+        let (width, backend) = (self.cols(), Backend::active());
+        let a_at = |i, k| if a_t { a.get(k, i) } else { a.get(i, k) };
+        let (mut left, mut right, mut terms) = (vec![0.0; cols], vec![0.0; cols], vec![0.0; cols]);
+        let out = self.data_mut();
+        for i in 0..rows {
+            let out_row = &mut out[i * width..][..cols];
+            for k in 0..valid_k {
+                left.fill(a_at(i, k));
+                if b_t {
+                    right
+                        .iter_mut()
+                        .enumerate()
+                        .for_each(|(j, x)| *x = b.get(j, k));
+                } else {
+                    right.copy_from_slice(&b.row(k)[..cols]);
+                }
+                fused_eltwise_into(value, &[&left, &right], &mut terms, backend);
+                for (acc, term) in out_row.iter_mut().zip(&terms) {
+                    *acc += term;
                 }
             }
         }
@@ -581,21 +628,35 @@ impl Block for Vec<f64> {
     }
 
     /// A block product is summed on its own and then added, so it is the
-    /// same number whether it seeds an accumulator or joins one. A general
-    /// combine runs one pass per row of `a` against `x`, summed in ascending
-    /// contracted index from `+0.0`.
-    fn acc(&mut self, a: &DenseMatrix, x: &Self, combine: &Combine, valid: (usize, usize, usize)) {
-        match &combine.general {
-            None => self.add_in_place(&a.matvec(x)),
-            Some(value) => {
-                let (rows, valid_k, _) = valid;
-                let (mut terms, backend) = (vec![0.0; valid_k], Backend::active());
-                for (r, y) in self.iter_mut().enumerate().take(rows) {
-                    let bufs = [&a.row(r)[..valid_k], &x[..valid_k]];
-                    fused_eltwise_into(value, &bufs, &mut terms, backend);
-                    *y += terms.iter().fold(0.0, |sum, term| sum + term);
-                }
+    /// same number whether it seeds an accumulator or joins one; a
+    /// transposed `a` runs [`DenseMatrix::matvec_t`], `dot`'s lane order
+    /// over its columns in place. A general combine runs one pass per row
+    /// of `a` (a column, gathered, of a transposed one) against `x`, summed
+    /// in ascending contracted index from `+0.0`.
+    fn acc(
+        &mut self,
+        (a, a_t): (&DenseMatrix, bool),
+        (x, _): (&Self, bool),
+        combine: &Combine,
+        valid: (usize, usize, usize),
+    ) {
+        let Some(value) = &combine.general else {
+            let product = if a_t { a.matvec_t(x) } else { a.matvec(x) };
+            return self.add_in_place(&product);
+        };
+        let (rows, valid_k, _) = valid;
+        let (mut terms, mut line, backend) =
+            (vec![0.0; valid_k], vec![0.0; valid_k], Backend::active());
+        for (r, y) in self.iter_mut().enumerate().take(rows) {
+            if a_t {
+                line.iter_mut()
+                    .enumerate()
+                    .for_each(|(k, v)| *v = a.get(k, r));
+            } else {
+                line.copy_from_slice(&a.row(r)[..valid_k]);
             }
+            fused_eltwise_into(value, &[&line, &x[..valid_k]], &mut terms, backend);
+            *y += terms.iter().fold(0.0, |sum, term| sum + term);
         }
     }
 
@@ -606,11 +667,60 @@ impl Block for Vec<f64> {
     }
 }
 
+/// One operand of a contraction as its lowering reads it: blocks keyed in
+/// their role — `(free, contracted)` on the left, `(contracted, free)` on
+/// the right — with the role's logical `(rows, cols)`. An operand whose
+/// stored orientation is the other one is only re-keyed: `transposed` says
+/// its payloads hold the transposes of the role's blocks, and the tile
+/// kernel reads them that way where they lie ([`Block::acc`]).
+struct Operand<B: Block> {
+    blocks: Blocks<B>,
+    rows: i64,
+    cols: i64,
+    transposed: bool,
+}
+
+impl Operand<DenseMatrix> {
+    /// `m` in a role that reads it transposed iff `transposed`.
+    fn matrix(m: &TiledMatrix, transposed: bool) -> Operand<DenseMatrix> {
+        let blocks = if transposed {
+            m.tiles().map(|((i, j), t)| ((j, i), t))
+        } else {
+            m.tiles().clone()
+        };
+        let (rows, cols) = swapped((m.rows(), m.cols()), transposed);
+        Operand {
+            blocks,
+            rows,
+            cols,
+            transposed,
+        }
+    }
+}
+
+/// `value` with its two slots exchanged: `f(a, b)` as a function of `(b, a)`.
+fn swap_slots(value: &FusedProgram) -> FusedProgram {
+    let ops = value.ops().iter().map(|op| match op {
+        ElemwiseOp::Slot(0) => ElemwiseOp::Slot(1),
+        ElemwiseOp::Slot(1) => ElemwiseOp::Slot(0),
+        other => other.clone(),
+    });
+    FusedProgram::new(ops.collect()).expect("exchanging slots keeps the stack discipline")
+}
+
 /// A contraction node: §5.3 (join + reduceByKey), §5.4 (group-by-join /
 /// SUMMA), §4 (join + groupByKey) or the broadcast join, over a matrix or a
 /// vector right operand. Resolves and orients the operands, checks their
 /// dimensions, lets the stage driver re-decide, and lowers the table row
 /// that comes out.
+///
+/// No tile is copied transposed. An operand contracted on its other index
+/// is re-keyed and read transposed by the tile kernel, and a `swap_output`
+/// node computes `Cᵀ = Bᵀ·Aᵀ` directly: the right operand takes the left
+/// role and the left the right, each with its orientation flipped, and the
+/// combine's slots exchanged. Every output element is still the ascending
+/// chain over the contracted index of the same products — `fma(b, a, c)` is
+/// `fma(a, b, c)` — so the bits are those of transposing.
 #[allow(clippy::too_many_arguments)]
 fn exec_contraction<'a>(
     env: &PlanEnv,
@@ -622,6 +732,7 @@ fn exec_contraction<'a>(
     value: &FusedProgram,
     (strategy, decision): (MatMulStrategy, &PlanDecision),
     output: &OutputKind,
+    frontiers: &Frontiers,
 ) -> Result<ExecResult, CompError> {
     let vector = matches!(output, OutputKind::Vector { .. });
     let row = strategy_row(strategy, vector).ok_or_else(|| {
@@ -634,35 +745,36 @@ fn exec_contraction<'a>(
         stage::adapt(env, ctx, config, probe, operands, row, decision)
     };
     let product = [ElemwiseOp::Slot(0), ElemwiseOp::Slot(1), ElemwiseOp::Mul];
+    let general = (value.ops() != product).then(|| {
+        if swap_output {
+            swap_slots(value)
+        } else {
+            value.clone()
+        }
+    });
     let combine = Combine {
-        general: (value.ops() != product).then(|| value.clone()),
+        general,
         threads: config.tile_threads.max(1),
     };
 
-    // Normalize to standard C = A'·B' with the contraction on A'.col / B'.row.
     let a0 = matrix_input(env, left)?;
-    let a = if left_contract_row {
-        a0.transpose()
-    } else {
-        a0.clone()
-    };
-    let n = a.tile_size();
-    // The dimension checks, once: the right operand as `(block size, rows,
-    // cols)` — a vector is a `len x 1` column — against the builder's dims.
-    let check = |(block, b_rows, b_cols): (usize, i64, i64), builder: (i64, i64)| {
+    let n = a0.tile_size();
+    // The dimension checks, once: the lowering's operands in their roles
+    // against the builder's dims.
+    let check = |a: &Operand<DenseMatrix>, (block, b_rows, b_cols): (usize, i64, i64), builder| {
         if n != block {
             return Err(CompError::plan("contraction inputs must share a tile size"));
         }
-        if a.cols() != b_rows {
+        if a.cols != b_rows {
             return Err(CompError::plan(format!(
                 "contraction inner dimensions differ: {} vs {b_rows}",
-                a.cols()
+                a.cols
             )));
         }
-        let expected = swapped((a.rows(), b_cols), swap_output);
-        if expected != builder {
+        if (a.rows, b_cols) != builder {
             return Err(CompError::plan(format!(
-                "builder dimensions {builder:?} do not match contraction output {expected:?}"
+                "builder dimensions {builder:?} do not match contraction output {:?}",
+                (a.rows, b_cols)
             )));
         }
         Ok(())
@@ -670,34 +782,35 @@ fn exec_contraction<'a>(
     match *output {
         OutputKind::Matrix { rows, cols } => {
             let b0 = matrix_input(env, right)?;
-            let b = if right_contract_col {
-                b0.transpose()
+            let (a, b) = if swap_output {
+                let a = Operand::matrix(b0, !right_contract_col);
+                (a, Operand::matrix(a0, !left_contract_row))
             } else {
-                b0.clone()
+                let a = Operand::matrix(a0, left_contract_row);
+                (a, Operand::matrix(b0, right_contract_col))
             };
-            check((b.tile_size(), b.rows(), b.cols()), (rows, cols))?;
-            let (row, partitions) = adapt(&|| {
-                vec![
-                    (left, StageFrontier::matrix(a0)),
-                    (right, StageFrontier::matrix(b0)),
-                ]
-            });
-            let b_small = b.rows() * b.cols() <= a.rows() * a.cols();
-            let tiles =
-                lower_contraction(row, &a, b.tiles(), b.cols(), b_small, partitions, combine);
-            let result = TiledMatrix::new(a.rows(), b.cols(), n, tiles);
-            Ok(ExecResult::Matrix(if swap_output {
-                result.transpose()
-            } else {
-                result
-            }))
+            check(&a, (b0.tile_size(), b.rows, b.cols), (rows, cols))?;
+            let (row, partitions) =
+                adapt(&|| vec![(left, frontiers.matrix(a0)), (right, frontiers.matrix(b0))]);
+            // The smaller operand is broadcast, the query's right one on a
+            // tie — whichever role it has here.
+            let right_small = b0.rows() * b0.cols() <= a0.rows() * a0.cols();
+            let b_small = right_small != swap_output;
+            let tiles = lower_contraction(row, &a, &b, n, b_small, partitions, combine);
+            Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
             let x = vector_input(env, right)?;
-            check((x.block_size(), x.len(), 1), (len, 1))?;
-            let (row, partitions) = adapt(&|| vec![(right, StageFrontier::vector(x))]);
-            let blocks = x.blocks().map(|(k, block)| ((k, ()), block));
-            let blocks = lower_contraction(row, &a, &blocks, 1, true, partitions, combine)
+            let a = Operand::matrix(a0, left_contract_row);
+            check(&a, (x.block_size(), x.len(), 1), (len, 1))?;
+            let (row, partitions) = adapt(&|| vec![(right, frontiers.vector(x))]);
+            let b = Operand {
+                blocks: x.blocks().map(|(k, block)| ((k, ()), block)),
+                rows: x.len(),
+                cols: 1,
+                transposed: false,
+            };
+            let blocks = lower_contraction(row, &a, &b, n, true, partitions, combine)
                 .map(|((i, ()), y)| (i, y));
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
@@ -705,13 +818,12 @@ fn exec_contraction<'a>(
     }
 }
 
-/// Lower one fully-resolved strategy-table row to its dataset DAG. `a` is
-/// already oriented standard (contraction on `a.col`); `b` is the oriented
-/// right operand: its blocks keyed `(contracted block, block col)`, its
-/// logical column count (1 for a vector), and whether it is the smaller
-/// side. The caller has resolved `row` and `partitions` — at plan time or at
-/// the stage frontier, so a runtime strategy switch runs bit-identically to
-/// the same strategy chosen up front.
+/// Lower one fully-resolved strategy-table row to its dataset DAG. `a` and
+/// `b` are the operands in their roles (`C = A·B`, contraction on `a.col` /
+/// `b.row`) over `n`-sized blocks; `b_small` says the right operand is the
+/// smaller side. The caller has resolved `row` and `partitions` — at plan
+/// time or at the stage frontier, so a runtime strategy switch runs
+/// bit-identically to the same strategy chosen up front.
 ///
 /// Operand blocks are only routed here — replicas, join pairs and broadcast
 /// tables are pointer copies of shared tiles — and every arm but
@@ -720,27 +832,30 @@ fn exec_contraction<'a>(
 /// the tile kernel's.
 fn lower_contraction<B: Block>(
     row: &StrategyRow,
-    a: &TiledMatrix,
-    b: &Blocks<B>,
-    b_extent: i64,
+    a: &Operand<DenseMatrix>,
+    b: &Operand<B>,
+    n: usize,
     b_small: bool,
     partitions: usize,
     combine: Combine,
 ) -> Blocks<B> {
-    let (n, rows, inner) = (a.tile_size(), a.rows(), a.cols());
-    let b_cols = (b_extent + n as i64 - 1) / n as i64;
+    let (rows, inner, b_extent) = (a.rows, a.cols, b.cols);
+    let block_count = |extent: i64| (extent + n as i64 - 1) / n as i64;
+    let (a_rows, a_cols, b_cols) = (block_count(rows), block_count(inner), block_count(b_extent));
+    let orientation = (a.transposed, b.transposed);
     // `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)`.
     let multiply = move |av: &DenseMatrix, bv: &B, (i, k, j): (i64, i64, i64), out: &mut B| {
         let valid = |block: i64, len: i64| (len - block * n as i64).clamp(0, n as i64) as usize;
         let valid = (valid(i, rows), valid(k, inner), valid(j, b_extent));
-        out.acc(av, bv, &combine, valid);
+        out.acc((av, orientation.0), (bv, orientation.1), &combine, valid);
     };
     let add_blocks = |acc: &mut B, t: B| acc.add_in_place(&t);
+    let (a, b) = (&a.blocks, &b.blocks);
     match row.strategy {
         // (No table row is `Auto`.)
         MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey | MatMulStrategy::Auto => {
             // Both plans meet the operands on the contracted block index.
-            let lhs = a.tiles().map(|((i, k), t)| (k, (i, t)));
+            let lhs = a.map(|((i, k), t)| (k, (i, t)));
             let rhs = b.map(|((k, j), t)| (k, (j, t)));
             if row.strategy == MatMulStrategy::JoinGroupBy {
                 // §4's naive translation: one partial product block per
@@ -808,9 +923,9 @@ fn lower_contraction<B: Block>(
             triples.shuffle(KeyPartitioner::hash(partitions), accumulate, "reduceByKey")
         }
         MatMulStrategy::GroupByJoin => group_by_join(
-            a.tiles(),
+            a,
             b,
-            (a.block_rows(), a.block_cols(), b_cols),
+            (a_rows, a_cols, b_cols),
             n,
             partitions,
             move |out: &mut B, av: &DenseMatrix, bv: &B, at| multiply(av, bv, at, out),
@@ -823,10 +938,10 @@ fn lower_contraction<B: Block>(
             // shuffle at all. The big side is only read: its stream is
             // consumed by reference so shared source partitions are never
             // cloned into the task.
-            let ctx = a.tiles().context();
+            let ctx = a.context();
             let partials = if b_small {
                 let table = ctx.broadcast(by_contracted(b.collect(), |&(k, _)| k));
-                a.tiles().map_partitions_stream(move |_, tiles| {
+                a.map_partitions_stream(move |_, tiles| {
                     let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
                     tiles.for_each_ref(|((i, k), av)| {
                         for ((_, j), bv) in table.get(k).into_iter().flatten() {
@@ -837,7 +952,7 @@ fn lower_contraction<B: Block>(
                     PartitionStream::from_vec(acc.into_iter().collect())
                 })
             } else {
-                let table = ctx.broadcast(by_contracted(a.tiles().collect(), |&(_, k)| k));
+                let table = ctx.broadcast(by_contracted(a.collect(), |&(_, k)| k));
                 b.map_partitions_stream(move |_, blocks| {
                     let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
                     blocks.for_each_ref(|((k, j), bv)| {
@@ -862,8 +977,7 @@ fn lower_contraction<B: Block>(
                 let out = merged.entry(coord).or_insert_with(|| B::zeros(n));
                 out.add_in_place(&partial);
             }
-            let coords =
-                (0..a.block_rows()).flat_map(|i| (0..b_cols).map(move |j| (i, B::col_at(j))));
+            let coords = (0..a_rows).flat_map(|i| (0..b_cols).map(move |j| (i, B::col_at(j))));
             let blocks = coords
                 .map(|c| (c, merged.remove(&c).unwrap_or_else(|| B::zeros(n))))
                 .collect();

@@ -18,11 +18,16 @@
 //! `exec::lower_contraction`. Comprehensions outside every rule fall back to
 //! the reference interpreter over sparsified arrays
 //! ([`Plan::LocalFallback`]) — semantics always win.
+//!
+//! A translated loop program runs as one unit ([`program::run`]): its
+//! statements plan in order against one environment, an intermediate read
+//! twice is evaluated once, and each array's stage frontier is probed once.
 
 pub mod analysis;
 pub mod env;
 pub mod exec;
 pub mod plan;
+pub mod program;
 pub mod scalar;
 mod stage;
 

@@ -34,16 +34,21 @@
 //! `lower_contraction` as a node planned on that strategy, so it is
 //! bit-identical to pinning the strategy up front.
 //!
+//! A run probes each array at most once ([`Frontiers`]): a program's later
+//! node over an array an earlier node measured re-costs from those stats.
+//!
 //! Only auto-resolved nodes are driven: a pinned
 //! [`PlanConfig::matmul`](crate::plan::PlanConfig) is a frozen plan — it
 //! never probes and never re-plans.
 
-use crate::env::{ArrayStats, PlanEnv};
+use crate::env::{ArrayStats, DistArray, PlanEnv};
 use crate::plan::{
     candidates, cheapest, cost_of, ContractionShape, MatMulStrategy, PlanConfig, PlanDecision,
     StrategyRow,
 };
 use sparkline::{Context, Data, Dataset, Event, PartitionStream};
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use tiled::{TiledMatrix, TiledVector};
 
 /// Observed per-partition skew ratio (`max / mean` tiles) at or above which
@@ -52,6 +57,7 @@ const SKEW_THRESHOLD: f64 = 2.0;
 
 /// One frontier unit: a plan-node input executed up to its materialization
 /// point, with the measured statistics of what came out.
+#[derive(Clone)]
 pub(crate) struct StageFrontier {
     /// Measured statistics, shaped exactly like the registration-time
     /// [`ArrayStats`] so they can overlay the planning environment.
@@ -115,6 +121,46 @@ impl StageFrontier {
             stats,
             partition_tiles: Vec::new(),
         }
+    }
+}
+
+/// The frontiers one run has measured, by array: a probe is a pure read, so
+/// a node whose input an earlier node of the same run already probed reuses
+/// that measurement instead of running the job again. A program run
+/// (`program::run`) shares one across its statements, so each array is
+/// probed at most once per program; a lone query gets a fresh one. An
+/// array is its lineage — the dataset node its blocks come from — and each
+/// entry holds the array, so no other array can take that identity while
+/// the run lasts.
+#[derive(Default)]
+pub(crate) struct Frontiers {
+    taken: Mutex<HashMap<usize, (DistArray, StageFrontier)>>,
+}
+
+impl Frontiers {
+    /// [`StageFrontier::matrix`], once per array.
+    pub fn matrix(&self, m: &TiledMatrix) -> StageFrontier {
+        self.once(DistArray::Matrix(m.clone()), || StageFrontier::matrix(m))
+    }
+
+    /// [`StageFrontier::vector`], once per array.
+    pub fn vector(&self, v: &TiledVector) -> StageFrontier {
+        self.once(DistArray::Vector(v.clone()), || StageFrontier::vector(v))
+    }
+
+    fn once(&self, array: DistArray, probe: impl FnOnce() -> StageFrontier) -> StageFrontier {
+        // Every update is one insert, so a poisoned map is still whole.
+        let taken = || self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        let identity = array
+            .lineage_identity()
+            .expect("a tiled array has a lineage");
+        if let Some((_, frontier)) = taken().get(&identity) {
+            return frontier.clone();
+        }
+        // The probe job runs outside the lock.
+        let frontier = probe();
+        taken().insert(identity, (array, frontier.clone()));
+        frontier
     }
 }
 

@@ -445,8 +445,25 @@ impl DenseMatrix {
     /// `(0 until N).par` multicore tile processing. Bit-identical to the
     /// sequential kernel for every thread count.
     pub fn gemm_acc_parallel(&mut self, a: &DenseMatrix, b: &DenseMatrix, threads: usize) {
-        let threads = if a.rows < 64 { 1 } else { threads.max(1) };
-        self.gemm_acc_with(a, b, threads, Backend::active());
+        self.gemm_acc_oriented((a, false), (b, false), threads);
+    }
+
+    /// `self += op(a) * op(b)`, where `op(x)` is `xᵀ` when its flag is set:
+    /// the contraction's tile kernel. A transposed operand is packed from
+    /// where it lies ([`kernel::gemm_oriented`]), never copied, with the
+    /// bits of transposing it first. Splits the row-band loop over `threads`
+    /// like [`DenseMatrix::gemm_acc_parallel`] (one thread below 64 rows).
+    ///
+    /// # Panics
+    /// On dimension mismatch.
+    pub fn gemm_acc_oriented(
+        &mut self,
+        a: (&DenseMatrix, bool),
+        b: (&DenseMatrix, bool),
+        threads: usize,
+    ) {
+        let threads = if self.rows < 64 { 1 } else { threads.max(1) };
+        self.gemm_into(a, b, threads, Backend::active());
     }
 
     /// `self += a * b` with an explicit thread count and kernel backend —
@@ -462,19 +479,35 @@ impl DenseMatrix {
         threads: usize,
         backend: Backend,
     ) {
-        assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
+        self.gemm_into((a, false), (b, false), threads, backend);
+    }
+
+    fn gemm_into(
+        &mut self,
+        (a, a_t): (&DenseMatrix, bool),
+        (b, b_t): (&DenseMatrix, bool),
+        threads: usize,
+        backend: Backend,
+    ) {
+        let oriented = |m: &DenseMatrix, t: bool| {
+            if t {
+                (m.cols, m.rows)
+            } else {
+                (m.rows, m.cols)
+            }
+        };
+        let ((n, k), (b_rows, m)) = (oriented(a, a_t), oriented(b, b_t));
+        assert_eq!(k, b_rows, "gemm: inner dimension mismatch");
         assert_eq!(
             (self.rows, self.cols),
-            (a.rows, b.cols),
+            (n, m),
             "gemm: output dimension mismatch"
         );
-        kernel::gemm(
+        kernel::gemm_oriented(
             self.data_mut(),
-            &a.data,
-            &b.data,
-            a.rows,
-            a.cols,
-            b.cols,
+            (&a.data, a_t),
+            (&b.data, b_t),
+            (n, k, m),
             threads,
             backend,
         );
@@ -520,6 +553,27 @@ impl DenseMatrix {
         (0..self.rows)
             .map(|i| kernel::dot(self.row(i), v, backend))
             .collect()
+    }
+
+    /// `selfᵀ * v`, read where `self` lies. Each column runs [`kernel::dot`]'s
+    /// lane order — four fused multiply-add chains over rows `4t + p`,
+    /// combined `(s0 + s2) + (s1 + s3)`, then the tail rows in order — so it
+    /// is `self.transpose().matvec(v)` bit-for-bit, without the copy. The
+    /// chains advance one row at a time across all columns, so the loop
+    /// reads `self` row by row.
+    ///
+    /// # Panics
+    /// If `v.len() != self.rows`.
+    pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(v.len(), self.rows, "matvec_t: dimension mismatch");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("fma") {
+                // SAFETY: guarded by the runtime FMA check above.
+                return unsafe { matvec_t_fma(self, v) };
+            }
+        }
+        matvec_t_body(self, v)
     }
 
     /// Copy `other` into this matrix with its top-left corner at `(r0, c0)`,
@@ -640,6 +694,37 @@ fn gemm_rows_body(
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn matvec_t_fma(a: &DenseMatrix, v: &[f64]) -> Vec<f64> {
+    matvec_t_body(a, v)
+}
+
+#[inline(always)]
+fn matvec_t_body(a: &DenseMatrix, v: &[f64]) -> Vec<f64> {
+    let (rows, cols) = (a.rows, a.cols);
+    let n4 = rows / 4 * 4;
+    let mut lanes = [(); 4].map(|_| vec![0.0f64; cols]);
+    for t in (0..n4).step_by(4) {
+        for (p, lane) in lanes.iter_mut().enumerate() {
+            let x = v[t + p];
+            for (s, &av) in lane.iter_mut().zip(a.row(t + p)) {
+                *s = av.mul_add(x, *s);
+            }
+        }
+    }
+    let [s0, s1, s2, s3] = &lanes;
+    let mut y: Vec<f64> = (0..cols)
+        .map(|j| (s0[j] + s2[j]) + (s1[j] + s3[j]))
+        .collect();
+    for (r, &x) in v.iter().enumerate().skip(n4) {
+        for (yj, &av) in y.iter_mut().zip(a.row(r)) {
+            *yj = av.mul_add(x, *yj);
+        }
+    }
+    y
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,6 +823,24 @@ mod tests {
         let a = seq(2, 2);
         assert_eq!(a.map(|x| x + 1.0).data(), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.zip_with(&a, |x, y| x * y).data(), &[0.0, 1.0, 4.0, 9.0]);
+    }
+
+    #[test]
+    fn matvec_t_is_the_transposed_matvec_bit_for_bit() {
+        for (rows, cols) in [(1, 1), (3, 5), (4, 4), (9, 2), (13, 7)] {
+            let a = DenseMatrix::from_fn(rows, cols, |i, j| {
+                ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.3
+            });
+            let v: Vec<f64> = (0..rows).map(|i| (i as f64).sin()).collect();
+            let want: Vec<u64> = a
+                .transpose()
+                .matvec(&v)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let got: Vec<u64> = a.matvec_t(&v).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -181,15 +181,6 @@ impl TiledMatrix {
         LocalMatrix::from(dense)
     }
 
-    /// Tile-level transpose: `((i,j), A) -> ((j,i), Aᵀ)`. A narrow map — no
-    /// shuffle — because tiles are square.
-    pub fn transpose(&self) -> TiledMatrix {
-        let tiles = self
-            .tiles
-            .map(|((bi, bj), tile)| ((bj, bi), tile.transpose()));
-        TiledMatrix::new(self.cols, self.rows, self.tile_size, tiles)
-    }
-
     /// Cache the tiles for iterative algorithms: [`TiledMatrix::persist`],
     /// as Spark's `cache()` is `persist(MEMORY_ONLY)`.
     pub fn cache(&self) -> TiledMatrix {
@@ -306,17 +297,6 @@ mod tests {
                 assert_eq!(tile.get(1, 0), 0.0);
             }
         }
-    }
-
-    #[test]
-    fn transpose_matches_local() {
-        let c = ctx();
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = LocalMatrix::random(10, 6, 0.0, 1.0, &mut rng);
-        let t = TiledMatrix::from_local(&c, &m, 4, 4).transpose();
-        assert_eq!(t.rows(), 6);
-        assert_eq!(t.cols(), 10);
-        assert_eq!(t.to_local(), m.transpose());
     }
 
     #[test]

@@ -145,7 +145,7 @@ proptest! {
 // backend, and thread count (the determinism contract of `tiled::kernel`).
 // ---------------------------------------------------------------------------
 
-use tiled::kernel::Backend;
+use tiled::kernel::{gemm_oriented, Backend};
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.data().iter().map(|v| v.to_bits()).collect()
@@ -231,6 +231,96 @@ proptest! {
         let auto: Vec<u64> = a.matvec_with(x.data(), Backend::active())
             .iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(scalar, auto);
+    }
+}
+
+/// Entries spread over sixteen binades with full mantissas; with `special`,
+/// about one in six is `-0.0`, `NaN`, `+∞` or `-∞`.
+fn rough_dense(rows: usize, cols: usize, special: bool, seed: u64) -> DenseMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let specials = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    DenseMatrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..24usize) {
+        s if special && s < specials.len() => specials[s],
+        _ => rng.gen_range(-1.0..1.0) * f64::powi(2.0, rng.gen_range(-8..8)),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A transposed operand packed where it lies: every `(a_t, b_t)` is
+    /// bit-equal to transposing the operand first and running the plain
+    /// kernel, on shapes straddling the register tiles and the KC panel, at
+    /// 1–8 threads, over rough and special floats, on the forced-scalar and
+    /// the dispatched backend.
+    #[test]
+    fn oriented_gemm_is_transpose_then_gemm(n in 1usize..=70, k in 1usize..=200,
+                                            m in 1usize..=70, threads in 1usize..=8,
+                                            special in proptest::bool::ANY,
+                                            seed in 0u64..1000) {
+        let a = rough_dense(n, k, special, seed);
+        let b = rough_dense(k, m, special, seed + 14);
+        let base = rough_dense(n, m, special, seed + 15);
+        let (at, bt) = (a.transpose(), b.transpose());
+        for backend in [Backend::Scalar, Backend::active()] {
+            let mut want = base.clone();
+            want.gemm_acc_with(&a, &b, threads, backend);
+            for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
+                let a_op = if a_t { &at } else { &a };
+                let b_op = if b_t { &bt } else { &b };
+                let mut got = base.clone();
+                gemm_oriented(
+                    got.data_mut(),
+                    (a_op.data(), a_t),
+                    (b_op.data(), b_t),
+                    (n, k, m),
+                    threads,
+                    backend,
+                );
+                prop_assert_eq!(
+                    bits(&got), bits(&want),
+                    "({}, {}) on {:?} at {} threads", a_t, b_t, backend, threads
+                );
+            }
+        }
+    }
+
+    /// The tile-level entry the contraction calls: square tiles in every
+    /// orientation, bit-equal to transposing first.
+    #[test]
+    fn oriented_tile_gemm_is_transpose_then_gemm(n in 1usize..=80, threads in 1usize..=8,
+                                                 special in proptest::bool::ANY,
+                                                 seed in 0u64..1000) {
+        let a = rough_dense(n, n, special, seed);
+        let b = rough_dense(n, n, special, seed + 16);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let mut want = DenseMatrix::zeros(n, n);
+        want.gemm_acc_parallel(&a, &b, threads);
+        for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut got = DenseMatrix::zeros(n, n);
+            let a_op = if a_t { (&at, true) } else { (&a, false) };
+            let b_op = if b_t { (&bt, true) } else { (&b, false) };
+            got.gemm_acc_oriented(a_op, b_op, threads);
+            prop_assert_eq!(bits(&got), bits(&want), "({}, {})", a_t, b_t);
+        }
+    }
+
+    /// The transposed mat-vec reads the tile in place with `dot`'s lane
+    /// order: bit-equal to transposing first. A NaN result is NaN on both
+    /// sides, but which operand's sign and payload an `fma` passes on is the
+    /// instruction form's choice (Rust leaves NaN bits unspecified), so NaNs
+    /// compare as one value.
+    #[test]
+    fn matvec_t_is_transpose_then_matvec(n in 1usize..=40, m in 1usize..=70,
+                                         special in proptest::bool::ANY,
+                                         seed in 0u64..1000) {
+        let a = rough_dense(n, m, special, seed);
+        let x = rough_dense(n, 1, special, seed + 17);
+        let canonical = |y: Vec<f64>| -> Vec<u64> {
+            y.iter().map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits()).collect()
+        };
+        let want = canonical(a.transpose().matvec(x.data()));
+        prop_assert_eq!(canonical(a.matvec_t(x.data())), want);
     }
 }
 

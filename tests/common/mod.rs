@@ -1,14 +1,17 @@
 //! Test support shared by the suites: the `rough()` generator and the
 //! reference interpreter as an oracle for those that check bits on real
-//! floats, and task-failure schedules for those that retry over cached
-//! blocks.
+//! floats, task-failure schedules for those that retry over cached blocks,
+//! and the statement-at-a-time factorization step that a translated
+//! program run must reproduce.
 #![allow(dead_code)] // each suite uses its own subset
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sac_repro::comp::{eval, parse_expr, Env, Value};
+use sac_repro::comp::{eval, parse_expr, CompError, Env, Value};
+use sac_repro::planner::{DistArray, PlanEnv};
+use sac_repro::sac::{linalg, Session};
 use sac_repro::sparkline::{ChaosPlan, Event, CHAOS_ENV};
-use sac_repro::tiled::LocalMatrix;
+use sac_repro::tiled::{LocalMatrix, TiledMatrix};
 
 /// The `SPARKLINE_CHAOS` schedule, or an empty plan when the variable is
 /// unset or `off`. An explicit `.chaos(plan)` replaces that schedule, so a
@@ -135,4 +138,34 @@ pub fn interpreted_vector(v: Value) -> Vec<f64> {
     let mut items: Vec<(i64, f64)> = items.collect();
     items.sort_by_key(|&(i, _)| i);
     items.into_iter().map(|(_, x)| x).collect()
+}
+
+/// One factorization step (§6, Fig. 4.C) as six separately planned queries,
+/// each materializing its result before the next reads it: the
+/// statement-at-a-time oracle for `linalg::factorization_step`, which runs
+/// the same statements as one program. Returns `(P', Q')`.
+pub fn factorization_step_by_statement(
+    s: &Session,
+    r: &TiledMatrix,
+    p: &TiledMatrix,
+    q: &TiledMatrix,
+    gamma: f64,
+    lambda: f64,
+) -> Result<(TiledMatrix, TiledMatrix), CompError> {
+    let update = |own: &TiledMatrix, gradient: &TiledMatrix| {
+        let mut env = PlanEnv::new();
+        env.set_array("X0", DistArray::Matrix(own.clone()));
+        env.set_array("X1", DistArray::Matrix(gradient.clone()));
+        env.set_int("n", own.rows());
+        env.set_int("m", own.cols());
+        env.set_float("gamma", gamma);
+        env.set_float("lambda", lambda);
+        let src = "tiled(n,m)[ ((i,j), p + gamma*(2.0*e - lambda*p)) | ((i,j),p) <- X0, \
+                   ((ii,jj),e) <- X1, ii == i, jj == j ]";
+        s.run_in_env(src, &env)?.into_matrix()
+    };
+    let e = linalg::subtract(s, r, &linalg::multiply_bt(s, p, q)?)?;
+    let p2 = update(p, &linalg::multiply(s, &e, q)?)?;
+    let q2 = update(q, &linalg::multiply_at(s, &e, p)?)?;
+    Ok((p2, q2))
 }

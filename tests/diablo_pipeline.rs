@@ -1,11 +1,14 @@
 //! The full pipeline the paper describes in §1.1: imperative loops →
 //! (DIABLO) array comprehensions → (SAC) distributed block-array plans.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::diablo::{parse_program, translate};
-use sac_repro::sac::Session;
-use sac_repro::tiled::LocalMatrix;
+use sac_repro::planner::ExecResult;
+use sac_repro::sac::{linalg, MatMulStrategy, Session};
+use sac_repro::tiled::{LocalMatrix, TiledMatrix};
 
 fn session_with(mats: &[(&str, &LocalMatrix)]) -> Session {
     let mut s = Session::builder().workers(4).partitions(4).build();
@@ -111,5 +114,130 @@ fn column_sums_via_loop_order_independence() {
     for (j, &gj) in got.iter().enumerate().take(9) {
         let want: f64 = (0..7).map(|i| m.get(i, j)).sum();
         assert!((gj - want).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn a_multi_statement_program_runs_end_to_end() {
+    // Each statement reads the one before; C is read by two later ones.
+    let mut rng = StdRng::seed_from_u64(6);
+    let a = LocalMatrix::random(9, 9, -1.0, 1.0, &mut rng);
+    let b = LocalMatrix::random(9, 9, -1.0, 1.0, &mut rng);
+    let mut s = session_with(&[("A", &a), ("B", &b)]);
+    s.set_int("n", 9);
+    let src = "for i = 0, n-1 do for j = 0, n-1 do for k = 0, n-1 do \
+               C[i, j] += A[i, k] * B[k, j]; \
+               for i = 0, n-1 do for j = 0, n-1 do D[i, j] = C[i, j] + 2.0 * A[i, j]; \
+               for i = 0, n-1 do for j = 0, n-1 do V[i] += D[i, j]; \
+               for i = 0, n-1 do for j = 0, n-1 do W[j] += C[i, j];";
+    let program = translate(&parse_program(src).unwrap()).unwrap();
+    let outputs = s.run_program(&program, s.env()).unwrap();
+    let names: Vec<&str> = outputs.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["C", "D", "V", "W"]);
+
+    let c = a.multiply(&b);
+    let d = c.add(&a.scale(2.0));
+    let column_sums = c.transpose().row_sums();
+    let matrix = |at: usize| outputs[at].1.clone().into_matrix().unwrap();
+    let vector = |at: usize| outputs[at].1.clone().into_vector().unwrap().to_local();
+    assert!(matrix(0).to_local().max_abs_diff(&c) < 1e-9);
+    assert!(matrix(1).to_local().max_abs_diff(&d) < 1e-9);
+    for (got, want) in [(vector(2), d.row_sums()), (vector(3), column_sums)] {
+        assert!(got.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-9));
+    }
+    // Only C, which two later statements read, is persisted.
+    let persisted = |at: usize| {
+        matches!(&outputs[at].1,
+        ExecResult::Matrix(m) if m.tiles().op().cache_id().is_some())
+    };
+    assert!(persisted(0), "C is read twice");
+    assert!(!persisted(1), "D is read once");
+}
+
+#[test]
+fn a_statement_reading_an_undefined_name_is_an_error() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let a = LocalMatrix::random(6, 6, -1.0, 1.0, &mut rng);
+    let mut s = session_with(&[("A", &a)]);
+    s.set_int("n", 6);
+    let src = "for i = 0, n-1 do for j = 0, n-1 do C[i, j] = A[i, j] + 1.0; \
+               for i = 0, n-1 do for j = 0, n-1 do D[i, j] = C[i, j] * Missing[i, j];";
+    let program = translate(&parse_program(src).unwrap()).unwrap();
+    let err = s
+        .run_program(&program, s.env())
+        .err()
+        .expect("D reads an unbound name");
+    assert!(err.to_string().contains("Missing"), "{err}");
+}
+
+/// Two chained factorization steps, as one program per step and as six
+/// separately planned queries per step, on a fringe shape: the same plan
+/// choices and equal bits on every contraction strategy, and the program
+/// probes P, Q and E once each where the queries probe them twice.
+#[test]
+fn the_factorization_program_is_the_statement_at_a_time_step_bit_for_bit() {
+    // Neither 10 nor 9 nor 3 is a multiple of the tile size 4.
+    let (n, m, rank, tile) = (10, 9, 3, 4);
+    let mut rng = StdRng::seed_from_u64(28);
+    let r = common::rough(n, m, &mut rng);
+    let p = common::rough(n, rank, &mut rng);
+    let q = common::rough(m, rank, &mut rng);
+    let (gamma, lambda) = (0.002, 0.02);
+    let bits = |x: &TiledMatrix| common::bits(x.to_local().data());
+    let strategies = [
+        (MatMulStrategy::Auto, 1 << 20),
+        (MatMulStrategy::Auto, 0),
+        (MatMulStrategy::GroupByJoin, 0),
+        (MatMulStrategy::ReduceByKey, 0),
+    ];
+    for (matmul, budget) in strategies {
+        let mut s = Session::builder()
+            .workers(4)
+            .partitions(4)
+            .matmul(matmul)
+            .broadcast_budget(budget)
+            .chaos_off()
+            .build();
+        for (name, x) in [("R", &r), ("P", &p), ("Q", &q)] {
+            s.register_local_matrix(name, x, tile);
+        }
+        let named = |name: &str| s.matrix_named(name).unwrap();
+        let r = named("R");
+        let (mut by_program, mut by_statement) =
+            ((named("P"), named("Q")), (named("P"), named("Q")));
+        for step in 0..2 {
+            s.spark().trace();
+            let (p2, q2) =
+                linalg::factorization_step(&s, &r, &by_program.0, &by_program.1, gamma, lambda)
+                    .unwrap();
+            let (p_bits, q_bits) = (bits(&p2), bits(&q2));
+            let program = s.spark().take_profile();
+            let (p1, q1) = &by_statement;
+            let (p2_oracle, q2_oracle) =
+                common::factorization_step_by_statement(&s, &r, p1, q1, gamma, lambda).unwrap();
+            assert_eq!(
+                p_bits,
+                bits(&p2_oracle),
+                "{matmul:?}/{budget}: P' of step {step}"
+            );
+            assert_eq!(
+                q_bits,
+                bits(&q2_oracle),
+                "{matmul:?}/{budget}: Q' of step {step}"
+            );
+            let statements = s.spark().take_profile();
+            assert_eq!(
+                program.plan_choices, statements.plan_choices,
+                "{matmul:?}/{budget}"
+            );
+            if (matmul, budget) == (MatMulStrategy::Auto, 0) {
+                assert_eq!(
+                    program.jobs.len() + 3,
+                    statements.jobs.len(),
+                    "step {step}: one probe each of P, Q and E, not two"
+                );
+            }
+            (by_program, by_statement) = ((p2, q2), (p2_oracle, q2_oracle));
+        }
     }
 }

@@ -54,6 +54,35 @@ fn eltwise_add_needs_no_shuffle() {
 }
 
 #[test]
+fn an_eltwise_result_joins_a_co_indexed_contraction_output_without_a_shuffle() {
+    // Both intermediates keep the grid partitioner of their shape: the
+    // fused-eltwise result the one its join partitioned by, the
+    // group-by-join product its reduce cells'. So an element-wise consumer
+    // of the two cogroups them narrowly.
+    let mut s = session(8, 4);
+    s.config_mut().matmul = MatMulStrategy::GroupByJoin;
+    let sum = s.matrix(ADD_SRC).unwrap();
+    let product = s.matrix(MUL_SRC).unwrap();
+    sum.tiles().count();
+    product.tiles().count();
+    s.register_matrix("S", sum);
+    s.register_matrix("C", product);
+    for src in [
+        "tiled(n,n)[ ((i,j), x-c) | ((i,j),x) <- S, ((ii,jj),c) <- C, ii == i, jj == j ]",
+        "tiled(n,n)[ ((i,j), c-x) | ((i,j),c) <- C, ((ii,jj),x) <- S, ii == i, jj == j ]",
+    ] {
+        let analysis = s.explain_analyze(src).unwrap();
+        assert!(analysis.plan.contains("eltwise"), "{}", analysis.plan);
+        assert_eq!(
+            shuffle_stages(&analysis.profile),
+            0,
+            "co-indexed intermediates must not shuffle:\n{}",
+            analysis.profile.render()
+        );
+    }
+}
+
+#[test]
 fn group_by_join_multiply_runs_one_cogroup_round() {
     // §5.4 group-by-join: a single cogroup round — one shuffle.map stage per
     // side (left + right), and nothing else.
