@@ -573,8 +573,13 @@ impl WorkerFrames<'_> {
                     }
                     let mut res = self.group.fetch(worker, shuffle_id, p as u64, r as u64);
                     if let (Ok(bytes), Some(WireFault::Garble)) = (&mut res, other) {
-                        // Flip one payload byte: the frame CRC must catch it.
-                        if let Some(b) = bytes.last_mut() {
+                        // Flip the payload's middle byte: the frame CRC must
+                        // catch it. The last byte would fall in the CRC's
+                        // table-driven tail; the middle of a tile-sized
+                        // payload lies in the blocks it folds.
+                        let mid =
+                            wire::HEADER_LEN + bytes.len().saturating_sub(wire::HEADER_LEN) / 2;
+                        if let Some(b) = bytes.get_mut(mid) {
                             *b ^= 0x40;
                         }
                     }

@@ -50,6 +50,52 @@ pub trait SpillCodec: Sized {
     /// Exactly the number of bytes [`SpillCodec::encode`] appends, computed
     /// without serializing or allocating.
     fn encoded_len(&self) -> usize;
+
+    /// Append `items` back to back, exactly the bytes encoding each in turn
+    /// appends. Fixed-width primitives override this with one bulk copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decode `len` items back to back, exactly as decoding each in turn
+    /// would: `None` as soon as one is truncated or malformed.
+    fn decode_vec(buf: &[u8], pos: &mut usize, len: usize) -> Option<Vec<Self>> {
+        // Guard the pre-allocation against corrupt lengths: each element
+        // takes at least one byte in every codec except `()`.
+        let mut out = Vec::with_capacity(len.min(buf.len().saturating_sub(*pos) + 1));
+        for _ in 0..len {
+            out.push(Self::decode(buf, pos)?);
+        }
+        Some(out)
+    }
+}
+
+/// [`SpillCodec::encode_slice`] for items of `N` wire bytes each: one
+/// `resize`, then one pass writing each item's bytes into its slot, which
+/// the compiler turns into a straight copy.
+fn encode_fixed<T, const N: usize>(items: &[T], out: &mut Vec<u8>, to_le: impl Fn(&T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + N * items.len(), 0);
+    let (slots, _) = out[start..].as_chunks_mut::<N>();
+    for (slot, item) in slots.iter_mut().zip(items) {
+        *slot = to_le(item);
+    }
+}
+
+/// [`SpillCodec::decode_vec`] for items of `N` wire bytes each: the whole
+/// run is bounds-checked once, then read in one pass.
+fn decode_fixed<T, const N: usize>(
+    buf: &[u8],
+    pos: &mut usize,
+    len: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Option<Vec<T>> {
+    let end = len.checked_mul(N)?.checked_add(*pos)?;
+    let (words, _) = buf.get(*pos..end)?.as_chunks::<N>();
+    *pos = end;
+    Some(words.iter().map(|&word| from_le(word)).collect())
 }
 
 macro_rules! codec_fixed {
@@ -67,6 +113,12 @@ macro_rules! codec_fixed {
                 let bytes: [u8; N] = buf.get(*pos..*pos + N)?.try_into().ok()?;
                 *pos += N;
                 Some(<$t>::from_le_bytes(bytes))
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_fixed(items, out, |x| x.to_le_bytes());
+            }
+            fn decode_vec(buf: &[u8], pos: &mut usize, len: usize) -> Option<Vec<Self>> {
+                decode_fixed(buf, pos, len, <$t>::from_le_bytes)
             }
         })*
     };
@@ -87,6 +139,13 @@ macro_rules! codec_via {
             }
             fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 <$wire>::decode(buf, pos).and_then($back)
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_fixed(items, out, |x| (*x as $wire).to_le_bytes());
+            }
+            fn decode_vec(buf: &[u8], pos: &mut usize, len: usize) -> Option<Vec<Self>> {
+                // Collected in place: each `$t` has its wire type's layout.
+                <$wire>::decode_vec(buf, pos, len)?.into_iter().map($back).collect()
             }
         })*
     };
@@ -151,19 +210,11 @@ impl<T: SpillCodec> SpillCodec for Option<T> {
 impl<T: SpillCodec> SpillCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let len = u64::decode(buf, pos)? as usize;
-        // Guard the pre-allocation against corrupt lengths: each element
-        // takes at least one byte in every codec except `()`.
-        let mut out = Vec::with_capacity(len.min(buf.len().saturating_sub(*pos) + 1));
-        for _ in 0..len {
-            out.push(T::decode(buf, pos)?);
-        }
-        Some(out)
+        T::decode_vec(buf, pos, len)
     }
     fn encoded_len(&self) -> usize {
         8 + match T::FIXED_LEN {
@@ -723,6 +774,75 @@ mod tests {
             proptest::prop_assert!(exact(&chars) && exact(&string) && exact(&nested));
             proptest::prop_assert!(exact(&(string.clone(),)) && exact(&(wide, nested.clone())));
             proptest::prop_assert!(exact(&vec![(string, floats, chars, nested); 2]));
+        }
+    }
+
+    /// The bulk `Vec` codec against a per-item oracle: `encode` must append
+    /// the length prefix and then each item's `to_le_bytes`, decoding those
+    /// bytes must give items whose `to_le_bytes` are the same bytes, and
+    /// cutting the last item short at any byte must decode to `None`.
+    fn bulk_matches_oracle<T: SpillCodec, const N: usize>(
+        items: Vec<T>,
+        to_le: impl Fn(&T) -> [u8; N],
+    ) {
+        let oracle = |items: &[T]| -> Vec<u8> {
+            let mut out = (items.len() as u64).to_le_bytes().to_vec();
+            for item in items {
+                out.extend_from_slice(&to_le(item));
+            }
+            out
+        };
+        let want = oracle(&items);
+        let mut buf = vec![0xa5];
+        items.encode(&mut buf);
+        assert_eq!(&buf[1..], &want[..], "encode");
+        let mut pos = 1;
+        let back = Vec::<T>::decode(&buf, &mut pos).expect("decodes");
+        assert_eq!(pos, buf.len());
+        assert_eq!(oracle(&back), want, "decode");
+        for cut in buf.len().saturating_sub(N).max(9)..buf.len() {
+            let mut pos = 1;
+            assert!(
+                Vec::<T>::decode(&buf[..cut], &mut pos).is_none(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Every `f64` bit pattern a range cannot produce — NaNs with
+        /// payloads and either sign, `-0.0`, the infinities, subnormals —
+        /// and the integer extremes, through the bulk path.
+        #[test]
+        fn prop_bulk_codec_is_per_item_le_bytes(
+            words in proptest::collection::vec((0u64..=u64::MAX, 0usize..10), 0..80),
+        ) {
+            const MANTISSA: u64 = (1 << 52) - 1;
+            let floats = words.iter().map(|&(bits, pick)| match pick {
+                0 => f64::from_bits(0x7ff0_0000_0000_0001 | (bits & MANTISSA) | (bits & 1 << 63)),
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::from_bits(bits & MANTISSA),
+                _ => f64::from_bits(bits),
+            });
+            bulk_matches_oracle(floats.collect(), |x| x.to_le_bytes());
+            let extreme = |pick: usize, bits: u64, min: u64, max: u64| match pick {
+                0 => min,
+                1 => max,
+                2 => 0,
+                _ => bits,
+            };
+            let signed = words.iter().map(|&(bits, pick)| {
+                extreme(pick, bits, i64::MIN as u64, i64::MAX as u64) as i64
+            });
+            bulk_matches_oracle(signed.collect(), |x| x.to_le_bytes());
+            let unsigned = words.iter().map(|&(bits, pick)| extreme(pick, bits, 0, u64::MAX));
+            bulk_matches_oracle(unsigned.collect(), |x| x.to_le_bytes());
+            let sizes = words.iter().map(|&(bits, pick)| {
+                extreme(pick, bits, 0, usize::MAX as u64) as usize
+            });
+            bulk_matches_oracle(sizes.collect(), |x| (*x as u64).to_le_bytes());
         }
     }
 

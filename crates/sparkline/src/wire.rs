@@ -19,6 +19,16 @@
 //! it and the [`crate::BlockManager`] budgets cached blocks by it, though
 //! cached blocks are never serialized.
 //!
+//! A shuffled payload is checksummed three times on its way — when the map
+//! task frames it, when the worker ingests it, when the reduce task decodes
+//! it — so both per-byte loops run at memory speed. [`crc32`] folds 64
+//! bytes per step with carry-less multiplies on x86_64 CPUs that have
+//! PCLMULQDQ (checked at run time) and uses slicing-by-16 tables for short
+//! inputs, tails and other CPUs; and a `Vec` of fixed-width primitives —
+//! every tile's `f64` payload — is encoded and decoded in one bulk pass
+//! ([`crate::SpillCodec::encode_slice`]). Neither changes a byte: every
+//! path writes and accepts the same frames.
+//!
 //! The format is deliberately minimal — no compression, no schema — because
 //! the frames are hop-by-hop (driver ↔ worker ↔ shuffle dir), not a durable
 //! interchange format. `VERSION` is bumped on any layout change so stale
@@ -91,8 +101,9 @@ impl From<std::io::Error> for WireError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slicing-by-16, tables built at compile time — no
-// dependencies.
+// CRC-32 (IEEE 802.3): carry-less-multiply folding where the CPU has it,
+// slicing-by-16 everywhere else and for every tail. Tables and constants are
+// built at compile time — no dependencies.
 // ---------------------------------------------------------------------------
 
 /// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is the CRC
@@ -129,9 +140,42 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
+/// Shortest input the carry-less-multiply path takes: one 64-byte block
+/// for its four folding lanes. Anything shorter (every message head) is
+/// cheaper through the tables.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_LEN: usize = 64;
+
 /// CRC-32/IEEE of `bytes` (the classic zlib/`cksum -o 3` polynomial).
+///
+/// On x86_64 CPUs with PCLMULQDQ and SSE4.1 an input of at least 64 bytes
+/// is folded 64 bytes at a time with carry-less multiplies and its last
+/// `len % 16` bytes go through the tables; every other input is sliced by
+/// 16. Both paths compute the same function.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        let (body, tail) = bytes.split_at(bytes.len() / 16 * 16);
+        // SAFETY: the two `is_x86_feature_detected!` checks above found
+        // PCLMULQDQ and SSE4.1 on this CPU, and `body` is a whole number of
+        // 16-byte blocks, at least four of them.
+        let state = unsafe { crc32_clmul(!0, body) };
+        return !crc32_sliced_update(state, tail);
+    }
+    crc32_sliced(bytes)
+}
+
+/// CRC-32/IEEE of `bytes` through the slicing-by-16 tables alone.
+fn crc32_sliced(bytes: &[u8]) -> u32 {
+    !crc32_sliced_update(!0, bytes)
+}
+
+/// Advance the raw (uninverted) CRC register `c` over `bytes`, 16 bytes per
+/// table step, then byte by byte over the tail.
+fn crc32_sliced_update(mut c: u32, bytes: &[u8]) -> u32 {
     let (chunks, tail) = bytes.as_chunks::<16>();
     for chunk in chunks {
         let state = c.to_le_bytes();
@@ -145,7 +189,96 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in tail {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    c
+}
+
+/// Advance the raw CRC register `state` over `body` by carry-less
+/// multiplication: Intel's "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction" for the bit-reflected IEEE polynomial. Four
+/// 128-bit lanes fold 64 bytes per step, collapse into one lane, fold any
+/// remaining 16-byte blocks, and a Barrett reduction turns the 128-bit
+/// remainder into the 32-bit register.
+///
+/// # Safety
+/// The CPU must support PCLMULQDQ and SSE4.1, and `body.len()` must be a
+/// multiple of 16 and at least 64.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+unsafe fn crc32_clmul(state: u32, body: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    // The method's constants for the reflected IEEE polynomial: powers
+    // x^n mod P(x), bit-reflected. K1/K2 fold a lane 512 bits forward,
+    // K3/K4 128 bits, K5 the last 64; P is the 33-bit reflected polynomial
+    // and MU its Barrett quotient floor(x^64 / P(x)), reflected.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    // `acc_lo * k_lo ^ acc_hi * k_hi ^ next`: lane `acc` moved forward by
+    // the distance `k` encodes, with `next` folded in.
+    #[inline(always)]
+    unsafe fn fold(acc: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+    // An unaligned load of 16 bytes the reference proves readable.
+    #[inline(always)]
+    unsafe fn load(block: &[u8; 16]) -> __m128i {
+        _mm_loadu_si128(block.as_ptr().cast())
+    }
+
+    let (blocks, rest) = body.as_chunks::<64>();
+    let (singles, _) = rest.as_chunks::<16>();
+    let (first, blocks) = blocks.split_first().expect("body holds 64 bytes");
+    let lanes = |b: &[u8; 64]| {
+        let (quads, _) = b.as_chunks::<16>();
+        [
+            load(&quads[0]),
+            load(&quads[1]),
+            load(&quads[2]),
+            load(&quads[3]),
+        ]
+    };
+
+    let mut x = lanes(first);
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    for block in blocks {
+        let y = lanes(block);
+        for (acc, next) in x.iter_mut().zip(y) {
+            *acc = fold(*acc, k1k2, next);
+        }
+    }
+
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let mut acc = fold(x[0], k3k4, x[1]);
+    acc = fold(acc, k3k4, x[2]);
+    acc = fold(acc, k3k4, x[3]);
+    for single in singles {
+        acc = fold(acc, k3k4, load(single));
+    }
+
+    // 128 -> 64 bits, then 64 -> 32 bits plus the remainder's high half.
+    let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    acc = _mm_xor_si128(
+        _mm_srli_si128::<8>(acc),
+        _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+    );
+    acc = _mm_xor_si128(
+        _mm_srli_si128::<4>(acc),
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+    );
+
+    // Barrett reduction: q = floor(acc_lo32 * MU / x^32), crc = acc ^ q * P.
+    let poly = _mm_set_epi64x(MU, P);
+    let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), poly);
+    let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), poly);
+    _mm_extract_epi32::<1>(_mm_xor_si128(acc, qp)) as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -297,22 +430,43 @@ mod tests {
     use proptest::prelude::*;
 
     /// The oracle: the polynomial division itself, one bit at a time, with
-    /// no table in common with [`crc32`].
+    /// no table or constant in common with [`crc32`].
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut c = 0xffff_ffffu32;
+        !bitwise_update(!0, bytes)
+    }
+
+    /// [`crc32_bitwise`]'s raw register advanced over `bytes`.
+    fn bitwise_update(mut c: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             c ^= b as u32;
             for _ in 0..8 {
                 c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
             }
         }
-        c ^ 0xffff_ffff
+        c
     }
+
+    /// `n` bytes of a fixed xorshift stream: long inputs that are cheap to
+    /// name by their seed.
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The length of a 128 x 128 tile's payload: 8 + 8 + 8 + 128 * 128 * 8.
+    const TILE_PAYLOAD: usize = 131_096;
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
-        for crc in [crc32, crc32_bitwise] {
+        for crc in [crc32, crc32_sliced, crc32_bitwise] {
             assert_eq!(crc(b"123456789"), 0xcbf4_3926);
             assert_eq!(crc(b""), 0);
             assert_eq!(crc(b"a"), 0xe8b7_be43);
@@ -321,6 +475,42 @@ mod tests {
                 crc(b"The quick brown fox jumps over the lazy dog"),
                 0x414f_a339
             );
+        }
+    }
+
+    /// Both paths at every length from 0 to 4 104: whole 64-byte blocks,
+    /// leftover 16-byte blocks and tails of every length, on either side of
+    /// the 64-byte threshold. The sliced path is called directly, so a CPU
+    /// that folds still tests it.
+    #[test]
+    fn crc32_paths_match_bitwise_at_every_length() {
+        let data = noise(4104, 1);
+        let mut raw = !0;
+        for len in 0..=data.len() {
+            if len > 0 {
+                raw = bitwise_update(raw, &data[len - 1..len]);
+            }
+            assert_eq!(crc32(&data[..len]), !raw, "dispatched, len {len}");
+            assert_eq!(crc32_sliced(&data[..len]), !raw, "sliced, len {len}");
+        }
+    }
+
+    /// The thresholds and a tile-sized payload at every start offset
+    /// within a 16-byte block.
+    #[test]
+    fn crc32_paths_match_bitwise_at_every_offset() {
+        let data = noise(TILE_PAYLOAD + 16, 2);
+        for offset in 0..16 {
+            for len in [63, 64, 65, 127, 128, TILE_PAYLOAD] {
+                let bytes = &data[offset..offset + len];
+                let want = crc32_bitwise(bytes);
+                assert_eq!(crc32(bytes), want, "dispatched, offset {offset} len {len}");
+                assert_eq!(
+                    crc32_sliced(bytes),
+                    want,
+                    "sliced, offset {offset} len {len}"
+                );
+            }
         }
     }
 
@@ -402,14 +592,16 @@ mod tests {
     }
 
     proptest! {
-        /// The sliced CRC is the bitwise one at every length (whole steps,
-        /// tails, empty) and every start alignment.
+        /// Both CRC paths are the bitwise one at every length (whole
+        /// steps, tails, empty) and every start alignment.
         #[test]
         fn prop_crc32_matches_bitwise_oracle(
             data in proptest::collection::vec(0u8..=255, 0..4096 + 8),
         ) {
             for offset in 0..8.min(data.len() + 1) {
-                prop_assert_eq!(crc32(&data[offset..]), crc32_bitwise(&data[offset..]));
+                let want = crc32_bitwise(&data[offset..]);
+                prop_assert_eq!(crc32(&data[offset..]), want);
+                prop_assert_eq!(crc32_sliced(&data[offset..]), want);
             }
         }
 
@@ -448,13 +640,17 @@ mod tests {
 
         /// Adversarial single-bit flips anywhere in the frame must never
         /// round-trip silently: every flip is either detected as an error or
-        /// (impossible for CRC-32 on a single bit) changes nothing.
+        /// (impossible for CRC-32 on a single bit) changes nothing. Half the
+        /// payloads are tile-sized, so most of their flips land in the
+        /// blocks the CRC folds rather than its tail.
         #[test]
         fn prop_bit_flips_are_detected(
-            data in proptest::collection::vec(0u8..=255, 0..256),
-            byte_pick in 0usize..1 << 16,
+            len in prop_oneof![0usize..256, Just(TILE_PAYLOAD)],
+            seed in 0u64..u64::MAX,
+            byte_pick in 0usize..1 << 20,
             bit in 0usize..8,
         ) {
+            let data = noise(len, seed);
             let clean = frame_bytes(&data);
             let mut frame = clean.clone();
             let idx = byte_pick % frame.len();

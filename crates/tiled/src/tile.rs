@@ -893,6 +893,40 @@ mod tests {
         assert_eq!(DenseMatrix::decode(&bad, &mut pos), None);
     }
 
+    /// The wire format of a shuffled tile record, pinned byte for byte: the
+    /// `encode_frame` bytes of one fixed `(TileCoord, DenseMatrix)` record,
+    /// hashed with FNV-1a. The payload salts in NaNs with payloads, signed
+    /// zeros, infinities and subnormals. Any change to the hash is a wire
+    /// format change, which needs a `wire::VERSION` bump.
+    #[test]
+    fn golden_tile_record_frame() {
+        let specials = [
+            f64::from_bits(0x7ff0_0000_dead_beef),
+            f64::from_bits(0xfff8_0000_0000_0001),
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+        ];
+        let tile = DenseMatrix::from_fn(128, 128, |i, j| {
+            let k = i * 128 + j;
+            specials
+                .get(k % 97)
+                .copied()
+                .unwrap_or(k as f64 * 0.37 - 1234.5)
+        });
+        let record: (crate::TileCoord, DenseMatrix) = ((3, -5), tile);
+        let frame = sparkline::wire::encode_frame(&record);
+        let fnv1a = frame.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(frame.len(), sparkline::wire::HEADER_LEN + 16 + 131_096);
+        assert_eq!(fnv1a, 0x708b_2240_b0d3_ba84, "frame hash {fnv1a:#018x}");
+        let back: (crate::TileCoord, DenseMatrix) = sparkline::wire::decode_frame(&frame).unwrap();
+        assert_eq!(sparkline::wire::encode_frame(&back), frame);
+    }
+
     /// Serializes the tests that empty the process-wide list or count what
     /// it holds.
     fn exclusive() -> std::sync::MutexGuard<'static, ()> {
