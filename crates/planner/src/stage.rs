@@ -1,5 +1,6 @@
 //! The adaptive stage driver: re-plan at stage frontiers from measured
-//! statistics (ROADMAP item 5, Spark-AQE shape).
+//! statistics (Spark-AQE shape; the ROADMAP's cost-model item prices its
+//! decisions).
 //!
 //! Every contraction-shaped plan node has a natural materialization point:
 //! the inputs it is about to shuffle (or broadcast-collect). A

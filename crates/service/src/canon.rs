@@ -1,31 +1,28 @@
 //! Query canonicalization for the plan cache.
 //!
-//! Two textually different queries should share one cache entry when they
-//! are the *same program*: alpha-renamed bound variables and reordered
-//! independent generators change the text but not the plan. The cache key is
-//! the pretty-printed [`canonicalize`]d expression, built in three passes:
+//! Two textually different queries share one cache entry only when they are
+//! the *same program*. The cache key is the pretty-printed [`canonicalize`]d
+//! expression, built in two passes, neither of which changes what the query
+//! computes:
 //!
 //! 1. [`comp::normalize::normalize`] — the planner's own source-to-source
 //!    rules (comprehension flattening, index removal, group-by elimination),
 //!    so the cached plan is compiled from exactly the key expression.
-//! 2. Generator reordering — within each run of consecutive generators,
-//!    adjacent pairs are bubble-sorted by a name-insensitive key, swapping
-//!    only when neither generator binds a variable the other's source reads
-//!    (commutative qualifiers, rule (3) of the paper permits any order).
-//! 3. Alpha-renaming — every bound variable is renamed to `%c0`, `%c1`, ...
+//! 2. Alpha-renaming — every bound variable is renamed to `%c0`, `%c1`, ...
 //!    in binding order, so user-chosen names vanish from the key.
+//!
+//! Generator order is kept. A generator sequence is a nested loop, so
+//! swapping two generators — even independent ones — builds the same
+//! elements in another order: a different list, hence a different key.
 
 use comp::ast::{Comprehension, Expr, Pattern, Qualifier};
 use std::collections::HashMap;
 
-/// Canonical form of a query: normalize, reorder commutative generators,
-/// then alpha-rename bound variables. Alpha-equivalent queries (and
-/// reorderings of independent generators) map to equal expressions, hence
-/// equal pretty-printed cache keys.
+/// Canonical form of a query: normalize, then alpha-rename bound variables.
+/// Alpha-equivalent queries map to equal expressions, hence equal
+/// pretty-printed cache keys; the result computes what `expr` computes.
 pub fn canonicalize(expr: Expr) -> Expr {
-    let expr = comp::normalize::normalize(expr);
-    let expr = reorder(expr);
-    Renamer::default().rename(&expr)
+    Renamer::default().rename(&comp::normalize::normalize(expr))
 }
 
 /// The canonical cache-key text of a query.
@@ -44,108 +41,7 @@ pub fn key_hash(key: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: generator reordering.
-
-fn reorder(expr: Expr) -> Expr {
-    match expr {
-        Expr::Comprehension(c) => Expr::Comprehension(reorder_comp(c)),
-        Expr::Tuple(es) => Expr::Tuple(es.into_iter().map(reorder).collect()),
-        Expr::Call(f, es) => Expr::Call(f, es.into_iter().map(reorder).collect()),
-        Expr::Reduce(m, e) => Expr::Reduce(m, Box::new(reorder(*e))),
-        Expr::UnOp(op, e) => Expr::UnOp(op, Box::new(reorder(*e))),
-        Expr::Field(e, f) => Expr::Field(Box::new(reorder(*e)), f),
-        Expr::BinOp(op, a, b) => Expr::BinOp(op, Box::new(reorder(*a)), Box::new(reorder(*b))),
-        Expr::Index(e, idx) => Expr::Index(
-            Box::new(reorder(*e)),
-            idx.into_iter().map(reorder).collect(),
-        ),
-        Expr::Range { lo, hi, inclusive } => Expr::Range {
-            lo: Box::new(reorder(*lo)),
-            hi: Box::new(reorder(*hi)),
-            inclusive,
-        },
-        Expr::If(c, t, e) => Expr::If(
-            Box::new(reorder(*c)),
-            Box::new(reorder(*t)),
-            Box::new(reorder(*e)),
-        ),
-        Expr::Build {
-            builder,
-            args,
-            body,
-        } => Expr::Build {
-            builder,
-            args: args.into_iter().map(reorder).collect(),
-            body: Box::new(reorder(*body)),
-        },
-        leaf => leaf,
-    }
-}
-
-fn reorder_comp(c: Comprehension) -> Comprehension {
-    let mut qualifiers: Vec<Qualifier> = c
-        .qualifiers
-        .into_iter()
-        .map(|q| match q {
-            Qualifier::Generator(p, e) => Qualifier::Generator(p, reorder(e)),
-            Qualifier::Let(p, e) => Qualifier::Let(p, reorder(e)),
-            Qualifier::Guard(e) => Qualifier::Guard(reorder(e)),
-            Qualifier::GroupBy(p, k) => Qualifier::GroupBy(p, k.map(reorder)),
-        })
-        .collect();
-    // Bubble-sort adjacent generator pairs within each consecutive run; a
-    // swap needs both independence (neither side reads what the other
-    // binds) and a strict key ordering. Dependent chains keep their order.
-    let mut swapped = true;
-    while swapped {
-        swapped = false;
-        for i in 0..qualifiers.len().saturating_sub(1) {
-            let (a, b) = (&qualifiers[i], &qualifiers[i + 1]);
-            let (Qualifier::Generator(p1, e1), Qualifier::Generator(p2, e2)) = (a, b) else {
-                continue;
-            };
-            if !independent(p1, e2) || !independent(p2, e1) {
-                continue;
-            }
-            if sort_key(p2, e2) < sort_key(p1, e1) {
-                qualifiers.swap(i, i + 1);
-                swapped = true;
-            }
-        }
-    }
-    Comprehension {
-        head: Box::new(reorder(*c.head)),
-        qualifiers,
-    }
-}
-
-/// Does `source` avoid every variable `pattern` binds?
-fn independent(pattern: &Pattern, source: &Expr) -> bool {
-    let free = source.free_vars();
-    !pattern.vars().iter().any(|v| free.contains(v))
-}
-
-/// Name-insensitive ordering key of a generator: the source's pretty text
-/// with *bound-looking* occurrences left as-is (sources of independent
-/// generators only read outer/free names, which alpha-renaming preserves),
-/// plus the pattern's structural shape.
-fn sort_key(pattern: &Pattern, source: &Expr) -> (String, String) {
-    (format!("{source}"), pattern_shape(pattern))
-}
-
-fn pattern_shape(p: &Pattern) -> String {
-    match p {
-        Pattern::Var(_) => "v".into(),
-        Pattern::Wildcard => "_".into(),
-        Pattern::Tuple(ps) => {
-            let inner: Vec<String> = ps.iter().map(pattern_shape).collect();
-            format!("({})", inner.join(","))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 3: alpha-renaming.
+// Pass 2: alpha-renaming.
 
 #[derive(Default)]
 struct Renamer {
@@ -262,6 +158,8 @@ impl Renamer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comp::ast::BinOp;
+    use proptest::prelude::*;
 
     fn key(src: &str) -> String {
         canonical_key(comp::parse_expr(src).unwrap())
@@ -277,17 +175,15 @@ mod tests {
     }
 
     #[test]
-    fn reordered_independent_generators_share_a_key() {
-        let a = key("[ a*b | ((i,j),a) <- A, ((k,l),b) <- B ]");
-        let b = key("[ a*b | ((k,l),b) <- B, ((i,j),a) <- A ]");
-        assert_eq!(a, b, "commutative generator order must not change the key");
-    }
-
-    #[test]
-    fn reordering_composes_with_alpha_renaming() {
-        let a = key("[ a*b | ((i,j),a) <- A, ((k,l),b) <- B ]");
-        let b = key("[ x*y | ((p,q),y) <- B, ((r,s),x) <- A ]");
-        assert_eq!(a, b);
+    fn generator_order_is_part_of_the_program() {
+        // A generator sequence is a nested loop: swapping two independent
+        // generators builds the same elements in another order.
+        let a = key("[ (a,b) | ((i,j),a) <- A, ((k,l),b) <- B ]");
+        let swapped = key("[ (a,b) | ((k,l),b) <- B, ((i,j),a) <- A ]");
+        assert_ne!(a, swapped, "generator order must stay in the key");
+        // Alpha-renaming in the same order still shares the key.
+        let renamed = key("[ (x,y) | ((p,q),x) <- A, ((r,s),y) <- B ]");
+        assert_eq!(a, renamed);
     }
 
     #[test]
@@ -326,5 +222,82 @@ mod tests {
         let k = key("[ a | (i,a) <- A ]");
         assert_eq!(key_hash(&k), key_hash(&k));
         assert_ne!(key_hash("x"), key_hash("y"));
+    }
+
+    fn var(name: &str) -> Expr {
+        Expr::Var(name.into())
+    }
+
+    fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::BinOp(op, Box::new(a), Box::new(b))
+    }
+
+    fn until(n: i64) -> Expr {
+        Expr::Range {
+            lo: Box::new(Expr::Int(0)),
+            hi: Box::new(Expr::Int(n)),
+            inclusive: false,
+        }
+    }
+
+    /// Arithmetic heads over the generator variables `x` and `y`.
+    fn arb_head() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![
+            (-9i64..10).prop_map(Expr::Int),
+            Just(var("x")),
+            Just(var("y"))
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    prop_oneof![Just(BinOp::Add), Just(BinOp::Sub), Just(BinOp::Mul)]
+                )
+                    .prop_map(|(a, b, op)| bin(op, a, b)),
+                (inner.clone(), inner).prop_map(|(a, b)| Expr::Tuple(vec![a, b])),
+            ]
+        })
+    }
+
+    /// `[ head | x <- 0 until n, y <- 0 until m, let z = x + y, z >= g ]`,
+    /// the guard optional. `n` and `m` are drawn independently, so the two
+    /// sources' texts sort either way.
+    fn arb_comprehension() -> impl Strategy<Value = Expr> {
+        (1i64..6, 1i64..6, arb_head(), proptest::option::of(0i64..8)).prop_map(
+            |(n, m, head, guard)| {
+                let mut qualifiers = vec![
+                    Qualifier::Generator(Pattern::Var("x".into()), until(n)),
+                    Qualifier::Generator(Pattern::Var("y".into()), until(m)),
+                    Qualifier::Let(
+                        Pattern::Var("z".into()),
+                        bin(BinOp::Add, var("x"), var("y")),
+                    ),
+                ];
+                if let Some(g) = guard {
+                    qualifiers.push(Qualifier::Guard(bin(BinOp::Ge, var("z"), Expr::Int(g))));
+                }
+                Expr::Comprehension(Comprehension {
+                    head: Box::new(head),
+                    qualifiers,
+                })
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn canonicalization_keeps_the_program(e in arb_comprehension()) {
+            let canonical = canonicalize(e.clone());
+            let a = comp::eval(&e, &mut comp::Env::new());
+            let b = comp::eval(&canonical, &mut comp::Env::new());
+            match (a, b) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "canonical form `{}`", canonical),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "divergence: original={a:?} canonical={b:?}"),
+            }
+        }
     }
 }

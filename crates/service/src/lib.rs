@@ -17,8 +17,8 @@
 //!   the admission slot and (once the tenant is idle) the tenant's cached
 //!   blocks;
 //! * **a plan cache** — queries are canonicalized ([`canon::canonicalize`]:
-//!   normalization, commutative-generator reordering, alpha-renaming) and
-//!   keyed together with the versions of the bindings they read, so
+//!   normalization + alpha-renaming, so a key names exactly one program)
+//!   and keyed together with the versions of the bindings they read, so
 //!   alpha-equivalent queries over unchanged data reuse one compiled plan
 //!   across sessions;
 //! * **shared read-only datasets** — arrays registered with
@@ -251,6 +251,18 @@ struct ServiceState {
     plan_cache: HashMap<String, Arc<planner::Planned>>,
 }
 
+impl ServiceState {
+    /// Does some tenant bind `name` privately, as an array or a scalar? A
+    /// shared scalar's name is in every tenant's scalars but private to none.
+    fn privately_bound(&self, name: &str) -> bool {
+        !self.shared_scalars.contains(name)
+            && self
+                .tenants
+                .values()
+                .any(|t| t.versions.contains_key(name) || t.session.env().scalar(name).is_some())
+    }
+}
+
 struct Inner {
     ctx: Context,
     scheduler: Arc<FairScheduler>,
@@ -450,7 +462,7 @@ impl QueryService {
     ) -> Result<(), ServiceError> {
         let name = name.into();
         let mut st = self.lock();
-        if st.tenants.values().any(|t| t.versions.contains_key(&name)) {
+        if st.shared_scalars.contains(&name) || st.privately_bound(&name) {
             return Err(ServiceError::SharedNameConflict(name));
         }
         st.shared.register_local_matrix(name.clone(), m, tile_size);
@@ -477,14 +489,18 @@ impl QueryService {
     }
 
     /// Register a shared scalar, visible to every tenant.
-    pub fn register_shared_int(&self, name: impl Into<String>, v: i64) {
+    pub fn register_shared_int(&self, name: impl Into<String>, v: i64) -> Result<(), ServiceError> {
         let name = name.into();
         let mut st = self.lock();
+        if st.shared_versions.contains_key(&name) || st.privately_bound(&name) {
+            return Err(ServiceError::SharedNameConflict(name));
+        }
         st.shared.set_int(name.clone(), v);
         st.shared_scalars.insert(name.clone());
         for t in st.tenants.values_mut() {
             t.session.set_int(name.clone(), v);
         }
+        Ok(())
     }
 
     /// Register a tenant-private matrix. Rebinding bumps the binding's
@@ -543,9 +559,10 @@ impl QueryService {
     }
 
     /// Mutate a tenant's planner configuration (e.g. pin a matmul
-    /// strategy, change tile threads). The plan-cache key covers the full
-    /// config signature, so a change here can never resurrect a plan
-    /// compiled under the previous configuration.
+    /// strategy, change tile threads). The plan-cache key is the query's
+    /// normalization + alpha-renaming plus every [`PlanConfig`] field, so a
+    /// change here can never resurrect a plan compiled under the previous
+    /// configuration.
     pub fn configure_tenant(&self, tenant: &str, f: impl FnOnce(&mut planner::plan::PlanConfig)) {
         let mut st = self.lock();
         f(self.tenant_entry(&mut st, tenant).session.config_mut());
@@ -707,19 +724,22 @@ impl QueryService {
                     key.push_str(&format!("|u:{v}"));
                 }
             }
-            // The config signature covers every planner knob plus the kernel
-            // backend (`SAC_KERNEL`): two alpha-equivalent compiles under
-            // different configurations must produce distinct keys, or one
-            // tenant's cached plan leaks the other configuration's choices.
+            // Every planner knob, and only those: two alpha-equivalent
+            // compiles under different configurations must produce distinct
+            // keys, or one tenant's cached plan leaks the other
+            // configuration's choices. The destructuring is exhaustive, so a
+            // new `PlanConfig` field does not compile until it is keyed. The
+            // kernel backend is fixed once per process, like the cache.
             // Runtime re-decisions are made per-execution from measured
             // stats and are never written back into this cache.
+            let PlanConfig {
+                partitions,
+                matmul,
+                broadcast_budget,
+                tile_threads,
+            } = &config;
             key.push_str(&format!(
-                "|c:{}:{:?}:{}:{}:{}",
-                config.partitions,
-                config.matmul,
-                config.broadcast_budget,
-                config.tile_threads,
-                tiled::kernel::signature(),
+                "|c:{partitions}:{matmul:?}:{broadcast_budget}:{tile_threads}"
             ));
             (tid, key, env, config)
         };
@@ -873,7 +893,7 @@ mod tests {
         let svc = small_service();
         let a = random_matrix(8, 1);
         svc.register_shared_matrix("A", &a, 4).unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         let q = "tiled(n,n)[ ((i,j), a*2.0) | ((i,j),a) <- A ]";
         let r1 = svc.run("alice", q).unwrap();
         let r2 = svc.run("bob", q).unwrap();
@@ -890,7 +910,7 @@ mod tests {
         let svc = small_service();
         svc.register_shared_matrix("A", &random_matrix(8, 2), 4)
             .unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         let r1 = svc
             .run("alice", "tiled(n,n)[ ((i,j), a+a) | ((i,j),a) <- A ]")
             .unwrap();
@@ -913,7 +933,7 @@ mod tests {
             .unwrap();
         svc.register_shared_matrix("B", &random_matrix(8, 4), 4)
             .unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         let q_alice = "tiled(n,n)[ ((i,j), a + b*0.5) | ((i,j),a) <- A, ((r,c),b) <- B, \
                        r == i, c == j ]";
         // Alpha-equivalent rename, submitted by another tenant.
@@ -943,23 +963,28 @@ mod tests {
     }
 
     #[test]
-    fn reordered_generators_hit_and_mutated_bindings_invalidate() {
+    fn swapped_generators_miss_and_mutated_bindings_invalidate() {
         let svc = small_service();
-        svc.register_shared_int("n", 6);
+        svc.register_shared_int("n", 6).unwrap();
         svc.register_matrix_for("alice", "X", &random_matrix(6, 3), 3)
             .unwrap();
         svc.register_matrix_for("alice", "Y", &random_matrix(6, 4), 3)
             .unwrap();
         let q1 = "+/[ x*y | ((i,j),x) <- X, ((k,l),y) <- Y ]";
-        let q2 = "+/[ b*a | ((k,l),a) <- Y, ((i,j),b) <- X ]";
+        let q2 = "+/[ a*b | ((p,q),a) <- X, ((r,s),b) <- Y ]";
         let r1 = svc.run("alice", q1).unwrap();
         let r2 = svc.run("alice", q2).unwrap();
         assert!(!r1.cache_hit);
-        assert!(
-            r2.cache_hit,
-            "reordered commutative generators must reuse the plan"
-        );
+        assert!(r2.cache_hit, "an alpha-renamed query must reuse the plan");
         assert_eq!(r1.value, r2.value);
+        // Swapped generators are another nested loop: another program.
+        let swapped = svc
+            .run("alice", "+/[ x*y | ((k,l),y) <- Y, ((i,j),x) <- X ]")
+            .unwrap();
+        assert!(
+            !swapped.cache_hit,
+            "swapped generators must not share a plan"
+        );
         // Rebinding X bumps its version: the cached plan no longer matches.
         svc.register_matrix_for("alice", "X", &random_matrix(6, 5), 3)
             .unwrap();
@@ -976,6 +1001,26 @@ mod tests {
             !rb.cache_hit,
             "a private binding's plan must not be shared across tenants"
         );
+    }
+
+    #[test]
+    fn a_generator_swapped_query_is_answered_as_written() {
+        let svc = small_service();
+        let a = LocalMatrix::from_fn(2, 1, |i, _| (i + 1) as f64);
+        let b = LocalMatrix::from_fn(2, 1, |i, _| 10.0 * (i + 1) as f64);
+        svc.register_shared_matrix("A", &a, 2).unwrap();
+        svc.register_shared_matrix("B", &b, 2).unwrap();
+        let a_first = "[ (x, y) | ((i,j),x) <- A, ((k,l),y) <- B ]";
+        let b_first = "[ (x, y) | ((k,l),y) <- B, ((i,j),x) <- A ]";
+        let first = svc.run("alice", a_first).unwrap();
+        let reply = svc.run("bob", b_first).unwrap();
+        assert!(!reply.cache_hit, "the B-first text is another program");
+        let mut oracle = Session::builder().context(svc.context().clone()).build();
+        oracle.register_local_matrix("A", &a, 2);
+        oracle.register_local_matrix("B", &b, 2);
+        let expected = format!("{:?}", oracle.value(b_first).unwrap());
+        assert_eq!(reply.value.as_deref(), Some(expected.as_str()));
+        assert_ne!(reply.value, first.value, "B-major, not A-major");
     }
 
     #[test]
@@ -1000,7 +1045,7 @@ mod tests {
         let svc = small_service();
         svc.register_shared_matrix("A", &random_matrix(6, 7), 3)
             .unwrap();
-        svc.register_shared_int("n", 6);
+        svc.register_shared_int("n", 6).unwrap();
         let m = random_matrix(6, 8);
         assert!(matches!(
             svc.register_matrix_for("alice", "A", &m, 3),
@@ -1011,12 +1056,44 @@ mod tests {
             Err(ServiceError::SharedNameConflict(_))
         ));
         // And the reverse: a shared registration cannot clobber an existing
-        // tenant-private binding.
+        // tenant-private binding, array or scalar.
         svc.register_matrix_for("alice", "B", &m, 3).unwrap();
         assert!(matches!(
             svc.register_shared_matrix("B", &m, 3),
             Err(ServiceError::SharedNameConflict(_))
         ));
+        assert!(matches!(
+            svc.register_shared_int("B", 5),
+            Err(ServiceError::SharedNameConflict(_))
+        ));
+        svc.set_float_for("alice", "c", 2.0).unwrap();
+        svc.set_int_for("alice", "d", 3).unwrap();
+        let q = "+/[ x*c | ((i,j),x) <- A ]";
+        let before = svc.run("alice", q).unwrap().value;
+        assert!(matches!(
+            svc.register_shared_int("c", 5),
+            Err(ServiceError::SharedNameConflict(_))
+        ));
+        assert!(matches!(
+            svc.register_shared_matrix("d", &m, 3),
+            Err(ServiceError::SharedNameConflict(_))
+        ));
+        assert_eq!(
+            svc.run("alice", q).unwrap().value,
+            before,
+            "a refused shared registration must leave alice's `c` alone"
+        );
+        // Nor can one shared kind take the other's name.
+        assert!(matches!(
+            svc.register_shared_int("A", 5),
+            Err(ServiceError::SharedNameConflict(_))
+        ));
+        assert!(matches!(
+            svc.register_shared_matrix("n", &m, 3),
+            Err(ServiceError::SharedNameConflict(_))
+        ));
+        // Re-registering a shared scalar under its own kind stays allowed.
+        svc.register_shared_int("n", 7).unwrap();
     }
 
     #[test]
@@ -1027,7 +1104,7 @@ mod tests {
             .slots(1)
             .chaos_off()
             .build();
-        svc.register_shared_int("n", 24);
+        svc.register_shared_int("n", 24).unwrap();
         svc.register_matrix_for("mallory", "M", &random_matrix(24, 9), 4)
             .unwrap();
         // A self-join forces auto-persist: mallory's job caches M's tiles
@@ -1072,7 +1149,7 @@ mod tests {
             svc.cancel("ghost", 1),
             Err(ServiceError::UnknownTenant(_))
         ));
-        svc.register_shared_int("n", 6);
+        svc.register_shared_int("n", 6).unwrap();
         svc.register_shared_matrix("A", &random_matrix(6, 11), 3)
             .unwrap();
         svc.run("alice", "+/[ a | ((i,j),a) <- A ]").unwrap();
@@ -1087,7 +1164,7 @@ mod tests {
         let svc = small_service();
         svc.register_shared_matrix("A", &random_matrix(8, 12), 4)
             .unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         svc.set_tenant_quota("alice", 1 << 20);
         let q = "tiled(n,n)[ ((i,j), a) | ((i,j),a) <- A ]";
         svc.run("alice", q).unwrap();

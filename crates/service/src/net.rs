@@ -393,7 +393,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix("A", &a, 4).unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         let server = serve(svc.clone(), ("127.0.0.1", 0)).unwrap();
         (svc, server)
     }
@@ -480,7 +480,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix("A", &a, 4).unwrap();
-        svc.register_shared_int("n", 8);
+        svc.register_shared_int("n", 8).unwrap();
         svc
     }
 

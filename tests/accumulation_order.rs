@@ -1,5 +1,6 @@
 //! The contractions' accumulation orders, pinned on real floats (first
-//! slices of the determinism contract, ROADMAP item 3).
+//! slices of the determinism contract, the ROADMAP's determinism-contract
+//! item).
 //!
 //! **reduceByKey.** Within a map task the products of one output tile fold
 //! into its resident combiner in ascending contracted-block order, and the

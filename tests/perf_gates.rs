@@ -286,9 +286,9 @@ fn adaptive_keeps_up_in_process_and_is_1_3x_through_worker_processes() {
     let _turn = alone();
     // A pinned strategy is a frozen plan. In-process it is `reduceByKey`,
     // which the adaptive run only has to keep up with: a byte shuffled
-    // within one process costs next to nothing (ROADMAP item 7). Through
-    // two worker processes it is the group-by-join, the plan `Auto` settles
-    // on under the lie and that re-deciding replaces.
+    // within one process costs next to nothing (the ROADMAP's cost-model
+    // item). Through two worker processes it is the group-by-join, the plan
+    // `Auto` settles on under the lie and that re-deciding replaces.
     for (worker_processes, pinned, bound) in [
         (0, MatMulStrategy::ReduceByKey, 0.8),
         (2, MatMulStrategy::GroupByJoin, 1.3),
@@ -349,7 +349,7 @@ fn noisy_neighbour(rounds: usize) -> (u64, u64) {
         let m = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix(name, &m, 16).expect("register");
     }
-    svc.register_shared_int("n", n as i64);
+    svc.register_shared_int("n", n as i64).unwrap();
     let server = serve(svc, ("127.0.0.1", 0)).expect("bind");
     let addr = server.addr();
 

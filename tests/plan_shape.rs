@@ -710,7 +710,7 @@ fn plan_cache_hits_are_pinned_by_event_count() {
         .build();
     let a = LocalMatrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64);
     svc.register_shared_matrix("A", &a, 4).unwrap();
-    svc.register_shared_int("n", 8);
+    svc.register_shared_int("n", 8).unwrap();
 
     svc.context().trace();
     // One compile, then two cache hits: an alpha-renamed variant from another

@@ -30,7 +30,7 @@ fn chaotic_service(chaos: Option<ChaosPlan>) -> QueryService {
     let svc = QueryService::builder().context(b.build()).slots(2).build();
     let a = LocalMatrix::from_fn(12, 12, |i, j| (i * 12 + j) as f64 / 10.0);
     svc.register_shared_matrix("A", &a, 4).unwrap();
-    svc.register_shared_int("n", 12);
+    svc.register_shared_int("n", 12).unwrap();
     svc
 }
 
