@@ -30,7 +30,7 @@ impl SessionBuilder {
     /// building a fresh one — how a multi-tenant query service hosts many
     /// sessions over one shared executor pool. When set, the runtime-level
     /// knobs on this builder (`workers`, `storage_memory`, attempt limits,
-    /// speculation, `worker_processes`, chaos) are ignored: they belong to
+    /// `worker_processes`, chaos) are ignored: they belong to
     /// whoever built the shared context. Planner-level knobs (`partitions`,
     /// `matmul`, `broadcast_budget`, `tile_threads`) still apply per session.
     pub fn context(mut self, ctx: Context) -> Self {
@@ -90,13 +90,6 @@ impl SessionBuilder {
     /// executor loss) before the job fails.
     pub fn max_stage_attempts(mut self, n: u32) -> Self {
         self.runtime = self.runtime.max_stage_attempts(n);
-        self
-    }
-
-    /// Enable speculative re-execution of stragglers at `multiplier` × the
-    /// median completed-task time.
-    pub fn speculation(mut self, multiplier: f64) -> Self {
-        self.runtime = self.runtime.speculation(multiplier);
         self
     }
 

@@ -888,7 +888,7 @@ fn lower_contraction<B: Block>(
             // the sort is free), and the reduce side folds the map tasks'
             // combiners in map-partition order. The result is a function of
             // (inputs, partition count) only — not of source-partition
-            // layout, retry, speculation or chaos.
+            // layout, retry or chaos.
             let triples = lhs
                 .cogroup(&rhs, partitions)
                 .map_partitions_stream(|_, records| {

@@ -54,7 +54,7 @@ pub enum ChaosEvent {
         map_partition: usize,
     },
     /// Sleep `micros` before every `every`-th task launch: jitters thread
-    /// interleavings and manufactures stragglers for speculation.
+    /// interleavings.
     DelayTask { every: u64, micros: u64 },
     /// Fail every `every`-th task launch, at most `limit` times: the attempt
     /// ends as an injected failure without running the task body, and the

@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Failure payload of a task attempt failed by a
 /// [`ChaosEvent::FailTask`](crate::ChaosEvent::FailTask); a job whose task
@@ -42,10 +42,6 @@ static EXTERNAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Strikes (kills/restarts) after which an executor is blacklisted — no
 /// longer assigned worker threads — unless it is the last healthy one.
 const BLACKLIST_STRIKES: u32 = 3;
-
-/// Floor for the speculation threshold: stages whose median task is faster
-/// than this never speculate (duplicating micro-tasks only burns work).
-const SPECULATION_FLOOR_MICROS: u64 = 1_000;
 
 thread_local! {
     /// Stage whose task is running on this executor thread. Stages nest
@@ -131,7 +127,6 @@ pub struct ContextBuilder {
     max_task_attempts: u32,
     max_stage_attempts: u32,
     storage_memory: Option<usize>,
-    speculation: Option<f64>,
     chaos: ChaosChoice,
     worker_processes: Option<usize>,
 }
@@ -144,7 +139,6 @@ impl Default for ContextBuilder {
             max_task_attempts: 4,
             max_stage_attempts: 6,
             storage_memory: None,
-            speculation: None,
             chaos: ChaosChoice::Inherit,
             worker_processes: None,
         }
@@ -189,16 +183,6 @@ impl ContextBuilder {
     /// environment variable if set, else unlimited.
     pub fn storage_memory(mut self, bytes: usize) -> Self {
         self.storage_memory = Some(bytes);
-        self
-    }
-
-    /// Enable speculative execution: once half a stage's tasks have finished,
-    /// a task still running after `multiplier` × the median completed-task
-    /// time gets a duplicate attempt on a *different* executor; the first
-    /// result wins (Spark's `spark.speculation[.multiplier]`). Off by
-    /// default.
-    pub fn speculation(mut self, multiplier: f64) -> Self {
-        self.speculation = Some(multiplier.max(1.0));
         self
     }
 
@@ -280,7 +264,6 @@ impl ContextBuilder {
                 default_parallelism: self.default_parallelism,
                 max_task_attempts: self.max_task_attempts,
                 max_stage_attempts: self.max_stage_attempts,
-                speculation: self.speculation,
                 executors: (0..self.workers).map(|_| ExecutorSlot::default()).collect(),
                 blacklist_decision: Mutex::new(()),
                 chaos,
@@ -343,9 +326,6 @@ pub(crate) struct CtxInner {
     pub(crate) default_parallelism: usize,
     pub(crate) max_task_attempts: u32,
     pub(crate) max_stage_attempts: u32,
-    /// Speculation multiplier over the median completed-task time; `None`
-    /// disables speculative execution.
-    speculation: Option<f64>,
     /// The logical executor pool tasks are scheduled onto.
     executors: Vec<ExecutorSlot>,
     /// Serializes blacklist decisions so concurrent kills can't blacklist
@@ -594,12 +574,6 @@ impl Context {
     /// Configured stage-attempt limit ([`ContextBuilder::max_stage_attempts`]).
     pub fn max_stage_attempts(&self) -> u32 {
         self.inner.max_stage_attempts
-    }
-
-    /// Configured speculation multiplier, `None` when speculation is off
-    /// ([`ContextBuilder::speculation`]).
-    pub fn speculation_multiplier(&self) -> Option<f64> {
-        self.inner.speculation
     }
 
     /// Number of shuffle data-plane worker processes; `0` in local mode
@@ -899,10 +873,7 @@ impl Context {
             results: (0..n).map(|_| Mutex::new(None)).collect(),
             next: AtomicUsize::new(0),
             requeued: Mutex::new(Vec::new()),
-            done: AtomicUsize::new(0),
             failure: Mutex::new(None),
-            completed_micros: Mutex::new(Vec::new()),
-            running: (0..n).map(|_| Mutex::new(None)).collect(),
             tenant: current_tenant(),
             cancel: current_cancel(),
         };
@@ -936,14 +907,6 @@ impl Context {
     }
 }
 
-/// A task attempt currently executing, for the speculation scanner.
-struct RunningTask {
-    started: Instant,
-    executor: usize,
-    /// A duplicate attempt has already been launched; never speculate twice.
-    speculated: bool,
-}
-
 /// Per-stage scheduler state shared by the stage's worker threads.
 struct StageShared<'a, R, F> {
     ctx: &'a Context,
@@ -957,12 +920,7 @@ struct StageShared<'a, R, F> {
     /// Tasks whose results were discarded because their executor died
     /// mid-flight; they go back to the front of the queue.
     requeued: Mutex<Vec<usize>>,
-    /// Count of tasks with an accepted result.
-    done: AtomicUsize,
     failure: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Durations of accepted results — the speculation baseline.
-    completed_micros: Mutex<Vec<u64>>,
-    running: Vec<Mutex<Option<RunningTask>>>,
     /// Tenant/cancel context captured from the submitting (driver) thread
     /// and re-installed on every worker, so nested stages inherit them.
     tenant: Option<u32>,
@@ -993,31 +951,19 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                 let i = self.next.fetch_add(1, Ordering::SeqCst);
                 (i < self.n).then_some(i)
             });
-            match task {
-                Some(i) => self.run_task(i, executor, false),
-                None => {
-                    if self.done.load(Ordering::SeqCst) >= self.n {
-                        return;
-                    }
-                    match self.speculation_target(executor) {
-                        Some(i) => self.run_task(i, executor, true),
-                        // Speculation on: idle-wait for a straggler to cross
-                        // the threshold (or for the stage to finish).
-                        None if self.ctx.inner.speculation.is_some() => {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        // Speculation off: whoever still runs a task will
-                        // also drain any requeue it causes, so idle workers
-                        // can leave.
-                        None => return,
-                    }
-                }
-            }
+            // Nothing left to claim: whoever still runs a task will also
+            // drain any requeue it causes, so an idle worker can leave.
+            let Some(i) = task else {
+                return;
+            };
+            self.run_task(i, executor);
         }
     }
 
     /// Run one task to acceptance, retrying panics up to the attempt limit.
-    fn run_task(&self, i: usize, executor: usize, speculative: bool) {
+    /// Attempts are sequential: a task index is claimed by one worker at a
+    /// time, so exactly one attempt's result is ever accepted.
+    fn run_task(&self, i: usize, executor: usize) {
         let inner = &self.ctx.inner;
         let mut attempt = 0;
         loop {
@@ -1030,13 +976,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
             // body.
             let injected = self.ctx.chaos_task_start();
             let epoch = inner.executors[executor].epoch.load(Ordering::SeqCst);
-            if !speculative {
-                *self.running[i].lock() = Some(RunningTask {
-                    started: Instant::now(),
-                    executor,
-                    speculated: false,
-                });
-            }
             let task_started = Instant::now();
             let out = if injected {
                 Err(Box::new(INJECTED_FAILURE_MSG) as Box<dyn std::any::Any + Send>)
@@ -1051,31 +990,20 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                         // ran: its result is part of the lost state. Put the
                         // partition back in the queue; this is loss, not a
                         // task failure, so no failure count and no TaskEnd.
-                        if !speculative {
-                            self.requeued.lock().push(i);
-                        }
+                        self.requeued.lock().push(i);
                         return;
                     }
-                    let mut slot = self.results[i].lock();
-                    if slot.is_none() {
-                        *slot = Some(v);
-                        drop(slot);
-                        self.done.fetch_add(1, Ordering::SeqCst);
-                        self.completed_micros.lock().push(task_micros);
-                        *self.running[i].lock() = None;
-                        if self.tracing {
-                            inner.events.emit(Event::TaskEnd {
-                                stage_id: self.stage_id,
-                                task: i,
-                                attempt,
-                                wall_micros: task_micros,
-                                ok: true,
-                                injected: false,
-                            });
-                        }
+                    *self.results[i].lock() = Some(v);
+                    if self.tracing {
+                        inner.events.emit(Event::TaskEnd {
+                            stage_id: self.stage_id,
+                            task: i,
+                            attempt,
+                            wall_micros: task_micros,
+                            ok: true,
+                            injected: false,
+                        });
                     }
-                    // else: a duplicate attempt already delivered this
-                    // partition; first result won, drop ours.
                     return;
                 }
                 Err(cause) if panic_is_cancelled(&cause) => {
@@ -1136,49 +1064,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
         }
         true
     }
-
-    /// Find a straggler worth duplicating on `executor`: speculation is on,
-    /// at least half the stage has finished, the candidate has been running
-    /// longer than multiplier × median on a *different* executor, and nobody
-    /// speculated it yet.
-    fn speculation_target(&self, executor: usize) -> Option<usize> {
-        let multiplier = self.ctx.inner.speculation?;
-        let threshold = {
-            let completed = self.completed_micros.lock();
-            if completed.len() * 2 < self.n {
-                return None;
-            }
-            let mut sorted = completed.clone();
-            drop(completed);
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            ((median as f64 * multiplier) as u64).max(SPECULATION_FLOOR_MICROS)
-        };
-        for i in 0..self.n {
-            if self.results[i].lock().is_some() {
-                continue;
-            }
-            let mut running = self.running[i].lock();
-            if let Some(task) = running.as_mut() {
-                if !task.speculated
-                    && task.executor != executor
-                    && task.started.elapsed().as_micros() as u64 >= threshold
-                {
-                    task.speculated = true;
-                    drop(running);
-                    if self.tracing {
-                        self.ctx.inner.events.emit(Event::TaskSpeculated {
-                            stage_id: self.stage_id,
-                            task: i,
-                            executor,
-                        });
-                    }
-                    return Some(i);
-                }
-            }
-        }
-        None
-    }
 }
 
 struct PopTag<'a>(&'a Context);
@@ -1212,6 +1097,7 @@ impl Drop for EndJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn run_tasks_returns_in_task_order() {
@@ -1478,38 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_duplicates_stragglers_and_first_result_wins() {
-        let ctx = Context::builder()
-            .workers(2)
-            .speculation(1.5)
-            .chaos_off()
-            .build();
-        ctx.trace();
-        let straggles = AtomicBool::new(true);
-        let out = ctx.run_tasks(6, |i| {
-            // Task 0's first attempt stalls; its speculative copy (and every
-            // other task) returns immediately.
-            if i == 0 && straggles.swap(false, Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(200));
-            }
-            i + 100
-        });
-        assert_eq!(out, (100..106).collect::<Vec<_>>());
-        let events = ctx.take_events();
-        let speculated = events
-            .iter()
-            .filter(|e| matches!(e, Event::TaskSpeculated { task: 0, .. }))
-            .count();
-        assert_eq!(speculated, 1, "straggler gets exactly one duplicate");
-        // Only the winning attempt reports a TaskEnd per task.
-        let ok_ends = events
-            .iter()
-            .filter(|e| matches!(e, Event::TaskEnd { ok: true, .. }))
-            .count();
-        assert_eq!(ok_ends, 6);
-    }
-
-    #[test]
     fn builder_knobs_read_back_from_a_running_context() {
         let ctx = Context::builder()
             .workers(3)
@@ -1517,7 +1371,6 @@ mod tests {
             .max_task_attempts(7)
             .max_stage_attempts(9)
             .storage_memory(1 << 20)
-            .speculation(2.5)
             .chaos_off()
             .build();
         assert_eq!(ctx.workers(), 3);
@@ -1525,7 +1378,6 @@ mod tests {
         assert_eq!(ctx.max_task_attempts(), 7);
         assert_eq!(ctx.max_stage_attempts(), 9);
         assert_eq!(ctx.storage_memory(), Some(1 << 20));
-        assert_eq!(ctx.speculation_multiplier(), Some(2.5));
         // Local mode: no worker processes, no external spool.
         assert_eq!(ctx.worker_processes(), 0);
         assert_eq!(ctx.external_shuffle_path(0), None);

@@ -141,7 +141,7 @@ impl<T: Data> Dataset<T> {
     /// Partition-at-a-time transformation over the raw
     /// [`PartitionStream`]; `f` receives the partition index. `f` must
     /// return a stream re-creatable from its input (it is re-invoked on
-    /// task retry or speculation).
+    /// task retry).
     pub fn map_partitions_stream<U: Data>(
         &self,
         f: impl Fn(usize, PartitionStream<T>) -> PartitionStream<U> + Send + Sync + 'static,

@@ -127,8 +127,8 @@ event_schema! {
     /// One operator's output cardinality for one task attempt: how many rows
     /// flowed out of the operator's stream and a shallow byte estimate
     /// (`rows × size_of::<T>()`). Emitted once per operator per task attempt
-    /// when tracing is on; retried or speculated attempts emit again, so
-    /// consumers aggregating exact counts should run with chaos off.
+    /// when tracing is on; retried attempts emit again, so consumers
+    /// aggregating exact counts should run with chaos off.
     OperatorOutput "operator_output" {
         /// Innermost stage whose task drained the stream, if any (driver-side
         /// drains carry no stage).
@@ -219,14 +219,6 @@ event_schema! {
         attempt: u32,
         /// Map partitions recomputed by this resubmission.
         missing_tasks: u64,
-    }
-    /// A straggling task got a duplicate attempt on another executor
-    /// (speculative execution); the first result wins.
-    TaskSpeculated "task_speculated" {
-        stage_id: u64,
-        task: usize,
-        /// Executor running the duplicate attempt.
-        executor: usize,
     }
     /// The planner resolved a cost-based physical choice (`plan.chosen`).
     /// Stage tags of the plan's shuffles equal `chosen`, which is how
@@ -806,11 +798,6 @@ mod tests {
                 shuffle_id: 7,
                 attempt: 1,
                 missing_tasks: 3,
-            },
-            Event::TaskSpeculated {
-                stage_id: 2,
-                task: 3,
-                executor: 0,
             },
             Event::PlanChosen {
                 chosen: "contraction/broadcast".into(),

@@ -32,8 +32,7 @@
 //!   executor ([`Context::kill_executor`], or a seeded [`ChaosPlan`]) loses
 //!   the shuffle map outputs and cached blocks it owned; the scheduler
 //!   resubmits only the missing map tasks and recomputes lost blocks from
-//!   lineage, and stragglers can be speculatively re-executed on healthy
-//!   executors — all of which is exercised by the chaos tests.
+//!   lineage — all of which is exercised by the chaos tests.
 //!
 //! The runtime is intentionally faithful to Spark semantics where the paper
 //! relies on them:

@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// materialize a shuffle first and hand out zero-copy shared views of it.
 ///
 /// Streams are re-creatable: every `compute` call rebuilds from lineage, so
-/// task retries, speculation, and cache recomputation see identical data.
+/// task retries and cache recomputation see identical data.
 pub trait Op<T: Data>: Send + Sync + 'static {
     /// Number of partitions this operator produces.
     fn num_partitions(&self) -> usize;
@@ -63,8 +63,8 @@ impl<T: Data> Op<T> for SourceOp<T> {
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {
-        // Zero-copy: every task (including retries and speculative
-        // duplicates) reads the same shared block; no per-task clone.
+        // Zero-copy: every task attempt (retries included) reads the same
+        // shared block; no per-task clone.
         instrument(
             PartitionStream::shared(self.parts[part].clone()),
             "source",

@@ -54,7 +54,7 @@ impl CacheStats {
 }
 
 /// Fault-recovery activity folded from the executor-loss event family
-/// (`ExecutorLost` / `FetchFailed` / `StageResubmitted` / `TaskSpeculated`).
+/// (`ExecutorLost` / `FetchFailed` / `StageResubmitted`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Worker processes declared dead (kill -9, heartbeat deadline, or a
@@ -75,8 +75,6 @@ pub struct RecoveryStats {
     pub stages_resubmitted: u64,
     /// Map partitions recomputed by those resubmissions.
     pub resubmitted_tasks: u64,
-    /// Duplicate attempts launched by speculative execution.
-    pub speculated_tasks: u64,
     /// Wall-clock spent in resubmitted map stages — the recovery overhead a
     /// fault-free run would not pay.
     pub recovery_wall_micros: u64,
@@ -106,9 +104,6 @@ impl RecoveryStats {
             "{} stages resubmitted ({} tasks)",
             self.stages_resubmitted, self.resubmitted_tasks
         ));
-        if self.speculated_tasks > 0 {
-            parts.push(format!("{} speculated tasks", self.speculated_tasks));
-        }
         parts.push(format!(
             "{} recovering",
             fmt_micros(self.recovery_wall_micros)
@@ -529,7 +524,6 @@ impl JobProfile {
                     profile.recovery.stages_resubmitted += 1;
                     profile.recovery.resubmitted_tasks += missing_tasks;
                 }
-                Event::TaskSpeculated { .. } => profile.recovery.speculated_tasks += 1,
                 Event::PlanChosen {
                     chosen,
                     auto,
@@ -1122,11 +1116,6 @@ mod tests {
                 stage_id: 22,
                 wall_micros: 75,
             },
-            Event::TaskSpeculated {
-                stage_id: 22,
-                task: 2,
-                executor: 0,
-            },
         ];
         let p = JobProfile::from_events(&events);
         assert_eq!(
@@ -1140,7 +1129,6 @@ mod tests {
                 fetch_failures: 1,
                 stages_resubmitted: 1,
                 resubmitted_tasks: 3,
-                speculated_tasks: 1,
                 recovery_wall_micros: 75,
             }
         );

@@ -250,10 +250,9 @@ struct MapOutput {
     owner: OutputOwner,
 }
 
-/// What one reduce task reports back: the shuffle-read volume `(bytes,
-/// records)` if this attempt did the merge (`None`: a duplicate attempt
-/// already had), or the map partitions it found lost — a fetch failure.
-type FetchOutcome = Result<Option<(u64, u64)>, Vec<usize>>;
+/// One reduce partition's merged output and its shuffle-read volume
+/// `(bytes, records)`, filled by the attempt that fetched and merged it.
+type ReducedSlot<K, C> = Mutex<Option<(Vec<(K, C)>, u64, u64)>>;
 
 /// How map-side values become reduce-side combiners.
 pub struct Aggregator<V, C> {
@@ -674,11 +673,9 @@ where
         let tracker = &ctx.inner.map_outputs;
         tracker.register_shuffle(self.shuffle_id, n_map);
         let store = MapOutputStore::new(ctx, self.shuffle_id, n_map, n_red);
-        // Serializes fetch+merge per reduce partition so a speculative
-        // duplicate can never consume half a column.
-        let fetch_locks: Vec<Mutex<()>> = (0..n_red).map(|_| Mutex::new(())).collect();
-        let reduced_slots: Vec<Mutex<Option<Vec<(K, C)>>>> =
-            (0..n_red).map(|_| Mutex::new(None)).collect();
+        // The scheduler runs one attempt of a task at a time, so no two
+        // attempts ever fetch or fill the same slot at once.
+        let reduced_slots: Vec<ReducedSlot<K, C>> = (0..n_red).map(|_| Mutex::new(None)).collect();
         let mut resubmits = 0u32;
         let mut first_map_stage = true;
 
@@ -806,7 +803,9 @@ where
             // Reduce stage over the outstanding partitions: fetch (check
             // availability, consume the column) and merge. Lost inputs are
             // *reported*, not panicked on — the loop resubmits and retries.
-            let (outcomes, reduce_stage): (Vec<FetchOutcome>, u64) = ctx.run_stage(
+            // A task returns the map partitions it found lost, or `Ok` once
+            // its partition sits merged in its slot.
+            let (outcomes, reduce_stage): (Vec<Result<(), Vec<usize>>>, u64) = ctx.run_stage(
                 pending.len(),
                 || StageMeta {
                     label: format!("shuffle.reduce({})", self.operator),
@@ -815,11 +814,12 @@ where
                 },
                 |idx| {
                     let r = pending[idx];
-                    let _fetch = fetch_locks[r].lock();
                     if reduced_slots[r].lock().is_some() {
-                        // A duplicate (speculative) attempt already merged
-                        // this partition; first result won.
-                        return Ok(None);
+                        // An earlier attempt merged this partition, then its
+                        // executor was lost before the result gate and the
+                        // task was requeued. Its column is consumed; the
+                        // merge it left is the result.
+                        return Ok(());
                     }
                     // Chaos: a failed fetch drops one live map output, so
                     // recovery has real recomputation to do.
@@ -850,8 +850,8 @@ where
                     } else {
                         buckets.into_iter().flatten().collect()
                     };
-                    *reduced_slots[r].lock() = Some(merged);
-                    Ok(Some((bytes, records)))
+                    *reduced_slots[r].lock() = Some((merged, bytes, records));
+                    Ok(())
                 },
             );
             if tracing {
@@ -864,15 +864,20 @@ where
                             reduce_task: r,
                             lost_map_outputs: lost.len() as u64,
                         }),
-                        Ok(Some((bytes, records))) => ctx.events().emit(Event::ShuffleRead {
-                            stage_id: reduce_stage,
-                            shuffle_id: self.shuffle_id,
-                            operator: self.operator.clone(),
-                            task: r,
-                            bytes: *bytes,
-                            records: *records,
-                        }),
-                        Ok(None) => {}
+                        Ok(()) => {
+                            let slot = reduced_slots[r].lock();
+                            let (_, bytes, records) = slot
+                                .as_ref()
+                                .expect("an accepted reduce task filled its slot");
+                            ctx.events().emit(Event::ShuffleRead {
+                                stage_id: reduce_stage,
+                                shuffle_id: self.shuffle_id,
+                                operator: self.operator.clone(),
+                                task: r,
+                                bytes: *bytes,
+                                records: *records,
+                            });
+                        }
                     }
                 }
             }
@@ -884,7 +889,7 @@ where
         store.clear();
         let reduced: Vec<Arc<Vec<(K, C)>>> = reduced_slots
             .into_iter()
-            .map(|slot| Arc::new(slot.into_inner().expect("reduce partition materialized")))
+            .map(|slot| Arc::new(slot.into_inner().expect("reduce partition materialized").0))
             .collect();
         let out = reduced[part].clone();
         *state = Some(reduced);
@@ -1060,5 +1065,52 @@ where
 
     fn name(&self) -> String {
         "cogroup".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::context::current_executor;
+    use crate::{Context, Event};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// A reduce task that merged its partition and then lost its executor
+    /// before the result gate is requeued; the rerun keeps that merge, and
+    /// the trace still reports the shuffle read it did.
+    #[test]
+    fn a_partition_merged_before_its_executor_died_still_reports_its_read() {
+        let ctx = Context::builder().workers(1).chaos_off().build();
+        // Every key once per map partition, so the merge closure runs only
+        // on the reduce side.
+        let data: Vec<(u64, u64)> = (0..2).flat_map(|_| (0..8).map(|k| (k, k))).collect();
+        let killed = Arc::new(AtomicBool::new(false));
+        let (victim, once) = (ctx.clone(), killed.clone());
+        ctx.trace();
+        let mut out = ctx
+            .parallelize(data, 2)
+            .reduce_by_key(4, move |a, b| {
+                if !once.swap(true, Ordering::SeqCst) {
+                    victim.kill_executor(current_executor().expect("merges run on an executor"));
+                }
+                a + b
+            })
+            .collect();
+        out.sort();
+        assert_eq!(out, (0..8).map(|k| (k, 2 * k)).collect::<Vec<_>>());
+        assert!(killed.load(Ordering::SeqCst), "no merge ran");
+        let events = ctx.take_events();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::ExecutorLost { .. })));
+        let read: BTreeSet<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ShuffleRead { task, .. } => Some(*task),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(read, (0..4).collect(), "every reduce partition's read");
     }
 }

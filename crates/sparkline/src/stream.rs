@@ -33,8 +33,8 @@
 //! [`PartitionStream::for_each_ref`].
 //!
 //! Streams are **re-creatable from lineage, not single-shot**: `compute`
-//! builds a fresh stream each call, so task retries, speculative duplicates,
-//! and cache recomputation replay identically (chaos semantics are
+//! builds a fresh stream each call, so task retries and cache
+//! recomputation replay identically (chaos semantics are
 //! bit-identical to the eager runtime).
 //!
 //! When tracing is on, `instrument` threads per-operator `rows_out` /

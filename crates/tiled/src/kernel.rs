@@ -153,11 +153,11 @@ impl Backend {
     }
 }
 
-/// The kernel signature a compiled plan depends on, resolved *fresh* from
-/// `SAC_KERNEL` and hardware capability on every call — deliberately not the
-/// [`Backend::active`] `OnceLock`, because cached plans must never be shared
-/// across a config change that flips the knob. Folded into the service's
-/// plan-cache key next to the fusion flag.
+/// The name of the kernel backend `SAC_KERNEL` and the hardware select,
+/// resolved *fresh* on every call rather than read from the
+/// [`Backend::active`] `OnceLock`, so it reports the knob as it is now.
+/// Benchmark reports record it next to their measurements; nothing keys a
+/// cache on it (the backend is fixed per process, like the plan cache).
 pub fn signature() -> String {
     let knob = std::env::var("SAC_KERNEL").ok();
     let backend = Backend::from_knob(

@@ -6,7 +6,7 @@
 //! into its resident combiner in ascending contracted-block order, and the
 //! reduce side folds the map tasks' combiners in map-partition order. So a
 //! pinned `ReduceByKey` product is a function of (inputs, partition count):
-//! the same bits under chaos, task failures and speculation, and the same
+//! the same bits under chaos and task failures, and the same
 //! bits however the operands' source partitions are laid out.
 //!
 //! **groupByJoin.** Every output tile is folded by one reduce task in
@@ -115,8 +115,7 @@ fn task_failures(partitions: usize) -> ChaosPlan {
     ChaosPlan::new().with_task_failures(4 * partitions as u64 + 1, 3)
 }
 
-/// Executor kills, fetch failures, delayed tasks and speculative duplicates,
-/// explicit and seeded.
+/// Executor kills, fetch failures and delayed tasks, explicit and seeded.
 fn chaos_plans(seed: u64, kill_at: u64) -> [(&'static str, ChaosPlan); 2] {
     let explicit = ChaosPlan::new()
         .with_kill_at_task(kill_at, (seed % 4) as usize)
@@ -156,7 +155,7 @@ proptest! {
 
         for (label, plan) in chaos_plans(seed, kill_at) {
             let got = product(
-                pinned(partitions).chaos(plan).speculation(1.5),
+                pinned(partitions).chaos(plan),
                 (rows, cols),
                 ingest,
             );
@@ -240,7 +239,7 @@ proptest! {
                 }
             }
             for (label, plan) in chaos_plans(seed, kill_at) {
-                let builder = session(matmul, partitions).chaos(plan).speculation(1.5);
+                let builder = session(matmul, partitions).chaos(plan);
                 if let Some(got) = run(builder, &ingest) {
                     prop_assert_eq!(bits(&got), want, "{:?}: {} chaos moved bits", matmul, label);
                 }

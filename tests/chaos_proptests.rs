@@ -11,8 +11,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::sac::{MatMulStrategy, Session};
-use sac_repro::sparkline::{ChaosPlan, Context, Dataset, KeyPartitioner};
+use sac_repro::sparkline::{ChaosPlan, Context, Dataset, Event, KeyPartitioner};
 use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Paper queries (Fig. 4 kernels): matmul with a self-reference (exercises
 /// auto-persist + block loss), co-partitioned add, a row-shift permutation,
@@ -262,8 +265,8 @@ fn chaos_recovery_is_visible_in_explain_analyze() {
 // Streaming-pipeline pinning (ISSUE 5, satellite 3): random narrow-op chains,
 // fused by the pull-based runtime into a single operator pipeline, must stay
 // bit-identical to eager Vec semantics — replayed driver-side on plain Vecs —
-// under seeded chaos, tiny storage budgets, and speculation, for dense and
-// CSC-sparse tiles alike.
+// under seeded chaos and tiny storage budgets, for dense and CSC-sparse
+// tiles alike.
 // ---------------------------------------------------------------------------
 
 /// Applies a random narrow-op chain to a dataset. Every opcode picks one of
@@ -353,7 +356,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random fused narrow-op chains over a persisted shuffle output, run
-    /// under explicit chaos + speculation + a storage budget spanning
+    /// under explicit chaos + a storage budget spanning
     /// nothing-fits to everything-fits, must equal the Vec oracle on every
     /// pass (pass 2 re-pulls the streams through the cache/recompute path).
     #[test]
@@ -371,7 +374,6 @@ proptest! {
             .max_task_attempts(8)
             .max_stage_attempts(12)
             .storage_memory(budget)
-            .speculation(1.5)
             .chaos(plan)
             .build();
         if sparse {
@@ -505,5 +507,77 @@ proptest! {
                 "adaptive kill@{} run diverged from the frozen oracle", kill_at
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One attempt at a time: a task is retried after a failure and requeued after
+// its executor is lost, but a second attempt of it never starts while another
+// is still running, and exactly one attempt's result is accepted. The shuffle
+// reduce relies on this when it fetches and merges a partition unlocked.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_task_runs_one_attempt_at_a_time_and_is_accepted_once(
+        seed in 0u64..10_000, tasks in 64usize..256,
+        kill_at in 1u64..48, kill_exec in 0usize..4,
+        fail_every in 2u64..9, delay_every in 2u64..7, lose_task in 0usize..64,
+    ) {
+        let plan = ChaosPlan::seeded(seed, 4)
+            .with_kill_at_task(kill_at, kill_exec)
+            .with_kill_at_task(kill_at + 17, (kill_exec + 1) % 4)
+            .with_task_failures(fail_every, 6)
+            .with_task_delay(delay_every, 150);
+        // 6 explicit + 2 seeded failures at most: no task runs out of attempts.
+        let c = Context::builder().workers(4).max_task_attempts(16).chaos(plan).build();
+        let running: Vec<AtomicBool> = (0..tasks).map(|_| AtomicBool::new(false)).collect();
+        let overlaps = AtomicUsize::new(0);
+        let lose_task_entries = AtomicUsize::new(0);
+        c.trace();
+        let out = c.run_tasks(tasks, |i| {
+            if running[i].swap(true, Ordering::SeqCst) {
+                overlaps.fetch_add(1, Ordering::SeqCst);
+            }
+            // Lose every executor under the first attempt of `lose_task`:
+            // its result is discarded and the task requeued.
+            if i == lose_task && lose_task_entries.fetch_add(1, Ordering::SeqCst) == 0 {
+                for executor in 0..4 {
+                    c.kill_executor(executor);
+                }
+            }
+            // Long enough for a kill on another thread to land mid-body;
+            // every 16th task straggles, where a scheduler that duplicated
+            // slow tasks would start a second attempt.
+            let micros = if i % 16 == 0 { 3_000 } else { 50 };
+            std::thread::sleep(Duration::from_micros(micros));
+            running[i].store(false, Ordering::SeqCst);
+            i * 3
+        });
+        c.stop_trace();
+        prop_assert_eq!(out, (0..tasks).map(|i| i * 3).collect::<Vec<_>>());
+        prop_assert_eq!(overlaps.load(Ordering::SeqCst), 0, "two attempts of one task overlapped");
+        prop_assert!(lose_task_entries.load(Ordering::SeqCst) >= 2, "the lost attempt was not rerun");
+        let events = c.take_events();
+        let mut accepted: BTreeMap<(u64, usize), usize> = BTreeMap::new();
+        let mut failed = 0;
+        for event in &events {
+            if let Event::TaskEnd { stage_id, task, ok, .. } = event {
+                if *ok {
+                    *accepted.entry((*stage_id, *task)).or_default() += 1;
+                } else {
+                    failed += 1;
+                }
+            }
+        }
+        prop_assert_eq!(accepted.len(), tasks, "every task has an accepted result");
+        prop_assert!(accepted.values().all(|&n| n == 1), "a task was accepted twice");
+        prop_assert!(failed > 0, "no injected failure fired");
+        prop_assert!(
+            events.iter().any(|e| matches!(e, Event::ExecutorLost { .. })),
+            "no kill fired"
+        );
     }
 }

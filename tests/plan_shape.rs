@@ -529,7 +529,7 @@ fn kill_between_map_and_reduce_resubmits_exactly_the_lost_partitions() {
 #[test]
 fn narrow_chain_runs_as_one_fused_operator_pipeline() {
     use sac_repro::sparkline::Context;
-    // chaos_off: retried or speculated attempts would emit extra
+    // chaos_off: retried or requeued attempts would emit extra
     // operator_output events and skew the exact per-operator counts.
     let c = Context::builder()
         .workers(4)

@@ -244,8 +244,8 @@ fn source_partitions_are_shared_views_not_per_task_copies() {
         d.map(|x| (x % 7, x)).reduce_by_key(4, |a, b| a + b).count(),
         7
     );
-    // Arc probe: every compute of a source partition (every task attempt,
-    // retry, or speculative duplicate) reads the SAME backing allocation —
+    // Arc probe: every compute of a source partition (every task attempt
+    // or retry) reads the SAME backing allocation —
     // the partition is never deep-cloned into a task.
     let s1 = d.op().compute(0, d.context());
     let s2 = d.op().compute(0, d.context());
