@@ -32,7 +32,7 @@ impl SessionBuilder {
     /// knobs on this builder (`workers`, `storage_memory`, attempt limits,
     /// `worker_processes`, chaos) are ignored: they belong to
     /// whoever built the shared context. Planner-level knobs (`partitions`,
-    /// `matmul`, `broadcast_budget`, `tile_threads`) still apply per session.
+    /// `matmul`, `broadcast_budget`) still apply per session.
     pub fn context(mut self, ctx: Context) -> Self {
         self.context = Some(ctx);
         self
@@ -41,12 +41,6 @@ impl SessionBuilder {
     /// Shuffle partition count.
     pub fn partitions(mut self, n: usize) -> Self {
         self.config.partitions = n.max(1);
-        self
-    }
-
-    /// Threads per tile kernel (the paper's Scala `.par` multicore level).
-    pub fn tile_threads(mut self, n: usize) -> Self {
-        self.config.tile_threads = n.max(1);
         self
     }
 

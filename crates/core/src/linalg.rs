@@ -259,44 +259,6 @@ pub fn factorization_step(
     Ok((output("P2")?, output("Q2")?))
 }
 
-/// §8 extension: `C = A · B` where A's tiles travel in **compressed sparse
-/// column** storage. The same group-by-join as the dense path — the
-/// planner's own routing and reduce (`planner::exec::group_by_join_tiles`) —
-/// but each left tile ships only its non-zeros and the local kernel is
-/// sparse-dense GEMM: the paper's "tiled arrays where each tile is stored in
-/// the compressed sparse column format" future-work item. The layered design
-/// makes this a storage swap: the distributed plan is unchanged.
-pub fn multiply_sparse_left(
-    s: &Session,
-    a: &TiledMatrix,
-    b: &TiledMatrix,
-) -> Result<TiledMatrix, CompError> {
-    use tiled::CscTile;
-    if a.tile_size() != b.tile_size() {
-        return Err(CompError::plan("inputs must share a tile size"));
-    }
-    if a.cols() != b.rows() {
-        return Err(CompError::plan("inner dimension mismatch"));
-    }
-    let n = a.tile_size();
-    // 0 = automatic: fall back to one shuffle partition per worker.
-    let partitions = match s.config().partitions {
-        0 => s.spark().workers().max(1),
-        p => p,
-    };
-    // Sparsify left tiles once, before they are routed.
-    let lefts = a.tiles().map_values(|t| CscTile::from_dense(&t));
-    let tiles = planner::exec::group_by_join_tiles(
-        &lefts,
-        b.tiles(),
-        (a.block_rows(), a.block_cols(), b.block_cols()),
-        n,
-        partitions,
-        |out, a_tile: &CscTile, b_tile, _| a_tile.spmm_acc(b_tile, out),
-    );
-    Ok(TiledMatrix::new(a.rows(), b.cols(), n, tiles))
-}
-
 /// Squared Frobenius error `‖R − P·Qᵀ‖²` — the factorization loss.
 pub fn factorization_error(
     s: &Session,
@@ -312,7 +274,6 @@ pub fn factorization_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planner::MatMulStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tiled::LocalMatrix;
@@ -384,6 +345,17 @@ mod tests {
                 .max_abs_diff(&a.transpose().multiply(&c))
                 < 1e-9
         );
+        // A 5%-dense left operand.
+        let mut rng = StdRng::seed_from_u64(30);
+        let sparse = LocalMatrix::sparse_random(24, 24, 0.05, &mut rng);
+        let dense = rand_mat(24, 24, 31);
+        assert!(
+            multiply(&s, &dist(&s, &sparse), &dist(&s, &dense))
+                .unwrap()
+                .to_local()
+                .max_abs_diff(&sparse.multiply(&dense))
+                < 1e-9
+        );
     }
 
     #[test]
@@ -444,37 +416,6 @@ mod tests {
         let rotated = rotate_rows(&s, &da).unwrap().to_local();
         let expected = LocalMatrix::from_fn(6, 6, |i, j| a.get((i + 6 - 1) % 6, j));
         assert!(rotated.approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
-    fn sparse_left_multiply_matches_dense_and_shuffles_less() {
-        // Pin a shuffling strategy: this test compares shuffled bytes, and
-        // the adaptive planner would broadcast these small operands instead.
-        // chaos_off: a resubmitted map stage writes its bytes twice.
-        let mut s = Session::builder()
-            .workers(4)
-            .partitions(4)
-            .chaos_off()
-            .build();
-        s.config_mut().matmul = MatMulStrategy::GroupByJoin;
-        let mut rng = StdRng::seed_from_u64(30);
-        // A is 5% dense; sparse tiles should ship far fewer bytes.
-        let a = LocalMatrix::sparse_random(24, 24, 0.05, &mut rng);
-        let b = rand_mat(24, 24, 31);
-        let (da, db) = (dist(&s, &a), dist(&s, &b));
-
-        s.spark().trace();
-        let sparse = multiply_sparse_left(&s, &da, &db).unwrap().to_local();
-        let sparse_bytes = s.spark().take_profile().total_shuffle_bytes_written();
-        let dense = multiply(&s, &da, &db).unwrap().to_local();
-        let dense_bytes = s.spark().take_profile().total_shuffle_bytes_written();
-
-        assert!(sparse.max_abs_diff(&a.multiply(&b)) < 1e-9);
-        assert!(dense.max_abs_diff(&a.multiply(&b)) < 1e-9);
-        assert!(
-            sparse_bytes < dense_bytes,
-            "CSC left tiles must shuffle fewer bytes: {sparse_bytes} vs {dense_bytes}"
-        );
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Plan execution on the `sparkline` runtime.
 
-use crate::analysis::Aggregate;
 use crate::env::{DistArray, PlanEnv};
 use crate::plan::{
-    strategy_row, GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, PlanDecision, Planned,
-    StrategyRow,
+    GroupByAggregate, GroupKey, Node, OutputKind, Plan, PlanConfig, PlanRow, Planned,
 };
 use crate::scalar::{self, IdxFn};
 use crate::stage::{self, Frontiers, StageFrontier};
@@ -91,12 +89,13 @@ pub fn monoid_f64(m: Monoid) -> Result<(f64, fn(f64, f64) -> f64), CompError> {
     })
 }
 
-/// Execute a planned comprehension.
+/// Execute a planned comprehension: the lowering of the plan-table row that
+/// chose it.
 ///
-/// The whole dispatch runs under a plan-node tag equal to
-/// [`Plan::strategy_name`], so every shuffle stage the plan constructs is
-/// attributed to its plan node in the event trace (the DAG is built here even
-/// though stages materialize later — shuffles capture the tag eagerly).
+/// The lowering runs under a plan-node tag equal to [`Plan::strategy_name`],
+/// so every shuffle stage the plan constructs is attributed to its plan node
+/// in the event trace (the DAG is built here even though stages materialize
+/// later — shuffles capture the tag eagerly).
 pub fn execute(
     planned: &Planned,
     env: &PlanEnv,
@@ -123,41 +122,55 @@ pub(crate) fn execute_probed(
     if tuned.partitions == 0 {
         tuned.partitions = autotune_partitions(&planned.output, ctx);
     }
-    let config = &tuned;
-    if let Plan::FusedEltwise {
-        inputs,
-        program,
-        region_ops,
-        ..
-    } = &planned.plan
-    {
-        ctx.emit_event(|at_micros| Event::RegionFused {
-            ops: program.len() as u64,
-            inputs: inputs.len() as u64,
-            signature: program.signature(),
-            source: region_ops.join(";"),
-            at_micros,
-        });
-    }
-    if let Some(decision) = planned.plan.decision() {
+    let plan = &planned.plan;
+    if let Some(decision) = plan.decision() {
         ctx.emit_event(|at_micros| Event::PlanChosen {
             chosen: decision.chosen.to_string(),
             auto: decision.auto,
-            partitions: config.partitions as u64,
+            partitions: tuned.partitions as u64,
             est_shuffle_bytes: decision.est_shuffle_bytes,
             candidates: decision
                 .candidates
                 .iter()
                 .map(|&(tag, cost)| (tag.to_string(), cost))
                 .collect(),
+            reason: decision.reason.clone(),
             at_micros,
         });
     }
-    ctx.scoped_tag(planned.plan.strategy_name(), || {
-        let overlay = persist_shared_inputs(&planned.plan, env);
-        let env = overlay.as_ref().unwrap_or(env);
-        execute_untagged(planned, env, ctx, config, frontiers)
+    ctx.scoped_tag(plan.strategy_name(), || {
+        let overlay = persist_shared_inputs(plan, env);
+        let lowering = Lowering {
+            env: overlay.as_ref().unwrap_or(env),
+            ctx,
+            config: &tuned,
+            output: &planned.output,
+            frontiers,
+        };
+        (plan.row.lower)(plan, &lowering)
     })
+}
+
+/// What a row's lowering reads besides its plan.
+pub(crate) struct Lowering<'a> {
+    env: &'a PlanEnv,
+    ctx: &'a Context,
+    /// The planner configuration, its partition count resolved.
+    config: &'a PlanConfig,
+    output: &'a OutputKind,
+    /// The stage-frontier probes of the run.
+    frontiers: &'a Frontiers,
+}
+
+impl Lowering<'_> {
+    /// A plan this row's lowering cannot produce the output of.
+    fn mismatch(&self, plan: &Plan) -> CompError {
+        CompError::plan(format!(
+            "plan {} cannot produce output {:?}",
+            plan.strategy_name(),
+            self.output
+        ))
+    }
 }
 
 /// Target bytes per shuffle partition when autotuning.
@@ -206,100 +219,6 @@ fn persist_shared_inputs(plan: &Plan, env: &PlanEnv) -> Option<PlanEnv> {
     Some(overlay_env)
 }
 
-/// Match the plan node once and hand its fields to the node's lowering.
-fn execute_untagged(
-    planned: &Planned,
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    frontiers: &Frontiers,
-) -> Result<ExecResult, CompError> {
-    match (&planned.plan, &planned.output) {
-        (
-            Plan::FusedEltwise {
-                inputs,
-                transposed,
-                program,
-                ..
-            },
-            output,
-        ) => exec_fused_eltwise(env, config, inputs, *transposed, program, output),
-        (
-            Plan::Contraction {
-                left,
-                right,
-                left_contract_row,
-                right_contract_col,
-                swap_output,
-                value,
-                strategy,
-                decision,
-            },
-            output,
-        ) => exec_contraction(
-            env,
-            ctx,
-            config,
-            (left, *left_contract_row),
-            (right, *right_contract_col),
-            *swap_output,
-            value,
-            (*strategy, decision),
-            output,
-            frontiers,
-        ),
-        (
-            Plan::IndexRemap {
-                input,
-                fi,
-                fj,
-                value,
-            },
-            &OutputKind::Matrix { rows, cols },
-        ) => exec_index_remap(env, config, input, (fi, fj), value, (rows, cols))
-            .map(ExecResult::Matrix),
-        (
-            Plan::AxisReduce {
-                input,
-                by_row,
-                monoid,
-                value,
-            },
-            &OutputKind::Vector { len },
-        ) => exec_axis_reduce(env, config, input, *by_row, *monoid, value, len)
-            .map(ExecResult::Vector),
-        (
-            Plan::GroupByAggregate {
-                input,
-                gen_vars,
-                inner_quals,
-                key,
-                key_expr,
-                aggregates,
-                finalizer,
-            },
-            output,
-        ) => {
-            let m = matrix_input(env, input)?;
-            let fold = GroupFold::lower(
-                env,
-                gen_vars,
-                inner_quals,
-                key,
-                key_expr,
-                aggregates,
-                finalizer,
-            )?;
-            exec_group_aggregate(m, fold, config, output)
-        }
-        (Plan::LocalFallback { expr }, output) => exec_local(expr, env, ctx, config, output),
-        (plan, output) => Err(CompError::plan(format!(
-            "plan {} cannot produce output {output:?}",
-            plan.strategy_name()
-        ))),
-    }
-}
-
 /// `dims`, swapped when `swap`.
 fn swapped<T>(dims: (T, T), swap: bool) -> (T, T) {
     if swap {
@@ -307,10 +226,6 @@ fn swapped<T>(dims: (T, T), swap: bool) -> (T, T) {
     } else {
         dims
     }
-}
-
-fn local_output() -> CompError {
-    CompError::plan("only the local fallback produces a local value")
 }
 
 fn matrix_input<'a>(env: &'a PlanEnv, name: &str) -> Result<&'a TiledMatrix, CompError> {
@@ -429,17 +344,22 @@ fn fused_tile(
 /// as one `tiled::kernel::fused_eltwise` pass per block — an `n x n` matrix
 /// tile (joined on the grid partitioner of the output shape) or an `n x 1`
 /// vector block. The block map carries the `fused_eltwise` operator label so
-/// traces attribute the region to exactly one operator.
-fn exec_fused_eltwise(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    inputs: &[String],
-    transposed: bool,
-    program: &FusedProgram,
-    output: &OutputKind,
-) -> Result<ExecResult, CompError> {
-    let (program, backend, k) = (program.clone(), Backend::active(), inputs.len());
-    match *output {
+/// traces attribute the region to exactly one operator, and the region is
+/// announced as one `region_fused` event.
+pub(crate) fn eltwise(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let Node::FusedEltwise(node) = &plan.node else {
+        return Err(x.mismatch(plan));
+    };
+    x.ctx.emit_event(|at_micros| Event::RegionFused {
+        ops: node.program.len() as u64,
+        inputs: node.inputs.len() as u64,
+        signature: node.program.signature(),
+        source: node.region_ops.join(";"),
+        at_micros,
+    });
+    let (env, config, transposed, inputs) = (x.env, x.config, node.transposed, &node.inputs);
+    let (program, backend, k) = (node.program.clone(), Backend::active(), inputs.len());
+    match *x.output {
         OutputKind::Matrix { rows, cols } => {
             let mats: Vec<&TiledMatrix> = inputs
                 .iter()
@@ -508,18 +428,8 @@ fn exec_fused_eltwise(
             );
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
-        OutputKind::Local => Err(local_output()),
+        OutputKind::Local => Err(x.mismatch(plan)),
     }
-}
-
-/// How a contraction combines an element pair: `None` is the plain product,
-/// which runs on the tile kernels; any other `f(a, b)` runs as its fused
-/// program, one pass per row of terms.
-#[derive(Clone)]
-struct Combine {
-    general: Option<FusedProgram>,
-    /// Threads of the product kernel (the paper's `.par`).
-    threads: usize,
 }
 
 /// What the right operand and the output of a contraction are made of:
@@ -527,14 +437,18 @@ struct Combine {
 /// case — length-`n` vector blocks keyed `(block, ())`. `()` encodes to zero
 /// bytes and hashes to nothing, so a `(k, ())` key shuffles exactly like the
 /// bare block index `k`.
-trait Block: Data + SpillCodec {
+pub(crate) trait Block: Data + SpillCodec {
     /// Block-column coordinate.
     type Col: Data + SpillCodec + Hash + Eq + Copy;
     /// The coordinate of block column `index`, and back.
     fn col_at(index: i64) -> Self::Col;
     fn col_index(col: Self::Col) -> i64;
     fn zeros(n: usize) -> Self;
-    /// `self += a ⊗ b` under `combine`, in ascending contracted order. Each
+    /// The dataflow of `d` over this kind of block.
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self>;
+    /// `self += a ⊗ b` in ascending contracted order, where `⊗` is the plain
+    /// product on the tile kernels (`general` is `None`) or the combine
+    /// `general` computes, one fused pass per row of terms. Each
     /// operand comes with its orientation: `true` means the payload holds
     /// the transpose of the block its role reads, and is read transposed
     /// where it lies — the same values in the same order, so the same bits
@@ -546,14 +460,14 @@ trait Block: Data + SpillCodec {
         &mut self,
         a: (&DenseMatrix, bool),
         b: (&Self, bool),
-        combine: &Combine,
+        general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     );
     fn add_in_place(&mut self, other: &Self);
 }
 
 /// A block set keyed `(block row, block col)`.
-type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
+pub(crate) type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
 
 impl Block for DenseMatrix {
     type Col = i64;
@@ -570,6 +484,10 @@ impl Block for DenseMatrix {
         DenseMatrix::zeros(n, n)
     }
 
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self> {
+        d.tiles
+    }
+
     /// A general combine runs one pass per (output row `i`, contracted
     /// index `k`) over `a[i][k]` splatted and row `k` of `b`, adding the
     /// terms into row `i` in ascending `k`. A transposed `b` has its row `k`
@@ -578,11 +496,11 @@ impl Block for DenseMatrix {
         &mut self,
         (a, a_t): (&DenseMatrix, bool),
         (b, b_t): (&Self, bool),
-        combine: &Combine,
+        general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     ) {
-        let Some(value) = &combine.general else {
-            return self.gemm_acc_oriented((a, a_t), (b, b_t), combine.threads);
+        let Some(value) = general else {
+            return self.gemm_acc_oriented((a, a_t), (b, b_t), 1);
         };
         let (rows, valid_k, cols) = valid;
         let (width, backend) = (self.cols(), Backend::active());
@@ -627,6 +545,10 @@ impl Block for Vec<f64> {
         vec![0.0; n]
     }
 
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self> {
+        d.blocks
+    }
+
     /// A block product is summed on its own and then added, so it is the
     /// same number whether it seeds an accumulator or joins one; a
     /// transposed `a` runs [`DenseMatrix::matvec_t`], `dot`'s lane order
@@ -637,10 +559,10 @@ impl Block for Vec<f64> {
         &mut self,
         (a, a_t): (&DenseMatrix, bool),
         (x, _): (&Self, bool),
-        combine: &Combine,
+        general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     ) {
-        let Some(value) = &combine.general else {
+        let Some(value) = general else {
             let product = if a_t { a.matvec_t(x) } else { a.matvec(x) };
             return self.add_in_place(&product);
         };
@@ -711,8 +633,8 @@ fn swap_slots(value: &FusedProgram) -> FusedProgram {
 /// A contraction node: §5.3 (join + reduceByKey), §5.4 (group-by-join /
 /// SUMMA), §4 (join + groupByKey) or the broadcast join, over a matrix or a
 /// vector right operand. Resolves and orients the operands, checks their
-/// dimensions, lets the stage driver re-decide, and lowers the table row
-/// that comes out.
+/// dimensions, lets the stage driver re-decide, and lowers the dataflow of
+/// the row that comes out. Every contraction row's lowering.
 ///
 /// No tile is copied transposed. An operand contracted on its other index
 /// is re-keyed and read transposed by the tile kernel, and a `swap_output`
@@ -721,28 +643,21 @@ fn swap_slots(value: &FusedProgram) -> FusedProgram {
 /// combine's slots exchanged. Every output element is still the ascending
 /// chain over the contracted index of the same products — `fma(b, a, c)` is
 /// `fma(a, b, c)` — so the bits are those of transposing.
-#[allow(clippy::too_many_arguments)]
-fn exec_contraction<'a>(
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    (left, left_contract_row): (&'a str, bool),
-    (right, right_contract_col): (&'a str, bool),
-    swap_output: bool,
-    value: &FusedProgram,
-    (strategy, decision): (MatMulStrategy, &PlanDecision),
-    output: &OutputKind,
-    frontiers: &Frontiers,
-) -> Result<ExecResult, CompError> {
-    let vector = matches!(output, OutputKind::Vector { .. });
-    let row = strategy_row(strategy, vector).ok_or_else(|| {
-        CompError::plan("contraction strategy must be resolved at plan time for its operand kind")
-    })?;
+pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let (Node::Contraction(node), Some(decision)) = (&plan.node, plan.decision()) else {
+        return Err(x.mismatch(plan));
+    };
+    let (env, swap_output, value) = (x.env, node.swap_output, &node.value);
+    let (left, right) = (node.left.as_str(), node.right.as_str());
+    let (left_contract_row, right_contract_col) = (node.left_contract_row, node.right_contract_col);
     // The stage driver may re-decide row and partition count from the probed
     // inputs before the remainder is lowered.
-    let operands = ((left, left_contract_row), (right, right_contract_col));
-    let adapt = |probe: &dyn Fn() -> Vec<(&'a str, StageFrontier)>| {
-        stage::adapt(env, ctx, config, probe, operands, row, decision)
+    let adapt = |probe: &dyn Fn() -> Vec<(&'p str, StageFrontier)>| {
+        stage::adapt(env, x.ctx, x.config, probe, &plan.node, plan.row, decision)
+    };
+    let dataflow = |row: &'static PlanRow| {
+        let strategy = row.strategy.as_ref().ok_or_else(|| x.mismatch(plan));
+        strategy.map(|s| &s.dataflow)
     };
     let product = [ElemwiseOp::Slot(0), ElemwiseOp::Slot(1), ElemwiseOp::Mul];
     let general = (value.ops() != product).then(|| {
@@ -752,10 +667,6 @@ fn exec_contraction<'a>(
             value.clone()
         }
     });
-    let combine = Combine {
-        general,
-        threads: config.tile_threads.max(1),
-    };
 
     let a0 = matrix_input(env, left)?;
     let n = a0.tile_size();
@@ -779,7 +690,7 @@ fn exec_contraction<'a>(
         }
         Ok(())
     };
-    match *output {
+    match *x.output {
         OutputKind::Matrix { rows, cols } => {
             let b0 = matrix_input(env, right)?;
             let (a, b) = if swap_output {
@@ -790,262 +701,311 @@ fn exec_contraction<'a>(
                 (a, Operand::matrix(b0, right_contract_col))
             };
             check(&a, (b0.tile_size(), b.rows, b.cols), (rows, cols))?;
-            let (row, partitions) =
-                adapt(&|| vec![(left, frontiers.matrix(a0)), (right, frontiers.matrix(b0))]);
+            let probe = || {
+                vec![
+                    (left, x.frontiers.matrix(a0)),
+                    (right, x.frontiers.matrix(b0)),
+                ]
+            };
+            let (row, partitions) = adapt(&probe);
             // The smaller operand is broadcast, the query's right one on a
             // tie — whichever role it has here.
             let right_small = b0.rows() * b0.cols() <= a0.rows() * a0.cols();
             let b_small = right_small != swap_output;
-            let tiles = lower_contraction(row, &a, &b, n, b_small, partitions, combine);
+            let c = Contract {
+                a,
+                b,
+                n,
+                b_small,
+                partitions,
+                general,
+            };
+            let tiles = DenseMatrix::dataflow(dataflow(row)?)(&c);
             Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
-            let x = vector_input(env, right)?;
+            let v = vector_input(env, right)?;
             let a = Operand::matrix(a0, left_contract_row);
-            check(&a, (x.block_size(), x.len(), 1), (len, 1))?;
-            let (row, partitions) = adapt(&|| vec![(right, frontiers.vector(x))]);
+            check(&a, (v.block_size(), v.len(), 1), (len, 1))?;
+            let (row, partitions) = adapt(&|| vec![(right, x.frontiers.vector(v))]);
             let b = Operand {
-                blocks: x.blocks().map(|(k, block)| ((k, ()), block)),
-                rows: x.len(),
+                blocks: v.blocks().map(|(k, block)| ((k, ()), block)),
+                rows: v.len(),
                 cols: 1,
                 transposed: false,
             };
-            let blocks = lower_contraction(row, &a, &b, n, true, partitions, combine)
-                .map(|((i, ()), y)| (i, y));
+            let b_small = true;
+            let c = Contract {
+                a,
+                b,
+                n,
+                b_small,
+                partitions,
+                general,
+            };
+            let blocks = <Vec<f64>>::dataflow(dataflow(row)?)(&c).map(|((i, ()), y)| (i, y));
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
-        OutputKind::Local => Err(local_output()),
+        OutputKind::Local => Err(x.mismatch(plan)),
     }
 }
 
-/// Lower one fully-resolved strategy-table row to its dataset DAG. `a` and
-/// `b` are the operands in their roles (`C = A·B`, contraction on `a.col` /
-/// `b.row`) over `n`-sized blocks; `b_small` says the right operand is the
-/// smaller side. The caller has resolved `row` and `partitions` — at plan
-/// time or at the stage frontier, so a runtime strategy switch runs
-/// bit-identically to the same strategy chosen up front.
+/// A contraction row's dataflow, over tiles (a matrix right operand) and
+/// over vector blocks: the same generic function at each block kind.
+pub(crate) struct Dataflow {
+    tiles: fn(&Contract<DenseMatrix>) -> Blocks<DenseMatrix>,
+    blocks: fn(&Contract<Vec<f64>>) -> Blocks<Vec<f64>>,
+}
+
+macro_rules! dataflows {
+    ($($name:ident: $lower:ident),*) => {$(
+        pub(crate) const $name: Dataflow = Dataflow { tiles: $lower, blocks: $lower };
+    )*};
+}
+
+dataflows!(
+    BROADCAST: broadcast,
+    BROADCAST_TO_DRIVER: broadcast_to_driver,
+    GROUP_BY_JOIN: group_by_join,
+    REDUCE_BY_KEY: reduce_by_key,
+    JOIN_GROUP_BY: join_group_by
+);
+
+/// One fully-resolved contraction `C = A·B`, contraction on `a.col` /
+/// `b.row`, over `n`-sized blocks, as its dataflow reads it. The caller has
+/// resolved the row and `partitions` — at plan time or at the stage frontier,
+/// so a runtime strategy switch runs bit-identically to the same strategy
+/// chosen up front.
 ///
-/// Operand blocks are only routed here — replicas, join pairs and broadcast
-/// tables are pointer copies of shared tiles — and every arm but
-/// `JoinGroupBy` multiplies into one resident block per output key per task
-/// (`Block::acc`), so the only arithmetic and the only large allocations are
-/// the tile kernel's.
-fn lower_contraction<B: Block>(
-    row: &StrategyRow,
-    a: &Operand<DenseMatrix>,
-    b: &Operand<B>,
+/// Operand blocks are only routed by a dataflow — replicas, join pairs and
+/// broadcast tables are pointer copies of shared tiles — and every dataflow
+/// but `join_group_by` multiplies into one resident block per output key per
+/// task (`Block::acc`), so the only arithmetic and the only large allocations
+/// are the tile kernel's.
+pub(crate) struct Contract<B: Block> {
+    a: Operand<DenseMatrix>,
+    b: Operand<B>,
     n: usize,
+    /// The right operand is the smaller side.
     b_small: bool,
     partitions: usize,
-    combine: Combine,
-) -> Blocks<B> {
-    let (rows, inner, b_extent) = (a.rows, a.cols, b.cols);
-    let block_count = |extent: i64| (extent + n as i64 - 1) / n as i64;
-    let (a_rows, a_cols, b_cols) = (block_count(rows), block_count(inner), block_count(b_extent));
-    let orientation = (a.transposed, b.transposed);
-    // `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)`.
-    let multiply = move |av: &DenseMatrix, bv: &B, (i, k, j): (i64, i64, i64), out: &mut B| {
-        let valid = |block: i64, len: i64| (len - block * n as i64).clamp(0, n as i64) as usize;
-        let valid = (valid(i, rows), valid(k, inner), valid(j, b_extent));
-        out.acc((av, orientation.0), (bv, orientation.1), &combine, valid);
-    };
-    let add_blocks = |acc: &mut B, t: B| acc.add_in_place(&t);
-    let (a, b) = (&a.blocks, &b.blocks);
-    match row.strategy {
-        // (No table row is `Auto`.)
-        MatMulStrategy::JoinGroupBy | MatMulStrategy::ReduceByKey | MatMulStrategy::Auto => {
-            // Both plans meet the operands on the contracted block index.
-            let lhs = a.map(|((i, k), t)| (k, (i, t)));
-            let rhs = b.map(|((k, j), t)| (k, (j, t)));
-            if row.strategy == MatMulStrategy::JoinGroupBy {
-                // §4's naive translation: one partial product block per
-                // (i, k, j), and every one of them crosses the shuffle inside
-                // a per-key list, no map-side combining — shipping the
-                // products is this plan's definition, so it is the one place
-                // that allocates a block per product.
-                return lhs
-                    .join(&rhs, partitions)
-                    .map(move |(k, ((i, av), (j, bv)))| {
-                        let mut out = B::zeros(n);
-                        multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
-                        ((i, j), out)
-                    })
-                    .group_by_key(partitions)
-                    .map_values(move |blocks| {
-                        let mut acc = B::zeros(n);
-                        blocks.into_iter().for_each(|t| add_blocks(&mut acc, t));
-                        acc
-                    });
-            }
-            // §5.3 with §5.4's reduce shape: the join hands each map task
-            // `((i, j), (k, A_ik, B_kj))` pointer triples, and the
-            // reduceByKey's map-side combine multiplies them straight into
-            // the one resident block of their output key (`C_ij += A_ik ·
-            // B_kj` on the tile kernel) — no product block is allocated,
-            // added and dropped. Accumulation order: a map task folds an
-            // output key's products in ascending contracted-block order (its
-            // cogroup records are sorted by `k` first; they hold pointers, so
-            // the sort is free), and the reduce side folds the map tasks'
-            // combiners in map-partition order. The result is a function of
-            // (inputs, partition count) only — not of source-partition
-            // layout, retry or chaos.
-            let triples = lhs
-                .cogroup(&rhs, partitions)
-                .map_partitions_stream(|_, records| {
-                    let mut records = records.into_vec();
-                    records.sort_by_key(|&(k, _)| k);
-                    let mut triples = Vec::new();
-                    for (k, (ls, rs)) in records {
-                        for (i, av) in &ls {
-                            for (j, bv) in &rs {
-                                let at = (*i, k, B::col_index(*j));
-                                triples.push(((*i, *j), (at, av.clone(), bv.clone())));
-                            }
-                        }
-                    }
-                    PartitionStream::from_vec(triples)
-                });
-            let fold = move |out: &mut B, (at, av, bv): ((i64, i64, i64), DenseMatrix, B)| {
-                multiply(&av, &bv, at, out)
-            };
-            let seed = fold.clone();
-            let accumulate = Aggregator {
-                create: Arc::new(move |triple| {
-                    let mut out = B::zeros(n);
-                    seed(&mut out, triple);
-                    out
-                }),
-                merge_value: Arc::new(fold),
-                merge_combiners: Arc::new(add_blocks),
-                map_side_combine: true,
-                merge_on_reduce: true,
-            };
-            triples.shuffle(KeyPartitioner::hash(partitions), accumulate, "reduceByKey")
-        }
-        MatMulStrategy::GroupByJoin => group_by_join(
-            a,
-            b,
-            (a_rows, a_cols, b_cols),
-            n,
-            partitions,
-            move |out: &mut B, av: &DenseMatrix, bv: &B, at| multiply(av, bv, at, out),
-        ),
-        MatMulStrategy::Broadcast => {
-            // MLlib-style broadcast join: collect the smaller operand's
-            // blocks on the driver, keyed by the contracted block index, ship
-            // them to every task via [`Context::broadcast`], and compute
-            // locally-merged partial output blocks map-side — no join
-            // shuffle at all. The big side is only read: its stream is
-            // consumed by reference so shared source partitions are never
-            // cloned into the task.
-            let ctx = a.context();
-            let partials = if b_small {
-                let table = ctx.broadcast(by_contracted(b.collect(), |&(k, _)| k));
-                a.map_partitions_stream(move |_, tiles| {
-                    let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
-                    tiles.for_each_ref(|((i, k), av)| {
-                        for ((_, j), bv) in table.get(k).into_iter().flatten() {
-                            let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                            multiply(av, bv, (*i, *k, B::col_index(*j)), out);
-                        }
-                    });
-                    PartitionStream::from_vec(acc.into_iter().collect())
-                })
-            } else {
-                let table = ctx.broadcast(by_contracted(a.collect(), |&(_, k)| k));
-                b.map_partitions_stream(move |_, blocks| {
-                    let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
-                    blocks.for_each_ref(|((k, j), bv)| {
-                        for ((i, _), av) in table.get(k).into_iter().flatten() {
-                            let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                            multiply(av, bv, (*i, *k, B::col_index(*j)), out);
-                        }
-                    });
-                    PartitionStream::from_vec(acc.into_iter().collect())
-                })
-            };
-            if row.rounds > 0 {
-                // A single reduceByKey round combines partials whose
-                // contraction spans several partitions of the big side.
-                return partials.reduce_by_key_in_place(partitions, add_blocks);
-            }
-            // The zero-round row: collect the partials and finish the merge
-            // on the driver. Every stage is an action or a source — no
-            // shuffle — and every output block exists, hit or not.
-            let mut merged: HashMap<(i64, B::Col), B> = HashMap::new();
-            for (coord, partial) in partials.collect() {
-                let out = merged.entry(coord).or_insert_with(|| B::zeros(n));
-                out.add_in_place(&partial);
-            }
-            let coords = (0..a_rows).flat_map(|i| (0..b_cols).map(move |j| (i, B::col_at(j))));
-            let blocks = coords
-                .map(|c| (c, merged.remove(&c).unwrap_or_else(|| B::zeros(n))))
-                .collect();
-            ctx.parallelize(blocks, partitions)
+    /// The combine `f(a, b)`; `None` is the plain product.
+    general: Option<FusedProgram>,
+}
+
+impl<B: Block> Contract<B> {
+    /// Block counts of the left-free, contracted and right-free dimensions.
+    fn grid(&self) -> (i64, i64, i64) {
+        let blocks = |extent: i64| (extent + self.n as i64 - 1) / self.n as i64;
+        (
+            blocks(self.a.rows),
+            blocks(self.a.cols),
+            blocks(self.b.cols),
+        )
+    }
+
+    /// `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)`, over the valid
+    /// extent of the block product.
+    fn multiply(&self) -> impl Fn(&DenseMatrix, &B, (i64, i64, i64), &mut B) + Clone + Send + Sync {
+        let (n, general) = (self.n as i64, self.general.clone());
+        let (a, b) = (self.a.transposed, self.b.transposed);
+        let extents = (self.a.rows, self.a.cols, self.b.cols);
+        move |av: &DenseMatrix, bv: &B, (i, k, j): (i64, i64, i64), out: &mut B| {
+            let valid = |block: i64, len: i64| (len - block * n).clamp(0, n) as usize;
+            let valid = (
+                valid(i, extents.0),
+                valid(k, extents.1),
+                valid(j, extents.2),
+            );
+            out.acc((av, a), (bv, b), general.as_ref(), valid);
         }
     }
 }
 
-/// §5.4's group-by-join as SUMMA: `C[i,j] = Σ_k L[i,k] ⊗ B[k,j]` in one
+/// §4's naive translation: one partial product block per (i, k, j), and
+/// every one of them crosses the shuffle inside a per-key list, no map-side
+/// combining — shipping the products is this plan's definition, so it is the
+/// one place that allocates a block per product.
+fn join_group_by<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    let lhs = c.a.blocks.map(|((i, k), t)| (k, (i, t)));
+    let rhs = c.b.blocks.map(|((k, j), t)| (k, (j, t)));
+    let (n, multiply) = (c.n, c.multiply());
+    lhs.join(&rhs, c.partitions)
+        .map(move |(k, ((i, av), (j, bv)))| {
+            let mut out = B::zeros(n);
+            multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
+            ((i, j), out)
+        })
+        .group_by_key(c.partitions)
+        .map_values(move |blocks| {
+            let mut acc = B::zeros(n);
+            blocks.into_iter().for_each(|t| acc.add_in_place(&t));
+            acc
+        })
+}
+
+/// §5.3 with §5.4's reduce shape: the join hands each map task `((i, j), (k,
+/// A_ik, B_kj))` pointer triples, and the reduceByKey's map-side combine
+/// multiplies them straight into the one resident block of their output key
+/// (`C_ij += A_ik · B_kj` on the tile kernel) — no product block is
+/// allocated, added and dropped. Accumulation order: a map task folds an
+/// output key's products in ascending contracted-block order (its cogroup
+/// records are sorted by `k` first; they hold pointers, so the sort is free),
+/// and the reduce side folds the map tasks' combiners in map-partition order.
+/// The result is a function of (inputs, partition count) only — not of
+/// source-partition layout, retry or chaos.
+fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    let lhs = c.a.blocks.map(|((i, k), t)| (k, (i, t)));
+    let rhs = c.b.blocks.map(|((k, j), t)| (k, (j, t)));
+    let triples = lhs
+        .cogroup(&rhs, c.partitions)
+        .map_partitions_stream(|_, records| {
+            let mut records = records.into_vec();
+            records.sort_by_key(|&(k, _)| k);
+            let mut triples = Vec::new();
+            for (k, (ls, rs)) in records {
+                for (i, av) in &ls {
+                    for (j, bv) in &rs {
+                        let at = (*i, k, B::col_index(*j));
+                        triples.push(((*i, *j), (at, av.clone(), bv.clone())));
+                    }
+                }
+            }
+            PartitionStream::from_vec(triples)
+        });
+    let (n, multiply) = (c.n, c.multiply());
+    let fold = move |out: &mut B, (at, av, bv): ((i64, i64, i64), DenseMatrix, B)| {
+        multiply(&av, &bv, at, out)
+    };
+    let seed = fold.clone();
+    let accumulate = Aggregator {
+        create: Arc::new(move |triple| {
+            let mut out = B::zeros(n);
+            seed(&mut out, triple);
+            out
+        }),
+        merge_value: Arc::new(fold),
+        merge_combiners: Arc::new(|acc: &mut B, t: B| acc.add_in_place(&t)),
+        map_side_combine: true,
+        merge_on_reduce: true,
+    };
+    triples.shuffle(
+        KeyPartitioner::hash(c.partitions),
+        accumulate,
+        "reduceByKey",
+    )
+}
+
+/// MLlib-style broadcast join: collect the smaller operand's blocks on the
+/// driver, keyed by the contracted block index, ship them to every task via
+/// [`Context::broadcast`], and compute locally-merged partial output blocks
+/// map-side — no join shuffle at all. The big side is only read: its stream
+/// is consumed by reference so shared source partitions are never cloned
+/// into the task.
+fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    let (n, multiply, ctx) = (c.n, c.multiply(), c.a.blocks.context());
+    if c.b_small {
+        let table = ctx.broadcast(by_contracted(c.b.blocks.collect(), |&(k, _)| k));
+        c.a.blocks.map_partitions_stream(move |_, tiles| {
+            let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+            tiles.for_each_ref(|((i, k), av)| {
+                for ((_, j), bv) in table.get(k).into_iter().flatten() {
+                    let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
+                    multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                }
+            });
+            PartitionStream::from_vec(acc.into_iter().collect())
+        })
+    } else {
+        let table = ctx.broadcast(by_contracted(c.a.blocks.collect(), |&(_, k)| k));
+        c.b.blocks.map_partitions_stream(move |_, blocks| {
+            let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+            blocks.for_each_ref(|((k, j), bv)| {
+                for ((i, _), av) in table.get(k).into_iter().flatten() {
+                    let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
+                    multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                }
+            });
+            PartitionStream::from_vec(acc.into_iter().collect())
+        })
+    }
+}
+
+/// The broadcast join's partials combined in a single reduceByKey round,
+/// where a contraction spans several partitions of the big side.
+fn broadcast<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    broadcast_partials(c)
+        .reduce_by_key_in_place(c.partitions, |acc: &mut B, t: B| acc.add_in_place(&t))
+}
+
+/// The zero-round broadcast: collect the partials and finish the merge on
+/// the driver. Every stage is an action or a source — no shuffle — and every
+/// output block exists, hit or not.
+fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    let mut merged: HashMap<(i64, B::Col), B> = HashMap::new();
+    for (coord, partial) in broadcast_partials(c).collect() {
+        let out = merged.entry(coord).or_insert_with(|| B::zeros(c.n));
+        out.add_in_place(&partial);
+    }
+    let (a_rows, _, b_cols) = c.grid();
+    let coords = (0..a_rows).flat_map(|i| (0..b_cols).map(move |j| (i, B::col_at(j))));
+    let blocks = coords
+        .map(|at| (at, merged.remove(&at).unwrap_or_else(|| B::zeros(c.n))))
+        .collect();
+    c.a.blocks.context().parallelize(blocks, c.partitions)
+}
+
+/// §5.4's group-by-join as SUMMA: `C[i,j] = Σ_k A[i,k] ⊗ B[k,j]` in one
 /// cogroup round whose reducers are the cells of the output's own grid
 /// partitioner ([`GridCells`] over `free_left x free_right` output blocks).
 /// A block travels once per reducer that needs it, not once per output block:
-/// `L[i,k]` to the `pc` cells its block row crosses — keyed `(i, first column
+/// `A[i,k]` to the `pc` cells its block row crosses — keyed `(i, first column
 /// of the cell)` — and `B[k,j]` to the `pr` cells its block column crosses —
 /// keyed `(first row of the cell, j)` — both pointer copies until a frame is
 /// encoded. Each reduce task then walks its cell's output keys and folds
-/// `acc(&mut C_ij, &L_ik, &B_kj, (i, k, j))` in ascending `k` into one
-/// resident block, skipping absent operand blocks: no partial sum is
-/// shuffled or merged, so every output element is one ascending chain over
-/// the contracted index — a function of the operands alone, not of partition
-/// count, source layout, retry or process count. The cell's blocks are
-/// emitted from the cell's partition, so the result carries the grid
-/// partitioner of its own shape and joins with co-indexed matrices narrowly.
-fn group_by_join<L, B>(
-    lefts: &Dataset<(TileCoord, L)>,
-    rights: &Blocks<B>,
-    (free_left, contracted, free_right): (i64, i64, i64),
-    n: usize,
-    partitions: usize,
-    acc: impl Fn(&mut B, &L, &B, (i64, i64, i64)) + Send + Sync + 'static,
-) -> Blocks<B>
-where
-    L: Data + SpillCodec,
-    B: Block,
-{
-    let cells = GridCells::new(free_left as usize, free_right as usize, partitions);
+/// `C_ij += A_ik ⊗ B_kj` in ascending `k` into one resident block, skipping
+/// absent operand blocks: no partial sum is shuffled or merged, so every
+/// output element is one ascending chain over the contracted index — a
+/// function of the operands alone, not of partition count, source layout,
+/// retry or process count. The cell's blocks are emitted from the cell's
+/// partition, so the result carries the grid partitioner of its own shape
+/// and joins with co-indexed matrices narrowly.
+fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
+    let (free_left, contracted, free_right) = c.grid();
+    let cells = GridCells::new(free_left as usize, free_right as usize, c.partitions);
     let row_anchors = cells.row_anchors();
     let col_anchors: Vec<B::Col> = cells.col_anchors().into_iter().map(B::col_at).collect();
-    let lefts = lefts.flat_map(move |((i, k), t)| {
+    let lefts = c.a.blocks.flat_map(move |((i, k), t)| {
         let replicas = col_anchors.iter().map(|&j| ((i, j), (k, t.clone())));
         replicas.collect::<Vec<_>>()
     });
-    let rights = rights.flat_map(move |((k, j), t)| {
+    let rights = c.b.blocks.flat_map(move |((k, j), t)| {
         let replicas = row_anchors.iter().map(|&i| ((i, j), (k, t.clone())));
         replicas.collect::<Vec<_>>()
     });
     let by_cell = cells.partitioner_by(|&(i, j): &(i64, B::Col)| (i, B::col_index(j)));
+    let (n, multiply) = (c.n, c.multiply());
     let reduced = lefts
         .cogroup_with(&rights, by_cell)
         .map_partitions_preserving("groupByJoin", move |cell, records| {
             let records = records.into_vec();
-            let mut l_at: HashMap<TileCoord, &L> = HashMap::new();
+            let mut a_at: HashMap<TileCoord, &DenseMatrix> = HashMap::new();
             let mut b_at: HashMap<TileCoord, &B> = HashMap::new();
             for ((i, j), (ls, rs)) in &records {
-                l_at.extend(ls.iter().map(|(k, t)| ((*i, *k), t)));
+                a_at.extend(ls.iter().map(|(k, t)| ((*i, *k), t)));
                 b_at.extend(rs.iter().map(|(k, t)| ((*k, B::col_index(*j)), t)));
             }
             let (rows, cols) = cells.bands(cell);
             let mut out = Vec::new();
             for i in rows {
                 for j in cols.clone() {
-                    let mut c = B::zeros(n);
+                    let mut acc = B::zeros(n);
                     for k in 0..contracted {
-                        if let (Some(l), Some(b)) = (l_at.get(&(i, k)), b_at.get(&(k, j))) {
-                            acc(&mut c, l, b, (i, k, j));
+                        if let (Some(a), Some(b)) = (a_at.get(&(i, k)), b_at.get(&(k, j))) {
+                            multiply(a, b, (i, k, j), &mut acc);
                         }
                     }
-                    out.push(((i, B::col_at(j)), c));
+                    out.push(((i, B::col_at(j)), acc));
                 }
             }
             PartitionStream::from_vec(out)
@@ -1056,23 +1016,6 @@ where
     // Persist it under the storage budget for as long as the result lives;
     // under memory pressure a second consumer re-multiplies instead.
     reduced.persist()
-}
-
-/// `group_by_join` over dense right and output tiles, for callers whose
-/// left tiles are stored some other way (`sac::linalg::multiply_sparse_left`
-/// ships them compressed): the same routing and the same reduce, with the
-/// caller's tile kernel as `acc`, called with the block coordinates
-/// `(i, k, j)` of its product. `dims` are the block counts of the left-free,
-/// contracted and right-free dimensions, `n` the tile size.
-pub fn group_by_join_tiles<L: Data + SpillCodec>(
-    lefts: &Dataset<(TileCoord, L)>,
-    rights: &Dataset<(TileCoord, DenseMatrix)>,
-    dims: (i64, i64, i64),
-    n: usize,
-    partitions: usize,
-    acc: impl Fn(&mut DenseMatrix, &L, &DenseMatrix, (i64, i64, i64)) + Send + Sync + 'static,
-) -> Dataset<(TileCoord, DenseMatrix)> {
-    group_by_join(lefts, rights, dims, n, partitions, acc)
 }
 
 /// Group collected blocks by their contracted block index.
@@ -1117,16 +1060,12 @@ fn map_elements(
 /// from the monoid's identity (`-0.0` for `+`, so the same bits as folding
 /// from the first element, as the reference interpreter does). The result is
 /// a function of the input and its tile size alone.
-fn exec_axis_reduce(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    input: &str,
-    by_row: bool,
-    monoid: Monoid,
-    value: &FusedProgram,
-    len: i64,
-) -> Result<TiledVector, CompError> {
-    let m = matrix_input(env, input)?;
+pub(crate) fn axis_reduce(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let (Node::AxisReduce(node), &OutputKind::Vector { len }) = (&plan.node, x.output) else {
+        return Err(x.mismatch(plan));
+    };
+    let (by_row, monoid, value) = (node.by_row, node.monoid, &node.value);
+    let m = matrix_input(x.env, &node.input)?;
     let expected = if by_row { m.rows() } else { m.cols() };
     if expected != len {
         return Err(CompError::plan(format!(
@@ -1162,7 +1101,7 @@ fn exec_axis_reduce(
         (coord, (along, block))
     });
     let blocks = partials
-        .group_by_key(config.partitions)
+        .group_by_key(x.config.partitions)
         .map_values(move |mut parts| {
             parts.sort_unstable_by_key(|&(along, _)| along);
             let mut parts = parts.into_iter().map(|(_, block)| block);
@@ -1174,7 +1113,7 @@ fn exec_axis_reduce(
             }
             acc
         });
-    Ok(TiledVector::new(len, n, blocks))
+    Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
 }
 
 /// A replica of a source tile for one output tile: the source coordinate,
@@ -1204,15 +1143,13 @@ type Replica = (TileCoord, DenseMatrix, Vec<(u32, u32)>);
 /// tables keep only the last source row (column) of each output row
 /// (column), and the per-element path keeps the largest source position per
 /// cell. Untouched cells are `+0.0`.
-fn exec_index_remap(
-    env: &PlanEnv,
-    config: &PlanConfig,
-    input: &str,
-    (fi, fj): (&IdxFn, &IdxFn),
-    value: &FusedProgram,
-    (rows, cols): (i64, i64),
-) -> Result<TiledMatrix, CompError> {
-    let m = matrix_input(env, input)?;
+pub(crate) fn index_remap(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let (Node::IndexRemap(node), &OutputKind::Matrix { rows, cols }) = (&plan.node, x.output)
+    else {
+        return Err(x.mismatch(plan));
+    };
+    let (fi, fj, value) = (&node.fi, &node.fj, &node.value);
+    let m = matrix_input(x.env, &node.input)?;
     let n = m.tile_size();
     let extent = (m.rows(), m.cols());
     let axes = AxisLanding::new(fi, fj, extent, (rows, cols))?.map(Arc::new);
@@ -1232,7 +1169,7 @@ fn exec_index_remap(
     });
 
     let ni = n as i64;
-    let cells = output_cells((rows, cols), n, config.partitions);
+    let cells = output_cells((rows, cols), n, x.config.partitions);
     let grouped = replicas.group_by_key_with(cells.partitioner_by(|&c: &TileCoord| c));
     let tiles = complete_grid(&grouped, cells, n, move |dest, replicas: Vec<Replica>| {
         let mut landing = DenseMatrix::zeros(n, n);
@@ -1260,7 +1197,7 @@ fn exec_index_remap(
         }
         landing
     });
-    Ok(TiledMatrix::new(rows, cols, n, tiles))
+    Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
 }
 
 /// The output tiles source tile `coord`'s elements land in under a
@@ -1469,7 +1406,7 @@ fn complete_grid<V: Data>(
     })
 }
 
-/// A [`Plan::GroupByAggregate`] node lowered against the environment:
+/// A `groupByAggregate` node lowered against the environment:
 /// everything the per-element fold reads.
 struct GroupFold {
     /// The per-element mini-comprehension `[ (key, (in_0, ..)) | quals ]`.
@@ -1489,15 +1426,8 @@ impl GroupFold {
     /// task: a name `mini` reads that neither the generator, its own ranges
     /// and lets, nor a planner scalar binds is the reference interpreter's
     /// `unbound variable` here, before any task is launched.
-    fn lower(
-        env: &PlanEnv,
-        gen_vars: &(String, String, String),
-        inner_quals: &[Qualifier],
-        key: &GroupKey,
-        key_expr: &Option<Expr>,
-        aggregates: &[Aggregate],
-        finalizer: &Expr,
-    ) -> Result<GroupFold, CompError> {
+    fn lower(env: &PlanEnv, node: &GroupByAggregate) -> Result<GroupFold, CompError> {
+        let aggregates = &node.aggregates;
         let (mut zeros, mut combines) = (Vec::new(), Vec::new());
         for a in aggregates {
             let (z, c) = monoid_f64(a.monoid)?;
@@ -1508,18 +1438,18 @@ impl GroupFold {
         zeros.push(0.0);
         combines.push(|a, b| a + b);
 
-        let (key_pat, key_value) = match key {
+        let (key_pat, key_value) = match &node.key {
             GroupKey::Cell(k1, k2) => (
                 Pattern::Tuple(vec![Pattern::Var(k1.clone()), Pattern::Var(k2.clone())]),
                 Expr::Tuple(vec![Expr::Var(k1.clone()), Expr::Var(k2.clone())]),
             ),
             GroupKey::Index(k) => (Pattern::Var(k.clone()), Expr::Var(k.clone())),
         };
-        let mut qualifiers = inner_quals.to_vec();
+        let mut qualifiers = node.inner_quals.clone();
         // When the key is an expression, the key pattern still needs binding
         // for any post-key uses; the fast plans have none, so only the value
         // matters.
-        let key_value = match key_expr {
+        let key_value = match &node.key_expr {
             Some(e) => {
                 qualifiers.push(Qualifier::Let(key_pat, e.clone()));
                 e.clone()
@@ -1533,7 +1463,7 @@ impl GroupFold {
         };
 
         let mut scalars = comp::Env::new();
-        let (rv, cv, vv) = gen_vars;
+        let (rv, cv, vv) = &node.gen_vars;
         for name in Expr::Comprehension(mini.clone()).free_vars() {
             match env.scalar(&name) {
                 Some(v) => scalars.bind(name, v.clone()),
@@ -1542,11 +1472,11 @@ impl GroupFold {
             }
         }
         let agg_slots: Vec<String> = (0..aggregates.len()).map(|i| format!("%agg{i}")).collect();
-        let finalizer = scalar::compile(finalizer, None, &agg_slots, agg_slots.len(), env)?;
+        let finalizer = scalar::compile(&node.finalizer, None, &agg_slots, agg_slots.len(), env)?;
         Ok(GroupFold {
             mini,
             scalars,
-            gen_vars: gen_vars.clone(),
+            gen_vars: node.gen_vars.clone(),
             zeros,
             combines,
             finalizer,
@@ -1633,15 +1563,15 @@ impl GroupFold {
 /// §5.3 generic plan: destinations are output tiles for matrix-shaped keys —
 /// reduced under the output's grid partitioner, which completes the grid in
 /// the same round — and output blocks for vector-shaped ones.
-fn exec_group_aggregate(
-    m: &TiledMatrix,
-    fold: GroupFold,
-    config: &PlanConfig,
-    output: &OutputKind,
-) -> Result<ExecResult, CompError> {
-    let n = m.tile_size();
+pub(crate) fn group_by_aggregate(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let Node::GroupByAggregate(node) = &plan.node else {
+        return Err(x.mismatch(plan));
+    };
+    let m = matrix_input(x.env, &node.input)?;
+    let fold = GroupFold::lower(x.env, node)?;
+    let (n, config) = (m.tile_size(), x.config);
     let ni = n as i64;
-    match *output {
+    match *x.output {
         OutputKind::Matrix { rows, cols } => {
             let cells = output_cells((rows, cols), n, config.partitions);
             let by_cell = cells.partitioner_by(|&c: &TileCoord| c);
@@ -1664,19 +1594,17 @@ fn exec_group_aggregate(
             });
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
-        OutputKind::Local => Err(local_output()),
+        OutputKind::Local => Err(x.mismatch(plan)),
     }
 }
 
 /// Fallback: sparsify every registered array, run the reference interpreter,
 /// rebuild the output storage.
-fn exec_local(
-    expr: &Expr,
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    output: &OutputKind,
-) -> Result<ExecResult, CompError> {
+pub(crate) fn local(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let Node::LocalFallback(expr) = &plan.node else {
+        return Err(x.mismatch(plan));
+    };
+    let (env, ctx, config, output) = (x.env, x.ctx, x.config, x.output);
     let mut cenv = comp::Env::new();
     for name in expr.free_vars() {
         if let Some(v) = env.scalar(&name) {
@@ -1784,6 +1712,7 @@ fn value_to_triplets(v: &Value) -> Result<Vec<((i64, i64), f64)>, CompError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatMulStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sparkline::ChaosPlan;

@@ -1,23 +1,26 @@
 //! # planner — comprehension-to-dataflow translation
 //!
 //! This crate implements the paper's §4–§5: it takes a (parsed, normalized)
-//! array comprehension over **tiled** arrays and selects a distributed plan:
+//! array comprehension over **tiled** arrays and selects a distributed plan.
+//! The translation rules are one table, `plan::PLAN_TABLE`: each row is a
+//! tag, the builder it serves, a pattern over the normalized statement, a
+//! cost and a lowering (`exec`), and a new plan shape is one row.
 //!
-//! | Paper rule | Plan |
+//! | Paper rule | Rows |
 //! |---|---|
-//! | §5.1 rule (17), tiling-preserving | [`Plan::FusedEltwise`] over matrices (`n x n` tiles) or vectors (`n x 1`) — one fused tile program ([`scalar::compile`]) |
-//! | §5.2 rule (19), index remap with tile replication | [`Plan::IndexRemap`] |
-//! | §5.3 group-by → tile `reduceByKey` (rule 13) | [`Plan::Contraction`] (ReduceByKey; matrix × matrix or matrix × vector), [`Plan::AxisReduce`], [`Plan::GroupByAggregate`] |
-//! | §5.4 group-by-join (SUMMA) | [`Plan::Contraction`] (GroupByJoin) |
+//! | §5.1 rule (17), tiling-preserving | `eltwise/fused` (`n x n` tiles), `vectorEltwise` (`n x 1`) — one fused tile program ([`scalar::compile`]) |
+//! | §5.2 rule (19), index remap with tile replication | `indexRemap` |
+//! | §5.3 group-by → tile `reduceByKey` (rule 13) | `contraction/reduceByKey`, `matVec`, `axisReduce` (Fig. 1), `groupByAggregate` |
+//! | §5.4 group-by-join (SUMMA) | `contraction/groupByJoin` |
+//! | §4 join + group-by; MLlib's broadcast join | `contraction/joinGroupBy`; `contraction/broadcast`, `matVec/broadcast` |
 //! | rule (14) join detection | [`analysis::VarClasses`] over equality guards |
 //! | rule (15) injective group-by elimination | applied in `comp::normalize` before planning |
+//! | — (semantics always win) | `localFallback`: the reference interpreter over sparsified arrays, with the reason every other row rejected the statement |
 //!
-//! A contraction's physical strategy is one row of the strategy table in
-//! [`plan`] (tag, operand kind, shuffle rounds, cost), chosen at plan time,
-//! re-chosen at the stage frontier (`stage::adapt`) and lowered by
-//! `exec::lower_contraction`. Comprehensions outside every rule fall back to
-//! the reference interpreter over sparsified arrays
-//! ([`Plan::LocalFallback`]) — semantics always win.
+//! The contraction rows share one pattern; among them a node takes the
+//! cheapest by estimated shuffle bytes at plan time, and the stage driver
+//! (`stage::adapt`) re-costs the same rows from measured statistics before
+//! the node is lowered.
 //!
 //! A translated loop program runs as one unit ([`program::run`]): its
 //! statements plan in order against one environment, an intermediate read
@@ -296,6 +299,7 @@ mod tests {
         // Diagonal extraction: not covered by a distributed rule.
         let src = "tiled_vector(n)[ (i, a) | ((i,j),a) <- A, i == j ]";
         assert_eq!(planned_strategy(src, &env), "localFallback");
+        c.trace();
         let got = run_text(src, &env, &c, &config())
             .unwrap()
             .into_vector()
@@ -304,6 +308,29 @@ mod tests {
         for (i, g) in got.iter().enumerate() {
             assert!((g - ms[0].get(i, i)).abs() < 1e-12);
         }
+        // The fall back is a traced decision that says why.
+        let chosen: Vec<_> = c
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                sparkline::Event::PlanChosen {
+                    chosen,
+                    est_shuffle_bytes,
+                    candidates,
+                    reason,
+                    ..
+                } => Some((chosen, est_shuffle_bytes, candidates, reason)),
+                _ => None,
+            })
+            .collect();
+        let [(tag, est, candidates, Some(reason))] = chosen.as_slice() else {
+            panic!("one fallback `plan_chosen` with a reason: {chosen:?}");
+        };
+        assert_eq!(
+            (tag.as_str(), *est, candidates.len()),
+            ("localFallback", 0, 0)
+        );
+        assert!(!reason.is_empty());
     }
 
     #[test]

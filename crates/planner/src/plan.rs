@@ -1,39 +1,21 @@
-//! Plan selection — the paper's translation rules as pattern matches over
-//! the decomposed comprehension.
+//! Plan selection — the paper's translation rules as one table.
 //!
-//! Dispatch order for `tiled(n,m)[ e | q ]`:
-//!
-//! 1. **FusedEltwise** (§5.1, rule 17) — every generator ranges over a
-//!    tiled matrix, generators are equated on both indices (rule 14 join
-//!    detection), and the head key is those indices (possibly swapped →
-//!    transpose). No shuffle beyond co-partitioning; the head value and
-//!    guards run as one fused tile program ([`crate::scalar::compile`]).
-//! 2. **Contraction** (§5.3 / §5.4) — two tiled generators joined on one
-//!    index, group-by over the two free indices, head `⊕/v` with
-//!    `v = f(a, b)`: matrix-multiplication-like. Translated to one row of
-//!    the strategy table (`StrategyRow`): join + tile-level `reduceByKey`
-//!    (rule 13), the **group-by-join** / SUMMA plan (§5.4), a broadcast
-//!    join, or §4's join + `groupByKey`.
-//! 3. **IndexRemap** (§5.2, rule 19) — one tiled generator, head key is an
-//!    arbitrary index map: tiles are replicated to the output tiles their
-//!    elements land in (the `I_f(K)` image sets), then regrouped.
-//! 4. **GroupByAggregate** (§5.3 general) — one tiled generator plus range
-//!    generators/guards and a group-by: the generic
-//!    replicate-and-`reduceByKey` translation with one accumulator plane per
-//!    aggregate (the product-of-monoids of §3). Covers stencils such as the
-//!    paper's smoothing example.
-//!
-//! `tiled_vector(n)[ e | q ]` dispatches to **AxisReduce** (Fig. 1 row
-//! sums), to the 1-D instances of Contraction (matrix × vector, the
-//! `free-right = 1` case) and FusedEltwise (co-indexed vectors, `n x 1`
-//! tiles), or to GroupByAggregate. Anything else falls back to the reference
-//! interpreter over sparsified arrays (`LocalFallback`), preserving
-//! semantics at the cost of distribution.
+//! Each row of `PLAN_TABLE` is a rule: a tag (the plan tag, the stage tag
+//! and the `plan_chosen` tag), the builder it serves, a pattern over the
+//! decomposed comprehension, a cost, and its lowering (`exec`). The first row
+//! whose pattern matches wins; among the rows that share that pattern — the
+//! §5.3/§5.4 contraction strategies — the cheapest eligible one is taken, the
+//! first on a tie ([`PlanConfig::matmul`] pins one instead). The catch-all
+//! row, `localFallback`, runs the reference interpreter over sparsified
+//! arrays and records why every other pattern rejected the statement. The
+//! `Node` variants say what each pattern covers. A new plan shape is one
+//! row.
 
 use crate::analysis::{
     decompose, extract_aggregates, inline_lets, Aggregate, Decomposed, GenKind, VarClasses,
 };
 use crate::env::{ArrayStats, DistArray, PlanEnv};
+use crate::exec::{self, Dataflow, ExecResult, Lowering};
 use crate::scalar::{self, IdxFn};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
@@ -66,8 +48,9 @@ pub enum MatMulStrategy {
     Auto,
 }
 
-/// The planner's record of one cost-based physical choice, carried on the
-/// plan node so execution can emit it as a `plan.chosen` event.
+/// The planner's record of one decision — a cost-based physical choice, or
+/// the fall back to the reference interpreter — carried on the plan so
+/// execution can emit it as a `plan_chosen` event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanDecision {
     /// Chosen strategy tag, e.g. `contraction/broadcast`.
@@ -79,6 +62,9 @@ pub struct PlanDecision {
     /// Every candidate considered, with its estimated shuffle bytes
     /// (ineligible candidates — e.g. broadcast over budget — are absent).
     pub candidates: Vec<(&'static str, u64)>,
+    /// Why every distributed row rejected the statement, for the catch-all
+    /// row; `None` for a cost-based choice.
+    pub reason: Option<String>,
 }
 
 /// Planner configuration.
@@ -96,8 +82,6 @@ pub struct PlanConfig {
     /// Largest operand (estimated bytes) the broadcast contraction path may
     /// ship to every executor.
     pub broadcast_budget: u64,
-    /// Threads for intra-tile kernels (the paper's `.par`); 1 = sequential.
-    pub tile_threads: usize,
 }
 
 impl Default for PlanConfig {
@@ -106,7 +90,6 @@ impl Default for PlanConfig {
             partitions: 0,
             matmul: MatMulStrategy::Auto,
             broadcast_budget: 1 << 20,
-            tile_threads: 1,
         }
     }
 }
@@ -128,86 +111,103 @@ pub enum GroupKey {
     Index(String),
 }
 
-/// A selected physical plan.
+/// The node a row's pattern builds: what its lowering reads.
 #[derive(Clone)]
-pub enum Plan {
-    /// §5.1 element-wise over co-indexed tiled matrices — or tiled vectors,
-    /// rule 17's 1-D instance, each block an `n x 1` tile: the whole region
-    /// (value, guard masking, scalar constants) collapsed into one postfix
-    /// tile program, executed as a single kernel pass per tile by
-    /// `tiled::kernel::fused_eltwise`.
-    FusedEltwise {
-        /// Input array names, in slot order.
-        inputs: Vec<String>,
-        /// The inputs and the output are tiled vectors.
-        vector: bool,
-        /// Head key is `(col, row)` — transpose the output.
-        transposed: bool,
-        /// Constant-folded program over slots
-        /// `[val_0, ..., val_{k-1}, row, col]`; a vector's index is `row`.
-        program: FusedProgram,
-        /// Post-order operator tags of the source region (from the
-        /// normalized comprehension head), for the `region_fused` event.
-        region_ops: Vec<String>,
-    },
-    /// §5.3/§5.4 contraction (matrix multiplication shaped). `right` names a
-    /// tiled matrix, or — `y_i = Σ_k f(A_ik, x_k)`, the `free-right = 1`
-    /// case — a tiled vector, for which `right_contract_col` and
-    /// `swap_output` are false.
-    Contraction {
-        left: String,
-        right: String,
-        /// The contracted index of the left input is its **row** (so the
-        /// left operand must be transposed tile-wise first).
-        left_contract_row: bool,
-        /// The contracted index of the right input is its **column**.
-        right_contract_col: bool,
-        /// Head key is `(right_free, left_free)` — transpose the result.
-        swap_output: bool,
-        /// Element combine over slots `[a, b]` (must reduce with `+`).
-        value: FusedProgram,
-        /// Resolved physical strategy (never [`MatMulStrategy::Auto`]).
-        strategy: MatMulStrategy,
-        /// How the strategy was chosen (candidate cost estimates); its
-        /// `chosen` tag names the node.
-        decision: PlanDecision,
-    },
-    /// Fig. 1 row/column reduction to a tiled vector.
-    AxisReduce {
-        input: String,
-        /// Group by the row index (true) or the column index (false).
-        by_row: bool,
-        monoid: Monoid,
-        /// Per-element input over slots `[val, row, col]`.
-        value: FusedProgram,
-    },
-    /// §5.2 rule 19: element-wise index remap with tile replication.
-    IndexRemap {
-        input: String,
-        /// Destination row index over slots `[i, j]`.
-        fi: IdxFn,
-        /// Destination column index over slots `[i, j]`.
-        fj: IdxFn,
-        /// Value over slots `[val, i, j]`.
-        value: FusedProgram,
-    },
-    /// §5.3 generic single-input group-by with aggregate planes.
-    GroupByAggregate {
-        input: String,
-        /// The matrix generator's bound names `(row, col, val)`.
-        gen_vars: (String, String, String),
-        /// Qualifiers between the generator and the group-by (ranges,
-        /// lets, guards), evaluated per element by the reference evaluator.
-        inner_quals: Vec<Qualifier>,
-        key: GroupKey,
-        /// Optional key expression (`group by p: e`).
-        key_expr: Option<Expr>,
-        aggregates: Vec<Aggregate>,
-        /// Finalizer over `%aggN` slots.
-        finalizer: Expr,
-    },
+pub(crate) enum Node {
+    FusedEltwise(Eltwise),
+    Contraction(Contraction),
+    AxisReduce(AxisReduce),
+    IndexRemap(IndexRemap),
+    GroupByAggregate(GroupByAggregate),
     /// Reference interpreter over sparsified arrays.
-    LocalFallback { expr: Expr },
+    LocalFallback(Expr),
+}
+
+/// §5.1 element-wise over co-indexed tiled matrices — or tiled vectors,
+/// rule 17's 1-D instance, each block an `n x 1` tile: the whole region
+/// (value, guard masking, scalar constants) collapsed into one postfix tile
+/// program, executed as a single kernel pass per tile by
+/// `tiled::kernel::fused_eltwise`.
+#[derive(Clone)]
+pub(crate) struct Eltwise {
+    /// Input array names, in slot order.
+    pub inputs: Vec<String>,
+    /// Head key is `(col, row)` — transpose the output.
+    pub transposed: bool,
+    /// Constant-folded program over slots
+    /// `[val_0, ..., val_{k-1}, row, col]`; a vector's index is `row`.
+    pub program: FusedProgram,
+    /// Post-order operator tags of the source region (from the normalized
+    /// comprehension head), for the `region_fused` event.
+    pub region_ops: Vec<String>,
+}
+
+/// §5.3/§5.4 contraction (matrix multiplication shaped). `right` names a
+/// tiled matrix, or — `y_i = Σ_k f(A_ik, x_k)`, the `free-right = 1` case —
+/// a tiled vector, for which `right_contract_col` and `swap_output` are
+/// false.
+#[derive(Clone)]
+pub(crate) struct Contraction {
+    pub left: String,
+    pub right: String,
+    /// The contracted index of the left input is its **row** (so the left
+    /// operand must be transposed tile-wise first).
+    pub left_contract_row: bool,
+    /// The contracted index of the right input is its **column**.
+    pub right_contract_col: bool,
+    /// Head key is `(right_free, left_free)` — transpose the result.
+    pub swap_output: bool,
+    /// Element combine over slots `[a, b]` (must reduce with `+`).
+    pub value: FusedProgram,
+}
+
+/// Fig. 1 row/column reduction to a tiled vector.
+#[derive(Clone)]
+pub(crate) struct AxisReduce {
+    pub input: String,
+    /// Group by the row index (true) or the column index (false).
+    pub by_row: bool,
+    pub monoid: Monoid,
+    /// Per-element input over slots `[val, row, col]`.
+    pub value: FusedProgram,
+}
+
+/// §5.2 rule 19: element-wise index remap with tile replication.
+#[derive(Clone)]
+pub(crate) struct IndexRemap {
+    pub input: String,
+    /// Destination row index over slots `[i, j]`.
+    pub fi: IdxFn,
+    /// Destination column index over slots `[i, j]`.
+    pub fj: IdxFn,
+    /// Value over slots `[val, i, j]`.
+    pub value: FusedProgram,
+}
+
+/// §5.3 generic single-input group-by with aggregate planes.
+#[derive(Clone)]
+pub(crate) struct GroupByAggregate {
+    pub input: String,
+    /// The matrix generator's bound names `(row, col, val)`.
+    pub gen_vars: (String, String, String),
+    /// Qualifiers between the generator and the group-by (ranges, lets,
+    /// guards), evaluated per element by the reference evaluator.
+    pub inner_quals: Vec<Qualifier>,
+    pub key: GroupKey,
+    /// Optional key expression (`group by p: e`).
+    pub key_expr: Option<Expr>,
+    pub aggregates: Vec<Aggregate>,
+    /// Finalizer over `%aggN` slots.
+    pub finalizer: Expr,
+}
+
+/// A selected physical plan: a node and the table row that chose it.
+#[derive(Clone)]
+pub struct Plan {
+    pub(crate) row: &'static PlanRow,
+    pub(crate) node: Node,
+    /// The decision the plan records (see [`Plan::decision`]).
+    pub(crate) decision: Option<PlanDecision>,
 }
 
 /// A plan plus its output shape.
@@ -222,35 +222,26 @@ impl Plan {
     /// reference (a name appearing twice means the plan evaluates that
     /// input's lineage twice — the signal the auto-persist pass looks for).
     pub fn input_names(&self) -> Vec<&str> {
-        match self {
-            Plan::FusedEltwise { inputs, .. } => inputs.iter().map(String::as_str).collect(),
-            Plan::Contraction { left, right, .. } => vec![left, right],
-            Plan::AxisReduce { input, .. }
-            | Plan::IndexRemap { input, .. }
-            | Plan::GroupByAggregate { input, .. } => vec![input],
-            Plan::LocalFallback { .. } => vec![],
+        match &self.node {
+            Node::FusedEltwise(n) => n.inputs.iter().map(String::as_str).collect(),
+            Node::Contraction(n) => vec![&n.left, &n.right],
+            Node::AxisReduce(AxisReduce { input, .. })
+            | Node::IndexRemap(IndexRemap { input, .. })
+            | Node::GroupByAggregate(GroupByAggregate { input, .. }) => vec![input],
+            Node::LocalFallback(_) => vec![],
         }
     }
 
-    /// Human-readable strategy name (used by plan-shape tests and explain).
+    /// The tag of the row that chose the plan (used by plan-shape tests and
+    /// explain).
     pub fn strategy_name(&self) -> &'static str {
-        match self {
-            Plan::FusedEltwise { vector: false, .. } => "eltwise/fused",
-            Plan::FusedEltwise { .. } => "vectorEltwise",
-            Plan::Contraction { decision, .. } => decision.chosen,
-            Plan::AxisReduce { .. } => "axisReduce",
-            Plan::IndexRemap { .. } => "indexRemap",
-            Plan::GroupByAggregate { .. } => "groupByAggregate",
-            Plan::LocalFallback { .. } => "localFallback",
-        }
+        self.row.tag
     }
 
-    /// The cost-based decision record, for plans that make one.
+    /// The decision record of a row that decides: a contraction row's
+    /// cost-based choice, or the catch-all row's reason.
     pub fn decision(&self) -> Option<&PlanDecision> {
-        match self {
-            Plan::Contraction { decision, .. } => Some(decision),
-            _ => None,
-        }
+        self.decision.as_ref()
     }
 }
 
@@ -266,35 +257,45 @@ impl Planned {
     }
 }
 
-/// Plan a (possibly unnormalized) comprehension expression. A comprehension
-/// no distributed rule covers runs on the driver-side reference interpreter
-/// ([`Plan::LocalFallback`]).
+/// Plan a (possibly unnormalized) comprehension expression: the first row of
+/// `PLAN_TABLE` whose pattern matches, costed against the rows that share
+/// its pattern. A comprehension no distributed row covers runs on the
+/// driver-side reference interpreter (the `localFallback` row).
 pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, CompError> {
     let expr = normalize(expr.clone());
-    let mut output = OutputKind::Local;
-    let mut plan = None;
-    if let Expr::Build {
+    let not_tiled = || Err(CompError::plan("not a tiled or tiled_vector builder"));
+    let (output, body) = match &expr {
+        Expr::Build {
+            builder,
+            args,
+            body,
+        } => match (builder.as_str(), args.as_slice()) {
+            ("tiled", [rows, cols]) => {
+                let (rows, cols) = (eval_dim(rows, env)?, eval_dim(cols, env)?);
+                (OutputKind::Matrix { rows, cols }, decompose_body(body, env))
+            }
+            ("tiled_vector", [len]) => {
+                let len = eval_dim(len, env)?;
+                (OutputKind::Vector { len }, decompose_body(body, env))
+            }
+            _ => (OutputKind::Local, not_tiled()),
+        },
+        _ => (OutputKind::Local, not_tiled()),
+    };
+    let builder = match (&body, &output) {
+        (Ok(_), OutputKind::Matrix { .. }) => Builder::Matrix,
+        (Ok(_), OutputKind::Vector { .. }) => Builder::Vector,
+        _ => Builder::Any,
+    };
+    let rejected = Vec::new();
+    let statement = Statement {
+        expr,
         builder,
-        args,
         body,
-    } = &expr
-    {
-        output = match (builder.as_str(), args.as_slice()) {
-            ("tiled", [rows, cols]) => OutputKind::Matrix {
-                rows: eval_dim(rows, env)?,
-                cols: eval_dim(cols, env)?,
-            },
-            ("tiled_vector", [len]) => OutputKind::Vector {
-                len: eval_dim(len, env)?,
-            },
-            _ => OutputKind::Local,
-        };
-        if output != OutputKind::Local {
-            let vector = matches!(output, OutputKind::Vector { .. });
-            plan = plan_body(body, env, config, vector).ok();
-        }
-    }
-    let plan = plan.unwrap_or(Plan::LocalFallback { expr });
+        env,
+        rejected,
+    };
+    let plan = select(statement, config);
     Ok(Planned { plan, output })
 }
 
@@ -315,6 +316,69 @@ fn eval_dim(e: &Expr, env: &PlanEnv) -> Result<i64, CompError> {
     }
 }
 
+/// Which builders a row serves: `tiled`, `tiled_vector`, either, or every
+/// statement. A statement is `Matrix` or `Vector` when its body decomposes
+/// into a comprehension the distributed patterns read, and `Any` otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builder {
+    Matrix,
+    Vector,
+    Tiled,
+    Any,
+}
+
+impl Builder {
+    fn serves(self, statement: Builder) -> bool {
+        let tiled = self == Builder::Tiled && statement != Builder::Any;
+        self == statement || self == Builder::Any || tiled
+    }
+}
+
+/// One normalized statement as the rows' patterns see it.
+pub(crate) struct Statement<'a> {
+    /// The normalized expression (the catch-all row's node).
+    expr: Expr,
+    builder: Builder,
+    /// The decomposed builder body, or why there is none.
+    body: Result<Decomposed, CompError>,
+    env: &'a PlanEnv,
+    /// `pattern: reason` of every pattern that rejected the statement.
+    rejected: Vec<String>,
+}
+
+impl Statement<'_> {
+    fn body(&self) -> Result<&Decomposed, CompError> {
+        self.body.as_ref().map_err(Clone::clone)
+    }
+
+    fn vector(&self) -> bool {
+        self.builder == Builder::Vector
+    }
+
+    /// Why no distributed row covers the statement.
+    fn reason(&self) -> String {
+        match &self.body {
+            Err(why) => why.message.clone(),
+            Ok(_) => self.rejected.join("; "),
+        }
+    }
+}
+
+/// Decompose a builder body for the distributed patterns.
+fn decompose_body(body: &Expr, env: &PlanEnv) -> Result<Decomposed, CompError> {
+    let Expr::Comprehension(c) = body else {
+        return Err(CompError::plan("builder body must be a comprehension"));
+    };
+    let mut d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
+    d.head = inline_lets(&d.head, &d.lets);
+    if d.post_group_quals > 0 {
+        return Err(CompError::plan(
+            "qualifiers after group-by are not supported by distributed plans",
+        ));
+    }
+    Ok(d)
+}
+
 /// Head must be `(key, value)`.
 fn split_head(head: &Expr) -> Result<(&Expr, &Expr), CompError> {
     match head {
@@ -333,34 +397,163 @@ fn gen_kind(env: &PlanEnv) -> impl Fn(&str) -> GenKind + '_ {
     }
 }
 
-/// Try the translation rules on a builder body, in dispatch order; `vector`
-/// is the builder kind (`tiled_vector` rather than `tiled`).
-fn plan_body(
-    body: &Expr,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    vector: bool,
-) -> Result<Plan, CompError> {
-    let Expr::Comprehension(c) = body else {
-        return Err(CompError::plan("builder body must be a comprehension"));
-    };
-    let mut d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
-    d.head = inline_lets(&d.head, &d.lets);
-    if d.post_group_quals > 0 {
-        return Err(CompError::plan(
-            "qualifiers after group-by are not supported by distributed plans",
-        ));
+// ---------------------------------------------------------------------------
+// The plan table.
+// ---------------------------------------------------------------------------
+
+/// A pattern over the normalized statement — the node it covers, or why not
+/// — and its name in a fallback's reason. The rows that share a pattern (the
+/// contraction strategies) share its static.
+pub(crate) struct Matcher(&'static str, fn(&Statement) -> Result<Node, CompError>);
+
+static ELTWISE: Matcher = Matcher("eltwise", plan_eltwise);
+static CONTRACTION: Matcher = Matcher("contraction", plan_contraction);
+static AXIS_REDUCE: Matcher = Matcher("axisReduce", plan_axis_reduce);
+static INDEX_REMAP: Matcher = Matcher("indexRemap", plan_index_remap);
+static GROUP_BY_AGGREGATE: Matcher = Matcher("groupByAggregate", plan_group_by_aggregate);
+static ANY: Matcher = Matcher("localFallback", plan_local);
+
+/// One rule of the planner.
+pub(crate) struct PlanRow {
+    /// The plan tag, the stage tag and the `plan_chosen` tag.
+    pub tag: &'static str,
+    builder: Builder,
+    pattern: &'static Matcher,
+    /// A contraction row's strategy; `None` for a row alone in its pattern.
+    pub strategy: Option<Strategy>,
+    pub lower: fn(&Plan, &Lowering) -> Result<ExecResult, CompError>,
+}
+
+/// One physical contraction strategy: the pin that selects it, its cost and
+/// its dataflow.
+pub(crate) struct Strategy {
+    pub pin: MatMulStrategy,
+    /// Shuffles of the dataflow (a join or cogroup shuffles each side), each
+    /// costed [`ROUND_COST`]. The zero-round row merges on the driver.
+    rounds: u64,
+    /// Estimated shuffled bytes; `None` when the shape is ineligible.
+    bytes: fn(&ContractionShape, &PlanConfig) -> Option<u64>,
+    pub dataflow: Dataflow,
+}
+
+impl PlanRow {
+    /// `other` shares this row's pattern and builder: the two are candidates
+    /// of one cost-based choice.
+    fn alike(&self, other: &PlanRow) -> bool {
+        std::ptr::eq(self.pattern, other.pattern) && self.builder == other.builder
     }
-    if vector {
-        plan_axis_reduce(&d, env)
-            .or_else(|_| plan_contraction(&d, env, config, true))
-            .or_else(|_| plan_eltwise(&d, env, true))
-            .or_else(|_| plan_group_by_aggregate(&d, true))
-    } else if d.group_by.is_none() {
-        plan_eltwise(&d, env, false).or_else(|_| plan_index_remap(&d, env))
-    } else {
-        plan_contraction(&d, env, config, false).or_else(|_| plan_group_by_aggregate(&d, false))
+}
+
+/// The planner: every row, in the order patterns are tried. The rows of one
+/// pattern are consecutive, in tie-break order (fewer rounds first).
+#[rustfmt::skip]
+static PLAN_TABLE: [PlanRow; 12] = {
+    use exec::{BROADCAST, BROADCAST_TO_DRIVER, GROUP_BY_JOIN, JOIN_GROUP_BY, REDUCE_BY_KEY};
+    use Builder::{Any, Matrix, Tiled, Vector};
+    use MatMulStrategy::{Broadcast, GroupByJoin, JoinGroupBy, ReduceByKey};
+    [
+        PlanRow { tag: "eltwise/fused", builder: Matrix, pattern: &ELTWISE, strategy: None,
+            lower: exec::eltwise },
+        PlanRow { tag: "vectorEltwise", builder: Vector, pattern: &ELTWISE, strategy: None,
+            lower: exec::eltwise },
+        PlanRow { tag: "contraction/broadcast", builder: Matrix, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: Broadcast, rounds: 1,
+                bytes: broadcast_bytes, dataflow: BROADCAST }),
+            lower: exec::contraction },
+        PlanRow { tag: "contraction/groupByJoin", builder: Matrix, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: GroupByJoin, rounds: 2,
+                bytes: group_by_join_bytes, dataflow: GROUP_BY_JOIN }),
+            lower: exec::contraction },
+        PlanRow { tag: "contraction/reduceByKey", builder: Matrix, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: ReduceByKey, rounds: 3,
+                bytes: reduce_by_key_bytes, dataflow: REDUCE_BY_KEY }),
+            lower: exec::contraction },
+        PlanRow { tag: "contraction/joinGroupBy", builder: Matrix, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: JoinGroupBy, rounds: 3,
+                bytes: join_group_by_bytes, dataflow: JOIN_GROUP_BY }),
+            lower: exec::contraction },
+        PlanRow { tag: "matVec/broadcast", builder: Vector, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: Broadcast, rounds: 0,
+                bytes: broadcast_bytes, dataflow: BROADCAST_TO_DRIVER }),
+            lower: exec::contraction },
+        PlanRow { tag: "matVec", builder: Vector, pattern: &CONTRACTION,
+            strategy: Some(Strategy { pin: ReduceByKey, rounds: 3,
+                bytes: reduce_by_key_bytes, dataflow: REDUCE_BY_KEY }),
+            lower: exec::contraction },
+        PlanRow { tag: "axisReduce", builder: Vector, pattern: &AXIS_REDUCE, strategy: None,
+            lower: exec::axis_reduce },
+        PlanRow { tag: "indexRemap", builder: Matrix, pattern: &INDEX_REMAP, strategy: None,
+            lower: exec::index_remap },
+        PlanRow { tag: "groupByAggregate", builder: Tiled, pattern: &GROUP_BY_AGGREGATE,
+            strategy: None, lower: exec::group_by_aggregate },
+        PlanRow { tag: "localFallback", builder: Any, pattern: &ANY, strategy: None,
+            lower: exec::local },
+    ]
+};
+
+/// The first row serving the statement's builder whose pattern matches. A
+/// pattern is tried once for all the rows that share it, and the reason it
+/// rejects is kept for the catch-all row.
+fn select(mut statement: Statement, config: &PlanConfig) -> Plan {
+    let mut tried: Option<&Matcher> = None;
+    let serving = PLAN_TABLE
+        .iter()
+        .filter(|r| r.builder.serves(statement.builder));
+    for row in serving {
+        if tried.is_some_and(|pattern| std::ptr::eq(pattern, row.pattern)) {
+            continue;
+        }
+        tried = Some(row.pattern);
+        match (row.pattern.1)(&statement) {
+            Ok(node) => return Plan::chosen(row, node, &statement, config),
+            Err(why) => {
+                let reason = format!("{}: {}", row.pattern.0, why.message);
+                statement.rejected.push(reason);
+            }
+        }
     }
+    unreachable!("the catch-all row matches every statement")
+}
+
+impl Plan {
+    /// The plan of the node `row`'s pattern built. A strategy row's node is
+    /// costed against every row of its pattern; the catch-all row records
+    /// why the others rejected the statement.
+    fn chosen(
+        row: &'static PlanRow,
+        node: Node,
+        statement: &Statement,
+        config: &PlanConfig,
+    ) -> Plan {
+        let (row, decision) = match &node {
+            Node::Contraction(_) if row.strategy.is_some() => {
+                let (row, decision) = choose(row, statement.env, &node, config);
+                (row, Some(decision))
+            }
+            _ if row.builder == Builder::Any => {
+                let decision = PlanDecision {
+                    chosen: row.tag,
+                    auto: true,
+                    est_shuffle_bytes: 0,
+                    candidates: Vec::new(),
+                    reason: Some(statement.reason()),
+                };
+                (row, Some(decision))
+            }
+            _ => (row, None),
+        };
+        Plan {
+            row,
+            node,
+            decision,
+        }
+    }
+}
+
+/// The catch-all pattern: every statement, as the reference interpreter
+/// runs it.
+fn plan_local(statement: &Statement) -> Result<Node, CompError> {
+    Ok(Node::LocalFallback(statement.expr.clone()))
 }
 
 /// Compile an elementwise head value masked by its guards (conjoined)
@@ -400,7 +593,8 @@ fn eq_guard(x: &str, y: &str) -> Expr {
 /// §5.1 rule 17, over tiled matrices or — `vector` — tiled vectors: every
 /// generator is a tiled array of the one kind, all are equated on every
 /// index, and the head key is those indices.
-fn plan_eltwise(d: &Decomposed, env: &PlanEnv, vector: bool) -> Result<Plan, CompError> {
+fn plan_eltwise(s: &Statement) -> Result<Node, CompError> {
+    let (d, env, vector) = (s.body()?, s.env, s.vector());
     // Each generator as (name, value variable, index variables).
     let gens: Vec<(&String, &String, Vec<&String>)> = if vector {
         d.vector_gens
@@ -472,24 +666,19 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, vector: bool) -> Result<Plan, Com
         .map(|g| canon(&g))
         .collect();
     let (program, region_ops) = fuse_head(&canon(value_expr), guards, &slots, gens.len(), env)?;
-    Ok(Plan::FusedEltwise {
+    Ok(Node::FusedEltwise(Eltwise {
         inputs: gens.iter().map(|g| g.0.clone()).collect(),
-        vector,
         transposed,
         program,
         region_ops,
-    })
+    }))
 }
 
 /// §5.3/§5.4 contraction: a tiled matrix joined on one index with a second
 /// tiled matrix, grouped by the two free indices — or, `vector`, with a
 /// tiled vector, grouped by the matrix's free index.
-fn plan_contraction(
-    d: &Decomposed,
-    env: &PlanEnv,
-    config: &PlanConfig,
-    vector: bool,
-) -> Result<Plan, CompError> {
+fn plan_contraction(s: &Statement) -> Result<Node, CompError> {
+    let (d, env, vector) = (s.body()?, s.env, s.vector());
     if !d.range_gens.is_empty() || !d.other_guards.is_empty() || d.var_equalities.len() != 1 {
         return Err(CompError::plan(
             "a contraction has exactly the contracted-index equality",
@@ -554,26 +743,18 @@ fn plan_contraction(
     };
     let slots = vec![a.val.clone(), b_val.clone()];
     let value = scalar::compile(inner, None, &slots, slots.len(), env)?;
-    let operands = (
-        (&*a.name, left_contract_row),
-        (&**b_name, right_contract_col),
-    );
-    let shape = ContractionShape::of(env, operands, vector);
-    let (strategy, decision) = decide(shape.as_ref(), vector, config)?;
-    Ok(Plan::Contraction {
+    Ok(Node::Contraction(Contraction {
         left: a.name.clone(),
         right: b_name.clone(),
         left_contract_row,
         right_contract_col,
         swap_output,
         value,
-        strategy,
-        decision,
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------------
-// The strategy table: every physical contraction strategy, defined once.
+// The cost column of the contraction rows, in bytes.
 // ---------------------------------------------------------------------------
 
 /// Fixed per-shuffle-round cost, in byte equivalents. A pure byte model
@@ -590,8 +771,7 @@ const NOMINAL_PARTITIONS: u64 = 8;
 /// model sees it, in blocks and bytes. A vector right operand is the
 /// `free_right = 1` case whose output blocks are vector blocks.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ContractionShape {
-    vector: bool,
+struct ContractionShape {
     /// Block counts of the left-free, contracted and right-free dimensions.
     free_left: u64,
     contracted: u64,
@@ -610,20 +790,18 @@ impl ContractionShape {
     /// Orient the contraction of `left` with `right` — each a name and
     /// whether its *non-standard* index is the contracted one
     /// (`left_contract_row`, `right_contract_col`) — from the statistics
-    /// `env` holds for them; `None` when either has none. Re-invoked by the
-    /// stage driver with measured stats overlaid on `env`.
-    pub(crate) fn of(
-        env: &PlanEnv,
-        ((left, left_contract_row), (right, right_contract_col)): ((&str, bool), (&str, bool)),
-        vector: bool,
-    ) -> Option<ContractionShape> {
-        let (sa, sb) = (env.stats(left)?, env.stats(right)?);
-        let (free_left, contracted) = if left_contract_row {
+    /// `env` holds for them; `None` when either has none.
+    fn of(env: &PlanEnv, node: &Node, vector: bool) -> Option<ContractionShape> {
+        let Node::Contraction(n) = node else {
+            return None;
+        };
+        let (sa, sb) = (env.stats(&n.left)?, env.stats(&n.right)?);
+        let (free_left, contracted) = if n.left_contract_row {
             (sa.block_cols, sa.block_rows)
         } else {
             (sa.block_rows, sa.block_cols)
         };
-        let free_right = if right_contract_col {
+        let free_right = if n.right_contract_col {
             sb.block_rows
         } else {
             sb.block_cols
@@ -639,7 +817,6 @@ impl ContractionShape {
             )
         };
         Some(ContractionShape {
-            vector,
             free_left: free_left as u64,
             contracted: contracted as u64,
             free_right: free_right as u64,
@@ -649,76 +826,6 @@ impl ContractionShape {
             out_block,
         })
     }
-}
-
-/// One physical contraction strategy: what it is called, which operand kind
-/// it lowers, and what it costs. `exec::lower_contraction` holds one
-/// dataflow per [`MatMulStrategy`]; everything else a strategy is lives in
-/// its row, read by plan-time [`decide`], by the stage driver
-/// ([`crate::stage::adapt`]) and by `execute`.
-pub(crate) struct StrategyRow {
-    pub strategy: MatMulStrategy,
-    /// Plan-node and stage tag.
-    pub tag: &'static str,
-    /// Lowers matrix × vector rather than matrix × matrix.
-    pub vector: bool,
-    /// Shuffles of the lowering (a join or cogroup shuffles each side), each
-    /// costed [`ROUND_COST`]. The zero-round row merges on the driver.
-    pub rounds: u64,
-    /// Estimated shuffled bytes; `None` when the shape is ineligible.
-    bytes: fn(&ContractionShape, &PlanConfig) -> Option<u64>,
-}
-
-/// The table, per operand kind in tie-break preference order (fewer rounds
-/// first): the first of equally cheap candidates wins.
-static STRATEGIES: [StrategyRow; 6] = [
-    StrategyRow {
-        strategy: MatMulStrategy::Broadcast,
-        tag: "contraction/broadcast",
-        vector: false,
-        rounds: 1,
-        bytes: broadcast_bytes,
-    },
-    StrategyRow {
-        strategy: MatMulStrategy::GroupByJoin,
-        tag: "contraction/groupByJoin",
-        vector: false,
-        rounds: 2,
-        bytes: group_by_join_bytes,
-    },
-    StrategyRow {
-        strategy: MatMulStrategy::ReduceByKey,
-        tag: "contraction/reduceByKey",
-        vector: false,
-        rounds: 3,
-        bytes: reduce_by_key_bytes,
-    },
-    StrategyRow {
-        strategy: MatMulStrategy::JoinGroupBy,
-        tag: "contraction/joinGroupBy",
-        vector: false,
-        rounds: 3,
-        bytes: join_group_by_bytes,
-    },
-    StrategyRow {
-        strategy: MatMulStrategy::Broadcast,
-        tag: "matVec/broadcast",
-        vector: true,
-        rounds: 0,
-        bytes: broadcast_bytes,
-    },
-    StrategyRow {
-        strategy: MatMulStrategy::ReduceByKey,
-        tag: "matVec",
-        vector: true,
-        rounds: 3,
-        bytes: reduce_by_key_bytes,
-    },
-];
-
-/// The table rows lowering this operand kind.
-fn rows(vector: bool) -> impl Iterator<Item = &'static StrategyRow> {
-    STRATEGIES.iter().filter(move |r| r.vector == vector)
 }
 
 /// Broadcast: ship the small side everywhere, partial output blocks
@@ -771,70 +878,78 @@ fn join_group_by_bytes(s: &ContractionShape, _: &PlanConfig) -> Option<u64> {
     Some(s.left_bytes + s.right_bytes + products * s.out_block)
 }
 
-/// The row lowering `strategy` for this operand kind, if the table has one.
-pub(crate) fn strategy_row(strategy: MatMulStrategy, vector: bool) -> Option<&'static StrategyRow> {
-    rows(vector).find(|r| r.strategy == strategy)
-}
-
-/// Estimated cost (shuffled bytes + round latency) of every row eligible for
-/// `shape`, in table order; none without statistics.
+/// Estimated cost (shuffled bytes + round latency) of every row of `row`'s
+/// pattern and builder eligible for the contraction `node` under the
+/// statistics `env` holds, in table order; none without statistics.
+/// Re-invoked by the stage driver with measured stats overlaid on `env`.
 pub(crate) fn candidates(
-    shape: Option<&ContractionShape>,
+    row: &PlanRow,
+    env: &PlanEnv,
+    node: &Node,
     config: &PlanConfig,
-) -> Vec<(&'static StrategyRow, u64)> {
-    let Some(shape) = shape else {
+) -> Vec<(&'static PlanRow, u64)> {
+    let Some(shape) = ContractionShape::of(env, node, row.builder == Builder::Vector) else {
         return Vec::new();
     };
-    let costed =
-        |r: &'static StrategyRow| Some((r, (r.bytes)(shape, config)? + r.rounds * ROUND_COST));
-    rows(shape.vector).filter_map(costed).collect()
+    let costed = |row: &'static PlanRow| {
+        let strategy = row.strategy.as_ref()?;
+        Some((
+            row,
+            (strategy.bytes)(&shape, config)? + strategy.rounds * ROUND_COST,
+        ))
+    };
+    let alike = PLAN_TABLE.iter().filter(|r| r.alike(row));
+    alike.filter_map(costed).collect()
 }
 
 /// The cheapest candidate; the first wins a tie.
-pub(crate) fn cheapest(
-    candidates: &[(&'static StrategyRow, u64)],
-) -> Option<(&'static StrategyRow, u64)> {
+pub(crate) fn cheapest(candidates: &[(&'static PlanRow, u64)]) -> Option<(&'static PlanRow, u64)> {
     candidates.iter().copied().min_by_key(|&(_, cost)| cost)
 }
 
 /// Estimated cost of `row` among `candidates`, if it is eligible.
-pub(crate) fn cost_of(
-    candidates: &[(&'static StrategyRow, u64)],
-    row: &StrategyRow,
-) -> Option<u64> {
+pub(crate) fn cost_of(candidates: &[(&'static PlanRow, u64)], row: &PlanRow) -> Option<u64> {
     let mut candidates = candidates.iter();
     candidates.find(|(r, _)| r.tag == row.tag).map(|&(_, c)| c)
 }
 
-/// Resolve one cost-based choice: [`MatMulStrategy::Auto`] takes the
-/// cheapest candidate, a pinned strategy is honored verbatim. Without
-/// statistics — and for a pinned strategy this operand kind has no row for,
-/// so a pinned non-broadcast `matmul` pins mat-vec to the shuffle path — the
-/// choice is the kind's first row that needs no byte budget.
-fn decide(
-    shape: Option<&ContractionShape>,
-    vector: bool,
+/// Resolve one cost-based choice among the rows of `row`'s pattern:
+/// [`MatMulStrategy::Auto`] takes the cheapest candidate, a pinned strategy
+/// is honored verbatim. Without statistics — and for a pin no row of the
+/// pattern carries, so a pinned non-broadcast `matmul` pins mat-vec to the
+/// shuffle path — the choice is the first row that needs no byte budget.
+fn choose(
+    row: &'static PlanRow,
+    env: &PlanEnv,
+    node: &Node,
     config: &PlanConfig,
-) -> Result<(MatMulStrategy, PlanDecision), CompError> {
-    let candidates = candidates(shape, config);
-    let (row, auto) = match config.matmul {
-        MatMulStrategy::Auto => (cheapest(&candidates).map(|(r, _)| r), true),
-        pinned => (strategy_row(pinned, vector), false),
+) -> (&'static PlanRow, PlanDecision) {
+    let candidates = candidates(row, env, node, config);
+    let row_where = |pinned: &dyn Fn(MatMulStrategy) -> bool| {
+        let mut alike = PLAN_TABLE.iter().filter(|r| r.alike(row));
+        alike.find(|r| r.strategy.as_ref().is_some_and(|s| pinned(s.pin)))
     };
-    let row = row
-        .or_else(|| rows(vector).find(|r| r.strategy != MatMulStrategy::Broadcast))
-        .ok_or_else(|| CompError::plan("no contraction strategy for this operand kind"))?;
+    let auto = config.matmul == MatMulStrategy::Auto;
+    let chosen = if auto {
+        cheapest(&candidates).map(|(r, _)| r)
+    } else {
+        row_where(&|pin| pin == config.matmul)
+    };
+    let unbudgeted = || row_where(&|p| p != MatMulStrategy::Broadcast);
+    let chosen = chosen.or_else(unbudgeted).unwrap_or(row);
     let decision = PlanDecision {
-        chosen: row.tag,
+        chosen: chosen.tag,
         auto,
-        est_shuffle_bytes: cost_of(&candidates, row).unwrap_or(0),
+        est_shuffle_bytes: cost_of(&candidates, chosen).unwrap_or(0),
         candidates: candidates.into_iter().map(|(r, c)| (r.tag, c)).collect(),
+        reason: None,
     };
-    Ok((row.strategy, decision))
+    (chosen, decision)
 }
 
 /// Fig. 1 axis reduction.
-fn plan_axis_reduce(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
+fn plan_axis_reduce(s: &Statement) -> Result<Node, CompError> {
+    let (d, env) = (s.body()?, s.env);
     if d.matrix_gens.len() != 1
         || !d.vector_gens.is_empty()
         || !d.range_gens.is_empty()
@@ -863,16 +978,17 @@ fn plan_axis_reduce(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     };
     let slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
     let value = scalar::compile(inner, None, &slots, 1, env)?;
-    Ok(Plan::AxisReduce {
+    Ok(Node::AxisReduce(AxisReduce {
         input: g.name.clone(),
         by_row,
         monoid: *monoid,
         value,
-    })
+    }))
 }
 
 /// §5.2 rule 19.
-fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
+fn plan_index_remap(s: &Statement) -> Result<Node, CompError> {
+    let (d, env) = (s.body()?, s.env);
     if d.matrix_gens.len() != 1
         || !d.vector_gens.is_empty()
         || !d.range_gens.is_empty()
@@ -895,17 +1011,18 @@ fn plan_index_remap(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
     let fj = IdxFn::compile(e2, &idx_slots, &iconsts)?;
     let val_slots = vec![g.val.clone(), g.row.clone(), g.col.clone()];
     let value = scalar::compile(value, None, &val_slots, 1, env)?;
-    Ok(Plan::IndexRemap {
+    Ok(Node::IndexRemap(IndexRemap {
         input: g.name.clone(),
         fi,
         fj,
         value,
-    })
+    }))
 }
 
 /// §5.3 generic group-by aggregation (stencils, histograms); `vector` is the
 /// builder kind, which the group key's shape must match.
-fn plan_group_by_aggregate(d: &Decomposed, vector: bool) -> Result<Plan, CompError> {
+fn plan_group_by_aggregate(s: &Statement) -> Result<Node, CompError> {
+    let (d, vector) = (s.body()?, s.vector());
     if d.matrix_gens.len() != 1 || !d.vector_gens.is_empty() {
         return Err(CompError::plan(
             "generic group-by plan requires exactly one tiled matrix generator",
@@ -954,7 +1071,7 @@ fn plan_group_by_aggregate(d: &Decomposed, vector: bool) -> Result<Plan, CompErr
     for gd in &d.other_guards {
         inner_quals.push(Qualifier::Guard(gd.clone()));
     }
-    Ok(Plan::GroupByAggregate {
+    Ok(Node::GroupByAggregate(GroupByAggregate {
         input: g.name.clone(),
         gen_vars: (g.row.clone(), g.col.clone(), g.val.clone()),
         inner_quals,
@@ -962,5 +1079,5 @@ fn plan_group_by_aggregate(d: &Decomposed, vector: bool) -> Result<Plan, CompErr
         key_expr: key_expr.clone(),
         aggregates,
         finalizer,
-    })
+    }))
 }

@@ -9,9 +9,9 @@
 //! materialized: exact non-zero counts, observed resident bytes, and the
 //! per-partition tile distribution. [`adapt`] overlays those measurements
 //! onto the planning environment's [`ArrayStats`] and re-costs the rows of
-//! the one strategy table that made the registration-time choice
-//! ([`crate::plan::candidates`]) for the not-yet-lowered remainder of the
-//! plan. Two re-decisions can fall out:
+//! the node's pattern in the plan table — the rows that made the
+//! registration-time choice ([`crate::plan::candidates`]) — for the
+//! not-yet-lowered remainder of the plan. Two re-decisions can fall out:
 //!
 //! * a strategy switch (e.g. an estimated reduceByKey whose operand is
 //!   observed small enough to promote to broadcast — for a matrix × vector
@@ -31,8 +31,8 @@
 //! tile grid), the observed stats reproduce the registration-time estimate
 //! bit-for-bit, the re-run cost model returns the identical ranking, and
 //! nothing changes. Re-decisions only fire when measurements *contradict*
-//! registration, and a switched node lowers through the same
-//! `lower_contraction` as a node planned on that strategy, so it is
+//! registration, and a switched node lowers through the dataflow of the row
+//! it switched to, as a node planned on that row does, so it is
 //! bit-identical to pinning the strategy up front.
 //!
 //! A run probes each array at most once ([`Frontiers`]): a program's later
@@ -44,8 +44,7 @@
 
 use crate::env::{ArrayStats, DistArray, PlanEnv};
 use crate::plan::{
-    candidates, cheapest, cost_of, ContractionShape, MatMulStrategy, PlanConfig, PlanDecision,
-    StrategyRow,
+    candidates, cheapest, cost_of, MatMulStrategy, Node, PlanConfig, PlanDecision, PlanRow,
 };
 use sparkline::{Context, Data, Dataset, Event, PartitionStream};
 use std::collections::HashMap;
@@ -183,11 +182,11 @@ fn skewed_partitions(frontiers: &[(&str, StageFrontier)], partitions: usize) -> 
 /// at all: a pinned strategy must be honored and a broadcast choice has
 /// nothing left to save, so neither probes. `probe` materializes the inputs
 /// by name (both matrices of a matrix × matrix node, the vector of a matrix
-/// × vector node); their measured stats overlay `env`, the node's `operands`
-/// are re-oriented under the overlay, and the table rows are re-costed with
-/// the plan-time rule: switch away from `current` iff the cheapest is
-/// strictly cheaper, so confirming measurements reproduce the plan-time
-/// choice exactly. Observed partition skew re-partitions the remainder.
+/// × vector node); their measured stats overlay `env`, the contraction `node`
+/// is re-oriented under the overlay, and the rows of `current`'s pattern are
+/// re-costed with the plan-time rule: switch away from `current` iff the
+/// cheapest is strictly cheaper, so confirming measurements reproduce the
+/// plan-time choice exactly. Observed partition skew re-partitions the remainder.
 /// Returns the row and partition count the remainder runs with, and emits
 /// one `plan_replanned` event iff either changed.
 pub(crate) fn adapt<'a>(
@@ -195,11 +194,12 @@ pub(crate) fn adapt<'a>(
     ctx: &Context,
     config: &PlanConfig,
     probe: impl FnOnce() -> Vec<(&'a str, StageFrontier)>,
-    operands: ((&str, bool), (&str, bool)),
-    current: &'static StrategyRow,
+    node: &Node,
+    current: &'static PlanRow,
     decision: &PlanDecision,
-) -> (&'static StrategyRow, usize) {
-    if !decision.auto || current.strategy == MatMulStrategy::Broadcast {
+) -> (&'static PlanRow, usize) {
+    let broadcast = current.strategy.as_ref().map(|s| s.pin) == Some(MatMulStrategy::Broadcast);
+    if !decision.auto || broadcast {
         return (current, config.partitions);
     }
     let frontiers = probe();
@@ -212,8 +212,7 @@ pub(crate) fn adapt<'a>(
         partitions,
         ..config.clone()
     };
-    let shape = ContractionShape::of(&overlay, operands, current.vector);
-    let observed = candidates(shape.as_ref(), &tuned);
+    let observed = candidates(current, &overlay, node, &tuned);
     let current_cost = cost_of(&observed, current);
     let (row, observed_bytes) = match (cheapest(&observed), current_cost) {
         (Some((best, cost)), Some(cur)) if best.tag != current.tag && cost < cur => (best, cost),

@@ -129,41 +129,18 @@ impl QueryReply {
 }
 
 /// Builder for [`QueryService`].
+#[derive(Default)]
 pub struct ServiceBuilder {
     context: Option<Context>,
-    runtime: sparkline::ContextBuilder,
     slots: Option<usize>,
     config: PlanConfig,
 }
 
-impl Default for ServiceBuilder {
-    fn default() -> Self {
-        ServiceBuilder {
-            context: None,
-            runtime: Context::builder(),
-            slots: None,
-            config: PlanConfig::default(),
-        }
-    }
-}
-
 impl ServiceBuilder {
-    /// Serve over an *existing* runtime context; the runtime-level knobs on
-    /// this builder are then ignored.
+    /// Serve over this runtime context (executor pool, block manager, fault
+    /// injection); without one, over `Context::new()`.
     pub fn context(mut self, ctx: Context) -> Self {
         self.context = Some(ctx);
-        self
-    }
-
-    /// Executor threads of the shared runtime.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.runtime = self.runtime.workers(n);
-        self
-    }
-
-    /// Storage-memory budget (bytes) of the shared block manager.
-    pub fn storage_memory(mut self, bytes: usize) -> Self {
-        self.runtime = self.runtime.storage_memory(bytes);
         self
     }
 
@@ -179,32 +156,14 @@ impl ServiceBuilder {
         self
     }
 
-    /// Threads per tile kernel for tenant sessions.
-    pub fn tile_threads(mut self, n: usize) -> Self {
-        self.config.tile_threads = n.max(1);
-        self
-    }
-
     /// Broadcast budget for tenant sessions.
     pub fn broadcast_budget(mut self, bytes: u64) -> Self {
         self.config.broadcast_budget = bytes;
         self
     }
 
-    /// Run the shared runtime under an explicit chaos schedule.
-    pub fn chaos(mut self, plan: sparkline::ChaosPlan) -> Self {
-        self.runtime = self.runtime.chaos(plan);
-        self
-    }
-
-    /// Disable fault injection even when `SPARKLINE_CHAOS` is set.
-    pub fn chaos_off(mut self) -> Self {
-        self.runtime = self.runtime.chaos_off();
-        self
-    }
-
     pub fn build(self) -> QueryService {
-        let ctx = self.context.unwrap_or_else(|| self.runtime.build());
+        let ctx = self.context.unwrap_or_default();
         let slots = self.slots.unwrap_or_else(|| ctx.workers());
         let mut shared = Session::builder().context(ctx.clone()).build();
         *shared.config_mut() = self.config;
@@ -736,11 +695,8 @@ impl QueryService {
                 partitions,
                 matmul,
                 broadcast_budget,
-                tile_threads,
             } = &config;
-            key.push_str(&format!(
-                "|c:{partitions}:{matmul:?}:{broadcast_budget}:{tile_threads}"
-            ));
+            key.push_str(&format!("|c:{partitions}:{matmul:?}:{broadcast_budget}"));
             (tid, key, env, config)
         };
         let cached = self.lock().plan_cache.get(&key).cloned();
@@ -875,12 +831,12 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_service() -> QueryService {
-        QueryService::builder()
+        let ctx = Context::builder()
             .workers(4)
             .storage_memory(64 << 20)
-            .slots(2)
             .chaos_off()
-            .build()
+            .build();
+        QueryService::builder().context(ctx).slots(2).build()
     }
 
     fn random_matrix(n: usize, seed: u64) -> LocalMatrix {
@@ -941,10 +897,10 @@ mod tests {
                      s == p, t == q ]";
         let first = svc.run("alice", q_alice).unwrap();
         assert!(!first.cache_hit);
-        // Bob compiles the same canonical query with a different tile-thread
-        // count: the config signatures differ, so alice's cached plan must
+        // Bob compiles the same canonical query with a different broadcast
+        // budget: the config signatures differ, so alice's cached plan must
         // NOT be shared — this is the before/after-config-change audit case.
-        svc.configure_tenant("bob", |c| c.tile_threads += 1);
+        svc.configure_tenant("bob", |c| c.broadcast_budget += 1);
         let flipped = svc.run("bob", q_bob).unwrap();
         assert!(
             !flipped.cache_hit,
@@ -952,12 +908,12 @@ mod tests {
         );
         assert_eq!(
             first.fingerprint, flipped.fingerprint,
-            "tile threads must not move a bit"
+            "an element-wise query's bits do not depend on the broadcast budget"
         );
         let (_, misses, entries) = svc.plan_cache_stats();
         assert_eq!((misses, entries), (2, 2), "two distinct cache entries");
         // Same config, same canonical query → now it may share.
-        svc.configure_tenant("bob", |c| c.tile_threads -= 1);
+        svc.configure_tenant("bob", |c| c.broadcast_budget -= 1);
         let restored = svc.run("bob", q_bob).unwrap();
         assert!(restored.cache_hit, "restored config hits alice's entry");
     }
@@ -1098,12 +1054,12 @@ mod tests {
 
     #[test]
     fn cancellation_frees_the_slot_and_the_tenants_memory() {
-        let svc = QueryService::builder()
+        let ctx = Context::builder()
             .workers(2)
             .storage_memory(64 << 20)
-            .slots(1)
             .chaos_off()
             .build();
+        let svc = QueryService::builder().context(ctx).slots(1).build();
         svc.register_shared_int("n", 24).unwrap();
         svc.register_matrix_for("mallory", "M", &random_matrix(24, 9), 4)
             .unwrap();

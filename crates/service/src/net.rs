@@ -384,12 +384,12 @@ mod tests {
     use tiled::LocalMatrix;
 
     fn served() -> (QueryService, Server) {
-        let svc = QueryService::builder()
+        let ctx = sparkline::Context::builder()
             .workers(4)
             .storage_memory(64 << 20)
-            .slots(2)
             .chaos_off()
             .build();
+        let svc = QueryService::builder().context(ctx).slots(2).build();
         let mut rng = StdRng::seed_from_u64(42);
         let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix("A", &a, 4).unwrap();
@@ -471,12 +471,12 @@ mod tests {
     }
 
     fn service() -> QueryService {
-        let svc = QueryService::builder()
+        let ctx = sparkline::Context::builder()
             .workers(2)
             .storage_memory(64 << 20)
-            .slots(2)
             .chaos_off()
             .build();
+        let svc = QueryService::builder().context(ctx).slots(2).build();
         let mut rng = StdRng::seed_from_u64(42);
         let a = LocalMatrix::random(8, 8, -1.0, 1.0, &mut rng);
         svc.register_shared_matrix("A", &a, 4).unwrap();

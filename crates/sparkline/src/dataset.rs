@@ -75,11 +75,6 @@ impl<T: Data> Dataset<T> {
         self.op.partitioner_descriptor()
     }
 
-    /// Operator DAG description, innermost source last.
-    pub fn describe(&self) -> String {
-        self.op.name()
-    }
-
     fn narrow<U: Data>(
         &self,
         label: &str,
@@ -171,17 +166,6 @@ impl<T: Data> Dataset<T> {
             right: other.op.clone(),
         };
         self.derived(Arc::new(op), &other.leases)
-    }
-
-    /// Distinct elements (the `set` builder of §5.2's image sets): a
-    /// deduplicating shuffle keyed by the element itself.
-    pub fn distinct(&self, partitions: usize) -> Dataset<T>
-    where
-        T: std::hash::Hash + Eq + SpillCodec,
-    {
-        self.map(|x| (x, ()))
-            .reduce_by_key(partitions, |_, _| ())
-            .map(|(x, ())| x)
     }
 
     /// Persist partitions in the context's memory-budgeted block manager
@@ -461,26 +445,6 @@ where
             })
     }
 
-    /// Map-side (broadcast) inner join against a driver-resident small
-    /// table: no shuffle stage at all. The table is typically built with
-    /// [`crate::Context::broadcast`] over a collected dataset, e.g.
-    /// `ctx.broadcast(small.collect_map())`; keys absent from the table are
-    /// dropped, matching [`Dataset::join`]'s inner semantics. Partitioning is
-    /// preserved (keys are unchanged), so downstream co-partitioned joins
-    /// stay narrow.
-    pub fn join_broadcast<W: Data>(
-        &self,
-        table: Arc<std::collections::HashMap<K, W>>,
-    ) -> Dataset<(K, (V, W))> {
-        self.narrow("broadcastJoin", true, move |_, s| {
-            let table = table.clone();
-            PartitionStream::from_iter(
-                s.into_iter()
-                    .filter_map(move |(k, v)| table.get(&k).cloned().map(|w| (k, (v, w)))),
-            )
-        })
-    }
-
     /// Action: collect into a `HashMap` (later values win for duplicates).
     pub fn collect_map(&self) -> std::collections::HashMap<K, V> {
         self.collect().into_iter().collect()
@@ -560,25 +524,6 @@ mod tests {
         v1.sort();
         assert_eq!((k1, v1), (1, vec![1, 2, 3]));
         assert_eq!(out[1], (2, vec![9]));
-    }
-
-    #[test]
-    fn join_broadcast_matches_shuffle_join_with_zero_shuffles() {
-        let c = ctx();
-        let big = c.parallelize(vec![(1, -1), (2, -2), (3, -3), (4, -4)], 3);
-        let small = c.parallelize(vec![(1, 10), (3, 30), (9, 90)], 2);
-        let mut want = big.join(&small, 4).collect();
-        want.sort();
-        let table = c.broadcast(small.collect_map());
-        c.trace();
-        let mut got = big.join_broadcast(table).collect();
-        got.sort();
-        assert_eq!(got, want);
-        assert_eq!(
-            c.take_profile().shuffle_stage_count(),
-            0,
-            "broadcast join must not shuffle"
-        );
     }
 
     #[test]
@@ -699,15 +644,6 @@ mod tests {
         joined.sort();
         let want: Vec<_> = (2..8i64).map(|k| (k, (k - 2, k))).collect();
         assert_eq!(joined, want);
-    }
-
-    #[test]
-    fn distinct_deduplicates() {
-        let c = ctx();
-        let d = c.parallelize(vec![1, 2, 2, 3, 1, 1], 3);
-        let mut out = d.distinct(2).collect();
-        out.sort();
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

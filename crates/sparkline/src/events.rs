@@ -220,7 +220,8 @@ event_schema! {
         /// Map partitions recomputed by this resubmission.
         missing_tasks: u64,
     }
-    /// The planner resolved a cost-based physical choice (`plan.chosen`).
+    /// The planner resolved a cost-based physical choice, or fell back to
+    /// the reference interpreter (`plan.chosen`).
     /// Stage tags of the plan's shuffles equal `chosen`, which is how
     /// profiles pair the estimate with the actual shuffle bytes.
     PlanChosen "plan_chosen" {
@@ -235,6 +236,10 @@ event_schema! {
         /// `(strategy tag, estimated shuffle bytes)` for every candidate the
         /// cost model considered eligible.
         candidates: Vec<(String, u64)>,
+        /// Why every distributed row rejected the statement, when `chosen`
+        /// is the interpreter fallback (`localFallback`); `null` for a
+        /// cost-based choice. Absent in logs written before the field.
+        reason: Option<String>,
         at_micros: u64,
     }
     /// The adaptive stage driver revised a plan-time decision at a stage
@@ -808,6 +813,18 @@ mod tests {
                     ("contraction/broadcast".into(), 4096),
                     ("contraction/groupByJoin".into(), 65536),
                 ],
+                reason: None,
+                at_micros: 80,
+            },
+            Event::PlanChosen {
+                chosen: "localFallback".into(),
+                auto: true,
+                partitions: 16,
+                est_shuffle_bytes: 0,
+                candidates: vec![],
+                reason: Some(
+                    "axisReduce: not an axis reduction; groupByAggregate: \"no\" group-by".into(),
+                ),
                 at_micros: 80,
             },
             Event::PlanReplanned {

@@ -1153,6 +1153,7 @@ mod tests {
                 ("contraction/reduceByKey".into(), 5000),
                 ("contraction/groupByJoin".into(), 9000),
             ],
+            reason: None,
             at_micros: 240,
         });
         let p = JobProfile::from_events(&events);
@@ -1221,6 +1222,7 @@ mod tests {
             partitions: 4,
             est_shuffle_bytes: 5000,
             candidates: vec![("contraction/reduceByKey".into(), 5000)],
+            reason: None,
             at_micros: 240,
         });
         events.push(Event::PlanReplanned {

@@ -66,6 +66,7 @@ fn adversarial_strings_round_trip() {
                 partitions: 1,
                 est_shuffle_bytes: 0,
                 candidates: vec![(s.into(), u64::MAX)],
+                reason: Some(s.into()),
                 at_micros: 1,
             },
             Event::StageStart {
@@ -123,6 +124,22 @@ fn malformed_logs_hostile_numbers_and_escapes_are_errors() {
     // A lone surrogate is not a `char`; it decodes to U+FFFD instead.
     let log = "[{\"type\":\"job_start\",\"job_id\":0,\"label\":\"\\ud800\",\"at_micros\":0}]";
     assert!(format!("{:?}", parse_events(log).unwrap()).contains('\u{fffd}'));
+    // A `plan_chosen` written before it had a `reason` reads as `null`.
+    let log = "[{\"type\":\"plan_chosen\",\"chosen\":\"matVec\",\"auto\":true,\"partitions\":4,\
+               \"est_shuffle_bytes\":9,\"candidates\":[{\"strategy\":\"matVec\",\"est_bytes\":9}],\
+               \"at_micros\":3}]";
+    assert_eq!(
+        parse_events(log).unwrap(),
+        [Event::PlanChosen {
+            chosen: "matVec".into(),
+            auto: true,
+            partitions: 4,
+            est_shuffle_bytes: 9,
+            candidates: vec![("matVec".into(), 9)],
+            reason: None,
+            at_micros: 3,
+        }]
+    );
 }
 
 /// Numbers that fit `u64` but not the field's own type used to be cut down

@@ -339,11 +339,8 @@ fn drive(addr: SocketAddr, tenant: &str, rounds: usize) -> (Vec<u64>, Vec<String
 /// alice alone and of the three polite tenants under the flood.
 fn noisy_neighbour(rounds: usize) -> (u64, u64) {
     let n = 96;
-    let svc = QueryService::builder()
-        .workers(4)
-        .slots(1)
-        .chaos_off()
-        .build();
+    let ctx = Context::builder().workers(4).chaos_off().build();
+    let svc = QueryService::builder().context(ctx).slots(1).build();
     let mut rng = StdRng::seed_from_u64(2021);
     for name in ["A", "B"] {
         let m = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng);

@@ -698,16 +698,16 @@ fn failed_attempts_emit_no_partial_operator_counts() {
 #[test]
 fn plan_cache_hits_are_pinned_by_event_count() {
     use sac_repro::service::QueryService;
-    use sac_repro::sparkline::{Event, JobProfile};
+    use sac_repro::sparkline::{Context, Event, JobProfile};
 
     // chaos_off: an injected fault would resubmit stages but never changes
     // service-level admission/cache events — still, keep the run hermetic.
-    let svc = QueryService::builder()
+    let ctx = Context::builder()
         .workers(2)
         .storage_memory(64 << 20)
-        .slots(2)
         .chaos_off()
         .build();
+    let svc = QueryService::builder().context(ctx).slots(2).build();
     let a = LocalMatrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64);
     svc.register_shared_matrix("A", &a, 4).unwrap();
     svc.register_shared_int("n", 8).unwrap();
