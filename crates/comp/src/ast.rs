@@ -19,14 +19,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for comparison operators producing booleans.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// Short operator tag, used in fused-region op sequences.
     pub fn tag(self) -> &'static str {
         match self {
@@ -144,6 +136,19 @@ pub enum Qualifier {
     GroupBy(Pattern, Option<Expr>),
 }
 
+impl Qualifier {
+    /// The qualifier's expression; `group by p` has none.
+    pub fn expr(&self) -> Option<&Expr> {
+        match self {
+            Qualifier::Generator(_, e)
+            | Qualifier::Let(_, e)
+            | Qualifier::Guard(e)
+            | Qualifier::GroupBy(_, Some(e)) => Some(e),
+            Qualifier::GroupBy(_, None) => None,
+        }
+    }
+}
+
 /// `[ head | qualifiers ]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comprehension {
@@ -199,61 +204,104 @@ impl Expr {
 
     fn collect_free(&self, bound: &mut Vec<String>, out: &mut std::collections::BTreeSet<String>) {
         match self {
-            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) => {}
             Expr::Var(v) => {
                 if !bound.contains(v) {
                     out.insert(v.clone());
                 }
             }
-            Expr::Tuple(es) | Expr::Call(_, es) => {
-                es.iter().for_each(|e| e.collect_free(bound, out))
-            }
-            Expr::Reduce(_, e) | Expr::UnOp(_, e) | Expr::Field(e, _) => e.collect_free(bound, out),
-            Expr::BinOp(_, a, b) => {
-                a.collect_free(bound, out);
-                b.collect_free(bound, out);
-            }
-            Expr::Index(e, idx) => {
-                e.collect_free(bound, out);
-                idx.iter().for_each(|i| i.collect_free(bound, out));
-            }
-            Expr::Range { lo, hi, .. } => {
-                lo.collect_free(bound, out);
-                hi.collect_free(bound, out);
-            }
-            Expr::If(c, t, e) => {
-                c.collect_free(bound, out);
-                t.collect_free(bound, out);
-                e.collect_free(bound, out);
-            }
-            Expr::Build { args, body, .. } => {
-                args.iter().for_each(|a| a.collect_free(bound, out));
-                body.collect_free(bound, out);
-            }
             Expr::Comprehension(c) => {
                 let depth = bound.len();
                 for q in &c.qualifiers {
-                    match q {
-                        Qualifier::Generator(p, e) => {
-                            e.collect_free(bound, out);
-                            bound.extend(p.vars());
-                        }
-                        Qualifier::Let(p, e) => {
-                            e.collect_free(bound, out);
-                            bound.extend(p.vars());
-                        }
-                        Qualifier::Guard(e) => e.collect_free(bound, out),
-                        Qualifier::GroupBy(p, key) => {
-                            if let Some(k) = key {
-                                k.collect_free(bound, out);
-                            }
-                            bound.extend(p.vars());
-                        }
+                    if let Some(e) = q.expr() {
+                        e.collect_free(bound, out);
+                    }
+                    if let Qualifier::Generator(p, _)
+                    | Qualifier::Let(p, _)
+                    | Qualifier::GroupBy(p, _) = q
+                    {
+                        bound.extend(p.vars());
                     }
                 }
                 c.head.collect_free(bound, out);
                 bound.truncate(depth);
             }
+            _ => self.children().for_each(|e| e.collect_free(bound, out)),
+        }
+    }
+
+    /// The direct sub-expressions, in the order [`Expr::map_children`]
+    /// visits them: a comprehension's head, then each qualifier's
+    /// expression; a builder's args before its body; an index's base
+    /// before its indices.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let none = [None, None, None];
+        let (lead, list, tail, quals): ([Option<&Expr>; 3], &[Expr], _, &[Qualifier]) = match self {
+            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => {
+                (none, &[], None, &[])
+            }
+            Expr::Tuple(es) | Expr::Call(_, es) => (none, es, None, &[]),
+            Expr::Comprehension(c) => ([Some(&*c.head), None, None], &[], None, &c.qualifiers),
+            Expr::Reduce(_, e) | Expr::UnOp(_, e) | Expr::Field(e, _) => {
+                ([Some(&**e), None, None], &[], None, &[])
+            }
+            Expr::BinOp(_, a, b) | Expr::Range { lo: a, hi: b, .. } => {
+                ([Some(&**a), Some(&**b), None], &[], None, &[])
+            }
+            Expr::If(c, t, e) => ([Some(&**c), Some(&**t), Some(&**e)], &[], None, &[]),
+            Expr::Index(b, idx) => ([Some(&**b), None, None], idx, None, &[]),
+            Expr::Build { args, body, .. } => (none, args, Some(&**body), &[]),
+        };
+        let quals = quals.iter().filter_map(Qualifier::expr);
+        lead.into_iter()
+            .flatten()
+            .chain(list)
+            .chain(tail)
+            .chain(quals)
+    }
+
+    /// Rebuild the expression with `f` applied to each direct
+    /// sub-expression, in the order of [`Expr::children`]. Rewrites call it
+    /// for the variants they do not handle themselves.
+    pub fn map_children(self, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
+        match self {
+            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => self,
+            Expr::Tuple(es) => Expr::Tuple(es.into_iter().map(&mut *f).collect()),
+            Expr::Comprehension(c) => Expr::Comprehension(Comprehension {
+                head: Box::new(f(*c.head)),
+                qualifiers: c
+                    .qualifiers
+                    .into_iter()
+                    .map(|q| match q {
+                        Qualifier::Generator(p, e) => Qualifier::Generator(p, f(e)),
+                        Qualifier::Let(p, e) => Qualifier::Let(p, f(e)),
+                        Qualifier::Guard(e) => Qualifier::Guard(f(e)),
+                        Qualifier::GroupBy(p, k) => Qualifier::GroupBy(p, k.map(&mut *f)),
+                    })
+                    .collect(),
+            }),
+            Expr::Reduce(m, e) => Expr::Reduce(m, Box::new(f(*e))),
+            Expr::BinOp(op, a, b) => Expr::BinOp(op, Box::new(f(*a)), Box::new(f(*b))),
+            Expr::UnOp(op, a) => Expr::UnOp(op, Box::new(f(*a))),
+            Expr::Index(b, idx) => {
+                Expr::Index(Box::new(f(*b)), idx.into_iter().map(&mut *f).collect())
+            }
+            Expr::Call(name, args) => Expr::Call(name, args.into_iter().map(&mut *f).collect()),
+            Expr::Field(b, field) => Expr::Field(Box::new(f(*b)), field),
+            Expr::Range { lo, hi, inclusive } => Expr::Range {
+                lo: Box::new(f(*lo)),
+                hi: Box::new(f(*hi)),
+                inclusive,
+            },
+            Expr::If(c, t, e2) => Expr::If(Box::new(f(*c)), Box::new(f(*t)), Box::new(f(*e2))),
+            Expr::Build {
+                builder,
+                args,
+                body,
+            } => Expr::Build {
+                builder,
+                args: args.into_iter().map(&mut *f).collect(),
+                body: Box::new(f(*body)),
+            },
         }
     }
 }

@@ -33,7 +33,7 @@ pub fn normalize(expr: Expr) -> Expr {
 }
 
 fn normalize_once(expr: Expr) -> Expr {
-    let expr = map_subexprs(expr, &mut normalize_once);
+    let expr = expr.map_children(&mut normalize_once);
     match expr {
         Expr::Comprehension(c) => {
             let c = flatten_nested(c);
@@ -43,49 +43,6 @@ fn normalize_once(expr: Expr) -> Expr {
             Expr::Comprehension(c)
         }
         other => other,
-    }
-}
-
-/// Apply `f` to each direct sub-expression (not descending into the
-/// comprehension rewrites themselves).
-fn map_subexprs(e: Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
-    match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => e,
-        Expr::Tuple(es) => Expr::Tuple(es.into_iter().map(&mut *f).collect()),
-        Expr::Comprehension(c) => Expr::Comprehension(Comprehension {
-            head: Box::new(f(*c.head)),
-            qualifiers: c
-                .qualifiers
-                .into_iter()
-                .map(|q| match q {
-                    Qualifier::Generator(p, e) => Qualifier::Generator(p, f(e)),
-                    Qualifier::Let(p, e) => Qualifier::Let(p, f(e)),
-                    Qualifier::Guard(e) => Qualifier::Guard(f(e)),
-                    Qualifier::GroupBy(p, k) => Qualifier::GroupBy(p, k.map(&mut *f)),
-                })
-                .collect(),
-        }),
-        Expr::Reduce(m, e) => Expr::Reduce(m, Box::new(f(*e))),
-        Expr::BinOp(op, a, b) => Expr::BinOp(op, Box::new(f(*a)), Box::new(f(*b))),
-        Expr::UnOp(op, a) => Expr::UnOp(op, Box::new(f(*a))),
-        Expr::Index(b, idx) => Expr::Index(Box::new(f(*b)), idx.into_iter().map(&mut *f).collect()),
-        Expr::Call(name, args) => Expr::Call(name, args.into_iter().map(&mut *f).collect()),
-        Expr::Field(b, field) => Expr::Field(Box::new(f(*b)), field),
-        Expr::Range { lo, hi, inclusive } => Expr::Range {
-            lo: Box::new(f(*lo)),
-            hi: Box::new(f(*hi)),
-            inclusive,
-        },
-        Expr::If(c, t, e2) => Expr::If(Box::new(f(*c)), Box::new(f(*t)), Box::new(f(*e2))),
-        Expr::Build {
-            builder,
-            args,
-            body,
-        } => Expr::Build {
-            builder,
-            args: args.into_iter().map(&mut *f).collect(),
-            body: Box::new(f(*body)),
-        },
     }
 }
 
@@ -171,7 +128,7 @@ fn rename_vars(e: Expr, mapping: &[(String, String)]) -> Expr {
                 None => Expr::Var(v),
             }
         }
-        other => map_subexprs(other, &mut |x| rename_vars(x, mapping)),
+        other => other.map_children(&mut |x| rename_vars(x, mapping)),
     }
 }
 
@@ -270,7 +227,7 @@ fn extract_indexing(
         // Do not descend into nested comprehensions (their own pass handles
         // them).
         Expr::Comprehension(_) => e,
-        other => map_subexprs(other, &mut |x| extract_indexing(x, bound, counter, added)),
+        other => other.map_children(&mut |x| extract_indexing(x, bound, counter, added)),
     }
 }
 
@@ -398,17 +355,9 @@ fn eliminate_injective_group_by(c: Comprehension) -> Comprehension {
 
     // All uses of lifted vars (in head and post-group-by qualifiers) must be
     // reducible in singleton groups.
-    let mut exprs: Vec<&Expr> = vec![&c.head];
-    for q in &c.qualifiers[gpos + 1..] {
-        match q {
-            Qualifier::Generator(_, e) | Qualifier::Let(_, e) | Qualifier::Guard(e) => {
-                exprs.push(e)
-            }
-            Qualifier::GroupBy(_, Some(e)) => exprs.push(e),
-            Qualifier::GroupBy(_, None) => {}
-        }
-    }
-    if !exprs.iter().all(|e| reducible_uses_only(e, &lifted)) {
+    let mut exprs = std::iter::once(&*c.head)
+        .chain(c.qualifiers[gpos + 1..].iter().filter_map(Qualifier::expr));
+    if !exprs.all(|e| reducible_uses_only(e, &lifted)) {
         return c;
     }
 
@@ -450,30 +399,12 @@ fn reducible_uses_only(e: &Expr, lifted: &[String]) -> bool {
         Expr::Field(b, f) if f == "length" => {
             matches!(b.as_ref(), Expr::Var(_)) || reducible_uses_only(b, lifted)
         }
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) => true,
-        Expr::Tuple(es) | Expr::Call(_, es) => es.iter().all(|x| reducible_uses_only(x, lifted)),
-        Expr::BinOp(_, a, b) => reducible_uses_only(a, lifted) && reducible_uses_only(b, lifted),
-        Expr::UnOp(_, a) => reducible_uses_only(a, lifted),
-        Expr::Index(b, idx) => {
-            reducible_uses_only(b, lifted) && idx.iter().all(|x| reducible_uses_only(x, lifted))
-        }
-        Expr::Field(b, _) => reducible_uses_only(b, lifted),
-        Expr::Range { lo, hi, .. } => {
-            reducible_uses_only(lo, lifted) && reducible_uses_only(hi, lifted)
-        }
-        Expr::If(c, t, f) => {
-            reducible_uses_only(c, lifted)
-                && reducible_uses_only(t, lifted)
-                && reducible_uses_only(f, lifted)
-        }
-        Expr::Build { args, body, .. } => {
-            args.iter().all(|x| reducible_uses_only(x, lifted)) && reducible_uses_only(body, lifted)
-        }
         // Conservative for nested comprehensions.
-        Expr::Comprehension(c) => {
-            let fv = Expr::Comprehension(c.clone()).free_vars();
+        Expr::Comprehension(_) => {
+            let fv = e.free_vars();
             lifted.iter().all(|v| !fv.contains(v))
         }
+        _ => e.children().all(|x| reducible_uses_only(x, lifted)),
     }
 }
 
@@ -500,7 +431,7 @@ fn collapse_singleton_aggregates(e: Expr, lifted: &[String]) -> Expr {
         {
             Expr::Int(1)
         }
-        other => map_subexprs(other, &mut |x| collapse_singleton_aggregates(x, lifted)),
+        other => other.map_children(&mut |x| collapse_singleton_aggregates(x, lifted)),
     }
 }
 

@@ -518,16 +518,19 @@ impl Parser {
                 _ => continue,
             };
             let var = Expr::Var(pat);
+            let replace = |e: &mut Expr| {
+                *e = replace_expr(std::mem::replace(e, Expr::Bool(false)), &key, &var)
+            };
             for q in comp.qualifiers.iter_mut().skip(i + 1) {
                 match q {
                     Qualifier::Generator(_, e) | Qualifier::Let(_, e) | Qualifier::Guard(e) => {
-                        replace_expr(e, &key, &var)
+                        replace(e)
                     }
-                    Qualifier::GroupBy(_, Some(e)) => replace_expr(e, &key, &var),
+                    Qualifier::GroupBy(_, Some(e)) => replace(e),
                     Qualifier::GroupBy(_, None) => {}
                 }
             }
-            replace_expr(&mut comp.head, &key, &var);
+            replace(&mut comp.head);
         }
     }
 }
@@ -535,71 +538,27 @@ impl Parser {
 /// Height of the tree `e`, a leaf being 1 (a qualifier counts as a level
 /// under its comprehension).
 fn height(e: &Expr) -> usize {
-    fn tallest<'a>(es: impl IntoIterator<Item = &'a Expr>) -> usize {
-        es.into_iter().map(height).max().unwrap_or(0)
+    fn tallest<'a>(es: impl Iterator<Item = &'a Expr>) -> usize {
+        es.map(height).max().unwrap_or(0)
     }
     1 + match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => 0,
-        Expr::Tuple(es) | Expr::Call(_, es) => tallest(es),
-        Expr::Reduce(_, x) | Expr::UnOp(_, x) | Expr::Field(x, _) => height(x),
-        Expr::BinOp(_, a, b) | Expr::Range { lo: a, hi: b, .. } => height(a).max(height(b)),
-        Expr::If(c, t, f) => tallest([&**c, t, f]),
-        Expr::Index(b, idx) => height(b).max(tallest(idx)),
-        Expr::Build { args, body, .. } => height(body).max(tallest(args)),
         Expr::Comprehension(c) => {
-            let quals = c.qualifiers.iter().filter_map(|q| match q {
-                Qualifier::Generator(_, e)
-                | Qualifier::Let(_, e)
-                | Qualifier::Guard(e)
-                | Qualifier::GroupBy(_, Some(e)) => Some(e),
-                Qualifier::GroupBy(_, None) => None,
-            });
+            let quals = c.qualifiers.iter().filter_map(Qualifier::expr);
             height(&c.head).max(1 + tallest(quals))
         }
+        _ => tallest(e.children()),
     }
 }
 
-/// Replace syntactic occurrences of `target` in `e` with `replacement`.
-fn replace_expr(e: &mut Expr, target: &Expr, replacement: &Expr) {
-    if e == target {
-        *e = replacement.clone();
-        return;
+/// `e` with syntactic occurrences of `target` replaced by `replacement`.
+fn replace_expr(e: Expr, target: &Expr, replacement: &Expr) -> Expr {
+    if e == *target {
+        return replacement.clone();
     }
     match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => {}
-        Expr::Tuple(es) | Expr::Call(_, es) => es
-            .iter_mut()
-            .for_each(|x| replace_expr(x, target, replacement)),
-        Expr::Reduce(_, x) | Expr::UnOp(_, x) | Expr::Field(x, _) => {
-            replace_expr(x, target, replacement)
-        }
-        Expr::BinOp(_, a, b) => {
-            replace_expr(a, target, replacement);
-            replace_expr(b, target, replacement);
-        }
-        Expr::Index(b, idx) => {
-            replace_expr(b, target, replacement);
-            idx.iter_mut()
-                .for_each(|x| replace_expr(x, target, replacement));
-        }
-        Expr::Range { lo, hi, .. } => {
-            replace_expr(lo, target, replacement);
-            replace_expr(hi, target, replacement);
-        }
-        Expr::If(c, t, f) => {
-            replace_expr(c, target, replacement);
-            replace_expr(t, target, replacement);
-            replace_expr(f, target, replacement);
-        }
-        Expr::Build { args, body, .. } => {
-            args.iter_mut()
-                .for_each(|x| replace_expr(x, target, replacement));
-            replace_expr(body, target, replacement);
-        }
-        Expr::Comprehension(c) => {
-            // Conservative: do not substitute under binders.
-            let _ = c;
-        }
+        // Conservative: do not substitute under binders.
+        Expr::Comprehension(_) => e,
+        _ => e.map_children(&mut |x| replace_expr(x, target, replacement)),
     }
 }
 
@@ -685,6 +644,17 @@ mod tests {
             panic!()
         };
         assert_eq!(items[0], Expr::Var(k.clone()));
+        // A nested comprehension is left untouched.
+        let inner = "+/[ i/N | (i,u) <- L ]";
+        let src = format!("[ (i/N, {inner}) | (i,v) <- L, group by i/N ]");
+        let Expr::Comprehension(c) = parse_expr(&src).unwrap() else {
+            panic!()
+        };
+        let Expr::Tuple(items) = &*c.head else {
+            panic!()
+        };
+        assert!(matches!(&items[0], Expr::Var(k) if k.starts_with("%k")));
+        assert_eq!(items[1], parse_expr(inner).unwrap());
     }
 
     #[test]

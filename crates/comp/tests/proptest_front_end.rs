@@ -4,9 +4,11 @@
 //! * desugaring (rules 4–7) preserves semantics for generated group-by-free
 //!   comprehensions;
 //! * normalization preserves semantics for generated comprehensions with
-//!   guards/lets over a fixed matrix environment.
+//!   guards/lets over a fixed matrix environment;
+//! * `Expr::children` and `Expr::map_children` visit the same
+//!   sub-expressions in the same order, for every variant.
 
-use comp::ast::{BinOp, Comprehension, Expr, Pattern, Qualifier};
+use comp::ast::{BinOp, Comprehension, Expr, Monoid, Pattern, Qualifier, UnOp};
 use comp::desugar::{desugar, eval_core};
 use comp::eval::{eval_comprehension, Env};
 use comp::normalize::normalize;
@@ -32,6 +34,75 @@ fn arb_scalar_expr() -> impl Strategy<Value = Expr> {
                 other => Expr::UnOp(comp::ast::UnOp::Neg, Box::new(other)),
             }),
             (inner.clone(), inner).prop_map(|(a, b)| Expr::Tuple(vec![a, b])),
+        ]
+    })
+}
+
+/// Generate trees of every `Expr` variant and every qualifier kind (not
+/// necessarily well-typed).
+fn arb_any_expr() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        (-20i64..20).prop_map(Expr::Int),
+        (-20i32..20).prop_map(|n| Expr::Float(f64::from(n) / 4.0)),
+        proptest::bool::ANY.prop_map(Expr::Bool),
+        (0i64..3).prop_map(|n| Expr::Str(format!("s{n}"))),
+        (0i64..3).prop_map(|n| Expr::Var(format!("v{n}"))),
+    ];
+    leaf.prop_recursive(4, 48, 3, |inner| {
+        let list = proptest::collection::vec(inner.clone(), 0..3);
+        let b = |e: Expr| Box::new(e);
+        let qualifier = prop_oneof![
+            inner
+                .clone()
+                .prop_map(|e| Qualifier::Generator(Pattern::Var("p".into()), e)),
+            inner
+                .clone()
+                .prop_map(|e| Qualifier::Let(Pattern::Wildcard, e)),
+            inner.clone().prop_map(Qualifier::Guard),
+            proptest::option::of(inner.clone())
+                .prop_map(|k| Qualifier::GroupBy(Pattern::Var("k".into()), k)),
+        ];
+        prop_oneof![
+            list.clone().prop_map(Expr::Tuple),
+            (inner.clone(), proptest::collection::vec(qualifier, 0..3)).prop_map(
+                move |(head, qualifiers)| Expr::Comprehension(Comprehension {
+                    head: b(head),
+                    qualifiers,
+                })
+            ),
+            inner
+                .clone()
+                .prop_map(move |e| Expr::Reduce(Monoid::Sum, b(e))),
+            (inner.clone(), inner.clone(), arb_arith_op()).prop_map(move |(x, y, op)| Expr::BinOp(
+                op,
+                b(x),
+                b(y)
+            )),
+            inner.clone().prop_map(move |e| Expr::UnOp(UnOp::Not, b(e))),
+            (inner.clone(), list.clone()).prop_map(move |(e, idx)| Expr::Index(b(e), idx)),
+            list.clone().prop_map(|args| Expr::Call("f".into(), args)),
+            inner
+                .clone()
+                .prop_map(move |e| Expr::Field(b(e), "length".into())),
+            (inner.clone(), inner.clone(), proptest::bool::ANY).prop_map(
+                move |(lo, hi, inclusive)| {
+                    Expr::Range {
+                        lo: b(lo),
+                        hi: b(hi),
+                        inclusive,
+                    }
+                }
+            ),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(move |(c, t, e)| Expr::If(
+                b(c),
+                b(t),
+                b(e)
+            )),
+            (list, inner).prop_map(move |(args, body)| Expr::Build {
+                builder: "matrix".into(),
+                args,
+                body: b(body),
+            }),
         ]
     })
 }
@@ -142,6 +213,18 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "divergence: original={a:?} normalized={b:?}"),
         }
+    }
+
+    #[test]
+    fn children_and_map_children_visit_the_same_subexpressions(e in arb_any_expr()) {
+        let borrowed: Vec<Expr> = e.children().cloned().collect();
+        let mut mapped = Vec::new();
+        let rebuilt = e.clone().map_children(&mut |x| {
+            mapped.push(x.clone());
+            x
+        });
+        prop_assert_eq!(borrowed, mapped);
+        prop_assert_eq!(rebuilt, e);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use comp::types::{infer, Type, TypeEnv};
 use diablo::Translated;
 use planner::{DistArray, ExecResult, MatMulStrategy, PlanConfig, PlanEnv, Planned};
 use sparkline::{ChaosPlan, Context, ContextBuilder};
-use tiled::{CooMatrix, LocalMatrix, TiledMatrix, TiledVector};
+use tiled::{LocalMatrix, TiledMatrix, TiledVector};
 
 /// Builder for [`Session`]: planner options, plus a
 /// [`sparkline::ContextBuilder`] that the runtime setters forward to.
@@ -229,11 +229,6 @@ impl Session {
         self.env.set_array(name, DistArray::Vector(v));
     }
 
-    /// Register a coordinate-format matrix (§4 storage).
-    pub fn register_coo(&mut self, name: impl Into<String>, m: CooMatrix) {
-        self.env.set_array(name, DistArray::Coo(m));
-    }
-
     /// Bind an integer scalar (matrix dimensions etc.).
     pub fn set_int(&mut self, name: impl Into<String>, v: i64) {
         self.env.set_scalar(name, comp::Value::Int(v));
@@ -252,7 +247,7 @@ impl Session {
     /// Explicitly persist the registered array `name` through the runtime's
     /// block manager (Spark's `cache()`): every later plan referencing the
     /// name reads cached blocks, recomputing from lineage only after an
-    /// eviction. Returns false when the name is unbound or not persistable.
+    /// eviction. Returns false when the name is unbound.
     pub fn persist(&mut self, name: &str) -> bool {
         self.env.persist_array(name)
     }
@@ -278,7 +273,7 @@ impl Session {
         for name in expr.free_vars() {
             if let Some(a) = self.env.array(&name) {
                 let t = match a {
-                    DistArray::Matrix(_) | DistArray::Coo(_) => Type::matrix(),
+                    DistArray::Matrix(_) => Type::matrix(),
                     DistArray::Vector(_) => Type::vector(),
                 };
                 tenv.insert(name.clone(), t);
@@ -336,9 +331,8 @@ impl Session {
         })
     }
 
-    /// Execute an already-compiled plan against the session's bindings —
-    /// the plan-cache path of the query service, where the same [`Planned`]
-    /// is reused across alpha-equivalent queries.
+    /// Execute an already-compiled plan against the session's bindings, so
+    /// one [`Planned`] from [`Session::compile`] can run many times.
     pub fn run_planned(&self, planned: &Planned) -> Result<ExecResult, CompError> {
         planner::exec::execute(planned, &self.env, &self.ctx, &self.config)
     }

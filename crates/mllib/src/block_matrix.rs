@@ -321,7 +321,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     fn random(rows: usize, cols: usize, seed: u64) -> LocalMatrix {
@@ -453,7 +453,6 @@ mod tests {
         // deliberately tiny CI budget would legitimately void.
         let c = Context::builder()
             .workers(4)
-            .default_parallelism(4)
             .storage_memory(64 << 20)
             .build();
         let a = random(8, 8, 12);

@@ -217,55 +217,19 @@ pub fn inline_lets(e: &Expr, lets: &[(String, Expr)]) -> Expr {
     // Substitute from the last let backwards: each substitution may expose
     // references to earlier lets.
     for (name, def) in lets.iter().rev() {
-        out = substitute(&out, name, def);
+        out = substitute(out, name, def);
     }
     out
 }
 
 /// Substitute free occurrences of `name` in `e` by `def` (no binder-aware
 /// hygiene needed: normalized comprehension fragments contain no nested
-/// binders for these names).
-pub fn substitute(e: &Expr, name: &str, def: &Expr) -> Expr {
+/// binders for these names). A nested comprehension is left as it is.
+pub fn substitute(e: Expr, name: &str, def: &Expr) -> Expr {
     match e {
         Expr::Var(v) if v == name => def.clone(),
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => e.clone(),
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|x| substitute(x, name, def)).collect()),
-        Expr::Reduce(m, x) => Expr::Reduce(*m, Box::new(substitute(x, name, def))),
-        Expr::BinOp(op, a, b) => Expr::BinOp(
-            *op,
-            Box::new(substitute(a, name, def)),
-            Box::new(substitute(b, name, def)),
-        ),
-        Expr::UnOp(op, a) => Expr::UnOp(*op, Box::new(substitute(a, name, def))),
-        Expr::Index(b, idx) => Expr::Index(
-            Box::new(substitute(b, name, def)),
-            idx.iter().map(|x| substitute(x, name, def)).collect(),
-        ),
-        Expr::Call(f, args) => Expr::Call(
-            f.clone(),
-            args.iter().map(|x| substitute(x, name, def)).collect(),
-        ),
-        Expr::Field(b, f) => Expr::Field(Box::new(substitute(b, name, def)), f.clone()),
-        Expr::Range { lo, hi, inclusive } => Expr::Range {
-            lo: Box::new(substitute(lo, name, def)),
-            hi: Box::new(substitute(hi, name, def)),
-            inclusive: *inclusive,
-        },
-        Expr::If(c, t, f) => Expr::If(
-            Box::new(substitute(c, name, def)),
-            Box::new(substitute(t, name, def)),
-            Box::new(substitute(f, name, def)),
-        ),
-        Expr::Build {
-            builder,
-            args,
-            body,
-        } => Expr::Build {
-            builder: builder.clone(),
-            args: args.iter().map(|x| substitute(x, name, def)).collect(),
-            body: Box::new(substitute(body, name, def)),
-        },
-        Expr::Comprehension(_) => e.clone(),
+        Expr::Comprehension(_) => e,
+        _ => e.map_children(&mut |x| substitute(x, name, def)),
     }
 }
 
@@ -414,6 +378,9 @@ mod tests {
         ];
         let out = inline_lets(&parse_expr("v + u").unwrap(), &lets);
         assert_eq!(out, parse_expr("((a + 1) * 2) + (a + 1)").unwrap());
+        // A nested comprehension binds its own names: it is left untouched.
+        let out = inline_lets(&parse_expr("u + +/[ u | u <- L ]").unwrap(), &lets);
+        assert_eq!(out, parse_expr("(a + 1) + +/[ u | u <- L ]").unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use comp::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tiled::{CooMatrix, CscTile, DenseMatrix, TiledMatrix, TiledVector};
+use tiled::{CscTile, DenseMatrix, TiledMatrix, TiledVector};
 
 /// A distributed array a comprehension can range over or produce.
 #[derive(Clone)]
@@ -13,8 +13,6 @@ pub enum DistArray {
     Matrix(TiledMatrix),
     /// A block vector (Fig. 1).
     Vector(TiledVector),
-    /// A coordinate-format matrix (§4 / DIABLO storage).
-    Coo(CooMatrix),
 }
 
 impl DistArray {
@@ -23,7 +21,6 @@ impl DistArray {
         match self {
             DistArray::Matrix(_) => "tiled matrix",
             DistArray::Vector(_) => "tiled vector",
-            DistArray::Coo(_) => "coo matrix",
         }
     }
 
@@ -45,21 +42,18 @@ impl DistArray {
     /// operator's `Arc`). Two arrays share an identity iff they wrap the
     /// same operator DAG node, so a persisted overlay built for one is valid
     /// for the other.
-    pub(crate) fn lineage_identity(&self) -> Option<usize> {
+    pub(crate) fn lineage_identity(&self) -> usize {
         match self {
-            DistArray::Matrix(m) => Some(Arc::as_ptr(m.tiles().op()) as *const () as usize),
-            DistArray::Vector(v) => Some(Arc::as_ptr(v.blocks().op()) as *const () as usize),
-            DistArray::Coo(_) => None,
+            DistArray::Matrix(m) => Arc::as_ptr(m.tiles().op()) as *const () as usize,
+            DistArray::Vector(v) => Arc::as_ptr(v.blocks().op()) as *const () as usize,
         }
     }
 
-    /// A persisted (block-manager backed) variant of this array, or a plain
-    /// clone for kinds that do not support persistence.
+    /// A persisted (block-manager backed) variant of this array.
     fn persisted(&self) -> DistArray {
         match self {
             DistArray::Matrix(m) => DistArray::Matrix(m.persist()),
             DistArray::Vector(v) => DistArray::Vector(v.persist()),
-            DistArray::Coo(c) => DistArray::Coo(c.clone()),
         }
     }
 
@@ -68,7 +62,6 @@ impl DistArray {
         match self {
             DistArray::Matrix(m) => m.tiles().op().cache_id().is_some(),
             DistArray::Vector(v) => v.blocks().op().cache_id().is_some(),
-            DistArray::Coo(_) => false,
         }
     }
 }
@@ -84,7 +77,7 @@ impl DistArray {
 pub struct ArrayStats {
     pub rows: i64,
     pub cols: i64,
-    /// Tile side length (matrices) or block size (vectors); 1 for COO.
+    /// Tile side length (matrices) or block size (vectors).
     pub tile_size: usize,
     pub block_rows: i64,
     pub block_cols: i64,
@@ -142,20 +135,6 @@ impl ArrayStats {
         }
     }
 
-    /// Stats for a COO matrix. Without an action the entry count is unknown,
-    /// so bytes assume fully dense (~24 bytes per `((i64,i64),f64)` record).
-    pub fn coo(rows: i64, cols: i64) -> ArrayStats {
-        ArrayStats {
-            rows,
-            cols,
-            tile_size: 1,
-            block_rows: rows,
-            block_cols: cols,
-            nnz: None,
-            estimated_bytes: (rows as u64) * (cols as u64) * 24,
-        }
-    }
-
     /// Same stats with a known non-zero count.
     pub fn with_nnz(mut self, nnz: u64) -> ArrayStats {
         self.nnz = Some(nnz);
@@ -203,7 +182,6 @@ fn derived_stats(array: &DistArray) -> ArrayStats {
     match array {
         DistArray::Matrix(m) => ArrayStats::matrix(m.rows(), m.cols(), m.tile_size()),
         DistArray::Vector(v) => ArrayStats::vector(v.len(), v.block_size()),
-        DistArray::Coo(c) => ArrayStats::coo(c.rows(), c.cols()),
     }
 }
 
@@ -231,7 +209,7 @@ impl PlanEnv {
         let name = name.into();
         let mut cache = self.lock_persist_cache();
         if let Some((id, old)) = cache.get(&name) {
-            if array.lineage_identity() != Some(*id) {
+            if array.lineage_identity() != *id {
                 unpersist_array(old);
                 cache.remove(&name);
             }
@@ -262,7 +240,7 @@ impl PlanEnv {
 
     /// A block-manager-persisted overlay of the array bound to `name`,
     /// built on first use and cached for subsequent executions. Returns
-    /// `None` when the name is unbound or its kind cannot be persisted.
+    /// `None` when the name is unbound.
     pub fn persisted_array(&self, name: &str) -> Option<DistArray> {
         let array = self.arrays.get(name)?;
         if array.is_persisted() {
@@ -270,7 +248,7 @@ impl PlanEnv {
             // wrapping again would stack caches for no benefit.
             return Some(array.clone());
         }
-        let identity = array.lineage_identity()?;
+        let identity = array.lineage_identity();
         let mut cache = self.lock_persist_cache();
         match cache.get(name) {
             Some((id, overlay)) if *id == identity => Some(overlay.clone()),
@@ -288,7 +266,7 @@ impl PlanEnv {
     /// Persist the array bound to `name` in place: the binding is replaced
     /// by a block-manager-backed overlay, so *every* later plan referencing
     /// the name (not just those that reference it twice) reads cached
-    /// blocks. Returns false when the name is unbound or not persistable.
+    /// blocks. Returns false when the name is unbound.
     pub fn persist_array(&mut self, name: &str) -> bool {
         match self.persisted_array(name) {
             Some(overlay) => {
@@ -358,7 +336,6 @@ fn unpersist_array(a: &DistArray) -> usize {
     match a {
         DistArray::Matrix(m) => m.unpersist(),
         DistArray::Vector(v) => v.unpersist(),
-        DistArray::Coo(_) => 0,
     }
 }
 

@@ -1627,9 +1627,6 @@ pub(crate) fn local(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> 
                     ),
                 );
             }
-            Some(DistArray::Coo(m)) => {
-                cenv.bind(name.clone(), triplets_to_value(&m.entries().collect()));
-            }
             None => {}
         }
     }

@@ -73,7 +73,7 @@ mod tests {
     use tiled::{LocalMatrix, TiledMatrix};
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     fn setup(

@@ -648,7 +648,7 @@ fn plan_eltwise(s: &Statement) -> Result<Node, CompError> {
         aliases
             .filter(|(alias, name)| alias != name)
             .fold(e.clone(), |out, (alias, name)| {
-                crate::analysis::substitute(&out, alias, &Expr::Var((*name).clone()))
+                crate::analysis::substitute(out, alias, &Expr::Var((*name).clone()))
             })
     };
     let slots = gens.iter().map(|g| g.1).chain(indices.iter().copied());

@@ -151,9 +151,7 @@ impl Frontiers {
     fn once(&self, array: DistArray, probe: impl FnOnce() -> StageFrontier) -> StageFrontier {
         // Every update is one insert, so a poisoned map is still whole.
         let taken = || self.taken.lock().unwrap_or_else(PoisonError::into_inner);
-        let identity = array
-            .lineage_identity()
-            .expect("a tiled array has a lineage");
+        let identity = array.lineage_identity();
         if let Some((_, frontier)) = taken().get(&identity) {
             return frontier.clone();
         }

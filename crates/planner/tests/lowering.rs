@@ -12,11 +12,7 @@ use sparkline::{Context, Event};
 use tiled::{LocalMatrix, TiledMatrix, TiledVector};
 
 fn ctx() -> Context {
-    Context::builder()
-        .workers(4)
-        .default_parallelism(4)
-        .chaos_off()
-        .build()
+    Context::builder().workers(4).chaos_off().build()
 }
 
 fn config(matmul: MatMulStrategy) -> PlanConfig {

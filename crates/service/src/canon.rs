@@ -22,7 +22,7 @@ use std::collections::HashMap;
 /// Alpha-equivalent queries map to equal expressions, hence equal
 /// pretty-printed cache keys; the result computes what `expr` computes.
 pub fn canonicalize(expr: Expr) -> Expr {
-    Renamer::default().rename(&comp::normalize::normalize(expr))
+    Renamer::default().rename(comp::normalize::normalize(expr))
 }
 
 /// The canonical cache-key text of a query.
@@ -88,69 +88,38 @@ impl Renamer {
         }
     }
 
-    fn rename(&mut self, e: &Expr) -> Expr {
+    fn rename(&mut self, e: Expr) -> Expr {
         match e {
-            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) => e.clone(),
-            Expr::Var(v) => Expr::Var(self.lookup(v).cloned().unwrap_or_else(|| v.clone())),
-            Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| self.rename(e)).collect()),
-            Expr::Call(f, es) => Expr::Call(f.clone(), es.iter().map(|e| self.rename(e)).collect()),
-            Expr::Reduce(m, e) => Expr::Reduce(*m, Box::new(self.rename(e))),
-            Expr::UnOp(op, e) => Expr::UnOp(*op, Box::new(self.rename(e))),
-            Expr::Field(e, f) => Expr::Field(Box::new(self.rename(e)), f.clone()),
-            Expr::BinOp(op, a, b) => {
-                Expr::BinOp(*op, Box::new(self.rename(a)), Box::new(self.rename(b)))
-            }
-            Expr::Index(e, idx) => Expr::Index(
-                Box::new(self.rename(e)),
-                idx.iter().map(|i| self.rename(i)).collect(),
-            ),
-            Expr::Range { lo, hi, inclusive } => Expr::Range {
-                lo: Box::new(self.rename(lo)),
-                hi: Box::new(self.rename(hi)),
-                inclusive: *inclusive,
-            },
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(self.rename(c)),
-                Box::new(self.rename(t)),
-                Box::new(self.rename(e)),
-            ),
-            Expr::Build {
-                builder,
-                args,
-                body,
-            } => Expr::Build {
-                builder: builder.clone(),
-                args: args.iter().map(|a| self.rename(a)).collect(),
-                body: Box::new(self.rename(body)),
-            },
+            Expr::Var(v) => Expr::Var(self.lookup(&v).cloned().unwrap_or(v)),
             Expr::Comprehension(c) => {
                 self.scopes.push(HashMap::new());
                 let qualifiers = c
                     .qualifiers
-                    .iter()
+                    .into_iter()
                     .map(|q| match q {
                         Qualifier::Generator(p, e) => {
                             let e = self.rename(e);
-                            Qualifier::Generator(self.bind_pattern(p), e)
+                            Qualifier::Generator(self.bind_pattern(&p), e)
                         }
                         Qualifier::Let(p, e) => {
                             let e = self.rename(e);
-                            Qualifier::Let(self.bind_pattern(p), e)
+                            Qualifier::Let(self.bind_pattern(&p), e)
                         }
                         Qualifier::Guard(e) => Qualifier::Guard(self.rename(e)),
                         Qualifier::GroupBy(p, Some(k)) => {
                             let k = self.rename(k);
-                            Qualifier::GroupBy(self.bind_pattern(p), Some(k))
+                            Qualifier::GroupBy(self.bind_pattern(&p), Some(k))
                         }
                         Qualifier::GroupBy(p, None) => {
-                            Qualifier::GroupBy(self.reference_pattern(p), None)
+                            Qualifier::GroupBy(self.reference_pattern(&p), None)
                         }
                     })
                     .collect();
-                let head = Box::new(self.rename(&c.head));
+                let head = Box::new(self.rename(*c.head));
                 self.scopes.pop();
                 Expr::Comprehension(Comprehension { head, qualifiers })
             }
+            _ => e.map_children(&mut |x| self.rename(x)),
         }
     }
 }

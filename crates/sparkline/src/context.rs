@@ -123,7 +123,6 @@ enum ChaosChoice {
 /// Builder for [`Context`].
 pub struct ContextBuilder {
     workers: usize,
-    default_parallelism: usize,
     max_task_attempts: u32,
     max_stage_attempts: u32,
     storage_memory: Option<usize>,
@@ -135,7 +134,6 @@ impl Default for ContextBuilder {
     fn default() -> Self {
         ContextBuilder {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            default_parallelism: 8,
             max_task_attempts: 4,
             max_stage_attempts: 6,
             storage_memory: None,
@@ -151,13 +149,6 @@ impl ContextBuilder {
     /// blocks produced on it, and killing it loses that state.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Default number of partitions for sources and shuffles when the caller
-    /// does not specify one.
-    pub fn default_parallelism(mut self, n: usize) -> Self {
-        self.default_parallelism = n.max(1);
         self
     }
 
@@ -261,7 +252,6 @@ impl ContextBuilder {
         let ctx = Context {
             inner: Arc::new(CtxInner {
                 workers: self.workers,
-                default_parallelism: self.default_parallelism,
                 max_task_attempts: self.max_task_attempts,
                 max_stage_attempts: self.max_stage_attempts,
                 executors: (0..self.workers).map(|_| ExecutorSlot::default()).collect(),
@@ -323,7 +313,6 @@ pub struct ExecutorStatus {
 
 pub(crate) struct CtxInner {
     pub(crate) workers: usize,
-    pub(crate) default_parallelism: usize,
     pub(crate) max_task_attempts: u32,
     pub(crate) max_stage_attempts: u32,
     /// The logical executor pool tasks are scheduled onto.
@@ -688,11 +677,6 @@ impl Context {
         self.inner.chaos.as_ref().map(ChaosController::plan)
     }
 
-    /// Default partition count for sources and shuffles.
-    pub fn default_parallelism(&self) -> usize {
-        self.inner.default_parallelism
-    }
-
     /// Start collecting structured runtime events, discarding anything
     /// buffered from an earlier trace window.
     pub fn trace(&self) {
@@ -783,11 +767,6 @@ impl Context {
     /// `partitions` roughly equal chunks.
     pub fn parallelize<T: Data>(&self, data: Vec<T>, partitions: usize) -> crate::Dataset<T> {
         crate::Dataset::from_vec(self.clone(), data, partitions.max(1))
-    }
-
-    /// [`Context::parallelize`] with the default parallelism.
-    pub fn parallelize_default<T: Data>(&self, data: Vec<T>) -> crate::Dataset<T> {
-        self.parallelize(data, self.inner.default_parallelism)
     }
 
     /// A broadcast value: a read-only value shared by all tasks. It lives
@@ -1367,14 +1346,12 @@ mod tests {
     fn builder_knobs_read_back_from_a_running_context() {
         let ctx = Context::builder()
             .workers(3)
-            .default_parallelism(5)
             .max_task_attempts(7)
             .max_stage_attempts(9)
             .storage_memory(1 << 20)
             .chaos_off()
             .build();
         assert_eq!(ctx.workers(), 3);
-        assert_eq!(ctx.default_parallelism(), 5);
         assert_eq!(ctx.max_task_attempts(), 7);
         assert_eq!(ctx.max_stage_attempts(), 9);
         assert_eq!(ctx.storage_memory(), Some(1 << 20));

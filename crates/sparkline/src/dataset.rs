@@ -466,7 +466,7 @@ mod tests {
     use super::*;
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     /// For tests asserting blocks stay resident: ample pinned budget
@@ -474,7 +474,6 @@ mod tests {
     fn cache_ctx() -> Context {
         Context::builder()
             .workers(4)
-            .default_parallelism(4)
             .storage_memory(64 << 20)
             .build()
     }
@@ -903,7 +902,6 @@ mod tests {
         let plan = crate::ChaosPlan::from_env(&seed, 4).unwrap_or_default();
         let c = Context::builder()
             .workers(4)
-            .default_parallelism(4)
             .max_task_attempts(5)
             .chaos(plan.with_task_failures(2, 2))
             .build();

@@ -119,8 +119,6 @@ impl BackoffPolicy {
 pub(crate) enum OutputOwner {
     /// Owned by a logical executor at a specific epoch; dies with it.
     Executor { executor: usize, epoch: u64 },
-    /// Produced on a driver thread (no executor): survives every kill.
-    Driver,
     /// Written through the external shuffle service (a driver-visible
     /// directory): survives the death of the executor (and worker process)
     /// that produced it. The producing executor is kept so chaos plans can
@@ -185,14 +183,14 @@ impl MapOutputTracker {
             .and_then(|parts| parts.iter().position(Option::is_some))
     }
 
-    /// Executor that produced map output `part`, if executor-produced
-    /// (including outputs parked in the external shuffle service, so chaos
-    /// plans can target the producer even when its output would survive it).
+    /// Executor that produced map output `part`, if registered (including
+    /// outputs parked in the external shuffle service, so chaos plans can
+    /// target the producer even when its output would survive it).
     pub fn owner(&self, shuffle: u64, part: usize) -> Option<usize> {
         match self.state.lock().get(&shuffle)?.get(part)? {
             Some(OutputOwner::Executor { executor, .. })
             | Some(OutputOwner::External { executor }) => Some(*executor),
-            _ => None,
+            None => None,
         }
     }
 
@@ -202,14 +200,6 @@ impl MapOutputTracker {
             self.state.lock().get(&shuffle).and_then(|p| p.get(part)),
             Some(Some(OutputOwner::External { .. }))
         )
-    }
-
-    /// Live outputs registered for `shuffle` (diagnostics).
-    pub fn live_outputs(&self, shuffle: u64) -> usize {
-        self.state
-            .lock()
-            .get(&shuffle)
-            .map_or(0, |parts| parts.iter().filter(|o| o.is_some()).count())
     }
 
     /// Sweep every output owned by `executor` up to and including
@@ -430,12 +420,12 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
     }
 
     /// Park map partition `p`'s buckets (one per reduce partition), produced
-    /// by `producer` — `(executor, epoch)` at task launch, `None` on a driver
-    /// thread. Returns their wire bytes and who now owns the output.
+    /// by `(executor, epoch)` at task launch. Returns their wire bytes and
+    /// who now owns the output.
     fn store(
         &self,
         p: usize,
-        producer: Option<(usize, u64)>,
+        (executor, epoch): (usize, u64),
         buckets: Vec<Vec<(K, C)>>,
     ) -> (u64, OutputOwner) {
         let bytes = buckets.iter().map(wire::encoded_len).sum();
@@ -448,14 +438,14 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
             }
             MapOutputStore::Workers(workers) => workers.put(
                 p,
-                producer,
+                executor,
                 buckets.iter().map(wire::encode_frame).collect(),
             ),
         };
-        let owner = match producer {
-            Some((executor, _)) if spooled => OutputOwner::External { executor },
-            Some((executor, epoch)) => OutputOwner::Executor { executor, epoch },
-            None => OutputOwner::Driver,
+        let owner = if spooled {
+            OutputOwner::External { executor }
+        } else {
+            OutputOwner::Executor { executor, epoch }
         };
         (bytes, owner)
     }
@@ -521,17 +511,18 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
 
 impl WorkerFrames<'_> {
     /// PUT map partition `p`'s frames (one per reduce partition) to the
-    /// producer's worker. Returns whether they were also spooled — the spool
+    /// worker hosting `executor`, their producer. Returns whether they were
+    /// also spooled — the spool
     /// is an optimisation of recovery, not a precondition: on a full or
     /// unwritable temp dir the output stays worker-owned and is recovered by
     /// resubmission.
-    fn put(&self, p: usize, producer: Option<(usize, u64)>, frames: Vec<Vec<u8>>) -> bool {
+    fn put(&self, p: usize, executor: usize, frames: Vec<Vec<u8>>) -> bool {
         let spooled = self.spool.as_deref().is_some_and(|dir| {
             let write = |(r, frame)| std::fs::write(dir.join(format!("m{p}.r{r}")), frame);
             std::fs::create_dir_all(dir).is_ok()
                 && frames.iter().enumerate().try_for_each(write).is_ok()
         });
-        let worker = producer.map_or(p, |(executor, _)| executor) % self.group.len();
+        let worker = executor % self.group.len();
         for (r, frame) in frames.into_iter().enumerate() {
             let put = self
                 .group
@@ -721,7 +712,9 @@ where
                     },
                     |idx| {
                         let p = missing[idx];
-                        let producer = current_executor().map(|e| (e, ctx.executor_epoch(e)));
+                        let executor =
+                            current_executor().expect("map tasks run on an executor thread");
+                        let producer = (executor, ctx.executor_epoch(executor));
                         // Drain the parent's stream straight into the write
                         // buckets: no intermediate partition Vec.
                         let input = self.parent.compute(p, ctx);

@@ -142,7 +142,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     #[test]

@@ -166,7 +166,7 @@ mod tests {
     use sparkline::Context;
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> Context {
-        Context::builder().workers(4).default_parallelism(4).build()
+        Context::builder().workers(4).build()
     }
 
     #[test]
@@ -346,7 +346,6 @@ mod tests {
         // test asserts persisted blocks stay resident.
         let c = Context::builder()
             .workers(4)
-            .default_parallelism(4)
             .storage_memory(64 << 20)
             .build();
         let t = TiledMatrix::from_fn(&c, 8, 8, 4, 4, |i, j| (i * 8 + j) as f64).persist();
@@ -362,11 +361,7 @@ mod tests {
     fn persist_under_eviction_pressure_matches_unpersisted() {
         // Budget far below the matrix size: every pass thrashes, results
         // must still be identical to the uncached evaluation.
-        let c = Context::builder()
-            .workers(4)
-            .default_parallelism(4)
-            .storage_memory(200)
-            .build();
+        let c = Context::builder().workers(4).storage_memory(200).build();
         let plain = TiledMatrix::from_fn(&c, 10, 10, 4, 4, |i, j| (i * 31 + j * 7) as f64);
         let persisted = plain.persist();
         assert_eq!(persisted.to_local(), plain.to_local());

@@ -1,7 +1,6 @@
 //! Distributed block vectors — `RDD[(Int, Array[Double])]` in the paper
 //! (Fig. 1): fixed-size dense blocks keyed by their block coordinate.
 
-use crate::local::LocalMatrix;
 use crate::tiled_matrix::div_ceil;
 use sparkline::{Context, Dataset};
 
@@ -108,12 +107,6 @@ impl TiledVector {
                 (b, block)
             });
         TiledVector::new(len, block_size, blocks)
-    }
-
-    /// As a single-column [`LocalMatrix`] (for oracle comparisons).
-    pub fn to_local_matrix(&self) -> LocalMatrix {
-        let v = self.to_local();
-        LocalMatrix::from_fn(v.len(), 1, |i, _| v[i])
     }
 
     /// Persist the blocks through the memory-budgeted block manager (see

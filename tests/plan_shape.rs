@@ -531,11 +531,7 @@ fn narrow_chain_runs_as_one_fused_operator_pipeline() {
     use sac_repro::sparkline::Context;
     // chaos_off: retried or requeued attempts would emit extra
     // operator_output events and skew the exact per-operator counts.
-    let c = Context::builder()
-        .workers(4)
-        .default_parallelism(4)
-        .chaos_off()
-        .build();
+    let c = Context::builder().workers(4).chaos_off().build();
     let d = c
         .parallelize((0..1000i64).collect(), 4)
         .map(|x| x * 2)

@@ -6,7 +6,7 @@ mod common;
 use sac_repro::sparkline::{Context, KeyPartitioner};
 
 fn ctx() -> Context {
-    Context::builder().workers(4).default_parallelism(4).build()
+    Context::builder().workers(4).build()
 }
 
 #[test]
@@ -210,7 +210,6 @@ fn failure_injection_mid_iteration_recovers() {
     let (plan, attempts) = common::failures_per_pass(4, 4, 1, 4);
     let c = Context::builder()
         .workers(4)
-        .default_parallelism(4)
         .max_task_attempts(attempts)
         .chaos(plan)
         .build();
@@ -234,11 +233,7 @@ fn source_partitions_are_shared_views_not_per_task_copies() {
     use std::sync::Arc;
     // A multi-stage job over a sizable source: map tasks drain the source
     // stream straight into shuffle buckets.
-    let c = Context::builder()
-        .workers(4)
-        .default_parallelism(4)
-        .chaos_off()
-        .build();
+    let c = Context::builder().workers(4).chaos_off().build();
     let d = c.parallelize((0..100_000i64).collect(), 4);
     assert_eq!(
         d.map(|x| (x % 7, x)).reduce_by_key(4, |a, b| a + b).count(),
@@ -273,11 +268,7 @@ fn tiles_keep_their_payload_pointer_through_the_cluster_layer() {
     // and carried through map, persist(), a broadcast table, join replication
     // and collect() is the same buffer at the end. Only a frame encoded at a
     // process boundary produces bytes (`tests/distributed.rs`).
-    let c = Context::builder()
-        .workers(4)
-        .default_parallelism(4)
-        .chaos_off()
-        .build();
+    let c = Context::builder().workers(4).chaos_off().build();
     let tiles: Vec<(i64, DenseMatrix)> = (0..6)
         .map(|k| {
             (
