@@ -1,7 +1,6 @@
 //! End-to-end check of `figures -- b quick --trace`: the harness must write
-//! a JSON event log that parses back into structured events.
+//! a JSON event log, one event object per line.
 
-use sparkline::events::{parse_events, to_json};
 use sparkline::{Context, Event};
 
 #[test]
@@ -21,17 +20,32 @@ fn figures_trace_writes_valid_json() {
     );
     let path = dir.join("target/figures_trace_b.json");
     let json = std::fs::read_to_string(&path).expect("trace file written");
-    let events = parse_events(&json).expect("trace file is valid event-log JSON");
-    assert!(!events.is_empty(), "trace should contain events");
+    // `[`, then one `  {"type":"<tag>",...}` object per line (comma-separated),
+    // then `]`.
+    let lines: Vec<&str> = json.lines().collect();
+    assert_eq!(lines.first(), Some(&"["), "log opens with `[`");
+    assert_eq!(lines.last(), Some(&"]"), "log closes with `]`");
+    let objects = &lines[1..lines.len() - 1];
+    assert!(!objects.is_empty(), "trace should contain events");
+    let mut tags = Vec::new();
+    for (i, line) in objects.iter().enumerate() {
+        let object = if i + 1 < objects.len() {
+            line.strip_suffix(',')
+        } else {
+            Some(*line)
+        };
+        let tag = object
+            .and_then(|o| o.strip_prefix("  {\"type\":\""))
+            .filter(|o| o.ends_with('}'))
+            .and_then(|o| o.split_once("\","))
+            .map(|(tag, _)| tag);
+        tags.push(tag.unwrap_or_else(|| panic!("line {} is not one event object: {line}", i + 2)));
+    }
     // A traced multiplication run must include stage boundaries and shuffle
     // traffic from the contraction plans.
-    assert!(events.iter().any(|e| matches!(e, Event::StageStart { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, Event::ShuffleWrite { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, Event::ShuffleRead { .. })));
+    for tag in ["stage_start", "shuffle_write", "shuffle_read"] {
+        assert!(tags.contains(&tag), "no `{tag}` event");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -66,10 +80,10 @@ fn figures_ablations_quick_prints_the_three_tables() {
     assert_eq!(stdout.matches("=== Ablation").count(), 3, "{stdout}");
 }
 
-/// Cache events from a real persisted run survive the hand-rolled JSON
-/// writer/parser round trip, exactly.
+/// A persisted dataset collected twice emits both cache-miss and cache-hit
+/// events.
 #[test]
-fn cache_events_round_trip_through_event_log_json() {
+fn persisted_run_emits_cache_miss_and_hit_events() {
     let c = Context::builder()
         .workers(2)
         .storage_memory(1 << 20)
@@ -84,6 +98,4 @@ fn cache_events_round_trip_through_event_log_json() {
     let events = c.take_events();
     assert!(events.iter().any(|e| matches!(e, Event::CacheMiss { .. })));
     assert!(events.iter().any(|e| matches!(e, Event::CacheHit { .. })));
-    let parsed = parse_events(&to_json(&events)).expect("cache events serialize as valid JSON");
-    assert_eq!(parsed, events, "round trip must be lossless");
 }

@@ -29,7 +29,7 @@ impl SessionBuilder {
     /// Attach the session to an *existing* runtime context instead of
     /// building a fresh one — how a multi-tenant query service hosts many
     /// sessions over one shared executor pool. When set, the runtime-level
-    /// knobs on this builder (`workers`, `storage_memory`, attempt limits,
+    /// knobs on this builder (`workers`, `storage_memory`, `max_task_attempts`,
     /// `worker_processes`, chaos) are ignored: they belong to
     /// whoever built the shared context. Planner-level knobs (`partitions`,
     /// `matmul`, `broadcast_budget`) still apply per session.
@@ -77,13 +77,6 @@ impl SessionBuilder {
     /// Attempts per task before the job fails.
     pub fn max_task_attempts(mut self, n: u32) -> Self {
         self.runtime = self.runtime.max_task_attempts(n);
-        self
-    }
-
-    /// Attempts per shuffle map stage (first run + resubmissions after
-    /// executor loss) before the job fails.
-    pub fn max_stage_attempts(mut self, n: u32) -> Self {
-        self.runtime = self.runtime.max_stage_attempts(n);
         self
     }
 

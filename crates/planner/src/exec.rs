@@ -1732,10 +1732,7 @@ mod tests {
             ..Default::default()
         };
         let run = |chaos: Option<ChaosPlan>| {
-            let mut builder = Context::builder()
-                .workers(4)
-                .max_task_attempts(8)
-                .max_stage_attempts(12);
+            let mut builder = Context::builder().workers(4).max_task_attempts(8);
             builder = match chaos {
                 Some(p) => builder.chaos(p),
                 None => builder.chaos_off(),

@@ -120,11 +120,11 @@ enum ChaosChoice {
     Plan(ChaosPlan),
 }
 
-/// Builder for [`Context`].
+/// Builder for [`Context`]. The stage-attempt limit is not among its
+/// knobs: every context attempts a shuffle map stage at most 12 times.
 pub struct ContextBuilder {
     workers: usize,
     max_task_attempts: u32,
-    max_stage_attempts: u32,
     storage_memory: Option<usize>,
     chaos: ChaosChoice,
     worker_processes: Option<usize>,
@@ -135,7 +135,6 @@ impl Default for ContextBuilder {
         ContextBuilder {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             max_task_attempts: 4,
-            max_stage_attempts: 6,
             storage_memory: None,
             chaos: ChaosChoice::Inherit,
             worker_processes: None,
@@ -157,15 +156,6 @@ impl ContextBuilder {
     /// attempt.
     pub fn max_task_attempts(mut self, n: u32) -> Self {
         self.max_task_attempts = n.max(1);
-        self
-    }
-
-    /// Maximum times a shuffle map stage may be attempted — the first run
-    /// plus resubmissions after executor loss or fetch failures (Spark's
-    /// `spark.stage.maxConsecutiveAttempts`). Clamped to at least 1: every
-    /// stage gets one attempt.
-    pub fn max_stage_attempts(mut self, n: u32) -> Self {
-        self.max_stage_attempts = n.max(1);
         self
     }
 
@@ -253,7 +243,6 @@ impl ContextBuilder {
             inner: Arc::new(CtxInner {
                 workers: self.workers,
                 max_task_attempts: self.max_task_attempts,
-                max_stage_attempts: self.max_stage_attempts,
                 executors: (0..self.workers).map(|_| ExecutorSlot::default()).collect(),
                 blacklist_decision: Mutex::new(()),
                 chaos,
@@ -314,7 +303,6 @@ pub struct ExecutorStatus {
 pub(crate) struct CtxInner {
     pub(crate) workers: usize,
     pub(crate) max_task_attempts: u32,
-    pub(crate) max_stage_attempts: u32,
     /// The logical executor pool tasks are scheduled onto.
     executors: Vec<ExecutorSlot>,
     /// Serializes blacklist decisions so concurrent kills can't blacklist
@@ -558,11 +546,6 @@ impl Context {
     /// Configured task-attempt limit ([`ContextBuilder::max_task_attempts`]).
     pub fn max_task_attempts(&self) -> u32 {
         self.inner.max_task_attempts
-    }
-
-    /// Configured stage-attempt limit ([`ContextBuilder::max_stage_attempts`]).
-    pub fn max_stage_attempts(&self) -> u32 {
-        self.inner.max_stage_attempts
     }
 
     /// Number of shuffle data-plane worker processes; `0` in local mode
@@ -1252,11 +1235,9 @@ mod tests {
         let ctx = Context::builder()
             .workers(2)
             .max_task_attempts(0)
-            .max_stage_attempts(0)
             .chaos_off()
             .build();
         assert_eq!(ctx.max_task_attempts(), 1);
-        assert_eq!(ctx.max_stage_attempts(), 1);
         assert_eq!(ctx.run_tasks(3, |i| i), vec![0, 1, 2]);
     }
 
@@ -1347,13 +1328,11 @@ mod tests {
         let ctx = Context::builder()
             .workers(3)
             .max_task_attempts(7)
-            .max_stage_attempts(9)
             .storage_memory(1 << 20)
             .chaos_off()
             .build();
         assert_eq!(ctx.workers(), 3);
         assert_eq!(ctx.max_task_attempts(), 7);
-        assert_eq!(ctx.max_stage_attempts(), 9);
         assert_eq!(ctx.storage_memory(), Some(1 << 20));
         // Local mode: no worker processes, no external spool.
         assert_eq!(ctx.worker_processes(), 0);

@@ -7,7 +7,9 @@
 //! failures), and per-task shuffle bytes/records written and read. Events
 //! are gathered by the context's [`EventCollector`] and can be folded into a
 //! queryable [`crate::profile::JobProfile`] or serialized as a JSON event
-//! log (see `EXPERIMENTS.md` for the schema).
+//! log (see `EXPERIMENTS.md` for the schema). The log is an export only:
+//! every consumer in the workspace reads the in-process `Event`s, and nothing
+//! parses the JSON back.
 //!
 //! Collection is off by default and costs one relaxed atomic load per
 //! emission site when disabled, so the instrumented hot paths stay cheap.
@@ -19,10 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Expands the schema table below — the one declaration of every event —
-/// into `enum Event`, its JSON writer, its JSON reader and the list of
-/// `"type"` tags. A JSON key is its field's name, keys are emitted in field
-/// order, and how a value is written and read back follows from the field's
-/// type alone ([`Field`]).
+/// into `enum Event`, its JSON writer and, for tests, the `"type"` tags and
+/// field names of every kind. A JSON key is its field's name, keys are
+/// emitted in field order, and how a value is written follows from the
+/// field's type alone ([`Field`]).
 macro_rules! event_schema {
     ($(
         $(#[$variant_meta:meta])*
@@ -42,6 +44,12 @@ macro_rules! event_schema {
             #[cfg(test)]
             const KINDS: &'static [&'static str] = &[$($tag),*];
 
+            /// `(type tag, JSON keys after "type")` of every event kind, in
+            /// schema order.
+            #[cfg(test)]
+            const FIELDS: &'static [(&'static str, &'static [&'static str])] =
+                &[$(($tag, &[$(stringify!($field)),*])),*];
+
             /// One-line JSON object for this event.
             pub fn to_json(&self) -> String {
                 let mut o = JsonObject::new();
@@ -52,16 +60,6 @@ macro_rules! event_schema {
                     } )*
                 }
                 o.finish()
-            }
-
-            fn from_json(v: &JsonValue) -> Result<Event, String> {
-                let kind: String = v.field("type")?;
-                match kind.as_str() {
-                    $( $tag => Ok(Event::$variant {
-                        $( $field: v.field(stringify!($field))? ),*
-                    }), )*
-                    other => Err(format!("unknown event type `{other}`")),
-                }
             }
         }
     };
@@ -238,7 +236,7 @@ event_schema! {
         candidates: Vec<(String, u64)>,
         /// Why every distributed row rejected the statement, when `chosen`
         /// is the interpreter fallback (`localFallback`); `null` for a
-        /// cost-based choice. Absent in logs written before the field.
+        /// cost-based choice.
         reason: Option<String>,
         at_micros: u64,
     }
@@ -381,242 +379,18 @@ pub fn to_json(events: &[Event]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// JSON parsing (minimal, for consuming recorded event logs in tests/tools).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-/// Deepest array/object nesting the parser follows (the event log is 3
-/// deep); beyond it the input is rejected instead of recursed into.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            src,
-            bytes: src.as_bytes(),
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        self.depth += 1;
-        let value = match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b) if b.is_ascii_digit() => self.number(),
-            _ => Err(self.error("expected a value")),
-        };
-        self.depth -= 1;
-        value
-    }
-
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected `{text}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| self.error("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("short \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or backslash.
-                    // Both are ASCII, so the run ends on a char boundary and
-                    // multi-byte UTF-8 inside it is copied through verbatim.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.src[start..self.pos]);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-impl JsonValue {
-    /// Field `key` of an object, decoded as the type the caller names.
-    fn field<T: Field>(&self, key: &str) -> Result<T, String> {
-        let value = match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        };
-        T::read(value).map_err(|e| format!("field `{key}`: {e}"))
-    }
-}
-
-/// The JSON encoding of one event-field type: how the schema table's writer
-/// emits a value of it and how the reader takes it back.
-trait Field: Sized {
+/// How the schema table's writer emits a value of one event-field type.
+trait Field {
     /// Append the value as JSON.
     fn write(&self, out: &mut String);
-    /// Decode the value; `None` means the key was absent.
-    fn read(value: Option<&JsonValue>) -> Result<Self, String>;
 }
 
-/// Integers travel as JSON numbers; the narrower ones are range-checked on
-/// the way back in.
+/// Integers travel as JSON numbers.
 macro_rules! int_field {
     ($($t:ty),*) => {$(
         impl Field for $t {
             fn write(&self, out: &mut String) {
                 write!(out, "{self}").expect("writing to a String cannot fail");
-            }
-            fn read(value: Option<&JsonValue>) -> Result<Self, String> {
-                match value {
-                    Some(JsonValue::Num(n)) => {
-                        <$t>::try_from(*n).map_err(|_| "out of range".to_string())
-                    }
-                    other => Err(format!("expected number, got {other:?}")),
-                }
             }
         }
     )*};
@@ -627,38 +401,20 @@ impl Field for bool {
     fn write(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
-    fn read(value: Option<&JsonValue>) -> Result<Self, String> {
-        match value {
-            Some(JsonValue::Bool(b)) => Ok(*b),
-            other => Err(format!("expected bool, got {other:?}")),
-        }
-    }
 }
 
 impl Field for String {
     fn write(&self, out: &mut String) {
         json::escape(self, out);
     }
-    fn read(value: Option<&JsonValue>) -> Result<Self, String> {
-        match value {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
 }
 
-/// `None` is written as `null`; the reader also accepts an absent key.
+/// `None` is written as `null`.
 impl<T: Field> Field for Option<T> {
     fn write(&self, out: &mut String) {
         match self {
             Some(v) => v.write(out),
             None => out.push_str("null"),
-        }
-    }
-    fn read(value: Option<&JsonValue>) -> Result<Self, String> {
-        match value {
-            Some(JsonValue::Null) | None => Ok(None),
-            some => T::read(some).map(Some),
         }
     }
 }
@@ -677,29 +433,6 @@ impl Field for Vec<(String, u64)> {
             out.push_str(&o.finish());
         }
         out.push(']');
-    }
-    fn read(value: Option<&JsonValue>) -> Result<Self, String> {
-        match value {
-            Some(JsonValue::Array(items)) => items
-                .iter()
-                .map(|it| Ok((it.field("strategy")?, it.field("est_bytes")?)))
-                .collect(),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-}
-
-/// Parse a JSON event log produced by [`to_json`].
-pub fn parse_events(json: &str) -> Result<Vec<Event>, String> {
-    let mut parser = Parser::new(json);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing data after event log"));
-    }
-    match value {
-        JsonValue::Array(items) => items.iter().map(Event::from_json).collect(),
-        _ => Err("event log must be a JSON array".into()),
     }
 }
 
@@ -871,38 +604,31 @@ mod tests {
         ]
     }
 
-    /// The bytes of the log are a contract (the ledger and the figures read
-    /// them): the fixture was captured from the hand-written per-variant
-    /// writer that the schema table replaced.
+    /// The bytes of the log are a contract (`figures --trace` writes them
+    /// for outside tools): the fixture was captured from the hand-written
+    /// per-variant writer that the schema table replaced.
     #[test]
-    fn json_bytes_are_pinned_and_round_trip() {
-        let events = sample_events();
-        let json = to_json(&events);
+    fn json_bytes_are_pinned() {
+        let json = to_json(&sample_events());
         assert_eq!(json, include_str!("../tests/fixtures/event_log.json"));
-        assert_eq!(parse_events(&json).expect("parse back"), events);
     }
 
-    /// `(type tag, field names)` of one event, read off its own JSON.
-    fn kind_and_keys(event: &Event) -> (String, Vec<String>) {
-        let Ok(JsonValue::Object(fields)) = Parser::new(&event.to_json()).value() else {
-            panic!("{event:?} is not written as an object");
-        };
-        let mut fields = fields.into_iter();
-        let Some((_, JsonValue::Str(kind))) = fields.next() else {
-            panic!("{event:?} does not lead with its type tag");
-        };
-        (kind, fields.map(|(key, _)| key).collect())
-    }
-
-    /// A new row in the schema table cannot skip the round trip above.
+    /// A new row in the schema table cannot skip the byte pin above, and
+    /// each sample writes exactly the keys its row of the field table names.
     #[test]
     fn sample_events_cover_every_kind() {
-        let sampled: Vec<String> = sample_events().iter().map(|e| kind_and_keys(e).0).collect();
-        for kind in Event::KINDS {
-            assert!(
-                sampled.iter().any(|k| k == kind),
-                "no sample `{kind}` event"
-            );
+        let sampled: Vec<String> = sample_events().iter().map(Event::to_json).collect();
+        for (kind, keys) in Event::FIELDS {
+            let json = sampled
+                .iter()
+                .find(|json| json.starts_with(&format!("{{\"type\":\"{kind}\",")))
+                .unwrap_or_else(|| panic!("no sample `{kind}` event"));
+            for key in *keys {
+                assert!(
+                    json.contains(&format!(",\"{key}\":")),
+                    "{json} lacks `{key}`"
+                );
+            }
         }
     }
 
@@ -920,15 +646,14 @@ mod tests {
             .filter(|line| line.starts_with("| `") && !line.starts_with("| `type`"))
             .collect();
         assert_eq!(rows.len(), Event::KINDS.len(), "one row per event kind");
-        for event in sample_events() {
-            let (kind, keys) = kind_and_keys(&event);
+        for (kind, keys) in Event::FIELDS {
             let row = rows
                 .iter()
                 .find(|r| r.starts_with(&format!("| `{kind}` |")));
             let fields = row
                 .and_then(|r| r.split('|').nth(2))
                 .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{kind}` row"));
-            for key in keys {
+            for key in *keys {
                 assert!(
                     fields.contains(&format!("`{key}`")) || fields.contains(&format!("`{key}?`")),
                     "EXPERIMENTS.md `{kind}` row does not list `{key}`"
@@ -952,10 +677,5 @@ mod tests {
         });
         assert_eq!(c.drain().len(), 1);
         assert!(c.drain().is_empty(), "drain must consume");
-    }
-
-    #[test]
-    fn empty_log_round_trips() {
-        assert_eq!(parse_events(&to_json(&[])).unwrap(), Vec::<Event>::new());
     }
 }

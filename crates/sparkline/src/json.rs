@@ -73,3 +73,30 @@ impl JsonObject {
         self.buf
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape(s, &mut out);
+        out
+    }
+
+    #[test]
+    fn escape_table_is_pinned() {
+        assert_eq!(escaped("\"\\\n\t\r"), r#""\"\\\n\t\r""#);
+        assert_eq!(escaped("\u{1}\u{1f}"), r#""\u0001\u001f""#);
+        assert_eq!(escaped("\u{7f}é𝄞"), "\"\u{7f}é𝄞\"");
+        assert_eq!(escaped(""), r#""""#);
+    }
+
+    #[test]
+    fn object_commas_go_between_keys_only() {
+        let mut o = JsonObject::new();
+        o.string("a", "x").raw("b", 1);
+        assert_eq!(o.finish(), r#"{"a":"x","b":1}"#);
+        assert_eq!(JsonObject::new().finish(), "{}");
+    }
+}

@@ -30,10 +30,11 @@
 //! produced it, recorded in the [`MapOutputTracker`]. When an executor dies
 //! its outputs are marked lost; reduce tasks then surface a fetch failure
 //! (instead of panicking), and the materialization loop resubmits a map
-//! stage covering *only the missing partitions* — bounded by
-//! `max_stage_attempts`, with exponential backoff — before retrying the
-//! outstanding reduce partitions. Results are bit-identical to a fault-free
-//! run because every stage recomputes deterministically from lineage.
+//! stage covering *only the missing partitions* — at most
+//! `MAX_STAGE_ATTEMPTS` (12) times, with exponential backoff — before
+//! retrying the outstanding reduce partitions. Results are bit-identical to
+//! a fault-free run because every stage recomputes deterministically from
+//! lineage.
 
 use crate::chaos::{splitmix64, WireFault};
 use crate::context::{current_executor, Context, StageMeta};
@@ -79,6 +80,11 @@ const RESUBMIT_BACKOFF: BackoffPolicy = BackoffPolicy {
     cap: Duration::from_millis(10),
     jitter: 0.0,
 };
+
+/// Most times a shuffle map stage is attempted — the first run plus
+/// resubmissions after executor loss or fetch failures (Spark's
+/// `spark.stage.maxConsecutiveAttempts`) — before the job fails.
+const MAX_STAGE_ATTEMPTS: u32 = 12;
 
 /// Between retries of one shuffle fetch. Retries are cheap loopback
 /// round-trips; back off hard enough to ride out a worker respawn, but stay
@@ -652,7 +658,7 @@ where
     /// only what an executor took down with it), then reduce the partitions
     /// still outstanding. Reduce tasks that find an output lost report a
     /// fetch failure instead of panicking; the loop then unwinds back to the
-    /// map side. Bounded by `max_stage_attempts` with exponential backoff.
+    /// map side. Bounded by [`MAX_STAGE_ATTEMPTS`] with exponential backoff.
     fn materialized_partition(&self, part: usize, ctx: &Context) -> Arc<Vec<(K, C)>> {
         let mut state = self.state.lock();
         if let Some(parts) = state.as_ref() {
@@ -675,7 +681,7 @@ where
             if !missing.is_empty() {
                 if !first_map_stage {
                     resubmits += 1;
-                    if resubmits >= ctx.max_stage_attempts() {
+                    if resubmits >= MAX_STAGE_ATTEMPTS {
                         panic!(
                             "sparkline: shuffle {} ({}) still missing {} map outputs after \
                              {} stage attempts",

@@ -26,8 +26,7 @@ fn session(n: usize, a: &LocalMatrix, b: &LocalMatrix, plan: Option<ChaosPlan>) 
     let mut builder = Session::builder()
         .workers(4)
         .partitions(4)
-        .max_task_attempts(8)
-        .max_stage_attempts(12);
+        .max_task_attempts(8);
     builder = match plan {
         Some(p) => builder.chaos(p),
         None => builder.chaos_off(),

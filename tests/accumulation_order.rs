@@ -41,7 +41,6 @@ fn session(matmul: MatMulStrategy, partitions: usize) -> SessionBuilder {
         .matmul(matmul)
         .broadcast_budget(0)
         .max_task_attempts(8)
-        .max_stage_attempts(12)
 }
 
 fn pinned(partitions: usize) -> SessionBuilder {

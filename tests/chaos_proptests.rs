@@ -48,8 +48,7 @@ fn chaos_session(n: usize, tile: usize, a: &LocalMatrix, plan: Option<ChaosPlan>
     let mut b = Session::builder()
         .workers(4)
         .partitions(4)
-        .max_task_attempts(8)
-        .max_stage_attempts(12);
+        .max_task_attempts(8);
     b = match plan {
         Some(p) => b.chaos(p),
         None => b.chaos_off(),
@@ -178,7 +177,6 @@ proptest! {
         let c = Context::builder()
             .workers(4)
             .max_task_attempts(8)
-            .max_stage_attempts(12)
             .chaos(plan)
             .build();
         let d = sparse_tiles(&c, rows, cols, salt).persist();
@@ -204,7 +202,6 @@ proptest! {
         let c = Context::builder()
             .workers(4)
             .max_task_attempts(8)
-            .max_stage_attempts(12)
             .chaos(plan)
             .build();
         let d = dense_tiles(&c, rows, cols, salt).persist();
@@ -372,7 +369,6 @@ proptest! {
         let c = Context::builder()
             .workers(4)
             .max_task_attempts(8)
-            .max_stage_attempts(12)
             .storage_memory(budget)
             .chaos(plan)
             .build();
@@ -464,7 +460,6 @@ proptest! {
                 .workers(4)
                 .partitions(4)
                 .max_task_attempts(8)
-                .max_stage_attempts(12)
                 .storage_memory(256)
                 .worker_processes(2)
                 .broadcast_budget(budget)

@@ -37,7 +37,6 @@ fn unregistered(
         .workers(4)
         .partitions(4)
         .max_task_attempts(8)
-        .max_stage_attempts(12)
         .matmul(MatMulStrategy::ReduceByKey);
     configure(builder).build()
 }

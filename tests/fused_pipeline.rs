@@ -129,8 +129,7 @@ fn session(a: &LocalMatrix, b: &LocalMatrix, k: &Knobs) -> Session {
         .workers(4)
         .partitions(4)
         .storage_memory(k.storage)
-        .max_task_attempts(8)
-        .max_stage_attempts(12);
+        .max_task_attempts(8);
     builder = match k.chaos {
         Some(seed) => builder.chaos(ChaosPlan::seeded(seed, 4)),
         None => builder.chaos_off(),

@@ -655,7 +655,6 @@ fn failed_attempts_emit_no_partial_operator_counts() {
     let c = Context::builder()
         .workers(4)
         .max_task_attempts(8)
-        .max_stage_attempts(12)
         .chaos(plan)
         .build();
     c.trace();

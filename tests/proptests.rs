@@ -141,7 +141,6 @@ proptest! {
                 .matmul(strategy)
                 .storage_memory(256)
                 .max_task_attempts(8)
-                .max_stage_attempts(12)
                 .chaos(sac_repro::sparkline::ChaosPlan::seeded(seed + 17, 2))
                 .build();
             let ta = TiledMatrix::from_local(s.spark(), &a, tile, 2);
@@ -338,7 +337,6 @@ fn e2e_384_matmul_under_seeded_chaos_bit_identical() {
         .partitions(3)
         .matmul(MatMulStrategy::Auto)
         .max_task_attempts(8)
-        .max_stage_attempts(12)
         .chaos(sac_repro::sparkline::ChaosPlan::seeded(99, 2))
         .build();
     let ta = TiledMatrix::from_local(s.spark(), &a, 128, 2);

@@ -21,8 +21,7 @@ fn chaotic_service(chaos: Option<ChaosPlan>) -> QueryService {
     let mut b = Context::builder()
         .workers(4)
         .storage_memory(64 << 20)
-        .max_task_attempts(8)
-        .max_stage_attempts(12);
+        .max_task_attempts(8);
     b = match chaos {
         Some(p) => b.chaos(p),
         None => b.chaos_off(),
