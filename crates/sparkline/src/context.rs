@@ -3,6 +3,7 @@
 
 use crate::chaos::{ChaosController, ChaosPlan, WireFault, CHAOS_ENV};
 use crate::events::{Event, EventCollector};
+use crate::pool::ThreadPool;
 use crate::profile::JobProfile;
 use crate::service::{panic_is_cancelled, CancelToken, CANCELLED_MSG};
 use crate::shuffle::MapOutputTracker;
@@ -46,8 +47,10 @@ const BLACKLIST_STRIKES: u32 = 3;
 thread_local! {
     /// Stage whose task is running on this executor thread. Stages nest
     /// (materializing a shuffle dependency runs a child stage from inside a
-    /// parent task), but every stage spawns fresh worker threads, so the
-    /// thread-local on each worker is exactly the innermost stage.
+    /// parent task), but a nested stage's worker loops run on other pooled
+    /// threads than the parent task's, and every worker loop sets all four
+    /// thread-locals on entry and clears them on exit, so the thread-local on
+    /// each worker is exactly the innermost stage.
     static CURRENT_STAGE: Cell<Option<u64>> = const { Cell::new(None) };
     /// Logical executor this worker thread belongs to. Shuffle map outputs
     /// and cached blocks produced on the thread are owned by this executor's
@@ -257,6 +260,7 @@ impl ContextBuilder {
                 dataset_ids: AtomicU64::new(0),
                 active_jobs: Mutex::new(Vec::new()),
                 plan_tags: Mutex::new(Vec::new()),
+                threads: ThreadPool::default(),
             }),
         };
         // Supervision wiring: when the heartbeat declares a worker dead
@@ -333,6 +337,8 @@ pub(crate) struct CtxInner {
     /// the top of this stack when their DAG node is *constructed*, which is
     /// when the planner is running (materialization happens later).
     plan_tags: Mutex<Vec<String>>,
+    /// The threads stages run their worker loops on; joined on drop.
+    threads: ThreadPool,
 }
 
 impl Drop for CtxInner {
@@ -594,7 +600,7 @@ impl Context {
     }
 
     /// Run `f` under `token`: stages started inside (on this thread or any
-    /// worker thread they spawn) check the token before claiming each task,
+    /// worker loop they run) check the token before claiming each task,
     /// and when it is cancelled the innermost stage stops launching tasks
     /// and unwinds with [`CANCELLED_MSG`] as the panic payload (catch it and
     /// test with [`crate::service::panic_is_cancelled`]). Nests and restores
@@ -839,18 +845,16 @@ impl Context {
             tenant: current_tenant(),
             cancel: current_cancel(),
         };
-        // Map worker threads round-robin onto the healthy executors, fixed
-        // for the stage's lifetime (a kill restarts the executor in place,
-        // it does not remove capacity).
+        // Map worker loops round-robin onto the healthy executors, fixed for
+        // the stage's lifetime (a kill restarts the executor in place, it
+        // does not remove capacity). Each loop runs on a pooled thread.
         let healthy = self.healthy_executors();
         let workers = self.inner.workers.min(n);
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            for t in 0..workers {
-                let executor = healthy[t % healthy.len()];
-                scope.spawn(move || shared.worker(executor));
-            }
-        });
+        let stage = &shared;
+        self.inner.threads.run((0..workers).map(|t| {
+            let executor = healthy[t % healthy.len()];
+            move || stage.worker(executor)
+        }));
         if tracing {
             self.inner.events.emit(Event::StageEnd {
                 stage_id,
@@ -891,12 +895,15 @@ struct StageShared<'a, R, F> {
 
 impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     fn worker(&self, executor: usize) {
-        // Fresh thread per stage, so these are the innermost stage/executor
-        // even when stages nest (see [`current_stage`]).
+        // Set on entry, cleared on exit (by unwind too): the pooled thread
+        // carries nothing of this stage into the next loop it runs, and these
+        // are the innermost stage/executor even when stages nest (see
+        // [`current_stage`]).
         CURRENT_STAGE.with(|c| c.set(Some(self.stage_id)));
         CURRENT_EXECUTOR.with(|c| c.set(Some(executor)));
         CURRENT_TENANT.with(|c| c.set(self.tenant));
         CURRENT_CANCEL.with(|c| *c.borrow_mut() = self.cancel.clone());
+        let _clear = ClearWorkerLocals;
         loop {
             // Fail fast: once any task has permanently failed the stage's
             // outcome is fixed, so launching still-queued tasks is pure
@@ -1028,6 +1035,18 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     }
 }
 
+/// Resets the four worker thread-locals when a worker loop returns.
+struct ClearWorkerLocals;
+
+impl Drop for ClearWorkerLocals {
+    fn drop(&mut self) {
+        CURRENT_STAGE.with(|c| c.set(None));
+        CURRENT_EXECUTOR.with(|c| c.set(None));
+        CURRENT_TENANT.with(|c| c.set(None));
+        CURRENT_CANCEL.with(|c| *c.borrow_mut() = None);
+    }
+}
+
 struct PopTag<'a>(&'a Context);
 
 impl Drop for PopTag<'_> {
@@ -1059,6 +1078,7 @@ impl Drop for EndJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     #[test]
@@ -1106,11 +1126,61 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "injected task failure")]
     fn exhausting_attempts_fails_the_job() {
         // As many injected failures as the one task has attempts.
         let ctx = failing(1, 1, 2).max_task_attempts(2).build();
-        let _ = ctx.run_tasks(1, |i| i);
+        let cause = catch_unwind(AssertUnwindSafe(|| ctx.run_tasks(1, |i| i)))
+            .expect_err("exhausted attempts must fail the job");
+        assert_eq!(cause.downcast_ref::<&str>(), Some(&INJECTED_FAILURE_MSG));
+        // The failed stage leaves the executor threads usable.
+        assert_eq!(ctx.run_tasks(4, |i| i * 2), vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn stages_reuse_parked_executor_threads() {
+        let ctx = Context::builder().workers(2).chaos_off().build();
+        let ids = Mutex::new(HashSet::new());
+        let record = || {
+            ids.lock().insert(std::thread::current().id());
+        };
+        for _ in 0..64 {
+            ctx.run_tasks(2, |_| record());
+        }
+        assert!(ids.lock().len() <= 2, "{} threads", ids.lock().len());
+        // Nested: each of two outer tasks runs a one-task stage, so at most
+        // four loops are ever in flight, and the pool grows to that peak
+        // rather than by a set of threads per stage.
+        ids.lock().clear();
+        for _ in 0..16 {
+            ctx.run_tasks(2, |_| {
+                record();
+                ctx.run_tasks(1, |_| record());
+            });
+        }
+        assert!(ids.lock().len() <= 4, "{} threads", ids.lock().len());
+    }
+
+    #[test]
+    fn dropping_the_context_joins_its_executor_threads() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: OnExit = const { OnExit };
+        }
+        let ctx = Context::builder().workers(2).chaos_off().build();
+        let ids = Mutex::new(HashSet::new());
+        ctx.run_tasks(4, |_| {
+            ON_EXIT.with(|_| ());
+            ids.lock().insert(std::thread::current().id());
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), 0, "threads outlive a stage");
+        drop(ctx);
+        assert_eq!(EXITED.load(Ordering::SeqCst), ids.lock().len());
     }
 
     #[test]
@@ -1126,13 +1196,23 @@ mod tests {
         assert_eq!(current_stage(), None, "driver thread runs outside stages");
         let stages = ctx.run_tasks(2, |_| {
             let outer = current_stage().expect("task must see its stage");
+            let executor = current_executor();
             let inner = ctx.run_tasks(1, |_| current_stage().expect("nested stage"));
             assert_ne!(inner[0], outer, "nested stage must shadow the outer");
             assert_eq!(current_stage(), Some(outer), "outer survives nesting");
+            assert_eq!(current_executor(), executor, "so does its executor");
             outer
         });
         assert_eq!(stages.len(), 2);
         assert_eq!(current_stage(), None);
+        // Threads that ran the nested stages see the next stage, not a
+        // stale one.
+        let fresh = ctx.inner.stage_ids.load(Ordering::Relaxed);
+        let next = ctx.run_tasks(4, |_| ctx.run_tasks(1, |_| current_stage())[0]);
+        assert!(
+            next.iter().all(|s| s.is_some_and(|s| s >= fresh)),
+            "{next:?}"
+        );
     }
 
     #[test]
@@ -1321,6 +1401,7 @@ mod tests {
             "ran {} tasks after a permanent failure",
             launched.load(Ordering::SeqCst)
         );
+        assert_eq!(ctx.run_tasks(4, |i| i), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1371,6 +1452,9 @@ mod tests {
                 assert!(seen.iter().all(|&s| s == (Some(7), Some(1))));
             })
         });
+        // The same pooled threads carry neither into a later stage.
+        let seen = ctx.run_tasks(4, |_| (current_tenant(), current_cancel().is_some()));
+        assert!(seen.iter().all(|&s| s == (None, false)), "{seen:?}");
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub mod events;
 pub mod json;
 pub mod ops;
 pub mod partitioner;
+mod pool;
 pub mod profile;
 pub mod service;
 pub mod shuffle;
