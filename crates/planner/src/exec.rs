@@ -16,9 +16,10 @@ use sparkline::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use tiled::fused::{ElemwiseOp, FusedProgram};
-use tiled::kernel::{fused_eltwise, fused_eltwise_into, Backend};
+use tiled::kernel::{fused_eltwise, fused_eltwise_into, Backend, PackedLeft, PackedRight};
 use tiled::{DenseMatrix, LocalMatrix, TileCoord, TiledMatrix, TiledVector};
 
 /// The result of executing a plan.
@@ -446,20 +447,32 @@ pub(crate) trait Block: Data + SpillCodec {
     fn zeros(n: usize) -> Self;
     /// The dataflow of `d` over this kind of block.
     fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self>;
+    /// A left operand tile made ready for every product it joins, and a
+    /// right operand block made ready likewise: packed for the tile kernel
+    /// where the product runs on it, the block itself otherwise.
+    type Left<'a>;
+    type Right<'a>
+    where
+        Self: 'a;
+    /// Prepare a left operand, and a right one, for the products `general`
+    /// combines. Each operand comes with its orientation: `true` means the
+    /// payload holds the transpose of the block its role reads, and is read
+    /// transposed where it lies — the same values in the same order, so the
+    /// same bits as a transposed copy.
+    fn left<'a>(a: (&'a DenseMatrix, bool), general: Option<&FusedProgram>) -> Self::Left<'a>;
+    fn right<'a>(b: (&'a Self, bool), general: Option<&FusedProgram>) -> Self::Right<'a>;
     /// `self += a ⊗ b` in ascending contracted order, where `⊗` is the plain
     /// product on the tile kernels (`general` is `None`) or the combine
-    /// `general` computes, one fused pass per row of terms. Each
-    /// operand comes with its orientation: `true` means the payload holds
-    /// the transpose of the block its role reads, and is read transposed
-    /// where it lies — the same values in the same order, so the same bits
-    /// as a transposed copy. `valid` is `(rows, contracted, cols)` of the
-    /// block product that lie inside the logical extents: a general combine
-    /// counts no padding of the contracted dimension and writes no output
-    /// padding, which stays `+0.0` (`f(0, 0)` need not be 0).
+    /// `general` computes, one fused pass per row of terms; `a` and `b` were
+    /// prepared for the same `general`. `valid` is `(rows, contracted,
+    /// cols)` of the block product that lie inside the logical extents: a
+    /// general combine counts no padding of the contracted dimension and
+    /// writes no output padding, which stays `+0.0` (`f(0, 0)` need not be
+    /// 0).
     fn acc(
         &mut self,
-        a: (&DenseMatrix, bool),
-        b: (&Self, bool),
+        a: &Self::Left<'_>,
+        b: &Self::Right<'_>,
         general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     );
@@ -468,6 +481,14 @@ pub(crate) trait Block: Data + SpillCodec {
 
 /// A block set keyed `(block row, block col)`.
 pub(crate) type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
+
+/// A tile operand prepared for many products ([`Block::left`]): packed for
+/// the tile kernel under the plain product, the tile itself — with its
+/// orientation — under a general combine.
+pub(crate) enum Prepared<'a, P> {
+    Packed(P),
+    Plain(&'a DenseMatrix, bool),
+}
 
 impl Block for DenseMatrix {
     type Col = i64;
@@ -488,19 +509,44 @@ impl Block for DenseMatrix {
         d.tiles
     }
 
-    /// A general combine runs one pass per (output row `i`, contracted
-    /// index `k`) over `a[i][k]` splatted and row `k` of `b`, adding the
-    /// terms into row `i` in ascending `k`. A transposed `b` has its row `k`
-    /// gathered from column `k` first.
+    type Left<'a> = Prepared<'a, PackedLeft>;
+    type Right<'a> = Prepared<'a, PackedRight>;
+
+    fn left<'a>(
+        (a, a_t): (&'a DenseMatrix, bool),
+        general: Option<&FusedProgram>,
+    ) -> Self::Left<'a> {
+        match general {
+            None => Prepared::Packed(a.pack_left(a_t)),
+            Some(_) => Prepared::Plain(a, a_t),
+        }
+    }
+
+    fn right<'a>((b, b_t): (&'a Self, bool), general: Option<&FusedProgram>) -> Self::Right<'a> {
+        match general {
+            None => Prepared::Packed(b.pack_right(b_t)),
+            Some(_) => Prepared::Plain(b, b_t),
+        }
+    }
+
+    /// The plain product multiplies the packs. A general combine runs one
+    /// pass per (output row `i`, contracted index `k`) over `a[i][k]`
+    /// splatted and row `k` of `b`, adding the terms into row `i` in
+    /// ascending `k`. A transposed `b` has its row `k` gathered from column
+    /// `k` first.
     fn acc(
         &mut self,
-        (a, a_t): (&DenseMatrix, bool),
-        (b, b_t): (&Self, bool),
+        a: &Prepared<'_, PackedLeft>,
+        b: &Prepared<'_, PackedRight>,
         general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     ) {
-        let Some(value) = general else {
-            return self.gemm_acc_oriented((a, a_t), (b, b_t), 1);
+        let (a, a_t, b, b_t, value) = match (a, b, general) {
+            (Prepared::Packed(a), Prepared::Packed(b), None) => return self.gemm_acc_packed(a, b),
+            (&Prepared::Plain(a, a_t), &Prepared::Plain(b, b_t), Some(value)) => {
+                (a, a_t, b, b_t, value)
+            }
+            _ => unreachable!("both operands are prepared for the combine that multiplies them"),
         };
         let (rows, valid_k, cols) = valid;
         let (width, backend) = (self.cols(), Backend::active());
@@ -549,6 +595,18 @@ impl Block for Vec<f64> {
         d.blocks
     }
 
+    /// A mat-vec packs nothing: both operands are the blocks themselves.
+    type Left<'a> = (&'a DenseMatrix, bool);
+    type Right<'a> = &'a Vec<f64>;
+
+    fn left<'a>(a: (&'a DenseMatrix, bool), _: Option<&FusedProgram>) -> Self::Left<'a> {
+        a
+    }
+
+    fn right<'a>((x, _): (&'a Self, bool), _: Option<&FusedProgram>) -> &'a Self {
+        x
+    }
+
     /// A block product is summed on its own and then added, so it is the
     /// same number whether it seeds an accumulator or joins one; a
     /// transposed `a` runs [`DenseMatrix::matvec_t`], `dot`'s lane order
@@ -557,8 +615,8 @@ impl Block for Vec<f64> {
     /// in ascending contracted index from `+0.0`.
     fn acc(
         &mut self,
-        (a, a_t): (&DenseMatrix, bool),
-        (x, _): (&Self, bool),
+        &(a, a_t): &(&DenseMatrix, bool),
+        x: &&Self,
         general: Option<&FusedProgram>,
         valid: (usize, usize, usize),
     ) {
@@ -782,6 +840,14 @@ dataflows!(
 /// but `join_group_by` multiplies into one resident block per output key per
 /// task (`Block::acc`), so the only arithmetic and the only large allocations
 /// are the tile kernel's.
+///
+/// A product multiplies prepared operands ([`Block::left`],
+/// [`Block::right`]: under the plain product, the tile kernel's packs). The
+/// group-by-join prepares each operand block once per cell — `k` outermost,
+/// one row and one column of packs per `k` — and multiplies it into every
+/// output block of the cell it reaches; `reduce_by_key`, the broadcast joins
+/// and `join_group_by` meet each product's operands on their own and
+/// prepare them once per product ([`Products::multiply`]).
 pub(crate) struct Contract<B: Block> {
     a: Operand<DenseMatrix>,
     b: Operand<B>,
@@ -804,21 +870,56 @@ impl<B: Block> Contract<B> {
         )
     }
 
-    /// `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)`, over the valid
-    /// extent of the block product.
-    fn multiply(&self) -> impl Fn(&DenseMatrix, &B, (i64, i64, i64), &mut B) + Clone + Send + Sync {
-        let (n, general) = (self.n as i64, self.general.clone());
-        let (a, b) = (self.a.transposed, self.b.transposed);
-        let extents = (self.a.rows, self.a.cols, self.b.cols);
-        move |av: &DenseMatrix, bv: &B, (i, k, j): (i64, i64, i64), out: &mut B| {
-            let valid = |block: i64, len: i64| (len - block * n).clamp(0, n) as usize;
-            let valid = (
-                valid(i, extents.0),
-                valid(k, extents.1),
-                valid(j, extents.2),
-            );
-            out.acc((av, a), (bv, b), general.as_ref(), valid);
+    /// The block product, for the tasks that multiply.
+    fn products(&self) -> Products<B> {
+        Products {
+            n: self.n as i64,
+            general: self.general.clone(),
+            transposed: (self.a.transposed, self.b.transposed),
+            extents: (self.a.rows, self.a.cols, self.b.cols),
+            block: PhantomData,
         }
+    }
+}
+
+/// `A[i,k] ⊗ B[k,j]` of one contraction: its combine, its operands'
+/// orientations and its logical extents.
+#[derive(Clone)]
+struct Products<B> {
+    n: i64,
+    general: Option<FusedProgram>,
+    transposed: (bool, bool),
+    extents: (i64, i64, i64),
+    block: PhantomData<fn() -> B>,
+}
+
+impl<B: Block> Products<B> {
+    /// Left operand `A[i,k]`, prepared for every product it joins.
+    fn left<'a>(&self, a: &'a DenseMatrix) -> B::Left<'a> {
+        B::left((a, self.transposed.0), self.general.as_ref())
+    }
+
+    /// Right operand `B[k,j]`, prepared for every product it joins.
+    fn right<'a>(&self, b: &'a B) -> B::Right<'a> {
+        B::right((b, self.transposed.1), self.general.as_ref())
+    }
+
+    /// `out += A[i,k] ⊗ B[k,j]` for output block `(i, j)` from prepared
+    /// operands, over the valid extent of the block product.
+    fn acc(&self, a: &B::Left<'_>, b: &B::Right<'_>, (i, k, j): (i64, i64, i64), out: &mut B) {
+        let (n, extents) = (self.n, self.extents);
+        let valid = |block: i64, len: i64| (len - block * n).clamp(0, n) as usize;
+        let valid = (
+            valid(i, extents.0),
+            valid(k, extents.1),
+            valid(j, extents.2),
+        );
+        out.acc(a, b, self.general.as_ref(), valid);
+    }
+
+    /// One product on its own: both operands prepared for it alone.
+    fn multiply(&self, a: &DenseMatrix, b: &B, at: (i64, i64, i64), out: &mut B) {
+        self.acc(&self.left(a), &self.right(b), at, out);
     }
 }
 
@@ -829,11 +930,11 @@ impl<B: Block> Contract<B> {
 fn join_group_by<B: Block>(c: &Contract<B>) -> Blocks<B> {
     let lhs = c.a.blocks.map(|((i, k), t)| (k, (i, t)));
     let rhs = c.b.blocks.map(|((k, j), t)| (k, (j, t)));
-    let (n, multiply) = (c.n, c.multiply());
+    let (n, products) = (c.n, c.products());
     lhs.join(&rhs, c.partitions)
         .map(move |(k, ((i, av), (j, bv)))| {
             let mut out = B::zeros(n);
-            multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
+            products.multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
             ((i, j), out)
         })
         .group_by_key(c.partitions)
@@ -873,9 +974,9 @@ fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
             }
             PartitionStream::from_vec(triples)
         });
-    let (n, multiply) = (c.n, c.multiply());
+    let (n, products) = (c.n, c.products());
     let fold = move |out: &mut B, (at, av, bv): ((i64, i64, i64), DenseMatrix, B)| {
-        multiply(&av, &bv, at, out)
+        products.multiply(&av, &bv, at, out)
     };
     let seed = fold.clone();
     let accumulate = Aggregator {
@@ -903,7 +1004,7 @@ fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
 /// is consumed by reference so shared source partitions are never cloned
 /// into the task.
 fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
-    let (n, multiply, ctx) = (c.n, c.multiply(), c.a.blocks.context());
+    let (n, products, ctx) = (c.n, c.products(), c.a.blocks.context());
     if c.b_small {
         let table = ctx.broadcast(by_contracted(c.b.blocks.collect(), |&(k, _)| k));
         c.a.blocks.map_partitions_stream(move |_, tiles| {
@@ -911,7 +1012,7 @@ fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
             tiles.for_each_ref(|((i, k), av)| {
                 for ((_, j), bv) in table.get(k).into_iter().flatten() {
                     let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                    multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                    products.multiply(av, bv, (*i, *k, B::col_index(*j)), out);
                 }
             });
             PartitionStream::from_vec(acc.into_iter().collect())
@@ -923,7 +1024,7 @@ fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
             blocks.for_each_ref(|((k, j), bv)| {
                 for ((i, _), av) in table.get(k).into_iter().flatten() {
                     let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                    multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                    products.multiply(av, bv, (*i, *k, B::col_index(*j)), out);
                 }
             });
             PartitionStream::from_vec(acc.into_iter().collect())
@@ -962,14 +1063,20 @@ fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Blocks<B> {
 /// `A[i,k]` to the `pc` cells its block row crosses — keyed `(i, first column
 /// of the cell)` — and `B[k,j]` to the `pr` cells its block column crosses —
 /// keyed `(first row of the cell, j)` — both pointer copies until a frame is
-/// encoded. Each reduce task then walks its cell's output keys and folds
-/// `C_ij += A_ik ⊗ B_kj` in ascending `k` into one resident block, skipping
-/// absent operand blocks: no partial sum is shuffled or merged, so every
-/// output element is one ascending chain over the contracted index — a
-/// function of the operands alone, not of partition count, source layout,
-/// retry or process count. The cell's blocks are emitted from the cell's
-/// partition, so the result carries the grid partitioner of its own shape
-/// and joins with co-indexed matrices narrowly.
+/// encoded. Each reduce task holds one resident block per output key of its
+/// cell and walks the contracted index `k` outermost, in ascending order:
+/// for each `k` it prepares `A[i,k]` once for every row `i` of the cell and
+/// `B[k,j]` once for every column `j` ([`Block::left`] — under the plain
+/// product, the tile kernel's packs), then folds `C_ij += A_ik ⊗ B_kj` into
+/// every block of the cell from those, skipping absent operand blocks. So an
+/// operand tile is packed once per cell, not once per product, and at most
+/// one row and one column of prepared operands is live at a time. No partial
+/// sum is shuffled or merged, so every output element is one ascending chain
+/// over the contracted index — a function of the operands alone, not of
+/// partition count, source layout, retry or process count. The cell's
+/// blocks are emitted from the cell's partition, so the result carries the
+/// grid partitioner of its own shape and joins with co-indexed matrices
+/// narrowly.
 fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
     let (free_left, contracted, free_right) = c.grid();
     let cells = GridCells::new(free_left as usize, free_right as usize, c.partitions);
@@ -984,7 +1091,7 @@ fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
         replicas.collect::<Vec<_>>()
     });
     let by_cell = cells.partitioner_by(|&(i, j): &(i64, B::Col)| (i, B::col_index(j)));
-    let (n, multiply) = (c.n, c.multiply());
+    let (n, products) = (c.n, c.products());
     let reduced = lefts
         .cogroup_with(&rights, by_cell)
         .map_partitions_preserving("groupByJoin", move |cell, records| {
@@ -996,19 +1103,30 @@ fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
                 b_at.extend(rs.iter().map(|(k, t)| ((*k, B::col_index(*j)), t)));
             }
             let (rows, cols) = cells.bands(cell);
-            let mut out = Vec::new();
-            for i in rows {
-                for j in cols.clone() {
-                    let mut acc = B::zeros(n);
-                    for k in 0..contracted {
-                        if let (Some(a), Some(b)) = (a_at.get(&(i, k)), b_at.get(&(k, j))) {
-                            multiply(a, b, (i, k, j), &mut acc);
+            let (rows, cols): (Vec<i64>, Vec<i64>) = (rows.collect(), cols.collect());
+            let mut out: Vec<B> = (0..rows.len() * cols.len()).map(|_| B::zeros(n)).collect();
+            for k in 0..contracted {
+                let a_k: Vec<_> = rows.iter().map(|&i| a_at.get(&(i, k))).collect();
+                let b_k: Vec<_> = cols.iter().map(|&j| b_at.get(&(k, j))).collect();
+                // Prepare nothing that no product reads (an empty band reads none).
+                if a_k.iter().all(Option::is_none) || b_k.iter().all(Option::is_none) {
+                    continue;
+                }
+                let a_k: Vec<_> = a_k.iter().map(|a| a.map(|a| products.left(a))).collect();
+                let b_k: Vec<_> = b_k.iter().map(|b| b.map(|b| products.right(b))).collect();
+                for ((a, &i), row) in a_k.iter().zip(&rows).zip(out.chunks_mut(cols.len())) {
+                    let Some(a) = a else { continue };
+                    for ((b, &j), acc) in b_k.iter().zip(&cols).zip(row) {
+                        if let Some(b) = b {
+                            products.acc(a, b, (i, k, j), acc);
                         }
                     }
-                    out.push(((i, B::col_at(j)), acc));
                 }
             }
-            PartitionStream::from_vec(out)
+            let keys = rows
+                .iter()
+                .flat_map(|&i| cols.iter().map(move |&j| (i, B::col_at(j))));
+            PartitionStream::from_vec(keys.zip(out).collect())
         });
     // Every product of the plan runs in that reduce, behind no shuffle: a
     // consumer that evaluates the result twice (a stage-frontier probe and

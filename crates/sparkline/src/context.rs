@@ -1408,6 +1408,7 @@ mod tests {
     fn builder_knobs_read_back_from_a_running_context() {
         let ctx = Context::builder()
             .workers(3)
+            .worker_processes(0)
             .max_task_attempts(7)
             .storage_memory(1 << 20)
             .chaos_off()
@@ -1422,7 +1423,11 @@ mod tests {
 
     #[test]
     fn kill_worker_is_a_no_op_in_local_mode() {
-        let ctx = Context::builder().workers(2).chaos_off().build();
+        let ctx = Context::builder()
+            .workers(2)
+            .worker_processes(0)
+            .chaos_off()
+            .build();
         assert!(!ctx.kill_worker(0));
         assert_eq!(ctx.run_tasks(3, |i| i), vec![0, 1, 2]);
     }

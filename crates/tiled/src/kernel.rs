@@ -1,8 +1,8 @@
 //! Packed, cache-blocked GEMM microkernels — the faer-style layering under
 //! every dense tile operation.
 //!
-//! The public entry points ([`gemm`], [`dot`], [`axpy`]) sit on top of three
-//! specialized layers:
+//! The public entry points ([`gemm`], [`gemm_packed`], [`dot`], [`axpy`]) sit
+//! on top of three specialized layers:
 //!
 //! 1. **Packing** — A is repacked into `MR`-row strips (k-major, so the
 //!    microkernel reads it with stride `MR`) and B into `NR`-column strips
@@ -11,6 +11,12 @@
 //!    streams that both live in L1/L2. Either operand may be stored
 //!    transposed ([`gemm_oriented`]): the packer reads it where it lies and
 //!    lays out the same strips, so a transposed operand never costs a copy.
+//!    An operand is packed once for every product it joins: [`PackedLeft`]
+//!    and [`PackedRight`] hold an operand's packs, and [`gemm_packed`]
+//!    multiplies them, so a block of output tiles sharing row and column
+//!    panels (the group-by-join's cell) packs each operand tile once rather
+//!    than once per product. [`gemm_oriented`] packs B once and A one
+//!    `MC`-row block at a time, per call.
 //! 2. **Microkernel** — a register tile is loaded from C, accumulated over
 //!    the packed panels, and stored back. Each backend picks its own tile
 //!    shape ([`Backend::tile`]): 8x16 in sixteen 8-lane zmm accumulators for
@@ -277,6 +283,115 @@ fn pack_at_block(
 }
 
 // ---------------------------------------------------------------------------
+// Packed operands
+// ---------------------------------------------------------------------------
+
+/// One operand's packs: `step` values per contracted index, laid out one
+/// `KC`-deep panel after another, in a buffer from the tile free list that
+/// goes back to it on drop.
+struct Packs {
+    buf: Vec<f64>,
+    k: usize,
+}
+
+impl Packs {
+    /// `pack(k0, kc, panel)` fills the panel of contracted indices
+    /// `k0..k0 + kc`.
+    fn new(step: usize, k: usize, mut pack: impl FnMut(usize, usize, &mut [f64])) -> Packs {
+        // Every element is written by a panel pack.
+        let mut buf = pool::stale(step * k);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            pack(k0, kc, &mut buf[step * k0..step * (k0 + kc)]);
+        }
+        Packs { buf, k }
+    }
+
+    /// The `kc`-deep panel starting at contracted index `k0`.
+    fn panel(&self, k0: usize, kc: usize) -> &[f64] {
+        let step = self.buf.len() / self.k;
+        &self.buf[step * k0..step * (k0 + kc)]
+    }
+}
+
+impl Drop for Packs {
+    fn drop(&mut self) {
+        pool::recycle(std::mem::take(&mut self.buf));
+    }
+}
+
+/// An `n x k` left operand packed once, for every product it joins: per
+/// `KC`-deep panel, `mr`-row strips over all `n` rows, each k-major and
+/// zero-padded past the last row — the layout [`gemm_oriented`] packs A in,
+/// one `MC`-row block at a time. The buffer comes from the tile free list
+/// and goes back to it on drop.
+pub struct PackedLeft {
+    packs: Packs,
+    n: usize,
+    backend: Backend,
+}
+
+impl PackedLeft {
+    /// Pack `op(a)`, `n x k`, for `backend`'s register tile; `a` holds the
+    /// `k x n` matrix Aᵀ when its flag is set and is read where it lies.
+    ///
+    /// # Panics
+    /// If the slice length does not match the dimensions.
+    pub fn new((a, a_t): (&[f64], bool), (n, k): (usize, usize), backend: Backend) -> PackedLeft {
+        assert_eq!(a.len(), n * k, "pack: a buffer mismatch");
+        let (tmr, _) = backend.tile();
+        let packs = Packs::new(n.div_ceil(tmr) * tmr, k, |k0, kc, panel| {
+            if a_t {
+                pack_at_block(a, n, 0, n, k0, kc, tmr, panel);
+            } else {
+                pack_a_block(a, k, 0, n, k0, kc, tmr, panel);
+            }
+        });
+        PackedLeft { packs, n, backend }
+    }
+
+    /// `(n, k)`: the rows and the contracted extent of the operand.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.n, self.packs.k)
+    }
+}
+
+/// A `k x m` right operand packed once, for every product it joins: per
+/// `KC`-deep panel, `nr`-column strips, each k-major and zero-padded past
+/// the last column — the layout [`gemm_oriented`] packs B in. The buffer
+/// comes from the tile free list and goes back to it on drop.
+pub struct PackedRight {
+    packs: Packs,
+    m: usize,
+    backend: Backend,
+}
+
+impl PackedRight {
+    /// Pack `op(b)`, `k x m`, for `backend`'s register tile; `b` holds the
+    /// `m x k` matrix Bᵀ when its flag is set and is read where it lies.
+    ///
+    /// # Panics
+    /// If the slice length does not match the dimensions.
+    pub fn new((b, b_t): (&[f64], bool), (k, m): (usize, usize), backend: Backend) -> PackedRight {
+        assert_eq!(b.len(), k * m, "pack: b buffer mismatch");
+        let (_, tnr) = backend.tile();
+        let packs = Packs::new(m.div_ceil(tnr) * tnr, k, |k0, kc, panel| {
+            if b_t {
+                pack_bt_panel(b, k, k0, kc, m, tnr, panel);
+            } else {
+                pack_b_panel(b, k0, kc, m, tnr, panel);
+            }
+        });
+        PackedRight { packs, m, backend }
+    }
+
+    /// `(k, m)`: the contracted extent and the columns of the operand.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.packs.k, self.m)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Microkernels
 // ---------------------------------------------------------------------------
 
@@ -401,83 +516,79 @@ fn mkernel_edge(
 // Blocked driver
 // ---------------------------------------------------------------------------
 
+/// `c += a · b` over one `kc`-deep panel: `pa` holds the packed `mr`-row
+/// strips of `rows` rows of A, `bp` every packed `nr`-column strip of the
+/// panel of B, and `c` starts at the rows' first output element, row stride
+/// `m`. The one place a microkernel is dispatched.
+fn panel_product(
+    backend: Backend,
+    kc: usize,
+    (pa, rows): (&[f64], usize),
+    (bp, m): (&[f64], usize),
+    c: &mut [f64],
+) {
+    let (tmr, tnr) = backend.tile();
+    for s in 0..m.div_ceil(tnr) {
+        let nr = tnr.min(m - s * tnr);
+        let bp = &bp[s * kc * tnr..(s + 1) * kc * tnr];
+        for t in 0..rows.div_ceil(tmr) {
+            let mr = tmr.min(rows - t * tmr);
+            let ap = &pa[t * kc * tmr..(t + 1) * kc * tmr];
+            let c_off = t * tmr * m + s * tnr;
+            if mr == tmr && nr == tnr {
+                match backend {
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Avx512 => unsafe {
+                        mkernel_avx512(kc, ap.as_ptr(), bp.as_ptr(), c[c_off..].as_mut_ptr(), m);
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Avx2 => unsafe {
+                        mkernel_avx2(kc, ap.as_ptr(), bp.as_ptr(), c[c_off..].as_mut_ptr(), m);
+                    },
+                    #[cfg(not(target_arch = "x86_64"))]
+                    Backend::Avx512 | Backend::Avx2 => {
+                        mkernel_scalar(kc, ap, bp, &mut c[c_off..], m)
+                    }
+                    Backend::Scalar => mkernel_scalar(kc, ap, bp, &mut c[c_off..], m),
+                }
+            } else {
+                mkernel_edge(kc, ap, bp, &mut c[c_off..], m, mr, nr, tmr, tnr);
+            }
+        }
+    }
+}
+
 /// Shared read-only state of one blocked GEMM: the unpacked A (or Aᵀ,
-/// `a_t`), the fully packed B, and the problem dimensions.
+/// `a_t`), the packed B, and the problem dimensions.
 struct BlockedGemm<'a> {
     a: &'a [f64],
     a_t: bool,
-    packed_b: &'a [f64],
-    /// Byte offsets of each `KC` panel within `packed_b` (`panels + 1` long).
-    panel_offsets: &'a [usize],
+    b: &'a PackedRight,
     n: usize,
-    k: usize,
-    m: usize,
-    backend: Backend,
 }
 
 impl BlockedGemm<'_> {
     /// `c += a[r0..r0+rows) * b` for one row band; `c` is the band's slice
     /// of the output (row stride `m`).
     fn band(&self, c: &mut [f64], r0: usize, rows: usize) {
-        let (k, m) = (self.k, self.m);
-        let (tmr, tnr) = self.backend.tile();
-        let nr_strips = m.div_ceil(tnr);
+        let ((k, m), backend) = (self.b.dims(), self.b.backend);
+        let (tmr, _) = backend.tile();
         // Each block's pack writes every element the microkernel reads.
         let mut packed_a = pool::stale(MC.min(rows).div_ceil(tmr) * tmr * KC.min(k));
         // k panels ascending — the only loop whose order the determinism
         // contract constrains.
-        for (p, k0) in (0..k).step_by(KC).enumerate() {
+        for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            let b_panel = &self.packed_b[self.panel_offsets[p]..self.panel_offsets[p + 1]];
+            let b_panel = self.b.packs.panel(k0, kc);
             for m0 in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - m0);
-                let mr_strips = mc.div_ceil(tmr);
-                let pa = &mut packed_a[..mr_strips * tmr * kc];
+                let pa = &mut packed_a[..mc.div_ceil(tmr) * tmr * kc];
                 if self.a_t {
                     pack_at_block(self.a, self.n, r0 + m0, mc, k0, kc, tmr, pa);
                 } else {
                     pack_a_block(self.a, k, r0 + m0, mc, k0, kc, tmr, pa);
                 }
-                for s in 0..nr_strips {
-                    let nr = tnr.min(m - s * tnr);
-                    let bp = &b_panel[s * kc * tnr..(s + 1) * kc * tnr];
-                    for t in 0..mr_strips {
-                        let mr = tmr.min(mc - t * tmr);
-                        let ap = &pa[t * kc * tmr..(t + 1) * kc * tmr];
-                        let c_off = (m0 + t * tmr) * m + s * tnr;
-                        if mr == tmr && nr == tnr {
-                            match self.backend {
-                                #[cfg(target_arch = "x86_64")]
-                                Backend::Avx512 => unsafe {
-                                    mkernel_avx512(
-                                        kc,
-                                        ap.as_ptr(),
-                                        bp.as_ptr(),
-                                        c[c_off..].as_mut_ptr(),
-                                        m,
-                                    );
-                                },
-                                #[cfg(target_arch = "x86_64")]
-                                Backend::Avx2 => unsafe {
-                                    mkernel_avx2(
-                                        kc,
-                                        ap.as_ptr(),
-                                        bp.as_ptr(),
-                                        c[c_off..].as_mut_ptr(),
-                                        m,
-                                    );
-                                },
-                                #[cfg(not(target_arch = "x86_64"))]
-                                Backend::Avx512 | Backend::Avx2 => {
-                                    mkernel_scalar(kc, ap, bp, &mut c[c_off..], m)
-                                }
-                                Backend::Scalar => mkernel_scalar(kc, ap, bp, &mut c[c_off..], m),
-                            }
-                        } else {
-                            mkernel_edge(kc, ap, bp, &mut c[c_off..], m, mr, nr, tmr, tnr);
-                        }
-                    }
-                }
+                panel_product(backend, kc, (pa, mc), (b_panel, m), &mut c[m0 * m..]);
             }
         }
         pool::recycle(packed_a);
@@ -530,37 +641,12 @@ pub fn gemm_oriented(
         return;
     }
     // Pack all of B up front (one pass, shared read-only by every band).
-    let (_, tnr) = backend.tile();
-    let nr_strips = m.div_ceil(tnr);
-    let panels = k.div_ceil(KC);
-    let mut panel_offsets = Vec::with_capacity(panels + 1);
-    panel_offsets.push(0);
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        panel_offsets.push(panel_offsets.last().unwrap() + nr_strips * kc * tnr);
-    }
-    // Every element is written by a panel pack, so a recycled tile buffer
-    // will do; it goes back to the free list at the end.
-    let mut packed_b = pool::stale(*panel_offsets.last().unwrap());
-    for (p, k0) in (0..k).step_by(KC).enumerate() {
-        let kc = KC.min(k - k0);
-        let panel = &mut packed_b[panel_offsets[p]..panel_offsets[p + 1]];
-        if b_t {
-            pack_bt_panel(b, k, k0, kc, m, tnr, panel);
-        } else {
-            pack_b_panel(b, k0, kc, m, tnr, panel);
-        }
-    }
-
+    let packed_b = PackedRight::new((b, b_t), (k, m), backend);
     let blocked = BlockedGemm {
         a,
         a_t,
-        packed_b: &packed_b,
-        panel_offsets: &panel_offsets,
+        b: &packed_b,
         n,
-        k,
-        m,
-        backend,
     };
     let threads = threads.clamp(1, n);
     if threads == 1 {
@@ -577,7 +663,34 @@ pub fn gemm_oriented(
             }
         });
     }
-    pool::recycle(packed_b);
+}
+
+/// `c += a · b` from operands packed once for many products: `c` is
+/// `n x m`, row-major, where `a` is `n x k` and `b` is `k x m` as packed.
+/// Bit-identical to [`gemm_oriented`] on the operands they were packed from,
+/// in either orientation: the same panels feed the same microkernels, and
+/// the k panels run in ascending order. One thread.
+///
+/// # Panics
+/// If the dimensions disagree, or the packs are for different backends.
+pub fn gemm_packed(c: &mut [f64], a: &PackedLeft, b: &PackedRight) {
+    let ((n, k), (b_rows, m)) = (a.dims(), b.dims());
+    assert_eq!(k, b_rows, "gemm: inner dimension mismatch");
+    assert_eq!(c.len(), n * m, "gemm: c buffer mismatch");
+    assert_eq!(a.backend, b.backend, "gemm: packed for different backends");
+    let (tmr, _) = a.backend.tile();
+    debug_assert_eq!(MC % tmr, 0, "an MC block starts on a strip");
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let (a_panel, b_panel) = (a.packs.panel(k0, kc), b.packs.panel(k0, kc));
+        // The MC blocks of `gemm_oriented`, read from the one pack: the
+        // strips of rows `m0..` start at element `m0 * kc` of the panel.
+        for m0 in (0..n).step_by(MC) {
+            let mc = MC.min(n - m0);
+            let pa = (&a_panel[m0 * kc..], mc);
+            panel_product(a.backend, kc, pa, (b_panel, m), &mut c[m0 * m..]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

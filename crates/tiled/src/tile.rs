@@ -49,7 +49,7 @@
 //! collected them, while the next query's tiles are born on executor
 //! threads, so a per-executor list would never get its own buffers back.
 
-use crate::kernel::{self, Backend};
+use crate::kernel::{self, Backend, PackedLeft, PackedRight};
 use sparkline::SpillCodec;
 use std::sync::Arc;
 
@@ -442,28 +442,11 @@ impl DenseMatrix {
 
     /// Like [`DenseMatrix::gemm_acc`] but splits the row-band loop over
     /// `threads` scoped worker threads — the analog of the paper's
-    /// `(0 until N).par` multicore tile processing. Bit-identical to the
-    /// sequential kernel for every thread count.
+    /// `(0 until N).par` multicore tile processing (one thread below 64
+    /// rows). Bit-identical to the sequential kernel for every thread count.
     pub fn gemm_acc_parallel(&mut self, a: &DenseMatrix, b: &DenseMatrix, threads: usize) {
-        self.gemm_acc_oriented((a, false), (b, false), threads);
-    }
-
-    /// `self += op(a) * op(b)`, where `op(x)` is `xᵀ` when its flag is set:
-    /// the contraction's tile kernel. A transposed operand is packed from
-    /// where it lies ([`kernel::gemm_oriented`]), never copied, with the
-    /// bits of transposing it first. Splits the row-band loop over `threads`
-    /// like [`DenseMatrix::gemm_acc_parallel`] (one thread below 64 rows).
-    ///
-    /// # Panics
-    /// On dimension mismatch.
-    pub fn gemm_acc_oriented(
-        &mut self,
-        a: (&DenseMatrix, bool),
-        b: (&DenseMatrix, bool),
-        threads: usize,
-    ) {
         let threads = if self.rows < 64 { 1 } else { threads.max(1) };
-        self.gemm_into(a, b, threads, Backend::active());
+        self.gemm_into((a, false), (b, false), threads, Backend::active());
     }
 
     /// `self += a * b` with an explicit thread count and kernel backend —
@@ -482,6 +465,46 @@ impl DenseMatrix {
         self.gemm_into((a, false), (b, false), threads, backend);
     }
 
+    /// `(rows, cols)` of this matrix, or of its transpose iff `transposed`.
+    fn oriented(&self, transposed: bool) -> (usize, usize) {
+        if transposed {
+            (self.cols, self.rows)
+        } else {
+            (self.rows, self.cols)
+        }
+    }
+
+    /// This tile as the left operand of many products, packed once: read
+    /// transposed where it lies iff `transposed`.
+    pub fn pack_left(&self, transposed: bool) -> PackedLeft {
+        let dims = self.oriented(transposed);
+        PackedLeft::new((&self.data, transposed), dims, Backend::active())
+    }
+
+    /// This tile as the right operand of many products, packed once: read
+    /// transposed where it lies iff `transposed`.
+    pub fn pack_right(&self, transposed: bool) -> PackedRight {
+        let dims = self.oriented(transposed);
+        PackedRight::new((&self.data, transposed), dims, Backend::active())
+    }
+
+    /// `self += op(a) * op(b)` from packed operands
+    /// ([`kernel::gemm_packed`]): the contraction's tile kernel, with the
+    /// bits of [`kernel::gemm_oriented`] on the tiles they were packed from
+    /// — and so of transposing a transposed one first.
+    ///
+    /// # Panics
+    /// On dimension mismatch.
+    pub fn gemm_acc_packed(&mut self, a: &PackedLeft, b: &PackedRight) {
+        let ((n, _), (_, m)) = (a.dims(), b.dims());
+        assert_eq!(
+            (self.rows, self.cols),
+            (n, m),
+            "gemm: output dimension mismatch"
+        );
+        kernel::gemm_packed(self.data_mut(), a, b);
+    }
+
     fn gemm_into(
         &mut self,
         (a, a_t): (&DenseMatrix, bool),
@@ -489,14 +512,7 @@ impl DenseMatrix {
         threads: usize,
         backend: Backend,
     ) {
-        let oriented = |m: &DenseMatrix, t: bool| {
-            if t {
-                (m.cols, m.rows)
-            } else {
-                (m.rows, m.cols)
-            }
-        };
-        let ((n, k), (b_rows, m)) = (oriented(a, a_t), oriented(b, b_t));
+        let ((n, k), (b_rows, m)) = (a.oriented(a_t), b.oriented(b_t));
         assert_eq!(k, b_rows, "gemm: inner dimension mismatch");
         assert_eq!(
             (self.rows, self.cols),

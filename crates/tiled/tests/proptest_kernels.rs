@@ -285,8 +285,8 @@ proptest! {
         }
     }
 
-    /// The tile-level entry the contraction calls: square tiles in every
-    /// orientation, bit-equal to transposing first.
+    /// The tile-level entry the contraction calls, packed operands: square
+    /// tiles in every orientation, bit-equal to transposing first.
     #[test]
     fn oriented_tile_gemm_is_transpose_then_gemm(n in 1usize..=80, threads in 1usize..=8,
                                                  special in proptest::bool::ANY,
@@ -298,9 +298,9 @@ proptest! {
         want.gemm_acc_parallel(&a, &b, threads);
         for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut got = DenseMatrix::zeros(n, n);
-            let a_op = if a_t { (&at, true) } else { (&a, false) };
-            let b_op = if b_t { (&bt, true) } else { (&b, false) };
-            got.gemm_acc_oriented(a_op, b_op, threads);
+            let a_op = if a_t { &at } else { &a };
+            let b_op = if b_t { &bt } else { &b };
+            got.gemm_acc_packed(&a_op.pack_left(a_t), &b_op.pack_right(b_t));
             prop_assert_eq!(bits(&got), bits(&want), "({}, {})", a_t, b_t);
         }
     }
@@ -321,6 +321,74 @@ proptest! {
         };
         let want = canonical(a.transpose().matvec(x.data()));
         prop_assert_eq!(canonical(a.matvec_t(x.data())), want);
+    }
+}
+
+use tiled::kernel::{gemm_packed, PackedLeft, PackedRight};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Operands packed once and multiplied many times, as the group-by-join's
+    /// cell does: `C[r][q] += A[r][p] · B[p][q]` over ascending contracted
+    /// blocks `p`, with each `A[r][p]` packed once for every `q` and each
+    /// `B[p][q]` once for every `r`, is bit-equal to one `gemm_oriented` call
+    /// per product — in every orientation pair, on shapes crossing the
+    /// register tiles, the `MC` row blocks and the `KC` panels, over rough
+    /// and special floats, on the forced-scalar and the dispatched backend.
+    #[test]
+    fn packed_once_multiplied_many_times_is_gemm_oriented(
+        n in prop_oneof![1usize..=40, 90usize..=120], m in 1usize..=40,
+        depths in proptest::collection::vec(1usize..=250, 1..4),
+        (rows, cols) in (1usize..=2, 1usize..=3),
+        special in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let mut draws = seed * 64;
+        let mut rough = |r, c| {
+            draws += 1;
+            rough_dense(r, c, special, draws)
+        };
+        let a: Vec<Vec<DenseMatrix>> = (0..rows)
+            .map(|_| depths.iter().map(|&k| rough(n, k)).collect())
+            .collect();
+        let b: Vec<Vec<DenseMatrix>> = depths
+            .iter()
+            .map(|&k| (0..cols).map(|_| rough(k, m)).collect())
+            .collect();
+        let base: Vec<DenseMatrix> = (0..rows * cols).map(|_| rough(n, m)).collect();
+        for backend in [Backend::Scalar, Backend::active()] {
+            for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
+                let stored = |x: &DenseMatrix, t: bool| if t { x.transpose() } else { x.clone() };
+                let (mut want, mut got) = (base.clone(), base.clone());
+                for (p, &k) in depths.iter().enumerate() {
+                    let a_p: Vec<DenseMatrix> = a.iter().map(|a| stored(&a[p], a_t)).collect();
+                    let b_p: Vec<DenseMatrix> = b[p].iter().map(|b| stored(b, b_t)).collect();
+                    let lefts: Vec<PackedLeft> = a_p
+                        .iter()
+                        .map(|a| PackedLeft::new((a.data(), a_t), (n, k), backend))
+                        .collect();
+                    let rights: Vec<PackedRight> = b_p
+                        .iter()
+                        .map(|b| PackedRight::new((b.data(), b_t), (k, m), backend))
+                        .collect();
+                    for r in 0..rows {
+                        for q in 0..cols {
+                            let (a_op, b_op) = ((a_p[r].data(), a_t), (b_p[q].data(), b_t));
+                            let c = want[r * cols + q].data_mut();
+                            gemm_oriented(c, a_op, b_op, (n, k, m), 1, backend);
+                            gemm_packed(got[r * cols + q].data_mut(), &lefts[r], &rights[q]);
+                        }
+                    }
+                }
+                for (at, (got, want)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        bits(got), bits(want),
+                        "C{} ({}, {}) on {:?}", at, a_t, b_t, backend
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -27,9 +27,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_repro::sac::{MatMulStrategy, Session, SessionBuilder};
 use sac_repro::sparkline::ChaosPlan;
-use sac_repro::tiled::{LocalMatrix, TiledMatrix};
+use sac_repro::tiled::{LocalMatrix, TileCoord, TiledMatrix};
 
 const MUL_SRC: &str = "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, \
+     let v = a*b, group by (i,j) ]";
+/// `C = A·Bᵀ`, B stored `m x k`.
+const MUL_BT_SRC: &str = "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((j,kk),b) <- B, kk == k, \
+     let v = a*b, group by (i,j) ]";
+/// `C = Aᵀ·B`, A stored `k x n`.
+const MUL_AT_SRC: &str = "tiled(n,m)[ ((i,j), +/v) | ((k,i),a) <- A, ((kk,j),b) <- B, kk == k, \
      let v = a*b, group by (i,j) ]";
 
 /// A session on `matmul` with no broadcast row to fall back on (a zero byte
@@ -275,6 +281,104 @@ proptest! {
                 prop_assert_eq!(bits(&product.to_local()), want, "{:?}: re-multiplied", matmul);
                 let recomputes = s.spark().take_profile().cache_totals().recomputes;
                 prop_assert!(recomputes > 0, "{:?}: the product was kept", matmul);
+            }
+        }
+    }
+}
+
+/// `m` with the tiles `gone` picks zeroed, and `m` tiled by `tile` with
+/// those tiles left out of its tile set.
+fn tiles_left_out(
+    s: &Session,
+    m: &LocalMatrix,
+    tile: usize,
+    gone: impl Fn(TileCoord) -> bool,
+) -> (LocalMatrix, TiledMatrix) {
+    let block = |x: usize| (x / tile) as i64;
+    let zeroed = LocalMatrix::from_fn(m.rows, m.cols, |i, j| {
+        if gone((block(i), block(j))) {
+            0.0
+        } else {
+            m.get(i, j)
+        }
+    });
+    let tiles = TiledMatrix::from_local(s.spark(), m, tile, 3)
+        .tiles()
+        .collect();
+    let kept: Vec<_> = tiles.into_iter().filter(|(at, _)| !gone(*at)).collect();
+    let kept = s.spark().parallelize(kept, 3);
+    (
+        zeroed,
+        TiledMatrix::new(m.rows as i64, m.cols as i64, tile, kept),
+    )
+}
+
+/// The group-by-join with tiles as large as the register tiles and past
+/// them (the proptest above stays below every microkernel's tile): the bits
+/// of the one-tile product of the operands in their roles, for the plain,
+/// the `A·Bᵀ` and the `Aᵀ·B` contraction, at 1, 4 and 7 partitions, with
+/// ragged extents, and with either operand missing some of its tiles, which
+/// the cell loop skips.
+#[test]
+fn group_by_join_over_register_sized_tiles_matches_the_one_tile_product() {
+    let mut rng = StdRng::seed_from_u64(20260405);
+    for (tile, (rows, inner, cols)) in [(16, (43, 37, 40)), (40, (113, 97, 80))] {
+        let a = rough(rows, inner, &mut rng);
+        let b = rough(inner, cols, &mut rng);
+        let forms = [
+            (MUL_SRC, a.clone(), b.clone()),
+            (MUL_BT_SRC, a.clone(), b.transpose()),
+            (MUL_AT_SRC, a.transpose(), b.clone()),
+        ];
+        for (src, stored_a, stored_b) in forms {
+            for sparse in [None, Some("A"), Some("B")] {
+                for partitions in [1, 4, 7] {
+                    let mut s = session(MatMulStrategy::GroupByJoin, partitions)
+                        .chaos_off()
+                        .build();
+                    // About one stored tile in four is left out.
+                    let gone = |(r, c): TileCoord| (3 * r + 5 * c) % 4 == 1;
+                    let (a_in, b_in) = match sparse {
+                        Some("A") => {
+                            let (zeroed, tiled) = tiles_left_out(&s, &stored_a, tile, gone);
+                            s.register_matrix("A", tiled);
+                            s.register_local_matrix("B", &stored_b, tile);
+                            (zeroed, stored_b.clone())
+                        }
+                        Some(_) => {
+                            let (zeroed, tiled) = tiles_left_out(&s, &stored_b, tile, gone);
+                            s.register_local_matrix("A", &stored_a, tile);
+                            s.register_matrix("B", tiled);
+                            (stored_a.clone(), zeroed)
+                        }
+                        None => {
+                            s.register_local_matrix("A", &stored_a, tile);
+                            s.register_local_matrix("B", &stored_b, tile);
+                            (stored_a.clone(), stored_b.clone())
+                        }
+                    };
+                    let role_a = if src == MUL_AT_SRC {
+                        a_in.transpose()
+                    } else {
+                        a_in
+                    };
+                    let role_b = if src == MUL_BT_SRC {
+                        b_in.transpose()
+                    } else {
+                        b_in
+                    };
+                    let want = one_tile_product(&role_a, &role_b);
+                    s.set_int("n", rows as i64);
+                    s.set_int("m", cols as i64);
+                    let explained = s.explain(src).unwrap();
+                    assert!(explained.contains("groupByJoin"), "{explained}");
+                    let got = s.matrix(src).unwrap().to_local();
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{src} at tile {tile}, {partitions} partitions, {sparse:?} sparse"
+                    );
+                }
             }
         }
     }
