@@ -404,6 +404,32 @@ fn data_dependent_group_by_failure_is_a_task_failure_carrying_the_error_text() {
     );
 }
 
+/// The same failure at the default attempt limit costs the failing map
+/// task's attempts once: the shuffle runs from the driver, so no retried
+/// task re-runs a whole map stage.
+#[test]
+fn data_dependent_group_by_failure_costs_one_tasks_attempts_and_one_stage() {
+    let c = Context::builder().workers(1).chaos_off().build();
+    let env = stencil_env(&c);
+    let src = "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
+               jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]";
+    let lazy = run(src, &env, &c).unwrap().into_matrix().unwrap();
+    c.trace();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lazy.to_local()))
+        .expect_err("every element divides by zero");
+    let events = c.take_events();
+    let failed = events
+        .iter()
+        .filter(|e| matches!(e, Event::TaskEnd { ok: false, .. }))
+        .count();
+    let stages = events
+        .iter()
+        .filter(|e| matches!(e, Event::StageStart { .. }))
+        .count();
+    // 4 is the default `max_task_attempts`.
+    assert_eq!((failed, stages), (4, 1));
+}
+
 #[test]
 fn non_positive_builder_dimensions_are_plan_errors() {
     let c = ctx();

@@ -5,7 +5,7 @@ use crate::chaos::{ChaosController, ChaosPlan, WireFault, CHAOS_ENV};
 use crate::events::{Event, EventCollector};
 use crate::pool::ThreadPool;
 use crate::profile::JobProfile;
-use crate::service::{panic_is_cancelled, CancelToken, CANCELLED_MSG};
+use crate::service::{CancelToken, CANCELLED_MSG};
 use crate::shuffle::MapOutputTracker;
 use crate::storage::{BlockManager, StorageStatus};
 use crate::sync::Mutex;
@@ -14,7 +14,7 @@ use crate::Data;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,6 +22,11 @@ use std::time::Instant;
 /// [`ChaosEvent::FailTask`](crate::ChaosEvent::FailTask); a job whose task
 /// exhausts its attempts on such failures unwinds with it.
 const INJECTED_FAILURE_MSG: &str = "sparkline: injected task failure";
+
+/// Panic message of a stage started from inside a task. Every stage a job
+/// needs starts from the driver: an action runs the shuffles it reads
+/// ([`crate::ops::Op::materialize`]) before its own stage.
+const NESTED_STAGE_MSG: &str = "sparkline: a task cannot start a stage";
 
 /// Environment variable overriding the default storage budget (bytes); lets
 /// CI run the whole suite under a deliberately tiny budget so eviction paths
@@ -40,17 +45,12 @@ pub const WORKER_PROCS_ENV: &str = "SPARKLINE_WORKER_PROCS";
 /// driver process ([`Context::external_shuffle_path`] base dirs).
 static EXTERNAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Strikes (kills/restarts) after which an executor is blacklisted — no
-/// longer assigned worker threads — unless it is the last healthy one.
-const BLACKLIST_STRIKES: u32 = 3;
-
 thread_local! {
-    /// Stage whose task is running on this executor thread. Stages nest
-    /// (materializing a shuffle dependency runs a child stage from inside a
-    /// parent task), but a nested stage's worker loops run on other pooled
-    /// threads than the parent task's, and every worker loop sets all four
-    /// thread-locals on entry and clears them on exit, so the thread-local on
-    /// each worker is exactly the innermost stage.
+    /// Stage whose task is running on this executor thread; `None` on a
+    /// driver thread. Stages never nest — `run_stage` refuses to start one
+    /// from inside a task — and every worker loop sets its thread-locals on
+    /// entry and clears them on exit, so a pooled thread carries nothing
+    /// of one stage into the next.
     static CURRENT_STAGE: Cell<Option<u64>> = const { Cell::new(None) };
     /// Logical executor this worker thread belongs to. Shuffle map outputs
     /// and cached blocks produced on the thread are owned by this executor's
@@ -61,14 +61,14 @@ thread_local! {
     /// every stage worker thread, so blocks cached anywhere inside the job
     /// are charged to the tenant's storage quota.
     static CURRENT_TENANT: Cell<Option<u32>> = const { Cell::new(None) };
-    /// Cancellation token of the job running on this thread, if any. Same
-    /// propagation as [`CURRENT_TENANT`]: installed by
-    /// [`Context::scoped_cancel`] on the driver, inherited by stage workers,
-    /// checked before every task claim.
+    /// Cancellation token of the job driven from this thread, if any:
+    /// installed by [`Context::scoped_cancel`] on the driver and captured
+    /// by every stage the job starts, whose workers check it before every
+    /// task claim.
     static CURRENT_CANCEL: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
 }
 
-/// Innermost stage running on this thread, if any — how cache events are
+/// Stage whose task runs on this thread, if any — how cache events are
 /// attributed to stages without threading ids through every operator.
 pub(crate) fn current_stage() -> Option<u64> {
     CURRENT_STAGE.with(Cell::get)
@@ -85,11 +85,6 @@ pub(crate) fn current_executor() -> Option<usize> {
 /// attributed to tenant quotas without threading ids through operators.
 pub(crate) fn current_tenant() -> Option<u32> {
     CURRENT_TENANT.with(Cell::get)
-}
-
-/// Cancellation token of the job on this thread, if any.
-pub(crate) fn current_cancel() -> Option<CancelToken> {
-    CURRENT_CANCEL.with(|c| c.borrow().clone())
 }
 
 /// Restores the previous thread-local tenant on drop (panic-safe: a job
@@ -246,8 +241,7 @@ impl ContextBuilder {
             inner: Arc::new(CtxInner {
                 workers: self.workers,
                 max_task_attempts: self.max_task_attempts,
-                executors: (0..self.workers).map(|_| ExecutorSlot::default()).collect(),
-                blacklist_decision: Mutex::new(()),
+                epochs: (0..self.workers).map(|_| AtomicU64::new(0)).collect(),
                 chaos,
                 worker_group,
                 external_dir,
@@ -280,38 +274,23 @@ impl ContextBuilder {
     }
 }
 
-/// One logical executor: a restartable fault domain. Killing it bumps the
-/// epoch (in-flight results from older epochs are discarded) and sweeps the
-/// state it owned; the slot then keeps running as its own replacement, the
-/// way a supervisor would restart a crashed worker process.
-#[derive(Default)]
-pub(crate) struct ExecutorSlot {
-    /// Incremented on every kill. A task result is only accepted if the
-    /// executor's epoch is unchanged since the task launched.
-    epoch: AtomicU64,
-    /// Lifetime kill count; drives blacklisting.
-    strikes: AtomicU32,
-    /// Blacklisted executors get no worker threads in new stages.
-    blacklisted: AtomicBool,
-}
-
 /// Point-in-time health of one executor, from [`Context::executor_status`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorStatus {
     pub executor: usize,
     /// Times this executor has been killed and restarted.
     pub restarts: u64,
-    pub blacklisted: bool,
 }
 
 pub(crate) struct CtxInner {
     pub(crate) workers: usize,
     pub(crate) max_task_attempts: u32,
-    /// The logical executor pool tasks are scheduled onto.
-    executors: Vec<ExecutorSlot>,
-    /// Serializes blacklist decisions so concurrent kills can't blacklist
-    /// every executor at once (at least one must stay schedulable).
-    blacklist_decision: Mutex<()>,
+    /// The epoch of each logical executor, a restartable fault domain.
+    /// Killing executor `e` bumps `epochs[e]` (a task result is accepted
+    /// only if its executor's epoch is unchanged since launch) and sweeps
+    /// the state it owned; the slot then keeps running as its own
+    /// replacement, the way a supervisor restarts a crashed worker process.
+    epochs: Vec<AtomicU64>,
     /// Deterministic fault injector; `None` when chaos is off.
     chaos: Option<ChaosController>,
     /// Shuffle data-plane worker processes; `None` in local mode. Executor
@@ -402,16 +381,15 @@ impl Context {
         self.inner.workers
     }
 
-    /// Health of every executor: restart counts and blacklist state.
+    /// Health of every executor: how often each was restarted.
     pub fn executor_status(&self) -> Vec<ExecutorStatus> {
         self.inner
-            .executors
+            .epochs
             .iter()
             .enumerate()
-            .map(|(executor, slot)| ExecutorStatus {
+            .map(|(executor, epoch)| ExecutorStatus {
                 executor,
-                restarts: slot.epoch.load(Ordering::SeqCst),
-                blacklisted: slot.blacklisted.load(Ordering::SeqCst),
+                restarts: epoch.load(Ordering::SeqCst),
             })
             .collect()
     }
@@ -422,17 +400,13 @@ impl Context {
     /// executor immediately restarts empty. Returns false for an unknown
     /// executor id.
     ///
-    /// Repeated kills accrue strikes; after `BLACKLIST_STRIKES` the
-    /// executor is blacklisted (no longer assigned worker threads) unless it
-    /// is the last healthy one.
-    ///
     /// In multi-process mode an executor's shuffle state lives inside a
     /// worker process's fault domain, so killing the executor promotes to
     /// `kill -9` on the hosting process — which also takes down every other
     /// executor resident in it, exactly as losing a real machine would.
     pub fn kill_executor(&self, executor: usize) -> bool {
         if let Some(group) = &self.inner.worker_group {
-            if executor >= self.inner.executors.len() {
+            if executor >= self.inner.epochs.len() {
                 return false;
             }
             return self.kill_worker(executor % group.len());
@@ -471,7 +445,7 @@ impl Context {
         };
         let hosts = group.len();
         let mut swept = 0u64;
-        for executor in 0..self.inner.executors.len() {
+        for executor in 0..self.inner.epochs.len() {
             if executor % hosts == worker {
                 self.kill_executor_inner(executor);
                 swept += 1;
@@ -491,29 +465,14 @@ impl Context {
     /// and the per-executor sweep of [`Context::on_worker_lost`]
     /// (multi-process mode, where the process is already dead).
     fn kill_executor_inner(&self, executor: usize) -> bool {
-        let Some(slot) = self.inner.executors.get(executor) else {
+        let Some(epoch) = self.inner.epochs.get(executor) else {
             return false;
         };
         // Epoch first: anything the dead executor still manages to finish is
         // now stale and will be discarded at the result gate.
-        let dead_epoch = slot.epoch.fetch_add(1, Ordering::SeqCst);
+        let dead_epoch = epoch.fetch_add(1, Ordering::SeqCst);
         let lost_blocks = self.inner.storage.remove_executor(executor);
         let lost_map_outputs = self.inner.map_outputs.remove_executor(executor, dead_epoch);
-        let strikes = slot.strikes.fetch_add(1, Ordering::SeqCst) + 1;
-        if strikes >= BLACKLIST_STRIKES {
-            let _serialized = self.inner.blacklist_decision.lock();
-            let healthy = self
-                .inner
-                .executors
-                .iter()
-                .filter(|s| !s.blacklisted.load(Ordering::SeqCst))
-                .count();
-            // Never blacklist the last healthy executor: a pool that cannot
-            // schedule anything would hang every later stage.
-            if healthy > 1 && !slot.blacklisted.load(Ordering::SeqCst) {
-                slot.blacklisted.store(true, Ordering::SeqCst);
-            }
-        }
         if self.inner.events.is_enabled() {
             self.inner.events.emit(Event::ExecutorLost {
                 executor,
@@ -528,25 +487,7 @@ impl Context {
     /// Current epoch of one executor; results computed under an older epoch
     /// are stale.
     pub(crate) fn executor_epoch(&self, executor: usize) -> u64 {
-        self.inner.executors[executor].epoch.load(Ordering::SeqCst)
-    }
-
-    /// Executors eligible for worker threads. Never empty: blacklisting
-    /// always spares the last healthy executor.
-    fn healthy_executors(&self) -> Vec<usize> {
-        let healthy: Vec<usize> = self
-            .inner
-            .executors
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.blacklisted.load(Ordering::SeqCst))
-            .map(|(i, _)| i)
-            .collect();
-        if healthy.is_empty() {
-            vec![0]
-        } else {
-            healthy
-        }
+        self.inner.epochs[executor].load(Ordering::SeqCst)
     }
 
     /// Configured task-attempt limit ([`ContextBuilder::max_task_attempts`]).
@@ -599,12 +540,13 @@ impl Context {
         f()
     }
 
-    /// Run `f` under `token`: stages started inside (on this thread or any
-    /// worker loop they run) check the token before claiming each task,
-    /// and when it is cancelled the innermost stage stops launching tasks
-    /// and unwinds with [`CANCELLED_MSG`] as the panic payload (catch it and
-    /// test with [`crate::service::panic_is_cancelled`]). Nests and restores
-    /// on unwind.
+    /// Run `f` under `token`: every stage started inside — on this thread,
+    /// the only kind that starts stages — checks the token before claiming
+    /// each task, and when it is cancelled the running stage stops
+    /// launching tasks and unwinds with [`CANCELLED_MSG`] as the panic
+    /// payload (catch it and test with
+    /// [`crate::service::panic_is_cancelled`]). Nests and restores on
+    /// unwind.
     pub fn scoped_cancel<R>(&self, token: CancelToken, f: impl FnOnce() -> R) -> R {
         let prev = CURRENT_CANCEL.with(|c| c.borrow_mut().replace(token));
         let _restore = RestoreCancel(prev);
@@ -787,7 +729,9 @@ impl Context {
     /// up to the configured attempt limit, and return the per-task results in
     /// task order.
     ///
-    /// Panics (re-raising the task's panic) if any task exhausts its attempts.
+    /// Panics (re-raising the task's panic) if any task exhausts its
+    /// attempts, and panics when called from inside a task: only a driver
+    /// thread starts stages.
     pub fn run_tasks<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -814,6 +758,7 @@ impl Context {
         F: Fn(usize) -> R + Send + Sync,
         M: FnOnce() -> StageMeta,
     {
+        assert!(current_stage().is_none(), "{NESTED_STAGE_MSG}");
         let stage_id = self.inner.stage_ids.fetch_add(1, Ordering::Relaxed);
         if n == 0 {
             return (Vec::new(), stage_id);
@@ -843,18 +788,16 @@ impl Context {
             requeued: Mutex::new(Vec::new()),
             failure: Mutex::new(None),
             tenant: current_tenant(),
-            cancel: current_cancel(),
+            cancel: CURRENT_CANCEL.with(|c| c.borrow().clone()),
         };
-        // Map worker loops round-robin onto the healthy executors, fixed for
-        // the stage's lifetime (a kill restarts the executor in place, it
-        // does not remove capacity). Each loop runs on a pooled thread.
-        let healthy = self.healthy_executors();
+        // Worker loop `t` is executor `t` for the stage's lifetime (a kill
+        // restarts the executor in place, it does not remove capacity). Each
+        // loop runs on a pooled thread.
         let workers = self.inner.workers.min(n);
         let stage = &shared;
-        self.inner.threads.run((0..workers).map(|t| {
-            let executor = healthy[t % healthy.len()];
-            move || stage.worker(executor)
-        }));
+        self.inner
+            .threads
+            .run((0..workers).map(|executor| move || stage.worker(executor)));
         if tracing {
             self.inner.events.emit(Event::StageEnd {
                 stage_id,
@@ -887,22 +830,22 @@ struct StageShared<'a, R, F> {
     /// mid-flight; they go back to the front of the queue.
     requeued: Mutex<Vec<usize>>,
     failure: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Tenant/cancel context captured from the submitting (driver) thread
-    /// and re-installed on every worker, so nested stages inherit them.
+    /// Tenant captured from the submitting (driver) thread and re-installed
+    /// on every worker, so blocks cached by the stage's tasks are charged
+    /// to it.
     tenant: Option<u32>,
+    /// Cancellation token of the submitting job, checked before every task
+    /// claim.
     cancel: Option<CancelToken>,
 }
 
 impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     fn worker(&self, executor: usize) {
         // Set on entry, cleared on exit (by unwind too): the pooled thread
-        // carries nothing of this stage into the next loop it runs, and these
-        // are the innermost stage/executor even when stages nest (see
-        // [`current_stage`]).
+        // carries nothing of this stage into the next loop it runs.
         CURRENT_STAGE.with(|c| c.set(Some(self.stage_id)));
         CURRENT_EXECUTOR.with(|c| c.set(Some(executor)));
         CURRENT_TENANT.with(|c| c.set(self.tenant));
-        CURRENT_CANCEL.with(|c| *c.borrow_mut() = self.cancel.clone());
         let _clear = ClearWorkerLocals;
         loop {
             // Fail fast: once any task has permanently failed the stage's
@@ -944,7 +887,7 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
             // attempt's one fault hook: an injected failure never runs the
             // body.
             let injected = self.ctx.chaos_task_start();
-            let epoch = inner.executors[executor].epoch.load(Ordering::SeqCst);
+            let epoch = self.ctx.executor_epoch(executor);
             let task_started = Instant::now();
             let out = if injected {
                 Err(Box::new(INJECTED_FAILURE_MSG) as Box<dyn std::any::Any + Send>)
@@ -954,7 +897,7 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
             let task_micros = task_started.elapsed().as_micros() as u64;
             match out {
                 Ok(v) => {
-                    if inner.executors[executor].epoch.load(Ordering::SeqCst) != epoch {
+                    if self.ctx.executor_epoch(executor) != epoch {
                         // The executor died (and restarted) while this task
                         // ran: its result is part of the lost state. Put the
                         // partition back in the queue; this is loss, not a
@@ -972,17 +915,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                             ok: true,
                             injected: false,
                         });
-                    }
-                    return;
-                }
-                Err(cause) if panic_is_cancelled(&cause) => {
-                    // A nested stage unwound as cancelled inside this task:
-                    // that is the job being cancelled, not this task failing.
-                    // Don't retry, don't count a failure — pin the stage's
-                    // outcome so the cancellation keeps propagating.
-                    let mut failure = self.failure.lock();
-                    if failure.is_none() {
-                        *failure = Some(cause);
                     }
                     return;
                 }
@@ -1035,7 +967,7 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     }
 }
 
-/// Resets the four worker thread-locals when a worker loop returns.
+/// Resets the three worker thread-locals when a worker loop returns.
 struct ClearWorkerLocals;
 
 impl Drop for ClearWorkerLocals {
@@ -1043,7 +975,6 @@ impl Drop for ClearWorkerLocals {
         CURRENT_STAGE.with(|c| c.set(None));
         CURRENT_EXECUTOR.with(|c| c.set(None));
         CURRENT_TENANT.with(|c| c.set(None));
-        CURRENT_CANCEL.with(|c| *c.borrow_mut() = None);
     }
 }
 
@@ -1079,6 +1010,7 @@ impl Drop for EndJob<'_> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     #[test]
@@ -1147,17 +1079,6 @@ mod tests {
             ctx.run_tasks(2, |_| record());
         }
         assert!(ids.lock().len() <= 2, "{} threads", ids.lock().len());
-        // Nested: each of two outer tasks runs a one-task stage, so at most
-        // four loops are ever in flight, and the pool grows to that peak
-        // rather than by a set of threads per stage.
-        ids.lock().clear();
-        for _ in 0..16 {
-            ctx.run_tasks(2, |_| {
-                record();
-                ctx.run_tasks(1, |_| record());
-            });
-        }
-        assert!(ids.lock().len() <= 4, "{} threads", ids.lock().len());
     }
 
     #[test]
@@ -1191,28 +1112,38 @@ mod tests {
     }
 
     #[test]
-    fn current_stage_tracks_innermost_stage() {
+    fn current_stage_is_the_tasks_own_stage() {
         let ctx = Context::builder().workers(2).build();
         assert_eq!(current_stage(), None, "driver thread runs outside stages");
-        let stages = ctx.run_tasks(2, |_| {
-            let outer = current_stage().expect("task must see its stage");
-            let executor = current_executor();
-            let inner = ctx.run_tasks(1, |_| current_stage().expect("nested stage"));
-            assert_ne!(inner[0], outer, "nested stage must shadow the outer");
-            assert_eq!(current_stage(), Some(outer), "outer survives nesting");
-            assert_eq!(current_executor(), executor, "so does its executor");
-            outer
+        let first = ctx.inner.stage_ids.load(Ordering::Relaxed);
+        let stages = ctx.run_tasks(4, |_| {
+            assert!(current_executor().is_some(), "tasks run on an executor");
+            current_stage().expect("task must see its stage")
         });
-        assert_eq!(stages.len(), 2);
+        assert_eq!(stages, vec![first; 4]);
         assert_eq!(current_stage(), None);
-        // Threads that ran the nested stages see the next stage, not a
-        // stale one.
-        let fresh = ctx.inner.stage_ids.load(Ordering::Relaxed);
-        let next = ctx.run_tasks(4, |_| ctx.run_tasks(1, |_| current_stage())[0]);
-        assert!(
-            next.iter().all(|s| s.is_some_and(|s| s >= fresh)),
-            "{next:?}"
+        // The same pooled threads see the next stage, not a stale one.
+        let next = ctx.run_tasks(4, |_| current_stage());
+        assert_eq!(next, vec![Some(first + 1); 4]);
+    }
+
+    #[test]
+    fn a_task_cannot_start_a_stage() {
+        let ctx = Context::builder()
+            .workers(2)
+            .max_task_attempts(1)
+            .chaos_off()
+            .build();
+        let cause = catch_unwind(AssertUnwindSafe(|| {
+            ctx.run_tasks(2, |_| ctx.run_tasks(1, |i| i))
+        }))
+        .expect_err("a stage started inside a task must fail the job");
+        assert_eq!(
+            cause.downcast_ref::<String>().map(String::as_str),
+            Some(NESTED_STAGE_MSG)
         );
+        // The refused stage leaves the context usable.
+        assert_eq!(ctx.run_tasks(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1325,29 +1256,29 @@ mod tests {
     fn executor_pool_defaults_to_one_per_worker() {
         let ctx = Context::builder().workers(3).chaos_off().build();
         assert_eq!(ctx.executor_status().len(), 3);
-        assert!(ctx
-            .executor_status()
-            .iter()
-            .all(|s| s.restarts == 0 && !s.blacklisted));
+        assert!(ctx.executor_status().iter().all(|s| s.restarts == 0));
     }
 
     #[test]
-    fn kill_executor_restarts_and_eventually_blacklists() {
+    fn kill_executor_counts_restarts_and_keeps_every_executor_scheduled() {
         let ctx = Context::builder().workers(2).chaos_off().build();
         assert!(!ctx.kill_executor(99), "unknown executor id");
-        for _ in 0..BLACKLIST_STRIKES {
+        for _ in 0..5 {
             assert!(ctx.kill_executor(0));
         }
-        let status = ctx.executor_status();
-        assert_eq!(status[0].restarts, u64::from(BLACKLIST_STRIKES));
-        assert!(status[0].blacklisted);
-        // The last healthy executor survives any number of strikes.
-        for _ in 0..BLACKLIST_STRIKES + 2 {
-            assert!(ctx.kill_executor(1));
-        }
-        assert!(!ctx.executor_status()[1].blacklisted);
-        // And stages still run on the surviving executor.
-        assert_eq!(ctx.run_tasks(4, |i| i), vec![0, 1, 2, 3]);
+        assert!(ctx.kill_executor(1));
+        let restarts: Vec<u64> = ctx.executor_status().iter().map(|s| s.restarts).collect();
+        assert_eq!(restarts, vec![5, 1]);
+        // However often it died, executor 0 restarted empty and still runs
+        // tasks: worker loop `t` is executor `t`. The two tasks wait for
+        // each other, so each runs on its own loop.
+        let both = std::sync::Barrier::new(2);
+        let mut ran_on = ctx.run_tasks(2, |_| {
+            both.wait();
+            current_executor().expect("worker thread")
+        });
+        ran_on.sort();
+        assert_eq!(ran_on, vec![0, 1]);
     }
 
     #[test]
@@ -1447,19 +1378,15 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_tenant_and_cancel_from_the_driver() {
+    fn workers_inherit_the_tenant_from_the_driver() {
         let ctx = Context::builder().workers(2).chaos_off().build();
-        let token = CancelToken::new("alice", 1);
         ctx.scoped_tenant(7, || {
-            ctx.scoped_cancel(token, || {
-                let seen =
-                    ctx.run_tasks(4, |_| (current_tenant(), current_cancel().map(|t| t.job())));
-                assert!(seen.iter().all(|&s| s == (Some(7), Some(1))));
-            })
+            let seen = ctx.run_tasks(4, |_| current_tenant());
+            assert_eq!(seen, vec![Some(7); 4]);
         });
-        // The same pooled threads carry neither into a later stage.
-        let seen = ctx.run_tasks(4, |_| (current_tenant(), current_cancel().is_some()));
-        assert!(seen.iter().all(|&s| s == (None, false)), "{seen:?}");
+        // The same pooled threads do not carry it into a later stage.
+        let seen = ctx.run_tasks(4, |_| current_tenant());
+        assert_eq!(seen, vec![None; 4]);
     }
 
     #[test]
@@ -1503,29 +1430,40 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_propagates_out_of_nested_stages_without_retries() {
+    fn cancellation_in_a_shuffle_map_stage_fails_the_action_without_retries() {
         let ctx = Context::builder().workers(2).chaos_off().build();
         let token = CancelToken::new("bob", 5);
         ctx.trace();
         let t2 = token.clone();
-        let nested_ctx = ctx.clone();
+        let pairs = ctx.parallelize((0..64u64).collect(), 8).map(move |x| {
+            // Cancelled from inside the map stage the action runs first.
+            t2.cancel();
+            (x % 4, x)
+        });
         let result = catch_unwind(AssertUnwindSafe(|| {
             ctx.scoped_cancel(token.clone(), || {
-                ctx.run_tasks(2, move |_| {
-                    // Nested stage observes the cancellation and unwinds
-                    // through the parent task.
-                    t2.cancel();
-                    nested_ctx.run_tasks(8, |i| i)
-                })
+                pairs.reduce_by_key(2, |a, b| a + b).collect()
             })
         }));
         let cause = result.expect_err("cancellation must reach the driver");
         assert!(crate::service::panic_is_cancelled(&cause));
+        let events = ctx.take_events();
+        let cancels = events
+            .iter()
+            .filter(|e| matches!(e, Event::JobCancelled { job: 5, .. }))
+            .count();
+        assert_eq!(cancels, 1, "exactly one JobCancelled per token");
         assert_eq!(
-            ctx.take_profile().total_failed_attempts(),
+            JobProfile::from_events(&events).total_failed_attempts(),
             0,
             "cancellation is not a task failure and must not be retried"
         );
+        // Only the map stage ran: the reduce and action stages never start.
+        let stages = events
+            .iter()
+            .filter(|e| matches!(e, Event::StageStart { .. }))
+            .count();
+        assert_eq!(stages, 1);
     }
 
     #[test]

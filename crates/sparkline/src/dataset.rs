@@ -199,9 +199,11 @@ impl<T: Data> Dataset<T> {
         }
     }
 
-    /// Run the action's final stage as a traced job named `label`.
+    /// Run the action as a traced job named `label`: the shuffles it reads
+    /// first, from this (driver) thread, then its final stage.
     fn action_stage<R: Send>(&self, label: &str, f: impl Fn(usize) -> R + Send + Sync) -> Vec<R> {
         self.ctx.job_scope(label, || {
+            self.op.materialize(&self.ctx);
             self.ctx
                 .run_stage(
                     self.op.num_partitions(),

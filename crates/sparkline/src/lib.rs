@@ -44,9 +44,11 @@
 //!   [`KeyPartitioner`] descriptor and partition count) execute as a narrow
 //!   zip of partitions without any shuffle, mirroring Spark's
 //!   partitioner-aware joins.
-//! * Nested datasets are not allowed inside task closures (there is no handle
-//!   to smuggle: closures only see plain values), matching Spark's "no nested
-//!   RDDs" rule that §4 of the paper designs around.
+//! * Nested datasets are not allowed inside task closures, matching Spark's
+//!   "no nested RDDs" rule that §4 of the paper designs around. The rule is
+//!   enforced: every stage starts on a driver thread (an action runs the
+//!   shuffles it reads before its own stage), and an action or
+//!   [`Context::run_tasks`] called from inside a task panics.
 
 // Generic dataflow signatures (`Dataset<(K, (Vec<V>, Vec<W>))>`, boxed
 // combiner closures) spell out the shuffle contract; aliases would hide it.

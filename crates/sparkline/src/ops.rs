@@ -8,14 +8,21 @@ use std::sync::Arc;
 /// A node in the operator DAG. `compute` produces one partition as a
 /// pull-based [`PartitionStream`]; narrow operators call their parent's
 /// `compute` recursively and stack lazy adapters onto the stream (pipelining
-/// within the same task, no intermediate collections), wide operators
-/// materialize a shuffle first and hand out zero-copy shared views of it.
+/// within the same task, no intermediate collections), wide operators hand
+/// out zero-copy shared views of a shuffle output that
+/// [`Op::materialize`] ran on the driver before the reading stage.
 ///
 /// Streams are re-creatable: every `compute` call rebuilds from lineage, so
 /// task retries and cache recomputation see identical data.
 pub trait Op<T: Data>: Send + Sync + 'static {
     /// Number of partitions this operator produces.
     fn num_partitions(&self) -> usize;
+
+    /// Run, from the driver, every shuffle this node's partitions read that
+    /// has not run yet, parents first (Spark's DAG scheduler submitting
+    /// parent stages). Narrow nodes forward to their parents; an action
+    /// calls it before launching its own stage, so no task ever starts one.
+    fn materialize(&self, ctx: &Context);
 
     /// Produce partition `part` as a stream.
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T>;
@@ -62,6 +69,8 @@ impl<T: Data> Op<T> for SourceOp<T> {
         self.parts.len()
     }
 
+    fn materialize(&self, _ctx: &Context) {}
+
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {
         // Zero-copy: every task attempt (retries included) reads the same
         // shared block; no per-task clone.
@@ -96,6 +105,10 @@ impl<T: Data, U: Data> Op<U> for MapPartitionsOp<T, U> {
         self.parent.num_partitions()
     }
 
+    fn materialize(&self, ctx: &Context) {
+        self.parent.materialize(ctx);
+    }
+
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<U> {
         let input = self.parent.compute(part, ctx);
         instrument((self.f)(part, input), &self.label, part, ctx)
@@ -123,6 +136,11 @@ pub struct UnionOp<T: Data> {
 impl<T: Data> Op<T> for UnionOp<T> {
     fn num_partitions(&self) -> usize {
         self.left.num_partitions() + self.right.num_partitions()
+    }
+
+    fn materialize(&self, ctx: &Context) {
+        self.left.materialize(ctx);
+        self.right.materialize(ctx);
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {

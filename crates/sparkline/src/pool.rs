@@ -4,10 +4,11 @@
 //! spawning one, the way a Spark executor launches a task on a long-lived
 //! thread of its own pool. A loop takes an idle thread if there is one and
 //! otherwise spawns a new thread, which parks in the pool when its loop
-//! returns. There is no size knob: a task that materializes a shuffle
-//! blocks its thread while the nested stages it triggers run, so the pool
-//! grows to the peak number of stage threads in flight rather than capping
-//! them (a fixed set would deadlock or starve those nested stages).
+//! returns. There is no size knob: stages never nest, but concurrent jobs on
+//! one context (the query service's tenants) each run their stages' loops
+//! at once, so the pool grows to the peak number of stage threads in flight
+//! rather than capping them (a fixed set would queue one job's stage behind
+//! another's).
 
 use crate::sync::Mutex;
 use std::any::Any;

@@ -10,10 +10,10 @@
 //! ## Cancellation
 //!
 //! A [`CancelToken`] is installed on the driver thread with
-//! [`crate::Context::scoped_cancel`]; `Context::run_stage` captures
-//! it and re-installs it on every worker thread, so nested stages (a shuffle
-//! dependency materialized from inside a parent task) inherit it too. Workers
-//! check the token *before claiming each task*: in-flight tasks run to
+//! [`crate::Context::scoped_cancel`]; `Context::run_stage` captures it for
+//! every stage of the job, since all of them — the shuffle stages an action
+//! runs before its own included — start on that thread. The stage's
+//! workers check the token *before claiming each task*: in-flight tasks run to
 //! completion, no further tasks launch, and the stage unwinds with
 //! [`CANCELLED_MSG`] as the panic payload — the same propagation path as a
 //! permanently failed task, which is what frees the executor slots. The first

@@ -1,7 +1,8 @@
 //! Wide (shuffle) operators: the machinery behind `reduce_by_key`,
 //! `group_by_key`, `partition_by`, `cogroup` and `join`.
 //!
-//! A shuffle materializes in two stages, as in Spark:
+//! A shuffle materializes in two stages, as in Spark, both launched from the
+//! driver by [`Op::materialize`] before any stage that reads the shuffle:
 //!
 //! 1. **Map stage** — one task per parent partition computes the parent
 //!    partition, routes each record to a reduce bucket with the
@@ -49,7 +50,7 @@ use crate::{wire, Data};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Exponential backoff with deterministic jitter, used for both stage
@@ -623,7 +624,7 @@ pub struct ShuffleOp<K: Data, V: Data, C: Data> {
     tag: Option<String>,
     /// One `Arc` per reduce partition so downstream tasks get zero-copy
     /// shared views of exactly their partition.
-    state: Mutex<Option<Vec<Arc<Vec<(K, C)>>>>>,
+    reduced: OnceLock<Vec<Arc<Vec<(K, C)>>>>,
 }
 
 impl<K, V, C> ShuffleOp<K, V, C>
@@ -646,12 +647,23 @@ where
             operator: operator.into(),
             shuffle_id: ctx.next_shuffle_id(),
             tag: ctx.current_tag(),
-            state: Mutex::new(None),
+            reduced: OnceLock::new(),
         }
     }
 
-    /// Run the map and reduce stages once; later calls reuse the output
-    /// (Spark keeps shuffle files, so retried downstream tasks re-read them).
+    /// The reduced output, running the parents' shuffles and then this one's
+    /// map and reduce stages on first use; later calls reuse it (Spark keeps
+    /// shuffle files, so retried downstream tasks re-read them). First use is
+    /// the reading action's driver-side walk: a task that gets here first
+    /// fails in `run_stage`, since a task cannot start a stage.
+    fn reduced(&self, ctx: &Context) -> &[Arc<Vec<(K, C)>>] {
+        self.reduced.get_or_init(|| {
+            self.parent.materialize(ctx);
+            self.run(ctx)
+        })
+    }
+
+    /// Run the map and reduce stages.
     ///
     /// The body is a recovery loop: fill in missing map outputs (the first
     /// pass computes all of them; later passes are resubmissions covering
@@ -659,11 +671,7 @@ where
     /// still outstanding. Reduce tasks that find an output lost report a
     /// fetch failure instead of panicking; the loop then unwinds back to the
     /// map side. Bounded by [`MAX_STAGE_ATTEMPTS`] with exponential backoff.
-    fn materialized_partition(&self, part: usize, ctx: &Context) -> Arc<Vec<(K, C)>> {
-        let mut state = self.state.lock();
-        if let Some(parts) = state.as_ref() {
-            return parts[part].clone();
-        }
+    fn run(&self, ctx: &Context) -> Vec<Arc<Vec<(K, C)>>> {
         let n_map = self.parent.num_partitions();
         let n_red = self.partitioner.partitions();
         let tracing = ctx.is_tracing();
@@ -886,13 +894,10 @@ where
         // the reach of executor loss.
         tracker.drop_shuffle(self.shuffle_id);
         store.clear();
-        let reduced: Vec<Arc<Vec<(K, C)>>> = reduced_slots
+        reduced_slots
             .into_iter()
             .map(|slot| Arc::new(slot.into_inner().expect("reduce partition materialized").0))
-            .collect();
-        let out = reduced[part].clone();
-        *state = Some(reduced);
-        out
+            .collect()
     }
 }
 
@@ -906,10 +911,14 @@ where
         self.partitioner.partitions()
     }
 
+    fn materialize(&self, ctx: &Context) {
+        self.reduced(ctx);
+    }
+
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<(K, C)> {
         // The materialized reduce output is driver-held; every downstream
         // task reads a zero-copy shared view of its partition.
-        PartitionStream::shared(self.materialized_partition(part, ctx))
+        PartitionStream::shared(self.reduced(ctx)[part].clone())
     }
 
     fn partitioner_descriptor(&self) -> Option<(String, usize)> {
@@ -952,6 +961,13 @@ where
                 PartitionStream::from_vec(merge.into_entries())
             }
             CoGroupSide::Shuffled(op) => op.compute(part, ctx),
+        }
+    }
+
+    fn materialize(&self, ctx: &Context) {
+        match self {
+            CoGroupSide::Narrow(op) => op.materialize(ctx),
+            CoGroupSide::Shuffled(op) => op.materialize(ctx),
         }
     }
 
@@ -1032,6 +1048,11 @@ where
         self.partitioner.partitions()
     }
 
+    fn materialize(&self, ctx: &Context) {
+        self.left.materialize(ctx);
+        self.right.materialize(ctx);
+    }
+
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<(K, (Vec<V>, Vec<W>))> {
         let lhs = self.left.grouped_partition(part, ctx);
         let rhs = self.right.grouped_partition(part, ctx);
@@ -1072,8 +1093,45 @@ mod tests {
     use crate::context::current_executor;
     use crate::{Context, Event};
     use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    /// A map task that fails on every attempt, `shuffles` shuffles below
+    /// the action: the failed `TaskEnd`s and `StageStart`s it costs, and
+    /// the context's attempt limit.
+    fn cost_of_a_failing_map_task(shuffles: usize) -> (usize, usize, usize) {
+        let ctx = Context::builder().workers(1).chaos_off().build();
+        let mut pairs = ctx
+            .parallelize((0..16u64).collect(), 4)
+            .map(|x| -> (u64, u64) { panic!("map task {x} fails") });
+        for _ in 0..shuffles {
+            pairs = pairs.reduce_by_key(2, |a, b| a + b);
+        }
+        ctx.trace();
+        catch_unwind(AssertUnwindSafe(|| pairs.collect())).expect_err("the map task fails");
+        let events = ctx.take_events();
+        let failed = events
+            .iter()
+            .filter(|e| matches!(e, Event::TaskEnd { ok: false, .. }))
+            .count();
+        let stages = events
+            .iter()
+            .filter(|e| matches!(e, Event::StageStart { .. }))
+            .count();
+        (failed, stages, ctx.max_task_attempts() as usize)
+    }
+
+    /// The driver runs each shuffle before the stage that reads it, so a
+    /// failing map task costs its own attempts once, however many shuffles
+    /// sit above it — no retried downstream task re-runs the map stage.
+    #[test]
+    fn a_failing_map_task_costs_its_attempts_once_behind_any_number_of_shuffles() {
+        for shuffles in [1, 2] {
+            let (failed, stages, attempts) = cost_of_a_failing_map_task(shuffles);
+            assert_eq!((failed, stages), (attempts, 1), "{shuffles} shuffle(s)");
+        }
+    }
 
     /// A reduce task that merged its partition and then lost its executor
     /// before the result gate is requeued; the rerun keeps that merge, and

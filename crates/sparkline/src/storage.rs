@@ -640,7 +640,7 @@ impl<T: Data> PersistOp<T> {
     }
 }
 
-/// Emit a cache event with the innermost running stage attached, skipping
+/// Emit a cache event with the running stage attached, skipping
 /// payload construction when tracing is off.
 fn emit_cache_event(ctx: &Context, build: impl FnOnce(Option<u64>) -> Event) {
     if ctx.events().is_enabled() {
@@ -651,6 +651,10 @@ fn emit_cache_event(ctx: &Context, build: impl FnOnce(Option<u64>) -> Event) {
 impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
+    }
+
+    fn materialize(&self, ctx: &Context) {
+        self.parent.materialize(ctx);
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {

@@ -73,12 +73,7 @@ fn main() {
     println!("{analysis}");
     println!("executor pool after the run:");
     for s in chaotic.spark().executor_status() {
-        println!(
-            "  executor {}: {} restart(s){}",
-            s.executor,
-            s.restarts,
-            if s.blacklisted { ", blacklisted" } else { "" }
-        );
+        println!("  executor {}: {} restart(s)", s.executor, s.restarts);
     }
 
     let rec = &analysis.profile.recovery;
