@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// An error from lexing, parsing, type checking, or evaluation.
+/// An error from lexing, parsing, type checking, planning or evaluation, or
+/// a failed job of a planned query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompError {
     /// Which phase produced the error.
@@ -21,6 +22,8 @@ pub enum Phase {
     Type,
     Eval,
     Plan,
+    /// A job of a planned query failed on the runtime.
+    Job,
 }
 
 impl CompError {
@@ -63,6 +66,14 @@ impl CompError {
             offset: None,
         }
     }
+
+    pub fn job(message: impl Into<String>) -> Self {
+        CompError {
+            phase: Phase::Job,
+            message: message.into(),
+            offset: None,
+        }
+    }
 }
 
 impl fmt::Display for CompError {
@@ -73,6 +84,7 @@ impl fmt::Display for CompError {
             Phase::Type => "type",
             Phase::Eval => "eval",
             Phase::Plan => "plan",
+            Phase::Job => "job",
         };
         match self.offset {
             Some(o) => write!(f, "{phase} error at byte {o}: {}", self.message),

@@ -300,7 +300,7 @@ impl Session {
     /// Compile, execute, and profile a comprehension: the plan explanation
     /// annotated with measured per-stage statistics (task counts, wall time,
     /// max/median task time, shuffle bytes read and written) from the event
-    /// trace of this exact run.
+    /// trace of this exact run. A job of the run that fails is the error.
     ///
     /// Tracing is enabled only for the duration of the call; any trace the
     /// caller had running is restarted empty afterwards.
@@ -308,11 +308,9 @@ impl Session {
         let planned = self.compile(src)?;
         let was_tracing = self.ctx.is_tracing();
         self.ctx.trace();
-        let result = planner::exec::execute(&planned, &self.env, &self.ctx, &self.config);
-        if let Ok(r) = &result {
-            // Tiled results are lazy; run their stages inside the window.
-            r.force();
-        }
+        // Tiled results are lazy; run their stages inside the window.
+        let result = planner::exec::execute(&planned, &self.env, &self.ctx, &self.config)
+            .and_then(|r| r.force().map(|_| ()));
         let profile = self.ctx.take_profile();
         if !was_tracing {
             self.ctx.stop_trace();
@@ -439,6 +437,28 @@ mod tests {
             .unwrap()
             .to_local();
         assert!(got.approx_eq(&ms[0].add(&ms[1]), 1e-12));
+    }
+
+    /// A data-dependent evaluation error is the `Err` of `explain_analyze`,
+    /// after one attempt of the failing task at the default limit of 4, for
+    /// a generic group-by and a non-separable index map alike.
+    #[test]
+    fn explain_analyze_returns_a_failed_jobs_error_after_one_attempt() {
+        let (mut s, _) = chaos_off_session_with(&[("A", 8, 8, 10)]);
+        s.set_int("n", 8);
+        for src in [
+            "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
+             jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]",
+            "tiled(n,n)[ ((i / (j - j), j), v) | ((i,j),v) <- A ]",
+        ] {
+            let err = s.explain_analyze(src).err().expect("every element fails");
+            assert_eq!(err.phase, comp::errors::Phase::Job);
+            assert!(
+                err.message.contains("failed after 1 attempt(s)")
+                    && err.message.ends_with("integer division by zero"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@ use comp::eval::eval_comprehension;
 use comp::{Comprehension, Value};
 use sparkline::shuffle::Aggregator;
 use sparkline::{
-    Context, Data, Dataset, Event, GridCells, KeyPartitioner, PartitionStream, SpillCodec,
+    fail_deterministic, Context, Data, Dataset, Event, GridCells, JobError, KeyPartitioner,
+    PartitionStream, SpillCodec,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -31,20 +32,18 @@ pub enum ExecResult {
 }
 
 impl ExecResult {
-    /// Materialize every lazy stage of the result now. Used by
-    /// `explain_analyze`-style callers that want all stages to run inside a
-    /// trace window (tiled results are otherwise computed on first use).
-    pub fn force(&self) -> &ExecResult {
+    /// Materialize every lazy stage of the result now, or return the error
+    /// of the job that failed. Used by `explain_analyze`-style callers that
+    /// want all stages to run inside a trace window (tiled results are
+    /// otherwise computed on first use).
+    pub fn force(&self) -> Result<&ExecResult, CompError> {
         match self {
-            ExecResult::Matrix(m) => {
-                m.tiles().count();
-            }
-            ExecResult::Vector(v) => {
-                v.blocks().count();
-            }
-            ExecResult::Local(_) => {}
+            ExecResult::Matrix(m) => m.tiles().try_count(),
+            ExecResult::Vector(v) => v.blocks().try_count(),
+            ExecResult::Local(_) => Ok(0),
         }
-        self
+        .map_err(job_failed)?;
+        Ok(self)
     }
 
     pub fn into_matrix(self) -> Result<TiledMatrix, CompError> {
@@ -67,6 +66,11 @@ impl ExecResult {
             _ => Err(CompError::plan("result is not a local value")),
         }
     }
+}
+
+/// A job a lowering or a result ran that failed, as the planner's error.
+pub(crate) fn job_failed(e: JobError) -> CompError {
+    CompError::job(e.to_string())
 }
 
 /// The f64 embedding of a monoid: identity and combine. `+`'s identity is
@@ -446,7 +450,7 @@ pub(crate) trait Block: Data + SpillCodec {
     fn col_index(col: Self::Col) -> i64;
     fn zeros(n: usize) -> Self;
     /// The dataflow of `d` over this kind of block.
-    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self>;
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Lowered<Self>;
     /// A left operand tile made ready for every product it joins, and a
     /// right operand block made ready likewise: packed for the tile kernel
     /// where the product runs on it, the block itself otherwise.
@@ -482,6 +486,9 @@ pub(crate) trait Block: Data + SpillCodec {
 /// A block set keyed `(block row, block col)`.
 pub(crate) type Blocks<B> = Dataset<((i64, <B as Block>::Col), B)>;
 
+/// A dataflow's output blocks, or the error of a job it ran to build them.
+pub(crate) type Lowered<B> = Result<Blocks<B>, JobError>;
+
 /// A tile operand prepared for many products ([`Block::left`]): packed for
 /// the tile kernel under the plain product, the tile itself — with its
 /// orientation — under a general combine.
@@ -505,7 +512,7 @@ impl Block for DenseMatrix {
         DenseMatrix::zeros(n, n)
     }
 
-    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self> {
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Lowered<Self> {
         d.tiles
     }
 
@@ -591,7 +598,7 @@ impl Block for Vec<f64> {
         vec![0.0; n]
     }
 
-    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Blocks<Self> {
+    fn dataflow(d: &Dataflow) -> fn(&Contract<Self>) -> Lowered<Self> {
         d.blocks
     }
 
@@ -710,8 +717,9 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
     let (left_contract_row, right_contract_col) = (node.left_contract_row, node.right_contract_col);
     // The stage driver may re-decide row and partition count from the probed
     // inputs before the remainder is lowered.
-    let adapt = |probe: &dyn Fn() -> Vec<(&'p str, StageFrontier)>| {
+    let adapt = |probe: &dyn Fn() -> Result<Vec<(&'p str, StageFrontier)>, JobError>| {
         stage::adapt(env, x.ctx, x.config, probe, &plan.node, plan.row, decision)
+            .map_err(job_failed)
     };
     let dataflow = |row: &'static PlanRow| {
         let strategy = row.strategy.as_ref().ok_or_else(|| x.mismatch(plan));
@@ -760,12 +768,12 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
             };
             check(&a, (b0.tile_size(), b.rows, b.cols), (rows, cols))?;
             let probe = || {
-                vec![
-                    (left, x.frontiers.matrix(a0)),
-                    (right, x.frontiers.matrix(b0)),
-                ]
+                Ok(vec![
+                    (left, x.frontiers.matrix(a0)?),
+                    (right, x.frontiers.matrix(b0)?),
+                ])
             };
-            let (row, partitions) = adapt(&probe);
+            let (row, partitions) = adapt(&probe)?;
             // The smaller operand is broadcast, the query's right one on a
             // tie — whichever role it has here.
             let right_small = b0.rows() * b0.cols() <= a0.rows() * a0.cols();
@@ -778,14 +786,14 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
                 partitions,
                 general,
             };
-            let tiles = DenseMatrix::dataflow(dataflow(row)?)(&c);
+            let tiles = DenseMatrix::dataflow(dataflow(row)?)(&c).map_err(job_failed)?;
             Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
             let v = vector_input(env, right)?;
             let a = Operand::matrix(a0, left_contract_row);
             check(&a, (v.block_size(), v.len(), 1), (len, 1))?;
-            let (row, partitions) = adapt(&|| vec![(right, x.frontiers.vector(v))]);
+            let (row, partitions) = adapt(&|| Ok(vec![(right, x.frontiers.vector(v)?)]))?;
             let b = Operand {
                 blocks: v.blocks().map(|(k, block)| ((k, ()), block)),
                 rows: v.len(),
@@ -801,7 +809,8 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
                 partitions,
                 general,
             };
-            let blocks = <Vec<f64>>::dataflow(dataflow(row)?)(&c).map(|((i, ()), y)| (i, y));
+            let blocks = <Vec<f64>>::dataflow(dataflow(row)?)(&c).map_err(job_failed)?;
+            let blocks = blocks.map(|((i, ()), y)| (i, y));
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
         OutputKind::Local => Err(x.mismatch(plan)),
@@ -809,10 +818,12 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
 }
 
 /// A contraction row's dataflow, over tiles (a matrix right operand) and
-/// over vector blocks: the same generic function at each block kind.
+/// over vector blocks: the same generic function at each block kind. A
+/// dataflow that collects an operand to the driver returns that job's
+/// failure.
 pub(crate) struct Dataflow {
-    tiles: fn(&Contract<DenseMatrix>) -> Blocks<DenseMatrix>,
-    blocks: fn(&Contract<Vec<f64>>) -> Blocks<Vec<f64>>,
+    tiles: fn(&Contract<DenseMatrix>) -> Lowered<DenseMatrix>,
+    blocks: fn(&Contract<Vec<f64>>) -> Lowered<Vec<f64>>,
 }
 
 macro_rules! dataflows {
@@ -927,11 +938,12 @@ impl<B: Block> Products<B> {
 /// every one of them crosses the shuffle inside a per-key list, no map-side
 /// combining — shipping the products is this plan's definition, so it is the
 /// one place that allocates a block per product.
-fn join_group_by<B: Block>(c: &Contract<B>) -> Blocks<B> {
+fn join_group_by<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let lhs = c.a.blocks.map(|((i, k), t)| (k, (i, t)));
     let rhs = c.b.blocks.map(|((k, j), t)| (k, (j, t)));
     let (n, products) = (c.n, c.products());
-    lhs.join(&rhs, c.partitions)
+    let summed = lhs
+        .join(&rhs, c.partitions)
         .map(move |(k, ((i, av), (j, bv)))| {
             let mut out = B::zeros(n);
             products.multiply(&av, &bv, (i, k, B::col_index(j)), &mut out);
@@ -942,7 +954,8 @@ fn join_group_by<B: Block>(c: &Contract<B>) -> Blocks<B> {
             let mut acc = B::zeros(n);
             blocks.into_iter().for_each(|t| acc.add_in_place(&t));
             acc
-        })
+        });
+    Ok(summed)
 }
 
 /// §5.3 with §5.4's reduce shape: the join hands each map task `((i, j), (k,
@@ -955,7 +968,7 @@ fn join_group_by<B: Block>(c: &Contract<B>) -> Blocks<B> {
 /// and the reduce side folds the map tasks' combiners in map-partition order.
 /// The result is a function of (inputs, partition count) only — not of
 /// source-partition layout, retry or chaos.
-fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
+fn reduce_by_key<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let lhs = c.a.blocks.map(|((i, k), t)| (k, (i, t)));
     let rhs = c.b.blocks.map(|((k, j), t)| (k, (j, t)));
     let triples = lhs
@@ -990,11 +1003,11 @@ fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
         map_side_combine: true,
         merge_on_reduce: true,
     };
-    triples.shuffle(
+    Ok(triples.shuffle(
         KeyPartitioner::hash(c.partitions),
         accumulate,
         "reduceByKey",
-    )
+    ))
 }
 
 /// MLlib-style broadcast join: collect the smaller operand's blocks on the
@@ -1003,10 +1016,10 @@ fn reduce_by_key<B: Block>(c: &Contract<B>) -> Blocks<B> {
 /// map-side — no join shuffle at all. The big side is only read: its stream
 /// is consumed by reference so shared source partitions are never cloned
 /// into the task.
-fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
+fn broadcast_partials<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let (n, products, ctx) = (c.n, c.products(), c.a.blocks.context());
-    if c.b_small {
-        let table = ctx.broadcast(by_contracted(c.b.blocks.collect(), |&(k, _)| k));
+    Ok(if c.b_small {
+        let table = ctx.broadcast(by_contracted(c.b.blocks.try_collect()?, |&(k, _)| k));
         c.a.blocks.map_partitions_stream(move |_, tiles| {
             let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
             tiles.for_each_ref(|((i, k), av)| {
@@ -1018,7 +1031,7 @@ fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
             PartitionStream::from_vec(acc.into_iter().collect())
         })
     } else {
-        let table = ctx.broadcast(by_contracted(c.a.blocks.collect(), |&(_, k)| k));
+        let table = ctx.broadcast(by_contracted(c.a.blocks.try_collect()?, |&(_, k)| k));
         c.b.blocks.map_partitions_stream(move |_, blocks| {
             let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
             blocks.for_each_ref(|((k, j), bv)| {
@@ -1029,22 +1042,22 @@ fn broadcast_partials<B: Block>(c: &Contract<B>) -> Blocks<B> {
             });
             PartitionStream::from_vec(acc.into_iter().collect())
         })
-    }
+    })
 }
 
 /// The broadcast join's partials combined in a single reduceByKey round,
 /// where a contraction spans several partitions of the big side.
-fn broadcast<B: Block>(c: &Contract<B>) -> Blocks<B> {
-    broadcast_partials(c)
-        .reduce_by_key_in_place(c.partitions, |acc: &mut B, t: B| acc.add_in_place(&t))
+fn broadcast<B: Block>(c: &Contract<B>) -> Lowered<B> {
+    let partials = broadcast_partials(c)?;
+    Ok(partials.reduce_by_key_in_place(c.partitions, |acc: &mut B, t: B| acc.add_in_place(&t)))
 }
 
 /// The zero-round broadcast: collect the partials and finish the merge on
 /// the driver. Every stage is an action or a source — no shuffle — and every
 /// output block exists, hit or not.
-fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Blocks<B> {
+fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let mut merged: HashMap<(i64, B::Col), B> = HashMap::new();
-    for (coord, partial) in broadcast_partials(c).collect() {
+    for (coord, partial) in broadcast_partials(c)?.try_collect()? {
         let out = merged.entry(coord).or_insert_with(|| B::zeros(c.n));
         out.add_in_place(&partial);
     }
@@ -1053,7 +1066,7 @@ fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Blocks<B> {
     let blocks = coords
         .map(|at| (at, merged.remove(&at).unwrap_or_else(|| B::zeros(c.n))))
         .collect();
-    c.a.blocks.context().parallelize(blocks, c.partitions)
+    Ok(c.a.blocks.context().parallelize(blocks, c.partitions))
 }
 
 /// §5.4's group-by-join as SUMMA: `C[i,j] = Σ_k A[i,k] ⊗ B[k,j]` in one
@@ -1077,7 +1090,7 @@ fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Blocks<B> {
 /// blocks are emitted from the cell's partition, so the result carries the
 /// grid partitioner of its own shape and joins with co-indexed matrices
 /// narrowly.
-fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
+fn group_by_join<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let (free_left, contracted, free_right) = c.grid();
     let cells = GridCells::new(free_left as usize, free_right as usize, c.partitions);
     let row_anchors = cells.row_anchors();
@@ -1133,7 +1146,7 @@ fn group_by_join<B: Block>(c: &Contract<B>) -> Blocks<B> {
     // then the stage, two contractions over one `E`) would multiply twice.
     // Persist it under the storage budget for as long as the result lives;
     // under memory pressure a second consumer re-multiplies instead.
-    reduced.persist()
+    Ok(reduced.persist())
 }
 
 /// Group collected blocks by their contracted block index.
@@ -1321,8 +1334,8 @@ pub(crate) fn index_remap(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompE
 /// The output tiles source tile `coord`'s elements land in under a
 /// non-separable map `(fi, fj)`, each with the `(source offset, output
 /// offset)` of the elements it receives: both maps run once over the tile's
-/// valid index planes. An index error (`i / (j - j)`) fails the task with
-/// the interpreter's message.
+/// valid index planes. An index error (`i / (j - j)`) fails the task
+/// deterministically with the interpreter's message.
 fn land_elements(
     fi: &IdxFn,
     fj: &IdxFn,
@@ -1338,7 +1351,7 @@ fn land_elements(
     let gj: Vec<i64> = (0..len).map(|e| c0 + (e % valid_cols) as i64).collect();
     let eval = |f: &IdxFn| {
         f.eval_batch(&[&gi, &gj], len)
-            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or_else(|e| fail_deterministic(e.to_string()))
     };
     let (out_rows, out_cols) = (eval(fi), eval(fj));
     let ni = n as i64;
@@ -1609,8 +1622,8 @@ impl GroupFold {
     /// per aggregate plus a trailing hit count; they are reduced by key, then
     /// finalized in one fused pass per destination over its planes, and
     /// untouched cells are reset to `+0.0` (dense builder semantics). An
-    /// element whose evaluation fails (`1 / (i - i)`) fails its task with the
-    /// `CompError` text.
+    /// element whose evaluation fails (`1 / (i - i)`) fails its task
+    /// deterministically with the `CompError` text.
     fn run<K>(
         self,
         m: &TiledMatrix,
@@ -1636,8 +1649,8 @@ impl GroupFold {
                 cenv.bind(rv.clone(), Value::Int(gi));
                 cenv.bind(cv.clone(), Value::Int(gj));
                 cenv.bind(vv.clone(), Value::Float(t.get(ti, tj)));
-                let rows_out =
-                    eval_comprehension(&mini, &mut cenv).unwrap_or_else(|e| panic!("{e}"));
+                let rows_out = eval_comprehension(&mini, &mut cenv)
+                    .unwrap_or_else(|e| fail_deterministic(e.to_string()));
                 cenv.reset(scope);
                 for row in rows_out {
                     let Value::Tuple(kv) = row else { continue };
@@ -1731,10 +1744,11 @@ pub(crate) fn local(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> 
         }
         match env.array(&name) {
             Some(DistArray::Matrix(m)) => {
-                cenv.bind(name.clone(), triplets_to_value(&m.to_local().to_triplets()));
+                let local = m.try_to_local().map_err(job_failed)?;
+                cenv.bind(name.clone(), triplets_to_value(&local.to_triplets()));
             }
             Some(DistArray::Vector(v)) => {
-                let vals = v.to_local();
+                let vals = v.try_to_local().map_err(job_failed)?;
                 cenv.bind(
                     name.clone(),
                     Value::List(

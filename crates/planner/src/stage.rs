@@ -46,7 +46,7 @@ use crate::env::{ArrayStats, DistArray, PlanEnv};
 use crate::plan::{
     candidates, cheapest, cost_of, MatMulStrategy, Node, PlanConfig, PlanDecision, PlanRow,
 };
-use sparkline::{Context, Data, Dataset, Event, PartitionStream};
+use sparkline::{Context, Data, Dataset, Event, JobError, PartitionStream};
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 use tiled::{TiledMatrix, TiledVector};
@@ -74,7 +74,7 @@ fn probe<K: Data, T: Data>(
     blocks: &Dataset<(K, T)>,
     size: impl Fn(&T) -> u64 + Send + Sync + 'static,
     values: fn(&T) -> &[f64],
-) -> Vec<(u64, u64)> {
+) -> Result<Vec<(u64, u64)>, JobError> {
     let per_partition = blocks.map_partitions_stream(move |_, blocks| {
         let mut total = (0u64, 0u64);
         blocks.for_each_ref(|(_, b)| {
@@ -83,14 +83,14 @@ fn probe<K: Data, T: Data>(
         });
         PartitionStream::from_vec(vec![total])
     });
-    per_partition.collect()
+    per_partition.try_collect()
 }
 
 impl StageFrontier {
     /// Materialize a tiled matrix input up to this node's frontier and
     /// summarize it.
-    pub fn matrix(m: &TiledMatrix) -> StageFrontier {
-        let per_partition = probe(m.tiles(), |_| 1, |t| t.data());
+    pub fn matrix(m: &TiledMatrix) -> Result<StageFrontier, JobError> {
+        let per_partition = probe(m.tiles(), |_| 1, |t| t.data())?;
         let partition_tiles: Vec<u64> = per_partition.iter().map(|&(tiles, _)| tiles).collect();
         let tiles: u64 = partition_tiles.iter().sum();
         let nnz: u64 = per_partition.iter().map(|&(_, nnz)| nnz).sum();
@@ -104,23 +104,23 @@ impl StageFrontier {
             + ArrayStats::csc_tile_bytes(m.tile_size(), nnz);
         let mut stats = ArrayStats::matrix(m.rows(), m.cols(), m.tile_size()).with_nnz(nnz);
         stats.estimated_bytes = dense.min(csc);
-        StageFrontier {
+        Ok(StageFrontier {
             stats,
             partition_tiles,
-        }
+        })
     }
 
     /// Materialize a tiled vector input up to the frontier and summarize it.
-    pub fn vector(v: &TiledVector) -> StageFrontier {
+    pub fn vector(v: &TiledVector) -> Result<StageFrontier, JobError> {
         let block_bytes = |b: &Vec<f64>| ArrayStats::vector_block_bytes(b.len());
-        let per_partition = probe(v.blocks(), block_bytes, |b| b.as_slice());
+        let per_partition = probe(v.blocks(), block_bytes, |b| b.as_slice())?;
         let nnz = per_partition.iter().map(|&(_, nnz)| nnz).sum();
         let mut stats = ArrayStats::vector(v.len(), v.block_size()).with_nnz(nnz);
         stats.estimated_bytes = per_partition.iter().map(|&(bytes, _)| bytes).sum();
-        StageFrontier {
+        Ok(StageFrontier {
             stats,
             partition_tiles: Vec::new(),
-        }
+        })
     }
 }
 
@@ -139,26 +139,31 @@ pub(crate) struct Frontiers {
 
 impl Frontiers {
     /// [`StageFrontier::matrix`], once per array.
-    pub fn matrix(&self, m: &TiledMatrix) -> StageFrontier {
+    pub fn matrix(&self, m: &TiledMatrix) -> Result<StageFrontier, JobError> {
         self.once(DistArray::Matrix(m.clone()), || StageFrontier::matrix(m))
     }
 
     /// [`StageFrontier::vector`], once per array.
-    pub fn vector(&self, v: &TiledVector) -> StageFrontier {
+    pub fn vector(&self, v: &TiledVector) -> Result<StageFrontier, JobError> {
         self.once(DistArray::Vector(v.clone()), || StageFrontier::vector(v))
     }
 
-    fn once(&self, array: DistArray, probe: impl FnOnce() -> StageFrontier) -> StageFrontier {
+    /// A failed probe records nothing.
+    fn once(
+        &self,
+        array: DistArray,
+        probe: impl FnOnce() -> Result<StageFrontier, JobError>,
+    ) -> Result<StageFrontier, JobError> {
         // Every update is one insert, so a poisoned map is still whole.
         let taken = || self.taken.lock().unwrap_or_else(PoisonError::into_inner);
         let identity = array.lineage_identity();
         if let Some((_, frontier)) = taken().get(&identity) {
-            return frontier.clone();
+            return Ok(frontier.clone());
         }
         // The probe job runs outside the lock.
-        let frontier = probe();
+        let frontier = probe()?;
         taken().insert(identity, (array, frontier.clone()));
-        frontier
+        Ok(frontier)
     }
 }
 
@@ -186,21 +191,22 @@ fn skewed_partitions(frontiers: &[(&str, StageFrontier)], partitions: usize) -> 
 /// cheapest is strictly cheaper, so confirming measurements reproduce the
 /// plan-time choice exactly. Observed partition skew re-partitions the remainder.
 /// Returns the row and partition count the remainder runs with, and emits
-/// one `plan_replanned` event iff either changed.
+/// one `plan_replanned` event iff either changed; or the error of a probe
+/// job that failed.
 pub(crate) fn adapt<'a>(
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
-    probe: impl FnOnce() -> Vec<(&'a str, StageFrontier)>,
+    probe: impl FnOnce() -> Result<Vec<(&'a str, StageFrontier)>, JobError>,
     node: &Node,
     current: &'static PlanRow,
     decision: &PlanDecision,
-) -> (&'static PlanRow, usize) {
+) -> Result<(&'static PlanRow, usize), JobError> {
     let broadcast = current.strategy.as_ref().map(|s| s.pin) == Some(MatMulStrategy::Broadcast);
     if !decision.auto || broadcast {
-        return (current, config.partitions);
+        return Ok((current, config.partitions));
     }
-    let frontiers = probe();
+    let frontiers = probe()?;
     let partitions = skewed_partitions(&frontiers, config.partitions).unwrap_or(config.partitions);
     let mut overlay = env.clone();
     for (name, frontier) in frontiers {
@@ -228,5 +234,5 @@ pub(crate) fn adapt<'a>(
             at_micros,
         });
     }
-    (row, partitions)
+    Ok((row, partitions))
 }

@@ -8,7 +8,7 @@ use comp::errors::CompError;
 use planner::env::ArrayStats;
 use planner::plan::plan;
 use planner::{run_text, DistArray, ExecResult, MatMulStrategy, PlanConfig, PlanEnv};
-use sparkline::{Context, Event};
+use sparkline::{Cause, Context, Event};
 use tiled::{LocalMatrix, TiledMatrix, TiledVector};
 
 fn ctx() -> Context {
@@ -384,39 +384,27 @@ fn unbound_name_in_a_group_by_qualifier_is_refused_before_any_task_runs() {
 }
 
 /// A data-dependent failure cannot be seen from the driver: it stays a task
-/// failure, and the panic that reaches the caller is the `CompError` text.
+/// failure, a deterministic one, and the error that reaches the caller
+/// carries the `CompError` text.
 #[test]
 fn data_dependent_group_by_failure_is_a_task_failure_carrying_the_error_text() {
-    let c = Context::builder()
-        .workers(2)
-        .max_task_attempts(1)
-        .chaos_off()
-        .build();
+    let c = Context::builder().workers(2).chaos_off().build();
     let env = stencil_env(&c);
     let src = "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
                jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]";
     let lazy = run(src, &env, &c).unwrap().into_matrix().unwrap();
-    let cause = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lazy.to_local()))
+    let err = lazy
+        .tiles()
+        .try_collect()
         .expect_err("every element divides by zero");
-    assert_eq!(
-        cause.downcast_ref::<String>().map(String::as_str),
-        Some("eval error: integer division by zero")
-    );
+    assert_eq!(err.cause, Cause::Deterministic);
+    assert_eq!(err.message, "eval error: integer division by zero");
 }
 
-/// The same failure at the default attempt limit costs the failing map
-/// task's attempts once: the shuffle runs from the driver, so no retried
-/// task re-runs a whole map stage.
-#[test]
-fn data_dependent_group_by_failure_costs_one_tasks_attempts_and_one_stage() {
-    let c = Context::builder().workers(1).chaos_off().build();
-    let env = stencil_env(&c);
-    let src = "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
-               jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]";
-    let lazy = run(src, &env, &c).unwrap().into_matrix().unwrap();
+/// Failed attempts and stages started, from the trace of `run`.
+fn attempts_and_stages(c: &Context, run: impl FnOnce()) -> (usize, usize) {
     c.trace();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lazy.to_local()))
-        .expect_err("every element divides by zero");
+    run();
     let events = c.take_events();
     let failed = events
         .iter()
@@ -426,8 +414,82 @@ fn data_dependent_group_by_failure_costs_one_tasks_attempts_and_one_stage() {
         .iter()
         .filter(|e| matches!(e, Event::StageStart { .. }))
         .count();
-    // 4 is the default `max_task_attempts`.
-    assert_eq!((failed, stages), (4, 1));
+    (failed, stages)
+}
+
+/// The same failure at the default attempt limit costs one attempt of the
+/// failing map task, retrying cannot change it, and one stage: the shuffle
+/// runs from the driver, so no retried task re-runs a whole map stage.
+#[test]
+fn data_dependent_group_by_failure_costs_one_tasks_attempts_and_one_stage() {
+    let c = Context::builder().workers(1).chaos_off().build();
+    assert_eq!(c.max_task_attempts(), 4, "the default attempt limit");
+    let env = stencil_env(&c);
+    let src = "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
+               jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]";
+    let lazy = run(src, &env, &c).unwrap();
+    let cost = attempts_and_stages(&c, || {
+        let err = lazy.force().err().expect("every element divides by zero");
+        assert!(
+            err.to_string()
+                .ends_with("eval error: integer division by zero"),
+            "{err}"
+        );
+    });
+    assert_eq!(cost, (1, 1));
+}
+
+/// A non-separable §5.2 index map whose index expression fails
+/// (`i / (j - j)`) fails its map task deterministically: one attempt.
+#[test]
+fn a_failing_non_separable_index_map_costs_one_attempt() {
+    let c = Context::builder().workers(1).chaos_off().build();
+    let env = stencil_env(&c);
+    let src = "tiled(n,n)[ ((i / (j - j), j), v) | ((i,j),v) <- A ]";
+    let planned = plan(
+        &comp::parse_expr(src).unwrap(),
+        &env,
+        &config(MatMulStrategy::Auto),
+    )
+    .unwrap();
+    assert_eq!(planned.plan.strategy_name(), "indexRemap");
+    let lazy = run(src, &env, &c).unwrap();
+    let cost = attempts_and_stages(&c, || {
+        let err = lazy.force().err().expect("every index divides by zero");
+        assert!(
+            err.to_string().ends_with("integer division by zero"),
+            "{err}"
+        );
+    });
+    assert_eq!(cost, (1, 1));
+}
+
+/// The local fallback reads its inputs through a fallible action: a lazy
+/// input whose lineage fails is the statement's `Err`, not a panic.
+#[test]
+fn a_local_fallback_over_a_failing_input_returns_its_error() {
+    let c = Context::builder().workers(1).chaos_off().build();
+    let mut env = stencil_env(&c);
+    let src = "tiled(n,n)[ ((ii,jj), +/w) | ((i,j),a) <- A, ii <- (i-1) to (i+1), \
+               jj <- (j-1) to (j+1), let w = 1 / (i - i), group by (ii,jj) ]";
+    let m = run(src, &env, &c).unwrap().into_matrix().unwrap();
+    env.set_array("M", DistArray::Matrix(m));
+    let src = "[ (x, y) | ((i,j),x) <- M, ((k,l),y) <- A ]";
+    let planned = plan(
+        &comp::parse_expr(src).unwrap(),
+        &env,
+        &config(MatMulStrategy::Auto),
+    )
+    .unwrap();
+    assert_eq!(planned.plan.strategy_name(), "localFallback");
+    let err = run(src, &env, &c)
+        .err()
+        .expect("M's lineage divides by zero");
+    assert!(
+        err.to_string()
+            .ends_with("eval error: integer division by zero"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -34,9 +34,9 @@ pub mod net;
 use planner::{DistArray, ExecResult, PlanConfig};
 use sac::Session;
 use sparkline::json::JsonObject;
-use sparkline::{panic_is_cancelled, CancelToken, Context, Event, FairScheduler};
+use sparkline::{CancelToken, Context, Event, FairScheduler};
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -626,39 +626,29 @@ impl QueryService {
         token: CancelToken,
         query: &str,
     ) -> Result<QueryReply, ServiceError> {
-        let outcome = self.execute_job(tenant, job, &token, query);
-        // Deregister in every outcome; a cancelled tenant going idle also
-        // releases its attributed cached blocks.
-        let mut st = self.lock();
-        let (tid, idle) = match st.tenants.get_mut(tenant) {
-            Some(t) => {
-                t.running.remove(&job);
-                (t.id, t.running.is_empty())
-            }
-            None => (0, false),
+        let outcome = {
+            let _running = Running(self, &token);
+            self.execute_job(tenant, job, &token, query)
         };
-        drop(st);
+        // A job that failed under a cancelled token was cancelled, whichever
+        // error it stopped with.
         match outcome {
-            Outcome::Reply(reply) => Ok(reply),
-            Outcome::Error(e) => Err(e),
-            Outcome::Cancelled => {
-                if idle {
-                    self.inner.ctx.storage().remove_tenant(tid);
-                }
-                Err(ServiceError::Cancelled {
-                    tenant: tenant.to_string(),
-                    job,
-                })
-            }
-            Outcome::Panic(cause) => resume_unwind(cause),
+            Err(_) if token.is_cancelled() => Err(ServiceError::Cancelled {
+                tenant: tenant.to_string(),
+                job,
+            }),
+            outcome => outcome,
         }
     }
 
-    fn execute_job(&self, tenant: &str, job: u64, token: &CancelToken, query: &str) -> Outcome {
-        let expr = match comp::parse_expr(query) {
-            Ok(e) => e,
-            Err(e) => return Outcome::Error(e.into()),
-        };
+    fn execute_job(
+        &self,
+        tenant: &str,
+        job: u64,
+        token: &CancelToken,
+        query: &str,
+    ) -> Result<QueryReply, ServiceError> {
+        let expr = comp::parse_expr(query)?;
         let canon = canon::canonicalize(expr);
         let (tid, key, env, config) = {
             let mut st = self.lock();
@@ -714,10 +704,7 @@ impl QueryService {
             }
             None => {
                 self.inner.cache_misses.fetch_add(1, Ordering::SeqCst);
-                let planned = match planner::plan::plan(&canon, &env, &config) {
-                    Ok(p) => Arc::new(p),
-                    Err(e) => return Outcome::Error(e.into()),
-                };
+                let planned = Arc::new(planner::plan::plan(&canon, &env, &config)?);
                 self.lock().plan_cache.insert(key, planned.clone());
                 (planned, false)
             }
@@ -733,38 +720,37 @@ impl QueryService {
         });
         let started = Instant::now();
         let ctx = &self.inner.ctx;
-        let run_token = token.clone();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            ctx.scoped_tenant(tid, || {
-                ctx.scoped_cancel(run_token, || {
-                    let result = planner::execute(&planned, &env, ctx, &config)?;
-                    result.force();
-                    Ok::<ExecResult, comp::CompError>(result)
-                })
+        let result = ctx.scoped_tenant(tid, || {
+            ctx.scoped_cancel(token.clone(), || {
+                let result = planner::execute(&planned, &env, ctx, &config)?;
+                result.force()?;
+                Ok::<ExecResult, comp::CompError>(result)
             })
-        }));
+        });
         let wall_micros = started.elapsed().as_micros() as u64;
         drop(slot);
-        match run {
-            Ok(Ok(result)) => Outcome::Reply(reply_from(
-                job,
-                &result,
-                wall_micros,
-                queue_micros,
-                cache_hit,
-            )),
-            Ok(Err(e)) => Outcome::Error(e.into()),
-            Err(cause) if panic_is_cancelled(&cause) => Outcome::Cancelled,
-            Err(cause) => Outcome::Panic(cause),
-        }
+        reply_from(job, &result?, wall_micros, queue_micros, cache_hit)
     }
 }
 
-enum Outcome {
-    Reply(QueryReply),
-    Error(ServiceError),
-    Cancelled,
-    Panic(Box<dyn std::any::Any + Send>),
+/// The job of a token, deregistered when dropped: when the job returns and
+/// when it unwinds. A cancelled tenant going idle also releases its
+/// attributed cached blocks.
+struct Running<'a>(&'a QueryService, &'a CancelToken);
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let Running(service, token) = *self;
+        let mut st = service.lock();
+        let idle = st.tenants.get_mut(token.tenant()).and_then(|t| {
+            t.running.remove(&token.job());
+            t.running.is_empty().then_some(t.id)
+        });
+        drop(st);
+        if let (Some(tid), true) = (idle, token.is_cancelled()) {
+            service.inner.ctx.storage().remove_tenant(tid);
+        }
+    }
 }
 
 /// FNV-1a over a stream of u64 words.
@@ -785,10 +771,12 @@ fn reply_from(
     wall_micros: u64,
     queue_micros: u64,
     cache_hit: bool,
-) -> QueryReply {
+) -> Result<QueryReply, ServiceError> {
     let (kind, rows, cols, fingerprint, value) = match result {
         ExecResult::Matrix(m) => {
-            let local = m.to_local();
+            let local = m
+                .try_to_local()
+                .map_err(|e| comp::CompError::job(e.to_string()))?;
             let fp = fnv1a(
                 [local.rows as u64, local.cols as u64]
                     .into_iter()
@@ -797,7 +785,9 @@ fn reply_from(
             ("matrix", m.rows(), m.cols(), fp, None)
         }
         ExecResult::Vector(v) => {
-            let local = v.to_local();
+            let local = v
+                .try_to_local()
+                .map_err(|e| comp::CompError::job(e.to_string()))?;
             let fp = fnv1a(
                 [local.len() as u64, 1]
                     .into_iter()
@@ -811,7 +801,7 @@ fn reply_from(
             ("value", 0, 0, fp, Some(rendered))
         }
     };
-    QueryReply {
+    Ok(QueryReply {
         job,
         kind: kind.to_string(),
         rows,
@@ -821,7 +811,7 @@ fn reply_from(
         wall_micros,
         queue_micros,
         cache_hit,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1113,6 +1103,28 @@ mod tests {
             svc.cancel("alice", 999),
             Err(ServiceError::UnknownJob { .. })
         ));
+    }
+
+    #[test]
+    fn a_cancelled_scalar_query_is_reported_cancelled_and_deregistered() {
+        let svc = small_service();
+        svc.register_shared_int("n", 6).unwrap();
+        svc.register_shared_matrix("A", &random_matrix(6, 11), 3)
+            .unwrap();
+        // A scalar query plans as the local fallback, whose read of `A` is
+        // the job the cancellation stops.
+        let handle = svc.submit("alice", "+/[ a | ((i,j),a) <- A ]");
+        handle.cancel();
+        match handle.wait() {
+            Err(ServiceError::Cancelled { tenant, .. }) => assert_eq!(tenant, "alice"),
+            other => panic!(
+                "expected cancellation, got {other:?}",
+                other = other.map(|r| r.kind)
+            ),
+        }
+        let status = svc.status();
+        let alice = status.tenants.iter().find(|t| t.tenant == "alice").unwrap();
+        assert!(alice.running_jobs.is_empty(), "{:?}", alice.running_jobs);
     }
 
     #[test]

@@ -5,26 +5,27 @@ use crate::chaos::{ChaosController, ChaosPlan, WireFault, CHAOS_ENV};
 use crate::events::{Event, EventCollector};
 use crate::pool::ThreadPool;
 use crate::profile::JobProfile;
-use crate::service::{CancelToken, CANCELLED_MSG};
+use crate::service::CancelToken;
 use crate::shuffle::MapOutputTracker;
 use crate::storage::{BlockManager, StorageStatus};
 use crate::sync::Mutex;
 use crate::transport::{WorkerConfig, WorkerGroup};
 use crate::Data;
-use std::cell::{Cell, RefCell};
+use std::any::Any;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 use std::time::Instant;
 
-/// Failure payload of a task attempt failed by a
-/// [`ChaosEvent::FailTask`](crate::ChaosEvent::FailTask); a job whose task
-/// exhausts its attempts on such failures unwinds with it.
+/// Message of a task attempt failed by a
+/// [`ChaosEvent::FailTask`](crate::ChaosEvent::FailTask).
 const INJECTED_FAILURE_MSG: &str = "sparkline: injected task failure";
 
-/// Panic message of a stage started from inside a task. Every stage a job
-/// needs starts from the driver: an action runs the shuffles it reads
+/// Message of a stage started from inside a task. Every stage a job needs
+/// starts from the driver: an action runs the shuffles it reads
 /// ([`crate::ops::Op::materialize`]) before its own stage.
 const NESTED_STAGE_MSG: &str = "sparkline: a task cannot start a stage";
 
@@ -51,60 +52,140 @@ thread_local! {
     /// from inside a task — and every worker loop sets its thread-locals on
     /// entry and clears them on exit, so a pooled thread carries nothing
     /// of one stage into the next.
-    static CURRENT_STAGE: Cell<Option<u64>> = const { Cell::new(None) };
+    static CURRENT_STAGE: RefCell<Option<u64>> = const { RefCell::new(None) };
     /// Logical executor this worker thread belongs to. Shuffle map outputs
     /// and cached blocks produced on the thread are owned by this executor's
     /// fault domain and are lost when it is killed.
-    static CURRENT_EXECUTOR: Cell<Option<usize>> = const { Cell::new(None) };
+    static CURRENT_EXECUTOR: RefCell<Option<usize>> = const { RefCell::new(None) };
     /// Tenant whose job is running on this thread (service-assigned id).
     /// Set on the driver by [`Context::scoped_tenant`] and re-installed on
     /// every stage worker thread, so blocks cached anywhere inside the job
     /// are charged to the tenant's storage quota.
-    static CURRENT_TENANT: Cell<Option<u32>> = const { Cell::new(None) };
+    static CURRENT_TENANT: RefCell<Option<u32>> = const { RefCell::new(None) };
     /// Cancellation token of the job driven from this thread, if any:
     /// installed by [`Context::scoped_cancel`] on the driver and captured
     /// by every stage the job starts, whose workers check it before every
     /// task claim.
     static CURRENT_CANCEL: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
+    /// Job (action) this driver thread runs, charged for the stages it
+    /// starts; set by `Context::job_scope` when tracing.
+    static CURRENT_JOB: RefCell<Option<u64>> = const { RefCell::new(None) };
+    /// Plan-node tag of this driver thread ([`Context::scoped_tag`]),
+    /// captured by each shuffle node when it is *constructed*, which is when
+    /// the planner is running (materialization happens later).
+    static CURRENT_TAG: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 /// Stage whose task runs on this thread, if any — how cache events are
 /// attributed to stages without threading ids through every operator.
 pub(crate) fn current_stage() -> Option<u64> {
-    CURRENT_STAGE.with(Cell::get)
+    CURRENT_STAGE.with(|c| *c.borrow())
 }
 
 /// Logical executor owning this thread, if it is a stage worker. Driver
 /// threads return `None`: state they produce belongs to no fault domain and
 /// survives every kill.
 pub(crate) fn current_executor() -> Option<usize> {
-    CURRENT_EXECUTOR.with(Cell::get)
+    CURRENT_EXECUTOR.with(|c| *c.borrow())
 }
 
 /// Tenant owning the job on this thread, if any — how cached blocks are
 /// attributed to tenant quotas without threading ids through operators.
 pub(crate) fn current_tenant() -> Option<u32> {
-    CURRENT_TENANT.with(Cell::get)
+    CURRENT_TENANT.with(|c| *c.borrow())
 }
 
-/// Restores the previous thread-local tenant on drop (panic-safe: a job
-/// unwinding through `scoped_tenant` must not leak its id to later work on
-/// the driver thread).
-struct RestoreTenant(Option<u32>);
+/// This thread's plan-node tag, captured by shuffle nodes at construction.
+pub(crate) fn current_tag() -> Option<String> {
+    CURRENT_TAG.with(|c| c.borrow().clone())
+}
 
-impl Drop for RestoreTenant {
-    fn drop(&mut self) {
-        CURRENT_TENANT.with(|c| c.set(self.0));
+/// Holds a value in a thread-local and puts the previous one back when
+/// dropped, on return and on unwind alike, so a scope never leaks into later
+/// work on the thread.
+struct Scoped<T: Default + 'static>(&'static LocalKey<RefCell<T>>, T);
+
+impl<T: Default> Scoped<T> {
+    fn set(key: &'static LocalKey<RefCell<T>>, value: T) -> Self {
+        Scoped(key, key.with(|c| c.replace(value)))
     }
 }
 
-/// Restores the previous thread-local cancel token on drop.
-struct RestoreCancel(Option<CancelToken>);
-
-impl Drop for RestoreCancel {
+impl<T: Default> Drop for Scoped<T> {
     fn drop(&mut self) {
-        CURRENT_CANCEL.with(|c| *c.borrow_mut() = self.0.take());
+        let prev = std::mem::take(&mut self.1);
+        self.0.with(|c| *c.borrow_mut() = prev);
     }
+}
+
+/// How a task attempt that did not succeed ended, and so how its job ends
+/// (Spark's task-end reasons). Only `Failed` is retried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// A panic or an injected [`ChaosPlan`] failure: retried up to the attempt limit.
+    Failed,
+    /// [`fail_deterministic`]: the same input fails again, so never retried.
+    Deterministic,
+    /// The job's [`CancelToken`] was cancelled; no further task launched.
+    Cancelled,
+}
+
+/// Why a job failed: the first task of its stages that could not finish,
+/// or the shuffle that could not recover its map outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobError {
+    pub cause: Cause,
+    /// The failing task's stage, or a never-recovered shuffle's last map stage.
+    pub stage: u64,
+    /// The failing task's index in its stage, if one task failed the job.
+    pub task: Option<usize>,
+    /// Attempts made: the task's, or the shuffle's map-stage attempts.
+    pub attempts: u32,
+    pub message: String,
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "stage {}", self.stage)?;
+        if let Some(task) = self.task {
+            write!(f, " task {task} failed after {} attempt(s)", self.attempts)?;
+        }
+        write!(f, ": {}", self.message)
+    }
+}
+
+impl std::error::Error for JobError {}
+
+/// The value of an action whose signature returns none, or a panic with the
+/// job's error text: the one edge where a [`JobError`] becomes an unwind.
+pub fn expect_job<T>(result: Result<T, JobError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Unwind payload of [`fail_deterministic`].
+struct Deterministic(String);
+
+/// Fail the running task with an error retrying cannot change (an
+/// evaluation error of its data): the job ends with a
+/// [`Cause::Deterministic`] [`JobError`] carrying `message` after this one
+/// attempt. Unwinds to the task boundary without running the panic hook.
+/// Outside a task it is an ordinary panic with `message`.
+pub fn fail_deterministic(message: impl Into<String>) -> ! {
+    let message = message.into();
+    if current_stage().is_none() {
+        panic!("{message}");
+    }
+    resume_unwind(Box::new(Deterministic(message)))
+}
+
+/// How a task body's unwind ends its attempt.
+fn unwound(payload: Box<dyn Any + Send>) -> (Cause, String) {
+    if let Some(Deterministic(message)) = payload.downcast_ref() {
+        return (Cause::Deterministic, message.clone());
+    }
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    (Cause::Failed, text.unwrap_or("task panicked").to_string())
 }
 
 /// Where a context's chaos schedule comes from.
@@ -252,8 +333,6 @@ impl ContextBuilder {
                 stage_ids: AtomicU64::new(0),
                 job_ids: AtomicU64::new(0),
                 dataset_ids: AtomicU64::new(0),
-                active_jobs: Mutex::new(Vec::new()),
-                plan_tags: Mutex::new(Vec::new()),
                 threads: ThreadPool::default(),
             }),
         };
@@ -309,13 +388,6 @@ pub(crate) struct CtxInner {
     job_ids: AtomicU64,
     /// Ids handed to persisted datasets; key blocks in [`BlockManager`].
     dataset_ids: AtomicU64,
-    /// Stack of jobs (actions) currently running on the driver; the top one
-    /// is charged for stages submitted while it runs.
-    active_jobs: Mutex<Vec<u64>>,
-    /// Stack of plan-node tags ([`Context::scoped_tag`]); shuffles capture
-    /// the top of this stack when their DAG node is *constructed*, which is
-    /// when the planner is running (materialization happens later).
-    plan_tags: Mutex<Vec<String>>,
     /// The threads stages run their worker loops on; joined on drop.
     threads: ThreadPool,
 }
@@ -535,21 +607,17 @@ impl Context {
     /// charged to the tenant's storage quota, and per-tenant usage shows up
     /// in [`Context::storage_status`]. Nests and restores on unwind.
     pub fn scoped_tenant<R>(&self, tenant: u32, f: impl FnOnce() -> R) -> R {
-        let prev = CURRENT_TENANT.with(|c| c.replace(Some(tenant)));
-        let _restore = RestoreTenant(prev);
+        let _tenant = Scoped::set(&CURRENT_TENANT, Some(tenant));
         f()
     }
 
     /// Run `f` under `token`: every stage started inside — on this thread,
     /// the only kind that starts stages — checks the token before claiming
     /// each task, and when it is cancelled the running stage stops
-    /// launching tasks and unwinds with [`CANCELLED_MSG`] as the panic
-    /// payload (catch it and test with
-    /// [`crate::service::panic_is_cancelled`]). Nests and restores on
-    /// unwind.
+    /// launching tasks and its action returns a [`Cause::Cancelled`]
+    /// [`JobError`]. Nests and restores on unwind.
     pub fn scoped_cancel<R>(&self, token: CancelToken, f: impl FnOnce() -> R) -> R {
-        let prev = CURRENT_CANCEL.with(|c| c.borrow_mut().replace(token));
-        let _restore = RestoreCancel(prev);
+        let _cancel = Scoped::set(&CURRENT_CANCEL, Some(token));
         f()
     }
 
@@ -637,23 +705,18 @@ impl Context {
         JobProfile::from_events(&self.take_events())
     }
 
-    /// Run `f` with `tag` as the current plan-node tag: DAG nodes (shuffles)
-    /// constructed inside `f` are attributed to `tag` in traces. Used by the
-    /// planner to stamp each stage with the plan node that produced it.
+    /// Run `f` with `tag` as this thread's plan-node tag: DAG nodes
+    /// (shuffles) constructed inside `f` are attributed to `tag` in traces.
+    /// Used by the planner to stamp each stage with the plan node that
+    /// produced it. Nests and restores on unwind.
     pub fn scoped_tag<R>(&self, tag: impl Into<String>, f: impl FnOnce() -> R) -> R {
-        self.inner.plan_tags.lock().push(tag.into());
-        let _guard = PopTag(self);
+        let _tag = Scoped::set(&CURRENT_TAG, Some(tag.into()));
         f()
     }
 
-    /// Top of the plan-tag stack, captured by shuffle nodes at construction.
-    pub(crate) fn current_tag(&self) -> Option<String> {
-        self.inner.plan_tags.lock().last().cloned()
-    }
-
     /// Run `f` as a job (one action). Emits `JobStart`/`JobEnd` and charges
-    /// stages submitted inside to this job. A no-op wrapper when tracing is
-    /// off.
+    /// the stages this thread starts inside to this job. A no-op wrapper
+    /// when tracing is off.
     pub(crate) fn job_scope<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
         if !self.inner.events.is_enabled() {
             return f();
@@ -664,12 +727,12 @@ impl Context {
             label: label.to_string(),
             at_micros: self.inner.events.now_micros(),
         });
-        self.inner.active_jobs.lock().push(job_id);
-        let _guard = EndJob {
+        let _end = EndJob {
             ctx: self,
             job_id,
             started: Instant::now(),
         };
+        let _job = Scoped::set(&CURRENT_JOB, Some(job_id));
         f()
     }
 
@@ -688,10 +751,6 @@ impl Context {
             let at = self.inner.events.now_micros();
             self.inner.events.emit(make(at));
         }
-    }
-
-    fn current_job(&self) -> Option<u64> {
-        self.inner.active_jobs.lock().last().copied()
     }
 
     /// Create a dataset from a local collection, splitting it into
@@ -729,46 +788,51 @@ impl Context {
     /// up to the configured attempt limit, and return the per-task results in
     /// task order.
     ///
-    /// Panics (re-raising the task's panic) if any task exhausts its
-    /// attempts, and panics when called from inside a task: only a driver
-    /// thread starts stages.
+    /// Panics with the [`JobError`] text if the stage fails: a task exhausts
+    /// its attempts, fails deterministically, or the job is cancelled
+    /// ([`Context::scoped_cancel`]). A task that calls it fails
+    /// deterministically: only a driver thread starts stages.
     pub fn run_tasks<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Send + Sync,
     {
-        self.run_stage(
-            n,
-            || StageMeta {
-                label: "stage".to_string(),
-                tag: None,
-                lineage: None,
-            },
-            f,
-        )
-        .0
+        let meta = || StageMeta {
+            label: "stage".to_string(),
+            tag: None,
+            lineage: None,
+        };
+        expect_job(self.run_stage(n, meta, f)).0
     }
 
-    /// [`Context::run_tasks`] with stage metadata for the event trace.
-    /// Returns the results and the stage id (so callers can attribute
-    /// further per-task facts, e.g. shuffle write sizes, to the stage).
-    pub(crate) fn run_stage<R, F, M>(&self, n: usize, meta: M, f: F) -> (Vec<R>, u64)
+    /// [`Context::run_tasks`] with stage metadata for the event trace,
+    /// returning the failure as a value. Returns the results and the stage
+    /// id (so callers can attribute further per-task facts, e.g. shuffle
+    /// write sizes, to the stage).
+    pub(crate) fn run_stage<R, F, M>(
+        &self,
+        n: usize,
+        meta: M,
+        f: F,
+    ) -> Result<(Vec<R>, u64), JobError>
     where
         R: Send,
         F: Fn(usize) -> R + Send + Sync,
         M: FnOnce() -> StageMeta,
     {
-        assert!(current_stage().is_none(), "{NESTED_STAGE_MSG}");
+        if current_stage().is_some() {
+            fail_deterministic(NESTED_STAGE_MSG);
+        }
         let stage_id = self.inner.stage_ids.fetch_add(1, Ordering::Relaxed);
         if n == 0 {
-            return (Vec::new(), stage_id);
+            return Ok((Vec::new(), stage_id));
         }
         let tracing = self.inner.events.is_enabled();
         if tracing {
             let meta = meta();
             self.inner.events.emit(Event::StageStart {
                 stage_id,
-                job_id: self.current_job(),
+                job_id: CURRENT_JOB.with(|c| *c.borrow()),
                 label: meta.label,
                 tag: meta.tag,
                 lineage: meta.lineage,
@@ -804,15 +868,15 @@ impl Context {
                 wall_micros: stage_started.elapsed().as_micros() as u64,
             });
         }
-        if let Some(cause) = shared.failure.into_inner() {
-            resume_unwind(cause);
+        if let Some(failure) = shared.failure.into_inner() {
+            return Err(failure);
         }
         let out = shared
             .results
             .into_iter()
             .map(|m| m.into_inner().expect("task result missing"))
             .collect();
-        (out, stage_id)
+        Ok((out, stage_id))
     }
 }
 
@@ -829,7 +893,8 @@ struct StageShared<'a, R, F> {
     /// Tasks whose results were discarded because their executor died
     /// mid-flight; they go back to the front of the queue.
     requeued: Mutex<Vec<usize>>,
-    failure: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// How the stage failed, once a task has failed it for good.
+    failure: Mutex<Option<JobError>>,
     /// Tenant captured from the submitting (driver) thread and re-installed
     /// on every worker, so blocks cached by the stage's tasks are charged
     /// to it.
@@ -841,12 +906,12 @@ struct StageShared<'a, R, F> {
 
 impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     fn worker(&self, executor: usize) {
-        // Set on entry, cleared on exit (by unwind too): the pooled thread
-        // carries nothing of this stage into the next loop it runs.
-        CURRENT_STAGE.with(|c| c.set(Some(self.stage_id)));
-        CURRENT_EXECUTOR.with(|c| c.set(Some(executor)));
-        CURRENT_TENANT.with(|c| c.set(self.tenant));
-        let _clear = ClearWorkerLocals;
+        // Set for the loop, restored (to nothing, on a pooled thread) when it
+        // returns or unwinds: the thread carries nothing of this stage into
+        // the next loop it runs.
+        let _stage = Scoped::set(&CURRENT_STAGE, Some(self.stage_id));
+        let _executor = Scoped::set(&CURRENT_EXECUTOR, Some(executor));
+        let _tenant = Scoped::set(&CURRENT_TENANT, self.tenant);
         loop {
             // Fail fast: once any task has permanently failed the stage's
             // outcome is fixed, so launching still-queued tasks is pure
@@ -855,7 +920,7 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
                 return;
             }
             // Cooperative cancellation boundary: in-flight tasks finish,
-            // nothing further launches, the stage unwinds as cancelled.
+            // nothing further launches, the stage fails as cancelled.
             if self.observe_cancellation() {
                 return;
             }
@@ -872,9 +937,10 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
         }
     }
 
-    /// Run one task to acceptance, retrying panics up to the attempt limit.
-    /// Attempts are sequential: a task index is claimed by one worker at a
-    /// time, so exactly one attempt's result is ever accepted.
+    /// Run one task to acceptance, retrying a failed attempt up to the
+    /// attempt limit and a deterministic one never. Attempts are sequential:
+    /// a task index is claimed by one worker at a time, so exactly one
+    /// attempt's result is ever accepted.
     fn run_task(&self, i: usize, executor: usize) {
         let inner = &self.ctx.inner;
         let mut attempt = 0;
@@ -890,59 +956,54 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
             let epoch = self.ctx.executor_epoch(executor);
             let task_started = Instant::now();
             let out = if injected {
-                Err(Box::new(INJECTED_FAILURE_MSG) as Box<dyn std::any::Any + Send>)
+                Err((Cause::Failed, INJECTED_FAILURE_MSG.to_string()))
             } else {
-                catch_unwind(AssertUnwindSafe(|| (self.f)(i)))
+                catch_unwind(AssertUnwindSafe(|| (self.f)(i))).map_err(unwound)
             };
             let task_micros = task_started.elapsed().as_micros() as u64;
-            match out {
+            if out.is_ok() && self.ctx.executor_epoch(executor) != epoch {
+                // The executor died (and restarted) while this task ran: its
+                // result is part of the lost state. Put the partition back in
+                // the queue; this is loss, not a task failure, so no failure
+                // count and no TaskEnd.
+                self.requeued.lock().push(i);
+                return;
+            }
+            if self.tracing {
+                inner.events.emit(Event::TaskEnd {
+                    stage_id: self.stage_id,
+                    task: i,
+                    attempt,
+                    wall_micros: task_micros,
+                    ok: out.is_ok(),
+                    injected,
+                });
+            }
+            let (cause, message) = match out {
                 Ok(v) => {
-                    if self.ctx.executor_epoch(executor) != epoch {
-                        // The executor died (and restarted) while this task
-                        // ran: its result is part of the lost state. Put the
-                        // partition back in the queue; this is loss, not a
-                        // task failure, so no failure count and no TaskEnd.
-                        self.requeued.lock().push(i);
-                        return;
-                    }
                     *self.results[i].lock() = Some(v);
-                    if self.tracing {
-                        inner.events.emit(Event::TaskEnd {
-                            stage_id: self.stage_id,
-                            task: i,
-                            attempt,
-                            wall_micros: task_micros,
-                            ok: true,
-                            injected: false,
-                        });
-                    }
                     return;
                 }
-                Err(cause) => {
-                    if self.tracing {
-                        inner.events.emit(Event::TaskEnd {
-                            stage_id: self.stage_id,
-                            task: i,
-                            attempt,
-                            wall_micros: task_micros,
-                            ok: false,
-                            injected,
-                        });
-                    }
-                    attempt += 1;
-                    if attempt >= inner.max_task_attempts {
-                        *self.failure.lock() = Some(cause);
-                        return;
-                    }
-                }
+                Err(failure) => failure,
+            };
+            attempt += 1;
+            if cause == Cause::Deterministic || attempt >= inner.max_task_attempts {
+                *self.failure.lock() = Some(JobError {
+                    cause,
+                    stage: self.stage_id,
+                    task: Some(i),
+                    attempts: attempt,
+                    message,
+                });
+                return;
             }
         }
     }
 
     /// If this stage runs under a cancelled token, pin the stage's outcome
-    /// to the cancellation payload (first observer wins; a real task failure
-    /// that landed first keeps priority) and emit one `JobCancelled` event
-    /// per token. Returns true when the worker should stop claiming tasks.
+    /// to a cancellation (first observer wins; a real task failure that
+    /// landed first keeps priority) and emit one `JobCancelled` event per
+    /// token. Returns true when the worker should stop claiming tasks.
     fn observe_cancellation(&self) -> bool {
         let Some(token) = &self.cancel else {
             return false;
@@ -950,11 +1011,17 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
         if !token.is_cancelled() {
             return false;
         }
-        let mut failure = self.failure.lock();
-        if failure.is_none() {
-            *failure = Some(Box::new(CANCELLED_MSG));
-        }
-        drop(failure);
+        self.failure.lock().get_or_insert_with(|| JobError {
+            cause: Cause::Cancelled,
+            stage: self.stage_id,
+            task: None,
+            attempts: 0,
+            message: format!(
+                "job {} of tenant '{}' cancelled",
+                token.job(),
+                token.tenant()
+            ),
+        });
         if token.first_report() {
             self.ctx.emit_event(|at| Event::JobCancelled {
                 tenant: token.tenant().to_string(),
@@ -967,25 +1034,6 @@ impl<R: Send, F: Fn(usize) -> R + Send + Sync> StageShared<'_, R, F> {
     }
 }
 
-/// Resets the three worker thread-locals when a worker loop returns.
-struct ClearWorkerLocals;
-
-impl Drop for ClearWorkerLocals {
-    fn drop(&mut self) {
-        CURRENT_STAGE.with(|c| c.set(None));
-        CURRENT_EXECUTOR.with(|c| c.set(None));
-        CURRENT_TENANT.with(|c| c.set(None));
-    }
-}
-
-struct PopTag<'a>(&'a Context);
-
-impl Drop for PopTag<'_> {
-    fn drop(&mut self) {
-        self.0.inner.plan_tags.lock().pop();
-    }
-}
-
 struct EndJob<'a> {
     ctx: &'a Context,
     job_id: u64,
@@ -994,11 +1042,6 @@ struct EndJob<'a> {
 
 impl Drop for EndJob<'_> {
     fn drop(&mut self) {
-        let mut jobs = self.ctx.inner.active_jobs.lock();
-        if let Some(pos) = jobs.iter().rposition(|&j| j == self.job_id) {
-            jobs.remove(pos);
-        }
-        drop(jobs);
         self.ctx.inner.events.emit(Event::JobEnd {
             job_id: self.job_id,
             wall_micros: self.started.elapsed().as_micros() as u64,
@@ -1009,7 +1052,7 @@ impl Drop for EndJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
@@ -1032,6 +1075,22 @@ mod tests {
         Context::builder()
             .workers(workers)
             .chaos(ChaosPlan::new().with_task_failures(every, limit))
+    }
+
+    /// [`Context::run_tasks`] returning the job's failure as a value.
+    fn try_run<R: Send>(
+        ctx: &Context,
+        n: usize,
+        f: impl Fn(usize) -> R + Send + Sync,
+    ) -> Result<Vec<R>, JobError> {
+        let meta = || StageMeta::action("test", String::new());
+        ctx.run_stage(n, meta, f).map(|(out, _)| out)
+    }
+
+    /// Failed attempts in the trace, as `TaskEnd { ok: false }` events.
+    fn failed_attempts(events: &[Event]) -> usize {
+        let failed = |e: &&Event| matches!(e, Event::TaskEnd { ok: false, .. });
+        events.iter().filter(failed).count()
     }
 
     #[test]
@@ -1061,11 +1120,66 @@ mod tests {
     fn exhausting_attempts_fails_the_job() {
         // As many injected failures as the one task has attempts.
         let ctx = failing(1, 1, 2).max_task_attempts(2).build();
-        let cause = catch_unwind(AssertUnwindSafe(|| ctx.run_tasks(1, |i| i)))
-            .expect_err("exhausted attempts must fail the job");
-        assert_eq!(cause.downcast_ref::<&str>(), Some(&INJECTED_FAILURE_MSG));
+        let err = try_run(&ctx, 1, |i| i).expect_err("exhausted attempts must fail the job");
+        assert_eq!(
+            (err.cause, err.task, err.attempts),
+            (Cause::Failed, Some(0), 2)
+        );
+        assert_eq!(err.message, INJECTED_FAILURE_MSG);
         // The failed stage leaves the executor threads usable.
         assert_eq!(ctx.run_tasks(4, |i| i * 2), vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn a_panicking_task_is_retried_up_to_the_attempt_limit() {
+        let ctx = Context::builder()
+            .workers(1)
+            .max_task_attempts(3)
+            .chaos_off()
+            .build();
+        ctx.trace();
+        let err = try_run(&ctx, 2, |i| -> usize { panic!("task {i} fails") })
+            .expect_err("every attempt panics");
+        assert_eq!(
+            (err.cause, err.task, err.attempts),
+            (Cause::Failed, Some(0), 3)
+        );
+        assert_eq!(err.message, "task 0 fails");
+        assert_eq!(failed_attempts(&ctx.take_events()), 3);
+    }
+
+    #[test]
+    fn a_deterministic_failure_costs_one_attempt() {
+        let ctx = Context::builder().workers(1).chaos_off().build();
+        ctx.trace();
+        let err = try_run(&ctx, 2, |i| -> usize {
+            fail_deterministic(format!("task {i}"))
+        })
+        .expect_err("the task fails");
+        assert_eq!(
+            (err.cause, err.task, err.attempts),
+            (Cause::Deterministic, Some(0), 1)
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "stage {} task 0 failed after 1 attempt(s): task 0",
+                err.stage
+            )
+        );
+        assert_eq!(failed_attempts(&ctx.take_events()), 1);
+        // At the API edge the same failure is a panic with the job's text.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            ctx.run_tasks(1, |_| -> usize { fail_deterministic("bad input") })
+        }))
+        .expect_err("run_tasks panics");
+        let text = panicked
+            .downcast_ref::<String>()
+            .expect("a formatted panic");
+        assert!(
+            text.ends_with("failed after 1 attempt(s): bad input"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1129,19 +1243,12 @@ mod tests {
 
     #[test]
     fn a_task_cannot_start_a_stage() {
-        let ctx = Context::builder()
-            .workers(2)
-            .max_task_attempts(1)
-            .chaos_off()
-            .build();
-        let cause = catch_unwind(AssertUnwindSafe(|| {
-            ctx.run_tasks(2, |_| ctx.run_tasks(1, |i| i))
-        }))
-        .expect_err("a stage started inside a task must fail the job");
-        assert_eq!(
-            cause.downcast_ref::<String>().map(String::as_str),
-            Some(NESTED_STAGE_MSG)
-        );
+        let ctx = Context::builder().workers(2).chaos_off().build();
+        let err = try_run(&ctx, 2, |_| ctx.run_tasks(1, |i| i))
+            .expect_err("a stage started inside a task must fail the job");
+        // Retrying cannot help, so it costs one attempt.
+        assert_eq!((err.cause, err.attempts), (Cause::Deterministic, 1));
+        assert_eq!(err.message, NESTED_STAGE_MSG);
         // The refused stage leaves the context usable.
         assert_eq!(ctx.run_tasks(3, |i| i), vec![0, 1, 2]);
     }
@@ -1219,15 +1326,64 @@ mod tests {
     #[test]
     fn scoped_tag_nests_and_restores() {
         let ctx = Context::new();
-        assert_eq!(ctx.current_tag(), None);
+        assert_eq!(current_tag(), None);
         ctx.scoped_tag("outer", || {
-            assert_eq!(ctx.current_tag().as_deref(), Some("outer"));
+            assert_eq!(current_tag().as_deref(), Some("outer"));
             ctx.scoped_tag("inner", || {
-                assert_eq!(ctx.current_tag().as_deref(), Some("inner"));
+                assert_eq!(current_tag().as_deref(), Some("inner"));
             });
-            assert_eq!(ctx.current_tag().as_deref(), Some("outer"));
+            assert_eq!(current_tag().as_deref(), Some("outer"));
         });
-        assert_eq!(ctx.current_tag(), None);
+        assert_eq!(current_tag(), None);
+    }
+
+    /// Two driver threads share a context, their job and tag scopes
+    /// overlapping: each shuffle's stages name the job and the plan tag of
+    /// the thread that built and ran it, never the other thread's.
+    #[test]
+    fn concurrent_jobs_attribute_stages_to_their_own_thread() {
+        let ctx = Context::builder().workers(2).chaos_off().build();
+        ctx.trace();
+        let (tagged, in_job, ran) = (
+            std::sync::Barrier::new(2),
+            std::sync::Barrier::new(2),
+            std::sync::Barrier::new(2),
+        );
+        std::thread::scope(|scope| {
+            for name in ["a", "b"] {
+                let (ctx, tagged, in_job, ran) = (&ctx, &tagged, &in_job, &ran);
+                scope.spawn(move || {
+                    ctx.scoped_tag(name, || {
+                        tagged.wait();
+                        let pairs = ctx.parallelize((0..8u64).map(|x| (x % 2, x)).collect(), 2);
+                        let summed = pairs.reduce_by_key(2, |a, b| a + b);
+                        ctx.job_scope(name, || {
+                            in_job.wait();
+                            summed.op().materialize(ctx).expect("the shuffle runs");
+                            // Both jobs stay open until both shuffles ran.
+                            ran.wait();
+                        });
+                    });
+                });
+            }
+        });
+        let events = ctx.take_events();
+        let job_of: HashMap<u64, &str> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::JobStart { job_id, label, .. } => Some((*job_id, label.as_str())),
+                _ => None,
+            })
+            .collect();
+        let mut stages = 0;
+        for e in &events {
+            if let Event::StageStart { job_id, tag, .. } = e {
+                let job = job_id.and_then(|id| job_of.get(&id).copied());
+                assert_eq!(job, tag.as_deref(), "a stage's job and its tag disagree");
+                stages += 1;
+            }
+        }
+        assert_eq!(stages, 4, "a map and a reduce stage per thread");
     }
 
     #[test]
@@ -1316,14 +1472,11 @@ mod tests {
     #[test]
     fn permanent_failure_stops_launching_queued_tasks() {
         let ctx = failing(1, 1, 1).max_task_attempts(1).build();
-        let launched = Arc::new(AtomicUsize::new(0));
-        let launched2 = launched.clone();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            ctx.run_tasks(64, move |i| {
-                launched2.fetch_add(1, Ordering::SeqCst);
-                i
-            })
-        }));
+        let launched = AtomicUsize::new(0);
+        let result = try_run(&ctx, 64, |i| {
+            launched.fetch_add(1, Ordering::SeqCst);
+            i
+        });
         assert!(result.is_err(), "exhausted attempts must fail the job");
         // Fail-fast: the single worker stops at the failed task instead of
         // burning through the remaining 63.
@@ -1396,20 +1549,19 @@ mod tests {
         let token = CancelToken::new("alice", 42);
         let launched = Arc::new(AtomicUsize::new(0));
         let (t2, l2) = (token.clone(), launched.clone());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            ctx.scoped_cancel(token.clone(), || {
-                ctx.run_tasks(64, move |i| {
-                    l2.fetch_add(1, Ordering::SeqCst);
-                    if i == 0 {
-                        t2.cancel();
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    i
-                })
+        let result = ctx.scoped_cancel(token.clone(), || {
+            try_run(&ctx, 64, move |i| {
+                l2.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    t2.cancel();
+                }
+                std::thread::sleep(Duration::from_millis(1));
+                i
             })
-        }));
-        let cause = result.expect_err("cancelled job must unwind");
-        assert!(crate::service::panic_is_cancelled(&cause));
+        });
+        let err = result.expect_err("a cancelled job fails");
+        assert_eq!((err.cause, err.task), (Cause::Cancelled, None));
+        assert_eq!(err.message, "job 42 of tenant 'alice' cancelled");
         // In-flight tasks finish, nothing further launches: with 2 workers
         // at most one extra task can slip in per worker after the cancel.
         assert!(
@@ -1440,13 +1592,11 @@ mod tests {
             t2.cancel();
             (x % 4, x)
         });
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            ctx.scoped_cancel(token.clone(), || {
-                pairs.reduce_by_key(2, |a, b| a + b).collect()
-            })
-        }));
-        let cause = result.expect_err("cancellation must reach the driver");
-        assert!(crate::service::panic_is_cancelled(&cause));
+        let result = ctx.scoped_cancel(token.clone(), || {
+            pairs.reduce_by_key(2, |a, b| a + b).try_collect()
+        });
+        let err = result.expect_err("cancellation must reach the driver");
+        assert_eq!(err.cause, Cause::Cancelled);
         let events = ctx.take_events();
         let cancels = events
             .iter()

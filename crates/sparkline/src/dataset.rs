@@ -1,6 +1,6 @@
 //! The public [`Dataset`] API — the RDD analog.
 
-use crate::context::{Context, StageMeta};
+use crate::context::{expect_job, Context, JobError, StageMeta};
 use crate::ops::{MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::KeyPartitioner;
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
@@ -14,7 +14,9 @@ use std::sync::Arc;
 ///
 /// Transformations (`map`, `filter`, `join`, ...) are lazy and build an
 /// operator DAG; actions (`collect`, `count`, `reduce`) run the DAG on the
-/// executor pool of the owning [`Context`].
+/// executor pool of the owning [`Context`]. [`Dataset::try_collect`] and
+/// [`Dataset::try_count`] return a failed job as a [`JobError`]; every other
+/// action panics with its text.
 pub struct Dataset<T: Data> {
     ctx: Context,
     op: Arc<dyn Op<T>>,
@@ -201,40 +203,51 @@ impl<T: Data> Dataset<T> {
 
     /// Run the action as a traced job named `label`: the shuffles it reads
     /// first, from this (driver) thread, then its final stage.
-    fn action_stage<R: Send>(&self, label: &str, f: impl Fn(usize) -> R + Send + Sync) -> Vec<R> {
+    fn action_stage<R: Send>(
+        &self,
+        label: &str,
+        f: impl Fn(usize) -> R + Send + Sync,
+    ) -> Result<Vec<R>, JobError> {
         self.ctx.job_scope(label, || {
-            self.op.materialize(&self.ctx);
-            self.ctx
-                .run_stage(
-                    self.op.num_partitions(),
-                    || StageMeta::action(label, self.op.name()),
-                    f,
-                )
-                .0
+            self.op.materialize(&self.ctx)?;
+            let meta = || StageMeta::action(label, self.op.name());
+            let (out, _) = self.ctx.run_stage(self.op.num_partitions(), meta, f)?;
+            Ok(out)
         })
     }
 
-    /// Action: materialize every partition and concatenate.
-    pub fn collect(&self) -> Vec<T> {
-        let parts = self.action_stage("collect", |p| self.op.compute(p, &self.ctx).into_vec());
-        parts.into_iter().flatten().collect()
+    /// Action: materialize every partition and concatenate, or the error of
+    /// the job that failed.
+    pub fn try_collect(&self) -> Result<Vec<T>, JobError> {
+        let parts = self.action_stage("collect", |p| self.op.compute(p, &self.ctx).into_vec())?;
+        Ok(parts.into_iter().flatten().collect())
     }
 
-    /// Action: number of elements. Shared partitions (sources, cached
-    /// blocks, shuffle outputs) answer from their length without touching a
-    /// single element; lazy chains drain without collecting.
+    /// [`Dataset::try_collect`], panicking with the text of a failed job.
+    pub fn collect(&self) -> Vec<T> {
+        expect_job(self.try_collect())
+    }
+
+    /// Action: number of elements, or the error of the job that failed.
+    /// Shared partitions (sources, cached blocks, shuffle outputs) answer
+    /// from their length without touching a single element; lazy chains
+    /// drain without collecting.
+    pub fn try_count(&self) -> Result<usize, JobError> {
+        let counts = self.action_stage("count", |p| self.op.compute(p, &self.ctx).count())?;
+        Ok(counts.into_iter().sum())
+    }
+
+    /// [`Dataset::try_count`], panicking with the text of a failed job.
     pub fn count(&self) -> usize {
-        self.action_stage("count", |p| self.op.compute(p, &self.ctx).count())
-            .into_iter()
-            .sum()
+        expect_job(self.try_count())
     }
 
     /// Action: reduce all elements with an associative function. Returns
     /// `None` on an empty dataset.
     pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Option<T> {
-        let partials: Vec<Option<T>> = self.action_stage("reduce", |p| {
+        let partials: Vec<Option<T>> = expect_job(self.action_stage("reduce", |p| {
             self.op.compute(p, &self.ctx).into_iter().reduce(&f)
-        });
+        }));
         partials.into_iter().flatten().reduce(f)
     }
 
@@ -246,12 +259,12 @@ impl<T: Data> Dataset<T> {
         combine: impl Fn(A, A) -> A + Send + Sync + 'static,
     ) -> A {
         let z = zero.clone();
-        let partials: Vec<A> = self.action_stage("fold", |p| {
+        let partials: Vec<A> = expect_job(self.action_stage("fold", |p| {
             self.op
                 .compute(p, &self.ctx)
                 .into_iter()
                 .fold(z.clone(), &fold)
-        });
+        }));
         partials.into_iter().fold(zero, combine)
     }
 }

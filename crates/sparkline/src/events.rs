@@ -277,7 +277,7 @@ event_schema! {
     }
     /// A cooperative cancellation was observed at a task boundary: the
     /// in-flight tasks of the current stage finish, no further tasks of the
-    /// job are launched, and the driver unwinds with a cancellation payload.
+    /// job are launched, and its action fails with a `Cancelled` job error.
     /// Emitted once per cancelled job.
     JobCancelled "job_cancelled" {
         tenant: String,

@@ -48,7 +48,13 @@
 //!   "no nested RDDs" rule that §4 of the paper designs around. The rule is
 //!   enforced: every stage starts on a driver thread (an action runs the
 //!   shuffles it reads before its own stage), and an action or
-//!   [`Context::run_tasks`] called from inside a task panics.
+//!   [`Context::run_tasks`] called from inside a task fails that task.
+//!
+//! A failed job is a value, [`JobError`]: a task attempt ends as `Failed`
+//! (a panic or an injected fault, retried), `Deterministic`
+//! ([`fail_deterministic`], never retried) or `Cancelled`. The fallible
+//! actions ([`Dataset::try_collect`], [`Dataset::try_count`]) return it;
+//! the others panic with its text.
 
 // Generic dataflow signatures (`Dataset<(K, (Vec<V>, Vec<W>))>`, boxed
 // combiner closures) spell out the shuffle contract; aliases would hide it.
@@ -72,7 +78,10 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosEvent, ChaosPlan, WireFault, CHAOS_ENV};
-pub use context::{Context, ContextBuilder, ExecutorStatus, STORAGE_BUDGET_ENV, WORKER_PROCS_ENV};
+pub use context::{
+    expect_job, fail_deterministic, Cause, Context, ContextBuilder, ExecutorStatus, JobError,
+    STORAGE_BUDGET_ENV, WORKER_PROCS_ENV,
+};
 pub use dataset::Dataset;
 pub use events::{Event, EventCollector};
 pub use partitioner::{GridCells, KeyPartitioner};
@@ -80,7 +89,7 @@ pub use profile::{
     CacheStats, JobProfile, JobSummary, OperatorStats, PlanChoice, RecoveryStats, ServiceStats,
     StageProfile,
 };
-pub use service::{panic_is_cancelled, AdmissionGuard, CancelToken, FairScheduler, CANCELLED_MSG};
+pub use service::{AdmissionGuard, CancelToken, FairScheduler};
 pub use storage::{BlockManager, CacheRead, SpillCodec, StorageStatus, TenantStorage};
 pub use stream::PartitionStream;
 pub use transport::{WorkerClient, WorkerGroup};

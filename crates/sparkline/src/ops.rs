@@ -1,6 +1,6 @@
 //! Physical operator DAG nodes (the "RDD" objects behind a [`crate::Dataset`]).
 
-use crate::context::Context;
+use crate::context::{Context, JobError};
 use crate::stream::{instrument, PartitionStream};
 use crate::Data;
 use std::sync::Arc;
@@ -22,7 +22,8 @@ pub trait Op<T: Data>: Send + Sync + 'static {
     /// has not run yet, parents first (Spark's DAG scheduler submitting
     /// parent stages). Narrow nodes forward to their parents; an action
     /// calls it before launching its own stage, so no task ever starts one.
-    fn materialize(&self, ctx: &Context);
+    /// The first shuffle that fails ends the walk with its job's error.
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError>;
 
     /// Produce partition `part` as a stream.
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T>;
@@ -69,7 +70,9 @@ impl<T: Data> Op<T> for SourceOp<T> {
         self.parts.len()
     }
 
-    fn materialize(&self, _ctx: &Context) {}
+    fn materialize(&self, _ctx: &Context) -> Result<(), JobError> {
+        Ok(())
+    }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {
         // Zero-copy: every task attempt (retries included) reads the same
@@ -105,8 +108,8 @@ impl<T: Data, U: Data> Op<U> for MapPartitionsOp<T, U> {
         self.parent.num_partitions()
     }
 
-    fn materialize(&self, ctx: &Context) {
-        self.parent.materialize(ctx);
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.parent.materialize(ctx)
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<U> {
@@ -138,9 +141,9 @@ impl<T: Data> Op<T> for UnionOp<T> {
         self.left.num_partitions() + self.right.num_partitions()
     }
 
-    fn materialize(&self, ctx: &Context) {
-        self.left.materialize(ctx);
-        self.right.materialize(ctx);
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.left.materialize(ctx)?;
+        self.right.materialize(ctx)
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {

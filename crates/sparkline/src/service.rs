@@ -14,10 +14,10 @@
 //! every stage of the job, since all of them — the shuffle stages an action
 //! runs before its own included — start on that thread. The stage's
 //! workers check the token *before claiming each task*: in-flight tasks run to
-//! completion, no further tasks launch, and the stage unwinds with
-//! [`CANCELLED_MSG`] as the panic payload — the same propagation path as a
-//! permanently failed task, which is what frees the executor slots. The first
-//! worker to observe the cancellation emits one
+//! completion, no further tasks launch, and the stage fails with a
+//! [`crate::Cause::Cancelled`] [`crate::JobError`] — the same path as a
+//! permanently failed task, which is what frees the executor slots. No task
+//! is retried for it. The first worker to observe the cancellation emits one
 //! [`crate::events::Event::JobCancelled`].
 //!
 //! ## Fair scheduling
@@ -33,21 +33,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Panic payload used to unwind a cancelled job out of `run_stage`; how the
-/// service recognizes a cancellation (vs. a genuine task failure) when it
-/// catches the unwind.
-pub const CANCELLED_MSG: &str = "sparkline: job cancelled";
-
-/// True if a caught panic payload is a job cancellation.
-pub fn panic_is_cancelled(cause: &Box<dyn std::any::Any + Send>) -> bool {
-    cause
-        .downcast_ref::<&str>()
-        .is_some_and(|s| *s == CANCELLED_MSG)
-        || cause
-            .downcast_ref::<String>()
-            .is_some_and(|s| s == CANCELLED_MSG)
-}
 
 struct CancelInner {
     cancelled: AtomicBool,

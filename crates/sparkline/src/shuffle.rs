@@ -33,12 +33,15 @@
 //! (instead of panicking), and the materialization loop resubmits a map
 //! stage covering *only the missing partitions* — at most
 //! `MAX_STAGE_ATTEMPTS` (12) times, with exponential backoff — before
-//! retrying the outstanding reduce partitions. Results are bit-identical to
-//! a fault-free run because every stage recomputes deterministically from
-//! lineage.
+//! retrying the outstanding reduce partitions; a shuffle still missing
+//! outputs after that fails its job with a [`JobError`]. Results are
+//! bit-identical to a fault-free run because every stage recomputes
+//! deterministically from lineage.
 
 use crate::chaos::{splitmix64, WireFault};
-use crate::context::{current_executor, Context, StageMeta};
+use crate::context::{
+    current_executor, current_tag, expect_job, Cause, Context, JobError, StageMeta,
+};
 use crate::events::Event;
 use crate::ops::Op;
 use crate::partitioner::KeyPartitioner;
@@ -625,6 +628,9 @@ pub struct ShuffleOp<K: Data, V: Data, C: Data> {
     /// One `Arc` per reduce partition so downstream tasks get zero-copy
     /// shared views of exactly their partition.
     reduced: OnceLock<Vec<Arc<Vec<(K, C)>>>>,
+    /// Held by the first use while it runs the stages, so a concurrent
+    /// reader waits for `reduced` instead of running them again.
+    first_use: Mutex<()>,
 }
 
 impl<K, V, C> ShuffleOp<K, V, C>
@@ -646,21 +652,29 @@ where
             agg,
             operator: operator.into(),
             shuffle_id: ctx.next_shuffle_id(),
-            tag: ctx.current_tag(),
+            tag: current_tag(),
             reduced: OnceLock::new(),
+            first_use: Mutex::new(()),
         }
     }
 
     /// The reduced output, running the parents' shuffles and then this one's
     /// map and reduce stages on first use; later calls reuse it (Spark keeps
-    /// shuffle files, so retried downstream tasks re-read them). First use is
-    /// the reading action's driver-side walk: a task that gets here first
-    /// fails in `run_stage`, since a task cannot start a stage.
-    fn reduced(&self, ctx: &Context) -> &[Arc<Vec<(K, C)>>] {
-        self.reduced.get_or_init(|| {
-            self.parent.materialize(ctx);
-            self.run(ctx)
-        })
+    /// shuffle files, so retried downstream tasks re-read them). A failed
+    /// first use leaves it unset, for the next action to run again. First
+    /// use is the reading action's driver-side walk: a task that gets here
+    /// first fails in `run_stage`, since a task cannot start a stage.
+    fn reduced(&self, ctx: &Context) -> Result<&[Arc<Vec<(K, C)>>], JobError> {
+        if let Some(reduced) = self.reduced.get() {
+            return Ok(reduced);
+        }
+        let _first = self.first_use.lock();
+        if let Some(reduced) = self.reduced.get() {
+            return Ok(reduced);
+        }
+        self.parent.materialize(ctx)?;
+        let reduced = self.run(ctx)?;
+        Ok(self.reduced.get_or_init(|| reduced))
     }
 
     /// Run the map and reduce stages.
@@ -669,9 +683,9 @@ where
     /// pass computes all of them; later passes are resubmissions covering
     /// only what an executor took down with it), then reduce the partitions
     /// still outstanding. Reduce tasks that find an output lost report a
-    /// fetch failure instead of panicking; the loop then unwinds back to the
+    /// fetch failure instead of panicking; the loop then goes back to the
     /// map side. Bounded by [`MAX_STAGE_ATTEMPTS`] with exponential backoff.
-    fn run(&self, ctx: &Context) -> Vec<Arc<Vec<(K, C)>>> {
+    fn run(&self, ctx: &Context) -> Result<Vec<Arc<Vec<(K, C)>>>, JobError> {
         let n_map = self.parent.num_partitions();
         let n_red = self.partitioner.partitions();
         let tracing = ctx.is_tracing();
@@ -683,6 +697,7 @@ where
         let reduced_slots: Vec<ReducedSlot<K, C>> = (0..n_red).map(|_| Mutex::new(None)).collect();
         let mut resubmits = 0u32;
         let mut first_map_stage = true;
+        let mut last_map_stage = 0;
 
         loop {
             let missing = tracker.missing(self.shuffle_id);
@@ -690,14 +705,20 @@ where
                 if !first_map_stage {
                     resubmits += 1;
                     if resubmits >= MAX_STAGE_ATTEMPTS {
-                        panic!(
-                            "sparkline: shuffle {} ({}) still missing {} map outputs after \
-                             {} stage attempts",
-                            self.shuffle_id,
-                            self.operator,
-                            missing.len(),
-                            resubmits,
-                        );
+                        return Err(JobError {
+                            cause: Cause::Failed,
+                            stage: last_map_stage,
+                            task: None,
+                            attempts: resubmits,
+                            message: format!(
+                                "shuffle {} ({}) still missing {} map outputs after {} stage \
+                                 attempts",
+                                self.shuffle_id,
+                                self.operator,
+                                missing.len(),
+                                resubmits,
+                            ),
+                        });
                     }
                     // Exponential backoff: repeated faults on the same
                     // shuffle back off before burning another attempt.
@@ -757,8 +778,9 @@ where
                             owner,
                         }
                     },
-                );
+                )?;
                 first_map_stage = false;
+                last_map_stage = map_stage;
 
                 for (idx, output) in map_outputs.into_iter().enumerate() {
                     let p = missing[idx];
@@ -860,7 +882,7 @@ where
                     *reduced_slots[r].lock() = Some((merged, bytes, records));
                     Ok(())
                 },
-            );
+            )?;
             if tracing {
                 for (idx, outcome) in outcomes.iter().enumerate() {
                     let r = pending[idx];
@@ -894,10 +916,10 @@ where
         // the reach of executor loss.
         tracker.drop_shuffle(self.shuffle_id);
         store.clear();
-        reduced_slots
+        Ok(reduced_slots
             .into_iter()
             .map(|slot| Arc::new(slot.into_inner().expect("reduce partition materialized").0))
-            .collect()
+            .collect())
     }
 }
 
@@ -911,14 +933,14 @@ where
         self.partitioner.partitions()
     }
 
-    fn materialize(&self, ctx: &Context) {
-        self.reduced(ctx);
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.reduced(ctx).map(|_| ())
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<(K, C)> {
         // The materialized reduce output is driver-held; every downstream
         // task reads a zero-copy shared view of its partition.
-        PartitionStream::shared(self.reduced(ctx)[part].clone())
+        PartitionStream::shared(expect_job(self.reduced(ctx))[part].clone())
     }
 
     fn partitioner_descriptor(&self) -> Option<(String, usize)> {
@@ -964,7 +986,7 @@ where
         }
     }
 
-    fn materialize(&self, ctx: &Context) {
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
         match self {
             CoGroupSide::Narrow(op) => op.materialize(ctx),
             CoGroupSide::Shuffled(op) => op.materialize(ctx),
@@ -1048,9 +1070,9 @@ where
         self.partitioner.partitions()
     }
 
-    fn materialize(&self, ctx: &Context) {
-        self.left.materialize(ctx);
-        self.right.materialize(ctx);
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.left.materialize(ctx)?;
+        self.right.materialize(ctx)
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<(K, (Vec<V>, Vec<W>))> {
@@ -1091,9 +1113,8 @@ where
 #[cfg(test)]
 mod tests {
     use crate::context::current_executor;
-    use crate::{Context, Event};
+    use crate::{Cause, ChaosPlan, Context, Event};
     use std::collections::BTreeSet;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -1109,7 +1130,9 @@ mod tests {
             pairs = pairs.reduce_by_key(2, |a, b| a + b);
         }
         ctx.trace();
-        catch_unwind(AssertUnwindSafe(|| pairs.collect())).expect_err("the map task fails");
+        let err = pairs.try_collect().expect_err("the map task fails");
+        assert_eq!((err.cause, err.task), (Cause::Failed, Some(0)));
+        assert_eq!(err.message, "map task 0 fails");
         let events = ctx.take_events();
         let failed = events
             .iter()
@@ -1131,6 +1154,40 @@ mod tests {
             let (failed, stages, attempts) = cost_of_a_failing_map_task(shuffles);
             assert_eq!((failed, stages), (attempts, 1), "{shuffles} shuffle(s)");
         }
+    }
+
+    /// A shuffle whose every fetch fails never gets its map outputs to the
+    /// reducers: after 12 map-stage attempts its action fails, naming it.
+    #[test]
+    fn a_shuffle_that_never_recovers_fails_its_job_after_12_stage_attempts() {
+        let ctx = Context::builder()
+            .workers(2)
+            .chaos(ChaosPlan::new().with_fetch_failures(1, u32::MAX))
+            .build();
+        let summed = ctx
+            .parallelize((0..16u64).map(|x| (x % 4, x)).collect(), 4)
+            .reduce_by_key(2, |a, b| a + b);
+        ctx.trace();
+        let err = summed.try_count().expect_err("no fetch ever succeeds");
+        assert_eq!(
+            (err.cause, err.task, err.attempts),
+            (Cause::Failed, None, 12)
+        );
+        assert!(
+            err.message
+                .starts_with("shuffle 0 (reduceByKey) still missing")
+                && err.message.ends_with("after 12 stage attempts"),
+            "{err}"
+        );
+        let map_stages = ctx
+            .take_events()
+            .into_iter()
+            .filter(|e| {
+                matches!(e, Event::StageStart { label, .. } if label.starts_with("shuffle.")
+                && !label.starts_with("shuffle.reduce"))
+            })
+            .count();
+        assert_eq!(map_stages, 12);
     }
 
     /// A reduce task that merged its partition and then lost its executor

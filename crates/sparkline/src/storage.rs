@@ -17,7 +17,7 @@
 //! fault-injection harness and [`crate::profile::JobProfile`] can prove
 //! blocks are computed exactly as often as the budget implies.
 
-use crate::context::Context;
+use crate::context::{Context, JobError};
 use crate::events::Event;
 use crate::ops::Op;
 use crate::stream::PartitionStream;
@@ -653,8 +653,8 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
         self.parent.num_partitions()
     }
 
-    fn materialize(&self, ctx: &Context) {
-        self.parent.materialize(ctx);
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.parent.materialize(ctx)
     }
 
     fn compute(&self, part: usize, ctx: &Context) -> PartitionStream<T> {

@@ -257,8 +257,8 @@ impl<T> Iterator for CountingIter<T> {
 
 impl<T> Drop for CountingIter<T> {
     fn drop(&mut self) {
-        // A task unwinding mid-drain (cooperative cancellation, any in-task
-        // panic) did not complete: its partial
+        // A task unwinding mid-drain (an in-task panic, a deterministic
+        // failure) did not complete: its partial
         // counts describe work that is discarded and retried, and emitting
         // them would pollute `StageProfile::operators` with phantom rows.
         // Successful tasks that legitimately stop early (e.g. `take`) drop

@@ -10,7 +10,7 @@ use crate::local::LocalMatrix;
 use crate::tile::DenseMatrix;
 use crate::{TileCoord, TileSet};
 use rand::Rng;
-use sparkline::{Context, KeyPartitioner};
+use sparkline::{expect_job, Context, JobError, KeyPartitioner};
 
 /// A distributed matrix stored as a grid of dense tiles.
 #[derive(Clone)]
@@ -171,14 +171,19 @@ impl TiledMatrix {
 
     /// Collect all tiles and assemble the local matrix (clipping padding):
     /// each element is copied once, tile row by tile row, into the buffer the
-    /// result keeps.
-    pub fn to_local(&self) -> LocalMatrix {
+    /// result keeps. Or the error of the job that failed.
+    pub fn try_to_local(&self) -> Result<LocalMatrix, JobError> {
         let mut dense = DenseMatrix::zeros(self.rows as usize, self.cols as usize);
         let n = self.tile_size;
-        for ((bi, bj), tile) in self.tiles.collect() {
+        for ((bi, bj), tile) in self.tiles.try_collect()? {
             dense.paste(bi as usize * n, bj as usize * n, &tile);
         }
-        LocalMatrix::from(dense)
+        Ok(LocalMatrix::from(dense))
+    }
+
+    /// [`TiledMatrix::try_to_local`], panicking with the text of a failed job.
+    pub fn to_local(&self) -> LocalMatrix {
+        expect_job(self.try_to_local())
     }
 
     /// Cache the tiles for iterative algorithms: [`TiledMatrix::persist`],

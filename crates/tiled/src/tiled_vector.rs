@@ -2,7 +2,7 @@
 //! (Fig. 1): fixed-size dense blocks keyed by their block coordinate.
 
 use crate::tiled_matrix::div_ceil;
-use sparkline::{Context, Dataset};
+use sparkline::{expect_job, Context, Dataset, JobError};
 
 /// A distributed vector stored as fixed-size dense blocks.
 #[derive(Clone)]
@@ -71,15 +71,21 @@ impl TiledVector {
         TiledVector::new(len, block_size, ctx.parallelize(blocks, partitions))
     }
 
-    /// Collect blocks and assemble the local vector (clipping padding).
-    pub fn to_local(&self) -> Vec<f64> {
+    /// Collect blocks and assemble the local vector (clipping padding), or
+    /// the error of the job that failed.
+    pub fn try_to_local(&self) -> Result<Vec<f64>, JobError> {
         let mut out = vec![0.0; self.len as usize];
-        for (b, block) in self.blocks.collect() {
+        for (b, block) in self.blocks.try_collect()? {
             let start = (b as usize * self.block_size).min(out.len());
             let valid = block.len().min(out.len() - start);
             out[start..start + valid].copy_from_slice(&block[..valid]);
         }
-        out
+        Ok(out)
+    }
+
+    /// [`TiledVector::try_to_local`], panicking with the text of a failed job.
+    pub fn to_local(&self) -> Vec<f64> {
+        expect_job(self.try_to_local())
     }
 
     /// Build each element from its global index.

@@ -138,7 +138,10 @@ fn warm_tile_queries_ask_the_allocator_for_no_tile() {
     ];
     let run = || {
         for query in queries {
-            s.run(query).expect("query runs").force();
+            s.run(query)
+                .expect("query runs")
+                .force()
+                .expect("query runs");
         }
     };
     run(); // plans, worker threads, and the tiles the free list keeps
@@ -296,7 +299,10 @@ fn adaptive_keeps_up_in_process_and_is_1_3x_through_worker_processes() {
         let pinned = skewed_panel(pinned, worker_processes);
         let adaptive = skewed_panel(MatMulStrategy::Auto, worker_processes);
         let run = |s: &Session| {
-            s.run(MUL_SRC).expect("panel query").force();
+            s.run(MUL_SRC)
+                .expect("panel query")
+                .force()
+                .expect("panel query");
         };
         let [pinned_ms, adaptive_ms] = best_of(9, [&mut || run(&pinned), &mut || run(&adaptive)]);
         let speedup = pinned_ms / adaptive_ms;
