@@ -720,16 +720,20 @@ impl QueryService {
         });
         let started = Instant::now();
         let ctx = &self.inner.ctx;
-        let result = ctx.scoped_tenant(tid, || {
+        // The reply's read of the result is the query's one job, so it runs
+        // inside the tenant's and the token's scopes.
+        let reply = ctx.scoped_tenant(tid, || {
             ctx.scoped_cancel(token.clone(), || {
                 let result = planner::execute(&planned, &env, ctx, &config)?;
-                result.force()?;
-                Ok::<ExecResult, comp::CompError>(result)
+                reply_from(job, &result, queue_micros, cache_hit)
             })
         });
         let wall_micros = started.elapsed().as_micros() as u64;
         drop(slot);
-        reply_from(job, &result?, wall_micros, queue_micros, cache_hit)
+        Ok(QueryReply {
+            wall_micros,
+            ..reply?
+        })
     }
 }
 
@@ -765,10 +769,11 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// The reply for `result`, its wall clock left for the caller to fill in.
+/// Reading a distributed result back is one collecting job.
 fn reply_from(
     job: u64,
     result: &ExecResult,
-    wall_micros: u64,
     queue_micros: u64,
     cache_hit: bool,
 ) -> Result<QueryReply, ServiceError> {
@@ -808,7 +813,7 @@ fn reply_from(
         cols,
         fingerprint,
         value,
-        wall_micros,
+        wall_micros: 0,
         queue_micros,
         cache_hit,
     })
@@ -827,6 +832,16 @@ mod tests {
             .chaos_off()
             .build();
         QueryService::builder().context(ctx).slots(2).build()
+    }
+
+    /// A service whose every task first sleeps 20 ms, so a cancel issued
+    /// right after `submit` lands while the job still runs.
+    fn slow_service() -> QueryService {
+        let ctx = Context::builder()
+            .workers(2)
+            .chaos(sparkline::ChaosPlan::new().with_task_delay(1, 20_000))
+            .build();
+        QueryService::builder().context(ctx).slots(1).build()
     }
 
     fn random_matrix(n: usize, seed: u64) -> LocalMatrix {
@@ -1107,7 +1122,7 @@ mod tests {
 
     #[test]
     fn a_cancelled_scalar_query_is_reported_cancelled_and_deregistered() {
-        let svc = small_service();
+        let svc = slow_service();
         svc.register_shared_int("n", 6).unwrap();
         svc.register_shared_matrix("A", &random_matrix(6, 11), 3)
             .unwrap();
@@ -1122,6 +1137,52 @@ mod tests {
                 other = other.map(|r| r.kind)
             ),
         }
+        let status = svc.status();
+        let alice = status.tenants.iter().find(|t| t.tenant == "alice").unwrap();
+        assert!(alice.running_jobs.is_empty(), "{:?}", alice.running_jobs);
+    }
+
+    /// The element-wise query every tenant runs in these tests, over a
+    /// shared 8 x 8 `A` in 4 x 4 tiles.
+    const ELEMENTWISE: &str = "tiled(n,n)[ ((i,j), a+1.0) | ((i,j),a) <- A ]";
+
+    fn register_elementwise_inputs(svc: &QueryService) {
+        svc.register_shared_matrix("A", &random_matrix(8, 13), 4)
+            .unwrap();
+        svc.register_shared_int("n", 8).unwrap();
+    }
+
+    #[test]
+    fn a_query_runs_its_final_stage_in_one_job() {
+        let svc = small_service();
+        register_elementwise_inputs(&svc);
+        svc.context().trace();
+        let reply = svc.run("alice", ELEMENTWISE).unwrap();
+        let profile = svc.context().take_profile();
+        assert_eq!(reply.kind, "matrix");
+        let jobs: Vec<&str> = profile.jobs.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(jobs, ["collect"], "the reply's read is the one job");
+    }
+
+    #[test]
+    fn a_cancel_that_lands_in_the_replys_read_is_reported_and_deregistered() {
+        // The job the cancel lands in is the reply's read.
+        let svc = slow_service();
+        register_elementwise_inputs(&svc);
+        svc.context().trace();
+        let handle = svc.submit("alice", ELEMENTWISE);
+        handle.cancel();
+        match handle.wait() {
+            Err(ServiceError::Cancelled { tenant, .. }) => assert_eq!(tenant, "alice"),
+            other => panic!(
+                "expected cancellation, got {other:?}",
+                other = other.map(|r| r.kind)
+            ),
+        }
+        let profile = svc.context().take_profile();
+        let jobs: Vec<&str> = profile.jobs.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(jobs, ["collect"]);
+        assert_eq!(profile.service.jobs_cancelled, 1);
         let status = svc.status();
         let alice = status.tenants.iter().find(|t| t.tenant == "alice").unwrap();
         assert!(alice.running_jobs.is_empty(), "{:?}", alice.running_jobs);

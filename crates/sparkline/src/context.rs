@@ -580,7 +580,9 @@ impl Context {
 
     /// Successful shuffle-fetch latencies (µs, unsorted) and total fetch
     /// retries on the worker data plane so far — the raw series behind the
-    /// ledger's `sparkline.transport.fetch_us_p50/p99`. `None` in local mode.
+    /// ledger's `sparkline.transport.fetch_us_p50/p99`. A latency is
+    /// recorded only while the context traces ([`Context::trace`]), so an
+    /// untraced context's series never grows. `None` in local mode.
     pub fn worker_fetch_stats(&self) -> Option<(Vec<u64>, u64)> {
         self.inner.worker_group.as_ref().map(|g| g.fetch_stats())
     }

@@ -21,11 +21,16 @@
 //! a private `MapOutputStore`: an in-process grid of live `Vec<(K, C)>`
 //! buckets, or — with worker processes — SPKL frames PUT to the workers'
 //! sockets and (external shuffle service) spooled to a driver-visible
-//! directory. `store` / `take_column` / `clear` hide which; the map and
-//! reduce tasks are written once over them. Every byte figure either variant
-//! reports is [`wire::encoded_len`], the exact framed length — the same
-//! number traced or not, one process or many; frames are only built when they
-//! are sent.
+//! directory. A map task encodes its buckets once, back to back in reduce
+//! order, into its executor thread's recycled frame buffer; that buffer is
+//! written whole as the task's one spool file `m{p}`, then its frames are
+//! PUT from it. A reduce task fetches each frame into the same kind of
+//! buffer and decodes it there; its spool fallback walks the frame headers
+//! of `m{p}` to frame `r`. `store` / `take_column` / `clear` hide which
+//! variant runs; the map and reduce tasks are written once over them. Every
+//! byte figure either variant reports is [`wire::encoded_len`], the exact
+//! framed length — the same number traced or not, one process or many;
+//! frames are only built when they are sent.
 //!
 //! **Fault tolerance.** Each map output is owned by the logical executor that
 //! produced it, recorded in the [`MapOutputTracker`]. When an executor dies
@@ -50,11 +55,13 @@ use crate::stream::PartitionStream;
 use crate::sync::Mutex;
 use crate::transport::WorkerGroup;
 use crate::{wire, Data};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Exponential backoff with deterministic jitter, used for both stage
 /// resubmission and shuffle-fetch retries.
@@ -407,8 +414,35 @@ struct WorkerFrames<'a> {
     n_map: usize,
     group: Arc<WorkerGroup>,
     /// External-shuffle-service directory the frames are also parked in, so
-    /// they survive their worker; `None` when the service is off.
+    /// they survive their worker; `None` when the service is off. Map task
+    /// `p` parks its frames as one file `m{p}`, in reduce-partition order.
     spool: Option<PathBuf>,
+    /// Whether the spool directory could be created: tried by the first map
+    /// task that spools, once per shuffle.
+    spool_made: OnceLock<bool>,
+}
+
+thread_local! {
+    /// This thread's frame buffer, lent out by [`with_frame_buffer`].
+    static FRAME_BUFFER: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Most capacity a thread's frame buffer keeps between tasks: a map task's
+/// frames at the ledger's 768² multiply are ~2.4 MB.
+const FRAME_BUFFER_KEEP: usize = 16 << 20;
+
+/// Run `f` on this thread's frame buffer, holding whatever the last task on
+/// the thread left in it: a map task encodes its frames into it, a reduce
+/// task receives each fetched frame over it, so the bytes of a frame land in
+/// pages that are already mapped. Up to [`FRAME_BUFFER_KEEP`] bytes are
+/// kept for the next task on the thread.
+fn with_frame_buffer<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut buffer = FRAME_BUFFER.take();
+    let out = f(&mut buffer);
+    if buffer.capacity() <= FRAME_BUFFER_KEEP {
+        FRAME_BUFFER.set(buffer);
+    }
+    out
 }
 
 impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
@@ -420,6 +454,7 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
                 n_map,
                 group,
                 spool: ctx.external_shuffle_path(shuffle_id),
+                spool_made: OnceLock::new(),
             }),
             None => MapOutputStore::Grid(
                 (0..n_map)
@@ -446,11 +481,17 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
                 }
                 false
             }
-            MapOutputStore::Workers(workers) => workers.put(
-                p,
-                executor,
-                buckets.iter().map(wire::encode_frame).collect(),
-            ),
+            // One buffer holds the task's frames back to back, bucket `r`
+            // as frame `r`.
+            MapOutputStore::Workers(workers) => with_frame_buffer(|buffer| {
+                buffer.clear();
+                let frames: Vec<_> = buckets
+                    .iter()
+                    .map(|bucket| wire::encode_frame_into(bucket, buffer))
+                    .collect();
+                drop(buckets);
+                workers.put(p, executor, buffer, frames)
+            }),
         };
         let owner = if spooled {
             OutputOwner::External { executor }
@@ -489,15 +530,17 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
             MapOutputStore::Workers(workers) => {
                 let mut buckets = Vec::with_capacity(workers.n_map);
                 let (mut bytes, mut lost) = (0u64, Vec::new());
-                for p in 0..workers.n_map {
-                    match workers.fetch(p, r) {
-                        Some((bucket, frame_len)) => {
-                            bytes += frame_len;
-                            buckets.push(bucket);
+                with_frame_buffer(|buffer| {
+                    for p in 0..workers.n_map {
+                        match workers.fetch(p, r, buffer) {
+                            Some((bucket, frame_len)) => {
+                                bytes += frame_len;
+                                buckets.push(bucket);
+                            }
+                            None => lost.push(p),
                         }
-                        None => lost.push(p),
                     }
-                }
+                });
                 if lost.is_empty() {
                     Ok((buckets, bytes))
                 } else {
@@ -520,23 +563,25 @@ impl<'a, K: Data + SpillCodec, C: Data + SpillCodec> MapOutputStore<'a, K, C> {
 }
 
 impl WorkerFrames<'_> {
-    /// PUT map partition `p`'s frames (one per reduce partition) to the
-    /// worker hosting `executor`, their producer. Returns whether they were
-    /// also spooled — the spool
-    /// is an optimisation of recovery, not a precondition: on a full or
-    /// unwritable temp dir the output stays worker-owned and is recovered by
+    /// Park map partition `p`'s frames — `buffer[frames[r]]` for reduce
+    /// partition `r` — on the worker hosting `executor`, their producer: the
+    /// whole buffer is spooled as one file first, then the frames are PUT in
+    /// reduce order. Returns whether they were spooled — the spool is an
+    /// optimisation of recovery, not a precondition: on a full or unwritable
+    /// temp dir the output stays worker-owned and is recovered by
     /// resubmission.
-    fn put(&self, p: usize, executor: usize, frames: Vec<Vec<u8>>) -> bool {
+    fn put(&self, p: usize, executor: usize, buffer: &[u8], frames: Vec<Range<usize>>) -> bool {
         let spooled = self.spool.as_deref().is_some_and(|dir| {
-            let write = |(r, frame)| std::fs::write(dir.join(format!("m{p}.r{r}")), frame);
-            std::fs::create_dir_all(dir).is_ok()
-                && frames.iter().enumerate().try_for_each(write).is_ok()
+            *self
+                .spool_made
+                .get_or_init(|| std::fs::create_dir_all(dir).is_ok())
+                && std::fs::write(dir.join(format!("m{p}")), buffer).is_ok()
         });
         let worker = executor % self.group.len();
         for (r, frame) in frames.into_iter().enumerate() {
             let put = self
                 .group
-                .put(worker, self.shuffle_id, p as u64, r as u64, frame);
+                .put(worker, self.shuffle_id, p as u64, r as u64, &buffer[frame]);
             if put.is_err() {
                 // The worker died under us (connection refused, timeout):
                 // kill it for certain and respawn it, which sweeps the
@@ -549,44 +594,50 @@ impl WorkerFrames<'_> {
         spooled
     }
 
-    /// Fetch one map-output bucket over the wire, with bounded retry +
-    /// exponential backoff + jitter, wire-level chaos faults, and the spool
-    /// fallback. Returns the decoded bucket and the framed wire length
-    /// actually transferred, or `None` when the output is genuinely
+    /// Fetch one map-output bucket over the wire into `buffer`, with bounded
+    /// retry + exponential backoff + jitter, wire-level chaos faults, and
+    /// the spool fallback. Returns the decoded bucket and the framed wire
+    /// length actually transferred, or `None` when the output is genuinely
     /// unreachable (the caller escalates to a fetch failure).
-    fn fetch<T: SpillCodec>(&self, p: usize, r: usize) -> Option<(T, u64)> {
+    fn fetch<T: SpillCodec>(&self, p: usize, r: usize, buffer: &mut Vec<u8>) -> Option<(T, u64)> {
         let (ctx, shuffle_id) = (self.ctx, self.shuffle_id);
         let tracker = &ctx.inner.map_outputs;
         let worker = tracker.owner(shuffle_id, p).unwrap_or(p) % self.group.len();
         let salt = shuffle_id ^ ((p as u64) << 20) ^ ((r as u64) << 4);
-        let decode = |frame: Vec<u8>| {
-            wire::decode_frame::<T>(&frame).map(|bucket| (bucket, frame.len() as u64))
+        let decode = |frame: &[u8]| {
+            wire::decode_frame::<T>(frame).map(|bucket| (bucket, frame.len() as u64))
         };
         let mut attempt = 0u32;
         loop {
             let fault = ctx.chaos_wire_fault();
-            let fetched: Result<Vec<u8>, String> = match fault {
+            let fetched: Result<(), String> = match fault {
                 Some(WireFault::Drop) => Err("chaos: fetch stream dropped".into()),
                 other => {
                     if let Some(WireFault::Delay(micros)) = other {
                         std::thread::sleep(Duration::from_micros(micros));
                     }
-                    let mut res = self.group.fetch(worker, shuffle_id, p as u64, r as u64);
-                    if let (Ok(bytes), Some(WireFault::Garble)) = (&mut res, other) {
+                    let started = Instant::now();
+                    let res = self
+                        .group
+                        .fetch(worker, shuffle_id, p as u64, r as u64, buffer);
+                    if res.is_ok() && ctx.is_tracing() {
+                        self.group.note_fetch(started.elapsed());
+                    }
+                    if let (Ok(()), Some(WireFault::Garble)) = (&res, other) {
                         // Flip the payload's middle byte: the frame CRC must
                         // catch it. The last byte would fall in the CRC's
                         // table-driven tail; the middle of a tile-sized
                         // payload lies in the blocks it folds.
                         let mid =
-                            wire::HEADER_LEN + bytes.len().saturating_sub(wire::HEADER_LEN) / 2;
-                        if let Some(b) = bytes.get_mut(mid) {
+                            wire::HEADER_LEN + buffer.len().saturating_sub(wire::HEADER_LEN) / 2;
+                        if let Some(b) = buffer.get_mut(mid) {
                             *b ^= 0x40;
                         }
                     }
                     res
                 }
             };
-            match fetched.and_then(|frame| decode(frame).map_err(|e| e.to_string())) {
+            match fetched.and_then(|()| decode(buffer).map_err(|e| e.to_string())) {
                 Ok(out) => return Some(out),
                 Err(_) if attempt < FETCH_RETRIES => {
                     if ctx.is_tracing() {
@@ -606,12 +657,27 @@ impl WorkerFrames<'_> {
                 Err(_) => {
                     let spooled = tracker.is_external(shuffle_id, p);
                     let dir = self.spool.as_deref().filter(|_| spooled)?;
-                    let frame = std::fs::read(dir.join(format!("m{p}.r{r}"))).ok()?;
-                    return decode(frame).ok();
+                    let file = std::fs::read(dir.join(format!("m{p}"))).ok()?;
+                    return decode(nth_frame(&file, r)?).ok();
                 }
             }
         }
     }
+}
+
+/// Frame `n` of a run of back-to-back frames, reached by skipping the frames
+/// before it by their headers' lengths; `None` when the run ends before it
+/// or a header on the way does not verify. The frames skipped are not read;
+/// the caller's decode checks the one returned whole.
+fn nth_frame(run: &[u8], n: usize) -> Option<&[u8]> {
+    let mut at = 0;
+    for _ in 0..n {
+        at += wire::frame_len(&run[at..]).ok()?;
+        if at > run.len() {
+            return None;
+        }
+    }
+    run.get(at..at + wire::frame_len(&run[at..]).ok()?)
 }
 
 /// Wide operator producing `(K, C)` pairs partitioned by a [`KeyPartitioner`].

@@ -38,6 +38,24 @@
 //! wrapped in a second frame); they are retired rather than reused so a stale
 //! `sparkline-worker` answers `ERR` instead of misparsing.
 //!
+//! A map task PUTs its frames in reduce-partition order, each acknowledged
+//! before the next is sent; the shuffle layer kills a worker that refuses or
+//! drops one. The same frames, back to back in the same order, are the map
+//! task's one file in the external shuffle directory, written before the
+//! first PUT.
+//!
+//! ## Buffers
+//!
+//! A frame's bytes land in memory that is already mapped wherever a buffer
+//! can be reused. A GET body is received into the caller's buffer
+//! ([`WorkerClient::get_into`]), overwriting what it held: the shuffle layer
+//! lends each executor thread one frame buffer, which its map tasks encode
+//! into and its reduce tasks fetch into. On the worker, a PUT body is
+//! received into a buffer the last `DROP` freed, the smallest that holds it;
+//! when none does, freed buffers of at least the body's size are released
+//! before one is allocated, so reuse never raises what a worker holds at its
+//! peak.
+//!
 //! ## Connections
 //!
 //! Connections persist. Each [`WorkerClient`] keeps a small pool of idle
@@ -100,11 +118,19 @@ const HEAD_LEN: usize = 1 + 3 * 8 + 4;
 /// Largest body a head may announce: one whole frame.
 const MAX_BODY: usize = wire::HEADER_LEN + wire::MAX_PAYLOAD;
 
-/// One request or response as received.
-struct Message {
+/// A verified message head: what the body length field announced is
+/// within [`MAX_BODY`], and no body byte has been read yet.
+struct Head {
     /// Opcode of a request, status of a response.
     code: u8,
     /// `shuffle, map, reduce`; zero where the message has no use for one.
+    ids: [u64; 3],
+    body_len: usize,
+}
+
+/// One request or response as received.
+struct Message {
+    code: u8,
     ids: [u64; 3],
     body: Vec<u8>,
 }
@@ -140,10 +166,10 @@ fn send_message<W: Write>(
     Ok(())
 }
 
-/// Read one message. The head is verified (magic, version, CRC, exact
-/// length) before its body length is believed; the body is returned as it
-/// arrived — whoever stores or decodes it checks the frame inside.
-fn recv_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
+/// Read one message head. It is verified (magic, version, CRC, exact
+/// length) before its body length is believed, and a body over the cap is
+/// refused before anything is allocated for it.
+fn recv_head<R: Read>(r: &mut R) -> Result<Head, WireError> {
     let head = wire::read_frame_bytes(r, HEAD_LEN)?;
     let head: &[u8; HEAD_LEN] = head.as_slice().try_into().map_err(|_| WireError::Decode)?;
     let mut ids = [0u64; 3];
@@ -154,13 +180,32 @@ fn recv_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
     if body_len > MAX_BODY {
         return Err(WireError::Oversized(body_len as u64));
     }
-    let mut body = vec![0u8; body_len];
-    wire::read_exact_or_truncated(r, &mut body)?;
-    Ok(Message {
+    Ok(Head {
         code: head[0],
         ids,
-        body,
+        body_len,
     })
+}
+
+/// Read a `len`-byte body into `into`, overwriting what it held: a buffer
+/// that held a body before is neither reallocated nor zero-filled up to that
+/// body's length. The body is taken as it arrived: whoever stores or decodes
+/// it checks the frame inside.
+fn recv_body<R: Read>(r: &mut R, len: usize, into: &mut Vec<u8>) -> Result<(), WireError> {
+    into.resize(len, 0);
+    wire::read_exact_or_truncated(r, into)
+}
+
+/// Read one message, its body into a buffer of its own.
+fn recv_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
+    let Head {
+        code,
+        ids,
+        body_len,
+    } = recv_head(r)?;
+    let mut body = Vec::new();
+    recv_body(r, body_len, &mut body)?;
+    Ok(Message { code, ids, body })
 }
 
 // ---------------------------------------------------------------------------
@@ -173,9 +218,32 @@ fn recv_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
 #[derive(Default)]
 struct WorkerStore {
     blocks: Mutex<HashMap<(u64, u64, u64), Arc<Vec<u8>>>>,
+    /// The buffers of the frames the last `DROP` removed, by capacity
+    /// ascending: a PUT body is received into one of them rather than into
+    /// fresh pages.
+    free: Mutex<Vec<Vec<u8>>>,
 }
 
 impl WorkerStore {
+    /// A buffer for a `len`-byte PUT body: the smallest freed one that
+    /// holds it. When none does, freed buffers of at least `len` bytes in
+    /// all are released before a new one is allocated, so reuse never adds
+    /// to what the worker holds.
+    fn buffer(&self, len: usize) -> Vec<u8> {
+        let mut free = self.free.lock();
+        let fit = free.partition_point(|b| b.capacity() < len);
+        if fit < free.len() {
+            return free.remove(fit);
+        }
+        let mut released = 0;
+        while released < len {
+            let Some(buffer) = free.pop() else { break };
+            released += buffer.capacity();
+        }
+        drop(free);
+        Vec::with_capacity(len)
+    }
+
     /// Answer one request: a status and, for a GET hit, the stored frame —
     /// cloned out of the map, so the store is not locked while it is written
     /// to the socket.
@@ -205,7 +273,15 @@ impl WorkerStore {
                 None => (ST_NOT_FOUND, None),
             },
             OP_DROP => {
-                self.blocks.lock().retain(|(s, _, _), _| *s != shuffle);
+                // A frame a GET is still writing out is not reused.
+                let mut freed: Vec<Vec<u8>> = self
+                    .blocks
+                    .lock()
+                    .extract_if(|(s, _, _), _| *s == shuffle)
+                    .filter_map(|(_, frame)| Arc::try_unwrap(frame).ok())
+                    .collect();
+                freed.sort_unstable_by_key(Vec::capacity);
+                *self.free.lock() = freed;
                 (ST_OK, None)
             }
             OP_PING => (ST_OK, None),
@@ -233,10 +309,23 @@ fn serve_connection(store: &WorkerStore, mut stream: TcpStream) -> Result<(), Wi
         // The driver hanging up between requests is the normal end of a
         // connection; a head that does not verify leaves the stream out of
         // step, so that connection ends too (the listener lives on).
-        let Ok(request) = recv_message(&mut stream) else {
+        let Ok(Head {
+            code,
+            ids,
+            body_len,
+        }) = recv_head(&mut stream)
+        else {
             return Ok(());
         };
-        let (status, frame) = store.handle(request);
+        let mut body = if code == OP_PUT {
+            store.buffer(body_len)
+        } else {
+            Vec::new()
+        };
+        if recv_body(&mut stream, body_len, &mut body).is_err() {
+            return Ok(());
+        }
+        let (status, frame) = store.handle(Message { code, ids, body });
         let body = frame.as_ref().map_or(&[][..], |frame| frame.as_slice());
         send_message(&mut stream, status, [0; 3], body)?;
     }
@@ -307,10 +396,17 @@ impl WorkerClient {
         }
     }
 
-    fn request(&self, code: u8, ids: [u64; 3], body: &[u8]) -> Result<Message, String> {
-        let round_trip = |stream: &mut TcpStream| {
+    /// Send one request and read its reply with `read_reply`.
+    fn request<T>(
+        &self,
+        code: u8,
+        ids: [u64; 3],
+        body: &[u8],
+        mut read_reply: impl FnMut(&mut TcpStream) -> Result<T, WireError>,
+    ) -> Result<T, String> {
+        let mut round_trip = |stream: &mut TcpStream| {
             send_message(stream, code, ids, body)?;
-            recv_message(stream)
+            read_reply(stream)
         };
         let pooled = self.target.lock().idle.pop();
         if let Some(mut stream) = pooled {
@@ -329,7 +425,7 @@ impl WorkerClient {
 
     /// A request whose whole answer is its status.
     fn command(&self, what: &str, code: u8, ids: [u64; 3], body: &[u8]) -> Result<(), String> {
-        match self.request(code, ids, body)?.code {
+        match self.request(code, ids, body, recv_message)?.code {
             ST_OK => Ok(()),
             status => Err(format!("{what} rejected: status {status}")),
         }
@@ -337,20 +433,45 @@ impl WorkerClient {
 
     /// Store one map-output frame on the worker, which refuses anything that
     /// is not exactly one intact frame.
-    pub fn put(&self, shuffle: u64, map: u64, reduce: u64, frame: Vec<u8>) -> Result<(), String> {
-        self.command("put", OP_PUT, [shuffle, map, reduce], &frame)
+    pub fn put(
+        &self,
+        shuffle: u64,
+        map: u64,
+        reduce: u64,
+        frame: impl AsRef<[u8]>,
+    ) -> Result<(), String> {
+        self.command("put", OP_PUT, [shuffle, map, reduce], frame.as_ref())
     }
 
-    /// Fetch one map-output frame, as stored (the caller's `decode_frame`
-    /// verifies it); `Ok(None)` when the worker does not have it (e.g. a
-    /// respawned worker with an empty store).
-    pub fn get(&self, shuffle: u64, map: u64, reduce: u64) -> Result<Option<Vec<u8>>, String> {
-        let reply = self.request(OP_GET, [shuffle, map, reduce], &[])?;
-        match reply.code {
-            ST_OK => Ok(Some(reply.body)),
-            ST_NOT_FOUND => Ok(None),
+    /// Fetch one map-output frame into `into`, as stored (the caller's
+    /// `decode_frame` verifies it), reusing `into`'s capacity; `Ok(false)`
+    /// when the worker does not have it (e.g. a respawned worker with an
+    /// empty store).
+    pub fn get_into(
+        &self,
+        shuffle: u64,
+        map: u64,
+        reduce: u64,
+        into: &mut Vec<u8>,
+    ) -> Result<bool, String> {
+        let status = self.request(OP_GET, [shuffle, map, reduce], &[], |stream| {
+            let head = recv_head(stream)?;
+            recv_body(stream, head.body_len, into)?;
+            Ok(head.code)
+        })?;
+        match status {
+            ST_OK => Ok(true),
+            ST_NOT_FOUND => Ok(false),
             status => Err(format!("get rejected: status {status}")),
         }
+    }
+
+    /// [`WorkerClient::get_into`] a buffer of the frame's own.
+    pub fn get(&self, shuffle: u64, map: u64, reduce: u64) -> Result<Option<Vec<u8>>, String> {
+        let mut frame = Vec::new();
+        Ok(self
+            .get_into(shuffle, map, reduce, &mut frame)?
+            .then_some(frame))
     }
 
     /// Drop every frame of `shuffle` on the worker.
@@ -415,7 +536,8 @@ pub struct WorkerGroup {
     stop: AtomicBool,
     heartbeat: Mutex<Option<std::thread::JoinHandle<()>>>,
     on_lost: Mutex<Option<Box<dyn Fn(usize) + Send + Sync>>>,
-    /// Wall time of every successful shuffle fetch, for the bench's p50/p99.
+    /// Wall time of the successful shuffle fetches the shuffle layer
+    /// recorded, for the bench's p50/p99.
     fetch_micros: Mutex<Vec<u64>>,
     fetch_retries: AtomicU64,
 }
@@ -541,33 +663,31 @@ impl WorkerGroup {
         shuffle: u64,
         map: u64,
         reduce: u64,
-        frame: Vec<u8>,
+        frame: impl AsRef<[u8]>,
     ) -> Result<(), String> {
         self.slots[worker].client.put(shuffle, map, reduce, frame)
     }
 
-    /// Fetch one map-output frame from `worker`, timing the transfer. A
-    /// missing block is an error here — the shuffle layer decides whether to
-    /// retry, fall back to the external directory, or escalate.
+    /// Fetch one map-output frame from `worker` into `into`. A missing block
+    /// is an error here — the shuffle layer decides whether to retry, fall
+    /// back to the external directory, or escalate.
     pub fn fetch(
         &self,
         worker: usize,
         shuffle: u64,
         map: u64,
         reduce: u64,
-    ) -> Result<Vec<u8>, String> {
-        let start = Instant::now();
-        let got = self.slots[worker].client.get(shuffle, map, reduce)?;
-        match got {
-            Some(frame) => {
-                self.fetch_micros
-                    .lock()
-                    .push(start.elapsed().as_micros() as u64);
-                Ok(frame)
-            }
-            None => Err(format!(
+        into: &mut Vec<u8>,
+    ) -> Result<(), String> {
+        if self.slots[worker]
+            .client
+            .get_into(shuffle, map, reduce, into)?
+        {
+            Ok(())
+        } else {
+            Err(format!(
                 "worker {worker} has no block for shuffle {shuffle} map {map} reduce {reduce}"
-            )),
+            ))
         }
     }
 
@@ -576,6 +696,12 @@ impl WorkerGroup {
         for slot in &self.slots {
             let _ = slot.client.drop_shuffle(shuffle);
         }
+    }
+
+    /// Record the wall time of one successful shuffle fetch (reported by
+    /// [`WorkerGroup::fetch_stats`]).
+    pub(crate) fn note_fetch(&self, took: Duration) {
+        self.fetch_micros.lock().push(took.as_micros() as u64);
     }
 
     /// Count one shuffle-fetch retry (reported by [`WorkerGroup::fetch_stats`]).
@@ -736,10 +862,9 @@ mod tests {
         assert_eq!(client.get(3, 1, 1).unwrap(), Some(frame_of("new")));
     }
 
-    #[test]
-    fn a_thousand_requests_share_one_connection() {
-        // Count the connections the worker accepts: a sequential caller must
-        // stay on the one it opened first.
+    /// A client of an in-process worker that counts the connections it
+    /// accepts.
+    fn counting_worker() -> (WorkerClient, Arc<AtomicU64>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = client_for(listener.local_addr().unwrap());
         let accepted = Arc::new(AtomicU64::new(0));
@@ -752,6 +877,13 @@ mod tests {
                 std::thread::spawn(move || serve_connection(&store, stream));
             }
         });
+        (client, accepted)
+    }
+
+    #[test]
+    fn a_thousand_requests_share_one_connection() {
+        // A sequential caller must stay on the connection it opened first.
+        let (client, accepted) = counting_worker();
         let frame = wire::encode_frame(&vec![0.5f64; 512]);
         for i in 0..250 {
             client.put(1, i, 0, frame.clone()).unwrap();
@@ -761,6 +893,69 @@ mod tests {
         }
         assert_eq!(accepted.load(Ordering::SeqCst), 1);
         assert_eq!(client.target.lock().idle.len(), 1);
+    }
+
+    #[test]
+    fn a_get_into_a_reused_buffer_returns_exactly_the_frame() {
+        // Frames longer and shorter than the one before, tile-sized among
+        // them: whatever the buffer held, it ends up holding the frame.
+        let (client, accepted) = counting_worker();
+        let frames: Vec<Vec<u8>> = [1usize, 16_390, 40, 8_000, 0, 16_390]
+            .iter()
+            .map(|&n| wire::encode_frame(&vec![n as f64; n]))
+            .collect();
+        for (r, frame) in (0u64..).zip(&frames) {
+            client.put(4, 0, r, frame).unwrap();
+        }
+        let mut into = Vec::new();
+        for (r, frame) in (0u64..).zip(&frames) {
+            assert!(client.get_into(4, 0, r, &mut into).unwrap());
+            assert_eq!(&into, frame, "reduce {r}");
+        }
+        assert!(!client.get_into(4, 1, 0, &mut into).unwrap());
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_put_lands_in_a_buffer_the_last_drop_freed() {
+        let store = WorkerStore::default();
+        let put = |shuffle: u64, reduce: u64, body: Vec<u8>| {
+            store.handle(Message {
+                code: OP_PUT,
+                ids: [shuffle, 0, reduce],
+                body,
+            })
+        };
+        let small = frame_of("small");
+        let large = wire::encode_frame(&vec![0.25f64; 4_096]);
+        put(1, 0, large.clone());
+        put(1, 1, small.clone());
+        put(2, 0, small.clone());
+        store.handle(Message {
+            code: OP_DROP,
+            ids: [1, 0, 0],
+            body: Vec::new(),
+        });
+        let caps: Vec<usize> = store.free.lock().iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [small.capacity(), large.capacity()]);
+        // The smallest freed buffer that holds the body.
+        let reused = store.buffer(small.len() + 1);
+        assert_eq!(reused.capacity(), large.capacity());
+        assert_eq!(store.free.lock().len(), 1);
+        // No freed buffer holds this one: the rest are released first.
+        let fresh = store.buffer(large.len() * 2);
+        assert_eq!(fresh.capacity(), large.len() * 2);
+        assert!(store.free.lock().is_empty());
+        // The next DROP's buffers replace whatever is left.
+        put(3, 0, reused);
+        put(3, 1, small.clone());
+        store.handle(Message {
+            code: OP_DROP,
+            ids: [3, 0, 0],
+            body: Vec::new(),
+        });
+        assert_eq!(store.free.lock().len(), 2);
+        assert_eq!(store.blocks.lock().len(), 1, "shuffle 2 is kept");
     }
 
     #[test]
@@ -792,8 +987,20 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = client_for(listener.local_addr().unwrap());
         let store = Arc::new(WorkerStore::default());
+        // A connection that never comes fails the test instead of hanging it.
+        listener.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
         let serve_one_request = |store: &Arc<WorkerStore>| {
-            let (mut stream, _) = listener.accept().unwrap();
+            let mut stream = loop {
+                match listener.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(_) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("no connection: {e}"),
+                }
+            };
+            stream.set_nonblocking(false).unwrap();
             let request = recv_message(&mut stream).unwrap();
             let (status, _) = store.handle(request);
             send_message(&mut stream, status, [0; 3], &[]).unwrap();

@@ -37,6 +37,7 @@
 
 use crate::storage::SpillCodec;
 use std::io::Read;
+use std::ops::Range;
 
 /// Frame magic: identifies a sparkline wire frame.
 pub const MAGIC: [u8; 4] = *b"SPKL";
@@ -290,26 +291,43 @@ pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&[0; HEADER_LEN]);
     out.extend_from_slice(payload);
-    seal_frame(out)
-}
-
-/// Fill in the header reserved at the front of `out` for the payload that
-/// follows it — the one place the header layout is written.
-fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
-    let payload = &out[HEADER_LEN..];
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
-    let (len, crc) = (payload.len() as u32, crc32(payload));
-    out[..4].copy_from_slice(&MAGIC);
-    out[4] = VERSION;
-    out[5..9].copy_from_slice(&len.to_le_bytes());
-    out[9..13].copy_from_slice(&crc.to_le_bytes());
+    seal_frame(&mut out);
     out
 }
 
-/// Validate one frame at the start of `buf`; return the payload slice and
-/// the total frame length (header + payload).
-pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
-    if buf.len() < HEADER_LEN {
+/// Fill in the header reserved at the front of `frame` for the payload that
+/// follows it — the one place the header layout is written.
+fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[5..9].copy_from_slice(&len.to_le_bytes());
+    header[9..13].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Check a frame header's magic, version and announced payload length
+/// against `limit`; return that length and the CRC the header carries.
+fn read_header(header: &[u8; HEADER_LEN], limit: usize) -> Result<(usize, u32), WireError> {
+    if header[..4] != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    if header[4] != VERSION {
+        return Err(WireError::BadVersion(header[4]));
+    }
+    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
+    if len > limit.min(MAX_PAYLOAD) {
+        return Err(WireError::Oversized(len as u64));
+    }
+    let crc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
+    Ok((len, crc))
+}
+
+/// [`read_header`] of the frame starting `buf`, which may be shorter than a
+/// header.
+fn header_at(buf: &[u8]) -> Result<(usize, u32), WireError> {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         // Distinguish "not even a magic" from "header cut short" only as far
         // as the bytes allow: a wrong magic in the available prefix is
         // BadMagic, otherwise it is a truncation.
@@ -318,18 +336,22 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
             return Err(WireError::BadMagic);
         }
         return Err(WireError::Truncated);
-    }
-    if buf[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let len = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len as u64));
-    }
-    let expected = u32::from_le_bytes([buf[9], buf[10], buf[11], buf[12]]);
+    };
+    read_header(header, MAX_PAYLOAD)
+}
+
+/// Total length (header + payload) of the frame starting `buf`, from its
+/// header alone: the payload is neither required to be there nor checked.
+/// Walking a run of back-to-back frames by this length skips each one
+/// without reading it.
+pub(crate) fn frame_len(buf: &[u8]) -> Result<usize, WireError> {
+    header_at(buf).map(|(len, _)| HEADER_LEN + len)
+}
+
+/// Validate one frame at the start of `buf`; return the payload slice and
+/// the total frame length (header + payload).
+pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
+    let (len, expected) = header_at(buf)?;
     let payload = buf
         .get(HEADER_LEN..HEADER_LEN + len)
         .ok_or(WireError::Truncated)?;
@@ -348,10 +370,22 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 /// frame length, the value encoded in place behind a reserved header.
 pub fn encode_frame<T: SpillCodec>(value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + value.encoded_len());
+    encode_frame_into(value, &mut out);
+    out
+}
+
+/// Append the frame [`encode_frame`] builds for `value` to `out`, encoded
+/// in place behind a header reserved at its end, and return where in `out`
+/// it landed. Frames appended back to back this way are a run that
+/// [`frame_len`] walks.
+pub(crate) fn encode_frame_into<T: SpillCodec>(value: &T, out: &mut Vec<u8>) -> Range<usize> {
+    let start = out.len();
+    out.reserve(HEADER_LEN + value.encoded_len());
     out.extend_from_slice(&[0; HEADER_LEN]);
-    value.encode(&mut out);
-    debug_assert_eq!(out.len(), HEADER_LEN + value.encoded_len());
-    seal_frame(out)
+    value.encode(out);
+    debug_assert_eq!(out.len() - start, HEADER_LEN + value.encoded_len());
+    seal_frame(&mut out[start..]);
+    start..out.len()
 }
 
 /// Validate a buffer that must be exactly one frame — trailing bytes are
@@ -394,17 +428,7 @@ pub fn encoded_len<T: SpillCodec>(value: &T) -> u64 {
 pub fn read_frame_bytes<R: Read>(r: &mut R, limit: usize) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_or_truncated(r, &mut header)?;
-    if header[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > limit.min(MAX_PAYLOAD) {
-        return Err(WireError::Oversized(len as u64));
-    }
-    let expected = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
+    let (len, expected) = read_header(&header, limit)?;
     let mut payload = vec![0u8; len];
     read_exact_or_truncated(r, &mut payload)?;
     let actual = crc32(&payload);
@@ -667,6 +691,36 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// `encode_frame_into` after any prefix leaves the prefix alone and
+        /// appends exactly `encode_frame`'s bytes, where it says; a run of
+        /// such frames is walked by `frame_len` and each decodes back.
+        #[test]
+        fn prop_encode_frame_into_appends_encode_frames_bytes(
+            prefix in proptest::collection::vec(0u8..=255, 0..64),
+            buckets in proptest::collection::vec(
+                proptest::collection::vec((0u64..1 << 40, -1e9f64..1e9), 0..24),
+                1..6,
+            ),
+        ) {
+            let mut out = prefix.clone();
+            let mut at = prefix.len();
+            for bucket in &buckets {
+                let frame = encode_frame_into(bucket, &mut out);
+                prop_assert_eq!(frame.clone(), at..at + encode_frame(bucket).len());
+                prop_assert_eq!(&out[frame.clone()], &encode_frame(bucket)[..]);
+                at = frame.end;
+            }
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            let mut at = prefix.len();
+            for bucket in &buckets {
+                let len = frame_len(&out[at..]).unwrap();
+                let back: Vec<(u64, f64)> = decode_frame(&out[at..at + len]).unwrap();
+                prop_assert_eq!(&back, bucket);
+                at += len;
+            }
+            prop_assert_eq!(at, out.len());
         }
 
         /// Typed round trip over a realistic shuffle bucket type, including

@@ -11,6 +11,7 @@ use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::sparkline::{ChaosPlan, Context, Event, WireFault};
 use sac_repro::tiled::LocalMatrix;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// The paper's Fig. 4 matmul comprehension — one contraction shuffle whose
 /// map outputs live in worker processes in multi-process mode.
@@ -286,6 +287,165 @@ fn explicit_kill_worker_respawns_and_later_jobs_succeed() {
     assert!(ctx.kill_worker(1));
     assert!(!ctx.kill_worker(2), "unknown worker id");
     assert_eq!(run(&ctx), first, "respawned workers serve later shuffles");
+}
+
+/// Every key once in each of 4 map partitions, so `reduce_by_key`'s merge
+/// closure runs only on the reduce side, after the whole map stage.
+fn every_key_in_every_map_partition() -> Vec<(i64, i64)> {
+    (0..4)
+        .flat_map(|p| (0..40).map(move |k| (k, k * 10 + p)))
+        .collect()
+}
+
+/// `every_key_in_every_map_partition` summed per key in 4 reduce
+/// partitions, sorted; `on_merge` runs before each reduce-side merge.
+fn sum_by_key(ctx: &Context, on_merge: impl Fn() + Send + Sync + 'static) -> Vec<(i64, i64)> {
+    let mut out = ctx
+        .parallelize(every_key_in_every_map_partition(), 4)
+        .reduce_by_key(4, move |a, b| {
+            on_merge();
+            a + b
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+fn local_sum_by_key() -> Vec<(i64, i64)> {
+    sum_by_key(&Context::builder().workers(2).chaos_off().build(), || {})
+}
+
+/// A map task spools its frames as one file, `m{p}`: once the map stage is
+/// done, the shuffle's spool directory holds exactly one file per map
+/// partition.
+#[test]
+fn the_spool_holds_one_file_per_map_partition() {
+    let ctx = Context::builder()
+        .workers(2)
+        .worker_processes(2)
+        .chaos_off()
+        .build();
+    let dir = ctx.external_shuffle_path(0).expect("spool is on");
+    let listed = Arc::new(Mutex::new(None));
+    let seen = listed.clone();
+    let got = sum_by_key(&ctx, move || {
+        seen.lock().unwrap().get_or_insert_with(|| {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        });
+    });
+    assert_eq!(got, local_sum_by_key());
+    assert_eq!(
+        listed.lock().unwrap().as_deref(),
+        Some(&["m0", "m1", "m2", "m3"].map(String::from)[..])
+    );
+}
+
+/// Every worker that holds a map output is killed at the barrier: each of
+/// the 16 frames fails its fetch and every retry, and is then decoded from
+/// its map task's spool file — with zero resubmissions.
+#[test]
+fn with_every_worker_killed_at_the_barrier_every_frame_comes_from_the_spool() {
+    let plan = (0..4).fold(ChaosPlan::new(), |plan, p| {
+        plan.with_kill_owner_at_barrier(0, p)
+    });
+    let ctx = Context::builder()
+        .workers(2)
+        .worker_processes(2)
+        .chaos(plan)
+        .build();
+    ctx.trace();
+    let got = sum_by_key(&ctx, || {});
+    let events = ctx.take_events();
+    let profile = sac_repro::sparkline::JobProfile::from_events(&events);
+    assert_eq!(got, local_sum_by_key());
+    assert!(profile.recovery.workers_lost >= 1, "{:?}", profile.recovery);
+    assert_eq!(
+        profile.recovery.stages_resubmitted, 0,
+        "{:?}",
+        profile.recovery
+    );
+    let mut retries: HashMap<(usize, usize), usize> = HashMap::new();
+    for e in &events {
+        if let Event::FetchRetry {
+            reduce_task,
+            map_partition,
+            ..
+        } = e
+        {
+            *retries.entry((*reduce_task, *map_partition)).or_default() += 1;
+        }
+    }
+    assert_eq!(retries.len(), 16, "every (reduce, map) frame: {retries:?}");
+    assert!(retries.values().all(|n| *n == 3), "{retries:?}");
+}
+
+/// A spool file damaged after its map task wrote it — its last byte cut off
+/// or flipped — fails the fetch of the frame it breaks, and only that map
+/// partition is recomputed: bit-identical output, never a panic or another
+/// frame's bucket.
+#[test]
+fn a_truncated_or_bit_flipped_spool_file_is_a_fetch_failure_and_a_partial_resubmission() {
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage); 2] = [
+        ("truncated", |file| {
+            file.pop();
+        }),
+        ("bit-flipped", |file| *file.last_mut().unwrap() ^= 0x01),
+    ];
+    for (what, damage) in damages {
+        // One executor, so every output is on worker 0 and the reduce tasks
+        // run one after another; its kill at the barrier sends every fetch
+        // to the spool. The first merge (reduce partition 0, whose frames
+        // are all read) damages map partition 1's file, whose last frame
+        // is reduce partition 3's.
+        let ctx = Context::builder()
+            .workers(1)
+            .worker_processes(2)
+            .chaos(ChaosPlan::new().with_kill_owner_at_barrier(0, 0))
+            .build();
+        let file = ctx.external_shuffle_path(0).unwrap().join("m1");
+        let damaged = Arc::new(std::sync::Once::new());
+        ctx.trace();
+        let got = sum_by_key(&ctx, move || {
+            damaged.call_once(|| {
+                let mut bytes = std::fs::read(&file).unwrap();
+                damage(&mut bytes);
+                std::fs::write(&file, bytes).unwrap();
+            });
+        });
+        let recovery = ctx.take_profile().recovery;
+        assert_eq!(got, local_sum_by_key(), "{what}");
+        assert!(recovery.fetch_failures >= 1, "{what}: {recovery:?}");
+        assert_eq!(
+            (recovery.stages_resubmitted, recovery.resubmitted_tasks),
+            (1, 1),
+            "{what}: only map partition 1 is recomputed: {recovery:?}"
+        );
+    }
+}
+
+/// The fetch-latency series grows only while the context traces: an
+/// untraced multi-process run records nothing, a traced one one sample per
+/// fetch.
+#[test]
+fn fetch_latencies_are_recorded_only_while_tracing() {
+    let ctx = Context::builder()
+        .workers(2)
+        .worker_processes(2)
+        .chaos_off()
+        .build();
+    let want = local_sum_by_key();
+    assert_eq!(sum_by_key(&ctx, || {}), want);
+    assert_eq!(ctx.worker_fetch_stats(), Some((Vec::new(), 0)));
+    ctx.trace();
+    assert_eq!(sum_by_key(&ctx, || {}), want);
+    let (latencies, retries) = ctx.worker_fetch_stats().unwrap();
+    assert_eq!((latencies.len(), retries), (4 * 4, 0));
 }
 
 /// The external spool is an optimisation of recovery, not a precondition: a

@@ -16,6 +16,12 @@ fn frame() -> Vec<u8> {
     wire::encode_frame(&vec![1.5f64; 64])
 }
 
+/// Fetch worker 0's frame for shuffle 1, map 0, reduce 0.
+fn fetch(group: &WorkerGroup) -> Result<Vec<u8>, String> {
+    let mut frame = Vec::new();
+    group.fetch(0, 1, 0, 0, &mut frame).map(|()| frame)
+}
+
 #[test]
 fn kill9_between_two_requests_reconnects_to_the_new_process() {
     let config = WorkerConfig::default();
@@ -25,18 +31,18 @@ fn kill9_between_two_requests_reconnects_to_the_new_process() {
     };
     group.put(0, 1, 0, 0, frame()).unwrap();
     // The slot's client now holds an idle stream to the first process.
-    assert_eq!(group.fetch(0, 1, 0, 0).unwrap(), frame());
+    assert_eq!(fetch(&group).unwrap(), frame());
     let first_pid = group.pid(0);
     group.kill9(0).unwrap();
     assert_ne!(group.pid(0), first_pid);
     // Same client, dead stream: an answer from the new, empty process — not
     // a hang, not an error from the old address.
     let started = Instant::now();
-    let err = group.fetch(0, 1, 0, 0).unwrap_err();
+    let err = fetch(&group).unwrap_err();
     assert!(err.contains("has no block"), "{err}");
     assert!(started.elapsed() < config.io_timeout);
     group.put(0, 1, 0, 0, frame()).unwrap();
-    assert_eq!(group.fetch(0, 1, 0, 0).unwrap(), frame());
+    assert_eq!(fetch(&group).unwrap(), frame());
 }
 
 #[test]
@@ -73,7 +79,7 @@ fn failed_respawn_leaves_the_slot_down_until_a_heartbeat_sweep_respawns_it() {
     // Down: requests fail at once instead of waiting out a timeout ...
     let started = Instant::now();
     assert!(group.put(0, 1, 0, 0, frame()).is_err());
-    assert!(group.fetch(0, 1, 0, 0).is_err());
+    assert!(fetch(&group).is_err());
     assert!(started.elapsed() < config.connect_timeout);
     // ... and stay failing through heartbeat sweeps whose respawn fails too
     // (each used to panic the heartbeat thread).
@@ -89,7 +95,7 @@ fn failed_respawn_leaves_the_slot_down_until_a_heartbeat_sweep_respawns_it() {
         std::thread::sleep(config.heartbeat_interval);
     }
     group.put(0, 1, 0, 0, frame()).unwrap();
-    assert_eq!(group.fetch(0, 1, 0, 0).unwrap(), frame());
+    assert_eq!(fetch(&group).unwrap(), frame());
     drop(group);
     std::fs::remove_file(&bin).unwrap();
 }
