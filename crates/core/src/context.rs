@@ -191,19 +191,12 @@ impl Session {
         m: &LocalMatrix,
         tile_size: usize,
     ) {
-        let name = name.into();
         let partitions = self.ingest_partitions();
         let tiled = TiledMatrix::from_local(&self.ctx, m, tile_size, partitions)
             .partition_by_grid(partitions);
         // Run the ingest shuffle now, outside any traced query window.
         tiled.tiles().count();
-        let nnz = m.nnz() as u64;
-        self.register_matrix(name.clone(), tiled);
-        // The local data is in hand here, so refine the derived statistics
-        // with an exact non-zero count for the cost model's sparsity term.
-        if let Some(stats) = self.env.stats(&name).cloned() {
-            self.env.set_stats(name, stats.with_nnz(nnz));
-        }
+        self.register_matrix(name, tiled);
     }
 
     /// Partition count used when materializing registered arrays:

@@ -4,7 +4,7 @@
 use comp::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tiled::{CscTile, DenseMatrix, TiledMatrix, TiledVector};
+use tiled::{DenseMatrix, TiledMatrix, TiledVector};
 
 /// A distributed array a comprehension can range over or produce.
 #[derive(Clone)]
@@ -67,12 +67,11 @@ impl DistArray {
 }
 
 /// Per-array statistics for the planner's cost model: logical dimensions,
-/// tile grid, estimated resident bytes, and (when known at registration)
-/// the non-zero count.
+/// tile grid, and estimated resident bytes.
 ///
-/// Stats are metadata-derived — collecting them never runs a job. The nnz
-/// field is only filled when the driver had the data in hand anyway (e.g.
-/// registering a local matrix); `None` means "assume dense".
+/// Stats are metadata-derived — collecting them never runs a job. Every
+/// tile is priced dense, because every tile ships dense: a zero-heavy
+/// matrix costs what a full one does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayStats {
     pub rows: i64,
@@ -81,8 +80,6 @@ pub struct ArrayStats {
     pub tile_size: usize,
     pub block_rows: i64,
     pub block_cols: i64,
-    /// Non-zero count, when known. `None` = assume dense.
-    pub nnz: Option<u64>,
     /// Estimated resident bytes of the distributed representation.
     pub estimated_bytes: u64,
 }
@@ -92,12 +89,6 @@ impl ArrayStats {
     /// plus the [`tiled::DenseMatrix`] payload.
     pub fn dense_tile_bytes(tile_size: usize) -> u64 {
         (16 + DenseMatrix::encoded_len_of(tile_size, tile_size)) as u64
-    }
-
-    /// Encoded bytes of one tile record stored compressed-sparse-column with
-    /// `nnz` entries: the coordinate plus the [`tiled::CscTile`] payload.
-    pub fn csc_tile_bytes(tile_size: usize, nnz: u64) -> u64 {
-        (16 + CscTile::encoded_len_of(tile_size, nnz as usize)) as u64
     }
 
     /// Encoded bytes of one vector-block record of `block_size` elements.
@@ -115,7 +106,6 @@ impl ArrayStats {
             tile_size,
             block_rows,
             block_cols,
-            nnz: None,
             estimated_bytes: (block_rows * block_cols) as u64
                 * ArrayStats::dense_tile_bytes(tile_size),
         }
@@ -130,46 +120,13 @@ impl ArrayStats {
             tile_size: block_size,
             block_rows: blocks,
             block_cols: 1,
-            nnz: None,
             estimated_bytes: blocks as u64 * ArrayStats::vector_block_bytes(block_size),
         }
-    }
-
-    /// Same stats with a known non-zero count.
-    pub fn with_nnz(mut self, nnz: u64) -> ArrayStats {
-        self.nnz = Some(nnz);
-        self
-    }
-
-    /// Fraction of non-zero elements, when the nnz is known.
-    pub fn density(&self) -> Option<f64> {
-        let total = (self.rows as f64) * (self.cols as f64);
-        self.nnz.map(|n| {
-            if total > 0.0 {
-                (n as f64 / total).min(1.0)
-            } else {
-                1.0
-            }
-        })
     }
 
     /// Number of tiles in the grid.
     pub fn num_tiles(&self) -> u64 {
         (self.block_rows * self.block_cols) as u64
-    }
-
-    /// Estimated wire bytes of one tile record if shuffled: the dense
-    /// encoding, or the CSC encoding of a tile at this array's density when
-    /// the nnz is known and that is smaller.
-    pub fn tile_wire_bytes(&self) -> u64 {
-        let dense = ArrayStats::dense_tile_bytes(self.tile_size);
-        match self.density() {
-            Some(d) => {
-                let nnz = d * (self.tile_size as f64) * (self.tile_size as f64);
-                ArrayStats::csc_tile_bytes(self.tile_size, nnz as u64).min(dense)
-            }
-            None => dense,
-        }
     }
 }
 
@@ -224,8 +181,8 @@ impl PlanEnv {
         self.stats.get(name)
     }
 
-    /// Refine the statistics of an already-registered array (e.g. fill the
-    /// nnz count when the registering caller had the local data in hand).
+    /// Overlay the statistics of an already-registered array (the stage
+    /// driver's measured stats, or a test's deliberately wrong ones).
     pub fn set_stats(&mut self, name: impl Into<String>, stats: ArrayStats) {
         self.stats.insert(name.into(), stats);
     }
@@ -393,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn registration_derives_stats_and_nnz_refines_wire_bytes() {
+    fn registration_derives_stats_from_metadata() {
         let ctx = Context::builder().workers(2).build();
         let m = LocalMatrix::from_fn(6, 6, |i, j| if i == j { 1.0 } else { 0.0 });
         let mut env = PlanEnv::new();
@@ -404,16 +361,8 @@ mod tests {
         let s = *env.stats("M").unwrap();
         assert_eq!((s.rows, s.cols, s.tile_size), (6, 6, 4));
         assert_eq!((s.block_rows, s.block_cols), (2, 2));
-        assert_eq!(s.nnz, None);
         assert_eq!(s.num_tiles(), 4);
         assert_eq!(s.estimated_bytes, 4 * ArrayStats::dense_tile_bytes(4));
-        // Unknown nnz: wire bytes assume dense.
-        assert_eq!(s.tile_wire_bytes(), ArrayStats::dense_tile_bytes(4));
-        // Known sparse nnz: wire bytes shrink below the dense payload.
-        env.set_stats("M", s.with_nnz(6));
-        let refined = env.stats("M").unwrap();
-        assert!((refined.density().unwrap() - 6.0 / 36.0).abs() < 1e-12);
-        assert!(refined.tile_wire_bytes() < ArrayStats::dense_tile_bytes(4));
         assert!(env.stats("missing").is_none());
     }
 
@@ -427,12 +376,6 @@ mod tests {
             assert_eq!(
                 ArrayStats::vector_block_bytes(n),
                 block.encoded_len() as u64
-            );
-            let eye = DenseMatrix::identity(n);
-            let csc = ((0i64, 0i64), CscTile::from_dense(&eye));
-            assert_eq!(
-                ArrayStats::csc_tile_bytes(n, n as u64),
-                csc.encoded_len() as u64
             );
         }
     }

@@ -776,7 +776,7 @@ struct ContractionShape {
     free_left: u64,
     contracted: u64,
     free_right: u64,
-    /// Wire bytes of each side shuffled once: tile count × wire bytes a tile.
+    /// Wire bytes of each side shuffled once: tile count × dense tile record.
     left_bytes: u64,
     right_bytes: u64,
     /// Resident bytes of the operand a broadcast ships: the smaller matrix,
@@ -811,7 +811,7 @@ impl ContractionShape {
             (sb.estimated_bytes, sb.estimated_bytes, block)
         } else {
             (
-                sb.num_tiles() * sb.tile_wire_bytes(),
+                sb.num_tiles() * ArrayStats::dense_tile_bytes(sb.tile_size),
                 sa.estimated_bytes.min(sb.estimated_bytes),
                 ArrayStats::dense_tile_bytes(sa.tile_size.max(sb.tile_size)),
             )
@@ -820,7 +820,7 @@ impl ContractionShape {
             free_left: free_left as u64,
             contracted: contracted as u64,
             free_right: free_right as u64,
-            left_bytes: sa.num_tiles() * sa.tile_wire_bytes(),
+            left_bytes: sa.num_tiles() * ArrayStats::dense_tile_bytes(sa.tile_size),
             right_bytes,
             broadcast_bytes,
             out_block,

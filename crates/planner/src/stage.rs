@@ -6,12 +6,13 @@
 //! the inputs it is about to shuffle (or broadcast-collect). A
 //! [`StageFrontier`] executes the node up to that point — one shuffle-free
 //! per-partition summary job per input — and captures what actually
-//! materialized: exact non-zero counts, observed resident bytes, and the
-//! per-partition tile distribution. [`adapt`] overlays those measurements
-//! onto the planning environment's [`ArrayStats`] and re-costs the rows of
-//! the node's pattern in the plan table — the rows that made the
-//! registration-time choice ([`crate::plan::candidates`]) — for the
-//! not-yet-lowered remainder of the plan. Two re-decisions can fall out:
+//! materialized: the per-partition tile distribution of a matrix (priced
+//! dense, as every tile ships) or the block bytes of a vector. [`adapt`]
+//! overlays those measurements onto the planning environment's
+//! [`ArrayStats`] and re-costs the rows of the node's pattern in the plan
+//! table — the rows that made the registration-time choice
+//! ([`crate::plan::candidates`]) — for the not-yet-lowered remainder of the
+//! plan. Two re-decisions can fall out:
 //!
 //! * a strategy switch (e.g. an estimated reduceByKey whose operand is
 //!   observed small enough to promote to broadcast — for a matrix × vector
@@ -27,10 +28,11 @@
 //! The probe is a pure read: its totals are independent of partition order,
 //! executor scheduling, and fault recovery, so chaotic and fault-free runs
 //! of the same query observe identical statistics and make identical
-//! re-decisions. When registered statistics were honest (dense data, exact
-//! tile grid), the observed stats reproduce the registration-time estimate
-//! bit-for-bit, the re-run cost model returns the identical ranking, and
-//! nothing changes. Re-decisions only fire when measurements *contradict*
+//! re-decisions. When registered statistics were honest (the exact tile
+//! grid; contents never matter, since every tile is priced dense), the
+//! observed stats reproduce the registration-time estimate bit-for-bit,
+//! the re-run cost model returns the identical ranking, and nothing
+//! changes. Re-decisions only fire when measurements *contradict*
 //! registration, and a switched node lowers through the dataflow of the row
 //! it switched to, as a node planned on that row does, so it is
 //! bit-identical to pinning the strategy up front.
@@ -67,20 +69,16 @@ pub(crate) struct StageFrontier {
     pub partition_tiles: Vec<u64>,
 }
 
-/// Materialize a block set up to the frontier and total `(size, non-zeros)`
-/// of its blocks per partition. One `map_partitions_stream` + `collect` job
-/// — no shuffle stage, so probing never changes a plan's shuffle-round shape.
+/// Materialize a block set up to the frontier and total the `size` of its
+/// blocks per partition. One `map_partitions_stream` + `collect` job — no
+/// shuffle stage, so probing never changes a plan's shuffle-round shape.
 fn probe<K: Data, T: Data>(
     blocks: &Dataset<(K, T)>,
     size: impl Fn(&T) -> u64 + Send + Sync + 'static,
-    values: fn(&T) -> &[f64],
-) -> Result<Vec<(u64, u64)>, JobError> {
+) -> Result<Vec<u64>, JobError> {
     let per_partition = blocks.map_partitions_stream(move |_, blocks| {
-        let mut total = (0u64, 0u64);
-        blocks.for_each_ref(|(_, b)| {
-            total.0 += size(b);
-            total.1 += values(b).iter().filter(|v| **v != 0.0).count() as u64;
-        });
+        let mut total = 0u64;
+        blocks.for_each_ref(|(_, b)| total += size(b));
         PartitionStream::from_vec(vec![total])
     });
     per_partition.try_collect()
@@ -90,20 +88,13 @@ impl StageFrontier {
     /// Materialize a tiled matrix input up to this node's frontier and
     /// summarize it.
     pub fn matrix(m: &TiledMatrix) -> Result<StageFrontier, JobError> {
-        let per_partition = probe(m.tiles(), |_| 1, |t| t.data())?;
-        let partition_tiles: Vec<u64> = per_partition.iter().map(|&(tiles, _)| tiles).collect();
+        let partition_tiles = probe(m.tiles(), |_| 1)?;
         let tiles: u64 = partition_tiles.iter().sum();
-        let nnz: u64 = per_partition.iter().map(|&(_, nnz)| nnz).sum();
-        // Observed resident bytes: the cheaper of the dense and the CSC
-        // encodings of what actually materialized. For honest dense
-        // registrations this reproduces `ArrayStats::matrix` exactly.
-        let dense = tiles * ArrayStats::dense_tile_bytes(m.tile_size());
-        // (CSC length is linear in nnz: `tiles - 1` empty tiles plus one
-        // holding every entry sum to the same bytes as the real spread.)
-        let csc = tiles.saturating_sub(1) * ArrayStats::csc_tile_bytes(m.tile_size(), 0)
-            + ArrayStats::csc_tile_bytes(m.tile_size(), nnz);
-        let mut stats = ArrayStats::matrix(m.rows(), m.cols(), m.tile_size()).with_nnz(nnz);
-        stats.estimated_bytes = dense.min(csc);
+        // Observed resident bytes: every tile that materialized, priced
+        // dense as it ships. For an honest registration this reproduces
+        // `ArrayStats::matrix` exactly.
+        let mut stats = ArrayStats::matrix(m.rows(), m.cols(), m.tile_size());
+        stats.estimated_bytes = tiles * ArrayStats::dense_tile_bytes(m.tile_size());
         Ok(StageFrontier {
             stats,
             partition_tiles,
@@ -113,10 +104,8 @@ impl StageFrontier {
     /// Materialize a tiled vector input up to the frontier and summarize it.
     pub fn vector(v: &TiledVector) -> Result<StageFrontier, JobError> {
         let block_bytes = |b: &Vec<f64>| ArrayStats::vector_block_bytes(b.len());
-        let per_partition = probe(v.blocks(), block_bytes, |b| b.as_slice())?;
-        let nnz = per_partition.iter().map(|&(_, nnz)| nnz).sum();
-        let mut stats = ArrayStats::vector(v.len(), v.block_size()).with_nnz(nnz);
-        stats.estimated_bytes = per_partition.iter().map(|&(bytes, _)| bytes).sum();
+        let mut stats = ArrayStats::vector(v.len(), v.block_size());
+        stats.estimated_bytes = probe(v.blocks(), block_bytes)?.iter().sum();
         Ok(StageFrontier {
             stats,
             partition_tiles: Vec::new(),

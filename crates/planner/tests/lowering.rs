@@ -266,24 +266,27 @@ fn decision_under(
 
 #[test]
 fn contraction_decisions_are_the_parent_commits_numbers() {
-    // Under the 1 MiB budget: a sparse 96 x 64 left operand, dense right.
+    // Under the 1 MiB budget: 96 x 64 by 64 x 80 on 16² tiles, 2 088 B a
+    // tile record: 24 left tiles (50 112 B), 20 right (41 760 B).
     let small = [
-        ("A", ArrayStats::matrix(96, 64, 16).with_nnz(300)),
+        ("A", ArrayStats::matrix(96, 64, 16)),
         ("B", ArrayStats::matrix(64, 80, 16)),
     ];
     assert_eq!(
         decision_under(MUL_SRC, &small, &config(MatMulStrategy::Auto)),
         (
             "contraction/broadcast",
+            // The right side once, 30 output blocks, one round.
             120_784,
             vec![
                 ("contraction/broadcast", 120_784),
                 // 6 x 5 output blocks over 4 partitions: a 2 x 2 cell grid,
-                // each side sent twice.
-                ("contraction/groupByJoin", 134_720),
-                // A tie: list order is the tie-break order.
-                ("contraction/reduceByKey", 350_688),
-                ("contraction/joinGroupBy", 350_688),
+                // each side sent twice, two rounds.
+                ("contraction/groupByJoin", 216_512),
+                // A tie: list order is the tie-break order. Both sides once,
+                // 120 partial (or product) blocks, three rounds.
+                ("contraction/reduceByKey", 391_584),
+                ("contraction/joinGroupBy", 391_584),
             ]
         )
     );
@@ -324,18 +327,16 @@ fn mat_vec_decisions_are_the_parent_commits_numbers() {
             vec![("matVec/broadcast", 49_920), ("matVec", 67_328_256)]
         )
     );
-    // A vector over the budget, contracted against the matrix's rows, with a
-    // known-sparse matrix (CSC wire bytes) and nominal partitions.
+    // A vector over the budget, contracted against the matrix's rows, at
+    // nominal partitions: 262 144 tiles of 131 112 B, 8 192 vector blocks of
+    // 1 040 B, 32 x 8 partial blocks and three rounds.
     let large = [
-        (
-            "A",
-            ArrayStats::matrix(1 << 20, 4096, 128).with_nnz(1 << 22),
-        ),
+        ("A", ArrayStats::matrix(1 << 20, 4096, 128)),
         ("V", ArrayStats::vector(1 << 20, 128)),
     ];
     assert_eq!(
         decision_under(MAT_VEC_T_SRC, &large, &PlanConfig::default()),
-        ("matVec", 361_156_608, vec![("matVec", 361_156_608)])
+        ("matVec", 34_379_059_200, vec![("matVec", 34_379_059_200)])
     );
 }
 

@@ -362,11 +362,7 @@ impl QueryService {
             *session.config_mut() = st.shared.config().clone();
             for shared_name in st.shared_versions.keys() {
                 if let Some(a) = st.shared.env().array(shared_name).cloned() {
-                    let stats = st.shared.env().stats(shared_name).copied();
                     session.env_mut().set_array(shared_name.clone(), a);
-                    if let Some(s) = stats {
-                        session.env_mut().set_stats(shared_name.clone(), s);
-                    }
                 }
             }
             for scalar in &st.shared_scalars {
@@ -428,13 +424,9 @@ impl QueryService {
         st.shared.persist(&name);
         st.shared_versions.insert(name.clone(), self.next_version());
         let array = st.shared.env().array(&name).cloned();
-        let stats = st.shared.env().stats(&name).copied();
         for t in st.tenants.values_mut() {
             if let Some(a) = array.clone() {
                 t.session.env_mut().set_array(name.clone(), a);
-            }
-            if let Some(s) = stats {
-                t.session.env_mut().set_stats(name.clone(), s);
             }
         }
         drop(st);

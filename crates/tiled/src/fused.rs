@@ -327,15 +327,6 @@ impl FusedProgram {
         }
         st[0]
     }
-
-    /// True when the program maps all-zero inputs to bit-exact `+0.0` —
-    /// the requirement for running it over CSC non-zeros only (skipped
-    /// structural zeros must contribute exactly nothing, including the sign
-    /// bit, so a sparse pass stays bit-identical to the dense one).
-    pub fn preserves_zero(&self) -> bool {
-        let zeros = vec![0.0f64; self.n_slots.max(1)];
-        self.eval_scalar(&zeros).to_bits() == 0.0f64.to_bits()
-    }
 }
 
 /// Elements per chunk: one register is 4 KiB, so the output chunk, the
@@ -651,54 +642,6 @@ mod tests {
                 assert_eq!(got[i].to_bits(), want.to_bits(), "element {i}");
             }
         }
-    }
-
-    #[test]
-    fn zero_preservation_probe() {
-        // b * 0.5 preserves zero; a + 1 does not.
-        let scale = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Const(0.5),
-            ElemwiseOp::Mul,
-        ]);
-        assert!(scale.preserves_zero());
-        let shift = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Const(1.0),
-            ElemwiseOp::Add,
-        ]);
-        assert!(!shift.preserves_zero());
-        // A -0.0 or NaN image must fail the probe: -0.0's sign bit differs
-        // from the +0.0 a dropped structural zero densifies to, and NaN is
-        // not zero at all.
-        let neg = prog(vec![ElemwiseOp::Slot(0), ElemwiseOp::Neg]);
-        assert!(!neg.preserves_zero());
-        let by_minus_two = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Const(-2.0),
-            ElemwiseOp::Mul,
-        ]);
-        assert!(!by_minus_two.preserves_zero());
-        let zero_over_zero = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Div,
-        ]);
-        assert!(!zero_over_zero.preserves_zero());
-        let nan_otherwise = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Const(1.0),
-            ElemwiseOp::Const(f64::NAN),
-            ElemwiseOp::Select,
-        ]);
-        assert!(!nan_otherwise.preserves_zero());
-        // -0.0 + 0.0 rounds to +0.0, so adding a -0.0 constant is fine.
-        let plus_neg_zero = prog(vec![
-            ElemwiseOp::Slot(0),
-            ElemwiseOp::Const(-0.0),
-            ElemwiseOp::Add,
-        ]);
-        assert!(plus_neg_zero.preserves_zero());
     }
 
     #[test]

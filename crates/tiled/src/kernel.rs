@@ -1,7 +1,7 @@
 //! Packed, cache-blocked GEMM microkernels — the faer-style layering under
 //! every dense tile operation.
 //!
-//! The public entry points ([`gemm`], [`gemm_packed`], [`dot`], [`axpy`]) sit
+//! The public entry points ([`gemm`], [`gemm_packed`], [`dot`]) sit
 //! on top of three specialized layers:
 //!
 //! 1. **Packing** — A is repacked into `MR`-row strips (k-major, so the
@@ -751,42 +751,6 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// `y += alpha * x`, element-wise with one fused multiply-add per element —
-/// independent chains, so the SIMD and scalar paths are bit-identical by
-/// construction.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], backend: Backend) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 | Backend::Avx2 => unsafe { axpy_avx2(alpha, x, y) },
-        _ => axpy_scalar(alpha, x, y),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n4 = x.len() / 4 * 4;
-    let av = _mm256_set1_pd(alpha);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut t = 0;
-    while t < n4 {
-        let fused = _mm256_fmadd_pd(av, _mm256_loadu_pd(xp.add(t)), _mm256_loadu_pd(yp.add(t)));
-        _mm256_storeu_pd(yp.add(t), fused);
-        t += 4;
-    }
-    for i in n4..x.len() {
-        y[i] = alpha.mul_add(x[i], y[i]);
-    }
-}
-
-fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv = alpha.mul_add(xv, *yv);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,19 +872,6 @@ mod tests {
             let s = dot(&a, &b, Backend::Scalar);
             let d = dot(&a, &b, Backend::active());
             assert_eq!(s.to_bits(), d.to_bits(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn axpy_backends_agree_bitwise() {
-        for n in [0, 1, 5, 8, 31, 100] {
-            let x = rand_vec(n, 10);
-            let y0 = rand_vec(n, 11);
-            let mut ys = y0.clone();
-            let mut yd = y0.clone();
-            axpy(1.7, &x, &mut ys, Backend::Scalar);
-            axpy(1.7, &x, &mut yd, Backend::active());
-            assert_bits_eq(&ys, &yd);
         }
     }
 

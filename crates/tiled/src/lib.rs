@@ -20,14 +20,11 @@
 //!   block-vs-coordinate ablation.
 //! * [`sparsify`] — the sparsifier/builder pairs of §1.1/§2/§5 that map
 //!   between storage structures and association lists.
-//! * [`CscTile`] — compressed-sparse-column tiles, the
-//!   §8 "future work" storage extension.
 
 pub mod coo;
 pub mod fused;
 pub mod kernel;
 pub mod local;
-pub mod sparse_tile;
 pub mod sparsify;
 pub mod tile;
 pub mod tiled_matrix;
@@ -36,7 +33,6 @@ pub mod tiled_vector;
 pub use coo::CooMatrix;
 pub use fused::{ElemwiseOp, FusedProgram};
 pub use local::LocalMatrix;
-pub use sparse_tile::CscTile;
 pub use tile::DenseMatrix;
 pub use tiled_matrix::TiledMatrix;
 pub use tiled_vector::TiledVector;

@@ -68,11 +68,6 @@ impl LocalMatrix {
         &self.data
     }
 
-    /// Count of non-zero entries (driver-side, free at registration time).
-    pub fn nnz(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
-    }
-
     /// Naive i-j-k triple loop multiplication.
     pub fn multiply(&self, other: &LocalMatrix) -> LocalMatrix {
         assert_eq!(self.cols, other.rows, "multiply: dimension mismatch");

@@ -34,10 +34,10 @@
 //! and of the planner's tasks is drawn from the list: [`DenseMatrix::zeros`]
 //! (contraction accumulators, completed grids, index-remap landing tiles),
 //! [`DenseMatrix::from_fn`], `transpose`, `slice_padded`, `sub`, `map`,
-//! `zip_with`, `decode`, [`crate::CscTile::to_dense`],
-//! [`crate::TiledMatrix::from_local`]'s tiles, the fused executor's output
-//! ([`crate::kernel::fused_eltwise`]), the GEMM's packed panels, and the
-//! copy [`DenseMatrix::data_mut`] makes of a shared payload. Only
+//! `zip_with`, `decode`, [`crate::TiledMatrix::from_local`]'s tiles, the
+//! fused executor's output ([`crate::kernel::fused_eltwise`]), the GEMM's
+//! packed panels, and the copy [`DenseMatrix::data_mut`] makes of a shared
+//! payload. Only
 //! [`DenseMatrix::from_vec`] adopts a buffer from outside.
 //!
 //! A recycled buffer still holds its last owner's values. It goes only to a
@@ -401,12 +401,6 @@ impl DenseMatrix {
                 }
             }
         })
-    }
-
-    /// Count of non-zero entries — the statistic the planner's cost model
-    /// uses to estimate wire bytes of sparse-ish tiles.
-    pub fn nnz(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
     }
 
     /// Sum of all elements.
@@ -970,14 +964,12 @@ mod tests {
     #[test]
     fn a_poisoned_free_list_changes_no_bit() {
         use crate::fused::{ElemwiseOp, FusedProgram};
-        use crate::sparse_tile::CscTile;
         let _turn = exclusive();
         // A 40 x 33 tile (1 320 elements, transposed the same length), a
         // 32 x 40 window of it hanging over two edges (1 280), and a fused
         // pass over a ragged 1 025 elements.
         let a = DenseMatrix::from_fn(40, 33, |i, j| ((i * 33 + j) as f64).sin() * 1e3);
         let b = DenseMatrix::from_fn(40, 33, |i, j| ((i * 7 + j * 5) % 4) as f64 - 1.5);
-        let sparse = a.map(|x| if x > 500.0 { x } else { 0.0 });
         let mut frame = Vec::new();
         a.encode(&mut frame);
         let prog = FusedProgram::new(vec![
@@ -1004,10 +996,6 @@ mod tests {
                     let decoded = DenseMatrix::decode(&frame, &mut 0).expect("frame");
                     bits(decoded.data())
                 }),
-                (
-                    "CscTile::to_dense",
-                    bits(CscTile::from_dense(&sparse).to_dense().data()),
-                ),
             ];
             for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
                 for len in [1025, 1320] {

@@ -1,5 +1,5 @@
 //! Property tests for the fused elementwise kernel: random expression trees
-//! (depth <= 5, with scalar constants) over dense and CSC tiles must match
+//! (depth <= 5, with scalar constants) over dense tiles must match
 //! the per-element `eval_scalar` oracle *bitwise* on every backend — the
 //! determinism contract of `tiled::fused` — on finite values and again with
 //! ±0.0, NaN, ±∞ and subnormals mixed into the slots and the constants
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiled::fused::CmpOp;
 use tiled::kernel::Backend;
-use tiled::{CscTile, DenseMatrix, ElemwiseOp, FusedProgram, LocalMatrix};
+use tiled::{DenseMatrix, ElemwiseOp, FusedProgram, LocalMatrix};
 
 /// The values IEEE-754 treats specially, plus an overflow and two ordinary
 /// values to meet them.
@@ -190,29 +190,6 @@ fn assert_dense_matches_oracle(p: &FusedProgram, bufs: &[Vec<f64>], len: usize) 
     }
 }
 
-/// `map_fused` over the CSC non-zeros against densify → dense pass →
-/// compress, on every backend. Programs that do not preserve zero skip the
-/// sparse path, exactly as the planner's `preserves_zero` gate does.
-fn assert_csc_matches_densified(p: &FusedProgram, csc: &CscTile) {
-    if !p.preserves_zero() {
-        return;
-    }
-    let (rows, cols) = (csc.rows(), csc.cols());
-    let dense = csc.to_dense();
-    let full = tiled::kernel::fused_eltwise(p, &[dense.data()], rows * cols, Backend::Scalar);
-    let want = CscTile::from_dense(&DenseMatrix::from_vec(rows, cols, full));
-    for backend in BACKENDS {
-        let got = csc.map_fused(p, backend);
-        assert_eq!(got.nnz(), want.nnz(), "backend {backend:?}");
-        assert_eq!(
-            bits(got.to_dense().data()),
-            bits(want.to_dense().data()),
-            "backend {backend:?} sig {}",
-            p.signature()
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -243,35 +220,6 @@ proptest! {
             .map(|s| special_buf(len, seed ^ (s as u64 + 1)))
             .collect();
         assert_dense_matches_oracle(&p, &bufs, len);
-    }
-
-    /// Single-input zero-preserving programs over CSC non-zeros only ==
-    /// densify, run, re-compress — the sparse fast path never changes bits.
-    #[test]
-    fn csc_map_fused_bit_identical_to_densified_oracle(
-        seed in 0u64..10_000, depth in 1usize..=5,
-        rows in 1usize..16, cols in 1usize..16, density in 0.0f64..0.9,
-    ) {
-        let p = random_program(seed, depth, 1, Mix::Finite);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC5C);
-        let dense = LocalMatrix::sparse_random(rows, cols, density, &mut rng).to_dense();
-        assert_csc_matches_densified(&p, &CscTile::from_dense(&dense));
-    }
-
-    /// The same with special values among the stored entries and the
-    /// program's constants.
-    #[test]
-    fn csc_map_fused_special_floats_bit_identical_to_densified_oracle(
-        seed in 0u64..10_000, depth in 1usize..=5,
-        rows in 1usize..16, cols in 1usize..16, density in 0.0f64..0.9,
-    ) {
-        let p = random_program(seed, depth, 1, Mix::Special);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC5C);
-        let values: Vec<f64> = (0..rows * cols)
-            .map(|_| if rng.gen_range(0.0..1.0) < density { special(&mut rng) } else { 0.0 })
-            .collect();
-        let csc = CscTile::from_dense(&DenseMatrix::from_vec(rows, cols, values));
-        assert_csc_matches_densified(&p, &csc);
     }
 
     /// Constant folding at any subtree is bit-safe: folding uses the same

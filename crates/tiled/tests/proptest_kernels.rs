@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tiled::{CscTile, DenseMatrix, LocalMatrix};
+use tiled::{DenseMatrix, LocalMatrix};
 
 fn rand_dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -95,18 +95,7 @@ proptest! {
         }
     }
 
-    /// CSC compression is exactly lossless.
-    #[test]
-    fn csc_roundtrip(rows in 1usize..16, cols in 1usize..16,
-                     density in 0.0f64..0.9, seed in 0u64..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = LocalMatrix::sparse_random(rows, cols, density, &mut rng).to_dense();
-        let csc = CscTile::from_dense(&m);
-        prop_assert_eq!(csc.to_dense(), m.clone());
-        prop_assert_eq!(csc.nnz(), m.data().iter().filter(|&&x| x != 0.0).count());
-    }
-
-    /// The byte rule for both tile codecs, degenerate 0 x n shapes included:
+    /// The byte rule for the tile codec, degenerate 0 x n shapes included:
     /// `encoded_len` and its closed form are exactly what `encode` appends.
     #[test]
     fn tile_encoded_len_is_exact(rows in 0usize..12, cols in 0usize..12,
@@ -116,14 +105,10 @@ proptest! {
         let dense = DenseMatrix::from_fn(rows, cols, |_, _| {
             if rng.gen_range(0u64..5) < keep { rng.gen_range(-2.0..2.0) } else { 0.0 }
         });
-        let csc = CscTile::from_dense(&dense);
-        let (mut d, mut c) = (Vec::new(), Vec::new());
+        let mut d = Vec::new();
         dense.encode(&mut d);
-        csc.encode(&mut c);
         prop_assert_eq!(dense.encoded_len(), d.len());
         prop_assert_eq!(DenseMatrix::encoded_len_of(rows, cols), d.len());
-        prop_assert_eq!(csc.encoded_len(), c.len());
-        prop_assert_eq!(CscTile::encoded_len_of(cols, csc.nnz()), c.len());
     }
 
     /// matvec agrees with GEMM against a column vector.
@@ -198,26 +183,6 @@ proptest! {
         let mut got = DenseMatrix::zeros(n, 29);
         got.gemm_acc_with(&a, &b, threads, Backend::active());
         prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
-    }
-
-    /// The CSC sparse-dense kernel runs the same ascending-k FMA chain as
-    /// the dense oracle: bit-identical for finite inputs on both backends
-    /// (structural-zero skips are exact no-ops there).
-    #[test]
-    fn csc_spmm_bit_identical_to_dense_chain(n in 1usize..=40, k in 1usize..=40,
-                                             m in 1usize..=40, density in 0.05f64..0.9,
-                                             seed in 0u64..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = LocalMatrix::sparse_random(n, k, density, &mut rng).to_dense();
-        let b = rand_dense(k, m, seed + 12);
-        let mut want = DenseMatrix::zeros(n, m);
-        want.gemm_acc_naive(&a, &b);
-        let csc = CscTile::from_dense(&a);
-        for backend in [Backend::Scalar, Backend::active()] {
-            let mut got = DenseMatrix::zeros(n, m);
-            csc.spmm_acc_with(&b, &mut got, backend);
-            prop_assert_eq!(bits(&got), bits(&want), "backend {:?}", backend);
-        }
     }
 
     /// matvec rides the shared dot primitive, whose fixed four-accumulator

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::wire::encode_frame;
 use tiled::kernel::Backend;
-use tiled::{CscTile, DenseMatrix, LocalMatrix};
+use tiled::{DenseMatrix, LocalMatrix};
 
 /// Non-integer values, so a reordered or repeated operation shows in the bits.
 fn rand_dense(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
@@ -133,11 +133,6 @@ const MUTATIONS: &[Mutation] = &[
             rng.gen_range(0..m.cols() + 2),
         );
         m.paste(r0, c0, &other);
-    }),
-    ("spmm_acc", |m, rng| {
-        let (a, b) = gemm_operands(m, rng);
-        let sparse = a.map(|x| if x > 0.0 { x } else { 0.0 });
-        CscTile::from_dense(&sparse).spmm_acc(&b, m);
     }),
 ];
 

@@ -1,8 +1,8 @@
 //! Property tests for the memory-budgeted cache (ISSUE 2, satellite 1):
 //! for random plans, storage budgets (including 0 and thrash-tiny), and
 //! injected task failures, a `persist()`-ed evaluation must be
-//! bit-for-bit identical to the uncached one — for dense and sparse (CSC)
-//! tiles alike.
+//! bit-for-bit identical to the uncached one — for dense tiles and for
+//! variable-length sparse triplet lists alike.
 
 mod common;
 
@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use sac_repro::sac::Session;
 use sac_repro::sparkline::wire::encoded_len;
 use sac_repro::sparkline::{Context, Dataset, JobProfile, KeyPartitioner};
-use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
+use sac_repro::tiled::{DenseMatrix, LocalMatrix};
 
 /// A keyed dataset of dense tiles with a shuffle under the persist point, so
 /// lineage recovery after eviction crosses a stage boundary. The modulo
@@ -34,20 +34,21 @@ fn dense_tiles(
         })
 }
 
-/// Same pipeline, but the tiles are CSC-compressed: exercises sparse block
-/// sizing.
+/// Same pipeline, but each block is a sparse tile's triplet list:
+/// exercises variable-length block sizing.
 fn sparse_tiles(
     c: &Context,
     rows: usize,
     cols: usize,
     salt: u64,
-) -> Dataset<((usize, usize), CscTile)> {
+) -> Dataset<((usize, usize), common::Triplets)> {
     c.parallelize((0..12u64).map(|i| ((i % 6) as usize, i)).collect(), 4)
         .partition_by(KeyPartitioner::new(6, "mod6", |k: &usize| *k))
         .map(move |(k, i)| {
-            let mut rng = StdRng::seed_from_u64(i ^ salt);
-            let tile = LocalMatrix::sparse_random(rows, cols, 0.4, &mut rng).to_dense();
-            ((k, i as usize), CscTile::from_dense(&tile))
+            (
+                (k, i as usize),
+                common::sparse_triplets(rows, cols, i ^ salt),
+            )
         })
 }
 
@@ -117,7 +118,7 @@ proptest! {
         }
     }
 
-    /// Sparse (CSC) tiles: same property.
+    /// Sparse triplet lists: same property.
     #[test]
     fn sparse_persist_is_bit_identical(rows in 1usize..6, cols in 1usize..6,
                                        salt in 0u64..1000, budget in budgets(),

@@ -7,12 +7,14 @@
 //! is *correct recovery*, not the attempt accounting (which
 //! `tests/plan_shape.rs` pins deterministically).
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::sparkline::{ChaosPlan, Context, Dataset, Event, KeyPartitioner};
-use sac_repro::tiled::{CscTile, DenseMatrix, LocalMatrix};
+use sac_repro::tiled::{DenseMatrix, LocalMatrix};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -62,20 +64,21 @@ fn chaos_session(n: usize, tile: usize, a: &LocalMatrix, plan: Option<ChaosPlan>
     s
 }
 
-/// A keyed dataset of sparse (CSC) tiles with a shuffle under it — the same
-/// pipeline the cache proptests use, here run under executor loss.
+/// A keyed dataset of sparse tiles' triplet lists with a shuffle under it —
+/// the same pipeline the cache proptests use, here run under executor loss.
 fn sparse_tiles(
     c: &Context,
     rows: usize,
     cols: usize,
     salt: u64,
-) -> Dataset<((usize, usize), CscTile)> {
+) -> Dataset<((usize, usize), common::Triplets)> {
     c.parallelize((0..12u64).map(|i| ((i % 6) as usize, i)).collect(), 4)
         .partition_by(KeyPartitioner::new(6, "mod6", |k: &usize| *k))
         .map(move |(k, i)| {
-            let mut rng = StdRng::seed_from_u64(i ^ salt);
-            let tile = LocalMatrix::sparse_random(rows, cols, 0.4, &mut rng).to_dense();
-            ((k, i as usize), CscTile::from_dense(&tile))
+            (
+                (k, i as usize),
+                common::sparse_triplets(rows, cols, i ^ salt),
+            )
         })
 }
 
@@ -163,7 +166,7 @@ proptest! {
         }
     }
 
-    /// Sparse (CSC) tiles under random kills and fetch failures: the raw
+    /// Sparse triplet lists under random kills and fetch failures: the raw
     /// runtime pipeline (shuffle + persist) recovers bit-identically.
     #[test]
     fn sparse_pipeline_survives_random_chaos(rows in 1usize..6, cols in 1usize..6,
@@ -262,8 +265,8 @@ fn chaos_recovery_is_visible_in_explain_analyze() {
 // Streaming-pipeline pinning (ISSUE 5, satellite 3): random narrow-op chains,
 // fused by the pull-based runtime into a single operator pipeline, must stay
 // bit-identical to eager Vec semantics — replayed driver-side on plain Vecs —
-// under seeded chaos and tiny storage budgets, for dense and CSC-sparse
-// tiles alike.
+// under seeded chaos and tiny storage budgets, for dense tiles and sparse
+// triplet lists alike.
 // ---------------------------------------------------------------------------
 
 /// Applies a random narrow-op chain to a dataset. Every opcode picks one of
@@ -339,12 +342,11 @@ fn oracle_dense(rows: usize, cols: usize, salt: u64) -> Vec<((usize, usize), Den
 }
 
 /// Driver-side replica of the `sparse_tiles` generator.
-fn oracle_sparse(rows: usize, cols: usize, salt: u64) -> Vec<((usize, usize), CscTile)> {
+fn oracle_sparse(rows: usize, cols: usize, salt: u64) -> Vec<((usize, usize), common::Triplets)> {
     (0..12u64)
         .map(|i| {
-            let mut rng = StdRng::seed_from_u64(i ^ salt);
-            let tile = LocalMatrix::sparse_random(rows, cols, 0.4, &mut rng).to_dense();
-            (((i % 6) as usize, i as usize), CscTile::from_dense(&tile))
+            let tile = common::sparse_triplets(rows, cols, i ^ salt);
+            (((i % 6) as usize, i as usize), tile)
         })
         .collect()
 }
@@ -425,8 +427,8 @@ proptest! {
 
     /// Adaptive re-planning vs the frozen oracle (a session pinned to
     /// `MatMulStrategy::ReduceByKey` — a pinned strategy never probes and
-    /// never re-plans): random paper queries over dense and sparse
-    /// (CSC-discounted) integer-valued inputs, under seeded chaos, a
+    /// never re-plans): random paper queries over dense and zero-heavy
+    /// integer-valued inputs, under seeded chaos, a
     /// 256-byte storage budget, and two worker processes, must be
     /// bit-identical whether or not the stage driver is allowed to
     /// re-decide mid-plan. Integer values make every reduction order exact,
@@ -442,9 +444,9 @@ proptest! {
     ) {
         let src = QUERIES[query];
         let a = if sparse {
-            // ~25% nnz: registration keeps dense estimated_bytes while the
-            // probe observes the CSC-discounted truth — the honest
-            // mis-estimate that can legitimately re-decide.
+            // ~25% nnz. Every tile is priced dense, so the probe reads back
+            // what registration derived: density alone never re-decides,
+            // and the run must match the frozen plan.
             LocalMatrix::from_fn(n, n, |i, j| {
                 if (i * 5 + j * 3 + seed) % 4 == 0 {
                     ((i + j + seed) % 7) as f64 - 3.0

@@ -1,16 +1,18 @@
 //! Test support shared by the suites: the `rough()` generator and the
 //! reference interpreter as an oracle for those that check bits on real
 //! floats, task-failure schedules for those that retry over cached blocks,
-//! and the statement-at-a-time factorization step that a translated
-//! program run must reproduce.
+//! the statement-at-a-time factorization step that a translated program
+//! run must reproduce, and sparse tiles' triplet lists for those that need
+//! blocks of varying length.
 #![allow(dead_code)] // each suite uses its own subset
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use sac_repro::comp::{eval, parse_expr, CompError, Env, Value};
 use sac_repro::planner::{DistArray, PlanEnv};
 use sac_repro::sac::{linalg, Session};
 use sac_repro::sparkline::{ChaosPlan, Event, CHAOS_ENV};
+use sac_repro::tiled::sparsify::sparsify_local;
 use sac_repro::tiled::{LocalMatrix, TiledMatrix};
 
 /// The `SPARKLINE_CHAOS` schedule, or an empty plan when the variable is
@@ -168,4 +170,17 @@ pub fn factorization_step_by_statement(
     let p2 = update(p, &linalg::multiply(s, &e, q)?)?;
     let q2 = update(q, &linalg::multiply_at(s, &e, p)?)?;
     Ok((p2, q2))
+}
+
+/// One tile as an association list: `((i, j), value)` entries.
+pub type Triplets = Vec<((i64, i64), f64)>;
+
+/// The non-zero triplets of a zero-heavy `sparse_random` tile, as
+/// `sparsify_local` lists them: a payload whose encoded length varies from
+/// tile to tile with its non-zero count.
+pub fn sparse_triplets(rows: usize, cols: usize, seed: u64) -> Triplets {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut list = sparsify_local(&LocalMatrix::sparse_random(rows, cols, 0.4, &mut rng));
+    list.retain(|&(_, v)| v != 0.0);
+    list
 }

@@ -179,18 +179,6 @@ fn coo_shuffles_more_bytes_than_tiled_for_multiplication() {
 }
 
 #[test]
-fn csc_extension_matches_dense_kernels() {
-    // §8 future-work storage: CSC tiles drive the same GEMM results.
-    use sac_repro::tiled::{CscTile, DenseMatrix};
-    let mut rng = StdRng::seed_from_u64(12);
-    let a = LocalMatrix::sparse_random(32, 24, 0.15, &mut rng).to_dense();
-    let b = DenseMatrix::from_fn(24, 16, |i, j| ((i + j) % 5) as f64);
-    let mut got = DenseMatrix::zeros(32, 16);
-    CscTile::from_dense(&a).spmm_acc(&b, &mut got);
-    assert!(got.approx_eq(&a.multiply(&b), 1e-10));
-}
-
-#[test]
 fn mllib_grid_partitioned_matrices_add_without_extra_shuffles() {
     // Co-partitioned adds are narrow in Spark; verify the runtime honors it.
     let ctx = Context::builder().workers(4).build();

@@ -175,8 +175,8 @@ proptest! {
             transposed,
         };
         let (a, b) = if sparse_inputs {
-            // Zero-heavy inputs: exercises the `preserves_zero` boundary and
-            // tile padding without a session-level CSC registration path.
+            // Zero-heavy inputs: programs meet exact zeros (signed-zero
+            // results, 0/0) next to tile padding.
             (
                 LocalMatrix::sparse_random(n, n, 0.3, &mut rng),
                 LocalMatrix::sparse_random(n, n, 0.3, &mut rng),

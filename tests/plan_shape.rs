@@ -5,6 +5,8 @@
 //! resulting [`JobProfile`] — instead of diffing global metric counters,
 //! which breaks under concurrent jobs and parallel test binaries.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::sparkline::JobProfile;
 use sac_repro::tiled::LocalMatrix;
@@ -289,6 +291,39 @@ fn auto_mat_vec_broadcasts_with_zero_shuffle_stages() {
         "the shuffling alternative must have been costed: {:?}",
         choice.candidates
     );
+}
+
+/// Every tile ships dense, so every tile is priced dense: a zero-heavy
+/// matrix registered from local data, the same tiles registered as a tiled
+/// matrix, and a full matrix of its shape get one decision — chosen row,
+/// estimate and every candidate's cost — for a multiply and a mat-vec.
+#[test]
+fn sparse_data_is_priced_like_dense() {
+    let (n, tile) = (96, 16);
+    let mut rng = StdRng::seed_from_u64(41);
+    let sparse = LocalMatrix::sparse_random(n, n, 0.05, &mut rng);
+    let full = LocalMatrix::from_fn(n, n, |i, j| (i * n + j) as f64 + 1.0);
+    let x: Vec<f64> = (0..n).map(|i| i as f64 - 3.0).collect();
+    let build = || Session::builder().workers(4).partitions(4).build();
+    let (mut local, mut tiled, mut dense) = (build(), build(), build());
+    local.register_local_matrix("A", &sparse, tile);
+    tiled.register_matrix("A", local.matrix_named("A").unwrap());
+    dense.register_local_matrix("A", &full, tile);
+    for s in [&mut local, &mut tiled, &mut dense] {
+        s.register_local_matrix("B", &full, tile);
+        let v = sac_repro::tiled::TiledVector::from_local(s.spark(), &x, tile, 4);
+        s.register_vector("V", v);
+        s.set_int("n", n as i64);
+    }
+    for src in [MUL_SRC, MAT_VEC_SRC] {
+        let decision = |s: &Session| {
+            let planned = s.compile(src).unwrap();
+            planned.plan.decision().cloned().expect("a cost-based node")
+        };
+        let want = decision(&dense);
+        assert_eq!(decision(&local), want, "{src}");
+        assert_eq!(decision(&tiled), want, "{src}");
+    }
 }
 
 #[test]
@@ -779,11 +814,10 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     s.register_local_matrix("A", &a, 32);
     s.register_local_matrix("B", &b, 32);
     s.set_int("n", n as i64);
-    // The lie: 8x the honest resident bytes, density unknown. 9 dense
-    // 32x32 tiles are 74 016 bytes — claimed 592 128, past the budget.
+    // The lie: 8x the honest resident bytes. 9 dense 32x32 tiles are
+    // 74 016 bytes — claimed 592 128, past the budget.
     for name in ["A", "B"] {
         let mut lied = *s.env().stats(name).unwrap();
-        lied.nnz = None;
         lied.estimated_bytes *= 8;
         s.env_mut().set_stats(name, lied);
     }
@@ -842,7 +876,6 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     frozen.set_int("n", n as i64);
     for name in ["A", "B"] {
         let mut lied = *frozen.env().stats(name).unwrap();
-        lied.nnz = None;
         lied.estimated_bytes *= 8;
         frozen.env_mut().set_stats(name, lied);
     }

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_repro::mllib::BlockMatrix;
 use sac_repro::sac::{MatMulStrategy, Session};
-use sac_repro::tiled::{sparsify, CscTile, LocalMatrix, TiledMatrix, TiledVector};
+use sac_repro::tiled::{sparsify, LocalMatrix, TiledMatrix, TiledVector};
 
 /// Index remaps (§5.2, rule 19) over an `n x m` matrix `A`, one per shape
 /// the lowering distinguishes.
@@ -262,20 +262,6 @@ proptest! {
         let ta = TiledMatrix::from_local(s.spark(), &a, tile, 2);
         let got = sac_repro::sac::linalg::smooth(&s, &ta).unwrap().to_local();
         prop_assert!(got.approx_eq(&a.smooth(), 1e-9));
-    }
-
-    /// CSC compression is lossless and its GEMM agrees with dense.
-    #[test]
-    fn csc_roundtrip_and_gemm(rows in 1usize..12, cols in 1usize..12,
-                              inner in 1usize..12, seed in 0u64..500) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = LocalMatrix::sparse_random(rows, inner, 0.3, &mut rng).to_dense();
-        let b = rand_mat(inner, cols, seed + 5).to_dense();
-        let csc = CscTile::from_dense(&a);
-        prop_assert_eq!(csc.to_dense(), a.clone());
-        let mut got = sac_repro::tiled::DenseMatrix::zeros(rows, cols);
-        csc.spmm_acc(&b, &mut got);
-        prop_assert!(got.approx_eq(&a.multiply(&b), 1e-9));
     }
 
     /// The runtime's reduce_by_key sums agree with a sequential fold for any
