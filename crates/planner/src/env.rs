@@ -2,6 +2,7 @@
 //! bound to — a distributed array, or a driver-side scalar.
 
 use comp::Value;
+use sparkline::Context;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use tiled::{DenseMatrix, TiledMatrix, TiledVector};
@@ -46,6 +47,14 @@ impl DistArray {
         match self {
             DistArray::Matrix(m) => Arc::as_ptr(m.tiles().op()) as *const () as usize,
             DistArray::Vector(v) => Arc::as_ptr(v.blocks().op()) as *const () as usize,
+        }
+    }
+
+    /// The context the array's blocks live in.
+    pub(crate) fn context(&self) -> &Context {
+        match self {
+            DistArray::Matrix(m) => m.tiles().context(),
+            DistArray::Vector(v) => v.blocks().context(),
         }
     }
 

@@ -846,7 +846,7 @@ dataflows!(
 /// so a runtime strategy switch runs bit-identically to the same strategy
 /// chosen up front.
 ///
-/// Operand blocks are only routed by a dataflow — replicas, join pairs and
+/// Operand blocks are only routed by a dataflow — bands, join pairs and
 /// broadcast tables are pointer copies of shared tiles — and every dataflow
 /// but `join_group_by` multiplies into one resident block per output key per
 /// task (`Block::acc`), so the only arithmetic and the only large allocations
@@ -856,9 +856,10 @@ dataflows!(
 /// [`Block::right`]: under the plain product, the tile kernel's packs). The
 /// group-by-join prepares each operand block once per cell — `k` outermost,
 /// one row and one column of packs per `k` — and multiplies it into every
-/// output block of the cell it reaches; `reduce_by_key`, the broadcast joins
-/// and `join_group_by` meet each product's operands on their own and
-/// prepare them once per product ([`Products::multiply`]).
+/// output block of the cell it reaches; the broadcast joins prepare each
+/// block once per task; `reduce_by_key` and `join_group_by` meet each
+/// product's operands on their own and prepare them once per product
+/// ([`Products::multiply`]).
 pub(crate) struct Contract<B: Block> {
     a: Operand<DenseMatrix>,
     b: Operand<B>,
@@ -1015,17 +1016,24 @@ fn reduce_by_key<B: Block>(c: &Contract<B>) -> Lowered<B> {
 /// [`Context::broadcast`], and compute locally-merged partial output blocks
 /// map-side — no join shuffle at all. The big side is only read: its stream
 /// is consumed by reference so shared source partitions are never cloned
-/// into the task.
+/// into the task. A task prepares each streamed block once and each table
+/// block once, on first use ([`Block::left`], [`Block::right`]), and
+/// multiplies in the streamed order — the same products in the same order
+/// as preparing both operands per product, so the same bits.
 fn broadcast_partials<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let (n, products, ctx) = (c.n, c.products(), c.a.blocks.context());
     Ok(if c.b_small {
         let table = ctx.broadcast(by_contracted(c.b.blocks.try_collect()?, |&(k, _)| k));
         c.a.blocks.map_partitions_stream(move |_, tiles| {
             let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+            let mut rights: HashMap<(i64, B::Col), B::Right<'_>> = HashMap::new();
             tiles.for_each_ref(|((i, k), av)| {
-                for ((_, j), bv) in table.get(k).into_iter().flatten() {
+                let Some(blocks) = table.get(k) else { return };
+                let a = products.left(av);
+                for ((_, j), bv) in blocks {
+                    let b = rights.entry((*k, *j)).or_insert_with(|| products.right(bv));
                     let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                    products.multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                    products.acc(&a, b, (*i, *k, B::col_index(*j)), out);
                 }
             });
             PartitionStream::from_vec(acc.into_iter().collect())
@@ -1034,10 +1042,14 @@ fn broadcast_partials<B: Block>(c: &Contract<B>) -> Lowered<B> {
         let table = ctx.broadcast(by_contracted(c.a.blocks.try_collect()?, |&(_, k)| k));
         c.b.blocks.map_partitions_stream(move |_, blocks| {
             let mut acc: HashMap<(i64, B::Col), B> = HashMap::new();
+            let mut lefts: HashMap<TileCoord, B::Left<'_>> = HashMap::new();
             blocks.for_each_ref(|((k, j), bv)| {
-                for ((i, _), av) in table.get(k).into_iter().flatten() {
+                let Some(tiles) = table.get(k) else { return };
+                let b = products.right(bv);
+                for ((i, _), av) in tiles {
+                    let a = lefts.entry((*i, *k)).or_insert_with(|| products.left(av));
                     let out = acc.entry((*i, *j)).or_insert_with(|| B::zeros(n));
-                    products.multiply(av, bv, (*i, *k, B::col_index(*j)), out);
+                    products.acc(a, &b, (*i, *k, B::col_index(*j)), out);
                 }
             });
             PartitionStream::from_vec(acc.into_iter().collect())
@@ -1070,22 +1082,24 @@ fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Lowered<B> {
 }
 
 /// §5.4's group-by-join as SUMMA: `C[i,j] = Σ_k A[i,k] ⊗ B[k,j]` in one
-/// cogroup round whose reducers are the cells of the output's own grid
+/// shuffle round whose reducers are the cells of the output's own grid
 /// partitioner ([`GridCells`] over `free_left x free_right` output blocks).
-/// A block travels once per reducer that needs it, not once per output block:
-/// `A[i,k]` to the `pc` cells its block row crosses — keyed `(i, first column
-/// of the cell)` — and `B[k,j]` to the `pr` cells its block column crosses —
-/// keyed `(first row of the cell, j)` — both pointer copies until a frame is
-/// encoded. Each reduce task holds one resident block per output key of its
-/// cell and walks the contracted index `k` outermost, in ascending order:
-/// for each `k` it prepares `A[i,k]` once for every row `i` of the cell and
-/// `B[k,j]` once for every column `j` ([`Block::left`] — under the plain
-/// product, the tile kernel's packs), then folds `C_ij += A_ik ⊗ B_kj` into
-/// every block of the cell from those, skipping absent operand blocks. So an
-/// operand tile is packed once per cell, not once per product, and at most
-/// one row and one column of prepared operands is live at a time. No partial
-/// sum is shuffled or merged, so every output element is one ascending chain
-/// over the contracted index — a function of the operands alone, not of
+/// Each operand block travels once: `A[i,k]` keyed by its output block row
+/// `i` to the row band holding `i`, `B[k,j]` keyed by its output block
+/// column `j` to the column band holding `j` — `pr` row bands and `pc`
+/// column bands, one `partitionBy` a side. Cell `c` then reads row band
+/// `c % pr` and column band `c / pr` in place ([`Dataset::cross_bands`]), so
+/// a band is read by the `pc` (`pr`) cells that cross it but written once.
+/// Each cell holds one resident block per output key and walks the
+/// contracted index `k` outermost, in ascending order: for each `k` it
+/// prepares `A[i,k]` once for every row `i` of the cell and `B[k,j]` once
+/// for every column `j` ([`Block::left`] — under the plain product, the
+/// tile kernel's packs), then folds `C_ij += A_ik ⊗ B_kj` into every block
+/// of the cell from those, skipping absent operand blocks. So an operand
+/// tile is packed once per cell, not once per product, and at most one row
+/// and one column of prepared operands is live at a time. No partial sum is
+/// shuffled or merged, so every output element is one ascending chain over
+/// the contracted index — a function of the operands alone, not of
 /// partition count, source layout, retry or process count. The cell's
 /// blocks are emitted from the cell's partition, so the result carries the
 /// grid partitioner of its own shape and joins with co-indexed matrices
@@ -1093,55 +1107,47 @@ fn broadcast_to_driver<B: Block>(c: &Contract<B>) -> Lowered<B> {
 fn group_by_join<B: Block>(c: &Contract<B>) -> Lowered<B> {
     let (free_left, contracted, free_right) = c.grid();
     let cells = GridCells::new(free_left as usize, free_right as usize, c.partitions);
-    let row_anchors = cells.row_anchors();
-    let col_anchors: Vec<B::Col> = cells.col_anchors().into_iter().map(B::col_at).collect();
-    let lefts = c.a.blocks.flat_map(move |((i, k), t)| {
-        let replicas = col_anchors.iter().map(|&j| ((i, j), (k, t.clone())));
-        replicas.collect::<Vec<_>>()
-    });
-    let rights = c.b.blocks.flat_map(move |((k, j), t)| {
-        let replicas = row_anchors.iter().map(|&i| ((i, j), (k, t.clone())));
-        replicas.collect::<Vec<_>>()
-    });
-    let by_cell = cells.partitioner_by(|&(i, j): &(i64, B::Col)| (i, B::col_index(j)));
+    let rows = c.a.blocks.map(|((i, k), t)| (i, (k, t)));
+    let cols = c.b.blocks.map(|((k, j), t)| (j, (k, t)));
+    let rows = rows.partition_by(cells.row_bands_by(|&i| i));
+    let cols = cols.partition_by(cells.col_bands_by(|&j| B::col_index(j)));
     let (n, products) = (c.n, c.products());
-    let reduced = lefts
-        .cogroup_with(&rights, by_cell)
-        .map_partitions_preserving("groupByJoin", move |cell, records| {
-            let records = records.into_vec();
-            let mut a_at: HashMap<TileCoord, &DenseMatrix> = HashMap::new();
-            let mut b_at: HashMap<TileCoord, &B> = HashMap::new();
-            for ((i, j), (ls, rs)) in &records {
-                a_at.extend(ls.iter().map(|(k, t)| ((*i, *k), t)));
-                b_at.extend(rs.iter().map(|(k, t)| ((*k, B::col_index(*j)), t)));
+    let reduced = rows.cross_bands(&cols, cells, "groupByJoin", move |cell, lefts, rights| {
+        // Both bands are read where they lie: shared shuffle outputs.
+        let ((lefts, l), (rights, r)) = (lefts.into_shared(), rights.into_shared());
+        let a_at: HashMap<TileCoord, &DenseMatrix> =
+            lefts[l].iter().map(|(i, (k, t))| ((*i, *k), t)).collect();
+        let b_at: HashMap<TileCoord, &B> = rights[r]
+            .iter()
+            .map(|(j, (k, t))| ((*k, B::col_index(*j)), t))
+            .collect();
+        let (rows, cols) = cells.bands(cell);
+        let (rows, cols): (Vec<i64>, Vec<i64>) = (rows.collect(), cols.collect());
+        let mut out: Vec<B> = (0..rows.len() * cols.len()).map(|_| B::zeros(n)).collect();
+        for k in 0..contracted {
+            let a_k: Vec<_> = rows.iter().map(|&i| a_at.get(&(i, k))).collect();
+            let b_k: Vec<_> = cols.iter().map(|&j| b_at.get(&(k, j))).collect();
+            // Prepare nothing that no product reads (an empty band reads none).
+            if a_k.iter().all(Option::is_none) || b_k.iter().all(Option::is_none) {
+                continue;
             }
-            let (rows, cols) = cells.bands(cell);
-            let (rows, cols): (Vec<i64>, Vec<i64>) = (rows.collect(), cols.collect());
-            let mut out: Vec<B> = (0..rows.len() * cols.len()).map(|_| B::zeros(n)).collect();
-            for k in 0..contracted {
-                let a_k: Vec<_> = rows.iter().map(|&i| a_at.get(&(i, k))).collect();
-                let b_k: Vec<_> = cols.iter().map(|&j| b_at.get(&(k, j))).collect();
-                // Prepare nothing that no product reads (an empty band reads none).
-                if a_k.iter().all(Option::is_none) || b_k.iter().all(Option::is_none) {
-                    continue;
-                }
-                let a_k: Vec<_> = a_k.iter().map(|a| a.map(|a| products.left(a))).collect();
-                let b_k: Vec<_> = b_k.iter().map(|b| b.map(|b| products.right(b))).collect();
-                for ((a, &i), row) in a_k.iter().zip(&rows).zip(out.chunks_mut(cols.len())) {
-                    let Some(a) = a else { continue };
-                    for ((b, &j), acc) in b_k.iter().zip(&cols).zip(row) {
-                        if let Some(b) = b {
-                            products.acc(a, b, (i, k, j), acc);
-                        }
+            let a_k: Vec<_> = a_k.iter().map(|a| a.map(|a| products.left(a))).collect();
+            let b_k: Vec<_> = b_k.iter().map(|b| b.map(|b| products.right(b))).collect();
+            for ((a, &i), row) in a_k.iter().zip(&rows).zip(out.chunks_mut(cols.len())) {
+                let Some(a) = a else { continue };
+                for ((b, &j), acc) in b_k.iter().zip(&cols).zip(row) {
+                    if let Some(b) = b {
+                        products.acc(a, b, (i, k, j), acc);
                     }
                 }
             }
-            let keys = rows
-                .iter()
-                .flat_map(|&i| cols.iter().map(move |&j| (i, B::col_at(j))));
-            PartitionStream::from_vec(keys.zip(out).collect())
-        });
-    // Every product of the plan runs in that reduce, behind no shuffle: a
+        }
+        let keys = rows
+            .iter()
+            .flat_map(|&i| cols.iter().map(move |&j| (i, B::col_at(j))));
+        PartitionStream::from_vec(keys.zip(out).collect())
+    });
+    // Every product of the plan runs in those cells, behind no shuffle: a
     // consumer that evaluates the result twice (a stage-frontier probe and
     // then the stage, two contractions over one `E`) would multiply twice.
     // Persist it under the storage budget for as long as the result lives;

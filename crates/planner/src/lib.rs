@@ -285,7 +285,7 @@ mod tests {
         };
         let gbj = count_shuffles(MatMulStrategy::GroupByJoin);
         let rbk = count_shuffles(MatMulStrategy::ReduceByKey);
-        // GBJ: cogroup shuffles the two replicated sides. RBK: join shuffles
+        // GBJ: one band shuffle a side. RBK: join shuffles
         // both sides + reduceByKey shuffles partial products.
         assert!(gbj <= 2, "gbj: {gbj}");
         assert!(rbk >= 3, "rbk: {rbk}");

@@ -34,9 +34,10 @@ pub enum MatMulStrategy {
     /// §5.3: join on the contracted index, tile products, `reduceByKey`
     /// (map-side combined).
     ReduceByKey,
-    /// §5.4: group-by-join (SUMMA) — send each tile once to every reducer of
-    /// the output grid that needs it, cogroup once, reduce locally in
-    /// ascending contracted order.
+    /// §5.4: group-by-join (SUMMA) — send each tile once, to the row or
+    /// column band of the output grid that needs it, and let every cell of
+    /// the grid read its two bands in place, reducing locally in ascending
+    /// contracted order.
     GroupByJoin,
     /// MLlib-style broadcast join: collect the smaller operand on the
     /// driver, [`sparkline::Context::broadcast`] it, and compute partial
@@ -757,10 +758,9 @@ fn plan_contraction(s: &Statement) -> Result<Node, CompError> {
 // The cost column of the contraction rows, in bytes.
 // ---------------------------------------------------------------------------
 
-/// Fixed per-shuffle-round cost, in byte equivalents. A pure byte model
-/// never prefers the fewer-round group-by-join on small grids (its
-/// replicated join input weighs at least as much as reduceByKey's combined
-/// output there), so each shuffle barrier also pays this latency proxy.
+/// Fixed per-shuffle-round cost, in byte equivalents: each shuffle barrier
+/// pays this latency proxy on top of its bytes, so of two rows shipping
+/// about the same bytes the one with fewer rounds wins.
 const ROUND_COST: u64 = 16 << 10;
 
 /// Nominal partition count for cost estimation when autotuning
@@ -784,6 +784,10 @@ struct ContractionShape {
     broadcast_bytes: u64,
     /// Encoded bytes of one output block record.
     out_block: u64,
+    /// The operands are tile sets whose shuffles cross worker processes
+    /// while every task runs on the driver: a table collected for a
+    /// broadcast never crosses a socket.
+    through_workers: bool,
 }
 
 impl ContractionShape {
@@ -816,6 +820,11 @@ impl ContractionShape {
                 ArrayStats::dense_tile_bytes(sa.tile_size.max(sb.tile_size)),
             )
         };
+        let through_workers = !vector
+            && [&n.left, &n.right]
+                .into_iter()
+                .filter_map(|name| env.array(name))
+                .any(|array| array.context().worker_processes() > 0);
         Some(ContractionShape {
             free_left: free_left as u64,
             contracted: contracted as u64,
@@ -824,16 +833,24 @@ impl ContractionShape {
             right_bytes,
             broadcast_bytes,
             out_block,
+            through_workers,
         })
     }
 }
 
 /// Broadcast: ship the small side everywhere, partial output blocks
 /// map-side, then one combine round (tiles) or a driver-side merge (vector
-/// blocks). Eligible only under the byte budget.
+/// blocks). Eligible only under the byte budget. Through worker processes
+/// the table is collected to the driver, where every task runs, so only the
+/// combine round ships: at most `min(p, k)` partial blocks per output block.
 fn broadcast_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
-    (s.broadcast_bytes <= config.broadcast_budget)
-        .then(|| s.broadcast_bytes + s.free_left * s.free_right * s.out_block)
+    let output = s.free_left * s.free_right;
+    let shipped = if s.through_workers {
+        output * cost_partitions(config).min(s.contracted) * s.out_block
+    } else {
+        s.broadcast_bytes + output * s.out_block
+    };
+    (s.broadcast_bytes <= config.broadcast_budget).then_some(shipped)
 }
 
 /// The partition count a cost is estimated at.
@@ -845,12 +862,12 @@ fn cost_partitions(config: &PlanConfig) -> u64 {
 }
 
 /// Group-by-join (§5.4): the reducers are the `pr x pc` cells of the output's
-/// grid partitioner — the same [`GridCells`] the lowering routes by — and a
-/// block goes once to each cell its band crosses: the left side `pc` times,
-/// the right side `pr` times, one cogroup round. Ineligible when that grid
-/// engages fewer reducers than a split over the contracted index would (a
-/// thin Gram product: one output block, a long contraction): there the
-/// reduceByKey row's `k`-split is the parallel plan.
+/// grid partitioner — the same [`GridCells`] the lowering routes by — and
+/// each block ships once, to the row band (left) or column band (right) its
+/// cells read in place: both sides once, one round of two shuffles.
+/// Ineligible when that grid engages fewer reducers than a split over the
+/// contracted index would (a thin Gram product: one output block, a long
+/// contraction): there the reduceByKey row's `k`-split is the parallel plan.
 fn group_by_join_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64> {
     let partitions = cost_partitions(config);
     let cells = GridCells::new(
@@ -858,9 +875,7 @@ fn group_by_join_bytes(s: &ContractionShape, config: &PlanConfig) -> Option<u64>
         s.free_right as usize,
         partitions as usize,
     );
-    let (pr, pc) = cells.shape();
-    (cells.cells() as u64 >= s.contracted.min(partitions))
-        .then(|| s.left_bytes * pc as u64 + s.right_bytes * pr as u64)
+    (cells.cells() as u64 >= s.contracted.min(partitions)).then(|| s.left_bytes + s.right_bytes)
 }
 
 /// Join + reduceByKey (§5.3): both sides shuffled once for the join, partial

@@ -281,8 +281,8 @@ fn contraction_decisions_are_the_parent_commits_numbers() {
             vec![
                 ("contraction/broadcast", 120_784),
                 // 6 x 5 output blocks over 4 partitions: a 2 x 2 cell grid,
-                // each side sent twice, two rounds.
-                ("contraction/groupByJoin", 216_512),
+                // each side sent once to its bands, two rounds.
+                ("contraction/groupByJoin", 124_640),
                 // A tie: list order is the tie-break order. Both sides once,
                 // 120 partial (or product) blocks, three rounds.
                 ("contraction/reduceByKey", 391_584),
@@ -298,14 +298,14 @@ fn contraction_decisions_are_the_parent_commits_numbers() {
     ];
     assert_eq!(
         decision_under(MUL_TT_SRC, &large, &PlanConfig::default()),
-        // 32 x 24 output blocks over 8 partitions: a 2 x 4 cell grid, the left
-        // side sent 4 times and the right side twice — under reduceByKey's
-        // 16-deep partial sums.
+        // 32 x 24 output blocks over 8 partitions: a 2 x 4 cell grid, each
+        // side sent once to its bands — under reduceByKey's 16-deep partial
+        // sums.
         (
             "contraction/groupByJoin",
-            369_244_160,
+            117_509_120,
             vec![
-                ("contraction/groupByJoin", 369_244_160),
+                ("contraction/groupByJoin", 117_509_120),
                 ("contraction/reduceByKey", 923_077_632),
                 ("contraction/joinGroupBy", 1_728_629_760),
             ]

@@ -1,8 +1,8 @@
 //! The public [`Dataset`] API — the RDD analog.
 
 use crate::context::{expect_job, Context, JobError, StageMeta};
-use crate::ops::{MapPartitionsOp, Op, SourceOp, UnionOp};
-use crate::partitioner::KeyPartitioner;
+use crate::ops::{BandsOp, MapPartitionsOp, Op, SourceOp, UnionOp};
+use crate::partitioner::{GridCells, KeyPartitioner};
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
 use crate::storage::{BlockLease, PersistOp, SpillCodec};
 use crate::stream::PartitionStream;
@@ -168,6 +168,42 @@ impl<T: Data> Dataset<T> {
             right: other.op.clone(),
         };
         self.derived(Arc::new(op), &other.leases)
+    }
+
+    /// The cells of `cells` over this dataset's row bands and `cols`' column
+    /// bands ([`BandsOp`]): one partition per cell, in which `f` reads row
+    /// band `cell % pr` of this dataset and column band `cell / pr` of
+    /// `cols`. Narrow: each band is read in place by the `pc` (`pr`) cells
+    /// that cross it. `f` must emit only keys of its own cell — the result
+    /// reports the cells' grid descriptor, so it joins narrowly with a
+    /// dataset partitioned by [`GridCells::partitioner_by`] — and, as for
+    /// [`Dataset::map_partitions_stream`], return a stream re-creatable from
+    /// its inputs. Panics unless this dataset has `pr` partitions and `cols`
+    /// has `pc`, as [`GridCells::row_bands_by`] and
+    /// [`GridCells::col_bands_by`] partition them.
+    pub fn cross_bands<R: Data, U: Data>(
+        &self,
+        cols: &Dataset<R>,
+        cells: GridCells,
+        label: &str,
+        f: impl Fn(usize, PartitionStream<T>, PartitionStream<R>) -> PartitionStream<U>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Dataset<U> {
+        assert_eq!(
+            (self.num_partitions(), cols.num_partitions()),
+            cells.shape(),
+            "cross_bands reads one partition per row band and one per column band"
+        );
+        let op = BandsOp {
+            rows: self.op.clone(),
+            cols: cols.op.clone(),
+            cells,
+            f: Arc::new(f),
+            label: label.to_string(),
+        };
+        self.derived(Arc::new(op), &cols.leases)
     }
 
     /// Persist partitions in the context's memory-budgeted block manager
@@ -658,6 +694,117 @@ mod tests {
         joined.sort();
         let want: Vec<_> = (2..8i64).map(|k| (k, (k - 2, k))).collect();
         assert_eq!(joined, want);
+    }
+
+    type BandedPair = (Dataset<(i64, i64)>, Dataset<(i64, i64)>);
+
+    /// Block rows `0..rows` keyed by row and block columns `0..cols` keyed by
+    /// column, each shuffled onto its bands of `cells`.
+    fn banded(c: &Context, cells: GridCells, rows: i64, cols: i64) -> BandedPair {
+        let by_row = c
+            .parallelize((0..rows).map(|i| (i, i * 10)).collect(), 3)
+            .partition_by(cells.row_bands_by(|&i| i));
+        let by_col = c
+            .parallelize((0..cols).map(|j| (j, j * 100)).collect(), 2)
+            .partition_by(cells.col_bands_by(|&j| j));
+        (by_row, by_col)
+    }
+
+    /// Every `(i, j)` a cell crosses, keyed by its coordinate.
+    fn crossed(
+        by_row: &Dataset<(i64, i64)>,
+        by_col: &Dataset<(i64, i64)>,
+        cells: GridCells,
+    ) -> Dataset<((i64, i64), i64)> {
+        by_row.cross_bands(by_col, cells, "cross", |_, rows, cols| {
+            let cols = cols.into_vec();
+            let pairs = rows.into_vec().into_iter().flat_map(|(i, a)| {
+                cols.iter()
+                    .map(move |&(j, b)| ((i, j), a + b))
+                    .collect::<Vec<_>>()
+            });
+            PartitionStream::from_vec(pairs.collect())
+        })
+    }
+
+    #[test]
+    fn cross_bands_cell_reads_its_row_band_and_its_column_band() {
+        let c = ctx();
+        let cells = GridCells::new(5, 7, 6);
+        assert_eq!(cells.shape(), (2, 3));
+        let (by_row, by_col) = banded(&c, cells, 5, 7);
+        let seen = by_row.cross_bands(&by_col, cells, "bands", |cell, rows, cols| {
+            let mut rows: Vec<i64> = rows.into_vec().into_iter().map(|(i, _)| i).collect();
+            let mut cols: Vec<i64> = cols.into_vec().into_iter().map(|(j, _)| j).collect();
+            rows.sort();
+            cols.sort();
+            PartitionStream::from_vec(vec![(cell, rows, cols)])
+        });
+        assert_eq!(seen.num_partitions(), 6);
+        let seen = seen.collect();
+        assert_eq!(seen.len(), 6);
+        for (cell, rows, cols) in seen {
+            assert_eq!(cells.bands_of(cell), (cell % 2, cell / 2));
+            let (want_rows, want_cols) = cells.bands(cell);
+            assert_eq!(rows, want_rows.collect::<Vec<_>>(), "cell {cell}");
+            assert_eq!(cols, want_cols.collect::<Vec<_>>(), "cell {cell}");
+        }
+    }
+
+    #[test]
+    fn cross_bands_is_laid_out_as_its_cells_so_a_grid_join_is_narrow() {
+        let c = ctx();
+        let cells = GridCells::new(4, 6, 6);
+        let (by_row, by_col) = banded(&c, cells, 4, 6);
+        let out = crossed(&by_row, &by_col, cells);
+        let grid = cells.partitioner_by(|&coord: &(i64, i64)| coord);
+        assert_eq!(
+            out.partitioner_descriptor(),
+            Some((grid.descriptor().to_string(), grid.partitions()))
+        );
+        let other = c
+            .parallelize((0..24i64).map(|x| ((x / 6, x % 6), -x)).collect(), 4)
+            .partition_by(grid.clone());
+        out.count();
+        other.count();
+        c.trace();
+        let mut joined = out.join_with(&other, grid).collect();
+        assert_eq!(
+            c.take_profile().shuffle_stage_count(),
+            0,
+            "a grid join of the cells is narrow"
+        );
+        joined.sort();
+        let want: Vec<_> = (0..24i64)
+            .map(|x| ((x / 6, x % 6), ((x / 6) * 10 + (x % 6) * 100, -x)))
+            .collect();
+        assert_eq!(joined, want);
+    }
+
+    #[test]
+    fn a_band_shuffle_runs_once_however_many_cells_read_it() {
+        // chaos_off: a resubmitted map stage would write its records twice.
+        let c = Context::builder().workers(4).chaos_off().build();
+        let cells = GridCells::new(6, 6, 9);
+        assert_eq!(cells.shape(), (3, 3));
+        let (by_row, by_col) = banded(&c, cells, 6, 6);
+        c.trace();
+        assert_eq!(crossed(&by_row, &by_col, cells).count(), 36);
+        let profile = c.take_profile();
+        let writes: Vec<_> = profile
+            .stages
+            .iter()
+            .filter(|s| s.is_shuffle_write())
+            .collect();
+        // Nine cells read three bands a side: each side shuffles once, and
+        // each record is written once, not once per cell that reads it.
+        assert_eq!(writes.len(), 2, "{}", profile.render());
+        let records: u64 = writes.iter().map(|s| s.shuffle_records_written).sum();
+        assert_eq!(records, 12);
+        // A second action reads the same shuffle outputs.
+        c.trace();
+        assert_eq!(crossed(&by_row, &by_col, cells).count(), 36);
+        assert_eq!(c.take_profile().shuffle_stage_count(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Physical operator DAG nodes (the "RDD" objects behind a [`crate::Dataset`]).
 
 use crate::context::{Context, JobError};
+use crate::partitioner::GridCells;
 use crate::stream::{instrument, PartitionStream};
 use crate::Data;
 use std::sync::Arc;
@@ -157,6 +158,51 @@ impl<T: Data> Op<T> for UnionOp<T> {
 
     fn name(&self) -> String {
         format!("union({}, {})", self.left.name(), self.right.name())
+    }
+}
+
+/// The cells of a [`GridCells`] over two banded datasets: `rows` has one
+/// partition per row band, `cols` one per column band, and cell `c` hands
+/// `f` row band `c % pr` and column band `c / pr` — shared views where the
+/// bands are shuffle outputs, so a band is read in place by every cell that
+/// crosses it and its shuffle runs once. The output is laid out as the cells
+/// are: `f` must emit only keys of its own cell, and the dataset reports the
+/// cells' grid descriptor, so it joins narrowly with any dataset partitioned
+/// by [`GridCells::partitioner_by`] over the same cells.
+pub struct BandsOp<L: Data, R: Data, U: Data> {
+    pub(crate) rows: Arc<dyn Op<L>>,
+    pub(crate) cols: Arc<dyn Op<R>>,
+    pub(crate) cells: GridCells,
+    pub(crate) f: Arc<
+        dyn Fn(usize, PartitionStream<L>, PartitionStream<R>) -> PartitionStream<U> + Send + Sync,
+    >,
+    pub(crate) label: String,
+}
+
+impl<L: Data, R: Data, U: Data> Op<U> for BandsOp<L, R, U> {
+    fn num_partitions(&self) -> usize {
+        self.cells.cells()
+    }
+
+    fn materialize(&self, ctx: &Context) -> Result<(), JobError> {
+        self.rows.materialize(ctx)?;
+        self.cols.materialize(ctx)
+    }
+
+    fn compute(&self, cell: usize, ctx: &Context) -> PartitionStream<U> {
+        let (row_band, col_band) = self.cells.bands_of(cell);
+        let rows = self.rows.compute(row_band, ctx);
+        let cols = self.cols.compute(col_band, ctx);
+        instrument((self.f)(cell, rows, cols), &self.label, cell, ctx)
+    }
+
+    fn partitioner_descriptor(&self) -> Option<(String, usize)> {
+        Some((self.cells.descriptor(), self.cells.cells()))
+    }
+
+    fn name(&self) -> String {
+        let (rows, cols) = (self.rows.name(), self.cols.name());
+        format!("{}({rows} x {cols})", self.label)
     }
 }
 

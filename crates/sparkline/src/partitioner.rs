@@ -92,8 +92,10 @@ impl<K: Hash + ?Sized> KeyPartitioner<K> {
 /// a `block_rows x block_cols` block grid: cell `(bi, bj)` owns a contiguous
 /// band of block rows and a contiguous band of block columns, and is reduce
 /// partition `bi + bj * pr`. [`KeyPartitioner::grid`] is this mapping, and a
-/// plan that routes blocks to reducers (the §5.4 group-by-join) and the cost
-/// model that prices it read the bands from here, so the three cannot drift.
+/// plan that routes blocks to reducers (the §5.4 group-by-join, which sends
+/// each operand block to its row or column band and reads the bands of a
+/// cell with [`crate::Dataset::cross_bands`]) and the cost model that prices
+/// it read the bands from here, so the three cannot drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GridCells {
     block_rows: usize,
@@ -141,15 +143,29 @@ impl GridCells {
         self.pr * self.pc
     }
 
-    /// The cell (reduce partition) owning block `(i, j)`. Proportional
-    /// split: row group `bi` covers rows `[bi*block_rows/pr,
-    /// (bi+1)*block_rows/pr)` rounded up — contiguous rectangles, none
-    /// empty, near-even occupancy when the grid does not divide evenly.
-    /// Coordinates outside the grid clamp to its edge.
+    /// The cell (reduce partition) owning block `(i, j)`: the crossing of
+    /// the block row's row band and the block column's column band.
     pub fn cell_of(&self, (i, j): (i64, i64)) -> usize {
-        let bi = (i.max(0) as usize).min(self.block_rows - 1) * self.pr / self.block_rows;
-        let bj = (j.max(0) as usize).min(self.block_cols - 1) * self.pc / self.block_cols;
-        bi + bj * self.pr
+        self.row_band(i) + self.col_band(j) * self.pr
+    }
+
+    /// The row band of block row `i`. Proportional split: band `bi` covers
+    /// rows `[bi*block_rows/pr, (bi+1)*block_rows/pr)` rounded up —
+    /// contiguous, none empty, near-even occupancy when the grid does not
+    /// divide evenly. Coordinates outside the grid clamp to its edge.
+    fn row_band(&self, i: i64) -> usize {
+        (i.max(0) as usize).min(self.block_rows - 1) * self.pr / self.block_rows
+    }
+
+    /// The column band of block column `j`, split as the rows are.
+    fn col_band(&self, j: i64) -> usize {
+        (j.max(0) as usize).min(self.block_cols - 1) * self.pc / self.block_cols
+    }
+
+    /// The row band and the column band cell `cell` crosses:
+    /// `(cell % pr, cell / pr)`.
+    pub(crate) fn bands_of(&self, cell: usize) -> (usize, usize) {
+        (cell % self.pr, cell / self.pr)
     }
 
     /// The block rows and block columns cell `cell` owns.
@@ -158,24 +174,40 @@ impl GridCells {
             let edge = |g: usize| (g * blocks).div_ceil(groups) as i64;
             edge(group)..edge(group + 1)
         };
+        let (row_band, col_band) = self.bands_of(cell);
         (
-            band(cell % self.pr, self.pr, self.block_rows),
-            band(cell / self.pr, self.pc, self.block_cols),
+            band(row_band, self.pr, self.block_rows),
+            band(col_band, self.pc, self.block_cols),
         )
     }
 
-    /// The first block row of every row band: one per cell a block column
-    /// crosses.
-    pub fn row_anchors(&self) -> Vec<i64> {
-        (0..self.pr).map(|bi| self.bands(bi).0.start).collect()
+    /// The descriptor of [`GridCells::partitioner_by`]'s partitioners, and
+    /// of a dataset [`crate::Dataset::cross_bands`] lays over these cells.
+    pub(crate) fn descriptor(&self) -> String {
+        format!(
+            "grid({}x{},{}x{})",
+            self.block_rows, self.block_cols, self.pr, self.pc
+        )
     }
 
-    /// The first block column of every column band: one per cell a block row
-    /// crosses.
-    pub fn col_anchors(&self) -> Vec<i64> {
-        (0..self.pc)
-            .map(|bj| self.bands(bj * self.pr).1.start)
-            .collect()
+    /// The partitioner sending a key to the row band — one of `pr`
+    /// partitions — of the block row `row` reads off it.
+    pub fn row_bands_by<K: ?Sized>(
+        self,
+        row: impl Fn(&K) -> i64 + Send + Sync + 'static,
+    ) -> KeyPartitioner<K> {
+        let desc = format!("rows of {}", self.descriptor());
+        KeyPartitioner::new(self.pr, desc, move |k: &K| self.row_band(row(k)))
+    }
+
+    /// The partitioner sending a key to the column band — one of `pc`
+    /// partitions — of the block column `col` reads off it.
+    pub fn col_bands_by<K: ?Sized>(
+        self,
+        col: impl Fn(&K) -> i64 + Send + Sync + 'static,
+    ) -> KeyPartitioner<K> {
+        let desc = format!("columns of {}", self.descriptor());
+        KeyPartitioner::new(self.pc, desc, move |k: &K| self.col_band(col(k)))
     }
 
     /// The partitioner sending a key to the cell of the block coordinate
@@ -185,10 +217,7 @@ impl GridCells {
         self,
         coord: impl Fn(&K) -> (i64, i64) + Send + Sync + 'static,
     ) -> KeyPartitioner<K> {
-        let desc = format!(
-            "grid({}x{},{}x{})",
-            self.block_rows, self.block_cols, self.pr, self.pc
-        );
+        let desc = self.descriptor();
         KeyPartitioner::new(self.cells(), desc, move |k: &K| self.cell_of(coord(k)))
     }
 }
@@ -314,9 +343,27 @@ mod tests {
                 "grid({rows}x{cols},{parts}): empty partition in {counts:?}"
             );
         }
-        let cells = GridCells::new(16, 16, 8);
-        assert_eq!(cells.row_anchors(), [0, 8]);
-        assert_eq!(cells.col_anchors(), [0, 4, 8, 12]);
+    }
+
+    #[test]
+    fn band_partitioners_cut_the_grid_along_its_cells() {
+        // A cell is the crossing of its row band and its column band: every
+        // block lands in the row band and the column band of its cell.
+        for &(rows, cols, parts) in &[(16usize, 16usize, 8usize), (3, 3, 8), (7, 5, 6), (1, 9, 4)] {
+            let cells = GridCells::new(rows, cols, parts);
+            let (pr, pc) = cells.shape();
+            let by_row = cells.row_bands_by(|&(i, _): &(i64, i64)| i);
+            let by_col = cells.col_bands_by(|&(_, j): &(i64, i64)| j);
+            assert_eq!((by_row.partitions(), by_col.partitions()), (pr, pc));
+            assert!(!by_row.same_as(&KeyPartitioner::grid(rows, cols, parts)));
+            for i in 0..rows as i64 {
+                for j in 0..cols as i64 {
+                    let cell = cells.cell_of((i, j));
+                    let bands = (by_row.partition(&(i, j)), by_col.partition(&(i, j)));
+                    assert_eq!(cells.bands_of(cell), bands, "grid({rows}x{cols},{parts})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -133,6 +133,20 @@ impl<T: Data> PartitionStream<T> {
         }
     }
 
+    /// The records as a shared block and the range of it they are, for a
+    /// consumer that borrows them for longer than one visit: a `Shared` view
+    /// as it is (no element is cloned), a lazy chain collected once.
+    pub fn into_shared(self) -> (Arc<Vec<T>>, Range<usize>) {
+        match self {
+            PartitionStream::Iter(iter) => {
+                let data: Vec<T> = iter.collect();
+                let len = data.len();
+                (Arc::new(data), 0..len)
+            }
+            PartitionStream::Shared(data, range) => (data, range),
+        }
+    }
+
     /// Number of records. `Shared` views answer from the range without
     /// touching (or cloning) a single element; lazy chains drain.
     pub fn count(self) -> usize {
@@ -317,6 +331,16 @@ pub(crate) fn instrument<T: Data>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn into_shared_keeps_a_shared_view_in_place() {
+        let block = Arc::new(vec![1, 2, 3, 4]);
+        let (data, range) = PartitionStream::shared_range(block.clone(), 1..3).into_shared();
+        assert!(Arc::ptr_eq(&data, &block), "a shared view is not copied");
+        assert_eq!(&data[range], &[2, 3]);
+        let (data, range) = PartitionStream::from_iter(0..3).into_shared();
+        assert_eq!(&data[range], &[0, 1, 2]);
+    }
 
     #[test]
     fn from_vec_into_vec_recovers_allocation_without_copy() {

@@ -14,8 +14,8 @@
 //!
 //! **Ownership.** A tile's payload is an immutable shared buffer,
 //! copy-on-write: `clone()` is a refcount bump, so everything the cluster
-//! layer does with a tile — join/cogroup replication, the §5.2/§5.4
-//! `flat_map`s, `cache()`/`persist`, broadcast tables, the in-process
+//! layer does with a tile — join/cogroup replication, the §5.2 remap's
+//! `flat_map`, the §5.4 bands, `cache()`/`persist`, broadcast tables, the in-process
 //! map-output store, `collect()` — moves a pointer, and bytes are produced
 //! only when a frame is encoded at a process boundary. Every `&mut self`
 //! method takes a unique buffer first ([`DenseMatrix::data_mut`]): free for

@@ -8,7 +8,7 @@
 //! group-by-join plan — and then iterates over the product the way an
 //! iterative solver does, materializing it on the driver each round for a
 //! convergence check. The group-by-join plan performs its tile GEMMs in the
-//! narrow stage after the cogroup and persists its result, so with a
+//! narrow stage after its band shuffles and persists its result, so with a
 //! storage budget the blocks are computed once, stored in the block manager,
 //! and every later iteration is a cache read; with a zero budget nothing is
 //! kept and every iteration re-runs every GEMM. Prints both wall times and

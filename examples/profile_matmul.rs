@@ -9,7 +9,7 @@
 //! the two `explain_analyze` profiles side by side: per-stage task counts,
 //! wall times, max/median task skew, and shuffle bytes read/written. The
 //! difference in plan shape — two shuffle rounds with an uncombined
-//! groupByKey versus one cogroup round — is the paper's central performance
+//! groupByKey versus one round of two band shuffles — is the paper's central performance
 //! claim, here measured rather than asserted.
 
 use sac::{MatMulStrategy, Session};
@@ -46,10 +46,11 @@ fn main() {
         "The join+groupBy plan needs two shuffle rounds — the join, then a \
          groupByKey that carries every partial-product tile as a list element \
          with no map-side combining. Group-by-join instead sends each input \
-         tile once to every reducer of the output grid that needs it (a left \
-         tile to the cells its block row crosses, a right tile to the cells \
-         its block column crosses), finishing in a single cogroup round with \
-         all products reduced in-task; its profile above has only the one \
-         pair of shuffle.map/shuffle.reduce stages per side."
+         tile once, to the band of the output grid that reads it (a left \
+         tile to the row band of its block row, a right tile to the column \
+         band of its block column), and every cell of the grid reads its two \
+         bands and reduces all its products in-task: a single round, whose \
+         profile above has only the one pair of shuffle.map/shuffle.reduce \
+         stages per side."
     );
 }

@@ -409,3 +409,43 @@ fn group_by_join_over_worker_processes_matches_the_one_tile_product() {
         }
     }
 }
+
+/// ... and every operand tile crosses the processes once: a worker-process
+/// group-by-join writes one shuffle record per operand tile, whatever its
+/// cell grid — each to the one row or column band that all the cells
+/// crossing it read — and its bits are the in-process run's.
+#[test]
+fn group_by_join_over_worker_processes_writes_each_operand_tile_once() {
+    let (tile, rows, inner, cols) = (3, 10, 11, 8);
+    let mut rng = StdRng::seed_from_u64(7);
+    let a = rough(rows, inner, &mut rng);
+    let b = rough(inner, cols, &mut rng);
+    // 4 x 4 tiles of A, 4 x 3 of B.
+    let operand_tiles = 16 + 12;
+    for partitions in [1, 4, 7] {
+        let run = |worker_processes| {
+            let builder = session(MatMulStrategy::GroupByJoin, partitions);
+            let mut s = builder
+                .worker_processes(worker_processes)
+                .chaos_off()
+                .build();
+            s.register_local_matrix("A", &a, tile);
+            s.register_local_matrix("B", &b, tile);
+            s.set_int("n", rows as i64);
+            s.set_int("m", cols as i64);
+            assert_eq!(s.spark().worker_processes(), worker_processes);
+            s.spark().trace();
+            let got = s.matrix(MUL_SRC).unwrap().to_local();
+            let profile = s.spark().take_profile();
+            let records: u64 = profile
+                .stages
+                .iter()
+                .map(|st| st.shuffle_records_written)
+                .sum();
+            (records, bits(&got))
+        };
+        let (records, got) = run(2);
+        assert_eq!(records, operand_tiles, "over {partitions} partitions");
+        assert_eq!(got, run(0).1, "over {partitions} partitions");
+    }
+}

@@ -125,7 +125,7 @@ fn group_by_join_sends_a_tile_once_per_reducer_and_costs_what_it_estimates() {
     );
     assert!(choice.replans.is_empty(), "honest statistics confirm it");
 
-    // Exactly the cogroup's two map stages: no partial-sum round.
+    // Exactly the two band shuffles' map stages: no partial-sum round.
     let shuffles: Vec<_> = analysis
         .profile
         .stages
@@ -134,12 +134,13 @@ fn group_by_join_sends_a_tile_once_per_reducer_and_costs_what_it_estimates() {
         .collect();
     assert_eq!(shuffles.len(), 2, "{}", analysis.profile.render());
 
-    // 16 tiles a side over the output's 2 x 2 cell grid: each left tile to
-    // the 2 cells of its block row, each right tile to the 2 of its column.
+    // 16 tiles a side over the output's 2 x 2 cell grid: each left tile
+    // once, to the row band of its block row, each right tile once, to the
+    // column band of its block column — though 2 cells read each band.
     let (pr, pc) = GridCells::new(4, 4, 4).shape();
     assert_eq!((pr, pc), (2, 2));
     let records: u64 = shuffles.iter().map(|st| st.shuffle_records_written).sum();
-    assert_eq!(records, 16 * pc as u64 + 16 * pr as u64);
+    assert_eq!(records, 16 + 16);
 
     // The row's estimate is that count in registered tile records, plus the
     // table's latency proxy of 16 KiB a round ...
@@ -148,10 +149,12 @@ fn group_by_join_sends_a_tile_once_per_reducer_and_costs_what_it_estimates() {
         choice.est_shuffle_bytes,
         records * tile_record + 2 * (16 << 10)
     );
-    // ... and the shuffle carried it: each record also names its contracted
-    // block (8 bytes), each bucket is framed — under 1 % together.
+    // ... and the shuffle carried it: a record `(i, (k, tile))` names its
+    // output band coordinate and its contracted block where a registered
+    // tile record names its two coordinates, so it weighs just as much; each
+    // bucket is framed — under 1 % in all.
     let actual = analysis.profile.actual_shuffle_bytes_of_tag(&choice.chosen);
-    let payload = records * (tile_record + 8);
+    let payload = records * tile_record;
     assert!(
         actual >= payload && actual <= payload + payload / 100,
         "shuffled {actual} B for {payload} B of records:\n{}",
@@ -904,11 +907,24 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
         "the switch must shed shuffle rounds against the frozen plan:\n{}",
         frozen_analysis.profile.render()
     );
-    // ... and bytes: 148 512 against the frozen plan's 297 600 replicated.
+    // ... but not bytes: both ship 18 tile records of 8 232 B, 148 512 B
+    // with their frames — the frozen plan its 9 tiles a side once each, the
+    // switched one 18 partial output blocks.
     let written = |p: &JobProfile| p.total_shuffle_bytes_written();
-    assert!(
-        written(&analysis.profile) < written(&frozen_analysis.profile),
-        "the switch must shuffle fewer bytes than the frozen plan"
+    let records = |p: &JobProfile| {
+        let stages = p.stages.iter();
+        stages.map(|st| st.shuffle_records_written).sum::<u64>()
+    };
+    assert_eq!(
+        (records(&analysis.profile), written(&analysis.profile)),
+        (18, 148_512)
+    );
+    assert_eq!(
+        (
+            records(&frozen_analysis.profile),
+            written(&frozen_analysis.profile)
+        ),
+        (18, 148_512)
     );
     let got = s.matrix(MUL_SRC).unwrap().to_local();
     let oracle = frozen.matrix(MUL_SRC).unwrap().to_local();
