@@ -46,14 +46,14 @@ impl SessionBuilder {
 
     /// Contraction strategy (§5.3 reduceByKey vs §5.4 group-by-join). The
     /// default, [`MatMulStrategy::Auto`], picks the cheapest strategy per
-    /// query from registered statistics and may re-decide at stage
-    /// frontiers from measured ones; pinning a strategy freezes the plan.
+    /// query from registered statistics at plan time, and that is the
+    /// strategy that runs; pinning one takes it instead.
     pub fn matmul(mut self, s: MatMulStrategy) -> Self {
         self.config.matmul = s;
         self
     }
 
-    /// Largest estimated operand size (bytes) the adaptive planner will ship
+    /// Largest estimated operand size (bytes) the planner will ship
     /// as a broadcast table instead of shuffling.
     pub fn broadcast_budget(mut self, bytes: u64) -> Self {
         self.config.broadcast_budget = bytes;
@@ -349,10 +349,9 @@ impl Session {
     /// Run a translated loop program (`diablo::translate`) as one unit
     /// against an explicit environment: the statements plan in program
     /// order, a later one reading an earlier one's output by name; an output
-    /// two later statements read is persisted, so it is evaluated once; and
-    /// each array's stage frontier is probed at most once. Returns every
-    /// statement's output in program order — the statement-at-a-time
-    /// results, bit for bit. See [`planner::program`].
+    /// two later statements read is persisted, so it is evaluated once.
+    /// Returns every statement's output in program order — the
+    /// statement-at-a-time results, bit for bit. See [`planner::program`].
     pub fn run_program(
         &self,
         program: &Translated,

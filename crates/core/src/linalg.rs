@@ -227,8 +227,7 @@ pub const FACTORIZATION_STEP: &str = "\
 /// One step of [`FACTORIZATION_STEP`]: `(P', Q')`. The program runs as one
 /// unit ([`Session::run_program`]): its three contractions use the
 /// configured strategy, the two updates fuse into single element-wise plans,
-/// `E`, read by two contractions, is evaluated once, and each of `P`, `Q`
-/// and `E` is probed at most once.
+/// and `E`, read by two contractions, is evaluated once.
 pub fn factorization_step(
     s: &Session,
     r: &TiledMatrix,

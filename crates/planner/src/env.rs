@@ -190,8 +190,8 @@ impl PlanEnv {
         self.stats.get(name)
     }
 
-    /// Overlay the statistics of an already-registered array (the stage
-    /// driver's measured stats, or a test's deliberately wrong ones).
+    /// Overlay the statistics of an already-registered array — a test's
+    /// deliberately wrong ones: the plan-time choice reads them as given.
     pub fn set_stats(&mut self, name: impl Into<String>, stats: ArrayStats) {
         self.stats.insert(name.into(), stats);
     }

@@ -1,11 +1,8 @@
 //! Plan execution on the `sparkline` runtime.
 
 use crate::env::{DistArray, PlanEnv};
-use crate::plan::{
-    GroupByAggregate, GroupKey, Node, OutputKind, Plan, PlanConfig, PlanRow, Planned,
-};
+use crate::plan::{GroupByAggregate, GroupKey, Node, OutputKind, Plan, PlanConfig, Planned};
 use crate::scalar::{self, IdxFn};
-use crate::stage::{self, Frontiers, StageFrontier};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
 use comp::eval::eval_comprehension;
@@ -107,19 +104,6 @@ pub fn execute(
     ctx: &Context,
     config: &PlanConfig,
 ) -> Result<ExecResult, CompError> {
-    execute_probed(planned, env, ctx, config, &Frontiers::default())
-}
-
-/// [`execute`] for one node of a run whose stage-frontier probes are
-/// recorded in `frontiers`: an input an earlier node of the run measured is
-/// not probed again.
-pub(crate) fn execute_probed(
-    planned: &Planned,
-    env: &PlanEnv,
-    ctx: &Context,
-    config: &PlanConfig,
-    frontiers: &Frontiers,
-) -> Result<ExecResult, CompError> {
     // Resolve partition autotuning (`partitions == 0`) against this
     // context's worker pool and the plan's estimated output size, then put
     // the planner's cost-based decision on the event bus as `plan.chosen`.
@@ -150,7 +134,6 @@ pub(crate) fn execute_probed(
             ctx,
             config: &tuned,
             output: &planned.output,
-            frontiers,
         };
         (plan.row.lower)(plan, &lowering)
     })
@@ -163,8 +146,6 @@ pub(crate) struct Lowering<'a> {
     /// The planner configuration, its partition count resolved.
     config: &'a PlanConfig,
     output: &'a OutputKind,
-    /// The stage-frontier probes of the run.
-    frontiers: &'a Frontiers,
 }
 
 impl Lowering<'_> {
@@ -698,8 +679,8 @@ fn swap_slots(value: &FusedProgram) -> FusedProgram {
 /// A contraction node: §5.3 (join + reduceByKey), §5.4 (group-by-join /
 /// SUMMA), §4 (join + groupByKey) or the broadcast join, over a matrix or a
 /// vector right operand. Resolves and orients the operands, checks their
-/// dimensions, lets the stage driver re-decide, and lowers the dataflow of
-/// the row that comes out. Every contraction row's lowering.
+/// dimensions, and lowers the dataflow of the row the plan chose. Every
+/// contraction row's lowering.
 ///
 /// No tile is copied transposed. An operand contracted on its other index
 /// is re-keyed and read transposed by the tile kernel, and a `swap_output`
@@ -708,23 +689,15 @@ fn swap_slots(value: &FusedProgram) -> FusedProgram {
 /// combine's slots exchanged. Every output element is still the ascending
 /// chain over the contracted index of the same products — `fma(b, a, c)` is
 /// `fma(a, b, c)` — so the bits are those of transposing.
-pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult, CompError> {
-    let (Node::Contraction(node), Some(decision)) = (&plan.node, plan.decision()) else {
+pub(crate) fn contraction(plan: &Plan, x: &Lowering) -> Result<ExecResult, CompError> {
+    let (Node::Contraction(node), Some(strategy)) = (&plan.node, &plan.row.strategy) else {
         return Err(x.mismatch(plan));
     };
+    let dataflow = &strategy.dataflow;
     let (env, swap_output, value) = (x.env, node.swap_output, &node.value);
     let (left, right) = (node.left.as_str(), node.right.as_str());
     let (left_contract_row, right_contract_col) = (node.left_contract_row, node.right_contract_col);
-    // The stage driver may re-decide row and partition count from the probed
-    // inputs before the remainder is lowered.
-    let adapt = |probe: &dyn Fn() -> Result<Vec<(&'p str, StageFrontier)>, JobError>| {
-        stage::adapt(env, x.ctx, x.config, probe, &plan.node, plan.row, decision)
-            .map_err(job_failed)
-    };
-    let dataflow = |row: &'static PlanRow| {
-        let strategy = row.strategy.as_ref().ok_or_else(|| x.mismatch(plan));
-        strategy.map(|s| &s.dataflow)
-    };
+    let partitions = x.config.partitions;
     let product = [ElemwiseOp::Slot(0), ElemwiseOp::Slot(1), ElemwiseOp::Mul];
     let general = (value.ops() != product).then(|| {
         if swap_output {
@@ -767,13 +740,6 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
                 (a, Operand::matrix(b0, right_contract_col))
             };
             check(&a, (b0.tile_size(), b.rows, b.cols), (rows, cols))?;
-            let probe = || {
-                Ok(vec![
-                    (left, x.frontiers.matrix(a0)?),
-                    (right, x.frontiers.matrix(b0)?),
-                ])
-            };
-            let (row, partitions) = adapt(&probe)?;
             // The smaller operand is broadcast, the query's right one on a
             // tie — whichever role it has here.
             let right_small = b0.rows() * b0.cols() <= a0.rows() * a0.cols();
@@ -786,14 +752,13 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
                 partitions,
                 general,
             };
-            let tiles = DenseMatrix::dataflow(dataflow(row)?)(&c).map_err(job_failed)?;
+            let tiles = DenseMatrix::dataflow(dataflow)(&c).map_err(job_failed)?;
             Ok(ExecResult::Matrix(TiledMatrix::new(rows, cols, n, tiles)))
         }
         OutputKind::Vector { len } => {
             let v = vector_input(env, right)?;
             let a = Operand::matrix(a0, left_contract_row);
             check(&a, (v.block_size(), v.len(), 1), (len, 1))?;
-            let (row, partitions) = adapt(&|| Ok(vec![(right, x.frontiers.vector(v)?)]))?;
             let b = Operand {
                 blocks: v.blocks().map(|(k, block)| ((k, ()), block)),
                 rows: v.len(),
@@ -809,7 +774,7 @@ pub(crate) fn contraction<'p>(plan: &'p Plan, x: &Lowering) -> Result<ExecResult
                 partitions,
                 general,
             };
-            let blocks = <Vec<f64>>::dataflow(dataflow(row)?)(&c).map_err(job_failed)?;
+            let blocks = <Vec<f64>>::dataflow(dataflow)(&c).map_err(job_failed)?;
             let blocks = blocks.map(|((i, ()), y)| (i, y));
             Ok(ExecResult::Vector(TiledVector::new(len, n, blocks)))
         }
@@ -841,10 +806,8 @@ dataflows!(
 );
 
 /// One fully-resolved contraction `C = A·B`, contraction on `a.col` /
-/// `b.row`, over `n`-sized blocks, as its dataflow reads it. The caller has
-/// resolved the row and `partitions` — at plan time or at the stage frontier,
-/// so a runtime strategy switch runs bit-identically to the same strategy
-/// chosen up front.
+/// `b.row`, over `n`-sized blocks, as its dataflow reads it: the row the plan
+/// chose, over the configured `partitions`.
 ///
 /// Operand blocks are only routed by a dataflow — bands, join pairs and
 /// broadcast tables are pointer copies of shared tiles — and every dataflow
@@ -1148,8 +1111,8 @@ fn group_by_join<B: Block>(c: &Contract<B>) -> Lowered<B> {
         PartitionStream::from_vec(keys.zip(out).collect())
     });
     // Every product of the plan runs in those cells, behind no shuffle: a
-    // consumer that evaluates the result twice (a stage-frontier probe and
-    // then the stage, two contractions over one `E`) would multiply twice.
+    // consumer that evaluates the result twice (two contractions over one
+    // `E`) would multiply twice.
     // Persist it under the storage budget for as long as the result lives;
     // under memory pressure a second consumer re-multiplies instead.
     Ok(reduced.persist())
@@ -1864,7 +1827,7 @@ mod tests {
         let config = PlanConfig {
             partitions: 4,
             // Pin a shuffling strategy: the chaos kill targets a specific
-            // shuffle barrier index, and the adaptive planner would pick the
+            // shuffle barrier index, and the cost-based choice would be the
             // zero-shuffle broadcast path for these tiny inputs.
             matmul: MatMulStrategy::GroupByJoin,
             ..Default::default()

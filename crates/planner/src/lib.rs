@@ -18,13 +18,12 @@
 //! | — (semantics always win) | `localFallback`: the reference interpreter over sparsified arrays, with the reason every other row rejected the statement |
 //!
 //! The contraction rows share one pattern; among them a node takes the
-//! cheapest by estimated shuffle bytes at plan time, and the stage driver
-//! (`stage::adapt`) re-costs the same rows from measured statistics before
-//! the node is lowered.
+//! cheapest by estimated shuffle bytes at plan time, and that row is the one
+//! that runs.
 //!
 //! A translated loop program runs as one unit ([`program::run`]): its
-//! statements plan in order against one environment, an intermediate read
-//! twice is evaluated once, and each array's stage frontier is probed once.
+//! statements plan in order against one environment, and an intermediate
+//! read twice is evaluated once.
 
 pub mod analysis;
 pub mod env;
@@ -32,7 +31,6 @@ pub mod exec;
 pub mod plan;
 pub mod program;
 pub mod scalar;
-mod stage;
 
 pub use env::{DistArray, PlanEnv};
 pub use exec::{execute, ExecResult};
@@ -367,7 +365,7 @@ mod tests {
         env.set_int("n", 9);
         let src = "tiled_vector(n)[ (i, +/v) | ((i,k),a) <- A, (kk,x) <- V, kk == k,                     let v = a*x, group by i ]";
         // A small registered vector fits the broadcast budget, so the
-        // adaptive planner picks the zero-shuffle mat-vec path.
+        // cost-based choice is the zero-shuffle mat-vec path.
         let planned = plan::plan(&comp::parse_expr(src).unwrap(), &env, &config()).unwrap();
         assert_eq!(planned.explain(), "matVec/broadcast -> vector 9");
         let got = run_text(src, &env, &c, &config())

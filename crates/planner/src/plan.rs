@@ -75,10 +75,10 @@ pub struct PlanConfig {
     /// the context's worker pool and the estimated output size at execution
     /// time. Any non-zero value pins it.
     pub partitions: usize,
-    /// Strategy for contraction plans. [`MatMulStrategy::Auto`] picks from
-    /// statistics and lets the stage driver re-decide from measured ones
-    /// (`planner::stage`); pinning a strategy freezes the plan — a pinned
-    /// node never probes and never re-plans.
+    /// Strategy for contraction plans. [`MatMulStrategy::Auto`] picks the
+    /// cheapest row from the registered statistics at plan time; pinning a
+    /// strategy takes that row instead. Either way the chosen row is the
+    /// one that runs.
     pub matmul: MatMulStrategy,
     /// Largest operand (estimated bytes) the broadcast contraction path may
     /// ship to every executor.
@@ -893,69 +893,45 @@ fn join_group_by_bytes(s: &ContractionShape, _: &PlanConfig) -> Option<u64> {
     Some(s.left_bytes + s.right_bytes + products * s.out_block)
 }
 
-/// Estimated cost (shuffled bytes + round latency) of every row of `row`'s
-/// pattern and builder eligible for the contraction `node` under the
-/// statistics `env` holds, in table order; none without statistics.
-/// Re-invoked by the stage driver with measured stats overlaid on `env`.
-pub(crate) fn candidates(
-    row: &PlanRow,
-    env: &PlanEnv,
-    node: &Node,
-    config: &PlanConfig,
-) -> Vec<(&'static PlanRow, u64)> {
-    let Some(shape) = ContractionShape::of(env, node, row.builder == Builder::Vector) else {
-        return Vec::new();
-    };
-    let costed = |row: &'static PlanRow| {
-        let strategy = row.strategy.as_ref()?;
-        Some((
-            row,
-            (strategy.bytes)(&shape, config)? + strategy.rounds * ROUND_COST,
-        ))
-    };
-    let alike = PLAN_TABLE.iter().filter(|r| r.alike(row));
-    alike.filter_map(costed).collect()
-}
-
-/// The cheapest candidate; the first wins a tie.
-pub(crate) fn cheapest(candidates: &[(&'static PlanRow, u64)]) -> Option<(&'static PlanRow, u64)> {
-    candidates.iter().copied().min_by_key(|&(_, cost)| cost)
-}
-
-/// Estimated cost of `row` among `candidates`, if it is eligible.
-pub(crate) fn cost_of(candidates: &[(&'static PlanRow, u64)], row: &PlanRow) -> Option<u64> {
-    let mut candidates = candidates.iter();
-    candidates.find(|(r, _)| r.tag == row.tag).map(|&(_, c)| c)
-}
-
-/// Resolve one cost-based choice among the rows of `row`'s pattern:
-/// [`MatMulStrategy::Auto`] takes the cheapest candidate, a pinned strategy
-/// is honored verbatim. Without statistics — and for a pin no row of the
-/// pattern carries, so a pinned non-broadcast `matmul` pins mat-vec to the
-/// shuffle path — the choice is the first row that needs no byte budget.
+/// Resolve one cost-based choice among the rows of `row`'s pattern and
+/// builder, each eligible one costed (shuffled bytes + round latency) from
+/// the statistics `env` holds: [`MatMulStrategy::Auto`] takes the cheapest,
+/// the first in table order on a tie; a pinned strategy is honored
+/// verbatim. Without statistics — and for a pin no row of the pattern
+/// carries, so a pinned non-broadcast `matmul` pins mat-vec to the shuffle
+/// path — the choice is the first row that needs no byte budget. The choice
+/// is final: the chosen row is the one lowered.
 fn choose(
     row: &'static PlanRow,
     env: &PlanEnv,
     node: &Node,
     config: &PlanConfig,
 ) -> (&'static PlanRow, PlanDecision) {
-    let candidates = candidates(row, env, node, config);
+    let alike = || PLAN_TABLE.iter().filter(|r| r.alike(row));
+    let shape = ContractionShape::of(env, node, row.builder == Builder::Vector);
+    let costed = |r: &'static PlanRow| {
+        let (strategy, shape) = (r.strategy.as_ref()?, shape.as_ref()?);
+        let cost = (strategy.bytes)(shape, config)? + strategy.rounds * ROUND_COST;
+        Some((r, cost))
+    };
+    let candidates: Vec<(&'static PlanRow, u64)> = alike().filter_map(costed).collect();
     let row_where = |pinned: &dyn Fn(MatMulStrategy) -> bool| {
-        let mut alike = PLAN_TABLE.iter().filter(|r| r.alike(row));
-        alike.find(|r| r.strategy.as_ref().is_some_and(|s| pinned(s.pin)))
+        alike().find(|r| r.strategy.as_ref().is_some_and(|s| pinned(s.pin)))
     };
     let auto = config.matmul == MatMulStrategy::Auto;
     let chosen = if auto {
-        cheapest(&candidates).map(|(r, _)| r)
+        let cheapest = candidates.iter().min_by_key(|&&(_, cost)| cost);
+        cheapest.map(|&(r, _)| r)
     } else {
         row_where(&|pin| pin == config.matmul)
     };
     let unbudgeted = || row_where(&|p| p != MatMulStrategy::Broadcast);
     let chosen = chosen.or_else(unbudgeted).unwrap_or(row);
+    let est = candidates.iter().find(|(r, _)| r.tag == chosen.tag);
     let decision = PlanDecision {
         chosen: chosen.tag,
         auto,
-        est_shuffle_bytes: cost_of(&candidates, chosen).unwrap_or(0),
+        est_shuffle_bytes: est.map_or(0, |&(_, cost)| cost),
         candidates: candidates.into_iter().map(|(r, c)| (r.tag, c)).collect(),
         reason: None,
     };

@@ -2,25 +2,19 @@
 //! program (`diablo::translate`), planned in order against one environment
 //! in which a later statement reads an earlier one's output by name.
 //!
-//! Two things make the run one program rather than a series of queries:
-//!
-//! * **Each intermediate is evaluated once.** An output is persisted
-//!   through the block manager only if two or more later statements read it
-//!   — a second reader would otherwise evaluate its lineage again. An output
-//!   read once stays lazy: its one reader pipelines it.
-//! * **Each array is probed once.** The statements share one record of the
-//!   stage-frontier probes taken (`stage::Frontiers`), so a contraction
-//!   over an array an earlier contraction already probed re-costs from
-//!   those measurements instead of running the probe job again.
+//! What makes the run one program rather than a series of queries: each
+//! intermediate is evaluated once. An output is persisted through the block
+//! manager only if two or more later statements read it — a second reader
+//! would otherwise evaluate its lineage again. An output read once stays
+//! lazy: its one reader pipelines it.
 //!
 //! Every statement plans to exactly the node, strategy and partition count
 //! it gets as a query of its own over the same bindings, so the program's
 //! outputs are the statement-at-a-time outputs bit for bit.
 
 use crate::env::{DistArray, PlanEnv};
-use crate::exec::{execute_probed, ExecResult};
+use crate::exec::{execute, ExecResult};
 use crate::plan::{plan, PlanConfig};
-use crate::stage::Frontiers;
 use comp::ast::Expr;
 use comp::errors::CompError;
 use sparkline::Context;
@@ -37,7 +31,6 @@ pub fn run(
     config: &PlanConfig,
 ) -> Result<Vec<(String, ExecResult)>, CompError> {
     let mut env = env.clone();
-    let frontiers = Frontiers::default();
     let mut outputs = Vec::with_capacity(statements.len());
     for (at, (name, expr)) in statements.iter().enumerate() {
         let unbound = expr
@@ -51,7 +44,7 @@ pub fn run(
             )));
         }
         let planned = plan(expr, &env, config)?;
-        let mut result = execute_probed(&planned, &env, ctx, config, &frontiers)?;
+        let mut result = execute(&planned, &env, ctx, config)?;
         if readers(name, &statements[at + 1..]) >= 2 {
             result = persisted(result);
         }

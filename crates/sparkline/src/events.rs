@@ -240,29 +240,6 @@ event_schema! {
         reason: Option<String>,
         at_micros: u64,
     }
-    /// The adaptive stage driver revised a plan-time decision at a stage
-    /// frontier (`plan_replanned`): measured statistics from the node's
-    /// materialized inputs re-ran the cost model and either switched the
-    /// physical strategy, changed the shuffle partition count, or both.
-    /// Emitted only when something actually changed — a frozen or honest
-    /// plan produces none.
-    PlanReplanned "plan_replanned" {
-        /// Plan-node tag the re-decision applies to (the tag its shuffle
-        /// stages carry), e.g. `contraction/reduceByKey`.
-        tag: String,
-        /// Strategy tag chosen at plan time.
-        from: String,
-        /// Strategy tag the node actually runs with.
-        to: String,
-        /// Plan-time estimated shuffle bytes of `from`.
-        est_shuffle_bytes: u64,
-        /// Re-costed shuffle bytes of `to` under the measured statistics.
-        observed_bytes: u64,
-        /// Shuffle partition count the remainder runs with (doubled when
-        /// the frontier revealed >= 2x partition skew).
-        partitions: u64,
-        at_micros: u64,
-    }
     /// The query service's fair scheduler granted a tenant job one of its
     /// admission slots. `queue_micros` is the wall time the job waited in the
     /// admission queue.
@@ -559,15 +536,6 @@ mod tests {
                     "axisReduce: not an axis reduction; groupByAggregate: \"no\" group-by".into(),
                 ),
                 at_micros: 80,
-            },
-            Event::PlanReplanned {
-                tag: "contraction/reduceByKey".into(),
-                from: "contraction/reduceByKey".into(),
-                to: "contraction/broadcast".into(),
-                est_shuffle_bytes: 65536,
-                observed_bytes: 4096,
-                partitions: 16,
-                at_micros: 81,
             },
             Event::JobAdmitted {
                 tenant: "alice".into(),

@@ -309,14 +309,14 @@ pub struct PlanChoice {
     pub est_shuffle_bytes: u64,
     /// Every eligible candidate with its estimated shuffle bytes.
     pub candidates: Vec<(String, u64)>,
-    /// Stage-frontier re-decisions the adaptive driver made against this
-    /// choice (`plan_replanned` events), in emission order. Empty for frozen
-    /// plans and for plans whose measured statistics confirmed the estimate.
+    /// Always empty: the plan-time choice is final, so nothing revises it.
+    /// Kept because the perf ledger's `planner.replans` metric reads its
+    /// length; it goes when that metric does.
     pub replans: Vec<PlanReplan>,
 }
 
-/// One adaptive re-decision (`plan_replanned` event): measured statistics at
-/// a stage frontier revised the strategy, the partition count, or both.
+/// A runtime revision of a [`PlanChoice`]. None is ever made, so none is
+/// ever built: the type stays only while [`PlanChoice::replans`] does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanReplan {
     /// Plan-node tag the re-decision applies to.
@@ -539,35 +539,6 @@ impl JobProfile {
                     candidates: candidates.clone(),
                     replans: Vec::new(),
                 }),
-                Event::PlanReplanned {
-                    tag,
-                    from,
-                    to,
-                    est_shuffle_bytes,
-                    observed_bytes,
-                    partitions,
-                    ..
-                } => {
-                    let replan = PlanReplan {
-                        tag: tag.clone(),
-                        from: from.clone(),
-                        to: to.clone(),
-                        est_shuffle_bytes: *est_shuffle_bytes,
-                        observed_bytes: *observed_bytes,
-                        partitions: *partitions,
-                    };
-                    // Fold onto the choice the re-decision revised: the last
-                    // choice whose chosen tag matches, else the last choice
-                    // (a replan is always preceded by its `plan_chosen`).
-                    let idx = profile
-                        .plan_choices
-                        .iter()
-                        .rposition(|c| c.chosen == *tag)
-                        .or_else(|| profile.plan_choices.len().checked_sub(1));
-                    if let Some(i) = idx {
-                        profile.plan_choices[i].replans.push(replan);
-                    }
-                }
                 Event::JobAdmitted { queue_micros, .. } => {
                     profile.service.jobs_admitted += 1;
                     profile.service.queue_micros += queue_micros;
@@ -765,16 +736,6 @@ impl JobProfile {
             ));
             for (tag, est) in &choice.candidates {
                 out.push_str(&format!("  candidate {tag}: est {}\n", fmt_bytes(*est)));
-            }
-            for replan in &choice.replans {
-                out.push_str(&format!(
-                    "  plan.replanned {} -> {} ({} partitions): est {}, observed {}\n",
-                    replan.from,
-                    replan.to,
-                    replan.partitions,
-                    fmt_bytes(replan.est_shuffle_bytes),
-                    fmt_bytes(replan.observed_bytes),
-                ));
             }
         }
         for (dataset, stats) in &self.cache_by_dataset {
@@ -1210,50 +1171,6 @@ mod tests {
         assert_eq!(
             p.actual_shuffle_bytes_of_tag("contraction/reduceByKey"),
             4000
-        );
-    }
-
-    #[test]
-    fn folds_replans_onto_their_plan_choice_and_renders_them() {
-        let mut events = log();
-        events.push(Event::PlanChosen {
-            chosen: "contraction/reduceByKey".into(),
-            auto: true,
-            partitions: 4,
-            est_shuffle_bytes: 5000,
-            candidates: vec![("contraction/reduceByKey".into(), 5000)],
-            reason: None,
-            at_micros: 240,
-        });
-        events.push(Event::PlanReplanned {
-            tag: "contraction/reduceByKey".into(),
-            from: "contraction/reduceByKey".into(),
-            to: "contraction/broadcast".into(),
-            est_shuffle_bytes: 5000,
-            observed_bytes: 700,
-            partitions: 8,
-            at_micros: 245,
-        });
-        let p = JobProfile::from_events(&events);
-        assert_eq!(p.plan_choices.len(), 1);
-        assert_eq!(
-            p.plan_choices[0].replans,
-            vec![PlanReplan {
-                tag: "contraction/reduceByKey".into(),
-                from: "contraction/reduceByKey".into(),
-                to: "contraction/broadcast".into(),
-                est_shuffle_bytes: 5000,
-                observed_bytes: 700,
-                partitions: 8,
-            }]
-        );
-        let text = p.render();
-        assert!(
-            text.contains(
-                "plan.replanned contraction/reduceByKey -> contraction/broadcast \
-                 (8 partitions): est 4.9 KB, observed 700 B"
-            ),
-            "{text}"
         );
     }
 

@@ -425,16 +425,14 @@ fn e2e_384_matmul_survives_chaos_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Adaptive re-planning vs the frozen oracle (a session pinned to
-    /// `MatMulStrategy::ReduceByKey` — a pinned strategy never probes and
-    /// never re-plans): random paper queries over dense and zero-heavy
-    /// integer-valued inputs, under seeded chaos, a
-    /// 256-byte storage budget, and two worker processes, must be
-    /// bit-identical whether or not the stage driver is allowed to
-    /// re-decide mid-plan. Integer values make every reduction order exact,
-    /// so even a genuine strategy switch may not move a bit. The tiny
-    /// broadcast budget arm forces shuffling initial plans — the cases that
-    /// actually probe.
+    /// `Auto`'s plan-time row vs the frozen oracle (a session pinned to
+    /// `MatMulStrategy::ReduceByKey`): random paper queries over dense and
+    /// zero-heavy integer-valued inputs, under seeded chaos, a 256-byte
+    /// storage budget, and two worker processes, must be bit-identical
+    /// whichever row `Auto` chose. Integer values make every reduction order
+    /// exact, so a different row may not move a bit. The tiny broadcast
+    /// budget arm makes `Auto` choose a shuffling row, the default budget a
+    /// broadcast one.
     #[test]
     fn adaptive_matches_frozen_oracle_under_chaos(
         n in 4usize..9, tile in 1usize..4, seed in 0usize..500, query in 0usize..4,
@@ -444,9 +442,9 @@ proptest! {
     ) {
         let src = QUERIES[query];
         let a = if sparse {
-            // ~25% nnz. Every tile is priced dense, so the probe reads back
-            // what registration derived: density alone never re-decides,
-            // and the run must match the frozen plan.
+            // ~25% nnz. Every tile is priced dense, so density alone never
+            // moves the plan-time choice, and the run must match the frozen
+            // plan.
             LocalMatrix::from_fn(n, n, |i, j| {
                 if (i * 5 + j * 3 + seed) % 4 == 0 {
                     ((i + j + seed) % 7) as f64 - 3.0

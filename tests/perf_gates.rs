@@ -255,10 +255,9 @@ fn fused_chain_is_10x_the_per_element_oracle_with_equal_bits() {
 }
 
 /// The skewed 384 x 384 panel (one dense 64-row stripe), registered with
-/// statistics that claim 8x its honest bytes: past the broadcast budget at
-/// plan time, under it once a probe has seen the tiles (36 tiles priced
-/// dense, 1 181 088 B). `worker_processes`
-/// is 0 for the in-process shuffle.
+/// statistics that claim 8x its honest bytes (36 tiles priced dense,
+/// 1 181 088 B): past the broadcast budget, so `Auto` plans a shuffling
+/// row. `worker_processes` is 0 for the in-process shuffle.
 fn skewed_panel(matmul: MatMulStrategy, worker_processes: usize) -> Session {
     let (n, tile) = (384, 64);
     let mut s = Session::builder()
@@ -287,13 +286,13 @@ fn skewed_panel(matmul: MatMulStrategy, worker_processes: usize) -> Session {
 #[ignore = "wall-clock gate; see the module docs"]
 fn adaptive_keeps_up_in_process_and_through_worker_processes() {
     let _turn = alone();
-    // A pinned strategy is a frozen plan, which the adaptive run only has to
-    // keep up with. In-process it is `reduceByKey`: a byte shuffled within
-    // one process costs next to nothing (the ROADMAP's cost-model item).
-    // Through two worker processes it is the group-by-join, the plan `Auto`
-    // settles on under the lie and, priced where its bytes ship, keeps: a
-    // switch onto the broadcast, whose partials ship about twice the
-    // group-by-join's bytes through the workers, reads 0.74-0.82x and fails.
+    // `Auto`'s plan-time row under the lie against a pinned row, which it
+    // only has to keep up with. In-process the pinned row is `reduceByKey`:
+    // a byte shuffled within one process costs next to nothing (the
+    // ROADMAP's cost-model item). Through two worker processes it is the
+    // group-by-join, the row `Auto` chooses under the lie: a broadcast,
+    // whose partials ship about twice the group-by-join's bytes through the
+    // workers, read 0.74-0.82x here and failed.
     for (worker_processes, pinned, bound) in [
         (0, MatMulStrategy::ReduceByKey, 0.8),
         (2, MatMulStrategy::GroupByJoin, 0.9),

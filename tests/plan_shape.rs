@@ -796,139 +796,82 @@ fn plan_cache_hits_are_pinned_by_event_count() {
 }
 
 #[test]
-fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
-    // The adaptive stage driver's headline case: registration-time
-    // statistics lie 8x about both contraction operands, so at plan time
-    // broadcast looks over-budget and the planner freezes on group-by-join.
-    // The stage-frontier probe observes the honest bytes, re-runs the same
-    // candidate cost model, and promotes the node to the broadcast
-    // contraction mid-plan — exactly one plan_replanned re-decision, with a
-    // final strategy different from the initial one.
+fn a_mis_estimated_join_runs_its_plan_time_row_unprobed() {
+    // Registration-time statistics lie 8x about both contraction operands
+    // of an honest 96 x 96 multiply, so at plan time broadcast looks
+    // over-budget and `Auto` chooses group-by-join. The plan-time choice is
+    // final: the run reads nothing back from the data, executes exactly the
+    // chosen row, and matches a session pinned to that row bit for bit.
     let n = 96;
-    let mut s = Session::builder()
-        .workers(4)
-        .partitions(4)
-        .broadcast_budget(100_000)
-        .build();
     // Fully dense, small-integer values: every strategy's partial sums are
-    // exact in f64, so results are bit-identical even across the switch.
+    // exact in f64.
     let a = LocalMatrix::from_fn(n, n, |i, j| ((i * n + j) % 7 + 1) as f64);
     let b = LocalMatrix::from_fn(n, n, |i, j| ((i + 2 * j) % 5 + 1) as f64);
-    s.register_local_matrix("A", &a, 32);
-    s.register_local_matrix("B", &b, 32);
-    s.set_int("n", n as i64);
-    // The lie: 8x the honest resident bytes. 9 dense 32x32 tiles are
-    // 74 016 bytes — claimed 592 128, past the budget.
-    for name in ["A", "B"] {
-        let mut lied = *s.env().stats(name).unwrap();
-        lied.estimated_bytes *= 8;
-        s.env_mut().set_stats(name, lied);
-    }
+    let lied = |matmul: MatMulStrategy| {
+        let mut s = Session::builder()
+            .workers(4)
+            .partitions(4)
+            .broadcast_budget(100_000)
+            .matmul(matmul)
+            .build();
+        s.register_local_matrix("A", &a, 32);
+        s.register_local_matrix("B", &b, 32);
+        s.set_int("n", n as i64);
+        // The lie: 8x the honest resident bytes. 9 dense 32x32 tiles are
+        // 74 016 bytes — claimed 592 128, past the budget.
+        for name in ["A", "B"] {
+            let mut stats = *s.env().stats(name).unwrap();
+            stats.estimated_bytes *= 8;
+            s.env_mut().set_stats(name, stats);
+        }
+        s
+    };
 
-    let analysis = s.explain_analyze(MUL_SRC).unwrap();
-    let choice = &analysis.profile.plan_choices[0];
+    let auto = lied(MatMulStrategy::Auto);
+    let analysis = auto.explain_analyze(MUL_SRC).unwrap();
+    let profile = &analysis.profile;
+    let choice = &profile.plan_choices[0];
     assert_eq!(
-        choice.chosen, "contraction/groupByJoin",
-        "the lie must freeze the plan on a shuffling strategy:\n{}",
+        (choice.chosen.as_str(), choice.auto),
+        ("contraction/groupByJoin", true),
+        "the lie decides the plan-time row:\n{}",
         analysis.plan
     );
-    assert!(choice.auto, "the switch is only legal on an auto decision");
+    // One job, the `count` that forces the result: no `collect` reads an
+    // operand back, neither to measure it nor to broadcast it.
+    let labels: Vec<&str> = profile.jobs.iter().map(|j| j.label.as_str()).collect();
+    assert_eq!(labels, ["count"], "{}", profile.render());
+    // Every shuffle the run wrote is the chosen row's: its two band
+    // shuffles, each operand's 9 tiles once (18 records of 8 232 B with
+    // their frames).
+    let shuffles: Vec<_> = profile
+        .stages
+        .iter()
+        .filter(|st| st.is_shuffle_write())
+        .collect();
+    assert_eq!(shuffles.len(), 2, "{}", profile.render());
+    for st in &shuffles {
+        assert_eq!(
+            st.tag.as_deref(),
+            Some("contraction/groupByJoin"),
+            "{}",
+            profile.render()
+        );
+    }
+    let records: u64 = shuffles.iter().map(|st| st.shuffle_records_written).sum();
     assert_eq!(
-        choice.replans.len(),
-        1,
-        "exactly one runtime re-decision:\n{}",
-        analysis.profile.render()
-    );
-    let replan = &choice.replans[0];
-    assert_eq!(replan.from, "contraction/groupByJoin");
-    assert_eq!(replan.to, "contraction/broadcast");
-    assert!(
-        replan.observed_bytes < replan.est_shuffle_bytes,
-        "the probe must observe cheaper than the estimate: {} vs {}",
-        replan.observed_bytes,
-        replan.est_shuffle_bytes
-    );
-    assert!(
-        analysis.profile.render().contains("plan.replanned"),
-        "explain_analyze must render the re-decision:\n{}",
-        analysis.profile.render()
-    );
-    // The switched node really ran on the broadcast path: no join shuffle,
-    // only the single partial-combining reduce round — versus the two
-    // rounds of the frozen group-by-join plan (asserted against the oracle
-    // run below).
-    let adaptive_shuffles = shuffle_stages(&analysis.profile);
-    assert!(
-        adaptive_shuffles <= 1,
-        "the re-planned broadcast contraction keeps at most the combining \
-         round, got {adaptive_shuffles}:\n{}",
-        analysis.profile.render()
+        (records, profile.total_shuffle_bytes_written()),
+        (18, 148_512)
     );
 
-    // Bit-exactness oracle: pinning the strategy freezes the plan, so a
-    // session pinned to group-by-join under the same lie runs the original
-    // plan to the end and must agree with the switched run bit-for-bit.
-    let mut frozen = Session::builder()
-        .workers(4)
-        .partitions(4)
-        .broadcast_budget(100_000)
-        .matmul(MatMulStrategy::GroupByJoin)
-        .build();
-    frozen.register_local_matrix("A", &a, 32);
-    frozen.register_local_matrix("B", &b, 32);
-    frozen.set_int("n", n as i64);
-    for name in ["A", "B"] {
-        let mut lied = *frozen.env().stats(name).unwrap();
-        lied.estimated_bytes *= 8;
-        frozen.env_mut().set_stats(name, lied);
-    }
-    let frozen_analysis = frozen.explain_analyze(MUL_SRC).unwrap();
-    assert!(
-        frozen_analysis.profile.plan_choices[0].replans.is_empty(),
-        "a pinned session must never re-decide:\n{}",
-        frozen_analysis.profile.render()
-    );
-    // ... nor probe: every stage-frontier probe is a `collect` job, and the
-    // pinned plan's only job is the `count` that forces the result.
-    let collects = |p: &JobProfile| p.jobs.iter().filter(|j| j.label == "collect").count();
-    assert!(
-        collects(&analysis.profile) >= 2,
-        "the auto session probes both inputs:\n{}",
-        analysis.profile.render()
-    );
+    // The oracle: a session pinned to the row `Auto` chose, under the same lie.
+    let pinned = lied(MatMulStrategy::GroupByJoin);
+    let bits = |m: LocalMatrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        collects(&frozen_analysis.profile),
-        0,
-        "a pinned session must never probe:\n{}",
-        frozen_analysis.profile.render()
+        bits(auto.matrix(MUL_SRC).unwrap().to_local()),
+        bits(pinned.matrix(MUL_SRC).unwrap().to_local()),
+        "Auto's plan-time row changed the result bits"
     );
-    assert!(
-        adaptive_shuffles < shuffle_stages(&frozen_analysis.profile),
-        "the switch must shed shuffle rounds against the frozen plan:\n{}",
-        frozen_analysis.profile.render()
-    );
-    // ... but not bytes: both ship 18 tile records of 8 232 B, 148 512 B
-    // with their frames — the frozen plan its 9 tiles a side once each, the
-    // switched one 18 partial output blocks.
-    let written = |p: &JobProfile| p.total_shuffle_bytes_written();
-    let records = |p: &JobProfile| {
-        let stages = p.stages.iter();
-        stages.map(|st| st.shuffle_records_written).sum::<u64>()
-    };
-    assert_eq!(
-        (records(&analysis.profile), written(&analysis.profile)),
-        (18, 148_512)
-    );
-    assert_eq!(
-        (
-            records(&frozen_analysis.profile),
-            written(&frozen_analysis.profile)
-        ),
-        (18, 148_512)
-    );
-    let got = s.matrix(MUL_SRC).unwrap().to_local();
-    let oracle = frozen.matrix(MUL_SRC).unwrap().to_local();
-    assert_eq!(got, oracle, "adaptive switch changed the result bits");
 }
 
 #[test]
