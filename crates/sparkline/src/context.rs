@@ -95,7 +95,8 @@ pub(crate) fn current_tenant() -> Option<u32> {
     CURRENT_TENANT.with(|c| *c.borrow())
 }
 
-/// This thread's plan-node tag, captured by shuffle nodes at construction.
+/// This thread's plan-node tag, captured by shuffle and band-crossing nodes
+/// at construction.
 pub(crate) fn current_tag() -> Option<String> {
     CURRENT_TAG.with(|c| c.borrow().clone())
 }
@@ -411,10 +412,10 @@ pub(crate) struct StageMeta {
 }
 
 impl StageMeta {
-    pub(crate) fn action(label: &str, lineage: String) -> StageMeta {
+    pub(crate) fn action(label: &str, lineage: String, tag: Option<String>) -> StageMeta {
         StageMeta {
             label: format!("action({label})"),
-            tag: None,
+            tag,
             lineage: Some(lineage),
         }
     }
@@ -1085,7 +1086,7 @@ mod tests {
         n: usize,
         f: impl Fn(usize) -> R + Send + Sync,
     ) -> Result<Vec<R>, JobError> {
-        let meta = || StageMeta::action("test", String::new());
+        let meta = || StageMeta::action("test", String::new(), None);
         ctx.run_stage(n, meta, f).map(|(out, _)| out)
     }
 

@@ -1,6 +1,6 @@
 //! The public [`Dataset`] API — the RDD analog.
 
-use crate::context::{expect_job, Context, JobError, StageMeta};
+use crate::context::{current_tag, expect_job, Context, JobError, StageMeta};
 use crate::ops::{BandsOp, MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::{GridCells, KeyPartitioner};
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
@@ -202,6 +202,7 @@ impl<T: Data> Dataset<T> {
             cells,
             f: Arc::new(f),
             label: label.to_string(),
+            tag: current_tag(),
         };
         self.derived(Arc::new(op), &cols.leases)
     }
@@ -246,7 +247,7 @@ impl<T: Data> Dataset<T> {
     ) -> Result<Vec<R>, JobError> {
         self.ctx.job_scope(label, || {
             self.op.materialize(&self.ctx)?;
-            let meta = || StageMeta::action(label, self.op.name());
+            let meta = || StageMeta::action(label, self.op.name(), self.op.tag());
             let (out, _) = self.ctx.run_stage(self.op.num_partitions(), meta, f)?;
             Ok(out)
         })

@@ -42,6 +42,14 @@ pub trait Op<T: Data>: Send + Sync + 'static {
         None
     }
 
+    /// Plan-node tag of the work a stage reading this node runs in its own
+    /// tasks: the tag a band-crossing node captured when it was built,
+    /// found through the map and persist nodes above it. `None` past a
+    /// shuffle, whose work runs in stages of its own, tagged there.
+    fn tag(&self) -> Option<String> {
+        None
+    }
+
     /// Operator name for debugging / plan explanation.
     fn name(&self) -> String;
 }
@@ -126,6 +134,10 @@ impl<T: Data, U: Data> Op<U> for MapPartitionsOp<T, U> {
         }
     }
 
+    fn tag(&self) -> Option<String> {
+        self.parent.tag()
+    }
+
     fn name(&self) -> String {
         format!("{} <- {}", self.label, self.parent.name())
     }
@@ -177,6 +189,9 @@ pub struct BandsOp<L: Data, R: Data, U: Data> {
         dyn Fn(usize, PartitionStream<L>, PartitionStream<R>) -> PartitionStream<U> + Send + Sync,
     >,
     pub(crate) label: String,
+    /// Plan-node tag in effect when this node was built: the cells run in
+    /// whichever action stage first reads them, which reports it.
+    pub(crate) tag: Option<String>,
 }
 
 impl<L: Data, R: Data, U: Data> Op<U> for BandsOp<L, R, U> {
@@ -198,6 +213,10 @@ impl<L: Data, R: Data, U: Data> Op<U> for BandsOp<L, R, U> {
 
     fn partitioner_descriptor(&self) -> Option<(String, usize)> {
         Some((self.cells.descriptor(), self.cells.cells()))
+    }
+
+    fn tag(&self) -> Option<String> {
+        self.tag.clone()
     }
 
     fn name(&self) -> String {

@@ -717,6 +717,10 @@ impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
         Some(self.id)
     }
 
+    fn tag(&self) -> Option<String> {
+        self.parent.tag()
+    }
+
     fn name(&self) -> String {
         format!("persist#{} <- {}", self.id, self.parent.name())
     }

@@ -9,14 +9,15 @@
 //!    (k-major with stride `NR`), one cache-sized `KC`-deep panel at a time.
 //!    Packed panels are contiguous, so the innermost loop touches exactly two
 //!    streams that both live in L1/L2. Either operand may be stored
-//!    transposed ([`gemm_oriented`]): the packer reads it where it lies and
-//!    lays out the same strips, so a transposed operand never costs a copy.
-//!    An operand is packed once for every product it joins: [`PackedLeft`]
-//!    and [`PackedRight`] hold an operand's packs, and [`gemm_packed`]
-//!    multiplies them, so a block of output tiles sharing row and column
-//!    panels (the group-by-join's cell) packs each operand tile once rather
-//!    than once per product. [`gemm_oriented`] packs B once and A one
-//!    `MC`-row block at a time, per call.
+//!    transposed ([`PackedLeft::new`], [`PackedRight::new`]): the packer
+//!    reads it where it lies and lays out the same strips, so a transposed
+//!    operand never costs a copy. An operand is packed once for every
+//!    product it joins: [`PackedLeft`] and [`PackedRight`] hold an
+//!    operand's packs, and [`gemm_packed`] multiplies them, so a block of
+//!    output tiles sharing row and column panels (the group-by-join's cell)
+//!    packs each operand tile once rather than once per product. [`gemm`]
+//!    packs both of its operands the same way, once per call, and splits
+//!    the one pack of A into row bands across threads.
 //! 2. **Microkernel** — a register tile is loaded from C, accumulated over
 //!    the packed panels, and stored back. Each backend picks its own tile
 //!    shape ([`Backend::tile`]): 8x16 in sixteen 8-lane zmm accumulators for
@@ -56,6 +57,7 @@
 //! then diverge from the dense chain.)
 
 use crate::tile::pool;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Rows per register tile of the AVX2 and scalar microkernels.
@@ -65,7 +67,8 @@ pub const MR: usize = 6;
 pub const NR: usize = 8;
 /// k-depth of one packed panel: `KC x NR` of B (12 KiB) stays L1-resident.
 pub const KC: usize = 192;
-/// Row-band height packed per A block: `MC x KC` (144 KiB) stays L2-resident.
+/// Rows of A per block of the panel loop: an `MC x KC` slab of the pack
+/// (144 KiB) stays L2-resident.
 pub const MC: usize = 96;
 
 /// Which microkernel implementation to run. Both produce bit-identical
@@ -224,27 +227,16 @@ fn pack_bt_panel(bt: &[f64], k: usize, k0: usize, kc: usize, m: usize, nr: usize
     }
 }
 
-/// A packed for one `rows x kc` block starting at row `r0`: `mr`-row strips,
+/// A packed for one `kc`-deep panel: `mr`-row strips over all `n` rows,
 /// each strip k-major (`kc` columns of `mr` values, zero-padded past the
 /// last row).
-#[allow(clippy::too_many_arguments)]
-fn pack_a_block(
-    a: &[f64],
-    k: usize,
-    r0: usize,
-    rows: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    out: &mut [f64],
-) {
-    let strips = rows.div_ceil(mr);
-    for t in 0..strips {
+fn pack_a_panel(a: &[f64], n: usize, k: usize, k0: usize, kc: usize, mr: usize, out: &mut [f64]) {
+    for t in 0..n.div_ceil(mr) {
         let strip = &mut out[t * kc * mr..(t + 1) * kc * mr];
         for i in 0..mr {
             let row = t * mr + i;
-            if row < rows {
-                let src = &a[(r0 + row) * k + k0..(r0 + row) * k + k0 + kc];
+            if row < n {
+                let src = &a[row * k + k0..row * k + k0 + kc];
                 for (l, &v) in src.iter().enumerate() {
                     strip[l * mr + i] = v;
                 }
@@ -257,26 +249,15 @@ fn pack_a_block(
     }
 }
 
-/// [`pack_a_block`]'s strips read from `at`, Aᵀ (`k x n`, row-major), where
+/// [`pack_a_panel`]'s strips read from `at`, Aᵀ (`k x n`, row-major), where
 /// it lies: each k-step of a strip is one contiguous run of a row of Aᵀ.
-#[allow(clippy::too_many_arguments)]
-fn pack_at_block(
-    at: &[f64],
-    n: usize,
-    r0: usize,
-    rows: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    out: &mut [f64],
-) {
-    let strips = rows.div_ceil(mr);
-    for t in 0..strips {
+fn pack_at_panel(at: &[f64], n: usize, k0: usize, kc: usize, mr: usize, out: &mut [f64]) {
+    for t in 0..n.div_ceil(mr) {
         let strip = &mut out[t * kc * mr..(t + 1) * kc * mr];
-        let live = mr.min(rows - t * mr);
+        let live = mr.min(n - t * mr);
         for l in 0..kc {
             let dst = &mut strip[l * mr..(l + 1) * mr];
-            dst[..live].copy_from_slice(&at[(k0 + l) * n + r0 + t * mr..][..live]);
+            dst[..live].copy_from_slice(&at[(k0 + l) * n + t * mr..][..live]);
             dst[live..].fill(0.0);
         }
     }
@@ -322,8 +303,7 @@ impl Drop for Packs {
 
 /// An `n x k` left operand packed once, for every product it joins: per
 /// `KC`-deep panel, `mr`-row strips over all `n` rows, each k-major and
-/// zero-padded past the last row — the layout [`gemm_oriented`] packs A in,
-/// one `MC`-row block at a time. The buffer comes from the tile free list
+/// zero-padded past the last row. The buffer comes from the tile free list
 /// and goes back to it on drop.
 pub struct PackedLeft {
     packs: Packs,
@@ -342,9 +322,9 @@ impl PackedLeft {
         let (tmr, _) = backend.tile();
         let packs = Packs::new(n.div_ceil(tmr) * tmr, k, |k0, kc, panel| {
             if a_t {
-                pack_at_block(a, n, 0, n, k0, kc, tmr, panel);
+                pack_at_panel(a, n, k0, kc, tmr, panel);
             } else {
-                pack_a_block(a, k, 0, n, k0, kc, tmr, panel);
+                pack_a_panel(a, n, k, k0, kc, tmr, panel);
             }
         });
         PackedLeft { packs, n, backend }
@@ -358,8 +338,8 @@ impl PackedLeft {
 
 /// A `k x m` right operand packed once, for every product it joins: per
 /// `KC`-deep panel, `nr`-column strips, each k-major and zero-padded past
-/// the last column — the layout [`gemm_oriented`] packs B in. The buffer
-/// comes from the tile free list and goes back to it on drop.
+/// the last column. The buffer comes from the tile free list and goes back
+/// to it on drop.
 pub struct PackedRight {
     packs: Packs,
     m: usize,
@@ -558,45 +538,34 @@ fn panel_product(
     }
 }
 
-/// Shared read-only state of one blocked GEMM: the unpacked A (or Aᵀ,
-/// `a_t`), the packed B, and the problem dimensions.
-struct BlockedGemm<'a> {
-    a: &'a [f64],
-    a_t: bool,
-    b: &'a PackedRight,
-    n: usize,
-}
-
-impl BlockedGemm<'_> {
-    /// `c += a[r0..r0+rows) * b` for one row band; `c` is the band's slice
-    /// of the output (row stride `m`).
-    fn band(&self, c: &mut [f64], r0: usize, rows: usize) {
-        let ((k, m), backend) = (self.b.dims(), self.b.backend);
-        let (tmr, _) = backend.tile();
-        // Each block's pack writes every element the microkernel reads.
-        let mut packed_a = pool::stale(MC.min(rows).div_ceil(tmr) * tmr * KC.min(k));
-        // k panels ascending — the only loop whose order the determinism
-        // contract constrains.
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            let b_panel = self.b.packs.panel(k0, kc);
-            for m0 in (0..rows).step_by(MC) {
-                let mc = MC.min(rows - m0);
-                let pa = &mut packed_a[..mc.div_ceil(tmr) * tmr * kc];
-                if self.a_t {
-                    pack_at_block(self.a, self.n, r0 + m0, mc, k0, kc, tmr, pa);
-                } else {
-                    pack_a_block(self.a, k, r0 + m0, mc, k0, kc, tmr, pa);
-                }
-                panel_product(backend, kc, (pa, mc), (b_panel, m), &mut c[m0 * m..]);
-            }
+/// `c += a · b` over the rows `rows` of the packed `a`, `c` holding those
+/// rows (row stride `m`): the k panels in ascending order — the only loop
+/// whose order the determinism contract constrains — each in `MC`-row
+/// blocks. `rows` starts on a register-tile strip of the pack.
+fn packed_rows(c: &mut [f64], a: &PackedLeft, b: &PackedRight, rows: Range<usize>) {
+    let (k, m) = b.dims();
+    let (tmr, _) = a.backend.tile();
+    debug_assert_eq!(rows.start % tmr, 0, "a band starts on a strip");
+    debug_assert_eq!(MC % tmr, 0, "an MC block starts on a strip");
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let (a_panel, b_panel) = (a.packs.panel(k0, kc), b.packs.panel(k0, kc));
+        // The strips of rows `r0..` start at element `r0 * kc` of the panel.
+        for r0 in rows.clone().step_by(MC) {
+            let mc = MC.min(rows.end - r0);
+            let pa = (&a_panel[r0 * kc..], mc);
+            let c = &mut c[(r0 - rows.start) * m..];
+            panel_product(a.backend, kc, pa, (b_panel, m), c);
         }
-        pool::recycle(packed_a);
     }
 }
 
 /// `c += a * b` where `a` is `n x k`, `b` is `k x m`, and `c` is `n x m`,
-/// all row-major: [`gemm_oriented`] with neither operand transposed.
+/// all row-major. Packs each operand once ([`PackedLeft`], [`PackedRight`]),
+/// then runs [`gemm_packed`]'s panel loop over row bands on `threads` scoped
+/// worker threads (1 = sequential); each band is a run of whole
+/// register-tile strips of the one pack of A. Bit-identical for every
+/// `threads`/`backend` combination; see the module docs.
 ///
 /// # Panics
 /// If the slice lengths do not match the dimensions.
@@ -611,65 +580,30 @@ pub fn gemm(
     threads: usize,
     backend: Backend,
 ) {
-    gemm_oriented(c, (a, false), (b, false), (n, k, m), threads, backend);
-}
-
-/// `c += op(a) * op(b)` where `op(a)` is `n x k`, `op(b)` is `k x m`, and
-/// `c` is `n x m`, all row-major; `op(x)` is `x` itself, or `xᵀ` when its
-/// flag is set — `a` then holds the `k x n` matrix Aᵀ, `b` the `m x k`
-/// matrix Bᵀ. A transposed operand is packed from where it lies, so no
-/// transposed copy is ever made; the packs hold the same values either way,
-/// so the flags never change output bits. Packs B once, then runs the
-/// blocked microkernel over row bands on `threads` scoped worker threads
-/// (1 = sequential). Bit-identical for every `threads`/`backend`
-/// combination; see the module docs.
-///
-/// # Panics
-/// If the slice lengths do not match the dimensions.
-pub fn gemm_oriented(
-    c: &mut [f64],
-    (a, a_t): (&[f64], bool),
-    (b, b_t): (&[f64], bool),
-    (n, k, m): (usize, usize, usize),
-    threads: usize,
-    backend: Backend,
-) {
     assert_eq!(c.len(), n * m, "gemm: c buffer mismatch");
-    assert_eq!(a.len(), n * k, "gemm: a buffer mismatch");
-    assert_eq!(b.len(), k * m, "gemm: b buffer mismatch");
-    if n == 0 || m == 0 || k == 0 {
+    let a = PackedLeft::new((a, false), (n, k), backend);
+    let b = PackedRight::new((b, false), (k, m), backend);
+    let (tmr, _) = backend.tile();
+    let strips = n.div_ceil(tmr);
+    let threads = threads.min(strips);
+    if threads <= 1 || c.is_empty() {
+        packed_rows(c, &a, &b, 0..n);
         return;
     }
-    // Pack all of B up front (one pass, shared read-only by every band).
-    let packed_b = PackedRight::new((b, b_t), (k, m), backend);
-    let blocked = BlockedGemm {
-        a,
-        a_t,
-        b: &packed_b,
-        n,
-    };
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        blocked.band(c, 0, n);
-    } else {
-        let band = n.div_ceil(threads);
-        let blocked = &blocked;
-        std::thread::scope(|scope| {
-            for (t, chunk) in c.chunks_mut(band * m).enumerate() {
-                scope.spawn(move || {
-                    let rows = chunk.len() / m;
-                    blocked.band(chunk, t * band, rows);
-                });
-            }
-        });
-    }
+    let band = strips.div_ceil(threads) * tmr;
+    let (a, b) = (&a, &b);
+    std::thread::scope(|scope| {
+        for (t, c) in c.chunks_mut(band * m).enumerate() {
+            let r0 = t * band;
+            scope.spawn(move || packed_rows(c, a, b, r0..(r0 + band).min(n)));
+        }
+    });
 }
 
 /// `c += a · b` from operands packed once for many products: `c` is
-/// `n x m`, row-major, where `a` is `n x k` and `b` is `k x m` as packed.
-/// Bit-identical to [`gemm_oriented`] on the operands they were packed from,
-/// in either orientation: the same panels feed the same microkernels, and
-/// the k panels run in ascending order. One thread.
+/// `n x m`, row-major, where `a` is `n x k` and `b` is `k x m` as packed,
+/// in either orientation. One thread; the bits of [`gemm`] on the operands
+/// they were packed from, and so of transposing a transposed one first.
 ///
 /// # Panics
 /// If the dimensions disagree, or the packs are for different backends.
@@ -678,19 +612,7 @@ pub fn gemm_packed(c: &mut [f64], a: &PackedLeft, b: &PackedRight) {
     assert_eq!(k, b_rows, "gemm: inner dimension mismatch");
     assert_eq!(c.len(), n * m, "gemm: c buffer mismatch");
     assert_eq!(a.backend, b.backend, "gemm: packed for different backends");
-    let (tmr, _) = a.backend.tile();
-    debug_assert_eq!(MC % tmr, 0, "an MC block starts on a strip");
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        let (a_panel, b_panel) = (a.packs.panel(k0, kc), b.packs.panel(k0, kc));
-        // The MC blocks of `gemm_oriented`, read from the one pack: the
-        // strips of rows `m0..` start at element `m0 * kc` of the panel.
-        for m0 in (0..n).step_by(MC) {
-            let mc = MC.min(n - m0);
-            let pa = (&a_panel[m0 * kc..], mc);
-            panel_product(a.backend, kc, pa, (b_panel, m), &mut c[m0 * m..]);
-        }
-    }
+    packed_rows(c, a, b, 0..n);
 }
 
 // ---------------------------------------------------------------------------
@@ -833,8 +755,9 @@ mod tests {
                 let b_op = if b_t { &bt } else { &b };
                 for backend in [Backend::Scalar, Backend::active()] {
                     let mut got = base.clone();
-                    let (a_op, b_op) = ((&a_op[..], a_t), (&b_op[..], b_t));
-                    gemm_oriented(&mut got, a_op, b_op, (n, k, m), 2, backend);
+                    let a_op = PackedLeft::new((a_op, a_t), (n, k), backend);
+                    let b_op = PackedRight::new((b_op, b_t), (k, m), backend);
+                    gemm_packed(&mut got, &a_op, &b_op);
                     assert_bits_eq(&got, &want);
                 }
             }

@@ -5,12 +5,13 @@
 //! provides:
 //!
 //! * [`DenseMatrix`] — a row-major dense matrix used both as the tile type
-//!   and for local (driver-side) matrices, with an optimized GEMM
-//!   micro-kernel and optional multicore row-parallel tile kernels (the
-//!   Rust analog of Scala's `.par` used by the paper's generated code).
+//!   and for local (driver-side) matrices, whose GEMM runs on packed
+//!   operands through the [`kernel`] microkernels.
 //! * [`kernel`] — the packed, cache-blocked, runtime-SIMD-dispatched GEMM
 //!   microkernels under every dense tile operation, with a bit-exact
-//!   deterministic-reduction contract across threads and backends.
+//!   deterministic-reduction contract across threads and backends
+//!   ([`kernel::gemm`] splits rows over threads, the Rust analog of the
+//!   Scala `.par` in the paper's generated code).
 //! * [`LocalMatrix`] — a deliberately naive reference
 //!   implementation used as the test oracle.
 //! * [`TiledMatrix`] / [`TiledVector`] — distributed block arrays over a

@@ -71,28 +71,8 @@ proptest! {
         let mut seq = DenseMatrix::zeros(96, 48);
         seq.gemm_acc(&a, &b);
         let mut par = DenseMatrix::zeros(96, 48);
-        par.gemm_acc_parallel(&a, &b, threads);
+        gemm_with(&mut par, &a, &b, threads, Backend::active());
         prop_assert!(par.approx_eq(&seq, 1e-10));
-    }
-
-    /// slice ∘ paste round-trips any in-bounds window.
-    #[test]
-    fn slice_paste_roundtrip(rows in 1usize..10, cols in 1usize..10,
-                             r0 in 0usize..6, c0 in 0usize..6,
-                             win in 1usize..8, seed in 0u64..1000) {
-        let m = rand_dense(rows, cols, seed);
-        let tile = m.slice_padded(r0, c0, win, win);
-        // Every in-bounds element must match; padding must be zero.
-        for i in 0..win {
-            for j in 0..win {
-                let expected = if r0 + i < rows && c0 + j < cols {
-                    m.get(r0 + i, c0 + j)
-                } else {
-                    0.0
-                };
-                prop_assert_eq!(tile.get(i, j), expected);
-            }
-        }
     }
 
     /// The byte rule for the tile codec, degenerate 0 x n shapes included:
@@ -130,10 +110,22 @@ proptest! {
 // backend, and thread count (the determinism contract of `tiled::kernel`).
 // ---------------------------------------------------------------------------
 
-use tiled::kernel::{gemm_oriented, Backend};
+use tiled::kernel::{gemm, gemm_packed, Backend, PackedLeft, PackedRight};
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `c += a · b` through [`gemm`], on `threads` row bands and `backend`.
+fn gemm_with(
+    c: &mut DenseMatrix,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    threads: usize,
+    backend: Backend,
+) {
+    let (n, k, m) = (a.rows(), a.cols(), b.cols());
+    gemm(c.data_mut(), a.data(), b.data(), n, k, m, threads, backend);
 }
 
 proptest! {
@@ -151,7 +143,7 @@ proptest! {
         want.gemm_acc_naive(&a, &b);
         for backend in [Backend::Scalar, Backend::active()] {
             let mut got = DenseMatrix::zeros(n, m);
-            got.gemm_acc_with(&a, &b, 1, backend);
+            gemm_with(&mut got, &a, &b, 1, backend);
             prop_assert_eq!(bits(&got), bits(&want), "backend {:?}", backend);
         }
     }
@@ -167,7 +159,7 @@ proptest! {
         let mut want = DenseMatrix::zeros(n, m);
         want.gemm_acc_naive(&a, &b);
         let mut got = DenseMatrix::zeros(n, m);
-        got.gemm_acc_with(&a, &b, 1, Backend::active());
+        gemm_with(&mut got, &a, &b, 1, Backend::active());
         prop_assert_eq!(bits(&got), bits(&want));
     }
 
@@ -179,9 +171,9 @@ proptest! {
         let a = rand_dense(n, 37, seed);
         let b = rand_dense(37, 29, seed + 11);
         let mut want = DenseMatrix::zeros(n, 29);
-        want.gemm_acc_with(&a, &b, 1, Backend::active());
+        gemm_with(&mut want, &a, &b, 1, Backend::active());
         let mut got = DenseMatrix::zeros(n, 29);
-        got.gemm_acc_with(&a, &b, threads, Backend::active());
+        gemm_with(&mut got, &a, &b, threads, Backend::active());
         prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
     }
 
@@ -215,8 +207,8 @@ proptest! {
 
     /// A transposed operand packed where it lies: every `(a_t, b_t)` is
     /// bit-equal to transposing the operand first and running the plain
-    /// kernel, on shapes straddling the register tiles and the KC panel, at
-    /// 1–8 threads, over rough and special floats, on the forced-scalar and
+    /// kernel at 1–8 threads, on shapes straddling the register tiles and
+    /// the KC panel, over rough and special floats, on the forced-scalar and
     /// the dispatched backend.
     #[test]
     fn oriented_gemm_is_transpose_then_gemm(n in 1usize..=70, k in 1usize..=200,
@@ -229,19 +221,14 @@ proptest! {
         let (at, bt) = (a.transpose(), b.transpose());
         for backend in [Backend::Scalar, Backend::active()] {
             let mut want = base.clone();
-            want.gemm_acc_with(&a, &b, threads, backend);
+            gemm_with(&mut want, &a, &b, threads, backend);
             for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
                 let a_op = if a_t { &at } else { &a };
                 let b_op = if b_t { &bt } else { &b };
+                let a_op = PackedLeft::new((a_op.data(), a_t), (n, k), backend);
+                let b_op = PackedRight::new((b_op.data(), b_t), (k, m), backend);
                 let mut got = base.clone();
-                gemm_oriented(
-                    got.data_mut(),
-                    (a_op.data(), a_t),
-                    (b_op.data(), b_t),
-                    (n, k, m),
-                    threads,
-                    backend,
-                );
+                gemm_packed(got.data_mut(), &a_op, &b_op);
                 prop_assert_eq!(
                     bits(&got), bits(&want),
                     "({}, {}) on {:?} at {} threads", a_t, b_t, backend, threads
@@ -260,7 +247,7 @@ proptest! {
         let b = rough_dense(n, n, special, seed + 16);
         let (at, bt) = (a.transpose(), b.transpose());
         let mut want = DenseMatrix::zeros(n, n);
-        want.gemm_acc_parallel(&a, &b, threads);
+        gemm_with(&mut want, &a, &b, threads, Backend::active());
         for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut got = DenseMatrix::zeros(n, n);
             let a_op = if a_t { &at } else { &a };
@@ -289,20 +276,19 @@ proptest! {
     }
 }
 
-use tiled::kernel::{gemm_packed, PackedLeft, PackedRight};
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Operands packed once and multiplied many times, as the group-by-join's
     /// cell does: `C[r][q] += A[r][p] · B[p][q]` over ascending contracted
     /// blocks `p`, with each `A[r][p]` packed once for every `q` and each
-    /// `B[p][q]` once for every `r`, is bit-equal to one `gemm_oriented` call
-    /// per product — in every orientation pair, on shapes crossing the
-    /// register tiles, the `MC` row blocks and the `KC` panels, over rough
-    /// and special floats, on the forced-scalar and the dispatched backend.
+    /// `B[p][q]` once for every `r`, is bit-equal to one [`gemm`] call per
+    /// product on the untransposed operands, each packed on its own — in
+    /// every orientation pair, on shapes crossing the register tiles, the
+    /// `MC` row blocks and the `KC` panels, over rough and special floats,
+    /// on the forced-scalar and the dispatched backend.
     #[test]
-    fn packed_once_multiplied_many_times_is_gemm_oriented(
+    fn packed_once_multiplied_many_times_is_one_gemm_per_product(
         n in prop_oneof![1usize..=40, 90usize..=120], m in 1usize..=40,
         depths in proptest::collection::vec(1usize..=250, 1..4),
         (rows, cols) in (1usize..=2, 1usize..=3),
@@ -339,9 +325,9 @@ proptest! {
                         .collect();
                     for r in 0..rows {
                         for q in 0..cols {
-                            let (a_op, b_op) = ((a_p[r].data(), a_t), (b_p[q].data(), b_t));
+                            let (a_op, b_op) = (a[r][p].data(), b[p][q].data());
                             let c = want[r * cols + q].data_mut();
-                            gemm_oriented(c, a_op, b_op, (n, k, m), 1, backend);
+                            gemm(c, a_op, b_op, n, k, m, 1, backend);
                             gemm_packed(got[r * cols + q].data_mut(), &lefts[r], &rights[q]);
                         }
                     }
@@ -381,7 +367,7 @@ fn degenerate_and_remainder_shapes_bit_identical() {
         for backend in [Backend::Scalar, Backend::active()] {
             for threads in [1, 3] {
                 let mut got = DenseMatrix::zeros(n, m);
-                got.gemm_acc_with(&a, &b, threads, backend);
+                gemm_with(&mut got, &a, &b, threads, backend);
                 assert_eq!(
                     bits(&got),
                     bits(&want),

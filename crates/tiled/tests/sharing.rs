@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparkline::wire::encode_frame;
-use tiled::kernel::Backend;
 use tiled::{DenseMatrix, LocalMatrix};
 
 /// Non-integer values, so a reordered or repeated operation shows in the bits.
@@ -94,17 +93,9 @@ const MUTATIONS: &[Mutation] = &[
         let (i, j) = (rng.gen_range(0..m.rows()), rng.gen_range(0..m.cols()));
         m.set(i, j, rng.gen_range(-1.0..1.0));
     }),
-    ("add_at", |m, rng| {
-        let (i, j) = (rng.gen_range(0..m.rows()), rng.gen_range(0..m.cols()));
-        m.add_at(i, j, rng.gen_range(-1.0..1.0));
-    }),
     ("add_in_place", |m, rng| {
         let other = rand_dense(m.rows(), m.cols(), rng);
         m.add_in_place(&other);
-    }),
-    ("axpy_in_place", |m, rng| {
-        let other = rand_dense(m.rows(), m.cols(), rng);
-        m.axpy_in_place(rng.gen_range(-2.0..2.0), &other);
     }),
     ("scale_in_place", |m, rng| {
         m.scale_in_place(rng.gen_range(-2.0..2.0))
@@ -113,13 +104,9 @@ const MUTATIONS: &[Mutation] = &[
         let (a, b) = gemm_operands(m, rng);
         m.gemm_acc(&a, &b);
     }),
-    ("gemm_acc_parallel", |m, rng| {
+    ("gemm_acc_packed", |m, rng| {
         let (a, b) = gemm_operands(m, rng);
-        m.gemm_acc_parallel(&a, &b, 3);
-    }),
-    ("gemm_acc_with", |m, rng| {
-        let (a, b) = gemm_operands(m, rng);
-        m.gemm_acc_with(&a, &b, 2, Backend::Scalar);
+        m.gemm_acc_packed(&a.pack_left(false), &b.pack_right(false));
     }),
     ("gemm_acc_naive", |m, rng| {
         let (a, b) = gemm_operands(m, rng);

@@ -12,7 +12,7 @@ use sac_repro::sac::{MatMulStrategy, Session};
 use sac_repro::service::net::{serve, Client};
 use sac_repro::service::QueryService;
 use sac_repro::sparkline::Context;
-use sac_repro::tiled::kernel::{fused_eltwise_into, Backend};
+use sac_repro::tiled::kernel::{self, fused_eltwise_into, Backend};
 use sac_repro::tiled::{DenseMatrix, ElemwiseOp, FusedProgram, LocalMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::SocketAddr;
@@ -172,12 +172,13 @@ fn kernel_is_2_5x_the_naive_oracle_at_384_cubed_with_equal_bits() {
     let b = LocalMatrix::random(n, n, -1.0, 1.0, &mut rng).to_dense();
     // Seven accumulations into each output, the same fma chains each.
     let [mut naive, mut packed, mut banded] = [(); 3].map(|_| DenseMatrix::zeros(n, n));
+    let (ab, bb) = (a.data(), b.data());
     let [naive_ms, packed_ms, banded_ms] = best_of(
         7,
         [
             &mut || naive.gemm_acc_naive(&a, &b),
             &mut || packed.gemm_acc(&a, &b),
-            &mut || banded.gemm_acc_with(&a, &b, 8, Backend::active()),
+            &mut || kernel::gemm(banded.data_mut(), ab, bb, n, n, n, 8, Backend::active()),
         ],
     );
     let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -863,6 +863,20 @@ fn a_mis_estimated_join_runs_its_plan_time_row_unprobed() {
         (records, profile.total_shuffle_bytes_written()),
         (18, 148_512)
     );
+    // The cells, which hold every product, run in the stage of the `count`
+    // that first reads them; it carries the row's tag too.
+    let cells: Vec<_> = profile
+        .stages
+        .iter()
+        .filter(|st| st.operators.iter().any(|op| op.operator == "groupByJoin"))
+        .collect();
+    assert_eq!(cells.len(), 1, "{}", profile.render());
+    assert_eq!(
+        (cells[0].label.as_str(), cells[0].tag.as_deref()),
+        ("action(count)", Some("contraction/groupByJoin")),
+        "{}",
+        profile.render()
+    );
 
     // The oracle: a session pinned to the row `Auto` chose, under the same lie.
     let pinned = lied(MatMulStrategy::GroupByJoin);
