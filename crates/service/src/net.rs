@@ -653,31 +653,37 @@ mod tests {
             max_line_bytes: 1024,
             ..ServeConfig::default()
         });
+        // Closing with the overflow still unread may surface as a clean EOF
+        // or a connection reset; both mean "hung up".
+        let hung_up = |e: &std::io::Error| {
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset
+                    | std::io::ErrorKind::ConnectionAborted
+                    | std::io::ErrorKind::BrokenPipe
+            )
+        };
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let huge = vec![b'x'; 64 << 10];
-        stream.write_all(b"RUN\talice\t").unwrap();
-        stream.write_all(&huge).unwrap();
-        stream.write_all(b"\n").unwrap();
-        stream.flush().unwrap();
+        // The server may answer and hang up before the whole line is sent:
+        // then a write fails, and the reply is still there to read.
+        let sent = stream
+            .write_all(b"RUN\talice\t")
+            .and_then(|()| stream.write_all(&huge))
+            .and_then(|()| stream.write_all(b"\n"))
+            .and_then(|()| stream.flush());
+        if let Err(e) = sent {
+            assert!(hung_up(&e), "unexpected error: {e:?}");
+        }
         let mut reader = BufReader::new(stream);
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
         assert_eq!(reply.trim_end(), "ERR\tline too long");
         reply.clear();
-        // Closing with the overflow still unread may surface as a clean EOF
-        // or a connection reset; both mean "hung up".
         match reader.read_line(&mut reply) {
             Ok(0) => {}
             Ok(n) => panic!("connection must be closed, read {n} bytes: {reply:?}"),
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::BrokenPipe
-                ),
-                "unexpected error: {e:?}"
-            ),
+            Err(e) => assert!(hung_up(&e), "unexpected error: {e:?}"),
         }
         // Fresh connections keep working.
         let mut c = Client::connect(server.addr()).unwrap();

@@ -70,6 +70,11 @@ pub const KC: usize = 192;
 /// Rows of A per block of the panel loop: an `MC x KC` slab of the pack
 /// (144 KiB) stays L2-resident.
 pub const MC: usize = 96;
+/// Flops a row band of [`gemm`] must carry before it gets a thread of its
+/// own: about 0.1-0.2 ms of one core, against the tens of microseconds a
+/// scoped spawn and join cost. A 64³ product (2²⁰ flops) runs on the
+/// calling thread; 384³ still splits into 8 bands.
+const FLOPS_PER_THREAD: usize = 1 << 22;
 
 /// Which microkernel implementation to run. Both produce bit-identical
 /// results; the choice is purely a speed decision.
@@ -562,10 +567,11 @@ fn packed_rows(c: &mut [f64], a: &PackedLeft, b: &PackedRight, rows: Range<usize
 
 /// `c += a * b` where `a` is `n x k`, `b` is `k x m`, and `c` is `n x m`,
 /// all row-major. Packs each operand once ([`PackedLeft`], [`PackedRight`]),
-/// then runs [`gemm_packed`]'s panel loop over row bands on `threads` scoped
-/// worker threads (1 = sequential); each band is a run of whole
-/// register-tile strips of the one pack of A. Bit-identical for every
-/// `threads`/`backend` combination; see the module docs.
+/// then runs [`gemm_packed`]'s panel loop over row bands on up to `threads`
+/// scoped worker threads (1 = sequential), each band a run of whole
+/// register-tile strips of the one pack of A carrying at least 2²² flops.
+/// Bit-identical for every `threads`/`backend` combination; see the module
+/// docs.
 ///
 /// # Panics
 /// If the slice lengths do not match the dimensions.
@@ -585,7 +591,7 @@ pub fn gemm(
     let b = PackedRight::new((b, false), (k, m), backend);
     let (tmr, _) = backend.tile();
     let strips = n.div_ceil(tmr);
-    let threads = threads.min(strips);
+    let threads = threads.min(strips).min(2 * n * k * m / FLOPS_PER_THREAD);
     if threads <= 1 || c.is_empty() {
         packed_rows(c, &a, &b, 0..n);
         return;
@@ -766,7 +772,10 @@ mod tests {
 
     #[test]
     fn packed_gemm_thread_invariant() {
-        let (n, k, m) = (101, 67, 53);
+        // 2·n·k·m is past 8 × FLOPS_PER_THREAD: 8 and 200 threads run 8
+        // bands, and n is no multiple of any band height.
+        let (n, k, m) = (301, 67, 853);
+        assert!(2 * n * k * m >= 8 * FLOPS_PER_THREAD);
         let a = rand_vec(n * k, 4);
         let b = rand_vec(k * m, 5);
         let base = rand_vec(n * m, 6);

@@ -693,14 +693,16 @@ mod tests {
 
     #[test]
     fn parallel_gemm_bit_identical_to_sequential() {
-        let a = DenseMatrix::from_fn(128, 96, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-        let b = DenseMatrix::from_fn(96, 80, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
-        let mut seq_out = DenseMatrix::zeros(128, 80);
+        // 2·256·96·688 flops: enough for `kernel::gemm` to fork 8 bands.
+        let (n, k, m) = (256, 96, 688);
+        let a = DenseMatrix::from_fn(n, k, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
+        let b = DenseMatrix::from_fn(k, m, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+        let mut seq_out = DenseMatrix::zeros(n, m);
         seq_out.gemm_acc(&a, &b);
         for threads in [1, 2, 3, 8] {
-            let mut par_out = DenseMatrix::zeros(128, 80);
+            let mut par_out = DenseMatrix::zeros(n, m);
             let (c, backend) = (par_out.data_mut(), Backend::active());
-            kernel::gemm(c, a.data(), b.data(), 128, 96, 80, threads, backend);
+            kernel::gemm(c, a.data(), b.data(), n, k, m, threads, backend);
             assert_eq!(par_out, seq_out, "threads={threads}");
         }
     }
