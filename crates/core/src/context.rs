@@ -349,7 +349,9 @@ impl Session {
     /// Run a translated loop program (`diablo::translate`) as one unit
     /// against an explicit environment: the statements plan in program
     /// order, a later one reading an earlier one's output by name; an output
-    /// two later statements read is persisted, so it is evaluated once.
+    /// two later statements read is persisted, so it is evaluated once, and
+    /// a group-by-join product read by one element-wise statement alone
+    /// runs with it as one cover that stores only the reader's result.
     /// Returns every statement's output in program order — the
     /// statement-at-a-time results, bit for bit. See [`planner::program`].
     pub fn run_program(

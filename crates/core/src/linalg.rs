@@ -210,6 +210,12 @@ pub fn rotate_rows(s: &Session, a: &TiledMatrix) -> Result<TiledMatrix, CompErro
 /// P' ← P + γ(2·E·Q − λP)
 /// Q' ← Q + γ(2·Eᵀ·P − λQ)
 /// ```
+///
+/// Six statements: the products `PQ`, `EQ` and `ETP`, each read by one
+/// element-wise statement alone (`E`, `P2`, `Q2`). Run as one program
+/// ([`crate::Session::run_program`]) on the group-by-join, each product and
+/// its reader are one cover: the reader runs on the product's cells in
+/// their own tasks and only its result is stored.
 pub const FACTORIZATION_STEP: &str = "\
     for i = 0, n-1 do for j = 0, m-1 do for k = 0, rank-1 do \
       PQ[i, j] += P[i, k] * Q[j, k]; \
@@ -227,7 +233,8 @@ pub const FACTORIZATION_STEP: &str = "\
 /// One step of [`FACTORIZATION_STEP`]: `(P', Q')`. The program runs as one
 /// unit ([`Session::run_program`]): its three contractions use the
 /// configured strategy, the two updates fuse into single element-wise plans,
-/// and `E`, read by two contractions, is evaluated once.
+/// `E`, read by two contractions, is evaluated once, and on the group-by-join
+/// no product is stored — `E`, `P'` and `Q'` are.
 pub fn factorization_step(
     s: &Session,
     r: &TiledMatrix,

@@ -65,14 +65,6 @@ impl DistArray {
             DistArray::Vector(v) => DistArray::Vector(v.persist()),
         }
     }
-
-    /// Is the root operator already a persist node?
-    fn is_persisted(&self) -> bool {
-        match self {
-            DistArray::Matrix(m) => m.tiles().op().cache_id().is_some(),
-            DistArray::Vector(v) => v.blocks().op().cache_id().is_some(),
-        }
-    }
 }
 
 /// Per-array statistics for the planner's cost model: logical dimensions,
@@ -205,19 +197,19 @@ impl PlanEnv {
     }
 
     /// A block-manager-persisted overlay of the array bound to `name`,
-    /// built on first use and cached for subsequent executions. Returns
-    /// `None` when the name is unbound.
+    /// built on first use and cached for subsequent executions; a binding
+    /// that is already persisted is its own overlay. Returns `None` when the
+    /// name is unbound.
     pub fn persisted_array(&self, name: &str) -> Option<DistArray> {
         let array = self.arrays.get(name)?;
-        if array.is_persisted() {
-            // Already bound to a persist node (e.g. via `persist_array`);
-            // wrapping again would stack caches for no benefit.
-            return Some(array.clone());
-        }
         let identity = array.lineage_identity();
         let mut cache = self.lock_persist_cache();
         match cache.get(name) {
-            Some((id, overlay)) if *id == identity => Some(overlay.clone()),
+            // Bound to the overlay's source, or to the overlay itself
+            // (`persist_array`).
+            Some((id, overlay)) if *id == identity || overlay.lineage_identity() == identity => {
+                Some(overlay.clone())
+            }
             _ => {
                 let overlay = array.persisted();
                 if let Some((_, old)) = cache.insert(name.to_string(), (identity, overlay.clone()))
@@ -356,6 +348,13 @@ mod tests {
         let p3 = env.persisted_array("M").unwrap();
         assert_ne!(id(&p3), id(&p1), "rebinding must build a fresh overlay");
         assert!(env.persisted_array("missing").is_none());
+        // Persisted in place, the binding is its own overlay: a plan reading
+        // it twice keeps its blocks.
+        assert!(env.persist_array("M"));
+        p3.as_matrix().unwrap().to_local();
+        let blocks = ctx.storage_status().blocks_in_memory;
+        assert_eq!(id(&env.persisted_array("M").unwrap()), id(&p3));
+        assert_eq!(ctx.storage_status().blocks_in_memory, blocks);
     }
 
     #[test]

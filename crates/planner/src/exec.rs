@@ -43,6 +43,16 @@ impl ExecResult {
         Ok(self)
     }
 
+    /// The result persisted through the block manager; a local value, or a
+    /// result that is already the direct output of a persist, unchanged.
+    pub(crate) fn persisted(self) -> ExecResult {
+        match self {
+            ExecResult::Matrix(m) => ExecResult::Matrix(m.persist()),
+            ExecResult::Vector(v) => ExecResult::Vector(v.persist()),
+            local => local,
+        }
+    }
+
     pub fn into_matrix(self) -> Result<TiledMatrix, CompError> {
         match self {
             ExecResult::Matrix(m) => Ok(m),
@@ -92,25 +102,43 @@ pub fn monoid_f64(m: Monoid) -> Result<(f64, fn(f64, f64) -> f64), CompError> {
 }
 
 /// Execute a planned comprehension: the lowering of the plan-table row that
-/// chose it.
-///
-/// The lowering runs under a plan-node tag equal to [`Plan::strategy_name`],
-/// so every shuffle stage the plan constructs is attributed to its plan node
-/// in the event trace (the DAG is built here even though stages materialize
-/// later — shuffles capture the tag eagerly).
+/// chose it, under a plan-node tag equal to [`Plan::strategy_name`]. A
+/// group-by-join's result is persisted under the storage budget for as long
+/// as it lives: its products run behind no shuffle, so a consumer that
+/// evaluates it twice (two contractions over one `E`) would otherwise
+/// multiply twice; under memory pressure a second consumer re-multiplies
+/// instead.
 pub fn execute(
     planned: &Planned,
     env: &PlanEnv,
     ctx: &Context,
     config: &PlanConfig,
 ) -> Result<ExecResult, CompError> {
-    // Resolve partition autotuning (`partitions == 0`) against this
-    // context's worker pool and the plan's estimated output size, then put
-    // the planner's cost-based decision on the event bus as `plan.chosen`.
-    let mut tuned = config.clone();
-    if tuned.partitions == 0 {
-        tuned.partitions = autotune_partitions(&planned.output, ctx);
-    }
+    let result = lower(planned, env, ctx, config, planned.plan.strategy_name())?;
+    Ok(if planned.plan.is_group_by_join() {
+        result.persisted()
+    } else {
+        result
+    })
+}
+
+/// The lowering of `planned`, stored by no one, under plan-node tag `tag`:
+/// every shuffle and band crossing the plan constructs is attributed to it
+/// in the event trace (the DAG is built here even though stages materialize
+/// later — those nodes capture the tag eagerly).
+pub(crate) fn lower(
+    planned: &Planned,
+    env: &PlanEnv,
+    ctx: &Context,
+    config: &PlanConfig,
+    tag: &str,
+) -> Result<ExecResult, CompError> {
+    // Resolve partition autotuning, then put the planner's cost-based
+    // decision on the event bus as `plan.chosen`.
+    let tuned = PlanConfig {
+        partitions: resolved_partitions(planned, ctx, config),
+        ..config.clone()
+    };
     let plan = &planned.plan;
     if let Some(decision) = plan.decision() {
         ctx.emit_event(|at_micros| Event::PlanChosen {
@@ -127,7 +155,7 @@ pub fn execute(
             at_micros,
         });
     }
-    ctx.scoped_tag(plan.strategy_name(), || {
+    ctx.scoped_tag(tag, || {
         let overlay = persist_shared_inputs(plan, env);
         let lowering = Lowering {
             env: overlay.as_ref().unwrap_or(env),
@@ -161,6 +189,16 @@ impl Lowering<'_> {
 
 /// Target bytes per shuffle partition when autotuning.
 const PARTITION_TARGET_BYTES: u64 = 1 << 20;
+
+/// The partition count `planned` lowers to: the configured one, or — when
+/// `config.partitions == 0` — [`autotune_partitions`] over this context's
+/// worker pool and the plan's estimated output size.
+pub(crate) fn resolved_partitions(planned: &Planned, ctx: &Context, config: &PlanConfig) -> usize {
+    match config.partitions {
+        0 => autotune_partitions(&planned.output, ctx),
+        pinned => pinned,
+    }
+}
 
 /// Derive the shuffle partition count from the (dense-estimated) output
 /// size: one partition per ~1 MiB, clamped to `[workers, 4 * workers]` so
@@ -1110,12 +1148,11 @@ fn group_by_join<B: Block>(c: &Contract<B>) -> Lowered<B> {
             .flat_map(|&i| cols.iter().map(move |&j| (i, B::col_at(j))));
         PartitionStream::from_vec(keys.zip(out).collect())
     });
-    // Every product of the plan runs in those cells, behind no shuffle: a
-    // consumer that evaluates the result twice (two contractions over one
-    // `E`) would multiply twice.
-    // Persist it under the storage budget for as long as the result lives;
-    // under memory pressure a second consumer re-multiplies instead.
-    Ok(reduced.persist())
+    // Every product of the plan runs in those cells, behind no shuffle, so a
+    // consumer that evaluates the result twice would multiply twice: who
+    // stores it is decided above the dataflow ([`execute`], and
+    // `program::run` for a product whose one reader covers it).
+    Ok(reduced)
 }
 
 /// Group collected blocks by their contracted block index.

@@ -22,8 +22,9 @@
 //! that runs.
 //!
 //! A translated loop program runs as one unit ([`program::run`]): its
-//! statements plan in order against one environment, and an intermediate
-//! read twice is evaluated once.
+//! statements plan in order against one environment, an intermediate read
+//! twice is evaluated once, and a group-by-join product read by one
+//! element-wise statement alone is covered by it — never stored.
 
 pub mod analysis;
 pub mod env;

@@ -239,6 +239,13 @@ impl Plan {
         self.row.tag
     }
 
+    /// The plan is the matrix group-by-join, whose products run in its
+    /// output's cells behind no shuffle.
+    pub(crate) fn is_group_by_join(&self) -> bool {
+        let pin = self.row.strategy.as_ref().map(|s| s.pin);
+        pin == Some(MatMulStrategy::GroupByJoin)
+    }
+
     /// The decision record of a row that decides: a contraction row's
     /// cost-based choice, or the catch-all row's reason.
     pub fn decision(&self) -> Option<&PlanDecision> {

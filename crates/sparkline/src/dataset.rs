@@ -213,11 +213,15 @@ impl<T: Data> Dataset<T> {
     /// are transparently recomputed from lineage. The blocks are removed
     /// when the last dataset reading them — this one, a clone, or one built
     /// on it up to another `persist` that has computed every partition — is
-    /// dropped.
+    /// dropped. Persisting the direct result of a persist returns it
+    /// unchanged: its blocks are stored and budgeted once.
     pub fn persist(&self) -> Dataset<T>
     where
         T: SpillCodec,
     {
+        if self.op.cache_id().is_some() {
+            return self.clone();
+        }
         let upstream = self.leases.clone();
         let (op, lease) = PersistOp::new(&self.ctx, self.op.clone(), upstream);
         Dataset {
@@ -833,6 +837,19 @@ mod tests {
         assert_eq!(d.collect(), expected);
         assert_eq!(d.collect(), expected);
         assert_eq!(calls.load(Ordering::SeqCst), 10, "second pass must hit");
+        assert_eq!(c.storage_status().blocks_in_memory, 2);
+    }
+
+    #[test]
+    fn persisting_a_persist_stores_each_block_once() {
+        let c = cache_ctx();
+        let d = c.parallelize((0..10i64).collect(), 2).persist();
+        let again = d.persist();
+        assert_eq!(again.op().cache_id(), d.op().cache_id());
+        c.trace();
+        assert_eq!(again.collect(), (0..10).collect::<Vec<_>>());
+        let cache = c.take_profile().cache_totals();
+        assert_eq!((cache.hits, cache.misses), (0, 2), "one miss a partition");
         assert_eq!(c.storage_status().blocks_in_memory, 2);
     }
 

@@ -43,9 +43,9 @@ pub trait Op<T: Data>: Send + Sync + 'static {
     }
 
     /// Plan-node tag of the work a stage reading this node runs in its own
-    /// tasks: the tag a band-crossing node captured when it was built,
-    /// found through the map and persist nodes above it. `None` past a
-    /// shuffle, whose work runs in stages of its own, tagged there.
+    /// tasks: the tag a band-crossing or cogroup node captured when it was
+    /// built, found through the map and persist nodes above it. `None` past
+    /// a shuffle, whose work runs in stages of its own, tagged there.
     fn tag(&self) -> Option<String> {
         None
     }

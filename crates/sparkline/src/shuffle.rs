@@ -1070,6 +1070,9 @@ pub struct CoGroupOp<K: Data, V: Data, W: Data> {
     pub(crate) left: CoGroupSide<K, V>,
     pub(crate) right: CoGroupSide<K, W>,
     pub(crate) partitioner: KeyPartitioner<K>,
+    /// Plan-node tag in effect when this node was constructed, as a
+    /// [`ShuffleOp`] captures it: the join's own tasks run its narrow sides.
+    tag: Option<String>,
 }
 
 impl<K, V, W> CoGroupOp<K, V, W>
@@ -1117,6 +1120,7 @@ where
             left,
             right,
             partitioner,
+            tag: current_tag(),
         }
     }
 
@@ -1169,6 +1173,10 @@ where
             self.partitioner.descriptor().to_string(),
             self.partitioner.partitions(),
         ))
+    }
+
+    fn tag(&self) -> Option<String> {
+        self.tag.clone()
     }
 
     fn name(&self) -> String {

@@ -5,7 +5,7 @@ mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sac_repro::diablo::{parse_program, translate};
+use sac_repro::diablo::{parse_program, translate, Translated};
 use sac_repro::planner::ExecResult;
 use sac_repro::sac::{linalg, MatMulStrategy, Session};
 use sac_repro::tiled::{LocalMatrix, TiledMatrix};
@@ -240,4 +240,128 @@ fn the_factorization_program_is_the_statement_at_a_time_step_bit_for_bit() {
             (by_program, by_statement) = ((p2, q2), (p2_oracle, q2_oracle));
         }
     }
+}
+
+/// The plan-node tag of a cover: a group-by-join product and its one
+/// element-wise reader, run in the product's cells.
+const COVER: &str = "contraction/groupByJoin+eltwise/fused";
+
+/// Two products, each read by one element-wise statement alone: `C` by `D`
+/// and `F` by `G` (`D`, read twice, is persisted anyway).
+const TWO_COVERS: &str = "\
+    for i = 0, n-1 do for j = 0, n-1 do for k = 0, n-1 do C[i, j] += A[i, k] * B[k, j]; \
+    for i = 0, n-1 do for j = 0, n-1 do D[i, j] = C[i, j] - 2.0 * A[i, j]; \
+    for i = 0, n-1 do for j = 0, n-1 do for k = 0, n-1 do F[i, j] += D[i, k] * B[k, j]; \
+    for i = 0, n-1 do for j = 0, n-1 do G[i, j] = A[i, j] + F[i, j] * D[i, j];";
+
+fn persisted(result: &ExecResult) -> bool {
+    matches!(result, ExecResult::Matrix(m) if m.tiles().op().cache_id().is_some())
+}
+
+/// Output `name` of `program`'s matrix statements run one query at a time,
+/// each output registered in the session for the statements after it.
+fn one_query_at_a_time(s: &mut Session, program: &Translated, name: &str) -> LocalMatrix {
+    for (output, expr) in &program.outputs {
+        let result = s.run_expr(expr).unwrap().into_matrix().unwrap();
+        s.register_matrix(output.as_str(), result);
+    }
+    s.matrix_named(name).unwrap().to_local()
+}
+
+/// Stages the trace tagged with the cover's tag.
+fn cover_stages(profile: &sac_repro::sparkline::JobProfile) -> usize {
+    let tags = profile.stages.iter().filter_map(|st| st.tag.as_deref());
+    tags.filter(|&tag| tag == COVER).count()
+}
+
+/// A program the cover takes, on rough floats and a fringe shape, against
+/// its statements run one query at a time: the same bits under every
+/// contraction row. Under the group-by-join each product is left unstored
+/// — its reader's result is — and the readers' stages carry the cover's
+/// tag; under `reduceByKey` nothing is covered.
+#[test]
+fn a_covered_program_is_its_statements_run_one_query_at_a_time() {
+    let n = 10;
+    let mut rng = StdRng::seed_from_u64(46);
+    let (a, b) = (common::rough(n, n, &mut rng), common::rough(n, n, &mut rng));
+    let program = translate(&parse_program(TWO_COVERS).unwrap()).unwrap();
+    for matmul in [
+        MatMulStrategy::Auto,
+        MatMulStrategy::GroupByJoin,
+        MatMulStrategy::ReduceByKey,
+    ] {
+        let mut s = Session::builder()
+            .workers(4)
+            .partitions(4)
+            .matmul(matmul)
+            .broadcast_budget(0)
+            .chaos_off()
+            .build();
+        s.register_local_matrix("A", &a, 4);
+        s.register_local_matrix("B", &b, 4);
+        s.set_int("n", n as i64);
+        s.spark().trace();
+        let outputs = s.run_program(&program, s.env()).unwrap();
+        let g = outputs[3].1.clone().into_matrix().unwrap().to_local();
+        let profile = s.spark().take_profile();
+
+        let oracle = one_query_at_a_time(&mut s, &program, "G");
+        assert_eq!(
+            common::bits(g.data()),
+            common::bits(oracle.data()),
+            "{matmul:?}"
+        );
+
+        let covered = profile
+            .plan_choices
+            .iter()
+            .all(|c| c.chosen == "contraction/groupByJoin");
+        assert_eq!(covered, matmul != MatMulStrategy::ReduceByKey, "{matmul:?}");
+        let stored: Vec<bool> = outputs.iter().map(|(_, r)| persisted(r)).collect();
+        if covered {
+            assert_eq!(stored, [false, true, false, true], "{matmul:?}");
+            assert!(cover_stages(&profile) > 0, "{}", profile.render());
+        } else {
+            assert_eq!(stored, [false, true, false, false], "{matmul:?}");
+            assert_eq!(cover_stages(&profile), 0, "{}", profile.render());
+        }
+    }
+}
+
+/// A product whose one reader joins a co-input laid out at another
+/// partition count is not covered: it is persisted, as a query of its own
+/// persists it, and no stage carries the cover's tag.
+#[test]
+fn a_co_input_at_another_partition_count_runs_the_statement_plans() {
+    let n = 10;
+    let mut rng = StdRng::seed_from_u64(47);
+    let (a, b) = (common::rough(n, n, &mut rng), common::rough(n, n, &mut rng));
+    let mut s = Session::builder()
+        .workers(4)
+        .partitions(4)
+        .matmul(MatMulStrategy::GroupByJoin)
+        .chaos_off()
+        .build();
+    s.register_local_matrix("A", &a, 4);
+    s.register_local_matrix("B", &b, 4);
+    // A's grid over two partitions, not the plan's four.
+    let two = TiledMatrix::from_local(s.spark(), &a, 4, 2).partition_by_grid(2);
+    s.register_matrix("A2", two);
+    s.set_int("n", n as i64);
+    let src = "for i = 0, n-1 do for j = 0, n-1 do for k = 0, n-1 do \
+               C[i, j] += A[i, k] * B[k, j]; \
+               for i = 0, n-1 do for j = 0, n-1 do D[i, j] = C[i, j] - 2.0 * A2[i, j];";
+    let program = translate(&parse_program(src).unwrap()).unwrap();
+    s.spark().trace();
+    let outputs = s.run_program(&program, s.env()).unwrap();
+    let d = outputs[1].1.clone().into_matrix().unwrap().to_local();
+    let profile = s.spark().take_profile();
+    assert!(
+        persisted(&outputs[0].1),
+        "C is stored before its reader runs"
+    );
+    assert!(!persisted(&outputs[1].1), "D is read by no one");
+    assert_eq!(cover_stages(&profile), 0, "{}", profile.render());
+    let oracle = one_query_at_a_time(&mut s, &program, "D");
+    assert_eq!(common::bits(d.data()), common::bits(oracle.data()));
 }

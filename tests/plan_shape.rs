@@ -910,3 +910,74 @@ fn local_fallback_result_is_tiled_like_the_matrix_the_query_reads() {
         assert_eq!(diagonal.to_local(), want);
     }
 }
+
+#[test]
+fn a_factorization_step_runs_each_product_in_its_readers_stage_and_stores_no_product() {
+    // One Fig. 4.C step as its translated program, every contraction on the
+    // group-by-join: `PQ`, `EQ` and `ETP` are each read by one element-wise
+    // statement alone, which covers it.
+    use sac_repro::diablo::{parse_program, translate};
+    use sac_repro::sac::linalg::FACTORIZATION_STEP;
+    let (n, rank, tile) = (12, 4, 4);
+    let mut s = Session::builder()
+        .workers(4)
+        .partitions(4)
+        .matmul(MatMulStrategy::GroupByJoin)
+        .storage_memory(64 << 20)
+        .chaos_off()
+        .build();
+    let r = LocalMatrix::from_fn(n, n, |i, j| ((i * 7 + j) % 5) as f64);
+    let p = LocalMatrix::from_fn(n, rank, |i, k| ((i + k) % 3) as f64 * 0.5);
+    let q = LocalMatrix::from_fn(n, rank, |j, k| ((j * k) % 4) as f64 * 0.25);
+    for (name, m) in [("R", &r), ("P", &p), ("Q", &q)] {
+        s.register_local_matrix(name, m, tile);
+    }
+    s.set_int("n", n as i64);
+    s.set_int("m", n as i64);
+    s.set_int("rank", rank as i64);
+    s.set_float("gamma", 0.002);
+    s.set_float("lambda", 0.02);
+    let program = translate(&parse_program(FACTORIZATION_STEP).unwrap()).unwrap();
+
+    s.spark().trace();
+    let outputs = s.run_program(&program, s.env()).unwrap();
+    let output = |name: &str| {
+        let (_, result) = outputs.iter().find(|(n, _)| n == name).unwrap();
+        result.clone().into_matrix().unwrap()
+    };
+    output("P2").tiles().count();
+    output("Q2").tiles().count();
+    let profile = s.spark().take_profile();
+
+    // The reads of P' and Q' run `EQ`'s and `ETP`'s cells and the update
+    // that reads each, one stage apiece, under the cover's tag; `PQ`'s
+    // cells run where `E` is first read, in `EQ`'s row-band shuffle.
+    let covered: Vec<_> = profile
+        .stages
+        .iter()
+        .filter(|st| st.tag.as_deref() == Some("contraction/groupByJoin+eltwise/fused"))
+        .collect();
+    assert_eq!(covered.len(), 2, "{}", profile.render());
+    for st in covered {
+        let runs = |op: &str| st.operators.iter().any(|o| o.operator == op);
+        assert!(
+            runs("groupByJoin") && runs("fused_eltwise"),
+            "{}",
+            profile.render()
+        );
+    }
+    // No product is stored: the block manager holds `E`'s, `P2`'s and
+    // `Q2`'s blocks, and nothing else.
+    for product in ["PQ", "EQ", "ETP"] {
+        assert_eq!(output(product).tiles().op().cache_id(), None, "{product}");
+    }
+    let stored: usize = ["E", "P2", "Q2"]
+        .iter()
+        .map(|name| {
+            let m = output(name);
+            assert!(m.tiles().op().cache_id().is_some(), "{name}");
+            m.tiles().num_partitions()
+        })
+        .sum();
+    assert_eq!(s.spark().storage_status().blocks_in_memory, stored);
+}
